@@ -209,4 +209,15 @@ echo "$SWEEP_OUT" | grep '^  plan ' | while read -r _ name rest; do
     echo "  ${name}: ${wall}s (baseline ${base}s, delta ${delta}s)"
 done
 
+echo '== ckptbench gate: the benchmark builds and runs against this tree =='
+# benchmark/ is a workspace of its own (path deps on crates/*), so neither
+# the build nor the test step above compiles it: a public-API change would
+# break it silently until the perf pipeline ran. Build it, run its harness
+# tests, and drive every workload once, untraced and traced, on tiny op
+# lists (~3 s; every restart bit-compared, the traced run's two worlds
+# compared round by round).
+cargo build --offline --release --manifest-path benchmark/Cargo.toml
+(cd benchmark && cargo test --offline -q)
+benchmark/run.sh --smoke
+
 echo 'CI OK'

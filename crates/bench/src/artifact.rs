@@ -25,14 +25,7 @@ use std::fmt::Write as _;
 /// FNV-1a 64 — the repo's standard cheap digest. The golden tests, the
 /// sweep engine's plan/config hashes, and the RunBook artifact hashes all
 /// share this one definition instead of re-deriving it per test file.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+pub use ckpt_storage::fnv1a64;
 
 /// FNV-1a 64 rendered the way artifacts embed it: 16 lowercase hex digits.
 pub fn fnv1a64_hex(data: &[u8]) -> String {

@@ -10,8 +10,8 @@
 //! chunk order, so the result is byte-for-byte identical at any pool
 //! width.
 
-use crate::digest::fnv1a64;
 use ckpt_par::Pool;
+use ckpt_storage::fnv1a64_multi;
 
 /// Chunking parameters: minimum chunk size, average-size exponent
 /// (boundary probability `2^-avg_bits` per byte once past `min`), and a
@@ -95,20 +95,28 @@ pub fn split(data: &[u8], p: &ChunkParams) -> Vec<ChunkSpan> {
     spans
 }
 
+/// Chunks one pool task digests together: a few refills of the
+/// [`fnv1a64_multi`] lanes, so ragged chunks keep every lane busy.
+const DIGEST_RUN: usize = 4 * ckpt_storage::FNV_LANES;
+
 /// Split and digest: boundaries found serially, per-chunk FNV digests
-/// computed on `pool` with ordered merge. Returns `(span, digest)` in
-/// chunk order — identical output at any pool width.
+/// computed on `pool` — a run of chunks per task, through the multi-lane
+/// FNV — with ordered merge. Returns `(span, digest)` in chunk order —
+/// identical output at any pool width.
 pub fn split_and_digest(data: &[u8], p: &ChunkParams, pool: &Pool) -> Vec<(ChunkSpan, u64)> {
     let spans = split(data, p);
-    let digests = pool.par_map_ordered(spans.clone(), || (), |_, _, span: ChunkSpan| {
-        fnv1a64(&data[span.offset..span.offset + span.len])
+    let runs: Vec<&[ChunkSpan]> = spans.chunks(DIGEST_RUN).collect();
+    let digests = pool.par_map_ordered(runs, || (), |_, _, run| {
+        let bufs: Vec<&[u8]> = run.iter().map(|s| &data[s.offset..s.offset + s.len]).collect();
+        fnv1a64_multi(&bufs)
     });
-    spans.into_iter().zip(digests).collect()
+    spans.iter().copied().zip(digests.into_iter().flatten()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckpt_storage::fnv1a64;
 
     fn pseudo_bytes(n: usize, seed: u64) -> Vec<u8> {
         let mut v = Vec::with_capacity(n);

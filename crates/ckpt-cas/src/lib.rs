@@ -9,7 +9,8 @@
 //! * [`chunker`] — content-defined chunking: a gear rolling hash picks
 //!   chunk boundaries that re-synchronize after edits, with min/avg/max
 //!   size bounds ([`ChunkParams`]);
-//! * [`digest`] — FNV-1a 64-bit content addresses;
+//! * [`fnv1a64`] — FNV-1a 64-bit content addresses (the one shared
+//!   definition in `ckpt-storage`, re-exported);
 //! * [`delta`] — XOR + run-length delta between successive versions of
 //!   one lineage, applied before chunking;
 //! * [`manifest`] — the stored recipe (chunk list, optional base recipe,
@@ -25,11 +26,10 @@
 
 pub mod chunker;
 pub mod delta;
-pub mod digest;
 pub mod manifest;
 pub mod store;
 
 pub use chunker::{split, split_and_digest, ChunkParams, ChunkSpan};
-pub use digest::fnv1a64;
+pub use ckpt_storage::fnv1a64;
 pub use manifest::{BaseRecipe, ChunkRef, Encoding, Manifest, ManifestError, MANIFEST_MAGIC};
 pub use store::{CasStats, CasStatsHandle, DedupStore};

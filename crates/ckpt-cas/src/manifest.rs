@@ -7,7 +7,7 @@
 //! carries its own FNV checksum so a torn manifest write decodes to a
 //! typed failure, never to wrong bytes.
 
-use crate::digest::fnv1a64;
+use ckpt_storage::fnv1a64;
 
 /// Leading magic of every manifest object: `"CKPTCAS1"`. Distinct from
 /// `ckpt_image::IMAGE_MAGIC`, so the two object kinds can share a

@@ -32,13 +32,14 @@ use std::sync::Arc;
 
 use ckpt_par::Pool;
 use ckpt_storage::key::ObjectKey;
-use ckpt_storage::{ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt};
+use ckpt_storage::{
+    fnv1a64, ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt,
+};
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
 
 use crate::chunker::{split_and_digest, ChunkParams};
 use crate::delta::{xor_rle_decode, xor_rle_encode};
-use crate::digest::fnv1a64;
 use crate::manifest::{self, BaseRecipe, ChunkRef, Encoding, Manifest};
 
 #[derive(Default)]

@@ -13,7 +13,7 @@ use crate::report::CkptOutcome;
 use crate::tracker::{Tracker, TrackerKind};
 use crate::SharedStorage;
 use ckpt_image::ImageKind;
-use ckpt_storage::{prune_before, store_image};
+use ckpt_storage::{prune_superseded, store_image_bytes};
 use simos::module::UserAgent;
 use simos::syscall::{Syscall, Whence};
 use simos::trace::Phase;
@@ -213,9 +213,15 @@ impl UserCkptAgent {
         let encoded_len;
         let storage_ns;
         {
+            // Encode off the storage lock and drop the captured image, so
+            // only the encoding and the store's copy are live across the
+            // commit.
+            let bytes = ckpt_image::encode(&img);
+            drop(img);
             let mut storage = self.storage.lock();
-            let receipt = store_image(storage.as_mut(), &self.cfg.job, &img, &k.cost)
-                .map_err(|e| SimError::Usage(format!("user-level store failed: {e}")))?;
+            let receipt =
+                store_image_bytes(storage.as_mut(), &self.cfg.job, pid.0, next_seq, &bytes, &k.cost)
+                    .map_err(|e| SimError::Usage(format!("user-level store failed: {e}")))?;
             encoded_len = receipt.bytes;
             storage_ns = receipt.time_ns;
             let label = storage.label();
@@ -248,7 +254,8 @@ impl UserCkptAgent {
             k.faultpoint(&self.cfg.name, "prune")?;
             let prune0 = k.now();
             let mut storage = self.storage.lock();
-            let _ = prune_before(storage.as_mut(), &self.cfg.job, pid.0, next_seq, &k.cost);
+            // The receipt above vouches for the full image at `next_seq`.
+            let _ = prune_superseded(storage.as_mut(), &self.cfg.job, pid.0, next_seq);
             drop(storage);
             k.trace.phase(
                 &self.cfg.name,

@@ -27,7 +27,7 @@ use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::{Tracker, TrackerKind};
 use crate::SharedStorage;
 use ckpt_image::{ChainError, ImageKind};
-use ckpt_storage::{load_latest_valid_chain, prune_before, store_image_bytes};
+use ckpt_storage::{load_latest_valid_chain, prune_superseded, store_image_bytes, ImageKey};
 use simos::trace::{Phase, StorageOp};
 use simos::types::{Pid, SimError, SimResult};
 use simos::Kernel;
@@ -431,24 +431,22 @@ impl KernelCkptEngine {
         {
             // Encode outside the storage lock; the pool parallelizes the
             // trailer CRC while the serial layout keeps bytes identical.
+            // The captured image is dropped as soon as it is encoded, so
+            // only the encoding and the store's copy are live across the
+            // commit.
             let bytes = ckpt_image::encode_with_pool(&img, &self.encode_pool);
+            drop(img);
             let mut storage = self.storage.lock();
-            let receipt = store_image_bytes(
-                storage.as_mut(),
-                &self.job,
-                img.header.pid,
-                img.header.seq,
-                &bytes,
-                &k.cost,
-            )
-            .map_err(|e| SimError::Usage(format!("store failed: {e}")))?;
+            let receipt =
+                store_image_bytes(storage.as_mut(), &self.job, pid.0, next_seq, &bytes, &k.cost)
+                    .map_err(|e| SimError::Usage(format!("store failed: {e}")))?;
             encoded_len = receipt.bytes;
             storage_ns = receipt.time_ns;
             let label = storage.label();
             // Chain metadata: where (and how widely) this segment landed.
-            if let Some(m) = storage.replica_manifest(
-                &ckpt_storage::ImageKey::new(&self.job, img.header.pid, img.header.seq).to_string(),
-            ) {
+            if let Some(m) =
+                storage.replica_manifest(&ImageKey::new(&self.job, pid.0, next_seq).to_string())
+            {
                 self.chain_manifests.push(m);
             }
             drop(storage);
@@ -484,11 +482,14 @@ impl KernelCkptEngine {
                 let prune0 = k.now();
                 let mut storage = self.storage.lock();
                 let label = storage.label();
-                let _ = prune_before(storage.as_mut(), &self.job, pid.0, next_seq, &k.cost);
+                // The receipt above is the authority that `next_seq` is a
+                // committed full image: collect what it supersedes without
+                // reading it back.
+                let _ = prune_superseded(storage.as_mut(), &self.job, pid.0, next_seq);
                 drop(storage);
                 // Keys sort by zero-padded seq, so this drops exactly the
                 // manifests of the pruned segments.
-                let cut = ckpt_storage::ImageKey::new(&self.job, pid.0, next_seq).to_string();
+                let cut = ImageKey::new(&self.job, pid.0, next_seq).to_string();
                 self.chain_manifests.retain(|m| m.key >= cut);
                 k.trace.storage(StorageOp::Delete, &label, 0, 0);
                 k.trace.phase(
@@ -557,10 +558,11 @@ pub fn restart_from_shared(
     let t0 = k.now();
     let (full, load_ns, images_loaded, storage_label) = {
         let storage = storage.lock();
+        let prefix = ImageKey::lineage_prefix(job, target.0);
         let keys = storage
             .list()
             .iter()
-            .filter(|key| key.starts_with(&format!("{}/pid{}/", job, target.0)))
+            .filter(|key| key.starts_with(&prefix))
             .count() as u64;
         // Resilient load: torn/corrupt debris from a mid-checkpoint crash
         // is rejected by CRC/format validation and the loader falls back

@@ -71,14 +71,7 @@ impl TrackerKind {
 }
 
 /// FNV-1a 64-bit hash (the block comparator).
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
+pub use ckpt_storage::fnv1a64;
 
 /// What a collection round found.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -95,17 +95,14 @@ fn invert(mat: &[Vec<u8>]) -> Option<Vec<Vec<u8>>> {
     Some(a.into_iter().map(|row| row[n..].to_vec()).collect())
 }
 
-/// `out[i] = Σ_j mat[i][j] · shards[j]` — matrix × shard-vector product.
-fn mat_apply(mat: &[Vec<u8>], shards: &[&[u8]], shard_len: usize) -> Vec<Vec<u8>> {
-    mat.iter()
-        .map(|row| {
-            let mut out = vec![0u8; shard_len];
-            for (&c, &s) in row.iter().zip(shards) {
-                gf::mul_acc_slice(c, s, &mut out);
-            }
-            out
-        })
-        .collect()
+/// `out ^= Σ_j row[j] · shards[j]` — one row of a matrix × shard-vector
+/// product. A shard shorter than `out` stands for its zero-padded self
+/// (zero bytes contribute nothing), so the unpadded slices of an object
+/// feed the parity rows directly.
+fn row_apply(row: &[u8], shards: &[&[u8]], out: &mut [u8]) {
+    for (&c, &s) in row.iter().zip(shards) {
+        gf::mul_acc_slice(c, s, &mut out[..s.len()]);
+    }
 }
 
 impl RsCode {
@@ -157,18 +154,37 @@ impl RsCode {
         (len.div_ceil(self.k)).max(1)
     }
 
+    /// The `k` data shards of `object` as borrowed, *unpadded* slices:
+    /// shard `i` is `object[i·sl .. (i+1)·sl]` clipped to the object, so
+    /// the tail shards of a short object are short or empty. Their
+    /// zero-padded forms are what [`RsCode::split`] returns.
+    pub fn data_slices<'a>(&self, object: &'a [u8]) -> Vec<&'a [u8]> {
+        let sl = self.shard_len(object.len());
+        (0..self.k)
+            .map(|i| &object[(i * sl).min(object.len())..((i + 1) * sl).min(object.len())])
+            .collect()
+    }
+
     /// Split an object into `k` equal data shards (last one zero-padded).
     pub fn split(&self, object: &[u8]) -> Vec<Vec<u8>> {
         let sl = self.shard_len(object.len());
-        (0..self.k)
-            .map(|i| {
-                let lo = (i * sl).min(object.len());
-                let hi = ((i + 1) * sl).min(object.len());
-                let mut s = object[lo..hi].to_vec();
+        self.data_slices(object)
+            .into_iter()
+            .map(|s| {
+                let mut s = s.to_vec();
                 s.resize(sl, 0);
                 s
             })
             .collect()
+    }
+
+    /// Accumulate shard `i` of the code word (`i >= k`: a parity shard)
+    /// into the zeroed `out`, from the `k` data shards — each at most
+    /// `out.len()` long, shorter ones standing for their zero-padded
+    /// selves.
+    pub fn shard_into(&self, i: usize, data: &[&[u8]], out: &mut [u8]) {
+        assert_eq!(data.len(), self.k);
+        row_apply(&self.rows[i], data, out);
     }
 
     /// Compute the `m` parity shards from the `k` data shards, fanning
@@ -178,14 +194,72 @@ impl RsCode {
         assert_eq!(data.len(), self.k);
         let sl = data[0].len();
         assert!(data.iter().all(|s| s.len() == sl), "unequal shard lengths");
+        let data: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
         pool.par_map_ordered((0..self.m).collect(), || (), |_, _, p| {
-            let row = &self.rows[self.k + p];
             let mut out = vec![0u8; sl];
-            for (&c, s) in row.iter().zip(data) {
-                gf::mul_acc_slice(c, s, &mut out);
-            }
+            self.shard_into(self.k + p, &data, &mut out);
             out
         })
+    }
+
+    /// Rebuild lost shards from any `k` survivors, borrowing the
+    /// survivors: every missing *data* shard (the object needs them, and
+    /// parity derives from them), and those missing *parity* shards
+    /// `want_parity` asks for — a degraded read has no use for the parity
+    /// of a node it cannot reach. Returns `(index, shard)` in index order;
+    /// the rows are independent and fan out on `pool`.
+    ///
+    /// `shards` has `k + m` slots; `None` marks a lost/torn shard.
+    pub fn rebuild_missing(
+        &self,
+        shards: &[Option<&[u8]>],
+        want_parity: impl Fn(usize) -> bool,
+        pool: &Pool,
+    ) -> Result<Vec<(usize, Vec<u8>)>, NotEnoughShards> {
+        let (k, n) = (self.k, self.k + self.m);
+        assert_eq!(shards.len(), n);
+        let intact: Vec<usize> = (0..n).filter(|&i| shards[i].is_some()).collect();
+        if intact.len() < k {
+            return Err(NotEnoughShards {
+                intact: intact.len(),
+                needed: k,
+            });
+        }
+        let sl = shards[intact[0]].expect("intact").len();
+        let apply = |row: &[u8], from: &[&[u8]]| {
+            let mut out = vec![0u8; sl];
+            row_apply(row, from, &mut out);
+            out
+        };
+        // Missing data shards: invert the k×k submatrix of the first k
+        // surviving rows; row i of the inverse yields data shard i. With
+        // all data shards intact there is nothing to invert.
+        let lost_data: Vec<usize> = (0..k).filter(|&i| shards[i].is_none()).collect();
+        let mut rebuilt = if lost_data.is_empty() {
+            Vec::new()
+        } else {
+            let chosen = &intact[..k];
+            let sub: Vec<Vec<u8>> = chosen.iter().map(|&i| self.rows[i].clone()).collect();
+            let dec = invert(&sub).expect("any k rows of an MDS matrix are independent");
+            let survivors: Vec<&[u8]> =
+                chosen.iter().map(|&i| shards[i].expect("intact")).collect();
+            pool.par_map_ordered(lost_data, || (), |_, _, i| (i, apply(&dec[i], &survivors)))
+        };
+        // Wanted parity shards re-derive from the (now complete) data.
+        let lost_parity: Vec<usize> = (k..n)
+            .filter(|&i| shards[i].is_none() && want_parity(i))
+            .collect();
+        if !lost_parity.is_empty() {
+            let mut decoded = rebuilt.iter().map(|(_, shard)| shard.as_slice());
+            let data: Vec<&[u8]> = (0..k)
+                .map(|i| shards[i].unwrap_or_else(|| decoded.next().expect("decoded above")))
+                .collect();
+            let parity = pool.par_map_ordered(lost_parity, || (), |_, _, i| {
+                (i, apply(&self.rows[i], &data))
+            });
+            rebuilt.extend(parity);
+        }
+        Ok(rebuilt)
     }
 
     /// Rebuild the full shard set from any `k` survivors.
@@ -197,52 +271,33 @@ impl RsCode {
         &self,
         shards: &[Option<Vec<u8>>],
     ) -> Result<Vec<Vec<u8>>, NotEnoughShards> {
-        assert_eq!(shards.len(), self.k + self.m);
-        let intact: Vec<usize> = (0..self.k + self.m).filter(|&i| shards[i].is_some()).collect();
-        if intact.len() < self.k {
-            return Err(NotEnoughShards {
-                intact: intact.len(),
-                needed: self.k,
-            });
-        }
-        let sl = shards[intact[0]].as_ref().unwrap().len();
-        // Fast path: all data shards intact — nothing to invert.
-        let data: Vec<Vec<u8>> = if (0..self.k).all(|i| shards[i].is_some()) {
-            (0..self.k).map(|i| shards[i].clone().unwrap()).collect()
-        } else {
-            // Invert the k×k submatrix of the first k surviving rows.
-            let chosen = &intact[..self.k];
-            let sub: Vec<Vec<u8>> = chosen.iter().map(|&i| self.rows[i].clone()).collect();
-            let dec = invert(&sub).expect("any k rows of an MDS matrix are independent");
-            let survivors: Vec<&[u8]> = chosen
-                .iter()
-                .map(|&i| shards[i].as_ref().unwrap().as_slice())
-                .collect();
-            mat_apply(&dec, &survivors, sl)
-        };
-        // Re-derive every missing parity shard from the recovered data.
-        let mut full: Vec<Vec<u8>> = Vec::with_capacity(self.k + self.m);
-        let data_refs: Vec<&[u8]> = data.iter().map(|s| s.as_slice()).collect();
-        for i in 0..self.k + self.m {
-            match &shards[i] {
-                Some(s) => full.push(s.clone()),
-                None if i < self.k => full.push(data[i].clone()),
-                None => {
-                    let row = std::slice::from_ref(&self.rows[i]);
-                    full.push(mat_apply(row, &data_refs, sl).pop().unwrap());
-                }
-            }
-        }
-        Ok(full)
+        let borrowed: Vec<Option<&[u8]>> = shards.iter().map(|s| s.as_deref()).collect();
+        let mut rebuilt = self
+            .rebuild_missing(&borrowed, |_| true, &Pool::new(1))?
+            .into_iter();
+        Ok(shards
+            .iter()
+            .map(|s| match s {
+                Some(s) => s.clone(),
+                None => rebuilt.next().expect("one rebuilt shard per empty slot").1,
+            })
+            .collect())
     }
 
     /// Reassemble the object from the `k` data shards.
     pub fn join(&self, shards: &[Vec<u8>], object_len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(object_len);
-        for s in shards.iter().take(self.k) {
-            out.extend_from_slice(s);
+        let data: Vec<&[u8]> = shards.iter().take(self.k).map(Vec::as_slice).collect();
+        self.join_slices(&data, object_len)
+    }
+
+    /// [`RsCode::join`] over borrowed data shards: the one copy a read
+    /// makes of the object's bytes.
+    pub fn join_slices(&self, data: &[&[u8]], object_len: usize) -> Vec<u8> {
+        let total: usize = data.iter().map(|s| s.len()).sum();
+        let mut out = Vec::with_capacity(object_len.min(total));
+        for s in data {
+            out.extend_from_slice(&s[..s.len().min(object_len - out.len())]);
         }
-        out.truncate(object_len);
         out
     }
 }

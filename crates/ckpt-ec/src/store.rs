@@ -22,36 +22,39 @@
 //! ## Read path
 //!
 //! Reads probe every node (frame digests make torn shards
-//! self-identifying, exactly as on the replicated path), pick the
-//! highest version any intact shard carries, and reconstruct from any
-//! `k` intact shards — concatenation when all data shards survived, a
-//! GF(256) matrix-inversion decode otherwise. The reassembled object is
-//! verified against the object digest carried in every shard header;
-//! lost/torn/stale shards are then rebuilt in place (the read-repair
-//! analog, each repaired frame re-digested by its node). Fewer than `k`
-//! intact shards refuses with the typed
-//! [`StorageError::TooManyShardsLost`] — never silent corruption, never
-//! fabricated bytes.
+//! self-identifying, exactly as on the replicated path; the first read
+//! after a commit verifies all admitted frames as one multi-lane batch,
+//! later reads hit the nodes' memo), pick the highest version any intact
+//! shard carries, and reconstruct from any `k` intact shards, borrowed in
+//! place — concatenation when all data shards survived, a GF(256)
+//! matrix-inversion decode of just the missing ones otherwise. The
+//! reassembled object is verified against the object digest carried in
+//! every shard header; lost/torn/stale shards of *reachable* nodes are
+//! then rebuilt in place (the read-repair analog; a down node's shard is
+//! not rebuilt — nobody could take it). Fewer than `k` intact shards
+//! refuses with the typed [`StorageError::TooManyShardsLost`] — never
+//! silent corruption, never fabricated bytes.
 //!
 //! ## Determinism
 //!
 //! All fault admission (node reachability, queued transients,
 //! `simos::faultpoint` checks at `ec/s<i>/store` / `ec/s<i>/load` /
 //! `ec/s<i>/batch`) and all backoff arithmetic run sequentially on the
-//! calling thread in shard-node order; only pure work — parity encodes
-//! and per-node frame copies — fans out on the `ckpt-par` pool behind
-//! its ordered merge. Commits, manifests, costs, and counters are
-//! identical at every pool width.
+//! calling thread in shard-node order; only pure work — the object
+//! digest (computed once per commit), frame builds, parity encodes, frame
+//! digests, shard decodes — fans out on the `ckpt-par` pool behind its
+//! ordered merge; nodes then take ownership of their frames. Commits,
+//! manifests, costs, and counters are identical at every pool width.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ckpt_par::Pool;
-use ckpt_replica::{fnv1a64, Admission, Backoff, BackoffPolicy, Frame, Probe, ReplicaSet};
+use ckpt_replica::{Admission, Backoff, BackoffPolicy, Frame, Probe, ReplicaSet};
 use ckpt_storage::{
-    BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, StorageClass, StorageError,
-    StoreReceipt,
+    fnv1a64, fnv1a64_multi, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage,
+    StorageClass, StorageError, StoreReceipt, FNV_LANES,
 };
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
@@ -65,13 +68,26 @@ use crate::rs::RsCode;
 const SHARD_MAGIC: [u8; 4] = *b"ECS1";
 const SHARD_HEADER: usize = 24;
 
-fn shard_frame(k: u8, m: u8, idx: u8, object_len: u64, object_digest: u64, shard: &[u8]) -> Vec<u8> {
-    let mut f = Vec::with_capacity(SHARD_HEADER + shard.len());
+/// Where the object digest sits in a shard header.
+const DIGEST_AT: std::ops::Range<usize> = 16..24;
+
+/// A shard frame: the header, then `shard` zero-padded to `shard_len`.
+fn shard_frame(
+    k: u8,
+    m: u8,
+    idx: u8,
+    object_len: u64,
+    object_digest: u64,
+    shard: &[u8],
+    shard_len: usize,
+) -> Vec<u8> {
+    let mut f = Vec::with_capacity(SHARD_HEADER + shard_len);
     f.extend_from_slice(&SHARD_MAGIC);
     f.extend_from_slice(&[k, m, idx, 0]);
     f.extend_from_slice(&object_len.to_le_bytes());
     f.extend_from_slice(&object_digest.to_le_bytes());
     f.extend_from_slice(shard);
+    f.resize(SHARD_HEADER + shard_len, 0);
     f
 }
 
@@ -87,7 +103,7 @@ fn parse_shard(frame: &[u8], k: usize, m: usize) -> Option<(usize, u64, u64, &[u
     }
     let idx = frame[6] as usize;
     let object_len = u64::from_le_bytes(frame[8..16].try_into().unwrap());
-    let object_digest = u64::from_le_bytes(frame[16..24].try_into().unwrap());
+    let object_digest = u64::from_le_bytes(frame[DIGEST_AT].try_into().unwrap());
     Some((idx, object_len, object_digest, &frame[SHARD_HEADER..]))
 }
 
@@ -130,6 +146,18 @@ enum WriteCmd {
     Full,
     Torn { keep: usize },
     Skip,
+}
+
+impl WriteCmd {
+    /// How many of a `len`-byte wire frame's bytes reach the medium, if
+    /// any.
+    fn kept(self, len: u64) -> Option<u64> {
+        match self {
+            WriteCmd::Full => Some(len),
+            WriteCmd::Torn { keep } => Some((keep as u64).min(len)),
+            WriteCmd::Skip => None,
+        }
+    }
 }
 
 /// One client handle on an erasure-coded store over `k + m` shard nodes.
@@ -247,19 +275,59 @@ impl ErasureStore {
         (len as f64 * cost.net_ns_per_byte).round() as u64
     }
 
-    /// Encode an object into its `k + m` shard frames (pure; parity rows
-    /// fan out on the pool).
-    fn encode_frames(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        let shards = self.code.split(data);
-        let parity = self.code.encode(&shards, &self.pool);
-        let (len, digest) = (data.len() as u64, fnv1a64(data));
-        let (k, m) = (self.code.k() as u8, self.code.m() as u8);
-        shards
-            .iter()
-            .chain(parity.iter())
-            .enumerate()
-            .map(|(i, s)| shard_frame(k, m, i as u8, len, digest, s))
-            .collect()
+    /// Encode a batch of objects into their `k + m` shard frames each,
+    /// with every frame's digest: `(frames, frame digests, object
+    /// digests)`, frames flat in `object × node` order. Pure work in two
+    /// pool passes over the whole batch, each byte touched once per pass:
+    /// first every object's digest beside its frames (data frames copied
+    /// straight from the object's slices, parity accumulated in place),
+    /// then — the headers carry the object digest, so it must come first —
+    /// the frame digests, one fill of the multi-lane FNV per task.
+    fn encode_frames(&self, objects: &[(&str, &[u8])]) -> (Vec<Vec<u8>>, Vec<u64>, Vec<u64>) {
+        enum Piece {
+            ObjectDigest(u64),
+            Frame(Vec<u8>),
+        }
+        let (k, n) = (self.code.k(), self.n());
+        let (kb, mb) = (k as u8, self.code.m() as u8);
+        let slices: Vec<Vec<&[u8]>> =
+            objects.iter().map(|(_, d)| self.code.data_slices(d)).collect();
+        let tasks: Vec<(usize, usize)> = (0..objects.len())
+            .flat_map(|j| (0..=n).map(move |t| (j, t)))
+            .collect();
+        let pieces = self.pool.par_map_ordered(tasks, || (), |_, _, (j, t)| {
+            let data = objects[j].1;
+            let Some(i) = t.checked_sub(1) else {
+                return Piece::ObjectDigest(fnv1a64(data));
+            };
+            let sl = self.code.shard_len(data.len());
+            let own: &[u8] = if i < k { slices[j][i] } else { &[] };
+            let mut f = shard_frame(kb, mb, i as u8, data.len() as u64, 0, own, sl);
+            if i >= k {
+                self.code.shard_into(i, &slices[j], &mut f[SHARD_HEADER..]);
+            }
+            Piece::Frame(f)
+        });
+        let mut object_digests = Vec::with_capacity(objects.len());
+        let mut frames = Vec::with_capacity(objects.len() * n);
+        for piece in pieces {
+            match piece {
+                Piece::ObjectDigest(d) => object_digests.push(d),
+                Piece::Frame(f) => frames.push(f),
+            }
+        }
+        let runs: Vec<(usize, &mut [Vec<u8>])> =
+            frames.chunks_mut(FNV_LANES).enumerate().collect();
+        let frame_digests = self.pool.par_map_ordered(runs, || (), |_, _, (r, run)| {
+            for (o, f) in run.iter_mut().enumerate() {
+                let j = (r * FNV_LANES + o) / n;
+                f[DIGEST_AT].copy_from_slice(&object_digests[j].to_le_bytes());
+            }
+            let bufs: Vec<&[u8]> = run.iter().map(Vec::as_slice).collect();
+            fnv1a64_multi(&bufs)
+        });
+        let frame_digests = frame_digests.into_iter().flatten().collect();
+        (frames, frame_digests, object_digests)
     }
 
     /// Resolve one shard node's admission + fault checks into a write
@@ -314,21 +382,6 @@ impl ErasureStore {
             }
             return (WriteCmd::Full, retries, delay_ns);
         }
-    }
-
-    /// Highest frame version any reachable node holds for `key`.
-    fn probe_max_version(&self, key: &str) -> u64 {
-        self.set
-            .nodes()
-            .iter()
-            .filter(|n| !n.is_down())
-            .map(|n| match n.probe(key) {
-                Probe::Missing => 0,
-                Probe::Torn { version } => version,
-                Probe::Valid(f) => f.version,
-            })
-            .max()
-            .unwrap_or(0)
     }
 
     /// Undo the last committed write of `key` (the EC-striped pool's
@@ -397,22 +450,25 @@ impl StableStorage for ErasureStore {
         }
         let (k, m, n) = (self.code.k(), self.code.m(), self.n());
 
-        // Sequential probe of every shard node, in node order.
+        // Sequential admission of every shard node, in node order; then
+        // one batched probe — a first read verifies all the admitted
+        // frames in one multi-lane pass over their bytes.
         let mut total_retries = 0u64;
         let mut backoff_ns = 0u64;
-        let mut down = 0usize;
-        let mut frames: Vec<Option<Frame>> = vec![None; n];
-        for (i, slot) in frames.iter_mut().enumerate() {
+        let mut admitted: Vec<usize> = Vec::new();
+        for i in 0..n {
             let (cmd, r, d) = self.resolve_node(i, "load", key, 0);
             total_retries += r;
             backoff_ns += d;
-            if cmd != WriteCmd::Full {
-                down += 1;
-                continue;
+            if cmd == WriteCmd::Full {
+                admitted.push(i);
             }
-            match self.set.node(i).probe(key) {
-                Probe::Valid(f) => *slot = Some(f),
-                Probe::Torn { .. } | Probe::Missing => {}
+        }
+        let down = n - admitted.len();
+        let mut frames: Vec<Option<Frame>> = vec![None; n];
+        for (&i, probe) in admitted.iter().zip(self.set.probe_batch(&admitted, key)) {
+            if let Probe::Valid(f) = probe {
+                frames[i] = Some(f);
             }
         }
 
@@ -456,22 +512,22 @@ impl StableStorage for ErasureStore {
             return Err(StorageError::NotFound(key.to_string()));
         }
 
-        // Collect the intact shards of the winning version. A frame whose
-        // header is malformed or whose shard index disagrees with its
-        // node counts as lost — it cannot be trusted into the decode.
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
+        // Borrow the intact shards of the winning version out of their
+        // frames. A frame whose header is malformed or whose shard index
+        // disagrees with its node counts as lost — it cannot be trusted
+        // into the decode.
+        let mut shards: Vec<Option<&[u8]>> = vec![None; n];
         let mut object_len = 0u64;
         let mut object_digest = 0u64;
         let mut shard_frame_len = 0usize;
         let mut intact = 0usize;
-        for i in 0..n {
-            let Some(f) = &frames[i] else { continue };
-            if f.version != winner {
+        for (i, f) in frames.iter().enumerate() {
+            let Some(f) = f.as_ref().filter(|f| f.version == winner) else {
                 continue;
-            }
+            };
             if let Some((idx, olen, odig, shard)) = parse_shard(&f.data, k, m) {
                 if idx == i {
-                    shards[i] = Some(shard.to_vec());
+                    shards[i] = Some(shard);
                     object_len = olen;
                     object_digest = odig;
                     shard_frame_len = f.data.len();
@@ -487,14 +543,26 @@ impl StableStorage for ErasureStore {
             });
         }
 
-        // Reconstruct: concatenation when all data shards survived, a
-        // matrix-inversion decode otherwise.
+        // Rebuild what the read will use: the missing data shards (a
+        // matrix-inversion decode; none when all data shards survived)
+        // and the parity of reachable nodes that lack theirs, for the
+        // repair below. A down node's parity would be thrown away.
         let needs_decode = (0..k).any(|i| shards[i].is_none());
-        let full = self
+        let lagging: Vec<usize> = (0..n)
+            .filter(|&i| !self.set.node(i).is_down())
+            .filter(|&i| shards[i].is_none())
+            .collect();
+        let rebuilt = self
             .code
-            .reconstruct(&shards)
+            .rebuild_missing(&shards, |i| lagging.contains(&i), &self.pool)
             .expect("intact >= k shards reconstruct");
-        let object = self.code.join(&full, object_len as usize);
+        let rebuilt_shard = |i: usize| -> Option<&[u8]> {
+            rebuilt.iter().find(|(at, _)| *at == i).map(|(_, s)| s.as_slice())
+        };
+        let data: Vec<&[u8]> = (0..k)
+            .map(|i| shards[i].or_else(|| rebuilt_shard(i)).expect("data shard intact or decoded"))
+            .collect();
+        let object = self.code.join_slices(&data, object_len as usize);
         if fnv1a64(&object) != object_digest {
             // The shard set is internally inconsistent (can only happen
             // if the medium was damaged beyond what frame digests catch).
@@ -507,21 +575,21 @@ impl StableStorage for ErasureStore {
         }
 
         // Read-repair: rebuild the proper shard frame, at the winning
-        // version, on every reachable node that doesn't hold it. Pure
-        // copies — fan out on the pool; each node re-digests its frame.
-        let lagging: Vec<usize> = (0..n)
-            .filter(|&i| !self.set.node(i).is_down())
-            .filter(|&i| shards[i].is_none())
-            .collect();
+        // version, on every reachable node that doesn't hold it; the
+        // repaired frames are digested here as one batch.
         let repairs = lagging.len() as u64;
-        if !lagging.is_empty() {
-            let (kb, mb) = (k as u8, m as u8);
-            let set = self.set.clone();
-            let full = &full;
-            self.pool.par_map_ordered(lagging, || (), |_, _, i| {
-                let frame = shard_frame(kb, mb, i as u8, object_len, object_digest, &full[i]);
-                set.node(i).put(key, winner, &frame);
-            });
+        let repaired: Vec<Vec<u8>> = lagging
+            .iter()
+            .map(|&i| {
+                let shard = rebuilt_shard(i).expect("lagging shards were rebuilt");
+                let sl = shard.len();
+                shard_frame(k as u8, m as u8, i as u8, object_len, object_digest, shard, sl)
+            })
+            .collect();
+        let bufs: Vec<&[u8]> = repaired.iter().map(Vec::as_slice).collect();
+        let digests = fnv1a64_multi(&bufs);
+        for ((&i, frame), digest) in lagging.iter().zip(repaired).zip(digests) {
+            self.set.node(i).put_frame(key, winner, frame, digest);
         }
 
         // k shard frames cross the wire to serve the read, plus one per
@@ -537,7 +605,7 @@ impl StableStorage for ErasureStore {
         if !self.client_up {
             return Err(StorageError::Unavailable);
         }
-        let version = self.probe_max_version(key) + 1;
+        let version = self.set.max_version(key) + 1;
         let mut acked = 0usize;
         let mut total_retries = 0u64;
         for i in 0..self.n() {
@@ -653,15 +721,12 @@ impl StableStorage for ErasureStore {
 
         let versions: Vec<u64> = objects
             .iter()
-            .map(|(k, _)| self.probe_max_version(k) + 1)
+            .map(|(k, _)| self.set.max_version(k) + 1)
             .collect();
 
-        // Encode every object up front (pure; parity rows fan out on the
-        // pool per object): per_object[j][i] is object j's frame on node i.
-        let per_object: Vec<Vec<Vec<u8>>> = objects
-            .iter()
-            .map(|(_, d)| self.encode_frames(d))
-            .collect();
+        // Encode every object up front (pure pool work): frame
+        // `j * n + i` is object j's shard frame for node i.
+        let (mut frames, frame_digests, object_digests) = self.encode_frames(objects);
 
         // Frame layout offsets, identical on every node because shard
         // frames of one object are equal-length: 16-byte frame header,
@@ -672,7 +737,7 @@ impl StableStorage for ErasureStore {
         let mut payload_at: Vec<(u64, u64)> = Vec::with_capacity(objects.len());
         let mut off = FRAME_HEADER;
         for (j, (key, _)) in objects.iter().enumerate() {
-            let plen = per_object[j][0].len() as u64;
+            let plen = frames[j * n].len() as u64;
             off += RECORD_HEADER + key.len() as u64;
             payload_at.push((off, off + plen));
             off += plen;
@@ -713,35 +778,27 @@ impl StableStorage for ErasureStore {
             })
             .collect();
 
-        // Phase 2 (pool fan-out): pure copies, one node per work item.
-        let set = self.set.clone();
-        let per_object = &per_object;
-        let payload_at = &payload_at;
-        self.pool.par_map_ordered(
-            cmds.clone(),
-            || (),
-            |_, _, (i, cmd)| match cmd {
-                WriteCmd::Full => {
-                    for (j, (key, _)) in objects.iter().enumerate() {
-                        set.node(i).put(key, versions[j], &per_object[j][i]);
-                    }
+        // Phase 2: each node takes ownership of its frames under the
+        // digests computed above — moves, not copies. A tear below an
+        // object's record start leaves nothing of it on the medium; one
+        // inside its payload leaves a prefix under the full frame's
+        // digest.
+        for &(i, cmd) in &cmds {
+            let Some(keep) = cmd.kept(frame_bytes) else {
+                continue;
+            };
+            for (j, (key, _)) in objects.iter().enumerate() {
+                let (ps, pe) = payload_at[j];
+                let record_start = ps - RECORD_HEADER - key.len() as u64;
+                if keep > record_start {
+                    let mut frame = std::mem::take(&mut frames[j * n + i]);
+                    frame.truncate((keep.min(pe) - ps.min(keep)) as usize);
+                    self.set
+                        .node(i)
+                        .put_frame(key, versions[j], frame, frame_digests[j * n + i]);
                 }
-                WriteCmd::Torn { keep } => {
-                    let keep = keep as u64;
-                    for (j, (key, _)) in objects.iter().enumerate() {
-                        let (ps, pe) = payload_at[j];
-                        let record_start = ps - RECORD_HEADER - key.len() as u64;
-                        if keep >= pe {
-                            set.node(i).put(key, versions[j], &per_object[j][i]);
-                        } else if keep > record_start {
-                            let kept = keep.saturating_sub(ps) as usize;
-                            set.node(i).put_torn(key, versions[j], &per_object[j][i], kept);
-                        }
-                    }
-                }
-                WriteCmd::Skip => {}
-            },
-        );
+            }
+        }
 
         let acked: Vec<u32> = cmds
             .iter()
@@ -750,13 +807,7 @@ impl StableStorage for ErasureStore {
             .collect();
         let xfer: u64 = cmds
             .iter()
-            .map(|(_, c)| match c {
-                WriteCmd::Full => self.xfer_ns(frame_bytes as usize, cost),
-                WriteCmd::Torn { keep } => {
-                    self.xfer_ns((*keep as u64).min(frame_bytes) as usize, cost)
-                }
-                WriteCmd::Skip => 0,
-            })
+            .map(|(_, c)| c.kept(frame_bytes).map_or(0, |b| self.xfer_ns(b as usize, cost)))
             .sum();
         let time_ns = cost.net_latency_ns + xfer + backoff_ns;
         self.stats.ack_cycles.fetch_add(1, Ordering::Relaxed);
@@ -789,7 +840,8 @@ impl StableStorage for ErasureStore {
         let mut payload_bytes = 0u64;
         for (j, (key, d)) in objects.iter().enumerate() {
             payload_bytes += d.len() as u64;
-            let man = self.manifest_for(key, versions[j], d.len() as u64, fnv1a64(d), acked.clone());
+            let (len, digest) = (d.len() as u64, object_digests[j]);
+            let man = self.manifest_for(key, versions[j], len, digest, acked.clone());
             self.manifests.insert(key.to_string(), man);
         }
         self.bump(objects.len() as u64, total_retries, 0, 0, 0);

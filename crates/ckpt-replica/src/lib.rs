@@ -25,6 +25,7 @@ pub mod store;
 pub mod stripe;
 
 pub use backoff::{Backoff, BackoffPolicy, RetriesExhausted};
-pub use node::{fnv1a64, Admission, Frame, Probe, ReplicaNode, ReplicaSet};
+pub use ckpt_storage::fnv1a64;
+pub use node::{Admission, Frame, Probe, ReplicaNode, ReplicaSet};
 pub use store::{ReplStats, ReplicaConfig, ReplicatedStore};
 pub use stripe::{stripe_route, StripedReplicaSet, StripedStore};

@@ -13,25 +13,24 @@
 //! themselves are pure data copies safe to fan out on the worker pool —
 //! each node carries its own lock, so workers copying payloads to
 //! different replicas never contend.
+//!
+//! Who digests what: the *committer* digests a payload once and every
+//! node ingests `(payload, digest)` ([`ReplicaNode::put_frame`]); a node
+//! verifies a frame against that digest on the first probe after it was
+//! written and memoises the verdict, so a frame's bytes are hashed once on
+//! the way in and once on the first read, never again until they change.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use ckpt_storage::{fnv1a64, fnv1a64_multi};
 use parking_lot::Mutex;
-
-/// FNV-1a over a byte slice — the frame digest torn writes fail.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One replica's copy of one object. `digest` is computed over the *full*
 /// payload at commit time; a torn write persists a prefix of `data` under
 /// the full-payload digest, so the mismatch is detectable on every read.
+/// The payload is shared (`Arc`), so handing a frame to a reader or keeping
+/// one as a rollback snapshot never copies it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     pub version: u64,
@@ -39,7 +38,7 @@ pub struct Frame {
     /// Deletion marker: tombstones win version ordering like any other
     /// frame, so a quorum delete cannot be resurrected by a stale copy.
     pub tombstone: bool,
-    pub data: Vec<u8>,
+    pub data: Arc<Vec<u8>>,
 }
 
 impl Frame {
@@ -144,8 +143,19 @@ impl ReplicaNode {
         }
     }
 
-    /// Store an intact frame. Pure data copy — admission already happened.
+    /// Store an intact frame, digesting it here. Pure data copy —
+    /// admission already happened. A committer that already holds the
+    /// payload's digest uses [`ReplicaNode::put_frame`] instead.
     pub fn put(&self, key: &str, version: u64, data: &[u8]) {
+        self.put_frame(key, version, data.to_vec(), fnv1a64(data));
+    }
+
+    /// Ingest `data` as the frame under `key`, recorded under `digest` —
+    /// the digest of the payload the committer *meant* to write. Nothing
+    /// is hashed here: an intact write passes the payload's own digest, a
+    /// torn one passes a prefix under the full payload's digest, which is
+    /// exactly what the first probe then catches.
+    pub fn put_frame(&self, key: &str, version: u64, data: Vec<u8>, digest: u64) {
         let mut s = self.state.lock();
         s.intact_memo.remove(key);
         s.bytes_ingested += data.len() as u64;
@@ -153,9 +163,9 @@ impl ReplicaNode {
             key.to_string(),
             Frame {
                 version,
-                digest: fnv1a64(data),
+                digest,
                 tombstone: false,
-                data: data.to_vec(),
+                data: Arc::new(data),
             },
         );
     }
@@ -163,18 +173,7 @@ impl ReplicaNode {
     /// Store a torn frame: the digest of the full payload over only its
     /// first `keep` bytes — exactly what a crash mid-write leaves behind.
     pub fn put_torn(&self, key: &str, version: u64, data: &[u8], keep: usize) {
-        let mut s = self.state.lock();
-        s.intact_memo.remove(key);
-        s.bytes_ingested += keep.min(data.len()) as u64;
-        s.frames.insert(
-            key.to_string(),
-            Frame {
-                version,
-                digest: fnv1a64(data),
-                tombstone: false,
-                data: data[..keep.min(data.len())].to_vec(),
-            },
-        );
+        self.put_frame(key, version, data[..keep.min(data.len())].to_vec(), fnv1a64(data));
     }
 
     /// Store a tombstone (quorum delete marker).
@@ -187,7 +186,7 @@ impl ReplicaNode {
                 version,
                 digest: 0,
                 tombstone: true,
-                data: Vec::new(),
+                data: Arc::default(),
             },
         );
     }
@@ -199,25 +198,31 @@ impl ReplicaNode {
     /// committed frame are O(1). Every mutator invalidates the memo, so a
     /// rewritten or corrupted frame is always re-checked.
     pub fn probe(&self, key: &str) -> Probe {
-        let mut s = self.state.lock();
-        let s = &mut *s;
-        let Some(f) = s.frames.get(key) else {
-            return Probe::Missing;
-        };
-        let intact = f.tombstone
-            || match s.intact_memo.get(key) {
-                Some(&(v, ok)) if v == f.version => ok,
-                _ => {
-                    s.digests_computed += 1;
-                    let ok = fnv1a64(&f.data) == f.digest;
-                    s.intact_memo.insert(key.to_string(), (f.version, ok));
-                    ok
-                }
-            };
-        if intact {
-            Probe::Valid(f.clone())
+        probe_nodes(&[self], key).remove(0)
+    }
+
+    /// The frame under `key` and its memoised digest verdict, if any
+    /// (tombstones are trivially intact).
+    fn peek(&self, key: &str) -> Option<(Frame, Option<bool>)> {
+        let s = self.state.lock();
+        let f = s.frames.get(key)?;
+        let verdict = if f.tombstone {
+            Some(true)
         } else {
-            Probe::Torn { version: f.version }
+            s.intact_memo
+                .get(key)
+                .and_then(|&(v, ok)| (v == f.version).then_some(ok))
+        };
+        Some((f.clone(), verdict))
+    }
+
+    /// Account one digest check of `frame` and memoise its verdict —
+    /// unless the node's frame changed while the check ran unlocked.
+    fn record_verdict(&self, key: &str, frame: &Frame, intact: bool) {
+        let mut s = self.state.lock();
+        s.digests_computed += 1;
+        if s.frames.get(key).is_some_and(|f| Arc::ptr_eq(&f.data, &frame.data)) {
+            s.intact_memo.insert(key.to_string(), (frame.version, intact));
         }
     }
 
@@ -257,7 +262,7 @@ impl ReplicaNode {
     /// Raw frame under `key`, if any — the pre-write snapshot a quorum
     /// commit takes so a failed overwrite can be rolled back to the
     /// committed state instead of destroying it. Pure read: no digest
-    /// work, no counters.
+    /// work, no counters, no payload copy.
     pub fn snapshot_frame(&self, key: &str) -> Option<Frame> {
         self.state.lock().frames.get(key).cloned()
     }
@@ -289,7 +294,7 @@ impl ReplicaNode {
         s.intact_memo.remove(key);
         if let Some(f) = s.frames.get_mut(key) {
             let keep = f.data.len() / 2;
-            f.data.truncate(keep);
+            Arc::make_mut(&mut f.data).truncate(keep);
             if f.tombstone {
                 // A corrupted tombstone reads as a torn data frame.
                 f.tombstone = false;
@@ -333,6 +338,37 @@ impl ReplicaNode {
     }
 }
 
+/// [`ReplicaNode::probe`] of every node in `nodes`, in order, with the
+/// not-yet-verified payloads digested as one multi-lane batch outside any
+/// node lock — the first read of a key checks all its replicas (or all its
+/// shards) in one pass over their bytes.
+fn probe_nodes(nodes: &[&ReplicaNode], key: &str) -> Vec<Probe> {
+    let mut held: Vec<Option<(Frame, Option<bool>)>> = nodes.iter().map(|n| n.peek(key)).collect();
+    let unverified: Vec<usize> = (0..nodes.len())
+        .filter(|&i| matches!(held[i], Some((_, None))))
+        .collect();
+    let digests = {
+        let payloads: Vec<&[u8]> = unverified
+            .iter()
+            .map(|&i| held[i].as_ref().expect("filtered on Some").0.data.as_slice())
+            .collect();
+        fnv1a64_multi(&payloads)
+    };
+    for (&i, digest) in unverified.iter().zip(digests) {
+        let (frame, verdict) = held[i].as_mut().expect("filtered on Some");
+        let intact = digest == frame.digest;
+        nodes[i].record_verdict(key, frame, intact);
+        *verdict = Some(intact);
+    }
+    held.into_iter()
+        .map(|h| match h {
+            None => Probe::Missing,
+            Some((f, Some(true))) => Probe::Valid(f),
+            Some((f, _)) => Probe::Torn { version: f.version },
+        })
+        .collect()
+}
+
 /// The shared N-node replica group.
 pub struct ReplicaSet {
     nodes: Vec<Arc<ReplicaNode>>,
@@ -360,6 +396,26 @@ impl ReplicaSet {
 
     pub fn nodes(&self) -> &[Arc<ReplicaNode>] {
         &self.nodes
+    }
+
+    /// [`ReplicaNode::probe`] of the nodes at `indices`, in that order,
+    /// digesting every not-yet-verified frame in one multi-lane batch.
+    pub fn probe_batch(&self, indices: &[usize], key: &str) -> Vec<Probe> {
+        let nodes: Vec<&ReplicaNode> = indices.iter().map(|&i| &*self.nodes[i]).collect();
+        probe_nodes(&nodes, key)
+    }
+
+    /// Frame version each reachable node holds under `key` (torn frames
+    /// and tombstones included), highest wins; 0 if none holds one. No
+    /// digest work: a commit only needs a version above everything
+    /// visible, intact or not.
+    pub fn max_version(&self, key: &str) -> u64 {
+        self.nodes
+            .iter()
+            .filter(|n| !n.is_down())
+            .filter_map(|n| n.state.lock().frames.get(key).map(|f| f.version))
+            .max()
+            .unwrap_or(0)
     }
 
     /// How many replicas are currently reachable.

@@ -33,14 +33,15 @@ use std::sync::Arc;
 
 use ckpt_par::Pool;
 use ckpt_storage::{
-    BatchReceipt, ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt,
+    fnv1a64, fnv1a64_multi, BatchReceipt, ReplicaManifest, StableStorage, StorageClass,
+    StorageError, StoreReceipt,
 };
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
 use simos::trace::TraceHandle;
 
 use crate::backoff::{Backoff, BackoffPolicy};
-use crate::node::{fnv1a64, Admission, Frame, Probe, ReplicaSet};
+use crate::node::{Admission, Frame, Probe, ReplicaSet};
 
 /// Quorum configuration: N replicas, write quorum w with `N/2 < w <= N`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +84,9 @@ pub struct ReplStats {
     /// store or delete, one per *entire* framed batch commit. The scale
     /// reports compare this across the per-image and batched paths.
     pub ack_cycles: u64,
+    /// Payload digests computed on the commit path: one per object a
+    /// commit attempts, however many replicas ingest it.
+    pub payload_digests: u64,
 }
 
 #[derive(Default)]
@@ -92,6 +96,7 @@ struct StatCells {
     repairs: AtomicU64,
     quorum_losses: AtomicU64,
     ack_cycles: AtomicU64,
+    payload_digests: AtomicU64,
 }
 
 /// One client handle on an N-way replicated store. Cheap to construct;
@@ -125,6 +130,17 @@ enum WriteCmd {
     Torn { keep: usize },
     /// Replica unreachable (or retries exhausted); nothing written.
     Skip,
+}
+
+impl WriteCmd {
+    /// How many of a `len`-byte payload's bytes reach the medium, if any.
+    fn kept(self, len: usize) -> Option<usize> {
+        match self {
+            WriteCmd::Full => Some(len),
+            WriteCmd::Torn { keep } => Some(keep.min(len)),
+            WriteCmd::Skip => None,
+        }
+    }
 }
 
 impl ReplicatedStore {
@@ -201,6 +217,7 @@ impl ReplicatedStore {
             repairs: self.stats.repairs.load(Ordering::Relaxed),
             quorum_losses: self.stats.quorum_losses.load(Ordering::Relaxed),
             ack_cycles: self.stats.ack_cycles.load(Ordering::Relaxed),
+            payload_digests: self.stats.payload_digests.load(Ordering::Relaxed),
         }
     }
 
@@ -266,23 +283,6 @@ impl ReplicatedStore {
         }
     }
 
-    /// Highest frame version any reachable replica holds for `key` (torn
-    /// frames and tombstones included — versions must keep climbing past
-    /// them).
-    fn probe_max_version(&self, key: &str) -> u64 {
-        self.set
-            .nodes()
-            .iter()
-            .filter(|n| !n.is_down())
-            .map(|n| match n.probe(key) {
-                Probe::Missing => 0,
-                Probe::Torn { version } => version,
-                Probe::Valid(f) => f.version,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Undo the last committed write of `key`: drop that exact version from
     /// every replica and forget the manifest. Used by the striped pool to
     /// make a multi-stripe batch all-or-nothing when a *later* stripe
@@ -323,7 +323,7 @@ impl StableStorage for ReplicatedStore {
         if !self.client_up {
             return Err(StorageError::Unavailable);
         }
-        let version = self.probe_max_version(key) + 1;
+        let version = self.set.max_version(key) + 1;
 
         // Phase 1 (sequential, replica order): admission, fault checks,
         // retry/backoff — everything that must be deterministic.
@@ -352,17 +352,21 @@ impl StableStorage for ReplicatedStore {
             })
             .collect();
 
-        // Phase 2 (pool fan-out): pure payload copies into per-replica
-        // frame maps. Each replica has its own lock; merge order is the
-        // submission order, so this is width-invariant by construction.
+        // Phase 2 (pool fan-out): the payload is digested once, here;
+        // every replica ingests its own copy under that digest (a torn
+        // one only a prefix). Each replica has its own lock; merge order
+        // is the submission order, so this is width-invariant by
+        // construction.
+        let digest = fnv1a64(data);
+        self.stats.payload_digests.fetch_add(1, Ordering::Relaxed);
         let set = self.set.clone();
         self.pool.par_map_ordered(
             cmds.clone(),
             || (),
-            |_, _, (i, cmd)| match cmd {
-                WriteCmd::Full => set.node(i).put(key, version, data),
-                WriteCmd::Torn { keep } => set.node(i).put_torn(key, version, data, keep),
-                WriteCmd::Skip => {}
+            |_, _, (i, cmd)| {
+                if let Some(keep) = cmd.kept(data.len()) {
+                    set.node(i).put_frame(key, version, data[..keep].to_vec(), digest);
+                }
             },
         );
 
@@ -373,11 +377,7 @@ impl StableStorage for ReplicatedStore {
             .collect();
         let xfer: u64 = cmds
             .iter()
-            .map(|(_, c)| match c {
-                WriteCmd::Full => self.xfer_ns(data.len(), cost),
-                WriteCmd::Torn { keep } => self.xfer_ns((*keep).min(data.len()), cost),
-                WriteCmd::Skip => 0,
-            })
+            .map(|(_, c)| c.kept(data.len()).map_or(0, |n| self.xfer_ns(n, cost)))
             .sum();
         let time_ns = cost.net_latency_ns + xfer + backoff_ns;
         self.stats.ack_cycles.fetch_add(1, Ordering::Relaxed);
@@ -404,7 +404,7 @@ impl StableStorage for ReplicatedStore {
             ReplicaManifest {
                 key: key.to_string(),
                 version,
-                digest: fnv1a64(data),
+                digest,
                 bytes: data.len() as u64,
                 acked,
                 n: self.cfg.n as u32,
@@ -425,33 +425,36 @@ impl StableStorage for ReplicatedStore {
             return Err(StorageError::Unavailable);
         }
 
-        // Sequential probe of every replica (admission + fault checks in
-        // replica order), classifying what each one holds.
+        // Sequential admission + fault checks in replica order; then one
+        // batched probe classifies what every admitted replica holds (a
+        // first read verifies all their frames in one multi-lane pass).
         let mut total_retries = 0u64;
         let mut backoff_ns = 0u64;
-        let mut down = 0usize;
-        let mut missing = 0usize;
-        let mut torn: Vec<usize> = Vec::new();
-        let mut valid: Vec<(usize, Frame)> = Vec::new();
+        let mut admitted: Vec<usize> = Vec::new();
         for i in 0..self.cfg.n {
             let (cmd, r, d) = self.resolve_replica(i, "load", key, 0);
             total_retries += r;
             backoff_ns += d;
-            if cmd != WriteCmd::Full {
-                down += 1;
-                continue;
+            if cmd == WriteCmd::Full {
+                admitted.push(i);
             }
-            match self.set.node(i).probe(key) {
+        }
+        let down = self.cfg.n - admitted.len();
+        let mut missing = 0usize;
+        let mut torn = 0usize;
+        let mut valid: Vec<Frame> = Vec::new();
+        for probe in self.set.probe_batch(&admitted, key) {
+            match probe {
                 Probe::Missing => missing += 1,
-                Probe::Torn { .. } => torn.push(i),
-                Probe::Valid(f) => valid.push((i, f)),
+                Probe::Torn { .. } => torn += 1,
+                Probe::Valid(f) => valid.push(f),
             }
         }
 
         let n = self.cfg.n;
         let w = self.cfg.w;
         let tolerated = n - w;
-        if valid.is_empty() && torn.is_empty() {
+        if valid.is_empty() && torn == 0 {
             // No replica has ever seen this key — unless so many are down
             // that a committed copy could be hiding on them.
             self.bump_stats(0, total_retries, 0, u64::from(down > tolerated));
@@ -468,7 +471,7 @@ impl StableStorage for ReplicatedStore {
         // The key exists. Every unreachable, torn, or inexplicably missing
         // replica might hold a newer commit than the best intact frame we
         // can see; past `N - w` of them, "newest visible" is not "newest".
-        let suspect = down + torn.len() + missing;
+        let suspect = down + torn + missing;
         if suspect > tolerated {
             self.bump_stats(0, total_retries, 0, 1);
             return Err(StorageError::QuorumLost {
@@ -477,26 +480,31 @@ impl StableStorage for ReplicatedStore {
             });
         }
 
-        let (_, winner) = valid
-            .iter()
-            .max_by_key(|(_, f)| f.version)
-            .cloned()
+        // Ranking needs only frame metadata; the payloads stay where they
+        // are (shared, not copied) until the winner's is returned.
+        let winner = valid
+            .into_iter()
+            .max_by_key(|f| f.version)
             .expect("suspect <= N - w implies at least w intact frames");
 
         // Read-repair: rewrite the winning frame onto every reachable
-        // replica holding a stale, torn, or missing copy. Pure copies —
-        // fan them out on the pool like the write path.
-        let lagging: Vec<usize> = (0..n)
-            .filter(|&i| !self.set.node(i).is_down())
-            .filter(|&i| match self.set.node(i).probe(key) {
+        // replica holding a stale, torn, or missing copy. Pure copies
+        // under the winner's verified digest — fan them out on the pool
+        // like the write path.
+        let reachable: Vec<usize> = (0..n).filter(|&i| !self.set.node(i).is_down()).collect();
+        let lagging: Vec<usize> = reachable
+            .iter()
+            .zip(self.set.probe_batch(&reachable, key))
+            .filter(|(_, probe)| match probe {
                 Probe::Valid(f) => f.version < winner.version,
                 Probe::Torn { .. } | Probe::Missing => true,
             })
+            .map(|(&i, _)| i)
             .collect();
         let repairs = lagging.len() as u64;
         if !lagging.is_empty() {
             let set = self.set.clone();
-            let fr = winner.clone();
+            let fr = &winner;
             self.pool.par_map_ordered(
                 lagging,
                 || (),
@@ -504,7 +512,7 @@ impl StableStorage for ReplicatedStore {
                     if fr.tombstone {
                         set.node(i).put_tombstone(key, fr.version);
                     } else {
-                        set.node(i).put(key, fr.version, &fr.data);
+                        set.node(i).put_frame(key, fr.version, Vec::clone(&fr.data), fr.digest);
                     }
                 },
             );
@@ -521,14 +529,14 @@ impl StableStorage for ReplicatedStore {
             + self.xfer_ns(winner.data.len(), cost) * (1 + repairs)
             + backoff_ns;
         self.bump_stats(0, total_retries, repairs, 0);
-        Ok((winner.data, time_ns))
+        Ok((Vec::clone(&winner.data), time_ns))
     }
 
     fn delete(&mut self, key: &str) -> Result<(), StorageError> {
         if !self.client_up {
             return Err(StorageError::Unavailable);
         }
-        let version = self.probe_max_version(key) + 1;
+        let version = self.set.max_version(key) + 1;
         let mut acked = 0usize;
         let mut total_retries = 0u64;
         for i in 0..self.cfg.n {
@@ -651,7 +659,7 @@ impl StableStorage for ReplicatedStore {
         // whole batch either advances each key once or not at all.
         let versions: Vec<u64> = objects
             .iter()
-            .map(|(k, _)| self.probe_max_version(k) + 1)
+            .map(|(k, _)| self.set.max_version(k) + 1)
             .collect();
 
         // Frame layout offsets: 16-byte frame header, then per-object
@@ -700,33 +708,33 @@ impl StableStorage for ReplicatedStore {
             })
             .collect();
 
-        // Phase 2 (pool fan-out): pure copies, one replica per work item.
+        // Phase 2 (pool fan-out): every payload is digested once, as one
+        // multi-lane batch; then pure copies, one replica per work item.
+        let payloads: Vec<&[u8]> = objects.iter().map(|(_, d)| *d).collect();
+        let digests = fnv1a64_multi(&payloads);
+        self.stats
+            .payload_digests
+            .fetch_add(objects.len() as u64, Ordering::Relaxed);
         let set = self.set.clone();
         self.pool.par_map_ordered(
             cmds.clone(),
             || (),
-            |_, _, (i, cmd)| match cmd {
-                WriteCmd::Full => {
-                    for (j, (k, d)) in objects.iter().enumerate() {
-                        set.node(i).put(k, versions[j], d);
+            |_, _, (i, cmd)| {
+                let Some(keep) = cmd.kept(frame_bytes as usize) else {
+                    return;
+                };
+                let keep = keep as u64;
+                for (j, (k, d)) in objects.iter().enumerate() {
+                    let (ps, pe) = payload_at[j];
+                    let record_start = ps - RECORD_HEADER - k.len() as u64;
+                    // A tear below the record start leaves nothing of this
+                    // object on the medium; one inside the payload leaves
+                    // a prefix under the full payload's digest.
+                    if keep > record_start {
+                        let kept = (keep.min(pe).saturating_sub(ps)) as usize;
+                        set.node(i).put_frame(k, versions[j], d[..kept].to_vec(), digests[j]);
                     }
                 }
-                WriteCmd::Torn { keep } => {
-                    let keep = keep as u64;
-                    for (j, (k, d)) in objects.iter().enumerate() {
-                        let (ps, pe) = payload_at[j];
-                        let record_start = ps - RECORD_HEADER - k.len() as u64;
-                        if keep >= pe {
-                            set.node(i).put(k, versions[j], d);
-                        } else if keep > record_start {
-                            let kept = keep.saturating_sub(ps) as usize;
-                            set.node(i).put_torn(k, versions[j], d, kept);
-                        }
-                        // Tear below the record start: nothing of this
-                        // object reached the medium.
-                    }
-                }
-                WriteCmd::Skip => {}
             },
         );
 
@@ -737,13 +745,7 @@ impl StableStorage for ReplicatedStore {
             .collect();
         let xfer: u64 = cmds
             .iter()
-            .map(|(_, c)| match c {
-                WriteCmd::Full => self.xfer_ns(frame_bytes as usize, cost),
-                WriteCmd::Torn { keep } => {
-                    self.xfer_ns((*keep as u64).min(frame_bytes) as usize, cost)
-                }
-                WriteCmd::Skip => 0,
-            })
+            .map(|(_, c)| c.kept(frame_bytes as usize).map_or(0, |n| self.xfer_ns(n, cost)))
             .sum();
         // One network round-trip for the whole frame.
         let time_ns = cost.net_latency_ns + xfer + backoff_ns;
@@ -775,7 +777,7 @@ impl StableStorage for ReplicatedStore {
                 ReplicaManifest {
                     key: k.to_string(),
                     version: versions[j],
-                    digest: fnv1a64(d),
+                    digest: digests[j],
                     bytes: d.len() as u64,
                     acked: acked.clone(),
                     n: self.cfg.n as u32,

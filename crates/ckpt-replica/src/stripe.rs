@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use ckpt_par::Pool;
 use ckpt_storage::{
-    BatchReceipt, ObjectKey, ReplicaManifest, StableStorage, StorageClass, StorageError,
+    fnv1a64, BatchReceipt, ObjectKey, ReplicaManifest, StableStorage, StorageClass, StorageError,
     StoreReceipt,
 };
 use simos::cost::CostModel;
@@ -36,7 +36,7 @@ use simos::faultpoint::FaultHandle;
 use simos::trace::TraceHandle;
 
 use crate::backoff::BackoffPolicy;
-use crate::node::{fnv1a64, ReplicaSet};
+use crate::node::ReplicaSet;
 use crate::store::{ReplStats, ReplicaConfig, ReplicatedStore};
 
 /// Which stripe a key lives on: lineage hash for images, content digest
@@ -175,6 +175,7 @@ impl StripedStore {
                 repairs: a.repairs + b.repairs,
                 quorum_losses: a.quorum_losses + b.quorum_losses,
                 ack_cycles: a.ack_cycles + b.ack_cycles,
+                payload_digests: a.payload_digests + b.payload_digests,
             },
         )
     }

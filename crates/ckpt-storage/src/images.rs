@@ -248,10 +248,57 @@ pub fn load_latest_valid_chain(
     Err(last_err.unwrap_or(ImageStoreError::Storage(StorageError::NotFound(prefix))))
 }
 
-/// Delete all images of a pid older than `keep_from_seq` (garbage
-/// collection after a successful full checkpoint) — unless doing so would
-/// orphan a kept incremental whose lineage reaches below the cutoff, which
-/// is rejected with [`ChainError::PruneWouldOrphan`] and deletes nothing.
+/// The lineage's stored keys split at `seq`: `(older, kept)`, each sorted.
+fn split_lineage(
+    storage: &dyn StableStorage,
+    job: &str,
+    pid: u32,
+    seq: u64,
+) -> (Vec<String>, Vec<String>) {
+    let prefix = ImageKey::lineage_prefix(job, pid);
+    let cutoff = ImageKey::new(job, pid, seq).to_string();
+    let mut keys: Vec<String> = storage
+        .list()
+        .into_iter()
+        .filter(|k| k.starts_with(&prefix))
+        .collect();
+    keys.sort();
+    let kept = keys.split_off(keys.partition_point(|k| *k < cutoff));
+    (keys, kept)
+}
+
+fn delete_all(
+    storage: &mut dyn StableStorage,
+    victims: Vec<String>,
+) -> Result<usize, ImageStoreError> {
+    let n = victims.len();
+    for k in victims {
+        storage.delete(&k)?;
+    }
+    Ok(n)
+}
+
+/// Delete every image of a pid older than `full_seq`, with **no** orphan
+/// check: the caller vouches that the image at `full_seq` is a committed
+/// full image. That is what a checkpointer holds right after the store of
+/// a full image returned its receipt — the receipt, not a read-back of the
+/// object, is the authority for collecting what the image supersedes.
+/// Anyone who cannot vouch for the cutoff uses [`prune_before`].
+pub fn prune_superseded(
+    storage: &mut dyn StableStorage,
+    job: &str,
+    pid: u32,
+    full_seq: u64,
+) -> Result<usize, ImageStoreError> {
+    let (victims, _) = split_lineage(storage, job, pid, full_seq);
+    delete_all(storage, victims)
+}
+
+/// Delete all images of a pid older than `keep_from_seq` — unless doing so
+/// would orphan a kept incremental whose lineage reaches below the cutoff,
+/// which is rejected with [`ChainError::PruneWouldOrphan`] and deletes
+/// nothing. The guard loads and decodes the oldest kept image; then this
+/// is [`prune_superseded`].
 pub fn prune_before(
     storage: &mut dyn StableStorage,
     job: &str,
@@ -259,40 +306,20 @@ pub fn prune_before(
     keep_from_seq: u64,
     cost: &CostModel,
 ) -> Result<usize, ImageStoreError> {
-    let prefix = ImageKey::lineage_prefix(job, pid);
-    let cutoff = ImageKey::new(job, pid, keep_from_seq).to_string();
-    let mut victims = Vec::new();
-    let mut kept = Vec::new();
-    for k in storage.list() {
-        if !k.starts_with(&prefix) {
-            continue;
-        }
-        if k < cutoff {
-            victims.push(k);
-        } else {
-            kept.push(k);
-        }
-    }
-    if !victims.is_empty() {
-        kept.sort();
-        if let Some(first_kept) = kept.first() {
-            // The oldest surviving image must stand alone: if it is an
-            // incremental, its parent is about to be deleted.
-            let (bytes, _t) = storage.load(first_kept, cost)?;
-            let img = decode(&bytes)?;
-            if img.header.kind == ImageKind::Incremental {
-                return Err(ImageStoreError::Chain(ChainError::PruneWouldOrphan {
-                    keep_from_seq,
-                    orphan_seq: img.header.seq,
-                }));
-            }
+    let (victims, kept) = split_lineage(storage, job, pid, keep_from_seq);
+    if let (false, Some(first_kept)) = (victims.is_empty(), kept.first()) {
+        // The oldest surviving image must stand alone: if it is an
+        // incremental, its parent is about to be deleted.
+        let (bytes, _t) = storage.load(first_kept, cost)?;
+        let img = decode(&bytes)?;
+        if img.header.kind == ImageKind::Incremental {
+            return Err(ImageStoreError::Chain(ChainError::PruneWouldOrphan {
+                keep_from_seq,
+                orphan_seq: img.header.seq,
+            }));
         }
     }
-    let n = victims.len();
-    for k in victims {
-        storage.delete(&k)?;
-    }
-    Ok(n)
+    delete_all(storage, victims)
 }
 
 #[cfg(test)]

@@ -11,16 +11,18 @@
 //! exposes per-store/load crash sites to the crashpoint matrix.
 
 pub mod backend;
+pub mod digest;
 pub mod images;
 pub mod inject;
 pub mod key;
 pub mod media;
 
 pub use backend::{BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt};
+pub use digest::{fnv1a64, fnv1a64_multi, FNV_LANES};
 pub use key::{ImageKey, ObjectKey, ParseKeyError};
 pub use images::{
-    load_chain_at, load_image, load_latest_chain, load_latest_valid_chain, prune_before, store_image,
-    store_image_bytes, ChainLoad, ImageStoreError,
+    load_chain_at, load_image, load_latest_chain, load_latest_valid_chain, prune_before,
+    prune_superseded, store_image, store_image_bytes, ChainLoad, ImageStoreError,
 };
 pub use inject::FaultInjectStore;
 pub use media::{LocalDisk, NvramStore, RamStore, RemoteServer, RemoteStore, SwapStore};

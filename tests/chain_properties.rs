@@ -13,8 +13,10 @@ use ckpt_restart::image::{
     CheckpointImage, ImageHeader, ImageKind, PageRecord, PolicyRecord, ProgramRecord, RegsRecord,
     SigRecord,
 };
+use ckpt_restart::image::ChainError;
 use ckpt_restart::storage::{
-    load_latest_chain, prune_before, store_image, ImageStoreError, LocalDisk, StableStorage,
+    load_latest_chain, prune_before, prune_superseded, store_image, ImageStoreError, LocalDisk,
+    StableStorage,
 };
 use common::Gen;
 use simos::cost::CostModel;
@@ -162,6 +164,58 @@ fn random_chains_with_random_prunes_round_trip() {
                 expect,
                 "case {case} round {round}: prune changed the materialized image"
             );
+        }
+    }
+}
+
+#[test]
+fn unguarded_prune_equals_guarded_prune_at_every_full_cutoff() {
+    // The checkpoint path prunes with `prune_superseded`, trusting its own
+    // store receipt that the cutoff image is Full. Wherever that premise
+    // holds the two must delete the same keys; where it does not, the
+    // guard — which every other caller keeps — must still refuse.
+    let cost = CostModel::circa_2005();
+    for case in 0..CASES {
+        let mut g = Gen::new(23_000 + case);
+        let chain = arb_chain(&mut g);
+        for cutoff in 1..=chain.len() as u64 {
+            let stored = || {
+                let mut disk = LocalDisk::new(1 << 30);
+                // A second lineage that no prune of this one may touch.
+                let mut other = mk(1, 0, ImageKind::Full, vec![(0, 9)]);
+                other.header.pid = PID + 1;
+                store_image(&mut disk, JOB, &other, &cost).unwrap();
+                for img in &chain {
+                    store_image(&mut disk, JOB, img, &cost).unwrap();
+                }
+                disk
+            };
+            let (mut guarded, mut unguarded) = (stored(), stored());
+            let before = guarded.list();
+            let result = prune_before(&mut guarded, JOB, PID, cutoff, &cost);
+            let cutoff_is_full = chain[(cutoff - 1) as usize].header.kind == ImageKind::Full;
+            if cutoff_is_full {
+                let n = prune_superseded(&mut unguarded, JOB, PID, cutoff).unwrap();
+                assert_eq!(result.unwrap(), n, "case {case} cutoff {cutoff}: deletion count");
+                assert_eq!(n as u64, cutoff - 1);
+                assert_eq!(
+                    unguarded.list(),
+                    guarded.list(),
+                    "case {case} cutoff {cutoff}: surviving key sets differ"
+                );
+            } else {
+                assert!(
+                    matches!(
+                        result,
+                        Err(ImageStoreError::Chain(ChainError::PruneWouldOrphan {
+                            keep_from_seq,
+                            orphan_seq,
+                        })) if keep_from_seq == cutoff && orphan_seq == cutoff
+                    ),
+                    "case {case} cutoff {cutoff}: incremental cutoff not refused: {result:?}"
+                );
+                assert_eq!(guarded.list(), before, "case {case} cutoff {cutoff}: refusal deleted");
+            }
         }
     }
 }

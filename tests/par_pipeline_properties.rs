@@ -20,18 +20,10 @@ use ckpt_restart::par::Pool;
 use ckpt_restart::simos::apps::{AppParams, NativeKind};
 use ckpt_restart::simos::cost::CostModel;
 use ckpt_restart::simos::Kernel;
+use ckpt_restart::storage::fnv1a64;
 use common::Gen;
 
 const WIDTHS: [usize; 3] = [2, 4, 8];
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A page drawn from the distributions the codec branches on: all-zero
 /// (Zero encoding), constant (extreme RLE), random (incompressible Raw),
