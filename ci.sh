@@ -95,6 +95,15 @@ awk -v r="$EC_RATIO" 'BEGIN { exit !(r <= 0.55) }' || {
 echo '== cargo clippy -- -D warnings =='
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo '== cargo doc -D warnings =='
+# Broken intra-doc links are how a deleted or renamed type stays
+# "documented": the docs must build clean.
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace --offline
+
+# ROADMAP aim 2 tracks net line count; this is the number (not a gate), so
+# every PR's CI log shows the trajectory.
+echo "source lines (crates/*/src + src, .rs): $(find crates/*/src src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+
 echo '== perf gate: report timings =='
 # Writes BENCH_report.json (archived as a workflow artifact). The headline
 # experiment C7a ran 33 s before the software-TLB fast path and ~1 s after;

@@ -175,7 +175,7 @@ pub fn c1_gather() -> String {
 // ---------------------------------------------------------------------
 
 /// C2: second-checkpoint size and time across memory-update patterns and
-/// trackers (the [31] result the paper builds on).
+/// trackers (the \[31\] result the paper builds on).
 pub fn c2_incremental() -> String {
     let apps: [(&str, NativeKind, u64); 4] = [
         ("dense-sweep", NativeKind::DenseSweep, 0),

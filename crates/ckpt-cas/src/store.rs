@@ -1,10 +1,10 @@
 //! [`DedupStore`]: a content-addressed deduplicating decorator over any
 //! [`StableStorage`].
 //!
-//! Image objects (keys that parse as [`ImageKey`]) are split into
+//! Image objects (keys that parse as [`ckpt_storage::ImageKey`]) are split into
 //! content-defined chunks; each chunk is interned in the backing store
 //! under its digest key (`cas/<digest:016x>`) with an in-memory refcount,
-//! and the image key itself holds a [manifest](crate::manifest) — the
+//! and the image key itself holds a [`manifest`] — the
 //! recipe that rebuilds the bytes. Successive images of one `(job, pid)`
 //! lineage are first XOR+RLE-delta'd against the last raw-stored version
 //! (depth-1 deltas only: a delta's base recipe is embedded in its own

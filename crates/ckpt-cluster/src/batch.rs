@@ -5,7 +5,7 @@
 //! integrating the user-initiation operations within a batch management
 //! software such as the LSF … we believe that the lack of these
 //! capabilities at system-level is a limiting factor to enable autonomic
-//! computers because … (2) [it] reduces the scalability and fault
+//! computers because … (2) \[it\] reduces the scalability and fault
 //! tolerance of autonomic computers because the management is
 //! centralized."
 //!

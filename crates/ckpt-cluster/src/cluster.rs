@@ -10,10 +10,9 @@
 //! returns after a repair delay.
 
 use crate::node::{Node, NodeId};
-use ckpt_core::shared_storage;
-use ckpt_ec::{EcStripedStore, ErasureStore};
-use ckpt_replica::{ReplicaConfig, ReplicaSet, ReplicatedStore, StripedReplicaSet, StripedStore};
-use ckpt_storage::RemoteServer;
+use ckpt_core::{shared_storage, SharedStorage};
+use ckpt_replica::{ReplicaConfig, ReplicatedStore, Striped, StripedReplicaSet};
+use ckpt_storage::{RemoteServer, RemoteStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simos::cost::CostModel;
@@ -60,10 +59,6 @@ pub struct FailureEvent {
 pub struct Cluster {
     pub nodes: Vec<Node>,
     pub remote_server: Arc<RemoteServer>,
-    /// The shared replica set behind every node's remote handle when the
-    /// cluster was built with [`Cluster::new_replicated`]; `None` under the
-    /// single-server remote.
-    replica_set: Option<Arc<ReplicaSet>>,
     /// The shared striped pool behind every node's remote handle when the
     /// cluster was built with [`Cluster::new_striped`].
     striped_set: Option<Arc<StripedReplicaSet>>,
@@ -82,66 +77,42 @@ pub struct Cluster {
 }
 
 impl Cluster {
+    /// A cluster whose remote stable storage is one single-server
+    /// [`RemoteStore`] per node onto [`Cluster::remote_server`].
     pub fn new(n_nodes: usize, cost: CostModel, failure_cfg: FailureConfig) -> Self {
         let remote_server = RemoteServer::new(1 << 40);
         let server = remote_server.clone();
-        Self::build(n_nodes, cost, failure_cfg, remote_server, None, move |id, cost| {
-            Node::new(id, cost, server.clone())
-        })
+        let mut c = Self::with_remote(n_nodes, cost, failure_cfg, move |_| {
+            shared_storage(RemoteStore::new(server.clone()))
+        });
+        c.remote_server = remote_server;
+        c
     }
 
-    /// Build a cluster whose remote stable storage is one logical
-    /// quorum-replicated store over `n_replicas` simulated replica nodes
-    /// with write quorum `w` (`w > n_replicas / 2`). Every cluster node
-    /// gets its own [`ReplicatedStore`] client onto the same shared
-    /// [`ReplicaSet`], so a checkpoint committed by one node is readable
-    /// from any survivor — the paper's survivability requirement — and
-    /// replica losses degrade to a typed `QuorumLost`, never silence.
-    pub fn new_replicated(
+    /// A cluster whose nodes' remote stable-storage handles come from
+    /// `remote` — whatever tier that is. Hand every node its own client
+    /// onto one shared node set (a `ReplicatedStore` or `ErasureStore` per
+    /// node over one `ReplicaSet`, say) and a checkpoint committed by one
+    /// node is readable from any survivor — the paper's survivability
+    /// requirement; the caller keeps the set to damage or inspect it.
+    pub fn with_remote(
         n_nodes: usize,
         cost: CostModel,
         failure_cfg: FailureConfig,
-        n_replicas: usize,
-        w: usize,
-    ) -> Self {
-        // The single-server remote is still constructed (the field is part
-        // of the public surface) but no node points at it in this mode.
-        let remote_server = RemoteServer::new(1 << 40);
-        let set = ReplicaSet::new(n_replicas);
-        let cfg = ReplicaConfig::new(n_replicas, w);
-        let client_set = set.clone();
-        Self::build(
-            n_nodes,
-            cost,
-            failure_cfg,
-            remote_server,
-            Some(set),
-            move |id, cost| {
-                let store = ReplicatedStore::new(client_set.clone(), cfg);
-                Node::with_remote(id, cost, shared_storage(store))
-            },
-        )
-    }
-
-    fn build(
-        n_nodes: usize,
-        cost: CostModel,
-        failure_cfg: FailureConfig,
-        remote_server: Arc<RemoteServer>,
-        replica_set: Option<Arc<ReplicaSet>>,
-        mut make_node: impl FnMut(NodeId, CostModel) -> Node,
+        mut remote: impl FnMut(NodeId) -> SharedStorage,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(failure_cfg.seed);
-        let nodes: Vec<Node> = (0..n_nodes)
-            .map(|i| make_node(NodeId(i as u32), cost.clone()))
+        let nodes: Vec<Node> = (0..n_nodes as u32)
+            .map(|i| Node::with_remote(NodeId(i), cost.clone(), remote(NodeId(i))))
             .collect();
         let next_failure = (0..n_nodes)
             .map(|_| Self::draw_failure(&mut rng, &failure_cfg, 0))
             .collect();
         Cluster {
             nodes,
-            remote_server,
-            replica_set,
+            // Part of the public surface; no node points at it unless the
+            // cluster came from `Cluster::new`.
+            remote_server: RemoteServer::new(1 << 40),
             striped_set: None,
             now_ns: 0,
             failure_cfg,
@@ -156,9 +127,9 @@ impl Cluster {
     /// Build a cluster whose remote stable storage is a striped replica
     /// pool: `stripes` independent quorum sets of `n_replicas` each (write
     /// quorum `w`), keys routed by lineage hash. Every cluster node gets
-    /// its own [`StripedStore`] client onto the same shared pool, so
-    /// commits to different rank lineages overlap in virtual time instead
-    /// of serializing behind one replica set.
+    /// its own [`ckpt_replica::StripedStore`] client onto the same shared
+    /// pool, so commits to different rank lineages overlap in virtual time
+    /// instead of serializing behind one replica set.
     pub fn new_striped(
         n_nodes: usize,
         cost: CostModel,
@@ -167,92 +138,18 @@ impl Cluster {
         n_replicas: usize,
         w: usize,
     ) -> Self {
-        let remote_server = RemoteServer::new(1 << 40);
         let set = StripedReplicaSet::new(stripes, n_replicas);
         let cfg = ReplicaConfig::new(n_replicas, w);
-        let client_set = set.clone();
-        let mut c = Self::build(
-            n_nodes,
-            cost,
-            failure_cfg,
-            remote_server,
-            None,
-            move |id, cost| {
-                let store = StripedStore::new(client_set.clone(), cfg);
-                Node::with_remote(id, cost, shared_storage(store))
-            },
-        );
+        let mut c = Self::with_remote(n_nodes, cost, failure_cfg, |_| {
+            shared_storage(Striped::new(set.clone(), |stripe| {
+                ReplicatedStore::new(stripe, cfg)
+            }))
+        });
         c.striped_set = Some(set);
         c
     }
 
-    /// Build a cluster whose remote stable storage is one RS(k, m)
-    /// erasure-coded shard group of `k + m` simulated nodes. Every
-    /// cluster node gets its own [`ErasureStore`] client onto the same
-    /// shared [`ReplicaSet`], so a checkpoint committed by one node is
-    /// readable (reconstructible) from any survivor while each commit
-    /// moves only `(k + m) / k ×` its bytes — against `N ×` under
-    /// [`Cluster::new_replicated`] at the same loss tolerance.
-    pub fn new_erasure(
-        n_nodes: usize,
-        cost: CostModel,
-        failure_cfg: FailureConfig,
-        k: usize,
-        m: usize,
-    ) -> Self {
-        let remote_server = RemoteServer::new(1 << 40);
-        let set = ReplicaSet::new(k + m);
-        let client_set = set.clone();
-        Self::build(
-            n_nodes,
-            cost,
-            failure_cfg,
-            remote_server,
-            Some(set),
-            move |id, cost| {
-                let store = ErasureStore::new(client_set.clone(), k, m);
-                Node::with_remote(id, cost, shared_storage(store))
-            },
-        )
-    }
-
-    /// Build a cluster whose remote stable storage is an erasure-coded
-    /// striped pool: `stripes` independent RS(k, m) shard groups, keys
-    /// routed by lineage hash — the sharded control plane's commit
-    /// overlap at coded bandwidth. Every cluster node gets its own
-    /// [`EcStripedStore`] client onto the same shared pool.
-    pub fn new_ec_striped(
-        n_nodes: usize,
-        cost: CostModel,
-        failure_cfg: FailureConfig,
-        stripes: usize,
-        k: usize,
-        m: usize,
-    ) -> Self {
-        let remote_server = RemoteServer::new(1 << 40);
-        let set = StripedReplicaSet::new(stripes, k + m);
-        let client_set = set.clone();
-        let mut c = Self::build(
-            n_nodes,
-            cost,
-            failure_cfg,
-            remote_server,
-            None,
-            move |id, cost| {
-                let store = EcStripedStore::new(client_set.clone(), k, m);
-                Node::with_remote(id, cost, shared_storage(store))
-            },
-        );
-        c.striped_set = Some(set);
-        c
-    }
-
-    /// The shared replica set (replicated and erasure-coded clusters).
-    pub fn replica_set(&self) -> Option<&Arc<ReplicaSet>> {
-        self.replica_set.as_ref()
-    }
-
-    /// The shared striped pool (striped and EC-striped clusters).
+    /// The shared striped pool of a [`Cluster::new_striped`] cluster.
     pub fn striped_set(&self) -> Option<&Arc<StripedReplicaSet>> {
         self.striped_set.as_ref()
     }
@@ -444,15 +341,10 @@ mod tests {
 
     #[test]
     fn erasure_cluster_shares_one_coded_shard_group() {
-        let c = Cluster::new_erasure(
-            2,
-            CostModel::circa_2005(),
-            FailureConfig::none(),
-            4,
-            2,
-        );
-        let set = c.replica_set().expect("coded cluster exposes its shard set");
-        assert_eq!(set.len(), 6);
+        let set = ckpt_replica::ReplicaSet::new(6);
+        let c = Cluster::with_remote(2, CostModel::circa_2005(), FailureConfig::none(), |_| {
+            shared_storage(ckpt_ec::ErasureStore::new(set.clone(), 4, 2))
+        });
         // A commit through node 0's client is reconstructible through
         // node 1's — even after m shard nodes die.
         let cost = CostModel::circa_2005();

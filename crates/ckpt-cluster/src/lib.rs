@@ -14,7 +14,7 @@
 //! * [`shard`] — the two-level sharded control plane: shard-local rounds
 //!   with batched quorum commits, a root two-phase global cut, and the
 //!   1k–10k node scale model;
-//! * [`migrate`] — process migration with or without pod virtualization;
+//! * [`mod@migrate`] — process migration with or without pod virtualization;
 //! * [`livemig`] — iterative pre-copy / post-copy live migration with a
 //!   dirty-rate-adaptive cutover, plus its crash-matrix tier
 //!   ([`migmatrix`]);

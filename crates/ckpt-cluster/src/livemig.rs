@@ -1,7 +1,7 @@
 //! Live migration: iterative pre-copy and post-copy with a
 //! dirty-rate-adaptive cutover.
 //!
-//! [`crate::migrate`] is freeze-copy-resume: the guest is down for the
+//! [`crate::migrate()`] is freeze-copy-resume: the guest is down for the
 //! whole image transfer. This module implements the two hypervisor-era
 //! alternatives on top of the same capture/restore machinery:
 //!

@@ -11,7 +11,7 @@
 //! * **Two levels.** Ranks are partitioned across shard coordinators.
 //!   Each shard runs a local coordinated round — freeze, capture, encode
 //!   — and commits its round's images as ONE framed batched quorum commit
-//!   ([`StableStorage::store_batch`]): one admission/backoff/ack cycle
+//!   ([`ckpt_storage::StableStorage::store_batch`]): one admission/backoff/ack cycle
 //!   per replica per shard round instead of per image.
 //! * **Two phases.** The root commits the global cut only after every
 //!   shard's quorum ack (phase 1 = shard commits, phase 2 = root commit).
@@ -26,7 +26,7 @@
 //!   post-restart), not per round.
 //!
 //! The [`scale_round`] model extends the measurement to 1k–10k simulated
-//! nodes (report `c14`): real [`StripedStore`] commits with synthetic
+//! nodes (report `c14`): real [`ckpt_replica::StripedStore`] commits with synthetic
 //! per-rank payloads, the paper's exponential MTBF arithmetic on top.
 
 use crate::cluster::Cluster;
@@ -34,7 +34,7 @@ use crate::coordinator::{capture_rank_encoded, restart_saved_ranks};
 use crate::mpi::{MpiJob, RankRef};
 use ckpt_core::tracker::{Tracker, TrackerKind};
 use ckpt_par::Pool;
-use ckpt_replica::StripedStore;
+use ckpt_replica::{ReplicaConfig, ReplicatedStore, Striped, StripedReplicaSet};
 use ckpt_storage::ImageKey;
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
@@ -433,7 +433,7 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Run one hierarchical round at scale: deterministic synthetic per-rank
 /// payloads (no kernels — the control plane is what is being measured),
-/// REAL batched quorum commits through a [`StripedStore`], the paper's
+/// REAL batched quorum commits through a [`ckpt_replica::StripedStore`], the paper's
 /// MTBF arithmetic on the resulting round time.
 pub fn scale_round(cfg: &ScaleConfig, cost: &CostModel) -> ScalePoint {
     scale_round_with_pool(cfg, cost, ckpt_par::global().clone())
@@ -466,8 +466,11 @@ pub fn scale_round_with_pool(cfg: &ScaleConfig, cost: &CostModel, pool: Arc<Pool
 
     // One batched commit per shard; stripes are independent in virtual
     // time, but shards routed to the same stripe serialize on it.
-    let mut store = StripedStore::fresh(cfg.stripes, cfg.replicas, cfg.write_quorum)
-        .with_pool(pool.clone());
+    let quorum = ReplicaConfig::new(cfg.replicas, cfg.write_quorum);
+    let mut store = Striped::new(StripedReplicaSet::new(cfg.stripes, cfg.replicas), |set| {
+        ReplicatedStore::new(set, quorum)
+    })
+    .with_pool(pool.clone());
     let per_shard = cfg.nodes.div_ceil(cfg.shards);
     let mut stripe_busy = vec![0u64; cfg.stripes];
     let mut batched_ack_cycles = 0u64;

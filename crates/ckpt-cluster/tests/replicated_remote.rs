@@ -1,6 +1,6 @@
 //! Coordinated checkpointing onto the quorum-replicated remote backend.
 //!
-//! `Cluster::new_replicated` gives every node its own `ReplicatedStore`
+//! `Cluster::with_remote` gives every node its own `ReplicatedStore`
 //! client onto one shared replica set, so these tests exercise the full
 //! survivability story the paper argues for: a round keeps committing
 //! while replicas die (as long as the write quorum holds), losing the
@@ -9,8 +9,12 @@
 //! survivors — with the images coming back from whichever replicas are
 //! still reachable.
 
+use std::sync::Arc;
+
 use ckpt_cluster::{Cluster, Coordinator, FailureConfig, MpiJob, NodeId};
+use ckpt_core::shared_storage;
 use ckpt_core::tracker::TrackerKind;
+use ckpt_replica::{ReplicaConfig, ReplicaSet, ReplicatedStore};
 use simos::apps::{AppParams, NativeKind};
 use simos::cost::CostModel;
 
@@ -19,14 +23,12 @@ fn setup_replicated(
     n_ranks: u32,
     n_replicas: usize,
     w: usize,
-) -> (Cluster, MpiJob, Coordinator) {
-    let mut c = Cluster::new_replicated(
-        n_nodes,
-        CostModel::circa_2005(),
-        FailureConfig::none(),
-        n_replicas,
-        w,
-    );
+) -> (Cluster, Arc<ReplicaSet>, MpiJob, Coordinator) {
+    let set = ReplicaSet::new(n_replicas);
+    let cfg = ReplicaConfig::new(n_replicas, w);
+    let mut c = Cluster::with_remote(n_nodes, CostModel::circa_2005(), FailureConfig::none(), |_| {
+        shared_storage(ReplicatedStore::new(set.clone(), cfg))
+    });
     let job = MpiJob::launch(
         &mut c,
         "app",
@@ -38,7 +40,7 @@ fn setup_replicated(
     )
     .unwrap();
     let coord = Coordinator::new("repljob", TrackerKind::KernelPage);
-    (c, job, coord)
+    (c, set, job, coord)
 }
 
 /// Every rank's in-guest superstep counter (the durable truth a restart
@@ -60,7 +62,7 @@ fn guest_supersteps(c: &mut Cluster, job: &MpiJob) -> Vec<u64> {
 
 #[test]
 fn rounds_commit_through_replica_loss_and_survive_node_loss() {
-    let (mut c, mut job, mut coord) = setup_replicated(3, 6, 3, 2);
+    let (mut c, set, mut job, mut coord) = setup_replicated(3, 6, 3, 2);
     for _ in 0..2 {
         job.superstep(&mut c).unwrap();
     }
@@ -69,7 +71,6 @@ fn rounds_commit_through_replica_loss_and_survive_node_loss() {
     assert!(o.total_bytes > 0);
 
     // Every replica holds every rank's image after a healthy round.
-    let set = c.replica_set().expect("replicated cluster").clone();
     for node in set.nodes() {
         assert_eq!(node.keys().len(), 6, "replica {} incomplete", node.index());
     }
@@ -108,7 +109,7 @@ fn rounds_commit_through_replica_loss_and_survive_node_loss() {
 
 #[test]
 fn losing_the_quorum_is_a_typed_abort_and_repair_recovers_the_cut() {
-    let (mut c, mut job, mut coord) = setup_replicated(2, 4, 3, 2);
+    let (mut c, set, mut job, mut coord) = setup_replicated(2, 4, 3, 2);
     for _ in 0..3 {
         job.superstep(&mut c).unwrap();
     }
@@ -116,7 +117,6 @@ fn losing_the_quorum_is_a_typed_abort_and_repair_recovers_the_cut() {
     job.superstep(&mut c).unwrap();
 
     // Two of three replicas gone: writes cannot reach w = 2.
-    let set = c.replica_set().unwrap().clone();
     set.node(0).fail();
     set.node(2).fail();
     let err = coord.checkpoint(&mut c, &job).unwrap_err();
@@ -150,7 +150,7 @@ fn losing_the_quorum_is_a_typed_abort_and_repair_recovers_the_cut() {
 
 #[test]
 fn node_loss_mid_round_on_replicated_remote_keeps_the_cut() {
-    let (mut c, mut job, mut coord) = setup_replicated(3, 6, 5, 3);
+    let (mut c, _set, mut job, mut coord) = setup_replicated(3, 6, 5, 3);
     for _ in 0..2 {
         job.superstep(&mut c).unwrap();
     }

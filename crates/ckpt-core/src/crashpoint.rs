@@ -32,7 +32,7 @@ use crate::tracker::TrackerKind;
 use crate::{shared_storage, RestorePid, SharedStorage};
 use ckpt_cas::{ChunkParams, DedupStore};
 use ckpt_ec::ErasureStore;
-use ckpt_replica::{ReplicaConfig, ReplicaSet, ReplicatedStore, StripedStore};
+use ckpt_replica::{ReplicaConfig, ReplicaSet, ReplicatedStore, Striped, StripedReplicaSet};
 use ckpt_storage::{
     load_latest_valid_chain, FaultInjectStore, LocalDisk, NvramStore, RamStore, RemoteServer,
     RemoteStore, StableStorage, SwapStore,
@@ -452,7 +452,10 @@ fn injected_storage(which: &str, faults: &FaultHandle) -> SharedStorage {
         // batch-commit path, so every per-stripe `stripe<j>/r<i>/batch`
         // admission is a recorded site; the outer FaultInjectStore adds
         // the client-side `storage/striped(KxN,w)` sites on top.
-        let store = StripedStore::fresh(k, n, w).with_faults(faults.clone());
+        let store = Striped::new(StripedReplicaSet::new(k, n), |set| {
+            ReplicatedStore::new(set, ReplicaConfig::new(n, w))
+        })
+        .with_faults(faults.clone());
         return shared_storage(FaultInjectStore::new(Box::new(store), faults.clone()));
     }
     if let Some((k, m)) = erasure_params(which) {

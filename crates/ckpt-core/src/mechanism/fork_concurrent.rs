@@ -1,4 +1,4 @@
-//! Fork-based concurrent checkpointing (Section 4, "Checkpoint" [5],
+//! Fork-based concurrent checkpointing (Section 4, "Checkpoint" \[5\],
 //! Carothers & Szymanski).
 //!
 //! Instead of stopping the application for the whole save, the kernel

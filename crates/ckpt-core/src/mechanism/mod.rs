@@ -157,7 +157,7 @@ pub struct KernelCkptEngine {
 #[must_use = "the builder does nothing until .build() is called"]
 pub struct KernelCkptEngineBuilder {
     engine: KernelCkptEngine,
-    dedup: Option<ckpt_cas::ChunkParams>,
+    dedup: bool,
 }
 
 impl KernelCkptEngineBuilder {
@@ -208,74 +208,21 @@ impl KernelCkptEngineBuilder {
         self
     }
 
-    /// Replace the engine's storage with an N-way quorum-replicated store
-    /// (write quorum `w > n/2`) over a fresh simulated replica set, fanned
-    /// out on the engine's encode pool. Each committed segment's
-    /// [`ReplicaManifest`](ckpt_storage::ReplicaManifest) is recorded in
-    /// the chain metadata ([`KernelCkptEngine::chain_manifests`]).
-    pub fn replicated(mut self, n: usize, w: usize) -> Self {
-        let store = ckpt_replica::ReplicatedStore::new(
-            ckpt_replica::ReplicaSet::new(n),
-            ckpt_replica::ReplicaConfig::new(n, w),
-        )
-        .with_pool(self.engine.encode_pool.clone());
-        self.engine.storage = crate::shared_storage(store);
-        self
-    }
-
-    /// Like [`Self::replicated`], but over a caller-supplied store (e.g.
-    /// a shared [`ckpt_replica::ReplicaSet`] spanning a cluster, or one
-    /// wired to a fault handle).
-    pub fn replicated_store(mut self, store: ckpt_replica::ReplicatedStore) -> Self {
-        self.engine.storage = crate::shared_storage(store);
-        self
-    }
-
-    /// Replace the engine's storage with an RS(k, m) erasure-coded store
-    /// over a fresh simulated replica set of `k + m` nodes, encoding on
-    /// the engine's pool. Any `m` node losses are survivable while each
-    /// commit moves only `(k + m) / k ×` the segment bytes instead of
-    /// `N ×` — the coded half of the replication-vs-coding trade the
-    /// bandwidth sweeps measure. Chain metadata records each segment's
-    /// [`ReplicaManifest`](ckpt_storage::ReplicaManifest) with its
-    /// [`CodingGeometry`](ckpt_storage::CodingGeometry).
-    pub fn erasure(mut self, k: usize, m: usize) -> Self {
-        let store = ckpt_ec::ErasureStore::fresh(k, m)
-            .with_pool(self.engine.encode_pool.clone());
-        self.engine.storage = crate::shared_storage(store);
-        self
-    }
-
-    /// Like [`Self::erasure`], but over a caller-supplied store (e.g. a
-    /// shard group shared across a cluster, or one wired to a fault
-    /// handle).
-    pub fn erasure_store(mut self, store: ckpt_ec::ErasureStore) -> Self {
-        self.engine.storage = crate::shared_storage(store);
-        self
-    }
-
     /// Layer content-addressed dedup + delta
     /// ([`ckpt_cas::DedupStore`]) over the engine's storage, with default
-    /// chunking parameters. Applied at [`Self::build`] time, over
-    /// whatever backend is then configured — so it composes with
-    /// [`Self::replicated`] in either call order, and on a replicated
-    /// backend each commit ships only the chunks the quorum has not
-    /// already acknowledged.
-    pub fn dedup(self) -> Self {
-        self.dedup_params(ckpt_cas::ChunkParams::DEFAULT)
-    }
-
-    /// Like [`Self::dedup`], with explicit [`ckpt_cas::ChunkParams`].
-    pub fn dedup_params(mut self, params: ckpt_cas::ChunkParams) -> Self {
-        self.dedup = Some(params);
+    /// chunking parameters, chunking and digesting on the engine's encode
+    /// pool. Applied at [`Self::build`] time, so over a replicated or
+    /// erasure-coded `storage` each commit ships only the chunks the
+    /// quorum has not already acknowledged.
+    pub fn dedup(mut self) -> Self {
+        self.dedup = true;
         self
     }
 
     pub fn build(mut self) -> KernelCkptEngine {
-        if let Some(params) = self.dedup {
+        if self.dedup {
             let inner = crate::SharedBackend(self.engine.storage.clone());
             let store = ckpt_cas::DedupStore::new(Box::new(inner))
-                .with_params(params)
                 .with_pool(self.engine.encode_pool.clone());
             self.engine.cas_stats = Some(store.stats_handle());
             self.engine.storage = crate::shared_storage(store);
@@ -310,7 +257,7 @@ impl KernelCkptEngine {
                 last_full_seq: 0,
                 target_pid: None,
             },
-            dedup: None,
+            dedup: false,
         }
     }
 
@@ -789,14 +736,12 @@ mod tests {
         k.run_for(10_000_000).unwrap();
         let store = ckpt_replica::ReplicatedStore::fresh(3, 2);
         let set = store.replica_set();
-        let mut e = KernelCkptEngine::builder(
+        let mut e = KernelCkptEngine::new(
             "test",
             "job",
-            shared_storage(LocalDisk::new(1)), // replaced below
+            shared_storage(store),
             TrackerKind::KernelPage,
-        )
-        .replicated_store(store)
-        .build();
+        );
         let mut work_at_last = 0;
         for _ in 0..3 {
             k.freeze_process(pid).unwrap();
@@ -841,14 +786,12 @@ mod tests {
         k.run_for(10_000_000).unwrap();
         let store = ckpt_ec::ErasureStore::fresh(4, 2);
         let set = store.replica_set();
-        let mut e = KernelCkptEngine::builder(
+        let mut e = KernelCkptEngine::new(
             "test",
             "job",
-            shared_storage(LocalDisk::new(1)), // replaced below
+            shared_storage(store),
             TrackerKind::KernelPage,
-        )
-        .erasure_store(store)
-        .build();
+        );
         let mut work_at_last = 0;
         for _ in 0..3 {
             k.freeze_process(pid).unwrap();

@@ -3,7 +3,7 @@
 //! Migrating a checkpoint to another machine trips over "resource
 //! consistency, resource conflicts, and resource dependencies" (Section 3):
 //! the original pid may be taken, file paths may collide with another
-//! job's, and the process may believe facts about the old node. ZAP [24]
+//! job's, and the process may believe facts about the old node. ZAP \[24\]
 //! solves this with a *pod* — a private virtual namespace whose resources
 //! are translated to physical ones by intercepting system calls, at a
 //! run-time cost.

@@ -7,17 +7,17 @@
 //!   paper advocates, "never before implemented for Linux").
 //! * [`TrackerKind::UserPage`] — the same page-protection idea at user
 //!   level: `mprotect` + `SIGSEGV` handler + user-space bitmap (Section 3,
-//!   libckpt [27]). Identical dirty sets, strictly higher cost.
+//!   libckpt \[27\]). Identical dirty sets, strictly higher cost.
 //! * [`TrackerKind::ProbBlock`] — block-hash comparison at sub-page
-//!   granularity (*Probabilistic Checkpointing*, Nam et al. [23]); the
+//!   granularity (*Probabilistic Checkpointing*, Nam et al. \[23\]); the
 //!   probability of a missed update (hash collision) is exposed
 //!   analytically by [`Tracker::omission_probability`].
 //! * [`TrackerKind::AdaptiveBlock`] — per-page adaptive block sizing
-//!   (Agarwal et al. [1]): pages that change densely use coarse blocks
+//!   (Agarwal et al. \[1\]): pages that change densely use coarse blocks
 //!   (cheap hashing), sparsely-changing pages use fine blocks (small
 //!   deltas).
 //! * [`TrackerKind::HardwareLine`] — cache-line-granularity logging by
-//!   hardware (ReVive [29] / SafetyNet [34], Section 4.2): no software cost
+//!   hardware (ReVive \[29\] / SafetyNet \[34\], Section 4.2): no software cost
 //!   per write, finest deltas, but requires custom hardware.
 
 use simos::cost::{CACHE_LINE, PAGE_SIZE};

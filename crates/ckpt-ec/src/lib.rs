@@ -18,21 +18,21 @@
 //!   pool-parallel parity rows, Gauss-Jordan reconstruction from any
 //!   `k` intact shards;
 //! * [`store`] — [`ErasureStore`], the
-//!   [`StableStorage`](ckpt_storage::StableStorage) backend: shard
-//!   placement on [`ReplicaNode`](ckpt_replica::ReplicaNode)s (reusing
-//!   their versioned, digest-protected frames and torn-prefix
-//!   semantics), framed shard batches, digest-verified reconstruction,
-//!   in-place shard repair, typed
+//!   [`StableStorage`](ckpt_storage::StableStorage) backend: RS shard
+//!   frames committed through `ckpt-replica`'s
+//!   [`QuorumClient`](ckpt_replica::QuorumClient) (the same admission,
+//!   rollback and manifest protocol as the replicated tier, on the same
+//!   versioned, digest-protected [`ReplicaNode`](ckpt_replica::ReplicaNode)
+//!   frames), digest-verified reconstruction, in-place shard repair,
+//!   typed
 //!   [`TooManyShardsLost`](ckpt_storage::StorageError::TooManyShardsLost);
-//! * [`stripe`] — [`EcStripedStore`], K independent coded shard groups
-//!   behind one facade so the sharded control plane commits coded
-//!   batches.
+//!   and [`EcStripedStore`], K independent coded shard groups behind
+//!   `ckpt-replica`'s generic [`Striped`](ckpt_replica::Striped) router
+//!   so the sharded control plane commits coded batches.
 
 pub mod gf;
 pub mod rs;
 pub mod store;
-pub mod stripe;
 
 pub use rs::{NotEnoughShards, RsCode};
-pub use store::{EcStats, ErasureStore};
-pub use stripe::EcStripedStore;
+pub use store::{EcStats, EcStripedStore, ErasureStore};

@@ -15,9 +15,11 @@
 //! occupies at least `w` nodes, so if a read finds `≥ k` intact shards
 //! at some version `v`, the at most `(k + m) − k = m < w` remaining
 //! nodes cannot be hiding an entire newer commit — the reconstruction of
-//! `v` is the newest committed value. Fewer than `w` acks rolls the
-//! attempt back from every node that took it and refuses with the typed
-//! [`StorageError::QuorumLost`].
+//! `v` is the newest committed value. The commit itself — admission,
+//! snapshots, rollback of every node that took bytes on fewer than `w`
+//! acks, the typed [`StorageError::QuorumLost`], manifests — is
+//! [`QuorumClient::commit`], shared with the replicated tier; this store
+//! supplies the shard frames.
 //!
 //! ## Read path
 //!
@@ -46,18 +48,21 @@
 //! ordered merge; nodes then take ownership of their frames. Commits,
 //! manifests, costs, and counters are identical at every pool width.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ckpt_par::Pool;
-use ckpt_replica::{Admission, Backoff, BackoffPolicy, Frame, Probe, ReplicaSet};
+use ckpt_replica::{
+    BackoffPolicy, CommitObject, Frame, Probe, QuorumClient, ReplicaSet, StripeMember, Striped,
+    WireFrame,
+};
 use ckpt_storage::{
     fnv1a64, fnv1a64_multi, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage,
     StorageClass, StorageError, StoreReceipt, FNV_LANES,
 };
 use simos::cost::CostModel;
-use simos::faultpoint::{Fault, FaultHandle};
+use simos::faultpoint::FaultHandle;
 use simos::trace::TraceHandle;
 
 use crate::rs::RsCode;
@@ -128,59 +133,29 @@ pub struct EcStats {
     pub ack_cycles: u64,
 }
 
-#[derive(Default)]
-struct StatCells {
-    commits: AtomicU64,
-    retries: AtomicU64,
+/// One client handle on an erasure-coded store over `k + m` shard nodes:
+/// RS shard frames over the shared [`QuorumClient`] commit protocol, plus
+/// the decoding read with in-place shard repair.
+pub struct ErasureStore {
+    core: QuorumClient,
+    code: RsCode,
     decodes: AtomicU64,
     repairs: AtomicU64,
     shard_losses: AtomicU64,
-    quorum_losses: AtomicU64,
-    ack_cycles: AtomicU64,
 }
 
-/// Per-node write decision, resolved sequentially before the pool
-/// executes the copies (same discipline as the replicated store).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WriteCmd {
-    Full,
-    Torn { keep: usize },
-    Skip,
-}
-
-impl WriteCmd {
-    /// How many of a `len`-byte wire frame's bytes reach the medium, if
-    /// any.
-    fn kept(self, len: u64) -> Option<u64> {
-        match self {
-            WriteCmd::Full => Some(len),
-            WriteCmd::Torn { keep } => Some((keep as u64).min(len)),
-            WriteCmd::Skip => None,
-        }
-    }
-}
-
-/// One client handle on an erasure-coded store over `k + m` shard nodes.
-pub struct ErasureStore {
-    set: Arc<ReplicaSet>,
-    code: RsCode,
-    /// Shard write quorum `k + ⌈m/2⌉`.
-    w: usize,
-    backoff: BackoffPolicy,
-    faults: FaultHandle,
-    trace: TraceHandle,
-    pool: Arc<Pool>,
-    client_up: bool,
-    /// Faultpoint namespace: sites render as `{site_prefix}/s<i>/{op}`.
-    site_prefix: String,
-    manifests: BTreeMap<String, ReplicaManifest>,
-    stats: StatCells,
-}
+/// K independent RS(k, m) shard groups behind one facade, so the sharded
+/// control plane commits its per-round batches as *coded* frames — the
+/// batching amortization of the striped replica pool at `(k + m) / k ×`
+/// the bytes instead of `N ×`. Sites `ecstripe<j>/s<i>/<op>`, label
+/// `ecstriped(Kx rs(k,m))`.
+pub type EcStripedStore = Striped<ErasureStore>;
 
 impl ErasureStore {
     /// A store over `set` (which must have exactly `k + m` nodes) with an
-    /// RS(k, m) code. Fault injection defaults to off, tracing to the
-    /// no-op sink, the pool to the global one.
+    /// RS(k, m) code, committing at the shard write quorum `k + ⌈m/2⌉`.
+    /// Fault injection defaults to off, tracing to the no-op sink, the
+    /// pool to the global one. Faultpoint sites render as `ec/s<i>/<op>`.
     pub fn new(set: Arc<ReplicaSet>, k: usize, m: usize) -> Self {
         let code = RsCode::new(k, m);
         assert_eq!(
@@ -190,18 +165,18 @@ impl ErasureStore {
             set.len(),
             k + m
         );
+        let coding = CodingGeometry {
+            k: k as u32,
+            m: m as u32,
+        };
         ErasureStore {
-            set,
+            core: QuorumClient::new(set, k + m.div_ceil(2), "ec", 's', Some(coding), |t, c, _, _| {
+                t.erasure(c, 0, 0, 0)
+            }),
             code,
-            w: k + m.div_ceil(2),
-            backoff: BackoffPolicy::default(),
-            faults: FaultHandle::disabled(),
-            trace: TraceHandle::disabled(),
-            pool: ckpt_par::global().clone(),
-            client_up: true,
-            site_prefix: "ec".to_string(),
-            manifests: BTreeMap::new(),
-            stats: StatCells::default(),
+            decodes: AtomicU64::new(0),
+            repairs: AtomicU64::new(0),
+            shard_losses: AtomicU64::new(0),
         }
     }
 
@@ -211,29 +186,22 @@ impl ErasureStore {
     }
 
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
-        self.faults = faults;
+        self.core.set_faults(faults);
         self
     }
 
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.trace = trace;
+        self.core.set_trace(trace);
         self
     }
 
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.pool = pool;
+        self.core.set_pool(pool);
         self
     }
 
     pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
-    /// Rename the faultpoint namespace (default `ec`); an EC-striped pool
-    /// gives each stripe `ecstripe<j>`.
-    pub fn with_site_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.site_prefix = prefix.into();
+        self.core.set_backoff(backoff);
         self
     }
 
@@ -247,23 +215,24 @@ impl ErasureStore {
 
     /// Shard write quorum `k + ⌈m/2⌉`.
     pub fn write_quorum(&self) -> usize {
-        self.w
+        self.core.write_quorum()
     }
 
     pub fn replica_set(&self) -> Arc<ReplicaSet> {
-        self.set.clone()
+        self.core.set().clone()
     }
 
     /// Counters accumulated by this client handle.
     pub fn stats(&self) -> EcStats {
+        let q = self.core.stats();
         EcStats {
-            commits: self.stats.commits.load(Ordering::Relaxed),
-            retries: self.stats.retries.load(Ordering::Relaxed),
-            decodes: self.stats.decodes.load(Ordering::Relaxed),
-            repairs: self.stats.repairs.load(Ordering::Relaxed),
-            shard_losses: self.stats.shard_losses.load(Ordering::Relaxed),
-            quorum_losses: self.stats.quorum_losses.load(Ordering::Relaxed),
-            ack_cycles: self.stats.ack_cycles.load(Ordering::Relaxed),
+            commits: q.commits,
+            retries: q.retries,
+            decodes: self.decodes.load(Ordering::Relaxed),
+            repairs: self.repairs.load(Ordering::Relaxed),
+            shard_losses: self.shard_losses.load(Ordering::Relaxed),
+            quorum_losses: q.quorum_losses,
+            ack_cycles: q.ack_cycles,
         }
     }
 
@@ -271,8 +240,13 @@ impl ErasureStore {
         self.code.k() + self.code.m()
     }
 
-    fn xfer_ns(&self, len: usize, cost: &CostModel) -> u64 {
-        (len as f64 * cost.net_ns_per_byte).round() as u64
+    /// Account the end of a read: whether it decoded, the shards it
+    /// repaired, and whether it was refused for lack of `k` intact shards.
+    fn read_done(&self, decodes: u64, repairs: u64, shard_losses: u64) {
+        self.decodes.fetch_add(decodes, Ordering::Relaxed);
+        self.repairs.fetch_add(repairs, Ordering::Relaxed);
+        self.shard_losses.fetch_add(shard_losses, Ordering::Relaxed);
+        self.core.trace().erasure(0, decodes, repairs, shard_losses);
     }
 
     /// Encode a batch of objects into their `k + m` shard frames each,
@@ -295,7 +269,7 @@ impl ErasureStore {
         let tasks: Vec<(usize, usize)> = (0..objects.len())
             .flat_map(|j| (0..=n).map(move |t| (j, t)))
             .collect();
-        let pieces = self.pool.par_map_ordered(tasks, || (), |_, _, (j, t)| {
+        let pieces = self.core.pool().par_map_ordered(tasks, || (), |_, _, (j, t)| {
             let data = objects[j].1;
             let Some(i) = t.checked_sub(1) else {
                 return Piece::ObjectDigest(fnv1a64(data));
@@ -318,7 +292,7 @@ impl ErasureStore {
         }
         let runs: Vec<(usize, &mut [Vec<u8>])> =
             frames.chunks_mut(FNV_LANES).enumerate().collect();
-        let frame_digests = self.pool.par_map_ordered(runs, || (), |_, _, (r, run)| {
+        let frame_digests = self.core.pool().par_map_ordered(runs, || (), |_, _, (r, run)| {
             for (o, f) in run.iter_mut().enumerate() {
                 let j = (r * FNV_LANES + o) / n;
                 f[DIGEST_AT].copy_from_slice(&object_digests[j].to_le_bytes());
@@ -329,95 +303,17 @@ impl ErasureStore {
         let frame_digests = frame_digests.into_iter().flatten().collect();
         (frames, frame_digests, object_digests)
     }
+}
 
-    /// Resolve one shard node's admission + fault checks into a write
-    /// decision, retrying transients on the jittered schedule. Mirrors
-    /// the replicated store's sequential-admission discipline.
-    fn resolve_node(&self, i: usize, op: &str, key: &str, bytes: u64) -> (WriteCmd, u64, u64) {
-        let node = self.set.node(i);
-        let site = format!("{}/s{i}/{op}", self.site_prefix);
-        let salt = fnv1a64(key.as_bytes()) ^ (i as u64);
-        let mut backoff = Backoff::new(self.backoff, salt);
-        let mut retries = 0u64;
-        let mut delay_ns = 0u64;
-        loop {
-            match node.admit() {
-                Admission::Down => return (WriteCmd::Skip, retries, delay_ns),
-                Admission::Transient => match backoff.next_delay_ns() {
-                    Ok(d) => {
-                        retries += 1;
-                        delay_ns += d;
-                        continue;
-                    }
-                    Err(_) => return (WriteCmd::Skip, retries, delay_ns),
-                },
-                Admission::Ok => {}
-            }
-            if !self.faults.is_off() {
-                match self.faults.check(&site, bytes) {
-                    Some(Fault::Transient) => match backoff.next_delay_ns() {
-                        Ok(d) => {
-                            retries += 1;
-                            delay_ns += d;
-                            continue;
-                        }
-                        Err(_) => return (WriteCmd::Skip, retries, delay_ns),
-                    },
-                    Some(Fault::TornWrite { keep_bytes }) if op != "load" => {
-                        node.fail();
-                        return (
-                            WriteCmd::Torn {
-                                keep: keep_bytes as usize,
-                            },
-                            retries,
-                            delay_ns,
-                        );
-                    }
-                    Some(_) => {
-                        node.fail();
-                        return (WriteCmd::Skip, retries, delay_ns);
-                    }
-                    None => {}
-                }
-            }
-            return (WriteCmd::Full, retries, delay_ns);
-        }
+impl StripeMember for ErasureStore {
+    const SITE_STEM: &'static str = "ecstripe";
+
+    fn pool_label(&self, width: usize) -> String {
+        format!("ecstriped({width}x {})", self.label())
     }
 
-    /// Undo the last committed write of `key` (the EC-striped pool's
-    /// cross-stripe all-or-nothing needs this, exactly like the striped
-    /// replica pool).
-    pub(crate) fn retract_commit(&mut self, key: &str) {
-        if let Some(man) = self.manifests.remove(key) {
-            for i in 0..self.n() {
-                self.set.node(i).drop_if_version(key, man.version);
-            }
-        }
-    }
-
-    fn bump(&self, commits: u64, retries: u64, decodes: u64, repairs: u64, losses: u64) {
-        self.stats.commits.fetch_add(commits, Ordering::Relaxed);
-        self.stats.retries.fetch_add(retries, Ordering::Relaxed);
-        self.stats.decodes.fetch_add(decodes, Ordering::Relaxed);
-        self.stats.repairs.fetch_add(repairs, Ordering::Relaxed);
-        self.stats.shard_losses.fetch_add(losses, Ordering::Relaxed);
-        self.trace.erasure(commits, decodes, repairs, losses);
-    }
-
-    fn manifest_for(&self, key: &str, version: u64, data_len: u64, digest: u64, acked: Vec<u32>) -> ReplicaManifest {
-        ReplicaManifest {
-            key: key.to_string(),
-            version,
-            digest,
-            bytes: data_len,
-            acked,
-            n: self.n() as u32,
-            w: self.w as u32,
-            coding: Some(CodingGeometry {
-                k: self.code.k() as u32,
-                m: self.code.m() as u32,
-            }),
-        }
+    fn quorum_mut(&mut self) -> &mut QuorumClient {
+        &mut self.core
     }
 }
 
@@ -445,28 +341,18 @@ impl StableStorage for ErasureStore {
     }
 
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
-        if !self.client_up {
-            return Err(StorageError::Unavailable);
-        }
+        self.core.ensure_up()?;
+        let set = self.core.set();
         let (k, m, n) = (self.code.k(), self.code.m(), self.n());
 
         // Sequential admission of every shard node, in node order; then
         // one batched probe — a first read verifies all the admitted
         // frames in one multi-lane pass over their bytes.
-        let mut total_retries = 0u64;
-        let mut backoff_ns = 0u64;
-        let mut admitted: Vec<usize> = Vec::new();
-        for i in 0..n {
-            let (cmd, r, d) = self.resolve_node(i, "load", key, 0);
-            total_retries += r;
-            backoff_ns += d;
-            if cmd == WriteCmd::Full {
-                admitted.push(i);
-            }
-        }
+        let adm = self.core.admit_all("load", key, 0);
+        let admitted: Vec<usize> = adm.admitted().collect();
         let down = n - admitted.len();
         let mut frames: Vec<Option<Frame>> = vec![None; n];
-        for (&i, probe) in admitted.iter().zip(self.set.probe_batch(&admitted, key)) {
+        for (&i, probe) in admitted.iter().zip(set.probe_batch(&admitted, key)) {
             if let Probe::Valid(f) = probe {
                 frames[i] = Some(f);
             }
@@ -481,8 +367,8 @@ impl StableStorage for ErasureStore {
         if winner == 0 {
             // No node has ever seen this key — unless so many are down
             // that a committed shard set could be hiding on them.
-            let refused = down > n - self.w;
-            self.bump(0, total_retries, 0, 0, u64::from(refused));
+            let refused = down > n - self.core.write_quorum();
+            self.read_done(0, 0, u64::from(refused));
             return if refused {
                 Err(StorageError::TooManyShardsLost {
                     intact: 0,
@@ -501,14 +387,14 @@ impl StableStorage for ErasureStore {
             .any(|f| f.version == winner && f.tombstone)
         {
             let lagging: Vec<usize> = (0..n)
-                .filter(|&i| !self.set.node(i).is_down())
+                .filter(|&i| !set.node(i).is_down())
                 .filter(|&i| !matches!(&frames[i], Some(f) if f.version == winner))
                 .collect();
             let repairs = lagging.len() as u64;
             for i in lagging {
-                self.set.node(i).put_tombstone(key, winner);
+                set.node(i).put_tombstone(key, winner);
             }
-            self.bump(0, total_retries, 0, repairs, 0);
+            self.read_done(0, repairs, 0);
             return Err(StorageError::NotFound(key.to_string()));
         }
 
@@ -536,7 +422,7 @@ impl StableStorage for ErasureStore {
             }
         }
         if intact < k {
-            self.bump(0, total_retries, 0, 0, 1);
+            self.read_done(0, 0, 1);
             return Err(StorageError::TooManyShardsLost {
                 intact: intact as u32,
                 needed: k as u32,
@@ -549,12 +435,12 @@ impl StableStorage for ErasureStore {
         // repair below. A down node's parity would be thrown away.
         let needs_decode = (0..k).any(|i| shards[i].is_none());
         let lagging: Vec<usize> = (0..n)
-            .filter(|&i| !self.set.node(i).is_down())
+            .filter(|&i| !set.node(i).is_down())
             .filter(|&i| shards[i].is_none())
             .collect();
         let rebuilt = self
             .code
-            .rebuild_missing(&shards, |i| lagging.contains(&i), &self.pool)
+            .rebuild_missing(&shards, |i| lagging.contains(&i), self.core.pool())
             .expect("intact >= k shards reconstruct");
         let rebuilt_shard = |i: usize| -> Option<&[u8]> {
             rebuilt.iter().find(|(at, _)| *at == i).map(|(_, s)| s.as_slice())
@@ -567,7 +453,7 @@ impl StableStorage for ErasureStore {
             // The shard set is internally inconsistent (can only happen
             // if the medium was damaged beyond what frame digests catch).
             // Refuse — returning the reassembly would be silent corruption.
-            self.bump(0, total_retries, 0, 0, 1);
+            self.read_done(0, 0, 1);
             return Err(StorageError::TooManyShardsLost {
                 intact: intact as u32,
                 needed: k as u32,
@@ -589,87 +475,35 @@ impl StableStorage for ErasureStore {
         let bufs: Vec<&[u8]> = repaired.iter().map(Vec::as_slice).collect();
         let digests = fnv1a64_multi(&bufs);
         for ((&i, frame), digest) in lagging.iter().zip(repaired).zip(digests) {
-            self.set.node(i).put_frame(key, winner, frame, digest);
+            set.node(i).put_frame(key, winner, frame, digest);
         }
 
         // k shard frames cross the wire to serve the read, plus one per
         // repaired node to rebuild it.
         let time_ns = cost.net_latency_ns
-            + self.xfer_ns(shard_frame_len, cost) * (k as u64 + repairs)
-            + backoff_ns;
-        self.bump(0, total_retries, u64::from(needs_decode), repairs, 0);
+            + QuorumClient::xfer_ns(shard_frame_len as u64, cost) * (k as u64 + repairs)
+            + adm.backoff_ns;
+        self.read_done(u64::from(needs_decode), repairs, 0);
         Ok((object, time_ns))
     }
 
     fn delete(&mut self, key: &str) -> Result<(), StorageError> {
-        if !self.client_up {
-            return Err(StorageError::Unavailable);
-        }
-        let version = self.set.max_version(key) + 1;
-        let mut acked = 0usize;
-        let mut total_retries = 0u64;
-        for i in 0..self.n() {
-            // Same admission/retry path as the replicated store's delete:
-            // no payload to tear, so no faultpoint site is consulted.
-            let node = self.set.node(i);
-            let salt = fnv1a64(key.as_bytes()) ^ (i as u64) ^ 0xde1e;
-            let mut backoff = Backoff::new(self.backoff, salt);
-            loop {
-                match node.admit() {
-                    Admission::Down => break,
-                    Admission::Transient => {
-                        if backoff.next_delay_ns().is_err() {
-                            break;
-                        }
-                        total_retries += 1;
-                        continue;
-                    }
-                    Admission::Ok => {
-                        node.put_tombstone(key, version);
-                        acked += 1;
-                        break;
-                    }
-                }
-            }
-        }
-        self.stats.ack_cycles.fetch_add(1, Ordering::Relaxed);
-        if acked < self.w {
-            self.stats.quorum_losses.fetch_add(1, Ordering::Relaxed);
-            self.bump(0, total_retries, 0, 0, 0);
-            return Err(StorageError::QuorumLost {
-                acked: acked as u32,
-                needed: self.w as u32,
-            });
-        }
-        self.manifests.remove(key);
-        self.bump(0, total_retries, 0, 0, 0);
-        Ok(())
+        self.core.delete(key)
     }
 
     fn list(&self) -> Vec<String> {
-        if !self.client_up {
-            return Vec::new();
-        }
-        let mut keys: Vec<String> = self
-            .set
-            .nodes()
-            .iter()
-            .filter(|n| !n.is_down())
-            .flat_map(|n| n.keys())
-            .collect();
-        keys.sort();
-        keys.dedup();
-        keys
+        self.core.list()
     }
 
     fn available(&self) -> bool {
-        self.client_up && self.set.reachable() >= self.w
+        self.core.available()
     }
 
     fn used_bytes(&self) -> u64 {
         // Physical occupancy: the object spreads over the nodes, so the
         // sum — not the max — is one logical copy's coded footprint.
-        self.set
+        self.core
+            .set()
             .nodes()
             .iter()
             .filter(|n| !n.is_down())
@@ -679,11 +513,11 @@ impl StableStorage for ErasureStore {
 
     fn on_node_failure(&mut self) {
         // The *client's* node fail-stopped; the shard nodes are elsewhere.
-        self.client_up = false;
+        self.core.set_client_up(false);
     }
 
     fn on_node_repair(&mut self) {
-        self.client_up = true;
+        self.core.set_client_up(true);
     }
 
     fn on_power_down(&mut self) {
@@ -691,166 +525,55 @@ impl StableStorage for ErasureStore {
     }
 
     fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
-        self.manifests.get(key).cloned()
+        self.core.manifest(key)
     }
 
     /// Framed batched shard commit: each node receives ONE wire frame
-    /// holding its shard of every object in the batch — one admission /
-    /// retry / acknowledgement cycle per node for the whole batch
-    /// (`ack_cycles: 1`), the same amortization as the replicated batch
-    /// path but at `(k + m) / k ×` the payload bytes instead of `N ×`.
-    /// Torn writes persist a frame *prefix* with per-object semantics;
-    /// fewer than `w` full frames rolls every object back.
+    /// (see [`WireFrame::framed`]) holding its shard of every object in
+    /// the batch — one admission / retry / acknowledgement cycle per node
+    /// for the whole batch (`ack_cycles: 1`), the same amortization as the
+    /// replicated batch path but at `(k + m) / k ×` the payload bytes
+    /// instead of `N ×`. Torn writes persist a frame *prefix* with
+    /// per-object semantics; fewer than `w` full frames rolls every object
+    /// back on every node that took bytes.
     fn store_batch(
         &mut self,
         objects: &[(&str, &[u8])],
         cost: &CostModel,
     ) -> Result<BatchReceipt, StorageError> {
-        if !self.client_up {
-            return Err(StorageError::Unavailable);
-        }
-        if objects.is_empty() {
-            return Ok(BatchReceipt {
-                objects: 0,
-                bytes: 0,
-                time_ns: 0,
-                ack_cycles: 0,
-            });
-        }
+        self.core.ensure_up()?;
         let n = self.n();
 
-        let versions: Vec<u64> = objects
-            .iter()
-            .map(|(k, _)| self.set.max_version(k) + 1)
-            .collect();
-
         // Encode every object up front (pure pool work): frame
-        // `j * n + i` is object j's shard frame for node i.
+        // `j * n + i` is object j's shard frame for node i. Shard frames
+        // of one object are equal-length, so the wire layout is the same
+        // on every node; each node then takes ownership of its frames
+        // under the digests computed here — moves, not copies.
         let (mut frames, frame_digests, object_digests) = self.encode_frames(objects);
-
-        // Frame layout offsets, identical on every node because shard
-        // frames of one object are equal-length: 16-byte frame header,
-        // then records of 20-byte header + key + shard payload. The
-        // offsets decide what a torn write leaves behind.
-        const FRAME_HEADER: u64 = 16;
-        const RECORD_HEADER: u64 = 20;
-        let mut payload_at: Vec<(u64, u64)> = Vec::with_capacity(objects.len());
-        let mut off = FRAME_HEADER;
-        for (j, (key, _)) in objects.iter().enumerate() {
-            let plen = frames[j * n].len() as u64;
-            off += RECORD_HEADER + key.len() as u64;
-            payload_at.push((off, off + plen));
-            off += plen;
-        }
-        let frame_bytes = off;
-
-        // Phase 1 (sequential, node order): ONE admission + fault-check
-        // + retry/backoff cycle per node for the entire batch.
-        let batch_id = format!("batch/{}+{}", objects[0].0, objects.len());
-        let mut total_retries = 0u64;
-        let mut backoff_ns = 0u64;
-        let cmds: Vec<(usize, WriteCmd)> = (0..n)
-            .map(|i| {
-                let (cmd, r, d) = self.resolve_node(i, "batch", &batch_id, frame_bytes);
-                total_retries += r;
-                backoff_ns += d;
-                (i, cmd)
+        let wire = WireFrame::framed(
+            objects
+                .iter()
+                .enumerate()
+                .map(|(j, (key, _))| (*key, frames[j * n].len() as u64)),
+        );
+        let described: Vec<CommitObject<'_>> = objects
+            .iter()
+            .zip(&object_digests)
+            .map(|(&(key, d), &digest)| CommitObject {
+                key,
+                bytes: d.len() as u64,
+                digest,
             })
             .collect();
-
-        // Pre-write snapshots: the frame each writing node holds under
-        // each key *before* the batch fans out. `put` replaces a node's
-        // frame in place, so a failed quorum needs these to roll back to
-        // the committed state instead of leaving the node empty — losing
-        // old shards on an overwrite that also failed to commit would
-        // turn a transient outage into data loss once `k` nodes took it.
-        let priors: Vec<Vec<Option<Frame>>> = cmds
-            .iter()
-            .map(|(i, cmd)| {
-                if *cmd == WriteCmd::Skip {
-                    Vec::new()
-                } else {
-                    objects
-                        .iter()
-                        .map(|(key, _)| self.set.node(*i).snapshot_frame(key))
-                        .collect()
-                }
-            })
-            .collect();
-
-        // Phase 2: each node takes ownership of its frames under the
-        // digests computed above — moves, not copies. A tear below an
-        // object's record start leaves nothing of it on the medium; one
-        // inside its payload leaves a prefix under the full frame's
-        // digest.
-        for &(i, cmd) in &cmds {
-            let Some(keep) = cmd.kept(frame_bytes) else {
-                continue;
-            };
-            for (j, (key, _)) in objects.iter().enumerate() {
-                let (ps, pe) = payload_at[j];
-                let record_start = ps - RECORD_HEADER - key.len() as u64;
-                if keep > record_start {
-                    let mut frame = std::mem::take(&mut frames[j * n + i]);
-                    frame.truncate((keep.min(pe) - ps.min(keep)) as usize);
-                    self.set
-                        .node(i)
-                        .put_frame(key, versions[j], frame, frame_digests[j * n + i]);
-                }
-            }
-        }
-
-        let acked: Vec<u32> = cmds
-            .iter()
-            .filter(|(_, c)| matches!(c, WriteCmd::Full))
-            .map(|(i, _)| *i as u32)
-            .collect();
-        let xfer: u64 = cmds
-            .iter()
-            .map(|(_, c)| c.kept(frame_bytes).map_or(0, |b| self.xfer_ns(b as usize, cost)))
-            .sum();
-        let time_ns = cost.net_latency_ns + xfer + backoff_ns;
-        self.stats.ack_cycles.fetch_add(1, Ordering::Relaxed);
-
-        if acked.len() < self.w {
-            // All-or-nothing: peel every object's shards back off the
-            // nodes that took them (torn prefixes included — their nodes
-            // are down, but the rollback keeps the traffic counter honest
-            // when they come back) and reinstate each node's pre-write
-            // frame, so a refused overwrite leaves the previously
-            // committed shard set exactly where it was.
-            for (idx, (i, cmd)) in cmds.iter().enumerate() {
-                if *cmd == WriteCmd::Skip {
-                    continue;
-                }
-                for (j, (key, _)) in objects.iter().enumerate() {
-                    self.set
-                        .node(*i)
-                        .rollback_to(key, versions[j], priors[idx][j].clone());
-                }
-            }
-            self.stats.quorum_losses.fetch_add(1, Ordering::Relaxed);
-            self.bump(0, total_retries, 0, 0, 0);
-            return Err(StorageError::QuorumLost {
-                acked: acked.len() as u32,
-                needed: self.w as u32,
-            });
-        }
-
-        let mut payload_bytes = 0u64;
-        for (j, (key, d)) in objects.iter().enumerate() {
-            payload_bytes += d.len() as u64;
-            let (len, digest) = (d.len() as u64, object_digests[j]);
-            let man = self.manifest_for(key, versions[j], len, digest, acked.clone());
-            self.manifests.insert(key.to_string(), man);
-        }
-        self.bump(objects.len() as u64, total_retries, 0, 0, 0);
-        Ok(BatchReceipt {
-            objects: objects.len() as u64,
-            bytes: payload_bytes,
-            time_ns,
-            ack_cycles: 1,
-        })
+        self.core.commit(
+            &described,
+            &wire,
+            |j, i| {
+                let at = j * n + i;
+                (Cow::Owned(std::mem::take(&mut frames[at])), frame_digests[at])
+            },
+            cost,
+        )
     }
 }
 

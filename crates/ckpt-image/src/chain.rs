@@ -1,6 +1,6 @@
 //! Incremental-checkpoint chains.
 //!
-//! Incremental checkpointing (Plank et al. [27]) saves only the pages
+//! Incremental checkpointing (Plank et al. \[27\]) saves only the pages
 //! dirtied since the previous checkpoint. A restart therefore needs the
 //! last full image plus every subsequent incremental image, overlaid in
 //! order. This module validates lineage (sequence numbers must chain) and

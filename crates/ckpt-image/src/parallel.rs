@@ -63,7 +63,7 @@ pub fn reencode_image_pages(pool: &Pool, img: &mut CheckpointImage) {
 /// load-balance across workers for megabyte-scale images.
 const CRC_CHUNK: usize = 256 * 1024;
 
-/// CRC-32 of `data` computed in [`CRC_CHUNK`] pieces on the pool and
+/// CRC-32 of `data` computed in `CRC_CHUNK` pieces on the pool and
 /// recombined — bit-identical to [`crc32`] at every width.
 pub fn crc32_par(pool: &Pool, data: &[u8]) -> u32 {
     if pool.workers() <= 1 || data.len() <= CRC_CHUNK {

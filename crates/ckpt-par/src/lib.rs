@@ -28,7 +28,7 @@
 //! 1. worker closures must be pure functions of their item (worker-local
 //!    scratch state is re-initialized per worker and must not leak between
 //!    items in an order-observable way);
-//! 2. results are merged in submission order ([`MergeBoard`] semantics);
+//! 2. results are merged in submission order (`MergeBoard` semantics);
 //! 3. anything that charges virtual time or appends to a shared log stays
 //!    on the caller thread, outside the pool.
 //!

@@ -13,19 +13,26 @@
 //! * [`backoff`] — jittered exponential retry schedules over virtual time;
 //! * [`node`] — the simulated replica nodes and their versioned,
 //!   digest-protected frames;
+//! * [`quorum`] — [`QuorumClient`], the commit protocol itself
+//!   (admission → snapshot → fan-out → count → rollback-or-manifest),
+//!   written once for every tier that stores bytes on a [`ReplicaSet`]
+//!   (`ckpt-ec` builds its coded store on it too);
 //! * [`store`] — [`ReplicatedStore`], the
-//!   [`StableStorage`](ckpt_storage::StableStorage) backend tying it
-//!   together over the `ckpt-par` worker pool;
-//! * [`stripe`] — [`StripedStore`], K independent quorum sets behind one
-//!   facade so commits to different key lineages overlap in virtual time.
+//!   [`StableStorage`](ckpt_storage::StableStorage) backend: full-copy
+//!   payloads over that protocol plus the quorum read with read-repair;
+//! * [`stripe`] — [`Striped`], K independent quorum sets of any member
+//!   tier behind one facade so commits to different key lineages overlap
+//!   in virtual time ([`StripedStore`] is the replicated instance).
 
 pub mod backoff;
 pub mod node;
+pub mod quorum;
 pub mod store;
 pub mod stripe;
 
 pub use backoff::{Backoff, BackoffPolicy, RetriesExhausted};
 pub use ckpt_storage::fnv1a64;
 pub use node::{Admission, Frame, Probe, ReplicaNode, ReplicaSet};
+pub use quorum::{Admissions, CommitObject, QuorumClient, QuorumStats, TraceSink, WireFrame};
 pub use store::{ReplStats, ReplicaConfig, ReplicatedStore};
-pub use stripe::{stripe_route, StripedReplicaSet, StripedStore};
+pub use stripe::{stripe_route, StripeMember, Striped, StripedReplicaSet, StripedStore};

@@ -1,13 +1,18 @@
-//! A striped replica pool: K independent quorum sets behind one
+//! A striped pool: K independent quorum sets behind one
 //! [`StableStorage`] facade.
 //!
 //! A single [`ReplicaSet`] serializes every commit in the cluster behind
-//! one set of N replicas — at thousands of ranks per round the replica
-//! pool, not the coordinator, becomes the bottleneck. Striping splits the
-//! key space across K *independent* quorum sets (each its own N replicas,
-//! its own write quorum, its own faultpoint namespace `stripe<k>/...`), so
-//! commits to different stripes proceed in parallel in virtual time: a
-//! batched round's commit cost is the *maximum* stripe time, not the sum.
+//! one set of N nodes — at thousands of ranks per round the storage pool,
+//! not the coordinator, becomes the bottleneck. Striping splits the key
+//! space across K *independent* quorum sets (each its own nodes, its own
+//! write quorum, its own faultpoint namespace), so commits to different
+//! stripes proceed in parallel in virtual time: a batched round's commit
+//! cost is the *maximum* stripe time, not the sum.
+//!
+//! The router is written once, generic over its member tier
+//! ([`StripeMember`]): [`StripedStore`] stripes quorum-replicated sets
+//! (`stripe<j>/r<i>/<op>` sites), `ckpt_ec::EcStripedStore` stripes
+//! erasure-coded shard groups (`ecstripe<j>/s<i>/<op>`).
 //!
 //! ## Stripe mapping
 //!
@@ -21,8 +26,10 @@
 //!
 //! Damage is therefore contained by construction: losing a stripe's quorum
 //! takes out exactly the lineages mapped to it — objects on healthy
-//! stripes stay readable, and a read of a damaged lineage gets the typed
-//! [`StorageError::QuorumLost`], never bytes from a neighbouring stripe.
+//! stripes stay readable, and a read of a damaged lineage gets the
+//! member's typed refusal ([`StorageError::QuorumLost`] or
+//! [`StorageError::TooManyShardsLost`]), never bytes from a neighbouring
+//! stripe.
 
 use std::sync::Arc;
 
@@ -37,7 +44,8 @@ use simos::trace::TraceHandle;
 
 use crate::backoff::BackoffPolicy;
 use crate::node::ReplicaSet;
-use crate::store::{ReplStats, ReplicaConfig, ReplicatedStore};
+use crate::quorum::QuorumClient;
+use crate::store::ReplicatedStore;
 
 /// Which stripe a key lives on: lineage hash for images, content digest
 /// for chunks, whole-key hash otherwise. Pure and total — every client
@@ -59,7 +67,7 @@ pub struct StripedReplicaSet {
 }
 
 impl StripedReplicaSet {
-    /// `k` stripes of `n` replicas each.
+    /// `k` stripes of `n` nodes each.
     pub fn new(k: usize, n: usize) -> Arc<Self> {
         assert!(k >= 1, "need at least one stripe");
         Arc::new(StripedReplicaSet {
@@ -85,99 +93,90 @@ impl StripedReplicaSet {
     }
 }
 
-/// One client handle over a striped pool: a [`ReplicatedStore`] per
-/// stripe, each with its own faultpoint namespace `stripe<k>/r<i>/<op>`.
-///
-/// Single-object stores go through the framed batch path (a batch of one)
-/// so the crash matrix exercises the same commit machinery at every
-/// object count; reads and deletes route straight to the owning stripe.
-pub struct StripedStore {
-    set: Arc<StripedReplicaSet>,
-    stores: Vec<ReplicatedStore>,
-    cfg: ReplicaConfig,
+/// What a storage tier provides to be striped: how a pool of it is named,
+/// and its quorum core (through which the router wires faults, tracing,
+/// pool and backoff into every stripe, and retracts a stripe's commit when
+/// a later stripe refuses).
+pub trait StripeMember: StableStorage {
+    /// Stem of the pool's faultpoint namespaces: stripe `j`'s sites
+    /// render under `<SITE_STEM><j>/`.
+    const SITE_STEM: &'static str;
+
+    /// The [`StableStorage::label`] of a `width`-stripe pool of this
+    /// member.
+    fn pool_label(&self, width: usize) -> String;
+
+    fn quorum_mut(&mut self) -> &mut QuorumClient;
 }
 
-impl StripedStore {
-    pub fn new(set: Arc<StripedReplicaSet>, cfg: ReplicaConfig) -> Self {
+/// One client handle over a striped pool: one member store per stripe.
+///
+/// Single-object stores go through the member's framed batch path (a batch
+/// of one) so the crash matrix exercises the same commit machinery at
+/// every object count; reads and deletes route straight to the owning
+/// stripe.
+pub struct Striped<S> {
+    set: Arc<StripedReplicaSet>,
+    stores: Vec<S>,
+}
+
+/// K independent quorum-replicated sets: sites `stripe<j>/r<i>/<op>`,
+/// label `striped(KxN,w)`.
+pub type StripedStore = Striped<ReplicatedStore>;
+
+impl<S: StripeMember> Striped<S> {
+    /// A pool over `set`, with `member` building the client of each
+    /// stripe's node set.
+    pub fn new(set: Arc<StripedReplicaSet>, mut member: impl FnMut(Arc<ReplicaSet>) -> S) -> Self {
         let stores = set
             .stripes()
             .iter()
             .enumerate()
-            .map(|(j, s)| {
-                ReplicatedStore::new(s.clone(), cfg).with_site_prefix(format!("stripe{j}"))
+            .map(|(j, stripe)| {
+                let mut store = member(stripe.clone());
+                store
+                    .quorum_mut()
+                    .set_site_prefix(format!("{}{j}", S::SITE_STEM));
+                store
             })
             .collect();
-        StripedStore { set, stores, cfg }
-    }
-
-    /// Convenience: a fresh `k`-stripe pool of `(n, w)` quorum sets plus
-    /// its first client handle.
-    pub fn fresh(k: usize, n: usize, w: usize) -> Self {
-        StripedStore::new(StripedReplicaSet::new(k, n), ReplicaConfig::new(n, w))
+        Striped { set, stores }
     }
 
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
-        self.stores = self
-            .stores
-            .into_iter()
-            .map(|s| s.with_faults(faults.clone()))
-            .collect();
+        for s in &mut self.stores {
+            s.quorum_mut().set_faults(faults.clone());
+        }
         self
     }
 
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.stores = self
-            .stores
-            .into_iter()
-            .map(|s| s.with_trace(trace.clone()))
-            .collect();
+        for s in &mut self.stores {
+            s.quorum_mut().set_trace(trace.clone());
+        }
         self
     }
 
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.stores = self
-            .stores
-            .into_iter()
-            .map(|s| s.with_pool(pool.clone()))
-            .collect();
+        for s in &mut self.stores {
+            s.quorum_mut().set_pool(pool.clone());
+        }
         self
     }
 
     pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.cfg.backoff = backoff;
-        self.stores = self
-            .stores
-            .into_iter()
-            .map(|s| s.with_backoff(backoff))
-            .collect();
+        for s in &mut self.stores {
+            s.quorum_mut().set_backoff(backoff);
+        }
         self
-    }
-
-    pub fn config(&self) -> ReplicaConfig {
-        self.cfg
     }
 
     pub fn striped_set(&self) -> Arc<StripedReplicaSet> {
         self.set.clone()
     }
 
-    pub fn width(&self) -> usize {
-        self.stores.len()
-    }
-
-    /// Counters summed over every stripe's client handle.
-    pub fn stats(&self) -> ReplStats {
-        self.stores.iter().map(|s| s.stats()).fold(
-            ReplStats::default(),
-            |a, b| ReplStats {
-                commits: a.commits + b.commits,
-                retries: a.retries + b.retries,
-                repairs: a.repairs + b.repairs,
-                quorum_losses: a.quorum_losses + b.quorum_losses,
-                ack_cycles: a.ack_cycles + b.ack_cycles,
-                payload_digests: a.payload_digests + b.payload_digests,
-            },
-        )
+    fn home(&self, key: &str) -> usize {
+        stripe_route(key, self.stores.len())
     }
 
     /// Batched commit with per-stripe receipts: objects are grouped by
@@ -198,10 +197,9 @@ impl StripedStore {
         objects: &[(&str, &[u8])],
         cost: &CostModel,
     ) -> Result<Vec<(usize, BatchReceipt)>, StorageError> {
-        let k = self.stores.len();
-        let mut groups: Vec<Vec<(&str, &[u8])>> = vec![Vec::new(); k];
+        let mut groups: Vec<Vec<(&str, &[u8])>> = vec![Vec::new(); self.stores.len()];
         for &(key, data) in objects {
-            groups[stripe_route(key, k)].push((key, data));
+            groups[self.home(key)].push((key, data));
         }
 
         let mut receipts: Vec<(usize, BatchReceipt)> = Vec::new();
@@ -215,7 +213,7 @@ impl StripedStore {
                     // Peel the earlier stripes' commits back off.
                     for &(done, _) in receipts.iter().rev() {
                         for &(key, _) in &groups[done] {
-                            self.stores[done].retract_commit(key);
+                            self.stores[done].quorum_mut().retract_commit(key);
                         }
                     }
                     return Err(e);
@@ -226,13 +224,13 @@ impl StripedStore {
     }
 }
 
-impl StableStorage for StripedStore {
+impl<S: StripeMember> StableStorage for Striped<S> {
     fn class(&self) -> StorageClass {
         StorageClass::Remote
     }
 
     fn label(&self) -> String {
-        format!("striped({}x{},{})", self.stores.len(), self.cfg.n, self.cfg.w)
+        self.stores[0].pool_label(self.stores.len())
     }
 
     fn store(
@@ -242,9 +240,9 @@ impl StableStorage for StripedStore {
         cost: &CostModel,
     ) -> Result<StoreReceipt, StorageError> {
         // A batch of one: single-object stores exercise the same framed
-        // commit path (and the same `stripe<k>/r<i>/batch` faultpoint
+        // commit path (and the same `<stem><j>/.../batch` faultpoint
         // sites) as full rounds.
-        let j = stripe_route(key, self.stores.len());
+        let j = self.home(key);
         let r = self.stores[j].store_batch(&[(key, data)], cost)?;
         Ok(StoreReceipt {
             key: key.to_string(),
@@ -254,11 +252,11 @@ impl StableStorage for StripedStore {
     }
 
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
-        self.stores[stripe_route(key, self.stores.len())].load(key, cost)
+        self.stores[self.home(key)].load(key, cost)
     }
 
     fn delete(&mut self, key: &str) -> Result<(), StorageError> {
-        let j = stripe_route(key, self.stores.len());
+        let j = self.home(key);
         self.stores[j].delete(key)
     }
 
@@ -298,7 +296,7 @@ impl StableStorage for StripedStore {
     }
 
     fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
-        self.stores[stripe_route(key, self.stores.len())].replica_manifest(key)
+        self.stores[self.home(key)].replica_manifest(key)
     }
 
     fn store_batch(
@@ -324,6 +322,12 @@ mod tests {
 
     fn cost() -> CostModel {
         CostModel::circa_2005()
+    }
+
+    fn fresh(k: usize, n: usize, w: usize) -> StripedStore {
+        Striped::new(StripedReplicaSet::new(k, n), |s| {
+            ReplicatedStore::new(s, crate::ReplicaConfig::new(n, w))
+        })
     }
 
     #[test]
@@ -354,7 +358,7 @@ mod tests {
 
     #[test]
     fn striped_store_round_trips_and_amortizes_per_stripe() {
-        let mut s = StripedStore::fresh(4, 3, 2);
+        let mut s = fresh(4, 3, 2);
         let objects: Vec<(String, Vec<u8>)> = (0..16)
             .map(|pid| (ImageKey::new("j", pid, 1).to_string(), vec![pid as u8; 32]))
             .collect();
@@ -377,8 +381,8 @@ mod tests {
 
     #[test]
     fn batch_time_is_max_over_stripes_not_sum() {
-        let mut one = StripedStore::fresh(1, 3, 2);
-        let mut four = StripedStore::fresh(4, 3, 2);
+        let mut one = fresh(1, 3, 2);
+        let mut four = fresh(4, 3, 2);
         let objects: Vec<(String, Vec<u8>)> = (0..32)
             .map(|pid| (ImageKey::new("j", pid, 1).to_string(), vec![7u8; 4096]))
             .collect();
@@ -396,7 +400,7 @@ mod tests {
 
     #[test]
     fn cross_stripe_batch_is_all_or_nothing() {
-        let mut s = StripedStore::fresh(2, 3, 2);
+        let mut s = fresh(2, 3, 2);
         let objects: Vec<String> = (0..8)
             .map(|pid| ImageKey::new("j", pid, 1).to_string())
             .collect();
@@ -424,7 +428,7 @@ mod tests {
 
     #[test]
     fn damaged_stripe_never_bleeds_into_healthy_ones() {
-        let mut s = StripedStore::fresh(2, 3, 2);
+        let mut s = fresh(2, 3, 2);
         let keys: Vec<String> = (0..8)
             .map(|pid| ImageKey::new("j", pid, 1).to_string())
             .collect();

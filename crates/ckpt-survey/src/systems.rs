@@ -3,7 +3,7 @@
 //!
 //! Each [`SurveyedSystem`] knows how to *build a live instance* of itself
 //! against a kernel; the Table 1 feature row is then derived from the
-//! built mechanism's [`MechanismInfo`] plus the system's storage options —
+//! built mechanism's [`ckpt_core::mechanism::MechanismInfo`] plus the system's storage options —
 //! i.e. the table is regenerated from code, not transcribed.
 
 use ckpt_core::mechanism::fork_concurrent::ForkConcurrentMechanism;

@@ -1,7 +1,7 @@
 //! Native guest applications: deterministic "scientific kernels" whose
 //! entire mutable state lives in guest memory.
 //!
-//! The incremental-checkpointing evaluation of Sancho et al. [31] showed
+//! The incremental-checkpointing evaluation of Sancho et al. \[31\] showed
 //! that the benefit of incremental checkpointing "depends strongly on the
 //! application" — specifically on its memory-update pattern. These kernels
 //! span that space:

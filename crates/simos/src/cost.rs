@@ -3,7 +3,7 @@
 //! Every nanosecond of virtual time in the simulator is charged from this
 //! table. The defaults ([`CostModel::circa_2005`]) are calibrated to the
 //! hardware the paper's era used: user/kernel crossing costs in the range
-//! measured by Lai & Baker [20], ~50 MB/s commodity disks, ~200–300 MB/s
+//! measured by Lai & Baker \[20\], ~50 MB/s commodity disks, ~200–300 MB/s
 //! cluster interconnects (Quadrics-class), and ~1.5 GB/s memory copies.
 //!
 //! The absolute values matter less than the *ratios*: the paper's arguments

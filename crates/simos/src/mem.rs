@@ -14,7 +14,7 @@
 //!
 //! Resolving one guest access used to cost a `BTreeMap` walk to find the
 //! page, a linear VMA scan when the page was absent, and a second walk to
-//! fetch the data. A direct-mapped translation cache ([`TlbEntry`],
+//! fetch the data. A direct-mapped translation cache (`TlbEntry`,
 //! `TLB_SIZE` entries) short-circuits both: it maps a page number to the
 //! page's *slot* in a stable page store plus its effective protection, so
 //! the hot path is one array probe. The cache is purely a host-side

@@ -8,20 +8,23 @@
 //! * objects with more than `m` damaged shards refuse with a typed
 //!   [`StorageError::TooManyShardsLost`] — never wrong bytes;
 //! * in the striped variant, mauling one stripe's shard group NEVER
-//!   bleeds into objects routed to other stripes.
+//!   bleeds into objects routed to other stripes (the striped checks are
+//!   the generic ones of `common/striped.rs`, shared with
+//!   `stripe_properties.rs`; this file supplies the coded geometry).
 //!
 //! Cases are generated deterministically by [`common::Gen`]; a failing
 //! seed reproduces directly.
 
 mod common;
+#[path = "common/striped.rs"]
+mod striped;
 
-use ckpt_restart::ec::{EcStripedStore, ErasureStore};
+use ckpt_restart::ec::ErasureStore;
 use ckpt_restart::replica::Probe;
 use ckpt_restart::storage::{StableStorage, StorageError};
+use striped::{arb_objects, Case, CASES};
 use common::Gen;
 use simos::cost::CostModel;
-
-const CASES: u64 = 24;
 
 fn geometry(case: u64) -> (usize, usize) {
     if case.is_multiple_of(2) {
@@ -31,47 +34,22 @@ fn geometry(case: u64) -> (usize, usize) {
     }
 }
 
-/// Random object set: distinct keys (plain object keys and image-style
-/// lineage keys both appear) with random payloads.
-fn arb_objects(g: &mut Gen) -> Vec<(String, Vec<u8>)> {
-    let count = g.range(6, 17) as usize;
-    (0..count)
-        .map(|i| {
-            let key = if g.flag() {
-                format!("job{}/pid{}/seq{:08}", g.range(0, 3), i, g.range(1, 5))
-            } else {
-                format!("obj/{i}/{}", g.range(0, 1_000_000))
-            };
-            let len = g.range(1, 2048) as usize;
-            (key, g.bytes(len))
-        })
-        .collect()
+/// A well-formed `TooManyShardsLost` under RS(k, ·).
+fn shards_lost(k: usize) -> impl Fn(&StorageError) -> bool {
+    move |e| {
+        matches!(*e, StorageError::TooManyShardsLost { intact, needed }
+            if (intact as usize) < k && needed as usize == k)
+    }
 }
 
-/// Damage `count` distinct shard nodes under `key`: each victim either
-/// loses its shard frame outright or keeps a corrupted copy. Returns the
-/// victims so the caller can verify post-read repair.
-fn damage_shards(
-    g: &mut Gen,
-    set: &ckpt_restart::replica::ReplicaSet,
-    key: &str,
-    count: usize,
-) -> Vec<usize> {
-    let n = set.len();
-    let mut victims: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = g.range(0, (i + 1) as u64) as usize;
-        victims.swap(i, j);
+fn striped_case_of(case: u64) -> Case<ErasureStore> {
+    let (k, m) = geometry(case);
+    let stripes = [2usize, 3, 4][(case % 3) as usize];
+    Case {
+        store: striped::coded_pool(stripes, k, m),
+        tolerated: m,
+        refusal: Box::new(shards_lost(k)),
     }
-    victims.truncate(count);
-    for &r in &victims {
-        if g.flag() {
-            set.node(r).drop_key(key);
-        } else {
-            set.node(r).corrupt_key(key);
-        }
-    }
-    victims
 }
 
 #[test]
@@ -106,7 +84,7 @@ fn shard_damage_within_m_is_masked_and_typed_beyond() {
         for (key, _) in &objects {
             let level = g.range(0, (m + 2) as u64) as usize;
             let victims = if level > 0 {
-                damage_shards(&mut g, &set, key, level)
+                striped::damage_frames(&mut g, &set, key, level)
             } else {
                 Vec::new()
             };
@@ -210,45 +188,14 @@ fn stripe_group_damage_never_bleeds_across_stripes() {
     // EC-striped variant: kill one stripe's shard group past its coding
     // tolerance. Objects routed there refuse typed; every object on the
     // other stripes stays byte-identical.
-    let cost = CostModel::circa_2005();
-    for case in 0..CASES {
-        let mut g = Gen::new(95_000 + case);
-        let (k, m) = geometry(case);
-        let stripes = [2usize, 3, 4][(case % 3) as usize];
-        let mut store = EcStripedStore::fresh(stripes, k, m);
-        let objects = arb_objects(&mut g);
-        for (key, payload) in &objects {
-            store.store(key, payload, &cost).unwrap();
-        }
-        let set = store.striped_set();
-        let dead = g.range(0, stripes as u64) as usize;
-        for r in 0..=m {
-            set.stripe(dead).node(r).fail();
-        }
-        for (key, payload) in &objects {
-            if set.route(key) == dead {
-                match store.load(key, &cost) {
-                    Err(StorageError::TooManyShardsLost { intact, needed }) => {
-                        assert!(
-                            (intact as usize) < k && needed as usize == k,
-                            "case {case}: nonsensical shard arithmetic {intact}/{needed}"
-                        );
-                    }
-                    other => panic!(
-                        "case {case}: dead stripe {dead} must refuse {key} typed, got {other:?}"
-                    ),
-                }
-            } else {
-                let (bytes, _) = store.load(key, &cost).unwrap_or_else(|e| {
-                    panic!("case {case}: healthy stripe refused {key}: {e}")
-                });
-                assert_eq!(
-                    &bytes, payload,
-                    "case {case}: dead stripe {dead} bled into {key}"
-                );
-            }
-        }
-    }
+    striped::dead_stripe_never_bleeds_into_the_others(95_000, striped_case_of, |c| {
+        c.tolerated + 1
+    });
+}
+
+#[test]
+fn per_stripe_shard_damage_is_contained_and_typed() {
+    striped::per_stripe_damage_is_contained_and_typed(99_000, striped_case_of);
 }
 
 // ---------------------------------------------------------------------
@@ -289,61 +236,10 @@ fn failed_overwrite_under_quorum_loss_preserves_committed_value() {
 
 #[test]
 fn striped_failed_overwrite_preserves_committed_values_per_stripe() {
-    // Same invariant through the striped front: knock one stripe's shard
-    // group below its write quorum, attempt overwrites everywhere, and
-    // require (a) typed refusal without data loss on the dead stripe and
-    // (b) untouched success on every other stripe.
-    let cost = CostModel::circa_2005();
-    for case in 0..CASES {
-        let mut g = Gen::new(96_000 + case);
-        let (k, m) = geometry(case);
-        let stripes = [2usize, 3, 4][(case % 3) as usize];
-        let mut store = EcStripedStore::fresh(stripes, k, m);
-        let objects = arb_objects(&mut g);
-        for (key, payload) in &objects {
-            store.store(key, payload, &cost).unwrap();
-        }
-
-        // Drop m + 1 nodes of one stripe: reads still decode (k intact),
-        // but an overwrite cannot reach its full-group write quorum.
-        let set = store.striped_set();
-        let dead = g.range(0, stripes as u64) as usize;
-        for r in 0..=m {
-            set.stripe(dead).node(r).fail();
-        }
-
-        for (key, payload) in &objects {
-            let overwrite = g.bytes(payload.len().max(1));
-            if set.route(key) == dead {
-                let err = store.store(key, &overwrite, &cost).unwrap_err();
-                assert!(
-                    matches!(err, StorageError::QuorumLost { .. }),
-                    "case {case}: dead stripe must refuse the overwrite typed, got {err}"
-                );
-            } else {
-                store.store(key, &overwrite, &cost).unwrap_or_else(|e| {
-                    panic!("case {case}: healthy stripe refused overwrite of {key}: {e}")
-                });
-            }
-        }
-
-        // The dead stripe's nodes come back: every refused overwrite
-        // must have left the original value intact.
-        for r in 0..=m {
-            set.stripe(dead).node(r).repair();
-        }
-        for (key, payload) in &objects {
-            if set.route(key) == dead {
-                let (bytes, _) = store.load(key, &cost).unwrap_or_else(|e| {
-                    panic!("case {case}: {key} lost after failed overwrite: {e}")
-                });
-                assert_eq!(
-                    &bytes, payload,
-                    "case {case}: failed overwrite destroyed the committed value of {key}"
-                );
-            }
-        }
-    }
+    // Same invariant through the striped front: m + 1 nodes of one stripe
+    // down leaves its reads decodable (k intact) but its overwrites short
+    // of the full-group write quorum.
+    striped::failed_overwrite_preserves_committed_values_per_stripe(96_000, striped_case_of);
 }
 
 #[test]
