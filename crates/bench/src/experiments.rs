@@ -1211,13 +1211,11 @@ pub const TIMED_STANDALONE: &[(&str, fn() -> String)] = &[
 /// Deliberately **not** part of `report all`: it runs thousands of
 /// crash/restart scenarios (`report c11` takes a few seconds in release).
 pub fn c11_crash_matrix() -> String {
-    use ckpt_core::crashpoint::{run_crash_matrix, CellOutcome};
+    use ckpt_core::crashpoint::CellOutcome;
 
-    let mut report = run_crash_matrix();
-    // The live-migration tier lives in ckpt-cluster (it crashes wire
-    // frames mid-migration, not checkpoint stores); its cells join the
-    // same report so the totals line counts every proven cell.
-    report.cells.extend(ckpt_cluster::run_migration_tier());
+    // The migration tier's cells join the checkpoint tiers' in one report,
+    // so the totals line counts every proven cell.
+    let report = ckpt_cluster::full_matrix();
     let mut rows = Vec::new();
     for (cfg, [restarted, detected, skipped, violations]) in report.by_config() {
         rows.push(vec![
@@ -1246,17 +1244,15 @@ pub fn c11_crash_matrix() -> String {
     // Survivability: the media-class contract vs what the matrix measured.
     // Trait-mechanism columns crash with node failure + repair; the
     // hibernate columns power the node down.
-    let class_of = |backend: &str| match backend {
-        "local-disk" => StorageClass::LocalDisk,
-        "remote" => StorageClass::Remote,
-        "nvram" => StorageClass::Nvram,
-        "swap" => StorageClass::Swap,
-        "ram" => StorageClass::Ram,
-        other => unreachable!("unknown backend {other}"),
-    };
     let mut srows = Vec::new();
-    for backend in ["local-disk", "remote", "nvram", "swap", "ram"] {
-        let class = class_of(backend);
+    for class in [
+        StorageClass::LocalDisk,
+        StorageClass::Remote,
+        StorageClass::Nvram,
+        StorageClass::Swap,
+        StorageClass::Ram,
+    ] {
+        let backend = class.label();
         let cells: Vec<_> = report
             .cells
             .iter()

@@ -44,7 +44,7 @@ pub use livemig::{
     migrate_postcopy, migrate_precopy, rebalance_rank_live, LiveMigConfig, PostCopyReport,
     PreCopyReport, RoundStat,
 };
-pub use migmatrix::{migration_matrix_cells, run_migration_tier, MIGRATION_MECHS};
+pub use migmatrix::{full_matrix, MIGRATION_TIER};
 pub use migrate::{migrate, MigrationMode, MigrationReport};
 pub use mpi::{JobInterrupt, MpiJob, RankRef};
 pub use node::{Node, NodeId};

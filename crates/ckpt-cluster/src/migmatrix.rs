@@ -1,4 +1,5 @@
-//! # migmatrix — the live-migration tier of the crash matrix
+//! # migmatrix — the live-migration tier of the crash matrix, and the
+//! full matrix
 //!
 //! [`ckpt_core::crashpoint`] proves restart correctness for the
 //! checkpoint mechanisms; this module extends the same discipline to the
@@ -20,6 +21,10 @@
 //! Cells are verified **twice**: immediately after recovery (pinning the
 //! rollback distance) and again after a further run window (catching
 //! latent corruption that only surfaces once the guest runs on).
+//!
+//! This is the lowest crate that sees both halves of the matrix, so
+//! [`full_matrix`] — every [`ckpt_core::crashpoint::TIERS`] column, then
+//! the [`MIGRATION_TIER`] columns — lives here.
 
 use crate::cluster::{Cluster, FailureConfig};
 use crate::livemig::{migrate_postcopy, migrate_precopy, LiveMigConfig};
@@ -27,19 +32,23 @@ use crate::node::NodeId;
 use ckpt_core::capture::{
     capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid,
 };
-use ckpt_core::crashpoint::{app_params, faults_for, verify_restored, CellOutcome, MatrixCell};
+use ckpt_core::crashpoint::{
+    all_configs, app_params, run_config, sweep, verify_restored, CellOutcome, MatrixCell,
+    MatrixConfig, MatrixReport, Tier,
+};
 use ckpt_image::CheckpointImage;
 use simos::apps::NativeKind;
 use simos::cost::CostModel;
-use simos::faultpoint::{Fault, FaultHandle};
+use simos::faultpoint::FaultHandle;
 use simos::types::{Pid, SimError};
 
-/// The two live strategies swept by this tier.
-pub const MIGRATION_MECHS: [&str; 2] = ["livemig-precopy", "livemig-postcopy"];
-
-/// The tier's "backend" label: migration runs between cluster nodes, not
-/// against a storage medium.
-pub const MIGRATION_BACKEND: &str = "cluster(2)";
+/// The two live strategies. The tier's "backend" is a label only:
+/// migration runs between cluster nodes, not against a storage medium.
+pub const MIGRATION_TIER: Tier = Tier {
+    name: "migration",
+    mechanisms: &["livemig-precopy", "livemig-postcopy"],
+    backends: &["cluster(2)"],
+};
 
 const FROM: NodeId = NodeId(0);
 const TO: NodeId = NodeId(1);
@@ -119,10 +128,9 @@ fn run_migration(
     }
 }
 
-/// One armed cell: migrate under the fault, then classify.
-fn run_cell(mech: &'static str, site: &str, fault: Fault) -> CellOutcome {
-    let faults = FaultHandle::armed(site, fault);
-    let (mut c, pid, baseline) = setup(&faults);
+/// One cell: migrate under `faults`, then classify.
+fn run_cell(mech: &str, faults: &FaultHandle) -> CellOutcome {
+    let (mut c, pid, baseline) = setup(faults);
     let work_at_mig = c
         .node(FROM)
         .kernel()
@@ -198,51 +206,38 @@ fn run_cell(mech: &'static str, site: &str, fault: Fault) -> CellOutcome {
     }
 }
 
-/// All cells for one live-migration mechanism: a fault-free recording
-/// pass enumerates every site the strategy visits, then each site is
-/// armed with every applicable fault kind.
-pub fn migration_matrix_cells(mech: &'static str) -> Vec<MatrixCell> {
-    let faults = FaultHandle::recording();
-    let (mut c, pid, _baseline) = setup(&faults);
-    let cfg = LiveMigConfig::default();
-    run_migration(mech, &mut c, pid, &cfg).expect("fault-free recording pass must succeed");
-    let mut cells = Vec::new();
-    for site in faults.sites() {
-        for (label, fault) in faults_for(&site) {
-            let outcome = match fault {
-                None => CellOutcome::Skipped {
-                    reason: format!("{label} requires a byte stream at this site"),
-                },
-                Some(f) => run_cell(mech, &site.name, f),
-            };
-            cells.push(MatrixCell {
-                mechanism: mech,
-                backend: MIGRATION_BACKEND,
-                site: site.name.clone(),
-                fault: label,
-                outcome,
-            });
-        }
-    }
-    cells
+/// All cells of one live-migration column: the recording pass is a
+/// fault-free migration.
+fn migration_column(cfg: MatrixConfig) -> Vec<MatrixCell> {
+    let record = |faults: &FaultHandle| {
+        let (mut c, pid, _baseline) = setup(faults);
+        run_migration(cfg.mechanism, &mut c, pid, &LiveMigConfig::default())
+            .expect("fault-free recording pass must succeed");
+    };
+    sweep(cfg, record, |faults| run_cell(cfg.mechanism, faults))
 }
 
-/// The whole migration tier: both live strategies.
-pub fn run_migration_tier() -> Vec<MatrixCell> {
+/// The full crash matrix: every mechanism family × every backend stack ×
+/// every recorded site × every fault kind, then the migration tier.
+pub fn full_matrix() -> MatrixReport {
     let mut cells = Vec::new();
-    for mech in MIGRATION_MECHS {
-        cells.extend(migration_matrix_cells(mech));
+    for cfg in all_configs() {
+        cells.extend(run_config(cfg));
     }
-    cells
+    for cfg in MIGRATION_TIER.configs() {
+        cells.extend(migration_column(cfg));
+    }
+    MatrixReport { cells }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simos::faultpoint::Fault;
 
     #[test]
     fn recording_pass_enumerates_both_strategies_sites() {
-        for mech in MIGRATION_MECHS {
+        for &mech in MIGRATION_TIER.mechanisms {
             let faults = FaultHandle::recording();
             let (mut c, pid, _) = setup(&faults);
             run_migration(mech, &mut c, pid, &LiveMigConfig::default()).expect("clean run");
@@ -265,9 +260,9 @@ mod tests {
 
     #[test]
     fn clean_cells_restart_with_zero_loss() {
-        for mech in MIGRATION_MECHS {
+        for mech in MIGRATION_TIER.mechanisms {
             // An unarmed site never fires: equivalent to a clean run.
-            let cell = run_cell(mech, "never/armed", Fault::FailStop);
+            let cell = run_cell(mech, &FaultHandle::armed("never/armed", Fault::FailStop));
             assert_eq!(
                 cell,
                 CellOutcome::Restarted { lost_steps: 0 },
@@ -278,8 +273,9 @@ mod tests {
 
     #[test]
     fn cutover_failstop_falls_back_to_baseline() {
-        for mech in MIGRATION_MECHS {
-            let cell = run_cell(mech, "livemig/cutover@1", Fault::FailStop);
+        for mech in MIGRATION_TIER.mechanisms {
+            let faults = FaultHandle::armed("livemig/cutover@1", Fault::FailStop);
+            let cell = run_cell(mech, &faults);
             match cell {
                 CellOutcome::Restarted { lost_steps } => {
                     assert!(lost_steps > 0, "{mech}: fallback must roll back");

@@ -6,7 +6,7 @@
 //!
 //! * **Restarted** — the recovered guest state is *bit-for-bit* identical
 //!   to a deterministic standalone replay of the application to the same
-//!   step (verified over the whole guest data span, word by word).
+//!   step (verified over the whole guest data span, byte by byte).
 //! * **Detected** — the restart was rejected up front with a typed error
 //!   (no image, CRC/format validation, volatile medium lost the data).
 //! * **Skipped** — the fault kind does not apply at this site (a torn
@@ -29,21 +29,23 @@ use crate::mechanism::syscall::{SyscallMechanism, SyscallVariant};
 use crate::mechanism::user_level::{Trigger, UserLevelMechanism};
 use crate::mechanism::Mechanism;
 use crate::tracker::TrackerKind;
-use crate::{shared_storage, RestorePid, SharedStorage};
+use crate::{RestartOutcome, RestorePid, SharedStorage};
 use ckpt_cas::{ChunkParams, DedupStore};
 use ckpt_ec::ErasureStore;
-use ckpt_replica::{ReplicaConfig, ReplicaSet, ReplicatedStore, Striped, StripedReplicaSet};
+use ckpt_replica::{ReplicaConfig, ReplicatedStore, Striped, StripedReplicaSet};
 use ckpt_storage::{
     load_latest_valid_chain, FaultInjectStore, LocalDisk, NvramStore, RamStore, RemoteServer,
-    RemoteStore, StableStorage, SwapStore,
+    RemoteStore, StableStorage, StorageClass, SwapStore,
 };
+use parking_lot::Mutex;
 use simos::apps::{self, AppParams, GuestMemIo, NativeKind, VecMem};
-use simos::cost::{CostModel, PAGE_SIZE};
-use simos::faultpoint::{Fault, FaultHandle, SiteRecord};
+use simos::cost::CostModel;
+use simos::faultpoint::{Fault, FaultHandle};
 use simos::signal::Sig;
-use simos::types::Pid;
+use simos::types::{Pid, SimResult};
 use simos::Kernel;
 use std::fmt;
+use std::sync::Arc;
 
 /// Job name under which every matrix scenario stores its images.
 const JOB: &str = "crashmx";
@@ -55,68 +57,98 @@ const RUN2_NS: u64 = 1_500_000;
 /// Virtual run window after the second checkpoint.
 const RUN3_NS: u64 = 500_000;
 
-/// The six process-level mechanism families driven through [`Mechanism`].
-pub const TRAIT_MECHANISMS: [&str; 6] = [
-    "user-level",
-    "syscall",
-    "kernel-signal",
-    "kernel-thread",
-    "fork-concurrent",
-    "hardware",
+/// One tier of the matrix: every one of its mechanisms crossed with every
+/// one of its backends.
+#[derive(Debug, Clone, Copy)]
+pub struct Tier {
+    pub name: &'static str,
+    pub mechanisms: &'static [&'static str],
+    /// Backend stack labels, in the grammar [`run_config`] builds stores
+    /// from: a raw medium's [`StorageClass::label`], `replicated(N,w)`,
+    /// `striped(KxN,w)`, `rs(k,m)`, or `dedup(<any of these>)`.
+    pub backends: &'static [&'static str],
+}
+
+impl Tier {
+    /// The tier's columns, mechanism-major.
+    pub fn configs(&self) -> impl Iterator<Item = MatrixConfig> + '_ {
+        self.mechanisms.iter().flat_map(|&mechanism| {
+            self.backends
+                .iter()
+                .map(move |&backend| MatrixConfig { mechanism, backend })
+        })
+    }
+}
+
+/// The tiers [`run_config`] drives, in matrix order; a new tier is one row
+/// here. The storage tiers are carried by one engine-driven mechanism
+/// family: the layers above the `StableStorage` trait are orthogonal to
+/// the stack underneath and already swept against every raw medium by the
+/// first tier. (The live-migration tier lives in `ckpt-cluster::migmatrix`,
+/// which also assembles the full matrix.)
+pub const TIERS: [Tier; 6] = [
+    // The six process-level mechanism families driven through
+    // [`Mechanism`], over every node-failure-relevant medium.
+    Tier {
+        name: "process",
+        mechanisms: &[
+            "user-level",
+            "syscall",
+            "kernel-signal",
+            "kernel-thread",
+            "fork-concurrent",
+            "hardware",
+        ],
+        backends: &["local-disk", "remote", "nvram"],
+    },
+    // Whole-machine hibernation: its survivability question is
+    // power-down, so the volatile RAM medium is included.
+    Tier {
+        name: "hibernate",
+        mechanisms: &["hibernate"],
+        backends: &["swap", "ram"],
+    },
+    // Quorum replication: every per-replica fault site × every fault kind
+    // × both (N, w) configurations.
+    Tier {
+        name: "replicated",
+        mechanisms: &["syscall"],
+        backends: &["replicated(3,2)", "replicated(5,3)"],
+    },
+    // Content-addressed dedup: the chunk store's own fault sites
+    // (per-chunk stores/loads, the chunks-durable-but-manifest-not
+    // `cas/commit` instant) over both a single-copy and a quorum-replicated
+    // backing store. A torn manifest or missing chunk must always end in
+    // typed detection or a bit-exact fallback restart.
+    Tier {
+        name: "dedup",
+        mechanisms: &["syscall"],
+        backends: &["dedup(local-disk)", "dedup(replicated(3,2))"],
+    },
+    // Striped quorum pools: every store on a [`ckpt_replica::StripedStore`]
+    // routes through the framed multi-object batch-commit path (as a batch
+    // of one), so the recording pass enumerates the per-stripe
+    // `stripe<j>/r<i>/batch` sites the sharded control plane's deferred
+    // shard commits hit. A fault on one stripe must never corrupt keys
+    // living on another.
+    Tier {
+        name: "striped",
+        mechanisms: &["syscall"],
+        backends: &["striped(2x3,2)"],
+    },
+    // Erasure-coded shard groups: every store on an
+    // [`ckpt_ec::ErasureStore`] travels the framed shard batch-commit path
+    // (as a batch of one), so the recording pass enumerates the per-shard
+    // `ec/s<i>/{batch,load}` sites — one shard node each. Losing a shard
+    // mid-commit must end in a quorum rollback or a reconstructing
+    // restart; both geometries keep `m ≥ 1` spare shards over the
+    // single-node losses the matrix injects.
+    Tier {
+        name: "erasure",
+        mechanisms: &["syscall"],
+        backends: &["rs(4,2)", "rs(8,3)"],
+    },
 ];
-
-/// Storage backends crossed with the process-level mechanisms.
-pub const BACKENDS: [&str; 3] = ["local-disk", "remote", "nvram"];
-
-/// Backends crossed with whole-machine hibernation (its survivability
-/// question is power-down, so the volatile RAM medium is included).
-pub const HIBERNATE_BACKENDS: [&str; 2] = ["swap", "ram"];
-
-/// Quorum-replicated backends forming the replication tier: every
-/// per-replica fault site × every fault kind × both (N, w) configurations.
-/// One engine-driven mechanism family carries the tier — the layers above
-/// the `StableStorage` trait are orthogonal to replication and already
-/// swept against every backend by the main tiers.
-pub const REPLICATED_BACKENDS: [&str; 2] = ["replicated(3,2)", "replicated(5,3)"];
-
-/// The mechanism family driven over the replicated backends.
-pub const REPLICATION_MECH: &str = "syscall";
-
-/// Dedup-layered backends forming the dedup tier: the content-addressed
-/// chunk store's own fault sites (per-chunk stores/loads, the
-/// chunks-durable-but-manifest-not `cas/commit` instant) swept over both a
-/// single-copy and a quorum-replicated backing store. A torn manifest or
-/// missing chunk must always end in typed detection or a bit-exact
-/// fallback restart — never silent corruption.
-pub const DEDUP_BACKENDS: [&str; 2] = ["dedup(local-disk)", "dedup(replicated(3,2))"];
-
-/// The mechanism family driven over the dedup backends.
-pub const DEDUP_MECH: &str = "syscall";
-
-/// Striped quorum pools forming the shard-commit tier: every store on a
-/// [`ckpt_replica::StripedStore`] routes through the framed multi-object
-/// batch-commit path (as a batch of one), so the recording pass
-/// enumerates the per-stripe `stripe<j>/r<i>/batch` sites the sharded
-/// control plane's deferred shard commits hit, and the sweep arms each
-/// of them with every fault kind. A fault on one stripe must never
-/// corrupt keys living on another.
-pub const STRIPED_BACKENDS: [&str; 1] = ["striped(2x3,2)"];
-
-/// The mechanism family driven over the striped backends.
-pub const STRIPED_MECH: &str = "syscall";
-
-/// Erasure-coded shard groups forming the coding tier: every store on an
-/// [`ckpt_ec::ErasureStore`] travels the framed shard batch-commit path
-/// (as a batch of one), so the recording pass enumerates the per-shard
-/// `ec/s<i>/{batch,load}` sites — one shard node each — and the sweep
-/// arms each with every fault kind. Losing a shard mid-commit must end
-/// in a quorum rollback or a reconstructing restart, never silent
-/// corruption; both geometries keep `m ≥ 1` spare shards over the
-/// single-node losses the matrix injects.
-pub const ERASURE_BACKENDS: [&str; 2] = ["rs(4,2)", "rs(8,3)"];
-
-/// The mechanism family driven over the erasure-coded backends.
-pub const ERASURE_MECH: &str = "syscall";
 
 /// Total cell count of the full matrix, including the live-migration
 /// tier contributed by `ckpt-cluster::migmatrix` (the driver test sweeps
@@ -127,37 +159,6 @@ pub const ERASURE_MECH: &str = "syscall";
 /// constant so the documented number can never drift from the code again.
 pub const MATRIX_CELLS: usize = 2250;
 
-/// Parse `"replicated(N,w)"` into its quorum parameters.
-fn replicated_params(which: &str) -> Option<(usize, usize)> {
-    match which {
-        "replicated(3,2)" => Some((3, 2)),
-        "replicated(5,3)" => Some((5, 3)),
-        _ => None,
-    }
-}
-
-/// Parse `"dedup(inner)"` into the backing-store name.
-fn dedup_inner(which: &str) -> Option<&str> {
-    which.strip_prefix("dedup(")?.strip_suffix(')')
-}
-
-/// Parse `"striped(KxN,w)"` into (stripes, replicas per stripe, quorum).
-fn striped_params(which: &str) -> Option<(usize, usize, usize)> {
-    match which {
-        "striped(2x3,2)" => Some((2, 3, 2)),
-        _ => None,
-    }
-}
-
-/// Parse `"rs(k,m)"` into its coding geometry.
-fn erasure_params(which: &str) -> Option<(usize, usize)> {
-    match which {
-        "rs(4,2)" => Some((4, 2)),
-        "rs(8,3)" => Some((8, 3)),
-        _ => None,
-    }
-}
-
 /// One (mechanism × backend) column of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixConfig {
@@ -165,45 +166,9 @@ pub struct MatrixConfig {
     pub backend: &'static str,
 }
 
-/// Every column the full matrix runs.
+/// Every column [`run_config`] drives, tier by tier.
 pub fn all_configs() -> Vec<MatrixConfig> {
-    let mut v = Vec::new();
-    for mechanism in TRAIT_MECHANISMS {
-        for backend in BACKENDS {
-            v.push(MatrixConfig { mechanism, backend });
-        }
-    }
-    for backend in HIBERNATE_BACKENDS {
-        v.push(MatrixConfig {
-            mechanism: "hibernate",
-            backend,
-        });
-    }
-    for backend in REPLICATED_BACKENDS {
-        v.push(MatrixConfig {
-            mechanism: REPLICATION_MECH,
-            backend,
-        });
-    }
-    for backend in DEDUP_BACKENDS {
-        v.push(MatrixConfig {
-            mechanism: DEDUP_MECH,
-            backend,
-        });
-    }
-    for backend in STRIPED_BACKENDS {
-        v.push(MatrixConfig {
-            mechanism: STRIPED_MECH,
-            backend,
-        });
-    }
-    for backend in ERASURE_BACKENDS {
-        v.push(MatrixConfig {
-            mechanism: ERASURE_MECH,
-            backend,
-        });
-    }
-    v
+    TIERS.iter().flat_map(Tier::configs).collect()
 }
 
 /// How one cell ended.
@@ -296,20 +261,8 @@ impl MatrixReport {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic guest-state digesting
+// Bit-exact verification against a deterministic replay
 // ---------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv_word(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The application parameters every matrix scenario uses. Small enough to
 /// keep the full sweep fast, sparse enough to exercise incremental chains.
@@ -323,36 +276,9 @@ pub fn app_params() -> AppParams {
     }
 }
 
-/// Byte span of the guest data region (header page + working array).
-fn data_span(params: &AppParams) -> (u64, u64) {
-    let span = (apps::ARRAY_BASE - apps::HEADER_BASE) + params.mem_bytes + PAGE_SIZE;
-    (apps::HEADER_BASE, span)
-}
-
-/// FNV-1a over the restored process's guest data span (absent pages read
-/// as zero, exactly like the reference executor's untouched bytes).
-fn restored_digest(k: &Kernel, pid: Pid, params: &AppParams) -> Option<u64> {
-    let p = k.process(pid)?;
-    let (base, span) = data_span(params);
-    let mut h = FNV_OFFSET;
-    let mut addr = base;
-    while addr < base + span {
-        let pn = addr / PAGE_SIZE;
-        let off = (addr % PAGE_SIZE) as usize;
-        let word = p
-            .mem
-            .page_data(pn)
-            .map(|d| u64::from_le_bytes(d[off..off + 8].try_into().expect("8-byte slice")))
-            .unwrap_or(0);
-        h = fnv_word(h, word);
-        addr += 8;
-    }
-    Some(h)
-}
-
-/// Replay the app standalone (no kernel) to exactly `target_step` steps
-/// and digest the same data span.
-fn reference_digest(params: &AppParams, target_step: u64) -> Result<u64, String> {
+/// Replay the app standalone (no kernel) to exactly `target_step` steps;
+/// the result holds the guest data span (header page + working array).
+fn replay_to(params: &AppParams, target_step: u64) -> Result<VecMem, String> {
     let mut mem = VecMem::new(params);
     apps::init(NativeKind::SparseRandom, params, &mut mem);
     while mem.r64(apps::H_STEP) < target_step {
@@ -370,43 +296,35 @@ fn reference_digest(params: &AppParams, target_step: u64) -> Result<u64, String>
             mem.r64(apps::H_STEP)
         ));
     }
-    let (base, span) = data_span(params);
-    let mut h = FNV_OFFSET;
-    let mut addr = base;
-    while addr < base + span {
-        h = fnv_word(h, mem.r64(addr));
-        addr += 8;
-    }
-    Ok(h)
+    Ok(mem)
 }
 
-/// Verify a restored process against the deterministic replay. Returns the
-/// restored step count on success. Public for the same reason as
-/// [`faults_for`]: external matrix tiers must use the identical
-/// bit-for-bit verification, not a weaker local copy.
+/// Verify a restored process against the deterministic replay: every byte
+/// of the guest data span must equal the replay's (absent pages read as
+/// zero, exactly like the replay's untouched bytes). Returns the restored
+/// step count on success. Public so external matrix tiers use the
+/// identical verification, not a weaker local copy.
 pub fn verify_restored(k: &Kernel, pid: Pid, params: &AppParams) -> Result<u64, String> {
     let p = k
         .process(pid)
         .ok_or_else(|| "restored process missing".to_string())?;
     let step = p.work_done;
-    let mem_step = p
-        .mem
-        .page_data(apps::H_STEP / PAGE_SIZE)
-        .map(|d| {
-            let off = (apps::H_STEP % PAGE_SIZE) as usize;
-            u64::from_le_bytes(d[off..off + 8].try_into().expect("8-byte slice"))
-        })
-        .unwrap_or(0);
+    let replay = replay_to(params, step)?;
+    let mut got = vec![0u8; replay.bytes.len()];
+    p.mem.peek(apps::HEADER_BASE, &mut got);
+    let at = (apps::H_STEP - apps::HEADER_BASE) as usize;
+    let mem_step = u64::from_le_bytes(got[at..at + 8].try_into().expect("8-byte slice"));
     if mem_step != step {
         return Err(format!(
             "restored step counter {mem_step} disagrees with work_done {step}"
         ));
     }
-    let expect = reference_digest(params, step)?;
-    let got = restored_digest(k, pid, params).ok_or("restored process vanished")?;
-    if got != expect {
+    if let Some(at) = got.iter().zip(&replay.bytes).position(|(g, w)| g != w) {
         return Err(format!(
-            "guest memory digest {got:#018x} != replay digest {expect:#018x} at step {step}"
+            "guest byte at {:#x} is {:#04x}, replay has {:#04x} at step {step}",
+            apps::HEADER_BASE + at as u64,
+            got[at],
+            replay.bytes[at]
         ));
     }
     Ok(step)
@@ -416,68 +334,61 @@ pub fn verify_restored(k: &Kernel, pid: Pid, params: &AppParams) -> Result<u64, 
 // Scenario construction
 // ---------------------------------------------------------------------
 
-fn raw_backend(which: &str) -> Box<dyn StableStorage> {
-    match which {
-        "local-disk" => Box::new(LocalDisk::new(1 << 30)),
-        "remote" => Box::new(RemoteStore::new(RemoteServer::new(1 << 30))),
-        "nvram" => Box::new(NvramStore::new(1 << 30)),
-        "swap" => Box::new(SwapStore::new(1 << 30)),
-        "ram" => Box::new(RamStore::new(1 << 30)),
-        other => panic!("unknown backend {other}"),
-    }
+/// The numeric arguments of a `name(a,b)` / `name(AxB,c)` stack label.
+fn numeric_args<const N: usize>(label: &str, name: &str) -> Option<[usize; N]> {
+    let args = label
+        .strip_prefix(name)?
+        .strip_prefix('(')?
+        .strip_suffix(')')?;
+    let parsed: Result<Vec<usize>, _> = args.split([',', 'x']).map(str::parse).collect();
+    parsed.ok()?.try_into().ok()
 }
 
-fn injected_storage(which: &str, faults: &FaultHandle) -> SharedStorage {
-    if let Some(inner) = dedup_inner(which) {
+/// Build the store a backend label names, with every layer consulting
+/// `faults`. Each stack is wrapped in a [`FaultInjectStore`], so the
+/// client-side `storage/<label>/{store,load}` sites are swept on top of
+/// the sites the stack visits itself.
+fn injected_store(label: &str, faults: &FaultHandle) -> Box<dyn StableStorage> {
+    const CAPACITY: u64 = 1 << 30;
+    if let Some(inner) = label
+        .strip_prefix("dedup(")
+        .and_then(|l| l.strip_suffix(')'))
+    {
         // The dedup layer sits above a fault-injected backing store, so
-        // every per-chunk store/load on the medium is a site — plus the
-        // layer's own `cas/commit` site between the chunks landing and
-        // the manifest write. Coarse chunking bounds the per-image chunk
+        // every per-chunk store/load on it is a site — plus the layer's
+        // own `cas/commit` site between the chunks landing and the
+        // manifest write. Coarse chunking bounds the per-image chunk
         // count, keeping the added matrix columns small.
-        let backing: Box<dyn StableStorage> = if let Some((n, w)) = replicated_params(inner) {
-            let store = ReplicatedStore::new(ReplicaSet::new(n), ReplicaConfig::new(n, w))
-                .with_faults(faults.clone());
-            Box::new(FaultInjectStore::new(Box::new(store), faults.clone()))
-        } else {
-            Box::new(FaultInjectStore::new(raw_backend(inner), faults.clone()))
-        };
-        return shared_storage(
-            DedupStore::new(backing)
+        return Box::new(
+            DedupStore::new(injected_store(inner, faults))
                 .with_params(ChunkParams::COARSE)
                 .with_faults(faults.clone()),
         );
     }
-    if let Some((k, n, w)) = striped_params(which) {
-        // Single-object stores on the striped pool still travel the framed
-        // batch-commit path, so every per-stripe `stripe<j>/r<i>/batch`
-        // admission is a recorded site; the outer FaultInjectStore adds
-        // the client-side `storage/striped(KxN,w)` sites on top.
-        let store = Striped::new(StripedReplicaSet::new(k, n), |set| {
+    let store: Box<dyn StableStorage> = if let Some([n, w]) = numeric_args(label, "replicated") {
+        // Consults the handle itself at `replica/r<i>/{store,load}`.
+        Box::new(ReplicatedStore::fresh(n, w).with_faults(faults.clone()))
+    } else if let Some([k, n, w]) = numeric_args(label, "striped") {
+        let pool = Striped::new(StripedReplicaSet::new(k, n), |set| {
             ReplicatedStore::new(set, ReplicaConfig::new(n, w))
-        })
-        .with_faults(faults.clone());
-        return shared_storage(FaultInjectStore::new(Box::new(store), faults.clone()));
-    }
-    if let Some((k, m)) = erasure_params(which) {
-        // Single-object stores on the coded store travel the framed shard
-        // batch-commit path, so every per-shard `ec/s<i>/batch` admission
-        // is a recorded site; the outer FaultInjectStore adds the
-        // client-side `storage/rs(k,m)` sites on top. A lost shard is the
-        // case the code exists for: the restart must reconstruct.
-        let store = ErasureStore::fresh(k, m).with_faults(faults.clone());
-        return shared_storage(FaultInjectStore::new(Box::new(store), faults.clone()));
-    }
-    if let Some((n, w)) = replicated_params(which) {
-        // The replicated store consults the shared handle itself at its
-        // per-replica `replica/r<i>/{store,load}` sites; the outer
-        // FaultInjectStore adds the client-side `storage/replicated(N,w)`
-        // sites, so both the client's path and every replica's path are
-        // swept.
-        let store = ReplicatedStore::new(ReplicaSet::new(n), ReplicaConfig::new(n, w))
-            .with_faults(faults.clone());
-        return shared_storage(FaultInjectStore::new(Box::new(store), faults.clone()));
-    }
-    shared_storage(FaultInjectStore::new(raw_backend(which), faults.clone()))
+        });
+        Box::new(pool.with_faults(faults.clone()))
+    } else if let Some([k, m]) = numeric_args(label, "rs") {
+        Box::new(ErasureStore::fresh(k, m).with_faults(faults.clone()))
+    } else if label == StorageClass::LocalDisk.label() {
+        Box::new(LocalDisk::new(CAPACITY))
+    } else if label == StorageClass::Remote.label() {
+        Box::new(RemoteStore::new(RemoteServer::new(CAPACITY)))
+    } else if label == StorageClass::Nvram.label() {
+        Box::new(NvramStore::new(CAPACITY))
+    } else if label == StorageClass::Swap.label() {
+        Box::new(SwapStore::new(CAPACITY))
+    } else if label == StorageClass::Ram.label() {
+        Box::new(RamStore::new(CAPACITY))
+    } else {
+        panic!("unknown backend {label}")
+    };
+    Box::new(FaultInjectStore::new(store, faults.clone()))
 }
 
 fn build_mechanism(which: &str, storage: SharedStorage) -> Box<dyn Mechanism> {
@@ -516,8 +427,29 @@ fn build_mechanism(which: &str, storage: SharedStorage) -> Box<dyn Mechanism> {
     }
 }
 
-/// Where a process-level scenario ended: the (possibly crashed) kernel,
-/// the mechanism (it carries the restart target), and the shared storage.
+/// A kernel whose sites consult `faults`, running `guests` copies of the
+/// matrix application for the first run window.
+fn booted_kernel(faults: &FaultHandle, guests: usize) -> (Kernel, Vec<Pid>) {
+    let mut k = fresh_kernel(faults);
+    let pids = (0..guests)
+        .map(|_| {
+            k.spawn_native(NativeKind::SparseRandom, app_params())
+                .expect("spawn")
+        })
+        .collect();
+    let _ = k.run_for(RUN1_NS);
+    (k, pids)
+}
+
+fn fresh_kernel(faults: &FaultHandle) -> Kernel {
+    let mut k = Kernel::new(CostModel::circa_2005());
+    k.set_faults(faults.clone());
+    k
+}
+
+/// Where a process-level scenario ended: the mechanism (it carries the
+/// restart target), the shared storage, and what the crashed run had
+/// reached.
 struct ScenarioEnd {
     pid: Pid,
     mech: Box<dyn Mechanism>,
@@ -529,33 +461,21 @@ struct ScenarioEnd {
 /// Run the standard scenario: spawn the app, run, checkpoint, run,
 /// checkpoint again, run. Any injected fault surfaces as `ckpt_error`;
 /// the scenario then stops where a real crash would have stopped it.
-fn run_mech_scenario(mechanism: &str, backend: &str, faults: &FaultHandle) -> ScenarioEnd {
-    let mut k = Kernel::new(CostModel::circa_2005());
-    k.set_faults(faults.clone());
-    let pid = k
-        .spawn_native(NativeKind::SparseRandom, app_params())
-        .expect("spawn");
-    let _ = k.run_for(RUN1_NS);
-    let storage = injected_storage(backend, faults);
-    let mut mech = build_mechanism(mechanism, storage.clone());
-    let mut ckpt_error = None;
-    if let Err(e) = mech.prepare(&mut k, pid) {
-        ckpt_error = Some(e.to_string());
-    }
-    if ckpt_error.is_none() {
-        match mech.checkpoint(&mut k, pid) {
-            Ok(_) => {
-                let _ = k.run_for(RUN2_NS);
-                match mech.checkpoint(&mut k, pid) {
-                    Ok(_) => {
-                        let _ = k.run_for(RUN3_NS);
-                    }
-                    Err(e) => ckpt_error = Some(e.to_string()),
-                }
-            }
-            Err(e) => ckpt_error = Some(e.to_string()),
-        }
-    }
+fn run_mech_scenario(cfg: MatrixConfig, faults: &FaultHandle) -> ScenarioEnd {
+    let (mut k, pids) = booted_kernel(faults, 1);
+    let pid = pids[0];
+    let storage: SharedStorage = Arc::new(Mutex::new(injected_store(cfg.backend, faults)));
+    let mut mech = build_mechanism(cfg.mechanism, storage.clone());
+    let ckpt_error = (|| {
+        mech.prepare(&mut k, pid)?;
+        mech.checkpoint(&mut k, pid)?;
+        let _ = k.run_for(RUN2_NS);
+        mech.checkpoint(&mut k, pid)?;
+        let _ = k.run_for(RUN3_NS);
+        SimResult::Ok(())
+    })()
+    .err()
+    .map(|e| e.to_string());
     let work_at_end = k.process(pid).map(|p| p.work_done).unwrap_or(0);
     ScenarioEnd {
         pid,
@@ -576,103 +496,72 @@ fn intact_chain_exists(storage: &SharedStorage, pid: Pid) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Site enumeration and cell execution
+// Recovery and cell classification
 // ---------------------------------------------------------------------
 
-/// Fault-free recording pass for one column: returns every site the
-/// scenario (including node failure, repair, and restart) visits.
-fn record_sites(cfg: MatrixConfig) -> Vec<SiteRecord> {
-    let faults = FaultHandle::recording();
-    if cfg.mechanism == "hibernate" {
-        let _ = run_hibernate_scenario(cfg.backend, &faults);
-        return faults.sites();
-    }
-    let end = run_mech_scenario(cfg.mechanism, cfg.backend, &faults);
-    {
-        let mut s = end.storage.lock();
-        s.on_node_failure();
-        s.on_node_repair();
-    }
-    let mut mech = end.mech;
-    let mut k2 = Kernel::new(CostModel::circa_2005());
-    k2.set_faults(faults.clone());
-    let _ = mech.restart(&mut k2, RestorePid::Fresh);
-    faults.sites()
-}
-
-/// The three fault kinds for one recorded site; a torn write only applies
-/// where a byte stream is actually written. Public so satellite tiers
-/// living in other crates (the live-migration tier in
-/// `ckpt-cluster::migmatrix`) sweep the exact same fault kinds.
-pub fn faults_for(site: &SiteRecord) -> Vec<(&'static str, Option<Fault>)> {
-    let torn = if site.bytes >= 2 {
-        Some(Fault::TornWrite {
-            keep_bytes: site.bytes / 2,
-        })
-    } else {
-        None
-    };
-    vec![
-        ("fail-stop", Some(Fault::FailStop)),
-        ("transient", Some(Fault::Transient)),
-        ("torn-write", torn),
-    ]
-}
-
-/// Run one armed cell for a process-level mechanism.
-fn run_mech_cell(cfg: MatrixConfig, site: &str, fault: Fault) -> CellOutcome {
-    let faults = FaultHandle::armed(site, fault);
-    let end = run_mech_scenario(cfg.mechanism, cfg.backend, &faults);
-    let fired_before_restart = faults.fired().is_some();
-    // The machine event: the node fails (losing volatile media) and is
-    // repaired (or replaced) before the restart attempt.
+/// What every column does once its scenario has stopped: the machine
+/// `event` hits the storage (the crashed node is repaired or replaced),
+/// then `attempt` recovers on a fresh kernel. If the armed fault fires
+/// *during* that recovery, recovering from it is simply one more attempt.
+/// Returns the kernel the last attempt ran on, and its result.
+fn recover<R>(
+    faults: &FaultHandle,
+    storage: &SharedStorage,
+    event: impl FnOnce(&mut dyn StableStorage),
+    mut attempt: impl FnMut(&mut Kernel) -> SimResult<R>,
+) -> (Kernel, SimResult<R>) {
+    let fired_before_recovery = faults.fired().is_some();
     faults.clear_crash();
-    {
-        let mut s = end.storage.lock();
+    event(&mut **storage.lock());
+    let mut k = fresh_kernel(faults);
+    let mut result = attempt(&mut k);
+    if result.is_err() && !fired_before_recovery && faults.fired().is_some() {
+        faults.clear_crash();
+        k = fresh_kernel(faults);
+        result = attempt(&mut k);
+    }
+    (k, result)
+}
+
+/// Process-level recovery: the node fails (losing volatile media) and is
+/// repaired before the mechanism restarts its target.
+fn restart_after_node_loss(
+    end: &mut ScenarioEnd,
+    faults: &FaultHandle,
+) -> (Kernel, SimResult<RestartOutcome>) {
+    let node_loss = |s: &mut dyn StableStorage| {
         s.on_node_failure();
         s.on_node_repair();
-    }
-    let mut mech = end.mech;
-    let mut k2 = Kernel::new(CostModel::circa_2005());
-    k2.set_faults(faults.clone());
-    let mut restart = mech.restart(&mut k2, RestorePid::Fresh);
-    if restart.is_err() && !fired_before_restart && faults.fired().is_some() {
-        // The injected crash hit the restart itself. Recovery from a crash
-        // *during* recovery is simply another restart attempt.
-        faults.clear_crash();
-        let mut k3 = Kernel::new(CostModel::circa_2005());
-        k3.set_faults(faults.clone());
-        restart = mech.restart(&mut k3, RestorePid::Fresh);
-        k2 = k3;
-    }
-    let params = app_params();
+    };
+    recover(faults, &end.storage, node_loss, |k| {
+        end.mech.restart(k, RestorePid::Fresh)
+    })
+}
+
+/// One cell of a process-level column: the scenario under `faults`, node
+/// loss, restart, classification.
+fn mech_cell(cfg: MatrixConfig, faults: &FaultHandle) -> CellOutcome {
+    let mut end = run_mech_scenario(cfg, faults);
+    let (k, restart) = restart_after_node_loss(&mut end, faults);
     match restart {
-        Ok(r) => match verify_restored(&k2, r.pid, &params) {
-            Ok(step) => {
-                if step != r.work_done {
-                    return CellOutcome::Violation {
-                        what: format!(
-                            "restart reported work {} but guest is at step {step}",
-                            r.work_done
-                        ),
-                    };
-                }
-                CellOutcome::Restarted {
-                    lost_steps: end.work_at_end.saturating_sub(step),
-                }
-            }
+        Ok(r) => match verify_restored(&k, r.pid, &app_params()) {
+            Ok(step) if step != r.work_done => CellOutcome::Violation {
+                what: format!(
+                    "restart reported work {} but guest is at step {step}",
+                    r.work_done
+                ),
+            },
+            Ok(step) => CellOutcome::Restarted {
+                lost_steps: end.work_at_end.saturating_sub(step),
+            },
             Err(what) => CellOutcome::Violation { what },
         },
-        Err(e) => {
-            if intact_chain_exists(&end.storage, end.pid) {
-                CellOutcome::Violation {
-                    what: format!("restart refused ({e}) but an intact chain survives"),
-                }
-            } else {
-                let error = end.ckpt_error.unwrap_or_else(|| e.to_string());
-                CellOutcome::Detected { error }
-            }
-        }
+        Err(e) if intact_chain_exists(&end.storage, end.pid) => CellOutcome::Violation {
+            what: format!("restart refused ({e}) but an intact chain survives"),
+        },
+        Err(e) => CellOutcome::Detected {
+            error: end.ckpt_error.unwrap_or_else(|| e.to_string()),
+        },
     }
 }
 
@@ -683,25 +572,16 @@ fn run_mech_cell(cfg: MatrixConfig, site: &str, fault: Fault) -> CellOutcome {
 struct HibernateEnd {
     susp: SoftwareSuspend,
     storage: SharedStorage,
-    pids: Vec<Pid>,
+    /// Each hibernated process's work counter when the machine stopped.
     works: Vec<u64>,
     hib_error: Option<String>,
 }
 
 fn run_hibernate_scenario(backend: &str, faults: &FaultHandle) -> HibernateEnd {
-    let mut k = Kernel::new(CostModel::circa_2005());
-    k.set_faults(faults.clone());
-    let mut pids = Vec::new();
-    for _ in 0..2 {
-        pids.push(
-            k.spawn_native(NativeKind::SparseRandom, app_params())
-                .expect("spawn"),
-        );
-    }
-    let _ = k.run_for(RUN1_NS);
-    let storage = injected_storage(backend, faults);
+    let (mut k, pids) = booted_kernel(faults, 2);
+    let storage: SharedStorage = Arc::new(Mutex::new(injected_store(backend, faults)));
     let mut susp = SoftwareSuspend::new(storage.clone());
-    let mode = if backend == "ram" {
+    let mode = if backend == StorageClass::Ram.label() {
         SuspendMode::ToRam
     } else {
         SuspendMode::ToDisk
@@ -711,14 +591,9 @@ fn run_hibernate_scenario(backend: &str, faults: &FaultHandle) -> HibernateEnd {
         .iter()
         .map(|p| k.process(*p).map(|p| p.work_done).unwrap_or(0))
         .collect();
-    // Power-down follows the hibernation (that is its entire purpose);
-    // during recording this also enumerates the resume-side sites.
-    faults.clear_crash();
-    storage.lock().on_power_down();
     HibernateEnd {
         susp,
         storage,
-        pids,
         works,
         hib_error,
     }
@@ -740,58 +615,52 @@ fn decodable_hibernate_images(storage: &SharedStorage) -> usize {
         .count()
 }
 
-fn run_hibernate_cell(backend: &str, site: &str, fault: Fault) -> CellOutcome {
-    let faults = FaultHandle::armed(site, fault);
-    let end = run_hibernate_scenario(backend, &faults);
-    let fired_before_resume = faults.fired().is_some();
-    let mut k2 = Kernel::new(CostModel::circa_2005());
-    k2.set_faults(faults.clone());
-    let mut susp = end.susp;
-    let mut resume = susp.resume(&mut k2);
-    if resume.is_err() && !fired_before_resume && faults.fired().is_some() {
-        faults.clear_crash();
-        let mut k3 = Kernel::new(CostModel::circa_2005());
-        k3.set_faults(faults.clone());
-        resume = susp.resume(&mut k3);
-        k2 = k3;
-    }
-    let params = app_params();
+/// One cell of a hibernation column: suspend under `faults`, the
+/// power-down that follows a hibernation (that is its entire purpose),
+/// resume, classification.
+fn hibernate_cell(cfg: MatrixConfig, faults: &FaultHandle) -> CellOutcome {
+    let mut end = run_hibernate_scenario(cfg.backend, faults);
+    let (k, resume) = recover(
+        faults,
+        &end.storage,
+        |s| s.on_power_down(),
+        |k| end.susp.resume(k),
+    );
     match resume {
         Ok(restored) => {
             let mut lost = 0u64;
             for (i, pid) in restored.iter().enumerate() {
-                match verify_restored(&k2, *pid, &params) {
+                match verify_restored(&k, *pid, &app_params()) {
                     Ok(step) => {
                         lost += end.works.get(i).copied().unwrap_or(0).saturating_sub(step);
                     }
                     Err(what) => return CellOutcome::Violation { what },
                 }
             }
-            if restored.len() != end.pids.len() {
+            if restored.len() != end.works.len() {
                 return CellOutcome::Violation {
                     what: format!(
                         "resume brought back {} of {} processes",
                         restored.len(),
-                        end.pids.len()
+                        end.works.len()
                     ),
                 };
             }
             CellOutcome::Restarted { lost_steps: lost }
         }
-        Err(e) => {
-            // A refusal is only a valid detection if the committed image
-            // set did not in fact survive intact.
+        // A refusal is only a valid detection if the committed image set
+        // did not in fact survive intact.
+        Err(e)
             if end.hib_error.is_none()
-                && decodable_hibernate_images(&end.storage) == end.pids.len()
-            {
-                CellOutcome::Violation {
-                    what: format!("resume refused ({e}) but all hibernation images survive"),
-                }
-            } else {
-                let error = end.hib_error.unwrap_or_else(|| e.to_string());
-                CellOutcome::Detected { error }
+                && decodable_hibernate_images(&end.storage) == end.works.len() =>
+        {
+            CellOutcome::Violation {
+                what: format!("resume refused ({e}) but all hibernation images survive"),
             }
         }
+        Err(e) => CellOutcome::Detected {
+            error: end.hib_error.unwrap_or_else(|| e.to_string()),
+        },
     }
 }
 
@@ -799,28 +668,37 @@ fn run_hibernate_cell(backend: &str, site: &str, fault: Fault) -> CellOutcome {
 // The matrix
 // ---------------------------------------------------------------------
 
-/// Run every cell of one column.
-pub fn run_config(cfg: MatrixConfig) -> Vec<MatrixCell> {
+/// Sweep one column. `record` runs the column's scenario fault-free under
+/// a recording handle, enumerating every site it visits; `cell` then runs
+/// once per (site × applicable fault kind) under a handle armed with
+/// exactly that fault, and classifies how the run ended. Every tier of the
+/// matrix — including the ones living in other crates — is this loop.
+pub fn sweep(
+    cfg: MatrixConfig,
+    record: impl FnOnce(&FaultHandle),
+    mut cell: impl FnMut(&FaultHandle) -> CellOutcome,
+) -> Vec<MatrixCell> {
+    let recording = FaultHandle::recording();
+    record(&recording);
     let mut cells = Vec::new();
-    for site in record_sites(cfg) {
-        for (label, fault) in faults_for(&site) {
-            let outcome = match fault {
-                None => CellOutcome::Skipped {
-                    reason: format!("{label} requires a byte stream at this site"),
-                },
-                Some(f) => {
-                    if cfg.mechanism == "hibernate" {
-                        run_hibernate_cell(cfg.backend, &site.name, f)
-                    } else {
-                        run_mech_cell(cfg, &site.name, f)
-                    }
+    for site in recording.sites() {
+        let torn = Fault::TornWrite {
+            keep_bytes: site.bytes / 2,
+        };
+        for fault in [Fault::FailStop, Fault::Transient, torn] {
+            // A torn write only applies where a byte stream is written.
+            let outcome = if fault == torn && site.bytes < 2 {
+                CellOutcome::Skipped {
+                    reason: format!("{} requires a byte stream at this site", fault.label()),
                 }
+            } else {
+                cell(&FaultHandle::armed(&site.name, fault))
             };
             cells.push(MatrixCell {
                 mechanism: cfg.mechanism,
                 backend: cfg.backend,
                 site: site.name.clone(),
-                fault: label,
+                fault: fault.label(),
                 outcome,
             });
         }
@@ -828,81 +706,205 @@ pub fn run_config(cfg: MatrixConfig) -> Vec<MatrixCell> {
     cells
 }
 
-/// Run the full crash matrix: every mechanism family × every backend ×
-/// every recorded site × every fault kind.
-pub fn run_crash_matrix() -> MatrixReport {
-    let mut cells = Vec::new();
-    for cfg in all_configs() {
-        cells.extend(run_config(cfg));
+/// A column's two passes, as [`sweep`] takes them: the fault-free run its
+/// sites are recorded from, and the run of one cell.
+type Passes = (
+    fn(MatrixConfig, &FaultHandle),
+    fn(MatrixConfig, &FaultHandle) -> CellOutcome,
+);
+
+/// A process-level column records through node loss and restart, so the
+/// restart-side sites are swept too; a hibernation column sweeps the
+/// suspend side only.
+fn column_passes(cfg: MatrixConfig) -> Passes {
+    match cfg.mechanism {
+        "hibernate" => (
+            |cfg, faults| {
+                run_hibernate_scenario(cfg.backend, faults);
+            },
+            hibernate_cell,
+        ),
+        _ => (
+            |cfg, faults| {
+                let mut end = run_mech_scenario(cfg, faults);
+                let _ = restart_after_node_loss(&mut end, faults);
+            },
+            mech_cell,
+        ),
     }
-    MatrixReport { cells }
+}
+
+/// Run every cell of one column of [`TIERS`].
+pub fn run_config(cfg: MatrixConfig) -> Vec<MatrixCell> {
+    let (record, cell) = column_passes(cfg);
+    sweep(
+        cfg,
+        |faults| record(cfg, faults),
+        |faults| cell(cfg, faults),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simos::faultpoint::SiteRecord;
 
-    #[test]
-    fn reference_digest_is_step_exact_and_deterministic() {
-        let p = app_params();
-        let a = reference_digest(&p, 50).unwrap();
-        let b = reference_digest(&p, 50).unwrap();
-        let c = reference_digest(&p, 51).unwrap();
-        assert_eq!(a, b);
-        assert_ne!(a, c, "one extra step must change the digest");
+    fn column(mechanism: &'static str, backend: &'static str) -> MatrixConfig {
+        MatrixConfig { mechanism, backend }
+    }
+
+    fn recorded_sites(cfg: MatrixConfig) -> Vec<SiteRecord> {
+        let faults = FaultHandle::recording();
+        column_passes(cfg).0(cfg, &faults);
+        faults.sites()
     }
 
     #[test]
-    fn clean_scenario_restarts_bit_exact() {
-        // No fault armed at all: the scenario must classify as Restarted
-        // with zero violations for every backend.
-        for backend in BACKENDS {
-            let faults = FaultHandle::disabled();
-            let end = run_mech_scenario("syscall", backend, &faults);
-            assert!(end.ckpt_error.is_none(), "{backend}: {:?}", end.ckpt_error);
-            {
-                let mut s = end.storage.lock();
-                s.on_node_failure();
-                s.on_node_repair();
-            }
-            let mut mech = end.mech;
-            let mut k2 = Kernel::new(CostModel::circa_2005());
-            let r = mech.restart(&mut k2, RestorePid::Fresh).unwrap();
-            let step = verify_restored(&k2, r.pid, &app_params()).unwrap();
-            assert_eq!(step, r.work_done);
-            assert!(end.work_at_end >= step);
+    fn replay_is_step_exact_and_deterministic() {
+        let p = app_params();
+        let a = replay_to(&p, 50).unwrap().bytes;
+        let b = replay_to(&p, 50).unwrap().bytes;
+        let c = replay_to(&p, 51).unwrap().bytes;
+        assert_eq!(a, b);
+        assert_ne!(a, c, "one extra step must change the guest bytes");
+    }
+
+    #[test]
+    fn stack_labels_parse_by_one_grammar() {
+        assert_eq!(numeric_args("replicated(5,3)", "replicated"), Some([5, 3]));
+        assert_eq!(numeric_args("striped(2x3,2)", "striped"), Some([2, 3, 2]));
+        assert_eq!(numeric_args("rs(8,3)", "rs"), Some([8, 3]));
+        assert_eq!(numeric_args::<2>("rs(8,3,1)", "rs"), None);
+        assert_eq!(numeric_args::<2>("rs(8,x)", "rs"), None);
+        assert_eq!(numeric_args::<2>("replicated(3,2)", "rs"), None);
+        // Every label the tiers name builds, and reports itself under it.
+        for cfg in all_configs() {
+            let store = injected_store(cfg.backend, &FaultHandle::disabled());
+            assert_eq!(store.label(), cfg.backend);
         }
     }
 
     #[test]
-    fn recording_enumerates_checkpoint_and_restart_sites() {
-        let sites = record_sites(MatrixConfig {
-            mechanism: "syscall",
-            backend: "local-disk",
-        });
-        let names: Vec<&str> = sites.iter().map(|s| s.name.as_str()).collect();
-        let has = |frag: &str| names.iter().any(|n| n.contains(frag));
-        assert!(has("mech/epckpt/freeze"), "{names:?}");
-        assert!(has("mech/epckpt/capture"), "{names:?}");
-        assert!(has("mech/epckpt/store"), "{names:?}");
-        assert!(has("mech/epckpt/walk"), "incremental second checkpoint: {names:?}");
-        assert!(has("storage/local-disk/store"), "{names:?}");
-        assert!(has("storage/local-disk/load"), "{names:?}");
-        assert!(has("chain/seg"), "{names:?}");
-        assert!(has("mech/restart/restore"), "{names:?}");
-        // Store sites carry byte sizes so torn writes can split them.
-        assert!(sites
-            .iter()
-            .any(|s| s.name.contains("/store") && s.bytes > 0));
+    fn clean_scenario_restarts_bit_exact_on_every_column() {
+        // No fault armed at all: every column's cell ends in a restart,
+        // except where the column's own crash event destroys the image.
+        let faults = FaultHandle::disabled();
+        for cfg in all_configs() {
+            let out = column_passes(cfg).1(cfg, &faults);
+            // Power-down keeps the swap image and loses the RAM one.
+            if cfg == column("hibernate", "swap") {
+                assert_eq!(out, CellOutcome::Restarted { lost_steps: 0 });
+                continue;
+            }
+            if cfg == column("hibernate", "ram") {
+                assert!(matches!(out, CellOutcome::Detected { .. }), "{out:?}");
+                continue;
+            }
+            assert!(
+                matches!(out, CellOutcome::Restarted { .. }),
+                "{cfg:?}: {out:?}"
+            );
+            // A process-level column checkpoints twice without error, and
+            // its restart reports the step the guest is bit-exact at.
+            let mut end = run_mech_scenario(cfg, &faults);
+            assert!(end.ckpt_error.is_none(), "{cfg:?}: {:?}", end.ckpt_error);
+            let (k2, restart) = restart_after_node_loss(&mut end, &faults);
+            let r = restart.unwrap();
+            let step = verify_restored(&k2, r.pid, &app_params()).unwrap();
+            assert_eq!(step, r.work_done, "{cfg:?}");
+            assert!(end.work_at_end >= step, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn a_flipped_guest_byte_is_named_by_address() {
+        let faults = FaultHandle::disabled();
+        let mut end = run_mech_scenario(column("syscall", "local-disk"), &faults);
+        let (mut k2, restart) = restart_after_node_loss(&mut end, &faults);
+        let pid = restart.unwrap().pid;
+        let addr = apps::ARRAY_BASE + 3 * simos::cost::PAGE_SIZE + 17;
+        let mem = &mut k2.process_mut(pid).unwrap().mem;
+        let mut byte = [0u8];
+        mem.peek(addr, &mut byte);
+        mem.poke(addr, &[byte[0] ^ 0x40]);
+        let err = verify_restored(&k2, pid, &app_params()).unwrap_err();
+        assert!(err.contains(&format!("{addr:#x}")), "{err}");
+    }
+
+    #[test]
+    fn recording_enumerates_each_tiers_sites() {
+        // (column, (prefix, infix) of sites that must be recorded, stem of
+        // the byte-carrying sites torn writes split)
+        type Row = (
+            MatrixConfig,
+            &'static [(&'static str, &'static str)],
+            &'static str,
+        );
+        let table: [Row; 4] = [
+            (
+                column("syscall", "local-disk"),
+                &[
+                    ("", "mech/epckpt/freeze"),
+                    ("", "mech/epckpt/capture"),
+                    ("", "mech/epckpt/store"),
+                    ("", "mech/epckpt/walk"), // incremental second checkpoint
+                    ("", "storage/local-disk/store"),
+                    ("", "storage/local-disk/load"),
+                    ("", "chain/seg"),
+                    ("", "mech/restart/restore"),
+                ],
+                "/store",
+            ),
+            (
+                // The manifest-commit site, and the inner backend's store
+                // sites showing through the decorator.
+                column("syscall", "dedup(local-disk)"),
+                &[("", "cas/commit"), ("", "storage/local-disk/store")],
+                "/store",
+            ),
+            (
+                // Stores on the striped pool travel the framed batch path,
+                // so the per-stripe admission sites are recorded.
+                column("syscall", "striped(2x3,2)"),
+                &[("stripe", "/batch")],
+                "/batch",
+            ),
+            (
+                // Every shard node's admission site — all k + m.
+                column("syscall", "rs(4,2)"),
+                &[
+                    ("ec/s0/batch", ""),
+                    ("ec/s1/batch", ""),
+                    ("ec/s2/batch", ""),
+                    ("ec/s3/batch", ""),
+                    ("ec/s4/batch", ""),
+                    ("ec/s5/batch", ""),
+                ],
+                "/batch",
+            ),
+        ];
+        for (cfg, required, sized) in table {
+            let sites = recorded_sites(cfg);
+            let names: Vec<&str> = sites.iter().map(|s| s.name.as_str()).collect();
+            for (prefix, infix) in required {
+                assert!(
+                    names
+                        .iter()
+                        .any(|n| n.starts_with(prefix) && n.contains(infix)),
+                    "{cfg:?}: no {prefix}…{infix} site in {names:?}"
+                );
+            }
+            assert!(
+                sites.iter().any(|s| s.name.contains(sized) && s.bytes > 0),
+                "{cfg:?}: {sized} sites must carry byte sizes"
+            );
+        }
     }
 
     #[test]
     fn fail_stop_mid_store_falls_back_to_previous_checkpoint() {
-        let cfg = MatrixConfig {
-            mechanism: "syscall",
-            backend: "local-disk",
-        };
-        let sites = record_sites(cfg);
+        let cfg = column("syscall", "local-disk");
+        let sites = recorded_sites(cfg);
         let store2 = sites
             .iter()
             .find(|s| s.name.contains("storage/local-disk/store@2"))
@@ -910,7 +912,7 @@ mod tests {
         let torn = Fault::TornWrite {
             keep_bytes: store2.bytes / 2,
         };
-        let out = run_mech_cell(cfg, &store2.name, torn);
+        let out = mech_cell(cfg, &FaultHandle::armed(&store2.name, torn));
         match out {
             CellOutcome::Restarted { lost_steps } => {
                 assert!(lost_steps > 0, "rolled back past the torn checkpoint")
@@ -920,53 +922,11 @@ mod tests {
     }
 
     #[test]
-    fn dedup_clean_scenario_restarts_bit_exact() {
-        // The dedup tier with no fault armed must restart bit-exact for
-        // both backings (plain disk and the replicated quorum).
-        for backend in DEDUP_BACKENDS {
-            let faults = FaultHandle::disabled();
-            let end = run_mech_scenario(DEDUP_MECH, backend, &faults);
-            assert!(end.ckpt_error.is_none(), "{backend}: {:?}", end.ckpt_error);
-            {
-                let mut s = end.storage.lock();
-                s.on_node_failure();
-                s.on_node_repair();
-            }
-            let mut mech = end.mech;
-            let mut k2 = Kernel::new(CostModel::circa_2005());
-            let r = mech.restart(&mut k2, RestorePid::Fresh).unwrap();
-            let step = verify_restored(&k2, r.pid, &app_params()).unwrap();
-            assert_eq!(step, r.work_done);
-        }
-    }
-
-    #[test]
-    fn dedup_recording_enumerates_cas_commit_sites() {
-        let sites = record_sites(MatrixConfig {
-            mechanism: DEDUP_MECH,
-            backend: "dedup(local-disk)",
-        });
-        let names: Vec<&str> = sites.iter().map(|s| s.name.as_str()).collect();
-        assert!(
-            names.iter().any(|n| n.contains("cas/commit")),
-            "manifest-commit site must be recorded: {names:?}"
-        );
-        // Inner-backend store sites still show through the decorator.
-        assert!(
-            names.iter().any(|n| n.contains("storage/local-disk/store")),
-            "{names:?}"
-        );
-    }
-
-    #[test]
     fn dedup_torn_cas_commit_never_silently_corrupts() {
         // A torn manifest write must surface as typed detection or a
         // bit-exact restart from an older chain — never a Violation.
-        let cfg = MatrixConfig {
-            mechanism: DEDUP_MECH,
-            backend: "dedup(local-disk)",
-        };
-        let sites = record_sites(cfg);
+        let cfg = column("syscall", "dedup(local-disk)");
+        let sites = recorded_sites(cfg);
         let commits: Vec<_> = sites
             .iter()
             .filter(|s| s.name.contains("cas/commit"))
@@ -977,7 +937,7 @@ mod tests {
             let torn = Fault::TornWrite {
                 keep_bytes: (site.bytes / 2).max(1),
             };
-            let out = run_mech_cell(cfg, &site.name, torn);
+            let out = mech_cell(cfg, &FaultHandle::armed(&site.name, torn));
             match out {
                 CellOutcome::Restarted { .. } => saw_restart = true,
                 CellOutcome::Detected { .. } => {}
@@ -991,101 +951,18 @@ mod tests {
     }
 
     #[test]
-    fn striped_clean_scenario_restarts_bit_exact() {
-        for backend in STRIPED_BACKENDS {
-            let faults = FaultHandle::disabled();
-            let end = run_mech_scenario(STRIPED_MECH, backend, &faults);
-            assert!(end.ckpt_error.is_none(), "{backend}: {:?}", end.ckpt_error);
-            {
-                let mut s = end.storage.lock();
-                s.on_node_failure();
-                s.on_node_repair();
-            }
-            let mut mech = end.mech;
-            let mut k2 = Kernel::new(CostModel::circa_2005());
-            let r = mech.restart(&mut k2, RestorePid::Fresh).unwrap();
-            let step = verify_restored(&k2, r.pid, &app_params()).unwrap();
-            assert_eq!(step, r.work_done);
-        }
-    }
-
-    #[test]
-    fn striped_recording_enumerates_per_stripe_batch_sites() {
-        let sites = record_sites(MatrixConfig {
-            mechanism: STRIPED_MECH,
-            backend: "striped(2x3,2)",
-        });
-        let names: Vec<&str> = sites.iter().map(|s| s.name.as_str()).collect();
-        // Stores on the striped pool travel the framed batch path, so the
-        // shard-commit tier's per-stripe admission sites are all recorded.
-        assert!(
-            names.iter().any(|n| n.starts_with("stripe") && n.contains("/batch")),
-            "per-stripe batch-commit sites must be recorded: {names:?}"
-        );
-        // Batch sites carry the frame size so torn writes can split them.
-        assert!(
-            sites.iter().any(|s| s.name.contains("/batch") && s.bytes > 0),
-            "batch sites must carry frame byte sizes"
-        );
-    }
-
-    #[test]
-    fn erasure_clean_scenario_restarts_bit_exact() {
-        for backend in ERASURE_BACKENDS {
-            let faults = FaultHandle::disabled();
-            let end = run_mech_scenario(ERASURE_MECH, backend, &faults);
-            assert!(end.ckpt_error.is_none(), "{backend}: {:?}", end.ckpt_error);
-            {
-                let mut s = end.storage.lock();
-                s.on_node_failure();
-                s.on_node_repair();
-            }
-            let mut mech = end.mech;
-            let mut k2 = Kernel::new(CostModel::circa_2005());
-            let r = mech.restart(&mut k2, RestorePid::Fresh).unwrap();
-            let step = verify_restored(&k2, r.pid, &app_params()).unwrap();
-            assert_eq!(step, r.work_done);
-        }
-    }
-
-    #[test]
-    fn erasure_recording_enumerates_per_shard_batch_sites() {
-        let sites = record_sites(MatrixConfig {
-            mechanism: ERASURE_MECH,
-            backend: "rs(4,2)",
-        });
-        let names: Vec<&str> = sites.iter().map(|s| s.name.as_str()).collect();
-        // Stores on the coded store travel the framed shard batch path,
-        // so every shard node's admission site is recorded — all k + m.
-        for i in 0..6 {
-            assert!(
-                names.iter().any(|n| n.starts_with(&format!("ec/s{i}/batch"))),
-                "shard {i} batch-commit site must be recorded: {names:?}"
-            );
-        }
-        // Shard sites carry the frame size so torn writes can split them.
-        assert!(
-            sites.iter().any(|s| s.name.contains("/batch") && s.bytes > 0),
-            "shard batch sites must carry frame byte sizes"
-        );
-    }
-
-    #[test]
     fn lost_shard_mid_commit_still_restarts_by_reconstruction() {
         // Fail-stop one shard node during the second checkpoint's batch
         // commit: the write quorum (k + ceil(m/2) = 5 of 6) still holds,
         // and the restart must reconstruct bit-exact around the lost
         // shard — the cell the whole coding tier exists for.
-        let cfg = MatrixConfig {
-            mechanism: ERASURE_MECH,
-            backend: "rs(4,2)",
-        };
-        let sites = record_sites(cfg);
+        let cfg = column("syscall", "rs(4,2)");
+        let sites = recorded_sites(cfg);
         let batch2 = sites
             .iter()
             .find(|s| s.name.starts_with("ec/s0/batch@2"))
             .expect("second-checkpoint shard batch site recorded");
-        let out = run_mech_cell(cfg, &batch2.name, Fault::FailStop);
+        let out = mech_cell(cfg, &FaultHandle::armed(&batch2.name, Fault::FailStop));
         assert!(
             matches!(out, CellOutcome::Restarted { .. }),
             "expected a reconstructing restart, got {out:?}"
@@ -1094,11 +971,9 @@ mod tests {
 
     #[test]
     fn fail_stop_before_any_store_is_detected() {
-        let cfg = MatrixConfig {
-            mechanism: "syscall",
-            backend: "local-disk",
-        };
-        let out = run_mech_cell(cfg, "mech/epckpt/capture@1", Fault::FailStop);
+        let cfg = column("syscall", "local-disk");
+        let faults = FaultHandle::armed("mech/epckpt/capture@1", Fault::FailStop);
+        let out = mech_cell(cfg, &faults);
         assert!(
             matches!(out, CellOutcome::Detected { .. }),
             "no image was ever written, restart must be refused: {out:?}"

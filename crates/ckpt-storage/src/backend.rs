@@ -61,6 +61,39 @@ impl StorageClass {
     pub fn is_volatile(self) -> bool {
         !self.survives_power_down()
     }
+
+    /// The name a single-copy medium of this class reports as its
+    /// [`StableStorage::label`].
+    pub fn label(self) -> &'static str {
+        match self {
+            StorageClass::Ram => "ram",
+            StorageClass::LocalDisk => "local-disk",
+            StorageClass::Swap => "swap",
+            StorageClass::Remote => "remote",
+            StorageClass::Nvram => "nvram",
+        }
+    }
+
+    /// Modelled time to move `len` bytes onto or off a medium of this
+    /// class: RAM and NVRAM stream at memory-bus rates (NVRAM at half DRAM
+    /// bandwidth for the battery-backed path), disk and swap pay one seek,
+    /// remote pays one network latency.
+    pub fn transfer_ns(self, len: usize, cost: &CostModel) -> u64 {
+        let bytes = len as f64;
+        match self {
+            StorageClass::Ram => (bytes * cost.ram_store_ns_per_byte).round() as u64,
+            StorageClass::Nvram => (bytes * cost.ram_store_ns_per_byte * 2.0).round() as u64,
+            StorageClass::LocalDisk => {
+                cost.disk_latency_ns + (bytes * cost.disk_ns_per_byte).round() as u64
+            }
+            StorageClass::Swap => {
+                cost.disk_latency_ns + (bytes * cost.swap_ns_per_byte).round() as u64
+            }
+            StorageClass::Remote => {
+                cost.net_latency_ns + (bytes * cost.net_ns_per_byte).round() as u64
+            }
+        }
+    }
 }
 
 /// Storage errors.

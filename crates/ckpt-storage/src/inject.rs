@@ -17,7 +17,7 @@
 //! adds one relaxed atomic load and then forwards — modelled costs and
 //! stored bytes are untouched, so golden outputs cannot move.
 
-use crate::backend::{StableStorage, StorageClass, StorageError, StoreReceipt};
+use crate::backend::{ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt};
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
 
@@ -115,6 +115,9 @@ impl StableStorage for FaultInjectStore {
     }
     fn on_power_down(&mut self) {
         self.inner.on_power_down();
+    }
+    fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
+        self.inner.replica_manifest(key)
     }
 }
 

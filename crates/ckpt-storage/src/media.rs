@@ -1,331 +1,166 @@
-//! Concrete storage backends: RAM, local disk, swap partition, and a
-//! shared remote store.
+//! Concrete storage media: one node-local medium parameterised by its
+//! [`StorageClass`] (RAM, local disk, swap partition, NVRAM), and a shared
+//! remote store. What a medium is called, what a transfer costs and what a
+//! failure event does to it all follow from the class.
 
 use crate::backend::{StableStorage, StorageClass, StorageError, StoreReceipt};
 use parking_lot::Mutex;
 use simos::cost::CostModel;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
-fn store_into(
-    map: &mut BTreeMap<String, Vec<u8>>,
-    key: &str,
-    data: &[u8],
+/// Keyed byte objects under a capacity: what every medium holds.
+#[derive(Debug, Default)]
+struct Shelf {
+    objects: BTreeMap<String, Vec<u8>>,
     capacity: u64,
-    used: u64,
-) -> Result<(), StorageError> {
-    let replaced = map.get(key).map(|v| v.len() as u64).unwrap_or(0);
-    let need = data.len() as u64;
-    let free = capacity.saturating_sub(used - replaced);
-    if need > free {
-        return Err(StorageError::NoSpace { need, free });
-    }
-    map.insert(key.to_string(), data.to_vec());
-    Ok(())
 }
 
-fn used_of(map: &BTreeMap<String, Vec<u8>>) -> u64 {
-    map.values().map(|v| v.len() as u64).sum()
-}
-
-macro_rules! check_available {
-    ($self:ident) => {
-        if !$self.available {
-            return Err(StorageError::Unavailable);
+impl Shelf {
+    fn new(capacity: u64) -> Self {
+        Shelf {
+            objects: BTreeMap::new(),
+            capacity,
         }
-    };
+    }
+
+    /// Store `data` as a transfer on a `class` medium; replacing an object
+    /// reuses its space.
+    fn put(
+        &mut self,
+        class: StorageClass,
+        key: &str,
+        data: &[u8],
+        cost: &CostModel,
+    ) -> Result<StoreReceipt, StorageError> {
+        let replaced = self.objects.get(key).map(|v| v.len() as u64).unwrap_or(0);
+        let need = data.len() as u64;
+        let free = self.capacity.saturating_sub(self.used() - replaced);
+        if need > free {
+            return Err(StorageError::NoSpace { need, free });
+        }
+        self.objects.insert(key.to_string(), data.to_vec());
+        Ok(StoreReceipt {
+            key: key.to_string(),
+            bytes: need,
+            time_ns: class.transfer_ns(data.len(), cost),
+        })
+    }
+
+    fn get(
+        &self,
+        class: StorageClass,
+        key: &str,
+        cost: &CostModel,
+    ) -> Result<(Vec<u8>, u64), StorageError> {
+        let data = self
+            .objects
+            .get(key)
+            .ok_or_else(|| StorageError::NotFound(key.into()))?
+            .clone();
+        let t = class.transfer_ns(data.len(), cost);
+        Ok((data, t))
+    }
+
+    fn remove(&mut self, key: &str) -> Result<(), StorageError> {
+        self.objects
+            .remove(key)
+            .map(|_| ())
+            .ok_or_else(|| StorageError::NotFound(key.into()))
+    }
+
+    fn keys(&self) -> Vec<String> {
+        self.objects.keys().cloned().collect()
+    }
+
+    fn used(&self) -> u64 {
+        self.objects.values().map(|v| v.len() as u64).sum()
+    }
+}
+
+fn reachable(available: bool) -> Result<(), StorageError> {
+    if available {
+        Ok(())
+    } else {
+        Err(StorageError::Unavailable)
+    }
+}
+
+/// Names a node-local [`StorageClass`] at the type level, so each medium
+/// keeps a constructor of its own (`LocalDisk::new(capacity)`).
+pub trait NodeClass: Send + std::fmt::Debug {
+    const CLASS: StorageClass;
+}
+
+/// Marker for [`StorageClass::Ram`].
+#[derive(Debug)]
+pub struct Ram;
+/// Marker for [`StorageClass::LocalDisk`].
+#[derive(Debug)]
+pub struct Disk;
+/// Marker for [`StorageClass::Swap`].
+#[derive(Debug)]
+pub struct Swap;
+/// Marker for [`StorageClass::Nvram`].
+#[derive(Debug)]
+pub struct Nvram;
+
+impl NodeClass for Ram {
+    const CLASS: StorageClass = StorageClass::Ram;
+}
+impl NodeClass for Disk {
+    const CLASS: StorageClass = StorageClass::LocalDisk;
+}
+impl NodeClass for Swap {
+    const CLASS: StorageClass = StorageClass::Swap;
+}
+impl NodeClass for Nvram {
+    const CLASS: StorageClass = StorageClass::Nvram;
+}
+
+/// A medium on the node itself. A fail-stop makes it unreachable until the
+/// node is repaired and — the power being cut — destroys its contents if
+/// the class is volatile; a planned power-down destroys volatile contents
+/// and leaves reachability alone (the medium comes back with the machine).
+#[derive(Debug)]
+pub struct NodeMedium<C: NodeClass> {
+    shelf: Shelf,
+    available: bool,
+    class: PhantomData<C>,
 }
 
 /// RAM-backed store on the node itself. Fast, but lost on node failure
 /// *and* on power-down — the "standby" flavour of Software Suspend.
-#[derive(Debug)]
-pub struct RamStore {
-    objects: BTreeMap<String, Vec<u8>>,
-    capacity: u64,
-    available: bool,
-}
-
-impl RamStore {
-    pub fn new(capacity: u64) -> Self {
-        RamStore {
-            objects: BTreeMap::new(),
-            capacity,
-            available: true,
-        }
-    }
-}
-
-impl StableStorage for RamStore {
-    fn class(&self) -> StorageClass {
-        StorageClass::Ram
-    }
-    fn label(&self) -> String {
-        "ram".into()
-    }
-    fn store(
-        &mut self,
-        key: &str,
-        data: &[u8],
-        cost: &CostModel,
-    ) -> Result<StoreReceipt, StorageError> {
-        check_available!(self);
-        let used = used_of(&self.objects);
-        store_into(&mut self.objects, key, data, self.capacity, used)?;
-        Ok(StoreReceipt {
-            key: key.to_string(),
-            bytes: data.len() as u64,
-            time_ns: (data.len() as f64 * cost.ram_store_ns_per_byte).round() as u64,
-        })
-    }
-    fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
-        check_available!(self);
-        let data = self
-            .objects
-            .get(key)
-            .ok_or_else(|| StorageError::NotFound(key.into()))?
-            .clone();
-        let t = (data.len() as f64 * cost.ram_store_ns_per_byte).round() as u64;
-        Ok((data, t))
-    }
-    fn delete(&mut self, key: &str) -> Result<(), StorageError> {
-        check_available!(self);
-        self.objects
-            .remove(key)
-            .map(|_| ())
-            .ok_or_else(|| StorageError::NotFound(key.into()))
-    }
-    fn list(&self) -> Vec<String> {
-        if !self.available {
-            return vec![];
-        }
-        self.objects.keys().cloned().collect()
-    }
-    fn available(&self) -> bool {
-        self.available
-    }
-    fn used_bytes(&self) -> u64 {
-        used_of(&self.objects)
-    }
-    fn on_node_failure(&mut self) {
-        // A fail-stop cuts power: volatile contents are gone.
-        if self.class().is_volatile() {
-            self.objects.clear();
-        }
-        self.available = false;
-    }
-    fn on_node_repair(&mut self) {
-        self.available = true; // but contents are gone
-    }
-    fn on_power_down(&mut self) {
-        if self.class().is_volatile() {
-            self.objects.clear();
-        }
-    }
-}
-
+pub type RamStore = NodeMedium<Ram>;
 /// The node's local disk: seek latency + streaming bandwidth. Survives
 /// power-down; unreachable (but intact) while the node is failed.
-#[derive(Debug)]
-pub struct LocalDisk {
-    objects: BTreeMap<String, Vec<u8>>,
-    capacity: u64,
-    available: bool,
-}
-
-impl LocalDisk {
-    pub fn new(capacity: u64) -> Self {
-        LocalDisk {
-            objects: BTreeMap::new(),
-            capacity,
-            available: true,
-        }
-    }
-}
-
-impl StableStorage for LocalDisk {
-    fn class(&self) -> StorageClass {
-        StorageClass::LocalDisk
-    }
-    fn label(&self) -> String {
-        "local-disk".into()
-    }
-    fn store(
-        &mut self,
-        key: &str,
-        data: &[u8],
-        cost: &CostModel,
-    ) -> Result<StoreReceipt, StorageError> {
-        check_available!(self);
-        let used = used_of(&self.objects);
-        store_into(&mut self.objects, key, data, self.capacity, used)?;
-        Ok(StoreReceipt {
-            key: key.to_string(),
-            bytes: data.len() as u64,
-            time_ns: cost.disk_latency_ns
-                + (data.len() as f64 * cost.disk_ns_per_byte).round() as u64,
-        })
-    }
-    fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
-        check_available!(self);
-        let data = self
-            .objects
-            .get(key)
-            .ok_or_else(|| StorageError::NotFound(key.into()))?
-            .clone();
-        let t =
-            cost.disk_latency_ns + (data.len() as f64 * cost.disk_ns_per_byte).round() as u64;
-        Ok((data, t))
-    }
-    fn delete(&mut self, key: &str) -> Result<(), StorageError> {
-        check_available!(self);
-        self.objects
-            .remove(key)
-            .map(|_| ())
-            .ok_or_else(|| StorageError::NotFound(key.into()))
-    }
-    fn list(&self) -> Vec<String> {
-        if !self.available {
-            return vec![];
-        }
-        self.objects.keys().cloned().collect()
-    }
-    fn available(&self) -> bool {
-        self.available
-    }
-    fn used_bytes(&self) -> u64 {
-        used_of(&self.objects)
-    }
-    fn on_node_failure(&mut self) {
-        self.available = false; // data intact but unreachable
-    }
-    fn on_node_repair(&mut self) {
-        self.available = true;
-    }
-    fn on_power_down(&mut self) {
-        // Non-volatile: contents survive the power cycle, and the medium
-        // comes back with the machine, so availability is untouched.
-        if self.class().is_volatile() {
-            self.objects.clear();
-        }
-    }
-}
-
+pub type LocalDisk = NodeMedium<Disk>;
 /// The swap partition: contiguous, one seek regardless of size — where
 /// Software Suspend puts the RAM image.
-#[derive(Debug)]
-pub struct SwapStore {
-    objects: BTreeMap<String, Vec<u8>>,
-    capacity: u64,
-    available: bool,
-}
-
-impl SwapStore {
-    pub fn new(capacity: u64) -> Self {
-        SwapStore {
-            objects: BTreeMap::new(),
-            capacity,
-            available: true,
-        }
-    }
-}
-
-impl StableStorage for SwapStore {
-    fn class(&self) -> StorageClass {
-        StorageClass::Swap
-    }
-    fn label(&self) -> String {
-        "swap".into()
-    }
-    fn store(
-        &mut self,
-        key: &str,
-        data: &[u8],
-        cost: &CostModel,
-    ) -> Result<StoreReceipt, StorageError> {
-        check_available!(self);
-        let used = used_of(&self.objects);
-        store_into(&mut self.objects, key, data, self.capacity, used)?;
-        Ok(StoreReceipt {
-            key: key.to_string(),
-            bytes: data.len() as u64,
-            time_ns: cost.disk_latency_ns
-                + (data.len() as f64 * cost.swap_ns_per_byte).round() as u64,
-        })
-    }
-    fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
-        check_available!(self);
-        let data = self
-            .objects
-            .get(key)
-            .ok_or_else(|| StorageError::NotFound(key.into()))?
-            .clone();
-        let t =
-            cost.disk_latency_ns + (data.len() as f64 * cost.swap_ns_per_byte).round() as u64;
-        Ok((data, t))
-    }
-    fn delete(&mut self, key: &str) -> Result<(), StorageError> {
-        check_available!(self);
-        self.objects
-            .remove(key)
-            .map(|_| ())
-            .ok_or_else(|| StorageError::NotFound(key.into()))
-    }
-    fn list(&self) -> Vec<String> {
-        if !self.available {
-            return vec![];
-        }
-        self.objects.keys().cloned().collect()
-    }
-    fn available(&self) -> bool {
-        self.available
-    }
-    fn used_bytes(&self) -> u64 {
-        used_of(&self.objects)
-    }
-    fn on_node_failure(&mut self) {
-        self.available = false;
-    }
-    fn on_node_repair(&mut self) {
-        self.available = true;
-    }
-    fn on_power_down(&mut self) {
-        if self.class().is_volatile() {
-            self.objects.clear();
-        }
-    }
-}
-
+pub type SwapStore = NodeMedium<Swap>;
 /// Battery-backed NVRAM on the node's memory bus: RAM-class transfer speed
 /// (modelled at half DRAM bandwidth for the battery-backed write path, no
 /// seek), survives power-down, but — like the local disk — is unreachable
 /// while the node is failed, with contents intact after repair.
-#[derive(Debug)]
-pub struct NvramStore {
-    objects: BTreeMap<String, Vec<u8>>,
-    capacity: u64,
-    available: bool,
-}
+pub type NvramStore = NodeMedium<Nvram>;
 
-impl NvramStore {
+impl<C: NodeClass> NodeMedium<C> {
     pub fn new(capacity: u64) -> Self {
-        NvramStore {
-            objects: BTreeMap::new(),
-            capacity,
+        NodeMedium {
+            shelf: Shelf::new(capacity),
             available: true,
+            class: PhantomData,
         }
     }
-
-    fn xfer_ns(len: usize, cost: &CostModel) -> u64 {
-        (len as f64 * cost.ram_store_ns_per_byte * 2.0).round() as u64
-    }
 }
 
-impl StableStorage for NvramStore {
+impl<C: NodeClass> StableStorage for NodeMedium<C> {
     fn class(&self) -> StorageClass {
-        StorageClass::Nvram
+        C::CLASS
     }
     fn label(&self) -> String {
-        "nvram".into()
+        C::CLASS.label().into()
     }
     fn store(
         &mut self,
@@ -333,53 +168,39 @@ impl StableStorage for NvramStore {
         data: &[u8],
         cost: &CostModel,
     ) -> Result<StoreReceipt, StorageError> {
-        check_available!(self);
-        let used = used_of(&self.objects);
-        store_into(&mut self.objects, key, data, self.capacity, used)?;
-        Ok(StoreReceipt {
-            key: key.to_string(),
-            bytes: data.len() as u64,
-            time_ns: Self::xfer_ns(data.len(), cost),
-        })
+        reachable(self.available)?;
+        self.shelf.put(C::CLASS, key, data, cost)
     }
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
-        check_available!(self);
-        let data = self
-            .objects
-            .get(key)
-            .ok_or_else(|| StorageError::NotFound(key.into()))?
-            .clone();
-        let t = Self::xfer_ns(data.len(), cost);
-        Ok((data, t))
+        reachable(self.available)?;
+        self.shelf.get(C::CLASS, key, cost)
     }
     fn delete(&mut self, key: &str) -> Result<(), StorageError> {
-        check_available!(self);
-        self.objects
-            .remove(key)
-            .map(|_| ())
-            .ok_or_else(|| StorageError::NotFound(key.into()))
+        reachable(self.available)?;
+        self.shelf.remove(key)
     }
     fn list(&self) -> Vec<String> {
         if !self.available {
             return vec![];
         }
-        self.objects.keys().cloned().collect()
+        self.shelf.keys()
     }
     fn available(&self) -> bool {
         self.available
     }
     fn used_bytes(&self) -> u64 {
-        used_of(&self.objects)
+        self.shelf.used()
     }
     fn on_node_failure(&mut self) {
-        self.available = false; // battery holds the data; node is down
+        self.on_power_down();
+        self.available = false;
     }
     fn on_node_repair(&mut self) {
         self.available = true;
     }
     fn on_power_down(&mut self) {
-        if self.class().is_volatile() {
-            self.objects.clear();
+        if C::CLASS.is_volatile() {
+            self.shelf.objects.clear();
         }
     }
 }
@@ -388,24 +209,22 @@ impl StableStorage for NvramStore {
 /// checkpoint server or parallel filesystem reachable from every node.
 #[derive(Debug, Default)]
 pub struct RemoteServer {
-    objects: Mutex<BTreeMap<String, Vec<u8>>>,
-    capacity: u64,
+    shelf: Mutex<Shelf>,
 }
 
 impl RemoteServer {
     pub fn new(capacity: u64) -> Arc<Self> {
         Arc::new(RemoteServer {
-            objects: Mutex::new(BTreeMap::new()),
-            capacity,
+            shelf: Mutex::new(Shelf::new(capacity)),
         })
     }
 
     pub fn used_bytes(&self) -> u64 {
-        used_of(&self.objects.lock())
+        self.shelf.lock().used()
     }
 
     pub fn keys(&self) -> Vec<String> {
-        self.objects.lock().keys().cloned().collect()
+        self.shelf.lock().keys()
     }
 }
 
@@ -437,7 +256,7 @@ impl StableStorage for RemoteStore {
         StorageClass::Remote
     }
     fn label(&self) -> String {
-        "remote".into()
+        StorageClass::Remote.label().into()
     }
     fn store(
         &mut self,
@@ -445,40 +264,22 @@ impl StableStorage for RemoteStore {
         data: &[u8],
         cost: &CostModel,
     ) -> Result<StoreReceipt, StorageError> {
-        check_available!(self);
-        {
-            let mut objects = self.server.objects.lock();
-            let used = used_of(&objects);
-            store_into(&mut objects, key, data, self.server.capacity, used)?;
-        }
-        Ok(StoreReceipt {
-            key: key.to_string(),
-            bytes: data.len() as u64,
-            time_ns: cost.net_latency_ns
-                + (data.len() as f64 * cost.net_ns_per_byte).round() as u64,
-        })
+        reachable(self.available)?;
+        self.server
+            .shelf
+            .lock()
+            .put(StorageClass::Remote, key, data, cost)
     }
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
-        check_available!(self);
-        let data = self
-            .server
-            .objects
+        reachable(self.available)?;
+        self.server
+            .shelf
             .lock()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| StorageError::NotFound(key.into()))?;
-        let t =
-            cost.net_latency_ns + (data.len() as f64 * cost.net_ns_per_byte).round() as u64;
-        Ok((data, t))
+            .get(StorageClass::Remote, key, cost)
     }
     fn delete(&mut self, key: &str) -> Result<(), StorageError> {
-        check_available!(self);
-        self.server
-            .objects
-            .lock()
-            .remove(key)
-            .map(|_| ())
-            .ok_or_else(|| StorageError::NotFound(key.into()))
+        reachable(self.available)?;
+        self.server.shelf.lock().remove(key)
     }
     fn list(&self) -> Vec<String> {
         if !self.available {

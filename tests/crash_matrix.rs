@@ -7,41 +7,114 @@
 //! fault-free recording pass per column, so every instrumented site is
 //! swept. Skipped cells (inapplicable fault kinds) are logged, not hidden.
 
-use ckpt_cluster::migmatrix::{migration_matrix_cells, MIGRATION_BACKEND, MIGRATION_MECHS};
-use ckpt_core::crashpoint::{
-    all_configs, run_config, CellOutcome, MatrixReport, BACKENDS, DEDUP_BACKENDS, DEDUP_MECH,
-    ERASURE_BACKENDS, ERASURE_MECH, HIBERNATE_BACKENDS, MATRIX_CELLS, REPLICATED_BACKENDS,
-    REPLICATION_MECH, STRIPED_BACKENDS, STRIPED_MECH, TRAIT_MECHANISMS,
-};
+use ckpt_cluster::migmatrix::{full_matrix, MIGRATION_TIER};
+use ckpt_core::crashpoint::{CellOutcome, MatrixCell, Tier, MATRIX_CELLS, TIERS};
+
+const FAULT_KINDS: [&str; 3] = ["fail-stop", "transient", "torn-write"];
+
+/// What every column of a tier must show, beyond having run with zero
+/// violations (asserted globally: no fault ever ended in a silently wrong
+/// restart, whatever the tier).
+struct Expect {
+    tier: &'static str,
+    /// `(prefix, infix)` of sites armed concretely — at least one cell
+    /// that is not `Skipped`.
+    armed: &'static [(&'static str, &'static str)],
+    /// Site prefixes swept; `<label>` stands for the column's backend.
+    swept: &'static [&'static str],
+    /// Every fault kind appears.
+    every_fault_kind: bool,
+    /// A `Restarted` cell at a site with this prefix.
+    restarted_at: Option<&'static str>,
+}
+
+const EXPECT: [Expect; 7] = [
+    // Every mechanism family with every one of its backends.
+    Expect {
+        tier: "process",
+        armed: &[],
+        swept: &["storage/<label>"],
+        every_fault_kind: false,
+        restarted_at: None,
+    },
+    Expect {
+        tier: "hibernate",
+        armed: &[],
+        swept: &["storage/<label>"],
+        every_fault_kind: false,
+        restarted_at: None,
+    },
+    // Both quorum geometries ran against every fault kind, and the
+    // per-replica fault sites were swept — not just the client-side
+    // storage decorator's.
+    Expect {
+        tier: "replicated",
+        armed: &[],
+        swept: &["replica/r", "storage/<label>"],
+        every_fault_kind: true,
+        restarted_at: None,
+    },
+    // The content-addressed store ran over both backings, the
+    // manifest-commit site (the one new crash window dedup introduces) was
+    // armed, and the inner backend's sites still show through the
+    // decorator.
+    Expect {
+        tier: "dedup",
+        armed: &[("", "cas/commit")],
+        swept: &["storage/"],
+        every_fault_kind: false,
+        restarted_at: None,
+    },
+    // Single-object stores on the striped pool travel the framed
+    // batch-commit path, so the per-stripe `stripe<j>/r<i>/batch`
+    // admissions were recorded and armed. The scenario checkpoints one
+    // lineage, which routes to exactly one stripe by design (whole chains
+    // live together); cross-stripe isolation under damage is exercised by
+    // the stripe property tests, which spread many lineages.
+    Expect {
+        tier: "striped",
+        armed: &[("stripe", "/batch")],
+        swept: &["storage/<label>"],
+        every_fault_kind: false,
+        restarted_at: None,
+    },
+    // Both RS geometries ran and every per-shard batch-commit admission
+    // was armed. A single lost shard is inside every geometry's m-loss
+    // budget, so the tier must contain reconstructing restarts, not only
+    // typed detections.
+    Expect {
+        tier: "erasure",
+        armed: &[("ec/s", "/batch")],
+        swept: &["storage/<label>"],
+        every_fault_kind: false,
+        restarted_at: Some("ec/s"),
+    },
+    // Both live strategies swept their cutover with every fault kind; the
+    // strategy-specific sites and terminal classes are checked below.
+    Expect {
+        tier: "migration",
+        armed: &[],
+        swept: &["livemig/cutover"],
+        every_fault_kind: true,
+        restarted_at: None,
+    },
+];
+
+fn concrete(c: &MatrixCell) -> bool {
+    !matches!(c.outcome, CellOutcome::Skipped { .. })
+}
 
 #[test]
 fn full_crash_matrix_has_no_violations_and_no_panics() {
-    let mut report = MatrixReport::default();
-    for cfg in all_configs() {
-        let cells = run_config(cfg);
-        assert!(
-            !cells.is_empty(),
-            "{}/{}: recording pass enumerated no fault sites",
-            cfg.mechanism,
-            cfg.backend
-        );
-        report.cells.extend(cells);
-    }
-    // The live-migration tier: the migration path itself swept with the
-    // same site-enumeration + arm-every-fault-kind discipline.
-    for mech in MIGRATION_MECHS {
-        let cells = migration_matrix_cells(mech);
-        assert!(
-            !cells.is_empty(),
-            "{mech}: recording pass enumerated no fault sites"
-        );
-        report.cells.extend(cells);
-    }
+    let report = full_matrix();
 
     // Log the skipped cells so bounded coverage is visible in CI output.
     for cell in &report.cells {
         if let CellOutcome::Skipped { reason } = &cell.outcome {
-            println!("skipped: {}/{} {} [{}] — {reason}", cell.mechanism, cell.backend, cell.site, cell.fault);
+            println!(
+                "skipped: {}/{} {} [{}] — {reason}",
+                cell.mechanism, cell.backend, cell.site, cell.fault
+            );
         }
     }
 
@@ -56,191 +129,76 @@ fn full_crash_matrix_has_no_violations_and_no_panics() {
             .join("\n")
     );
 
-    // Coverage floor: the cross product actually ran. Every mechanism
-    // family appears with every one of its backends, and every fault kind
-    // produced at least one concrete (non-skipped) cell somewhere.
-    for mech in TRAIT_MECHANISMS {
-        for backend in BACKENDS {
-            assert!(
-                report
-                    .cells
-                    .iter()
-                    .any(|c| c.mechanism == mech && c.backend == backend),
-                "no cells for {mech}/{backend}"
-            );
+    // Coverage floor: the cross product actually ran. Every tier has an
+    // expectation row, every column of every tier has cells (its recording
+    // pass enumerated fault sites), and each column shows what its row
+    // requires.
+    let tiers: Vec<&Tier> = TIERS.iter().chain([&MIGRATION_TIER]).collect();
+    assert_eq!(
+        tiers.iter().map(|t| t.name).collect::<Vec<_>>(),
+        EXPECT.iter().map(|e| e.tier).collect::<Vec<_>>(),
+        "every tier needs its expectation row"
+    );
+    for (tier, expect) in tiers.iter().zip(&EXPECT) {
+        for cfg in tier.configs() {
+            let at = format!("{}/{}", cfg.mechanism, cfg.backend);
+            let column: Vec<&MatrixCell> = report
+                .cells
+                .iter()
+                .filter(|c| c.mechanism == cfg.mechanism && c.backend == cfg.backend)
+                .collect();
+            assert!(!column.is_empty(), "no cells for {at}");
+            for (prefix, infix) in expect.armed {
+                assert!(
+                    column.iter().any(|c| c.site.starts_with(prefix)
+                        && c.site.contains(infix)
+                        && concrete(c)),
+                    "{at}: {prefix}…{infix} sites never armed concretely"
+                );
+            }
+            for prefix in expect.swept {
+                let prefix = prefix.replace("<label>", cfg.backend);
+                assert!(
+                    column.iter().any(|c| c.site.starts_with(&prefix)),
+                    "{at}: {prefix} sites never armed"
+                );
+            }
+            if expect.every_fault_kind {
+                for fault in FAULT_KINDS {
+                    assert!(
+                        column.iter().any(|c| c.fault == fault),
+                        "{at}: fault kind {fault} missing"
+                    );
+                }
+            }
+            if let Some(prefix) = expect.restarted_at {
+                assert!(
+                    column.iter().any(|c| c.site.starts_with(prefix)
+                        && matches!(c.outcome, CellOutcome::Restarted { .. })),
+                    "{at}: no {prefix} fault ever ended in a reconstructing restart"
+                );
+            }
         }
-    }
-    for backend in HIBERNATE_BACKENDS {
-        assert!(
-            report
-                .cells
-                .iter()
-                .any(|c| c.mechanism == "hibernate" && c.backend == backend),
-            "no cells for hibernate/{backend}"
-        );
-    }
-    // Replication tier: both quorum geometries ran against every fault
-    // kind, and the per-replica fault sites were actually swept — not just
-    // the client-side storage decorator's.
-    for backend in REPLICATED_BACKENDS {
-        assert!(
-            report
-                .cells
-                .iter()
-                .any(|c| c.mechanism == REPLICATION_MECH && c.backend == backend),
-            "no cells for {REPLICATION_MECH}/{backend}"
-        );
-        for fault in ["fail-stop", "transient", "torn-write"] {
-            assert!(
-                report
-                    .cells
-                    .iter()
-                    .any(|c| c.backend == backend && c.fault == fault),
-            "fault kind {fault} missing from the {backend} tier"
-            );
-        }
-        assert!(
-            report
-                .cells
-                .iter()
-                .any(|c| c.backend == backend && c.site.starts_with("replica/r")),
-            "per-replica fault sites never armed on {backend}"
-        );
-        assert!(
-            report
-                .cells
-                .iter()
-                .any(|c| c.backend == backend && c.site.starts_with("storage/replicated")),
-            "client-side fault sites never armed on {backend}"
-        );
-    }
-    // Dedup tier: the content-addressed store ran over both backings, the
-    // manifest-commit site was actually armed (the one new crash window
-    // dedup introduces), and the inner backend's sites still show through
-    // the decorator. Zero violations is already asserted globally above —
-    // a torn manifest or missing chunk is always typed detection or a
-    // bit-exact older-chain restart, never silent corruption.
-    for backend in DEDUP_BACKENDS {
-        assert!(
-            report
-                .cells
-                .iter()
-                .any(|c| c.mechanism == DEDUP_MECH && c.backend == backend),
-            "no cells for {DEDUP_MECH}/{backend}"
-        );
-        assert!(
-            report
-                .cells
-                .iter()
-                .any(|c| c.backend == backend
-                    && c.site.contains("cas/commit")
-                    && !matches!(c.outcome, CellOutcome::Skipped { .. })),
-            "manifest-commit site never armed concretely on {backend}"
-        );
-        assert!(
-            report
-                .cells
-                .iter()
-                .any(|c| c.backend == backend && c.site.starts_with("storage/")),
-            "inner-backend fault sites never swept through dedup on {backend}"
-        );
     }
     assert!(
-        report.cells.iter().any(|c| c.backend == "dedup(replicated(3,2))"
-            && c.site.starts_with("replica/r")),
+        report
+            .cells
+            .iter()
+            .any(|c| c.backend == "dedup(replicated(3,2))" && c.site.starts_with("replica/r")),
         "per-replica sites never armed under the dedup decorator"
     );
-    // Shard-commit tier: single-object stores on the striped pool travel
-    // the framed batch-commit path, so every per-stripe
-    // `stripe<j>/r<i>/batch` admission was recorded and armed concretely
-    // with every applicable fault kind. Zero violations (asserted
-    // globally above) means a fault on one stripe never corrupted keys
-    // on another, and a torn batch frame was always detected or rolled
-    // past — never silently restarted wrong.
-    for backend in STRIPED_BACKENDS {
-        assert!(
-            report
-                .cells
-                .iter()
-                .any(|c| c.mechanism == STRIPED_MECH && c.backend == backend),
-            "no cells for {STRIPED_MECH}/{backend}"
-        );
-        // The scenario checkpoints one lineage, which routes to exactly
-        // one stripe by design (whole chains live together); that
-        // stripe's per-replica batch sites must have been armed
-        // concretely. Cross-stripe isolation under damage is exercised by
-        // the stripe property tests, which spread many lineages.
-        assert!(
-            report.cells.iter().any(|c| c.backend == backend
-                && c.site.starts_with("stripe")
-                && c.site.contains("/batch")
-                && !matches!(c.outcome, CellOutcome::Skipped { .. })),
-            "per-stripe batch-commit sites never armed concretely on {backend}"
-        );
-        assert!(
-            report
-                .cells
-                .iter()
-                .any(|c| c.backend == backend && c.site.starts_with("storage/striped")),
-            "client-side fault sites never armed on {backend}"
-        );
-    }
-    // Coding tier: both RS geometries ran, every per-shard batch-commit
-    // admission was armed concretely (stores travel the framed shard
-    // batch path), and the client-side decorator sites show on top. Zero
-    // violations (asserted globally above) means a shard lost mid-commit
-    // always ended in a quorum rollback or a reconstructing restart —
-    // never a silently wrong reassembly.
-    for backend in ERASURE_BACKENDS {
-        assert!(
-            report
-                .cells
-                .iter()
-                .any(|c| c.mechanism == ERASURE_MECH && c.backend == backend),
-            "no cells for {ERASURE_MECH}/{backend}"
-        );
-        assert!(
-            report.cells.iter().any(|c| c.backend == backend
-                && c.site.starts_with("ec/s")
-                && c.site.contains("/batch")
-                && !matches!(c.outcome, CellOutcome::Skipped { .. })),
-            "per-shard batch-commit sites never armed concretely on {backend}"
-        );
-        assert!(
-            report
-                .cells
-                .iter()
-                .any(|c| c.backend == backend && c.site.starts_with("storage/rs(")),
-            "client-side fault sites never armed on {backend}"
-        );
-        // A single lost shard is inside every geometry's m-loss budget, so
-        // the tier must contain reconstructing restarts, not only typed
-        // detections.
-        assert!(
-            report.cells.iter().any(|c| c.backend == backend
-                && c.site.starts_with("ec/s")
-                && matches!(c.outcome, CellOutcome::Restarted { .. })),
-            "{backend}: no shard fault ever ended in a reconstructing restart"
-        );
-    }
-    // Migration tier: both live strategies swept their cutover plus their
-    // strategy-specific sites (pre-copy transfer rounds, post-copy demand
-    // faults) with every fault kind, and the tier shows both terminal
-    // classes — zero-loss survival (clean/transient) and fallback restart
-    // from the durable baseline (source lost mid-migration). Zero
-    // violations is asserted globally above: no cell may ever resume a
-    // guest whose memory differs from the deterministic replay.
-    for mech in MIGRATION_MECHS {
+    // Migration tier: each strategy swept its strategy-specific sites
+    // (pre-copy transfer rounds, post-copy demand faults), and the tier
+    // shows both terminal classes — zero-loss survival (clean/transient)
+    // and fallback restart from the durable baseline (source lost
+    // mid-migration).
+    for cfg in MIGRATION_TIER.configs() {
+        let mech = cfg.mechanism;
         let tier: Vec<_> = report
             .cells
             .iter()
-            .filter(|c| c.mechanism == mech && c.backend == MIGRATION_BACKEND)
+            .filter(|c| c.mechanism == mech && c.backend == cfg.backend)
             .collect();
-        assert!(!tier.is_empty(), "no cells for {mech}/{MIGRATION_BACKEND}");
-        assert!(
-            tier.iter().any(|c| c.site.starts_with("livemig/cutover")),
-            "{mech}: cutover site never armed"
-        );
         let body_site = if mech == "livemig-precopy" {
             "livemig/round"
         } else {
@@ -250,27 +208,21 @@ fn full_crash_matrix_has_no_violations_and_no_panics() {
             tier.iter().any(|c| c.site.starts_with(body_site)),
             "{mech}: {body_site} sites never armed"
         );
-        for fault in ["fail-stop", "transient", "torn-write"] {
-            assert!(
-                tier.iter().any(|c| c.fault == fault),
-                "{mech}: fault kind {fault} missing"
-            );
-        }
         assert!(
             tier.iter()
                 .any(|c| matches!(c.outcome, CellOutcome::Restarted { lost_steps: 0 })),
             "{mech}: no cell ever survived with zero loss"
         );
         assert!(
-            tier.iter()
-                .any(|c| matches!(c.outcome, CellOutcome::Restarted { lost_steps } if lost_steps > 0)),
+            tier.iter().any(
+                |c| matches!(c.outcome, CellOutcome::Restarted { lost_steps } if lost_steps > 0)
+            ),
             "{mech}: no cell ever exercised the baseline fallback"
         );
     }
-    for fault in ["fail-stop", "transient", "torn-write"] {
+    for fault in FAULT_KINDS {
         assert!(
-            report.cells.iter().any(|c| c.fault == fault
-                && !matches!(c.outcome, CellOutcome::Skipped { .. })),
+            report.cells.iter().any(|c| c.fault == fault && concrete(c)),
             "fault kind {fault} never ran concretely"
         );
     }
@@ -295,19 +247,37 @@ fn full_crash_matrix_has_no_violations_and_no_panics() {
         );
     }
     // Storage-offset, chain-segment, and restart-side sites all swept too.
-    assert!(report.cells.iter().any(|c| c.site.contains("/store@") && c.site.starts_with("storage/")));
+    assert!(report
+        .cells
+        .iter()
+        .any(|c| c.site.contains("/store@") && c.site.starts_with("storage/")));
     assert!(report.cells.iter().any(|c| c.site.starts_with("chain/seg")));
-    assert!(report.cells.iter().any(|c| c.site.contains("restart/restore")));
+    assert!(report
+        .cells
+        .iter()
+        .any(|c| c.site.contains("restart/restore")));
 
     // The matrix is deterministic, so its size is a fixed artifact of the
     // instrumentation. `MATRIX_CELLS` is the single source of truth the
     // docs cite; a new site, backend, or mechanism must repin it here
-    // rather than letting the documented number drift.
+    // rather than letting the documented number drift. The per-column
+    // counts name the column that moved.
     assert_eq!(
         report.cells.len(),
         MATRIX_CELLS,
         "matrix size changed: repin crashpoint::MATRIX_CELLS and the \
-         numbers quoted in EXPERIMENTS.md"
+         numbers quoted in EXPERIMENTS.md; cells per column:\n{}",
+        report
+            .by_config()
+            .iter()
+            .map(|(cfg, n)| format!(
+                "  {}/{}: {}",
+                cfg.mechanism,
+                cfg.backend,
+                n.iter().sum::<usize>()
+            ))
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 
     println!(
@@ -325,7 +295,7 @@ fn survivability_is_a_measured_artifact() {
     // Fail-stop after a completed checkpoint: whether the restart succeeds
     // is decided by the medium's survivability class, and the matrix
     // measures it rather than assuming it.
-    use ckpt_core::crashpoint::MatrixConfig;
+    use ckpt_core::crashpoint::{run_config, MatrixConfig};
 
     // `resume@1` fires after checkpoint #1's image is durable on every
     // process-level mechanism's engine path.

@@ -18,7 +18,7 @@ use ckpt_restart::ec::ErasureStore;
 use ckpt_restart::replica::{
     stripe_route, Probe, ReplicaConfig, ReplicaSet, ReplicatedStore, Striped, StripedReplicaSet,
 };
-use ckpt_restart::storage::{StableStorage, StorageError};
+use ckpt_restart::storage::{FaultInjectStore, StableStorage, StorageError};
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
 
@@ -291,5 +291,24 @@ fn fault_sites_are_identical_to_the_pre_refactor_capture() {
                 recorded.get(at)
             );
         }
+    }
+}
+
+/// The crash matrix reaches every quorum stack through the fault
+/// decorator; the engine's per-segment manifest bookkeeping must see
+/// through it as it does through the other decorators.
+#[test]
+fn the_fault_decorator_forwards_replica_manifests() {
+    for label in STACKS {
+        let mut bare = build(label, FaultHandle::disabled()).store;
+        let mut wrapped = FaultInjectStore::new(
+            build(label, FaultHandle::disabled()).store,
+            FaultHandle::disabled(),
+        );
+        commit(bare.as_mut(), &[1], 1).unwrap();
+        commit(&mut wrapped, &[1], 1).unwrap();
+        let manifest = bare.replica_manifest(&key(1));
+        assert!(manifest.is_some(), "{label}: committed key has no manifest");
+        assert_eq!(wrapped.replica_manifest(&key(1)), manifest, "{label}");
     }
 }
