@@ -18,6 +18,18 @@ echo '== crash-matrix gate (full cross product, deterministic, <60s) =='
 timeout 60 cargo test -q -p ckpt-restart --test crash_matrix -- --nocapture \
     | grep -E 'crash matrix:|skipped:' | tail -20
 
+echo '== round gate: the one checkpoint round + its freeze bracket =='
+# The round every mechanism family shares gets its own named gate, so a
+# regression reads as "the round moved", not as a generic workspace-test
+# failure: each family-table row's two checkpoints and restart (outcomes,
+# ordered phase log, storage trace records, fault sites with ordinals and
+# bytes, stored-object digests) must render exactly as pinned in
+# tests/goldens/round_equivalence.txt, and a checkpoint that fails — here,
+# into a medium too small for the image — must leave its target running,
+# for every mechanism that stops one.
+cargo test -q -p ckpt-restart --test round_equivalence
+cargo test -q -p ckpt-restart --test frozen_target
+
 echo '== replication gate: quorum properties + pinned report =='
 # The quorum-replication tier gets its own named gate so a regression
 # reads as "replication broke", not as a generic workspace-test failure:
@@ -103,8 +115,10 @@ RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace --offline
 # ROADMAP aim 2 tracks net line count; these are the numbers (not a gate),
 # so every PR's CI log shows the trajectory. The second one makes a PR that
 # "removes" code by moving it into tests visible: that is not a reduction.
+# The third is ckptbench, a workspace of its own the first two never see.
 echo "source lines (crates/*/src + src, .rs): $(find crates/*/src src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "test lines (tests + crates/*/tests, .rs): $(find tests crates/*/tests -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+echo "benchmark lines (benchmark/src, .rs): $(find benchmark/src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 
 echo '== perf gate: report timings =='
 # Writes BENCH_report.json (archived as a workflow artifact). The headline

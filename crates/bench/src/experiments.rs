@@ -9,13 +9,7 @@ use ckpt_cluster::{
     NodeId,
 };
 use ckpt_core::agents::{UserAgentConfig, UserCkptAgent};
-use ckpt_core::mechanism::fork_concurrent::ForkConcurrentMechanism;
-use ckpt_core::mechanism::hardware::{HardwareMechanism, HwFlavor};
-use ckpt_core::mechanism::ksignal::KernelSignalMechanism;
-use ckpt_core::mechanism::kthread::{KernelThreadMechanism, KthreadIface, KthreadVariant};
-use ckpt_core::mechanism::syscall::{SyscallMechanism, SyscallVariant};
-use ckpt_core::mechanism::user_level::{Trigger, UserLevelMechanism};
-use ckpt_core::mechanism::Mechanism;
+use ckpt_core::mechanism::{family, FAMILIES};
 use ckpt_core::policy::young_interval;
 use ckpt_core::pod::Pod;
 use ckpt_core::{shared_storage, SharedStorage, Tracker, TrackerKind};
@@ -25,7 +19,6 @@ use ckpt_storage::{
 use simos::apps::{AppParams, NativeKind};
 use simos::cost::CostModel;
 use simos::fs::OpenFlags;
-use simos::signal::Sig;
 use simos::syscall::Syscall;
 use simos::types::Pid;
 use simos::Kernel;
@@ -131,13 +124,7 @@ pub fn c1_gather() -> String {
                 .unwrap();
             }
             k.run_for(5_000_000).unwrap();
-            let mut m = SyscallMechanism::new(
-                "epckpt",
-                SyscallVariant::ByPid,
-                "c1",
-                disk(),
-                TrackerKind::FullOnly,
-            );
+            let mut m = family("syscall-bypid").build("c1", disk(), TrackerKind::FullOnly);
             m.prepare(&mut k, pid).unwrap();
             let s0 = k.stats.syscalls;
             let t0 = k.now();
@@ -292,70 +279,12 @@ pub fn c3_blocksize() -> String {
 // C4 — mechanism comparison
 // ---------------------------------------------------------------------
 
-fn build_mech(which: &str, storage: SharedStorage) -> Box<dyn Mechanism> {
-    match which {
-        "user-signal" => Box::new(UserLevelMechanism::new(
-            "libckpt",
-            "c4",
-            storage,
-            TrackerKind::FullOnly,
-            Trigger::Signal { sig: Sig::SIGUSR1 },
-        )),
-        "preload" => {
-            let mut m = UserLevelMechanism::new(
-                "preload",
-                "c4",
-                storage,
-                TrackerKind::FullOnly,
-                Trigger::Signal { sig: Sig::SIGUSR1 },
-            );
-            m.preload = true;
-            Box::new(m)
-        }
-        "syscall-bypid" => Box::new(SyscallMechanism::new(
-            "epckpt",
-            SyscallVariant::ByPid,
-            "c4",
-            storage,
-            TrackerKind::FullOnly,
-        )),
-        "kernel-signal" => Box::new(KernelSignalMechanism::new(
-            "chpox",
-            "c4",
-            storage,
-            TrackerKind::FullOnly,
-        )),
-        "kthread-ioctl" => Box::new(KernelThreadMechanism::new(
-            "crak",
-            "c4",
-            storage,
-            TrackerKind::FullOnly,
-            KthreadIface::Ioctl,
-            KthreadVariant::default(),
-        )),
-        "fork-concurrent" => Box::new(ForkConcurrentMechanism::new("forkckpt", "c4", storage)),
-        "hw-revive" => Box::new(HardwareMechanism::new(HwFlavor::Revive, "c4", storage)),
-        "hw-safetynet" => Box::new(HardwareMechanism::new(HwFlavor::Safetynet, "c4", storage)),
-        other => panic!("unknown mechanism {other}"),
-    }
-}
-
 /// C4: one checkpoint per mechanism family, idle and under load.
 pub fn c4_mechanisms() -> String {
-    let families = [
-        "user-signal",
-        "preload",
-        "syscall-bypid",
-        "kernel-signal",
-        "kthread-ioctl",
-        "fork-concurrent",
-        "hw-revive",
-        "hw-safetynet",
-    ];
     // 16 independent (competitors, family) kernels, run on the pool.
     let combos: Vec<(usize, &str)> = [0usize, 3]
         .iter()
-        .flat_map(|c| families.iter().map(move |f| (*c, *f)))
+        .flat_map(|c| FAMILIES.iter().map(move |f| (*c, f.label)))
         .collect();
     let rows = ckpt_par::global().par_map_ordered(
         combos,
@@ -366,7 +295,7 @@ pub fn c4_mechanisms() -> String {
             for _ in 0..competitors {
                 spawn(&mut k, NativeKind::SparseRandom, 64 * 1024, 4);
             }
-            let mut mech = build_mech(which, disk());
+            let mut mech = family(which).build("c4", disk(), TrackerKind::FullOnly);
             mech.prepare(&mut k, pid).unwrap();
             k.run_for(20_000_000).unwrap();
             let mm0 = k.stats.mm_switches;
@@ -413,7 +342,7 @@ pub fn c5_fork() -> String {
             let mut k = fresh_kernel();
             let pid = spawn(&mut k, NativeKind::DenseSweep, mem, 0);
             k.run_for(20_000_000).unwrap();
-            let mut m = ForkConcurrentMechanism::new("forkckpt", "c5", disk());
+            let mut m = family("fork-concurrent").build("c5", disk(), TrackerKind::FullOnly);
             m.prepare(&mut k, pid).unwrap();
             let o = m.checkpoint(&mut k, pid).unwrap();
             let cow = o.events.cow_faults;
@@ -423,14 +352,7 @@ pub fn c5_fork() -> String {
             let mut k = fresh_kernel();
             let pid = spawn(&mut k, NativeKind::DenseSweep, mem, 0);
             k.run_for(20_000_000).unwrap();
-            let mut m = KernelThreadMechanism::new(
-                "crak",
-                "c5",
-                disk(),
-                TrackerKind::FullOnly,
-                KthreadIface::Ioctl,
-                KthreadVariant::default(),
-            );
+            let mut m = family("kthread-ioctl").build("c5", disk(), TrackerKind::FullOnly);
             m.prepare(&mut k, pid).unwrap();
             let o = m.checkpoint(&mut k, pid).unwrap();
             o.app_stall_ns
@@ -873,13 +795,7 @@ pub fn c10_sensitivity() -> String {
                 });
                 k.stats.syscalls - s0
             } else {
-                let mut m = SyscallMechanism::new(
-                    "epckpt",
-                    SyscallVariant::ByPid,
-                    "c10",
-                    disk(),
-                    TrackerKind::FullOnly,
-                );
+                let mut m = family("syscall-bypid").build("c10", disk(), TrackerKind::FullOnly);
                 m.prepare(&mut k, pid).unwrap();
                 let s0 = k.stats.syscalls;
                 m.checkpoint(&mut k, pid).unwrap();
@@ -893,20 +809,13 @@ pub fn c10_sensitivity() -> String {
             let mut k = Kernel::new(cost.clone());
             let pid = spawn(&mut k, NativeKind::DenseSweep, 1024 * 1024, 0);
             k.run_for(10_000_000).unwrap();
-            let mut fork = ForkConcurrentMechanism::new("forkckpt", "c10", disk());
+            let mut fork = family("fork-concurrent").build("c10", disk(), TrackerKind::FullOnly);
             fork.prepare(&mut k, pid).unwrap();
             let f = fork.checkpoint(&mut k, pid).unwrap().app_stall_ns;
             let mut k2 = Kernel::new(cost.clone());
             let pid2 = spawn(&mut k2, NativeKind::DenseSweep, 1024 * 1024, 0);
             k2.run_for(10_000_000).unwrap();
-            let mut stw = KernelThreadMechanism::new(
-                "crak",
-                "c10",
-                disk(),
-                TrackerKind::FullOnly,
-                KthreadIface::Ioctl,
-                KthreadVariant::default(),
-            );
+            let mut stw = family("kthread-ioctl").build("c10", disk(), TrackerKind::FullOnly);
             stw.prepare(&mut k2, pid2).unwrap();
             let s = stw.checkpoint(&mut k2, pid2).unwrap().app_stall_ns;
             (f, s)
@@ -960,14 +869,6 @@ fn trace_breakdown_impl(show_soft_tlb: bool) -> String {
     let trace = TraceHandle::recording();
     // (family, trace mechanism name, outcome end-to-end total).
     let mut totals: Vec<(&'static str, &'static str, u64)> = Vec::new();
-    let families = [
-        ("user-level", "user-signal", "libckpt"),
-        ("syscall", "syscall-bypid", "epckpt"),
-        ("kernel-signal", "kernel-signal", "chpox"),
-        ("kernel-thread", "kthread-ioctl", "crak"),
-        ("fork-concurrent", "fork-concurrent", "forkckpt"),
-        ("hardware", "hw-revive", "revive"),
-    ];
     // Aggregated software-TLB counters from the family kernels (only
     // rendered when `show_soft_tlb`).
     let mut tlb = simos::mem::MemStats::default();
@@ -976,15 +877,16 @@ fn trace_breakdown_impl(show_soft_tlb: bool) -> String {
         tlb.tlb_misses += st.tlb_misses;
         tlb.tlb_flushes += st.tlb_flushes;
     };
-    for (family, which, mech_name) in families {
+    // Each family once, in its canonical (first) row.
+    for row in FAMILIES.iter().filter(|f| family(f.family).label == f.label) {
         let mut k = fresh_kernel();
         k.set_trace(trace.clone());
         let pid = spawn(&mut k, NativeKind::SparseRandom, 512 * 1024, 8);
-        let mut mech = build_mech(which, disk());
+        let mut mech = row.build("c4", disk(), TrackerKind::FullOnly);
         mech.prepare(&mut k, pid).unwrap();
         k.run_for(20_000_000).unwrap();
         let o = mech.checkpoint(&mut k, pid).unwrap();
-        totals.push((family, mech_name, o.total_ns));
+        totals.push((row.family, row.module, o.total_ns));
         if let Some(p) = k.process(pid) {
             note_tlb(&p.mem.stats);
         }
@@ -1143,19 +1045,20 @@ fn trace_breakdown_impl(show_soft_tlb: bool) -> String {
         // stalls are scheduling artifacts (zero on a width-1 pool), so
         // like the TLB section this only appears in the standalone
         // `report trace`, never in the pinned `report all` output.
-        let pe = &rep.par_encode;
         out.push_str(&format!(
             "\nparallel encode pool ({} workers):\n  tasks: {}  steals: {}  merge stalls: {}\n",
             ckpt_par::global().workers(),
-            pe.tasks,
-            pe.steals,
-            pe.merge_stalls
+            rep.counter("par.tasks"),
+            rep.counter("par.steals"),
+            rep.counter("par.merge_stalls")
         ));
-        let ra = &rep.replication;
         out.push_str(&format!(
             "\nquorum replication (replicated(3,2) demo ops):\n  \
              commits: {}  retries: {}  read repairs: {}  quorum losses: {}\n",
-            ra.commits, ra.retries, ra.repairs, ra.quorum_losses
+            rep.counter("replication.commits"),
+            rep.counter("replication.retries"),
+            rep.counter("replication.repairs"),
+            rep.counter("replication.quorum_losses")
         ));
     }
     out

@@ -13,8 +13,12 @@
 //! the same commit that changes the output.
 
 /// FNV-1a 64 of the full `report all` stdout (including the trailing
-/// newline `println!` appends), captured before the TLB fast path landed.
-const GOLDEN_FNV1A64: u64 = 0x10b5_9ccb_4d6b_76f7;
+/// newline `println!` appends). Captured before the TLB fast path landed
+/// (`0x10b5_9ccb_4d6b_76f7`) and repinned once since, for two TRACE tokens:
+/// the user-level library's prune now emits its storage `Delete` event like
+/// every other checkpointer's (`local-disk delete 4 → 5`, `total events
+/// recorded 290 → 291`).
+const GOLDEN_FNV1A64: u64 = 0x4b7d_1f08_e895_fcf9;
 const GOLDEN_BYTES: usize = 18554;
 
 use ckpt_bench::artifact::fnv1a64;

@@ -149,7 +149,6 @@ pub struct DedupStore {
     inner: Box<dyn StableStorage>,
     params: ChunkParams,
     pool: Arc<Pool>,
-    delta: bool,
     faults: FaultHandle,
     index: HashMap<u64, ChunkEntry>,
     lineage: HashMap<String, LineageBase>,
@@ -165,7 +164,6 @@ impl DedupStore {
             inner,
             params: ChunkParams::DEFAULT,
             pool: Arc::new(Pool::new(1)),
-            delta: true,
             faults: FaultHandle::disabled(),
             index: HashMap::new(),
             lineage: HashMap::new(),
@@ -183,13 +181,6 @@ impl DedupStore {
     /// any width; this only buys wall-clock time.
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
         self.pool = pool;
-        self
-    }
-
-    /// Disable the delta-vs-previous-version pass (chunk-level dedup
-    /// only).
-    pub fn without_delta(mut self) -> Self {
-        self.delta = false;
         self
     }
 
@@ -366,18 +357,16 @@ impl StableStorage for DedupStore {
         let lineage = ik.lineage();
         let mut encoding = Encoding::Raw;
         let mut payload: std::borrow::Cow<[u8]> = std::borrow::Cow::Borrowed(data);
-        if self.delta {
-            if let Some(base) = self.lineage.get(&lineage) {
-                if base.seq < ik.seq {
-                    let d = xor_rle_encode(&base.raw, data);
-                    if d.len() * 2 <= data.len().max(1) {
-                        encoding = Encoding::Delta(BaseRecipe {
-                            len: base.raw.len() as u64,
-                            digest: base.digest,
-                            chunks: base.chunks.clone(),
-                        });
-                        payload = std::borrow::Cow::Owned(d);
-                    }
+        if let Some(base) = self.lineage.get(&lineage) {
+            if base.seq < ik.seq {
+                let d = xor_rle_encode(&base.raw, data);
+                if d.len() * 2 <= data.len().max(1) {
+                    encoding = Encoding::Delta(BaseRecipe {
+                        len: base.raw.len() as u64,
+                        digest: base.digest,
+                        chunks: base.chunks.clone(),
+                    });
+                    payload = std::borrow::Cow::Owned(d);
                 }
             }
         }

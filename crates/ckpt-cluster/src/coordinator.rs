@@ -16,7 +16,8 @@ use crate::cluster::Cluster;
 use crate::mpi::{MpiJob, RankRef};
 use ckpt_core::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use ckpt_core::tracker::{Tracker, TrackerKind};
-use ckpt_storage::{load_chain_at, store_image_bytes, ImageKey};
+use ckpt_core::mechanism::commit_image;
+use ckpt_storage::{load_chain_at, ImageKey};
 use simos::types::{SimError, SimResult};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -72,9 +73,7 @@ pub(crate) fn capture_rank_encoded(
         // outside, in whatever order the protocol requires.
         Ok(ckpt_image::encode_with_pool(&img, pool))
     })();
-    let pool_delta = pool.stats().since(pool_stats0);
-    k.trace
-        .par_encode(pool_delta.tasks, pool_delta.steals, pool_delta.merge_stalls);
+    ckpt_core::mechanism::count_pool_activity(&k.trace, pool, pool_stats0);
     result.inspect_err(|_| {
         let _ = k.thaw_process(r.pid);
     })
@@ -279,18 +278,8 @@ impl Coordinator {
             .kernel()
             .ok_or_else(|| SimError::Usage(format!("{} down during checkpoint", r.node)))?;
         let result = (|| -> SimResult<u64> {
-            let (receipt, store_label) = {
-                let mut s = remote.lock();
-                let rc = store_image_bytes(s.as_mut(), &job_key, r.rank, seq, &bytes, &k.cost)
-                    .map_err(|e| SimError::Usage(format!("coordinated store failed: {e}")))?;
-                (rc, s.label())
-            };
-            k.trace.storage(
-                simos::trace::StorageOp::Store,
-                &store_label,
-                receipt.bytes,
-                receipt.time_ns,
-            );
+            let receipt = commit_image(k, &remote, &job_key, r.rank, seq, &bytes)
+                .map_err(|e| SimError::Usage(format!("coordinated store failed: {e}")))?;
             let t = k.cost.memcpy(receipt.bytes) + receipt.time_ns;
             k.charge(t);
             tracker.arm(k, r.pid)?;

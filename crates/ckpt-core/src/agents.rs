@@ -8,18 +8,90 @@
 //! Every one of those crossings is charged here, which is precisely why
 //! the user-level rows lose the efficiency comparisons in the experiments.
 
-use crate::capture::{capture_image, CaptureOptions};
+use crate::mechanism::{emit_phase_residual, KernelCkptEngine};
 use crate::report::CkptOutcome;
-use crate::tracker::{Tracker, TrackerKind};
+use crate::tracker::TrackerKind;
 use crate::SharedStorage;
-use ckpt_image::ImageKind;
-use ckpt_storage::{prune_superseded, store_image_bytes};
+use simos::kernel::USER_IO_CHUNK;
 use simos::module::UserAgent;
 use simos::syscall::{Syscall, Whence};
 use simos::trace::Phase;
 use simos::types::{Pid, SimError, SimResult};
 use simos::Kernel;
 use std::any::Any;
+
+/// Which side of the protection boundary a checkpoint round runs on —
+/// Figure 1's *context*. What a round *is* does not depend on it; it
+/// decides exactly the two costs the paper's §3-vs-§4.1 argument is about:
+/// how process state is gathered before the walk, and how the encoded
+/// image travels to the store. Fixed by the constructor that built the
+/// engine (a system-level mechanism's, or [`UserCkptAgent::new`]), never
+/// set by a caller.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RoundContext {
+    /// Kernel residency: every fact is read straight off the PCB, and the
+    /// image is one in-kernel copy.
+    Kernel,
+    /// A user-level library: one syscall per fact, and a `write()` loop.
+    /// With `use_mirrors` (LD_PRELOAD) the memory layout comes from tables
+    /// mirrored at every interposed call instead of `/proc/self/maps`.
+    User { use_mirrors: bool },
+}
+
+impl RoundContext {
+    /// Gather the process state the image header needs, charging what that
+    /// costs in this context. Returns whether there was anything to pay.
+    pub(crate) fn gather_state(self, k: &mut Kernel, pid: Pid) -> SimResult<bool> {
+        let RoundContext::User { use_mirrors } = self else {
+            return Ok(false);
+        };
+        // Heap boundary.
+        let _ = k.do_syscall(pid, Syscall::Sbrk { delta: 0 });
+        // Pending signals.
+        let _ = k.do_syscall(pid, Syscall::Sigpending);
+        // File offsets: lseek(fd, 0, CUR) per open descriptor.
+        let fds: Vec<simos::types::Fd> = k
+            .process(pid)
+            .ok_or(SimError::NoSuchProcess(pid))?
+            .fds
+            .iter()
+            .map(|(fd, _)| fd)
+            .collect();
+        for fd in fds {
+            let _ = k.do_syscall(
+                pid,
+                Syscall::Lseek {
+                    fd,
+                    offset: 0,
+                    whence: Whence::Cur,
+                },
+            );
+        }
+        // Memory layout: mirrors are free at checkpoint time (their cost
+        // was paid at every interposed call); otherwise parse
+        // /proc/self/maps — open + read + close plus the copy.
+        if !use_mirrors {
+            let listing_len = k
+                .process(pid)
+                .map(|p| p.mem.maps_listing().len() as u64)
+                .unwrap_or(0);
+            k.stats.syscalls += 3;
+            let t = 3 * k.cost.syscall_round_trip() + k.cost.memcpy(listing_len);
+            k.charge(t);
+        }
+        Ok(true)
+    }
+
+    /// Charge moving `bytes` of encoded image towards the store: a kernel
+    /// copy, or the library's `write()` loop in [`USER_IO_CHUNK`] pieces —
+    /// the user-level tax the system-level mechanisms do not pay.
+    pub(crate) fn charge_image_io(self, k: &mut Kernel, bytes: u64) {
+        match self {
+            RoundContext::Kernel => k.charge(k.cost.memcpy(bytes)),
+            RoundContext::User { .. } => k.charge_user_io(bytes, USER_IO_CHUNK),
+        }
+    }
+}
 
 /// Configuration of a user-level checkpoint agent.
 #[derive(Debug, Clone)]
@@ -30,13 +102,8 @@ pub struct UserAgentConfig {
     pub job: String,
     /// User-level tracker (must not be a kernel/hardware kind).
     pub tracker: TrackerKind,
-    /// Force a full image every N checkpoints (0 = first only).
-    pub full_every: u64,
-    /// Write-syscall chunk size for the image I/O loop.
-    pub chunk: u64,
     /// Use LD_PRELOAD mirrors instead of parsing `/proc/self/maps`.
     pub use_mirrors: bool,
-    pub node: u32,
 }
 
 impl UserAgentConfig {
@@ -45,21 +112,17 @@ impl UserAgentConfig {
             name: name.to_string(),
             job: job.to_string(),
             tracker: TrackerKind::FullOnly,
-            full_every: 0,
-            chunk: simos::kernel::USER_IO_CHUNK,
             use_mirrors: false,
-            node: 0,
         }
     }
 }
 
 /// The agent: user-space checkpoint library code attached to one process.
+/// It owns the trigger-side bracket (the library runs in the application's
+/// own context, so quiescence is free) and an engine built for the user
+/// context, which runs the round itself.
 pub struct UserCkptAgent {
-    cfg: UserAgentConfig,
-    storage: SharedStorage,
-    tracker: Tracker,
-    seq: u64,
-    last_full_seq: u64,
+    engine: KernelCkptEngine,
     /// Completed checkpoints, newest last.
     pub outcomes: Vec<CkptOutcome>,
     /// Errors hit during asynchronous checkpoints (surfaced by mechanisms).
@@ -78,235 +141,40 @@ impl UserCkptAgent {
             ),
             "user-level agents cannot use kernel/hardware trackers"
         );
-        let tracker = Tracker::new(cfg.tracker);
         UserCkptAgent {
-            cfg,
-            storage,
-            tracker,
-            seq: 0,
-            last_full_seq: 0,
+            engine: KernelCkptEngine::for_user_library(
+                &cfg.name,
+                &cfg.job,
+                storage,
+                cfg.tracker,
+                cfg.use_mirrors,
+            ),
             outcomes: Vec::new(),
             errors: Vec::new(),
         }
     }
 
     pub fn seq(&self) -> u64 {
-        self.seq
+        self.engine.seq()
     }
 
     pub fn checkpoints_taken(&self) -> u64 {
         self.outcomes.len() as u64
     }
 
-    /// The user-level state gather: one syscall per fact, exactly as the
-    /// paper describes. Returns the number of crossings spent (already
-    /// charged).
-    fn gather_state(&self, k: &mut Kernel, pid: Pid) -> SimResult<u64> {
-        let mut crossings = 0u64;
-        // Heap boundary.
-        let _ = k.do_syscall(pid, Syscall::Sbrk { delta: 0 });
-        crossings += 1;
-        // Pending signals.
-        let _ = k.do_syscall(pid, Syscall::Sigpending);
-        crossings += 1;
-        // File offsets: lseek(fd, 0, CUR) per open descriptor.
-        let fds: Vec<simos::types::Fd> = k
-            .process(pid)
-            .ok_or(SimError::NoSuchProcess(pid))?
-            .fds
-            .iter()
-            .map(|(fd, _)| fd)
-            .collect();
-        for fd in fds {
-            let _ = k.do_syscall(
-                pid,
-                Syscall::Lseek {
-                    fd,
-                    offset: 0,
-                    whence: Whence::Cur,
-                },
-            );
-            crossings += 1;
-        }
-        // Memory layout: mirrors are free at checkpoint time (their cost
-        // was paid at every interposed call); otherwise parse
-        // /proc/self/maps — open + read + close plus the copy.
-        if !self.cfg.use_mirrors {
-            let listing_len = k
-                .process(pid)
-                .map(|p| p.mem.maps_listing().len() as u64)
-                .unwrap_or(0);
-            k.stats.syscalls += 3;
-            let t = 3 * k.cost.syscall_round_trip() + k.cost.memcpy(listing_len);
-            k.charge(t);
-            crossings += 3;
-        }
-        Ok(crossings)
-    }
-
     /// Perform one user-level checkpoint in the process's own context.
     pub fn perform_checkpoint(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
-        let t0 = k.now();
-        let stats0 = k.stats.clone();
-        let trace_before = k.trace.mechanism_total(&self.cfg.name);
-        let next_seq = self.seq + 1;
+        let name = self.engine.mechanism_name().to_string();
+        let trace_before = k.trace.mechanism_total(&name);
+        let seq = self.engine.seq() + 1;
         // The library runs in the application's own context (handler or
         // inserted call): the app is quiescent for free.
-        k.faultpoint(&self.cfg.name, "freeze")?;
-        k.trace
-            .phase(&self.cfg.name, Phase::Freeze, pid.0, next_seq, t0, 0);
-        self.gather_state(k, pid)?;
-        let incremental_ok = self.tracker.kind().supports_incremental()
-            && self.seq > 0
-            && self.tracker.is_armed()
-            && !(self.cfg.full_every > 0 && next_seq - self.last_full_seq >= self.cfg.full_every);
-        let (opts, logical) = if incremental_ok {
-            k.faultpoint(&self.cfg.name, "walk")?;
-            let c = self.tracker.collect(k, pid)?;
-            (
-                {
-                    let mut o = CaptureOptions::incremental(
-                        &self.cfg.name,
-                        next_seq,
-                        self.seq,
-                        c.pages.clone(),
-                    );
-                    o.node = self.cfg.node;
-                    o
-                },
-                c.logical_dirty_bytes,
-            )
-        } else {
-            let mut o = CaptureOptions::full(&self.cfg.name, next_seq);
-            o.node = self.cfg.node;
-            (o, 0)
-        };
-        // The syscall gather + tracker walk are the library's state walk.
-        k.trace.phase(
-            &self.cfg.name,
-            Phase::Walk,
-            pid.0,
-            next_seq,
-            k.now(),
-            k.now() - t0,
-        );
-        let kind = opts.kind;
-        // The library serializes its own state; the page copies charged by
-        // capture_image stand in for the user-space copy loop.
-        k.faultpoint(&self.cfg.name, "capture")?;
-        let cap0 = k.now();
-        let img = capture_image(k, pid, &opts)?;
-        k.trace.phase(
-            &self.cfg.name,
-            Phase::Capture,
-            pid.0,
-            next_seq,
-            k.now(),
-            k.now() - cap0,
-        );
-        let pages_saved = img.page_count() as u64;
-        let memory_bytes = img.memory_bytes();
-        // Image I/O: write() loop in chunks — the user-level tax the
-        // system-level mechanisms do not pay.
-        k.faultpoint(&self.cfg.name, "compress")?;
-        k.faultpoint(&self.cfg.name, "store")?;
-        let encoded_len;
-        let storage_ns;
-        {
-            // Encode off the storage lock and drop the captured image, so
-            // only the encoding and the store's copy are live across the
-            // commit.
-            let bytes = ckpt_image::encode(&img);
-            drop(img);
-            let mut storage = self.storage.lock();
-            let receipt =
-                store_image_bytes(storage.as_mut(), &self.cfg.job, pid.0, next_seq, &bytes, &k.cost)
-                    .map_err(|e| SimError::Usage(format!("user-level store failed: {e}")))?;
-            encoded_len = receipt.bytes;
-            storage_ns = receipt.time_ns;
-            let label = storage.label();
-            drop(storage);
-            k.trace
-                .storage(simos::trace::StorageOp::Store, &label, encoded_len, storage_ns);
-        }
-        let io0 = k.now();
-        k.charge_user_io(encoded_len, self.cfg.chunk);
-        k.trace.phase(
-            &self.cfg.name,
-            Phase::Compress,
-            pid.0,
-            next_seq,
-            k.now(),
-            k.now() - io0,
-        );
-        k.charge(storage_ns);
-        k.trace.phase(
-            &self.cfg.name,
-            Phase::Store,
-            pid.0,
-            next_seq,
-            k.now(),
-            storage_ns,
-        );
-        self.seq = next_seq;
-        if kind == ImageKind::Full {
-            self.last_full_seq = next_seq;
-            k.faultpoint(&self.cfg.name, "prune")?;
-            let prune0 = k.now();
-            let mut storage = self.storage.lock();
-            // The receipt above vouches for the full image at `next_seq`.
-            let _ = prune_superseded(storage.as_mut(), &self.cfg.job, pid.0, next_seq);
-            drop(storage);
-            k.trace.phase(
-                &self.cfg.name,
-                Phase::Prune,
-                pid.0,
-                next_seq,
-                k.now(),
-                k.now() - prune0,
-            );
-        }
-        if self.tracker.kind().supports_incremental() {
-            k.faultpoint(&self.cfg.name, "rearm")?;
-            let arm0 = k.now();
-            self.tracker.arm(k, pid)?;
-            k.trace.phase(
-                &self.cfg.name,
-                Phase::Rearm,
-                pid.0,
-                next_seq,
-                k.now(),
-                k.now() - arm0,
-            );
-        }
-        let total_ns = k.now() - t0;
-        k.faultpoint(&self.cfg.name, "resume")?;
-        k.trace
-            .phase(&self.cfg.name, Phase::Resume, pid.0, next_seq, k.now(), 0);
-        crate::mechanism::emit_phase_residual(
-            k,
-            &self.cfg.name,
-            pid,
-            next_seq,
-            total_ns,
-            trace_before,
-        );
-        let outcome = CkptOutcome {
-            seq: next_seq,
-            incremental: kind == ImageKind::Incremental,
-            pages_saved,
-            memory_bytes,
-            logical_dirty_bytes: if kind == ImageKind::Full {
-                memory_bytes
-            } else {
-                logical
-            },
-            encoded_bytes: encoded_len,
-            total_ns,
-            app_stall_ns: total_ns, // runs in the app's context
-            storage_ns,
-            events: k.stats.delta_since(&stats0),
-        };
+        k.faultpoint(&name, "freeze")?;
+        k.trace.phase(&name, Phase::Freeze, pid.0, seq, k.now(), 0);
+        let outcome = self.engine.checkpoint_in_kernel(k, pid)?;
+        k.faultpoint(&name, "resume")?;
+        k.trace.phase(&name, Phase::Resume, pid.0, seq, k.now(), 0);
+        emit_phase_residual(k, &name, pid, seq, outcome.total_ns, trace_before);
         self.outcomes.push(outcome.clone());
         Ok(outcome)
     }
@@ -314,7 +182,7 @@ impl UserCkptAgent {
 
 impl UserAgent for UserCkptAgent {
     fn name(&self) -> &str {
-        &self.cfg.name
+        self.engine.mechanism_name()
     }
 
     fn user_checkpoint(&mut self, k: &mut Kernel, pid: Pid) {

@@ -13,7 +13,7 @@
 //! to a higher-priority job) and *planned outage* (checkpoint and stop
 //! everything before maintenance).
 
-use crate::mechanism::KernelCkptEngine;
+use crate::mechanism::{with_frozen, KernelCkptEngine, Then};
 use crate::policy::AdaptivePolicy;
 use crate::report::CkptOutcome;
 use crate::tracker::TrackerKind;
@@ -91,13 +91,14 @@ impl AutonomicDaemon {
     /// Register a process for autonomous checkpointing.
     pub fn register(&mut self, pid: Pid) {
         self.engines.entry(pid.0).or_insert_with(|| {
-            let mut e = KernelCkptEngine::new(
+            let mut e = KernelCkptEngine::builder(
                 &self.cfg.module_name,
                 &self.cfg.job,
                 self.storage.clone(),
                 self.cfg.tracker,
-            );
-            e.full_every = self.cfg.full_every;
+            )
+            .full_every(self.cfg.full_every)
+            .build();
             e.set_target(pid);
             e
         });
@@ -159,18 +160,11 @@ impl AutonomicDaemon {
             .ok_or_else(|| SimError::Usage(format!("{pid} not registered")))?;
         // Respect an existing freeze (safe preemption / planned outage):
         // checkpoint in place and leave the process frozen afterwards.
-        let was_frozen = k
-            .process(pid)
-            .map(|p| p.frozen_for_ckpt)
-            .unwrap_or(false);
-        if !was_frozen {
-            k.freeze_process(pid)?;
-        }
-        let res = engine.checkpoint_in_kernel(k, pid);
-        if !was_frozen {
-            let _ = k.thaw_process(pid);
-        }
-        let outcome = res?;
+        let already_frozen = k.process(pid).is_some_and(|p| p.frozen_for_ckpt);
+        let to_stop: &[Pid] = if already_frozen { &[] } else { &[pid] };
+        let outcome = with_frozen(k, to_stop, Then::Resume, |k| {
+            engine.checkpoint_in_kernel(k, pid)
+        })?;
         self.policy.note_checkpoint_cost(outcome.total_ns);
         self.outcomes.push((pid, outcome.clone()));
         Ok(outcome)

@@ -20,14 +20,8 @@
 //! visits (checkpoint phases, per-store byte offsets, chain segments,
 //! restart), so new instrumentation is swept in automatically.
 
-use crate::mechanism::fork_concurrent::ForkConcurrentMechanism;
-use crate::mechanism::hardware::{HardwareMechanism, HwFlavor};
 use crate::mechanism::hibernate::{SoftwareSuspend, SuspendMode};
-use crate::mechanism::ksignal::KernelSignalMechanism;
-use crate::mechanism::kthread::{KernelThreadMechanism, KthreadIface, KthreadVariant};
-use crate::mechanism::syscall::{SyscallMechanism, SyscallVariant};
-use crate::mechanism::user_level::{Trigger, UserLevelMechanism};
-use crate::mechanism::Mechanism;
+use crate::mechanism::{family, Mechanism};
 use crate::tracker::TrackerKind;
 use crate::{RestartOutcome, RestorePid, SharedStorage};
 use ckpt_cas::{ChunkParams, DedupStore};
@@ -41,7 +35,6 @@ use parking_lot::Mutex;
 use simos::apps::{self, AppParams, GuestMemIo, NativeKind, VecMem};
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
-use simos::signal::Sig;
 use simos::types::{Pid, SimResult};
 use simos::Kernel;
 use std::fmt;
@@ -391,40 +384,14 @@ fn injected_store(label: &str, faults: &FaultHandle) -> Box<dyn StableStorage> {
     Box::new(FaultInjectStore::new(store, faults.clone()))
 }
 
+/// The family's canonical row of the mechanism table, tracking pages at
+/// its own level so the second checkpoint is an incremental one.
 fn build_mechanism(which: &str, storage: SharedStorage) -> Box<dyn Mechanism> {
-    match which {
-        "user-level" => Box::new(UserLevelMechanism::new(
-            "libckpt",
-            JOB,
-            storage,
-            TrackerKind::UserPage,
-            Trigger::Signal { sig: Sig::SIGUSR1 },
-        )),
-        "syscall" => Box::new(SyscallMechanism::new(
-            "epckpt",
-            SyscallVariant::ByPid,
-            JOB,
-            storage,
-            TrackerKind::KernelPage,
-        )),
-        "kernel-signal" => Box::new(KernelSignalMechanism::new(
-            "chpox",
-            JOB,
-            storage,
-            TrackerKind::KernelPage,
-        )),
-        "kernel-thread" => Box::new(KernelThreadMechanism::new(
-            "crak",
-            JOB,
-            storage,
-            TrackerKind::KernelPage,
-            KthreadIface::Ioctl,
-            KthreadVariant::default(),
-        )),
-        "fork-concurrent" => Box::new(ForkConcurrentMechanism::new("forkckpt", JOB, storage)),
-        "hardware" => Box::new(HardwareMechanism::new(HwFlavor::Revive, JOB, storage)),
-        other => panic!("unknown mechanism {other}"),
-    }
+    let tracker = match which {
+        "user-level" => TrackerKind::UserPage,
+        _ => TrackerKind::KernelPage,
+    };
+    family(which).build(JOB, storage, tracker)
 }
 
 /// A kernel whose sites consult `faults`, running `guests` copies of the

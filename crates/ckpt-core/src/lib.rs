@@ -9,10 +9,13 @@
 //! * **Capture/restore** ([`capture`]): kernel-context PCB walking into
 //!   [`ckpt_image::CheckpointImage`]s and back.
 //! * **User-level agents** ([`agents`]): the modelled checkpoint library
-//!   that gathers state through syscalls — the Section 3 schemes.
-//! * **Mechanisms** ([`mechanism`]): the seven mechanism families —
-//!   user library/signal/preload, new system call, kernel-mode signal
-//!   handler, kernel thread, fork-concurrent, hardware-assisted.
+//!   of the Section 3 schemes — the per-fact syscall gather and the
+//!   `write()` loop, over the same round every mechanism runs.
+//! * **Mechanisms** ([`mechanism`]): the one checkpoint round, its freeze
+//!   bracket and commit step, and the seven mechanism families that wrap
+//!   it in their own initiation — user library/signal/preload, new system
+//!   call, kernel-mode signal handler, kernel thread, fork-concurrent,
+//!   hardware-assisted — with the family table that names them.
 //! * **Pod virtualization** ([`pod`]): ZAP-style resource translation for
 //!   conflict-free migration.
 //! * **Policies** ([`policy`]): user-initiated, periodic, and adaptive

@@ -9,12 +9,11 @@
 //! by the substrate ([`simos::Kernel::fork_process`]).
 
 use super::{
-    charge_tool_syscall, run_until, AgentKind, Context, Initiation, Mechanism, MechanismInfo,
+    charge_tool_syscall, commit_image, AgentKind, Context, Initiation, Mechanism, MechanismInfo,
 };
 use crate::capture::{capture_image, CaptureOptions};
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::{RestorePid, SharedStorage};
-use ckpt_storage::store_image;
 use simos::module::{KernelModule, KthreadStatus};
 use simos::sched::SchedPolicy;
 use simos::trace::Phase;
@@ -215,11 +214,9 @@ impl KernelModule for ForkCkptModule {
                     self.cleanup_child(k, &req);
                     return self.next_status();
                 }
-                let (stored, store_label) = {
-                    let mut storage = self.storage.lock();
-                    let r = store_image(storage.as_mut(), &self.job, &img, &k.cost);
-                    (r, storage.label())
-                };
+                let encoded = ckpt_image::encode(&img);
+                let stored = commit_image(k, &self.storage, &self.job, req.parent.0, seq, &encoded);
+                drop(encoded);
                 let (bytes, storage_ns) = match stored {
                     Ok(r) => (r.bytes, r.time_ns),
                     Err(_) => {
@@ -228,8 +225,6 @@ impl KernelModule for ForkCkptModule {
                         return self.next_status();
                     }
                 };
-                k.trace
-                    .storage(simos::trace::StorageOp::Store, &store_label, bytes, storage_ns);
                 let t = k.cost.memcpy(bytes) + storage_ns;
                 k.charge(t);
                 let total_ns = k.now() - req.initiated_at;
@@ -398,22 +393,11 @@ impl Mechanism for ForkConcurrentMechanism {
         })
         .ok_or_else(|| SimError::Usage("module missing".into()))?
         .map_err(|e| SimError::Usage(format!("fork checkpoint failed: {e:?}")))?;
-        run_until(k, 60_000_000_000, "fork-concurrent save", |k| {
-            k.with_module_mut::<ForkCkptModule, _>(&name, |m, _| m.outcomes.len())
-                .unwrap_or(0)
-                > before
-        })?;
-        let all = self.outcomes(k);
-        all.get(before)
-            .cloned()
-            .ok_or_else(|| SimError::Usage("no outcome recorded".into()))
+        super::next_outcome(&*self, k, before, "fork-concurrent save")
     }
 
     fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
-        let target = self
-            .target
-            .ok_or_else(|| SimError::Usage("not prepared".into()))?;
-        super::restart_from_shared(&self.storage, &self.job, target, k, pid)
+        super::restart_prepared(&self.storage, &self.job, self.target, k, pid)
     }
 
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {

@@ -14,12 +14,14 @@
 //!   **asynchronously**, so the application stalls only for a brief
 //!   register/cache synchronization.
 
-use super::{AgentKind, Context, Initiation, KernelCkptEngine, Mechanism, MechanismInfo};
+use super::{
+    with_frozen, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism, MechanismInfo, Then,
+};
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
 use crate::{RestorePid, SharedStorage};
 use simos::trace::Phase;
-use simos::types::{Pid, SimError, SimResult};
+use simos::types::{Pid, SimResult};
 use simos::Kernel;
 
 /// Which hardware proposal to model.
@@ -77,37 +79,22 @@ impl Mechanism for HardwareMechanism {
     }
 
     fn checkpoint(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
-        let trace_before = k.trace.mechanism_total(self.engine.mechanism_name());
+        let name = self.engine.mechanism_name().to_string();
+        let trace_before = k.trace.mechanism_total(&name);
         let t0 = k.now();
         let seq = self.engine.seq() + 1;
-        k.freeze_process(pid)?;
-        if let Err(e) = k.faultpoint(self.engine.mechanism_name(), "freeze") {
-            let _ = k.thaw_process(pid);
-            return Err(e);
-        }
-        {
-            let name = self.engine.mechanism_name();
-            k.trace.phase(name, Phase::Freeze, pid.0, seq, k.now(), k.now() - t0);
-        }
-        let stall_start = k.now();
-        let mut outcome = self.engine.checkpoint_in_kernel(k, pid)?;
-        k.thaw_process(pid)?;
-        k.faultpoint(self.engine.mechanism_name(), "resume")?;
-        {
-            let name = self.engine.mechanism_name();
-            k.trace.phase(name, Phase::Resume, pid.0, seq, k.now(), 0);
-        }
+        let (stall_start, mut outcome) = with_frozen(k, &[pid], Then::Resume, |k| {
+            k.faultpoint(&name, "freeze")?;
+            k.trace
+                .phase(&name, Phase::Freeze, pid.0, seq, k.now(), k.now() - t0);
+            Ok((k.now(), self.engine.checkpoint_in_kernel(k, pid)?))
+        })?;
+        k.faultpoint(&name, "resume")?;
+        k.trace.phase(&name, Phase::Resume, pid.0, seq, k.now(), 0);
         // The mechanism's total spans the quiesce as well as the engine's
         // capture/store work, so the trace's per-phase costs sum to it.
         outcome.total_ns = k.now() - t0;
-        super::emit_phase_residual(
-            k,
-            self.engine.mechanism_name(),
-            pid,
-            seq,
-            outcome.total_ns,
-            trace_before,
-        );
+        super::emit_phase_residual(k, &name, pid, seq, outcome.total_ns, trace_before);
         match self.flavor {
             HwFlavor::Revive => {
                 // Directory-based flush stalls the processor for the whole
@@ -124,9 +111,6 @@ impl Mechanism for HardwareMechanism {
     }
 
     fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
-        if self.engine.target().is_none() {
-            return Err(SimError::Usage("not prepared".into()));
-        }
         self.engine.restart_from_storage(k, pid)
     }
 

@@ -9,10 +9,11 @@
 //! processes are restarted." A *standby* mode keeps the image in RAM
 //! instead — fast, but it does not survive the power-down.
 
+use super::{commit_image, emit_phase_residual, with_frozen, Then};
 use crate::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use crate::SharedStorage;
-use ckpt_storage::{store_image, ImageKey};
-use simos::trace::{Phase, StorageOp};
+use ckpt_storage::ImageKey;
+use simos::trace::Phase;
 use simos::types::{Pid, SimError, SimResult};
 use simos::Kernel;
 
@@ -55,67 +56,28 @@ impl SoftwareSuspend {
 
     /// Freeze every process, save all their images, and power the node
     /// down (the caller then drops or re-creates the kernel; storage
-    /// backends get their `on_power_down` from the cluster layer).
+    /// backends get their `on_power_down` from the cluster layer). If the
+    /// save fails the machine is not going down after all: every process
+    /// runs again.
     pub fn hibernate(&mut self, k: &mut Kernel, mode: SuspendMode) -> SimResult<HibernateReport> {
         let trace_before = k.trace.mechanism_total(&self.job);
         let t0 = k.now();
         self.seq += 1;
-        // The freeze signal reaches every process (charged per process).
         let pids: Vec<Pid> = k
             .pids()
             .into_iter()
             .filter(|p| k.process(*p).map(|p| !p.has_exited()).unwrap_or(false))
             .collect();
         k.faultpoint(&self.job, "freeze")?;
-        for pid in &pids {
-            let t = k.cost.signal_deliver_ns;
-            k.charge(t);
-            k.freeze_process(*pid)?;
-        }
+        // The freeze signal reaches every process (charged per process).
+        k.charge(pids.len() as u64 * k.cost.signal_deliver_ns);
         let lead = pids.first().map(|p| p.0).unwrap_or(0);
-        k.trace
-            .phase(&self.job, Phase::Freeze, lead, self.seq, k.now(), k.now() - t0);
-        // Save the RAM image: one image per process, contiguous swap
-        // write.
-        let mut bytes = 0u64;
-        let mut capture_ns = 0u64;
-        let mut store_ns = 0u64;
-        // The image is committed only once *every* process has been saved:
-        // a crash mid-loop must not leave a partial pid set that a later
-        // boot would silently resume as a truncated machine.
-        let mut committed = Vec::new();
-        for pid in &pids {
-            k.faultpoint(&self.job, "capture")?;
-            let mut opts = CaptureOptions::full("swsusp", self.seq);
-            opts.save_file_contents = true;
-            let cap0 = k.now();
-            let img = capture_image(k, *pid, &opts)?;
-            capture_ns += k.now() - cap0;
-            k.faultpoint(&self.job, "store")?;
-            let (b, t) = {
-                let mut storage = self.storage.lock();
-                let receipt = store_image(storage.as_mut(), &self.job, &img, &k.cost)
-                    .map_err(|e| SimError::Usage(format!("swsusp store failed: {e}")))?;
-                let label = storage.label();
-                drop(storage);
-                k.trace.storage(StorageOp::Store, &label, receipt.bytes, receipt.time_ns);
-                (receipt.bytes, receipt.time_ns)
-            };
-            bytes += b;
-            k.charge(t);
-            store_ns += t;
-            committed.push(pid.0);
-        }
-        self.saved_pids = committed;
-        k.trace
-            .phase(&self.job, Phase::Capture, lead, self.seq, k.now(), capture_ns);
-        k.trace
-            .phase(&self.job, Phase::Store, lead, self.seq, k.now(), store_ns);
-        // Execution resumes only at the next boot; the zero-cost marker
-        // closes the phase sequence for this round.
-        k.faultpoint(&self.job, "resume")?;
-        k.trace.phase(&self.job, Phase::Resume, lead, self.seq, k.now(), 0);
-        crate::mechanism::emit_phase_residual(
+        let bytes = with_frozen(k, &pids, Then::PowerDown, |k| {
+            k.trace
+                .phase(&self.job, Phase::Freeze, lead, self.seq, k.now(), k.now() - t0);
+            self.save_all(k, &pids, lead)
+        })?;
+        emit_phase_residual(
             k,
             &self.job,
             Pid(lead),
@@ -131,6 +93,44 @@ impl SoftwareSuspend {
             total_ns: k.now() - t0,
             mode,
         })
+    }
+
+    /// Save the RAM image of the frozen machine: one image per process,
+    /// contiguous swap write. Returns the bytes written.
+    fn save_all(&mut self, k: &mut Kernel, pids: &[Pid], lead: u32) -> SimResult<u64> {
+        let mut bytes = 0u64;
+        let mut capture_ns = 0u64;
+        let mut store_ns = 0u64;
+        // The image is committed only once *every* process has been saved:
+        // a crash mid-loop must not leave a partial pid set that a later
+        // boot would silently resume as a truncated machine.
+        let mut committed = Vec::new();
+        for pid in pids {
+            k.faultpoint(&self.job, "capture")?;
+            let mut opts = CaptureOptions::full("swsusp", self.seq);
+            opts.save_file_contents = true;
+            let cap0 = k.now();
+            let img = capture_image(k, *pid, &opts)?;
+            capture_ns += k.now() - cap0;
+            k.faultpoint(&self.job, "store")?;
+            let encoded = ckpt_image::encode(&img);
+            let receipt = commit_image(k, &self.storage, &self.job, pid.0, self.seq, &encoded)
+                .map_err(|e| SimError::Usage(format!("swsusp store failed: {e}")))?;
+            bytes += receipt.bytes;
+            k.charge(receipt.time_ns);
+            store_ns += receipt.time_ns;
+            committed.push(pid.0);
+        }
+        self.saved_pids = committed;
+        k.trace
+            .phase(&self.job, Phase::Capture, lead, self.seq, k.now(), capture_ns);
+        k.trace
+            .phase(&self.job, Phase::Store, lead, self.seq, k.now(), store_ns);
+        // Execution resumes only at the next boot; the zero-cost marker
+        // closes the phase sequence for this round.
+        k.faultpoint(&self.job, "resume")?;
+        k.trace.phase(&self.job, Phase::Resume, lead, self.seq, k.now(), 0);
+        Ok(bytes)
     }
 
     /// Boot-time resume: restore every saved process onto a fresh kernel,

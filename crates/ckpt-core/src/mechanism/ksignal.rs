@@ -12,7 +12,7 @@
 //! includes that deferral, which grows with system load (experiment C4).
 
 use super::{
-    charge_tool_syscall, run_until, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism,
+    charge_tool_syscall, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism,
     MechanismInfo,
 };
 use crate::report::{CkptOutcome, RestartOutcome};
@@ -235,22 +235,11 @@ impl Mechanism for KernelSignalMechanism {
             m.initiated_at.insert(pid.0, now);
         });
         k.post_signal(pid, Sig::SIGCKPT);
-        run_until(k, 60_000_000_000, "SIGCKPT delivery", |k| {
-            k.with_module_mut::<ChpoxModule, _>(&name, |m, _| m.outcomes.len())
-                .unwrap_or(0)
-                > before
-        })?;
-        let all = self.outcomes(k);
-        all.get(before)
-            .cloned()
-            .ok_or_else(|| SimError::Usage("no outcome recorded".into()))
+        super::next_outcome(&*self, k, before, "SIGCKPT delivery")
     }
 
     fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
-        let target = self
-            .target
-            .ok_or_else(|| SimError::Usage("not prepared".into()))?;
-        super::restart_from_shared(&self.storage, &self.job, target, k, pid)
+        super::restart_prepared(&self.storage, &self.job, self.target, k, pid)
     }
 
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {

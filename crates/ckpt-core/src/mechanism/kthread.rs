@@ -21,8 +21,8 @@
 //! and file-content restoration, PsncR/C's lack of data optimization.
 
 use super::{
-    charge_tool_syscall, run_until, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism,
-    MechanismInfo,
+    charge_tool_syscall, with_frozen, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism,
+    MechanismInfo, Then,
 };
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
@@ -217,62 +217,38 @@ impl KernelModule for CkptKthreadModule {
         // Consistency: stop the application ("removing it from its
         // runqueue list").
         let f0 = k.now();
-        if k.faultpoint(&self.name, "freeze").is_err() {
-            self.requests_failed += 1;
-            return if self.queue.is_empty() {
-                KthreadStatus::Sleep
-            } else {
-                KthreadStatus::Yield
-            };
-        }
-        if k.freeze_process(target).is_err() {
-            self.requests_failed += 1;
-            return if self.queue.is_empty() {
-                KthreadStatus::Sleep
-            } else {
-                KthreadStatus::Yield
-            };
-        }
-        let stall_start = k.now();
-        // The kernel thread borrowed the interrupted task's page tables;
-        // switching to the target's address space costs an mm switch + TLB
-        // flush exactly when they differ (the paper's point). Attributed to
-        // the freeze window: it is quiescence overhead, not capture work.
-        let _ = k.kthread_attach_mm(target);
-        k.trace
-            .phase(&self.name, Phase::Freeze, pid_raw, seq, k.now(), k.now() - f0);
+        let name = &self.name;
         let engine = self.engines.get_mut(&pid_raw).expect("enqueued ⇒ engine");
-        match engine.checkpoint_in_kernel(k, target) {
-            Ok(mut outcome) => {
-                let _ = k.thaw_process(target);
-                if k.faultpoint(&self.name, "resume").is_err() {
-                    // Image is durable but the request never completed from
-                    // the tool's point of view: no outcome is recorded.
-                    self.requests_failed += 1;
-                    return if self.queue.is_empty() {
-                        KthreadStatus::Sleep
-                    } else {
-                        KthreadStatus::Yield
-                    };
-                }
+        let round = (|| {
+            k.faultpoint(name, "freeze")?;
+            let done = with_frozen(k, &[target], Then::Resume, |k| {
+                let stall_start = k.now();
+                // The kernel thread borrowed the interrupted task's page
+                // tables; switching to the target's address space costs an
+                // mm switch + TLB flush exactly when they differ (the
+                // paper's point). Attributed to the freeze window: it is
+                // quiescence overhead, not capture work.
+                let _ = k.kthread_attach_mm(target);
                 k.trace
-                    .phase(&self.name, Phase::Resume, pid_raw, seq, k.now(), 0);
+                    .phase(name, Phase::Freeze, pid_raw, seq, k.now(), k.now() - f0);
+                Ok((stall_start, engine.checkpoint_in_kernel(k, target)?))
+            })?;
+            // A fault here leaves the image durable, but the request never
+            // completed from the tool's point of view: no outcome is
+            // recorded.
+            k.faultpoint(name, "resume")?;
+            SimResult::Ok(done)
+        })();
+        match round {
+            Ok((stall_start, mut outcome)) => {
+                k.trace
+                    .phase(name, Phase::Resume, pid_raw, seq, k.now(), 0);
                 outcome.app_stall_ns = k.now() - stall_start;
                 outcome.total_ns = k.now() - initiated_at;
-                super::emit_phase_residual(
-                    k,
-                    &self.name,
-                    target,
-                    seq,
-                    outcome.total_ns,
-                    trace_before,
-                );
+                super::emit_phase_residual(k, name, target, seq, outcome.total_ns, trace_before);
                 self.outcomes.push((target, outcome));
             }
-            Err(_) => {
-                let _ = k.thaw_process(target);
-                self.requests_failed += 1;
-            }
+            Err(_) => self.requests_failed += 1,
         }
         if self.queue.is_empty() {
             KthreadStatus::Sleep
@@ -394,27 +370,16 @@ impl Mechanism for KernelThreadMechanism {
                     .map_err(|e| SimError::Usage(format!("proc write failed: {e:?}")))?;
             }
         }
-        run_until(k, 60_000_000_000, "kthread checkpoint", |k| {
-            k.with_module_mut::<CkptKthreadModule, _>(&name, |m, _| m.outcomes.len())
-                .unwrap_or(0)
-                > before
-        })?;
-        let all = self.outcomes(k);
-        all.get(before)
-            .cloned()
-            .ok_or_else(|| SimError::Usage("no outcome recorded".into()))
+        super::next_outcome(&*self, k, before, "kthread checkpoint")
     }
 
     fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
-        let target = self
-            .target
-            .ok_or_else(|| SimError::Usage("not prepared".into()))?;
         let sel = if self.variant.restore_original_pid {
             RestorePid::Original
         } else {
             pid
         };
-        super::restart_from_shared(&self.storage, &self.job, target, k, sel)
+        super::restart_prepared(&self.storage, &self.job, self.target, k, sel)
     }
 
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {

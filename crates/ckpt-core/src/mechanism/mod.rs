@@ -13,6 +13,12 @@
 //! | [`kthread`] | system-level, kernel thread | CRAK, ZAP, UCLiK, BLCR, LAM/MPI, PsncR/C |
 //! | [`fork_concurrent`] | system-level, concurrent (forked) checkpointing | Checkpoint (Carothers & Szymanski) |
 //! | [`hardware`] | hardware-assisted | ReVive, SafetyNet |
+//!
+//! What a checkpoint round *is* does not depend on the leaf: this module
+//! holds the one implementation ([`KernelCkptEngine::checkpoint_in_kernel`]),
+//! the freeze bracket and commit step around it, the restart/wait shell
+//! every wrapper shares, and [`FAMILIES`], the table that names the leaves.
+//! Each submodule adds only its family's initiation.
 
 pub mod fork_concurrent;
 pub mod hardware;
@@ -22,13 +28,17 @@ pub mod kthread;
 pub mod syscall;
 pub mod user_level;
 
+use crate::agents::RoundContext;
 use crate::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::{Tracker, TrackerKind};
 use crate::SharedStorage;
 use ckpt_image::{ChainError, ImageKind};
-use ckpt_storage::{load_latest_valid_chain, prune_superseded, store_image_bytes, ImageKey};
-use simos::trace::{Phase, StorageOp};
+use ckpt_storage::{
+    load_latest_valid_chain, prune_superseded, store_image_bytes, ImageKey, ImageStoreError,
+    StoreReceipt,
+};
+use simos::trace::{Phase, StorageOp, TraceHandle};
 use simos::types::{Pid, SimError, SimResult};
 use simos::Kernel;
 
@@ -106,23 +116,145 @@ pub trait Mechanism {
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome>;
 }
 
-/// The shared kernel-context checkpoint engine used by every system-level
-/// mechanism: decides full vs incremental, walks the PCB, compresses,
-/// stores, prunes, re-arms tracking. Callers handle freezing and stall
-/// accounting.
+/// One row of the family table: a Figure 1 leaf in the configuration the
+/// experiments, the crash matrix and the tests drive it in.
+pub struct Family {
+    /// The experiments' name for the row (`report c4`, `report trace`).
+    pub label: &'static str,
+    /// [`MechanismInfo::family`] of the built mechanism — the crash
+    /// matrix's column name.
+    pub family: &'static str,
+    /// Kernel-module / agent name: what the mechanism's phases, fault
+    /// sites (`mech/<module>/…`) and image headers are recorded under.
+    pub module: &'static str,
+    ctor: fn(&str, &str, SharedStorage, TrackerKind) -> Box<dyn Mechanism>,
+}
+
+impl Family {
+    /// Build the row's mechanism, keyed under `job`. Fork-concurrent takes
+    /// full images only and the hardware rows track cache lines, so those
+    /// ignore `tracker`.
+    pub fn build(
+        &self,
+        job: &str,
+        storage: SharedStorage,
+        tracker: TrackerKind,
+    ) -> Box<dyn Mechanism> {
+        (self.ctor)(self.module, job, storage, tracker)
+    }
+}
+
+/// A library whose handler an outside `kill -USR1` reaches.
+fn user_signal(
+    module: &str,
+    job: &str,
+    storage: SharedStorage,
+    tracker: TrackerKind,
+) -> user_level::UserLevelMechanism {
+    let trigger = user_level::Trigger::Signal {
+        sig: simos::signal::Sig::SIGUSR1,
+    };
+    user_level::UserLevelMechanism::new(module, job, storage, tracker, trigger)
+}
+
+/// The family table, in Figure 1 order. Rows of one family are adjacent,
+/// its canonical configuration first.
+pub static FAMILIES: [Family; 8] = [
+    Family {
+        label: "user-signal",
+        family: "user-level",
+        module: "libckpt",
+        ctor: |m, job, s, t| Box::new(user_signal(m, job, s, t)),
+    },
+    Family {
+        label: "preload",
+        family: "user-level",
+        module: "preload",
+        ctor: |m, job, s, t| {
+            let mut mech = user_signal(m, job, s, t);
+            mech.preload = true;
+            Box::new(mech)
+        },
+    },
+    Family {
+        label: "syscall-bypid",
+        family: "syscall",
+        module: "epckpt",
+        ctor: |m, job, s, t| {
+            let variant = syscall::SyscallVariant::ByPid;
+            Box::new(syscall::SyscallMechanism::new(m, variant, job, s, t))
+        },
+    },
+    Family {
+        label: "kernel-signal",
+        family: "kernel-signal",
+        module: "chpox",
+        ctor: |m, job, s, t| Box::new(ksignal::KernelSignalMechanism::new(m, job, s, t)),
+    },
+    Family {
+        label: "kthread-ioctl",
+        family: "kernel-thread",
+        module: "crak",
+        ctor: |m, job, s, t| {
+            let iface = kthread::KthreadIface::Ioctl;
+            let variant = kthread::KthreadVariant::default();
+            Box::new(kthread::KernelThreadMechanism::new(m, job, s, t, iface, variant))
+        },
+    },
+    Family {
+        label: "fork-concurrent",
+        family: "fork-concurrent",
+        module: "forkckpt",
+        ctor: |m, job, s, _| Box::new(fork_concurrent::ForkConcurrentMechanism::new(m, job, s)),
+    },
+    // The hardware rows' module names are the flavours' own.
+    Family {
+        label: "hw-revive",
+        family: "hardware",
+        module: "revive",
+        ctor: |_, job, s, _| {
+            Box::new(hardware::HardwareMechanism::new(hardware::HwFlavor::Revive, job, s))
+        },
+    },
+    Family {
+        label: "hw-safetynet",
+        family: "hardware",
+        module: "safetynet",
+        ctor: |_, job, s, _| {
+            Box::new(hardware::HardwareMechanism::new(hardware::HwFlavor::Safetynet, job, s))
+        },
+    },
+];
+
+/// The row labelled `name`, or the canonical row of the family so named.
+/// Panics on an unknown name: the callers name rows in source.
+pub fn family(name: &str) -> &'static Family {
+    FAMILIES
+        .iter()
+        .find(|f| f.label == name || f.family == name)
+        .unwrap_or_else(|| panic!("unknown mechanism {name}"))
+}
+
+/// The checkpoint engine: the one implementation of a checkpoint round
+/// (decide full vs incremental → gather and walk → capture → encode →
+/// commit → prune → re-arm), used by every system-level mechanism and, in
+/// its user context, by the Section 3 library ([`crate::agents`]). Callers
+/// handle quiescing the target and stall accounting.
 pub struct KernelCkptEngine {
     pub(crate) mechanism_name: String,
     pub(crate) job: String,
     pub(crate) storage: SharedStorage,
     pub(crate) tracker: Tracker,
+    /// Which side of the protection boundary the round runs on; fixed by
+    /// the constructor that built the engine.
+    ctx: RoundContext,
     /// Force a full image every N checkpoints (0 = only the first is
     /// full). Ignored for non-incremental trackers.
     pub(crate) full_every: u64,
+    /// PsncR/C sets this `false`: "does not perform any data optimization".
     pub(crate) compress: bool,
+    /// UCLiK sets this: open files' contents travel in the image.
     pub(crate) save_file_contents: bool,
-    /// Delete images older than the latest full after taking a full.
-    pub(crate) prune: bool,
-    pub(crate) node: u32,
     /// Pool for parallel page encoding during capture (default: the
     /// process-wide [`ckpt_par::global`] pool; width 1 = exact serial path).
     pub(crate) encode_pool: std::sync::Arc<ckpt_par::Pool>,
@@ -138,9 +270,9 @@ pub struct KernelCkptEngine {
 }
 
 /// Builder for [`KernelCkptEngine`]. The four constructor arguments are
-/// the mandatory identity of an engine; everything else defaults to the
-/// common configuration (compressing, pruning, full-first-then-incremental)
-/// and is overridden fluently:
+/// the mandatory identity of an engine; the rest is the common
+/// configuration (compressing, full-first-then-incremental, images
+/// superseded by a new full one pruned) unless overridden fluently:
 ///
 /// ```
 /// # use ckpt_core::mechanism::KernelCkptEngine;
@@ -151,7 +283,6 @@ pub struct KernelCkptEngine {
 ///         "epckpt", "job7", shared_storage(LocalDisk::new(1 << 30)),
 ///         TrackerKind::KernelPage)
 ///     .full_every(8)
-///     .compress(false)
 ///     .build();
 /// ```
 #[must_use = "the builder does nothing until .build() is called"]
@@ -165,39 +296,6 @@ impl KernelCkptEngineBuilder {
     /// full). Ignored for non-incremental trackers.
     pub fn full_every(mut self, n: u64) -> Self {
         self.engine.full_every = n;
-        self
-    }
-
-    /// Compress pages in the image (default `true`).
-    pub fn compress(mut self, on: bool) -> Self {
-        self.engine.compress = on;
-        self
-    }
-
-    /// Snapshot regular-file contents into the image (default `false`;
-    /// needed for migration across nodes without a shared filesystem).
-    pub fn save_file_contents(mut self, on: bool) -> Self {
-        self.engine.save_file_contents = on;
-        self
-    }
-
-    /// Delete images superseded by a new full checkpoint (default `true`).
-    pub fn prune(mut self, on: bool) -> Self {
-        self.engine.prune = on;
-        self
-    }
-
-    /// The node id stamped into image headers (default 0).
-    pub fn node(mut self, node: u32) -> Self {
-        self.engine.node = node;
-        self
-    }
-
-    /// Width of the page-encode worker pool (default: the host's available
-    /// parallelism via [`ckpt_par::global`]). `1` forces the exact serial
-    /// capture path; any width produces byte-identical images.
-    pub fn encode_workers(mut self, n: usize) -> Self {
-        self.engine.encode_pool = std::sync::Arc::new(ckpt_par::Pool::new(n));
         self
     }
 
@@ -232,7 +330,8 @@ impl KernelCkptEngineBuilder {
 }
 
 impl KernelCkptEngine {
-    /// Start building an engine; see [`KernelCkptEngineBuilder`].
+    /// Start building a kernel-context engine; see
+    /// [`KernelCkptEngineBuilder`].
     pub fn builder(
         mechanism_name: &str,
         job: &str,
@@ -245,11 +344,10 @@ impl KernelCkptEngine {
                 job: job.to_string(),
                 storage,
                 tracker: Tracker::new(tracker),
+                ctx: RoundContext::Kernel,
                 full_every: 0,
                 compress: true,
                 save_file_contents: false,
-                prune: true,
-                node: 0,
                 encode_pool: ckpt_par::global().clone(),
                 chain_manifests: Vec::new(),
                 cas_stats: None,
@@ -270,6 +368,23 @@ impl KernelCkptEngine {
         tracker: TrackerKind,
     ) -> Self {
         Self::builder(mechanism_name, job, storage, tracker).build()
+    }
+
+    /// The engine a user-level library runs its rounds on: the same round,
+    /// in [`RoundContext::User`]. The library executes in its process's own
+    /// context — typically a signal handler — so it encodes on the calling
+    /// thread alone.
+    pub(crate) fn for_user_library(
+        agent_name: &str,
+        job: &str,
+        storage: SharedStorage,
+        tracker: TrackerKind,
+        use_mirrors: bool,
+    ) -> Self {
+        let mut engine = Self::new(agent_name, job, storage, tracker);
+        engine.ctx = RoundContext::User { use_mirrors };
+        engine.encode_pool = std::sync::Arc::new(ckpt_par::Pool::new(1));
+        engine
     }
 
     pub fn seq(&self) -> u64 {
@@ -308,9 +423,12 @@ impl KernelCkptEngine {
         self.target_pid = Some(pid);
     }
 
-    /// Perform one checkpoint of a quiescent `pid` in kernel context.
+    /// Perform one checkpoint round of a quiescent `pid`, in the engine's
+    /// context: in the kernel for every system-level mechanism's engine,
+    /// with the library's gather and `write()` loop for a user-level one.
     pub fn checkpoint_in_kernel(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
         self.target_pid = Some(pid);
+        let name = &self.mechanism_name;
         let t0 = k.now();
         let stats0 = k.stats.clone();
         let next_seq = self.seq + 1;
@@ -320,49 +438,32 @@ impl KernelCkptEngine {
             && self.tracker.is_armed()
             && !(self.full_every > 0 && next_seq - self.last_full_seq >= self.full_every);
         let pool_stats0 = self.encode_pool.stats();
-        let (opts, logical_dirty) = if incremental_ok {
-            k.faultpoint(&self.mechanism_name, "walk")?;
-            let walk0 = k.now();
+        // The state gather, then the dirty-set walk. A library pays the
+        // gather on every round, so its walk phase exists for a full image
+        // too; in kernel context there is a walk only when there is a
+        // dirty set to collect.
+        let gathered = self.ctx.gather_state(k, pid)?;
+        let (mut opts, logical_dirty) = if incremental_ok {
+            k.faultpoint(name, "walk")?;
             let collected = self.tracker.collect(k, pid)?;
-            k.trace.phase(
-                &self.mechanism_name,
-                Phase::Walk,
-                pid.0,
-                next_seq,
-                k.now(),
-                k.now() - walk0,
-            );
-            let mut o = CaptureOptions::incremental(
-                &self.mechanism_name,
-                next_seq,
-                self.seq,
-                collected.pages.clone(),
-            );
-            o.compress = self.compress;
-            o.save_file_contents = self.save_file_contents;
-            o.node = self.node;
-            o.encode_pool = Some(self.encode_pool.clone());
-            (o, collected.logical_dirty_bytes)
+            let opts = CaptureOptions::incremental(name, next_seq, self.seq, collected.pages);
+            (opts, collected.logical_dirty_bytes)
         } else {
-            let mut o = CaptureOptions::full(&self.mechanism_name, next_seq);
-            o.compress = self.compress;
-            o.save_file_contents = self.save_file_contents;
-            o.node = self.node;
-            o.encode_pool = Some(self.encode_pool.clone());
-            (o, 0)
+            (CaptureOptions::full(name, next_seq), 0)
         };
+        if gathered || incremental_ok {
+            k.trace
+                .phase(name, Phase::Walk, pid.0, next_seq, k.now(), k.now() - t0);
+        }
+        opts.compress = self.compress;
+        opts.save_file_contents = self.save_file_contents;
+        opts.encode_pool = Some(self.encode_pool.clone());
         let kind = opts.kind;
-        k.faultpoint(&self.mechanism_name, "capture")?;
+        k.faultpoint(name, "capture")?;
         let cap0 = k.now();
         let img = capture_image(k, pid, &opts)?;
-        k.trace.phase(
-            &self.mechanism_name,
-            Phase::Capture,
-            pid.0,
-            next_seq,
-            k.now(),
-            k.now() - cap0,
-        );
+        k.trace
+            .phase(name, Phase::Capture, pid.0, next_seq, k.now(), k.now() - cap0);
         let pages_saved = img.page_count() as u64;
         let memory_bytes = img.memory_bytes();
         let logical = if kind == ImageKind::Full {
@@ -370,98 +471,66 @@ impl KernelCkptEngine {
         } else {
             logical_dirty
         };
-        // Serialize (charged as a kernel copy) and store.
-        k.faultpoint(&self.mechanism_name, "compress")?;
-        k.faultpoint(&self.mechanism_name, "store")?;
-        let encoded_len;
-        let storage_ns;
-        {
-            // Encode outside the storage lock; the pool parallelizes the
-            // trailer CRC while the serial layout keeps bytes identical.
-            // The captured image is dropped as soon as it is encoded, so
-            // only the encoding and the store's copy are live across the
-            // commit.
-            let bytes = ckpt_image::encode_with_pool(&img, &self.encode_pool);
-            drop(img);
-            let mut storage = self.storage.lock();
-            let receipt =
-                store_image_bytes(storage.as_mut(), &self.job, pid.0, next_seq, &bytes, &k.cost)
-                    .map_err(|e| SimError::Usage(format!("store failed: {e}")))?;
-            encoded_len = receipt.bytes;
-            storage_ns = receipt.time_ns;
-            let label = storage.label();
-            // Chain metadata: where (and how widely) this segment landed.
-            if let Some(m) =
-                storage.replica_manifest(&ImageKey::new(&self.job, pid.0, next_seq).to_string())
-            {
-                self.chain_manifests.push(m);
-            }
-            drop(storage);
-            k.trace
-                .storage(StorageOp::Store, &label, encoded_len, storage_ns);
+        k.faultpoint(name, "compress")?;
+        k.faultpoint(name, "store")?;
+        // Encode outside the storage lock; the pool parallelizes the
+        // trailer CRC while the serial layout keeps bytes identical. The
+        // captured image is dropped as soon as it is encoded, so only the
+        // encoding and the store's copy are live across the commit.
+        let bytes = ckpt_image::encode_with_pool(&img, &self.encode_pool);
+        drop(img);
+        let receipt = commit_image(k, &self.storage, &self.job, pid.0, next_seq, &bytes)
+            .map_err(|e| SimError::Usage(format!("store failed: {e}")))?;
+        drop(bytes);
+        let (encoded_len, storage_ns) = (receipt.bytes, receipt.time_ns);
+        // Chain metadata: where (and how widely) this segment landed.
+        let key = ImageKey::new(&self.job, pid.0, next_seq).to_string();
+        if let Some(m) = self.storage.lock().replica_manifest(&key) {
+            self.chain_manifests.push(m);
         }
-        let pool_delta = self.encode_pool.stats().since(pool_stats0);
-        k.trace
-            .par_encode(pool_delta.tasks, pool_delta.steals, pool_delta.merge_stalls);
-        let compress_ns = k.cost.memcpy(encoded_len);
-        k.charge(compress_ns + storage_ns);
+        count_pool_activity(&k.trace, &self.encode_pool, pool_stats0);
+        // The image's way to the store — one kernel copy, or the library's
+        // write() loop — then the medium's own time.
+        let io0 = k.now();
+        self.ctx.charge_image_io(k, encoded_len);
+        let compress_ns = k.now() - io0;
+        k.charge(storage_ns);
         k.trace.phase(
-            &self.mechanism_name,
+            name,
             Phase::Compress,
             pid.0,
             next_seq,
             k.now() - storage_ns,
             compress_ns,
         );
-        k.trace.phase(
-            &self.mechanism_name,
-            Phase::Store,
-            pid.0,
-            next_seq,
-            k.now(),
-            storage_ns,
-        );
+        k.trace
+            .phase(name, Phase::Store, pid.0, next_seq, k.now(), storage_ns);
         self.seq = next_seq;
         if kind == ImageKind::Full {
             self.last_full_seq = next_seq;
-            if self.prune {
-                k.faultpoint(&self.mechanism_name, "prune")?;
-                let prune0 = k.now();
-                let mut storage = self.storage.lock();
-                let label = storage.label();
-                // The receipt above is the authority that `next_seq` is a
-                // committed full image: collect what it supersedes without
-                // reading it back.
-                let _ = prune_superseded(storage.as_mut(), &self.job, pid.0, next_seq);
-                drop(storage);
-                // Keys sort by zero-padded seq, so this drops exactly the
-                // manifests of the pruned segments.
-                let cut = ImageKey::new(&self.job, pid.0, next_seq).to_string();
-                self.chain_manifests.retain(|m| m.key >= cut);
-                k.trace.storage(StorageOp::Delete, &label, 0, 0);
-                k.trace.phase(
-                    &self.mechanism_name,
-                    Phase::Prune,
-                    pid.0,
-                    next_seq,
-                    k.now(),
-                    k.now() - prune0,
-                );
-            }
+            k.faultpoint(name, "prune")?;
+            let prune0 = k.now();
+            let mut storage = self.storage.lock();
+            let label = storage.label();
+            // The receipt above is the authority that `next_seq` is a
+            // committed full image: collect what it supersedes without
+            // reading it back.
+            let _ = prune_superseded(storage.as_mut(), &self.job, pid.0, next_seq);
+            drop(storage);
+            // Keys sort by zero-padded seq, so this drops exactly the
+            // manifests of the pruned segments.
+            self.chain_manifests.retain(|m| m.key >= key);
+            k.trace.storage(StorageOp::Delete, &label, 0, 0);
+            k.trace
+                .phase(name, Phase::Prune, pid.0, next_seq, k.now(), k.now() - prune0);
         }
         // Begin the next tracking interval.
         if self.tracker.kind().supports_incremental() {
-            k.faultpoint(&self.mechanism_name, "rearm")?;
+            k.faultpoint(name, "rearm")?;
             let arm0 = k.now();
             self.tracker.arm(k, pid)?;
-            k.trace.phase(
-                &self.mechanism_name,
-                Phase::Rearm,
-                pid.0,
-                next_seq,
-                k.now(),
-                k.now() - arm0,
-            );
+            k.trace
+                .phase(name, Phase::Rearm, pid.0, next_seq, k.now(), k.now() - arm0);
         }
         let total_ns = k.now() - t0;
         Ok(CkptOutcome {
@@ -489,6 +558,35 @@ impl KernelCkptEngine {
             .ok_or_else(|| SimError::Usage("engine has no target; checkpoint first".into()))?;
         restart_from_shared(&self.storage, &self.job, target, k, pid_sel)
     }
+}
+
+/// Commit one encoded image under its canonical key and record the store in
+/// `k`'s trace: the lock → store → label → trace step every checkpointer's
+/// commit is. Charging the receipt's time, and wording the error, stay with
+/// the caller.
+pub fn commit_image(
+    k: &Kernel,
+    storage: &SharedStorage,
+    job: &str,
+    pid: u32,
+    seq: u64,
+    bytes: &[u8],
+) -> Result<StoreReceipt, ImageStoreError> {
+    let mut storage = storage.lock();
+    let receipt = store_image_bytes(storage.as_mut(), job, pid, seq, bytes, &k.cost)?;
+    let label = storage.label();
+    drop(storage);
+    k.trace
+        .storage(StorageOp::Store, &label, receipt.bytes, receipt.time_ns);
+    Ok(receipt)
+}
+
+/// Count what `pool` did since `since` under the trace's `par.*` counters.
+pub fn count_pool_activity(trace: &TraceHandle, pool: &ckpt_par::Pool, since: ckpt_par::PoolStats) {
+    let delta = pool.stats().since(since);
+    trace.count("par.tasks", delta.tasks);
+    trace.count("par.steals", delta.steals);
+    trace.count("par.merge_stalls", delta.merge_stalls);
 }
 
 /// Restore the newest checkpoint of `target` (keyed under `job`) from a
@@ -550,6 +648,60 @@ pub fn restart_from_shared(
     })
 }
 
+/// The restart of a mechanism that keeps its images under `job` on
+/// `storage`: the newest chain of the process it was prepared for.
+pub(crate) fn restart_prepared(
+    storage: &SharedStorage,
+    job: &str,
+    target: Option<Pid>,
+    k: &mut Kernel,
+    pid_sel: RestorePid,
+) -> SimResult<RestartOutcome> {
+    let target = target.ok_or_else(|| SimError::Usage("not prepared".into()))?;
+    restart_from_shared(storage, job, target, k, pid_sel)
+}
+
+/// What becomes of the targets once the work inside a freeze bracket has
+/// succeeded. When it fails they always run again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Then {
+    /// The checkpoint is durable and the targets carry on.
+    Resume,
+    /// The machine is about to be switched off (hibernation): the targets
+    /// stay stopped.
+    PowerDown,
+}
+
+/// The freeze bracket: stop `pids`, run `work`, and let them run again on
+/// every way out — `work` failing, or one of them refusing to stop after
+/// others already had — so that a failed checkpoint never leaves its
+/// target stopped. An empty `pids` (the round runs in its target's own
+/// context, or over a target someone else stopped and will release) brackets
+/// nothing.
+pub(crate) fn with_frozen<T>(
+    k: &mut Kernel,
+    pids: &[Pid],
+    then: Then,
+    work: impl FnOnce(&mut Kernel) -> SimResult<T>,
+) -> SimResult<T> {
+    let mut stopped = 0;
+    let mut out = Ok(());
+    for pid in pids {
+        out = k.freeze_process(*pid);
+        if out.is_err() {
+            break;
+        }
+        stopped += 1;
+    }
+    let out = out.and_then(|()| work(k));
+    if out.is_err() || then == Then::Resume {
+        for pid in &pids[..stopped] {
+            let _ = k.thaw_process(*pid);
+        }
+    }
+    out
+}
+
 /// Attribute the *unattributed remainder* of one checkpoint span to
 /// [`Phase::Other`], so a mechanism's per-phase trace totals reconcile
 /// exactly with its end-to-end [`CkptOutcome`] numbers. `before` is
@@ -605,6 +757,32 @@ pub fn run_until(
         k.run_for(step)?;
     }
     Ok(())
+}
+
+/// Drive `k` until `mech` has recorded at least `n` outcomes (the ones it
+/// took on its own schedule included) or `limit_ns` passes; returns them.
+pub(crate) fn wait_for_outcomes(
+    mech: &dyn Mechanism,
+    k: &mut Kernel,
+    n: usize,
+    limit_ns: u64,
+    what: &str,
+) -> SimResult<Vec<CkptOutcome>> {
+    run_until(k, limit_ns, what, |k| mech.outcomes(k).len() >= n)?;
+    Ok(mech.outcomes(k))
+}
+
+/// The outcome of the checkpoint just initiated on `mech`, which held
+/// `before` outcomes when the request was made: wait (at most a virtual
+/// minute) for one more.
+pub(crate) fn next_outcome(
+    mech: &dyn Mechanism,
+    k: &mut Kernel,
+    before: usize,
+    what: &str,
+) -> SimResult<CkptOutcome> {
+    let mut all = wait_for_outcomes(mech, k, before + 1, 60_000_000_000, what)?;
+    Ok(all.swap_remove(before))
 }
 
 #[cfg(test)]
@@ -825,6 +1003,29 @@ mod tests {
         set.node(0).fail();
         let mut k3 = Kernel::new(CostModel::circa_2005());
         assert!(e.restart_from_storage(&mut k3, RestorePid::Fresh).is_err());
+    }
+
+    #[test]
+    fn freeze_bracket_lets_every_target_run_again_unless_powering_down() {
+        let (mut k, pid, _) = setup();
+        let frozen = |k: &Kernel| k.process(pid).unwrap().frozen_for_ckpt;
+        // The work sees the target stopped; afterwards it runs again.
+        let seen = with_frozen(&mut k, &[pid], Then::Resume, |k| Ok(frozen(k))).unwrap();
+        assert!(seen && !frozen(&k));
+        // A hibernating machine stays down — unless the save failed.
+        with_frozen(&mut k, &[pid], Then::PowerDown, |_| Ok(())).unwrap();
+        assert!(frozen(&k));
+        let failed: SimResult<()> =
+            with_frozen(&mut k, &[pid], Then::PowerDown, |_| Err(SimError::Usage("no".into())));
+        assert!(failed.is_err() && !frozen(&k));
+        // A later target that cannot be stopped releases the earlier ones,
+        // and the work never runs.
+        let gone = Pid(9999);
+        let out = with_frozen(&mut k, &[pid, gone], Then::Resume, |_| -> SimResult<()> {
+            panic!("work ran over a half-frozen set")
+        });
+        assert!(matches!(out, Err(SimError::NoSuchProcess(p)) if p == gone));
+        assert!(!frozen(&k));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   overhead we charge at prepare time).
 
 use super::{
-    charge_tool_syscall, run_until, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism,
-    MechanismInfo,
+    charge_tool_syscall, with_frozen, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism,
+    MechanismInfo, Then,
 };
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
@@ -77,25 +77,16 @@ impl CkptSyscallModule {
         let t0 = k.now();
         let seq = self.engine.seq() + 1;
         // In-context (self) checkpoints need no freeze: the process is
-        // executing this very code. By-pid checkpoints must stop the
-        // target first.
+        // executing this very code, so quiescence is free. By-pid
+        // checkpoints must stop the target first.
         k.faultpoint(&self.name, "freeze").map_err(|_| Errno::EINTR)?;
-        let froze = if !in_context {
-            let f0 = k.now();
-            k.freeze_process(target).map_err(|_| Errno::ESRCH)?;
+        let f0 = k.now();
+        let to_stop: &[Pid] = if in_context { &[] } else { &[target] };
+        let res = with_frozen(k, to_stop, Then::Resume, |k| {
             k.trace
                 .phase(&self.name, Phase::Freeze, target.0, seq, k.now(), k.now() - f0);
-            true
-        } else {
-            // Executing in the target's context — quiescence is free.
-            k.trace
-                .phase(&self.name, Phase::Freeze, target.0, seq, k.now(), 0);
-            false
-        };
-        let res = self.engine.checkpoint_in_kernel(k, target);
-        if froze {
-            let _ = k.thaw_process(target);
-        }
+            self.engine.checkpoint_in_kernel(k, target)
+        });
         k.faultpoint(&self.name, "resume").map_err(|_| Errno::EINTR)?;
         k.trace
             .phase(&self.name, Phase::Resume, target.0, seq, k.now(), 0);
@@ -116,6 +107,7 @@ impl CkptSyscallModule {
                 self.outcomes.push(outcome);
                 Ok(seq)
             }
+            Err(SimError::NoSuchProcess(_)) => Err(Errno::ESRCH),
             Err(_) => Err(Errno::EINVAL),
         }
     }
@@ -256,19 +248,13 @@ impl Mechanism for SyscallMechanism {
                 })
                 .ok_or_else(|| SimError::Usage("module missing".into()))?
                 .map_err(|e| SimError::Usage(format!("checkpoint syscall failed: {e:?}")))?;
-                let all = self.outcomes(k);
-                all.get(before)
-                    .cloned()
-                    .ok_or_else(|| SimError::Usage("no outcome recorded".into()))
+                super::next_outcome(&*self, k, before, "checkpoint syscall")
             }
         }
     }
 
     fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
-        let target = self
-            .target
-            .ok_or_else(|| SimError::Usage("not prepared".into()))?;
-        super::restart_from_shared(&self.storage, &self.job, target, k, pid)
+        super::restart_prepared(&self.storage, &self.job, self.target, k, pid)
     }
 
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
@@ -277,26 +263,10 @@ impl Mechanism for SyscallMechanism {
     }
 }
 
-/// Wait until the mechanism has recorded at least `n` outcomes (used for
-/// the self-checkpointing variant, which fires on its own schedule).
-pub fn wait_for_outcomes(
-    mech: &SyscallMechanism,
-    k: &mut Kernel,
-    n: usize,
-    limit_ns: u64,
-) -> SimResult<Vec<CkptOutcome>> {
-    let name = mech.module_name.clone();
-    run_until(k, limit_ns, "self-checkpoint outcomes", |k| {
-        k.with_module_mut::<CkptSyscallModule, _>(&name, |m, _| m.outcomes.len())
-            .unwrap_or(0)
-            >= n
-    })?;
-    Ok(mech.outcomes(k))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::wait_for_outcomes;
     use crate::shared_storage;
     use ckpt_storage::LocalDisk;
     use simos::apps::{AppParams, NativeKind};
@@ -326,7 +296,8 @@ mod tests {
         // External initiation refused.
         assert!(mech.checkpoint(&mut k, pid).is_err());
         // But the app checkpoints itself as it runs.
-        let outcomes = wait_for_outcomes(&mech, &mut k, 3, 2_000_000_000).unwrap();
+        let outcomes =
+            wait_for_outcomes(&mech, &mut k, 3, 2_000_000_000, "self-checkpoint outcomes").unwrap();
         assert!(outcomes.len() >= 3);
         assert!(!outcomes[0].incremental);
         assert!(outcomes[1].incremental);
@@ -377,20 +348,8 @@ mod tests {
     #[test]
     fn in_context_checkpoint_needs_no_mm_switch() {
         let (mut k, pid, _mech) = setup(SyscallVariant::SelfCkpt { every: 5 });
-        // Run until a self-checkpoint has happened; count mm switches
+        // Self-checkpoints happen as the app runs; count mm switches
         // attributable to checkpointing (none beyond normal scheduling).
-        let _ = wait_for_outcomes(
-            &SyscallMechanism::new(
-                "vmadump",
-                SyscallVariant::SelfCkpt { every: 5 },
-                "job",
-                shared_storage(LocalDisk::new(1 << 30)),
-                TrackerKind::KernelPage,
-            ),
-            &mut k,
-            0,
-            1,
-        );
         // Single process: the only mm switch is the initial one.
         k.run_for(200_000_000).unwrap();
         assert!(k.stats.mm_switches <= 2);

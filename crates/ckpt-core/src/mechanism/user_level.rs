@@ -19,9 +19,7 @@
 //! parsing at checkpoint time — paid for with a per-syscall interposition
 //! tax for the whole run.
 
-use super::{
-    charge_tool_syscall, run_until, AgentKind, Context, Initiation, Mechanism, MechanismInfo,
-};
+use super::{charge_tool_syscall, AgentKind, Context, Initiation, Mechanism, MechanismInfo};
 use crate::agents::{UserAgentConfig, UserCkptAgent};
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
@@ -173,27 +171,15 @@ impl Mechanism for UserLevelMechanism {
                     .into(),
             ));
         };
-        let name = self.agent_name.clone();
         let before = self.outcomes(k).len();
         // kill(1) from outside.
         charge_tool_syscall(k);
         k.post_signal(pid, sig);
-        run_until(k, 60_000_000_000, "user-level checkpoint", |k| {
-            k.with_agent_mut::<UserCkptAgent, _>(&name, |a, _| a.outcomes.len())
-                .unwrap_or(0)
-                > before
-        })?;
-        let all = self.outcomes(k);
-        all.get(before)
-            .cloned()
-            .ok_or_else(|| SimError::Usage("no outcome recorded".into()))
+        super::next_outcome(&*self, k, before, "user-level checkpoint")
     }
 
     fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
-        let target = self
-            .target
-            .ok_or_else(|| SimError::Usage("not prepared".into()))?;
-        let out = super::restart_from_shared(&self.storage, &self.job, target, k, pid)?;
+        let out = super::restart_prepared(&self.storage, &self.job, self.target, k, pid)?;
         // The user-level restorer rebuilds kernel state with syscalls:
         // open+lseek per descriptor, mmap per dynamic region, plus the
         // initial brk/sigaction calls — crossings a kernel-level restore
@@ -224,27 +210,10 @@ impl Mechanism for UserLevelMechanism {
     }
 }
 
-/// Wait until at least `n` automatic checkpoints have completed.
-pub fn wait_for_auto_checkpoints(
-    mech: &UserLevelMechanism,
-    k: &mut Kernel,
-    n: usize,
-    limit_ns: u64,
-) -> SimResult<Vec<CkptOutcome>> {
-    let name = mech.agent_name.clone();
-    run_until(k, limit_ns, "automatic user-level checkpoints", |k| {
-        k.with_agent_mut::<UserCkptAgent, _>(&name, |a, _| a.outcomes.len())
-            .unwrap_or(0)
-            >= n
-    })?;
-    Ok(k
-        .with_agent_mut::<UserCkptAgent, _>(&name, |a, _| a.outcomes.clone())
-        .unwrap_or_default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::wait_for_outcomes;
     use crate::shared_storage;
     use ckpt_storage::LocalDisk;
     use simos::apps::{AppParams, NativeKind};
@@ -275,7 +244,8 @@ mod tests {
         );
         assert_eq!(mech.info().initiation, Initiation::Automatic);
         assert!(mech.checkpoint(&mut k, pid).is_err());
-        let outcomes = wait_for_auto_checkpoints(&mech, &mut k, 2, 5_000_000_000).unwrap();
+        let outcomes =
+            wait_for_outcomes(&mech, &mut k, 2, 5_000_000_000, "auto checkpoints").unwrap();
         assert!(outcomes.len() >= 2);
     }
 
@@ -306,7 +276,8 @@ mod tests {
             },
             TrackerKind::FullOnly,
         );
-        let outcomes = wait_for_auto_checkpoints(&mech, &mut k, 3, 5_000_000_000).unwrap();
+        let outcomes =
+            wait_for_outcomes(&mech, &mut k, 3, 5_000_000_000, "auto checkpoints").unwrap();
         assert!(outcomes.len() >= 3);
     }
 

@@ -112,8 +112,8 @@ fn parse_shard(frame: &[u8], k: usize, m: usize) -> Option<(usize, u64, u64, &[u
     Some((idx, object_len, object_digest, &frame[SHARD_HEADER..]))
 }
 
-/// Plain counters mirroring the [`simos::trace::ErasureAgg`] deltas this
-/// store emits, readable without a recording trace handle.
+/// Plain counters mirroring the `erasure.*` trace counters this store
+/// emits, readable without a recording trace handle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EcStats {
     /// Objects committed (shard batches that reached write quorum).
@@ -169,10 +169,9 @@ impl ErasureStore {
             k: k as u32,
             m: m as u32,
         };
+        let counters = ["erasure.encodes", "erasure.retries", "erasure.quorum_losses"];
         ErasureStore {
-            core: QuorumClient::new(set, k + m.div_ceil(2), "ec", 's', Some(coding), |t, c, _, _| {
-                t.erasure(c, 0, 0, 0)
-            }),
+            core: QuorumClient::new(set, k + m.div_ceil(2), "ec", 's', Some(coding), counters),
             code,
             decodes: AtomicU64::new(0),
             repairs: AtomicU64::new(0),
@@ -246,7 +245,10 @@ impl ErasureStore {
         self.decodes.fetch_add(decodes, Ordering::Relaxed);
         self.repairs.fetch_add(repairs, Ordering::Relaxed);
         self.shard_losses.fetch_add(shard_losses, Ordering::Relaxed);
-        self.core.trace().erasure(0, decodes, repairs, shard_losses);
+        let trace = self.core.trace();
+        trace.count("erasure.decodes", decodes);
+        trace.count("erasure.shard_repairs", repairs);
+        trace.count("erasure.shard_losses", shard_losses);
     }
 
     /// Encode a batch of objects into their `k + m` shard frames each,

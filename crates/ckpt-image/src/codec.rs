@@ -435,10 +435,10 @@ pub fn decode(buf: &[u8]) -> Result<CheckpointImage, DecodeError> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
-    pub(crate) fn sample_image() -> CheckpointImage {
+    fn sample_image() -> CheckpointImage {
         CheckpointImage {
             header: ImageHeader {
                 pid: 42,

@@ -28,7 +28,7 @@ pub use chain::{reconstruct, reconstruct_with, validate, ChainError};
 pub use codec::{decode, encode, encode_with_pool, DecodeError};
 pub use compress::{decode_page, encode_page, encode_page_with, EncodeScratch, PageEncoding};
 pub use crc::{crc32, crc32_combine};
-pub use parallel::{capture_pages_pipelined, crc32_par, encode_pages, reencode_image_pages};
+pub use parallel::{capture_pages_pipelined, crc32_par, encode_pages};
 pub use format::{
     CheckpointImage, FdRecord, FileContentRecord, ImageHeader, ImageKind, PageRecord,
     PolicyRecord, ProgramRecord, RegsRecord, SigActionRecord, SigRecord, TimerRecord, VmaRecord,

@@ -14,9 +14,9 @@
 //! On a pool of width 1 every helper here degenerates to the pre-existing
 //! serial code path.
 
-use crate::compress::{EncodeScratch, PageEncoding};
+use crate::compress::EncodeScratch;
 use crate::crc::{crc32, crc32_combine, Crc32};
-use crate::format::{CheckpointImage, PageRecord};
+use crate::format::PageRecord;
 use ckpt_par::Pool;
 
 /// Encode gathered `(page_no, data)` pairs into [`PageRecord`]s on the
@@ -39,23 +39,6 @@ where
     pool.pipeline_ordered(feeder, EncodeScratch::new, |scratch, _i, (page_no, data)| {
         PageRecord::capture_with(page_no, &data, scratch)
     })
-}
-
-/// Re-encode an image whose pages were captured raw (deferred encoding):
-/// every [`PageEncoding::Raw`] record is run through the normal page
-/// encoder on the pool. Because `encode_page` is a pure function of page
-/// content, the result is exactly the image a compress-on-capture pass
-/// would have produced; records already compressed (or elided) pass
-/// through untouched.
-pub fn reencode_image_pages(pool: &Pool, img: &mut CheckpointImage) {
-    let pages = std::mem::take(&mut img.pages);
-    img.pages = pool.par_map_ordered(pages, EncodeScratch::new, |scratch, _i, rec| {
-        if rec.enc == PageEncoding::Raw {
-            PageRecord::capture_with(rec.page_no, &rec.payload, scratch)
-        } else {
-            rec
-        }
-    });
 }
 
 /// Chunk size for parallel CRC. Large enough that per-chunk overhead
@@ -122,30 +105,6 @@ mod tests {
             });
             assert_eq!(piped, want, "pipelined width {w}");
         }
-    }
-
-    #[test]
-    fn reencode_matches_compress_on_capture() {
-        let pool = Pool::new(4);
-        let mut img = crate::codec::tests::sample_image();
-        // Strip compression: store every page raw.
-        for rec in &mut img.pages {
-            let data = rec.expand().unwrap();
-            rec.enc = PageEncoding::Raw;
-            rec.payload = data;
-        }
-        let want = crate::codec::tests::sample_image().pages;
-        reencode_image_pages(&pool, &mut img);
-        assert_eq!(img.pages, want);
-    }
-
-    #[test]
-    fn reencode_is_idempotent_on_compressed_records() {
-        let pool = Pool::new(2);
-        let mut img = crate::codec::tests::sample_image();
-        let want = img.pages.clone();
-        reencode_image_pages(&pool, &mut img);
-        assert_eq!(img.pages, want);
     }
 
     #[test]

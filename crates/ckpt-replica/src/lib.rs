@@ -33,6 +33,6 @@ pub mod stripe;
 pub use backoff::{Backoff, BackoffPolicy, RetriesExhausted};
 pub use ckpt_storage::fnv1a64;
 pub use node::{Admission, Frame, Probe, ReplicaNode, ReplicaSet};
-pub use quorum::{Admissions, CommitObject, QuorumClient, QuorumStats, TraceSink, WireFrame};
+pub use quorum::{Admissions, CommitObject, QuorumClient, QuorumStats, WireFrame};
 pub use store::{ReplStats, ReplicaConfig, ReplicatedStore};
 pub use stripe::{stripe_route, StripeMember, Striped, StripedReplicaSet, StripedStore};

@@ -44,10 +44,6 @@ use simos::trace::TraceHandle;
 use crate::backoff::{Backoff, BackoffPolicy};
 use crate::node::{Admission, Frame, ReplicaSet};
 
-/// How a tier folds the core's `(commits, retries, quorum_losses)` deltas
-/// into its own `simos::trace` aggregate.
-pub type TraceSink = fn(&TraceHandle, u64, u64, u64);
-
 /// Counters every quorum client keeps, whatever it stores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuorumStats {
@@ -177,7 +173,9 @@ pub struct QuorumClient {
     backoff: BackoffPolicy,
     faults: FaultHandle,
     trace: TraceHandle,
-    sink: TraceSink,
+    /// The `simos::trace` counters this tier's `(commits, retries,
+    /// quorum_losses)` deltas are counted under.
+    counters: [&'static str; 3],
     pool: Arc<Pool>,
     /// This *client's* reachability (its node may fail-stop); node
     /// availability lives in the shared set.
@@ -216,7 +214,7 @@ impl QuorumClient {
         site_prefix: &str,
         node_tag: char,
         coding: Option<CodingGeometry>,
-        sink: TraceSink,
+        counters: [&'static str; 3],
     ) -> Self {
         assert!(
             w <= set.len(),
@@ -229,7 +227,7 @@ impl QuorumClient {
             backoff: BackoffPolicy::default(),
             faults: FaultHandle::disabled(),
             trace: TraceHandle::disabled(),
-            sink,
+            counters,
             pool: ckpt_par::global().clone(),
             client_up: true,
             site_prefix: site_prefix.to_string(),
@@ -292,15 +290,17 @@ impl QuorumClient {
     }
 
     /// Account `(commits, retries, quorum_losses)` deltas: the counters,
-    /// and the tier's trace aggregate. The read paths report their typed
-    /// refusals through this too.
+    /// and the tier's labelled trace counters. The read paths report their
+    /// typed refusals through this too.
     pub fn record(&self, commits: u64, retries: u64, quorum_losses: u64) {
         self.stats.commits.fetch_add(commits, Ordering::Relaxed);
         self.stats.retries.fetch_add(retries, Ordering::Relaxed);
         self.stats
             .quorum_losses
             .fetch_add(quorum_losses, Ordering::Relaxed);
-        (self.sink)(&self.trace, commits, retries, quorum_losses);
+        for (name, n) in self.counters.into_iter().zip([commits, retries, quorum_losses]) {
+            self.trace.count(name, n);
+        }
     }
 
     /// `Unavailable` while the client's own node is down.

@@ -75,8 +75,8 @@ impl ReplicaConfig {
     }
 }
 
-/// Plain counters mirroring the [`simos::trace::ReplicationAgg`] deltas
-/// this store emits, readable without a recording trace handle.
+/// Plain counters mirroring the `replication.*` trace counters this store
+/// emits, readable without a recording trace handle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplStats {
     pub commits: u64,
@@ -115,9 +115,8 @@ impl ReplicatedStore {
             set.len(),
             cfg.n
         );
-        let mut core = QuorumClient::new(set, cfg.w, "replica", 'r', None, |t, c, r, q| {
-            t.replication(c, r, 0, q)
-        });
+        let counters = ["replication.commits", "replication.retries", "replication.quorum_losses"];
+        let mut core = QuorumClient::new(set, cfg.w, "replica", 'r', None, counters);
         core.set_backoff(cfg.backoff);
         ReplicatedStore {
             core,
@@ -172,7 +171,7 @@ impl ReplicatedStore {
     /// refused for lack of a quorum.
     fn read_done(&self, repairs: u64, quorum_losses: u64) {
         self.repairs.fetch_add(repairs, Ordering::Relaxed);
-        self.core.trace().replication(0, 0, repairs, 0);
+        self.core.trace().count("replication.repairs", repairs);
         self.core.record(0, 0, quorum_losses);
     }
 

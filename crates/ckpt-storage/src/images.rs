@@ -70,19 +70,6 @@ pub fn store_image_bytes(
     Ok(storage.store(&key, bytes, cost)?)
 }
 
-/// Load and validate one image; returns (image, modelled time).
-pub fn load_image(
-    storage: &dyn StableStorage,
-    job: &str,
-    pid: u32,
-    seq: u64,
-    cost: &CostModel,
-) -> Result<(CheckpointImage, u64), ImageStoreError> {
-    let key = ImageKey::new(job, pid, seq).to_string();
-    let (bytes, t) = storage.load(&key, cost)?;
-    Ok((decode(&bytes)?, t))
-}
-
 /// Load the newest restartable chain for a pid: the most recent full image
 /// and every incremental after it, reconstructed into one full image.
 /// Returns (reconstructed image, total modelled load time).
@@ -367,7 +354,7 @@ mod tests {
         let c = CostModel::circa_2005();
         let image = img(1, 0, ImageKind::Full, vec![(1, 7)]);
         store_image(&mut disk, "job", &image, &c).unwrap();
-        let (back, t) = load_image(&disk, "job", 1, 1, &c).unwrap();
+        let (back, t) = load_latest_chain(&disk, "job", 1, &c).unwrap();
         assert_eq!(back, image);
         assert!(t > 0);
     }
@@ -534,7 +521,7 @@ mod tests {
         bytes[40] ^= 0xFF;
         disk.store(&key, &bytes, &c).unwrap();
         assert!(matches!(
-            load_image(&disk, "job", 1, 1, &c),
+            load_latest_chain(&disk, "job", 1, &c),
             Err(ImageStoreError::Decode(_))
         ));
     }

@@ -10,7 +10,6 @@ use ckpt_core::mechanism::fork_concurrent::ForkConcurrentMechanism;
 use ckpt_core::mechanism::ksignal::KernelSignalMechanism;
 use ckpt_core::mechanism::kthread::{KernelThreadMechanism, KthreadIface, KthreadVariant};
 use ckpt_core::mechanism::syscall::{SyscallMechanism, SyscallVariant};
-use ckpt_core::mechanism::user_level::{Trigger, UserLevelMechanism};
 use ckpt_core::mechanism::{Initiation, Mechanism};
 use ckpt_core::tracker::TrackerKind;
 use ckpt_core::SharedStorage;
@@ -284,23 +283,6 @@ impl SurveyedSystem {
             SoftwareSuspend => "swsusp",
             Checkpoint => "checkpoint5",
         }
-    }
-
-    /// A sensible user-level comparison point is not in Table 1 — the
-    /// table only surveys system-level implementations plus the hybrid
-    /// Software Suspend; user-level libraries are discussed in Section 3.
-    /// This helper builds the canonical user-level baseline used by the
-    /// experiments.
-    pub fn user_level_baseline(job: &str, storage: SharedStorage) -> UserLevelMechanism {
-        UserLevelMechanism::new(
-            "libckpt",
-            job,
-            storage,
-            TrackerKind::UserPage,
-            Trigger::Signal {
-                sig: simos::signal::Sig::SIGUSR1,
-            },
-        )
     }
 }
 

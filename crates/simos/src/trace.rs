@@ -268,59 +268,13 @@ pub struct TraceReport {
     /// accelerator, and adding it must not perturb any pre-existing totals
     /// (the `report all` output is pinned byte-for-byte).
     pub soft_tlb_flushes: BTreeMap<TlbFlushSite, u64>,
-    /// Parallel-encode pool activity (tasks run, successful steals, merge
-    /// stalls) attributed to traced checkpoints. Host-side concurrency
-    /// observability, excluded from `events_recorded` for the same reason
-    /// as `soft_tlb_flushes`.
-    pub par_encode: ParEncodeAgg,
-    /// Quorum-replication protocol activity (commits, transient retries,
-    /// read-repairs, quorum losses). Excluded from `events_recorded` for
-    /// the same reason as `soft_tlb_flushes`: the replicated backend must
-    /// not perturb any pre-existing pinned totals.
-    pub replication: ReplicationAgg,
-    /// Erasure-coding activity (shard encodes, reconstructing decodes,
-    /// shard repairs, typed shard-loss refusals). Excluded from
-    /// `events_recorded` for the same reason as `replication`.
-    pub erasure: ErasureAgg,
-}
-
-/// Aggregated quorum-replication counters for the replicated store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplicationAgg {
-    /// Writes that reached write-quorum and committed.
-    pub commits: u64,
-    /// Per-replica transient faults absorbed by backoff-retry.
-    pub retries: u64,
-    /// Stale/torn/missing replica frames rewritten during quorum reads.
-    pub repairs: u64,
-    /// Operations refused with a typed `QuorumLost` error.
-    pub quorum_losses: u64,
-}
-
-/// Aggregated Reed-Solomon counters for the erasure-coded store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ErasureAgg {
-    /// Objects split into k data + m parity shards and committed.
-    pub encodes: u64,
-    /// Reads that needed a matrix-inversion decode (≥ 1 data shard was
-    /// lost or torn; a read with all k data shards intact concatenates).
-    pub decodes: u64,
-    /// Lost/torn shards rebuilt in place during reads (read-repair).
-    pub shard_repairs: u64,
-    /// Reads refused with a typed `TooManyShardsLost` error.
-    pub shard_losses: u64,
-}
-
-/// Aggregated worker-pool counters for parallel page encoding.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParEncodeAgg {
-    /// Pages/items encoded on the pool (serial path included).
-    pub tasks: u64,
-    /// Successful work-steal operations between pool workers.
-    pub steals: u64,
-    /// Results completed out of submission order and parked by the
-    /// ordered merge.
-    pub merge_stalls: u64,
+    /// Labelled counters for everything else a layer wants counted: the
+    /// parallel-encode pool's `par.{tasks,steals,merge_stalls}`, the quorum
+    /// tiers' `replication.*` and `erasure.*` protocol activity. Host-side
+    /// and storage-tier observability, excluded from `events_recorded` for
+    /// the same reason as `soft_tlb_flushes`: a new counter must never
+    /// perturb a pinned total.
+    pub counters: BTreeMap<&'static str, u64>,
 }
 
 impl TraceReport {
@@ -350,6 +304,11 @@ impl TraceReport {
             .collect();
         out.dedup();
         out
+    }
+
+    /// A labelled counter's value (0 if nothing was ever counted under it).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// The ordered phase sequence one mechanism emitted (for order
@@ -492,48 +451,15 @@ impl TraceHandle {
         *d.report.soft_tlb_flushes.entry(site).or_default() += 1;
     }
 
-    /// Accumulate parallel-encode pool counter deltas (plain integers so
-    /// simos stays independent of the pool crate). Does not bump
-    /// `events_recorded` — see [`TraceReport::par_encode`].
+    /// Add `n` to the labelled counter `name`. Does not bump
+    /// `events_recorded` — see [`TraceReport::counters`].
     #[inline]
-    pub fn par_encode(&self, tasks: u64, steals: u64, merge_stalls: u64) {
-        if !self.is_enabled() {
+    pub fn count(&self, name: &'static str, n: u64) {
+        if !self.is_enabled() || n == 0 {
             return;
         }
         let mut d = self.0.data.lock().unwrap();
-        d.report.par_encode.tasks += tasks;
-        d.report.par_encode.steals += steals;
-        d.report.par_encode.merge_stalls += merge_stalls;
-    }
-
-    /// Accumulate quorum-replication counter deltas (plain integers so
-    /// simos stays independent of the replication crate). Does not bump
-    /// `events_recorded` — see [`TraceReport::replication`].
-    #[inline]
-    pub fn replication(&self, commits: u64, retries: u64, repairs: u64, quorum_losses: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut d = self.0.data.lock().unwrap();
-        d.report.replication.commits += commits;
-        d.report.replication.retries += retries;
-        d.report.replication.repairs += repairs;
-        d.report.replication.quorum_losses += quorum_losses;
-    }
-
-    /// Accumulate erasure-coding counter deltas (plain integers so simos
-    /// stays independent of the erasure crate). Does not bump
-    /// `events_recorded` — see [`TraceReport::erasure`].
-    #[inline]
-    pub fn erasure(&self, encodes: u64, decodes: u64, shard_repairs: u64, shard_losses: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut d = self.0.data.lock().unwrap();
-        d.report.erasure.encodes += encodes;
-        d.report.erasure.decodes += decodes;
-        d.report.erasure.shard_repairs += shard_repairs;
-        d.report.erasure.shard_losses += shard_losses;
+        *d.report.counters.entry(name).or_default() += n;
     }
 
     /// Emit a cluster-level event.
@@ -637,47 +563,24 @@ mod tests {
     }
 
     #[test]
-    fn par_encode_counters_do_not_disturb_event_totals() {
+    fn labelled_counters_do_not_disturb_event_totals() {
         let t = TraceHandle::recording();
-        t.par_encode(128, 3, 2);
-        t.par_encode(64, 0, 1);
+        t.count("par.tasks", 128);
+        t.count("par.tasks", 64);
+        t.count("replication.repairs", 3);
+        t.count("erasure.decodes", 0);
         let r = t.report();
-        assert_eq!(r.par_encode.tasks, 192);
-        assert_eq!(r.par_encode.steals, 3);
-        assert_eq!(r.par_encode.merge_stalls, 3);
+        assert_eq!(r.counter("par.tasks"), 192);
+        assert_eq!(r.counter("replication.repairs"), 3);
+        assert_eq!(r.counter("never.counted"), 0);
+        assert!(!r.counters.contains_key("erasure.decodes"), "a zero delta leaves no entry");
         // Must not perturb kernel counters or the recorded-event total.
         assert_eq!(r.events_recorded, 0);
         assert!(r.kernel.is_empty());
-    }
-
-    #[test]
-    fn replication_counters_do_not_disturb_event_totals() {
-        let t = TraceHandle::recording();
-        t.replication(2, 1, 0, 0);
-        t.replication(1, 0, 3, 1);
-        let r = t.report();
-        assert_eq!(r.replication.commits, 3);
-        assert_eq!(r.replication.retries, 1);
-        assert_eq!(r.replication.repairs, 3);
-        assert_eq!(r.replication.quorum_losses, 1);
-        // Must not perturb kernel counters or the recorded-event total.
-        assert_eq!(r.events_recorded, 0);
-        assert!(r.kernel.is_empty());
-    }
-
-    #[test]
-    fn erasure_counters_do_not_disturb_event_totals() {
-        let t = TraceHandle::recording();
-        t.erasure(4, 1, 0, 0);
-        t.erasure(2, 0, 3, 1);
-        let r = t.report();
-        assert_eq!(r.erasure.encodes, 6);
-        assert_eq!(r.erasure.decodes, 1);
-        assert_eq!(r.erasure.shard_repairs, 3);
-        assert_eq!(r.erasure.shard_losses, 1);
-        // Must not perturb kernel counters or the recorded-event total.
-        assert_eq!(r.events_recorded, 0);
-        assert!(r.kernel.is_empty());
+        // And the no-op sink keeps nothing at all.
+        let off = TraceHandle::disabled();
+        off.count("par.tasks", 1);
+        assert_eq!(off.report(), TraceReport::default());
     }
 
     #[test]

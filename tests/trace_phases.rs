@@ -3,19 +3,11 @@
 //! per-phase costs reconcile with the outcomes' end-to-end totals, and a
 //! disabled sink records nothing.
 
-use ckpt_restart::ckpt::mechanism::fork_concurrent::ForkConcurrentMechanism;
-use ckpt_restart::ckpt::mechanism::hardware::{HardwareMechanism, HwFlavor};
+use ckpt_restart::ckpt::mechanism::family;
 use ckpt_restart::ckpt::mechanism::hibernate::{SoftwareSuspend, SuspendMode};
-use ckpt_restart::ckpt::mechanism::ksignal::KernelSignalMechanism;
-use ckpt_restart::ckpt::mechanism::kthread::{
-    KernelThreadMechanism, KthreadIface, KthreadVariant,
-};
-use ckpt_restart::ckpt::mechanism::syscall::{SyscallMechanism, SyscallVariant};
-use ckpt_restart::ckpt::mechanism::user_level::{Trigger, UserLevelMechanism};
 use ckpt_restart::prelude::*;
 use ckpt_restart::simos::apps::{AppParams, NativeKind};
 use ckpt_restart::simos::cost::CostModel;
-use ckpt_restart::simos::signal::Sig;
 use ckpt_restart::simos::types::Pid;
 use ckpt_restart::storage::{LocalDisk, SwapStore};
 
@@ -58,6 +50,16 @@ fn checkpoint_traced(mech: &mut dyn Mechanism) -> (TraceReport, u64) {
     (trace.report(), o.total_ns)
 }
 
+/// One full checkpoint of the family-table row `label`, traced: the
+/// mandatory phases are there in order, under the row's module name, and
+/// reconcile with the outcome.
+fn assert_row(label: &str) {
+    let row = family(label);
+    let mut m = row.build("trace", disk(), TrackerKind::FullOnly);
+    let (rep, total) = checkpoint_traced(m.as_mut());
+    assert_family(row.module, &rep, total);
+}
+
 fn assert_family(name: &str, report: &TraceReport, total_ns: u64) {
     let seq = report.phase_sequence(name);
     assert!(
@@ -75,69 +77,33 @@ fn assert_family(name: &str, report: &TraceReport, total_ns: u64) {
 
 #[test]
 fn user_level_emits_mandatory_phases() {
-    let mut m = UserLevelMechanism::new(
-        "libckpt",
-        "trace",
-        disk(),
-        TrackerKind::FullOnly,
-        Trigger::Signal { sig: Sig::SIGUSR1 },
-    );
-    let (rep, total) = checkpoint_traced(&mut m);
-    assert_family("libckpt", &rep, total);
+    assert_row("user-signal");
 }
 
 #[test]
 fn syscall_emits_mandatory_phases() {
-    let mut m = SyscallMechanism::new(
-        "epckpt",
-        SyscallVariant::ByPid,
-        "trace",
-        disk(),
-        TrackerKind::FullOnly,
-    );
-    let (rep, total) = checkpoint_traced(&mut m);
-    assert_family("epckpt", &rep, total);
+    assert_row("syscall-bypid");
 }
 
 #[test]
 fn kernel_signal_emits_mandatory_phases() {
-    let mut m = KernelSignalMechanism::new("chpox", "trace", disk(), TrackerKind::FullOnly);
-    let (rep, total) = checkpoint_traced(&mut m);
-    assert_family("chpox", &rep, total);
+    assert_row("kernel-signal");
 }
 
 #[test]
 fn kernel_thread_emits_mandatory_phases() {
-    let mut m = KernelThreadMechanism::new(
-        "crak",
-        "trace",
-        disk(),
-        TrackerKind::FullOnly,
-        KthreadIface::Ioctl,
-        KthreadVariant::default(),
-    );
-    let (rep, total) = checkpoint_traced(&mut m);
-    assert_family("crak", &rep, total);
+    assert_row("kthread-ioctl");
 }
 
 #[test]
 fn fork_concurrent_emits_mandatory_phases() {
-    let mut m = ForkConcurrentMechanism::new("forkckpt", "trace", disk());
-    let (rep, total) = checkpoint_traced(&mut m);
-    assert_family("forkckpt", &rep, total);
+    assert_row("fork-concurrent");
 }
 
 #[test]
 fn hardware_emits_mandatory_phases() {
-    for flavor in [HwFlavor::Revive, HwFlavor::Safetynet] {
-        let mut m = HardwareMechanism::new(flavor, "trace", disk());
-        let name = match flavor {
-            HwFlavor::Revive => "revive",
-            HwFlavor::Safetynet => "safetynet",
-        };
-        let (rep, total) = checkpoint_traced(&mut m);
-        assert_family(name, &rep, total);
-    }
+    assert_row("hw-revive");
+    assert_row("hw-safetynet");
 }
 
 #[test]
@@ -153,13 +119,7 @@ fn hibernate_emits_mandatory_phases() {
 fn incremental_checkpoint_traces_walk_and_rearm() {
     let trace = TraceHandle::recording();
     let (mut k, pid) = traced_kernel(&trace);
-    let mut m = SyscallMechanism::new(
-        "epckpt",
-        SyscallVariant::ByPid,
-        "trace",
-        disk(),
-        TrackerKind::KernelPage,
-    );
+    let mut m = family("syscall-bypid").build("trace", disk(), TrackerKind::KernelPage);
     m.prepare(&mut k, pid).unwrap();
     m.checkpoint(&mut k, pid).unwrap();
     k.run_for(5_000_000).unwrap();
@@ -175,7 +135,7 @@ fn incremental_checkpoint_traces_walk_and_rearm() {
 fn restart_traces_a_restore_phase_and_storage_load() {
     let trace = TraceHandle::recording();
     let (mut k, pid) = traced_kernel(&trace);
-    let mut m = KernelSignalMechanism::new("chpox", "trace", disk(), TrackerKind::FullOnly);
+    let mut m = family("kernel-signal").build("trace", disk(), TrackerKind::FullOnly);
     m.prepare(&mut k, pid).unwrap();
     m.checkpoint(&mut k, pid).unwrap();
     let mut k2 = Kernel::new(CostModel::circa_2005());
@@ -195,7 +155,7 @@ fn restart_traces_a_restore_phase_and_storage_load() {
 fn storage_stores_are_recorded_with_bytes() {
     let trace = TraceHandle::recording();
     let (mut k, pid) = traced_kernel(&trace);
-    let mut m = KernelSignalMechanism::new("chpox", "trace", disk(), TrackerKind::FullOnly);
+    let mut m = family("kernel-signal").build("trace", disk(), TrackerKind::FullOnly);
     m.prepare(&mut k, pid).unwrap();
     let o = m.checkpoint(&mut k, pid).unwrap();
     use ckpt_restart::trace::StorageOp;
@@ -218,14 +178,7 @@ fn disabled_sink_records_nothing_end_to_end() {
     params.total_steps = u64::MAX;
     let pid = k.spawn_native(NativeKind::SparseRandom, params).unwrap();
     k.run_for(20_000_000).unwrap();
-    let mut m = KernelThreadMechanism::new(
-        "crak",
-        "trace",
-        disk(),
-        TrackerKind::FullOnly,
-        KthreadIface::Ioctl,
-        KthreadVariant::default(),
-    );
+    let mut m = family("kthread-ioctl").build("trace", disk(), TrackerKind::FullOnly);
     m.prepare(&mut k, pid).unwrap();
     m.checkpoint(&mut k, pid).unwrap();
     assert!(!k.trace.is_enabled());
@@ -248,8 +201,7 @@ fn disabled_sink_does_not_perturb_virtual_time() {
         params.total_steps = u64::MAX;
         let pid = k.spawn_native(NativeKind::SparseRandom, params).unwrap();
         k.run_for(20_000_000).unwrap();
-        let mut m =
-            KernelSignalMechanism::new("chpox", "trace", disk(), TrackerKind::FullOnly);
+        let mut m = family("kernel-signal").build("trace", disk(), TrackerKind::FullOnly);
         m.prepare(&mut k, pid).unwrap();
         let o = m.checkpoint(&mut k, pid).unwrap();
         (k.now(), o.total_ns, o.encoded_bytes)
