@@ -56,15 +56,20 @@ awk -v r="$DEDUP_RATIO" 'BEGIN { exit !(r > 2.0) }' || {
     exit 1
 }
 
-echo '== shard gate: striped-pool properties + protocol crash sweep + pinned report =='
-# The sharded control plane gets its own named gate: adversarial
+echo '== shard gate: striped-pool properties + the pinned cut + protocol crash sweep + pinned report =='
+# The coordinated-checkpoint protocol gets its own named gate: adversarial
 # per-stripe damage must stay byte-identical on healthy stripes and
-# typed-QuorumLost on broken ones (never cross-stripe corruption); every
-# shard-commit and root-commit protocol faultpoint must recover
-# state-identical to a failure-free run; and the `report c14` scale
-# sweep (1k–10k nodes) is FNV-pinned and pool-width-invariant by the
-# golden test.
+# typed-QuorumLost on broken ones (never cross-stripe corruption); the
+# per-image protocol's rounds, storage records, stored images and recovered
+# rank states must render exactly as pinned in
+# tests/goldens/coordinated_cut.txt (captured from the flat coordinator
+# before it became the one-rank-per-shard case); every shard-commit and
+# root-commit protocol faultpoint, for two shards and for one shard per
+# rank, must recover state-identical to a failure-free run; and the
+# `report c14` scale sweep (1k–10k nodes) is FNV-pinned and
+# pool-width-invariant by the golden test.
 cargo test -q -p ckpt-restart --test stripe_properties
+cargo test -q -p ckpt-restart --test coordinated_cut
 cargo test -q -p ckpt-restart --test shard_crash
 cargo test -q -p ckpt-bench --test golden_c14
 
@@ -72,7 +77,9 @@ echo '== migration gate: live-migration properties + crash tier + pinned report 
 # The live-migration tier gets its own named gate: randomized dirty-rate
 # schedules must either converge within the round cap or return the typed
 # divergence error with the source intact; migrated guests must be
-# bit-identical across the app zoo at every pool width; the migration
+# bit-identical across the app zoo at every pool width; a migration that
+# fails — target down, or refusing the restore — must leave its source
+# guest running, for freeze-copy, pre-copy and post-copy; the migration
 # crash tier (every livemig faultpoint x fault kind) must end in
 # zero-loss completion, typed fallback, or typed abort — never silent
 # corruption; and the `report c15` downtime table is FNV-pinned, with a

@@ -62,8 +62,8 @@ fn c14_shard_count_does_not_change_the_committed_images() {
     // image sets (same keys, same guest state) to the striped pool. The
     // one field allowed to move is the header's capture instant —
     // earlier shards charge their commit latency before later shards
-    // capture, exactly as the flat coordinator's sequential per-rank
-    // path already does — so it is normalized to zero before digesting.
+    // capture, exactly as the per-image protocol's sequential per-rank
+    // commits do — so it is normalized to zero before digesting.
     use ckpt_cluster::{Cluster, FailureConfig, MpiJob, ShardedCoordinator};
     use ckpt_core::TrackerKind;
     use simos::apps::{AppParams, NativeKind};

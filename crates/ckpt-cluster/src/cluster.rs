@@ -17,6 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simos::cost::CostModel;
 use simos::trace::{ClusterEvent, TraceHandle};
+use simos::types::{SimError, SimResult};
+use simos::Kernel;
 use std::sync::Arc;
 
 /// Failure-injection configuration.
@@ -183,6 +185,11 @@ impl Cluster {
 
     pub fn node(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.0 as usize]
+    }
+
+    /// The kernel of node `id`, or the typed [`SimError::NodeDown`].
+    pub fn kernel(&mut self, id: NodeId) -> SimResult<&mut Kernel> {
+        self.node(id).kernel().ok_or(SimError::NodeDown(id.0))
     }
 
     pub fn alive_nodes(&self) -> Vec<NodeId> {

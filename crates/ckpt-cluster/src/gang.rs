@@ -8,7 +8,7 @@
 //! incoming gang thaws and runs.
 
 use crate::cluster::Cluster;
-use crate::coordinator::Coordinator;
+use crate::shard::ShardedCoordinator;
 use crate::mpi::MpiJob;
 use ckpt_core::tracker::TrackerKind;
 use simos::types::{SimError, SimResult};
@@ -16,7 +16,7 @@ use simos::types::{SimError, SimResult};
 /// A gang: one parallel job plus its coordinated-checkpoint driver.
 pub struct Gang {
     pub job: MpiJob,
-    pub coord: Coordinator,
+    pub coord: ShardedCoordinator,
     pub supersteps_run: u64,
 }
 
@@ -25,7 +25,7 @@ impl Gang {
         let key = format!("gang-{}", job.name);
         Gang {
             job,
-            coord: Coordinator::new(&key, tracker),
+            coord: ShardedCoordinator::per_image(&key, tracker),
             supersteps_run: 0,
         }
     }
@@ -55,22 +55,14 @@ impl GangScheduler {
 
     fn freeze_gang(cluster: &mut Cluster, gang: &Gang) -> SimResult<()> {
         for r in &gang.job.ranks {
-            let k = cluster
-                .node(r.node)
-                .kernel()
-                .ok_or_else(|| SimError::Usage(format!("{} down", r.node)))?;
-            k.freeze_process(r.pid)?;
+            cluster.kernel(r.node)?.freeze_process(r.pid)?;
         }
         Ok(())
     }
 
     fn thaw_gang(cluster: &mut Cluster, gang: &Gang) -> SimResult<()> {
         for r in &gang.job.ranks {
-            let k = cluster
-                .node(r.node)
-                .kernel()
-                .ok_or_else(|| SimError::Usage(format!("{} down", r.node)))?;
-            k.thaw_process(r.pid)?;
+            cluster.kernel(r.node)?.thaw_process(r.pid)?;
         }
         Ok(())
     }

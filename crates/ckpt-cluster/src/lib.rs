@@ -9,15 +9,18 @@
 //!   server, lock-step time, and exponential fail-stop failure injection;
 //! * [`mpi`] — a deterministic bulk-synchronous message-passing job layer
 //!   (the MPI stand-in; see DESIGN.md on the substitution);
-//! * [`coordinator`] — LAM/MPI-style coordinated checkpointing at
-//!   quiescent superstep boundaries, with migration-aware restart;
-//! * [`shard`] — the two-level sharded control plane: shard-local rounds
-//!   with batched quorum commits, a root two-phase global cut, and the
-//!   1k–10k node scale model;
-//! * [`mod@migrate`] — process migration with or without pod virtualization;
-//! * [`livemig`] — iterative pre-copy / post-copy live migration with a
-//!   dirty-rate-adaptive cutover, plus its crash-matrix tier
-//!   ([`migmatrix`]);
+//! * [`shard`] — the one coordinated-checkpoint protocol, at quiescent
+//!   superstep boundaries with migration-aware restart: shard-local rounds
+//!   with batched quorum commits under a root two-phase global cut
+//!   (LAM/MPI's per-image protocol is one rank per shard), and the 1k–10k
+//!   node scale model;
+//! * [`mod@migrate`] — the one migration cutover (freeze bracket, wire
+//!   faultpoints, landing, retiring the source) and freeze-copy migration
+//!   over it, with or without pod virtualization;
+//! * [`livemig`] — what iterative pre-copy and post-copy live migration
+//!   add around that cutover (dirty rounds with a dirty-rate-adaptive
+//!   cutover policy before it, the demand/prefetch drain after it), plus
+//!   the crash-matrix tier ([`migmatrix`]);
 //! * [`gang`] — gang scheduling via safe-preemption checkpoints;
 //! * [`analytics`] — mechanistic job runs under failures, and an
 //!   event-level Monte-Carlo model that scales the utilization analysis to
@@ -26,7 +29,6 @@
 pub mod analytics;
 pub mod batch;
 pub mod cluster;
-pub mod coordinator;
 pub mod gang;
 pub mod livemig;
 pub mod migmatrix;
@@ -38,11 +40,9 @@ pub mod shard;
 pub use analytics::{interval_sweep, simulate_job, stochastic_run, JobRunConfig, JobRunReport};
 pub use batch::{BatchManager, BatchRoundReport, ManagedJob};
 pub use cluster::{Cluster, FailureConfig, FailureEvent};
-pub use coordinator::{CoordOutcome, Coordinator};
 pub use gang::{Gang, GangScheduler};
 pub use livemig::{
-    migrate_postcopy, migrate_precopy, rebalance_rank_live, LiveMigConfig, PostCopyReport,
-    PreCopyReport, RoundStat,
+    migrate_postcopy, migrate_precopy, LiveMigConfig, PostCopyReport, PreCopyReport, RoundStat,
 };
 pub use migmatrix::{full_matrix, MIGRATION_TIER};
 pub use migrate::{migrate, MigrationMode, MigrationReport};

@@ -3,7 +3,8 @@
 //!
 //! [`crate::migrate()`] is freeze-copy-resume: the guest is down for the
 //! whole image transfer. This module implements the two hypervisor-era
-//! alternatives on top of the same capture/restore machinery:
+//! alternatives around the same cutover (`crate::migrate::Cutover`: freeze
+//! bracket, wire faultpoints, landing, retiring the source):
 //!
 //! * **Iterative pre-copy** ([`migrate_precopy`]) — ship a full snapshot
 //!   while the guest keeps running, then repeatedly ship only the pages
@@ -37,16 +38,14 @@
 //! transient costs one retransmission.
 
 use crate::cluster::Cluster;
+use crate::migrate::{Cutover, Landing};
 use crate::node::NodeId;
-use ckpt_core::capture::{
-    capture_image, restore_image, CaptureOptions, PageSelection, RestoreOptions, RestorePid,
-};
+use ckpt_core::capture::{capture_image, CaptureOptions, PageSelection, RestorePid};
 use ckpt_core::tracker::{Tracker, TrackerKind};
 use ckpt_image::{CheckpointImage, PageRecord};
-use simos::apps::{self, GuestMemIo, VecMem, HEADER_BASE};
-use simos::cost::{CostModel, PAGE_SIZE};
-use simos::faultpoint::{Fault, FaultHandle};
-use simos::pcb::{ProcState, ProgramSpec};
+use simos::apps::{self, AppParams, GuestMemIo, NativeKind, VecMem, HEADER_BASE};
+use simos::cost::PAGE_SIZE;
+use simos::pcb::ProgramSpec;
 use simos::trace::ClusterEvent;
 use simos::types::{Pid, SimError, SimResult};
 use simos::Kernel;
@@ -61,21 +60,10 @@ pub struct LiveMigConfig {
     pub downtime_budget_ns: u64,
     /// Hard cap on pre-copy rounds; exceeding it is divergence.
     pub max_rounds: u32,
-    /// Consecutive rounds without residual shrink before the divergence
-    /// detector acts (throttle or typed error).
-    pub patience: u32,
     /// QEMU-style auto-converge: on a divergence streak, halve the guest
     /// duty cycle instead of aborting. Off → [`SimError::CutoverDiverged`]
     /// is returned instead, which the crash tier and property tests rely on.
     pub autoconverge: bool,
-    /// Duty-cycle floor (percent). 0 permits full stop-and-copy rounds in
-    /// the final mile, which guarantees convergence for any guest.
-    pub min_duty_pct: u32,
-    /// Pages per background prefetch batch (post-copy).
-    pub prefetch_batch: usize,
-    /// Guest steps the target runs between demand-fault service points
-    /// (post-copy).
-    pub quantum_steps: u64,
     /// Worker pool for parallel page encoding (byte-identical at every
     /// width, like every other capture path).
     pub encode_pool: Option<Arc<ckpt_par::Pool>>,
@@ -86,15 +74,23 @@ impl Default for LiveMigConfig {
         LiveMigConfig {
             downtime_budget_ns: 250_000,
             max_rounds: 30,
-            patience: 3,
             autoconverge: true,
-            min_duty_pct: 0,
-            prefetch_batch: 16,
-            quantum_steps: 32,
             encode_pool: None,
         }
     }
 }
+
+/// Consecutive pre-copy rounds without residual shrink before the
+/// divergence detector acts (throttle or typed error).
+const PATIENCE: u32 = 3;
+/// Duty-cycle floor (percent). 0 permits full stop-and-copy rounds in the
+/// final mile, which guarantees convergence for any guest.
+const MIN_DUTY_PCT: u32 = 0;
+/// Pages per background prefetch batch (post-copy).
+const PREFETCH_BATCH: usize = 16;
+/// Guest steps the target runs between demand-fault service points
+/// (post-copy).
+const QUANTUM_STEPS: u64 = 32;
 
 /// One pre-copy round as observed by the cutover policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,68 +167,36 @@ impl PostCopyReport {
     }
 }
 
-/// One-way wire cost of a `bytes`-sized frame.
-pub(crate) fn wire_ns(cost: &CostModel, bytes: u64) -> u64 {
-    cost.net_latency_ns + (bytes as f64 * cost.net_ns_per_byte).round() as u64
-}
-
-/// What an armed faultpoint did to a wire frame.
-enum SiteHit {
-    Clean,
-    /// Transient: the frame is retransmitted once.
-    Retransmit,
-    /// Fail-stop or torn frame: the source is gone; a torn frame is
-    /// discarded by the receiver (never applied — no silent corruption).
-    Lost,
-}
-
-fn classify(faults: &FaultHandle, site: &str, bytes: u64) -> SiteHit {
-    match faults.check(site, bytes) {
-        None => SiteHit::Clean,
-        Some(Fault::Transient) => SiteHit::Retransmit,
-        Some(Fault::FailStop) => SiteHit::Lost,
-        Some(Fault::TornWrite { .. }) => {
-            // Torn frames kill the sender mid-write; flag the crash
-            // (FailStop does this inside `check`).
-            faults.set_crashed();
-            SiteHit::Lost
-        }
-    }
-}
-
-/// The source kernel, or the typed loss if the node died under us.
-fn src_kernel(
-    cluster: &mut Cluster,
-    from: NodeId,
-    residual_pages: u64,
-) -> SimResult<&mut Kernel> {
-    cluster
-        .node(from)
-        .kernel()
-        .ok_or(SimError::SourceLostMidMigration { residual_pages })
-}
-
 /// Advance the cluster by `window_ns` with the migrating guest running
 /// only `duty_pct`% of it (the auto-converge throttle). At 100 the guest
 /// runs the whole window; at 0 the round is stop-and-copy.
 fn advance_with_duty(
-    cluster: &mut Cluster,
-    from: NodeId,
-    pid: Pid,
+    m: &mut Cutover<'_>,
     window_ns: u64,
     duty_pct: u32,
     residual_pages: u64,
 ) -> SimResult<()> {
+    let pid = m.pid;
     let run = window_ns.saturating_mul(duty_pct as u64) / 100;
     if run > 0 {
-        cluster.advance(run);
+        m.cluster.advance(run);
     }
     if window_ns > run {
-        src_kernel(cluster, from, residual_pages)?.freeze_process(pid)?;
-        cluster.advance(window_ns - run);
-        src_kernel(cluster, from, residual_pages)?.thaw_process(pid)?;
+        m.source(residual_pages)?.freeze_process(pid)?;
+        m.cluster.advance(window_ns - run);
+        m.source(residual_pages)?.thaw_process(pid)?;
     }
-    src_kernel(cluster, from, residual_pages).map(|_| ())
+    m.source(residual_pages).map(|_| ())
+}
+
+/// Send the frozen source's cutover frame: the `livemig/cutover`
+/// faultpoint, then every crossing's wire time on the source's clock,
+/// whose reading is returned.
+fn send_cutover(m: &mut Cutover<'_>, bytes: u64, residual_pages: u64) -> SimResult<u64> {
+    let crossings = m.ship("livemig/cutover", bytes, residual_pages)?;
+    let k = m.source(residual_pages)?;
+    k.charge(crossings * k.cost.wire(bytes));
+    Ok(k.now())
 }
 
 /// Fold a round's incremental capture into the accumulated full image:
@@ -269,16 +233,13 @@ pub fn migrate_precopy(
     to: NodeId,
     cfg: &LiveMigConfig,
 ) -> SimResult<PreCopyReport> {
-    if from == to {
-        return Err(SimError::Usage("source and target are the same node".into()));
-    }
-    let faults = src_kernel(cluster, from, 0)?.faults.clone();
+    let mut m = Cutover::begin(cluster, from, pid, to)?;
     let mut tracker = Tracker::new(TrackerKind::KernelPage);
 
     // Round 0: arm tracking, then ship the full resident set while the
     // guest keeps running behind it.
     let mut acc = {
-        let k = src_kernel(cluster, from, 0)?;
+        let k = m.source(0)?;
         tracker.arm(k, pid)?;
         let mut opts = CaptureOptions::full("livemig-pre", 1);
         opts.save_file_contents = true;
@@ -296,43 +257,32 @@ pub fn migrate_precopy(
     let mut bytes_this = ckpt_image::encode(&acc).len() as u64;
 
     let dirty = loop {
-        // Ship the round's frame.
-        match classify(&faults, "livemig/round", bytes_this) {
-            SiteHit::Clean => {}
-            SiteHit::Retransmit => {
-                let cost = src_kernel(cluster, from, pages_this)?.cost.clone();
-                let w = wire_ns(&cost, bytes_this);
-                advance_with_duty(cluster, from, pid, w, duty, pages_this)?;
-            }
-            SiteHit::Lost => {
-                cluster.inject_failure(from);
-                return Err(SimError::SourceLostMidMigration {
-                    residual_pages: pages_this,
-                });
-            }
-        }
+        // Ship the round's frame: every crossing occupies one transfer
+        // window, with the guest running behind it.
+        let crossings = m.ship("livemig/round", bytes_this, pages_this)?;
         bytes_precopy += bytes_this;
-        let cost = src_kernel(cluster, from, pages_this)?.cost.clone();
-        let window = wire_ns(&cost, bytes_this);
-        advance_with_duty(cluster, from, pid, window, duty, pages_this)?;
+        let window = m.source(pages_this)?.cost.wire(bytes_this);
+        for _ in 0..crossings {
+            advance_with_duty(&mut m, window, duty, pages_this)?;
+        }
 
         // Sample what the guest dirtied behind the transfer.
         let dirty = {
-            let k = src_kernel(cluster, from, pages_this)?;
+            let k = m.source(pages_this)?;
             let p = k
                 .process_mut(pid)
                 .ok_or(SimError::NoSuchProcess(pid))?;
             p.mem.sample_dirty()
         };
         let guest_ns = (window.saturating_mul(duty as u64) / 100).max(1);
-        cluster.trace().cluster(
+        m.cluster.trace().cluster(
             ClusterEvent::MigrationRound {
                 round,
                 dirty_pages: dirty,
                 bytes: bytes_this,
                 dirty_rate_ppms: dirty.saturating_mul(1_000_000) / guest_ns,
             },
-            cluster.now(),
+            m.cluster.now(),
         );
         round_log.push(RoundStat {
             round,
@@ -344,8 +294,7 @@ pub fn migrate_precopy(
         });
 
         // Cutover policy: freeze only when the projected residual fits.
-        let cost = src_kernel(cluster, from, dirty)?.cost.clone();
-        let projected = wire_ns(&cost, dirty * PAGE_SIZE);
+        let projected = m.source(dirty)?.cost.wire(dirty * PAGE_SIZE);
         if projected <= cfg.downtime_budget_ns {
             break dirty;
         }
@@ -362,11 +311,12 @@ pub fn migrate_precopy(
                 residual_pages: dirty,
             });
         }
-        if stall_rounds >= cfg.patience {
-            if cfg.autoconverge && duty > cfg.min_duty_pct {
+        if stall_rounds >= PATIENCE {
+            if cfg.autoconverge && duty > MIN_DUTY_PCT {
                 // QEMU auto-converge: throttle the guest instead of
-                // aborting; each escalation halves the duty cycle.
-                duty = (duty / 2).max(cfg.min_duty_pct);
+                // aborting; each escalation halves the duty cycle (which
+                // cannot undershoot a floor of 0).
+                duty /= 2;
                 stall_rounds = 0;
                 prev_dirty = u64::MAX;
             } else {
@@ -380,7 +330,7 @@ pub fn migrate_precopy(
         // Next round: collect + re-arm, capture exactly the dirty set.
         round += 1;
         let upd = {
-            let k = src_kernel(cluster, from, dirty)?;
+            let k = m.source(dirty)?;
             let col = tracker.collect(k, pid)?;
             tracker.arm(k, pid)?;
             let mut opts =
@@ -394,11 +344,10 @@ pub fn migrate_precopy(
         merge_into(&mut acc, upd);
     };
 
-    // Cutover: freeze, ship the residual, resume on the target.
-    let (src_down, bytes_cutover, residual_pages) = {
-        let k = src_kernel(cluster, from, dirty)?;
+    // Cutover: freeze, ship the merged residual, resume on the target.
+    let (new_pid, downtime_ns, bytes_cutover, residual_pages) = m.frozen(|m| {
+        let k = m.source(dirty)?;
         let t_freeze = k.now();
-        k.freeze_process(pid)?;
         let col = tracker.collect(k, pid)?;
         let residual = col.pages.len() as u64;
         let mut opts = CaptureOptions::incremental(
@@ -412,53 +361,12 @@ pub fn migrate_precopy(
         opts.encode_pool = cfg.encode_pool.clone();
         let upd = capture_image(k, pid, &opts)?;
         let fb = ckpt_image::encode(&upd).len() as u64;
-        match classify(&faults, "livemig/cutover", fb) {
-            SiteHit::Clean => {}
-            SiteHit::Retransmit => {
-                let w = wire_ns(&k.cost.clone(), fb);
-                k.charge(w);
-            }
-            SiteHit::Lost => {
-                cluster.inject_failure(from);
-                return Err(SimError::SourceLostMidMigration {
-                    residual_pages: residual,
-                });
-            }
-        }
-        let k = src_kernel(cluster, from, residual)?;
-        let w = wire_ns(&k.cost.clone(), fb);
-        k.charge(w);
+        let src_down = send_cutover(m, fb, residual)? - t_freeze;
         merge_into(&mut acc, upd);
-        let k = src_kernel(cluster, from, residual)?;
-        (k.now() - t_freeze, fb, residual)
-    };
-    let (new_pid, tgt_rx) = {
-        let k = cluster
-            .node(to)
-            .kernel()
-            .ok_or_else(|| SimError::Usage(format!("{to} is down")))?;
-        let t_rx = k.now();
-        let t = k.cost.memcpy(bytes_cutover);
-        k.charge(t);
-        let np = restore_image(k, &acc, &RestoreOptions::fresh_running(RestorePid::Fresh))?;
-        (np, k.now() - t_rx)
-    };
-    // The source copy has left the building.
-    {
-        let k = src_kernel(cluster, from, 0)?;
-        if let Some(p) = k.process_mut(pid) {
-            p.state = ProcState::Zombie { code: 0 };
-        }
-        let _ = k.reap(pid);
-    }
-    cluster.trace().cluster(
-        ClusterEvent::Migration {
-            from: from.0,
-            to: to.0,
-            bytes: bytes_precopy + bytes_cutover,
-        },
-        cluster.now(),
-    );
+        let (new_pid, tgt_rx) = m.land(&acc, fb, Landing::Pid(RestorePid::Fresh))?;
+        m.complete(bytes_precopy + fb)?;
+        Ok((new_pid, src_down + tgt_rx, fb, residual))
+    })?;
     Ok(PreCopyReport {
         from,
         to,
@@ -467,7 +375,7 @@ pub fn migrate_precopy(
         bytes_precopy,
         bytes_cutover,
         residual_pages,
-        downtime_ns: src_down + tgt_rx,
+        downtime_ns,
         final_duty_pct: duty,
         round_log,
     })
@@ -526,18 +434,29 @@ fn run_target_steps(k: &mut Kernel, pid: Pid, steps: u64) {
 /// Copy `pages` out of the frozen source process (missing pages are
 /// zero-filled pages on both sides and are skipped).
 fn read_source_pages(
-    cluster: &mut Cluster,
-    from: NodeId,
-    pid: Pid,
+    m: &mut Cutover<'_>,
     pages: &[u64],
     residual: u64,
 ) -> SimResult<Vec<(u64, Vec<u8>)>> {
-    let k = src_kernel(cluster, from, residual)?;
-    let p = k.process(pid).ok_or(SimError::NoSuchProcess(pid))?;
+    let pid = m.pid;
+    let p = m.source(residual)?.process(pid).ok_or(SimError::NoSuchProcess(pid))?;
     Ok(pages
         .iter()
         .filter_map(|pn| p.mem.page_data(*pn).map(|d| (*pn, d.to_vec())))
         .collect())
+}
+
+/// Write delivered page frames into the resumed target process.
+fn deliver(m: &mut Cutover<'_>, new_pid: Pid, frames: &[(u64, Vec<u8>)]) -> SimResult<()> {
+    let p = m
+        .cluster
+        .kernel(m.to)?
+        .process_mut(new_pid)
+        .ok_or(SimError::NoSuchProcess(new_pid))?;
+    for (pn, data) in frames {
+        p.mem.poke(pn * PAGE_SIZE, data);
+    }
+    Ok(())
 }
 
 /// Post-copy migrate `pid` from `from` to `to`: resume on the target
@@ -550,18 +469,17 @@ pub fn migrate_postcopy(
     to: NodeId,
     cfg: &LiveMigConfig,
 ) -> SimResult<PostCopyReport> {
-    if from == to {
-        return Err(SimError::Usage("source and target are the same node".into()));
-    }
-    let faults = src_kernel(cluster, from, 0)?.faults.clone();
-
-    // Freeze the source and build the minimal image (header page only)
-    // plus the replay mirror and the residual ledger.
-    let (kind, params, minimal, mut mirror, resident, src_down, bytes_minimal) = {
-        let k = src_kernel(cluster, from, 0)?;
+    let mut m = Cutover::begin(cluster, from, pid, to)?;
+    // The source stays frozen until the residual has drained: its pages
+    // are what the target still pulls from.
+    m.frozen(|m| {
+        // Build the minimal image (header page only) plus the replay
+        // mirror and the residual ledger: every source-resident page
+        // except the header.
+        let k = m.source(0)?;
         let t_freeze = k.now();
-        k.freeze_process(pid)?;
-        let (kind, params, mirror, resident) = {
+        let hdr_pn = HEADER_BASE / PAGE_SIZE;
+        let (kind, params, mut mirror, mut missing) = {
             let p = k.process(pid).ok_or(SimError::NoSuchProcess(pid))?;
             let (kind, params) = match &p.program {
                 ProgramSpec::Native { kind, params } => (*kind, params.clone()),
@@ -576,76 +494,69 @@ pub fn migrate_postcopy(
             let resident: BTreeSet<u64> = p.mem.resident_pages().collect();
             (kind, params, mirror, resident)
         };
-        let hdr_pn = HEADER_BASE / PAGE_SIZE;
+        missing.remove(&hdr_pn);
         let mut opts = CaptureOptions::full("livemig-post", 1);
         opts.save_file_contents = true;
         opts.node = from.0;
         opts.pages = PageSelection::Set([hdr_pn].into());
         opts.encode_pool = cfg.encode_pool.clone();
-        let img = capture_image(k, pid, &opts)?;
-        let bytes = ckpt_image::encode(&img).len() as u64;
-        let residual = resident.len().saturating_sub(1) as u64;
-        match classify(&faults, "livemig/cutover", bytes) {
-            SiteHit::Clean => {}
-            SiteHit::Retransmit => {
-                let w = wire_ns(&k.cost.clone(), bytes);
-                k.charge(w);
-            }
-            SiteHit::Lost => {
-                cluster.inject_failure(from);
-                return Err(SimError::SourceLostMidMigration {
-                    residual_pages: residual + 1,
-                });
-            }
+        let minimal = capture_image(k, pid, &opts)?;
+        let bytes_minimal = ckpt_image::encode(&minimal).len() as u64;
+        let residual_pages = missing.len() as u64;
+        let src_down = send_cutover(m, bytes_minimal, residual_pages + 1)? - t_freeze;
+
+        // Target: restore the minimal image and let the guest resume at once.
+        let (new_pid, tgt_rx) = m.land(&minimal, bytes_minimal, Landing::Pid(RestorePid::Fresh))?;
+        let mut report = PostCopyReport {
+            from,
+            to,
+            new_pid,
+            downtime_ns: src_down + tgt_rx,
+            residual_pages,
+            demand_pages: 0,
+            demand_batches: 0,
+            prefetch_pages: 0,
+            bytes_minimal,
+        };
+        let drained = drain_residual(m, &mut report, kind, &params, &mut mirror, missing);
+        if drained.is_err() {
+            // The half-populated target is unusable: discard it.
+            m.retire(to, new_pid);
         }
-        let k = src_kernel(cluster, from, residual)?;
-        let w = wire_ns(&k.cost.clone(), bytes);
-        k.charge(w);
-        let down = k.now() - t_freeze;
-        (kind, params, img, mirror, resident, down, bytes)
-    };
+        drained?;
+        // Residual drained: the source copy can be discarded.
+        m.complete(bytes_minimal + report.residual_moved() * PAGE_SIZE)?;
+        Ok(report)
+    })
+}
 
-    // Target: restore the minimal image and let the guest resume at once.
-    let (new_pid, tgt_rx) = {
-        let k = cluster
-            .node(to)
-            .kernel()
-            .ok_or_else(|| SimError::Usage(format!("{to} is down")))?;
-        let t_rx = k.now();
-        let t = k.cost.memcpy(bytes_minimal);
-        k.charge(t);
-        let np = restore_image(k, &minimal, &RestoreOptions::fresh_running(RestorePid::Fresh))?;
-        (np, k.now() - t_rx)
-    };
-    let downtime_ns = src_down + tgt_rx;
-
-    // Residual ledger: every source-resident page except the header.
-    let hdr_pn = HEADER_BASE / PAGE_SIZE;
-    let mut missing: BTreeSet<u64> = resident;
-    missing.remove(&hdr_pn);
-    let residual_at_resume = missing.len() as u64;
-
-    let mut demand_pages = 0u64;
-    let mut demand_batches = 0u64;
-    let mut prefetch_pages = 0u64;
+/// The post-copy service loop: predict the next quantum's touches on the
+/// mirror, deliver them (ordered by address), run the target exactly that
+/// far, then prefetch lowest-address residual pages in the background —
+/// until `missing` is empty. Counts what it delivered in `report`.
+fn drain_residual(
+    m: &mut Cutover<'_>,
+    report: &mut PostCopyReport,
+    kind: NativeKind,
+    params: &AppParams,
+    mirror: &mut VecMem,
+    mut missing: BTreeSet<u64>,
+) -> SimResult<()> {
+    let new_pid = report.new_pid;
     let mut mirror_done = false;
-
-    // Service loop: predict the next quantum's touches on the mirror,
-    // deliver them (ordered by address), run the target exactly that far,
-    // then prefetch lowest-address residual pages in the background.
     while !missing.is_empty() {
         let residual = missing.len() as u64;
         // Probe the mirror for the pages the target is about to touch.
         let mut touched: BTreeSet<u64> = BTreeSet::new();
         let mut probe_steps = 0u64;
         if !mirror_done {
-            while probe_steps < cfg.quantum_steps {
+            while probe_steps < QUANTUM_STEPS {
                 let out = {
                     let mut rec = RecordingMem {
-                        inner: &mut mirror,
+                        inner: mirror,
                         touched: &mut touched,
                     };
-                    apps::step(kind, &params, &mut rec)
+                    apps::step(kind, params, &mut rec)
                 };
                 probe_steps += 1;
                 if out.finished {
@@ -659,147 +570,50 @@ pub fn migrate_postcopy(
         let needed: Vec<u64> = touched.intersection(&missing).copied().collect();
         if !needed.is_empty() {
             let bytes = needed.len() as u64 * PAGE_SIZE;
-            match classify(&faults, "livemig/demand-fault", bytes) {
-                SiteHit::Clean => {}
-                SiteHit::Retransmit => {
-                    // The retransmission stalls the target a second window.
-                    let k = cluster.node(to).kernel().ok_or_else(|| {
-                        SimError::Usage(format!("{to} went down mid-migration"))
-                    })?;
-                    let w = wire_ns(&k.cost.clone(), bytes);
-                    k.charge(w);
-                }
-                SiteHit::Lost => {
-                    cluster.inject_failure(from);
-                    // The half-populated target is unusable: discard it.
-                    if let Some(k) = cluster.node(to).kernel() {
-                        if let Some(p) = k.process_mut(new_pid) {
-                            p.state = ProcState::Zombie { code: 0 };
-                        }
-                        let _ = k.reap(new_pid);
-                    }
-                    return Err(SimError::SourceLostMidMigration {
-                        residual_pages: residual,
-                    });
-                }
-            }
-            let frames = read_source_pages(cluster, from, pid, &needed, residual)?;
-            {
-                let cost = src_kernel(cluster, from, residual)?.cost.clone();
-                let t = cost.memcpy(bytes);
-                src_kernel(cluster, from, residual)?.charge(t);
-            }
-            let k = cluster
-                .node(to)
-                .kernel()
-                .ok_or_else(|| SimError::Usage(format!("{to} went down mid-migration")))?;
-            let stall = wire_ns(&k.cost.clone(), bytes) + k.cost.memcpy(bytes);
-            k.charge(stall);
-            let p = k
-                .process_mut(new_pid)
-                .ok_or(SimError::NoSuchProcess(new_pid))?;
-            for (pn, data) in &frames {
-                p.mem.poke(pn * PAGE_SIZE, data);
-            }
-            demand_pages += needed.len() as u64;
-            demand_batches += 1;
+            let crossings = m.ship("livemig/demand-fault", bytes, residual)?;
+            let frames = read_source_pages(m, &needed, residual)?;
+            let k = m.source(residual)?;
+            k.charge(k.cost.memcpy(bytes));
+            // The target stalls for every crossing (a retransmission is a
+            // second window) plus the copy-in.
+            let k = m.cluster.kernel(m.to)?;
+            k.charge(crossings * k.cost.wire(bytes) + k.cost.memcpy(bytes));
+            deliver(m, new_pid, &frames)?;
+            report.demand_pages += needed.len() as u64;
+            report.demand_batches += 1;
             for pn in &needed {
                 missing.remove(pn);
             }
         }
         // Run the target through exactly the probed quantum.
         if probe_steps > 0 {
-            let k = cluster
-                .node(to)
-                .kernel()
-                .ok_or_else(|| SimError::Usage(format!("{to} went down mid-migration")))?;
-            run_target_steps(k, new_pid, probe_steps);
+            run_target_steps(m.cluster.kernel(m.to)?, new_pid, probe_steps);
         }
         // Background prefetch: lowest-address residual pages, overlapped
         // with target execution (charged to the source only).
-        let batch: Vec<u64> = missing.iter().take(cfg.prefetch_batch).copied().collect();
+        let batch: Vec<u64> = missing.iter().take(PREFETCH_BATCH).copied().collect();
         if !batch.is_empty() {
             let residual = missing.len() as u64;
             let bytes = batch.len() as u64 * PAGE_SIZE;
-            let frames = read_source_pages(cluster, from, pid, &batch, residual)?;
-            {
-                let cost = src_kernel(cluster, from, residual)?.cost.clone();
-                let t = wire_ns(&cost, bytes) + cost.memcpy(bytes);
-                src_kernel(cluster, from, residual)?.charge(t);
-            }
-            let k = cluster
-                .node(to)
-                .kernel()
-                .ok_or_else(|| SimError::Usage(format!("{to} went down mid-migration")))?;
-            let p = k
-                .process_mut(new_pid)
-                .ok_or(SimError::NoSuchProcess(new_pid))?;
-            for (pn, data) in &frames {
-                p.mem.poke(pn * PAGE_SIZE, data);
-            }
-            prefetch_pages += batch.len() as u64;
+            let frames = read_source_pages(m, &batch, residual)?;
+            let k = m.source(residual)?;
+            k.charge(k.cost.wire(bytes) + k.cost.memcpy(bytes));
+            deliver(m, new_pid, &frames)?;
+            report.prefetch_pages += batch.len() as u64;
             for pn in &batch {
                 missing.remove(pn);
             }
         }
     }
-
-    // Residual drained: the source copy can be discarded.
-    {
-        let k = src_kernel(cluster, from, 0)?;
-        if let Some(p) = k.process_mut(pid) {
-            p.state = ProcState::Zombie { code: 0 };
-        }
-        let _ = k.reap(pid);
-    }
-    cluster.trace().cluster(
-        ClusterEvent::Migration {
-            from: from.0,
-            to: to.0,
-            bytes: bytes_minimal + (demand_pages + prefetch_pages) * PAGE_SIZE,
-        },
-        cluster.now(),
-    );
-    Ok(PostCopyReport {
-        from,
-        to,
-        new_pid,
-        downtime_ns,
-        residual_pages: residual_at_resume,
-        demand_pages,
-        demand_batches,
-        prefetch_pages,
-        bytes_minimal,
-    })
-}
-
-/// Live-migrate one MPI rank and update the job's rank table — the
-/// coordinator's node-rebalance route (e.g. repopulating a repaired node
-/// without a full job restart).
-pub fn rebalance_rank_live(
-    cluster: &mut Cluster,
-    job: &mut crate::mpi::MpiJob,
-    rank: usize,
-    to: NodeId,
-    cfg: &LiveMigConfig,
-) -> SimResult<PreCopyReport> {
-    let r = *job
-        .ranks
-        .get(rank)
-        .ok_or_else(|| SimError::Usage(format!("no such rank {rank}")))?;
-    let report = migrate_precopy(cluster, r.node, r.pid, to, cfg)?;
-    job.ranks[rank].node = to;
-    job.ranks[rank].pid = report.new_pid;
-    job.resync_supersteps(cluster)?;
-    Ok(report)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::FailureConfig;
-    use simos::apps::{AppParams, NativeKind};
     use simos::cost::CostModel;
+    use simos::faultpoint::{Fault, FaultHandle};
 
     fn setup(kind: NativeKind, mut params: AppParams) -> (Cluster, Pid) {
         let mut c = Cluster::new(2, CostModel::circa_2005(), FailureConfig::none());

@@ -7,12 +7,24 @@
 //! target's resources (same pid, same file paths) — the problem ZAP's pods
 //! solve, at the price of a per-syscall interposition tax
 //! ([`ckpt_core::pod`]).
+//!
+//! Every strategy is the same **cutover** (`Cutover`): freeze the source,
+//! put an image on the wire, land it on the target, retire the source's
+//! copy. [`migrate()`] is exactly that with a full image; the live
+//! strategies of [`crate::livemig`] differ only in what crosses the wire
+//! before the cutover (pre-copy's dirty rounds), after it (post-copy's
+//! demand/prefetch drain), and in what image the cutover ships.
 
 use crate::cluster::Cluster;
 use crate::node::NodeId;
 use ckpt_core::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use ckpt_core::pod::Pod;
+use ckpt_image::CheckpointImage;
+use simos::faultpoint::{Fault, FaultHandle};
+use simos::pcb::ProcState;
+use simos::trace::ClusterEvent;
 use simos::types::{Pid, SimError, SimResult};
+use simos::Kernel;
 
 /// How the restored process acquires resources on the target node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,12 +36,6 @@ pub enum MigrationMode {
     FreshPid,
     /// Full pod virtualization — survives both pid and path conflicts.
     Podded,
-    /// Iterative pre-copy live migration ([`crate::livemig`]): dirty-set
-    /// transfer rounds while the guest runs, dirty-rate-adaptive cutover.
-    PreCopy,
-    /// Post-copy live migration ([`crate::livemig`]): resume on the
-    /// target immediately, demand-fault the residual pages.
-    PostCopy,
 }
 
 /// Result of a completed migration.
@@ -42,7 +48,126 @@ pub struct MigrationReport {
     pub total_ns: u64,
 }
 
-/// Migrate `pid` from `from` to `to` over the interconnect.
+/// How a landed image is restored — the only thing the
+/// [`MigrationMode`]s differ in.
+pub(crate) enum Landing<'p> {
+    Pid(RestorePid),
+    Pod(&'p mut Pod),
+}
+
+/// One migration in flight: the steps every strategy's cutover is made of,
+/// each written once. The wire's faultpoints are checked on the *source's*
+/// fault plan: fail-stop and torn frames kill the sender.
+pub(crate) struct Cutover<'c> {
+    pub cluster: &'c mut Cluster,
+    pub from: NodeId,
+    pub pid: Pid,
+    pub to: NodeId,
+    faults: FaultHandle,
+}
+
+impl<'c> Cutover<'c> {
+    /// The prologue: two distinct nodes and a live source.
+    pub fn begin(cluster: &'c mut Cluster, from: NodeId, pid: Pid, to: NodeId) -> SimResult<Self> {
+        if from == to {
+            return Err(SimError::Usage("source and target are the same node".into()));
+        }
+        let faults = cluster.kernel(from)?.faults.clone();
+        Ok(Cutover { cluster, from, pid, to, faults })
+    }
+
+    /// The source kernel, or the typed loss if the node died under us.
+    pub fn source(&mut self, residual_pages: u64) -> SimResult<&mut Kernel> {
+        self.cluster
+            .node(self.from)
+            .kernel()
+            .ok_or(SimError::SourceLostMidMigration { residual_pages })
+    }
+
+    /// Put a `bytes`-long frame on the wire at faultpoint `site`; returns
+    /// how many times it crossed — once, or twice after a transient (one
+    /// retransmission), each crossing charged by the caller to the kernel
+    /// that waits for it. A fail-stop or torn frame means the source is
+    /// gone with `residual_pages` undrained; the receiver discards a torn
+    /// frame (never applies it — no silent corruption).
+    pub fn ship(&mut self, site: &str, bytes: u64, residual_pages: u64) -> SimResult<u64> {
+        match self.faults.check(site, bytes) {
+            None => return Ok(1),
+            Some(Fault::Transient) => return Ok(2),
+            Some(Fault::FailStop) => {}
+            // Torn frames kill the sender mid-write; flag the crash
+            // (FailStop does this inside `check`).
+            Some(Fault::TornWrite { .. }) => self.faults.set_crashed(),
+        }
+        self.cluster.inject_failure(self.from);
+        Err(SimError::SourceLostMidMigration { residual_pages })
+    }
+
+    /// Receive `bytes` on the target and restore `image` there, running.
+    /// Returns the new pid and the target time the landing took.
+    pub fn land(
+        &mut self,
+        image: &CheckpointImage,
+        bytes: u64,
+        landing: Landing<'_>,
+    ) -> SimResult<(Pid, u64)> {
+        let k = self.cluster.kernel(self.to)?;
+        let t_rx = k.now();
+        k.charge(k.cost.memcpy(bytes));
+        let new_pid = match landing {
+            Landing::Pid(pid) => restore_image(k, image, &RestoreOptions::fresh_running(pid))?,
+            Landing::Pod(pod) => pod.restore(k, image)?,
+        };
+        Ok((new_pid, k.now() - t_rx))
+    }
+
+    /// Zombie + reap `pid` on `node` (nothing to do if the node is gone):
+    /// the source's copy once the target owns the process, and the
+    /// half-populated post-copy target when its source is lost.
+    pub fn retire(&mut self, node: NodeId, pid: Pid) {
+        if let Some(k) = self.cluster.node(node).kernel() {
+            if let Some(p) = k.process_mut(pid) {
+                p.state = ProcState::Zombie { code: 0 };
+            }
+            let _ = k.reap(pid);
+        }
+    }
+
+    /// The freeze bracket: stop the source guest and run `body`. On success
+    /// `body` has retired the source's copy ([`Cutover::complete`]); on
+    /// every error exit on which the source node is still alive the guest
+    /// is thawed before returning, so a failed migration never leaves its
+    /// source stopped. On a lost source there is nothing to thaw.
+    pub fn frozen<T>(&mut self, body: impl FnOnce(&mut Self) -> SimResult<T>) -> SimResult<T> {
+        let pid = self.pid;
+        self.source(0)?.freeze_process(pid)?;
+        let out = body(self);
+        if out.is_err() {
+            if let Ok(k) = self.source(0) {
+                let _ = k.thaw_process(pid);
+            }
+        }
+        out
+    }
+
+    /// The target owns the process: the source's copy has left the
+    /// building, and the migration (`bytes` on the wire in total) is
+    /// recorded.
+    pub fn complete(&mut self, bytes: u64) -> SimResult<()> {
+        self.source(0)?;
+        self.retire(self.from, self.pid);
+        let migration = ClusterEvent::Migration {
+            from: self.from.0,
+            to: self.to.0,
+            bytes,
+        };
+        self.cluster.trace().cluster(migration, self.cluster.now());
+        Ok(())
+    }
+}
+
+/// Migrate `pid` from `from` to `to` over the interconnect, frozen for the
+/// whole image transfer.
 pub fn migrate(
     cluster: &mut Cluster,
     from: NodeId,
@@ -51,119 +176,37 @@ pub fn migrate(
     mode: MigrationMode,
     pod: Option<&mut Pod>,
 ) -> SimResult<MigrationReport> {
-    if from == to {
-        return Err(SimError::Usage("source and target are the same node".into()));
-    }
+    let landing = match (mode, pod) {
+        (MigrationMode::KeepIdentity, _) => Landing::Pid(RestorePid::Original),
+        (MigrationMode::FreshPid, _) => Landing::Pid(RestorePid::Fresh),
+        (MigrationMode::Podded, Some(pod)) => Landing::Pod(pod),
+        (MigrationMode::Podded, None) => {
+            return Err(SimError::Usage("Podded migration requires a pod".into()))
+        }
+    };
     let t0 = cluster.now();
-    // The live strategies delegate to `livemig` with default tuning and
-    // report through the same struct.
-    match mode {
-        MigrationMode::PreCopy => {
-            let cfg = crate::livemig::LiveMigConfig::default();
-            let r = crate::livemig::migrate_precopy(cluster, from, pid, to, &cfg)?;
-            return Ok(MigrationReport {
-                from,
-                to,
-                new_pid: r.new_pid,
-                bytes_moved: r.bytes_total(),
-                total_ns: cluster.now().max(t0) - t0,
-            });
-        }
-        MigrationMode::PostCopy => {
-            let cfg = crate::livemig::LiveMigConfig::default();
-            let r = crate::livemig::migrate_postcopy(cluster, from, pid, to, &cfg)?;
-            return Ok(MigrationReport {
-                from,
-                to,
-                new_pid: r.new_pid,
-                bytes_moved: r.bytes_minimal
-                    + r.residual_moved() * simos::cost::PAGE_SIZE,
-                total_ns: cluster.now().max(t0) - t0,
-            });
-        }
-        _ => {}
-    }
-    // Source: freeze + capture + send.
-    let (img, faults) = {
-        let k = cluster
-            .node(from)
-            .kernel()
-            .ok_or_else(|| SimError::Usage(format!("{from} is down")))?;
-        k.freeze_process(pid)?;
+    let mut m = Cutover::begin(cluster, from, pid, to)?;
+    let (new_pid, bytes_moved) = m.frozen(|m| {
+        // Source: capture + send.
+        let k = m.source(0)?;
         let mut opts = CaptureOptions::full("migrate", 1);
         opts.save_file_contents = true;
         let img = capture_image(k, pid, &opts)?;
-        // Wire cost on the sender.
         let bytes = ckpt_image::encode(&img).len() as u64;
-        let t = k.cost.net_latency_ns + (bytes as f64 * k.cost.net_ns_per_byte).round() as u64;
-        k.charge(t);
-        (img, k.faults.clone())
-    };
-    let bytes_moved = ckpt_image::encode(&img).len() as u64;
-    // Target: receive + restore.
-    let new_pid = {
-        let k = cluster
-            .node(to)
-            .kernel()
-            .ok_or_else(|| SimError::Usage(format!("{to} is down")))?;
-        let t = k.cost.memcpy(bytes_moved);
-        k.charge(t);
-        match mode {
-            MigrationMode::KeepIdentity => {
-                restore_image(k, &img, &RestoreOptions::fresh_running(RestorePid::Original))?
-            }
-            MigrationMode::FreshPid => {
-                restore_image(k, &img, &RestoreOptions::fresh_running(RestorePid::Fresh))?
-            }
-            MigrationMode::Podded => {
-                let pod = pod.ok_or_else(|| {
-                    SimError::Usage("Podded migration requires a pod".into())
-                })?;
-                pod.restore(k, &img)?
-            }
-            // Dispatched to `livemig` before the freeze above.
-            MigrationMode::PreCopy | MigrationMode::PostCopy => unreachable!(),
-        }
-    };
-    // Teardown handshake: the target's ACK and the source's exit cross
-    // the wire; an armed `migrate/transfer` fault models the source dying
-    // in this window, after the target already owns the process.
-    match faults.check("migrate/transfer", bytes_moved) {
-        None => {}
-        Some(simos::faultpoint::Fault::Transient) => {
-            // One retransmission of the ACK frame.
-            if let Some(k) = cluster.node(from).kernel() {
-                let t = k.cost.net_latency_ns
-                    + (bytes_moved as f64 * k.cost.net_ns_per_byte).round() as u64;
-                k.charge(t);
-            }
-        }
-        Some(f) => {
-            if matches!(f, simos::faultpoint::Fault::TornWrite { .. }) {
-                faults.set_crashed();
-            }
-            cluster.inject_failure(from);
-        }
-    }
-    // Source: the process has left the building.
-    {
-        let k = cluster
-            .node(from)
-            .kernel()
-            .ok_or_else(|| SimError::Usage(format!("{from} went down mid-migration")))?;
-        if let Some(p) = k.process_mut(pid) {
-            p.state = simos::pcb::ProcState::Zombie { code: 0 };
-        }
-        let _ = k.reap(pid);
-    }
-    cluster.trace().cluster(
-        simos::trace::ClusterEvent::Migration {
-            from: from.0,
-            to: to.0,
-            bytes: bytes_moved,
-        },
-        cluster.now(),
-    );
+        k.charge(k.cost.wire(bytes));
+        // Target: receive + restore.
+        let (new_pid, _) = m.land(&img, bytes, landing)?;
+        // Teardown handshake: the target's ACK and the source's exit cross
+        // the wire; an armed `migrate/transfer` fault models the source
+        // dying in this window, after the target already owns the process.
+        // The image's own crossing was charged above; a transient costs one
+        // retransmission of the ACK frame.
+        let resent = m.ship("migrate/transfer", bytes, 0)? - 1;
+        let k = m.source(0)?;
+        k.charge(resent * k.cost.wire(bytes));
+        m.complete(bytes)?;
+        Ok((new_pid, bytes))
+    })?;
     Ok(MigrationReport {
         from,
         to,
@@ -253,8 +296,6 @@ mod tests {
             None,
         );
         assert!(err.is_err(), "identity migration must hit the conflict");
-        // Thaw the source process back (it was frozen by the attempt).
-        c.node(NodeId(0)).kernel().unwrap().thaw_process(pid).unwrap();
         let mut pod = Pod::new("migrated");
         let r = migrate(
             &mut c,
@@ -279,38 +320,20 @@ mod tests {
     #[test]
     fn source_loss_mid_migration_is_reported() {
         // The source dies in the teardown window, after the target has
-        // restored: migrate() must surface the mid-migration loss rather
-        // than pretend the teardown happened.
+        // restored: migrate() must surface the typed mid-migration loss
+        // (nothing left undrained) rather than pretend the teardown happened.
         let (mut c, pid) = setup();
         let faults =
             simos::faultpoint::FaultHandle::armed("migrate/transfer@1", simos::faultpoint::Fault::FailStop);
         c.node(NodeId(0)).kernel().unwrap().set_faults(faults);
         let err = migrate(&mut c, NodeId(0), pid, NodeId(1), MigrationMode::FreshPid, None)
             .expect_err("armed teardown fault must surface");
-        assert!(
-            err.to_string().contains("went down mid-migration"),
-            "unexpected error: {err}"
-        );
+        assert_eq!(err, SimError::SourceLostMidMigration { residual_pages: 0 });
         assert!(!c.node(NodeId(0)).alive());
         // The target still owns a runnable copy: migration completed from
         // its point of view before the source died.
         let k = c.node(NodeId(1)).kernel().unwrap();
         assert_eq!(k.pids().len(), 1);
-    }
-
-    #[test]
-    fn live_modes_route_through_livemig() {
-        let (mut c, pid) = setup();
-        let r = migrate(&mut c, NodeId(0), pid, NodeId(1), MigrationMode::PreCopy, None).unwrap();
-        assert!(r.bytes_moved > 0);
-        let k = c.node(NodeId(1)).kernel().unwrap();
-        assert!(k.process(r.new_pid).is_some());
-
-        let (mut c, pid) = setup();
-        let r = migrate(&mut c, NodeId(0), pid, NodeId(1), MigrationMode::PostCopy, None).unwrap();
-        assert!(r.bytes_moved > 0);
-        let k = c.node(NodeId(1)).kernel().unwrap();
-        assert!(k.process(r.new_pid).is_some());
     }
 
     #[test]

@@ -71,11 +71,7 @@ impl MpiJob {
             let node = alive[r as usize % alive.len()];
             let mut p = params.clone();
             p.seed = params.seed.wrapping_add(r as u64);
-            let k = cluster
-                .node(node)
-                .kernel()
-                .ok_or_else(|| SimError::Usage(format!("{node} down at launch")))?;
-            let pid = k.spawn_native(kind, p)?;
+            let pid = cluster.kernel(node)?.spawn_native(kind, p)?;
             ranks.push(RankRef { rank: r, node, pid });
         }
         Ok(MpiJob {
@@ -97,12 +93,10 @@ impl MpiJob {
     /// rank 0's guest memory (the durable truth).
     pub fn resync_supersteps(&mut self, cluster: &mut Cluster) -> SimResult<()> {
         let r = self.ranks[0];
-        let k = cluster
-            .node(r.node)
-            .kernel()
-            .ok_or_else(|| SimError::Usage(format!("{} down", r.node)))?;
         let mut buf = [0u8; 8];
-        k.process(r.pid)
+        cluster
+            .kernel(r.node)?
+            .process(r.pid)
             .ok_or(SimError::NoSuchProcess(r.pid))?
             .mem
             .peek(SLOT_SUPERSTEP, &mut buf);
@@ -172,9 +166,7 @@ impl MpiJob {
                     .kernel()
                     .ok_or(JobInterrupt::NodeLost(sender.node))?;
                 k.stats.syscalls += 1;
-                let t = k.cost.syscall_round_trip()
-                    + k.cost.net_latency_ns
-                    + (self.msg_bytes as f64 * k.cost.net_ns_per_byte).round() as u64;
+                let t = k.cost.syscall_round_trip() + k.cost.wire(self.msg_bytes);
                 k.charge(t);
             }
             // Receiver pays a recv syscall + copy into its inbox slot.
@@ -209,10 +201,7 @@ impl MpiJob {
     pub fn rank_states(&self, cluster: &mut Cluster) -> SimResult<Vec<(u64, u64)>> {
         let mut out = Vec::new();
         for r in &self.ranks {
-            let k = cluster
-                .node(r.node)
-                .kernel()
-                .ok_or_else(|| SimError::Usage(format!("{} down", r.node)))?;
+            let k = cluster.kernel(r.node)?;
             let p = k.process(r.pid).ok_or(SimError::NoSuchProcess(r.pid))?;
             let mut a = [0u8; 8];
             let mut b = [0u8; 8];

@@ -1,10 +1,9 @@
 //! A cluster node: one simulated kernel plus its storage media.
 
 use ckpt_core::{shared_storage, SharedStorage};
-use ckpt_storage::{LocalDisk, RamStore, RemoteServer, RemoteStore, SwapStore};
+use ckpt_storage::{LocalDisk, RamStore, SwapStore};
 use simos::cost::CostModel;
 use simos::Kernel;
-use std::sync::Arc;
 
 /// Node identifier within a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -14,15 +13,6 @@ impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "node{}", self.0)
     }
-}
-
-/// Why a node is currently down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DownReason {
-    /// Fail-stop fault.
-    Failed,
-    /// Administrative power-down.
-    PoweredDown,
 }
 
 /// One machine in the cluster.
@@ -35,17 +25,12 @@ pub struct Node {
     pub swap: SharedStorage,
     pub ram_store: SharedStorage,
     pub remote: SharedStorage,
-    pub down: Option<DownReason>,
     /// Fail-stop events experienced.
     pub failures: u64,
     cost: CostModel,
 }
 
 impl Node {
-    pub fn new(id: NodeId, cost: CostModel, remote_server: Arc<RemoteServer>) -> Self {
-        Self::with_remote(id, cost, shared_storage(RemoteStore::new(remote_server)))
-    }
-
     /// Build a node whose remote stable-storage handle is supplied by the
     /// caller — e.g. a per-node [`ckpt_replica::ReplicatedStore`] client
     /// over a cluster-shared replica set.
@@ -57,39 +42,30 @@ impl Node {
             swap: shared_storage(SwapStore::new(1 << 33)),
             ram_store: shared_storage(RamStore::new(1 << 32)),
             remote,
-            down: None,
             failures: 0,
             cost,
         }
     }
 
     pub fn alive(&self) -> bool {
-        self.down.is_none()
+        self.kernel.is_some()
     }
 
     /// Access the kernel; `None` while down.
     pub fn kernel(&mut self) -> Option<&mut Kernel> {
-        if self.down.is_some() {
-            return None;
-        }
         self.kernel.as_mut()
     }
 
     pub fn kernel_ref(&self) -> Option<&Kernel> {
-        if self.down.is_some() {
-            return None;
-        }
         self.kernel.as_ref()
     }
 
     /// Fail-stop: the kernel (and every process on it) is gone; volatile
     /// storage is lost; non-volatile local media become unreachable.
     pub fn fail(&mut self) {
-        if self.down.is_some() {
+        if self.kernel.take().is_none() {
             return;
         }
-        self.kernel = None;
-        self.down = Some(DownReason::Failed);
         self.failures += 1;
         self.local_disk.lock().on_node_failure();
         self.swap.lock().on_node_failure();
@@ -97,26 +73,12 @@ impl Node {
         self.remote.lock().on_node_failure();
     }
 
-    /// Planned power-down (hibernation flow): kernel stops, RAM is lost,
-    /// disks keep their data and stay readable after repair.
-    pub fn power_down(&mut self) {
-        if self.down.is_some() {
-            return;
-        }
-        self.kernel = None;
-        self.down = Some(DownReason::PoweredDown);
-        self.local_disk.lock().on_power_down();
-        self.swap.lock().on_power_down();
-        self.ram_store.lock().on_power_down();
-    }
-
     /// Bring the node back with a fresh kernel advanced to the cluster's
     /// current virtual time.
     pub fn repair(&mut self, now_ns: u64) {
-        if self.down.is_none() {
+        if self.alive() {
             return;
         }
-        self.down = None;
         self.local_disk.lock().on_node_repair();
         self.swap.lock().on_node_repair();
         self.ram_store.lock().on_node_repair();
@@ -135,14 +97,12 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckpt_storage::{RemoteServer, RemoteStore};
     use simos::apps::{AppParams, NativeKind};
 
     fn node() -> Node {
-        Node::new(
-            NodeId(0),
-            CostModel::circa_2005(),
-            RemoteServer::new(1 << 30),
-        )
+        let remote = RemoteStore::new(RemoteServer::new(1 << 30));
+        Node::with_remote(NodeId(0), CostModel::circa_2005(), shared_storage(remote))
     }
 
     #[test]
@@ -184,21 +144,6 @@ mod tests {
             .is_err());
         // Kernel clock resynchronized.
         assert!(n.now() >= 1_000_000);
-    }
-
-    #[test]
-    fn power_down_preserves_disks_loses_ram() {
-        let mut n = node();
-        let c = CostModel::circa_2005();
-        n.swap.lock().store("img", b"hib", &c).unwrap();
-        n.ram_store.lock().store("img", b"hib", &c).unwrap();
-        n.power_down();
-        assert!(!n.alive());
-        n.repair(0);
-        assert_eq!(n.swap.lock().load("img", &c).unwrap().0, b"hib");
-        assert!(n.ram_store.lock().load("img", &c).is_err());
-        // Power-down is not a failure.
-        assert_eq!(n.failures, 0);
     }
 
     #[test]

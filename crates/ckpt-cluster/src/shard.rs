@@ -1,18 +1,30 @@
-//! The sharded control plane: hierarchical coordinated rounds with
-//! batched quorum commits.
+//! Coordinated checkpointing and restart of parallel jobs — the LAM/MPI /
+//! CoCheck scheme of the survey, as one protocol whose commit granularity
+//! is the shard.
 //!
-//! One flat [`Coordinator`](crate::coordinator::Coordinator) barriers
-//! every rank and commits every image through one replica set — fine at
-//! survey scale, a bottleneck at the paper's capability scale (BlueGene/L:
-//! 65,536 nodes). Skjellum et al. (PAPERS.md) argue the checkpoint
-//! *service* itself must scale and survive faults. This module is that
-//! service:
+//! The protocol exploits the bulk-synchronous structure of [`crate::mpi`]:
+//! at a superstep boundary no messages are in flight, so a globally
+//! consistent cut is simply "freeze every rank, checkpoint every rank,
+//! thaw". Images go to **remote** stable storage (each node pays its own
+//! network cost), which is what makes recovery from a node loss possible
+//! at all — the paper's criticism of local-only systems. As the paper
+//! notes of LAM/MPI, the scheme is transparent to the *application* but
+//! not to the *message-passing layer*: it is the job driver (this module)
+//! that knows where the boundaries are.
+//!
+//! Committing every image on its own through one replica set is fine at
+//! survey scale and a bottleneck at the paper's capability scale
+//! (BlueGene/L: 65,536 nodes). Skjellum et al. (PAPERS.md) argue the
+//! checkpoint *service* itself must scale and survive faults, so the cut
+//! is taken hierarchically:
 //!
 //! * **Two levels.** Ranks are partitioned across shard coordinators.
 //!   Each shard runs a local coordinated round — freeze, capture, encode
 //!   — and commits its round's images as ONE framed batched quorum commit
 //!   ([`ckpt_storage::StableStorage::store_batch`]): one admission/backoff/ack cycle
-//!   per replica per shard round instead of per image.
+//!   per replica per shard round instead of per image. One rank per shard
+//!   ([`ShardedCoordinator::per_image`]) is LAM/MPI's per-image protocol:
+//!   every image is a batch of one through its own node's remote handle.
 //! * **Two phases.** The root commits the global cut only after every
 //!   shard's quorum ack (phase 1 = shard commits, phase 2 = root commit).
 //!   Both phases carry faultpoint sites — `shard/s<i>/commit` and
@@ -30,14 +42,15 @@
 //! per-rank payloads, the paper's exponential MTBF arithmetic on top.
 
 use crate::cluster::Cluster;
-use crate::coordinator::{capture_rank_encoded, restart_saved_ranks};
 use crate::mpi::{MpiJob, RankRef};
+use ckpt_core::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use ckpt_core::tracker::{Tracker, TrackerKind};
 use ckpt_par::Pool;
 use ckpt_replica::{ReplicaConfig, ReplicatedStore, Striped, StripedReplicaSet};
-use ckpt_storage::ImageKey;
+use ckpt_storage::{load_chain_at, ImageKey};
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
+use simos::trace::StorageOp;
 use simos::types::{SimError, SimResult};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -55,47 +68,57 @@ pub struct ShardRound {
     pub ack_cycles: u64,
 }
 
-/// Per-round result of a hierarchical coordinated checkpoint.
+/// Per-round result of a coordinated checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierOutcome {
     pub seq: u64,
     pub shards: usize,
     pub ranks: usize,
     pub total_bytes: u64,
-    /// Wall (virtual) time of the whole round (all shards + root commit).
+    /// Wall (virtual) time of the whole round (all shards + root commit):
+    /// the job resumes only when the slowest rank is done (it is a barrier).
     pub round_ns: u64,
     /// Total replica ack cycles across all shard commits — compare with
-    /// `ranks` (what the per-image path would pay).
+    /// `ranks` (what the per-image protocol pays).
     pub ack_cycles: u64,
     pub incremental: bool,
     /// Per-shard summaries, in shard order.
     pub shard_rounds: Vec<ShardRound>,
 }
 
-/// The two-level coordinated-checkpoint driver for one job.
+/// The coordinated-checkpoint driver for one job.
 pub struct ShardedCoordinator {
     pub job_key: String,
     shards: usize,
     tracker_kind: TrackerKind,
     trackers: BTreeMap<u32, Tracker>,
     seq: u64,
-    /// Newest sequence number the ROOT committed (phase 2). Shard commits
-    /// at a higher seq that never reached phase 2 are dead weight in
-    /// storage, not recovery points.
+    /// Newest sequence number the ROOT committed (phase 2). A round that
+    /// fails part-way burns its seq, and shard commits at a higher seq that
+    /// never reached phase 2 are dead weight in storage, not recovery
+    /// points: restart loads chains capped at this value so it can never
+    /// mix rounds.
     committed_seq: u64,
     saved_ranks: Vec<u32>,
     /// Set when rank membership changed (launch, restart); the next
     /// commit refreshes `saved_ranks` once instead of every round.
     membership_stale: bool,
     faults: FaultHandle,
+    /// Pool for each rank's page encode (pipelined with the gather) and
+    /// chunked image CRC. The *commit* sequence — store on the shared
+    /// remote, virtual-time charge, tracker re-arm, thaw — stays strictly
+    /// serialized in rank order: the remote and the fault plan are shared
+    /// state whose operation order is observable, and same-node ranks
+    /// observe each other's charges through `taken_at_ns`.
     pool: Arc<Pool>,
     pub outcomes: Vec<HierOutcome>,
 }
 
 impl ShardedCoordinator {
-    /// `shards` shard coordinators under one root. `shards` is clamped to
-    /// the rank count at round time; 1 shard degenerates to the flat
-    /// protocol (plus the root commit point).
+    /// `shards` shard coordinators under one root, each committing its
+    /// ranks' images as one batch. `shards` is clamped to the rank count at
+    /// round time; 1 shard is one batch for the whole job, one shard per
+    /// rank is [`ShardedCoordinator::per_image`].
     pub fn new(job_key: &str, tracker_kind: TrackerKind, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         ShardedCoordinator {
@@ -113,6 +136,12 @@ impl ShardedCoordinator {
         }
     }
 
+    /// The LAM/MPI per-image protocol: one shard per rank, so every image
+    /// is a commit of its own through its own node's remote handle.
+    pub fn per_image(job_key: &str, tracker_kind: TrackerKind) -> Self {
+        Self::new(job_key, tracker_kind, usize::MAX)
+    }
+
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
         self.faults = faults;
         self
@@ -127,6 +156,7 @@ impl ShardedCoordinator {
         self.committed_seq
     }
 
+    /// Whether a completed checkpoint exists to recover from.
     pub fn has_checkpoint(&self) -> bool {
         self.committed_seq > 0 && !self.saved_ranks.is_empty()
     }
@@ -147,26 +177,34 @@ impl ShardedCoordinator {
         }
     }
 
-    /// Take a hierarchical coordinated checkpoint of every rank. Must be
-    /// called at a superstep boundary (quiescent channels — which is what
-    /// lets shards commit one after another inside a single consistent
-    /// cut: no rank runs until the round returns).
+    /// Take a coordinated checkpoint of every rank. Must be called at a
+    /// superstep boundary (quiescent channels — which is what lets shards
+    /// commit one after another inside a single consistent cut: no rank
+    /// runs until the round returns).
     ///
-    /// Transactional end to end: any shard failure, or a root failure
-    /// between the last shard ack and the global commit, aborts the round
-    /// — staged images are deleted best-effort, every frozen rank is
-    /// thawed, the sequence number is burned, and
-    /// [`ShardedCoordinator::restart`] still points at the previous cut.
+    /// Transactional end to end: the previous checkpoint stays the recovery
+    /// point until the root commits. Any shard failure (a node lost
+    /// mid-round, a store fault), or a root failure between the last shard
+    /// ack and the global commit, aborts the round with a typed error —
+    /// staged images are deleted best-effort, every frozen rank is thawed,
+    /// the sequence number is burned, and [`ShardedCoordinator::restart`]
+    /// still points at the previous cut, never at a mix of rounds.
     pub fn checkpoint(&mut self, cluster: &mut Cluster, job: &MpiJob) -> SimResult<HierOutcome> {
+        let n_ranks = job.ranks.len();
+        if n_ranks == 0 {
+            return Err(SimError::Usage("coordinated checkpoint of a job with no ranks".into()));
+        }
         let t0 = cluster.now();
         self.seq += 1;
         let seq = self.seq;
+        // An incremental round is only valid when its parent (seq - 1) is
+        // the committed cut; after an aborted round the seq gap forces the
+        // next round full, which also re-baselines every tracker.
         let incremental = self.committed_seq > 0
             && self.committed_seq + 1 == seq
             && self.tracker_kind.supports_incremental();
 
-        let n_ranks = job.ranks.len();
-        let shards = self.shards.min(n_ranks.max(1));
+        let shards = self.shards.min(n_ranks);
         let per_shard = n_ranks.div_ceil(shards);
 
         let mut shard_rounds: Vec<ShardRound> = Vec::with_capacity(shards);
@@ -236,10 +274,12 @@ impl ShardedCoordinator {
         Ok(outcome)
     }
 
-    /// One shard's local round: capture + encode every rank (left frozen),
-    /// one batched quorum commit through the shard leader's remote handle,
-    /// then charge, re-arm, thaw. On error every still-frozen rank of this
-    /// shard is thawed and the error propagates to the root for abort.
+    /// One shard's local round: capture-all → protocol fault check → one
+    /// `store_batch` → release-all. The release — thaw every rank this
+    /// shard froze — runs on every way out, so a round that fails anywhere
+    /// (a later rank's capture, the commit, the post-commit charge and
+    /// re-arm) never leaves a rank stopped; the error propagates to the
+    /// root for abort.
     fn shard_round(
         &mut self,
         cluster: &mut Cluster,
@@ -248,103 +288,119 @@ impl ShardedCoordinator {
         seq: u64,
         incremental: bool,
     ) -> SimResult<ShardRound> {
-        let pool = self.pool.clone();
-        let mut captures: Vec<(RankRef, Vec<u8>)> = Vec::with_capacity(shard_ranks.len());
-        let thaw_all = |cluster: &mut Cluster, captures: &[(RankRef, Vec<u8>)]| {
-            for (r, _) in captures {
-                if let Some(k) = cluster.node(r.node).kernel() {
-                    let _ = k.thaw_process(r.pid);
-                }
-            }
-        };
-        for r in shard_ranks {
-            let tracker = self
-                .trackers
-                .entry(r.rank)
-                .or_insert_with(|| Tracker::new(self.tracker_kind));
-            match capture_rank_encoded(cluster, *r, seq, incremental, tracker, &pool) {
-                Ok(bytes) => captures.push((*r, bytes)),
-                Err(e) => {
-                    thaw_all(cluster, &captures);
-                    return Err(e);
-                }
+        let mut frozen = 0;
+        let round = self.commit_frozen(cluster, s, shard_ranks, seq, incremental, &mut frozen);
+        for r in &shard_ranks[..frozen] {
+            if let Ok(k) = cluster.kernel(r.node) {
+                let _ = k.thaw_process(r.pid);
             }
         }
-        let shard_bytes: u64 = captures.iter().map(|(_, b)| b.len() as u64).sum();
+        round
+    }
+
+    /// [`Self::shard_round`] between its first freeze and its release;
+    /// `frozen` counts the leading ranks of `shard_ranks` it stopped.
+    fn commit_frozen(
+        &mut self,
+        cluster: &mut Cluster,
+        s: usize,
+        shard_ranks: &[RankRef],
+        seq: u64,
+        incremental: bool,
+        frozen: &mut usize,
+    ) -> SimResult<ShardRound> {
+        let mut images: Vec<Vec<u8>> = Vec::with_capacity(shard_ranks.len());
+        for r in shard_ranks {
+            cluster.kernel(r.node)?.freeze_process(r.pid)?;
+            *frozen += 1;
+            images.push(self.capture_rank(cluster, *r, seq, incremental)?);
+        }
+        let shard_bytes: u64 = images.iter().map(|b| b.len() as u64).sum();
 
         // The shard coordinator itself can die between capture and commit.
-        if let Err(e) = self.protocol_fault(&format!("shard/s{s}/commit"), shard_bytes) {
-            thaw_all(cluster, &captures);
-            return Err(e);
-        }
+        self.protocol_fault(&format!("shard/s{s}/commit"), shard_bytes)?;
 
         // One framed batch through the shard leader's remote handle.
-        let leader = captures[0].0;
-        let remote = cluster.nodes[leader.node.0 as usize].remote.clone();
-        let cost = {
-            let k = cluster
-                .node(leader.node)
-                .kernel()
-                .ok_or_else(|| SimError::Usage(format!("{} down at shard commit", leader.node)))?;
-            k.cost.clone()
+        let leader = shard_ranks[0].node;
+        let remote = cluster.nodes[leader.0 as usize].remote.clone();
+        let (cost, trace) = {
+            let k = cluster.kernel(leader)?;
+            (k.cost.clone(), k.trace.clone())
         };
-        let keys: Vec<String> = captures
+        let keys: Vec<String> = shard_ranks
             .iter()
-            .map(|(r, _)| ImageKey::new(&self.job_key, r.rank, seq).to_string())
+            .map(|r| ImageKey::new(&self.job_key, r.rank, seq).to_string())
             .collect();
         let objects: Vec<(&str, &[u8])> = keys
             .iter()
-            .zip(&captures)
-            .map(|(k, (_, b))| (k.as_str(), b.as_slice()))
+            .zip(&images)
+            .map(|(k, b)| (k.as_str(), b.as_slice()))
             .collect();
         let (receipt, store_label) = {
             let mut st = remote.lock();
             let rc = st.store_batch(&objects, &cost).map_err(|e| {
                 SimError::Usage(format!("shard {s} batched commit failed: {e}"))
-            });
-            match rc {
-                Ok(rc) => (rc, st.label()),
-                Err(e) => {
-                    drop(st);
-                    thaw_all(cluster, &captures);
-                    return Err(e);
-                }
-            }
+            })?;
+            (rc, st.label())
         };
+        trace.storage(StorageOp::Store, &store_label, receipt.bytes, receipt.time_ns);
 
         // Commit landed: charge every participant (they all wait for the
-        // shard's quorum ack), re-arm dirty tracking, thaw.
-        for (r, bytes) in &captures {
-            let k = cluster
-                .node(r.node)
-                .kernel()
-                .ok_or_else(|| SimError::Usage(format!("{} down after shard commit", r.node)))?;
+        // shard's quorum ack) and re-arm dirty tracking.
+        for (r, bytes) in shard_ranks.iter().zip(&images) {
+            let k = cluster.kernel(r.node)?;
             k.charge(k.cost.memcpy(bytes.len() as u64) + receipt.time_ns);
             self.trackers
                 .get_mut(&r.rank)
                 .expect("tracker created at capture")
                 .arm(k, r.pid)?;
-            k.thaw_process(r.pid)?;
-        }
-        if let Some(k) = cluster.node(leader.node).kernel() {
-            k.trace.storage(
-                simos::trace::StorageOp::Store,
-                &store_label,
-                receipt.bytes,
-                receipt.time_ns,
-            );
         }
         Ok(ShardRound {
             shard: s,
-            ranks: captures.len(),
+            ranks: shard_ranks.len(),
             bytes: receipt.bytes,
             commit_ns: receipt.time_ns,
             ack_cycles: receipt.ack_cycles,
         })
     }
 
-    /// Best-effort removal of an aborted round's staged images; restart
-    /// correctness relies on `committed_seq`, not on this cleanup.
+    /// Capture + encode (pool-chunked CRC) the image of frozen rank `r`;
+    /// the commit happens outside, in whatever order the protocol requires.
+    fn capture_rank(
+        &mut self,
+        cluster: &mut Cluster,
+        r: RankRef,
+        seq: u64,
+        incremental: bool,
+    ) -> SimResult<Vec<u8>> {
+        let k = cluster.kernel(r.node)?;
+        let tracker = self
+            .trackers
+            .entry(r.rank)
+            .or_insert_with(|| Tracker::new(self.tracker_kind));
+        let pool_stats0 = self.pool.stats();
+        let encoded = (|| -> SimResult<Vec<u8>> {
+            let mut opts = if incremental && tracker.is_armed() {
+                let c = tracker.collect(k, r.pid)?;
+                CaptureOptions::incremental("coordinated", seq, seq - 1, c.pages)
+            } else {
+                CaptureOptions::full("coordinated", seq)
+            };
+            opts.node = r.node.0;
+            opts.encode_pool = Some(self.pool.clone());
+            let mut img = capture_image(k, r.pid, &opts)?;
+            // Key images by *rank*, which is stable across migrations.
+            img.header.pid = r.rank;
+            Ok(ckpt_image::encode_with_pool(&img, &self.pool))
+        })();
+        ckpt_core::mechanism::count_pool_activity(&k.trace, &self.pool, pool_stats0);
+        encoded
+    }
+
+    /// Best-effort removal of an aborted round's staged images. A remote
+    /// that is unreachable (its node just died) simply keeps the orphan;
+    /// correctness does not depend on this cleanup because restart loads
+    /// are capped at `committed_seq`.
     fn abort_round(&mut self, cluster: &mut Cluster, seq: u64, staged: &[RankRef]) {
         for r in staged {
             let remote = cluster.nodes[r.node.0 as usize].remote.clone();
@@ -353,23 +409,58 @@ impl ShardedCoordinator {
         }
     }
 
-    /// Restart every rank from the newest ROOT-committed cut (shard
-    /// commits beyond it are ignored by construction — loads are capped at
-    /// `committed_seq`).
+    /// Restart every rank of the job from the newest ROOT-committed cut
+    /// (shard commits beyond it are ignored by construction — loads are
+    /// capped at `committed_seq`), placing ranks round-robin on the
+    /// currently alive nodes (ranks from lost nodes migrate automatically).
+    /// Rebuilds the job's rank table and resynchronizes its superstep
+    /// counter.
     pub fn restart(&mut self, cluster: &mut Cluster, job: &mut MpiJob) -> SimResult<()> {
         if !self.has_checkpoint() {
-            return Err(SimError::Usage("no hierarchical checkpoint to restart".into()));
+            return Err(SimError::Usage("no coordinated checkpoint to restart".into()));
         }
-        let saved = self.saved_ranks.clone();
-        restart_saved_ranks(
-            cluster,
-            job,
-            &self.job_key,
-            &saved,
-            self.committed_seq,
-            self.tracker_kind,
-            &mut self.trackers,
-        )?;
+        // Kill any surviving ranks (a consistent cut requires all ranks to
+        // roll back together).
+        for r in &job.ranks {
+            if let Some(k) = cluster.node(r.node).kernel() {
+                if k.process(r.pid).is_some() {
+                    k.post_signal(r.pid, simos::signal::Sig::SIGKILL);
+                    let _ = k.run_for(1_000_000);
+                    let _ = k.reap(r.pid);
+                }
+            }
+        }
+        let alive = cluster.alive_nodes();
+        if alive.is_empty() {
+            return Err(SimError::Usage("no alive nodes to restart on".into()));
+        }
+        let mut new_ranks = Vec::new();
+        for (i, rank) in self.saved_ranks.iter().copied().enumerate() {
+            let node = alive[i % alive.len()];
+            let remote = cluster.nodes[node.0 as usize].remote.clone();
+            let k = cluster.node(node).kernel().expect("alive");
+            let (full, load_ns, load_label) = {
+                let s = remote.lock();
+                let (img, t) =
+                    load_chain_at(&**s, &self.job_key, rank, self.committed_seq, &k.cost)
+                        .map_err(|e| SimError::Usage(format!("coordinated load failed: {e}")))?;
+                (img, t, s.label())
+            };
+            k.charge(load_ns);
+            k.trace
+                .storage(StorageOp::Load, &load_label, full.memory_bytes(), load_ns);
+            let pid = restore_image(k, &full, &RestoreOptions::fresh_running(RestorePid::Fresh))?;
+            // Tracking state does not survive migration; re-arm fresh.
+            if let Some(t) = self.trackers.get_mut(&rank) {
+                *t = Tracker::new(self.tracker_kind);
+            }
+            new_ranks.push(RankRef { rank, node, pid });
+        }
+        // Trackers were re-created above (unarmed), so the next checkpoint
+        // round is automatically full; the sequence number keeps increasing
+        // so chain lineage in storage stays valid.
+        job.ranks = new_ranks;
+        job.resync_supersteps(cluster)?;
         self.membership_stale = true;
         Ok(())
     }
@@ -519,14 +610,41 @@ pub fn scale_round_with_pool(cfg: &ScaleConfig, cost: &CostModel, pool: Arc<Pool
 mod tests {
     use super::*;
     use crate::cluster::FailureConfig;
-    use crate::coordinator::Coordinator;
     use crate::node::NodeId;
     use simos::apps::{AppParams, NativeKind};
+
+    fn launch(c: &mut Cluster, n_ranks: u32) -> MpiJob {
+        MpiJob::launch(
+            c,
+            "app",
+            n_ranks,
+            NativeKind::SparseRandom,
+            AppParams::small(),
+            6,
+            32 * 1024,
+        )
+        .unwrap()
+    }
+
+    fn per_image() -> ShardedCoordinator {
+        ShardedCoordinator::per_image("job1", TrackerKind::KernelPage)
+    }
+
+    fn sharded(shards: usize) -> ShardedCoordinator {
+        ShardedCoordinator::new("job1", TrackerKind::KernelPage, shards)
+    }
+
+    /// The per-image protocol over the plain remote server.
+    fn setup(n_nodes: usize, n_ranks: u32) -> (Cluster, MpiJob, ShardedCoordinator) {
+        let mut c = Cluster::new(n_nodes, CostModel::circa_2005(), FailureConfig::none());
+        let job = launch(&mut c, n_ranks);
+        (c, job, per_image())
+    }
 
     fn setup_striped(
         n_nodes: usize,
         n_ranks: u32,
-        shards: usize,
+        coord: ShardedCoordinator,
     ) -> (Cluster, MpiJob, ShardedCoordinator) {
         let mut c = Cluster::new_striped(
             n_nodes,
@@ -536,18 +654,104 @@ mod tests {
             3,
             2,
         );
-        let job = MpiJob::launch(
-            &mut c,
-            "app",
-            n_ranks,
-            NativeKind::SparseRandom,
-            AppParams::small(),
-            6,
-            32 * 1024,
-        )
-        .unwrap();
-        let coord = ShardedCoordinator::new("job1", TrackerKind::KernelPage, shards);
+        let job = launch(&mut c, n_ranks);
         (c, job, coord)
+    }
+
+    #[test]
+    fn coordinated_checkpoint_then_clean_continue() {
+        let (mut c, mut job, mut coord) = setup(3, 6);
+        for _ in 0..2 {
+            job.superstep(&mut c).unwrap();
+        }
+        let o = coord.checkpoint(&mut c, &job).unwrap();
+        assert_eq!(o.ranks, 6);
+        assert!(!o.incremental);
+        assert!(o.total_bytes > 0);
+        // Job continues normally.
+        job.superstep(&mut c).unwrap();
+        assert_eq!(job.completed_supersteps(), 3);
+        // Second checkpoint is incremental and smaller.
+        let o2 = coord.checkpoint(&mut c, &job).unwrap();
+        assert!(o2.incremental);
+        assert!(o2.total_bytes < o.total_bytes);
+    }
+
+    #[test]
+    fn recovery_after_node_loss_migrates_and_preserves_progress() {
+        let (mut c, mut job, mut coord) = setup(3, 6);
+        for _ in 0..3 {
+            job.superstep(&mut c).unwrap();
+        }
+        coord.checkpoint(&mut c, &job).unwrap();
+        // More progress that will be lost.
+        job.superstep(&mut c).unwrap();
+        assert_eq!(job.completed_supersteps(), 4);
+        // Node 1 dies and stays dead.
+        c.inject_failure(NodeId(1));
+        assert!(matches!(
+            job.superstep(&mut c),
+            Err(crate::mpi::JobInterrupt::NodeLost(_))
+        ));
+        coord.restart(&mut c, &mut job).unwrap();
+        // Rolled back to superstep 3 (the checkpoint), ranks only on alive
+        // nodes.
+        assert_eq!(job.completed_supersteps(), 3);
+        for r in &job.ranks {
+            assert_ne!(r.node, NodeId(1));
+        }
+        // The job completes from there.
+        for _ in 0..3 {
+            job.superstep(&mut c).unwrap();
+        }
+        assert_eq!(job.completed_supersteps(), 6);
+    }
+
+    #[test]
+    fn recovered_run_matches_failure_free_run() {
+        // The gold standard: states after recovery + N supersteps must
+        // equal an uninterrupted run's states at the same superstep.
+        let reference = {
+            let (mut c, mut job, _) = setup(2, 4);
+            for _ in 0..6 {
+                job.superstep(&mut c).unwrap();
+            }
+            job.rank_states(&mut c).unwrap()
+        };
+        let (mut c, mut job, mut coord) = setup(2, 4);
+        for _ in 0..3 {
+            job.superstep(&mut c).unwrap();
+        }
+        coord.checkpoint(&mut c, &job).unwrap();
+        job.superstep(&mut c).unwrap(); // superstep 4, will be lost
+        c.inject_failure(NodeId(0));
+        let _ = job.superstep(&mut c);
+        coord.restart(&mut c, &mut job).unwrap();
+        assert_eq!(job.completed_supersteps(), 3);
+        for _ in 0..3 {
+            job.superstep(&mut c).unwrap();
+        }
+        let recovered = job.rank_states(&mut c).unwrap();
+        assert_eq!(recovered, reference, "recovered run diverged");
+    }
+
+    #[test]
+    fn restart_without_checkpoint_refuses() {
+        let (mut c, mut job, mut coord) = setup(2, 2);
+        assert!(coord.restart(&mut c, &mut job).is_err());
+    }
+
+    #[test]
+    fn empty_job_is_refused_typed_and_burns_no_sequence_number() {
+        let (mut c, job, _) = setup(2, 2);
+        let empty = launch(&mut c, 0);
+        for mut coord in [per_image(), sharded(2)] {
+            let err = coord.checkpoint(&mut c, &empty).unwrap_err();
+            assert!(matches!(err, SimError::Usage(_)), "typed refusal, got {err}");
+            assert!(!coord.has_checkpoint());
+            // A refused round is not an aborted one: the next is still seq 1.
+            assert_eq!(coord.checkpoint(&mut c, &job).unwrap().seq, 1);
+        }
     }
 
     #[test]
@@ -555,7 +759,7 @@ mod tests {
         // 16 ranks over 2 shards and 4 stripes: a shard round pays at most
         // one ack cycle per stripe it touches (≤ 2 × 4 = 8), while the
         // per-image path would pay 16.
-        let (mut c, mut job, mut coord) = setup_striped(4, 16, 2);
+        let (mut c, mut job, mut coord) = setup_striped(4, 16, sharded(2));
         for _ in 0..2 {
             job.superstep(&mut c).unwrap();
         }
@@ -579,13 +783,13 @@ mod tests {
     #[test]
     fn sharded_recovery_matches_failure_free_run() {
         let reference = {
-            let (mut c, mut job, _) = setup_striped(3, 6, 2);
+            let (mut c, mut job, _) = setup_striped(3, 6, sharded(2));
             for _ in 0..6 {
                 job.superstep(&mut c).unwrap();
             }
             job.rank_states(&mut c).unwrap()
         };
-        let (mut c, mut job, mut coord) = setup_striped(3, 6, 2);
+        let (mut c, mut job, mut coord) = setup_striped(3, 6, sharded(2));
         for _ in 0..3 {
             job.superstep(&mut c).unwrap();
         }
@@ -608,9 +812,9 @@ mod tests {
     fn shard_count_does_not_change_recovered_state() {
         // The whole point of width-invariance: 1, 2, or 8 shards commit
         // the SAME cut — recovered application state is byte-identical,
-        // and identical to the flat coordinator's.
-        let run_sharded = |shards: usize| {
-            let (mut c, mut job, mut coord) = setup_striped(3, 6, shards);
+        // and identical to the per-image protocol's.
+        let run_sharded = |coord: ShardedCoordinator| {
+            let (mut c, mut job, mut coord) = setup_striped(3, 6, coord);
             for _ in 0..3 {
                 job.superstep(&mut c).unwrap();
             }
@@ -623,47 +827,15 @@ mod tests {
             }
             job.rank_states(&mut c).unwrap()
         };
-        let flat = {
-            let mut c = Cluster::new_striped(
-                3,
-                CostModel::circa_2005(),
-                FailureConfig::none(),
-                4,
-                3,
-                2,
-            );
-            let mut job = MpiJob::launch(
-                &mut c,
-                "app",
-                6,
-                NativeKind::SparseRandom,
-                AppParams::small(),
-                6,
-                32 * 1024,
-            )
-            .unwrap();
-            let mut coord = Coordinator::new("job1", TrackerKind::KernelPage);
-            for _ in 0..3 {
-                job.superstep(&mut c).unwrap();
-            }
-            coord.checkpoint(&mut c, &job).unwrap();
-            c.inject_failure(NodeId(0));
-            let _ = job.superstep(&mut c);
-            coord.restart(&mut c, &mut job).unwrap();
-            for _ in 0..2 {
-                job.superstep(&mut c).unwrap();
-            }
-            job.rank_states(&mut c).unwrap()
-        };
-        let one = run_sharded(1);
-        assert_eq!(one, run_sharded(2), "2 shards diverged from 1");
-        assert_eq!(one, run_sharded(8), "8 shards diverged from 1");
-        assert_eq!(one, flat, "sharded cut diverged from the flat protocol");
+        let one = run_sharded(sharded(1));
+        assert_eq!(one, run_sharded(sharded(2)), "2 shards diverged from 1");
+        assert_eq!(one, run_sharded(sharded(8)), "8 shards diverged from 1");
+        assert_eq!(one, run_sharded(per_image()), "per-image cut diverged from 1 shard");
     }
 
     #[test]
     fn root_crash_after_all_shard_acks_recovers_at_previous_cut() {
-        let (mut c, mut job, mut coord) = setup_striped(3, 6, 2);
+        let (mut c, mut job, mut coord) = setup_striped(3, 6, sharded(2));
         for _ in 0..2 {
             job.superstep(&mut c).unwrap();
         }
@@ -686,7 +858,7 @@ mod tests {
 
     #[test]
     fn shard_crash_mid_round_aborts_cleanly() {
-        let (mut c, mut job, mut coord) = setup_striped(3, 6, 3);
+        let (mut c, mut job, mut coord) = setup_striped(3, 6, sharded(3));
         for _ in 0..2 {
             job.superstep(&mut c).unwrap();
         }

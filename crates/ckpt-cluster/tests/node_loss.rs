@@ -7,7 +7,7 @@
 //! [`FaultInjectStore`] so the fault strikes at a byte-accurate point in
 //! the round (after some ranks' images have already landed).
 
-use ckpt_cluster::{Cluster, Coordinator, FailureConfig, MpiJob, NodeId};
+use ckpt_cluster::{Cluster, FailureConfig, MpiJob, NodeId, ShardedCoordinator};
 use ckpt_core::tracker::TrackerKind;
 use ckpt_storage::{FaultInjectStore, LocalDisk};
 use simos::apps::{AppParams, NativeKind};
@@ -15,7 +15,7 @@ use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
 use simos::types::Pid;
 
-fn setup(n_nodes: usize, n_ranks: u32) -> (Cluster, MpiJob, Coordinator) {
+fn setup(n_nodes: usize, n_ranks: u32) -> (Cluster, MpiJob, ShardedCoordinator) {
     let mut c = Cluster::new(n_nodes, CostModel::circa_2005(), FailureConfig::none());
     let job = MpiJob::launch(
         &mut c,
@@ -27,7 +27,7 @@ fn setup(n_nodes: usize, n_ranks: u32) -> (Cluster, MpiJob, Coordinator) {
         32 * 1024,
     )
     .unwrap();
-    let coord = Coordinator::new("mixjob", TrackerKind::KernelPage);
+    let coord = ShardedCoordinator::per_image("mixjob", TrackerKind::KernelPage);
     (c, job, coord)
 }
 
@@ -72,7 +72,7 @@ fn mid_round_store_fault_keeps_the_committed_cut() {
     arm_remote(&mut c, 1, &faults);
     let err = coord.checkpoint(&mut c, &job).unwrap_err();
     assert!(
-        err.to_string().contains("store failed"),
+        err.to_string().contains("commit failed"),
         "mid-round fault must surface typed: {err}"
     );
     assert!(faults.fired().is_some(), "the armed site actually fired");
@@ -121,7 +121,7 @@ fn node_loss_mid_round_never_mixes_rounds() {
     c.inject_failure(NodeId(1));
     let err = coord.checkpoint(&mut c, &job).unwrap_err();
     assert!(
-        err.to_string().contains("down during checkpoint"),
+        err == simos::types::SimError::NodeDown(1),
         "node loss mid-round must surface typed: {err}"
     );
     assert!(coord.has_checkpoint(), "previous round survives the aborted one");
@@ -161,7 +161,7 @@ fn undeletable_partial_image_is_ignored_by_the_capped_restart() {
     let faults = FaultHandle::armed("storage/remote/store@2", Fault::FailStop);
     arm_remote(&mut c, 1, &faults);
     let err = coord.checkpoint(&mut c, &job).unwrap_err();
-    assert!(err.to_string().contains("store failed"), "typed abort: {err}");
+    assert!(err.to_string().contains("commit failed"), "typed abort: {err}");
     faults.set_crashed();
     c.inject_failure(NodeId(1));
 

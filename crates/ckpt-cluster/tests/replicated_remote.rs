@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use ckpt_cluster::{Cluster, Coordinator, FailureConfig, MpiJob, NodeId};
+use ckpt_cluster::{Cluster, FailureConfig, MpiJob, NodeId, ShardedCoordinator};
 use ckpt_core::shared_storage;
 use ckpt_core::tracker::TrackerKind;
 use ckpt_replica::{ReplicaConfig, ReplicaSet, ReplicatedStore};
@@ -23,7 +23,7 @@ fn setup_replicated(
     n_ranks: u32,
     n_replicas: usize,
     w: usize,
-) -> (Cluster, Arc<ReplicaSet>, MpiJob, Coordinator) {
+) -> (Cluster, Arc<ReplicaSet>, MpiJob, ShardedCoordinator) {
     let set = ReplicaSet::new(n_replicas);
     let cfg = ReplicaConfig::new(n_replicas, w);
     let mut c = Cluster::with_remote(n_nodes, CostModel::circa_2005(), FailureConfig::none(), |_| {
@@ -39,7 +39,7 @@ fn setup_replicated(
         32 * 1024,
     )
     .unwrap();
-    let coord = Coordinator::new("repljob", TrackerKind::KernelPage);
+    let coord = ShardedCoordinator::per_image("repljob", TrackerKind::KernelPage);
     (c, set, job, coord)
 }
 
@@ -161,7 +161,7 @@ fn node_loss_mid_round_on_replicated_remote_keeps_the_cut() {
     c.inject_failure(NodeId(1));
     let err = coord.checkpoint(&mut c, &job).unwrap_err();
     assert!(
-        err.to_string().contains("down during checkpoint"),
+        err == simos::types::SimError::NodeDown(1),
         "node loss mid-round must surface typed: {err}"
     );
     assert!(coord.has_checkpoint());

@@ -564,7 +564,7 @@ impl KernelCkptEngine {
 /// `k`'s trace: the lock → store → label → trace step every checkpointer's
 /// commit is. Charging the receipt's time, and wording the error, stay with
 /// the caller.
-pub fn commit_image(
+pub(crate) fn commit_image(
     k: &Kernel,
     storage: &SharedStorage,
     job: &str,

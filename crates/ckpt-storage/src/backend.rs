@@ -89,9 +89,7 @@ impl StorageClass {
             StorageClass::Swap => {
                 cost.disk_latency_ns + (bytes * cost.swap_ns_per_byte).round() as u64
             }
-            StorageClass::Remote => {
-                cost.net_latency_ns + (bytes * cost.net_ns_per_byte).round() as u64
-            }
+            StorageClass::Remote => cost.wire(len as u64),
         }
     }
 }

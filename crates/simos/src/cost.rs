@@ -167,6 +167,12 @@ impl CostModel {
         (bytes as f64 * self.hash_ns_per_byte).round() as u64
     }
 
+    /// One-way cost of a `bytes`-long frame on the interconnect: one
+    /// network latency plus the bytes at wire rate.
+    pub fn wire(&self, bytes: u64) -> u64 {
+        self.net_latency_ns + (bytes as f64 * self.net_ns_per_byte).round() as u64
+    }
+
     /// Full syscall round-trip cost excluding per-call work.
     pub fn syscall_round_trip(&self) -> u64 {
         self.syscall_entry_ns + self.syscall_dispatch_ns + self.syscall_exit_ns

@@ -84,6 +84,9 @@ pub enum SimError {
     /// An armed [`crate::faultpoint`] site fired: the injected failure
     /// (fail-stop, torn write, transient) interrupted the operation.
     InjectedFault { site: String },
+    /// The cluster node with this index is down: its kernel, and everything
+    /// volatile on it, is gone until it is repaired.
+    NodeDown(u32),
     /// Post-copy live migration lost its source node before the residual
     /// page set drained: the pages still on the source are unrecoverable
     /// and the half-populated target must be discarded.
@@ -114,6 +117,7 @@ impl fmt::Display for SimError {
             SimError::InjectedFault { site } => {
                 write!(f, "injected fault fired at {site}")
             }
+            SimError::NodeDown(node) => write!(f, "node{node} is down"),
             SimError::SourceLostMidMigration { residual_pages } => {
                 write!(
                     f,

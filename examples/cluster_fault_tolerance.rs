@@ -7,7 +7,7 @@
 //! ```
 
 use ckpt_restart::cluster::{
-    Cluster, Coordinator, FailureConfig, JobInterrupt, MpiJob, NodeId,
+    Cluster, FailureConfig, JobInterrupt, MpiJob, NodeId, ShardedCoordinator,
 };
 use ckpt_restart::ckpt::TrackerKind;
 use ckpt_restart::simos::apps::{AppParams, NativeKind};
@@ -36,7 +36,7 @@ fn main() {
         "launched 4-rank job on nodes {:?}",
         job.ranks.iter().map(|r| r.node.0).collect::<Vec<_>>()
     );
-    let mut coord = Coordinator::new("demo-job", TrackerKind::KernelPage);
+    let mut coord = ShardedCoordinator::per_image("demo-job", TrackerKind::KernelPage);
 
     let target = 12u64;
     let mut recoveries = 0;

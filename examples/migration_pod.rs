@@ -67,12 +67,6 @@ fn main() {
         Err(e) => println!("keep-identity migration fails as expected: {e}"),
         Ok(_) => panic!("conflict should have been detected"),
     }
-    cluster
-        .node(NodeId(0))
-        .kernel()
-        .unwrap()
-        .thaw_process(migrant)
-        .unwrap();
 
     // Attempt 2: pod-virtualized migration (ZAP).
     let mut pod = Pod::new("jobA");

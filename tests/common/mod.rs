@@ -53,3 +53,36 @@ impl Gen {
         (0..n).map(|_| self.byte()).collect()
     }
 }
+
+/// Compare a line-by-line rendering with its pinned `tests/goldens/<name>.txt`.
+/// On a mismatch the full actual rendering is left in the test target's
+/// scratch directory for diffing, and the first divergent line — with the
+/// `== ` section it belongs to — is named.
+pub fn assert_pinned(name: &str, golden: &str, actual: &str) {
+    if actual == golden {
+        return;
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.actual.txt"));
+    std::fs::write(&path, actual).unwrap();
+    let mut section = "";
+    for (i, (want, got)) in golden.lines().zip(actual.lines()).enumerate() {
+        if got.starts_with("== ") {
+            section = got;
+        }
+        assert_eq!(
+            want,
+            got,
+            "{name} moved: line {} (in `{section}`) diverges from \
+             tests/goldens/{name}.txt; full rendering in {}",
+            i + 1,
+            path.display()
+        );
+    }
+    panic!(
+        "{name} moved: {} lines rendered, {} pinned; full rendering in {}",
+        actual.lines().count(),
+        golden.lines().count(),
+        path.display()
+    );
+}

@@ -1,6 +1,6 @@
 //! Property tests for live migration (`ckpt-cluster::livemig`).
 //!
-//! Three properties, each over randomized or exhaustive inputs:
+//! Four properties, each over randomized or exhaustive inputs:
 //!
 //! 1. **Converge-or-diverge** — across randomized dirty-rate schedules
 //!    (guest geometry, write intensity, downtime budget), pre-copy either
@@ -14,9 +14,13 @@
 //! 3. **Pool-width invariance** — the whole migration (bytes on the wire,
 //!    round structure, final guest bytes) is byte-identical whether pages
 //!    are encoded by a 1-, 4-, or 8-worker `ckpt-par` pool.
+//! 4. **A failed migration leaves its source running** — with the target
+//!    down, or refusing the restore, freeze-copy, pre-copy and post-copy
+//!    all return the typed error with the source guest thawed, bit-identical
+//!    to its replay and making progress.
 
 use ckpt_cluster::livemig::{migrate_postcopy, migrate_precopy, LiveMigConfig};
-use ckpt_cluster::{Cluster, FailureConfig, NodeId};
+use ckpt_cluster::{migrate, Cluster, FailureConfig, MigrationMode, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use simos::apps::{self, AppParams, GuestMemIo, NativeKind, VecMem, HEADER_BASE};
@@ -28,8 +32,12 @@ use std::sync::Arc;
 const FROM: NodeId = NodeId(0);
 const TO: NodeId = NodeId(1);
 
-fn setup(kind: NativeKind, mut params: AppParams) -> (Cluster, Pid) {
-    let mut c = Cluster::new(2, CostModel::circa_2005(), FailureConfig::none());
+fn setup(kind: NativeKind, params: AppParams) -> (Cluster, Pid) {
+    setup_with(kind, params, FailureConfig::none())
+}
+
+fn setup_with(kind: NativeKind, mut params: AppParams, failures: FailureConfig) -> (Cluster, Pid) {
+    let mut c = Cluster::new(2, CostModel::circa_2005(), failures);
     params.total_steps = u64::MAX;
     let pid = c
         .node(FROM)
@@ -168,4 +176,57 @@ fn migration_is_byte_identical_at_pool_widths_1_4_8() {
             ),
         }
     }
+}
+
+#[test]
+fn a_failed_migration_leaves_its_source_running() {
+    let kind = NativeKind::SparseRandom;
+    let params = AppParams::small();
+    let source_runs_on = |c: &mut Cluster, pid: Pid, label: &str| {
+        let k = c.node(FROM).kernel().unwrap();
+        assert_bit_identical(k, pid, kind, &params, label);
+        let w0 = k.process(pid).unwrap().work_done;
+        c.advance(30_000_000);
+        assert!(
+            c.node(FROM).kernel().unwrap().process(pid).unwrap().work_done > w0,
+            "{label}: source left frozen by the failed migration"
+        );
+    };
+
+    // The target is down and stays down (a repair far beyond the test).
+    type Attempt = fn(&mut Cluster, Pid) -> SimError;
+    let strategies: [(&str, Attempt); 3] = [
+        ("freeze-copy", |c, pid| {
+            migrate(c, FROM, pid, TO, MigrationMode::FreshPid, None).unwrap_err()
+        }),
+        ("pre-copy", |c, pid| {
+            migrate_precopy(c, FROM, pid, TO, &LiveMigConfig::default()).unwrap_err()
+        }),
+        ("post-copy", |c, pid| {
+            migrate_postcopy(c, FROM, pid, TO, &LiveMigConfig::default()).unwrap_err()
+        }),
+    ];
+    for (label, attempt) in strategies {
+        let failures = FailureConfig {
+            repair_ns: 60_000_000_000,
+            ..FailureConfig::none()
+        };
+        let (mut c, pid) = setup_with(kind, params.clone(), failures);
+        c.inject_failure(TO);
+        assert_eq!(attempt(&mut c, pid), SimError::NodeDown(TO.0), "{label}");
+        source_runs_on(&mut c, pid, label);
+    }
+
+    // The target is up but refuses the restore: the pid is taken.
+    let (mut c, pid) = setup(kind, params.clone());
+    let squatter = c
+        .node(TO)
+        .kernel()
+        .unwrap()
+        .spawn_native(kind, params.clone())
+        .unwrap();
+    assert_eq!(squatter, pid, "test setup: pids must collide");
+    migrate(&mut c, FROM, pid, TO, MigrationMode::KeepIdentity, None)
+        .expect_err("identity migration must hit the conflict");
+    source_runs_on(&mut c, pid, "keep-identity");
 }

@@ -19,6 +19,8 @@
 //! named and the full actual rendering is left next to the test binary's
 //! scratch space for diffing.
 
+mod common;
+
 use std::fmt::Write as _;
 
 use ckpt_restart::ckpt::autonomic::{self, AutonomicConfig, AutonomicDaemon};
@@ -210,31 +212,5 @@ fn render_everything() -> String {
 
 #[test]
 fn every_family_round_matches_the_pinned_rendering() {
-    let actual = render_everything();
-    if actual == GOLDEN {
-        return;
-    }
-    let path =
-        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("round_equivalence.actual.txt");
-    std::fs::write(&path, &actual).unwrap();
-    let mut section = "";
-    for (i, (want, got)) in GOLDEN.lines().zip(actual.lines()).enumerate() {
-        if got.starts_with("== ") {
-            section = got;
-        }
-        assert_eq!(
-            want,
-            got,
-            "the round moved: line {} (in `{section}`) diverges from \
-             tests/goldens/round_equivalence.txt; full rendering in {}",
-            i + 1,
-            path.display()
-        );
-    }
-    panic!(
-        "the round moved: {} lines rendered, {} pinned; full rendering in {}",
-        actual.lines().count(),
-        GOLDEN.lines().count(),
-        path.display()
-    );
+    common::assert_pinned("round_equivalence", GOLDEN, &render_everything());
 }
