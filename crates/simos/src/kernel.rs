@@ -806,12 +806,13 @@ impl Kernel {
                 .ok_or(SimError::NoSuchProcess(pid))?;
             match p.mem.check_write(addr, bytes.len() as u64) {
                 AccessOutcome::Ok => {
+                    // The check passed, so the range neither wraps nor
+                    // leaves the layout: its end is computable.
+                    let pages = addr / PAGE_SIZE..=(addr + bytes.len() as u64 - 1) / PAGE_SIZE;
                     // COW accounting after fork.
                     if !p.cow_pending.is_empty() {
-                        let first = addr / PAGE_SIZE;
-                        let last = (addr + bytes.len() as u64 - 1) / PAGE_SIZE;
                         let mut faults = 0;
-                        for pn in first..=last {
+                        for pn in pages.clone() {
                             if p.cow_pending.remove(&pn) {
                                 faults += 1;
                             }
@@ -837,9 +838,7 @@ impl Kernel {
                         p.mem.track,
                         TrackMode::KernelPage | TrackMode::UserSigsegv
                     ) {
-                        let first = addr / PAGE_SIZE;
-                        let last = (addr + bytes.len() as u64 - 1) / PAGE_SIZE;
-                        for pn in first..=last {
+                        for pn in pages {
                             if p.mem.page_data(pn).is_none() {
                                 p.mem.note_fresh_dirty(pn);
                                 if p.mem.track == TrackMode::UserSigsegv {
@@ -934,6 +933,37 @@ impl Kernel {
                 self.fault_to_segv(pid, faddr, kind)
             }
         }
+    }
+
+    /// Load one guest word in user context — what a native step's `r64`
+    /// and the VM's `Lw` both execute. An aligned word whose page the soft
+    /// TLB already translates costs that one translation
+    /// ([`AddressSpace::load_word`]); every other access is the checked
+    /// [`Kernel::mem_read`], unchanged.
+    pub fn mem_load_word(&mut self, pid: Pid, addr: u64) -> SimResult<u64> {
+        if let Some(word) = self
+            .procs
+            .get_mut(&pid.0)
+            .and_then(|p| p.mem.load_word(addr))
+        {
+            return Ok(word);
+        }
+        let mut buf = [0u8; 8];
+        self.mem_read(pid, addr, &mut buf)?;
+        Ok(u64::from_le_bytes(buf))
+    }
+
+    /// Store one guest word in user context (`w64`, `Sw`): the single
+    /// translation of [`AddressSpace::store_word`] when no page of the
+    /// process is still copy-on-write shared — a first write to one owes a
+    /// COW fault — and the checked [`Kernel::mem_write`] otherwise.
+    pub fn mem_store_word(&mut self, pid: Pid, addr: u64, val: u64) -> SimResult<()> {
+        if let Some(p) = self.procs.get_mut(&pid.0) {
+            if p.cow_pending.is_empty() && p.mem.store_word(addr, val) {
+                return Ok(());
+            }
+        }
+        self.mem_write(pid, addr, &val.to_le_bytes())
     }
 
     fn fault_to_segv(&mut self, pid: Pid, addr: u64, kind: FaultKind) -> SimResult<()> {
@@ -1227,6 +1257,19 @@ impl Kernel {
         }
     }
 
+    /// `EFAULT` unless the guest maps all of `[buf, buf + len)` — asked of
+    /// a syscall's `(pointer, length)` pair before any host buffer is sized
+    /// from `len`. Extent only: a page write-protected for tracking is
+    /// mapped, and the copy that follows resolves it.
+    fn guest_extent(&self, pid: Pid, buf: u64, len: u64) -> Result<(), Errno> {
+        let p = self.procs.get(&pid.0).ok_or(Errno::ESRCH)?;
+        if p.mem.maps(buf, len) {
+            Ok(())
+        } else {
+            Err(Errno::EFAULT)
+        }
+    }
+
     fn sys_read(&mut self, pid: Pid, fd: Fd, buf: u64, len: u64) -> SysResult {
         let entry = {
             let p = self.procs.get(&pid.0).ok_or(Errno::ESRCH)?;
@@ -1239,20 +1282,16 @@ impl Kernel {
             }
             (ofd.path.clone(), ofd.kind.clone(), ofd.offset)
         };
+        self.guest_extent(pid, buf, len)?;
         let data: Vec<u8> = match kind {
             OfdKind::Regular => {
-                let mut tmp = vec![0u8; len as usize];
-                let n = self.fs.read_at(&path, offset, &mut tmp).map_err(fs_errno)?;
-                tmp.truncate(n);
-                tmp
+                read_window(self.fs.read_file(&path).map_err(fs_errno)?, offset, len)
             }
             OfdKind::Proc { module, tag } => {
                 let full = self
                     .dispatch_module(&module, |m, k| m.proc_read(k, pid, &tag))
                     .unwrap_or(Err(Errno::ENOSYS))?;
-                let off = (offset as usize).min(full.len());
-                let n = (len as usize).min(full.len() - off);
-                full[off..off + n].to_vec()
+                read_window(&full, offset, len)
             }
             OfdKind::Device { .. } => return Err(Errno::EINVAL),
         };
@@ -1283,6 +1322,7 @@ impl Kernel {
                 ofd.flags.append,
             )
         };
+        self.guest_extent(pid, buf, len)?;
         let mut data = vec![0u8; len as usize];
         self.mem_read(pid, buf, &mut data)
             .map_err(|_| Errno::EFAULT)?;
@@ -1521,6 +1561,12 @@ impl Kernel {
             return Ok(());
         }
         let start = self.clock;
+        // A process's program is fixed when it is spawned or adopted, so a
+        // native guest's parameters are fetched once per slice, not per step.
+        let native = match self.procs.get(&pid.0).map(|p| &p.program) {
+            Some(ProgramSpec::Native { kind, params }) => Some((*kind, params.clone())),
+            _ => None,
+        };
         loop {
             if self.clock >= until {
                 break;
@@ -1531,8 +1577,8 @@ impl Kernel {
             if !p.is_runnable() {
                 break;
             }
-            match &p.program {
-                ProgramSpec::Vm { .. } => {
+            match &native {
+                None => {
                     if let Err(_e) = self.vm_step(pid) {
                         // Fault posted a signal; deliver it (may terminate).
                         let _ = self.deliver_signals(pid)?;
@@ -1543,35 +1589,26 @@ impl Kernel {
                     // matching real deferred delivery. Exception: if the
                     // process stopped being runnable, end the slice.
                 }
-                ProgramSpec::Native { kind, params } => {
-                    let kind = *kind;
-                    let params = params.clone();
+                Some((kind, params)) => {
                     let outcome = {
                         let mut io = KernelMemIo::new(self, pid);
-                        let out = apps::step(kind, &params, &mut io);
+                        let out = apps::step(*kind, params, &mut io);
                         io.finish()?;
                         out
                     };
                     let t = self.cost.native_step_ns + self.cost.memcpy(outcome.bytes_touched);
                     self.charge_user(t);
-                    let (every, agent, ext) = {
-                        let p = self.procs.get_mut(&pid.0).expect("exists");
-                        p.work_done += 1;
-                        (
-                            p.user_rt.self_ckpt_every,
-                            p.user_rt.agent.clone(),
-                            p.user_rt.self_ckpt_ext,
-                        )
-                    };
+                    let p = self.procs.get_mut(&pid.0).expect("exists");
+                    p.work_done += 1;
                     // Self-checkpoint call sites inserted into the app
                     // (libckpt / VMADump pattern).
-                    if let Some(every) = every {
-                        if every > 0 && (outcome.step + 1) % every == 0 {
-                            if let Some(slot) = ext {
-                                let _ = self.do_syscall(pid, Syscall::Ext { slot, args: [0; 5] });
-                            } else if let Some(agent) = agent {
-                                self.dispatch_agent(&agent, |a, k| a.user_checkpoint(k, pid));
-                            }
+                    let rt = &p.user_rt;
+                    let due = |every: u64| every > 0 && (outcome.step + 1) % every == 0;
+                    if rt.self_ckpt_every.is_some_and(due) {
+                        if let Some(slot) = rt.self_ckpt_ext {
+                            let _ = self.do_syscall(pid, Syscall::Ext { slot, args: [0; 5] });
+                        } else if let Some(agent) = rt.agent.clone() {
+                            self.dispatch_agent(&agent, |a, k| a.user_checkpoint(k, pid));
                         }
                     }
                     if outcome.finished {
@@ -1781,9 +1818,8 @@ impl Kernel {
             }
             Instr::Lw { a, b, simm } => {
                 let addr = regs!().gpr[b as usize].wrapping_add(simm as i64 as u64);
-                let mut buf = [0u8; 8];
-                self.mem_read(pid, addr, &mut buf)?;
-                regs!().gpr[a as usize] = u64::from_le_bytes(buf);
+                let word = self.mem_load_word(pid, addr)?;
+                regs!().gpr[a as usize] = word;
             }
             Instr::Sw { a, b, simm } => {
                 let (val, addr) = {
@@ -1793,7 +1829,7 @@ impl Kernel {
                         r.gpr[b as usize].wrapping_add(simm as i64 as u64),
                     )
                 };
-                self.mem_write(pid, addr, &val.to_le_bytes())?;
+                self.mem_store_word(pid, addr, val)?;
             }
             Instr::Lb { a, b, simm } => {
                 let addr = regs!().gpr[b as usize].wrapping_add(simm as i64 as u64);
@@ -1903,6 +1939,12 @@ impl Kernel {
                 len: args[2],
             },
             sysno::OPEN => {
+                // The path length is the guest's: an unmapped extent is the
+                // fault the copy below would raise, raised before a buffer
+                // is sized from it.
+                if !self.procs[&pid.0].mem.maps(args[0], args[1]) {
+                    self.fault_to_segv(pid, args[0], FaultKind::NotMapped)?;
+                }
                 let mut name = vec![0u8; args[1] as usize];
                 self.mem_read(pid, args[0], &mut name)?;
                 let path = String::from_utf8_lossy(&name).to_string();
@@ -1977,6 +2019,14 @@ impl Kernel {
     }
 }
 
+/// What a `read` of `len` bytes at `offset` returns from `full`: sized by
+/// what the source can supply, never by the guest's `len` alone.
+fn read_window(full: &[u8], offset: u64, len: u64) -> Vec<u8> {
+    let off = offset.min(full.len() as u64) as usize;
+    let n = len.min((full.len() - off) as u64) as usize;
+    full[off..off + n].to_vec()
+}
+
 fn fs_errno(e: FsError) -> Errno {
     match e {
         FsError::NotFound => Errno::ENOENT,
@@ -2020,19 +2070,17 @@ impl GuestMemIo for KernelMemIo<'_> {
         if self.fatal.is_some() {
             return 0;
         }
-        let mut buf = [0u8; 8];
-        if let Err(e) = self.k.mem_read(self.pid, addr, &mut buf) {
+        self.k.mem_load_word(self.pid, addr).unwrap_or_else(|e| {
             self.fatal = Some(e);
-            return 0;
-        }
-        u64::from_le_bytes(buf)
+            0
+        })
     }
 
     fn w64(&mut self, addr: u64, val: u64) {
         if self.fatal.is_some() {
             return;
         }
-        if let Err(e) = self.k.mem_write(self.pid, addr, &val.to_le_bytes()) {
+        if let Err(e) = self.k.mem_store_word(self.pid, addr, val) {
             self.fatal = Some(e);
         }
     }

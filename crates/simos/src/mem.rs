@@ -25,6 +25,22 @@
 //! restore, and — driven by the kernel — the address-space switch.
 //! Hit/miss/flush counts are reported in [`MemStats`].
 //!
+//! **The TLB invariant: an entry exists only for a resident page, and it
+//! holds that page's slot and current effective protection.** Entries are
+//! filled in exactly three places, each reading the protection off the
+//! live page: `resolve_prot_slow`'s resident arm, `materialize_slot`, and
+//! the miss arm of [`AddressSpace::read_unchecked`]. Every event that
+//! frees a page or changes its protection removes what it made stale:
+//! `remove_page` (under `munmap` and a `brk` shrink) and
+//! [`AddressSpace::resolve_tracked_fault`] evict their one page;
+//! [`AddressSpace::mprotect`], [`AddressSpace::arm_tracking`] (page modes),
+//! [`AddressSpace::disarm_tracking`], the restore entry points
+//! (`push_vma_raw`, `restore_brk`) and the kernel's mm switch flush the
+//! whole cache. The checked path uses an entry only to skip map walks; the
+//! aligned-word path ([`AddressSpace::load_word`] /
+//! [`AddressSpace::store_word`]) relies on the invariant outright, which
+//! is why it is written down here.
+//!
 //! Internal fallible operations use `Result<_, ()>`: the kernel maps every
 //! failure to a single guest-visible errno, so a richer error type here
 //! would add no information.
@@ -528,11 +544,11 @@ impl AddressSpace {
         if !addr.is_multiple_of(PAGE_SIZE) || len == 0 {
             return Err(());
         }
-        let end = round_up(addr + len, PAGE_SIZE);
         // Must lie within mapped VMAs.
-        if !self.range_mapped(addr, end) {
+        if !self.maps(addr, len) {
             return Err(());
         }
+        let end = round_up(addr + len, PAGE_SIZE);
         let mut count = 0;
         for pn in (addr / PAGE_SIZE)..(end / PAGE_SIZE) {
             if let Some(&slot) = self.page_index.get(&pn) {
@@ -549,8 +565,15 @@ impl AddressSpace {
         Ok(count)
     }
 
-    fn range_mapped(&self, start: u64, end: u64) -> bool {
-        let mut cursor = start;
+    /// Whether VMAs cover every byte of `[addr, addr + len)` — the extent
+    /// test for a guest-supplied `(pointer, length)` pair, asked before
+    /// anything is sized from `len`. Protection is not consulted: a page
+    /// write-protected for tracking is mapped, and the access resolves it.
+    pub fn maps(&self, addr: u64, len: u64) -> bool {
+        let Some(end) = addr.checked_add(len) else {
+            return false;
+        };
+        let mut cursor = addr;
         while cursor < end {
             match self.vma_of(cursor) {
                 Some(v) => cursor = v.end,
@@ -581,7 +604,17 @@ impl AddressSpace {
             return AccessOutcome::Ok;
         }
         let first = addr / PAGE_SIZE;
-        let last = (addr + len - 1) / PAGE_SIZE;
+        // `addr` and `len` are the guest's: a range that wraps `u64` or
+        // reaches past the top of the layout maps nowhere.
+        let last = match addr.checked_add(len - 1) {
+            Some(end) if end < STACK_TOP => end / PAGE_SIZE,
+            _ => {
+                return AccessOutcome::Fault {
+                    addr: first * PAGE_SIZE,
+                    kind: FaultKind::NotMapped,
+                }
+            }
+        };
         for pn in first..=last {
             let prot = if self.tlb_enabled {
                 let e = self.tlb[tlb_idx(pn)];
@@ -681,6 +714,63 @@ impl AddressSpace {
             off += n;
             cur += n as u64;
         }
+    }
+
+    /// The resident page behind an aligned word at `addr`, through one TLB
+    /// probe — or `None`, having touched nothing, when the TLB is off, the
+    /// address is not 8-byte aligned (so the word might cross a page) or
+    /// no entry for the page `grants` the access. By the TLB invariant
+    /// (module docs) a granting entry proves all that `check` followed by
+    /// the unchecked access's own probe would establish: the page is
+    /// mapped, resident at this slot, and its current effective protection
+    /// allows the access — so no fault, fresh-page note or tracked-write
+    /// resolution is due.
+    #[inline]
+    fn word_slot(&self, addr: u64, grants: impl Fn(Prot) -> bool) -> Option<usize> {
+        if !self.tlb_enabled || !addr.is_multiple_of(8) {
+            return None;
+        }
+        let pn = addr / PAGE_SIZE;
+        let e = self.tlb[tlb_idx(pn)];
+        (e.pn == pn && grants(e.prot)).then_some(e.slot as usize)
+    }
+
+    /// Load one aligned guest word for a single translation: exactly
+    /// `check_read(addr, 8)` then `read_unchecked` when both would hit the
+    /// TLB — the same bytes and the same counters (two hits, eight bytes
+    /// read). `None` means the access is not of that kind; nothing was
+    /// touched, and the caller takes the checked path.
+    #[inline]
+    pub fn load_word(&mut self, addr: u64) -> Option<u64> {
+        let slot = self.word_slot(addr, Prot::readable)?;
+        let page = self.slots[slot].as_ref().expect("live slot");
+        let at = (addr % PAGE_SIZE) as usize;
+        let word = page.data[at..at + 8].try_into().expect("eight bytes");
+        self.stats.tlb_hits += 2;
+        self.stats.bytes_read += 8;
+        Some(u64::from_le_bytes(word))
+    }
+
+    /// Store one aligned guest word for a single translation: exactly
+    /// `check_write(addr, 8)` then `write_unchecked` when both would hit
+    /// the TLB (see [`AddressSpace::load_word`]). Also refuses under
+    /// [`TrackMode::HardwareLine`], whose line log only the checked path
+    /// keeps. `false` means nothing was touched. The copy-on-write set
+    /// lives on the process, not here: the kernel checks it first.
+    #[inline]
+    pub fn store_word(&mut self, addr: u64, val: u64) -> bool {
+        if self.track == TrackMode::HardwareLine {
+            return false;
+        }
+        let Some(slot) = self.word_slot(addr, Prot::writable) else {
+            return false;
+        };
+        let page = self.slots[slot].as_mut().expect("live slot");
+        let at = (addr % PAGE_SIZE) as usize;
+        page.data[at..at + 8].copy_from_slice(&val.to_le_bytes());
+        self.stats.tlb_hits += 2;
+        self.stats.bytes_written += 8;
+        true
     }
 
     /// Read without touching stats — used by checkpointers walking memory

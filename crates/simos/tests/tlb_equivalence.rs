@@ -2,7 +2,8 @@
 //!
 //! Two address spaces — one with the translation cache enabled, one with it
 //! disabled — are driven through the same pseudo-random sequence of memory
-//! operations (map/unmap/mprotect/brk, checked reads and writes, peek/poke,
+//! operations (map/unmap/mprotect/brk, checked reads and writes, aligned-word
+//! loads and stores that try the single-probe word path first, peek/poke,
 //! track-mode toggles, tracked-fault resolution). Every observable — access
 //! outcomes, returned addresses, bytes read, dirty sets, resident sets, and
 //! `MemStats` (with the TLB counters themselves masked) — must be identical
@@ -11,6 +12,47 @@
 
 use simos::apps::mix64;
 use simos::mem::{AccessOutcome, AddressSpace, MemStats, Prot, TrackMode, DATA_BASE, PAGE_SIZE};
+
+/// Checked write: check, resolve tracked faults like the kernel does, then
+/// write on success.
+fn checked_write(a: &mut AddressSpace, addr: u64, bytes: &[u8]) -> String {
+    let mut log = String::new();
+    for _ in 0..3 {
+        match a.check_write(addr, bytes.len() as u64) {
+            AccessOutcome::Ok => {
+                a.write_unchecked(addr, bytes);
+                log.push_str("w-ok ");
+                break;
+            }
+            AccessOutcome::Fault { addr: faddr, kind } => {
+                log.push_str(&format!("w-fault {faddr:#x} {kind:?} "));
+                if !a.resolve_tracked_fault(faddr / PAGE_SIZE) {
+                    break;
+                }
+                log.push_str("resolved ");
+            }
+        }
+    }
+    log
+}
+
+fn checked_read(a: &mut AddressSpace, addr: u64, len: usize) -> String {
+    match a.check_read(addr, len as u64) {
+        AccessOutcome::Ok => {
+            let mut buf = vec![0u8; len];
+            a.read_unchecked(addr, &mut buf);
+            read_ok(&buf)
+        }
+        AccessOutcome::Fault { addr: faddr, kind } => {
+            format!("r-fault {faddr:#x} {kind:?}")
+        }
+    }
+}
+
+fn read_ok(bytes: &[u8]) -> String {
+    let hash = bytes.iter().fold(0u64, |h, &b| mix64(h ^ b as u64));
+    format!("r-ok {hash:x} ")
+}
 
 /// One pseudo-random operation applied to both spaces; returns the
 /// observation string the two runs are compared on.
@@ -36,7 +78,7 @@ fn apply(op: u64, rng: &mut u64, a: &mut AddressSpace, regions: &mut Vec<(u64, u
             _ => 0xdead_0000 + r2 % PAGE_SIZE, // usually unmapped
         }
     };
-    match op % 12 {
+    match op % 14 {
         0 => {
             // mmap a small region.
             let len = (next() % 8 + 1) * PAGE_SIZE;
@@ -80,46 +122,18 @@ fn apply(op: u64, rng: &mut u64, a: &mut AddressSpace, regions: &mut Vec<(u64, u
             format!("sbrk {:?}", a.sbrk(delta))
         }
         4..=6 => {
-            // Checked write: check, resolve tracked faults like the kernel
-            // does, then write on success.
             let (r1, r2) = (next(), next());
             let addr = pick_addr(regions, r1, r2);
             let len = (next() % 64 + 1) as usize;
             let val = (next() & 0xFF) as u8;
-            let mut log = String::new();
-            for _ in 0..3 {
-                match a.check_write(addr, len as u64) {
-                    AccessOutcome::Ok => {
-                        a.write_unchecked(addr, &vec![val; len]);
-                        log.push_str("w-ok ");
-                        break;
-                    }
-                    AccessOutcome::Fault { addr: faddr, kind } => {
-                        log.push_str(&format!("w-fault {faddr:#x} {kind:?} "));
-                        if !a.resolve_tracked_fault(faddr / PAGE_SIZE) {
-                            break;
-                        }
-                        log.push_str("resolved ");
-                    }
-                }
-            }
-            log
+            checked_write(a, addr, &vec![val; len])
         }
         7 | 8 => {
             // Checked read.
             let (r1, r2) = (next(), next());
             let addr = pick_addr(regions, r1, r2);
             let len = (next() % 64 + 1) as usize;
-            match a.check_read(addr, len as u64) {
-                AccessOutcome::Ok => {
-                    let mut buf = vec![0u8; len];
-                    a.read_unchecked(addr, &mut buf);
-                    format!("r-ok {:x}", buf.iter().fold(0u64, |h, &b| mix64(h ^ b as u64)))
-                }
-                AccessOutcome::Fault { addr: faddr, kind } => {
-                    format!("r-fault {faddr:#x} {kind:?}")
-                }
-            }
+            checked_read(a, addr, len)
         }
         9 => {
             // peek/poke (checkpointer paths, no protection interaction).
@@ -144,6 +158,38 @@ fn apply(op: u64, rng: &mut u64, a: &mut AddressSpace, regions: &mut Vec<(u64, u
             } else {
                 format!("arm {mode:?} {}", a.arm_tracking(mode))
             }
+        }
+        11 => {
+            // Aligned word stores the way the kernel issues them: the
+            // single-probe path first, the checked path behind a refusal.
+            // Which one served a store must not be observable. The second
+            // store lands on the page the first just translated, so in the
+            // enabled space it usually takes the word path.
+            let (r1, r2) = (next(), next());
+            let addr = pick_addr(regions, r1, r2) & !7;
+            let val = next();
+            let mut log = String::new();
+            for addr in [addr, addr ^ 8] {
+                if a.store_word(addr, val) {
+                    log.push_str("w-ok ");
+                } else {
+                    log.push_str(&checked_write(a, addr, &val.to_le_bytes()));
+                }
+            }
+            log
+        }
+        12 => {
+            // Aligned word loads, likewise.
+            let (r1, r2) = (next(), next());
+            let addr = pick_addr(regions, r1, r2) & !7;
+            let mut log = String::new();
+            for addr in [addr, addr ^ 8] {
+                log.push_str(&match a.load_word(addr) {
+                    Some(word) => read_ok(&word.to_le_bytes()),
+                    None => checked_read(a, addr, 8),
+                });
+            }
+            log
         }
         _ => {
             // Restore-style raw ops occasionally.

@@ -1,0 +1,161 @@
+//! A wild guest pointer or length must fault or fail the call — never wrap
+//! an address computation, materialise a page no VMA covers, or size a host
+//! allocation.
+//!
+//! Each case reproduced a defect at commit 4d0f02d: a range ending past
+//! `u64::MAX` panicked `AddressSpace::check` in debug builds and passed it
+//! in release builds (the page range wrapped to empty, and the write that
+//! followed materialised two stray pages); `read`/`write` sized a `Vec`
+//! from the guest's `len` before validating anything, as did the VM's
+//! `open` from its path length.
+
+use ckpt_restart::simos::apps::{AppParams, NativeKind};
+use ckpt_restart::simos::asm::Assembler;
+use ckpt_restart::simos::cost::CostModel;
+use ckpt_restart::simos::fs::OpenFlags;
+use ckpt_restart::simos::mem::{
+    AccessOutcome, AddressSpace, Prot, TrackMode, DATA_BASE, PAGE_SIZE, STACK_TOP,
+};
+use ckpt_restart::simos::syscall::{Syscall, Whence};
+use ckpt_restart::simos::types::{Errno, FaultKind};
+use ckpt_restart::simos::vm::sysno;
+use ckpt_restart::simos::{Fd, Kernel};
+
+const SEGV_EXIT: i32 = 128 + 11;
+
+fn not_mapped(outcome: AccessOutcome) -> bool {
+    matches!(
+        outcome,
+        AccessOutcome::Fault {
+            kind: FaultKind::NotMapped,
+            ..
+        }
+    )
+}
+
+#[test]
+fn a_range_that_wraps_or_leaves_the_layout_faults_and_materialises_nothing() {
+    let mut a = AddressSpace::new(PAGE_SIZE, 4 * PAGE_SIZE);
+    assert!(not_mapped(a.check_write(u64::MAX - 3, 8)));
+    assert!(not_mapped(a.check_read(u64::MAX, 1)));
+    assert!(not_mapped(a.check_read(DATA_BASE, u64::MAX)));
+    // The last stack word is fine; one byte more reaches past the top.
+    assert_eq!(a.check_write(STACK_TOP - 8, 8), AccessOutcome::Ok);
+    assert_eq!(
+        a.check_write(STACK_TOP - 8, 9),
+        AccessOutcome::Fault {
+            addr: STACK_TOP - PAGE_SIZE,
+            kind: FaultKind::NotMapped
+        }
+    );
+    assert_eq!(a.resident_count(), 0);
+    // `mprotect` takes the same guest-supplied pair.
+    assert!(a
+        .mprotect(u64::MAX - PAGE_SIZE + 1, 2 * PAGE_SIZE, Prot::R)
+        .is_err());
+    assert!(a.mprotect(DATA_BASE, u64::MAX, Prot::R).is_err());
+}
+
+/// Run `program` to its end and return (exit code, resident pages).
+fn run_vm(build: impl FnOnce(&mut Assembler)) -> (Option<i32>, usize) {
+    let mut a = Assembler::new();
+    build(&mut a);
+    a.halt();
+    let mut k = Kernel::new(CostModel::circa_2005());
+    let pid = k
+        .spawn_vm(a.assemble().expect("assembles"), "wild")
+        .unwrap();
+    k.run_for(1_000_000).expect("the simulator survives");
+    let p = k.process(pid).expect("guest");
+    (p.exit_code(), p.mem.resident_count())
+}
+
+#[test]
+fn a_vm_store_through_minus_four_is_a_segv_not_two_stray_pages() {
+    let (exit, resident) = run_vm(|a| {
+        a.li(1, 0).addi(1, 1, -4).li(2, 7).sw(2, 1, 0);
+    });
+    assert_eq!(exit, Some(SEGV_EXIT));
+    assert_eq!(resident, 0);
+    let (exit, resident) = run_vm(|a| {
+        a.li(1, 0).addi(1, 1, -4).lw(2, 1, 0);
+    });
+    assert_eq!(exit, Some(SEGV_EXIT));
+    assert_eq!(resident, 0);
+}
+
+#[test]
+fn a_vm_open_with_a_wild_path_length_is_a_segv_not_an_allocation() {
+    let (exit, _) = run_vm(|a| {
+        a.li(0, sysno::OPEN as u32)
+            .li(1, DATA_BASE as u32)
+            .li(2, 0)
+            .addi(2, 2, -1)
+            .li(3, 1)
+            .sys();
+    });
+    assert_eq!(exit, Some(SEGV_EXIT));
+}
+
+#[test]
+fn read_and_write_refuse_an_extent_the_guest_does_not_map() {
+    let mut k = Kernel::new(CostModel::circa_2005());
+    let params = AppParams::small();
+    let pid = k
+        .spawn_native(NativeKind::SparseRandom, params.clone())
+        .unwrap();
+    let open = Syscall::Open {
+        path: "/tmp/f".into(),
+        flags: OpenFlags::RDWR_CREATE,
+    };
+    let fd = Fd(k.do_syscall(pid, open).unwrap() as u32);
+    let buf = DATA_BASE + 64;
+    k.mem_write(pid, buf, b"payload!").unwrap();
+    assert_eq!(k.do_syscall(pid, Syscall::Write { fd, buf, len: 8 }), Ok(8));
+
+    // The data VMA is the header page, the array and one page more; the
+    // hole before the heap starts right after it.
+    let data_end = DATA_BASE + PAGE_SIZE + params.mem_bytes + PAGE_SIZE;
+    let below_hole = (data_end - PAGE_SIZE, 2 * PAGE_SIZE);
+    let wild = [(buf, u64::MAX), (buf, 1 << 40), below_hole];
+    let syscalls = k.stats.syscalls;
+    for (buf, len) in wild {
+        let w = k.do_syscall(pid, Syscall::Write { fd, buf, len });
+        assert_eq!(w, Err(Errno::EFAULT), "write({buf:#x}, {len:#x})");
+        let r = k.do_syscall(pid, Syscall::Read { fd, buf, len });
+        assert_eq!(r, Err(Errno::EFAULT), "read({buf:#x}, {len:#x})");
+    }
+    assert_eq!(k.stats.syscalls, syscalls + 6);
+    assert_eq!(k.fs.read_file("/tmp/f").unwrap(), b"payload!");
+
+    // A destination write-protected only for tracking is mapped: the read
+    // lands, and the page is dirty.
+    k.process_mut(pid)
+        .unwrap()
+        .mem
+        .arm_tracking(TrackMode::KernelPage);
+    let rewind = Syscall::Lseek {
+        fd,
+        offset: 0,
+        whence: Whence::Set,
+    };
+    k.do_syscall(pid, rewind).unwrap();
+    let dst = DATA_BASE + 512;
+    assert_eq!(
+        k.do_syscall(
+            pid,
+            Syscall::Read {
+                fd,
+                buf: dst,
+                len: 4096
+            }
+        ),
+        Ok(8),
+        "a read is sized by what the file supplies"
+    );
+    let p = k.process(pid).unwrap();
+    assert!(p.mem.dirty_pages.contains(&(dst / PAGE_SIZE)));
+    let mut got = [0u8; 8];
+    p.mem.peek(dst, &mut got);
+    assert_eq!(&got, b"payload!");
+}
