@@ -3,36 +3,12 @@
 //!
 //! ```text
 //! cargo run --release --bin report -- all            # everything
-//! cargo run --release --bin report -- all --timings  # + wall-clock to stderr
 //! cargo run --release --bin report -- table1         # one experiment
-//! cargo run --release --bin report -- timings        # wall-clock only
+//! cargo run --release --bin report -- timings        # wall-clock only, under its ceilings
 //! cargo run --release --bin report -- list           # what exists
 //! ```
 
 use ckpt_bench as bench;
-
-/// `report all --timings`: identical stdout to plain `all` (the output is
-/// golden-hashed), with per-experiment wall-clock on stderr and
-/// `BENCH_report.json` written alongside.
-fn run_all_timed() -> String {
-    let mut timings = Vec::new();
-    let mut parts = Vec::new();
-    for (name, f) in bench::EXPERIMENTS {
-        let start = std::time::Instant::now();
-        let out = f();
-        timings.push(bench::timing::ExperimentTiming {
-            name,
-            wall_s: start.elapsed().as_secs_f64(),
-            output_bytes: out.len(),
-        });
-        parts.push(out);
-    }
-    if let Err(e) = std::fs::write("BENCH_report.json", bench::timing::timings_json(&timings)) {
-        eprintln!("warning: could not write BENCH_report.json: {e}");
-    }
-    eprint!("{}", bench::timing::timings_table(&timings));
-    parts.join("\n")
-}
 
 /// `report sweep [--out DIR]`: run every swept experiment, write the
 /// canonical `SWEEP_cXX.json` artifacts plus the `RUNBOOK.json`
@@ -82,37 +58,27 @@ fn run_sweep_cmd(out_dir: &std::path::Path) -> std::io::Result<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(|s| s.as_str()).unwrap_or("all");
-    let timed = args.iter().any(|a| a == "--timings");
     let out = match which {
         "list" => {
-            println!("experiments: table1 figure1 c1 c2 c3 c3b c4 c5 c6 c7a c7b c8 c9 c10 c11 c12 c13 c14 c15 c16 trace timings sweep all");
-            println!("(c11 crash matrix, c12 replication, c13 dedup, c14 shard, c15 livemig, c16 erasure are standalone — not part of `all`)");
+            let table = bench::registry::REGISTRY;
+            let names: Vec<&str> = table.iter().filter_map(|e| e.aliases.first().copied()).collect();
+            let standalone: Vec<String> =
+                table.iter().filter(|e| !e.in_all).map(|e| e.aliases.join(" ")).collect();
+            println!("experiments: {} timings sweep all", names.join(" "));
+            println!(
+                "(standalone — not part of `all`, which carries trace without its host-side counters: {})",
+                standalone.join(", ")
+            );
             println!("(sweep writes the canonical SWEEP_cXX.json artifacts and the RUNBOOK.json manifest; --out DIR picks the directory)");
             return;
         }
-        "table1" | "t1" => bench::t1_table(),
-        "figure1" | "f1" => bench::f1_figure(),
-        "c1" | "claims" => bench::c1_gather(),
-        "c2" | "incremental" => bench::c2_incremental(),
-        "c3" | "blocksize" => bench::c3_blocksize(),
-        "c3b" | "omission" => bench::c3b_omission(),
-        "c4" | "mechanisms" => bench::c4_mechanisms(),
-        "c5" | "fork" => bench::c5_fork(),
-        "c6" | "storage" => bench::c6_storage(),
-        "c7a" => bench::c7_cluster_mechanistic(),
-        "c7b" | "cluster" => bench::c7_cluster_scale(),
-        "c8" | "migration" => bench::c8_migration(),
-        "c9" | "batch" => bench::c9_batch_vs_autonomic(),
-        "c10" | "sensitivity" => bench::c10_sensitivity(),
-        "c11" | "crashmatrix" => bench::c11_crash_matrix(),
-        "c12" | "replication" => bench::c12_replication(),
-        "c13" | "dedup" => bench::c13_dedup(),
-        "c14" | "shard" => bench::c14_shard(),
-        "c15" | "livemig" => bench::c15_livemig(),
-        "c16" | "erasure" => bench::c16_erasure(),
-        "trace" => bench::trace_breakdown(),
         "timings" => match bench::run_timings() {
-            Ok(table) => table,
+            Ok((table, None)) => table,
+            Ok((table, Some(exceeded))) => {
+                println!("{table}");
+                eprintln!("FAIL: {exceeded}");
+                std::process::exit(1);
+            }
             Err(e) => {
                 eprintln!("could not write BENCH_report.json: {e}");
                 std::process::exit(1);
@@ -133,12 +99,14 @@ fn main() {
                 }
             }
         }
-        "all" if timed => run_all_timed(),
         "all" => bench::run_all(),
-        other => {
-            eprintln!("unknown experiment '{other}' — try: report list");
-            std::process::exit(2);
-        }
+        other => match bench::registry::find(other) {
+            Some(e) => (e.run)(),
+            None => {
+                eprintln!("unknown experiment '{other}' — try: report list");
+                std::process::exit(2);
+            }
+        },
     };
     println!("{out}");
 }

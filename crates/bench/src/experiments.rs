@@ -12,7 +12,7 @@ use ckpt_core::agents::{UserAgentConfig, UserCkptAgent};
 use ckpt_core::mechanism::{family, FAMILIES};
 use ckpt_core::policy::young_interval;
 use ckpt_core::pod::Pod;
-use ckpt_core::{shared_storage, SharedStorage, Tracker, TrackerKind};
+use ckpt_core::{shared_storage, CkptOutcome, SharedStorage, Tracker, TrackerKind};
 use ckpt_storage::{
     LocalDisk, RamStore, RemoteServer, RemoteStore, StableStorage, StorageClass, SwapStore,
 };
@@ -73,6 +73,41 @@ pub fn f1_figure() -> String {
 // C1 — user- vs kernel-level state extraction
 // ---------------------------------------------------------------------
 
+/// One checkpoint of a sparse writer holding `nfds` open files, taken by
+/// the user-level library or by the kernel-level syscall: the `(syscall
+/// crossings, virtual ns)` of that checkpoint alone. C1 sweeps `nfds`, C10
+/// the cost model.
+fn gather_cost(cost: &CostModel, nfds: u32, job: &str, user_level: bool) -> (u64, u64) {
+    let mut k = Kernel::new(cost.clone());
+    let pid = spawn(&mut k, NativeKind::SparseRandom, 256 * 1024, 8);
+    for i in 0..nfds {
+        k.do_syscall(
+            pid,
+            Syscall::Open {
+                path: format!("/tmp/f{i}"),
+                flags: OpenFlags::RDWR_CREATE,
+            },
+        )
+        .unwrap();
+    }
+    k.run_for(5_000_000).unwrap();
+    if user_level {
+        let agent = UserCkptAgent::new(UserAgentConfig::new("lib", job), disk());
+        k.register_agent(Box::new(agent)).unwrap();
+        let (s0, t0) = (k.stats.syscalls, k.now());
+        k.with_agent_mut::<UserCkptAgent, _>("lib", |a, k| {
+            a.perform_checkpoint(k, pid).unwrap();
+        });
+        (k.stats.syscalls - s0, k.now() - t0)
+    } else {
+        let mut m = family("syscall-bypid").build(job, disk(), TrackerKind::FullOnly);
+        m.prepare(&mut k, pid).unwrap();
+        let (s0, t0) = (k.stats.syscalls, k.now());
+        m.checkpoint(&mut k, pid).unwrap();
+        (k.stats.syscalls - s0, k.now() - t0)
+    }
+}
+
 /// C1: syscall crossings and time to gather process state, user level vs
 /// kernel level, as the number of open descriptors grows.
 pub fn c1_gather() -> String {
@@ -82,63 +117,17 @@ pub fn c1_gather() -> String {
         vec![0u32, 4, 16, 64],
         || (),
         |_, _, nfds| {
-        // User level: the modelled checkpoint library.
-        let (user_calls, user_time) = {
-            let mut k = fresh_kernel();
-            let pid = spawn(&mut k, NativeKind::SparseRandom, 256 * 1024, 8);
-            for i in 0..nfds {
-                k.do_syscall(
-                    pid,
-                    Syscall::Open {
-                        path: format!("/tmp/f{i}"),
-                        flags: OpenFlags::RDWR_CREATE,
-                    },
-                )
-                .unwrap();
-            }
-            k.run_for(5_000_000).unwrap();
-            let agent = UserCkptAgent::new(
-                UserAgentConfig::new("lib", "c1"),
-                disk(),
-            );
-            k.register_agent(Box::new(agent)).unwrap();
-            let s0 = k.stats.syscalls;
-            let t0 = k.now();
-            k.with_agent_mut::<UserCkptAgent, _>("lib", |a, k| {
-                a.perform_checkpoint(k, pid).unwrap();
-            });
-            (k.stats.syscalls - s0, k.now() - t0)
-        };
-        // Kernel level: the EPCKPT-style syscall.
-        let (sys_calls, sys_time) = {
-            let mut k = fresh_kernel();
-            let pid = spawn(&mut k, NativeKind::SparseRandom, 256 * 1024, 8);
-            for i in 0..nfds {
-                k.do_syscall(
-                    pid,
-                    Syscall::Open {
-                        path: format!("/tmp/f{i}"),
-                        flags: OpenFlags::RDWR_CREATE,
-                    },
-                )
-                .unwrap();
-            }
-            k.run_for(5_000_000).unwrap();
-            let mut m = family("syscall-bypid").build("c1", disk(), TrackerKind::FullOnly);
-            m.prepare(&mut k, pid).unwrap();
-            let s0 = k.stats.syscalls;
-            let t0 = k.now();
-            m.checkpoint(&mut k, pid).unwrap();
-            (k.stats.syscalls - s0, k.now() - t0)
-        };
-        vec![
-            nfds.to_string(),
-            user_calls.to_string(),
-            ns(user_time),
-            sys_calls.to_string(),
-            ns(sys_time),
-            format!("{:.1}x", user_calls as f64 / sys_calls.max(1) as f64),
-        ]
+            let cost = CostModel::circa_2005();
+            let (user_calls, user_time) = gather_cost(&cost, nfds, "c1", true);
+            let (sys_calls, sys_time) = gather_cost(&cost, nfds, "c1", false);
+            vec![
+                nfds.to_string(),
+                user_calls.to_string(),
+                ns(user_time),
+                sys_calls.to_string(),
+                ns(sys_time),
+                format!("{:.1}x", user_calls as f64 / sys_calls.max(1) as f64),
+            ]
         },
     );
     format!(
@@ -332,39 +321,41 @@ pub fn c4_mechanisms() -> String {
 // C5 — fork-concurrent stall vs stop-the-world
 // ---------------------------------------------------------------------
 
+/// One full checkpoint of a dense writer over `mem` bytes by the `which`
+/// family, after `warm_ns` of guest run time. C5 sweeps the working set,
+/// C10 the cost model.
+fn dense_checkpoint(
+    cost: &CostModel,
+    which: &str,
+    job: &str,
+    mem: u64,
+    warm_ns: u64,
+) -> CkptOutcome {
+    let mut k = Kernel::new(cost.clone());
+    let pid = spawn(&mut k, NativeKind::DenseSweep, mem, 0);
+    k.run_for(warm_ns).unwrap();
+    let mut m = family(which).build(job, disk(), TrackerKind::FullOnly);
+    m.prepare(&mut k, pid).unwrap();
+    m.checkpoint(&mut k, pid).unwrap()
+}
+
 /// C5: application stall, forked-concurrent vs stop-the-world kthread.
 pub fn c5_fork() -> String {
     let rows = ckpt_par::global().par_map_ordered(
         vec![256 * 1024u64, 1024 * 1024, 4 * 1024 * 1024],
         || (),
         |_, _, mem| {
-        let fork = {
-            let mut k = fresh_kernel();
-            let pid = spawn(&mut k, NativeKind::DenseSweep, mem, 0);
-            k.run_for(20_000_000).unwrap();
-            let mut m = family("fork-concurrent").build("c5", disk(), TrackerKind::FullOnly);
-            m.prepare(&mut k, pid).unwrap();
-            let o = m.checkpoint(&mut k, pid).unwrap();
-            let cow = o.events.cow_faults;
-            (o.app_stall_ns, o.total_ns, cow)
-        };
-        let stw = {
-            let mut k = fresh_kernel();
-            let pid = spawn(&mut k, NativeKind::DenseSweep, mem, 0);
-            k.run_for(20_000_000).unwrap();
-            let mut m = family("kthread-ioctl").build("c5", disk(), TrackerKind::FullOnly);
-            m.prepare(&mut k, pid).unwrap();
-            let o = m.checkpoint(&mut k, pid).unwrap();
-            o.app_stall_ns
-        };
-        vec![
-            bytes(mem),
-            ns(fork.0),
-            ns(stw),
-            format!("{:.0}x", stw as f64 / fork.0.max(1) as f64),
-            ns(fork.1),
-            fork.2.to_string(),
-        ]
+            let cost = CostModel::circa_2005();
+            let fork = dense_checkpoint(&cost, "fork-concurrent", "c5", mem, 20_000_000);
+            let stw = dense_checkpoint(&cost, "kthread-ioctl", "c5", mem, 20_000_000).app_stall_ns;
+            vec![
+                bytes(mem),
+                ns(fork.app_stall_ns),
+                ns(stw),
+                format!("{:.0}x", stw as f64 / fork.app_stall_ns.max(1) as f64),
+                ns(fork.total_ns),
+                fork.events.cow_faults.to_string(),
+            ]
         },
     );
     format!(
@@ -770,64 +761,21 @@ pub fn c10_sensitivity() -> String {
         ],
         || (),
         |_, _, (label, cost)| {
-        // User vs kernel crossings (one checkpoint, 8 fds).
-        let crossings = |user: bool, cost: &CostModel| -> u64 {
-            let mut k = Kernel::new(cost.clone());
-            let pid = spawn(&mut k, NativeKind::SparseRandom, 256 * 1024, 8);
-            for i in 0..8 {
-                k.do_syscall(
-                    pid,
-                    Syscall::Open {
-                        path: format!("/tmp/f{i}"),
-                        flags: OpenFlags::RDWR_CREATE,
-                    },
-                )
-                .unwrap();
-            }
-            k.run_for(5_000_000).unwrap();
-            if user {
-                let agent =
-                    UserCkptAgent::new(UserAgentConfig::new("lib", "c10"), disk());
-                k.register_agent(Box::new(agent)).unwrap();
-                let s0 = k.stats.syscalls;
-                k.with_agent_mut::<UserCkptAgent, _>("lib", |a, k| {
-                    a.perform_checkpoint(k, pid).unwrap();
-                });
-                k.stats.syscalls - s0
-            } else {
-                let mut m = family("syscall-bypid").build("c10", disk(), TrackerKind::FullOnly);
-                m.prepare(&mut k, pid).unwrap();
-                let s0 = k.stats.syscalls;
-                m.checkpoint(&mut k, pid).unwrap();
-                k.stats.syscalls - s0
-            }
-        };
-        let user = crossings(true, &cost);
-        let kernel = crossings(false, &cost);
-        // Fork stall vs stop-the-world stall (1 MiB dense writer).
-        let stalls = |cost: &CostModel| -> (u64, u64) {
-            let mut k = Kernel::new(cost.clone());
-            let pid = spawn(&mut k, NativeKind::DenseSweep, 1024 * 1024, 0);
-            k.run_for(10_000_000).unwrap();
-            let mut fork = family("fork-concurrent").build("c10", disk(), TrackerKind::FullOnly);
-            fork.prepare(&mut k, pid).unwrap();
-            let f = fork.checkpoint(&mut k, pid).unwrap().app_stall_ns;
-            let mut k2 = Kernel::new(cost.clone());
-            let pid2 = spawn(&mut k2, NativeKind::DenseSweep, 1024 * 1024, 0);
-            k2.run_for(10_000_000).unwrap();
-            let mut stw = family("kthread-ioctl").build("c10", disk(), TrackerKind::FullOnly);
-            stw.prepare(&mut k2, pid2).unwrap();
-            let s = stw.checkpoint(&mut k2, pid2).unwrap().app_stall_ns;
-            (f, s)
-        };
-        let (fork_stall, stw_stall) = stalls(&cost);
-        vec![
-            label.to_string(),
-            format!("{user} vs {kernel}"),
-            (user > kernel).to_string(),
-            format!("{} vs {}", ns(fork_stall), ns(stw_stall)),
-            (fork_stall < stw_stall).to_string(),
-        ]
+            // User vs kernel crossings (one checkpoint, 8 fds).
+            let (user, _) = gather_cost(&cost, 8, "c10", true);
+            let (kernel, _) = gather_cost(&cost, 8, "c10", false);
+            // Fork stall vs stop-the-world stall (1 MiB dense writer).
+            let stall = |which| {
+                dense_checkpoint(&cost, which, "c10", 1024 * 1024, 10_000_000).app_stall_ns
+            };
+            let (fork_stall, stw_stall) = (stall("fork-concurrent"), stall("kthread-ioctl"));
+            vec![
+                label.to_string(),
+                format!("{user} vs {kernel}"),
+                (user > kernel).to_string(),
+                format!("{} vs {}", ns(fork_stall), ns(stw_stall)),
+                (fork_stall < stw_stall).to_string(),
+            ]
         },
     );
     format!(
@@ -858,9 +806,10 @@ pub fn trace_breakdown() -> String {
     trace_breakdown_impl(true)
 }
 
-/// `show_soft_tlb` gates the software-TLB section: `report all` passes
-/// `false` so its output stays byte-identical to the pre-TLB report, while
-/// standalone `report trace` passes `true`.
+/// `show_soft_tlb` gates the host-side sections (software TLB, pool and
+/// quorum counters): `report all` passes `false` so its output stays
+/// byte-identical to the pre-TLB report, while standalone `report trace`
+/// passes `true`.
 fn trace_breakdown_impl(show_soft_tlb: bool) -> String {
     use ckpt_core::mechanism::hibernate::{SoftwareSuspend, SuspendMode};
     use ckpt_cluster::ShardedCoordinator;
@@ -1064,44 +1013,10 @@ fn trace_breakdown_impl(show_soft_tlb: bool) -> String {
     out
 }
 
-/// Every experiment `report all` runs, in order, with the short names the
-/// timing harness and CI gate key on. The trace entry uses the
-/// soft-TLB-suppressed variant so the concatenated output is stable.
-#[allow(clippy::type_complexity)]
-pub const EXPERIMENTS: &[(&str, fn() -> String)] = &[
-    ("table1", t1_table),
-    ("figure1", f1_figure),
-    ("c1_gather", c1_gather),
-    ("c2_incremental", c2_incremental),
-    ("c3_blocksize", c3_blocksize),
-    ("c3b_omission", c3b_omission),
-    ("c4_mechanisms", c4_mechanisms),
-    ("c5_fork", c5_fork),
-    ("c6_storage", c6_storage),
-    ("c7a_cluster_mechanistic", c7_cluster_mechanistic),
-    ("c7b_cluster_scale", c7_cluster_scale),
-    ("c8_migration", c8_migration),
-    ("c9_batch_vs_autonomic", c9_batch_vs_autonomic),
-    ("c10_sensitivity", c10_sensitivity),
-    ("trace", trace_breakdown_for_all),
-];
-
-fn trace_breakdown_for_all() -> String {
+/// The trace entry of `report all` (see [`crate::registry::REGISTRY`]).
+pub(crate) fn trace_breakdown_for_all() -> String {
     trace_breakdown_impl(false)
 }
-
-/// Standalone experiments that are *not* part of `report all` (so the
-/// pinned `all` output never moves) but whose wall-clock still belongs in
-/// the `report timings` budget. C11 stays out: the full crash matrix runs
-/// for tens of seconds and has its own CI gate.
-#[allow(clippy::type_complexity)]
-pub const TIMED_STANDALONE: &[(&str, fn() -> String)] = &[
-    ("c12_replication", c12_replication),
-    ("c13_dedup", c13_dedup),
-    ("c14_shard", c14_shard),
-    ("c15_livemig", c15_livemig),
-    ("c16_erasure", c16_erasure),
-];
 
 // ---------------------------------------------------------------------
 // C11 — the crash matrix
@@ -1208,8 +1123,8 @@ pub fn c11_crash_matrix() -> String {
 // The quorum-replication, sharded-control-plane and erasure-storage
 // experiments now run as declarative sweep plans; their text renderers
 // live next to the plans and stay byte-identical to the pre-port
-// output. Re-exported here so `EXPERIMENTS`-style tables and callers
-// keep their flat `ckpt_bench::c12_replication()` paths.
+// output. Re-exported here so the registry and callers keep their flat
+// `ckpt_bench::c12_replication()` paths.
 pub use crate::swept::{c12_replication, c14_shard, c16_erasure};
 
 // ---------------------------------------------------------------------
@@ -1396,7 +1311,7 @@ pub fn c13_dedup() -> String {
 /// of magnitude for both live strategies on every guest, and the
 /// pre-copy round count growing with the dirty rate — the adaptive
 /// cutover working for its living. The gate lines at the bottom are what
-/// CI greps.
+/// `golden_c15` asserts.
 ///
 /// Standalone like C12/C13/C14 (`report c15`); not part of `report all`.
 pub fn c15_livemig() -> String {
@@ -1507,21 +1422,6 @@ pub fn c15_livemig() -> String {
     )
 }
 
-
-/// Run every experiment and concatenate (the `report all` output).
-///
-/// Experiments are fully isolated (each builds its own kernels, storage
-/// and trace sinks), so they run concurrently on the pool; the ordered
-/// merge concatenates in `EXPERIMENTS` order, keeping the output
-/// byte-identical to the serial run.
-pub fn run_all() -> String {
-    let parts: Vec<String> = ckpt_par::global().par_map_ordered(
-        EXPERIMENTS.to_vec(),
-        || (),
-        |_, _, (_, f)| f(),
-    );
-    parts.join("\n")
-}
 
 #[cfg(test)]
 mod tests {

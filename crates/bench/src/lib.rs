@@ -9,10 +9,12 @@
 pub mod artifact;
 pub mod experiments;
 pub mod fmt;
+pub mod registry;
 pub mod runbook;
 pub mod sweep;
 pub mod swept;
 pub mod timing;
 
 pub use experiments::*;
+pub use registry::run_all;
 pub use timing::run_timings;

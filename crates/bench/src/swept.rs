@@ -727,7 +727,8 @@ pub fn c16_sweeps() -> Vec<SweepRun> {
 }
 
 /// C16: what Reed-Solomon coding buys over mirroring, rendered from the
-/// sweep metrics. The `gate:` lines at the bottom are what CI greps.
+/// sweep metrics. The `gate:` lines at the bottom are what `golden_c16`
+/// asserts.
 ///
 /// Standalone like C12–C15 (`report c16` / `report erasure`); not part
 /// of `report all`.

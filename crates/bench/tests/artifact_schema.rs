@@ -4,9 +4,8 @@
 //!
 //! CI archives these files and diffs them across runs; the diffs are
 //! only meaningful if the shape is stable. These tests pin the required
-//! keys and types, the canonical form (sorted keys, fixed float
-//! rounding), and the line-greppable layout of `BENCH_report.json` that
-//! `ci.sh` extracts wall-clocks from with grep/awk.
+//! keys and types and the canonical form (sorted keys, fixed float
+//! rounding).
 
 use ckpt_bench::artifact::{canonical_document, parse_document, Json};
 use ckpt_bench::runbook::{build_runbook, ArtifactEntry};
@@ -24,10 +23,10 @@ fn probe_runs() -> Vec<ckpt_bench::sweep::SweepRun> {
 }
 
 #[test]
-fn bench_report_json_is_line_greppable_and_canonical() {
+fn bench_report_schema_is_stable() {
     let timings = vec![
-        ExperimentTiming { name: "c7a_cluster_mechanistic", wall_s: 1.25, output_bytes: 42 },
-        ExperimentTiming { name: "trace", wall_s: 0.5, output_bytes: 7 },
+        ExperimentTiming { name: "c7a_cluster_mechanistic", wall_s: 1.25, baseline_s: 1.794, output_bytes: 42 },
+        ExperimentTiming { name: "trace", wall_s: 0.5, baseline_s: 0.584, output_bytes: 7 },
     ];
     let doc = timings_json(&timings);
     // Parses as JSON with sorted keys throughout (name < output_bytes <
@@ -50,18 +49,9 @@ fn bench_report_json_is_line_greppable_and_canonical() {
         parsed.value.get("total_wall_s").and_then(Json::as_f64).is_some(),
         "total_wall_s: f64"
     );
-    // One experiment per line, floats at fixed three decimals — what the
-    // ci.sh grep/awk extraction depends on.
-    let line = doc
-        .lines()
-        .find(|l| l.contains("\"c7a_cluster_mechanistic\""))
-        .expect("c7a line present");
-    assert!(line.contains("\"wall_s\": 1.250"), "wall_s fixed at 3 decimals");
-    assert!(
-        line.trim_start().starts_with('{') && line.trim_end().trim_end_matches(',').ends_with('}'),
-        "one experiment object per line"
-    );
-    assert!(doc.contains("\"total_wall_s\": 1.750"));
+    // Canonical like every other artifact: a parse/serialize fixed point.
+    assert_eq!(canonical_document(&parsed.value), doc);
+    assert!(doc.contains("\"total_wall_s\": 1.750000000"), "floats fixed at 9 decimals");
 }
 
 #[test]
@@ -71,7 +61,7 @@ fn generated_bench_report_matches_the_schema() {
     // run has left one behind, it must stay parseable and canonically
     // keyed or the archived diffs degrade to noise. A fresh checkout has
     // no file — nothing to check; the synthetic test above pins the
-    // writer's format either way.
+    // writer's schema either way.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report.json");
     let Ok(doc) = std::fs::read_to_string(path) else {
         return;
@@ -84,7 +74,7 @@ fn generated_bench_report_matches_the_schema() {
         .and_then(Json::as_arr)
         .expect("experiments array");
     // The `report all` set plus the timed standalone experiments.
-    assert_eq!(exps.len(), 20, "experiment count moved — update schema test and ci.sh");
+    assert_eq!(exps.len(), 20, "experiment count moved — update the schema test");
     for e in exps {
         assert!(e.get("name").and_then(Json::as_str).is_some());
         assert!(e.get("output_bytes").and_then(Json::as_u64).is_some());

@@ -2,31 +2,21 @@
 //!
 //! The matrix is fully deterministic — the site list comes from a
 //! recording pass, every scenario replays the same virtual schedule, and
-//! the report renders in fixed matrix order — so its entire output can be
-//! pinned byte-for-byte. Any change to fault classification, site
-//! enumeration, or restart behavior moves the hash and fails loudly.
+//! the report renders in fixed matrix order — so its entire output is
+//! pinned line by line. Any change to fault classification, site
+//! enumeration, or restart behavior fails naming the first row that moved
+//! (`tests/crash_matrix.rs` names the cell).
 //!
 //! If an *intentional* change lands (a new site, a new mechanism column),
-//! regenerate: hash `./target/release/report c11`'s stdout with the
-//! FNV-1a 64 below and update both constants in the same commit.
+//! repin in the same commit:
+//! `./target/release/report c11 > crates/bench/goldens/report_c11.txt`.
 
-const GOLDEN_FNV1A64: u64 = 0x7a08_87e2_ece8_5d9c;
-const GOLDEN_BYTES: usize = 4580;
-
-use ckpt_bench::artifact::fnv1a64;
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 #[test]
 fn report_c11_output_matches_pinned_baseline() {
     // Exactly what the report binary prints: c11_crash_matrix() + "\n".
     let out = format!("{}\n", ckpt_bench::c11_crash_matrix());
-    assert_eq!(
-        out.len(),
-        GOLDEN_BYTES,
-        "report c11 output length changed — crash matrix no longer baseline"
-    );
-    assert_eq!(
-        fnv1a64(out.as_bytes()),
-        GOLDEN_FNV1A64,
-        "report c11 output bytes changed — crash matrix no longer baseline"
-    );
+    common::assert_pinned("report_c11", include_str!("../goldens/report_c11.txt"), &out);
 }

@@ -5,33 +5,25 @@
 //! apps are seeded, capture is byte-stable, chunk boundaries come from a
 //! const gear table, and the pool's ordered merge keeps digests and
 //! receipts byte-identical at any worker count — so the full output pins
-//! byte-for-byte. A moved hash means the chunker, delta codec, manifest
+//! line by line. A moved line means the chunker, delta codec, manifest
 //! format, or commit accounting changed observable behavior and must be
 //! reviewed, not waved through.
 //!
-//! If an *intentional* change lands, regenerate: hash
-//! `./target/release/report c13`'s stdout with the FNV-1a 64 below and
-//! update both constants in the same commit.
+//! If an *intentional* change lands, repin in the same commit:
+//! `./target/release/report c13 > crates/bench/goldens/report_c13.txt`.
+//!
+//! The two floors below are the whole of the dedup tier's acceptance: a
+//! chunker or digest regression that silently degrades sharing without
+//! corrupting bytes moves no property test, only these ratios.
 
-const GOLDEN_FNV1A64: u64 = 0xcac3_ef95_d26f_3334;
-const GOLDEN_BYTES: usize = 2154;
-
-use ckpt_bench::artifact::fnv1a64;
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 #[test]
 fn report_c13_output_matches_pinned_baseline() {
     // Exactly what the report binary prints: c13_dedup() + "\n".
     let out = format!("{}\n", ckpt_bench::c13_dedup());
-    assert_eq!(
-        out.len(),
-        GOLDEN_BYTES,
-        "report c13 output length changed — dedup report no longer baseline"
-    );
-    assert_eq!(
-        fnv1a64(out.as_bytes()),
-        GOLDEN_FNV1A64,
-        "report c13 output bytes changed — dedup report no longer baseline"
-    );
+    common::assert_pinned("report_c13", include_str!("../goldens/report_c13.txt"), &out);
 }
 
 #[test]

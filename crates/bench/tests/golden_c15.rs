@@ -4,41 +4,31 @@
 //! guests are seeded, wire/memcpy costs are the fixed circa-2005 model,
 //! pre-copy rounds and the auto-converge throttle ladder are pure
 //! functions of the dirty sets, and post-copy demand faults are served
-//! in ascending page order — so the full output pins byte-for-byte at
-//! any pool width. A moved hash means round accounting, the cutover
-//! policy, the throttle ladder, or the demand/prefetch split changed
-//! observable behavior and must be reviewed, not waved through.
+//! in ascending page order — so the full output is pinned, line by line,
+//! at any pool width. A moved line means round accounting, the
+//! cutover policy, the throttle ladder, or the demand/prefetch split
+//! changed observable behavior and must be reviewed, not waved through.
 //!
-//! If an *intentional* change lands, regenerate: hash
-//! `./target/release/report c15`'s stdout with the FNV-1a 64 below and
-//! update both constants in the same commit.
+//! If an *intentional* change lands, repin in the same commit:
+//! `./target/release/report c15 > crates/bench/goldens/report_c15.txt`.
+
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 use std::process::Command;
 
-const GOLDEN_FNV1A64: u64 = 0xd5af_4dec_79d6_94ba;
-const GOLDEN_BYTES: usize = 3257;
+const GOLDEN: &str = include_str!("../goldens/report_c15.txt");
 
 /// Worst tolerated post-copy downtime across the zoo: the minimal-image
 /// window must stay an order of magnitude under the ~423 us freeze-copy
 /// baseline (it measures 27.9 us today).
 const POSTCOPY_DOWNTIME_CEILING_US: f64 = 100.0;
 
-use ckpt_bench::artifact::fnv1a64;
-
 #[test]
 fn report_c15_output_matches_pinned_baseline() {
     // Exactly what the report binary prints: c15_livemig() + "\n".
     let out = format!("{}\n", ckpt_bench::c15_livemig());
-    assert_eq!(
-        out.len(),
-        GOLDEN_BYTES,
-        "report c15 output length changed — migration report no longer baseline"
-    );
-    assert_eq!(
-        fnv1a64(out.as_bytes()),
-        GOLDEN_FNV1A64,
-        "report c15 output bytes changed — migration report no longer baseline"
-    );
+    common::assert_pinned("report_c15", GOLDEN, &out);
 }
 
 #[test]
@@ -59,15 +49,15 @@ fn report_c15_is_pool_width_invariant() {
     }
     assert_eq!(outputs[0], outputs[1], "width 1 vs 4 outputs differ");
     assert_eq!(outputs[1], outputs[2], "width 4 vs 8 outputs differ");
-    assert_eq!(fnv1a64(&outputs[0]), GOLDEN_FNV1A64, "subprocess output off baseline");
+    let binary = String::from_utf8(outputs.swap_remove(0)).expect("report c15 prints UTF-8");
+    common::assert_pinned("report_c15", GOLDEN, &binary);
 }
 
 #[test]
 fn c15_gates_hold_and_downtime_stays_under_ceiling() {
     // Acceptance: both live strategies beat freeze-copy on every guest at
     // every dirty rate, pre-copy's round count adapts to the dirty rate,
-    // and the slowest guest's post-copy downtime stays under the ceiling
-    // CI enforces.
+    // and the slowest guest's post-copy downtime stays under the ceiling.
     let out = ckpt_bench::c15_livemig();
     for gate in [
         "gate: pre-copy beats freeze-copy downtime on every guest at every dirty rate: true",

@@ -157,4 +157,15 @@ fn sweep_artifacts_byte_identical_at_pool_widths_1_4_8() {
         assert_eq!(per_width[0][i], per_width[1][i], "{f}: width 1 vs 4 bytes differ");
         assert_eq!(per_width[1][i], per_width[2][i], "{f}: width 4 vs 8 bytes differ");
     }
+    // What the binary writes is what is committed: `golden_c12/14/16` hold
+    // the library's documents to these files and name the first divergent
+    // path; this holds `report sweep --out` to them too.
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/goldens");
+    for (i, f) in files.iter().enumerate().filter(|(_, f)| f.starts_with("SWEEP_")) {
+        let golden = std::fs::read(format!("{committed}/{f}")).expect("read committed golden");
+        assert!(
+            per_width[0][i] == golden,
+            "{f}: `report sweep --out` differs from crates/bench/goldens/{f}"
+        );
+    }
 }

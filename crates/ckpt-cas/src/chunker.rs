@@ -12,6 +12,7 @@
 
 use ckpt_par::Pool;
 use ckpt_storage::fnv1a64_multi;
+use simos::apps::mix64;
 
 /// Chunking parameters: minimum chunk size, average-size exponent
 /// (boundary probability `2^-avg_bits` per byte once past `min`), and a
@@ -51,20 +52,13 @@ pub struct ChunkSpan {
     pub len: usize,
 }
 
-const fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// The gear table: one pseudo-random 64-bit word per byte value, fixed at
 /// compile time so chunk boundaries are stable across runs and builds.
 const GEAR: [u64; 256] = {
     let mut t = [0u64; 256];
     let mut i = 0;
     while i < 256 {
-        t[i] = splitmix64(i as u64 ^ 0x434B_5054_4341_5344);
+        t[i] = mix64(i as u64 ^ 0x434B_5054_4341_5344);
         i += 1;
     }
     t
@@ -122,7 +116,7 @@ mod tests {
         let mut v = Vec::with_capacity(n);
         let mut x = seed;
         while v.len() < n {
-            x = splitmix64(x);
+            x = mix64(x);
             v.extend_from_slice(&x.to_le_bytes());
         }
         v.truncate(n);

@@ -48,6 +48,7 @@ use ckpt_core::tracker::{Tracker, TrackerKind};
 use ckpt_par::Pool;
 use ckpt_replica::{ReplicaConfig, ReplicatedStore, Striped, StripedReplicaSet};
 use ckpt_storage::{load_chain_at, ImageKey};
+use simos::apps::mix64;
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
 use simos::trace::StorageOp;
@@ -515,13 +516,6 @@ pub struct ScalePoint {
     pub expected_redo_mono_ns: u64,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Run one hierarchical round at scale: deterministic synthetic per-rank
 /// payloads (no kernels — the control plane is what is being measured),
 /// REAL batched quorum commits through a [`ckpt_replica::StripedStore`], the paper's
@@ -542,7 +536,7 @@ pub fn scale_round_with_pool(cfg: &ScaleConfig, cost: &CostModel, pool: Arc<Pool
         (0..cfg.nodes).collect(),
         || (),
         |_, _, rank| {
-            let h = splitmix64(seed ^ (rank as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
+            let h = mix64(seed ^ (rank as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
             let len = (mean / 2 + h % mean) as usize;
             let key = ImageKey::new("scale", rank as u32, 1).to_string();
             (key, vec![(rank & 0xff) as u8; len])

@@ -52,58 +52,3 @@ pub type SharedStorage = Arc<Mutex<Box<dyn StableStorage>>>;
 pub fn shared_storage(s: impl StableStorage + 'static) -> SharedStorage {
     Arc::new(Mutex::new(Box::new(s)))
 }
-
-/// A [`StableStorage`] view of a [`SharedStorage`] handle: each call takes
-/// the lock, forwards, and releases. Lets a decorator that owns a
-/// `Box<dyn StableStorage>` (such as [`ckpt_cas::DedupStore`]) wrap
-/// storage that is already shared — e.g. a builder layering dedup over
-/// whatever backend the engine was constructed with.
-pub struct SharedBackend(pub SharedStorage);
-
-impl StableStorage for SharedBackend {
-    fn class(&self) -> ckpt_storage::StorageClass {
-        self.0.lock().class()
-    }
-    fn label(&self) -> String {
-        self.0.lock().label()
-    }
-    fn store(
-        &mut self,
-        key: &str,
-        data: &[u8],
-        cost: &simos::cost::CostModel,
-    ) -> Result<ckpt_storage::StoreReceipt, ckpt_storage::StorageError> {
-        self.0.lock().store(key, data, cost)
-    }
-    fn load(
-        &self,
-        key: &str,
-        cost: &simos::cost::CostModel,
-    ) -> Result<(Vec<u8>, u64), ckpt_storage::StorageError> {
-        self.0.lock().load(key, cost)
-    }
-    fn delete(&mut self, key: &str) -> Result<(), ckpt_storage::StorageError> {
-        self.0.lock().delete(key)
-    }
-    fn list(&self) -> Vec<String> {
-        self.0.lock().list()
-    }
-    fn available(&self) -> bool {
-        self.0.lock().available()
-    }
-    fn used_bytes(&self) -> u64 {
-        self.0.lock().used_bytes()
-    }
-    fn on_node_failure(&mut self) {
-        self.0.lock().on_node_failure()
-    }
-    fn on_node_repair(&mut self) {
-        self.0.lock().on_node_repair()
-    }
-    fn on_power_down(&mut self) {
-        self.0.lock().on_power_down()
-    }
-    fn replica_manifest(&self, key: &str) -> Option<ckpt_storage::ReplicaManifest> {
-        self.0.lock().replica_manifest(key)
-    }
-}

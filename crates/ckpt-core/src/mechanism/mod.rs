@@ -261,9 +261,6 @@ pub struct KernelCkptEngine {
     /// Replica manifests recorded for the current chain, one per stored
     /// segment, in store order. Empty unless the backend replicates.
     chain_manifests: Vec<ckpt_storage::ReplicaManifest>,
-    /// Counter handle of the dedup layer, when built with
-    /// [`KernelCkptEngineBuilder::dedup`].
-    cas_stats: Option<ckpt_cas::CasStatsHandle>,
     seq: u64,
     last_full_seq: u64,
     target_pid: Option<Pid>,
@@ -288,7 +285,6 @@ pub struct KernelCkptEngine {
 #[must_use = "the builder does nothing until .build() is called"]
 pub struct KernelCkptEngineBuilder {
     engine: KernelCkptEngine,
-    dedup: bool,
 }
 
 impl KernelCkptEngineBuilder {
@@ -306,25 +302,7 @@ impl KernelCkptEngineBuilder {
         self
     }
 
-    /// Layer content-addressed dedup + delta
-    /// ([`ckpt_cas::DedupStore`]) over the engine's storage, with default
-    /// chunking parameters, chunking and digesting on the engine's encode
-    /// pool. Applied at [`Self::build`] time, so over a replicated or
-    /// erasure-coded `storage` each commit ships only the chunks the
-    /// quorum has not already acknowledged.
-    pub fn dedup(mut self) -> Self {
-        self.dedup = true;
-        self
-    }
-
-    pub fn build(mut self) -> KernelCkptEngine {
-        if self.dedup {
-            let inner = crate::SharedBackend(self.engine.storage.clone());
-            let store = ckpt_cas::DedupStore::new(Box::new(inner))
-                .with_pool(self.engine.encode_pool.clone());
-            self.engine.cas_stats = Some(store.stats_handle());
-            self.engine.storage = crate::shared_storage(store);
-        }
+    pub fn build(self) -> KernelCkptEngine {
         self.engine
     }
 }
@@ -350,12 +328,10 @@ impl KernelCkptEngine {
                 save_file_contents: false,
                 encode_pool: ckpt_par::global().clone(),
                 chain_manifests: Vec::new(),
-                cas_stats: None,
                 seq: 0,
                 last_full_seq: 0,
                 target_pid: None,
             },
-            dedup: false,
         }
     }
 
@@ -389,12 +365,6 @@ impl KernelCkptEngine {
 
     pub fn seq(&self) -> u64 {
         self.seq
-    }
-
-    /// Dedup-layer counters, when this engine was built with
-    /// [`KernelCkptEngineBuilder::dedup`]; `None` otherwise.
-    pub fn cas_stats(&self) -> Option<ckpt_cas::CasStats> {
-        self.cas_stats.as_ref().map(|h| h.snapshot())
     }
 
     pub fn mechanism_name(&self) -> &str {

@@ -54,8 +54,7 @@ use std::sync::Arc;
 
 use ckpt_par::Pool;
 use ckpt_replica::{
-    BackoffPolicy, CommitObject, Frame, Probe, QuorumClient, ReplicaSet, StripeMember, Striped,
-    WireFrame,
+    CommitObject, Frame, Probe, QuorumClient, ReplicaSet, StripeMember, Striped, WireFrame,
 };
 use ckpt_storage::{
     fnv1a64, fnv1a64_multi, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage,
@@ -196,11 +195,6 @@ impl ErasureStore {
 
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
         self.core.set_pool(pool);
-        self
-    }
-
-    pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.core.set_backoff(backoff);
         self
     }
 

@@ -7,6 +7,7 @@
 //! virtual nanoseconds and the caller charges them to the cost model, so
 //! tests drive the schedule with a mock clock and never sleep.
 
+use simos::apps::mix64;
 use std::fmt;
 
 /// The retry schedule: `min(ceiling, base * 2^attempt)` with equal jitter
@@ -59,14 +60,9 @@ pub struct Backoff {
     rng: u64,
 }
 
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// SplitMix64's stream increment: draw `n` of a stream is
+/// `mix64(seed + n * GAMMA)`.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl Backoff {
     /// `salt` distinguishes streams that share a policy (e.g. replica index
@@ -100,7 +96,9 @@ impl Backoff {
         let jitter = if half == 0 {
             0
         } else {
-            splitmix64(&mut self.rng) % (half + 1)
+            let draw = mix64(self.rng);
+            self.rng = self.rng.wrapping_add(GAMMA);
+            draw % (half + 1)
         };
         Ok(half + jitter)
     }

@@ -170,7 +170,6 @@ impl WireFrame {
 pub struct QuorumClient {
     set: Arc<ReplicaSet>,
     w: usize,
-    backoff: BackoffPolicy,
     faults: FaultHandle,
     trace: TraceHandle,
     /// The `simos::trace` counters this tier's `(commits, retries,
@@ -207,7 +206,8 @@ type NodeCopies<'a> = (usize, Vec<(usize, &'a [u8], u64)>);
 impl QuorumClient {
     /// A client of `set` committing at write quorum `w`. Fault injection
     /// defaults to off, tracing to the no-op sink, the pool to the global
-    /// one, the backoff to [`BackoffPolicy::default`].
+    /// one; transients are retried on the one [`BackoffPolicy::default`]
+    /// schedule.
     pub fn new(
         set: Arc<ReplicaSet>,
         w: usize,
@@ -224,7 +224,6 @@ impl QuorumClient {
         QuorumClient {
             set,
             w,
-            backoff: BackoffPolicy::default(),
             faults: FaultHandle::disabled(),
             trace: TraceHandle::disabled(),
             counters,
@@ -249,10 +248,6 @@ impl QuorumClient {
 
     pub fn set_pool(&mut self, pool: Arc<Pool>) {
         self.pool = pool;
-    }
-
-    pub fn set_backoff(&mut self, backoff: BackoffPolicy) {
-        self.backoff = backoff;
     }
 
     pub fn set_site_prefix(&mut self, prefix: String) {
@@ -324,7 +319,7 @@ impl QuorumClient {
         let node = self.set.node(i);
         let site = format!("{}/{}{i}/{op}", self.site_prefix, self.node_tag);
         let salt = fnv1a64(id.as_bytes()) ^ (i as u64);
-        let mut backoff = Backoff::new(self.backoff, salt);
+        let mut backoff = Backoff::new(BackoffPolicy::default(), salt);
         let mut retries = 0u64;
         let mut delay_ns = 0u64;
         loop {
@@ -531,7 +526,7 @@ impl QuorumClient {
         let mut retries = 0u64;
         for (i, node) in self.set.nodes().iter().enumerate() {
             let salt = fnv1a64(key.as_bytes()) ^ (i as u64) ^ 0xde1e;
-            let mut backoff = Backoff::new(self.backoff, salt);
+            let mut backoff = Backoff::new(BackoffPolicy::default(), salt);
             loop {
                 match node.admit() {
                     Admission::Down => break,

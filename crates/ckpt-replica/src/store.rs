@@ -41,7 +41,6 @@ use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
 use simos::trace::TraceHandle;
 
-use crate::backoff::BackoffPolicy;
 use crate::node::{Frame, Probe, ReplicaSet};
 use crate::quorum::{CommitObject, QuorumClient, WireFrame};
 use crate::stripe::StripeMember;
@@ -51,7 +50,6 @@ use crate::stripe::StripeMember;
 pub struct ReplicaConfig {
     pub n: usize,
     pub w: usize,
-    pub backoff: BackoffPolicy,
 }
 
 impl ReplicaConfig {
@@ -62,11 +60,7 @@ impl ReplicaConfig {
         assert!(n >= 1, "need at least one replica");
         assert!(w <= n, "write quorum {w} cannot exceed replication factor {n}");
         assert!(w > n / 2, "write quorum {w} must be a majority of {n}");
-        ReplicaConfig {
-            n,
-            w,
-            backoff: BackoffPolicy::default(),
-        }
+        ReplicaConfig { n, w }
     }
 
     /// Replicas the protocol tolerates losing while still answering.
@@ -116,10 +110,8 @@ impl ReplicatedStore {
             cfg.n
         );
         let counters = ["replication.commits", "replication.retries", "replication.quorum_losses"];
-        let mut core = QuorumClient::new(set, cfg.w, "replica", 'r', None, counters);
-        core.set_backoff(cfg.backoff);
         ReplicatedStore {
-            core,
+            core: QuorumClient::new(set, cfg.w, "replica", 'r', None, counters),
             repairs: AtomicU64::new(0),
             payload_digests: AtomicU64::new(0),
         }
@@ -142,11 +134,6 @@ impl ReplicatedStore {
 
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
         self.core.set_pool(pool);
-        self
-    }
-
-    pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.core.set_backoff(backoff);
         self
     }
 
@@ -406,6 +393,7 @@ impl StableStorage for ReplicatedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backoff::BackoffPolicy;
     use simos::faultpoint::Fault;
 
     fn cost() -> CostModel {

@@ -42,7 +42,6 @@ use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
 use simos::trace::TraceHandle;
 
-use crate::backoff::BackoffPolicy;
 use crate::node::ReplicaSet;
 use crate::quorum::QuorumClient;
 use crate::store::ReplicatedStore;
@@ -94,9 +93,9 @@ impl StripedReplicaSet {
 }
 
 /// What a storage tier provides to be striped: how a pool of it is named,
-/// and its quorum core (through which the router wires faults, tracing,
-/// pool and backoff into every stripe, and retracts a stripe's commit when
-/// a later stripe refuses).
+/// and its quorum core (through which the router wires faults, tracing
+/// and pool into every stripe, and retracts a stripe's commit when a later
+/// stripe refuses).
 pub trait StripeMember: StableStorage {
     /// Stem of the pool's faultpoint namespaces: stripe `j`'s sites
     /// render under `<SITE_STEM><j>/`.
@@ -160,13 +159,6 @@ impl<S: StripeMember> Striped<S> {
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
         for s in &mut self.stores {
             s.quorum_mut().set_pool(pool.clone());
-        }
-        self
-    }
-
-    pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
-        for s in &mut self.stores {
-            s.quorum_mut().set_backoff(backoff);
         }
         self
     }

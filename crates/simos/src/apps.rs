@@ -145,10 +145,12 @@ pub struct StepOutcome {
     pub bytes_touched: u64,
 }
 
-/// Deterministic 64-bit mix (splitmix64 finalizer) used both as the apps'
-/// in-memory RNG and for value generation.
+/// Deterministic 64-bit mix (one SplitMix64 step from state `z`), the
+/// workspace's one definition: the apps' in-memory RNG and value
+/// generation, the chunker's gear table (hence `const`), the scale model's
+/// synthetic payloads and the backoff jitter stream all draw from it.
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+pub const fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

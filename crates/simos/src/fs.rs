@@ -10,6 +10,12 @@
 
 use std::collections::BTreeMap;
 
+/// Largest regular file the filesystem holds. File contents are host
+/// memory and a write's end offset is the guest's to choose (`lseek` takes
+/// any position), so [`SimFs::write_at`] checks the end against this before
+/// it sizes anything.
+pub const MAX_FILE_BYTES: u64 = 1 << 30;
+
 /// A node in the filesystem tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FsNode {
@@ -225,11 +231,15 @@ impl SimFs {
     }
 
     /// Write to a regular file at an offset (extending as needed). Returns
-    /// bytes written.
+    /// bytes written. A write that would end past [`MAX_FILE_BYTES`] is
+    /// refused with the file untouched.
     pub fn write_at(&mut self, path: &str, offset: u64, data: &[u8]) -> Result<usize, FsError> {
         match self.get_mut(path) {
             Some(FsNode::File { data: content }) => {
-                let end = offset as usize + data.len();
+                let end = offset
+                    .checked_add(data.len() as u64)
+                    .filter(|&end| end <= MAX_FILE_BYTES)
+                    .ok_or(FsError::TooLarge)? as usize;
                 if content.len() < end {
                     content.resize(end, 0);
                 }
@@ -294,6 +304,8 @@ pub enum FsError {
     IsADirectory,
     NotAFile,
     NotEmpty,
+    /// A write would end past [`MAX_FILE_BYTES`].
+    TooLarge,
 }
 
 #[cfg(test)]

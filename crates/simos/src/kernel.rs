@@ -1361,18 +1361,21 @@ impl Kernel {
             return Err(Errno::EINVAL);
         }
         let base = match whence {
-            Whence::Set => 0i64,
-            Whence::Cur => cur as i64,
-            Whence::End => self.fs.file_len(&path).map_err(fs_errno)? as i64,
+            Whence::Set => 0,
+            Whence::Cur => cur,
+            Whence::End => self.fs.file_len(&path).map_err(fs_errno)?,
         };
-        let new = base + offset;
-        if new < 0 {
-            return Err(Errno::EINVAL);
-        }
+        // Any offset that is a non-negative `i64` is a position; whether a
+        // write may land there is `SimFs::write_at`'s call.
+        let new = i64::try_from(base)
+            .ok()
+            .and_then(|base| base.checked_add(offset))
+            .and_then(|new| u64::try_from(new).ok())
+            .ok_or(Errno::EINVAL)?;
         if let Some(ofd) = self.ofds.get_mut(&entry.ofd.0) {
-            ofd.offset = new as u64;
+            ofd.offset = new;
         }
-        Ok(new as u64)
+        Ok(new)
     }
 
     /// Look up an open-file description (for checkpointers walking the fd
@@ -2035,6 +2038,7 @@ fn fs_errno(e: FsError) -> Errno {
         FsError::IsADirectory => Errno::EACCES,
         FsError::NotAFile => Errno::EINVAL,
         FsError::NotEmpty => Errno::EBUSY,
+        FsError::TooLarge => Errno::EFBIG,
     }
 }
 

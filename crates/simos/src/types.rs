@@ -175,6 +175,7 @@ pub enum Errno {
     ENFILE = 23,
     EMFILE = 24,
     ENOTTY = 25,
+    EFBIG = 27,
     ENOSPC = 28,
     ENOSYS = 38,
     EADDRINUSE = 98,

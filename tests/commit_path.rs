@@ -117,17 +117,19 @@ fn checkpoints_issue_no_loads_on_any_stack() {
         // The counter sits below the dedup layer, so a manifest or chunk
         // read-back would show as well as an image one.
         let loads = Arc::new(AtomicU64::new(0));
-        let storage = shared_storage(CountingLoads {
+        let counted = CountingLoads {
             inner: backend,
             loads: loads.clone(),
-        });
-        let builder = KernelCkptEngine::builder("epckpt", "job", storage, TrackerKind::KernelPage)
-            .full_every(3);
-        let mut engine = if dedup {
-            builder.dedup().build()
-        } else {
-            builder.build()
         };
+        let storage = if dedup {
+            shared_storage(DedupStore::new(Box::new(counted)))
+        } else {
+            shared_storage(counted)
+        };
+        let mut engine =
+            KernelCkptEngine::builder("epckpt", "job", storage, TrackerKind::KernelPage)
+                .full_every(3)
+                .build();
         let (mut k, pid) = running_guest();
         let mut kinds = Vec::new();
         for _ in 0..7 {

@@ -54,10 +54,13 @@ impl Gen {
     }
 }
 
-/// Compare a line-by-line rendering with its pinned `tests/goldens/<name>.txt`.
-/// On a mismatch the full actual rendering is left in the test target's
-/// scratch directory for diffing, and the first divergent line — with the
-/// `== ` section it belongs to — is named.
+/// Compare a line-by-line rendering with its pinned `goldens/<name>.txt`
+/// (under `tests/` for the root package, under `crates/bench/` for the
+/// report outputs, which include this file by `#[path]`). On a mismatch
+/// the full actual rendering is left in the test target's scratch
+/// directory for diffing, and the first divergent line is named with the
+/// section it belongs to: the last `== ` line or `TAG — title` report
+/// header before it.
 pub fn assert_pinned(name: &str, golden: &str, actual: &str) {
     if actual == golden {
         return;
@@ -65,16 +68,16 @@ pub fn assert_pinned(name: &str, golden: &str, actual: &str) {
     let path =
         std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.actual.txt"));
     std::fs::write(&path, actual).unwrap();
-    let mut section = "";
+    let mut section = String::new();
     for (i, (want, got)) in golden.lines().zip(actual.lines()).enumerate() {
-        if got.starts_with("== ") {
-            section = got;
+        let report_header = got.split_once(" — ").is_some_and(|(tag, _)| !tag.contains(' '));
+        if got.starts_with("== ") || report_header {
+            section = format!(" (in `{got}`)");
         }
-        assert_eq!(
-            want,
-            got,
-            "{name} moved: line {} (in `{section}`) diverges from \
-             tests/goldens/{name}.txt; full rendering in {}",
+        assert!(
+            want == got,
+            "{name} moved: line {}{section} diverges from goldens/{name}.txt; \
+             full rendering in {}\n  want: {want}\n   got: {got}",
             i + 1,
             path.display()
         );

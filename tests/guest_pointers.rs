@@ -7,12 +7,14 @@
 //! in release builds (the page range wrapped to empty, and the write that
 //! followed materialised two stray pages); `read`/`write` sized a `Vec`
 //! from the guest's `len` before validating anything, as did the VM's
-//! `open` from its path length.
+//! `open` from its path length. One more did at 859148b: `lseek` added its
+//! operands unchecked and accepted any non-negative position, and the write
+//! that followed resized the file to reach it.
 
 use ckpt_restart::simos::apps::{AppParams, NativeKind};
 use ckpt_restart::simos::asm::Assembler;
 use ckpt_restart::simos::cost::CostModel;
-use ckpt_restart::simos::fs::OpenFlags;
+use ckpt_restart::simos::fs::{OpenFlags, MAX_FILE_BYTES};
 use ckpt_restart::simos::mem::{
     AccessOutcome, AddressSpace, Prot, TrackMode, DATA_BASE, PAGE_SIZE, STACK_TOP,
 };
@@ -158,4 +160,63 @@ fn read_and_write_refuse_an_extent_the_guest_does_not_map() {
     let mut got = [0u8; 8];
     p.mem.peek(dst, &mut got);
     assert_eq!(&got, b"payload!");
+}
+
+#[test]
+fn a_seek_past_the_file_size_cap_then_a_write_is_efbig_not_an_allocation() {
+    let mut k = Kernel::new(CostModel::circa_2005());
+    let pid = k
+        .spawn_native(NativeKind::SparseRandom, AppParams::small())
+        .unwrap();
+    let open = Syscall::Open {
+        path: "/tmp/f".into(),
+        flags: OpenFlags::RDWR_CREATE,
+    };
+    let fd = Fd(k.do_syscall(pid, open).unwrap() as u32);
+    let buf = DATA_BASE + 64;
+    k.mem_write(pid, buf, b"payload!").unwrap();
+    assert_eq!(k.do_syscall(pid, Syscall::Write { fd, buf, len: 8 }), Ok(8));
+    let seek = |k: &mut Kernel, offset: i64, whence: Whence| {
+        k.do_syscall(pid, Syscall::Lseek { fd, offset, whence })
+    };
+
+    // A position whose sum leaves `i64` is no position; the offset stays.
+    assert_eq!(seek(&mut k, i64::MAX, Whence::Cur), Err(Errno::EINVAL));
+    assert_eq!(seek(&mut k, i64::MAX, Whence::End), Err(Errno::EINVAL));
+    assert_eq!(seek(&mut k, -9, Whence::End), Err(Errno::EINVAL));
+    assert_eq!(seek(&mut k, 0, Whence::Cur), Ok(8));
+
+    // Any position that fits is accepted; a write that would end past the
+    // cap is refused and leaves the file as it was.
+    for pos in [1u64 << 62, MAX_FILE_BYTES, MAX_FILE_BYTES - 7] {
+        assert_eq!(seek(&mut k, pos as i64, Whence::Set), Ok(pos));
+        let w = k.do_syscall(pid, Syscall::Write { fd, buf, len: 8 });
+        assert_eq!(w, Err(Errno::EFBIG), "write at {pos:#x}");
+    }
+    assert_eq!(k.fs.read_file("/tmp/f").unwrap(), b"payload!");
+
+    // The same two calls from a VM guest: `halt` exits with r0, the write's
+    // return value.
+    let efbig = Errno::EFBIG.as_ret() as i32;
+    let (exit, _) = run_vm(|a| {
+        let path = b"/tmp/v";
+        a.li(5, DATA_BASE as u32);
+        for (i, ch) in path.iter().enumerate() {
+            a.li(4, *ch as u32).sb(4, 5, i as i8);
+        }
+        a.li(0, sysno::OPEN as u32)
+            .mov(1, 5)
+            .li(2, path.len() as u32)
+            .li(3, 2 | 4)
+            .sys()
+            .mov(7, 0);
+        a.li(2, 1).li(3, 62).shl(2, 2, 3);
+        a.li(0, sysno::LSEEK as u32).mov(1, 7).li(3, 0).sys();
+        a.li(0, sysno::WRITE as u32)
+            .mov(1, 7)
+            .li(2, DATA_BASE as u32)
+            .li(3, 1)
+            .sys();
+    });
+    assert_eq!(exit, Some(efbig));
 }
