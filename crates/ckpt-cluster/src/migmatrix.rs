@@ -33,8 +33,8 @@ use ckpt_core::capture::{
     capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid,
 };
 use ckpt_core::crashpoint::{
-    all_configs, app_params, run_config, sweep, verify_restored, CellOutcome, MatrixCell,
-    MatrixConfig, MatrixReport, Tier,
+    all_configs, app_params, run_config, sweep, CellOutcome, MatrixCell, MatrixConfig,
+    MatrixReport, ReplayOracle, Tier,
 };
 use ckpt_image::CheckpointImage;
 use simos::apps::NativeKind;
@@ -87,14 +87,19 @@ fn setup(faults: &FaultHandle) -> (Cluster, Pid, CheckpointImage) {
 }
 
 /// Bit-exact verification now, then again after the guest runs on.
-fn verify_twice(c: &mut Cluster, node: NodeId, pid: Pid, floor: u64) -> Result<u64, String> {
-    let params = app_params();
+fn verify_twice(
+    c: &mut Cluster,
+    oracle: &mut ReplayOracle,
+    node: NodeId,
+    pid: Pid,
+    floor: u64,
+) -> Result<u64, String> {
     let step = {
         let k = c
             .node(node)
             .kernel()
             .ok_or_else(|| format!("{node} down at verification"))?;
-        verify_restored(k, pid, &params)?
+        oracle.verify_restored(k, pid)?
     };
     if step < floor {
         return Err(format!(
@@ -106,7 +111,7 @@ fn verify_twice(c: &mut Cluster, node: NodeId, pid: Pid, floor: u64) -> Result<u
         .node(node)
         .kernel()
         .ok_or_else(|| format!("{node} down after the post-recovery window"))?;
-    let later = verify_restored(k, pid, &params)?;
+    let later = oracle.verify_restored(k, pid)?;
     if later <= step {
         return Err(format!(
             "recovered guest made no progress after recovery ({step} -> {later})"
@@ -128,8 +133,9 @@ fn run_migration(
     }
 }
 
-/// One cell: migrate under `faults`, then classify.
-fn run_cell(mech: &str, faults: &FaultHandle) -> CellOutcome {
+/// One cell: migrate under `faults`, then classify against the column's
+/// replay oracle.
+fn run_cell(mech: &str, oracle: &mut ReplayOracle, faults: &FaultHandle) -> CellOutcome {
     let (mut c, pid, baseline) = setup(faults);
     let work_at_mig = c
         .node(FROM)
@@ -144,7 +150,7 @@ fn run_cell(mech: &str, faults: &FaultHandle) -> CellOutcome {
             // The migration absorbed the fault (clean cell or transient
             // retransmission): the target copy must be bit-exact and must
             // have lost nothing.
-            match verify_twice(&mut c, TO, new_pid, work_at_mig) {
+            match verify_twice(&mut c, oracle, TO, new_pid, work_at_mig) {
                 Ok(_) => CellOutcome::Restarted { lost_steps: 0 },
                 Err(what) => CellOutcome::Violation { what },
             }
@@ -153,7 +159,7 @@ fn run_cell(mech: &str, faults: &FaultHandle) -> CellOutcome {
             // Typed divergence: the migration was abandoned, so the
             // *source* guest must still be intact and runnable.
             faults.clear_crash();
-            match verify_twice(&mut c, FROM, pid, work_at_mig) {
+            match verify_twice(&mut c, oracle, FROM, pid, work_at_mig) {
                 Ok(_) => CellOutcome::Detected {
                     error: e.to_string(),
                 },
@@ -177,7 +183,7 @@ fn run_cell(mech: &str, faults: &FaultHandle) -> CellOutcome {
                 restore_image(k, &baseline, &RestoreOptions::fresh_running(RestorePid::Fresh))
             };
             match restored {
-                Ok(np) => match verify_twice(&mut c, TO, np, 0) {
+                Ok(np) => match verify_twice(&mut c, oracle, TO, np, 0) {
                     Ok(step) => {
                         if step >= work_at_mig {
                             return CellOutcome::Violation {
@@ -207,14 +213,17 @@ fn run_cell(mech: &str, faults: &FaultHandle) -> CellOutcome {
 }
 
 /// All cells of one live-migration column: the recording pass is a
-/// fault-free migration.
+/// fault-free migration, and what the column shares is its replay oracle.
 fn migration_column(cfg: MatrixConfig) -> Vec<MatrixCell> {
     let record = |faults: &FaultHandle| {
         let (mut c, pid, _baseline) = setup(faults);
         run_migration(cfg.mechanism, &mut c, pid, &LiveMigConfig::default())
             .expect("fault-free recording pass must succeed");
+        ReplayOracle::new(app_params())
     };
-    sweep(cfg, record, |faults| run_cell(cfg.mechanism, faults))
+    sweep(cfg, record, |oracle, faults| {
+        run_cell(cfg.mechanism, oracle, faults)
+    })
 }
 
 /// The full crash matrix: every mechanism family × every backend stack ×
@@ -262,7 +271,9 @@ mod tests {
     fn clean_cells_restart_with_zero_loss() {
         for mech in MIGRATION_TIER.mechanisms {
             // An unarmed site never fires: equivalent to a clean run.
-            let cell = run_cell(mech, &FaultHandle::armed("never/armed", Fault::FailStop));
+            let mut oracle = ReplayOracle::new(app_params());
+            let faults = FaultHandle::armed("never/armed", Fault::FailStop);
+            let cell = run_cell(mech, &mut oracle, &faults);
             assert_eq!(
                 cell,
                 CellOutcome::Restarted { lost_steps: 0 },
@@ -275,7 +286,7 @@ mod tests {
     fn cutover_failstop_falls_back_to_baseline() {
         for mech in MIGRATION_TIER.mechanisms {
             let faults = FaultHandle::armed("livemig/cutover@1", Fault::FailStop);
-            let cell = run_cell(mech, &faults);
+            let cell = run_cell(mech, &mut ReplayOracle::new(app_params()), &faults);
             match cell {
                 CellOutcome::Restarted { lost_steps } => {
                     assert!(lost_steps > 0, "{mech}: fallback must roll back");

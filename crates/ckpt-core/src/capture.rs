@@ -370,10 +370,9 @@ pub fn restore_image(
     };
     let pid = k.adopt_process(pcb)?;
     // Re-arm saved interval timers relative to now.
-    let now = k.now();
     for t in &img.timers {
         k.timers.arm(
-            now + t.in_ns,
+            k.deadline_in(t.in_ns),
             if t.period_ns > 0 {
                 Some(t.period_ns)
             } else {

@@ -19,6 +19,16 @@
 //! scenario fault-free and enumerates every site the mechanism actually
 //! visits (checkpoint phases, per-store byte offsets, chain segments,
 //! restart), so new instrumentation is swept in automatically.
+//!
+//! Two things are identical in every cell of a column, and the column
+//! computes each of them once. The world up to the first checkpoint (boot,
+//! spawn, the first run window) visits no fault site, so the recording pass
+//! boots it, asserts that nothing was recorded, and every cell starts from
+//! a [`Kernel::fork_world`] of that template (`Column`). And the replay a
+//! restarted cell is compared with depends only on the step it restored to,
+//! so the column's [`ReplayOracle`] keeps the few reference spans its cells
+//! ask for. Neither shortens a check: each cell still runs its own scenario
+//! from the fork point under its own fault handle and compares every byte.
 
 use crate::mechanism::hibernate::{SoftwareSuspend, SuspendMode};
 use crate::mechanism::{family, Mechanism};
@@ -269,58 +279,105 @@ pub fn app_params() -> AppParams {
     }
 }
 
-/// Replay the app standalone (no kernel) to exactly `target_step` steps;
-/// the result holds the guest data span (header page + working array).
-fn replay_to(params: &AppParams, target_step: u64) -> Result<VecMem, String> {
-    let mut mem = VecMem::new(params);
-    apps::init(NativeKind::SparseRandom, params, &mut mem);
-    while mem.r64(apps::H_STEP) < target_step {
-        let out = apps::step(NativeKind::SparseRandom, params, &mut mem);
-        if out.finished {
+/// The most reference spans a [`ReplayOracle`] keeps alive.
+const ORACLE_SPANS: usize = 4;
+
+/// A column's deterministic reference: the application replayed standalone
+/// (no kernel) against a [`VecMem`] holding the guest data span (header
+/// page + working array). Every restarted cell is compared with the span at
+/// its restored step; the cells of a column restore to a handful of
+/// distinct steps, so the oracle keeps the spans it has computed (at most
+/// four, ≈100 KiB each, least recently used dropped first) and
+/// reaches a new step by running on from the nearest earlier one. Only the
+/// recomputation of an identical reference is shared between cells: each
+/// still compares every byte. External matrix tiers verify through the same
+/// oracle, not a weaker local copy.
+pub struct ReplayOracle {
+    params: AppParams,
+    /// `(step, span at that step)`, least recently used first.
+    spans: Vec<(u64, VecMem)>,
+}
+
+impl ReplayOracle {
+    pub fn new(params: AppParams) -> Self {
+        ReplayOracle {
+            params,
+            spans: Vec::new(),
+        }
+    }
+
+    /// The reference span after exactly `target` steps.
+    fn span_at(&mut self, target: u64) -> Result<&VecMem, String> {
+        let nearest = (0..self.spans.len())
+            .filter(|&i| self.spans[i].0 <= target)
+            .max_by_key(|&i| self.spans[i].0);
+        let start = match nearest {
+            Some(i) if self.spans[i].0 == target => self.spans.remove(i).1,
+            Some(i) => self.spans[i].1.clone(),
+            None => {
+                let mut mem = VecMem::new(&self.params);
+                apps::init(NativeKind::SparseRandom, &self.params, &mut mem);
+                mem
+            }
+        };
+        let span = self.replay_on(start, target)?;
+        if self.spans.len() == ORACLE_SPANS {
+            self.spans.remove(0);
+        }
+        self.spans.push((target, span));
+        Ok(&self.spans.last().expect("just pushed").1)
+    }
+
+    /// Step `mem` forward until it has run exactly `target` steps.
+    fn replay_on(&self, mut mem: VecMem, target: u64) -> Result<VecMem, String> {
+        while mem.r64(apps::H_STEP) < target {
+            let out = apps::step(NativeKind::SparseRandom, &self.params, &mut mem);
+            if out.finished {
+                return Err(format!(
+                    "replay finished at step {} before target {target}",
+                    mem.r64(apps::H_STEP)
+                ));
+            }
+        }
+        if mem.r64(apps::H_STEP) != target {
             return Err(format!(
-                "replay finished at step {} before target {target_step}",
+                "replay overshot target {target}: at {}",
                 mem.r64(apps::H_STEP)
             ));
         }
+        Ok(mem)
     }
-    if mem.r64(apps::H_STEP) != target_step {
-        return Err(format!(
-            "replay overshot target {target_step}: at {}",
-            mem.r64(apps::H_STEP)
-        ));
-    }
-    Ok(mem)
-}
 
-/// Verify a restored process against the deterministic replay: every byte
-/// of the guest data span must equal the replay's (absent pages read as
-/// zero, exactly like the replay's untouched bytes). Returns the restored
-/// step count on success. Public so external matrix tiers use the
-/// identical verification, not a weaker local copy.
-pub fn verify_restored(k: &Kernel, pid: Pid, params: &AppParams) -> Result<u64, String> {
-    let p = k
-        .process(pid)
-        .ok_or_else(|| "restored process missing".to_string())?;
-    let step = p.work_done;
-    let replay = replay_to(params, step)?;
-    let mut got = vec![0u8; replay.bytes.len()];
-    p.mem.peek(apps::HEADER_BASE, &mut got);
-    let at = (apps::H_STEP - apps::HEADER_BASE) as usize;
-    let mem_step = u64::from_le_bytes(got[at..at + 8].try_into().expect("8-byte slice"));
-    if mem_step != step {
-        return Err(format!(
-            "restored step counter {mem_step} disagrees with work_done {step}"
-        ));
+    /// Verify a restored process against the deterministic replay: every
+    /// byte of the guest data span must equal the replay's (absent pages
+    /// read as zero, exactly like the replay's untouched bytes), and the
+    /// step counter in guest memory must agree with `work_done`. Returns
+    /// the restored step count on success.
+    pub fn verify_restored(&mut self, k: &Kernel, pid: Pid) -> Result<u64, String> {
+        let p = k
+            .process(pid)
+            .ok_or_else(|| "restored process missing".to_string())?;
+        let step = p.work_done;
+        let want = &self.span_at(step)?.bytes;
+        let mut got = vec![0u8; want.len()];
+        p.mem.peek(apps::HEADER_BASE, &mut got);
+        let at = (apps::H_STEP - apps::HEADER_BASE) as usize;
+        let mem_step = u64::from_le_bytes(got[at..at + 8].try_into().expect("8-byte slice"));
+        if mem_step != step {
+            return Err(format!(
+                "restored step counter {mem_step} disagrees with work_done {step}"
+            ));
+        }
+        if let Some(at) = got.iter().zip(want).position(|(g, w)| g != w) {
+            return Err(format!(
+                "guest byte at {:#x} is {:#04x}, replay has {:#04x} at step {step}",
+                apps::HEADER_BASE + at as u64,
+                got[at],
+                want[at]
+            ));
+        }
+        Ok(step)
     }
-    if let Some(at) = got.iter().zip(&replay.bytes).position(|(g, w)| g != w) {
-        return Err(format!(
-            "guest byte at {:#x} is {:#04x}, replay has {:#04x} at step {step}",
-            apps::HEADER_BASE + at as u64,
-            got[at],
-            replay.bytes[at]
-        ));
-    }
-    Ok(step)
 }
 
 // ---------------------------------------------------------------------
@@ -395,7 +452,8 @@ fn build_mechanism(which: &str, storage: SharedStorage) -> Box<dyn Mechanism> {
 }
 
 /// A kernel whose sites consult `faults`, running `guests` copies of the
-/// matrix application for the first run window.
+/// matrix application for the first run window. Nothing here depends on the
+/// cell, so only a column's recording pass boots; see [`Column::boot`].
 fn booted_kernel(faults: &FaultHandle, guests: usize) -> (Kernel, Vec<Pid>) {
     let mut k = fresh_kernel(faults);
     let pids = (0..guests)
@@ -414,6 +472,46 @@ fn fresh_kernel(faults: &FaultHandle) -> Kernel {
     k
 }
 
+/// What a column computes once and every one of its cells shares: the
+/// world as the first run window leaves it, and the replay oracle. The
+/// recording pass and every cell start from a [`Kernel::fork_world`] of the
+/// template, which is indistinguishable from booting again.
+struct Column {
+    template: Kernel,
+    pids: Vec<Pid>,
+    oracle: ReplayOracle,
+}
+
+impl Column {
+    /// Boot the column's world under its recording handle. The template is
+    /// only sound while no site lies before it: a site visited during boot
+    /// would be swept from worlds that never visit it, with every later
+    /// `@n` of its group off by one.
+    fn boot(recording: &FaultHandle, guests: usize) -> Column {
+        let (template, pids) = booted_kernel(recording, guests);
+        let early = recording.sites();
+        assert!(
+            early.is_empty(),
+            "fault sites visited before the fork point: {early:?}"
+        );
+        Column {
+            template,
+            pids,
+            oracle: ReplayOracle::new(app_params()),
+        }
+    }
+
+    /// The booted world, consulting `faults` from here on.
+    fn world(&self, faults: &FaultHandle) -> Kernel {
+        let mut k = self
+            .template
+            .fork_world()
+            .expect("no module or agent is loaded before `prepare`");
+        k.set_faults(faults.clone());
+        k
+    }
+}
+
 /// Where a process-level scenario ended: the mechanism (it carries the
 /// restart target), the shared storage, and what the crashed run had
 /// reached.
@@ -425,12 +523,12 @@ struct ScenarioEnd {
     ckpt_error: Option<String>,
 }
 
-/// Run the standard scenario: spawn the app, run, checkpoint, run,
-/// checkpoint again, run. Any injected fault surfaces as `ckpt_error`;
+/// Run the standard scenario on the column's booted world: checkpoint,
+/// run, checkpoint again, run. Any injected fault surfaces as `ckpt_error`;
 /// the scenario then stops where a real crash would have stopped it.
-fn run_mech_scenario(cfg: MatrixConfig, faults: &FaultHandle) -> ScenarioEnd {
-    let (mut k, pids) = booted_kernel(faults, 1);
-    let pid = pids[0];
+fn run_mech_scenario(cfg: MatrixConfig, column: &Column, faults: &FaultHandle) -> ScenarioEnd {
+    let mut k = column.world(faults);
+    let pid = column.pids[0];
     let storage: SharedStorage = Arc::new(Mutex::new(injected_store(cfg.backend, faults)));
     let mut mech = build_mechanism(cfg.mechanism, storage.clone());
     let ckpt_error = (|| {
@@ -507,11 +605,11 @@ fn restart_after_node_loss(
 
 /// One cell of a process-level column: the scenario under `faults`, node
 /// loss, restart, classification.
-fn mech_cell(cfg: MatrixConfig, faults: &FaultHandle) -> CellOutcome {
-    let mut end = run_mech_scenario(cfg, faults);
+fn mech_cell(cfg: MatrixConfig, column: &mut Column, faults: &FaultHandle) -> CellOutcome {
+    let mut end = run_mech_scenario(cfg, column, faults);
     let (k, restart) = restart_after_node_loss(&mut end, faults);
     match restart {
-        Ok(r) => match verify_restored(&k, r.pid, &app_params()) {
+        Ok(r) => match column.oracle.verify_restored(&k, r.pid) {
             Ok(step) if step != r.work_done => CellOutcome::Violation {
                 what: format!(
                     "restart reported work {} but guest is at step {step}",
@@ -544,8 +642,8 @@ struct HibernateEnd {
     hib_error: Option<String>,
 }
 
-fn run_hibernate_scenario(backend: &str, faults: &FaultHandle) -> HibernateEnd {
-    let (mut k, pids) = booted_kernel(faults, 2);
+fn run_hibernate_scenario(backend: &str, column: &Column, faults: &FaultHandle) -> HibernateEnd {
+    let mut k = column.world(faults);
     let storage: SharedStorage = Arc::new(Mutex::new(injected_store(backend, faults)));
     let mut susp = SoftwareSuspend::new(storage.clone());
     let mode = if backend == StorageClass::Ram.label() {
@@ -554,7 +652,8 @@ fn run_hibernate_scenario(backend: &str, faults: &FaultHandle) -> HibernateEnd {
         SuspendMode::ToDisk
     };
     let hib_error = susp.hibernate(&mut k, mode).err().map(|e| e.to_string());
-    let works = pids
+    let works = column
+        .pids
         .iter()
         .map(|p| k.process(*p).map(|p| p.work_done).unwrap_or(0))
         .collect();
@@ -585,8 +684,8 @@ fn decodable_hibernate_images(storage: &SharedStorage) -> usize {
 /// One cell of a hibernation column: suspend under `faults`, the
 /// power-down that follows a hibernation (that is its entire purpose),
 /// resume, classification.
-fn hibernate_cell(cfg: MatrixConfig, faults: &FaultHandle) -> CellOutcome {
-    let mut end = run_hibernate_scenario(cfg.backend, faults);
+fn hibernate_cell(cfg: MatrixConfig, column: &mut Column, faults: &FaultHandle) -> CellOutcome {
+    let mut end = run_hibernate_scenario(cfg.backend, column, faults);
     let (k, resume) = recover(
         faults,
         &end.storage,
@@ -597,7 +696,7 @@ fn hibernate_cell(cfg: MatrixConfig, faults: &FaultHandle) -> CellOutcome {
         Ok(restored) => {
             let mut lost = 0u64;
             for (i, pid) in restored.iter().enumerate() {
-                match verify_restored(&k, *pid, &app_params()) {
+                match column.oracle.verify_restored(&k, *pid) {
                     Ok(step) => {
                         lost += end.works.get(i).copied().unwrap_or(0).saturating_sub(step);
                     }
@@ -636,17 +735,19 @@ fn hibernate_cell(cfg: MatrixConfig, faults: &FaultHandle) -> CellOutcome {
 // ---------------------------------------------------------------------
 
 /// Sweep one column. `record` runs the column's scenario fault-free under
-/// a recording handle, enumerating every site it visits; `cell` then runs
-/// once per (site × applicable fault kind) under a handle armed with
-/// exactly that fault, and classifies how the run ended. Every tier of the
-/// matrix — including the ones living in other crates — is this loop.
-pub fn sweep(
+/// a recording handle, enumerating every site it visits, and returns what
+/// the column computes once (its booted world, its replay oracle); `cell`
+/// then runs once per (site × applicable fault kind) with that state, under
+/// a handle armed with exactly that fault, and classifies how the run
+/// ended. Every tier of the matrix — including the ones living in other
+/// crates — is this loop.
+pub fn sweep<C>(
     cfg: MatrixConfig,
-    record: impl FnOnce(&FaultHandle),
-    mut cell: impl FnMut(&FaultHandle) -> CellOutcome,
+    record: impl FnOnce(&FaultHandle) -> C,
+    mut cell: impl FnMut(&mut C, &FaultHandle) -> CellOutcome,
 ) -> Vec<MatrixCell> {
     let recording = FaultHandle::recording();
-    record(&recording);
+    let mut column = record(&recording);
     let mut cells = Vec::new();
     for site in recording.sites() {
         let torn = Fault::TornWrite {
@@ -659,7 +760,7 @@ pub fn sweep(
                     reason: format!("{} requires a byte stream at this site", fault.label()),
                 }
             } else {
-                cell(&FaultHandle::armed(&site.name, fault))
+                cell(&mut column, &FaultHandle::armed(&site.name, fault))
             };
             cells.push(MatrixCell {
                 mechanism: cfg.mechanism,
@@ -676,8 +777,8 @@ pub fn sweep(
 /// A column's two passes, as [`sweep`] takes them: the fault-free run its
 /// sites are recorded from, and the run of one cell.
 type Passes = (
-    fn(MatrixConfig, &FaultHandle),
-    fn(MatrixConfig, &FaultHandle) -> CellOutcome,
+    fn(MatrixConfig, &FaultHandle) -> Column,
+    fn(MatrixConfig, &mut Column, &FaultHandle) -> CellOutcome,
 );
 
 /// A process-level column records through node loss and restart, so the
@@ -687,14 +788,18 @@ fn column_passes(cfg: MatrixConfig) -> Passes {
     match cfg.mechanism {
         "hibernate" => (
             |cfg, faults| {
-                run_hibernate_scenario(cfg.backend, faults);
+                let column = Column::boot(faults, 2);
+                run_hibernate_scenario(cfg.backend, &column, faults);
+                column
             },
             hibernate_cell,
         ),
         _ => (
             |cfg, faults| {
-                let mut end = run_mech_scenario(cfg, faults);
+                let column = Column::boot(faults, 1);
+                let mut end = run_mech_scenario(cfg, &column, faults);
                 let _ = restart_after_node_loss(&mut end, faults);
+                column
             },
             mech_cell,
         ),
@@ -707,7 +812,7 @@ pub fn run_config(cfg: MatrixConfig) -> Vec<MatrixCell> {
     sweep(
         cfg,
         |faults| record(cfg, faults),
-        |faults| cell(cfg, faults),
+        |column, faults| cell(cfg, column, faults),
     )
 }
 
@@ -720,20 +825,67 @@ mod tests {
         MatrixConfig { mechanism, backend }
     }
 
-    fn recorded_sites(cfg: MatrixConfig) -> Vec<SiteRecord> {
+    /// The column's recording pass: its shared state and recorded sites.
+    fn recorded(cfg: MatrixConfig) -> (Column, Vec<SiteRecord>) {
         let faults = FaultHandle::recording();
-        column_passes(cfg).0(cfg, &faults);
-        faults.sites()
+        let column = column_passes(cfg).0(cfg, &faults);
+        (column, faults.sites())
+    }
+
+    /// The from-zero replay the oracle replaced, kept as its reference.
+    fn replay_to(params: &AppParams, target_step: u64) -> VecMem {
+        let mut mem = VecMem::new(params);
+        apps::init(NativeKind::SparseRandom, params, &mut mem);
+        while mem.r64(apps::H_STEP) < target_step {
+            apps::step(NativeKind::SparseRandom, params, &mut mem);
+        }
+        mem
     }
 
     #[test]
     fn replay_is_step_exact_and_deterministic() {
         let p = app_params();
-        let a = replay_to(&p, 50).unwrap().bytes;
-        let b = replay_to(&p, 50).unwrap().bytes;
-        let c = replay_to(&p, 51).unwrap().bytes;
+        let a = replay_to(&p, 50).bytes;
+        let b = replay_to(&p, 50).bytes;
+        let c = replay_to(&p, 51).bytes;
         assert_eq!(a, b);
         assert_ne!(a, c, "one extra step must change the guest bytes");
+    }
+
+    #[test]
+    fn the_oracle_agrees_with_a_from_zero_replay_and_stays_bounded() {
+        let p = app_params();
+        let sequences: [&[u64]; 5] = [
+            &[0, 10, 250, 251, 900],                 // ascending
+            &[900, 251, 250, 10, 0],                 // descending
+            &[40, 40, 7, 40, 7, 7],                  // repeated
+            &[5, 300, 20, 310, 35, 320, 50, 330, 5], // more than capacity
+            &[100, 1, 100, 2, 100, 3, 100, 4, 100],  // a hot step survives
+        ];
+        for steps in sequences {
+            let mut oracle = ReplayOracle::new(p.clone());
+            for &step in steps {
+                let got = oracle.span_at(step).unwrap().bytes.clone();
+                assert_eq!(got, replay_to(&p, step).bytes, "{steps:?} at {step}");
+                assert!(oracle.spans.len() <= ORACLE_SPANS, "{steps:?} at {step}");
+                assert_eq!(oracle.spans.last().unwrap().0, step);
+            }
+        }
+        let mut finite = ReplayOracle::new(AppParams {
+            total_steps: 3,
+            ..p
+        });
+        assert!(finite.span_at(2).is_ok());
+        let past_the_end = finite.span_at(9).map(|_| ()).unwrap_err();
+        assert!(past_the_end.contains("finished at step 3"), "{past_the_end}");
+    }
+
+    #[test]
+    #[should_panic(expected = "fault sites visited before the fork point")]
+    fn a_site_before_the_fork_point_trips_the_template_assert() {
+        let faults = FaultHandle::recording();
+        faults.check("boot/early", 0);
+        Column::boot(&faults, 1);
     }
 
     #[test]
@@ -757,7 +909,8 @@ mod tests {
         // except where the column's own crash event destroys the image.
         let faults = FaultHandle::disabled();
         for cfg in all_configs() {
-            let out = column_passes(cfg).1(cfg, &faults);
+            let (mut col, _) = recorded(cfg);
+            let out = column_passes(cfg).1(cfg, &mut col, &faults);
             // Power-down keeps the swap image and loses the RAM one.
             if cfg == column("hibernate", "swap") {
                 assert_eq!(out, CellOutcome::Restarted { lost_steps: 0 });
@@ -773,11 +926,11 @@ mod tests {
             );
             // A process-level column checkpoints twice without error, and
             // its restart reports the step the guest is bit-exact at.
-            let mut end = run_mech_scenario(cfg, &faults);
+            let mut end = run_mech_scenario(cfg, &col, &faults);
             assert!(end.ckpt_error.is_none(), "{cfg:?}: {:?}", end.ckpt_error);
             let (k2, restart) = restart_after_node_loss(&mut end, &faults);
             let r = restart.unwrap();
-            let step = verify_restored(&k2, r.pid, &app_params()).unwrap();
+            let step = col.oracle.verify_restored(&k2, r.pid).unwrap();
             assert_eq!(step, r.work_done, "{cfg:?}");
             assert!(end.work_at_end >= step, "{cfg:?}");
         }
@@ -786,7 +939,9 @@ mod tests {
     #[test]
     fn a_flipped_guest_byte_is_named_by_address() {
         let faults = FaultHandle::disabled();
-        let mut end = run_mech_scenario(column("syscall", "local-disk"), &faults);
+        let cfg = column("syscall", "local-disk");
+        let (mut col, _) = recorded(cfg);
+        let mut end = run_mech_scenario(cfg, &col, &faults);
         let (mut k2, restart) = restart_after_node_loss(&mut end, &faults);
         let pid = restart.unwrap().pid;
         let addr = apps::ARRAY_BASE + 3 * simos::cost::PAGE_SIZE + 17;
@@ -794,7 +949,7 @@ mod tests {
         let mut byte = [0u8];
         mem.peek(addr, &mut byte);
         mem.poke(addr, &[byte[0] ^ 0x40]);
-        let err = verify_restored(&k2, pid, &app_params()).unwrap_err();
+        let err = col.oracle.verify_restored(&k2, pid).unwrap_err();
         assert!(err.contains(&format!("{addr:#x}")), "{err}");
     }
 
@@ -851,7 +1006,7 @@ mod tests {
             ),
         ];
         for (cfg, required, sized) in table {
-            let sites = recorded_sites(cfg);
+            let (_, sites) = recorded(cfg);
             let names: Vec<&str> = sites.iter().map(|s| s.name.as_str()).collect();
             for (prefix, infix) in required {
                 assert!(
@@ -871,7 +1026,7 @@ mod tests {
     #[test]
     fn fail_stop_mid_store_falls_back_to_previous_checkpoint() {
         let cfg = column("syscall", "local-disk");
-        let sites = recorded_sites(cfg);
+        let (mut col, sites) = recorded(cfg);
         let store2 = sites
             .iter()
             .find(|s| s.name.contains("storage/local-disk/store@2"))
@@ -879,7 +1034,7 @@ mod tests {
         let torn = Fault::TornWrite {
             keep_bytes: store2.bytes / 2,
         };
-        let out = mech_cell(cfg, &FaultHandle::armed(&store2.name, torn));
+        let out = mech_cell(cfg, &mut col, &FaultHandle::armed(&store2.name, torn));
         match out {
             CellOutcome::Restarted { lost_steps } => {
                 assert!(lost_steps > 0, "rolled back past the torn checkpoint")
@@ -893,7 +1048,7 @@ mod tests {
         // A torn manifest write must surface as typed detection or a
         // bit-exact restart from an older chain — never a Violation.
         let cfg = column("syscall", "dedup(local-disk)");
-        let sites = recorded_sites(cfg);
+        let (mut col, sites) = recorded(cfg);
         let commits: Vec<_> = sites
             .iter()
             .filter(|s| s.name.contains("cas/commit"))
@@ -904,7 +1059,7 @@ mod tests {
             let torn = Fault::TornWrite {
                 keep_bytes: (site.bytes / 2).max(1),
             };
-            let out = mech_cell(cfg, &FaultHandle::armed(&site.name, torn));
+            let out = mech_cell(cfg, &mut col, &FaultHandle::armed(&site.name, torn));
             match out {
                 CellOutcome::Restarted { .. } => saw_restart = true,
                 CellOutcome::Detected { .. } => {}
@@ -924,12 +1079,12 @@ mod tests {
         // and the restart must reconstruct bit-exact around the lost
         // shard — the cell the whole coding tier exists for.
         let cfg = column("syscall", "rs(4,2)");
-        let sites = recorded_sites(cfg);
+        let (mut col, sites) = recorded(cfg);
         let batch2 = sites
             .iter()
             .find(|s| s.name.starts_with("ec/s0/batch@2"))
             .expect("second-checkpoint shard batch site recorded");
-        let out = mech_cell(cfg, &FaultHandle::armed(&batch2.name, Fault::FailStop));
+        let out = mech_cell(cfg, &mut col, &FaultHandle::armed(&batch2.name, Fault::FailStop));
         assert!(
             matches!(out, CellOutcome::Restarted { .. }),
             "expected a reconstructing restart, got {out:?}"
@@ -940,7 +1095,7 @@ mod tests {
     fn fail_stop_before_any_store_is_detected() {
         let cfg = column("syscall", "local-disk");
         let faults = FaultHandle::armed("mech/epckpt/capture@1", Fault::FailStop);
-        let out = mech_cell(cfg, &faults);
+        let out = mech_cell(cfg, &mut recorded(cfg).0, &faults);
         assert!(
             matches!(out, CellOutcome::Detected { .. }),
             "no image was ever written, restart must be refused: {out:?}"

@@ -291,6 +291,7 @@ pub fn step(kind: NativeKind, params: &AppParams, io: &mut dyn GuestMemIo) -> St
 /// Pure-Rust reference executor: runs the app against a plain byte vector
 /// (no kernel, no tracking). Used by tests to compute the expected final
 /// (step, checksum) for correctness comparisons after restarts.
+#[derive(Clone)]
 pub struct VecMem {
     base: u64,
     pub bytes: Vec<u8>,

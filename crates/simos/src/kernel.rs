@@ -118,6 +118,81 @@ impl Kernel {
         }
     }
 
+    /// A structural copy of the whole machine: clock, every process with its
+    /// address space and soft TLB, the run queue, open files, the
+    /// filesystem, timers and statistics. Run under the same schedule, the
+    /// copy is indistinguishable from a kernel rebuilt from scratch and
+    /// driven to the same instant, and nothing it does afterwards reaches
+    /// the original. The trace and fault handles are the original's (they
+    /// are shared sinks): install others with [`Kernel::set_trace`] /
+    /// [`Kernel::set_faults`].
+    ///
+    /// Modules and agents are opaque boxes that may hold links out of the
+    /// kernel (stores, channels), so a kernel with one loaded refuses with
+    /// [`SimError::WorldNotForkable`]: fork before the first `prepare`.
+    pub fn fork_world(&self) -> SimResult<Kernel> {
+        // Exhaustive on purpose: a field added to `Kernel` fails to compile
+        // here until someone decides how a fork carries it.
+        let Kernel {
+            cost,
+            clock,
+            procs,
+            next_pid,
+            runqueue,
+            current,
+            last_task,
+            active_mm,
+            ofds,
+            next_ofd,
+            fs,
+            modules,
+            agents,
+            ext_slots,
+            next_ext_slot,
+            kthreads,
+            next_kt,
+            timers,
+            signal_claims,
+            stats,
+            trace,
+            faults,
+            next_tick_at,
+        } = self;
+        let loaded = modules
+            .keys()
+            .map(|name| format!("module {name}"))
+            .chain(agents.keys().map(|name| format!("agent {name}")))
+            .next();
+        if let Some(holder) = loaded {
+            return Err(SimError::WorldNotForkable { holder });
+        }
+        Ok(Kernel {
+            cost: cost.clone(),
+            clock: *clock,
+            procs: procs.clone(),
+            next_pid: *next_pid,
+            runqueue: runqueue.clone(),
+            current: *current,
+            last_task: *last_task,
+            active_mm: *active_mm,
+            ofds: ofds.clone(),
+            next_ofd: *next_ofd,
+            fs: fs.clone(),
+            modules: BTreeMap::new(),
+            agents: BTreeMap::new(),
+            ext_slots: ext_slots.clone(),
+            next_ext_slot: *next_ext_slot,
+            kthreads: kthreads.clone(),
+            next_kt: *next_kt,
+            timers: timers.clone(),
+            signal_claims: signal_claims.clone(),
+            stats: stats.clone(),
+            trace: trace.clone(),
+            faults: faults.clone(),
+            next_tick_at: *next_tick_at,
+        })
+    }
+
     /// Install a trace sink (usually [`TraceHandle::recording`]). The same
     /// handle may be shared with storage backends and other kernels to
     /// collect one cluster-wide trace.
@@ -159,6 +234,13 @@ impl Kernel {
     /// Current virtual time (ns).
     pub fn now(&self) -> u64 {
         self.clock
+    }
+
+    /// The instant `ns` from now. A delay is guest- or image-chosen, so a
+    /// deadline past the end of virtual time saturates: it never fires,
+    /// instead of wrapping into the past.
+    pub fn deadline_in(&self, ns: u64) -> u64 {
+        self.clock.saturating_add(ns)
     }
 
     /// Charge kernel-mode time.
@@ -1102,7 +1184,7 @@ impl Kernel {
                 }
                 if ns > 0 {
                     self.timers.arm(
-                        self.clock + ns,
+                        self.deadline_in(ns),
                         None,
                         TimerAction::SendSignal {
                             pid,
@@ -1128,7 +1210,7 @@ impl Kernel {
                 }
                 if interval_ns > 0 {
                     self.timers.arm(
-                        self.clock + interval_ns,
+                        self.deadline_in(interval_ns),
                         Some(interval_ns),
                         TimerAction::SendSignal {
                             pid,
@@ -1140,7 +1222,7 @@ impl Kernel {
                 Ok(0)
             }
             Syscall::Nanosleep { ns } => {
-                let until = self.clock + ns;
+                let until = self.deadline_in(ns);
                 let p = self.procs.get_mut(&pid.0).ok_or(Errno::ESRCH)?;
                 p.state = ProcState::Sleeping { until };
                 self.runqueue.dequeue(Task::Process(pid));

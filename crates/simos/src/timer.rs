@@ -93,10 +93,11 @@ impl TimerWheel {
                 due.push(t.clone());
                 if let Some(p) = t.period {
                     // Skip forward past `now` to avoid a firing storm after
-                    // long idle gaps.
-                    let mut next = t.at + p;
-                    while next <= now {
-                        next += p;
+                    // long idle gaps. A period reaching past the end of
+                    // virtual time parks the timer there.
+                    let mut next = t.at.saturating_add(p);
+                    while next <= now && next < u64::MAX {
+                        next = next.saturating_add(p);
                     }
                     t.at = next;
                 }

@@ -95,6 +95,10 @@ pub enum SimError {
     /// faster than the link drained them for the whole round budget, and
     /// auto-converge throttling was not enabled (or was exhausted).
     CutoverDiverged { rounds: u32, residual_pages: u64 },
+    /// [`crate::Kernel::fork_world`] was asked to copy a kernel with a
+    /// module or agent loaded (`holder` names it): those are opaque and may
+    /// hold links a structural copy cannot re-point.
+    WorldNotForkable { holder: String },
 }
 
 impl fmt::Display for SimError {
@@ -132,6 +136,9 @@ impl fmt::Display for SimError {
                     f,
                     "pre-copy diverged after {rounds} rounds ({residual_pages} pages still dirty)"
                 )
+            }
+            SimError::WorldNotForkable { holder } => {
+                write!(f, "world not forkable: {holder} is loaded")
             }
         }
     }

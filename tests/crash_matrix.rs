@@ -14,8 +14,11 @@
 //!
 //! This is the one test with a wall-clock budget: `ci.sh` runs it under
 //! `timeout 30`, so the matrix stays cheap enough to never be sampled or
-//! skipped in CI (18.8-19.3 s on the 2-core host since the per-word guest
-//! access path cost one translation instead of two; 39-46 s before).
+//! skipped in CI. On the 2-core host: 13.9-15.3 s since a column boots its
+//! world once and every cell starts from a `Kernel::fork_world` copy
+//! (21.9-26.7 s before, alternating runs on the same busy afternoon; 10.5-
+//! 11.7 s against 19 s when the host is quiet). The ceiling stays at 30 s:
+//! the headroom is what a wider matrix spends.
 
 mod common;
 

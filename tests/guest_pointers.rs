@@ -9,8 +9,15 @@
 //! from the guest's `len` before validating anything, as did the VM's
 //! `open` from its path length. One more did at 859148b: `lseek` added its
 //! operands unchecked and accepted any non-negative position, and the write
-//! that followed resized the file to reach it.
+//! that followed resized the file to reach it. And the time syscalls did at
+//! 3398c33: `alarm`, `setitimer` and `nanosleep` added the guest's delay to
+//! the clock unchecked, as did restart re-arming an image's timers, so
+//! `u64::MAX` panicked the simulator in debug builds and wrapped into the
+//! past in release builds (an `alarm` that kills at once, a `nanosleep`
+//! that returns at once).
 
+use ckpt_restart::ckpt::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions};
+use ckpt_restart::image::TimerRecord;
 use ckpt_restart::simos::apps::{AppParams, NativeKind};
 use ckpt_restart::simos::asm::Assembler;
 use ckpt_restart::simos::cost::CostModel;
@@ -18,6 +25,8 @@ use ckpt_restart::simos::fs::{OpenFlags, MAX_FILE_BYTES};
 use ckpt_restart::simos::mem::{
     AccessOutcome, AddressSpace, Prot, TrackMode, DATA_BASE, PAGE_SIZE, STACK_TOP,
 };
+use ckpt_restart::simos::pcb::ProcState;
+use ckpt_restart::simos::signal::Sig;
 use ckpt_restart::simos::syscall::{Syscall, Whence};
 use ckpt_restart::simos::types::{Errno, FaultKind};
 use ckpt_restart::simos::vm::sysno;
@@ -219,4 +228,107 @@ fn a_seek_past_the_file_size_cap_then_a_write_is_efbig_not_an_allocation() {
             .sys();
     });
     assert_eq!(exit, Some(efbig));
+}
+
+/// A guest that never exits, a millisecond into its run.
+fn running_native() -> (Kernel, ckpt_restart::simos::Pid) {
+    let mut k = Kernel::new(CostModel::circa_2005());
+    let params = AppParams {
+        total_steps: u64::MAX,
+        ..AppParams::small()
+    };
+    let pid = k.spawn_native(NativeKind::SparseRandom, params).unwrap();
+    k.run_for(1_000_000).unwrap();
+    (k, pid)
+}
+
+/// Thirty virtual ms of the never-exiting guest after `call`: the kernel,
+/// the guest, and the steps the guest completed in that window.
+fn thirty_ms_after(call: Syscall) -> (Kernel, ckpt_restart::simos::Pid, u64) {
+    let (mut k, pid) = running_native();
+    assert_eq!(k.do_syscall(pid, call), Ok(0));
+    let before = k.process(pid).unwrap().work_done;
+    k.run_for(30_000_000).unwrap();
+    let steps = k.process(pid).unwrap().work_done - before;
+    (k, pid, steps)
+}
+
+/// The SIGALRM is armed at the end of time, so the caller (default action:
+/// terminate) runs on.
+fn assert_armed_and_never_fired(call: Syscall) {
+    let (k, pid, steps) = thirty_ms_after(call);
+    assert_eq!(k.timers.next_at(), Some(u64::MAX));
+    assert_eq!(k.stats.timer_fires, 0);
+    assert_eq!(k.process(pid).unwrap().exit_code(), None);
+    assert!(steps > 0);
+}
+
+#[test]
+fn an_alarm_past_the_end_of_virtual_time_never_fires() {
+    assert_armed_and_never_fired(Syscall::Alarm { ns: u64::MAX });
+}
+
+#[test]
+fn an_itimer_past_the_end_of_virtual_time_never_fires() {
+    assert_armed_and_never_fired(Syscall::Setitimer {
+        interval_ns: u64::MAX,
+    });
+}
+
+#[test]
+fn a_nanosleep_past_the_end_of_virtual_time_never_returns() {
+    let (k, pid, steps) = thirty_ms_after(Syscall::Nanosleep { ns: u64::MAX });
+    let p = k.process(pid).unwrap();
+    assert_eq!(p.state, ProcState::Sleeping { until: u64::MAX });
+    assert_eq!(steps, 0);
+}
+
+/// `syscall(r1 = u64::MAX)`, then `exit(7)`.
+fn vm_delay_call(a: &mut Assembler, sysno: u64) {
+    a.li(0, sysno as u32).li(1, 0).addi(1, 1, -1).sys().li(0, 7);
+}
+
+#[test]
+fn a_vm_alarm_past_the_end_of_virtual_time_is_not_an_immediate_sigalrm() {
+    // The guest reaches its own exit code, not 128 + SIGALRM.
+    let (exit, _) = run_vm(|a| vm_delay_call(a, sysno::ALARM));
+    assert_eq!(exit, Some(7));
+}
+
+#[test]
+fn a_vm_nanosleep_past_the_end_of_virtual_time_never_returns() {
+    let mut a = Assembler::new();
+    vm_delay_call(&mut a, sysno::NANOSLEEP);
+    a.halt();
+    let mut k = Kernel::new(CostModel::circa_2005());
+    let pid = k
+        .spawn_vm(a.assemble().expect("assembles"), "sleeper")
+        .unwrap();
+    k.run_for(30_000_000).expect("the simulator survives");
+    let p = k.process(pid).unwrap();
+    assert_eq!(p.state, ProcState::Sleeping { until: u64::MAX });
+}
+
+#[test]
+fn a_crafted_image_timer_past_the_end_of_time_restores_and_never_fires() {
+    let (mut k1, pid) = running_native();
+    k1.freeze_process(pid).unwrap();
+    let mut img = capture_image(&mut k1, pid, &CaptureOptions::full("t", 1)).unwrap();
+    img.timers.push(TimerRecord {
+        in_ns: u64::MAX,
+        period_ns: u64::MAX,
+        sig: Sig::SIGALRM.0,
+    });
+    // Restored on a kernel whose clock has moved: `now + in_ns` leaves u64.
+    let (mut k2, _) = running_native();
+    let restored = restore_image(&mut k2, &img, &RestoreOptions::default()).unwrap();
+    assert_eq!(k2.timers.next_at(), Some(u64::MAX));
+    k2.run_for(30_000_000).unwrap();
+    assert_eq!(k2.process(restored).unwrap().exit_code(), None);
+    assert_eq!(k2.stats.timer_fires, 0);
+    // A periodic timer that does come due re-arms without leaving u64.
+    let mut wheel = k2.timers.clone();
+    let due = wheel.take_due(u64::MAX);
+    assert_eq!(due.len(), 1);
+    assert_eq!(wheel.next_at(), Some(u64::MAX));
 }
