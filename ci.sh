@@ -75,9 +75,14 @@ phase ''
 # ROADMAP aim 2 tracks net line count; these are the numbers (not a gate),
 # so every PR's CI log shows the trajectory. The second makes a PR that
 # "removes" code by moving it into tests visible: that is not a reduction.
-# The third is ckptbench, which the first two never see.
+# The third is ckptbench, which the first two never see. The per-crate
+# rows under the first show which layer a simplicity PR shrank.
 lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
 echo "source lines (crates/*/src + src, .rs): $(lines crates/*/src src)"
+for dir in crates/*/src; do
+    crate=${dir#crates/}
+    printf '  %-14s %6d\n' "${crate%/src}" "$(lines "$dir")"
+done
 echo "test lines (tests + crates/*/tests, .rs): $(lines tests crates/*/tests)"
 echo "benchmark lines (benchmark/src, .rs): $(lines benchmark/src)"
 echo "total: ${SECONDS}s"

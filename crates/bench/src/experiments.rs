@@ -93,9 +93,9 @@ fn gather_cost(cost: &CostModel, nfds: u32, job: &str, user_level: bool) -> (u64
     k.run_for(5_000_000).unwrap();
     if user_level {
         let agent = UserCkptAgent::new(UserAgentConfig::new("lib", job), disk());
-        k.register_agent(Box::new(agent)).unwrap();
+        k.register_module(Box::new(agent)).unwrap();
         let (s0, t0) = (k.stats.syscalls, k.now());
-        k.with_agent_mut::<UserCkptAgent, _>("lib", |a, k| {
+        k.with_module_mut::<UserCkptAgent, _>("lib", |a, k| {
             a.perform_checkpoint(k, pid).unwrap();
         });
         (k.stats.syscalls - s0, k.now() - t0)

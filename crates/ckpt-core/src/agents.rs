@@ -8,14 +8,13 @@
 //! Every one of those crossings is charged here, which is precisely why
 //! the user-level rows lose the efficiency comparisons in the experiments.
 
-use crate::mechanism::{emit_phase_residual, KernelCkptEngine};
+use crate::mechanism::{bracketed_round, KernelCkptEngine};
 use crate::report::CkptOutcome;
 use crate::tracker::TrackerKind;
 use crate::SharedStorage;
 use simos::kernel::USER_IO_CHUNK;
-use simos::module::UserAgent;
+use simos::module::KernelModule;
 use simos::syscall::{Syscall, Whence};
-use simos::trace::Phase;
 use simos::types::{Pid, SimError, SimResult};
 use simos::Kernel;
 use std::any::Any;
@@ -117,10 +116,10 @@ impl UserAgentConfig {
     }
 }
 
-/// The agent: user-space checkpoint library code attached to one process.
-/// It owns the trigger-side bracket (the library runs in the application's
-/// own context, so quiescence is free) and an engine built for the user
-/// context, which runs the round itself.
+/// The agent: user-space checkpoint library code attached to one process,
+/// registered with the kernel's plug-in registry like any module and
+/// reached through its `user_checkpoint` hook. Its engine is built for the
+/// user context and runs the round itself.
 pub struct UserCkptAgent {
     engine: KernelCkptEngine,
     /// Completed checkpoints, newest last.
@@ -162,25 +161,17 @@ impl UserCkptAgent {
         self.outcomes.len() as u64
     }
 
-    /// Perform one user-level checkpoint in the process's own context.
+    /// Perform one user-level checkpoint in the process's own context
+    /// (handler or inserted call): the app is quiescent for free, so
+    /// nothing is stopped.
     pub fn perform_checkpoint(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
-        let name = self.engine.mechanism_name().to_string();
-        let trace_before = k.trace.mechanism_total(&name);
-        let seq = self.engine.seq() + 1;
-        // The library runs in the application's own context (handler or
-        // inserted call): the app is quiescent for free.
-        k.faultpoint(&name, "freeze")?;
-        k.trace.phase(&name, Phase::Freeze, pid.0, seq, k.now(), 0);
-        let outcome = self.engine.checkpoint_in_kernel(k, pid)?;
-        k.faultpoint(&name, "resume")?;
-        k.trace.phase(&name, Phase::Resume, pid.0, seq, k.now(), 0);
-        emit_phase_residual(k, &name, pid, seq, outcome.total_ns, trace_before);
+        let outcome = bracketed_round(k, &mut self.engine, pid, &[], None, |_| {})??;
         self.outcomes.push(outcome.clone());
         Ok(outcome)
     }
 }
 
-impl UserAgent for UserCkptAgent {
+impl KernelModule for UserCkptAgent {
     fn name(&self) -> &str {
         self.engine.mechanism_name()
     }
@@ -217,7 +208,7 @@ mod tests {
         let mut cfg = UserAgentConfig::new("libckpt", "job");
         cfg.tracker = tracker;
         let agent = UserCkptAgent::new(cfg, shared_storage(LocalDisk::new(1 << 30)));
-        k.register_agent(Box::new(agent)).unwrap();
+        k.register_module(Box::new(agent)).unwrap();
         k.process_mut(pid).unwrap().user_rt.agent = Some("libckpt".into());
         (k, pid)
     }
@@ -237,7 +228,7 @@ mod tests {
             .unwrap();
         }
         let syscalls0 = k.stats.syscalls;
-        k.with_agent_mut::<UserCkptAgent, _>("libckpt", |a, k| {
+        k.with_module_mut::<UserCkptAgent, _>("libckpt", |a, k| {
             a.perform_checkpoint(k, pid).unwrap();
         })
         .unwrap();
@@ -257,9 +248,9 @@ mod tests {
             let mut cfg = UserAgentConfig::new("a", "job");
             cfg.use_mirrors = mirrors;
             let agent = UserCkptAgent::new(cfg, shared_storage(LocalDisk::new(1 << 30)));
-            k.register_agent(Box::new(agent)).unwrap();
+            k.register_module(Box::new(agent)).unwrap();
             let s0 = k.stats.syscalls;
-            k.with_agent_mut::<UserCkptAgent, _>("a", |a, k| {
+            k.with_module_mut::<UserCkptAgent, _>("a", |a, k| {
                 a.perform_checkpoint(k, pid).unwrap();
             });
             k.stats.syscalls - s0
@@ -272,7 +263,7 @@ mod tests {
         let (mut k, pid) = setup(TrackerKind::UserPage);
         // Widen the working set so a few steps cannot re-dirty everything.
         let first = k
-            .with_agent_mut::<UserCkptAgent, _>("libckpt", |a, k| {
+            .with_module_mut::<UserCkptAgent, _>("libckpt", |a, k| {
                 a.perform_checkpoint(k, pid).unwrap()
             })
             .unwrap();
@@ -283,7 +274,7 @@ mod tests {
             k.run_for(1_000).unwrap();
         }
         let second = k
-            .with_agent_mut::<UserCkptAgent, _>("libckpt", |a, k| {
+            .with_module_mut::<UserCkptAgent, _>("libckpt", |a, k| {
                 a.perform_checkpoint(k, pid).unwrap()
             })
             .unwrap();

@@ -13,7 +13,7 @@
 //! to a higher-priority job) and *planned outage* (checkpoint and stop
 //! everything before maintenance).
 
-use crate::mechanism::{with_frozen, KernelCkptEngine, Then};
+use crate::mechanism::{with_frozen, Engines, KernelCkptEngine, Then};
 use crate::policy::AdaptivePolicy;
 use crate::report::CkptOutcome;
 use crate::tracker::TrackerKind;
@@ -24,7 +24,6 @@ use simos::timer::{TimerAction, TimerId};
 use simos::types::{Errno, KtId, Pid, SimError, SimResult, SysResult};
 use simos::Kernel;
 use std::any::Any;
-use std::collections::BTreeMap;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -59,8 +58,8 @@ impl Default for AutonomicConfig {
 /// The daemon kernel module.
 pub struct AutonomicDaemon {
     cfg: AutonomicConfig,
-    storage: SharedStorage,
-    engines: BTreeMap<u32, KernelCkptEngine>,
+    /// One engine per registered process.
+    engines: Engines,
     policy: AdaptivePolicy,
     kt: Option<KtId>,
     timer: Option<TimerId>,
@@ -74,10 +73,12 @@ pub struct AutonomicDaemon {
 impl AutonomicDaemon {
     pub fn new(cfg: AutonomicConfig, storage: SharedStorage) -> Self {
         let policy = AdaptivePolicy::new(cfg.mtbf_prior_ns);
+        let template = KernelCkptEngine::builder(&cfg.module_name, &cfg.job, storage, cfg.tracker)
+            .full_every(cfg.full_every)
+            .build();
         AutonomicDaemon {
             cfg,
-            storage,
-            engines: BTreeMap::new(),
+            engines: Engines::new(template),
             policy,
             kt: None,
             timer: None,
@@ -90,22 +91,11 @@ impl AutonomicDaemon {
 
     /// Register a process for autonomous checkpointing.
     pub fn register(&mut self, pid: Pid) {
-        self.engines.entry(pid.0).or_insert_with(|| {
-            let mut e = KernelCkptEngine::builder(
-                &self.cfg.module_name,
-                &self.cfg.job,
-                self.storage.clone(),
-                self.cfg.tracker,
-            )
-            .full_every(self.cfg.full_every)
-            .build();
-            e.set_target(pid);
-            e
-        });
+        self.engines.start(pid);
     }
 
     pub fn registered(&self) -> Vec<u32> {
-        self.engines.keys().copied().collect()
+        self.engines.pids()
     }
 
     /// Feed an observed failure into the policy (called by the cluster
@@ -156,7 +146,7 @@ impl AutonomicDaemon {
     fn checkpoint_one(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
         let engine = self
             .engines
-            .get_mut(&pid.0)
+            .get_mut(pid)
             .ok_or_else(|| SimError::Usage(format!("{pid} not registered")))?;
         // Respect an existing freeze (safe preemption / planned outage):
         // checkpoint in place and leave the process frozen afterwards.
@@ -217,7 +207,7 @@ impl KernelModule for AutonomicDaemon {
             self.failures_noted,
             self.current_interval(k.now())
         );
-        for pid in self.engines.keys() {
+        for pid in self.engines.pids() {
             out.push_str(&format!("registered {pid}\n"));
         }
         Ok(out.into_bytes())
@@ -225,16 +215,12 @@ impl KernelModule for AutonomicDaemon {
 
     fn kthread_run(&mut self, k: &mut Kernel, _kt: KtId) -> KthreadStatus {
         // One checkpoint round over all live registered processes.
-        let pids: Vec<u32> = self.engines.keys().copied().collect();
-        for pid_raw in pids {
-            let pid = Pid(pid_raw);
+        for pid in self.engines.pids().into_iter().map(Pid) {
             match k.process(pid) {
                 Some(p) if !p.has_exited() => {
                     let _ = self.checkpoint_one(k, pid);
                 }
-                _ => {
-                    self.engines.remove(&pid_raw);
-                }
+                _ => self.engines.remove(pid),
             }
         }
         self.rounds += 1;

@@ -506,7 +506,7 @@ impl Column {
         let mut k = self
             .template
             .fork_world()
-            .expect("no module or agent is loaded before `prepare`");
+            .expect("no module is loaded before `prepare`");
         k.set_faults(faults.clone());
         k
     }

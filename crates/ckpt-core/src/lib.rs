@@ -45,7 +45,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Storage handle shareable between mechanisms (outside the kernel) and the
-/// kernel modules / agents they install (inside it).
+/// kernel modules they install (inside it).
 pub type SharedStorage = Arc<Mutex<Box<dyn StableStorage>>>;
 
 /// Wrap a backend for sharing.

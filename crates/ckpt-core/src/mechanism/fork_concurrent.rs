@@ -9,7 +9,8 @@
 //! by the substrate ([`simos::Kernel::fork_process`]).
 
 use super::{
-    charge_tool_syscall, commit_image, AgentKind, Context, Initiation, Mechanism, MechanismInfo,
+    charge_tool_syscall, commit_image, outcomes_of, AgentKind, Context, Initiation, Mechanism,
+    MechanismInfo,
 };
 use crate::capture::{capture_image, CaptureOptions};
 use crate::report::{CkptOutcome, RestartOutcome};
@@ -402,7 +403,7 @@ impl Mechanism for ForkConcurrentMechanism {
 
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
         k.with_module::<ForkCkptModule, _>(&self.module_name, |m| {
-            m.outcomes.iter().map(|(_, o)| o.clone()).collect()
+            outcomes_of(&m.outcomes, self.target)
         })
         .unwrap_or_default()
     }

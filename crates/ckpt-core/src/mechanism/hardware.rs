@@ -15,12 +15,11 @@
 //!   register/cache synchronization.
 
 use super::{
-    with_frozen, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism, MechanismInfo, Then,
+    bracketed_round, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism, MechanismInfo,
 };
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
 use crate::{RestorePid, SharedStorage};
-use simos::trace::Phase;
 use simos::types::{Pid, SimResult};
 use simos::Kernel;
 
@@ -40,6 +39,7 @@ pub const SAFETYNET_QUIESCE_NS: u64 = 10_000;
 pub struct HardwareMechanism {
     pub flavor: HwFlavor,
     engine: KernelCkptEngine,
+    outcomes: Vec<CkptOutcome>,
 }
 
 impl HardwareMechanism {
@@ -51,6 +51,7 @@ impl HardwareMechanism {
         HardwareMechanism {
             flavor,
             engine: KernelCkptEngine::new(name, job, storage, TrackerKind::HardwareLine),
+            outcomes: Vec::new(),
         }
     }
 }
@@ -78,35 +79,15 @@ impl Mechanism for HardwareMechanism {
         Ok(())
     }
 
+    /// ReVive's directory-based flush stalls the processor for the whole
+    /// log write-back: the bracket's stall. SafetyNet's drain is
+    /// asynchronous: the application resumes after the brief quiesce.
     fn checkpoint(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
-        let name = self.engine.mechanism_name().to_string();
-        let trace_before = k.trace.mechanism_total(&name);
-        let t0 = k.now();
-        let seq = self.engine.seq() + 1;
-        let (stall_start, mut outcome) = with_frozen(k, &[pid], Then::Resume, |k| {
-            k.faultpoint(&name, "freeze")?;
-            k.trace
-                .phase(&name, Phase::Freeze, pid.0, seq, k.now(), k.now() - t0);
-            Ok((k.now(), self.engine.checkpoint_in_kernel(k, pid)?))
-        })?;
-        k.faultpoint(&name, "resume")?;
-        k.trace.phase(&name, Phase::Resume, pid.0, seq, k.now(), 0);
-        // The mechanism's total spans the quiesce as well as the engine's
-        // capture/store work, so the trace's per-phase costs sum to it.
-        outcome.total_ns = k.now() - t0;
-        super::emit_phase_residual(k, &name, pid, seq, outcome.total_ns, trace_before);
-        match self.flavor {
-            HwFlavor::Revive => {
-                // Directory-based flush stalls the processor for the whole
-                // log write-back.
-                outcome.app_stall_ns = k.now() - stall_start;
-            }
-            HwFlavor::Safetynet => {
-                // Async drain: the application resumes after the brief
-                // quiesce; the drain overlaps execution.
-                outcome.app_stall_ns = SAFETYNET_QUIESCE_NS.min(k.now() - stall_start);
-            }
+        let mut outcome = bracketed_round(k, &mut self.engine, pid, &[pid], None, |_| {})??;
+        if self.flavor == HwFlavor::Safetynet {
+            outcome.app_stall_ns = outcome.app_stall_ns.min(SAFETYNET_QUIESCE_NS);
         }
+        self.outcomes.push(outcome.clone());
         Ok(outcome)
     }
 
@@ -115,7 +96,7 @@ impl Mechanism for HardwareMechanism {
     }
 
     fn outcomes(&self, _k: &Kernel) -> Vec<CkptOutcome> {
-        Vec::new() // all checkpoints are returned synchronously
+        self.outcomes.clone()
     }
 }
 

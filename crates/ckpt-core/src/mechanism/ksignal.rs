@@ -12,15 +12,14 @@
 //! includes that deferral, which grows with system load (experiment C4).
 
 use super::{
-    charge_tool_syscall, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism,
-    MechanismInfo,
+    bracketed_round, charge_tool_syscall, outcomes_of, AgentKind, Context, Engines, Initiation,
+    KernelCkptEngine, Mechanism, MechanismInfo,
 };
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
 use crate::{RestorePid, SharedStorage};
 use simos::module::KernelModule;
 use simos::signal::Sig;
-use simos::trace::Phase;
 use simos::types::{Errno, Pid, SimError, SimResult, SysResult};
 use simos::Kernel;
 use std::any::Any;
@@ -30,10 +29,7 @@ use std::collections::BTreeMap;
 /// claimed kernel signal.
 pub struct ChpoxModule {
     name: String,
-    job: String,
-    storage: SharedStorage,
-    tracker: TrackerKind,
-    engines: BTreeMap<u32, KernelCkptEngine>,
+    engines: Engines,
     pub outcomes: Vec<(Pid, CkptOutcome)>,
     /// Virtual time each pending request was posted (to measure deferral).
     pub initiated_at: BTreeMap<u32, u64>,
@@ -43,30 +39,14 @@ impl ChpoxModule {
     pub fn new(name: &str, job: &str, storage: SharedStorage, tracker: TrackerKind) -> Self {
         ChpoxModule {
             name: name.to_string(),
-            job: job.to_string(),
-            storage,
-            tracker,
-            engines: BTreeMap::new(),
+            engines: Engines::new(KernelCkptEngine::new(name, job, storage, tracker)),
             outcomes: Vec::new(),
             initiated_at: BTreeMap::new(),
         }
     }
 
     pub fn registered(&self, pid: Pid) -> bool {
-        self.engines.contains_key(&pid.0)
-    }
-
-    fn register_pid(&mut self, pid: Pid) {
-        self.engines.entry(pid.0).or_insert_with(|| {
-            let mut e = KernelCkptEngine::new(
-                &self.name,
-                &self.job,
-                self.storage.clone(),
-                self.tracker,
-            );
-            e.set_target(pid);
-            e
-        });
+        self.engines.contains(pid)
     }
 }
 
@@ -89,72 +69,37 @@ impl KernelModule for ChpoxModule {
     fn proc_write(&mut self, _k: &mut Kernel, _pid: Pid, _tag: &str, data: &[u8]) -> SysResult {
         let text = String::from_utf8_lossy(data);
         let pid: u32 = text.trim().parse().map_err(|_| Errno::EINVAL)?;
-        self.register_pid(Pid(pid));
+        self.engines.start(Pid(pid));
         Ok(data.len() as u64)
     }
 
     /// Reading the `/proc` entry lists registered pids.
     fn proc_read(&mut self, _k: &mut Kernel, _pid: Pid, _tag: &str) -> Result<Vec<u8>, Errno> {
         let mut out = String::new();
-        for pid in self.engines.keys() {
+        for pid in self.engines.pids() {
             out.push_str(&format!("{pid}\n"));
         }
         Ok(out.into_bytes())
     }
 
     /// The claimed default action of SIGCKPT: checkpoint in the process's
-    /// own kernel context at the (deferred) delivery point.
+    /// own kernel context at the (deferred) delivery point. The deferral
+    /// since kill(2) is the request's pending wait — the paper's headline
+    /// weakness; the target is quiescent by construction, so nothing is
+    /// stopped. A fault at `resume` leaves the image durable but records
+    /// no outcome.
     fn kernel_signal(&mut self, k: &mut Kernel, pid: Pid, sig: Sig) -> bool {
         if sig != Sig::SIGCKPT {
             return false;
         }
-        if !self.engines.contains_key(&pid.0) {
-            // Unregistered process: swallow the signal (a real CHPOX would
-            // fall back to the built-in default).
+        let requested_at = self.initiated_at.remove(&pid.0);
+        // An unregistered process: swallow the signal (a real CHPOX would
+        // fall back to the built-in default).
+        let Some(engine) = self.engines.get_mut(pid) else {
             return true;
-        }
-        let trace_before = k.trace.mechanism_total(&self.name);
-        let seq = self.engines[&pid.0].seq() + 1;
-        // The deferral between kill(2) and this delivery point is the
-        // mechanism's Pending phase — the paper's headline weakness.
-        if let Some(t0) = self.initiated_at.get(&pid.0) {
-            k.trace
-                .phase(&self.name, Phase::Pending, pid.0, seq, k.now(), k.now() - t0);
-        }
-        // Running in the target's own kernel context: the target is
-        // quiescent by construction, so the freeze is free.
-        if k.faultpoint(&self.name, "freeze").is_err() {
-            self.initiated_at.remove(&pid.0);
-            return true;
-        }
-        k.trace.phase(&self.name, Phase::Freeze, pid.0, seq, k.now(), 0);
-        let engine = self.engines.get_mut(&pid.0).expect("checked above");
-        match engine.checkpoint_in_kernel(k, pid) {
-            Ok(mut outcome) => {
-                // Fold in the deferral between initiation and delivery.
-                if let Some(t0) = self.initiated_at.remove(&pid.0) {
-                    outcome.total_ns = k.now() - t0;
-                }
-                if k.faultpoint(&self.name, "resume").is_err() {
-                    // The image is durable; only the resume notification
-                    // was lost with the fault.
-                    return true;
-                }
-                k.trace
-                    .phase(&self.name, Phase::Resume, pid.0, seq, k.now(), 0);
-                super::emit_phase_residual(
-                    k,
-                    &self.name,
-                    pid,
-                    seq,
-                    outcome.total_ns,
-                    trace_before,
-                );
-                self.outcomes.push((pid, outcome));
-            }
-            Err(_) => {
-                self.initiated_at.remove(&pid.0);
-            }
+        };
+        if let Ok(Ok(outcome)) = bracketed_round(k, engine, pid, &[], requested_at, |_| {}) {
+            self.outcomes.push((pid, outcome));
         }
         true
     }
@@ -244,7 +189,7 @@ impl Mechanism for KernelSignalMechanism {
 
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
         k.with_module::<ChpoxModule, _>(&self.module_name, |m| {
-            m.outcomes.iter().map(|(_, o)| o.clone()).collect()
+            outcomes_of(&m.outcomes, self.target)
         })
         .unwrap_or_default()
     }

@@ -21,8 +21,8 @@
 //! and file-content restoration, PsncR/C's lack of data optimization.
 
 use super::{
-    charge_tool_syscall, with_frozen, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism,
-    MechanismInfo, Then,
+    bracketed_round, charge_tool_syscall, outcomes_of, AgentKind, Context, Engines, Initiation,
+    KernelCkptEngine, Mechanism, MechanismInfo,
 };
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
@@ -31,11 +31,10 @@ use simos::module::{KernelModule, KthreadStatus};
 use simos::sched::SchedPolicy;
 use simos::signal::{Sig, SigAction, UserHandlerKind};
 use simos::syscall::Syscall;
-use simos::trace::Phase;
 use simos::types::{Errno, KtId, Pid, SimError, SimResult, SysResult};
 use simos::Kernel;
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// How user space reaches the kernel thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,14 +76,10 @@ impl Default for KthreadVariant {
 /// The loadable kernel module owning the checkpoint kernel thread.
 pub struct CkptKthreadModule {
     name: String,
-    job: String,
-    storage: SharedStorage,
-    tracker: TrackerKind,
     iface: KthreadIface,
     rt_prio: u8,
-    variant: KthreadVariant,
-    engines: BTreeMap<u32, KernelCkptEngine>,
-    queue: VecDeque<(u32, u64)>, // (pid, initiated_at)
+    engines: Engines,
+    queue: VecDeque<(Pid, u64)>, // (pid, initiated_at)
     kt: Option<KtId>,
     pub outcomes: Vec<(Pid, CkptOutcome)>,
     pub requests_failed: u64,
@@ -100,15 +95,14 @@ impl CkptKthreadModule {
         rt_prio: u8,
         variant: KthreadVariant,
     ) -> Self {
+        let mut template = KernelCkptEngine::new(name, job, storage, tracker);
+        template.compress = variant.compress;
+        template.save_file_contents = variant.save_file_contents;
         CkptKthreadModule {
             name: name.to_string(),
-            job: job.to_string(),
-            storage,
-            tracker,
             iface,
             rt_prio,
-            variant,
-            engines: BTreeMap::new(),
+            engines: Engines::new(template),
             queue: VecDeque::new(),
             kt: None,
             outcomes: Vec::new(),
@@ -131,19 +125,8 @@ impl CkptKthreadModule {
         if k.process(target).is_none() {
             return Err(Errno::ESRCH);
         }
-        self.engines.entry(target.0).or_insert_with(|| {
-            let mut e = KernelCkptEngine::new(
-                &self.name,
-                &self.job,
-                self.storage.clone(),
-                self.tracker,
-            );
-            e.compress = self.variant.compress;
-            e.save_file_contents = self.variant.save_file_contents;
-            e.set_target(target);
-            e
-        });
-        self.queue.push_back((target.0, k.now()));
+        self.engines.start(target);
+        self.queue.push_back((target, k.now()));
         if let Some(kt) = self.kt {
             let _ = k.wake_kthread(kt);
         }
@@ -193,62 +176,26 @@ impl KernelModule for CkptKthreadModule {
         Ok(data.len() as u64)
     }
 
+    /// One queued request. Its pending wait is the queue plus the wakeup
+    /// latency; the target is stopped ("removed from its runqueue list")
+    /// for consistency. A fault at `resume` leaves the image durable, but
+    /// the request never completed from the tool's point of view: no
+    /// outcome is recorded.
     fn kthread_run(&mut self, k: &mut Kernel, _kt: KtId) -> KthreadStatus {
-        let Some((pid_raw, initiated_at)) = self.queue.pop_front() else {
+        let Some((target, initiated_at)) = self.queue.pop_front() else {
             return KthreadStatus::Sleep;
         };
-        let target = Pid(pid_raw);
-        let trace_before = k.trace.mechanism_total(&self.name);
-        let seq = self
-            .engines
-            .get(&pid_raw)
-            .map(|e| e.seq() + 1)
-            .unwrap_or(1);
-        // Queue wait + wakeup latency between the tool's request and this
-        // kernel thread actually running.
-        k.trace.phase(
-            &self.name,
-            Phase::Pending,
-            pid_raw,
-            seq,
-            k.now(),
-            k.now() - initiated_at,
-        );
-        // Consistency: stop the application ("removing it from its
-        // runqueue list").
-        let f0 = k.now();
-        let name = &self.name;
-        let engine = self.engines.get_mut(&pid_raw).expect("enqueued ⇒ engine");
-        let round = (|| {
-            k.faultpoint(name, "freeze")?;
-            let done = with_frozen(k, &[target], Then::Resume, |k| {
-                let stall_start = k.now();
-                // The kernel thread borrowed the interrupted task's page
-                // tables; switching to the target's address space costs an
-                // mm switch + TLB flush exactly when they differ (the
-                // paper's point). Attributed to the freeze window: it is
-                // quiescence overhead, not capture work.
-                let _ = k.kthread_attach_mm(target);
-                k.trace
-                    .phase(name, Phase::Freeze, pid_raw, seq, k.now(), k.now() - f0);
-                Ok((stall_start, engine.checkpoint_in_kernel(k, target)?))
-            })?;
-            // A fault here leaves the image durable, but the request never
-            // completed from the tool's point of view: no outcome is
-            // recorded.
-            k.faultpoint(name, "resume")?;
-            SimResult::Ok(done)
-        })();
-        match round {
-            Ok((stall_start, mut outcome)) => {
-                k.trace
-                    .phase(name, Phase::Resume, pid_raw, seq, k.now(), 0);
-                outcome.app_stall_ns = k.now() - stall_start;
-                outcome.total_ns = k.now() - initiated_at;
-                super::emit_phase_residual(k, name, target, seq, outcome.total_ns, trace_before);
-                self.outcomes.push((target, outcome));
-            }
-            Err(_) => self.requests_failed += 1,
+        let engine = self.engines.start(target);
+        // The kernel thread borrowed the interrupted task's page tables;
+        // switching to the target's address space costs an mm switch + TLB
+        // flush exactly when they differ (the paper's point). Charged to
+        // the freeze window: it is quiescence overhead, not capture work.
+        let attach = |k: &mut Kernel| {
+            let _ = k.kthread_attach_mm(target);
+        };
+        match bracketed_round(k, engine, target, &[target], Some(initiated_at), attach) {
+            Ok(Ok(outcome)) => self.outcomes.push((target, outcome)),
+            _ => self.requests_failed += 1,
         }
         if self.queue.is_empty() {
             KthreadStatus::Sleep
@@ -384,7 +331,7 @@ impl Mechanism for KernelThreadMechanism {
 
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
         k.with_module::<CkptKthreadModule, _>(&self.module_name, |m| {
-            m.outcomes.iter().map(|(_, o)| o.clone()).collect()
+            outcomes_of(&m.outcomes, self.target)
         })
         .unwrap_or_default()
     }

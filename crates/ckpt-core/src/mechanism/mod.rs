@@ -16,9 +16,10 @@
 //!
 //! What a checkpoint round *is* does not depend on the leaf: this module
 //! holds the one implementation ([`KernelCkptEngine::checkpoint_in_kernel`]),
-//! the freeze bracket and commit step around it, the restart/wait shell
-//! every wrapper shares, and [`FAMILIES`], the table that names the leaves.
-//! Each submodule adds only its family's initiation.
+//! the request bracket, freeze bracket and commit step around it, the
+//! per-target engine table, the restart/wait shell every wrapper shares,
+//! and [`FAMILIES`], the table that names the leaves. Each submodule adds
+//! only its family's initiation.
 
 pub mod fork_concurrent;
 pub mod hardware;
@@ -41,6 +42,7 @@ use ckpt_storage::{
 use simos::trace::{Phase, StorageOp, TraceHandle};
 use simos::types::{Pid, SimError, SimResult};
 use simos::Kernel;
+use std::collections::BTreeMap;
 
 /// Where the mechanism's checkpoint code executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +98,7 @@ pub struct MechanismInfo {
 pub trait Mechanism {
     fn info(&self) -> MechanismInfo;
 
-    /// Install whatever the mechanism needs (kernel modules, agents,
+    /// Install whatever the mechanism needs (kernel modules, libraries,
     /// signal handlers, tracing) for `pid`. Must be called before the
     /// process runs if the mechanism interposes from the start.
     fn prepare(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()>;
@@ -110,8 +112,9 @@ pub trait Mechanism {
     /// mechanism's storage onto `k` (possibly a different kernel/node).
     fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome>;
 
-    /// Outcomes of all checkpoints taken so far (including automatic
-    /// ones). Ordered. Read-only: inspecting results must not perturb
+    /// Outcomes of all checkpoints taken so far of the prepared process
+    /// (including automatic ones), never another target's on a shared
+    /// module. Ordered. Read-only: inspecting results must not perturb
     /// the kernel (modules are reached via [`Kernel::with_module`]).
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome>;
 }
@@ -239,7 +242,10 @@ pub fn family(name: &str) -> &'static Family {
 /// (decide full vs incremental → gather and walk → capture → encode →
 /// commit → prune → re-arm), used by every system-level mechanism and, in
 /// its user context, by the Section 3 library ([`crate::agents`]). Callers
-/// handle quiescing the target and stall accounting.
+/// handle quiescing the target and stall accounting. One engine is one
+/// lineage: an extension serving many targets keeps one per target. A clone
+/// shares the storage handle and the encode pool.
+#[derive(Clone)]
 pub struct KernelCkptEngine {
     pub(crate) mechanism_name: String,
     pub(crate) job: String,
@@ -530,6 +536,52 @@ impl KernelCkptEngine {
     }
 }
 
+/// The engines of an extension that checkpoints many processes: one per
+/// target, each a lineage of its own (seqs, dirty tracker, chain
+/// manifests), started from the extension's never-run template on first
+/// use. Two targets sharing one engine would interleave one seq counter and
+/// chain each one's incrementals onto the other's images.
+pub(crate) struct Engines {
+    template: KernelCkptEngine,
+    by_pid: BTreeMap<u32, KernelCkptEngine>,
+}
+
+impl Engines {
+    pub(crate) fn new(template: KernelCkptEngine) -> Self {
+        Engines {
+            template,
+            by_pid: BTreeMap::new(),
+        }
+    }
+
+    /// `pid`'s engine, started from the template if it has none yet.
+    pub(crate) fn start(&mut self, pid: Pid) -> &mut KernelCkptEngine {
+        let template = &self.template;
+        self.by_pid.entry(pid.0).or_insert_with(|| {
+            let mut engine = template.clone();
+            engine.set_target(pid);
+            engine
+        })
+    }
+
+    pub(crate) fn get_mut(&mut self, pid: Pid) -> Option<&mut KernelCkptEngine> {
+        self.by_pid.get_mut(&pid.0)
+    }
+
+    pub(crate) fn contains(&self, pid: Pid) -> bool {
+        self.by_pid.contains_key(&pid.0)
+    }
+
+    /// The targets with an engine, in pid order.
+    pub(crate) fn pids(&self) -> Vec<u32> {
+        self.by_pid.keys().copied().collect()
+    }
+
+    pub(crate) fn remove(&mut self, pid: Pid) {
+        self.by_pid.remove(&pid.0);
+    }
+}
+
 /// Commit one encoded image under its canonical key and record the store in
 /// `k`'s trace: the lock → store → label → trace step every checkpointer's
 /// commit is. Charging the receipt's time, and wording the error, stay with
@@ -670,6 +722,68 @@ pub(crate) fn with_frozen<T>(
         }
     }
     out
+}
+
+/// The request bracket around one on-demand round, whoever asked for it:
+/// the wait since `requested_at` (the [`Phase::Pending`] of a request that
+/// was queued or deferred), the `freeze` site, the stop of `stop` (empty
+/// for a round in its target's own context) with `quiesce` charged to the
+/// freeze window, the round, the `resume` site once the targets run again,
+/// and the residual. Freezing and thawing cost nothing, so the outcome's
+/// `total_ns` runs from the request (from the stop if nobody waited) and
+/// its `app_stall_ns` from the stop. The outer error is a fault at one of
+/// the bracket's two sites, the inner one the round's.
+pub(crate) fn bracketed_round(
+    k: &mut Kernel,
+    engine: &mut KernelCkptEngine,
+    pid: Pid,
+    stop: &[Pid],
+    requested_at: Option<u64>,
+    quiesce: impl FnOnce(&mut Kernel),
+) -> SimResult<SimResult<CkptOutcome>> {
+    let name = engine.mechanism_name.clone();
+    let trace_before = k.trace.mechanism_total(&name);
+    let seq = engine.seq + 1;
+    if let Some(t0) = requested_at {
+        k.trace
+            .phase(&name, Phase::Pending, pid.0, seq, k.now(), k.now() - t0);
+    }
+    k.faultpoint(&name, "freeze")?;
+    let stopped_at = k.now();
+    let round = with_frozen(k, stop, Then::Resume, |k| {
+        quiesce(k);
+        k.trace.phase(
+            &name,
+            Phase::Freeze,
+            pid.0,
+            seq,
+            k.now(),
+            k.now() - stopped_at,
+        );
+        engine.checkpoint_in_kernel(k, pid)
+    });
+    k.faultpoint(&name, "resume")?;
+    k.trace.phase(&name, Phase::Resume, pid.0, seq, k.now(), 0);
+    Ok(round.map(|mut outcome| {
+        outcome.total_ns = k.now() - requested_at.unwrap_or(stopped_at);
+        outcome.app_stall_ns = k.now() - stopped_at;
+        emit_phase_residual(k, &name, pid, seq, outcome.total_ns, trace_before);
+        outcome
+    }))
+}
+
+/// The outcomes `recorded` by an extension that belong to `target`, in
+/// order: a mechanism lists its own checkpoints, never another target's
+/// on the same module.
+pub(crate) fn outcomes_of(
+    recorded: &[(Pid, CkptOutcome)],
+    target: Option<Pid>,
+) -> Vec<CkptOutcome> {
+    recorded
+        .iter()
+        .filter(|(pid, _)| Some(*pid) == target)
+        .map(|(_, outcome)| outcome.clone())
+        .collect()
 }
 
 /// Attribute the *unattributed remainder* of one checkpoint span to

@@ -14,19 +14,21 @@
 //!   therefore returns an error for this variant.
 //! * **EPCKPT style** ([`SyscallVariant::ByPid`]): a tool passes the target
 //!   pid to the syscall. Transparent to the application, but the target
-//!   must be stopped first for consistency, and the application must have
-//!   been launched through the EPCKPT tool (a small run-time tracing
-//!   overhead we charge at prepare time).
+//!   must be stopped first for consistency. The real tool also has the
+//!   application launched through it, for a small run-time tracing
+//!   overhead; that overhead is not modelled — `prepare` charges nothing.
+//!
+//! Every process the syscalls checkpoint is a lineage of its own, whichever
+//! mechanism prepared it.
 
 use super::{
-    charge_tool_syscall, with_frozen, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism,
-    MechanismInfo, Then,
+    bracketed_round, charge_tool_syscall, outcomes_of, AgentKind, Context, Engines, Initiation,
+    KernelCkptEngine, Mechanism, MechanismInfo,
 };
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
 use crate::{RestorePid, SharedStorage};
 use simos::module::KernelModule;
-use simos::trace::Phase;
 use simos::types::{Errno, Pid, SimError, SimResult, SysResult};
 use simos::Kernel;
 use std::any::Any;
@@ -43,17 +45,19 @@ pub enum SyscallVariant {
 /// The static-kernel extension registering the checkpoint syscalls.
 pub struct CkptSyscallModule {
     name: String,
-    engine: KernelCkptEngine,
-    pub outcomes: Vec<CkptOutcome>,
+    engines: Engines,
+    pub outcomes: Vec<(Pid, CkptOutcome)>,
     slot_self: Option<u32>,
     slot_pid: Option<u32>,
 }
 
 impl CkptSyscallModule {
-    pub fn new(name: &str, engine: KernelCkptEngine) -> Self {
+    /// The extension named `name`; `template` is the never-run engine
+    /// every target's lineage starts from.
+    pub fn new(name: &str, template: KernelCkptEngine) -> Self {
         CkptSyscallModule {
             name: name.to_string(),
-            engine,
+            engines: Engines::new(template),
             outcomes: Vec::new(),
             slot_self: None,
             slot_pid: None,
@@ -68,43 +72,19 @@ impl CkptSyscallModule {
         self.slot_pid
     }
 
-    pub fn engine_mut(&mut self) -> &mut KernelCkptEngine {
-        &mut self.engine
-    }
-
+    /// In-context (self) checkpoints need no freeze: the process is
+    /// executing this very code, so quiescence is free. By-pid checkpoints
+    /// must stop the target first. A fault at either bracket site is
+    /// `EINTR`; the round's own failure is `ESRCH` or `EINVAL`.
     fn do_checkpoint(&mut self, k: &mut Kernel, target: Pid, in_context: bool) -> SysResult {
-        let trace_before = k.trace.mechanism_total(&self.name);
-        let t0 = k.now();
-        let seq = self.engine.seq() + 1;
-        // In-context (self) checkpoints need no freeze: the process is
-        // executing this very code, so quiescence is free. By-pid
-        // checkpoints must stop the target first.
-        k.faultpoint(&self.name, "freeze").map_err(|_| Errno::EINTR)?;
-        let f0 = k.now();
-        let to_stop: &[Pid] = if in_context { &[] } else { &[target] };
-        let res = with_frozen(k, to_stop, Then::Resume, |k| {
-            k.trace
-                .phase(&self.name, Phase::Freeze, target.0, seq, k.now(), k.now() - f0);
-            self.engine.checkpoint_in_kernel(k, target)
-        });
-        k.faultpoint(&self.name, "resume").map_err(|_| Errno::EINTR)?;
-        k.trace
-            .phase(&self.name, Phase::Resume, target.0, seq, k.now(), 0);
-        match res {
-            Ok(mut outcome) => {
+        let stop: &[Pid] = if in_context { &[] } else { &[target] };
+        let engine = self.engines.start(target);
+        let round =
+            bracketed_round(k, engine, target, stop, None, |_| {}).map_err(|_| Errno::EINTR)?;
+        match round {
+            Ok(outcome) => {
                 let seq = outcome.seq;
-                // The syscall's span includes the freeze/thaw bracket, so
-                // the per-phase trace costs sum to the reported total.
-                outcome.total_ns = k.now() - t0;
-                super::emit_phase_residual(
-                    k,
-                    &self.name,
-                    target,
-                    seq,
-                    outcome.total_ns,
-                    trace_before,
-                );
-                self.outcomes.push(outcome);
+                self.outcomes.push((target, outcome));
                 Ok(seq)
             }
             Err(SimError::NoSuchProcess(_)) => Err(Errno::ESRCH),
@@ -208,9 +188,6 @@ impl Mechanism for SyscallMechanism {
             );
             k.register_module(Box::new(CkptSyscallModule::new(&self.module_name, engine)))?;
         }
-        k.with_module_mut::<CkptSyscallModule, _>(&self.module_name, |m, _| {
-            m.engine_mut().set_target(pid)
-        });
         if let SyscallVariant::SelfCkpt { every } = self.variant {
             let slot = k
                 .with_module_mut::<CkptSyscallModule, _>(&self.module_name, |m, _| m.slot_self())
@@ -258,8 +235,10 @@ impl Mechanism for SyscallMechanism {
     }
 
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
-        k.with_module::<CkptSyscallModule, _>(&self.module_name, |m| m.outcomes.clone())
-            .unwrap_or_default()
+        k.with_module::<CkptSyscallModule, _>(&self.module_name, |m| {
+            outcomes_of(&m.outcomes, self.target)
+        })
+        .unwrap_or_default()
     }
 }
 

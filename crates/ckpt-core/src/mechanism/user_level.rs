@@ -114,7 +114,7 @@ impl Mechanism for UserLevelMechanism {
         cfg.tracker = self.tracker;
         cfg.use_mirrors = self.preload;
         let agent = UserCkptAgent::new(cfg, self.storage.clone());
-        k.register_agent(Box::new(agent))?;
+        k.register_module(Box::new(agent))?;
         {
             let p = k
                 .process_mut(pid)
@@ -205,7 +205,7 @@ impl Mechanism for UserLevelMechanism {
     }
 
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
-        k.with_agent::<UserCkptAgent, _>(&self.agent_name, |a| a.outcomes.clone())
+        k.with_module::<UserCkptAgent, _>(&self.agent_name, |a| a.outcomes.clone())
             .unwrap_or_default()
     }
 }

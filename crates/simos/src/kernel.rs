@@ -13,7 +13,7 @@ use crate::kthread::{KtState, KThread};
 use crate::mem::{AccessOutcome, AddressSpace, Prot, TrackMode, TEXT_BASE};
 #[cfg(test)]
 use crate::mem::DATA_BASE;
-use crate::module::{KernelModule, KthreadStatus, UserAgent};
+use crate::module::{KernelModule, KthreadStatus};
 use crate::pcb::{FdTable, Pcb, ProcState, ProgramSpec, Regs};
 use crate::sched::{RunQueue, SchedPolicy};
 use crate::signal::{
@@ -66,7 +66,6 @@ pub struct Kernel {
     next_ofd: u32,
     pub fs: SimFs,
     modules: BTreeMap<String, Option<Box<dyn KernelModule>>>,
-    agents: BTreeMap<String, Option<Box<dyn UserAgent>>>,
     ext_slots: BTreeMap<u32, String>,
     next_ext_slot: u32,
     kthreads: BTreeMap<u32, KThread>,
@@ -104,7 +103,6 @@ impl Kernel {
             next_ofd: 1,
             fs: SimFs::new(),
             modules: BTreeMap::new(),
-            agents: BTreeMap::new(),
             ext_slots: BTreeMap::new(),
             next_ext_slot: 0,
             kthreads: BTreeMap::new(),
@@ -127,8 +125,8 @@ impl Kernel {
     /// are shared sinks): install others with [`Kernel::set_trace`] /
     /// [`Kernel::set_faults`].
     ///
-    /// Modules and agents are opaque boxes that may hold links out of the
-    /// kernel (stores, channels), so a kernel with one loaded refuses with
+    /// Modules are opaque boxes that may hold links out of the kernel
+    /// (stores, channels), so a kernel with one loaded refuses with
     /// [`SimError::WorldNotForkable`]: fork before the first `prepare`.
     pub fn fork_world(&self) -> SimResult<Kernel> {
         // Exhaustive on purpose: a field added to `Kernel` fails to compile
@@ -146,7 +144,6 @@ impl Kernel {
             next_ofd,
             fs,
             modules,
-            agents,
             ext_slots,
             next_ext_slot,
             kthreads,
@@ -158,13 +155,10 @@ impl Kernel {
             faults,
             next_tick_at,
         } = self;
-        let loaded = modules
-            .keys()
-            .map(|name| format!("module {name}"))
-            .chain(agents.keys().map(|name| format!("agent {name}")))
-            .next();
-        if let Some(holder) = loaded {
-            return Err(SimError::WorldNotForkable { holder });
+        if let Some(name) = modules.keys().next() {
+            return Err(SimError::WorldNotForkable {
+                holder: format!("module {name}"),
+            });
         }
         Ok(Kernel {
             cost: cost.clone(),
@@ -179,7 +173,6 @@ impl Kernel {
             next_ofd: *next_ofd,
             fs: fs.clone(),
             modules: BTreeMap::new(),
-            agents: BTreeMap::new(),
             ext_slots: ext_slots.clone(),
             next_ext_slot: *next_ext_slot,
             kthreads: kthreads.clone(),
@@ -518,7 +511,7 @@ impl Kernel {
     }
 
     // ------------------------------------------------------------------
-    // Modules, agents, extension syscalls, kernel threads.
+    // Modules, extension syscalls, kernel threads.
     // ------------------------------------------------------------------
 
     /// Register a kernel module (loadable or static) and run its
@@ -596,52 +589,6 @@ impl Kernel {
     ) -> Option<R> {
         let m = self.modules.get(name)?.as_ref()?;
         m.as_any().downcast_ref::<T>().map(f)
-    }
-
-    /// Register a user-level agent (checkpoint library code).
-    pub fn register_agent(&mut self, agent: Box<dyn UserAgent>) -> SimResult<()> {
-        let name = agent.name().to_string();
-        if self.agents.contains_key(&name) {
-            return Err(SimError::Usage(format!("agent {name} already registered")));
-        }
-        self.agents.insert(name, Some(agent));
-        Ok(())
-    }
-
-    pub fn dispatch_agent<R>(
-        &mut self,
-        name: &str,
-        f: impl FnOnce(&mut dyn UserAgent, &mut Kernel) -> R,
-    ) -> Option<R> {
-        let mut a = self.agents.get_mut(name)?.take()?;
-        let r = f(a.as_mut(), self);
-        if let Some(slot) = self.agents.get_mut(name) {
-            *slot = Some(a);
-        }
-        Some(r)
-    }
-
-    pub fn with_agent_mut<T: UserAgent, R>(
-        &mut self,
-        name: &str,
-        f: impl FnOnce(&mut T, &mut Kernel) -> R,
-    ) -> Option<R> {
-        let mut a = self.agents.get_mut(name)?.take()?;
-        let r = a.as_any_mut().downcast_mut::<T>().map(|t| f(t, self));
-        if let Some(slot) = self.agents.get_mut(name) {
-            *slot = Some(a);
-        }
-        r
-    }
-
-    /// Read-only downcasting agent accessor (see [`Kernel::with_module`]).
-    pub fn with_agent<T: UserAgent, R>(
-        &self,
-        name: &str,
-        f: impl FnOnce(&T) -> R,
-    ) -> Option<R> {
-        let a = self.agents.get(name)?.as_ref()?;
-        a.as_any().downcast_ref::<T>().map(f)
     }
 
     /// Allocate an extension-syscall slot owned by `module`.
@@ -789,14 +736,11 @@ impl Kernel {
                         UserHandlerKind::CkptLibCheckpoint => {
                             let p = self.procs.get_mut(&pid.0).expect("exists");
                             p.user_rt.handler_invocations += 1;
-                            p.user_rt.checkpoint_requested = true;
-                            let agent = p.user_rt.agent.clone();
-                            if let Some(agent) = agent {
-                                self.dispatch_agent(&agent, |a, k| a.user_checkpoint(k, pid));
+                            if let Some(agent) = p.user_rt.agent.clone() {
+                                self.dispatch_module(&agent, |m, k| m.user_checkpoint(k, pid));
                             }
                             if let Some(p) = self.procs.get_mut(&pid.0) {
                                 p.sig.in_handler = p.sig.in_handler.saturating_sub(1);
-                                p.user_rt.checkpoint_requested = false;
                             }
                         }
                         UserHandlerKind::DirtyTrackSegv | UserHandlerKind::CountOnly => {
@@ -1169,56 +1113,11 @@ impl Kernel {
                 Ok(p.sig.pending_mask())
             }
             Syscall::Alarm { ns } => {
-                // Cancel previous alarms for this pid.
-                let old: Vec<TimerId> = self
-                    .timers
-                    .owned_by(pid)
-                    .into_iter()
-                    .filter(|t| {
-                        matches!(t.action, TimerAction::SendSignal { sig, .. } if sig == Sig::SIGALRM)
-                    })
-                    .map(|t| t.id)
-                    .collect();
-                for id in old {
-                    self.timers.cancel(id);
-                }
-                if ns > 0 {
-                    self.timers.arm(
-                        self.deadline_in(ns),
-                        None,
-                        TimerAction::SendSignal {
-                            pid,
-                            sig: Sig::SIGALRM,
-                        },
-                        Some(pid),
-                    );
-                }
+                self.rearm_alarm(pid, ns, None);
                 Ok(0)
             }
             Syscall::Setitimer { interval_ns } => {
-                let old: Vec<TimerId> = self
-                    .timers
-                    .owned_by(pid)
-                    .into_iter()
-                    .filter(|t| {
-                        matches!(t.action, TimerAction::SendSignal { sig, .. } if sig == Sig::SIGALRM)
-                    })
-                    .map(|t| t.id)
-                    .collect();
-                for id in old {
-                    self.timers.cancel(id);
-                }
-                if interval_ns > 0 {
-                    self.timers.arm(
-                        self.deadline_in(interval_ns),
-                        Some(interval_ns),
-                        TimerAction::SendSignal {
-                            pid,
-                            sig: Sig::SIGALRM,
-                        },
-                        Some(pid),
-                    );
-                }
+                self.rearm_alarm(pid, interval_ns, Some(interval_ns));
                 Ok(0)
             }
             Syscall::Nanosleep { ns } => {
@@ -1268,6 +1167,32 @@ impl Kernel {
                 self.dispatch_module(&module, |m, k| m.ext_syscall(k, pid, slot, args))
                     .unwrap_or(Err(Errno::ENOSYS))
             }
+        }
+    }
+
+    /// `alarm` / `setitimer`: cancel `pid`'s pending SIGALRM timers, then
+    /// arm a new one `ns` from now (none for 0), repeating every `period`.
+    /// The deadline saturates like every guest-chosen delay.
+    fn rearm_alarm(&mut self, pid: Pid, ns: u64, period: Option<u64>) {
+        let old: Vec<TimerId> = self
+            .timers
+            .owned_by(pid)
+            .into_iter()
+            .filter(
+                |t| matches!(t.action, TimerAction::SendSignal { sig, .. } if sig == Sig::SIGALRM),
+            )
+            .map(|t| t.id)
+            .collect();
+        for id in old {
+            self.timers.cancel(id);
+        }
+        if ns > 0 {
+            let at = self.deadline_in(ns);
+            let alarm = TimerAction::SendSignal {
+                pid,
+                sig: Sig::SIGALRM,
+            };
+            self.timers.arm(at, period, alarm, Some(pid));
         }
     }
 
@@ -1693,7 +1618,7 @@ impl Kernel {
                         if let Some(slot) = rt.self_ckpt_ext {
                             let _ = self.do_syscall(pid, Syscall::Ext { slot, args: [0; 5] });
                         } else if let Some(agent) = rt.agent.clone() {
-                            self.dispatch_agent(&agent, |a, k| a.user_checkpoint(k, pid));
+                            self.dispatch_module(&agent, |m, k| m.user_checkpoint(k, pid));
                         }
                     }
                     if outcome.finished {

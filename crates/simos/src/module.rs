@@ -1,4 +1,5 @@
-//! Loadable kernel modules and user-level agents.
+//! The kernel's one plug-in registry: loadable kernel modules,
+//! static-kernel extensions and user-level checkpoint libraries.
 //!
 //! Table 1 of the paper has a "kernel module" column: CRAK, UCLiK, CHPOX,
 //! ZAP, BLCR, LAM/MPI and PsncR/C are modules, while VMADump, BPROC, EPCKPT,
@@ -12,11 +13,12 @@
 //!   `is_loadable() == false` and are installed at kernel construction —
 //!   they cannot be unloaded.
 //!
-//! A [`UserAgent`] is the *user-space* counterpart: the checkpoint library
-//! code that user-level schemes link (or `LD_PRELOAD`) into the
-//! application. It runs in process context on the user side of the
-//! protection boundary, so everything it learns about the process must be
-//! paid for with syscalls.
+//! The checkpoint library that user-level schemes link (or `LD_PRELOAD`)
+//! into the application registers here too, and answers only the
+//! [`KernelModule::user_checkpoint`] hook. It runs in process context on
+//! the user side of the protection boundary, so everything it learns about
+//! the process must be paid for with syscalls. Which side of the boundary a
+//! mechanism lives on is its own to declare, not the registry's.
 
 use crate::kernel::Kernel;
 use crate::signal::Sig;
@@ -93,21 +95,13 @@ pub trait KernelModule: Any {
     /// A kernel timer tagged for this module fired.
     fn timer_event(&mut self, _k: &mut Kernel, _tag: u64) {}
 
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// User-space checkpoint-library code attached to a process.
-pub trait UserAgent: Any {
-    /// Registry key.
-    fn name(&self) -> &str;
-
-    /// A checkpoint trigger reached the process in user context: either a
-    /// signal handler installed by this agent fired, or the application
-    /// reached an inserted checkpoint call site. Runs on the user side —
-    /// any process state it needs must be gathered through syscalls, and
-    /// the agent must charge its own user-mode work.
-    fn user_checkpoint(&mut self, k: &mut Kernel, pid: Pid);
+    /// A checkpoint trigger reached `pid` in user context, and this is the
+    /// library attached to it: either a signal handler the library
+    /// installed fired, or the application reached an inserted checkpoint
+    /// call site. Runs on the user side — any process state it needs must
+    /// be gathered through syscalls, and the library must charge its own
+    /// user-mode work.
+    fn user_checkpoint(&mut self, _k: &mut Kernel, _pid: Pid) {}
 
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;

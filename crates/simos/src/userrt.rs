@@ -49,13 +49,10 @@ pub struct UserRuntime {
     pub interposed_calls: u64,
     /// Counter incremented by `UserHandlerKind::CountOnly` handlers.
     pub handler_invocations: u64,
-    /// Set by signal-driven checkpoint handlers to ask the embedding
-    /// mechanism to perform a user-level checkpoint at the next safe point.
-    pub checkpoint_requested: bool,
-    /// Number of user-level checkpoints this runtime has performed.
-    pub checkpoints_taken: u64,
-    /// Name of the [`crate::module::UserAgent`] attached to this process
-    /// (the linked/preloaded checkpoint library), if any.
+    /// Registry name of the checkpoint library linked or preloaded into
+    /// this process, if any: the module whose
+    /// [`crate::module::KernelModule::user_checkpoint`] hook its triggers
+    /// reach.
     pub agent: Option<String>,
     /// If set, the application has been modified/relinked to call its
     /// checkpoint library every N completed steps (the libckpt/VMADump
@@ -63,7 +60,7 @@ pub struct UserRuntime {
     pub self_ckpt_every: Option<u64>,
     /// If set, the self-checkpoint call site invokes this extension syscall
     /// (the VMADump "checkpoint yourself via a new system call" pattern)
-    /// instead of a user-level agent.
+    /// instead of the library.
     pub self_ckpt_ext: Option<u32>,
 }
 

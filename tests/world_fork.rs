@@ -338,7 +338,8 @@ fn a_fork_shares_nothing_with_its_original() {
 
 #[test]
 fn a_world_with_a_module_or_an_agent_loaded_refuses_to_fork() {
-    for (mechanism, holder) in [("syscall", "module"), ("user-level", "agent")] {
+    // The user-level library registers as a module like any other plug-in.
+    for (mechanism, holder) in [("syscall", "module"), ("user-level", "module")] {
         let (mut k, pids) = build(
             &[Guest::Native(NativeKind::SparseRandom, AppParams::small())],
             &[Op::Run(100_000)],
