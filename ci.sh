@@ -35,9 +35,10 @@ cargo test -q --workspace -- --skip "$MATRIX"
 # The one test with a wall-clock budget (tests/crash_matrix.rs): the
 # matrix must stay cheap enough to never be sampled or skipped in CI.
 # Binaries are already built by the test phase, so the 30 s is all matrix:
-# 11-17 s here since each column boots one world and forks it per cell
-# (19-23 s before); the ceiling stays where it was.
-phase 'crash matrix (2250 cells, cell-for-cell pinned, ~14 s, < 30 s)'
+# ~5 s here since each cell forks the world at the last request boundary
+# before its fault site (~10 s when every cell forked the booted world);
+# the ceiling stays where it was.
+phase 'crash matrix (2250 cells, cell-for-cell pinned, ~5 s, < 30 s)'
 timeout 30 cargo test -q -p ckpt-restart --test crash_matrix "$MATRIX" -- --nocapture
 
 phase 'cargo clippy -- -D warnings'

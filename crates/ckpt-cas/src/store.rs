@@ -37,6 +37,8 @@ use ckpt_storage::{
 };
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
+use simos::types::SimResult;
+use simos::Relink;
 
 use crate::chunker::{split_and_digest, ChunkParams};
 use crate::delta::{xor_rle_decode, xor_rle_encode};
@@ -100,6 +102,29 @@ impl CasStats {
 pub struct CasStatsHandle(Arc<Counters>);
 
 impl CasStatsHandle {
+    /// The fork's copy of this handle: every holder of one set of counters
+    /// in the original reads one copy of them in the fork.
+    fn fork(&self, relink: &mut Relink) -> SimResult<CasStatsHandle> {
+        let counters = relink.shared(&self.0, |c, _| {
+            let at = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
+            Ok(Arc::new(Counters {
+                logical_bytes: at(&c.logical_bytes),
+                physical_bytes: at(&c.physical_bytes),
+                novel_chunks: at(&c.novel_chunks),
+                dup_chunks: at(&c.dup_chunks),
+                dup_bytes: at(&c.dup_bytes),
+                raw_objects: at(&c.raw_objects),
+                delta_objects: at(&c.delta_objects),
+                passthrough_objects: at(&c.passthrough_objects),
+                gc_chunks: at(&c.gc_chunks),
+                gc_bytes: at(&c.gc_bytes),
+                live_chunks: at(&c.live_chunks),
+                live_chunk_bytes: at(&c.live_chunk_bytes),
+            }))
+        })?;
+        Ok(CasStatsHandle(counters))
+    }
+
     pub fn snapshot(&self) -> CasStats {
         let c = &self.0;
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
@@ -128,6 +153,7 @@ impl std::fmt::Debug for CasStatsHandle {
 
 /// Interned-chunk bookkeeping: how large, how many live manifests
 /// reference it.
+#[derive(Clone)]
 struct ChunkEntry {
     len: u32,
     refs: u32,
@@ -137,6 +163,7 @@ struct ChunkEntry {
 /// base for subsequent stores. Raw bytes are kept so evicted base chunks
 /// can be re-interned if a later delta needs them after the base manifest
 /// was pruned.
+#[derive(Clone)]
 struct LineageBase {
     seq: u64,
     raw: Vec<u8>,
@@ -532,6 +559,19 @@ impl StableStorage for DedupStore {
 
     fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
         self.inner.replica_manifest(key)
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn StableStorage>> {
+        Ok(Box::new(DedupStore {
+            inner: self.inner.fork(relink)?,
+            params: self.params,
+            pool: self.pool.clone(),
+            faults: relink.faults().clone(),
+            index: self.index.clone(),
+            lineage: self.lineage.clone(),
+            manifest_refs: self.manifest_refs.clone(),
+            stats: self.stats.fork(relink)?,
+        }))
     }
 }
 

@@ -16,7 +16,7 @@ use simos::kernel::USER_IO_CHUNK;
 use simos::module::KernelModule;
 use simos::syscall::{Syscall, Whence};
 use simos::types::{Pid, SimError, SimResult};
-use simos::Kernel;
+use simos::{Kernel, Relink};
 use std::any::Any;
 
 /// Which side of the protection boundary a checkpoint round runs on —
@@ -157,6 +157,11 @@ impl UserCkptAgent {
         self.engine.seq()
     }
 
+    /// The library's engine: its lineage's seqs, tracker and manifests.
+    pub fn engine(&self) -> &KernelCkptEngine {
+        &self.engine
+    }
+
     pub fn checkpoints_taken(&self) -> u64 {
         self.outcomes.len() as u64
     }
@@ -180,6 +185,14 @@ impl KernelModule for UserCkptAgent {
         if let Err(e) = self.perform_checkpoint(k, pid) {
             self.errors.push(e.to_string());
         }
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn KernelModule>> {
+        Ok(Box::new(UserCkptAgent {
+            engine: self.engine.fork(relink)?,
+            outcomes: self.outcomes.clone(),
+            errors: self.errors.clone(),
+        }))
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -20,20 +20,37 @@
 //! visits (checkpoint phases, per-store byte offsets, chain segments,
 //! restart), so new instrumentation is swept in automatically.
 //!
-//! Two things are identical in every cell of a column, and the column
-//! computes each of them once. The world up to the first checkpoint (boot,
-//! spawn, the first run window) visits no fault site, so the recording pass
-//! boots it, asserts that nothing was recorded, and every cell starts from
-//! a [`Kernel::fork_world`] of that template (`Column`). And the replay a
-//! restarted cell is compared with depends only on the step it restored to,
-//! so the column's [`ReplayOracle`] keeps the few reference spans its cells
-//! ask for. Neither shortens a check: each cell still runs its own scenario
-//! from the fork point under its own fault handle and compares every byte.
+//! Three things are identical in every cell of a column, and the column
+//! computes each of them once (`Column`):
+//!
+//! * The world up to the first checkpoint (boot, spawn, the first run
+//!   window) visits no fault site, so the recording pass boots it, asserts
+//!   that nothing was recorded, and keeps it as the column's template.
+//! * A cell's run is the fault-free recording's up to its armed site. So a
+//!   process-level column also keeps the world at its latest request
+//!   boundary so far — before the second checkpoint request (kernel with
+//!   its modules, storage, mechanism) or before the restart (storage,
+//!   mechanism, the guest's progress; the restart boots a fresh kernel) —
+//!   with the site visit counts it was taken at. The first cell to reach a
+//!   boundary with its fault not yet fired leaves its world there for the
+//!   cells after it, and a cell starts from a fork of that world if its
+//!   site lies after it ([`FaultHandle::start_from`] keeps `@n` counting
+//!   the whole run), else from the template. Sites are armed in recording
+//!   order, so a column keeps two worlds at most and forks each once per
+//!   cell. A world is only ever kept *between* two requests, where nothing
+//!   is mid-call: a request's call stack is not state a fork can copy, and
+//!   every site a request visits lies after the boundary before it.
+//! * The replay a restarted cell is compared with depends only on the step
+//!   it restored to, so the column's [`ReplayOracle`] keeps the few
+//!   reference spans its cells ask for.
+//!
+//! None of them shortens a check: each cell still runs its own scenario
+//! from its fork point under its own fault handle, and compares every byte.
 
 use crate::mechanism::hibernate::{SoftwareSuspend, SuspendMode};
 use crate::mechanism::{family, Mechanism};
 use crate::tracker::TrackerKind;
-use crate::{RestartOutcome, RestorePid, SharedStorage};
+use crate::{fork_storage, RestartOutcome, RestorePid, SharedStorage};
 use ckpt_cas::{ChunkParams, DedupStore};
 use ckpt_ec::ErasureStore;
 use ckpt_replica::{ReplicaConfig, ReplicatedStore, Striped, StripedReplicaSet};
@@ -44,9 +61,9 @@ use ckpt_storage::{
 use parking_lot::Mutex;
 use simos::apps::{self, AppParams, GuestMemIo, NativeKind, VecMem};
 use simos::cost::CostModel;
-use simos::faultpoint::{Fault, FaultHandle};
+use simos::faultpoint::{Fault, FaultHandle, VisitCounts};
 use simos::types::{Pid, SimResult};
-use simos::Kernel;
+use simos::{Kernel, Relink};
 use std::fmt;
 use std::sync::Arc;
 
@@ -394,11 +411,11 @@ fn numeric_args<const N: usize>(label: &str, name: &str) -> Option<[usize; N]> {
     parsed.ok()?.try_into().ok()
 }
 
-/// Build the store a backend label names, with every layer consulting
-/// `faults`. Each stack is wrapped in a [`FaultInjectStore`], so the
-/// client-side `storage/<label>/{store,load}` sites are swept on top of
-/// the sites the stack visits itself.
-fn injected_store(label: &str, faults: &FaultHandle) -> Box<dyn StableStorage> {
+/// Build the store a backend label of [`TIERS`] names, with every layer
+/// consulting `faults`. Each stack is wrapped in a [`FaultInjectStore`], so
+/// the client-side `storage/<label>/{store,load}` sites are swept on top of
+/// the sites the stack visits itself. Panics on a label no tier names.
+pub fn injected_store(label: &str, faults: &FaultHandle) -> Box<dyn StableStorage> {
     const CAPACITY: u64 = 1 << 30;
     if let Some(inner) = label
         .strip_prefix("dedup(")
@@ -473,13 +490,27 @@ fn fresh_kernel(faults: &FaultHandle) -> Kernel {
 }
 
 /// What a column computes once and every one of its cells shares: the
-/// world as the first run window leaves it, and the replay oracle. The
-/// recording pass and every cell start from a [`Kernel::fork_world`] of the
-/// template, which is indistinguishable from booting again.
+/// world as the first run window leaves it, its latest world at a later
+/// request boundary, and the replay oracle. A cell starts from a fork of
+/// one of the worlds, which is indistinguishable from running there again
+/// from boot.
 struct Column {
     template: Kernel,
     pids: Vec<Pid>,
+    /// A process-level column's world at its latest request boundary past
+    /// the template that a cell has reached with its fault unfired. A
+    /// hibernation column keeps none: its only request is its first.
+    snapshot: Option<Snapshot>,
     oracle: ReplayOracle,
+}
+
+/// A process-level world at a request boundary of the fault-free run: how
+/// many of the scenario's requests lie behind it, and the site visit counts
+/// at that instant.
+struct Snapshot {
+    requests: usize,
+    counts: VisitCounts,
+    world: World,
 }
 
 impl Column {
@@ -497,58 +528,115 @@ impl Column {
         Column {
             template,
             pids,
+            snapshot: None,
             oracle: ReplayOracle::new(app_params()),
         }
     }
 
     /// The booted world, consulting `faults` from here on.
     fn world(&self, faults: &FaultHandle) -> Kernel {
-        let mut k = self
-            .template
-            .fork_world()
-            .expect("no module is loaded before `prepare`");
-        k.set_faults(faults.clone());
-        k
+        self.template
+            .fork_world(&mut Relink::new(faults.clone()))
+            .expect("no module is loaded at boot")
+    }
+
+    /// Where a process-level cell under `faults` starts: a fork of the
+    /// snapshot if its armed site lies after it, with the number of the
+    /// scenario's requests behind it, else the booted world.
+    fn start(&self, cfg: MatrixConfig, faults: &FaultHandle) -> (World, usize) {
+        match &self.snapshot {
+            Some(s) if faults.start_from(&s.counts).is_ok() => (s.world.fork(faults), s.requests),
+            _ => (World::boot(cfg, self, faults), 0),
+        }
     }
 }
 
-/// Where a process-level scenario ended: the mechanism (it carries the
-/// restart target), the shared storage, and what the crashed run had
-/// reached.
-struct ScenarioEnd {
-    pid: Pid,
+/// A process-level scenario between two of its requests: the kernel (gone
+/// once the scenario has stopped: the restart boots a fresh one), the
+/// mechanism with the store it shares with its module, and how far the
+/// guest had got when the scenario stopped.
+struct World {
+    k: Option<Kernel>,
     mech: Box<dyn Mechanism>,
     storage: SharedStorage,
     work_at_end: u64,
-    ckpt_error: Option<String>,
 }
 
-/// Run the standard scenario on the column's booted world: checkpoint,
-/// run, checkpoint again, run. Any injected fault surfaces as `ckpt_error`;
-/// the scenario then stops where a real crash would have stopped it.
-fn run_mech_scenario(cfg: MatrixConfig, column: &Column, faults: &FaultHandle) -> ScenarioEnd {
-    let mut k = column.world(faults);
-    let pid = column.pids[0];
-    let storage: SharedStorage = Arc::new(Mutex::new(injected_store(cfg.backend, faults)));
-    let mut mech = build_mechanism(cfg.mechanism, storage.clone());
-    let ckpt_error = (|| {
-        mech.prepare(&mut k, pid)?;
-        mech.checkpoint(&mut k, pid)?;
-        let _ = k.run_for(RUN2_NS);
-        mech.checkpoint(&mut k, pid)?;
-        let _ = k.run_for(RUN3_NS);
-        SimResult::Ok(())
-    })()
-    .err()
-    .map(|e| e.to_string());
-    let work_at_end = k.process(pid).map(|p| p.work_done).unwrap_or(0);
-    ScenarioEnd {
-        pid,
-        mech,
-        storage,
-        work_at_end,
-        ckpt_error,
+impl World {
+    /// The booted world, with a fresh stack and an unprepared mechanism,
+    /// all consulting `faults`.
+    fn boot(cfg: MatrixConfig, column: &Column, faults: &FaultHandle) -> World {
+        let storage: SharedStorage = Arc::new(Mutex::new(injected_store(cfg.backend, faults)));
+        World {
+            k: Some(column.world(faults)),
+            mech: build_mechanism(cfg.mechanism, storage.clone()),
+            storage,
+            work_at_end: 0,
+        }
     }
+
+    /// A copy consulting `faults` that shares nothing with this world: one
+    /// [`Relink`] for its three parts, so the forked mechanism and the
+    /// forked module it installed share one forked store.
+    fn fork(&self, faults: &FaultHandle) -> World {
+        let relink = &mut Relink::new(faults.clone());
+        let world = (|| {
+            SimResult::Ok(World {
+                k: self.k.as_ref().map(|k| k.fork_world(relink)).transpose()?,
+                mech: self.mech.fork(relink)?,
+                storage: fork_storage(&self.storage, relink)?,
+                work_at_end: self.work_at_end,
+            })
+        })();
+        world.unwrap_or_else(|e| panic!("every process-level world forks: {e}"))
+    }
+
+    /// The scenario is over: note the guest's progress, drop the kernel.
+    fn stop(&mut self, pid: Pid) {
+        if let Some(k) = self.k.take() {
+            self.work_at_end = k.process(pid).map(|p| p.work_done).unwrap_or(0);
+        }
+    }
+}
+
+/// The process-level scenario's requests: prepare and checkpoint, then run;
+/// checkpoint again, then run. [`run_mech_scenario`] keeps to their order.
+const REQUESTS: usize = 2;
+
+/// The `n`-th request of the process-level scenario, and the run window
+/// after it.
+fn request(n: usize, w: &mut World, pid: Pid) -> SimResult<()> {
+    let k = w.k.as_mut().expect("a request runs on a live kernel");
+    if n == 0 {
+        w.mech.prepare(k, pid)?;
+    }
+    w.mech.checkpoint(k, pid)?;
+    let _ = k.run_for([RUN2_NS, RUN3_NS][n]);
+    Ok(())
+}
+
+/// Run the scenario on from its `from`-th request, calling `boundary` with
+/// the number of requests behind the world before each later request and
+/// once the last has run. Any injected fault surfaces as the returned
+/// error; the scenario then stops where a real crash would have stopped it.
+fn run_mech_scenario(
+    w: &mut World,
+    pid: Pid,
+    from: usize,
+    mut boundary: impl FnMut(usize, &World),
+) -> Option<String> {
+    for n in from..REQUESTS {
+        if n > from {
+            boundary(n, w);
+        }
+        if let Err(e) = request(n, w, pid) {
+            w.stop(pid);
+            return Some(e.to_string());
+        }
+    }
+    w.stop(pid);
+    boundary(REQUESTS, w);
+    None
 }
 
 /// Does a decodable full chain for the scenario's process survive in
@@ -591,7 +679,7 @@ fn recover<R>(
 /// Process-level recovery: the node fails (losing volatile media) and is
 /// repaired before the mechanism restarts its target.
 fn restart_after_node_loss(
-    end: &mut ScenarioEnd,
+    end: &mut World,
     faults: &FaultHandle,
 ) -> (Kernel, SimResult<RestartOutcome>) {
     let node_loss = |s: &mut dyn StableStorage| {
@@ -603,11 +691,36 @@ fn restart_after_node_loss(
     })
 }
 
-/// One cell of a process-level column: the scenario under `faults`, node
-/// loss, restart, classification.
+/// One cell of a process-level column: the scenario under `faults` from
+/// the column's snapshot for it, node loss, restart, classification.
 fn mech_cell(cfg: MatrixConfig, column: &mut Column, faults: &FaultHandle) -> CellOutcome {
-    let mut end = run_mech_scenario(cfg, column, faults);
-    let (k, restart) = restart_after_node_loss(&mut end, faults);
+    let (world, from) = column.start(cfg, faults);
+    run_mech_cell(column, world, from, faults)
+}
+
+/// The rest of a process-level cell from `world`, which has the scenario's
+/// first `from` requests behind it.
+fn run_mech_cell(
+    column: &mut Column,
+    mut world: World,
+    from: usize,
+    faults: &FaultHandle,
+) -> CellOutcome {
+    let pid = column.pids[0];
+    let snapshot = &mut column.snapshot;
+    let ckpt_error = run_mech_scenario(&mut world, pid, from, |requests, w| {
+        // Nothing has fired, so this is the fault-free run's world: keep
+        // it for the cells after this one, which arm later sites.
+        let newer = snapshot.as_ref().is_none_or(|s| s.requests < requests);
+        if newer && !faults.is_off() && faults.fired().is_none() {
+            *snapshot = Some(Snapshot {
+                requests,
+                counts: faults.visit_counts(),
+                world: w.fork(&FaultHandle::disabled()),
+            });
+        }
+    });
+    let (k, restart) = restart_after_node_loss(&mut world, faults);
     match restart {
         Ok(r) => match column.oracle.verify_restored(&k, r.pid) {
             Ok(step) if step != r.work_done => CellOutcome::Violation {
@@ -617,17 +730,28 @@ fn mech_cell(cfg: MatrixConfig, column: &mut Column, faults: &FaultHandle) -> Ce
                 ),
             },
             Ok(step) => CellOutcome::Restarted {
-                lost_steps: end.work_at_end.saturating_sub(step),
+                lost_steps: world.work_at_end.saturating_sub(step),
             },
             Err(what) => CellOutcome::Violation { what },
         },
-        Err(e) if intact_chain_exists(&end.storage, end.pid) => CellOutcome::Violation {
+        Err(e) if intact_chain_exists(&world.storage, pid) => CellOutcome::Violation {
             what: format!("restart refused ({e}) but an intact chain survives"),
         },
         Err(e) => CellOutcome::Detected {
-            error: end.ckpt_error.unwrap_or_else(|| e.to_string()),
+            error: ckpt_error.unwrap_or_else(|| e.to_string()),
         },
     }
+}
+
+/// A process-level column's recording pass: the scenario fault-free from
+/// boot through node loss and restart, so the restart-side sites are swept
+/// too.
+fn record_mech_column(cfg: MatrixConfig, faults: &FaultHandle) -> Column {
+    let column = Column::boot(faults, 1);
+    let mut world = World::boot(cfg, &column, faults);
+    let _ = run_mech_scenario(&mut world, column.pids[0], 0, |_, _| {});
+    let _ = restart_after_node_loss(&mut world, faults);
+    column
 }
 
 // ---------------------------------------------------------------------
@@ -739,8 +863,10 @@ fn hibernate_cell(cfg: MatrixConfig, column: &mut Column, faults: &FaultHandle) 
 /// the column computes once (its booted world, its replay oracle); `cell`
 /// then runs once per (site × applicable fault kind) with that state, under
 /// a handle armed with exactly that fault, and classifies how the run
-/// ended. Every tier of the matrix — including the ones living in other
-/// crates — is this loop.
+/// ended. Cells come in the order the recording visited their sites, so a
+/// cell may leave state for the ones after it (a process-level column's
+/// world at a request boundary). Every tier of the matrix — including the
+/// ones living in other crates — is this loop.
 pub fn sweep<C>(
     cfg: MatrixConfig,
     record: impl FnOnce(&FaultHandle) -> C,
@@ -781,9 +907,8 @@ type Passes = (
     fn(MatrixConfig, &mut Column, &FaultHandle) -> CellOutcome,
 );
 
-/// A process-level column records through node loss and restart, so the
-/// restart-side sites are swept too; a hibernation column sweeps the
-/// suspend side only.
+/// A hibernation column sweeps the suspend side only, every cell from
+/// boot; a process-level column also sweeps its restart side.
 fn column_passes(cfg: MatrixConfig) -> Passes {
     match cfg.mechanism {
         "hibernate" => (
@@ -794,15 +919,7 @@ fn column_passes(cfg: MatrixConfig) -> Passes {
             },
             hibernate_cell,
         ),
-        _ => (
-            |cfg, faults| {
-                let column = Column::boot(faults, 1);
-                let mut end = run_mech_scenario(cfg, &column, faults);
-                let _ = restart_after_node_loss(&mut end, faults);
-                column
-            },
-            mech_cell,
-        ),
+        _ => (record_mech_column, mech_cell),
     }
 }
 
@@ -924,15 +1041,48 @@ mod tests {
                 matches!(out, CellOutcome::Restarted { .. }),
                 "{cfg:?}: {out:?}"
             );
-            // A process-level column checkpoints twice without error, and
-            // its restart reports the step the guest is bit-exact at.
-            let mut end = run_mech_scenario(cfg, &col, &faults);
-            assert!(end.ckpt_error.is_none(), "{cfg:?}: {:?}", end.ckpt_error);
-            let (k2, restart) = restart_after_node_loss(&mut end, &faults);
+            // From boot, a process-level column checkpoints twice without
+            // error, and its restart reports the step the guest is
+            // bit-exact at.
+            let mut world = World::boot(cfg, &col, &faults);
+            let error = run_mech_scenario(&mut world, col.pids[0], 0, |_, _| {});
+            assert!(error.is_none(), "{cfg:?}: {error:?}");
+            let (k2, restart) = restart_after_node_loss(&mut world, &faults);
             let r = restart.unwrap();
             let step = col.oracle.verify_restored(&k2, r.pid).unwrap();
             assert_eq!(step, r.work_done, "{cfg:?}");
-            assert!(end.work_at_end >= step, "{cfg:?}");
+            assert!(world.work_at_end >= step, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn a_cell_from_a_snapshot_ends_as_the_same_cell_from_boot() {
+        // Every site of the column under every fault kind: started from the
+        // column's snapshot for its site, a cell classifies exactly as it
+        // does when it replays the whole prefix under its armed handle.
+        for cfg in [
+            column("syscall", "dedup(local-disk)"),
+            column("kernel-thread", "remote"),
+        ] {
+            let (mut col, sites) = recorded(cfg);
+            let mut starts = std::collections::BTreeSet::new();
+            for site in &sites {
+                let torn = Fault::TornWrite {
+                    keep_bytes: site.bytes / 2,
+                };
+                for fault in [Fault::FailStop, Fault::Transient, torn] {
+                    let faults = FaultHandle::armed(&site.name, fault);
+                    let (world, from) = col.start(cfg, &faults);
+                    starts.insert(from);
+                    let forked = run_mech_cell(&mut col, world, from, &faults);
+                    let faults = FaultHandle::armed(&site.name, fault);
+                    let booted = World::boot(cfg, &col, &faults);
+                    let replayed = run_mech_cell(&mut col, booted, 0, &faults);
+                    let at = format!("{cfg:?} {} [{}]", site.name, fault.label());
+                    assert_eq!(forked, replayed, "{at}");
+                }
+            }
+            assert_eq!(starts.into_iter().collect::<Vec<_>>(), [0, 1, 2], "{cfg:?}");
         }
     }
 
@@ -941,8 +1091,9 @@ mod tests {
         let faults = FaultHandle::disabled();
         let cfg = column("syscall", "local-disk");
         let (mut col, _) = recorded(cfg);
-        let mut end = run_mech_scenario(cfg, &col, &faults);
-        let (mut k2, restart) = restart_after_node_loss(&mut end, &faults);
+        let (mut world, from) = col.start(cfg, &faults);
+        run_mech_scenario(&mut world, col.pids[0], from, |_, _| {});
+        let (mut k2, restart) = restart_after_node_loss(&mut world, &faults);
         let pid = restart.unwrap().pid;
         let addr = apps::ARRAY_BASE + 3 * simos::cost::PAGE_SIZE + 17;
         let mem = &mut k2.process_mut(pid).unwrap().mem;

@@ -42,6 +42,8 @@ pub use tracker::{Collected, Tracker, TrackerKind};
 
 use ckpt_storage::StableStorage;
 use parking_lot::Mutex;
+use simos::types::SimResult;
+use simos::Relink;
 use std::sync::Arc;
 
 /// Storage handle shareable between mechanisms (outside the kernel) and the
@@ -51,4 +53,13 @@ pub type SharedStorage = Arc<Mutex<Box<dyn StableStorage>>>;
 /// Wrap a backend for sharing.
 pub fn shared_storage(s: impl StableStorage + 'static) -> SharedStorage {
     Arc::new(Mutex::new(Box::new(s)))
+}
+
+/// The fork's copy of a shared store ([`StableStorage::fork`]): a
+/// mechanism and the module it installed hold one handle in the original,
+/// and hold one copy of it in the fork.
+pub fn fork_storage(storage: &SharedStorage, relink: &mut Relink) -> SimResult<SharedStorage> {
+    relink.shared(storage, |s, relink| {
+        Ok(Arc::new(Mutex::new(s.lock().fork(relink)?)))
+    })
 }

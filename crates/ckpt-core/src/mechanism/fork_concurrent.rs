@@ -14,12 +14,12 @@ use super::{
 };
 use crate::capture::{capture_image, CaptureOptions};
 use crate::report::{CkptOutcome, RestartOutcome};
-use crate::{RestorePid, SharedStorage};
+use crate::{fork_storage, RestorePid, SharedStorage};
 use simos::module::{KernelModule, KthreadStatus};
 use simos::sched::SchedPolicy;
 use simos::trace::Phase;
 use simos::types::{Errno, KtId, Pid, SimError, SimResult, SysResult};
-use simos::Kernel;
+use simos::{Kernel, Relink};
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -45,6 +45,7 @@ struct SaveReq {
 const SAVE_CHUNK_PAGES: usize = 16;
 
 /// An in-flight background save.
+#[derive(Clone)]
 struct ActiveSave {
     req: SaveReq,
     pages_left: Vec<u64>,
@@ -284,6 +285,21 @@ impl KernelModule for ForkCkptModule {
         self.next_status()
     }
 
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn KernelModule>> {
+        Ok(Box::new(ForkCkptModule {
+            name: self.name.clone(),
+            job: self.job.clone(),
+            storage: fork_storage(&self.storage, relink)?,
+            seqs: self.seqs.clone(),
+            queue: self.queue.clone(),
+            active: self.active.clone(),
+            kt: self.kt,
+            slot: self.slot,
+            outcomes: self.outcomes.clone(),
+            failures: self.failures,
+        }))
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -406,6 +422,17 @@ impl Mechanism for ForkConcurrentMechanism {
             outcomes_of(&m.outcomes, self.target)
         })
         .unwrap_or_default()
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
+        Ok(Box::new(ForkConcurrentMechanism {
+            module_name: self.module_name.clone(),
+            invoked_by_app: self.invoked_by_app,
+            self_every: self.self_every,
+            storage: fork_storage(&self.storage, relink)?,
+            job: self.job.clone(),
+            target: self.target,
+        }))
     }
 }
 

@@ -21,7 +21,7 @@ use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
 use crate::{RestorePid, SharedStorage};
 use simos::types::{Pid, SimResult};
-use simos::Kernel;
+use simos::{Kernel, Relink};
 
 /// Which hardware proposal to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +97,18 @@ impl Mechanism for HardwareMechanism {
 
     fn outcomes(&self, _k: &Kernel) -> Vec<CkptOutcome> {
         self.outcomes.clone()
+    }
+
+    fn engine(&self, _k: &Kernel) -> Option<KernelCkptEngine> {
+        Some(self.engine.clone())
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
+        Ok(Box::new(HardwareMechanism {
+            flavor: self.flavor,
+            engine: self.engine.fork(relink)?,
+            outcomes: self.outcomes.clone(),
+        }))
     }
 }
 

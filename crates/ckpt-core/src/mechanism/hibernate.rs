@@ -11,11 +11,11 @@
 
 use super::{commit_image, emit_phase_residual, with_frozen, Then};
 use crate::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
-use crate::SharedStorage;
+use crate::{fork_storage, SharedStorage};
 use ckpt_storage::ImageKey;
 use simos::trace::Phase;
 use simos::types::{Pid, SimError, SimResult};
-use simos::Kernel;
+use simos::{Kernel, Relink};
 
 /// Where the hibernation image goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +52,17 @@ impl SoftwareSuspend {
             saved_pids: Vec::new(),
             seq: 0,
         }
+    }
+
+    /// The mechanism in a fork of its world, its storage re-pointed through
+    /// `relink` (see [`super::Mechanism::fork`]).
+    pub fn fork(&self, relink: &mut Relink) -> SimResult<SoftwareSuspend> {
+        Ok(SoftwareSuspend {
+            storage: fork_storage(&self.storage, relink)?,
+            job: self.job.clone(),
+            saved_pids: self.saved_pids.clone(),
+            seq: self.seq,
+        })
     }
 
     /// Freeze every process, save all their images, and power the node

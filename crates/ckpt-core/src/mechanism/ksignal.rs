@@ -17,11 +17,11 @@ use super::{
 };
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
-use crate::{RestorePid, SharedStorage};
+use crate::{fork_storage, RestorePid, SharedStorage};
 use simos::module::KernelModule;
 use simos::signal::Sig;
 use simos::types::{Errno, Pid, SimError, SimResult, SysResult};
-use simos::Kernel;
+use simos::{Kernel, Relink};
 use std::any::Any;
 use std::collections::BTreeMap;
 
@@ -102,6 +102,15 @@ impl KernelModule for ChpoxModule {
             self.outcomes.push((pid, outcome));
         }
         true
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn KernelModule>> {
+        Ok(Box::new(ChpoxModule {
+            name: self.name.clone(),
+            engines: self.engines.fork(relink)?,
+            outcomes: self.outcomes.clone(),
+            initiated_at: self.initiated_at.clone(),
+        }))
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -192,6 +201,23 @@ impl Mechanism for KernelSignalMechanism {
             outcomes_of(&m.outcomes, self.target)
         })
         .unwrap_or_default()
+    }
+
+    fn engine(&self, k: &Kernel) -> Option<KernelCkptEngine> {
+        k.with_module::<ChpoxModule, _>(&self.module_name, |m| {
+            m.engines.get(self.target?).cloned()
+        })
+        .flatten()
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
+        Ok(Box::new(KernelSignalMechanism {
+            module_name: self.module_name.clone(),
+            storage: fork_storage(&self.storage, relink)?,
+            job: self.job.clone(),
+            tracker: self.tracker,
+            target: self.target,
+        }))
     }
 }
 

@@ -26,13 +26,13 @@ use super::{
 };
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
-use crate::{RestorePid, SharedStorage};
+use crate::{fork_storage, RestorePid, SharedStorage};
 use simos::module::{KernelModule, KthreadStatus};
 use simos::sched::SchedPolicy;
 use simos::signal::{Sig, SigAction, UserHandlerKind};
 use simos::syscall::Syscall;
 use simos::types::{Errno, KtId, Pid, SimError, SimResult, SysResult};
-use simos::Kernel;
+use simos::{Kernel, Relink};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -204,6 +204,19 @@ impl KernelModule for CkptKthreadModule {
         }
     }
 
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn KernelModule>> {
+        Ok(Box::new(CkptKthreadModule {
+            name: self.name.clone(),
+            iface: self.iface,
+            rt_prio: self.rt_prio,
+            engines: self.engines.fork(relink)?,
+            queue: self.queue.clone(),
+            kt: self.kt,
+            outcomes: self.outcomes.clone(),
+            requests_failed: self.requests_failed,
+        }))
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -334,6 +347,26 @@ impl Mechanism for KernelThreadMechanism {
             outcomes_of(&m.outcomes, self.target)
         })
         .unwrap_or_default()
+    }
+
+    fn engine(&self, k: &Kernel) -> Option<KernelCkptEngine> {
+        k.with_module::<CkptKthreadModule, _>(&self.module_name, |m| {
+            m.engines.get(self.target?).cloned()
+        })
+        .flatten()
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
+        Ok(Box::new(KernelThreadMechanism {
+            module_name: self.module_name.clone(),
+            iface: self.iface,
+            rt_prio: self.rt_prio,
+            variant: self.variant,
+            storage: fork_storage(&self.storage, relink)?,
+            job: self.job.clone(),
+            tracker: self.tracker,
+            target: self.target,
+        }))
     }
 }
 

@@ -33,7 +33,7 @@ use crate::agents::RoundContext;
 use crate::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::{Tracker, TrackerKind};
-use crate::SharedStorage;
+use crate::{fork_storage, SharedStorage};
 use ckpt_image::{ChainError, ImageKind};
 use ckpt_storage::{
     load_latest_valid_chain, prune_superseded, store_image_bytes, ImageKey, ImageStoreError,
@@ -41,7 +41,7 @@ use ckpt_storage::{
 };
 use simos::trace::{Phase, StorageOp, TraceHandle};
 use simos::types::{Pid, SimError, SimResult};
-use simos::Kernel;
+use simos::{Kernel, Relink};
 use std::collections::BTreeMap;
 
 /// Where the mechanism's checkpoint code executes.
@@ -117,6 +117,20 @@ pub trait Mechanism {
     /// module. Ordered. Read-only: inspecting results must not perturb
     /// the kernel (modules are reached via [`Kernel::with_module`]).
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome>;
+
+    /// A copy of the engine the prepared process's checkpoints run on —
+    /// its seqs, tracker and chain manifests — wherever the family keeps
+    /// it. `None` before the first request, and for a family that runs on
+    /// no engine (fork-concurrent).
+    fn engine(&self, _k: &Kernel) -> Option<KernelCkptEngine> {
+        None
+    }
+
+    /// The mechanism in a fork of its world, its storage re-pointed
+    /// through `relink` — the map the kernel's [`Kernel::fork_world`]
+    /// goes through too, so the forked mechanism and the forked module
+    /// it installed share one forked store.
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>>;
 }
 
 /// One row of the family table: a Figure 1 leaf in the configuration the
@@ -369,6 +383,16 @@ impl KernelCkptEngine {
         engine
     }
 
+    /// This engine in a fork of its world: the same lineage (seqs,
+    /// tracker, chain manifests) over the store `relink` maps its own to.
+    /// The encode pool is an executor, not state: the fork shares it.
+    pub fn fork(&self, relink: &mut Relink) -> SimResult<Self> {
+        Ok(KernelCkptEngine {
+            storage: fork_storage(&self.storage, relink)?,
+            ..self.clone()
+        })
+    }
+
     pub fn seq(&self) -> u64 {
         self.seq
     }
@@ -562,6 +586,22 @@ impl Engines {
             engine.set_target(pid);
             engine
         })
+    }
+
+    /// The table in a fork of its world, every engine forked.
+    pub(crate) fn fork(&self, relink: &mut Relink) -> SimResult<Self> {
+        let mut by_pid = BTreeMap::new();
+        for (&pid, engine) in &self.by_pid {
+            by_pid.insert(pid, engine.fork(relink)?);
+        }
+        Ok(Engines {
+            template: self.template.fork(relink)?,
+            by_pid,
+        })
+    }
+
+    pub(crate) fn get(&self, pid: Pid) -> Option<&KernelCkptEngine> {
+        self.by_pid.get(&pid.0)
     }
 
     pub(crate) fn get_mut(&mut self, pid: Pid) -> Option<&mut KernelCkptEngine> {

@@ -27,10 +27,10 @@ use super::{
 };
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
-use crate::{RestorePid, SharedStorage};
+use crate::{fork_storage, RestorePid, SharedStorage};
 use simos::module::KernelModule;
 use simos::types::{Errno, Pid, SimError, SimResult, SysResult};
-use simos::Kernel;
+use simos::{Kernel, Relink};
 use std::any::Any;
 
 /// Which flavour of the syscall mechanism.
@@ -122,6 +122,16 @@ impl KernelModule for CkptSyscallModule {
         } else {
             Err(Errno::ENOSYS)
         }
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn KernelModule>> {
+        Ok(Box::new(CkptSyscallModule {
+            name: self.name.clone(),
+            engines: self.engines.fork(relink)?,
+            outcomes: self.outcomes.clone(),
+            slot_self: self.slot_self,
+            slot_pid: self.slot_pid,
+        }))
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -239,6 +249,24 @@ impl Mechanism for SyscallMechanism {
             outcomes_of(&m.outcomes, self.target)
         })
         .unwrap_or_default()
+    }
+
+    fn engine(&self, k: &Kernel) -> Option<KernelCkptEngine> {
+        k.with_module::<CkptSyscallModule, _>(&self.module_name, |m| {
+            m.engines.get(self.target?).cloned()
+        })
+        .flatten()
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
+        Ok(Box::new(SyscallMechanism {
+            module_name: self.module_name.clone(),
+            variant: self.variant,
+            storage: fork_storage(&self.storage, relink)?,
+            job: self.job.clone(),
+            tracker: self.tracker,
+            target: self.target,
+        }))
     }
 }
 

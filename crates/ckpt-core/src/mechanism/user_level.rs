@@ -19,16 +19,19 @@
 //! parsing at checkpoint time — paid for with a per-syscall interposition
 //! tax for the whole run.
 
-use super::{charge_tool_syscall, AgentKind, Context, Initiation, Mechanism, MechanismInfo};
+use super::{
+    charge_tool_syscall, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism,
+    MechanismInfo,
+};
 use crate::agents::{UserAgentConfig, UserCkptAgent};
 use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
-use crate::{RestorePid, SharedStorage};
+use crate::{fork_storage, RestorePid, SharedStorage};
 use simos::mem::VmaKind;
 use simos::signal::{Sig, SigAction, UserHandlerKind};
 use simos::syscall::Syscall;
 use simos::types::{Pid, SimError, SimResult};
-use simos::Kernel;
+use simos::{Kernel, Relink};
 
 /// What causes the library to take a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,6 +210,22 @@ impl Mechanism for UserLevelMechanism {
     fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
         k.with_module::<UserCkptAgent, _>(&self.agent_name, |a| a.outcomes.clone())
             .unwrap_or_default()
+    }
+
+    fn engine(&self, k: &Kernel) -> Option<KernelCkptEngine> {
+        k.with_module::<UserCkptAgent, _>(&self.agent_name, |a| a.engine().clone())
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
+        Ok(Box::new(UserLevelMechanism {
+            agent_name: self.agent_name.clone(),
+            trigger: self.trigger,
+            preload: self.preload,
+            tracker: self.tracker,
+            storage: fork_storage(&self.storage, relink)?,
+            job: self.job.clone(),
+            target: self.target,
+        }))
     }
 }
 

@@ -63,6 +63,8 @@ use ckpt_storage::{
 use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
 use simos::trace::TraceHandle;
+use simos::types::SimResult;
+use simos::Relink;
 
 use crate::rs::RsCode;
 
@@ -311,6 +313,17 @@ impl StripeMember for ErasureStore {
     fn quorum_mut(&mut self) -> &mut QuorumClient {
         &mut self.core
     }
+
+    fn fork_member(&self, relink: &mut Relink) -> SimResult<Self> {
+        let at = |c: &AtomicU64| AtomicU64::new(c.load(Ordering::Relaxed));
+        Ok(ErasureStore {
+            core: self.core.fork(relink)?,
+            code: self.code.clone(),
+            decodes: at(&self.decodes),
+            repairs: at(&self.repairs),
+            shard_losses: at(&self.shard_losses),
+        })
+    }
 }
 
 impl StableStorage for ErasureStore {
@@ -522,6 +535,10 @@ impl StableStorage for ErasureStore {
 
     fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
         self.core.manifest(key)
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn StableStorage>> {
+        Ok(Box::new(self.fork_member(relink)?))
     }
 
     /// Framed batched shard commit: each node receives ONE wire frame

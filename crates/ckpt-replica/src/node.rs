@@ -25,6 +25,8 @@ use std::sync::Arc;
 
 use ckpt_storage::{fnv1a64, fnv1a64_multi};
 use parking_lot::Mutex;
+use simos::types::SimResult;
+use simos::Relink;
 
 /// One replica's copy of one object. `digest` is computed over the *full*
 /// payload at commit time; a torn write persists a prefix of `data` under
@@ -68,7 +70,7 @@ pub enum Probe {
     Valid(Frame),
 }
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct NodeState {
     frames: BTreeMap<String, Frame>,
     /// Per-key digest-check memo: `(version, intact)` of the last frame
@@ -107,6 +109,18 @@ impl ReplicaNode {
 
     pub fn index(&self) -> u32 {
         self.index
+    }
+
+    /// The fork's copy of `node` (see [`ReplicaSet::fork`]). Payloads are
+    /// immutable once written, so the copy shares their bytes and nothing
+    /// else.
+    fn fork(node: &Arc<ReplicaNode>, relink: &mut Relink) -> SimResult<Arc<ReplicaNode>> {
+        relink.shared(node, |n, _| {
+            Ok(Arc::new(ReplicaNode {
+                index: n.index,
+                state: Mutex::new(n.state.lock().clone()),
+            }))
+        })
     }
 
     pub fn is_down(&self) -> bool {
@@ -379,6 +393,19 @@ impl ReplicaSet {
         assert!(n >= 1, "a replica set needs at least one node");
         Arc::new(ReplicaSet {
             nodes: (0..n as u32).map(|i| Arc::new(ReplicaNode::new(i))).collect(),
+        })
+    }
+
+    /// The fork's copy of `set`: every client of one set in the original
+    /// reaches one copy of it, node for node, in the fork.
+    pub fn fork(set: &Arc<ReplicaSet>, relink: &mut Relink) -> SimResult<Arc<ReplicaSet>> {
+        relink.shared(set, |s, relink| {
+            let nodes = s
+                .nodes
+                .iter()
+                .map(|n| ReplicaNode::fork(n, relink))
+                .collect::<SimResult<_>>()?;
+            Ok(Arc::new(ReplicaSet { nodes }))
         })
     }
 

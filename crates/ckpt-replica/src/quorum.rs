@@ -40,6 +40,8 @@ use ckpt_storage::{fnv1a64, BatchReceipt, CodingGeometry, ReplicaManifest, Stora
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
 use simos::trace::TraceHandle;
+use simos::types::SimResult;
+use simos::Relink;
 
 use crate::backoff::{Backoff, BackoffPolicy};
 use crate::node::{Admission, Frame, ReplicaSet};
@@ -64,6 +66,18 @@ struct StatCells {
     retries: AtomicU64,
     quorum_losses: AtomicU64,
     ack_cycles: AtomicU64,
+}
+
+impl StatCells {
+    fn copy(&self) -> StatCells {
+        let at = |c: &AtomicU64| AtomicU64::new(c.load(Ordering::Relaxed));
+        StatCells {
+            commits: at(&self.commits),
+            retries: at(&self.retries),
+            quorum_losses: at(&self.quorum_losses),
+            ack_cycles: at(&self.ack_cycles),
+        }
+    }
 }
 
 /// Per-node write decision, resolved sequentially before the pool moves
@@ -191,7 +205,7 @@ pub struct QuorumClient {
     stats: StatCells,
 }
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct LastCommit {
     /// Per object, in commit order: its key and the manifest it replaced.
     keys: Vec<(String, Option<ReplicaManifest>)>,
@@ -236,6 +250,27 @@ impl QuorumClient {
             undo: LastCommit::default(),
             stats: StatCells::default(),
         }
+    }
+
+    /// This client in a fork of its world: its set re-pointed through
+    /// `relink` and consulting [`Relink::faults`], its manifests, undo
+    /// record and counters carried over. Trace sink and pool are shared.
+    pub fn fork(&self, relink: &mut Relink) -> SimResult<QuorumClient> {
+        Ok(QuorumClient {
+            set: ReplicaSet::fork(&self.set, relink)?,
+            w: self.w,
+            faults: relink.faults().clone(),
+            trace: self.trace.clone(),
+            counters: self.counters,
+            pool: self.pool.clone(),
+            client_up: self.client_up,
+            site_prefix: self.site_prefix.clone(),
+            node_tag: self.node_tag,
+            coding: self.coding,
+            manifests: self.manifests.clone(),
+            undo: self.undo.clone(),
+            stats: self.stats.copy(),
+        })
     }
 
     pub fn set_faults(&mut self, faults: FaultHandle) {

@@ -40,6 +40,8 @@ use ckpt_storage::{
 use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
 use simos::trace::TraceHandle;
+use simos::types::SimResult;
+use simos::Relink;
 
 use crate::node::{Frame, Probe, ReplicaSet};
 use crate::quorum::{CommitObject, QuorumClient, WireFrame};
@@ -202,6 +204,15 @@ impl StripeMember for ReplicatedStore {
 
     fn quorum_mut(&mut self) -> &mut QuorumClient {
         &mut self.core
+    }
+
+    fn fork_member(&self, relink: &mut Relink) -> SimResult<Self> {
+        let at = |c: &AtomicU64| AtomicU64::new(c.load(Ordering::Relaxed));
+        Ok(ReplicatedStore {
+            core: self.core.fork(relink)?,
+            repairs: at(&self.repairs),
+            payload_digests: at(&self.payload_digests),
+        })
     }
 }
 
@@ -366,6 +377,10 @@ impl StableStorage for ReplicatedStore {
 
     fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
         self.core.manifest(key)
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn StableStorage>> {
+        Ok(Box::new(self.fork_member(relink)?))
     }
 
     /// Framed batched quorum commit: the whole batch is one wire frame

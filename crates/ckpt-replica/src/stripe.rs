@@ -41,6 +41,8 @@ use ckpt_storage::{
 use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
 use simos::trace::TraceHandle;
+use simos::types::SimResult;
+use simos::Relink;
 
 use crate::node::ReplicaSet;
 use crate::quorum::QuorumClient;
@@ -74,6 +76,22 @@ impl StripedReplicaSet {
         })
     }
 
+    /// The fork's copy of `set`, each stripe through `relink` so the
+    /// member stores' sets are the pool's in the fork too.
+    pub fn fork(
+        set: &Arc<StripedReplicaSet>,
+        relink: &mut Relink,
+    ) -> SimResult<Arc<StripedReplicaSet>> {
+        relink.shared(set, |s, relink| {
+            let stripes = s
+                .stripes
+                .iter()
+                .map(|stripe| ReplicaSet::fork(stripe, relink))
+                .collect::<SimResult<_>>()?;
+            Ok(Arc::new(StripedReplicaSet { stripes }))
+        })
+    }
+
     pub fn width(&self) -> usize {
         self.stripes.len()
     }
@@ -96,7 +114,7 @@ impl StripedReplicaSet {
 /// and its quorum core (through which the router wires faults, tracing
 /// and pool into every stripe, and retracts a stripe's commit when a later
 /// stripe refuses).
-pub trait StripeMember: StableStorage {
+pub trait StripeMember: StableStorage + 'static {
     /// Stem of the pool's faultpoint namespaces: stripe `j`'s sites
     /// render under `<SITE_STEM><j>/`.
     const SITE_STEM: &'static str;
@@ -106,6 +124,11 @@ pub trait StripeMember: StableStorage {
     fn pool_label(&self, width: usize) -> String;
 
     fn quorum_mut(&mut self) -> &mut QuorumClient;
+
+    /// This member in a fork of its pool's world.
+    fn fork_member(&self, relink: &mut Relink) -> SimResult<Self>
+    where
+        Self: Sized;
 }
 
 /// One client handle over a striped pool: one member store per stripe.
@@ -289,6 +312,16 @@ impl<S: StripeMember> StableStorage for Striped<S> {
 
     fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
         self.stores[self.home(key)].replica_manifest(key)
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn StableStorage>> {
+        let set = StripedReplicaSet::fork(&self.set, relink)?;
+        let stores = self
+            .stores
+            .iter()
+            .map(|s| s.fork_member(relink))
+            .collect::<SimResult<_>>()?;
+        Ok(Box::new(Striped { set, stores }))
     }
 
     fn store_batch(

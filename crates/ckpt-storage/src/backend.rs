@@ -16,6 +16,8 @@
 //!   partition.
 
 use simos::cost::CostModel;
+use simos::types::{SimError, SimResult};
+use simos::Relink;
 
 /// Which kind of medium a backend is.
 ///
@@ -256,6 +258,19 @@ pub trait StableStorage: Send {
     /// this backend replicates. Single-copy backends return `None`.
     fn replica_manifest(&self, _key: &str) -> Option<ReplicaManifest> {
         None
+    }
+
+    /// A copy of the store as it stands, for a fork of the world holding
+    /// it: every layer consults [`Relink::faults`], and state shared with
+    /// other holders (a remote server, a replica set, a stats handle) is
+    /// copied once through `relink` — two holders of one server still
+    /// share one in the fork, and nothing is shared with the original. The
+    /// default refuses: a backend that does not say how it forks keeps its
+    /// world from forking.
+    fn fork(&self, _relink: &mut Relink) -> SimResult<Box<dyn StableStorage>> {
+        Err(SimError::WorldNotForkable {
+            holder: format!("storage {}", self.label()),
+        })
     }
 
     /// Commit a batch of objects as one transaction: either every object

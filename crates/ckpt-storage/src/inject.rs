@@ -20,6 +20,8 @@
 use crate::backend::{ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt};
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
+use simos::types::SimResult;
+use simos::Relink;
 
 /// Decorator injecting faults into a wrapped backend. See the module docs.
 pub struct FaultInjectStore {
@@ -118,6 +120,12 @@ impl StableStorage for FaultInjectStore {
     }
     fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
         self.inner.replica_manifest(key)
+    }
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn StableStorage>> {
+        Ok(Box::new(FaultInjectStore {
+            inner: self.inner.fork(relink)?,
+            faults: relink.faults().clone(),
+        }))
     }
 }
 

@@ -6,12 +6,14 @@
 use crate::backend::{StableStorage, StorageClass, StorageError, StoreReceipt};
 use parking_lot::Mutex;
 use simos::cost::CostModel;
+use simos::types::SimResult;
+use simos::Relink;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Keyed byte objects under a capacity: what every medium holds.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Shelf {
     objects: BTreeMap<String, Vec<u8>>,
     capacity: u64,
@@ -89,7 +91,7 @@ fn reachable(available: bool) -> Result<(), StorageError> {
 
 /// Names a node-local [`StorageClass`] at the type level, so each medium
 /// keeps a constructor of its own (`LocalDisk::new(capacity)`).
-pub trait NodeClass: Send + std::fmt::Debug {
+pub trait NodeClass: Send + std::fmt::Debug + 'static {
     const CLASS: StorageClass;
 }
 
@@ -203,6 +205,13 @@ impl<C: NodeClass> StableStorage for NodeMedium<C> {
             self.shelf.objects.clear();
         }
     }
+    fn fork(&self, _relink: &mut Relink) -> SimResult<Box<dyn StableStorage>> {
+        Ok(Box::new(NodeMedium::<C> {
+            shelf: self.shelf.clone(),
+            available: self.available,
+            class: PhantomData,
+        }))
+    }
 }
 
 /// The shared server behind any number of [`RemoteStore`] clients — e.g. a
@@ -301,6 +310,19 @@ impl StableStorage for RemoteStore {
         self.available = true;
     }
     fn on_power_down(&mut self) {}
+    /// Every client of one server in the original reaches one copy of it
+    /// in the fork.
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn StableStorage>> {
+        let server = relink.shared(&self.server, |s, _| {
+            Ok(Arc::new(RemoteServer {
+                shelf: Mutex::new(s.shelf.lock().clone()),
+            }))
+        })?;
+        Ok(Box::new(RemoteStore {
+            server,
+            available: self.available,
+        }))
+    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,14 @@
 //!   medium, then the node dies (storage sites only).
 //! * [`Fault::Transient`] — the operation fails once with a typed error;
 //!   the node stays up.
+//!
+//! ## Starting mid-run
+//!
+//! A caller that forks a run's world at some instant instead of replaying
+//! it from the start needs the ordinals to survive the fork: a recording
+//! handle's [`FaultHandle::visit_counts`] at that instant, given to an
+//! armed handle's [`FaultHandle::start_from`], makes `X@n` name the n-th
+//! visit of the whole run, not of the part after the fork.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -69,6 +77,12 @@ pub struct SiteRecord {
     /// length, so a driver can choose torn-write offsets); 0 elsewhere.
     pub bytes: u64,
 }
+
+/// Per-site visit counts at one instant of a run: what an armed handle
+/// starts from when the run is resumed from a fork taken at that instant
+/// ([`FaultHandle::start_from`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct VisitCounts(BTreeMap<String, u64>);
 
 const MODE_OFF: u8 = 0;
 const MODE_RECORDING: u8 = 1;
@@ -217,6 +231,46 @@ impl FaultHandle {
         }
     }
 
+    /// How often each site has been visited so far.
+    pub fn visit_counts(&self) -> VisitCounts {
+        if self.is_off() {
+            return VisitCounts::default();
+        }
+        VisitCounts(self.0.data.lock().unwrap().counts.clone())
+    }
+
+    /// Take up the run at the instant `counts` was snapshot, so the armed
+    /// site's ordinal counts the visits before it too. Refused, with the
+    /// handle left as it was, when the armed visit already happened before
+    /// that instant (it could never fire from there), or when this handle
+    /// has visited a site itself. A disabled handle has nothing to count,
+    /// and an armed name without an ordinal never fires: both accept any
+    /// instant.
+    pub fn start_from(&self, counts: &VisitCounts) -> Result<(), String> {
+        if self.is_off() {
+            return Ok(());
+        }
+        let mut d = self.0.data.lock().unwrap();
+        if !d.counts.is_empty() {
+            return Err("the handle has already visited sites of its own".into());
+        }
+        let armed = d
+            .armed_site
+            .rsplit_once('@')
+            .and_then(|(base, n)| Some((base, n.parse::<u64>().ok()?)));
+        if let Some((base, n)) = armed {
+            let before = counts.0.get(base).copied().unwrap_or(0);
+            if before >= n {
+                return Err(format!(
+                    "{} lies before the snapshot: {base} was visited {before} times by then",
+                    d.armed_site
+                ));
+            }
+        }
+        d.counts = counts.0.clone();
+        Ok(())
+    }
+
     /// The sites visited so far (recording mode), in order.
     pub fn sites(&self) -> Vec<SiteRecord> {
         if self.is_off() {
@@ -270,6 +324,58 @@ mod tests {
         assert_eq!(h.fired().as_deref(), Some("mech/x/freeze@2"));
         assert_eq!(h.check("mech/x/freeze", 0), None, "one-shot");
         assert!(!h.node_crashed(), "transient faults keep the node up");
+    }
+
+    /// Walk `visits` on `h`, returning what each visit injected.
+    fn walk(h: &FaultHandle, visits: &[&str]) -> Vec<Option<Fault>> {
+        visits.iter().map(|base| h.check(base, 8)).collect()
+    }
+
+    #[test]
+    fn an_armed_handle_started_from_a_snapshot_fires_where_a_full_walk_does() {
+        let prefix = ["mech/x/store", "mech/x/freeze", "mech/x/store"];
+        let suffix = ["mech/x/freeze", "mech/x/store", "mech/x/store"];
+        let recording = FaultHandle::recording();
+        walk(&recording, &prefix);
+        let counts = recording.visit_counts();
+        walk(&recording, &suffix);
+        // Every site the recording lists after the snapshot fires at the
+        // same visit, under the same full name, both ways.
+        for site in recording.sites().into_iter().skip(prefix.len()) {
+            let walked = FaultHandle::armed(&site.name, Fault::Transient);
+            walk(&walked, &prefix);
+            let started = FaultHandle::armed(&site.name, Fault::Transient);
+            started.start_from(&counts).unwrap();
+            let (started_at, walked_at) = (walk(&started, &suffix), walk(&walked, &suffix));
+            assert_eq!(started_at, walked_at, "{}", site.name);
+            assert_eq!(started.fired(), walked.fired());
+            assert_eq!(started.fired().as_deref(), Some(site.name.as_str()));
+        }
+    }
+
+    #[test]
+    fn a_site_the_snapshot_already_passed_is_refused_not_silently_dropped() {
+        let recording = FaultHandle::recording();
+        let visits = ["mech/x/store", "mech/x/store", "mech/x/freeze"];
+        walk(&recording, &visits);
+        let counts = recording.visit_counts();
+        let h = FaultHandle::armed("mech/x/store@2", Fault::FailStop);
+        let err = h.start_from(&counts).unwrap_err();
+        let named = err.contains("mech/x/store@2") && err.contains("visited 2 times");
+        assert!(named, "{err}");
+        // Refused means untouched: the handle still walks from zero.
+        let injected = walk(&h, &visits[..2]);
+        assert_eq!(injected[1], Some(Fault::FailStop));
+        // The next visit of the same site lies after the snapshot.
+        let next = FaultHandle::armed("mech/x/store@3", Fault::FailStop);
+        assert!(next.start_from(&counts).is_ok());
+        // A handle that already counted for itself cannot start over.
+        assert!(h.start_from(&counts).is_err());
+        assert!(recording.start_from(&counts).is_err());
+        // Off, or armed at a name no visit carries: any instant will do.
+        assert!(FaultHandle::disabled().start_from(&counts).is_ok());
+        let unnamed = FaultHandle::armed("never", Fault::FailStop);
+        assert!(unnamed.start_from(&counts).is_ok());
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::mem::{AccessOutcome, AddressSpace, Prot, TrackMode, TEXT_BASE};
 use crate::mem::DATA_BASE;
 use crate::module::{KernelModule, KthreadStatus};
 use crate::pcb::{FdTable, Pcb, ProcState, ProgramSpec, Regs};
+use crate::relink::Relink;
 use crate::sched::{RunQueue, SchedPolicy};
 use crate::signal::{
     builtin_default_action, DefaultAction, Sig, SigAction, SignalState, UserHandlerKind,
@@ -118,17 +119,20 @@ impl Kernel {
 
     /// A structural copy of the whole machine: clock, every process with its
     /// address space and soft TLB, the run queue, open files, the
-    /// filesystem, timers and statistics. Run under the same schedule, the
-    /// copy is indistinguishable from a kernel rebuilt from scratch and
-    /// driven to the same instant, and nothing it does afterwards reaches
-    /// the original. The trace and fault handles are the original's (they
-    /// are shared sinks): install others with [`Kernel::set_trace`] /
-    /// [`Kernel::set_faults`].
+    /// filesystem, timers, statistics, and every loaded module with the
+    /// extension-syscall slots and claimed signals that lead to it. Run
+    /// under the same schedule, the copy is indistinguishable from a kernel
+    /// built anew and driven to the same instant, and nothing it
+    /// does afterwards reaches the original. It consults
+    /// [`Relink::faults`]; the trace handle is the original's (a shared
+    /// sink): install another with [`Kernel::set_trace`].
     ///
-    /// Modules are opaque boxes that may hold links out of the kernel
-    /// (stores, channels), so a kernel with one loaded refuses with
-    /// [`SimError::WorldNotForkable`]: fork before the first `prepare`.
-    pub fn fork_world(&self) -> SimResult<Kernel> {
+    /// Each module forks itself ([`KernelModule::fork`]) through `relink`,
+    /// so one that shares a store with the mechanism driving it still does
+    /// in the fork, once the mechanism is forked through the same map. A
+    /// module that does not fork, or one detached for a call in progress,
+    /// refuses with [`SimError::WorldNotForkable`].
+    pub fn fork_world(&self, relink: &mut Relink) -> SimResult<Kernel> {
         // Exhaustive on purpose: a field added to `Kernel` fails to compile
         // here until someone decides how a fork carries it.
         let Kernel {
@@ -152,14 +156,18 @@ impl Kernel {
             signal_claims,
             stats,
             trace,
-            faults,
+            faults: _,
             next_tick_at,
         } = self;
-        if let Some(name) = modules.keys().next() {
-            return Err(SimError::WorldNotForkable {
-                holder: format!("module {name}"),
-            });
-        }
+        let modules = modules
+            .iter()
+            .map(|(name, slot)| {
+                let module = slot.as_ref().ok_or_else(|| SimError::WorldNotForkable {
+                    holder: format!("module {name}, mid-call"),
+                })?;
+                Ok((name.clone(), Some(module.fork(relink)?)))
+            })
+            .collect::<SimResult<_>>()?;
         Ok(Kernel {
             cost: cost.clone(),
             clock: *clock,
@@ -172,7 +180,7 @@ impl Kernel {
             ofds: ofds.clone(),
             next_ofd: *next_ofd,
             fs: fs.clone(),
-            modules: BTreeMap::new(),
+            modules,
             ext_slots: ext_slots.clone(),
             next_ext_slot: *next_ext_slot,
             kthreads: kthreads.clone(),
@@ -181,7 +189,7 @@ impl Kernel {
             signal_claims: signal_claims.clone(),
             stats: stats.clone(),
             trace: trace.clone(),
-            faults: faults.clone(),
+            faults: relink.faults().clone(),
             next_tick_at: *next_tick_at,
         })
     }

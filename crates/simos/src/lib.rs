@@ -58,6 +58,7 @@ pub mod kthread;
 pub mod mem;
 pub mod module;
 pub mod pcb;
+pub mod relink;
 pub mod sched;
 pub mod signal;
 pub mod stats;
@@ -69,4 +70,5 @@ pub mod userrt;
 pub mod vm;
 
 pub use kernel::Kernel;
+pub use relink::Relink;
 pub use types::{Fd, KtId, Pid, SimError, SimResult};

@@ -21,8 +21,9 @@
 //! mechanism lives on is its own to declare, not the registry's.
 
 use crate::kernel::Kernel;
+use crate::relink::Relink;
 use crate::signal::Sig;
-use crate::types::{KtId, Pid, SysResult};
+use crate::types::{KtId, Pid, SimError, SimResult, SysResult};
 use std::any::Any;
 
 /// Status returned by a kernel-thread body after a burst of work.
@@ -103,6 +104,16 @@ pub trait KernelModule: Any {
     /// user-mode work.
     fn user_checkpoint(&mut self, _k: &mut Kernel, _pid: Pid) {}
 
+    /// A copy of the module for a fork of its world
+    /// ([`Kernel::fork_world`]), its links out of the kernel re-pointed
+    /// through `relink`. The default refuses: a module that has not said
+    /// how it forks keeps its world from forking.
+    fn fork(&self, _relink: &mut Relink) -> SimResult<Box<dyn KernelModule>> {
+        Err(SimError::WorldNotForkable {
+            holder: format!("module {}", self.name()),
+        })
+    }
+
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
@@ -133,5 +144,11 @@ mod tests {
         assert_eq!(d.name(), "dummy");
         assert!(d.as_any().downcast_ref::<Dummy>().is_some());
         assert!(d.as_any_mut().downcast_mut::<Dummy>().is_some());
+        let refused = d.fork(&mut Relink::new(Default::default())).err();
+        assert!(
+            matches!(&refused, Some(SimError::WorldNotForkable { holder }) if holder == "module dummy"),
+            "{:?}",
+            refused.map(|e| e.to_string())
+        );
     }
 }

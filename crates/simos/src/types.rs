@@ -95,9 +95,9 @@ pub enum SimError {
     /// faster than the link drained them for the whole round budget, and
     /// auto-converge throttling was not enabled (or was exhausted).
     CutoverDiverged { rounds: u32, residual_pages: u64 },
-    /// [`crate::Kernel::fork_world`] was asked to copy a kernel with a
-    /// module or agent loaded (`holder` names it): those are opaque and may
-    /// hold links a structural copy cannot re-point.
+    /// A fork of a world ([`crate::Kernel::fork_world`] and the storage
+    /// and mechanism forks beside it) met a part that does not say how it
+    /// forks (`holder` names it), or a kernel caught inside a module call.
     WorldNotForkable { holder: String },
 }
 
@@ -138,7 +138,7 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::WorldNotForkable { holder } => {
-                write!(f, "world not forkable: {holder} is loaded")
+                write!(f, "world not forkable: {holder} does not fork")
             }
         }
     }

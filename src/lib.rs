@@ -53,12 +53,6 @@ pub use simos;
 /// the workspace facade so instrumentation consumers need only one path.
 pub use simos::trace;
 
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to `ckpt_restart::ckpt` — `core` shadows the built-in core crate in downstream paths"
-)]
-pub use ckpt_core as core;
-
 /// One-stop imports for the common checkpoint/restart workflow.
 ///
 /// Re-exports the mechanism trait and metadata, the kernel-context engine

@@ -14,11 +14,11 @@
 //!
 //! This is the one test with a wall-clock budget: `ci.sh` runs it under
 //! `timeout 30`, so the matrix stays cheap enough to never be sampled or
-//! skipped in CI. On the 2-core host: 13.9-15.3 s since a column boots its
-//! world once and every cell starts from a `Kernel::fork_world` copy
-//! (21.9-26.7 s before, alternating runs on the same busy afternoon; 10.5-
-//! 11.7 s against 19 s when the host is quiet). The ceiling stays at 30 s:
-//! the headroom is what a wider matrix spends.
+//! skipped in CI. On the 2-core host: 5.0-5.1 s since a cell starts from
+//! the world at the last request boundary before its fault site (10.4-
+//! 10.7 s when every cell started from the booted world; three alternating
+//! pairs of runs of this binary). The ceiling stays at 30 s: the headroom
+//! is what a wider matrix spends.
 
 mod common;
 

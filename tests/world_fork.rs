@@ -2,30 +2,59 @@
 //! at any instant is indistinguishable from a kernel rebuilt from scratch
 //! and driven to that instant, and stays so under any further schedule.
 //!
-//! This is what lets a crash-matrix column boot once and start every cell
-//! from the copy (`ckpt_core::crashpoint`). Three worlds per seed: A is
-//! built and run through a random prefix of operations, B is forked from
-//! it, C is rebuilt and run through the same prefix. All three then take
-//! the same random suffix, and after every operation everything a kernel
-//! exposes must agree: clock, `KernelStats`, run queue, pending timers, the
-//! filesystem, kernel threads, and per process the whole PCB (registers,
-//! fd table and the open files behind it, signal state, `MemStats` with its
-//! TLB counters, the soft TLB itself, dirty sets) and every resident guest
-//! byte. The kernel's private bookkeeping (`next_tick_at`, `next_pid`,
-//! `last_task`, `active_mm`, …) is not readable, so the suffix makes it
-//! observable: a stale tick deadline moves `stats.ticks`, a stale pid
-//! counter moves the pid the next spawn returns, a stale `last_task` a
-//! context switch.
+//! This is what lets a crash-matrix column start every cell from a copy of
+//! the world at a request boundary (`ckpt_core::crashpoint`). Three worlds
+//! per seed: A is built and run through a random prefix of operations, B is
+//! forked from it, C is rebuilt and run through the same prefix. All three
+//! then take the same random suffix, and after every operation everything
+//! the worlds expose must agree.
+//!
+//! * **Bare kernels**: clock, `KernelStats`, run queue, pending timers, the
+//!   filesystem, kernel threads, and per process the whole PCB (registers,
+//!   fd table and the open files behind it, signal state, `MemStats` with
+//!   its TLB counters, the soft TLB itself, dirty sets) and every resident
+//!   guest byte. The kernel's private bookkeeping (`next_tick_at`,
+//!   `next_pid`, `last_task`, `active_mm`, …) is not readable, so the
+//!   suffix makes it observable: a stale tick deadline moves `stats.ticks`,
+//!   a stale pid counter moves the pid the next spawn returns, a stale
+//!   `last_task` a context switch.
+//! * **Prepared worlds**: every row of the family table, VMADump-style
+//!   self-checkpointing guests and hibernation, on one target and — where
+//!   targets can share a module or a store — on two targets sharing one
+//!   module and one store, over a random storage stack. The fork goes
+//!   through one `Relink` for the kernel (its modules fork themselves),
+//!   the store and the mechanisms, and the operations include checkpoint
+//!   requests, restarts onto a fresh kernel and node loss. On top of the
+//!   kernel: each mechanism's `outcomes()` and its engine's seqs, tracker
+//!   and chain manifests, and the store's `list()` with every object's
+//!   bytes and replica manifest. A user-level library links into one
+//!   process only, so its rows run one target.
+//!
 //! Shown to bite on scratch copies: a `fork_world` that resets any one
-//! field fails here, except the three nothing can observe in a world that
-//! is allowed to fork — `current` (set only inside a dispatch) and the
-//! `ext_slots` / `signal_claims` tables (consulted only to find a loaded
-//! module, and a world with one refuses).
+//! field fails here, except `current` (set only inside a dispatch, and a
+//! world mid-dispatch refuses to fork). The `ext_slots` / `signal_claims`
+//! tables are observable now that a loaded module forks: a
+//! self-checkpointing guest reaches the syscall module through the first,
+//! a `SIGCKPT` the kernel-signal module through the second. So fails a
+//! module fork that drops what it keeps between requests (outcomes, the
+//! per-target engines, fork-concurrent's seqs, the kernel thread), a store
+//! fork that drops a quorum client's manifests or a dedup index, and an
+//! engine fork that keeps the original's store or a server or replica node
+//! shared with the original. What a request empties before it returns (the
+//! kernel thread's queue, CHPOX's pending request times) and the failure
+//! counters, zero without faults, are unobservable at a fork point.
 
 mod common;
 
-use ckpt_restart::ckpt::mechanism::family;
-use ckpt_restart::ckpt::{shared_storage, TrackerKind};
+use ckpt_restart::cas::DedupStore;
+use ckpt_restart::ckpt::autonomic::{self, AutonomicConfig};
+use ckpt_restart::ckpt::crashpoint::app_params;
+use ckpt_restart::ckpt::mechanism::hibernate::{SoftwareSuspend, SuspendMode};
+use ckpt_restart::ckpt::mechanism::syscall::{SyscallMechanism, SyscallVariant};
+use ckpt_restart::ckpt::mechanism::{family, Mechanism, FAMILIES};
+use ckpt_restart::ckpt::{fork_storage, shared_storage, RestorePid, SharedStorage, TrackerKind};
+use ckpt_restart::ec::ErasureStore;
+use ckpt_restart::replica::ReplicatedStore;
 use ckpt_restart::simos::apps::{AppParams, NativeKind};
 use ckpt_restart::simos::asm::programs;
 use ckpt_restart::simos::cost::CostModel;
@@ -34,8 +63,8 @@ use ckpt_restart::simos::mem::{TrackMode, DATA_BASE};
 use ckpt_restart::simos::signal::{Sig, SigAction};
 use ckpt_restart::simos::syscall::Syscall;
 use ckpt_restart::simos::sched::SchedPolicy;
-use ckpt_restart::simos::{Fd, Kernel, KtId, Pid, SimError};
-use ckpt_restart::storage::LocalDisk;
+use ckpt_restart::simos::{Fd, Kernel, KtId, Pid, Relink, SimError};
+use ckpt_restart::storage::{LocalDisk, RemoteServer, RemoteStore};
 use common::Gen;
 
 /// What a world starts with.
@@ -253,15 +282,25 @@ fn assert_same_world(what: impl Fn() -> String, a: &Observed, b: &Observed) {
     assert_eq!(a.len(), b.len(), "{}: one world has more components", what());
 }
 
-/// A world built from `guests` and driven through `ops`. Ticks and time
-/// slices are fifty times shorter than the 2005 model's, so a schedule of a
-/// few virtual milliseconds crosses many of each.
-fn build(guests: &[Guest], ops: &[Op]) -> (Kernel, Vec<Pid>) {
-    let mut k = Kernel::new(CostModel {
+/// Ticks and time slices fifty times shorter than the 2005 model's, so a
+/// schedule of a few virtual milliseconds crosses many of each.
+fn fast_kernel() -> Kernel {
+    Kernel::new(CostModel {
         tick_interval_ns: 200_000,
         timeslice_ns: 1_000_000,
         ..CostModel::circa_2005()
-    });
+    })
+}
+
+/// A fork of `k` consulting the fault handle it does.
+fn fork(k: &Kernel) -> Kernel {
+    k.fork_world(&mut Relink::new(k.faults.clone()))
+        .expect("a bare kernel forks")
+}
+
+/// A world built from `guests` and driven through `ops`.
+fn build(guests: &[Guest], ops: &[Op]) -> (Kernel, Vec<Pid>) {
+    let mut k = fast_kernel();
     let mut pids = guests.iter().map(|g| spawn(&mut k, g)).collect();
     for op in ops {
         apply(&mut k, &mut pids, op);
@@ -284,7 +323,7 @@ fn a_forked_world_is_indistinguishable_from_a_rebuilt_one() {
         };
 
         let (mut a, mut pids_a) = build(&guests, &prefix);
-        let mut b = a.fork_world().expect("nothing loaded");
+        let mut b = fork(&a);
         let mut pids_b = pids_a.clone();
         let (mut c, mut pids_c) = build(&guests, &prefix);
         let original = observe(&a);
@@ -312,7 +351,7 @@ fn a_fork_shares_nothing_with_its_original() {
     ];
     let (mut a, pids) = build(&guests, &[Op::Run(2_000_000), Op::FileWrite(0, 64)]);
     let before = observe(&a);
-    let mut b = a.fork_world().expect("nothing loaded");
+    let mut b = fork(&a);
     let mut pids_b = pids.clone();
     // Everything the fork does stays in the fork: guest stores, a direct
     // poke, file writes, timers, a new process.
@@ -337,23 +376,342 @@ fn a_fork_shares_nothing_with_its_original() {
 }
 
 #[test]
-fn a_world_with_a_module_or_an_agent_loaded_refuses_to_fork() {
-    // The user-level library registers as a module like any other plug-in.
-    for (mechanism, holder) in [("syscall", "module"), ("user-level", "module")] {
-        let (mut k, pids) = build(
-            &[Guest::Native(NativeKind::SparseRandom, AppParams::small())],
-            &[Op::Run(100_000)],
-        );
-        assert!(k.fork_world().is_ok());
-        let storage = shared_storage(LocalDisk::new(1 << 20));
-        let mut mech = family(mechanism).build("forktest", storage, TrackerKind::FullOnly);
-        mech.prepare(&mut k, pids[0]).unwrap();
-        match k.fork_world() {
-            Err(SimError::WorldNotForkable { holder: named }) => {
-                assert!(named.starts_with(holder), "{mechanism}: {named}")
+fn a_world_with_a_module_that_does_not_fork_refuses_to_fork() {
+    // The autonomic daemon has not said how it forks: its world refuses,
+    // naming it, and the store it was given is never copied.
+    let (mut k, pids) = build(
+        &[Guest::Native(NativeKind::SparseRandom, AppParams::small())],
+        &[Op::Run(100_000)],
+    );
+    let storage = shared_storage(LocalDisk::new(1 << 20));
+    let daemon = autonomic::install(&mut k, AutonomicConfig::default(), storage).unwrap();
+    autonomic::register(&mut k, &daemon, pids[0]).unwrap();
+    match k.fork_world(&mut Relink::new(k.faults.clone())) {
+        Err(SimError::WorldNotForkable { holder }) => {
+            assert_eq!(holder, format!("module {daemon}"))
+        }
+        Err(other) => panic!("wrong refusal {other}"),
+        Ok(_) => panic!("forked a world holding a module that does not fork"),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Prepared worlds: a checkpointer loaded, a store linked to it
+// ---------------------------------------------------------------------
+
+/// What checkpoints a prepared world: one mechanism per target, or the
+/// whole machine's hibernation.
+enum Checkpointer {
+    Mechanisms(Vec<Box<dyn Mechanism>>),
+    Hibernation(SoftwareSuspend),
+}
+
+/// A kernel with its guests, the store every checkpointer in it writes to,
+/// and the checkpointers.
+struct Prepared {
+    k: Kernel,
+    pids: Vec<Pid>,
+    storage: SharedStorage,
+    ckpt: Checkpointer,
+}
+
+/// How a prepared world is set up: a family-table row (or `vmadump`, the
+/// syscall family's self-checkpointing variant, or `hibernate`), how many
+/// targets it serves, and which storage stack it writes to.
+#[derive(Debug, Clone, Copy)]
+struct Setup {
+    row: &'static str,
+    targets: usize,
+    stack: u64,
+}
+
+/// The stacks a prepared world writes to: single copy, a server shared by
+/// clients, quorum replication, dedup over a server, erasure coding.
+const STACKS: u64 = 5;
+
+fn stack(which: u64) -> SharedStorage {
+    match which {
+        0 => shared_storage(LocalDisk::new(1 << 30)),
+        1 => shared_storage(RemoteStore::new(RemoteServer::new(1 << 30))),
+        2 => shared_storage(ReplicatedStore::fresh(3, 2)),
+        3 => shared_storage(DedupStore::new(Box::new(RemoteStore::new(
+            RemoteServer::new(1 << 30),
+        )))),
+        _ => shared_storage(ErasureStore::fresh(4, 2)),
+    }
+}
+
+/// One step of a prepared world's schedule; `who` picks a target modulo
+/// the number of checkpointers.
+#[derive(Debug, Clone)]
+enum Prep {
+    Run(u64),
+    /// A checkpoint request (hibernation: the machine suspends).
+    Checkpoint(usize),
+    /// A restart onto a fresh kernel (hibernation: the boot-time resume),
+    /// observed whole.
+    Restart(usize),
+    /// The node's failure and repair (hibernation: the power-down).
+    NodeLoss,
+}
+
+fn random_prep(g: &mut Gen) -> Prep {
+    let who = g.range(0, 2) as usize;
+    match g.range(0, 10) {
+        0..=3 => Prep::Run(g.range(20_000, 2_000_000)),
+        4..=6 => Prep::Checkpoint(who),
+        7 | 8 => Prep::Restart(who),
+        _ => Prep::NodeLoss,
+    }
+}
+
+impl Prepared {
+    /// `setup`'s world, driven through `ops`.
+    fn build(setup: Setup, ops: &[Prep]) -> Prepared {
+        let mut k = fast_kernel();
+        let guests = setup.targets.max(1);
+        let pids: Vec<Pid> = (0..guests)
+            .map(|_| k.spawn_native(NativeKind::SparseRandom, app_params()).unwrap())
+            .collect();
+        k.run_for(1_000_000).unwrap();
+        let storage = stack(setup.stack);
+        let build = |storage: SharedStorage| -> Box<dyn Mechanism> {
+            match setup.row {
+                // A self-checkpoint every 1,000 guest steps: a run window
+                // of a millisecond crosses one per guest.
+                "vmadump" => Box::new(SyscallMechanism::new(
+                    family("syscall-bypid").module,
+                    SyscallVariant::SelfCkpt { every: 1_000 },
+                    "prepared",
+                    storage,
+                    TrackerKind::KernelPage,
+                )),
+                row => {
+                    let row = family(row);
+                    let tracker = match row.family {
+                        "user-level" => TrackerKind::UserPage,
+                        _ => TrackerKind::KernelPage,
+                    };
+                    row.build("prepared", storage, tracker)
+                }
             }
-            Err(other) => panic!("{mechanism}: wrong refusal {other}"),
-            Ok(_) => panic!("{mechanism}: forked with a {holder} loaded"),
+        };
+        let ckpt = if setup.row == "hibernate" {
+            Checkpointer::Hibernation(SoftwareSuspend::new(storage.clone()))
+        } else {
+            let mechs = pids
+                .iter()
+                .map(|pid| {
+                    let mut mech = build(storage.clone());
+                    mech.prepare(&mut k, *pid).unwrap();
+                    mech
+                })
+                .collect();
+            Checkpointer::Mechanisms(mechs)
+        };
+        let mut world = Prepared {
+            k,
+            pids,
+            storage,
+            ckpt,
+        };
+        for op in ops {
+            world.apply(op);
+        }
+        world
+    }
+
+    /// The world's fork: kernel, store and checkpointers through one map.
+    fn fork(&self) -> Prepared {
+        let relink = &mut Relink::new(self.k.faults.clone());
+        Prepared {
+            k: self.k.fork_world(relink).expect("a prepared world forks"),
+            pids: self.pids.clone(),
+            storage: fork_storage(&self.storage, relink).expect("every stack forks"),
+            ckpt: match &self.ckpt {
+                Checkpointer::Mechanisms(mechs) => Checkpointer::Mechanisms(
+                    mechs
+                        .iter()
+                        .map(|m| m.fork(relink).expect("every family forks"))
+                        .collect(),
+                ),
+                Checkpointer::Hibernation(susp) => {
+                    Checkpointer::Hibernation(susp.fork(relink).expect("hibernation forks"))
+                }
+            },
+        }
+    }
+
+    /// Apply `op`; what it returned (and, for a restart, the whole restored
+    /// kernel) is part of what the worlds must agree on.
+    fn apply(&mut self, op: &Prep) -> Observed {
+        let returned = |r: String| vec![("returned".to_string(), r.into_bytes())];
+        let restored = |r: String, k: &Kernel| {
+            let mut out = returned(r);
+            out.extend(observe(k).into_iter().map(|(n, v)| (format!("restored {n}"), v)));
+            out
+        };
+        match (op, &mut self.ckpt) {
+            (Prep::Run(ns), _) => returned(format!("{:?}", self.k.run_for(*ns))),
+            (Prep::Checkpoint(who), Checkpointer::Mechanisms(mechs)) => {
+                let i = who % mechs.len();
+                returned(format!("{:?}", mechs[i].checkpoint(&mut self.k, self.pids[i])))
+            }
+            (Prep::Checkpoint(_), Checkpointer::Hibernation(susp)) => {
+                returned(format!("{:?}", susp.hibernate(&mut self.k, SuspendMode::ToDisk)))
+            }
+            (Prep::Restart(who), Checkpointer::Mechanisms(mechs)) => {
+                let i = who % mechs.len();
+                let mut k2 = fast_kernel();
+                let r = mechs[i].restart(&mut k2, RestorePid::Fresh);
+                restored(format!("{r:?}"), &k2)
+            }
+            (Prep::Restart(_), Checkpointer::Hibernation(susp)) => {
+                let mut k2 = fast_kernel();
+                let r = susp.resume(&mut k2);
+                restored(format!("{r:?}"), &k2)
+            }
+            (Prep::NodeLoss, Checkpointer::Mechanisms(_)) => {
+                let mut s = self.storage.lock();
+                s.on_node_failure();
+                s.on_node_repair();
+                Vec::new()
+            }
+            (Prep::NodeLoss, Checkpointer::Hibernation(_)) => {
+                self.storage.lock().on_power_down();
+                Vec::new()
+            }
+        }
+    }
+
+    /// Everything the world exposes: the kernel, each mechanism's outcomes
+    /// and engine, the store's listing and every object in it.
+    fn observe(&self) -> Observed {
+        let mut out = observe(&self.k);
+        if let Checkpointer::Mechanisms(mechs) = &self.ckpt {
+            for (i, mech) in mechs.iter().enumerate() {
+                let outcomes = format!("{:?}", mech.outcomes(&self.k));
+                out.push((format!("mechanism {i} outcomes"), outcomes.into_bytes()));
+                if let Some(e) = mech.engine(&self.k) {
+                    let lineage = format!(
+                        "seq {} target {:?} {:?} manifests {:?}",
+                        e.seq(),
+                        e.target(),
+                        e.tracker(),
+                        e.chain_manifests()
+                    );
+                    out.push((format!("mechanism {i} engine"), lineage.into_bytes()));
+                }
+            }
+        }
+        let s = self.storage.lock();
+        let cost = &self.k.cost;
+        out.push(("storage list".into(), format!("{:?}", s.list()).into_bytes()));
+        out.push(("storage used".into(), s.used_bytes().to_string().into_bytes()));
+        for key in s.list() {
+            let object = match s.load(&key, cost) {
+                Ok((bytes, ns)) => [bytes, ns.to_le_bytes().to_vec()].concat(),
+                Err(e) => e.to_string().into_bytes(),
+            };
+            out.push((format!("storage {key}"), object));
+            let manifest = format!("{:?}", s.replica_manifest(&key));
+            out.push((format!("storage {key} manifest"), manifest.into_bytes()));
+        }
+        out
+    }
+}
+
+/// Every family-table row on one target; the rows whose targets can share
+/// a module (or, for the hardware rows, a store) on two; self-checkpointing
+/// guests and hibernation on one and two.
+fn setups() -> Vec<Setup> {
+    let mut out = Vec::new();
+    for row in FAMILIES.iter().map(|f| f.label).chain(["vmadump", "hibernate"]) {
+        let shares = !matches!(row, "user-signal" | "preload");
+        for targets in if shares { 1..=2 } else { 1..=1 } {
+            out.push(Setup {
+                row,
+                targets,
+                stack: 0,
+            });
+        }
+    }
+    out
+}
+
+#[test]
+fn a_forked_prepared_world_is_indistinguishable_from_a_rebuilt_one() {
+    for (n, base) in setups().into_iter().enumerate() {
+        // Not vacuous: every setup checkpoints and restarts in its
+        // suffixes (a self-checkpointing guest refuses a request from
+        // outside, and checkpoints as it runs).
+        let (mut checkpointed, mut restarted) = (base.row == "vmadump", false);
+        for seed in 0..3u64 {
+            let mut g = Gen::new(n as u64 * 100 + seed);
+            let setup = Setup {
+                stack: g.range(0, STACKS),
+                ..base
+            };
+            let prefix: Vec<Prep> = (0..g.range(1, 6)).map(|_| random_prep(&mut g)).collect();
+            // Each suffix ends by running, checkpointing and restarting the
+            // last target, whatever came before.
+            let mut suffix: Vec<Prep> = (0..g.range(3, 8)).map(|_| random_prep(&mut g)).collect();
+            suffix.extend([Prep::Run(1_000_000), Prep::Checkpoint(1), Prep::Restart(1)]);
+            let at = |n: usize, world: &str| {
+                format!("{setup:?} seed {seed} ({world}), after {prefix:?} + {:?}", &suffix[..n])
+            };
+
+            let mut a = Prepared::build(setup, &prefix);
+            let mut b = a.fork();
+            let mut c = Prepared::build(setup, &prefix);
+            let original = a.observe();
+            assert_same_world(|| at(0, "fork"), &original, &b.observe());
+            assert_same_world(|| at(0, "rebuild"), &original, &c.observe());
+
+            for (n, op) in suffix.iter().enumerate() {
+                let ret_a = a.apply(op);
+                let ok = ret_a.first().is_some_and(|(_, r)| r.starts_with(b"Ok"));
+                checkpointed |= ok && matches!(op, Prep::Checkpoint(_));
+                restarted |= ok && matches!(op, Prep::Restart(_));
+                assert_same_world(|| at(n + 1, "fork"), &ret_a, &b.apply(op));
+                assert_same_world(|| at(n + 1, "rebuild"), &ret_a, &c.apply(op));
+                let original = a.observe();
+                assert_same_world(|| at(n + 1, "fork"), &original, &b.observe());
+                assert_same_world(|| at(n + 1, "rebuild"), &original, &c.observe());
+            }
+        }
+        assert!(checkpointed && restarted, "{base:?}: {checkpointed} {restarted}");
+    }
+}
+
+#[test]
+fn a_prepared_fork_shares_nothing_with_its_original() {
+    let checkpointed = [Prep::Run(500_000), Prep::Checkpoint(0), Prep::Run(300_000)];
+    let busy = [
+        Prep::Checkpoint(0),
+        Prep::Checkpoint(1),
+        Prep::Run(700_000),
+        Prep::NodeLoss,
+        Prep::Restart(0),
+    ];
+    for base in setups() {
+        for stack in 0..STACKS {
+            let setup = Setup { stack, ..base };
+            let mut a = Prepared::build(setup, &checkpointed);
+            let before = a.observe();
+            let mut b = a.fork();
+            for op in &busy {
+                b.apply(op);
+            }
+            assert!(
+                a.observe() == before,
+                "{setup:?}: the original moved under its fork"
+            );
+            let forked = b.observe();
+            for op in &busy {
+                a.apply(op);
+            }
+            assert!(b.observe() == forked, "{setup:?}: the fork moved under its original");
         }
     }
 }
