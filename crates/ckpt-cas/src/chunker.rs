@@ -95,12 +95,13 @@ const DIGEST_RUN: usize = 4 * ckpt_storage::FNV_LANES;
 
 /// Split and digest: boundaries found serially, per-chunk FNV digests
 /// computed on `pool` — a run of chunks per task, through the multi-lane
-/// FNV — with ordered merge. Returns `(span, digest)` in chunk order —
+/// FNV — with ordered merge (on the caller alone for an input under
+/// [`ckpt_par::PAR_MIN_BYTES`]). Returns `(span, digest)` in chunk order —
 /// identical output at any pool width.
 pub fn split_and_digest(data: &[u8], p: &ChunkParams, pool: &Pool) -> Vec<(ChunkSpan, u64)> {
     let spans = split(data, p);
     let runs: Vec<&[ChunkSpan]> = spans.chunks(DIGEST_RUN).collect();
-    let digests = pool.par_map_ordered(runs, || (), |_, _, run| {
+    let digests = pool.for_bytes(data.len()).par_map_ordered(runs, || (), |_, _, run| {
         let bufs: Vec<&[u8]> = run.iter().map(|s| &data[s.offset..s.offset + s.len]).collect();
         fnv1a64_multi(&bufs)
     });
@@ -163,9 +164,11 @@ mod tests {
         );
     }
 
+    /// 200,000 bytes: past `ckpt_par::PAR_MIN_BYTES`, so wide pools spread
+    /// the digest runs.
     #[test]
     fn digest_fanout_is_width_invariant() {
-        let data = pseudo_bytes(60_000, 3);
+        let data = pseudo_bytes(200_000, 3);
         let p = ChunkParams::DEFAULT;
         let serial = split_and_digest(&data, &p, &Pool::new(1));
         for w in [2, 4, 8] {

@@ -8,6 +8,11 @@
 //! literal bytes)` records with varint run lengths. Decoding XORs the
 //! reconstructed stream back over the base (positions past the base's end
 //! XOR against zero, so the delta also extends the object).
+//!
+//! A delta is only worth storing if it is small; [`xor_rle_encode_within`]
+//! is the bounded form for that caller, giving up (`None`) as soon as the
+//! delta is known to pass its limit, and returning the very bytes of
+//! [`xor_rle_encode`] whenever it does not.
 
 /// LEB128-style varint.
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -45,6 +50,17 @@ const MIN_ZERO_RUN: usize = 4;
 
 /// Encode `cur` as an XOR+RLE delta against `base`.
 pub fn xor_rle_encode(base: &[u8], cur: &[u8]) -> Vec<u8> {
+    xor_rle_encode_within(base, cur, usize::MAX).expect("no delta is longer than usize::MAX")
+}
+
+/// [`xor_rle_encode`] for a caller that only wants a delta of at most
+/// `limit` bytes: `Some` of exactly the full delta when it fits, `None`
+/// otherwise. A delta that cannot fit is abandoned as soon as the bytes it
+/// must hold pass `limit` — a literal run is at least as long as the part
+/// already scanned — so against a limit of half the object, a version that
+/// shares little with its base costs about half a scan, not a whole scan
+/// and a whole copy.
+pub fn xor_rle_encode_within(base: &[u8], cur: &[u8], limit: usize) -> Option<Vec<u8>> {
     let x = |i: usize| cur[i] ^ base.get(i).copied().unwrap_or(0);
     let n = cur.len();
     let mut out = Vec::with_capacity(64);
@@ -56,10 +72,16 @@ pub fn xor_rle_encode(base: &[u8], cur: &[u8]) -> Vec<u8> {
             i += 1;
         }
         let zeros = i - zero_start;
+        // This record costs at least its two varints and every literal
+        // byte scanned below; what `limit` leaves for those literals:
+        let budget = limit.checked_sub(out.len() + 2)?;
         // Literal run: until end, or until a zero run long enough to be
         // worth a record boundary.
         let lit_start = i;
         while i < n {
+            if i - lit_start > budget {
+                return None;
+            }
             if x(i) == 0 {
                 let mut j = i;
                 while j < n && x(j) == 0 {
@@ -79,7 +101,7 @@ pub fn xor_rle_encode(base: &[u8], cur: &[u8]) -> Vec<u8> {
             out.push(x(k));
         }
     }
-    out
+    (out.len() <= limit).then_some(out)
 }
 
 /// Decode a delta produced by [`xor_rle_encode`] back into the full

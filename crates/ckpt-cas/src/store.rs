@@ -41,7 +41,7 @@ use simos::types::SimResult;
 use simos::Relink;
 
 use crate::chunker::{split_and_digest, ChunkParams};
-use crate::delta::{xor_rle_decode, xor_rle_encode};
+use crate::delta::{xor_rle_decode, xor_rle_encode_within};
 use crate::manifest::{self, BaseRecipe, ChunkRef, Encoding, Manifest};
 
 #[derive(Default)]
@@ -386,8 +386,10 @@ impl StableStorage for DedupStore {
         let mut payload: std::borrow::Cow<[u8]> = std::borrow::Cow::Borrowed(data);
         if let Some(base) = self.lineage.get(&lineage) {
             if base.seq < ik.seq {
-                let d = xor_rle_encode(&base.raw, data);
-                if d.len() * 2 <= data.len().max(1) {
+                // A delta wins at no more than half the object's size; one
+                // that cannot is abandoned part-way.
+                let limit = data.len().max(1) / 2;
+                if let Some(d) = xor_rle_encode_within(&base.raw, data, limit) {
                     encoding = Encoding::Delta(BaseRecipe {
                         len: base.raw.len() as u64,
                         digest: base.digest,
@@ -734,9 +736,14 @@ mod tests {
         assert_eq!(s.load(&key(1), &cost()).unwrap().0, data);
     }
 
+    /// The last object, 200,000 bytes, is past `ckpt_par::PAR_MIN_BYTES`:
+    /// wide pools digest its chunks in parallel, the three 30 KB objects
+    /// stay on the caller.
     #[test]
     fn output_is_pool_width_invariant() {
-        let datasets: Vec<Vec<u8>> = (0..3).map(|i| pseudo(30_000 + i * 7, 10 + i as u64)).collect();
+        let datasets: Vec<Vec<u8>> = (0..4)
+            .map(|i| pseudo(if i < 3 { 30_000 + i * 7 } else { 200_000 }, 10 + i as u64))
+            .collect();
         let mut receipts: Option<Vec<StoreReceipt>> = None;
         for w in [1usize, 4, 8] {
             let mut s = store().with_pool(Arc::new(Pool::new(w)));

@@ -52,8 +52,9 @@ pub struct CaptureOptions {
     pub node: u32,
     /// Worker pool for page encoding. `None` (or a width-1 pool) takes the
     /// exact serial path; wider pools overlap the page gather with
-    /// compression ([`ckpt_image::capture_pages_pipelined`]) — output is
-    /// byte-identical at every width.
+    /// compression ([`ckpt_image::capture_pages_pipelined`]) once the
+    /// pages reach [`ckpt_par::PAR_MIN_BYTES`] — output is byte-identical
+    /// at every width.
     pub encode_pool: Option<Arc<ckpt_par::Pool>>,
 }
 
@@ -115,17 +116,15 @@ pub fn capture_image(k: &mut Kernel, pid: Pid, opts: &CaptureOptions) -> SimResu
         )
     };
     // Pages: copy out of the address space (charged as kernel memcpy).
-    // With a pool wider than 1, the gather (caller thread, reading the
-    // frozen address space) overlaps with compression (pool workers); the
-    // ordered merge makes the record list identical to the serial walk.
+    // On the pool, the gather (caller thread, reading the frozen address
+    // space) overlaps with compression (pool workers) once the image is
+    // large enough to pay for them; the ordered merge makes the record
+    // list identical to the serial walk.
     let pages = {
         let p = k.process(pid).expect("checked above");
-        let par = opts
-            .encode_pool
-            .as_deref()
-            .filter(|pool| pool.workers() > 1 && opts.compress);
+        let par = opts.encode_pool.as_deref().filter(|_| opts.compress);
         match par {
-            Some(pool) => ckpt_image::capture_pages_pipelined(pool, |push| {
+            Some(pool) => ckpt_image::capture_pages_pipelined(pool, page_numbers.len(), |push| {
                 for pn in &page_numbers {
                     let data = p.mem.page_data(*pn).expect("resident");
                     push((*pn, data.to_vec()));

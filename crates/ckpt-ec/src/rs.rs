@@ -14,7 +14,9 @@
 //!
 //! Determinism: parity rows are computed independently (pure function of
 //! the data shards) and fanned out on the `ckpt-par` pool behind its
-//! ordered merge, so encoded bytes are identical at any pool width.
+//! ordered merge — on the caller alone when the rows read less than
+//! [`ckpt_par::PAR_MIN_BYTES`] — so encoded bytes are identical at any
+//! pool width.
 
 use crate::gf;
 use ckpt_par::Pool;
@@ -195,7 +197,9 @@ impl RsCode {
         let sl = data[0].len();
         assert!(data.iter().all(|s| s.len() == sl), "unequal shard lengths");
         let data: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-        pool.par_map_ordered((0..self.m).collect(), || (), |_, _, p| {
+        // Every parity row reads all k data shards.
+        let moved = self.m * self.k * sl;
+        pool.for_bytes(moved).par_map_ordered((0..self.m).collect(), || (), |_, _, p| {
             let mut out = vec![0u8; sl];
             self.shard_into(self.k + p, &data, &mut out);
             out
@@ -231,6 +235,8 @@ impl RsCode {
             row_apply(row, from, &mut out);
             out
         };
+        // Every rebuilt row reads k shards.
+        let moved = |rows: usize| rows * k * sl;
         // Missing data shards: invert the k×k submatrix of the first k
         // surviving rows; row i of the inverse yields data shard i. With
         // all data shards intact there is nothing to invert.
@@ -243,7 +249,8 @@ impl RsCode {
             let dec = invert(&sub).expect("any k rows of an MDS matrix are independent");
             let survivors: Vec<&[u8]> =
                 chosen.iter().map(|&i| shards[i].expect("intact")).collect();
-            pool.par_map_ordered(lost_data, || (), |_, _, i| (i, apply(&dec[i], &survivors)))
+            pool.for_bytes(moved(lost_data.len()))
+                .par_map_ordered(lost_data, || (), |_, _, i| (i, apply(&dec[i], &survivors)))
         };
         // Wanted parity shards re-derive from the (now complete) data.
         let lost_parity: Vec<usize> = (k..n)
@@ -254,7 +261,8 @@ impl RsCode {
             let data: Vec<&[u8]> = (0..k)
                 .map(|i| shards[i].unwrap_or_else(|| decoded.next().expect("decoded above")))
                 .collect();
-            let parity = pool.par_map_ordered(lost_parity, || (), |_, _, i| {
+            let call = pool.for_bytes(moved(lost_parity.len()));
+            let parity = call.par_map_ordered(lost_parity, || (), |_, _, i| {
                 (i, apply(&self.rows[i], &data))
             });
             rebuilt.extend(parity);
@@ -360,6 +368,32 @@ mod tests {
             shards[3] = None;
             let full = code.reconstruct(&shards).unwrap();
             assert_eq!(code.join(&full, len), object, "len = {len}");
+        }
+    }
+
+    /// Parity and rebuilt rows are the same at every pool width, for a
+    /// 1000-byte object (every fan-out under `ckpt_par::PAR_MIN_BYTES`,
+    /// on the caller) and a 256 KiB one (64 KiB shards: each fan-out reads
+    /// 256 KiB or more, so wide pools spread the rows).
+    #[test]
+    fn encode_and_rebuild_are_width_invariant() {
+        let code = RsCode::new(4, 2);
+        for len in [1000usize, 256 * 1024] {
+            let data = code.split(&pattern(len, 4));
+            let serial = Arc::new(Pool::new(1));
+            let parity = code.encode(&data, &serial);
+            let mut shards: Vec<Option<&[u8]>> =
+                data.iter().chain(&parity).map(|s| Some(s.as_slice())).collect();
+            shards[1] = None;
+            shards[5] = None;
+            let rebuilt = code.rebuild_missing(&shards, |_| true, &serial).unwrap();
+            assert_eq!(rebuilt, vec![(1, data[1].clone()), (5, parity[1].clone())]);
+            for w in [2usize, 4, 8] {
+                let pool = Arc::new(Pool::new(w));
+                assert_eq!(code.encode(&data, &pool), parity, "len {len}, width {w}");
+                let wide = code.rebuild_missing(&shards, |_| true, &pool).unwrap();
+                assert_eq!(wide, rebuilt, "len {len}, width {w}");
+            }
         }
     }
 }

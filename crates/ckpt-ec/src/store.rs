@@ -267,7 +267,11 @@ impl ErasureStore {
         let tasks: Vec<(usize, usize)> = (0..objects.len())
             .flat_map(|j| (0..=n).map(move |t| (j, t)))
             .collect();
-        let pieces = self.core.pool().par_map_ordered(tasks, || (), |_, _, (j, t)| {
+        // The digest and the data frames read each object once between
+        // them, and every parity frame reads it once more.
+        let object_bytes: usize = objects.iter().map(|(_, d)| d.len()).sum();
+        let call = self.core.pool().for_bytes((2 + self.code.m()) * object_bytes);
+        let pieces = call.par_map_ordered(tasks, || (), |_, _, (j, t)| {
             let data = objects[j].1;
             let Some(i) = t.checked_sub(1) else {
                 return Piece::ObjectDigest(fnv1a64(data));
@@ -288,9 +292,11 @@ impl ErasureStore {
                 Piece::Frame(f) => frames.push(f),
             }
         }
+        let frame_bytes = frames.iter().map(Vec::len).sum();
         let runs: Vec<(usize, &mut [Vec<u8>])> =
             frames.chunks_mut(FNV_LANES).enumerate().collect();
-        let frame_digests = self.core.pool().par_map_ordered(runs, || (), |_, _, (r, run)| {
+        let call = self.core.pool().for_bytes(frame_bytes);
+        let frame_digests = call.par_map_ordered(runs, || (), |_, _, (r, run)| {
             for (o, f) in run.iter_mut().enumerate() {
                 let j = (r * FNV_LANES + o) / n;
                 f[DIGEST_AT].copy_from_slice(&object_digests[j].to_le_bytes());

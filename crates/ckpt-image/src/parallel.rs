@@ -11,32 +11,38 @@
 //!   via [`crate::crc::crc32_combine`] into the one-shot CRC of the whole
 //!   buffer.
 //!
-//! On a pool of width 1 every helper here degenerates to the pre-existing
-//! serial code path.
+//! On a pool of width 1, and for a call under [`ckpt_par::PAR_MIN_BYTES`]
+//! at any width, every helper here degenerates to the pre-existing serial
+//! code path.
 
 use crate::compress::EncodeScratch;
 use crate::crc::{crc32, crc32_combine, Crc32};
 use crate::format::PageRecord;
 use ckpt_par::Pool;
+use simos::mem::PAGE_SIZE;
 
 /// Encode gathered `(page_no, data)` pairs into [`PageRecord`]s on the
 /// pool, merged in submission (page) order. Each worker reuses one
 /// [`EncodeScratch`] across all pages it encodes.
 pub fn encode_pages(pool: &Pool, pages: Vec<(u64, Vec<u8>)>) -> Vec<PageRecord> {
-    pool.par_map_ordered(pages, EncodeScratch::new, |scratch, _i, (page_no, data)| {
+    let moved = pages.iter().map(|(_, data)| data.len()).sum();
+    let call = pool.for_bytes(moved);
+    call.par_map_ordered(pages, EncodeScratch::new, |scratch, _i, (page_no, data)| {
         PageRecord::capture_with(page_no, &data, scratch)
     })
 }
 
-/// Pipelined capture: `feeder` runs on the caller thread pushing
-/// `(page_no, data)` pairs (the gather stage — typically copying pages out
-/// of a frozen guest address space) while pool workers compress them (the
-/// encode stage). The two stages overlap; records come back in feed order.
-pub fn capture_pages_pipelined<G>(pool: &Pool, feeder: G) -> Vec<PageRecord>
+/// Pipelined capture of `pages` pages: `feeder` runs on the caller thread
+/// pushing `(page_no, data)` pairs (the gather stage — typically copying
+/// pages out of a frozen guest address space) while pool workers compress
+/// them (the encode stage). The two stages overlap; records come back in
+/// feed order.
+pub fn capture_pages_pipelined<G>(pool: &Pool, pages: usize, feeder: G) -> Vec<PageRecord>
 where
     G: FnMut(&mut dyn FnMut((u64, Vec<u8>))),
 {
-    pool.pipeline_ordered(feeder, EncodeScratch::new, |scratch, _i, (page_no, data)| {
+    let call = pool.for_bytes(pages * PAGE_SIZE as usize);
+    call.pipeline_ordered(feeder, EncodeScratch::new, |scratch, _i, (page_no, data)| {
         PageRecord::capture_with(page_no, &data, scratch)
     })
 }
@@ -49,14 +55,14 @@ const CRC_CHUNK: usize = 256 * 1024;
 /// CRC-32 of `data` computed in `CRC_CHUNK` pieces on the pool and
 /// recombined — bit-identical to [`crc32`] at every width.
 pub fn crc32_par(pool: &Pool, data: &[u8]) -> u32 {
-    if pool.workers() <= 1 || data.len() <= CRC_CHUNK {
+    if data.len() <= CRC_CHUNK {
         return crc32(data);
     }
     let ranges: Vec<(usize, usize)> = (0..data.len())
         .step_by(CRC_CHUNK)
         .map(|lo| (lo, (lo + CRC_CHUNK).min(data.len())))
         .collect();
-    let chunks = pool.par_map_ordered(
+    let chunks = pool.for_bytes(data.len()).par_map_ordered(
         ranges,
         || (),
         |_, _, (lo, hi)| {
@@ -88,25 +94,32 @@ mod tests {
         }
     }
 
+    /// 97 pages (388 KiB) cross `ckpt_par::PAR_MIN_BYTES`; 15 pages stay
+    /// under it. Both must equal the serial records at every width.
     #[test]
     fn parallel_page_encode_matches_serial_at_every_width() {
-        let gathered: Vec<(u64, Vec<u8>)> = (0..97u64).map(|p| (p, page(p))).collect();
-        let want: Vec<PageRecord> = gathered
-            .iter()
-            .map(|(p, d)| PageRecord::capture(*p, d))
-            .collect();
-        for w in [1usize, 2, 4, 8] {
-            let pool = Pool::new(w);
-            assert_eq!(encode_pages(&pool, gathered.clone()), want, "width {w}");
-            let piped = capture_pages_pipelined(&pool, |push| {
-                for (p, d) in &gathered {
-                    push((*p, d.clone()));
-                }
-            });
-            assert_eq!(piped, want, "pipelined width {w}");
+        for n in [97u64, 15] {
+            let gathered: Vec<(u64, Vec<u8>)> = (0..n).map(|p| (p, page(p))).collect();
+            let want: Vec<PageRecord> = gathered
+                .iter()
+                .map(|(p, d)| PageRecord::capture(*p, d))
+                .collect();
+            for w in [1usize, 2, 4, 8] {
+                let pool = Pool::new(w);
+                assert_eq!(encode_pages(&pool, gathered.clone()), want, "{n} pages, width {w}");
+                let piped = capture_pages_pipelined(&pool, gathered.len(), |push| {
+                    for (p, d) in &gathered {
+                        push((*p, d.clone()));
+                    }
+                });
+                assert_eq!(piped, want, "{n} pages, pipelined, width {w}");
+            }
         }
     }
 
+    /// Three full CRC chunks and a tail: 780 KiB, past
+    /// `ckpt_par::PAR_MIN_BYTES`, so wide pools hash the chunks in
+    /// parallel.
     #[test]
     fn crc32_par_matches_serial() {
         let data: Vec<u8> = (0..3 * CRC_CHUNK + 12345)

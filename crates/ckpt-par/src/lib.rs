@@ -23,6 +23,21 @@
 //! counter bookkeeping — so `workers = 1` reproduces the pre-parallel
 //! behavior precisely.
 //!
+//! **Threads only where they pay.** Threads are scoped per call, so every
+//! parallel call pays a spawn and a join (tens of µs on a 2-core host)
+//! whatever it carries. A data-path caller therefore states the bytes its
+//! call moves through [`Pool::for_bytes`]; a call under [`PAR_MIN_BYTES`]
+//! takes the width-1 path on the caller thread, anything larger spreads as
+//! before. The gate counts bytes, not items, because the layers' items
+//! range from a 6.6 KiB node copy to a 64 KiB parity row: three node copies
+//! of a 21 KiB chunk lose 20–50 µs to the spawn at width 2, while sixteen
+//! page encodes of the same 64 KiB already break even
+//! (`examples/pool_overhead`).
+//! Calls whose items are whole jobs or experiments (the bench suite,
+//! `analytics`, `scale_round`) call the pool directly and are never gated.
+//! Either way the results, their order and the [`PoolStats`] task count are
+//! those of the serial path; only host time differs.
+//!
 //! Determinism rules (also spelled out in `DESIGN.md`):
 //!
 //! 1. worker closures must be pure functions of their item (worker-local
@@ -39,7 +54,19 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+
+/// A call sized under this many bytes ([`Pool::for_bytes`]) runs on the
+/// caller thread at any pool width.
+///
+/// Set from `examples/pool_overhead` (shared 2-core host, µs per call at
+/// width 1 → width 2, the range over four runs): three node copies of a
+/// 6.6 KiB chunk go 0.3 → 20–43, of a 21 KiB chunk (64 KiB in all) 2 →
+/// 23–49; `encode_pages` of 16 pages (64 KiB) is even within noise (67–111
+/// → 70–140), of 32 pages (128 KiB) it wins in three runs of four, of 64
+/// pages in all four. Below 64 KiB no shape the layers make gains from a
+/// second thread; from 128 KiB page encoding does.
+pub const PAR_MIN_BYTES: usize = 64 * 1024;
 
 /// Cumulative counters for one [`Pool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -124,6 +151,14 @@ impl Pool {
         }
     }
 
+    /// This pool for one call that moves `bytes` bytes in all (the payload
+    /// its items read, summed): the full width from [`PAR_MIN_BYTES`] up,
+    /// the caller thread alone below it. Counters land on this pool.
+    pub fn for_bytes(&self, bytes: usize) -> SizedCall<'_> {
+        let width = if bytes < PAR_MIN_BYTES { 1 } else { self.workers };
+        SizedCall { pool: self, width }
+    }
+
     /// Map `items` through `f`, returning results in submission order.
     ///
     /// `init` builds one worker-local scratch value per worker (e.g. a
@@ -137,18 +172,63 @@ impl Pool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, T) -> R + Sync,
     {
+        self.whole().par_map_ordered(items, init, f)
+    }
+
+    /// Producer/consumer pipeline with ordered merge: `feeder` runs on the
+    /// caller thread and pushes items (gather stage) while workers consume
+    /// them through `f` (encode stage) — the two stages overlap, which is
+    /// the double-buffering the capture path wants. Once the feeder
+    /// returns, the caller thread joins the drain. Results come back in
+    /// submission order.
+    pub fn pipeline_ordered<T, S, R, G, I, F>(&self, feeder: G, init: I, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        G: FnMut(&mut dyn FnMut(T)),
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, T) -> R + Sync,
+    {
+        self.whole().pipeline_ordered(feeder, init, f)
+    }
+
+    fn whole(&self) -> SizedCall<'_> {
+        SizedCall {
+            pool: self,
+            width: self.workers,
+        }
+    }
+}
+
+/// A [`Pool`] for one call of a stated size ([`Pool::for_bytes`]): the
+/// same two entry points, at the pool's width or on the caller alone.
+#[derive(Clone, Copy)]
+pub struct SizedCall<'a> {
+    pool: &'a Pool,
+    width: usize,
+}
+
+impl SizedCall<'_> {
+    /// [`Pool::par_map_ordered`] at this call's width.
+    pub fn par_map_ordered<T, S, R, I, F>(self, items: Vec<T>, init: I, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, T) -> R + Sync,
+    {
         let n = items.len();
-        if self.workers <= 1 || n <= 1 {
+        if self.width <= 1 || n <= 1 {
             let mut scratch = init();
             let out: Vec<R> = items
                 .into_iter()
                 .enumerate()
                 .map(|(i, t)| f(&mut scratch, i, t))
                 .collect();
-            self.flush(n as u64, 0, 0);
+            self.pool.flush(n as u64, 0, 0);
             return out;
         }
-        let w = self.workers.min(n);
+        let w = self.width.min(n);
         // Contiguous partitions: worker k owns indices [k*n/w, (k+1)*n/w).
         let mut queues: Vec<Mutex<VecDeque<(usize, T)>>> = Vec::with_capacity(w);
         {
@@ -162,17 +242,12 @@ impl Pool {
         }
         let board = Mutex::new(MergeBoard::with_capacity(n));
         let (tasks, steals, stalls) = run_stealing_workers(w, &queues, &board, &init, &f);
-        self.flush(tasks, steals, stalls);
+        self.pool.flush(tasks, steals, stalls);
         board.into_inner().unwrap().into_ordered()
     }
 
-    /// Producer/consumer pipeline with ordered merge: `feeder` runs on the
-    /// caller thread and pushes items (gather stage) while workers consume
-    /// them through `f` (encode stage) — the two stages overlap, which is
-    /// the double-buffering the capture path wants. Once the feeder
-    /// returns, the caller thread joins the drain. Results come back in
-    /// submission order.
-    pub fn pipeline_ordered<T, S, R, G, I, F>(&self, mut feeder: G, init: I, f: F) -> Vec<R>
+    /// [`Pool::pipeline_ordered`] at this call's width.
+    pub fn pipeline_ordered<T, S, R, G, I, F>(self, mut feeder: G, init: I, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
@@ -180,23 +255,21 @@ impl Pool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, T) -> R + Sync,
     {
-        if self.workers <= 1 {
-            // Exact serial path: gather everything, then encode in order.
-            let mut staged: Vec<T> = Vec::new();
-            feeder(&mut |t| staged.push(t));
-            let n = staged.len() as u64;
+        if self.width <= 1 {
+            // Exact serial path: each item is encoded as it is fed, in
+            // order, so nothing is staged.
             let mut scratch = init();
-            let out: Vec<R> = staged
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(&mut scratch, i, t))
-                .collect();
-            self.flush(n, 0, 0);
+            let mut out: Vec<R> = Vec::new();
+            feeder(&mut |t| {
+                let i = out.len();
+                out.push(f(&mut scratch, i, t));
+            });
+            self.pool.flush(out.len() as u64, 0, 0);
             return out;
         }
         let inject = Injector::<T>::new();
         let board = Mutex::new(MergeBoard::new());
-        let helpers = self.workers - 1;
+        let helpers = self.width - 1;
         let (tasks, stalls) = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(helpers);
             for _ in 0..helpers {
@@ -212,13 +285,18 @@ impl Pool {
                     (tasks, stalls)
                 }));
             }
-            // Feed on the caller thread, overlapping the workers.
-            let mut next = 0usize;
-            feeder(&mut |t| {
-                inject.push((next, t));
-                next += 1;
-            });
-            inject.close();
+            // Feed on the caller thread, overlapping the workers. The
+            // guard closes the queue however the feeder ends: a feeder
+            // that panics must not leave the helpers waiting for items
+            // that will never come, or the scope would never join them.
+            {
+                let _close = CloseOnDrop(&inject);
+                let mut next = 0usize;
+                feeder(&mut |t| {
+                    inject.push((next, t));
+                    next += 1;
+                });
+            }
             // Then help drain what's left.
             let mut scratch = init();
             let mut tasks = 0u64;
@@ -235,7 +313,7 @@ impl Pool {
             }
             (tasks, stalls)
         });
-        self.flush(tasks, 0, stalls);
+        self.pool.flush(tasks, 0, stalls);
         board.into_inner().unwrap().into_ordered()
     }
 }
@@ -382,7 +460,7 @@ impl<T> Injector<T> {
     }
 
     fn close(&self) {
-        self.q.lock().unwrap().1 = true;
+        self.q.lock().unwrap_or_else(PoisonError::into_inner).1 = true;
         self.cv.notify_all();
     }
 
@@ -397,6 +475,15 @@ impl<T> Injector<T> {
             }
             g = self.cv.wait(g).unwrap();
         }
+    }
+}
+
+/// Closes an [`Injector`] when dropped, unwinding included.
+struct CloseOnDrop<'a, T>(&'a Injector<T>);
+
+impl<T> Drop for CloseOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -545,5 +632,94 @@ mod tests {
         let d = newer.since(older);
         assert_eq!(d.tasks, 0);
         assert_eq!(d.steals, 1);
+    }
+
+    /// Runs `call` on a thread of its own and waits at most 10 s for it,
+    /// so a call that hangs fails the test instead of hanging the suite.
+    fn within_10s<R: Send + 'static>(call: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let _ = tx.send(call());
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the call did not return within 10 s");
+        caller.join().expect("the call's thread panicked");
+        result
+    }
+
+    fn distinct<T: Eq + std::hash::Hash>(ids: Vec<T>) -> usize {
+        ids.into_iter().collect::<std::collections::HashSet<_>>().len()
+    }
+
+    #[test]
+    fn sized_calls_match_serial_on_both_sides_of_the_gate() {
+        let want: Vec<u64> = (0..64).map(|x| x * 3 + 1).collect();
+        for bytes in [PAR_MIN_BYTES - 1, PAR_MIN_BYTES] {
+            for w in [1usize, 2, 4, 8] {
+                let pool = Pool::new(w);
+                let call = pool.for_bytes(bytes);
+                let mapped = call.par_map_ordered((0..64u64).collect(), || (), |_, _, x| x * 3 + 1);
+                let piped =
+                    call.pipeline_ordered(|push| (0..64u64).for_each(push), || (), |_, _, x| x * 3 + 1);
+                assert_eq!(mapped, want, "{bytes} B, width {w}");
+                assert_eq!(piped, want, "{bytes} B, width {w}, pipelined");
+                // Gated or not, every item counts as a task of this pool.
+                assert_eq!(pool.stats().tasks, 128, "{bytes} B, width {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_call_under_the_gate_runs_on_the_caller() {
+        let pool = Pool::new(8);
+        let me = std::thread::current().id();
+        let call = pool.for_bytes(PAR_MIN_BYTES - 1);
+        let here = |_: &mut (), _, _: u32| std::thread::current().id();
+        let mapped = call.par_map_ordered((0..64).collect(), || (), here);
+        let piped = call.pipeline_ordered(|push| (0..64).for_each(push), || (), here);
+        assert!(mapped.iter().chain(&piped).all(|id| *id == me));
+    }
+
+    /// Each item of a call at the gate waits on a barrier as wide as the
+    /// pool, which opens only once that many threads hold an item at the
+    /// same time: the call returns only if it spread its items, and no
+    /// timing decides the outcome.
+    #[test]
+    fn a_call_at_the_gate_spreads_its_items() {
+        for w in [2usize, 4] {
+            let spread = within_10s(move || {
+                let pool = Pool::new(w);
+                let barrier = std::sync::Barrier::new(w);
+                let meet = |_: &mut (), _, _: usize| {
+                    barrier.wait();
+                    std::thread::current().id()
+                };
+                let call = pool.for_bytes(PAR_MIN_BYTES);
+                let mapped = call.par_map_ordered((0..w).collect(), || (), meet);
+                let piped = call.pipeline_ordered(|push| (0..w).for_each(push), || (), meet);
+                (distinct(mapped), distinct(piped))
+            });
+            assert_eq!(spread, (w, w), "width {w}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_feeder_does_not_hang_a_wide_pipeline() {
+        let panicked = within_10s(|| {
+            let pool = Pool::new(2);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.pipeline_ordered(
+                    |push| {
+                        push(1u32);
+                        panic!("feeder failed after one item");
+                    },
+                    || (),
+                    |_, _, x| x,
+                )
+            }))
+            .is_err()
+        });
+        assert!(panicked, "the feeder's panic must reach the caller");
     }
 }

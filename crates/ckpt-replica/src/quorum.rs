@@ -484,8 +484,14 @@ impl QuorumClient {
         }
         // One work item per node (each has its own lock); merge order is
         // the submission order, so this is width-invariant by construction.
+        // A small object's copies stay on the caller thread.
         let set = &self.set;
-        self.pool.par_map_ordered(
+        let moved = copies
+            .iter()
+            .flat_map(|(_, node_copies)| node_copies)
+            .map(|(_, bytes, _)| bytes.len())
+            .sum();
+        self.pool.for_bytes(moved).par_map_ordered(
             copies,
             || (),
             |_, _, (i, node_copies)| {

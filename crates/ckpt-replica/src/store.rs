@@ -316,7 +316,8 @@ impl StableStorage for ReplicatedStore {
             .collect();
         let repairs = lagging.len() as u64;
         let fr = &winner;
-        self.core.pool().par_map_ordered(lagging, || (), |_, _, i| {
+        let moved = lagging.len() * fr.data.len();
+        self.core.pool().for_bytes(moved).par_map_ordered(lagging, || (), |_, _, i| {
             if fr.tombstone {
                 set.node(i).put_tombstone(key, fr.version);
             } else {

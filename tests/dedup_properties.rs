@@ -5,13 +5,16 @@
 //! (b) survive any order of deletions: the refcounted GC may only ever
 //! free chunks no surviving manifest references, so every key that is
 //! still stored loads bit-exact after every delete, and dropping the last
-//! key drains the chunk index to empty (no leaks either).
+//! key drains the chunk index to empty (no leaks either). The store's
+//! delta is tried against a bound; the bounded encoder must give the full
+//! delta or nothing.
 //!
 //! Cases are generated deterministically by [`common::Gen`]; a failing
 //! seed reproduces directly.
 
 mod common;
 
+use ckpt_restart::cas::delta::{xor_rle_encode, xor_rle_encode_within};
 use ckpt_restart::cas::{CasStats, ChunkParams, DedupStore};
 use ckpt_restart::par::Pool;
 use ckpt_restart::storage::{ImageKey, LocalDisk, StableStorage};
@@ -24,9 +27,11 @@ const CASES: u64 = 24;
 /// A random lineage: version 0 is random bytes; each later version
 /// mutates its parent (byte flips, a block rewrite, and sometimes a
 /// length change) so histories mix near-duplicate and novel content.
+/// Lengths run from 2 KB to 120 KB, so about half the objects are past
+/// `ckpt_par::PAR_MIN_BYTES` and wide pools spread their chunk digests.
 fn arb_history(g: &mut Gen) -> Vec<Vec<u8>> {
     let len = g.range(2, 6) as usize;
-    let base_len = g.range(2_000, 60_000) as usize;
+    let base_len = g.range(2_000, 120_000) as usize;
     let mut versions = vec![g.bytes(base_len)];
     for _ in 1..len {
         let mut v = versions.last().unwrap().clone();
@@ -151,5 +156,43 @@ fn gc_never_frees_a_chunk_a_live_chain_references() {
         let s = stats.snapshot();
         assert_eq!(s.live_chunks, 0, "seed {seed}: chunk index leaked");
         assert_eq!(s.live_chunk_bytes, 0, "seed {seed}: chunk bytes leaked");
+    }
+}
+
+/// The bounded delta is the full delta or nothing: for a random pair and a
+/// near-identical one, at every limit from 0 to just past the full delta's
+/// length, `xor_rle_encode_within` returns `Some(full)` exactly when
+/// `full.len() <= limit`.
+#[test]
+fn bounded_delta_is_the_full_delta_or_nothing() {
+    for seed in 0..CASES {
+        let mut g = Gen::new(0xDE17A + seed);
+        let (base_len, random_len) = (g.range(0, 2_000), g.range(0, 2_000));
+        let base = g.bytes(base_len as usize);
+        let random = g.bytes(random_len as usize);
+        let mut near = base.clone();
+        for _ in 0..g.range(0, 12) {
+            if near.is_empty() {
+                break;
+            }
+            let i = g.range(0, near.len() as u64) as usize;
+            near[i] ^= g.byte() | 1;
+        }
+        if g.flag() {
+            let tail_len = g.range(1, 64) as usize;
+            let tail = g.bytes(tail_len);
+            near.extend(tail);
+        }
+        for (label, cur) in [("random", random), ("near-identical", near)] {
+            let full = xor_rle_encode(&base, &cur);
+            for limit in 0..=full.len() + 2 {
+                assert_eq!(
+                    xor_rle_encode_within(&base, &cur, limit).as_ref(),
+                    (full.len() <= limit).then_some(&full),
+                    "seed {seed}, {label}: limit {limit}, full delta {} bytes",
+                    full.len()
+                );
+            }
+        }
     }
 }

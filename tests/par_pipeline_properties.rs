@@ -3,6 +3,12 @@
 //! serial) path, both for randomized in-memory images and for full and
 //! incremental captures of randomized live address spaces.
 //!
+//! A call under [`PAR_MIN_BYTES`] runs on the caller at every width, so
+//! each suite keeps cases past it: random images of up to 200 pages (up
+//! to 800 KiB, past the 256 KiB CRC chunk), full captures of 128 KiB to
+//! 1.1 MiB address spaces, and one replicated object per case past the
+//! gate.
+//!
 //! Cases are generated deterministically by [`common::Gen`] — every run
 //! covers the same corpus, and a failing seed is directly reproducible.
 
@@ -16,7 +22,7 @@ use ckpt_restart::image::{
     encode, encode_with_pool, CheckpointImage, ImageHeader, ImageKind, PageRecord, PolicyRecord,
     ProgramRecord, RegsRecord, SigRecord,
 };
-use ckpt_restart::par::Pool;
+use ckpt_restart::par::{Pool, PAR_MIN_BYTES};
 use ckpt_restart::simos::apps::{AppParams, NativeKind};
 use ckpt_restart::simos::cost::CostModel;
 use ckpt_restart::simos::Kernel;
@@ -156,7 +162,9 @@ fn assert_capture_width_invariant(
 /// Replicated commits are width-invariant: the quorum protocol resolves
 /// admission, faults, and backoff sequentially on the caller, so only
 /// pure payload copies ride the pool — at every width the manifests, the
-/// receipts, and the bytes on every replica must be identical.
+/// receipts, and the bytes on every replica must be identical. The first
+/// three objects of a case (1–9 KiB) copy on the caller; the fourth is
+/// past [`PAR_MIN_BYTES`] even as one copy, so wide pools spread it.
 #[test]
 fn replicated_commits_are_width_invariant() {
     use ckpt_restart::replica::{Probe, ReplicaConfig, ReplicaSet, ReplicatedStore};
@@ -175,7 +183,8 @@ fn replicated_commits_are_width_invariant() {
             let mut receipts = Vec::new();
             for i in 0..4u64 {
                 let key = format!("w-inv/k{}", i % 3);
-                let len = 1024 + g.range(0, 8192) as usize;
+                let floor = if i == 3 { PAR_MIN_BYTES } else { 1024 };
+                let len = floor + g.range(0, 8192) as usize;
                 let data = g.bytes(len);
                 if g.flag() {
                     store.replica_set().node(g.range(0, n as u64) as usize)
