@@ -50,11 +50,11 @@ pub struct CaptureOptions {
     pub save_file_contents: bool,
     /// Node id recorded in the header.
     pub node: u32,
-    /// Worker pool for page encoding. `None` (or a width-1 pool) takes the
-    /// exact serial path; wider pools overlap the page gather with
-    /// compression ([`ckpt_image::capture_pages_pipelined`]) once the
-    /// pages reach [`ckpt_par::PAR_MIN_BYTES`] — output is byte-identical
-    /// at every width.
+    /// Worker pool for page encoding. `None` takes the serial page walk;
+    /// with a pool the pages are encoded where they sit in the frozen
+    /// address space, in runs of [`ckpt_par::PAR_MIN_BYTES`]
+    /// ([`ckpt_image::encode_page_slices`]), spread over the pool once
+    /// there is more than one run. Output is byte-identical either way.
     pub encode_pool: Option<Arc<ckpt_par::Pool>>,
 }
 
@@ -116,37 +116,29 @@ pub fn capture_image(k: &mut Kernel, pid: Pid, opts: &CaptureOptions) -> SimResu
         )
     };
     // Pages: copy out of the address space (charged as kernel memcpy).
-    // On the pool, the gather (caller thread, reading the frozen address
-    // space) overlaps with compression (pool workers) once the image is
-    // large enough to pay for them; the ordered merge makes the record
-    // list identical to the serial walk.
+    // On the pool, workers encode runs of pages straight out of the frozen
+    // address space; the ordered merge makes the record list identical to
+    // the serial walk.
     let pages = {
         let p = k.process(pid).expect("checked above");
-        let par = opts.encode_pool.as_deref().filter(|_| opts.compress);
-        match par {
-            Some(pool) => ckpt_image::capture_pages_pipelined(pool, page_numbers.len(), |push| {
-                for pn in &page_numbers {
-                    let data = p.mem.page_data(*pn).expect("resident");
-                    push((*pn, data.to_vec()));
-                }
-            }),
-            None => {
-                let mut pages = Vec::with_capacity(page_numbers.len());
-                for pn in &page_numbers {
-                    let data = p.mem.page_data(*pn).expect("resident");
-                    let rec = if opts.compress {
-                        PageRecord::capture(*pn, data)
-                    } else {
-                        PageRecord {
-                            page_no: *pn,
-                            enc: ckpt_image::PageEncoding::Raw,
-                            payload: data.to_vec(),
-                        }
-                    };
-                    pages.push(rec);
-                }
-                pages
-            }
+        let slices: Vec<(u64, &[u8])> = page_numbers
+            .iter()
+            .map(|pn| (*pn, p.mem.page_data(*pn).expect("resident")))
+            .collect();
+        match opts.encode_pool.as_deref() {
+            _ if !opts.compress => slices
+                .into_iter()
+                .map(|(page_no, data)| PageRecord {
+                    page_no,
+                    enc: ckpt_image::PageEncoding::Raw,
+                    payload: data.to_vec(),
+                })
+                .collect(),
+            Some(pool) => ckpt_image::encode_page_slices(pool, slices),
+            None => slices
+                .into_iter()
+                .map(|(page_no, data)| PageRecord::capture(page_no, data))
+                .collect(),
         }
     };
     let copy_cost = k.cost.memcpy(page_numbers.len() as u64 * PAGE_SIZE);

@@ -13,8 +13,9 @@
 //! of resurrecting a corrupted process.
 
 use crate::compress::PageEncoding;
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_combine};
 use crate::format::*;
+use simos::mem::PAGE_SIZE;
 
 /// Decoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,105 +127,169 @@ pub fn encode(img: &CheckpointImage) -> Vec<u8> {
     out
 }
 
-/// [`encode`] with the trailing CRC computed in chunks on `pool` — the
-/// body bytes and the CRC value are identical at every pool width (see
-/// [`crate::parallel::crc32_par`]).
+/// [`encode`] on `pool`, byte-identical at every width. The head and the
+/// tail (everything after the page records) are written on the caller; the
+/// page records are written in runs ([`crate::parallel`]), each into its
+/// own slice of the one output buffer, and each run is CRC'd by its worker
+/// right after it is written. The run CRCs fold in order with
+/// [`crc32_combine`]. A width-1 pool runs [`encode`] itself.
 pub fn encode_with_pool(img: &CheckpointImage, pool: &ckpt_par::Pool) -> Vec<u8> {
-    let mut out = encode_body(img);
-    let crc = crate::parallel::crc32_par(pool, &out);
+    if pool.workers() == 1 {
+        return encode(img);
+    }
+    let sizes: Vec<usize> = img.pages.iter().map(record_len).collect();
+    let records: usize = sizes.iter().sum();
+    let mut out = Vec::with_capacity(4096 + records);
+    encode_head(img, &mut out);
+    let mut crc = crc32(&out);
+    let head = out.len();
+    out.resize(head + records, 0);
+    let mut rest = &mut out[head..];
+    let runs: Vec<(&[PageRecord], &mut [u8])> = crate::parallel::runs(&sizes)
+        .into_iter()
+        .map(|run| {
+            let len = sizes[run.clone()].iter().sum();
+            let (slice, after) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = after;
+            (&img.pages[run], slice)
+        })
+        .collect();
+    let run_crcs = pool.for_bytes(records).par_map_ordered(
+        runs,
+        || (),
+        |_, _, (pages, out)| {
+            write_records(out, pages);
+            (crc32(out), out.len())
+        },
+    );
+    for (run_crc, len) in run_crcs {
+        crc = crc32_combine(crc, run_crc, len as u64);
+    }
+    let tail = out.len();
+    encode_tail(img, &mut out);
+    crc = crc32_combine(crc, crc32(&out[tail..]), (out.len() - tail) as u64);
     put_u32(&mut out, crc);
     out
+}
+
+/// Bytes one page record takes: page number, encoding tag, payload length
+/// and payload.
+fn record_len(p: &PageRecord) -> usize {
+    8 + 1 + 8 + p.payload.len()
+}
+
+/// Write `pages`' records into `out`, which is exactly as long as they are.
+fn write_records(out: &mut [u8], pages: &[PageRecord]) {
+    let mut at = 0;
+    for p in pages {
+        let rec = &mut out[at..at + record_len(p)];
+        rec[..8].copy_from_slice(&p.page_no.to_le_bytes());
+        rec[8] = p.enc.tag();
+        rec[9..17].copy_from_slice(&(p.payload.len() as u64).to_le_bytes());
+        rec[17..].copy_from_slice(&p.payload);
+        at += rec.len();
+    }
 }
 
 /// Everything before the trailing CRC.
 fn encode_body(img: &CheckpointImage) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096 + img.payload_bytes() as usize);
-    put_u64(&mut out, IMAGE_MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
-    // Header.
-    put_u32(&mut out, img.header.pid);
-    put_u64(&mut out, img.header.seq);
-    put_u64(&mut out, img.header.parent_seq);
-    put_u8(
-        &mut out,
-        match img.header.kind {
-            ImageKind::Full => 0,
-            ImageKind::Incremental => 1,
-        },
-    );
-    put_u64(&mut out, img.header.taken_at_ns);
-    put_str(&mut out, &img.header.mechanism);
-    put_u32(&mut out, img.header.node);
-    // Registers.
-    put_u64(&mut out, img.regs.pc);
-    for g in img.regs.gpr {
-        put_u64(&mut out, g);
-    }
-    put_u64(&mut out, img.brk);
-    put_u64(&mut out, img.work_done);
-    put_u8(&mut out, img.policy.tag);
-    put_i32(&mut out, img.policy.value);
-    // VMAs.
-    put_u32(&mut out, img.vmas.len() as u32);
-    for v in &img.vmas {
-        put_u64(&mut out, v.start);
-        put_u64(&mut out, v.end);
-        put_u8(&mut out, v.prot);
-        put_u8(&mut out, v.kind);
-        put_str(&mut out, &v.name);
-    }
-    // Pages.
-    put_u64(&mut out, img.pages.len() as u64);
+    encode_head(img, &mut out);
     for p in &img.pages {
         put_u64(&mut out, p.page_no);
         put_u8(&mut out, p.enc.tag());
         put_bytes(&mut out, &p.payload);
     }
+    encode_tail(img, &mut out);
+    out
+}
+
+/// Everything before the first page record, the page count included.
+fn encode_head(img: &CheckpointImage, out: &mut Vec<u8>) {
+    put_u64(out, IMAGE_MAGIC);
+    put_u32(out, FORMAT_VERSION);
+    // Header.
+    put_u32(out, img.header.pid);
+    put_u64(out, img.header.seq);
+    put_u64(out, img.header.parent_seq);
+    put_u8(
+        out,
+        match img.header.kind {
+            ImageKind::Full => 0,
+            ImageKind::Incremental => 1,
+        },
+    );
+    put_u64(out, img.header.taken_at_ns);
+    put_str(out, &img.header.mechanism);
+    put_u32(out, img.header.node);
+    // Registers.
+    put_u64(out, img.regs.pc);
+    for g in img.regs.gpr {
+        put_u64(out, g);
+    }
+    put_u64(out, img.brk);
+    put_u64(out, img.work_done);
+    put_u8(out, img.policy.tag);
+    put_i32(out, img.policy.value);
+    // VMAs.
+    put_u32(out, img.vmas.len() as u32);
+    for v in &img.vmas {
+        put_u64(out, v.start);
+        put_u64(out, v.end);
+        put_u8(out, v.prot);
+        put_u8(out, v.kind);
+        put_str(out, &v.name);
+    }
+    put_u64(out, img.pages.len() as u64);
+}
+
+/// Everything after the last page record, up to the trailing CRC.
+fn encode_tail(img: &CheckpointImage, out: &mut Vec<u8>) {
     // Fds.
-    put_u32(&mut out, img.fds.len() as u32);
+    put_u32(out, img.fds.len() as u32);
     for f in &img.fds {
-        put_u32(&mut out, f.fd);
-        put_str(&mut out, &f.path);
-        put_u64(&mut out, f.offset);
-        put_u8(&mut out, f.flags);
-        put_u32(&mut out, f.group);
+        put_u32(out, f.fd);
+        put_str(out, &f.path);
+        put_u64(out, f.offset);
+        put_u8(out, f.flags);
+        put_u32(out, f.group);
     }
     // File contents.
-    put_u32(&mut out, img.files.len() as u32);
+    put_u32(out, img.files.len() as u32);
     for f in &img.files {
-        put_str(&mut out, &f.path);
-        put_bytes(&mut out, &f.data);
+        put_str(out, &f.path);
+        put_bytes(out, &f.data);
     }
     // Signal state.
-    put_u32(&mut out, img.sig.actions.len() as u32);
+    put_u32(out, img.sig.actions.len() as u32);
     for a in &img.sig.actions {
-        put_u32(&mut out, a.sig);
-        put_u8(&mut out, a.kind);
-        put_u64(&mut out, a.param);
-        put_u8(&mut out, a.non_reentrant as u8);
+        put_u32(out, a.sig);
+        put_u8(out, a.kind);
+        put_u64(out, a.param);
+        put_u8(out, a.non_reentrant as u8);
     }
-    put_u32(&mut out, img.sig.pending.len() as u32);
+    put_u32(out, img.sig.pending.len() as u32);
     for p in &img.sig.pending {
-        put_u32(&mut out, *p);
+        put_u32(out, *p);
     }
-    put_u64(&mut out, img.sig.mask);
-    put_u32(&mut out, img.sig.in_handler);
-    put_u32(&mut out, img.sig.non_reentrant_depth);
+    put_u64(out, img.sig.mask);
+    put_u32(out, img.sig.in_handler);
+    put_u32(out, img.sig.non_reentrant_depth);
     // Timers.
-    put_u32(&mut out, img.timers.len() as u32);
+    put_u32(out, img.timers.len() as u32);
     for t in &img.timers {
-        put_u64(&mut out, t.in_ns);
-        put_u64(&mut out, t.period_ns);
-        put_u32(&mut out, t.sig);
+        put_u64(out, t.in_ns);
+        put_u64(out, t.period_ns);
+        put_u32(out, t.sig);
     }
     // Program.
     match &img.program {
         ProgramRecord::Vm { name, text } => {
-            put_u8(&mut out, 0);
-            put_str(&mut out, name);
-            put_u32(&mut out, text.len() as u32);
+            put_u8(out, 0);
+            put_str(out, name);
+            put_u32(out, text.len() as u32);
             for w in text {
-                put_u32(&mut out, *w);
+                put_u32(out, *w);
             }
         }
         ProgramRecord::Native {
@@ -235,16 +300,15 @@ fn encode_body(img: &CheckpointImage) -> Vec<u8> {
             write_stride_pages,
             seed,
         } => {
-            put_u8(&mut out, 1);
-            put_u8(&mut out, *kind);
-            put_u64(&mut out, *mem_bytes);
-            put_u64(&mut out, *total_steps);
-            put_u64(&mut out, *writes_per_step);
-            put_u64(&mut out, *write_stride_pages);
-            put_u64(&mut out, *seed);
+            put_u8(out, 1);
+            put_u8(out, *kind);
+            put_u64(out, *mem_bytes);
+            put_u64(out, *total_steps);
+            put_u64(out, *writes_per_step);
+            put_u64(out, *write_stride_pages);
+            put_u64(out, *seed);
         }
     }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -321,6 +385,16 @@ pub fn decode(buf: &[u8]) -> Result<CheckpointImage, DecodeError> {
         let enc = PageEncoding::from_tag(d.u8()?)
             .ok_or(DecodeError::Malformed("bad page encoding"))?;
         let payload = d.bytes()?;
+        let consistent = match enc {
+            PageEncoding::Zero => payload.is_empty(),
+            PageEncoding::Raw => payload.len() == PAGE_SIZE as usize,
+            PageEncoding::Rle => payload.len().is_multiple_of(2),
+        };
+        if !consistent {
+            return Err(DecodeError::Malformed(
+                "page payload contradicts its encoding",
+            ));
+        }
         pages.push(PageRecord {
             page_no,
             enc,
@@ -518,13 +592,76 @@ mod tests {
         assert_eq!(back, img);
     }
 
+    /// Page `i` of a mixed image: zero, constant (RLE), random (raw) and
+    /// half-constant (long RLE) pages, so records of 17 bytes to 4 KiB
+    /// fall on both sides of every run boundary.
+    fn mixed_page(i: u64) -> PageRecord {
+        let data: Vec<u8> = match i % 4 {
+            0 => vec![0; 4096],
+            1 => vec![i as u8 | 1; 4096],
+            2 => (0..4096u64)
+                .map(|b| (b.wrapping_mul(i | 1) >> 3) as u8)
+                .collect(),
+            _ => (0..4096u64)
+                .map(|b| if b < 2048 { 5 } else { (b * 7) as u8 })
+                .collect(),
+        };
+        PageRecord::capture(i, &data)
+    }
+
     #[test]
     fn encode_with_pool_is_byte_identical() {
-        let img = sample_image();
-        let want = encode(&img);
-        for w in [1usize, 2, 4, 8] {
-            let pool = ckpt_par::Pool::new(w);
-            assert_eq!(encode_with_pool(&img, &pool), want, "width {w}");
+        let mut images = Vec::new();
+        for n in [0u64, 1, 3, 40, 97] {
+            let mut img = sample_image();
+            img.pages = (0..n).map(mixed_page).collect();
+            images.push(img);
+        }
+        let encodings: Vec<PageEncoding> = images[4].pages.iter().map(|p| p.enc).collect();
+        for enc in [PageEncoding::Zero, PageEncoding::Rle, PageEncoding::Raw] {
+            assert!(
+                encodings.contains(&enc),
+                "{enc:?} missing from the mixed image"
+            );
+        }
+        assert!(images[4].payload_bytes() as usize > 2 * ckpt_par::PAR_MIN_BYTES);
+        let mut bare = images[4].clone();
+        (bare.fds, bare.files, bare.timers) = (Vec::new(), Vec::new(), Vec::new());
+        images.push(bare);
+        for (i, img) in images.iter().enumerate() {
+            let want = encode(img);
+            for w in [1usize, 2, 4, 8] {
+                let pool = ckpt_par::Pool::new(w);
+                assert_eq!(encode_with_pool(img, &pool), want, "image {i}, width {w}");
+            }
+        }
+    }
+
+    /// Each case is a CRC-valid image whose one page record contradicts
+    /// its encoding tag.
+    #[test]
+    fn page_records_that_contradict_their_encoding_are_malformed() {
+        let cases = [
+            (PageEncoding::Zero, vec![0u8; 37]),
+            (PageEncoding::Raw, vec![1u8; 4095]),
+            (PageEncoding::Raw, vec![1u8; 4097]),
+            (PageEncoding::Rle, vec![255, 1, 3]),
+        ];
+        for (enc, payload) in cases {
+            let len = payload.len();
+            let mut img = sample_image();
+            img.pages = vec![PageRecord {
+                page_no: 9,
+                enc,
+                payload,
+            }];
+            assert_eq!(
+                decode(&encode(&img)),
+                Err(DecodeError::Malformed(
+                    "page payload contradicts its encoding"
+                )),
+                "{enc:?} with {len} payload bytes"
+            );
         }
     }
 

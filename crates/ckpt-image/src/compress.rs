@@ -7,6 +7,11 @@
 //! fills) at negligible CPU cost — appropriate for the paper's era, where
 //! checkpoint compression had to compete with a 50 MB/s disk, not a
 //! 5 GB/s one.
+//!
+//! Most pages of a dense working set are incompressible, so the RLE
+//! attempt must lose cheaply: a vectorized count of byte transitions
+//! bounds the number of runs from below, and a page the bound proves
+//! incompressible is stored raw without running the encoder.
 
 /// How a page payload is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,12 +51,6 @@ pub struct EncodeScratch {
     rle: Vec<u8>,
 }
 
-impl EncodeScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// RLE-encode `data` into `out` (cleared first). Returns `false` if the
 /// encoding would not be smaller, leaving `out` in an unspecified state.
 ///
@@ -62,6 +61,9 @@ impl EncodeScratch {
 /// run-boundary check still paid for.
 fn rle_encode_into(data: &[u8], out: &mut Vec<u8>) -> bool {
     out.clear();
+    if rle_cannot_win(data) {
+        return false;
+    }
     let mut i = 0;
     while i < data.len() {
         if out.len() + 2 >= data.len() {
@@ -79,10 +81,28 @@ fn rle_encode_into(data: &[u8], out: &mut Vec<u8>) -> bool {
     true
 }
 
-/// RLE-encode `data`. Returns `None` if the encoding would not be smaller.
-fn rle_encode(data: &[u8]) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(data.len() / 2);
-    rle_encode_into(data, &mut out).then_some(out)
+/// True when the RLE encoding of `data` is provably no smaller than `data`,
+/// which is exactly when [`rle_encode_into`] would give up.
+///
+/// Every run costs 2 bytes and the encoder gives up once `2·runs ≥ len`.
+/// Every byte that differs from its predecessor starts a run, so
+/// `runs ≥ transitions + 1`. Transitions are counted a block at a time
+/// (a `u8` tally per block, which the compiler vectorizes) and the count
+/// stops as soon as the bound is met: on random data that is about half
+/// way through.
+fn rle_cannot_win(data: &[u8]) -> bool {
+    if data.is_empty() {
+        return false;
+    }
+    let mut blocks = data.chunks(128).zip(data[1..].chunks(128));
+    let mut transitions = 0usize;
+    while 2 * (transitions + 1) < data.len() {
+        let Some((a, b)) = blocks.next() else {
+            return false;
+        };
+        transitions += a.iter().zip(b).fold(0u8, |n, (x, y)| n + u8::from(x != y)) as usize;
+    }
+    true
 }
 
 /// RLE-decode into a buffer of known decoded size.
@@ -133,27 +153,31 @@ fn is_zero_page(data: &[u8]) -> bool {
 
 /// Choose the best encoding for a page and produce its payload.
 pub fn encode_page(data: &[u8]) -> (PageEncoding, Vec<u8>) {
-    if is_zero_page(data) {
-        return (PageEncoding::Zero, Vec::new());
-    }
-    match rle_encode(data) {
-        Some(rle) => (PageEncoding::Rle, rle),
-        None => (PageEncoding::Raw, data.to_vec()),
-    }
+    encode_page_with(data, &mut EncodeScratch::default())
 }
 
 /// [`encode_page`] with caller-provided scratch space. The RLE pass writes
 /// into the scratch buffer; only a successful encoding is copied out, as an
 /// exact-size allocation.
 pub fn encode_page_with(data: &[u8], scratch: &mut EncodeScratch) -> (PageEncoding, Vec<u8>) {
+    compressed(data, scratch).unwrap_or_else(|| (PageEncoding::Raw, data.to_vec()))
+}
+
+/// [`encode_page_with`] for a page the caller owns: a Raw payload is `data`
+/// itself, moved rather than copied.
+pub(crate) fn encode_owned_page_with(
+    data: Vec<u8>,
+    scratch: &mut EncodeScratch,
+) -> (PageEncoding, Vec<u8>) {
+    compressed(&data, scratch).unwrap_or((PageEncoding::Raw, data))
+}
+
+/// The Zero or RLE encoding of `data`, or `None` when it must be stored raw.
+fn compressed(data: &[u8], scratch: &mut EncodeScratch) -> Option<(PageEncoding, Vec<u8>)> {
     if is_zero_page(data) {
-        return (PageEncoding::Zero, Vec::new());
+        return Some((PageEncoding::Zero, Vec::new()));
     }
-    if rle_encode_into(data, &mut scratch.rle) {
-        (PageEncoding::Rle, scratch.rle.clone())
-    } else {
-        (PageEncoding::Raw, data.to_vec())
-    }
+    rle_encode_into(data, &mut scratch.rle).then(|| (PageEncoding::Rle, scratch.rle.clone()))
 }
 
 /// Decode a page payload back to `page_size` bytes.
@@ -181,42 +205,6 @@ mod tests {
     const PS: usize = 4096;
 
     #[test]
-    fn zero_page_elided() {
-        let page = vec![0u8; PS];
-        let (enc, payload) = encode_page(&page);
-        assert_eq!(enc, PageEncoding::Zero);
-        assert!(payload.is_empty());
-        assert_eq!(decode_page(enc, &payload, PS).unwrap(), page);
-    }
-
-    #[test]
-    fn constant_fill_rle_compresses() {
-        let page = vec![0xABu8; PS];
-        let (enc, payload) = encode_page(&page);
-        assert_eq!(enc, PageEncoding::Rle);
-        assert!(payload.len() < PS / 100);
-        assert_eq!(decode_page(enc, &payload, PS).unwrap(), page);
-    }
-
-    #[test]
-    fn incompressible_falls_back_to_raw() {
-        let page: Vec<u8> = (0..PS).map(|i| (i * 131 + 7) as u8).collect();
-        let (enc, payload) = encode_page(&page);
-        assert_eq!(enc, PageEncoding::Raw);
-        assert_eq!(payload.len(), PS);
-        assert_eq!(decode_page(enc, &payload, PS).unwrap(), page);
-    }
-
-    #[test]
-    fn mixed_content_round_trips() {
-        let mut page = vec![0u8; PS];
-        page[0..100].fill(7);
-        page[2000..2100].copy_from_slice(&(0..100).map(|i| i as u8).collect::<Vec<_>>());
-        let (enc, payload) = encode_page(&page);
-        assert_eq!(decode_page(enc, &payload, PS).unwrap(), page);
-    }
-
-    #[test]
     fn malformed_rle_rejected() {
         assert!(rle_decode(&[1], PS).is_err()); // odd length
         assert!(rle_decode(&[0, 5], PS).is_err()); // zero run
@@ -229,66 +217,125 @@ mod tests {
         assert!(decode_page(PageEncoding::Raw, &[1, 2, 3], PS).is_err());
     }
 
-    #[test]
-    fn long_runs_split_at_255() {
-        let page = vec![9u8; 1000];
-        let (enc, payload) = encode_page(&page);
-        assert_eq!(enc, PageEncoding::Rle);
-        assert_eq!(decode_page(enc, &payload, 1000).unwrap(), page);
+    /// The textbook encoder: emit every run, then compare sizes once.
+    fn reference_rle(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < data.len() {
+            let b = data[i];
+            let mut run = 1usize;
+            while i + run < data.len() && data[i + run] == b && run < 255 {
+                run += 1;
+            }
+            out.push(run as u8);
+            out.push(b);
+            i += run;
+        }
+        out
     }
 
-    #[test]
-    fn scratch_reuse_matches_fresh_encode() {
-        // A single scratch across pages of very different shapes must give
-        // exactly what per-page `encode_page` gives.
-        let mut scratch = EncodeScratch::new();
-        let pages: Vec<Vec<u8>> = vec![
+    /// What [`encode_page`] must return, from the textbook encoder.
+    fn reference_page(data: &[u8]) -> (PageEncoding, Vec<u8>) {
+        if data.iter().all(|&b| b == 0) {
+            return (PageEncoding::Zero, Vec::new());
+        }
+        let rle = reference_rle(data);
+        if rle.len() < data.len() {
+            (PageEncoding::Rle, rle)
+        } else {
+            (PageEncoding::Raw, data.to_vec())
+        }
+    }
+
+    /// `len` bytes in exactly `runs` runs of near-equal length (`runs` at
+    /// most `len`), alternating two non-zero bytes.
+    fn with_runs(len: usize, runs: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| if (i * runs / len).is_multiple_of(2) { 0xA5 } else { 0x5A })
+            .collect()
+    }
+
+    fn lcg_bytes(len: usize, seed: u32) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                (state >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Zero, constant, incompressible and mixed pages, pages whose runs
+    /// cross 255 (3, 5 and 16 runs) or sit at the bound (2047 to 2049
+    /// runs), and short buffers of every length up to 64.
+    fn corpus() -> Vec<Vec<u8>> {
+        let mut mixed = vec![0u8; PS];
+        mixed[0..100].fill(7);
+        mixed[2000..2100].copy_from_slice(&(0..100).map(|i| i as u8).collect::<Vec<_>>());
+        let mut pages = vec![
             vec![0u8; PS],
             vec![0xABu8; PS],
             (0..PS).map(|i| (i * 131 + 7) as u8).collect(),
-            {
-                let mut p = vec![0u8; PS];
-                p[100..300].fill(5);
-                p[4000..4096].copy_from_slice(&(0..96).map(|i| i as u8).collect::<Vec<_>>());
-                p
-            },
+            mixed,
+            lcg_bytes(PS, 1),
+            lcg_bytes(PS, 2),
         ];
-        for page in &pages {
-            assert_eq!(encode_page_with(page, &mut scratch), encode_page(page));
+        for runs in [3, 5, 16, 2047, 2048, 2049] {
+            pages.push(with_runs(PS, runs));
         }
+        for len in 0..=64usize {
+            pages.push(vec![0; len]);
+            pages.push(vec![9; len]);
+            pages.push(lcg_bytes(len, len as u32));
+            for runs in [1, 2, len / 2, len.saturating_sub(1), len] {
+                if runs > 0 {
+                    pages.push(with_runs(len, runs));
+                }
+            }
+        }
+        pages
     }
 
     #[test]
-    fn early_bail_matches_reference_rle() {
-        // The top-of-loop bail must return `None` in exactly the cases the
-        // run-boundary check did. Reference: encode fully, then compare
-        // sizes once at the end (a superset acceptor of any mid-loop bail).
-        fn reference(data: &[u8]) -> Option<Vec<u8>> {
-            let mut out = Vec::new();
-            let mut i = 0;
-            while i < data.len() {
-                let b = data[i];
-                let mut run = 1usize;
-                while i + run < data.len() && data[i + run] == b && run < 255 {
-                    run += 1;
-                }
-                out.push(run as u8);
-                out.push(b);
-                i += run;
-            }
-            // Empty input encodes to empty output (vacuously "smaller").
-            (data.is_empty() || out.len() < data.len()).then_some(out)
+    fn encoders_equal_the_textbook_encoder_and_round_trip() {
+        let mut scratch = EncodeScratch::default();
+        for (i, page) in corpus().iter().enumerate() {
+            let want = reference_page(page);
+            assert_eq!(encode_page(page), want, "page {i} (len {})", page.len());
+            let back = decode_page(want.0, &want.1, page.len());
+            assert_eq!(back.as_ref(), Ok(page), "page {i}, round trip");
+            assert_eq!(
+                encode_page_with(page, &mut scratch),
+                want,
+                "page {i}, scratch"
+            );
+            assert_eq!(
+                encode_owned_page_with(page.clone(), &mut scratch),
+                want,
+                "page {i}, owned"
+            );
         }
-        let mut state = 0x1234_5678u32;
-        for len in [0usize, 1, 2, 3, 7, 64, 255, 256, 1000] {
-            for density in [0u32, 1, 4, 64, 255] {
-                let data: Vec<u8> = (0..len)
-                    .map(|_| {
-                        state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                        if (state >> 24) <= density { (state >> 8) as u8 } else { 0 }
-                    })
-                    .collect();
-                assert_eq!(rle_encode(&data), reference(&data), "len {len} density {density}");
+    }
+
+    /// The bound never gives up on a page RLE would shrink, and on pages
+    /// with no run past 255 (where runs = transitions + 1) it gives up on
+    /// every page RLE would not: at 2048 runs of a page, not at 2047.
+    #[test]
+    fn the_bound_is_sound_and_tight_without_long_runs() {
+        for (i, page) in corpus().iter().enumerate() {
+            let runs = reference_rle(page).len() / 2;
+            let loses = !page.is_empty() && 2 * runs >= page.len();
+            if rle_cannot_win(page) {
+                assert!(loses, "page {i}: bound gave up on a winning page");
+            }
+            let transitions = page.windows(2).filter(|w| w[0] != w[1]).count();
+            if !page.is_empty() && runs == transitions + 1 {
+                assert_eq!(
+                    rle_cannot_win(page),
+                    loses,
+                    "page {i} ({runs} runs, len {})",
+                    page.len()
+                );
             }
         }
     }

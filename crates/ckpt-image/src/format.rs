@@ -12,7 +12,7 @@
 //! their parent sequence number and carry only dirtied pages (see
 //! [`crate::chain`]).
 
-use crate::compress::{decode_page, encode_page, encode_page_with, EncodeScratch, PageEncoding};
+use crate::compress::{decode_page, encode_page, PageEncoding};
 use simos::apps::{AppParams, NativeKind};
 use simos::mem::{Prot, Vma, VmaKind, PAGE_SIZE};
 use simos::pcb::{ProgramSpec, Regs};
@@ -143,17 +143,6 @@ impl PageRecord {
     /// Compress and record a page.
     pub fn capture(page_no: u64, data: &[u8]) -> Self {
         let (enc, payload) = encode_page(data);
-        PageRecord {
-            page_no,
-            enc,
-            payload,
-        }
-    }
-
-    /// [`Self::capture`] with caller-provided scratch space — what pool
-    /// workers use so each reuses one buffer across all its pages.
-    pub fn capture_with(page_no: u64, data: &[u8], scratch: &mut EncodeScratch) -> Self {
-        let (enc, payload) = encode_page_with(data, scratch);
         PageRecord {
             page_no,
             enc,

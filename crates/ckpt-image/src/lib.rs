@@ -12,7 +12,10 @@
 //! * **compression**: zero-page elision and RLE, the data reductions that
 //!   made sense against the paper's 50 MB/s disks ([`compress`]);
 //! * **incremental chains**: full + delta images with validated lineage
-//!   and deterministic reconstruction ([`chain`]).
+//!   and deterministic reconstruction ([`chain`]);
+//! * **parallel encode**: pages encoded, and image bodies written and
+//!   CRC'd, in runs on a `ckpt-par` pool, byte-identical at every width
+//!   ([`parallel`], [`encode_with_pool`]).
 //!
 //! Capturing *from* and restoring *into* a live [`simos::Kernel`] is the
 //! job of `ckpt-core`; this crate is the format.
@@ -28,7 +31,7 @@ pub use chain::{reconstruct, reconstruct_with, validate, ChainError};
 pub use codec::{decode, encode, encode_with_pool, DecodeError};
 pub use compress::{decode_page, encode_page, encode_page_with, EncodeScratch, PageEncoding};
 pub use crc::{crc32, crc32_combine};
-pub use parallel::{capture_pages_pipelined, crc32_par, encode_pages};
+pub use parallel::{encode_page_slices, encode_pages};
 pub use format::{
     CheckpointImage, FdRecord, FileContentRecord, ImageHeader, ImageKind, PageRecord,
     PolicyRecord, ProgramRecord, RegsRecord, SigActionRecord, SigRecord, TimerRecord, VmaRecord,

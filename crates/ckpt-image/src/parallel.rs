@@ -1,87 +1,89 @@
-//! Parallel page encoding and chunked CRC, byte-identical to the serial
-//! path.
+//! Page encoding in runs on a pool, byte-identical to the serial path.
 //!
-//! Two facts make the image pipeline parallelizable without changing a
-//! single output byte:
+//! Page encoding is a pure function of page content, so encoding pages on
+//! a pool and merging in page order gives exactly the serial record list.
+//! The pool's unit of work is a *run*: consecutive items carrying at least
+//! [`PAR_MIN_BYTES`] of payload, the least a pool task is worth. One task
+//! per run keeps the per-task bookkeeping (a queue pop, a merge-board
+//! place) off the per-page path. Capture encodes the frozen guest's pages
+//! where they sit ([`encode_page_slices`]): a raw page is copied once, into
+//! its record. The image body is written in the same runs
+//! ([`crate::codec::encode_with_pool`]), each run CRC'd while it is hot and
+//! the run CRCs folded with [`crate::crc::crc32_combine`].
 //!
-//! * page encoding is a pure function of page content — encoding pages on
-//!   a pool and merging in page order ([`Pool::par_map_ordered`] /
-//!   [`Pool::pipeline_ordered`]) gives exactly the serial record list;
-//! * CRC-32 is linear over GF(2) — chunks hashed independently combine
-//!   via [`crate::crc::crc32_combine`] into the one-shot CRC of the whole
-//!   buffer.
-//!
-//! On a pool of width 1, and for a call under [`ckpt_par::PAR_MIN_BYTES`]
-//! at any width, every helper here degenerates to the pre-existing serial
-//! code path.
+//! On a pool of width 1, and for a call under [`PAR_MIN_BYTES`] at any
+//! width, the runs are encoded in order on the caller.
 
-use crate::compress::EncodeScratch;
-use crate::crc::{crc32, crc32_combine, Crc32};
+use crate::compress::{encode_owned_page_with, encode_page_with, EncodeScratch, PageEncoding};
 use crate::format::PageRecord;
-use ckpt_par::Pool;
-use simos::mem::PAGE_SIZE;
+use ckpt_par::{Pool, PAR_MIN_BYTES};
+use std::ops::Range;
 
 /// Encode gathered `(page_no, data)` pairs into [`PageRecord`]s on the
-/// pool, merged in submission (page) order. Each worker reuses one
-/// [`EncodeScratch`] across all pages it encodes.
+/// pool, in page order. A page stored raw keeps its `data` as the payload
+/// (moved, not copied).
 pub fn encode_pages(pool: &Pool, pages: Vec<(u64, Vec<u8>)>) -> Vec<PageRecord> {
-    let moved = pages.iter().map(|(_, data)| data.len()).sum();
-    let call = pool.for_bytes(moved);
-    call.par_map_ordered(pages, EncodeScratch::new, |scratch, _i, (page_no, data)| {
-        PageRecord::capture_with(page_no, &data, scratch)
-    })
+    encode_in_runs(pool, pages, encode_owned_page_with)
 }
 
-/// Pipelined capture of `pages` pages: `feeder` runs on the caller thread
-/// pushing `(page_no, data)` pairs (the gather stage — typically copying
-/// pages out of a frozen guest address space) while pool workers compress
-/// them (the encode stage). The two stages overlap; records come back in
-/// feed order.
-pub fn capture_pages_pipelined<G>(pool: &Pool, pages: usize, feeder: G) -> Vec<PageRecord>
+/// Encode `(page_no, data)` pairs borrowed from where the pages sit (a
+/// frozen address space) into [`PageRecord`]s on the pool, in page order.
+/// A page stored raw is copied once, into its record.
+pub fn encode_page_slices(pool: &Pool, pages: Vec<(u64, &[u8])>) -> Vec<PageRecord> {
+    encode_in_runs(pool, pages, encode_page_with)
+}
+
+fn encode_in_runs<D, F>(pool: &Pool, pages: Vec<(u64, D)>, encode: F) -> Vec<PageRecord>
 where
-    G: FnMut(&mut dyn FnMut((u64, Vec<u8>))),
+    D: AsRef<[u8]> + Send,
+    F: Fn(D, &mut EncodeScratch) -> (PageEncoding, Vec<u8>) + Sync,
 {
-    let call = pool.for_bytes(pages * PAGE_SIZE as usize);
-    call.pipeline_ordered(feeder, EncodeScratch::new, |scratch, _i, (page_no, data)| {
-        PageRecord::capture_with(page_no, &data, scratch)
-    })
-}
-
-/// Chunk size for parallel CRC. Large enough that per-chunk overhead
-/// (combine is ~18 GF(2) matrix squarings) is noise, small enough to
-/// load-balance across workers for megabyte-scale images.
-const CRC_CHUNK: usize = 256 * 1024;
-
-/// CRC-32 of `data` computed in `CRC_CHUNK` pieces on the pool and
-/// recombined — bit-identical to [`crc32`] at every width.
-pub fn crc32_par(pool: &Pool, data: &[u8]) -> u32 {
-    if data.len() <= CRC_CHUNK {
-        return crc32(data);
-    }
-    let ranges: Vec<(usize, usize)> = (0..data.len())
-        .step_by(CRC_CHUNK)
-        .map(|lo| (lo, (lo + CRC_CHUNK).min(data.len())))
+    let sizes: Vec<usize> = pages.iter().map(|(_, data)| data.as_ref().len()).collect();
+    let mut pages = pages.into_iter();
+    let runs: Vec<Vec<(u64, D)>> = runs(&sizes)
+        .into_iter()
+        .map(|run| pages.by_ref().take(run.len()).collect())
         .collect();
-    let chunks = pool.for_bytes(data.len()).par_map_ordered(
-        ranges,
-        || (),
-        |_, _, (lo, hi)| {
-            let mut c = Crc32::new();
-            c.update(&data[lo..hi]);
-            (c.finalize(), (hi - lo) as u64)
+    let encoded = pool.for_bytes(sizes.iter().sum()).par_map_ordered(
+        runs,
+        EncodeScratch::default,
+        |scratch, _, run| {
+            run.into_iter()
+                .map(|(page_no, data)| {
+                    let (enc, payload) = encode(data, scratch);
+                    PageRecord {
+                        page_no,
+                        enc,
+                        payload,
+                    }
+                })
+                .collect::<Vec<_>>()
         },
     );
-    let mut acc = crc32(&[]);
-    for (crc, len) in chunks {
-        acc = crc32_combine(acc, crc, len);
+    encoded.into_iter().flatten().collect()
+}
+
+/// Cut items of the given byte sizes into runs of consecutive items, each
+/// closed once it holds [`PAR_MIN_BYTES`] (the last may hold less).
+pub(crate) fn runs(sizes: &[usize]) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let (mut start, mut bytes) = (0, 0);
+    for (i, size) in sizes.iter().enumerate() {
+        bytes += size;
+        if bytes >= PAR_MIN_BYTES {
+            runs.push(start..i + 1);
+            (start, bytes) = (i + 1, 0);
+        }
     }
-    acc
+    if start < sizes.len() {
+        runs.push(start..sizes.len());
+    }
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::{encode_page, encode_page_with};
 
     fn page(seed: u64) -> Vec<u8> {
         // Mix of zero, constant-fill, and incompressible pages by seed.
@@ -94,11 +96,12 @@ mod tests {
         }
     }
 
-    /// 97 pages (388 KiB) cross `ckpt_par::PAR_MIN_BYTES`; 15 pages stay
-    /// under it. Both must equal the serial records at every width.
+    /// 97 pages (388 KiB, seven runs) cross `ckpt_par::PAR_MIN_BYTES`; 15
+    /// pages stay under it. Both must equal the serial records at every
+    /// width, owned or borrowed.
     #[test]
-    fn parallel_page_encode_matches_serial_at_every_width() {
-        for n in [97u64, 15] {
+    fn run_encode_matches_serial_at_every_width() {
+        for n in [97u64, 15, 0] {
             let gathered: Vec<(u64, Vec<u8>)> = (0..n).map(|p| (p, page(p))).collect();
             let want: Vec<PageRecord> = gathered
                 .iter()
@@ -106,41 +109,28 @@ mod tests {
                 .collect();
             for w in [1usize, 2, 4, 8] {
                 let pool = Pool::new(w);
-                assert_eq!(encode_pages(&pool, gathered.clone()), want, "{n} pages, width {w}");
-                let piped = capture_pages_pipelined(&pool, gathered.len(), |push| {
-                    for (p, d) in &gathered {
-                        push((*p, d.clone()));
-                    }
-                });
-                assert_eq!(piped, want, "{n} pages, pipelined, width {w}");
+                assert_eq!(
+                    encode_pages(&pool, gathered.clone()),
+                    want,
+                    "{n} pages, width {w}"
+                );
+                let slices = gathered.iter().map(|(p, d)| (*p, &d[..])).collect();
+                assert_eq!(
+                    encode_page_slices(&pool, slices),
+                    want,
+                    "{n} pages, slices, width {w}"
+                );
             }
         }
     }
 
-    /// Three full CRC chunks and a tail: 780 KiB, past
-    /// `ckpt_par::PAR_MIN_BYTES`, so wide pools hash the chunks in
-    /// parallel.
     #[test]
-    fn crc32_par_matches_serial() {
-        let data: Vec<u8> = (0..3 * CRC_CHUNK + 12345)
-            .map(|i| (i as u32).wrapping_mul(2654435761) as u8)
-            .collect();
-        let want = crc32(&data);
-        for w in [1usize, 2, 4, 8] {
-            let pool = Pool::new(w);
-            assert_eq!(crc32_par(&pool, &data), want, "width {w}");
-        }
-        // Small inputs take the serial path but must agree too.
-        let small = b"hello, checkpoint";
-        assert_eq!(crc32_par(&Pool::new(8), small), crc32(small));
-    }
-
-    #[test]
-    fn scratch_encode_agrees_with_plain_encode() {
-        let mut scratch = EncodeScratch::new();
-        for s in 0..24u64 {
-            let d = page(s);
-            assert_eq!(encode_page_with(&d, &mut scratch), encode_page(&d), "seed {s}");
-        }
+    fn runs_cover_every_item_once_and_close_at_the_gate() {
+        let page = PAR_MIN_BYTES / 16;
+        assert_eq!(runs(&[]), Vec::<Range<usize>>::new());
+        assert_eq!(runs(&[page; 3]), vec![0..3]);
+        assert_eq!(runs(&[page; 33]), vec![0..16, 16..32, 32..33]);
+        assert_eq!(runs(&[0, PAR_MIN_BYTES, 0, 0]), vec![0..2, 2..4]);
+        assert_eq!(runs(&[PAR_MIN_BYTES - 1, 1, 5]), vec![0..2, 2..3]);
     }
 }

@@ -8,15 +8,13 @@
 //! and nothing else — on plain `std::thread`, matching the vendored-shims
 //! policy (no external dependencies).
 //!
-//! Two entry points:
-//!
-//! * [`Pool::par_map_ordered`] — map a known list of items; items are
-//!   pre-partitioned across workers and idle workers steal half of a
-//!   victim's remaining run (classic work stealing, coarsened to ranges).
-//! * [`Pool::pipeline_ordered`] — a producer/consumer pipeline: the caller
-//!   thread *feeds* items (e.g. gathering pages out of a guest address
-//!   space) while workers consume and encode, overlapping the two stages;
-//!   when feeding ends the caller drains the queue alongside the workers.
+//! One entry point, [`Pool::par_map_ordered`]: map a known list of items;
+//! items are pre-partitioned across workers and idle workers steal half of
+//! a victim's remaining share (classic work stealing, coarsened to ranges).
+//! A caller whose items are small (pages) groups them into runs of about
+//! [`PAR_MIN_BYTES`] first, so one task carries enough work to pay for its
+//! queue pop and merge-board slot; a capture encodes its pages that way
+//! straight out of the frozen address space, with nothing staged.
 //!
 //! A pool of size 1 (the default on single-CPU hosts) executes the exact
 //! serial path inline — no threads are spawned, no locks are taken beyond
@@ -30,9 +28,9 @@
 //! takes the width-1 path on the caller thread, anything larger spreads as
 //! before. The gate counts bytes, not items, because the layers' items
 //! range from a 6.6 KiB node copy to a 64 KiB parity row: three node copies
-//! of a 21 KiB chunk lose 20–50 µs to the spawn at width 2, while sixteen
-//! page encodes of the same 64 KiB already break even
-//! (`examples/pool_overhead`).
+//! of a 21 KiB chunk lose 45–65 µs to the spawn at width 2, while an image
+//! body written and CRC'd in runs of the same 64 KiB is even at two runs
+//! and wins from four (`examples/pool_overhead`).
 //! Calls whose items are whole jobs or experiments (the bench suite,
 //! `analytics`, `scale_round`) call the pool directly and are never gated.
 //! Either way the results, their order and the [`PoolStats`] task count are
@@ -54,18 +52,22 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A call sized under this many bytes ([`Pool::for_bytes`]) runs on the
 /// caller thread at any pool width.
 ///
+/// It is also the image layers' run: one pool task per this many bytes of
+/// pages or page records, so such a call spreads from two runs on.
+///
 /// Set from `examples/pool_overhead` (shared 2-core host, µs per call at
-/// width 1 → width 2, the range over four runs): three node copies of a
-/// 6.6 KiB chunk go 0.3 → 20–43, of a 21 KiB chunk (64 KiB in all) 2 →
-/// 23–49; `encode_pages` of 16 pages (64 KiB) is even within noise (67–111
-/// → 70–140), of 32 pages (128 KiB) it wins in three runs of four, of 64
-/// pages in all four. Below 64 KiB no shape the layers make gains from a
-/// second thread; from 128 KiB page encoding does.
+/// width 1 → width 2, two runs): three node copies of 64 KiB in all go 2–3
+/// → 47–67, of 256 KiB 61–91 → 65–119. Page encoding in runs (0.2–0.3 µs
+/// a page since the RLE bound) loses to the spawn up to 1 MiB. The
+/// cheapest crossover is `encode_with_pool`, CRC-bound: 128 KiB (two
+/// runs) 122 → 137–143, 256 KiB 240–258 → 221–275, 512 KiB 479–529 →
+/// 366–416. Below 64 KiB nothing gains from a second thread; a larger run
+/// would hold the body write back to larger images.
 pub const PAR_MIN_BYTES: usize = 64 * 1024;
 
 /// Cumulative counters for one [`Pool`].
@@ -172,36 +174,16 @@ impl Pool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, T) -> R + Sync,
     {
-        self.whole().par_map_ordered(items, init, f)
-    }
-
-    /// Producer/consumer pipeline with ordered merge: `feeder` runs on the
-    /// caller thread and pushes items (gather stage) while workers consume
-    /// them through `f` (encode stage) — the two stages overlap, which is
-    /// the double-buffering the capture path wants. Once the feeder
-    /// returns, the caller thread joins the drain. Results come back in
-    /// submission order.
-    pub fn pipeline_ordered<T, S, R, G, I, F>(&self, feeder: G, init: I, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        G: FnMut(&mut dyn FnMut(T)),
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, T) -> R + Sync,
-    {
-        self.whole().pipeline_ordered(feeder, init, f)
-    }
-
-    fn whole(&self) -> SizedCall<'_> {
-        SizedCall {
+        let call = SizedCall {
             pool: self,
             width: self.workers,
-        }
+        };
+        call.par_map_ordered(items, init, f)
     }
 }
 
 /// A [`Pool`] for one call of a stated size ([`Pool::for_bytes`]): the
-/// same two entry points, at the pool's width or on the caller alone.
+/// same entry point, at the pool's width or on the caller alone.
 #[derive(Clone, Copy)]
 pub struct SizedCall<'a> {
     pool: &'a Pool,
@@ -243,77 +225,6 @@ impl SizedCall<'_> {
         let board = Mutex::new(MergeBoard::with_capacity(n));
         let (tasks, steals, stalls) = run_stealing_workers(w, &queues, &board, &init, &f);
         self.pool.flush(tasks, steals, stalls);
-        board.into_inner().unwrap().into_ordered()
-    }
-
-    /// [`Pool::pipeline_ordered`] at this call's width.
-    pub fn pipeline_ordered<T, S, R, G, I, F>(self, mut feeder: G, init: I, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        G: FnMut(&mut dyn FnMut(T)),
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, T) -> R + Sync,
-    {
-        if self.width <= 1 {
-            // Exact serial path: each item is encoded as it is fed, in
-            // order, so nothing is staged.
-            let mut scratch = init();
-            let mut out: Vec<R> = Vec::new();
-            feeder(&mut |t| {
-                let i = out.len();
-                out.push(f(&mut scratch, i, t));
-            });
-            self.pool.flush(out.len() as u64, 0, 0);
-            return out;
-        }
-        let inject = Injector::<T>::new();
-        let board = Mutex::new(MergeBoard::new());
-        let helpers = self.width - 1;
-        let (tasks, stalls) = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(helpers);
-            for _ in 0..helpers {
-                handles.push(scope.spawn(|| {
-                    let mut scratch = init();
-                    let mut tasks = 0u64;
-                    let mut stalls = 0u64;
-                    while let Some((idx, item)) = inject.pop_wait() {
-                        let r = f(&mut scratch, idx, item);
-                        tasks += 1;
-                        stalls += board.lock().unwrap().place(idx, r);
-                    }
-                    (tasks, stalls)
-                }));
-            }
-            // Feed on the caller thread, overlapping the workers. The
-            // guard closes the queue however the feeder ends: a feeder
-            // that panics must not leave the helpers waiting for items
-            // that will never come, or the scope would never join them.
-            {
-                let _close = CloseOnDrop(&inject);
-                let mut next = 0usize;
-                feeder(&mut |t| {
-                    inject.push((next, t));
-                    next += 1;
-                });
-            }
-            // Then help drain what's left.
-            let mut scratch = init();
-            let mut tasks = 0u64;
-            let mut stalls = 0u64;
-            while let Some((idx, item)) = inject.pop_wait() {
-                let r = f(&mut scratch, idx, item);
-                tasks += 1;
-                stalls += board.lock().unwrap().place(idx, r);
-            }
-            for h in handles {
-                let (t, s) = h.join().expect("ckpt-par worker panicked");
-                tasks += t;
-                stalls += s;
-            }
-            (tasks, stalls)
-        });
-        self.pool.flush(tasks, 0, stalls);
         board.into_inner().unwrap().into_ordered()
     }
 }
@@ -400,25 +311,14 @@ struct MergeBoard<R> {
 }
 
 impl<R> MergeBoard<R> {
-    fn new() -> Self {
-        MergeBoard {
-            slots: Vec::new(),
-            next: 0,
-        }
-    }
-
     fn with_capacity(n: usize) -> Self {
-        let mut slots = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
+        let slots = (0..n).map(|_| None).collect();
         MergeBoard { slots, next: 0 }
     }
 
     /// Place a completed result; returns 1 if it stalled (arrived out of
     /// submission order), 0 otherwise.
     fn place(&mut self, idx: usize, r: R) -> u64 {
-        if self.slots.len() <= idx {
-            self.slots.resize_with(idx + 1, || None);
-        }
         debug_assert!(self.slots[idx].is_none(), "duplicate index {idx}");
         self.slots[idx] = Some(r);
         if idx == self.next {
@@ -436,54 +336,6 @@ impl<R> MergeBoard<R> {
             .into_iter()
             .map(|s| s.expect("ckpt-par: missing result slot"))
             .collect()
-    }
-}
-
-/// A closable MPMC injector: producers push, consumers block-pop until
-/// the queue is both closed and empty.
-struct Injector<T> {
-    q: Mutex<(VecDeque<(usize, T)>, bool)>,
-    cv: Condvar,
-}
-
-impl<T> Injector<T> {
-    fn new() -> Self {
-        Injector {
-            q: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, it: (usize, T)) {
-        self.q.lock().unwrap().0.push_back(it);
-        self.cv.notify_one();
-    }
-
-    fn close(&self) {
-        self.q.lock().unwrap_or_else(PoisonError::into_inner).1 = true;
-        self.cv.notify_all();
-    }
-
-    fn pop_wait(&self) -> Option<(usize, T)> {
-        let mut g = self.q.lock().unwrap();
-        loop {
-            if let Some(it) = g.0.pop_front() {
-                return Some(it);
-            }
-            if g.1 {
-                return None;
-            }
-            g = self.cv.wait(g).unwrap();
-        }
-    }
-}
-
-/// Closes an [`Injector`] when dropped, unwinding included.
-struct CloseOnDrop<'a, T>(&'a Injector<T>);
-
-impl<T> Drop for CloseOnDrop<'_, T> {
-    fn drop(&mut self) {
-        self.0.close();
     }
 }
 
@@ -537,35 +389,12 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_matches_serial_for_all_widths() {
-        for w in [1usize, 2, 4, 8] {
-            let pool = Pool::new(w);
-            let got = pool.pipeline_ordered(
-                |push| {
-                    for i in 0..100u64 {
-                        push(i);
-                    }
-                },
-                || 0u64,
-                |scratch, _, x| {
-                    *scratch += 1; // worker-local state is allowed
-                    x * 3 + 1
-                },
-            );
-            let want: Vec<u64> = (0..100).map(|x| x * 3 + 1).collect();
-            assert_eq!(got, want, "width {w}");
-        }
-    }
-
-    #[test]
     fn empty_and_single_item_inputs() {
         let pool = Pool::new(4);
         let empty: Vec<u32> = pool.par_map_ordered(Vec::<u32>::new(), || (), |_, _, x| x);
         assert!(empty.is_empty());
         let one = pool.par_map_ordered(vec![7u32], || (), |_, _, x| x + 1);
         assert_eq!(one, vec![8]);
-        let none: Vec<u32> = pool.pipeline_ordered(|_push| {}, || (), |_, _, x: u32| x);
-        assert!(none.is_empty());
     }
 
     #[test]
@@ -573,13 +402,8 @@ mod tests {
         let pool = Pool::new(3);
         let before = pool.stats();
         pool.par_map_ordered((0..500u32).collect(), || (), |_, _, x| x);
-        pool.pipeline_ordered(
-            |push| (0..250u32).for_each(push),
-            || (),
-            |_, _, x| x,
-        );
         let d = pool.stats().since(before);
-        assert_eq!(d.tasks, 750);
+        assert_eq!(d.tasks, 500);
     }
 
     #[test]
@@ -660,12 +484,9 @@ mod tests {
                 let pool = Pool::new(w);
                 let call = pool.for_bytes(bytes);
                 let mapped = call.par_map_ordered((0..64u64).collect(), || (), |_, _, x| x * 3 + 1);
-                let piped =
-                    call.pipeline_ordered(|push| (0..64u64).for_each(push), || (), |_, _, x| x * 3 + 1);
                 assert_eq!(mapped, want, "{bytes} B, width {w}");
-                assert_eq!(piped, want, "{bytes} B, width {w}, pipelined");
                 // Gated or not, every item counts as a task of this pool.
-                assert_eq!(pool.stats().tasks, 128, "{bytes} B, width {w}");
+                assert_eq!(pool.stats().tasks, 64, "{bytes} B, width {w}");
             }
         }
     }
@@ -677,8 +498,7 @@ mod tests {
         let call = pool.for_bytes(PAR_MIN_BYTES - 1);
         let here = |_: &mut (), _, _: u32| std::thread::current().id();
         let mapped = call.par_map_ordered((0..64).collect(), || (), here);
-        let piped = call.pipeline_ordered(|push| (0..64).for_each(push), || (), here);
-        assert!(mapped.iter().chain(&piped).all(|id| *id == me));
+        assert!(mapped.iter().all(|id| *id == me));
     }
 
     /// Each item of a call at the gate waits on a barrier as wide as the
@@ -696,30 +516,9 @@ mod tests {
                     std::thread::current().id()
                 };
                 let call = pool.for_bytes(PAR_MIN_BYTES);
-                let mapped = call.par_map_ordered((0..w).collect(), || (), meet);
-                let piped = call.pipeline_ordered(|push| (0..w).for_each(push), || (), meet);
-                (distinct(mapped), distinct(piped))
+                distinct(call.par_map_ordered((0..w).collect(), || (), meet))
             });
-            assert_eq!(spread, (w, w), "width {w}");
+            assert_eq!(spread, w, "width {w}");
         }
-    }
-
-    #[test]
-    fn a_panicking_feeder_does_not_hang_a_wide_pipeline() {
-        let panicked = within_10s(|| {
-            let pool = Pool::new(2);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.pipeline_ordered(
-                    |push| {
-                        push(1u32);
-                        panic!("feeder failed after one item");
-                    },
-                    || (),
-                    |_, _, x| x,
-                )
-            }))
-            .is_err()
-        });
-        assert!(panicked, "the feeder's panic must reach the caller");
     }
 }

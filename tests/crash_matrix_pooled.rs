@@ -11,10 +11,11 @@
 //! mechanisms default to [`ckpt_par::global`].
 //!
 //! A pool call under [`ckpt_par::PAR_MIN_BYTES`] (64 KiB) runs on the
-//! caller at any width. The matrix guest is 96 KiB, so its full images
-//! (24 array pages and a header page once the sparse writer has touched
-//! them) are past the gate and their page encode is what the wide pool
-//! spreads; its incremental images stay on the caller.
+//! caller at any width, and capture encodes pages in runs of that many
+//! bytes. The matrix guest is 96 KiB, so its full images (24 array pages
+//! and a header page once the sparse writer has touched them, 100 KiB) are
+//! past the gate in two runs, which the wide pool encodes on two threads;
+//! its incremental images stay on the caller.
 
 use ckpt_restart::ckpt::crashpoint::{run_config, CellOutcome, MatrixConfig};
 

@@ -3,11 +3,15 @@
 //! serial) path, both for randomized in-memory images and for full and
 //! incremental captures of randomized live address spaces.
 //!
-//! A call under [`PAR_MIN_BYTES`] runs on the caller at every width, so
-//! each suite keeps cases past it: random images of up to 200 pages (up
-//! to 800 KiB, past the 256 KiB CRC chunk), full captures of 128 KiB to
-//! 1.1 MiB address spaces, and one replicated object per case past the
-//! gate.
+//! A call under [`PAR_MIN_BYTES`] runs on the caller at every width, and
+//! page encoding and the image body go to the pool in runs of
+//! [`PAR_MIN_BYTES`], so they spread only from two runs on. Each suite
+//! keeps cases past that: random images of up to 200 pages (up to 800
+//! KiB; 11 of the 48 cases of
+//! `pooled_encode_is_byte_identical_on_random_images` hold two runs or more
+//! of page payload, which the test asserts), full captures of 128 KiB to 1.1
+//! MiB address spaces (from two runs up), and one replicated object per
+//! case past the gate.
 //!
 //! Cases are generated deterministically by [`common::Gen`] — every run
 //! covers the same corpus, and a failing seed is directly reproducible.
@@ -48,8 +52,8 @@ fn arb_page(g: &mut Gen) -> Vec<u8> {
     }
 }
 
-/// A randomized image whose page payload can exceed the parallel-CRC
-/// chunk size, so wide pools genuinely split the trailer checksum.
+/// A randomized image whose page payload can hold several runs, so wide
+/// pools genuinely split the body write and its CRC.
 fn arb_image(g: &mut Gen) -> CheckpointImage {
     let seq = g.range(1, 500);
     let pages: Vec<PageRecord> = (0..g.range(0, 200))
@@ -98,9 +102,13 @@ fn arb_image(g: &mut Gen) -> CheckpointImage {
 
 #[test]
 fn pooled_encode_is_byte_identical_on_random_images() {
+    let mut spread = 0;
     for case in 0..48u64 {
         let mut g = Gen::new(0x7A11 + case);
         let img = arb_image(&mut g);
+        if img.payload_bytes() as usize >= 2 * PAR_MIN_BYTES {
+            spread += 1;
+        }
         let serial = encode(&img);
         let one = encode_with_pool(&img, &Pool::new(1));
         assert_eq!(one, serial, "case {case}: width 1 is not the serial path");
@@ -109,6 +117,7 @@ fn pooled_encode_is_byte_identical_on_random_images() {
             assert_eq!(par, serial, "case {case} width {w}: bytes diverged");
         }
     }
+    assert_eq!(spread, 11, "cases holding two runs of page payload");
 }
 
 fn spawn_random_process(g: &mut Gen) -> (Kernel, ckpt_restart::simos::types::Pid) {
