@@ -12,7 +12,9 @@ use ckpt_core::agents::{UserAgentConfig, UserCkptAgent};
 use ckpt_core::mechanism::{family, FAMILIES};
 use ckpt_core::policy::young_interval;
 use ckpt_core::pod::Pod;
-use ckpt_core::{shared_storage, CkptOutcome, SharedStorage, Tracker, TrackerKind};
+use ckpt_core::{
+    shared_storage, CaptureOptions, CkptOutcome, Lineage, SharedStorage, Tracker, TrackerKind,
+};
 use ckpt_storage::{
     LocalDisk, RamStore, RemoteServer, RemoteStore, StableStorage, StorageClass, SwapStore,
 };
@@ -47,6 +49,29 @@ pub(crate) fn run_steps(k: &mut Kernel, pid: Pid, n: u64) {
     while k.process(pid).unwrap().work_done < target {
         k.run_for(2_000).unwrap();
     }
+}
+
+/// One guest's lineage of `count` encoded images, recorded under `label`:
+/// the guest runs 8 steps before each capture. Captured uncompressed: the
+/// chunk store replaces generic page compression, and stable page offsets
+/// are what let the XOR delta line up successive versions. Fully
+/// deterministic, so two identical guests produce byte-identical lineages.
+pub(crate) fn guest_lineage(kind: NativeKind, count: u64, label: &str) -> Vec<Vec<u8>> {
+    let mut k = fresh_kernel();
+    let mut p = AppParams::small();
+    p.mem_bytes = 128 * 1024;
+    p.total_steps = u64::MAX;
+    let pid = k.spawn_native(kind, p).expect("spawn");
+    let mut lineage = Lineage::new(label, Some(pid.0), TrackerKind::FullOnly);
+    (0..count)
+        .map(|seq| {
+            run_steps(&mut k, pid, 8);
+            let mut opts = CaptureOptions::full(label, seq);
+            opts.compress = false;
+            let image = lineage.capture(&mut k, pid, &opts, &[], None, false);
+            image.expect("capture").0
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1145,33 +1170,12 @@ pub use crate::swept::{c12_replication, c14_shard, c16_erasure};
 /// `report all`.
 pub fn c13_dedup() -> String {
     use ckpt_cas::DedupStore;
-    use ckpt_core::{capture_image, CaptureOptions};
     use ckpt_replica::{ReplicaConfig, ReplicaSet, ReplicatedStore};
     use ckpt_storage::ImageKey;
 
     let cost = CostModel::circa_2005();
 
-    // A lineage of encoded checkpoint images: one guest captured after
-    // each burst of steps. Fully deterministic, so two identical guests
-    // produce byte-identical lineages. Captured uncompressed: the chunk
-    // store replaces generic page compression, and stable page offsets
-    // are what let the XOR delta line up successive versions.
-    let lineage = |kind: NativeKind, count: u64| -> Vec<Vec<u8>> {
-        let mut k = fresh_kernel();
-        let mut p = AppParams::small();
-        p.mem_bytes = 128 * 1024;
-        p.total_steps = u64::MAX;
-        let pid = k.spawn_native(kind, p).expect("spawn");
-        (0..count)
-            .map(|seq| {
-                run_steps(&mut k, pid, 8);
-                let mut opts = CaptureOptions::full("c13", seq);
-                opts.compress = false;
-                let img = capture_image(&mut k, pid, &opts).expect("capture");
-                ckpt_image::encode(&img)
-            })
-            .collect()
-    };
+    let lineage = |kind, count| guest_lineage(kind, count, "c13");
 
     // (a) Dedup ratio across the guest app zoo: each app's lineage (one
     // full + three incrementals) lands in its own store.

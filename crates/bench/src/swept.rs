@@ -15,13 +15,13 @@
 //! the artifact — never measured twice.
 
 use crate::artifact::Json;
-use crate::experiments::{fresh_kernel, run_steps};
+use crate::experiments::guest_lineage;
 use crate::fmt::{bytes, ns, table};
 use crate::sweep::{run_sweep, AxisValue, JobResult, JobSpec, SweepPlan, SweepRun};
 use ckpt_cluster::{
     scale_round, Cluster, FailureConfig, MpiJob, ScaleConfig, ScalePoint, ShardedCoordinator,
 };
-use ckpt_core::{capture_image, CaptureOptions, TrackerKind};
+use ckpt_core::TrackerKind;
 use ckpt_ec::ErasureStore;
 use ckpt_replica::ReplicatedStore;
 use ckpt_storage::{ImageKey, StableStorage, StorageError};
@@ -36,26 +36,6 @@ use simos::cost::CostModel;
 /// realistic image payload; 251 is prime so no page-aligned repetition).
 fn pattern_payload(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i % 251) as u8).collect()
-}
-
-/// One guest's checkpoint lineage: one full + three incremental images,
-/// captured uncompressed (same generator C13 uses — deterministic, so
-/// identical guests produce byte-identical lineages).
-fn lineage(kind: NativeKind) -> Vec<Vec<u8>> {
-    let mut k = fresh_kernel();
-    let mut p = AppParams::small();
-    p.mem_bytes = 128 * 1024;
-    p.total_steps = u64::MAX;
-    let pid = k.spawn_native(kind, p).expect("spawn");
-    (0..4u64)
-        .map(|seq| {
-            run_steps(&mut k, pid, 8);
-            let mut opts = CaptureOptions::full("c16", seq);
-            opts.compress = false;
-            let img = capture_image(&mut k, pid, &opts).expect("capture");
-            ckpt_image::encode(&img)
-        })
-        .collect()
 }
 
 /// Guest-app axis label → kind (the labels are the `Debug` names, which
@@ -565,7 +545,7 @@ fn c16_traffic_plan() -> SweepPlan {
 /// actually ingested (committed, not attempted).
 fn c16_traffic_job(spec: &JobSpec) -> Json {
     let cost = CostModel::circa_2005();
-    let versions = lineage(app_kind(spec.str("app")));
+    let versions = guest_lineage(app_kind(spec.str("app")), 4, "c16");
     let payload: u64 = versions.iter().map(|v| v.len() as u64).sum();
     let mut ingested = Vec::new();
     for ((n, w), (k, m)) in [((3, 2), (4, 2)), ((5, 3), (8, 3))] {

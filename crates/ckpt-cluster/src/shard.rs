@@ -33,9 +33,8 @@
 //!   sequence number and leaves the previous cut as the recovery point:
 //!   restart can never observe a mix of rounds.
 //! * **O(shard) root.** The root aggregates per-shard summaries
-//!   ([`ShardRound`]) — it never rescans ranks. Rank bookkeeping for
-//!   restart is refreshed only when membership changes (first round,
-//!   post-restart), not per round.
+//!   ([`ShardRound`]) — it never rescans ranks. The cut's members are the
+//!   ranks' lineages, each created at its rank's first capture.
 //!
 //! The [`scale_round`] model extends the measurement to 1k–10k simulated
 //! nodes (report `c14`): real [`ckpt_replica::StripedStore`] commits with synthetic
@@ -43,11 +42,12 @@
 
 use crate::cluster::Cluster;
 use crate::mpi::{MpiJob, RankRef};
-use ckpt_core::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
+use ckpt_core::capture::{restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use ckpt_core::tracker::{Tracker, TrackerKind};
+use ckpt_core::Lineage;
 use ckpt_par::Pool;
 use ckpt_replica::{ReplicaConfig, ReplicatedStore, Striped, StripedReplicaSet};
-use ckpt_storage::{load_chain_at, ImageKey};
+use ckpt_storage::{load_chain, ChainPolicy, ImageKey};
 use simos::apps::mix64;
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
@@ -89,28 +89,21 @@ pub struct HierOutcome {
 
 /// The coordinated-checkpoint driver for one job.
 pub struct ShardedCoordinator {
-    pub job_key: String,
     shards: usize,
-    tracker_kind: TrackerKind,
-    trackers: BTreeMap<u32, Tracker>,
-    seq: u64,
-    /// Newest sequence number the ROOT committed (phase 2). A round that
-    /// fails part-way burns its seq, and shard commits at a higher seq that
-    /// never reached phase 2 are dead weight in storage, not recovery
-    /// points: restart loads chains capped at this value so it can never
-    /// mix rounds.
-    committed_seq: u64,
-    saved_ranks: Vec<u32>,
-    /// Set when rank membership changed (launch, restart); the next
-    /// commit refreshes `saved_ranks` once instead of every round.
-    membership_stale: bool,
+    /// The cut: the root hands every round its seq, burned whether or not
+    /// it commits, and commits it in phase 2. Restart loads strictly at the
+    /// committed seq, so shard commits past it can never mix in.
+    cut: Lineage,
+    /// Each rank's lineage, a member of the cut. The root stays O(shards):
+    /// a rank learns what phase 2 committed at its next capture.
+    ranks: BTreeMap<u32, Lineage>,
     faults: FaultHandle,
-    /// Pool for each rank's page encode (pipelined with the gather) and
-    /// chunked image CRC. The *commit* sequence — store on the shared
-    /// remote, virtual-time charge, tracker re-arm, thaw — stays strictly
-    /// serialized in rank order: the remote and the fault plan are shared
-    /// state whose operation order is observable, and same-node ranks
-    /// observe each other's charges through `taken_at_ns`.
+    /// Pool for each rank's capture and encode. The *commit* sequence —
+    /// store on the shared remote, virtual-time charge, tracker re-arm,
+    /// thaw — stays strictly serialized in rank order: the remote and the
+    /// fault plan are shared state whose operation order is observable,
+    /// and same-node ranks observe each other's charges through
+    /// `taken_at_ns`.
     pool: Arc<Pool>,
     pub outcomes: Vec<HierOutcome>,
 }
@@ -123,14 +116,9 @@ impl ShardedCoordinator {
     pub fn new(job_key: &str, tracker_kind: TrackerKind, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         ShardedCoordinator {
-            job_key: job_key.to_string(),
             shards,
-            tracker_kind,
-            trackers: BTreeMap::new(),
-            seq: 0,
-            committed_seq: 0,
-            saved_ranks: Vec::new(),
-            membership_stale: true,
+            cut: Lineage::new(job_key, None, tracker_kind),
+            ranks: BTreeMap::new(),
             faults: FaultHandle::disabled(),
             pool: ckpt_par::global().clone(),
             outcomes: Vec::new(),
@@ -154,12 +142,12 @@ impl ShardedCoordinator {
     }
 
     pub fn committed_seq(&self) -> u64 {
-        self.committed_seq
+        self.cut.committed()
     }
 
     /// Whether a completed checkpoint exists to recover from.
     pub fn has_checkpoint(&self) -> bool {
-        self.committed_seq > 0 && !self.saved_ranks.is_empty()
+        self.cut.committed() > 0 && !self.ranks.is_empty()
     }
 
     /// Check a protocol faultpoint. Transients are absorbed by one retry
@@ -196,14 +184,12 @@ impl ShardedCoordinator {
             return Err(SimError::Usage("coordinated checkpoint of a job with no ranks".into()));
         }
         let t0 = cluster.now();
-        self.seq += 1;
-        let seq = self.seq;
+        let seq = self.cut.burn();
         // An incremental round is only valid when its parent (seq - 1) is
         // the committed cut; after an aborted round the seq gap forces the
-        // next round full, which also re-baselines every tracker.
-        let incremental = self.committed_seq > 0
-            && self.committed_seq + 1 == seq
-            && self.tracker_kind.supports_incremental();
+        // next round full, which also re-baselines every tracker. A rank
+        // whose tracker is not armed (after a restart) captures full anyway.
+        let incremental = self.cut.continues(seq);
 
         let shards = self.shards.min(n_ranks);
         let per_shard = n_ranks.div_ceil(shards);
@@ -214,7 +200,7 @@ impl ShardedCoordinator {
 
         // Phase 1: every shard runs its local round and commits one batch.
         for (s, shard_ranks) in job.ranks.chunks(per_shard).enumerate() {
-            match self.shard_round(cluster, s, shard_ranks, seq, incremental) {
+            match self.shard_round(cluster, s, shard_ranks, seq) {
                 Ok(round) => {
                     for r in shard_ranks {
                         if let Some(k) = cluster.node(r.node).kernel() {
@@ -239,11 +225,7 @@ impl ShardedCoordinator {
             self.abort_round(cluster, seq, &staged);
             return Err(e);
         }
-        self.committed_seq = seq;
-        if self.membership_stale {
-            self.saved_ranks = job.ranks.iter().map(|r| r.rank).collect();
-            self.membership_stale = false;
-        }
+        self.cut.commit(seq);
 
         // Barrier: every node waits for the slowest shard.
         for node in cluster.alive_nodes() {
@@ -287,10 +269,9 @@ impl ShardedCoordinator {
         s: usize,
         shard_ranks: &[RankRef],
         seq: u64,
-        incremental: bool,
     ) -> SimResult<ShardRound> {
         let mut frozen = 0;
-        let round = self.commit_frozen(cluster, s, shard_ranks, seq, incremental, &mut frozen);
+        let round = self.commit_frozen(cluster, s, shard_ranks, seq, &mut frozen);
         for r in &shard_ranks[..frozen] {
             if let Ok(k) = cluster.kernel(r.node) {
                 let _ = k.thaw_process(r.pid);
@@ -307,14 +288,13 @@ impl ShardedCoordinator {
         s: usize,
         shard_ranks: &[RankRef],
         seq: u64,
-        incremental: bool,
         frozen: &mut usize,
     ) -> SimResult<ShardRound> {
         let mut images: Vec<Vec<u8>> = Vec::with_capacity(shard_ranks.len());
         for r in shard_ranks {
             cluster.kernel(r.node)?.freeze_process(r.pid)?;
             *frozen += 1;
-            images.push(self.capture_rank(cluster, *r, seq, incremental)?);
+            images.push(self.capture_rank(cluster, *r, seq)?);
         }
         let shard_bytes: u64 = images.iter().map(|b| b.len() as u64).sum();
 
@@ -330,7 +310,7 @@ impl ShardedCoordinator {
         };
         let keys: Vec<String> = shard_ranks
             .iter()
-            .map(|r| ImageKey::new(&self.job_key, r.rank, seq).to_string())
+            .map(|r| ImageKey::new(self.cut.job(), r.rank, seq).to_string())
             .collect();
         let objects: Vec<(&str, &[u8])> = keys
             .iter()
@@ -351,10 +331,8 @@ impl ShardedCoordinator {
         for (r, bytes) in shard_ranks.iter().zip(&images) {
             let k = cluster.kernel(r.node)?;
             k.charge(k.cost.memcpy(bytes.len() as u64) + receipt.time_ns);
-            self.trackers
-                .get_mut(&r.rank)
-                .expect("tracker created at capture")
-                .arm(k, r.pid)?;
+            let lineage = self.ranks.get_mut(&r.rank).expect("created at capture");
+            lineage.tracker_mut().arm(k, r.pid)?;
         }
         Ok(ShardRound {
             shard: s,
@@ -365,54 +343,39 @@ impl ShardedCoordinator {
         })
     }
 
-    /// Capture + encode (pool-chunked CRC) the image of frozen rank `r`;
-    /// the commit happens outside, in whatever order the protocol requires.
-    fn capture_rank(
-        &mut self,
-        cluster: &mut Cluster,
-        r: RankRef,
-        seq: u64,
-        incremental: bool,
-    ) -> SimResult<Vec<u8>> {
+    /// The capture step on frozen rank `r` at the root's `seq`, keyed by
+    /// *rank* (stable across migrations); the commit happens outside, in
+    /// whatever order the protocol requires.
+    fn capture_rank(&mut self, cluster: &mut Cluster, r: RankRef, seq: u64) -> SimResult<Vec<u8>> {
         let k = cluster.kernel(r.node)?;
-        let tracker = self
-            .trackers
-            .entry(r.rank)
-            .or_insert_with(|| Tracker::new(self.tracker_kind));
+        let cut = &self.cut;
+        let member = || cut.member(r.rank);
+        let lineage = self.ranks.entry(r.rank).or_insert_with(member);
+        lineage.commit(cut.committed());
+        let mut opts = CaptureOptions::full("coordinated", seq);
+        opts.node = r.node.0;
+        opts.encode_pool = Some(self.pool.clone());
         let pool_stats0 = self.pool.stats();
-        let encoded = (|| -> SimResult<Vec<u8>> {
-            let mut opts = if incremental && tracker.is_armed() {
-                let c = tracker.collect(k, r.pid)?;
-                CaptureOptions::incremental("coordinated", seq, seq - 1, c.pages)
-            } else {
-                CaptureOptions::full("coordinated", seq)
-            };
-            opts.node = r.node.0;
-            opts.encode_pool = Some(self.pool.clone());
-            let mut img = capture_image(k, r.pid, &opts)?;
-            // Key images by *rank*, which is stable across migrations.
-            img.header.pid = r.rank;
-            Ok(ckpt_image::encode_with_pool(&img, &self.pool))
-        })();
+        let captured = lineage.capture(k, r.pid, &opts, &[], None, false);
         ckpt_core::mechanism::count_pool_activity(&k.trace, &self.pool, pool_stats0);
-        encoded
+        Ok(captured?.0)
     }
 
     /// Best-effort removal of an aborted round's staged images. A remote
     /// that is unreachable (its node just died) simply keeps the orphan;
     /// correctness does not depend on this cleanup because restart loads
-    /// are capped at `committed_seq`.
+    /// strictly at the committed seq.
     fn abort_round(&mut self, cluster: &mut Cluster, seq: u64, staged: &[RankRef]) {
         for r in staged {
             let remote = cluster.nodes[r.node.0 as usize].remote.clone();
             let mut s = remote.lock();
-            let _ = s.delete(&ImageKey::new(&self.job_key, r.rank, seq).to_string());
+            let _ = s.delete(&ImageKey::new(self.cut.job(), r.rank, seq).to_string());
         }
     }
 
     /// Restart every rank of the job from the newest ROOT-committed cut
     /// (shard commits beyond it are ignored by construction — loads are
-    /// capped at `committed_seq`), placing ranks round-robin on the
+    /// strict at the committed seq), placing ranks round-robin on the
     /// currently alive nodes (ranks from lost nodes migrate automatically).
     /// Rebuilds the job's rank table and resynchronizes its superstep
     /// counter.
@@ -436,25 +399,23 @@ impl ShardedCoordinator {
             return Err(SimError::Usage("no alive nodes to restart on".into()));
         }
         let mut new_ranks = Vec::new();
-        for (i, rank) in self.saved_ranks.iter().copied().enumerate() {
+        for (i, (&rank, lineage)) in self.ranks.iter_mut().enumerate() {
             let node = alive[i % alive.len()];
             let remote = cluster.nodes[node.0 as usize].remote.clone();
             let k = cluster.node(node).kernel().expect("alive");
             let (full, load_ns, load_label) = {
                 let s = remote.lock();
-                let (img, t) =
-                    load_chain_at(&**s, &self.job_key, rank, self.committed_seq, &k.cost)
-                        .map_err(|e| SimError::Usage(format!("coordinated load failed: {e}")))?;
-                (img, t, s.label())
+                let (cut, strict) = (self.cut.committed(), ChainPolicy::Strict);
+                let load = load_chain(&**s, self.cut.job(), rank, cut, strict, &k.cost, |_| Ok(()))
+                    .map_err(|e| SimError::Usage(format!("coordinated load failed: {e}")))?;
+                (load.image, load.load_ns, s.label())
             };
             k.charge(load_ns);
             k.trace
                 .storage(StorageOp::Load, &load_label, full.memory_bytes(), load_ns);
             let pid = restore_image(k, &full, &RestoreOptions::fresh_running(RestorePid::Fresh))?;
             // Tracking state does not survive migration; re-arm fresh.
-            if let Some(t) = self.trackers.get_mut(&rank) {
-                *t = Tracker::new(self.tracker_kind);
-            }
+            *lineage.tracker_mut() = Tracker::new(lineage.tracker().kind());
             new_ranks.push(RankRef { rank, node, pid });
         }
         // Trackers were re-created above (unarmed), so the next checkpoint
@@ -462,7 +423,6 @@ impl ShardedCoordinator {
         // so chain lineage in storage stays valid.
         job.ranks = new_ranks;
         job.resync_supersteps(cluster)?;
-        self.membership_stale = true;
         Ok(())
     }
 }

@@ -153,17 +153,9 @@ impl UserCkptAgent {
         }
     }
 
-    pub fn seq(&self) -> u64 {
-        self.engine.seq()
-    }
-
     /// The library's engine: its lineage's seqs, tracker and manifests.
     pub fn engine(&self) -> &KernelCkptEngine {
         &self.engine
-    }
-
-    pub fn checkpoints_taken(&self) -> u64 {
-        self.outcomes.len() as u64
     }
 
     /// Perform one user-level checkpoint in the process's own context

@@ -50,6 +50,8 @@ pub struct CaptureOptions {
     pub save_file_contents: bool,
     /// Node id recorded in the header.
     pub node: u32,
+    /// Id the header records: its [`crate::Lineage`]'s; `None`, the pid.
+    pub id: Option<u32>,
     /// Worker pool for page encoding. `None` takes the serial page walk;
     /// with a pool the pages are encoded where they sit in the frozen
     /// address space, in runs of [`ckpt_par::PAR_MIN_BYTES`]
@@ -69,21 +71,17 @@ impl CaptureOptions {
             compress: true,
             save_file_contents: false,
             node: 0,
+            id: None,
             encode_pool: None,
         }
     }
 
     pub fn incremental(mechanism: &str, seq: u64, parent: u64, dirty: BTreeSet<u64>) -> Self {
         CaptureOptions {
-            mechanism: mechanism.to_string(),
-            seq,
             parent_seq: parent,
             kind: ImageKind::Incremental,
             pages: PageSelection::Set(dirty),
-            compress: true,
-            save_file_contents: false,
-            node: 0,
-            encode_pool: None,
+            ..Self::full(mechanism, seq)
         }
     }
 }
@@ -188,7 +186,7 @@ pub fn capture_image(k: &mut Kernel, pid: Pid, opts: &CaptureOptions) -> SimResu
         .collect();
     let img = CheckpointImage {
         header: ImageHeader {
-            pid: pid.0,
+            pid: opts.id.unwrap_or(pid.0),
             seq: opts.seq,
             parent_seq: opts.parent_seq,
             kind: opts.kind,

@@ -55,8 +55,8 @@ use ckpt_cas::{ChunkParams, DedupStore};
 use ckpt_ec::ErasureStore;
 use ckpt_replica::{ReplicaConfig, ReplicatedStore, Striped, StripedReplicaSet};
 use ckpt_storage::{
-    load_latest_valid_chain, FaultInjectStore, LocalDisk, NvramStore, RamStore, RemoteServer,
-    RemoteStore, StableStorage, StorageClass, SwapStore,
+    load_chain, ChainPolicy::Resilient, FaultInjectStore, LocalDisk, NvramStore, RamStore,
+    RemoteServer, RemoteStore, StableStorage, StorageClass, SwapStore,
 };
 use parking_lot::Mutex;
 use simos::apps::{self, AppParams, GuestMemIo, NativeKind, VecMem};
@@ -639,13 +639,14 @@ fn run_mech_scenario(
     None
 }
 
-/// Does a decodable full chain for the scenario's process survive in
-/// storage? Used to validate `Detected` cells: refusing to restart while an
-/// intact image exists would be a violation, not a detection.
-fn intact_chain_exists(storage: &SharedStorage, pid: Pid) -> bool {
+/// Does a decodable full chain of every one of `pids` survive in storage
+/// under `job`? Used to validate `Detected` cells: refusing to restart
+/// while an intact image exists would be a violation, not a detection.
+fn intact_chains_exist(storage: &SharedStorage, job: &str, pids: &[Pid]) -> bool {
     let cost = CostModel::circa_2005();
     let s = storage.lock();
-    load_latest_valid_chain(&**s, JOB, pid.0, &cost, |_| Ok(())).is_ok()
+    let load = |pid: &Pid| load_chain(&**s, job, pid.0, u64::MAX, Resilient, &cost, |_| Ok(()));
+    pids.iter().all(|pid| load(pid).is_ok())
 }
 
 // ---------------------------------------------------------------------
@@ -734,7 +735,7 @@ fn run_mech_cell(
             },
             Err(what) => CellOutcome::Violation { what },
         },
-        Err(e) if intact_chain_exists(&world.storage, pid) => CellOutcome::Violation {
+        Err(e) if intact_chains_exist(&world.storage, JOB, &[pid]) => CellOutcome::Violation {
             what: format!("restart refused ({e}) but an intact chain survives"),
         },
         Err(e) => CellOutcome::Detected {
@@ -789,22 +790,6 @@ fn run_hibernate_scenario(backend: &str, column: &Column, faults: &FaultHandle) 
     }
 }
 
-/// How many decodable swsusp images exist in storage right now?
-fn decodable_hibernate_images(storage: &SharedStorage) -> usize {
-    let cost = CostModel::circa_2005();
-    let s = storage.lock();
-    s.list()
-        .iter()
-        .filter(|key| key.starts_with("swsusp/"))
-        .filter(|key| {
-            s.load(key, &cost)
-                .ok()
-                .and_then(|(bytes, _)| ckpt_image::decode(&bytes).ok())
-                .is_some()
-        })
-        .count()
-}
-
 /// One cell of a hibernation column: suspend under `faults`, the
 /// power-down that follows a hibernation (that is its entire purpose),
 /// resume, classification.
@@ -842,7 +827,7 @@ fn hibernate_cell(cfg: MatrixConfig, column: &mut Column, faults: &FaultHandle) 
         // did not in fact survive intact.
         Err(e)
             if end.hib_error.is_none()
-                && decodable_hibernate_images(&end.storage) == end.works.len() =>
+                && intact_chains_exist(&end.storage, "swsusp", &column.pids) =>
         {
             CellOutcome::Violation {
                 what: format!("resume refused ({e}) but all hibernation images survive"),

@@ -8,6 +8,8 @@
 //!   hardware cache-line.
 //! * **Capture/restore** ([`capture`]): kernel-context PCB walking into
 //!   [`ckpt_image::CheckpointImage`]s and back.
+//! * **Lineages** ([`lineage`]): the one holder of seqs, tracker and chain
+//!   manifests, and the capture step every checkpointer runs on it.
 //! * **User-level agents** ([`agents`]): the modelled checkpoint library
 //!   of the Section 3 schemes — the per-fact syscall gather and the
 //!   `write()` loop, over the same round every mechanism runs.
@@ -28,6 +30,7 @@ pub mod agents;
 pub mod autonomic;
 pub mod capture;
 pub mod crashpoint;
+pub mod lineage;
 pub mod mechanism;
 pub mod pod;
 pub mod policy;
@@ -37,6 +40,7 @@ pub mod tracker;
 pub use capture::{
     capture_image, restore_image, CaptureOptions, PageSelection, RestoreOptions, RestorePid,
 };
+pub use lineage::Lineage;
 pub use report::{CkptOutcome, RestartOutcome};
 pub use tracker::{Collected, Tracker, TrackerKind};
 

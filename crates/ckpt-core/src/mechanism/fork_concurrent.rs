@@ -12,8 +12,10 @@ use super::{
     charge_tool_syscall, commit_image, outcomes_of, AgentKind, Context, Initiation, Mechanism,
     MechanismInfo,
 };
-use crate::capture::{capture_image, CaptureOptions};
+use crate::capture::{capture_image, CaptureOptions, PageSelection};
+use crate::lineage::Lineage;
 use crate::report::{CkptOutcome, RestartOutcome};
+use crate::tracker::TrackerKind;
 use crate::{fork_storage, RestorePid, SharedStorage};
 use simos::module::{KernelModule, KthreadStatus};
 use simos::sched::SchedPolicy;
@@ -55,11 +57,14 @@ struct ActiveSave {
 }
 
 /// The static-kernel extension implementing fork-concurrent checkpoints.
+/// A clone shares the store.
+#[derive(Clone)]
 pub struct ForkCkptModule {
     name: String,
     job: String,
     storage: SharedStorage,
-    seqs: BTreeMap<u32, u64>,
+    /// One lineage per parent, full images only; a failed save burns its seq.
+    lineages: BTreeMap<u32, Lineage>,
     queue: VecDeque<SaveReq>,
     active: Option<ActiveSave>,
     kt: Option<KtId>,
@@ -74,7 +79,7 @@ impl ForkCkptModule {
             name: name.to_string(),
             job: job.to_string(),
             storage,
-            seqs: BTreeMap::new(),
+            lineages: BTreeMap::new(),
             queue: VecDeque::new(),
             active: None,
             kt: None,
@@ -194,92 +199,11 @@ impl KernelModule for ForkCkptModule {
             self.active = Some(save);
             return KthreadStatus::Yield;
         }
-        // All pages copied: assemble the image (non-page state from the
-        // frozen child), store, finish.
-        let capture_ns = save.capture_ns;
-        let req = save.req;
-        let stats0 = req.stats0.clone();
-        let seq = self.seqs.entry(req.parent.0).or_insert(0);
-        *seq += 1;
-        let seq = *seq;
-        let mut opts = CaptureOptions::full(&self.name, seq);
-        opts.pages = crate::capture::PageSelection::Set(Default::default());
-        let result = capture_image(k, req.child, &opts);
-        match result {
-            Ok(mut img) => {
-                img.pages = save.collected;
-                img.pages.sort_by_key(|p| p.page_no);
-                // The image must restore as the *parent*.
-                img.header.pid = req.parent.0;
-                if k.faultpoint(&self.name, "store").is_err() {
-                    self.failures += 1;
-                    self.cleanup_child(k, &req);
-                    return self.next_status();
-                }
-                let encoded = ckpt_image::encode(&img);
-                let stored = commit_image(k, &self.storage, &self.job, req.parent.0, seq, &encoded);
-                drop(encoded);
-                let (bytes, storage_ns) = match stored {
-                    Ok(r) => (r.bytes, r.time_ns),
-                    Err(_) => {
-                        self.failures += 1;
-                        self.cleanup_child(k, &req);
-                        return self.next_status();
-                    }
-                };
-                let t = k.cost.memcpy(bytes) + storage_ns;
-                k.charge(t);
-                let total_ns = k.now() - req.initiated_at;
-                // Phases are emitted at completion: Freeze is the parent's
-                // fork stall, Capture the accumulated burst copies, and the
-                // parent logically resumed right after the fork.
-                k.trace.phase(
-                    &self.name,
-                    Phase::Freeze,
-                    req.parent.0,
-                    seq,
-                    req.initiated_at + req.fork_stall_ns,
-                    req.fork_stall_ns,
-                );
-                k.trace
-                    .phase(&self.name, Phase::Capture, req.parent.0, seq, k.now(), capture_ns);
-                k.trace.phase(
-                    &self.name,
-                    Phase::Compress,
-                    req.parent.0,
-                    seq,
-                    k.now(),
-                    k.cost.memcpy(bytes),
-                );
-                k.trace
-                    .phase(&self.name, Phase::Store, req.parent.0, seq, k.now(), storage_ns);
-                if k.faultpoint(&self.name, "resume").is_err() {
-                    // The image is already durable; only the request's
-                    // completion is lost.
-                    self.failures += 1;
-                    self.cleanup_child(k, &req);
-                    return self.next_status();
-                }
-                k.trace
-                    .phase(&self.name, Phase::Resume, req.parent.0, seq, k.now(), 0);
-                super::emit_phase_residual(k, &self.name, req.parent, seq, total_ns, req.trace0);
-                let outcome = CkptOutcome {
-                    seq,
-                    incremental: false,
-                    pages_saved: img.page_count() as u64,
-                    memory_bytes: img.memory_bytes(),
-                    logical_dirty_bytes: img.memory_bytes(),
-                    encoded_bytes: bytes,
-                    total_ns,
-                    app_stall_ns: req.fork_stall_ns,
-                    storage_ns,
-                    events: k.stats.delta_since(&stats0),
-                };
-                self.outcomes.push((req.parent, outcome));
-            }
-            Err(_) => {
-                self.failures += 1;
-            }
+        // All pages copied: finish, then discard the child either way.
+        let req = save.req.clone();
+        match self.finish(k, save) {
+            Some(outcome) => self.outcomes.push((req.parent, outcome)),
+            None => self.failures += 1,
         }
         self.cleanup_child(k, &req);
         self.next_status()
@@ -287,16 +211,8 @@ impl KernelModule for ForkCkptModule {
 
     fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn KernelModule>> {
         Ok(Box::new(ForkCkptModule {
-            name: self.name.clone(),
-            job: self.job.clone(),
             storage: fork_storage(&self.storage, relink)?,
-            seqs: self.seqs.clone(),
-            queue: self.queue.clone(),
-            active: self.active.clone(),
-            kt: self.kt,
-            slot: self.slot,
-            outcomes: self.outcomes.clone(),
-            failures: self.failures,
+            ..self.clone()
         }))
     }
 
@@ -309,6 +225,62 @@ impl KernelModule for ForkCkptModule {
 }
 
 impl ForkCkptModule {
+    /// Assemble a finished save's image — the frozen child's non-page
+    /// state, the pages the bursts copied — in the parent's lineage, whose
+    /// id the header records so the image restores as the parent; store
+    /// it and emit its phases. `None` is a failed save; its seq is burned.
+    fn finish(&mut self, k: &mut Kernel, save: ActiveSave) -> Option<CkptOutcome> {
+        let (req, name) = (&save.req, &self.name);
+        let parent = req.parent.0;
+        let new = || Lineage::new(&self.job, Some(parent), TrackerKind::FullOnly);
+        let lineage = self.lineages.entry(parent).or_insert_with(new);
+        let seq = lineage.burn();
+        let mut opts = CaptureOptions::full(name, seq);
+        opts.pages = PageSelection::Set(Default::default());
+        opts.id = lineage.id;
+        let mut img = capture_image(k, req.child, &opts).ok()?;
+        img.pages = save.collected;
+        img.pages.sort_by_key(|p| p.page_no);
+        k.faultpoint(name, "store").ok()?;
+        let encoded = ckpt_image::encode(&img);
+        let receipt = commit_image(k, &self.storage, &self.job, parent, seq, &encoded).ok()?;
+        drop(encoded);
+        lineage.commit(seq);
+        let (bytes, storage_ns) = (receipt.bytes, receipt.time_ns);
+        k.charge(k.cost.memcpy(bytes) + storage_ns);
+        let total_ns = k.now() - req.initiated_at;
+        // Phases are emitted at completion: Freeze is the parent's fork
+        // stall, Capture the accumulated burst copies, and the parent
+        // logically resumed right after the fork.
+        let stall_end = req.initiated_at + req.fork_stall_ns;
+        let (stall, copy) = (req.fork_stall_ns, k.cost.memcpy(bytes));
+        k.trace
+            .phase(name, Phase::Freeze, parent, seq, stall_end, stall);
+        k.trace
+            .phase(name, Phase::Capture, parent, seq, k.now(), save.capture_ns);
+        k.trace
+            .phase(name, Phase::Compress, parent, seq, k.now(), copy);
+        k.trace
+            .phase(name, Phase::Store, parent, seq, k.now(), storage_ns);
+        // On a fault here the image is already durable; only the request's
+        // completion is lost.
+        k.faultpoint(name, "resume").ok()?;
+        k.trace.phase(name, Phase::Resume, parent, seq, k.now(), 0);
+        super::emit_phase_residual(k, name, req.parent, seq, total_ns, req.trace0);
+        Some(CkptOutcome {
+            seq,
+            incremental: false,
+            pages_saved: img.page_count() as u64,
+            memory_bytes: img.memory_bytes(),
+            logical_dirty_bytes: img.memory_bytes(),
+            encoded_bytes: bytes,
+            total_ns,
+            app_stall_ns: req.fork_stall_ns,
+            storage_ns,
+            events: k.stats.delta_since(&req.stats0),
+        })
+    }
+
     fn cleanup_child(&mut self, k: &mut Kernel, req: &SaveReq) {
         // Discard the copy and stop COW accounting on the parent.
         if let Some(c) = k.process_mut(req.child) {
@@ -327,7 +299,8 @@ impl ForkCkptModule {
     }
 }
 
-/// The mechanism wrapper.
+/// The mechanism wrapper. A clone shares the store.
+#[derive(Clone)]
 pub struct ForkConcurrentMechanism {
     pub module_name: String,
     /// The surveyed *Checkpoint* system has the application itself invoke
@@ -426,12 +399,8 @@ impl Mechanism for ForkConcurrentMechanism {
 
     fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
         Ok(Box::new(ForkConcurrentMechanism {
-            module_name: self.module_name.clone(),
-            invoked_by_app: self.invoked_by_app,
-            self_every: self.self_every,
             storage: fork_storage(&self.storage, relink)?,
-            job: self.job.clone(),
-            target: self.target,
+            ..self.clone()
         }))
     }
 }
@@ -441,7 +410,6 @@ mod tests {
     use super::*;
     use crate::mechanism::kthread::{KernelThreadMechanism, KthreadIface, KthreadVariant};
     use crate::shared_storage;
-    use crate::tracker::TrackerKind;
     use ckpt_storage::LocalDisk;
     use simos::apps::{AppParams, NativeKind};
     use simos::cost::CostModel;

@@ -75,7 +75,7 @@ impl Mechanism for HardwareMechanism {
     fn prepare(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
         self.engine.set_target(pid);
         // The hardware logs from the moment the machine is configured.
-        self.engine.tracker.arm(k, pid)?;
+        self.engine.lineage.tracker_mut().arm(k, pid)?;
         Ok(())
     }
 

@@ -10,9 +10,11 @@
 //! instead — fast, but it does not survive the power-down.
 
 use super::{commit_image, emit_phase_residual, with_frozen, Then};
-use crate::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
+use crate::capture::{restore_image, CaptureOptions, RestoreOptions, RestorePid};
+use crate::lineage::Lineage;
+use crate::tracker::TrackerKind;
 use crate::{fork_storage, SharedStorage};
-use ckpt_storage::ImageKey;
+use ckpt_storage::{load_chain, ChainPolicy::Strict};
 use simos::trace::Phase;
 use simos::types::{Pid, SimError, SimResult};
 use simos::{Kernel, Relink};
@@ -35,22 +37,27 @@ pub struct HibernateReport {
     pub mode: SuspendMode,
 }
 
+/// The job, module and mechanism name hibernation records everything under.
+const SWSUSP: &str = "swsusp";
+
 /// The Software Suspend mechanism (static kernel; user-initiated via a
-/// script; local storage only).
+/// script; local storage only). A clone shares the store.
+#[derive(Clone)]
 pub struct SoftwareSuspend {
     storage: SharedStorage,
-    job: String,
+    /// The machine's lineage: one seq per hibernation, burned whether or
+    /// not it commits; each process's image is a member keyed by its pid.
+    lineage: Lineage,
+    /// The processes of the newest committed hibernation.
     saved_pids: Vec<u32>,
-    seq: u64,
 }
 
 impl SoftwareSuspend {
     pub fn new(storage: SharedStorage) -> Self {
         SoftwareSuspend {
             storage,
-            job: "swsusp".into(),
+            lineage: Lineage::new(SWSUSP, None, TrackerKind::FullOnly),
             saved_pids: Vec::new(),
-            seq: 0,
         }
     }
 
@@ -59,9 +66,7 @@ impl SoftwareSuspend {
     pub fn fork(&self, relink: &mut Relink) -> SimResult<SoftwareSuspend> {
         Ok(SoftwareSuspend {
             storage: fork_storage(&self.storage, relink)?,
-            job: self.job.clone(),
-            saved_pids: self.saved_pids.clone(),
-            seq: self.seq,
+            ..self.clone()
         })
     }
 
@@ -71,31 +76,24 @@ impl SoftwareSuspend {
     /// save fails the machine is not going down after all: every process
     /// runs again.
     pub fn hibernate(&mut self, k: &mut Kernel, mode: SuspendMode) -> SimResult<HibernateReport> {
-        let trace_before = k.trace.mechanism_total(&self.job);
+        let trace_before = k.trace.mechanism_total(SWSUSP);
         let t0 = k.now();
-        self.seq += 1;
+        let seq = self.lineage.burn();
         let pids: Vec<Pid> = k
             .pids()
             .into_iter()
             .filter(|p| k.process(*p).map(|p| !p.has_exited()).unwrap_or(false))
             .collect();
-        k.faultpoint(&self.job, "freeze")?;
+        k.faultpoint(SWSUSP, "freeze")?;
         // The freeze signal reaches every process (charged per process).
         k.charge(pids.len() as u64 * k.cost.signal_deliver_ns);
         let lead = pids.first().map(|p| p.0).unwrap_or(0);
         let bytes = with_frozen(k, &pids, Then::PowerDown, |k| {
             k.trace
-                .phase(&self.job, Phase::Freeze, lead, self.seq, k.now(), k.now() - t0);
-            self.save_all(k, &pids, lead)
+                .phase(SWSUSP, Phase::Freeze, lead, seq, k.now(), k.now() - t0);
+            self.save_all(k, &pids, lead, seq)
         })?;
-        emit_phase_residual(
-            k,
-            &self.job,
-            Pid(lead),
-            self.seq,
-            k.now() - t0,
-            trace_before,
-        );
+        emit_phase_residual(k, SWSUSP, Pid(lead), seq, k.now() - t0, trace_before);
         // Power down: processes are gone with the kernel; the caller stops
         // using `k`.
         Ok(HibernateReport {
@@ -108,71 +106,67 @@ impl SoftwareSuspend {
 
     /// Save the RAM image of the frozen machine: one image per process,
     /// contiguous swap write. Returns the bytes written.
-    fn save_all(&mut self, k: &mut Kernel, pids: &[Pid], lead: u32) -> SimResult<u64> {
+    fn save_all(&mut self, k: &mut Kernel, pids: &[Pid], lead: u32, seq: u64) -> SimResult<u64> {
         let mut bytes = 0u64;
         let mut capture_ns = 0u64;
         let mut store_ns = 0u64;
-        // The image is committed only once *every* process has been saved:
-        // a crash mid-loop must not leave a partial pid set that a later
-        // boot would silently resume as a truncated machine.
-        let mut committed = Vec::new();
+        let opts = CaptureOptions {
+            save_file_contents: true,
+            ..CaptureOptions::full(SWSUSP, seq)
+        };
+        let sites = ["capture", "store"];
         for pid in pids {
-            k.faultpoint(&self.job, "capture")?;
-            let mut opts = CaptureOptions::full("swsusp", self.seq);
-            opts.save_file_contents = true;
             let cap0 = k.now();
-            let img = capture_image(k, *pid, &opts)?;
+            let mut member = self.lineage.member(pid.0);
+            let (image, _) = member.capture(k, *pid, &opts, &sites, None, false)?;
             capture_ns += k.now() - cap0;
-            k.faultpoint(&self.job, "store")?;
-            let encoded = ckpt_image::encode(&img);
-            let receipt = commit_image(k, &self.storage, &self.job, pid.0, self.seq, &encoded)
+            let receipt = commit_image(k, &self.storage, SWSUSP, pid.0, seq, &image)
                 .map_err(|e| SimError::Usage(format!("swsusp store failed: {e}")))?;
             bytes += receipt.bytes;
             k.charge(receipt.time_ns);
             store_ns += receipt.time_ns;
-            committed.push(pid.0);
         }
-        self.saved_pids = committed;
+        // The hibernation commits only once *every* process has been
+        // saved: a crash mid-loop must not leave a partial pid set that a
+        // later boot would silently resume as a truncated machine.
+        self.lineage.commit(seq);
+        self.saved_pids = pids.iter().map(|p| p.0).collect();
         k.trace
-            .phase(&self.job, Phase::Capture, lead, self.seq, k.now(), capture_ns);
+            .phase(SWSUSP, Phase::Capture, lead, seq, k.now(), capture_ns);
         k.trace
-            .phase(&self.job, Phase::Store, lead, self.seq, k.now(), store_ns);
+            .phase(SWSUSP, Phase::Store, lead, seq, k.now(), store_ns);
         // Execution resumes only at the next boot; the zero-cost marker
         // closes the phase sequence for this round.
-        k.faultpoint(&self.job, "resume")?;
-        k.trace.phase(&self.job, Phase::Resume, lead, self.seq, k.now(), 0);
+        k.faultpoint(SWSUSP, "resume")?;
+        k.trace.phase(SWSUSP, Phase::Resume, lead, seq, k.now(), 0);
         Ok(bytes)
     }
 
-    /// Boot-time resume: restore every saved process onto a fresh kernel,
-    /// under original pids.
+    /// Boot-time resume: restore every process of the newest committed
+    /// hibernation onto a fresh kernel, under original pids. Each image is
+    /// loaded strictly at the committed seq, so a later hibernation that
+    /// failed part-way can never mix into the machine.
     pub fn resume(&mut self, k: &mut Kernel) -> SimResult<Vec<Pid>> {
         if self.saved_pids.is_empty() {
             return Err(SimError::Usage(
                 "swsusp resume: no committed hibernation image".into(),
             ));
         }
+        let seq = self.lineage.committed();
         let mut restored = Vec::new();
-        for pid in self.saved_pids.clone() {
-            k.faultpoint(&self.job, "restore")?;
-            let (img, t) = {
-                let storage = self.storage.lock();
-                let key = ImageKey::new(&self.job, pid, self.seq).to_string();
-                let (bytes, t) = storage
-                    .load(&key, &k.cost)
-                    .map_err(|e| SimError::Usage(format!("resume load failed: {e}")))?;
-                (
-                    ckpt_image::decode(&bytes)
-                        .map_err(|e| SimError::Usage(format!("resume decode failed: {e}")))?,
-                    t,
-                )
-            };
-            k.charge(t);
-            let r0 = k.now().saturating_sub(t);
-            let new_pid =
-                restore_image(k, &img, &RestoreOptions::fresh_running(RestorePid::Original))?;
+        for &pid in &self.saved_pids {
+            k.faultpoint(SWSUSP, "restore")?;
+            let storage = self.storage.lock();
+            let load = load_chain(&**storage, SWSUSP, pid, seq, Strict, &k.cost, |_| Ok(()))
+                .map_err(|e| SimError::Usage(format!("resume load failed: {e}")))?;
+            drop(storage);
+            k.charge(load.load_ns);
+            let r0 = k.now().saturating_sub(load.load_ns);
+            let opts = RestoreOptions::fresh_running(RestorePid::Original);
+            let new_pid = restore_image(k, &load.image, &opts)?;
+            let at = k.now();
             k.trace
-                .phase(&self.job, Phase::Restore, new_pid.0, self.seq, k.now(), k.now() - r0);
+                .phase(SWSUSP, Phase::Restore, new_pid.0, seq, at, at - r0);
             restored.push(new_pid);
         }
         Ok(restored)
@@ -186,6 +180,7 @@ mod tests {
     use ckpt_storage::{RamStore, SwapStore};
     use simos::apps::{AppParams, NativeKind};
     use simos::cost::CostModel;
+    use simos::faultpoint::{Fault, FaultHandle};
 
     fn populated_kernel() -> (Kernel, Vec<Pid>) {
         let mut k = Kernel::new(CostModel::circa_2005());
@@ -224,6 +219,31 @@ mod tests {
         // And they keep running.
         k2.run_for(30_000_000).unwrap();
         assert!(k2.process(pids[0]).unwrap().work_done > 0);
+    }
+
+    #[test]
+    fn resume_after_an_aborted_hibernation_restores_the_committed_one() {
+        let (mut k, pids) = populated_kernel();
+        let storage = shared_storage(SwapStore::new(1 << 30));
+        let mut susp = SoftwareSuspend::new(storage.clone());
+        susp.hibernate(&mut k, SuspendMode::ToDisk).unwrap();
+        let works: Vec<u64> = pids
+            .iter()
+            .map(|p| k.process(*p).unwrap().work_done)
+            .collect();
+        storage.lock().on_power_down();
+        let mut k2 = Kernel::new(CostModel::circa_2005());
+        susp.resume(&mut k2).unwrap();
+        k2.run_for(30_000_000).unwrap();
+        // The second hibernation dies saving the second process, after the
+        // first one's image at the new seq is stored: it never commits.
+        k2.set_faults(FaultHandle::armed("mech/swsusp/capture@2", Fault::FailStop));
+        assert!(susp.hibernate(&mut k2, SuspendMode::ToDisk).is_err());
+        let mut k3 = Kernel::new(CostModel::circa_2005());
+        assert_eq!(susp.resume(&mut k3).unwrap(), pids);
+        for (pid, w) in pids.iter().zip(works) {
+            assert_eq!(k3.process(*pid).unwrap().work_done, w, "{pid} mixed rounds");
+        }
     }
 
     #[test]

@@ -96,8 +96,8 @@ impl CkptKthreadModule {
         variant: KthreadVariant,
     ) -> Self {
         let mut template = KernelCkptEngine::new(name, job, storage, tracker);
-        template.compress = variant.compress;
-        template.save_file_contents = variant.save_file_contents;
+        template.opts.compress = variant.compress;
+        template.opts.save_file_contents = variant.save_file_contents;
         CkptKthreadModule {
             name: name.to_string(),
             iface,
@@ -108,10 +108,6 @@ impl CkptKthreadModule {
             outcomes: Vec::new(),
             requests_failed: 0,
         }
-    }
-
-    pub fn kthread_id(&self) -> Option<KtId> {
-        self.kt
     }
 
     pub fn device_path(&self) -> String {

@@ -30,14 +30,15 @@ pub mod syscall;
 pub mod user_level;
 
 use crate::agents::RoundContext;
-use crate::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
+use crate::capture::{restore_image, CaptureOptions, RestoreOptions, RestorePid};
+use crate::lineage::Lineage;
 use crate::report::{CkptOutcome, RestartOutcome};
-use crate::tracker::{Tracker, TrackerKind};
+use crate::tracker::TrackerKind;
 use crate::{fork_storage, SharedStorage};
-use ckpt_image::{ChainError, ImageKind};
+use ckpt_image::ChainError;
 use ckpt_storage::{
-    load_latest_valid_chain, prune_superseded, store_image_bytes, ImageKey, ImageStoreError,
-    StoreReceipt,
+    load_chain, prune_superseded, store_image_bytes, ChainPolicy::Resilient, ImageKey,
+    ImageStoreError, StoreReceipt,
 };
 use simos::trace::{Phase, StorageOp, TraceHandle};
 use simos::types::{Pid, SimError, SimResult};
@@ -261,29 +262,19 @@ pub fn family(name: &str) -> &'static Family {
 /// shares the storage handle and the encode pool.
 #[derive(Clone)]
 pub struct KernelCkptEngine {
-    pub(crate) mechanism_name: String,
-    pub(crate) job: String,
+    /// The images' options: the mechanism name, `compress` (PsncR/C "does
+    /// not perform any data optimization") and `save_file_contents` (UCLiK).
+    pub(crate) opts: CaptureOptions,
     pub(crate) storage: SharedStorage,
-    pub(crate) tracker: Tracker,
+    /// The target's lineage. The engine reuses the seq of a round that did
+    /// not commit.
+    pub(crate) lineage: Lineage,
     /// Which side of the protection boundary the round runs on; fixed by
     /// the constructor that built the engine.
     ctx: RoundContext,
-    /// Force a full image every N checkpoints (0 = only the first is
-    /// full). Ignored for non-incremental trackers.
-    pub(crate) full_every: u64,
-    /// PsncR/C sets this `false`: "does not perform any data optimization".
-    pub(crate) compress: bool,
-    /// UCLiK sets this: open files' contents travel in the image.
-    pub(crate) save_file_contents: bool,
     /// Pool for parallel page encoding during capture (default: the
     /// process-wide [`ckpt_par::global`] pool; width 1 = exact serial path).
     pub(crate) encode_pool: std::sync::Arc<ckpt_par::Pool>,
-    /// Replica manifests recorded for the current chain, one per stored
-    /// segment, in store order. Empty unless the backend replicates.
-    chain_manifests: Vec<ckpt_storage::ReplicaManifest>,
-    seq: u64,
-    last_full_seq: u64,
-    target_pid: Option<Pid>,
 }
 
 /// Builder for [`KernelCkptEngine`]. The four constructor arguments are
@@ -311,7 +302,7 @@ impl KernelCkptEngineBuilder {
     /// Force a full image every `n` checkpoints (0 = only the first is
     /// full). Ignored for non-incremental trackers.
     pub fn full_every(mut self, n: u64) -> Self {
-        self.engine.full_every = n;
+        self.engine.lineage.full_every = n;
         self
     }
 
@@ -338,19 +329,11 @@ impl KernelCkptEngine {
     ) -> KernelCkptEngineBuilder {
         KernelCkptEngineBuilder {
             engine: KernelCkptEngine {
-                mechanism_name: mechanism_name.to_string(),
-                job: job.to_string(),
+                opts: CaptureOptions::full(mechanism_name, 0),
                 storage,
-                tracker: Tracker::new(tracker),
+                lineage: Lineage::new(job, None, tracker),
                 ctx: RoundContext::Kernel,
-                full_every: 0,
-                compress: true,
-                save_file_contents: false,
                 encode_pool: ckpt_par::global().clone(),
-                chain_manifests: Vec::new(),
-                seq: 0,
-                last_full_seq: 0,
-                target_pid: None,
             },
         }
     }
@@ -393,100 +376,54 @@ impl KernelCkptEngine {
         })
     }
 
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     pub fn mechanism_name(&self) -> &str {
-        &self.mechanism_name
+        &self.opts.mechanism
     }
 
     pub fn storage(&self) -> &SharedStorage {
         &self.storage
     }
 
-    pub fn tracker(&self) -> &Tracker {
-        &self.tracker
-    }
-
-    pub fn target(&self) -> Option<Pid> {
-        self.target_pid
-    }
-
-    /// Replica manifests for the committed chain segments, in store order.
-    /// Empty unless the storage backend replicates.
-    pub fn chain_manifests(&self) -> &[ckpt_storage::ReplicaManifest] {
-        &self.chain_manifests
+    /// The target's lineage; its id is the target.
+    pub fn lineage(&self) -> &Lineage {
+        &self.lineage
     }
 
     pub fn set_target(&mut self, pid: Pid) {
-        self.target_pid = Some(pid);
+        self.lineage.id = Some(pid.0);
     }
 
     /// Perform one checkpoint round of a quiescent `pid`, in the engine's
     /// context: in the kernel for every system-level mechanism's engine,
     /// with the library's gather and `write()` loop for a user-level one.
     pub fn checkpoint_in_kernel(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
-        self.target_pid = Some(pid);
-        let name = &self.mechanism_name;
+        self.set_target(pid);
+        let name = &self.opts.mechanism;
+        let job = self.lineage.job().to_string();
         let t0 = k.now();
         let stats0 = k.stats.clone();
-        let next_seq = self.seq + 1;
-        // Decide image kind.
-        let incremental_ok = self.tracker.kind().supports_incremental()
-            && self.seq > 0
-            && self.tracker.is_armed()
-            && !(self.full_every > 0 && next_seq - self.last_full_seq >= self.full_every);
+        let seq = self.lineage.next_seq();
         let pool_stats0 = self.encode_pool.stats();
-        // The state gather, then the dirty-set walk. A library pays the
-        // gather on every round, so its walk phase exists for a full image
-        // too; in kernel context there is a walk only when there is a
-        // dirty set to collect.
+        // The state gather precedes the capture step. A library pays it on
+        // every round, so its walk phase exists for a full image too.
         let gathered = self.ctx.gather_state(k, pid)?;
-        let (mut opts, logical_dirty) = if incremental_ok {
-            k.faultpoint(name, "walk")?;
-            let collected = self.tracker.collect(k, pid)?;
-            let opts = CaptureOptions::incremental(name, next_seq, self.seq, collected.pages);
-            (opts, collected.logical_dirty_bytes)
-        } else {
-            (CaptureOptions::full(name, next_seq), 0)
+        let opts = CaptureOptions {
+            seq,
+            encode_pool: Some(self.encode_pool.clone()),
+            ..self.opts.clone()
         };
-        if gathered || incremental_ok {
-            k.trace
-                .phase(name, Phase::Walk, pid.0, next_seq, k.now(), k.now() - t0);
-        }
-        opts.compress = self.compress;
-        opts.save_file_contents = self.save_file_contents;
-        opts.encode_pool = Some(self.encode_pool.clone());
-        let kind = opts.kind;
-        k.faultpoint(name, "capture")?;
-        let cap0 = k.now();
-        let img = capture_image(k, pid, &opts)?;
-        k.trace
-            .phase(name, Phase::Capture, pid.0, next_seq, k.now(), k.now() - cap0);
-        let pages_saved = img.page_count() as u64;
-        let memory_bytes = img.memory_bytes();
-        let logical = if kind == ImageKind::Full {
-            memory_bytes
-        } else {
-            logical_dirty
-        };
-        k.faultpoint(name, "compress")?;
-        k.faultpoint(name, "store")?;
-        // Encode outside the storage lock; the pool parallelizes the
-        // trailer CRC while the serial layout keeps bytes identical. The
-        // captured image is dropped as soon as it is encoded, so only the
-        // encoding and the store's copy are live across the commit.
-        let bytes = ckpt_image::encode_with_pool(&img, &self.encode_pool);
-        drop(img);
-        let receipt = commit_image(k, &self.storage, &self.job, pid.0, next_seq, &bytes)
+        let sites = ["walk", "capture", "compress", "store"];
+        let (bytes, outcome) = self
+            .lineage
+            .capture(k, pid, &opts, &sites, Some(t0), gathered)?;
+        let receipt = commit_image(k, &self.storage, &job, pid.0, seq, &bytes)
             .map_err(|e| SimError::Usage(format!("store failed: {e}")))?;
         drop(bytes);
         let (encoded_len, storage_ns) = (receipt.bytes, receipt.time_ns);
         // Chain metadata: where (and how widely) this segment landed.
-        let key = ImageKey::new(&self.job, pid.0, next_seq).to_string();
+        let key = ImageKey::new(&job, pid.0, seq).to_string();
         if let Some(m) = self.storage.lock().replica_manifest(&key) {
-            self.chain_manifests.push(m);
+            self.lineage.manifests.push(m);
         }
         count_pool_activity(&k.trace, &self.encode_pool, pool_stats0);
         // The image's way to the store — one kernel copy, or the library's
@@ -495,55 +432,45 @@ impl KernelCkptEngine {
         self.ctx.charge_image_io(k, encoded_len);
         let compress_ns = k.now() - io0;
         k.charge(storage_ns);
-        k.trace.phase(
-            name,
-            Phase::Compress,
-            pid.0,
-            next_seq,
-            k.now() - storage_ns,
-            compress_ns,
-        );
+        let compress_at = k.now() - storage_ns;
         k.trace
-            .phase(name, Phase::Store, pid.0, next_seq, k.now(), storage_ns);
-        self.seq = next_seq;
-        if kind == ImageKind::Full {
-            self.last_full_seq = next_seq;
+            .phase(name, Phase::Compress, pid.0, seq, compress_at, compress_ns);
+        k.trace
+            .phase(name, Phase::Store, pid.0, seq, k.now(), storage_ns);
+        self.lineage.commit(seq);
+        if !outcome.incremental {
             k.faultpoint(name, "prune")?;
             let prune0 = k.now();
             let mut storage = self.storage.lock();
             let label = storage.label();
-            // The receipt above is the authority that `next_seq` is a
-            // committed full image: collect what it supersedes without
-            // reading it back.
-            let _ = prune_superseded(storage.as_mut(), &self.job, pid.0, next_seq);
+            // The receipt above is the authority that `seq` is a committed
+            // full image: collect what it supersedes without reading it
+            // back.
+            let _ = prune_superseded(storage.as_mut(), &job, pid.0, seq);
             drop(storage);
             // Keys sort by zero-padded seq, so this drops exactly the
             // manifests of the pruned segments.
-            self.chain_manifests.retain(|m| m.key >= key);
+            self.lineage.manifests.retain(|m| m.key >= key);
             k.trace.storage(StorageOp::Delete, &label, 0, 0);
             k.trace
-                .phase(name, Phase::Prune, pid.0, next_seq, k.now(), k.now() - prune0);
+                .phase(name, Phase::Prune, pid.0, seq, k.now(), k.now() - prune0);
         }
         // Begin the next tracking interval.
-        if self.tracker.kind().supports_incremental() {
+        if self.lineage.tracker().kind().supports_incremental() {
             k.faultpoint(name, "rearm")?;
             let arm0 = k.now();
-            self.tracker.arm(k, pid)?;
+            self.lineage.tracker_mut().arm(k, pid)?;
             k.trace
-                .phase(name, Phase::Rearm, pid.0, next_seq, k.now(), k.now() - arm0);
+                .phase(name, Phase::Rearm, pid.0, seq, k.now(), k.now() - arm0);
         }
         let total_ns = k.now() - t0;
         Ok(CkptOutcome {
-            seq: next_seq,
-            incremental: kind == ImageKind::Incremental,
-            pages_saved,
-            memory_bytes,
-            logical_dirty_bytes: logical,
             encoded_bytes: encoded_len,
             total_ns,
             app_stall_ns: total_ns, // callers running concurrently overwrite
             storage_ns,
             events: k.stats.delta_since(&stats0),
+            ..outcome
         })
     }
 
@@ -554,9 +481,10 @@ impl KernelCkptEngine {
         pid_sel: RestorePid,
     ) -> SimResult<RestartOutcome> {
         let target = self
-            .target_pid
+            .lineage
+            .id
             .ok_or_else(|| SimError::Usage("engine has no target; checkpoint first".into()))?;
-        restart_from_shared(&self.storage, &self.job, target, k, pid_sel)
+        restart_from_shared(&self.storage, self.lineage.job(), Pid(target), k, pid_sel)
     }
 }
 
@@ -581,22 +509,20 @@ impl Engines {
     /// `pid`'s engine, started from the template if it has none yet.
     pub(crate) fn start(&mut self, pid: Pid) -> &mut KernelCkptEngine {
         let template = &self.template;
-        self.by_pid.entry(pid.0).or_insert_with(|| {
-            let mut engine = template.clone();
-            engine.set_target(pid);
-            engine
-        })
+        let engine = self.by_pid.entry(pid.0).or_insert_with(|| template.clone());
+        engine.set_target(pid);
+        engine
     }
 
     /// The table in a fork of its world, every engine forked.
     pub(crate) fn fork(&self, relink: &mut Relink) -> SimResult<Self> {
-        let mut by_pid = BTreeMap::new();
-        for (&pid, engine) in &self.by_pid {
-            by_pid.insert(pid, engine.fork(relink)?);
-        }
+        let by_pid = self
+            .by_pid
+            .iter()
+            .map(|(&pid, e)| Ok((pid, e.fork(relink)?)));
         Ok(Engines {
+            by_pid: by_pid.collect::<SimResult<_>>()?,
             template: self.template.fork(relink)?,
-            by_pid,
         })
     }
 
@@ -663,20 +589,13 @@ pub fn restart_from_shared(
     pid_sel: RestorePid,
 ) -> SimResult<RestartOutcome> {
     let t0 = k.now();
-    let (full, load_ns, images_loaded, storage_label) = {
-        let storage = storage.lock();
-        let prefix = ImageKey::lineage_prefix(job, target.0);
-        let keys = storage
-            .list()
-            .iter()
-            .filter(|key| key.starts_with(&prefix))
-            .count() as u64;
-        // Resilient load: torn/corrupt debris from a mid-checkpoint crash
-        // is rejected by CRC/format validation and the loader falls back
-        // to the newest intact chain. Chain-segment boundaries are
-        // themselves injection sites (`chain/seg<seq>`).
+    let (load, storage_label) = {
+        let s = storage.lock();
+        // Resilient: a mid-checkpoint crash's torn/corrupt debris is
+        // rejected and the load falls back to the newest intact chain.
+        // Chain-segment boundaries are injection sites (`chain/seg<seq>`).
         let faults = k.faults.clone();
-        let load = load_latest_valid_chain(&**storage, job, target.0, &k.cost, |seq| {
+        let on_seg = |seq| {
             if faults.is_off() {
                 return Ok(());
             }
@@ -684,29 +603,28 @@ pub fn restart_from_shared(
                 None => Ok(()),
                 Some(_) => Err(ChainError::Interrupted { at_seq: seq }),
             }
-        })
-        .map_err(|e| SimError::Usage(format!("restart load failed: {e}")))?;
-        (load.image, load.load_ns, keys, storage.label())
+        };
+        let load = load_chain(&**s, job, target.0, u64::MAX, Resilient, &k.cost, on_seg);
+        let load = load.map_err(|e| SimError::Usage(format!("restart load failed: {e}")))?;
+        (load, s.label())
     };
+    let (full, load_ns) = (&load.image, load.load_ns);
     k.charge(load_ns);
     k.faultpoint("restart", "restore")?;
     // Stored encodings are not retained after chain reconstruction; report
     // the decoded image size.
     k.trace
         .storage(StorageOp::Load, &storage_label, full.memory_bytes(), load_ns);
-    let pages = full.page_count() as u64;
-    let work = full.work_done;
-    let seq = full.header.seq;
-    let mechanism = full.header.mechanism.clone();
-    let pid = restore_image(k, &full, &RestoreOptions::fresh_running(pid_sel))?;
+    let pid = restore_image(k, full, &RestoreOptions::fresh_running(pid_sel))?;
+    let (mechanism, seq) = (&full.header.mechanism, full.header.seq);
     k.trace
-        .phase(&mechanism, Phase::Restore, pid.0, seq, k.now(), k.now() - t0);
+        .phase(mechanism, Phase::Restore, pid.0, seq, k.now(), k.now() - t0);
     Ok(RestartOutcome {
         pid,
-        pages_restored: pages,
+        pages_restored: full.page_count() as u64,
         total_ns: k.now() - t0,
-        images_loaded,
-        work_done: work,
+        images_loaded: load.keys_listed,
+        work_done: full.work_done,
     })
 }
 
@@ -781,9 +699,9 @@ pub(crate) fn bracketed_round(
     requested_at: Option<u64>,
     quiesce: impl FnOnce(&mut Kernel),
 ) -> SimResult<SimResult<CkptOutcome>> {
-    let name = engine.mechanism_name.clone();
+    let name = engine.opts.mechanism.clone();
     let trace_before = k.trace.mechanism_total(&name);
-    let seq = engine.seq + 1;
+    let seq = engine.lineage.next_seq();
     if let Some(t0) = requested_at {
         k.trace
             .phase(&name, Phase::Pending, pid.0, seq, k.now(), k.now() - t0);
@@ -961,7 +879,7 @@ mod tests {
     #[test]
     fn full_every_forces_periodic_fulls() {
         let (mut k, pid, mut e) = setup();
-        e.full_every = 2;
+        e.lineage.full_every = 2;
         let mut kinds = Vec::new();
         for _ in 0..5 {
             k.freeze_process(pid).unwrap();
@@ -1003,7 +921,7 @@ mod tests {
     #[test]
     fn prune_keeps_storage_bounded() {
         let (mut k, pid, mut e) = setup();
-        e.full_every = 1; // every checkpoint full → prior ones pruned
+        e.lineage.full_every = 1; // every checkpoint full → prior ones pruned
         for _ in 0..4 {
             k.freeze_process(pid).unwrap();
             e.checkpoint_in_kernel(&mut k, pid).unwrap();
@@ -1054,7 +972,7 @@ mod tests {
         }
         // One manifest per committed segment, in store order, all at the
         // configured quorum and fully acked.
-        let ms = e.chain_manifests();
+        let ms = e.lineage().manifests();
         assert_eq!(ms.len(), 3);
         assert!(ms.windows(2).all(|w| w[0].key < w[1].key));
         for m in ms {
@@ -1070,12 +988,12 @@ mod tests {
         assert_eq!(r.work_done, work_at_last);
 
         // A forced full prunes the old chain and drops its manifests too.
-        e.full_every = 1;
+        e.lineage.full_every = 1;
         k.freeze_process(pid).unwrap();
         e.checkpoint_in_kernel(&mut k, pid).unwrap();
         k.thaw_process(pid).unwrap();
-        assert_eq!(e.chain_manifests().len(), 1);
-        assert_eq!(e.chain_manifests()[0].acked, vec![0, 1]);
+        assert_eq!(e.lineage().manifests().len(), 1);
+        assert_eq!(e.lineage().manifests()[0].acked, vec![0, 1]);
     }
 
     #[test]
@@ -1104,7 +1022,7 @@ mod tests {
         }
         // One manifest per committed segment, carrying the coding
         // geometry: n = k + m shard nodes, shard write quorum w.
-        let ms = e.chain_manifests();
+        let ms = e.lineage().manifests();
         assert_eq!(ms.len(), 3);
         for m in ms {
             assert_eq!((m.n, m.w), (6, 5));

@@ -116,10 +116,6 @@ impl AdaptivePolicy {
         young_interval(cost, self.mtbf_estimate(now_ns))
             .clamp(self.min_interval_ns, self.max_interval_ns)
     }
-
-    pub fn failures_seen(&self) -> usize {
-        self.failures.len()
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use simos::stats::KernelStats;
 
 /// Result of one checkpoint operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CkptOutcome {
     /// Sequence number of the produced image.
     pub seq: u64,
@@ -51,7 +51,9 @@ pub struct RestartOutcome {
     pub pages_restored: u64,
     /// Total virtual time from initiation to the process being runnable.
     pub total_ns: u64,
-    /// Images loaded (1 for full, more for an incremental chain).
+    /// Keys listed under the lineage's prefix when the restart began: every
+    /// stored image of the target, debris and superseded segments included,
+    /// not only the chain that was loaded.
     pub images_loaded: u64,
     /// Work counter recorded in the image (progress preserved).
     pub work_done: u64,
@@ -65,15 +67,10 @@ mod tests {
     fn compression_ratio_guards_division() {
         let o = CkptOutcome {
             seq: 1,
-            incremental: false,
             pages_saved: 2,
             memory_bytes: 8192,
             logical_dirty_bytes: 8192,
-            encoded_bytes: 0,
-            total_ns: 0,
-            app_stall_ns: 0,
-            storage_ns: 0,
-            events: KernelStats::default(),
+            ..CkptOutcome::default()
         };
         assert_eq!(o.compression_ratio(), 1.0);
         let o2 = CkptOutcome {

@@ -55,9 +55,8 @@ pub fn store_image(
 }
 
 /// Store an already-encoded image under the canonical key derived from
-/// `(pid, seq)` — the overlapped cluster pipeline encodes off the storage
-/// lock and hands the bytes in here. The bytes must be what
-/// [`ckpt_image::encode`] produces for that `(pid, seq)`.
+/// `(pid, seq)`. The bytes must be what [`ckpt_image::encode`] produces
+/// for that `(pid, seq)`.
 pub fn store_image_bytes(
     storage: &mut dyn StableStorage,
     job: &str,
@@ -70,106 +69,73 @@ pub fn store_image_bytes(
     Ok(storage.store(&key, bytes, cost)?)
 }
 
-/// Load the newest restartable chain for a pid: the most recent full image
-/// and every incremental after it, reconstructed into one full image.
-/// Returns (reconstructed image, total modelled load time).
-pub fn load_latest_chain(
-    storage: &dyn StableStorage,
-    job: &str,
-    pid: u32,
-    cost: &CostModel,
-) -> Result<(CheckpointImage, u64), ImageStoreError> {
-    load_chain_at(storage, job, pid, u64::MAX, cost)
+/// What [`load_chain`] does with an image it cannot use (torn, corrupt,
+/// or an incremental whose parent is broken).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainPolicy {
+    /// Discard it, with every newer incremental depending on it, and fall
+    /// back to the next older chain: a checkpointer's crash debris must not
+    /// cost it the intact chain below.
+    Resilient,
+    /// Refuse with a typed error: the cap is a committed cut (a coordinated
+    /// round, a hibernation) whose own image must be there, and an older
+    /// chain would restore a mix of rounds.
+    Strict,
 }
 
-/// Like [`load_latest_chain`], but ignoring any image newer than
-/// `max_seq`. A coordinator that failed mid-round may leave newer images
-/// for a *subset* of ranks; capping the load at the last seq known to have
-/// committed for **every** rank is what keeps a coordinated restart on a
-/// consistent cut.
-pub fn load_chain_at(
-    storage: &dyn StableStorage,
-    job: &str,
-    pid: u32,
-    max_seq: u64,
-    cost: &CostModel,
-) -> Result<(CheckpointImage, u64), ImageStoreError> {
-    let prefix = ImageKey::lineage_prefix(job, pid);
-    let mut keys: Vec<String> = storage
-        .list()
-        .into_iter()
-        .filter(|k| {
-            k.starts_with(&prefix)
-                && k.parse::<ImageKey>().is_ok_and(|ik| ik.seq <= max_seq)
-        })
-        .collect();
-    keys.sort();
-    if keys.is_empty() {
-        return Err(ImageStoreError::Storage(StorageError::NotFound(prefix)));
-    }
-    // Load from the newest backwards until a full image is found.
-    let mut loaded: Vec<CheckpointImage> = Vec::new();
-    let mut total_t = 0u64;
-    for key in keys.iter().rev() {
-        let (bytes, t) = storage.load(key, cost)?;
-        total_t += t;
-        let img = decode(&bytes)?;
-        let is_full = img.header.kind == ImageKind::Full;
-        loaded.push(img);
-        if is_full {
-            break;
-        }
-    }
-    loaded.reverse();
-    let full = ckpt_image::reconstruct(&loaded)?;
-    Ok((full, total_t))
-}
-
-/// What [`load_latest_valid_chain`] recovered.
+/// What [`load_chain`] recovered.
 #[derive(Debug)]
 pub struct ChainLoad {
     /// The reconstructed full image of the newest restartable chain.
     pub image: CheckpointImage,
     /// Total modelled load time (the caller charges it).
     pub load_ns: u64,
+    /// Keys listed under the lineage's prefix, whatever their seq.
+    pub keys_listed: u64,
     /// Objects actually loaded from the medium.
     pub images_loaded: u64,
     /// Objects that had to be discarded (torn/corrupt encodings, broken
     /// lineage) before a restartable chain was found. Zero on the clean
-    /// path.
+    /// path, and always under [`ChainPolicy::Strict`].
     pub images_skipped: u64,
 }
 
-/// Like [`load_latest_chain`], but resilient: a torn or corrupt object —
-/// the debris a mid-checkpoint crash leaves behind — is discarded (along
-/// with any newer incrementals that depended on it) and the search falls
-/// back to the next older restartable chain. On the clean path this issues
-/// exactly the loads [`load_latest_chain`] would, with identical modelled
-/// cost.
+/// Load the newest restartable chain of the lineage `(job, id)` among its
+/// images with seq at most `cap` (`u64::MAX`: all of them), reconstructed
+/// into one full image. On clean storage both policies issue the same
+/// loads at the same modelled cost.
 ///
 /// `on_segment` is invoked with each segment's sequence number during the
 /// overlay (see [`ckpt_image::reconstruct_with`]); returning an error
 /// aborts the whole load — it models a fault at a chain-segment boundary,
-/// not a bad image, so no fallback is attempted.
-///
-/// Availability and transient errors from the medium also abort: they say
-/// nothing about image validity, and the caller may retry.
-pub fn load_latest_valid_chain(
+/// not a bad image, so no fallback is attempted. Availability, transient
+/// and quorum-loss errors also abort: they say nothing about image
+/// validity, and falling back while a newer committed chain may live on
+/// lost replicas would be a silently wrong answer.
+pub fn load_chain(
     storage: &dyn StableStorage,
     job: &str,
-    pid: u32,
+    id: u32,
+    cap: u64,
+    policy: ChainPolicy,
     cost: &CostModel,
     mut on_segment: impl FnMut(u64) -> Result<(), ChainError>,
 ) -> Result<ChainLoad, ImageStoreError> {
-    let prefix = ImageKey::lineage_prefix(job, pid);
-    let mut keys: Vec<String> = storage
-        .list()
+    let prefix = ImageKey::lineage_prefix(job, id);
+    let listed = lineage_keys(storage, &prefix);
+    let keys_listed = listed.len() as u64;
+    let keys: Vec<(u64, String)> = listed
         .into_iter()
-        .filter(|k| k.starts_with(&prefix))
+        .filter_map(|k| Some((k.parse::<ImageKey>().ok()?.seq, k)))
+        .filter(|(seq, _)| *seq <= cap)
         .collect();
-    keys.sort();
-    if keys.is_empty() {
+    let Some(&(newest, _)) = keys.last() else {
         return Err(ImageStoreError::Storage(StorageError::NotFound(prefix)));
+    };
+    let strict = policy == ChainPolicy::Strict;
+    if strict && cap != u64::MAX && newest != cap {
+        let cut = ImageKey::new(job, id, cap).to_string();
+        return Err(ImageStoreError::Storage(StorageError::NotFound(cut)));
     }
     let mut total_t = 0u64;
     let mut loaded = 0u64;
@@ -178,34 +144,33 @@ pub fn load_latest_valid_chain(
     // when an object in it proves unusable.
     let mut pending: Vec<CheckpointImage> = Vec::new();
     let mut last_err: Option<ImageStoreError> = None;
-    for key in keys.iter().rev() {
-        let (bytes, t) = match storage.load(key, cost) {
-            Ok(v) => v,
+    let mut discard = |e: ImageStoreError, n: usize, skipped: &mut u64| {
+        *skipped += n as u64;
+        if strict {
+            return Err(e);
+        }
+        last_err = Some(e);
+        Ok(())
+    };
+    for (_, key) in keys.iter().rev() {
+        let img = match storage.load(key, cost) {
             Err(
                 e @ (StorageError::Unavailable
                 | StorageError::Transient
                 | StorageError::QuorumLost { .. }),
-            ) => {
-                // Quorum loss joins the abort set: falling back to an older
-                // chain while a newer committed one may live entirely on the
-                // lost replicas would be a silently wrong answer.
-                return Err(e.into());
-            }
-            Err(e) => {
-                skipped += 1 + pending.len() as u64;
-                pending.clear();
-                last_err = Some(e.into());
-                continue;
+            ) => return Err(e.into()),
+            Err(e) => Err(e.into()),
+            Ok((bytes, t)) => {
+                total_t += t;
+                loaded += 1;
+                decode(&bytes).map_err(ImageStoreError::from)
             }
         };
-        total_t += t;
-        loaded += 1;
-        let img = match decode(&bytes) {
-            Ok(i) => i,
+        let img = match img {
+            Ok(img) => img,
             Err(e) => {
-                skipped += 1 + pending.len() as u64;
+                discard(e, 1 + pending.len(), &mut skipped)?;
                 pending.clear();
-                last_err = Some(e.into());
                 continue;
             }
         };
@@ -221,18 +186,31 @@ pub fn load_latest_valid_chain(
                 return Ok(ChainLoad {
                     image,
                     load_ns: total_t,
+                    keys_listed,
                     images_loaded: loaded,
                     images_skipped: skipped,
                 })
             }
             Err(e @ ChainError::Interrupted { .. }) => return Err(e.into()),
-            Err(e) => {
-                skipped += chain.len() as u64;
-                last_err = Some(e.into());
-            }
+            Err(e) => discard(e.into(), chain.len(), &mut skipped)?,
         }
     }
+    if strict {
+        return Err(ChainError::FirstNotFull.into());
+    }
     Err(last_err.unwrap_or(ImageStoreError::Storage(StorageError::NotFound(prefix))))
+}
+
+/// The stored keys under a lineage's `prefix`, sorted: by seq, since seqs
+/// are zero-padded.
+fn lineage_keys(storage: &dyn StableStorage, prefix: &str) -> Vec<String> {
+    let mut keys: Vec<String> = storage
+        .list()
+        .into_iter()
+        .filter(|k| k.starts_with(prefix))
+        .collect();
+    keys.sort();
+    keys
 }
 
 /// The lineage's stored keys split at `seq`: `(older, kept)`, each sorted.
@@ -242,14 +220,8 @@ fn split_lineage(
     pid: u32,
     seq: u64,
 ) -> (Vec<String>, Vec<String>) {
-    let prefix = ImageKey::lineage_prefix(job, pid);
+    let mut keys = lineage_keys(storage, &ImageKey::lineage_prefix(job, pid));
     let cutoff = ImageKey::new(job, pid, seq).to_string();
-    let mut keys: Vec<String> = storage
-        .list()
-        .into_iter()
-        .filter(|k| k.starts_with(&prefix))
-        .collect();
-    keys.sort();
     let kept = keys.split_off(keys.partition_point(|k| *k < cutoff));
     (keys, kept)
 }
@@ -316,6 +288,18 @@ mod tests {
     use ckpt_image::{
         ImageHeader, PageRecord, PolicyRecord, ProgramRecord, RegsRecord, SigRecord,
     };
+    use ChainPolicy::{Resilient, Strict};
+
+    type Loaded = Result<(CheckpointImage, u64), ImageStoreError>;
+
+    fn latest(disk: &LocalDisk, pid: u32, c: &CostModel) -> Loaded {
+        let l = load_chain(disk, "job", pid, u64::MAX, Strict, c, |_| Ok(()))?;
+        Ok((l.image, l.load_ns))
+    }
+
+    fn resilient(disk: &LocalDisk, c: &CostModel) -> Result<ChainLoad, ImageStoreError> {
+        load_chain(disk, "job", 1, u64::MAX, Resilient, c, |_| Ok(()))
+    }
 
     fn img(seq: u64, parent: u64, kind: ImageKind, pages: Vec<(u64, u8)>) -> CheckpointImage {
         CheckpointImage {
@@ -354,7 +338,7 @@ mod tests {
         let c = CostModel::circa_2005();
         let image = img(1, 0, ImageKind::Full, vec![(1, 7)]);
         store_image(&mut disk, "job", &image, &c).unwrap();
-        let (back, t) = load_latest_chain(&disk, "job", 1, &c).unwrap();
+        let (back, t) = latest(&disk, 1, &c).unwrap();
         assert_eq!(back, image);
         assert!(t > 0);
     }
@@ -372,7 +356,7 @@ mod tests {
         ] {
             store_image(&mut disk, "job", &image, &c).unwrap();
         }
-        let (full, _) = load_latest_chain(&disk, "job", 1, &c).unwrap();
+        let (full, _) = latest(&disk, 1, &c).unwrap();
         assert_eq!(full.work_done, 4, "state from the newest image");
         let fills: std::collections::BTreeMap<u64, u8> = full
             .pages
@@ -389,7 +373,7 @@ mod tests {
         let disk = LocalDisk::new(1 << 30);
         let c = CostModel::circa_2005();
         assert!(matches!(
-            load_latest_chain(&disk, "job", 9, &c),
+            latest(&disk, 9, &c),
             Err(ImageStoreError::Storage(StorageError::NotFound(_)))
         ));
     }
@@ -408,7 +392,7 @@ mod tests {
         let n = prune_before(&mut disk, "job", 1, 3, &c).unwrap();
         assert_eq!(n, 2);
         assert_eq!(disk.list().len(), 1);
-        let (full, _) = load_latest_chain(&disk, "job", 1, &c).unwrap();
+        let (full, _) = latest(&disk, 1, &c).unwrap();
         assert_eq!(full.header.seq, 3);
     }
 
@@ -447,8 +431,8 @@ mod tests {
         ] {
             store_image(&mut disk, "job", &image, &c).unwrap();
         }
-        let (plain, t_plain) = load_latest_chain(&disk, "job", 1, &c).unwrap();
-        let r = load_latest_valid_chain(&disk, "job", 1, &c, |_| Ok(())).unwrap();
+        let (plain, t_plain) = latest(&disk, 1, &c).unwrap();
+        let r = resilient(&disk, &c).unwrap();
         assert_eq!(r.image, plain);
         assert_eq!(r.load_ns, t_plain, "clean path must charge identically");
         assert_eq!(r.images_loaded, 2);
@@ -474,10 +458,10 @@ mod tests {
         )
         .unwrap();
         assert!(
-            load_latest_chain(&disk, "job", 1, &c).is_err(),
+            latest(&disk, 1, &c).is_err(),
             "the plain loader chokes on the torn tip"
         );
-        let r = load_latest_valid_chain(&disk, "job", 1, &c, |_| Ok(())).unwrap();
+        let r = resilient(&disk, &c).unwrap();
         assert_eq!(r.image.header.seq, 2, "fell back to the intact chain");
         assert_eq!(r.images_skipped, 1);
     }
@@ -490,7 +474,7 @@ mod tests {
         disk.store(&ImageKey::new("job", 1, 1).to_string(), &full[..10], &c)
             .unwrap();
         assert!(matches!(
-            load_latest_valid_chain(&disk, "job", 1, &c, |_| Ok(())),
+            resilient(&disk, &c),
             Err(ImageStoreError::Decode(_))
         ));
     }
@@ -500,7 +484,7 @@ mod tests {
         let mut disk = LocalDisk::new(1 << 30);
         let c = CostModel::circa_2005();
         store_image(&mut disk, "job", &img(1, 0, ImageKind::Full, vec![(1, 1)]), &c).unwrap();
-        let r = load_latest_valid_chain(&disk, "job", 1, &c, |seq| {
+        let r = load_chain(&disk, "job", 1, u64::MAX, Resilient, &c, |seq| {
             Err(ChainError::Interrupted { at_seq: seq })
         });
         assert!(matches!(
@@ -521,7 +505,7 @@ mod tests {
         bytes[40] ^= 0xFF;
         disk.store(&key, &bytes, &c).unwrap();
         assert!(matches!(
-            load_latest_chain(&disk, "job", 1, &c),
+            latest(&disk, 1, &c),
             Err(ImageStoreError::Decode(_))
         ));
     }

@@ -43,11 +43,6 @@ impl ImageKey {
     pub fn lineage(&self) -> String {
         Self::lineage_prefix(&self.job, self.pid)
     }
-
-    /// The same lineage, next link of the chain.
-    pub fn next(&self) -> ImageKey {
-        ImageKey { job: self.job.clone(), pid: self.pid, seq: self.seq + 1 }
-    }
 }
 
 impl fmt::Display for ImageKey {

@@ -21,8 +21,8 @@ pub use backend::{BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, 
 pub use digest::{fnv1a64, fnv1a64_multi, FNV_LANES};
 pub use key::{ImageKey, ObjectKey, ParseKeyError};
 pub use images::{
-    load_chain_at, load_latest_chain, load_latest_valid_chain, prune_before,
-    prune_superseded, store_image, store_image_bytes, ChainLoad, ImageStoreError,
+    load_chain, prune_before, prune_superseded, store_image, store_image_bytes, ChainLoad,
+    ChainPolicy, ImageStoreError,
 };
 pub use inject::FaultInjectStore;
 pub use media::{LocalDisk, NvramStore, RamStore, RemoteServer, RemoteStore, SwapStore};

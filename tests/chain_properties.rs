@@ -13,10 +13,10 @@ use ckpt_restart::image::{
     CheckpointImage, ImageHeader, ImageKind, PageRecord, PolicyRecord, ProgramRecord, RegsRecord,
     SigRecord,
 };
-use ckpt_restart::image::ChainError;
+use ckpt_restart::image::{encode, ChainError};
 use ckpt_restart::storage::{
-    load_latest_chain, prune_before, prune_superseded, store_image, ImageStoreError, LocalDisk,
-    StableStorage,
+    load_chain, prune_before, prune_superseded, store_image, ChainLoad, ChainPolicy, ImageKey,
+    ImageStoreError, LocalDisk, StableStorage, StorageError,
 };
 use common::Gen;
 use simos::cost::CostModel;
@@ -95,13 +95,27 @@ fn model_of(chain: &[CheckpointImage]) -> BTreeMap<u64, u8> {
     model
 }
 
-fn materialize(storage: &dyn StableStorage) -> BTreeMap<u64, u8> {
-    let cost = CostModel::circa_2005();
-    let (img, _) = load_latest_chain(storage, JOB, PID, &cost).expect("latest chain loads");
+fn pages_of(img: &CheckpointImage) -> BTreeMap<u64, u8> {
     img.pages
         .iter()
         .map(|p| (p.page_no, p.expand().unwrap()[0]))
         .collect()
+}
+
+fn materialize(storage: &dyn StableStorage) -> BTreeMap<u64, u8> {
+    let cost = CostModel::circa_2005();
+    let img = load_chain(
+        storage,
+        JOB,
+        PID,
+        u64::MAX,
+        ChainPolicy::Strict,
+        &cost,
+        |_| Ok(()),
+    )
+    .expect("latest chain loads")
+    .image;
+    pages_of(&img)
 }
 
 #[test]
@@ -239,4 +253,92 @@ fn prune_keeping_an_orphan_names_the_dependency() {
         "error should name the orphaned segment: {msg}"
     );
     assert_eq!(disk.list().len(), 3, "nothing deleted on rejection");
+}
+
+#[test]
+fn strict_load_refuses_what_resilient_falls_back_past() {
+    // A committed cut at `cap`, debris above it (the chain's later images
+    // and a torn tip), then a torn image the cut's chain needs: the strict
+    // policy refuses typed and never loads an older chain, the resilient
+    // one falls back to the chain ending just below the damage. On clean
+    // storage the two agree, load for load.
+    let cost = CostModel::circa_2005();
+    let load = |disk: &LocalDisk, cap: u64, policy| -> Result<ChainLoad, ImageStoreError> {
+        load_chain(disk, JOB, PID, cap, policy, &cost, |_| Ok(()))
+    };
+    let key = |seq: u64| ImageKey::new(JOB, PID, seq).to_string();
+    let tear = |disk: &mut LocalDisk, img: &CheckpointImage| {
+        let bytes = encode(img);
+        disk.store(&key(img.header.seq), &bytes[..bytes.len() / 2], &cost)
+            .unwrap();
+    };
+    for case in 0..CASES {
+        let mut g = Gen::new(31_000 + case);
+        let chain = arb_chain(&mut g);
+        let len = chain.len() as u64;
+        let cap = g.range(1, len + 1);
+        let mut disk = LocalDisk::new(1 << 30);
+        for img in &chain {
+            store_image(&mut disk, JOB, img, &cost).unwrap();
+        }
+        tear(
+            &mut disk,
+            &mk(len + 1, len, ImageKind::Incremental, vec![(0, 1)]),
+        );
+
+        let strict = load(&disk, cap, ChainPolicy::Strict).unwrap();
+        let resilient = load(&disk, cap, ChainPolicy::Resilient).unwrap();
+        assert_eq!(
+            strict.image, resilient.image,
+            "case {case}: clean loads differ"
+        );
+        assert_eq!(
+            strict.load_ns, resilient.load_ns,
+            "case {case}: clean costs differ"
+        );
+        assert_eq!(pages_of(&strict.image), model_of(&chain[..cap as usize]));
+
+        // Tear one image of the cut's chain: its newest full at or below
+        // the cap, or an incremental after it.
+        let full = chain[..cap as usize]
+            .iter()
+            .rposition(|i| i.header.kind == ImageKind::Full)
+            .unwrap() as u64
+            + 1;
+        let victim = g.range(full, cap + 1);
+        tear(&mut disk, &chain[(victim - 1) as usize]);
+        let refused = load(&disk, cap, ChainPolicy::Strict);
+        assert!(
+            matches!(refused, Err(ImageStoreError::Decode(_))),
+            "case {case}: strict load past torn seq {victim} (cut {cap}): {refused:?}"
+        );
+        match load(&disk, cap, ChainPolicy::Resilient) {
+            Ok(back) => {
+                assert_eq!(
+                    back.image.header.seq,
+                    victim - 1,
+                    "case {case}: fell back too far"
+                );
+                assert_eq!(
+                    pages_of(&back.image),
+                    model_of(&chain[..(victim - 1) as usize])
+                );
+            }
+            Err(e) => assert_eq!(
+                victim, 1,
+                "case {case}: no fallback below seq {victim}: {e}"
+            ),
+        }
+
+        // The cut's own image gone: strict names it instead of loading the
+        // chain below it.
+        disk.delete(&key(cap)).unwrap();
+        match load(&disk, cap, ChainPolicy::Strict) {
+            Err(ImageStoreError::Storage(StorageError::NotFound(k))) if cap > 1 => {
+                assert_eq!(k, key(cap), "case {case}")
+            }
+            Err(ImageStoreError::Storage(StorageError::NotFound(_))) => assert_eq!(cap, 1),
+            other => panic!("case {case}: strict load of a missing cut {cap}: {other:?}"),
+        }
+    }
 }

@@ -15,7 +15,8 @@ use ckpt_restart::image::{
     RegsRecord, SigRecord,
 };
 use ckpt_restart::replica::{Probe, ReplicatedStore};
-use ckpt_restart::storage::{load_latest_valid_chain, store_image, ImageStoreError, StorageError};
+use ckpt_restart::storage::ChainPolicy::Resilient;
+use ckpt_restart::storage::{load_chain, store_image, ImageStoreError, StorageError};
 use common::Gen;
 use simos::cost::CostModel;
 
@@ -118,7 +119,7 @@ fn damage_within_tolerance_materializes_digest_identically() {
             keys.push(store_image(&mut store, JOB, img, &cost).unwrap().key);
         }
         let baseline = encode(
-            &load_latest_valid_chain(&store, JOB, PID, &cost, |_| Ok(()))
+            &load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(()))
                 .unwrap()
                 .image,
         );
@@ -130,7 +131,7 @@ fn damage_within_tolerance_materializes_digest_identically() {
             damage_segment(&mut g, &store, key, k);
         }
 
-        let load = load_latest_valid_chain(&store, JOB, PID, &cost, |_| Ok(()))
+        let load = load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(()))
             .unwrap_or_else(|e| panic!("case {case}: tolerated damage broke the load: {e}"));
         assert_eq!(
             encode(&load.image),
@@ -162,7 +163,7 @@ fn damage_beyond_tolerance_is_quorum_lost_never_a_wrong_answer() {
             keys.push(store_image(&mut store, JOB, img, &cost).unwrap().key);
         }
         let baseline = encode(
-            &load_latest_valid_chain(&store, JOB, PID, &cost, |_| Ok(()))
+            &load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(()))
                 .unwrap()
                 .image,
         );
@@ -175,7 +176,7 @@ fn damage_beyond_tolerance_is_quorum_lost_never_a_wrong_answer() {
         let victim = g.range(0, keys.len() as u64) as usize;
         damage_segment(&mut g, &store, &keys[victim], n - w + 1);
 
-        match load_latest_valid_chain(&store, JOB, PID, &cost, |_| Ok(())) {
+        match load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(())) {
             // Legal only when the lost segment was not needed (older than
             // the newest full image) — and then the bytes must be right.
             Ok(load) => assert_eq!(
@@ -214,7 +215,7 @@ fn losing_the_newest_segments_quorum_always_refuses_typed() {
             keys.push(store_image(&mut store, JOB, img, &cost).unwrap().key);
         }
         damage_segment(&mut g, &store, keys.last().unwrap(), n - w + 1);
-        let err = load_latest_valid_chain(&store, JOB, PID, &cost, |_| Ok(()))
+        let err = load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(()))
             .expect_err("newest segment past tolerance must refuse");
         assert!(
             matches!(
@@ -236,7 +237,7 @@ fn read_repair_rebuilds_damaged_replicas_to_intact_frames() {
         let img = mk(1, 0, ImageKind::Full, (0u64..4).map(|i| (i, g.byte())).collect());
         let key = store_image(&mut store, JOB, &img, &cost).unwrap().key;
         damage_segment(&mut g, &store, &key, n - w);
-        load_latest_valid_chain(&store, JOB, PID, &cost, |_| Ok(())).unwrap();
+        load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(())).unwrap();
         // After one quorum read every reachable replica holds an intact
         // frame again.
         for node in store.replica_set().nodes() {

@@ -403,7 +403,7 @@ fn a_world_with_a_module_that_does_not_fork_refuses_to_fork() {
 /// whole machine's hibernation.
 enum Checkpointer {
     Mechanisms(Vec<Box<dyn Mechanism>>),
-    Hibernation(SoftwareSuspend),
+    Hibernation(Box<SoftwareSuspend>),
 }
 
 /// A kernel with its guests, the store every checkpointer in it writes to,
@@ -497,7 +497,7 @@ impl Prepared {
             }
         };
         let ckpt = if setup.row == "hibernate" {
-            Checkpointer::Hibernation(SoftwareSuspend::new(storage.clone()))
+            Checkpointer::Hibernation(Box::new(SoftwareSuspend::new(storage.clone())))
         } else {
             let mechs = pids
                 .iter()
@@ -535,9 +535,9 @@ impl Prepared {
                         .map(|m| m.fork(relink).expect("every family forks"))
                         .collect(),
                 ),
-                Checkpointer::Hibernation(susp) => {
-                    Checkpointer::Hibernation(susp.fork(relink).expect("hibernation forks"))
-                }
+                Checkpointer::Hibernation(susp) => Checkpointer::Hibernation(Box::new(
+                    susp.fork(relink).expect("hibernation forks"),
+                )),
             },
         }
     }
@@ -593,13 +593,7 @@ impl Prepared {
                 let outcomes = format!("{:?}", mech.outcomes(&self.k));
                 out.push((format!("mechanism {i} outcomes"), outcomes.into_bytes()));
                 if let Some(e) = mech.engine(&self.k) {
-                    let lineage = format!(
-                        "seq {} target {:?} {:?} manifests {:?}",
-                        e.seq(),
-                        e.target(),
-                        e.tracker(),
-                        e.chain_manifests()
-                    );
+                    let lineage = format!("{:?}", e.lineage());
                     out.push((format!("mechanism {i} engine"), lineage.into_bytes()));
                 }
             }
