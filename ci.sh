@@ -72,6 +72,12 @@ cargo build --offline --release --manifest-path benchmark/Cargo.toml
 (cd benchmark && cargo test --offline -q)
 benchmark/run.sh --smoke
 
+# Host MiB/s of store and load through every storage stack the crash
+# matrix builds (examples/stack_profile.rs), at a tiny size: it gates
+# nothing, but it cannot rot, and every CI log prints the table.
+phase 'stack profile (host MiB/s per storage stack, 64 KiB objects)'
+cargo run --offline --release -q --example stack_profile -- 65536
+
 phase ''
 # ROADMAP aim 2 tracks net line count; these are the numbers (not a gate),
 # so every PR's CI log shows the trajectory. The second makes a PR that

@@ -25,6 +25,17 @@
 //! * Output is deterministic and byte-identical at any pool width: chunk
 //!   boundaries are found serially, only digests fan out (ordered merge),
 //!   and all backing-store I/O is sequential.
+//!
+//! Who digests what: [`split_and_digest`] hashes each chunk once on the
+//! way in, and that digest travels down with the bytes
+//! ([`StableStorage::store_digested`]) — the chunk's address here, its
+//! frame digest on a replicated backing store. On the way out a backing
+//! store that verified a chunk hands that digest up
+//! ([`StableStorage::load_verified`]) and resolution compares it with the
+//! address; over one that vouches for nothing (a single-copy medium, a
+//! fault-injecting decorator) resolution hashes the chunk itself. Either
+//! way the manifest's whole-object digest is checked on every load: it is
+//! the one check that also covers the delta decode and the chunk order.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -250,7 +261,7 @@ impl DedupStore {
             }
         }
         let key = ObjectKey::chunk(digest).to_string();
-        let r = self.inner.store(&key, bytes, cost)?;
+        let r = self.inner.store_digested(&key, bytes, digest, cost)?;
         tx.time_ns += r.time_ns;
         tx.novel_bytes += bytes.len() as u64;
         tx.increfed.push(digest);
@@ -313,7 +324,9 @@ impl DedupStore {
     }
 
     /// Resolve a chunk list back into contiguous bytes, verifying each
-    /// chunk against its content address.
+    /// chunk against its content address: by comparing the digest the
+    /// backing store verified the chunk's bytes against, when it vouches
+    /// for one, and by hashing the bytes when it does not.
     fn resolve_chunks(
         &self,
         chunks: &[ChunkRef],
@@ -324,7 +337,7 @@ impl DedupStore {
         let mut out = Vec::with_capacity(total);
         for c in chunks {
             let key = ObjectKey::chunk(c.digest).to_string();
-            let (bytes, t) = match self.inner.load(&key, cost) {
+            let (bytes, t, vouched) = match self.inner.load_verified(&key, cost) {
                 Ok(v) => v,
                 // Availability says nothing about chunk validity — let
                 // the caller retry; everything else means the chunk is
@@ -337,7 +350,9 @@ impl DedupStore {
                 Err(_) => return Err(StorageError::MissingChunk { digest: c.digest }),
             };
             *time_ns += t;
-            if bytes.len() != c.len as usize || fnv1a64(&bytes) != c.digest {
+            if bytes.len() != c.len as usize
+                || vouched.unwrap_or_else(|| fnv1a64(&bytes)) != c.digest
+            {
                 return Err(StorageError::MissingChunk { digest: c.digest });
             }
             out.extend_from_slice(&bytes);

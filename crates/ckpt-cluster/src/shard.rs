@@ -405,8 +405,9 @@ impl ShardedCoordinator {
             let k = cluster.node(node).kernel().expect("alive");
             let (full, load_ns, load_label) = {
                 let s = remote.lock();
-                let (cut, strict) = (self.cut.committed(), ChainPolicy::Strict);
-                let load = load_chain(&**s, self.cut.job(), rank, cut, strict, &k.cost, |_| Ok(()))
+                let cut = ImageKey::new(self.cut.job(), rank, self.cut.committed());
+                let strict = ChainPolicy::Strict;
+                let load = load_chain(&**s, &cut, strict, &k.cost, &self.pool, |_| Ok(()))
                     .map_err(|e| SimError::Usage(format!("coordinated load failed: {e}")))?;
                 (load.image, load.load_ns, s.label())
             };

@@ -55,8 +55,8 @@ use ckpt_cas::{ChunkParams, DedupStore};
 use ckpt_ec::ErasureStore;
 use ckpt_replica::{ReplicaConfig, ReplicatedStore, Striped, StripedReplicaSet};
 use ckpt_storage::{
-    load_chain, ChainPolicy::Resilient, FaultInjectStore, LocalDisk, NvramStore, RamStore,
-    RemoteServer, RemoteStore, StableStorage, StorageClass, SwapStore,
+    load_chain, ChainPolicy::Resilient, FaultInjectStore, ImageKey, LocalDisk, NvramStore,
+    RamStore, RemoteServer, RemoteStore, StableStorage, StorageClass, SwapStore,
 };
 use parking_lot::Mutex;
 use simos::apps::{self, AppParams, GuestMemIo, NativeKind, VecMem};
@@ -645,7 +645,11 @@ fn run_mech_scenario(
 fn intact_chains_exist(storage: &SharedStorage, job: &str, pids: &[Pid]) -> bool {
     let cost = CostModel::circa_2005();
     let s = storage.lock();
-    let load = |pid: &Pid| load_chain(&**s, job, pid.0, u64::MAX, Resilient, &cost, |_| Ok(()));
+    let serial = ckpt_par::Pool::new(1);
+    let load = |pid: &Pid| {
+        let newest = ImageKey::new(job, pid.0, u64::MAX);
+        load_chain(&**s, &newest, Resilient, &cost, &serial, |_| Ok(()))
+    };
     pids.iter().all(|pid| load(pid).is_ok())
 }
 

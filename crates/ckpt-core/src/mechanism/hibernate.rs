@@ -14,7 +14,7 @@ use crate::capture::{restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use crate::lineage::Lineage;
 use crate::tracker::TrackerKind;
 use crate::{fork_storage, SharedStorage};
-use ckpt_storage::{load_chain, ChainPolicy::Strict};
+use ckpt_storage::{load_chain, ChainPolicy::Strict, ImageKey};
 use simos::trace::Phase;
 use simos::types::{Pid, SimError, SimResult};
 use simos::{Kernel, Relink};
@@ -157,7 +157,9 @@ impl SoftwareSuspend {
         for &pid in &self.saved_pids {
             k.faultpoint(SWSUSP, "restore")?;
             let storage = self.storage.lock();
-            let load = load_chain(&**storage, SWSUSP, pid, seq, Strict, &k.cost, |_| Ok(()))
+            // Hibernation encodes on the caller alone, and decodes so.
+            let (cut, serial) = (ImageKey::new(SWSUSP, pid, seq), ckpt_par::Pool::new(1));
+            let load = load_chain(&**storage, &cut, Strict, &k.cost, &serial, |_| Ok(()))
                 .map_err(|e| SimError::Usage(format!("resume load failed: {e}")))?;
             drop(storage);
             k.charge(load.load_ns);

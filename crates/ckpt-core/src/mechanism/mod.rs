@@ -474,7 +474,8 @@ impl KernelCkptEngine {
         })
     }
 
-    /// Restore the newest checkpoint of the engine's target from storage.
+    /// Restore the newest checkpoint of the engine's target from storage,
+    /// decoding on the engine's pool.
     pub fn restart_from_storage(
         &mut self,
         k: &mut Kernel,
@@ -484,7 +485,8 @@ impl KernelCkptEngine {
             .lineage
             .id
             .ok_or_else(|| SimError::Usage("engine has no target; checkpoint first".into()))?;
-        restart_from_shared(&self.storage, self.lineage.job(), Pid(target), k, pid_sel)
+        let (storage, job) = (&self.storage, self.lineage.job());
+        restart_on(storage, job, Pid(target), k, pid_sel, &self.encode_pool)
     }
 }
 
@@ -578,15 +580,28 @@ pub fn count_pool_activity(trace: &TraceHandle, pool: &ckpt_par::Pool, since: ck
 }
 
 /// Restore the newest checkpoint of `target` (keyed under `job`) from a
-/// shared storage handle onto `k`. This is deliberately independent of any
-/// kernel modules or agents: a restart typically happens on a *different*
-/// node whose kernel never saw the original mechanism.
+/// shared storage handle onto `k`, decoding on the process-wide pool. This
+/// is deliberately independent of any kernel modules or agents: a restart
+/// typically happens on a *different* node whose kernel never saw the
+/// original mechanism.
 pub fn restart_from_shared(
     storage: &SharedStorage,
     job: &str,
     target: Pid,
     k: &mut Kernel,
     pid_sel: RestorePid,
+) -> SimResult<RestartOutcome> {
+    restart_on(storage, job, target, k, pid_sel, ckpt_par::global())
+}
+
+/// [`restart_from_shared`], decoding the chain's images on `pool`.
+fn restart_on(
+    storage: &SharedStorage,
+    job: &str,
+    target: Pid,
+    k: &mut Kernel,
+    pid_sel: RestorePid,
+    pool: &ckpt_par::Pool,
 ) -> SimResult<RestartOutcome> {
     let t0 = k.now();
     let (load, storage_label) = {
@@ -604,7 +619,8 @@ pub fn restart_from_shared(
                 Some(_) => Err(ChainError::Interrupted { at_seq: seq }),
             }
         };
-        let load = load_chain(&**s, job, target.0, u64::MAX, Resilient, &k.cost, on_seg);
+        let newest = ImageKey::new(job, target.0, u64::MAX);
+        let load = load_chain(&**s, &newest, Resilient, &k.cost, pool, on_seg);
         let load = load.map_err(|e| SimError::Usage(format!("restart load failed: {e}")))?;
         (load, s.label())
     };

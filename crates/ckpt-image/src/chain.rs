@@ -4,10 +4,12 @@
 //! dirtied since the previous checkpoint. A restart therefore needs the
 //! last full image plus every subsequent incremental image, overlaid in
 //! order. This module validates lineage (sequence numbers must chain) and
-//! performs the overlay.
+//! performs the overlay: it picks each page's winning record newest first
+//! and touches no other, so a chain loader that owns its decoded images
+//! moves each surviving page once ([`reconstruct_owned`]).
 
-use crate::format::{CheckpointImage, ImageKind, PageRecord};
-use std::collections::BTreeMap;
+use crate::format::{CheckpointImage, ImageHeader, ImageKind, PageRecord};
+use std::cmp::Reverse;
 
 /// Chain-reconstruction errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,40 +95,108 @@ pub fn validate(chain: &[CheckpointImage]) -> Result<(), ChainError> {
 /// Overlay a full image with its incremental successors, producing the
 /// equivalent full image of the final instant. Everything except pages is
 /// taken from the **last** image (registers, fds, signal state move
-/// forward); pages accumulate with later images winning.
+/// forward); of a page's records, the newest image's wins — within one
+/// image, its later record. Only the winning records are cloned.
 pub fn reconstruct(chain: &[CheckpointImage]) -> Result<CheckpointImage, ChainError> {
-    reconstruct_with(chain, |_| Ok(()))
+    let winners = overlay(chain, |_| Ok(()))?;
+    let last = chain.last().expect("validated non-empty");
+    let pages = winners
+        .into_iter()
+        .map(|(seg, rec)| chain[seg].pages[rec].clone())
+        .collect();
+    Ok(CheckpointImage {
+        header: full_header(&last.header),
+        regs: last.regs.clone(),
+        brk: last.brk,
+        work_done: last.work_done,
+        policy: last.policy,
+        vmas: last.vmas.clone(),
+        pages,
+        fds: last.fds.clone(),
+        files: last.files.clone(),
+        sig: last.sig.clone(),
+        timers: last.timers.clone(),
+        program: last.program.clone(),
+    })
 }
 
-/// [`reconstruct`], invoking `on_segment` with each image's sequence
-/// number before overlaying it. The observer may abort the overlay by
-/// returning an error (the crashpoint matrix uses this to model a fault
-/// landing between chain segments during restart); this crate stays free
-/// of any simulator dependency.
-pub fn reconstruct_with(
+/// [`reconstruct`] of a chain the caller hands over (a chain loader's
+/// freshly decoded images): each winning page record moves into the
+/// result, and so does the last image's non-page state; nothing is
+/// cloned. `on_segment` sees every image's sequence number, oldest first,
+/// before any page is overlaid, and may abort the overlay by returning an
+/// error (the crashpoint matrix uses this to model a fault landing between
+/// chain segments during restart); this crate stays free of any simulator
+/// dependency.
+pub fn reconstruct_owned(
+    mut chain: Vec<CheckpointImage>,
+    on_segment: impl FnMut(u64) -> Result<(), ChainError>,
+) -> Result<CheckpointImage, ChainError> {
+    let winners = overlay(&chain, on_segment)?;
+    let mut segments: Vec<Vec<Option<PageRecord>>> = chain
+        .iter_mut()
+        .map(|img| {
+            std::mem::take(&mut img.pages)
+                .into_iter()
+                .map(Some)
+                .collect()
+        })
+        .collect();
+    let mut out = chain.pop().expect("validated non-empty");
+    out.header = full_header(&out.header);
+    out.pages = winners
+        .into_iter()
+        .map(|(seg, rec)| segments[seg][rec].take().expect("a record wins once"))
+        .collect();
+    Ok(out)
+}
+
+/// Validate `chain`, show `on_segment` every seq oldest first, and pick
+/// each page's winning record newest first — the newest image's, and
+/// within it the later record. Returns `(image, record)` indices in page
+/// order.
+fn overlay(
     chain: &[CheckpointImage],
     mut on_segment: impl FnMut(u64) -> Result<(), ChainError>,
-) -> Result<CheckpointImage, ChainError> {
+) -> Result<Vec<(usize, usize)>, ChainError> {
     validate(chain)?;
-    let last = chain.last().expect("validated non-empty");
-    let mut pages: BTreeMap<u64, PageRecord> = BTreeMap::new();
     for img in chain {
         on_segment(img.header.seq)?;
-        for p in &img.pages {
-            pages.insert(p.page_no, p.clone());
-        }
     }
-    let mut out = last.clone();
-    out.header.kind = ImageKind::Full;
-    out.header.parent_seq = 0;
-    out.pages = pages.into_values().collect();
-    Ok(out)
+    let mut records: Vec<(u64, Reverse<usize>, Reverse<usize>)> = chain
+        .iter()
+        .enumerate()
+        .flat_map(|(seg, img)| {
+            img.pages
+                .iter()
+                .enumerate()
+                .map(move |(rec, p)| (p.page_no, Reverse(seg), Reverse(rec)))
+        })
+        .collect();
+    // Every key is distinct, so the unstable sort is deterministic; it
+    // puts each page's newest record first.
+    records.sort_unstable();
+    records.dedup_by_key(|&mut (page_no, _, _)| page_no);
+    Ok(records
+        .into_iter()
+        .map(|(_, Reverse(seg), Reverse(rec))| (seg, rec))
+        .collect())
+}
+
+/// The header of the full image a chain ending in `last` reconstructs to.
+fn full_header(last: &ImageHeader) -> ImageHeader {
+    ImageHeader {
+        kind: ImageKind::Full,
+        parent_seq: 0,
+        ..last.clone()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::format::*;
+    use std::collections::BTreeMap;
 
     fn img(pid: u32, seq: u64, parent: u64, kind: ImageKind, pages: Vec<(u64, u8)>) -> CheckpointImage {
         CheckpointImage {
@@ -184,6 +254,46 @@ mod tests {
         assert_eq!(full.pages.len(), 4);
     }
 
+    /// Two records of one page inside one image: the later one wins, in
+    /// the newest image that holds the page, on the borrowed entry point
+    /// and on the owned one alike.
+    #[test]
+    fn within_an_image_the_later_record_of_a_page_wins() {
+        let chain = vec![
+            img(
+                1,
+                1,
+                0,
+                ImageKind::Full,
+                vec![(10, 1), (11, 1), (10, 2), (12, 1)],
+            ),
+            img(
+                1,
+                2,
+                1,
+                ImageKind::Incremental,
+                vec![(11, 3), (13, 3), (11, 4)],
+            ),
+        ];
+        let want: BTreeMap<u64, u8> = [(10, 2), (11, 4), (12, 1), (13, 3)].into();
+        let fills = |full: &CheckpointImage| -> Vec<(u64, u8)> {
+            full.pages
+                .iter()
+                .map(|p| (p.page_no, p.expand().unwrap()[0]))
+                .collect()
+        };
+        let borrowed = reconstruct(&chain).unwrap();
+        assert_eq!(
+            fills(&borrowed),
+            want.clone().into_iter().collect::<Vec<_>>()
+        );
+        let owned = reconstruct_owned(chain.clone(), |_| Ok(())).unwrap();
+        assert_eq!(owned, borrowed);
+        // A one-image chain resolves its own duplicates the same way.
+        let full = reconstruct_owned(chain[..1].to_vec(), |_| Ok(())).unwrap();
+        assert_eq!(fills(&full), vec![(10, 2), (11, 1), (12, 1)]);
+    }
+
     #[test]
     fn single_full_image_reconstructs_to_itself() {
         let chain = vec![img(1, 1, 0, ImageKind::Full, vec![(5, 9)])];
@@ -235,7 +345,7 @@ mod tests {
             img(1, 3, 2, ImageKind::Incremental, vec![(12, 3)]),
         ];
         let mut seen = Vec::new();
-        let full = reconstruct_with(&chain, |seq| {
+        let full = reconstruct_owned(chain.clone(), |seq| {
             seen.push(seq);
             Ok(())
         })
@@ -243,7 +353,7 @@ mod tests {
         assert_eq!(seen, vec![1, 2, 3]);
         assert_eq!(full.pages.len(), 3);
 
-        let aborted = reconstruct_with(&chain, |seq| {
+        let aborted = reconstruct_owned(chain, |seq| {
             if seq == 2 {
                 Err(ChainError::Interrupted { at_seq: seq })
             } else {

@@ -315,14 +315,33 @@ fn encode_tail(img: &CheckpointImage, out: &mut Vec<u8>) {
 // Decode.
 // ---------------------------------------------------------------------
 
-/// Parse and validate an image from bytes.
+/// Parse and validate an image from bytes: [`decode_with_pool`] at width
+/// 1.
 pub fn decode(buf: &[u8]) -> Result<CheckpointImage, DecodeError> {
+    decode_with_pool(buf, &ckpt_par::Pool::new(1))
+}
+
+/// Parse and validate an image from bytes, CRC'ing its body on `pool`;
+/// the result is the same at every width. The body is CRC'd in runs of
+/// [`ckpt_par::PAR_MIN_BYTES`], each on a worker, and the run CRCs fold in
+/// order with [`crc32_combine`] (from 0, the CRC of no bytes), at width 1
+/// on the caller alone. Parsing runs on the caller once the CRC has
+/// matched.
+pub fn decode_with_pool(buf: &[u8], pool: &ckpt_par::Pool) -> Result<CheckpointImage, DecodeError> {
     if buf.len() < 16 {
         return Err(DecodeError::Truncated);
     }
     let (body, crc_bytes) = buf.split_at(buf.len() - 4);
     let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    let computed = crc32(body);
+    let runs: Vec<&[u8]> = body.chunks(ckpt_par::PAR_MIN_BYTES).collect();
+    let run_crcs = pool.for_bytes(body.len()).par_map_ordered(
+        runs,
+        || (),
+        |_, _, run| (crc32(run), run.len()),
+    );
+    let computed = run_crcs.into_iter().fold(0, |crc, (run_crc, len)| {
+        crc32_combine(crc, run_crc, len as u64)
+    });
     if stored != computed {
         return Err(DecodeError::BadCrc { stored, computed });
     }

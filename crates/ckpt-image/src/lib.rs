@@ -13,9 +13,10 @@
 //!   made sense against the paper's 50 MB/s disks ([`compress`]);
 //! * **incremental chains**: full + delta images with validated lineage
 //!   and deterministic reconstruction ([`chain`]);
-//! * **parallel encode**: pages encoded, and image bodies written and
-//!   CRC'd, in runs on a `ckpt-par` pool, byte-identical at every width
-//!   ([`parallel`], [`encode_with_pool`]).
+//! * **parallel encode and decode**: pages encoded, and image bodies
+//!   written and CRC'd, in runs on a `ckpt-par` pool, byte-identical at
+//!   every width ([`parallel`], [`encode_with_pool`]); a restart's image
+//!   bodies are CRC'd in the same runs ([`decode_with_pool`]).
 //!
 //! Capturing *from* and restoring *into* a live [`simos::Kernel`] is the
 //! job of `ckpt-core`; this crate is the format.
@@ -27,8 +28,12 @@ pub mod crc;
 pub mod format;
 pub mod parallel;
 
-pub use chain::{reconstruct, reconstruct_with, validate, ChainError};
-pub use codec::{decode, encode, encode_with_pool, DecodeError};
+pub use chain::{reconstruct, reconstruct_owned, validate, ChainError};
+/// The pool the `*_with_pool` entry points run on, re-exported so a crate
+/// that stores or loads images can hand one in without depending on
+/// `ckpt-par` itself.
+pub use ckpt_par::Pool;
+pub use codec::{decode, decode_with_pool, encode, encode_with_pool, DecodeError};
 pub use compress::{decode_page, encode_page, encode_page_with, EncodeScratch, PageEncoding};
 pub use crc::{crc32, crc32_combine};
 pub use parallel::{encode_page_slices, encode_pages};

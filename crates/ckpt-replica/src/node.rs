@@ -14,13 +14,24 @@
 //! each node carries its own lock, so workers copying payloads to
 //! different replicas never contend.
 //!
-//! Who digests what: the *committer* digests a payload once and every
-//! node ingests `(payload, digest)` ([`ReplicaNode::put_frame`]); a node
-//! verifies a frame against that digest on the first probe after it was
-//! written and memoises the verdict, so a frame's bytes are hashed once on
-//! the way in and once on the first read, never again until they change.
+//! Who digests what: the *committer* digests a payload once — or takes
+//! the digest the layer above already holds
+//! ([`StableStorage::store_digested`](ckpt_storage::StableStorage::store_digested))
+//! — and every node ingests `(payload, digest)`
+//! ([`ReplicaNode::put_frame`]); a node verifies a frame against that
+//! digest on the first probe after it was written and keeps the verdict
+//! with the frame, so a frame's bytes are hashed once on the way in and
+//! once on the first read, never again until they change. A quorum read
+//! hands the verified digest of its winner up
+//! ([`StableStorage::load_verified`](ckpt_storage::StableStorage::load_verified)),
+//! so the layer above need not hash the bytes again.
+//!
+//! Each node keeps its frames in one hash index, and every operation
+//! visits a key's entry once: the verdict lives in the entry, not in a
+//! second map beside it.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use ckpt_storage::{fnv1a64, fnv1a64_multi};
@@ -70,17 +81,61 @@ pub enum Probe {
     Valid(Frame),
 }
 
+/// A frame as a node holds it, with the verdict of its digest check once
+/// a probe has run one. Tombstones are intact by construction; every
+/// mutator that replaces or damages a frame resets the verdict.
+#[derive(Clone)]
+struct Held {
+    frame: Frame,
+    intact: Option<bool>,
+}
+
+impl Held {
+    /// A frame just written, not yet probed.
+    fn new(frame: Frame) -> Self {
+        let intact = frame.tombstone.then_some(true);
+        Held { frame, intact }
+    }
+}
+
+/// The frame index's hasher: FxHash-style, a word of the key at a time,
+/// with no random seed — nothing to draw per map, and the same table
+/// layout in every run. The keys are this program's own object keys,
+/// never outside input, so it needs no defence against crafted
+/// collisions.
+#[derive(Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        const K: u64 = 0xf135_7aea_2e62_a9c5;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let w = u64::from_le_bytes(w.try_into().expect("eight bytes"));
+            self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(K);
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.0 = (self.0.rotate_left(5) ^ u64::from_le_bytes(w)).wrapping_mul(K);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type FrameIndex = HashMap<String, Held, BuildHasherDefault<KeyHasher>>;
+
 #[derive(Default, Clone)]
 struct NodeState {
-    frames: BTreeMap<String, Frame>,
-    /// Per-key digest-check memo: `(version, intact)` of the last frame
-    /// probed under the key. Quorum reads and read-repair probe the same
-    /// frame repeatedly (a batched round probes every key at least twice);
-    /// the payload is only re-digested when the frame actually changed.
-    /// Every mutator of `frames` invalidates the key's entry.
-    intact_memo: BTreeMap<String, (u64, bool)>,
+    frames: FrameIndex,
     /// How many full-payload digest computations this replica has done —
-    /// the work the memo exists to avoid (observable, so tests can pin
+    /// the work a kept verdict saves (observable, so tests can pin
     /// repeated reads at zero extra digests).
     digests_computed: u64,
     /// Monotonic payload bytes this replica has accepted over its life —
@@ -171,17 +226,14 @@ impl ReplicaNode {
     /// exactly what the first probe then catches.
     pub fn put_frame(&self, key: &str, version: u64, data: Vec<u8>, digest: u64) {
         let mut s = self.state.lock();
-        s.intact_memo.remove(key);
         s.bytes_ingested += data.len() as u64;
-        s.frames.insert(
-            key.to_string(),
-            Frame {
-                version,
-                digest,
-                tombstone: false,
-                data: Arc::new(data),
-            },
-        );
+        let frame = Frame {
+            version,
+            digest,
+            tombstone: false,
+            data: Arc::new(data),
+        };
+        s.frames.insert(key.to_string(), Held::new(frame));
     }
 
     /// Store a torn frame: the digest of the full payload over only its
@@ -192,57 +244,50 @@ impl ReplicaNode {
 
     /// Store a tombstone (quorum delete marker).
     pub fn put_tombstone(&self, key: &str, version: u64) {
-        let mut s = self.state.lock();
-        s.intact_memo.remove(key);
-        s.frames.insert(
-            key.to_string(),
-            Frame {
-                version,
-                digest: 0,
-                tombstone: true,
-                data: Arc::default(),
-            },
-        );
+        let frame = Frame {
+            version,
+            digest: 0,
+            tombstone: true,
+            data: Arc::default(),
+        };
+        self.state
+            .lock()
+            .frames
+            .insert(key.to_string(), Held::new(frame));
     }
 
     /// Classify the frame under `key`. Pure read — admission is separate.
     ///
-    /// The digest check is memoized per `(key, version)`: the first probe
+    /// The digest check's verdict is kept with the frame: the first probe
     /// of a frame pays the full-payload FNV, repeated probes of the same
-    /// committed frame are O(1). Every mutator invalidates the memo, so a
+    /// committed frame are O(1). Every mutator resets the verdict, so a
     /// rewritten or corrupted frame is always re-checked.
     pub fn probe(&self, key: &str) -> Probe {
         probe_nodes(&[self], key).remove(0)
     }
 
-    /// The frame under `key` and its memoised digest verdict, if any
-    /// (tombstones are trivially intact).
+    /// The frame under `key` and its digest verdict, if one was kept.
     fn peek(&self, key: &str) -> Option<(Frame, Option<bool>)> {
         let s = self.state.lock();
-        let f = s.frames.get(key)?;
-        let verdict = if f.tombstone {
-            Some(true)
-        } else {
-            s.intact_memo
-                .get(key)
-                .and_then(|&(v, ok)| (v == f.version).then_some(ok))
-        };
-        Some((f.clone(), verdict))
+        let h = s.frames.get(key)?;
+        Some((h.frame.clone(), h.intact))
     }
 
-    /// Account one digest check of `frame` and memoise its verdict —
-    /// unless the node's frame changed while the check ran unlocked.
+    /// Account one digest check of `frame` and keep its verdict — unless
+    /// the node's frame changed while the check ran unlocked.
     fn record_verdict(&self, key: &str, frame: &Frame, intact: bool) {
         let mut s = self.state.lock();
         s.digests_computed += 1;
-        if s.frames.get(key).is_some_and(|f| Arc::ptr_eq(&f.data, &frame.data)) {
-            s.intact_memo.insert(key.to_string(), (frame.version, intact));
+        if let Some(h) = s.frames.get_mut(key) {
+            if Arc::ptr_eq(&h.frame.data, &frame.data) {
+                h.intact = Some(intact);
+            }
         }
     }
 
     /// Full-payload digest computations this replica has performed so far
-    /// (the memo in [`ReplicaNode::probe`] keeps this from scaling with
-    /// the *read* count).
+    /// (the kept verdict in [`ReplicaNode::probe`] keeps this from scaling
+    /// with the *read* count).
     pub fn digests_computed(&self) -> u64 {
         self.state.lock().digests_computed
     }
@@ -250,9 +295,7 @@ impl ReplicaNode {
     /// Remove the frame under `key` outright (adversarial test hook —
     /// a real delete goes through tombstones).
     pub fn drop_key(&self, key: &str) {
-        let mut s = self.state.lock();
-        s.intact_memo.remove(key);
-        s.frames.remove(key);
+        self.state.lock().frames.remove(key);
     }
 
     /// Remove the frame under `key` only if it is still at `version` —
@@ -264,21 +307,28 @@ impl ReplicaNode {
     /// a failed quorum commit would inflate the C12/C16 traffic tables
     /// with attempted bytes.
     pub fn drop_if_version(&self, key: &str, version: u64) {
-        let mut s = self.state.lock();
-        if s.frames.get(key).is_some_and(|f| f.version == version) {
-            s.intact_memo.remove(key);
-            if let Some(f) = s.frames.remove(key) {
-                s.bytes_ingested = s.bytes_ingested.saturating_sub(f.data.len() as u64);
-            }
-        }
+        self.state.lock().uncommit(key, version);
     }
 
-    /// Raw frame under `key`, if any — the pre-write snapshot a quorum
-    /// commit takes so a failed overwrite can be rolled back to the
-    /// committed state instead of destroying it. Pure read: no digest
-    /// work, no counters, no payload copy.
-    pub fn snapshot_frame(&self, key: &str) -> Option<Frame> {
-        self.state.lock().frames.get(key).cloned()
+    /// The raw frame under every key in `keys`, in order, under one lock
+    /// — or `None` while the node is down. What a quorum commit reads
+    /// before it writes: the versions it must climb above, and the
+    /// snapshots a refused commit rolls back to instead of destroying the
+    /// committed state. Pure read: no digest work, no counters, no
+    /// payload copy.
+    pub fn visible_frames<'k>(
+        &self,
+        keys: impl IntoIterator<Item = &'k str>,
+    ) -> Option<Vec<Option<Frame>>> {
+        let s = self.state.lock();
+        if s.down {
+            return None;
+        }
+        Some(
+            keys.into_iter()
+                .map(|k| s.frames.get(k).map(|h| h.frame.clone()))
+                .collect(),
+        )
     }
 
     /// Roll a failed quorum write back: if the frame under `key` is still
@@ -290,13 +340,9 @@ impl ReplicaNode {
     /// committed and never logically left the medium.
     pub fn rollback_to(&self, key: &str, version: u64, prior: Option<Frame>) {
         let mut s = self.state.lock();
-        if s.frames.get(key).is_some_and(|f| f.version == version) {
-            s.intact_memo.remove(key);
-            if let Some(f) = s.frames.remove(key) {
-                s.bytes_ingested = s.bytes_ingested.saturating_sub(f.data.len() as u64);
-            }
-            if let Some(p) = prior {
-                s.frames.insert(key.to_string(), p);
+        if s.uncommit(key, version) {
+            if let Some(frame) = prior {
+                s.frames.insert(key.to_string(), Held::new(frame));
             }
         }
     }
@@ -305,8 +351,9 @@ impl ReplicaNode {
     /// digest stale (adversarial torn-copy test hook).
     pub fn corrupt_key(&self, key: &str) {
         let mut s = self.state.lock();
-        s.intact_memo.remove(key);
-        if let Some(f) = s.frames.get_mut(key) {
+        if let Some(h) = s.frames.get_mut(key) {
+            h.intact = None;
+            let f = &mut h.frame;
             let keep = f.data.len() / 2;
             Arc::make_mut(&mut f.data).truncate(keep);
             if f.tombstone {
@@ -317,15 +364,18 @@ impl ReplicaNode {
     }
 
     /// Keys of non-tombstone frames on this replica (reachability is the
-    /// caller's concern — this is the raw medium contents).
+    /// caller's concern — this is the raw medium contents), sorted.
     pub fn keys(&self) -> Vec<String> {
-        self.state
+        let mut keys: Vec<String> = self
+            .state
             .lock()
             .frames
             .iter()
-            .filter(|(_, f)| !f.tombstone)
+            .filter(|(_, h)| !h.frame.tombstone)
             .map(|(k, _)| k.clone())
-            .collect()
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Payload bytes this replica has accepted for *committed* writes
@@ -347,8 +397,27 @@ impl ReplicaNode {
             .lock()
             .frames
             .values()
-            .map(|f| f.data.len() as u64)
+            .map(|h| h.frame.data.len() as u64)
             .sum()
+    }
+}
+
+impl NodeState {
+    /// Remove the frame under `key` if it is at `version`, retracting its
+    /// bytes from `bytes_ingested`; whether it did.
+    fn uncommit(&mut self, key: &str, version: u64) -> bool {
+        if self
+            .frames
+            .get(key)
+            .is_none_or(|h| h.frame.version != version)
+        {
+            return false;
+        }
+        let h = self.frames.remove(key).expect("the frame was just found");
+        self.bytes_ingested = self
+            .bytes_ingested
+            .saturating_sub(h.frame.data.len() as u64);
+        true
     }
 }
 
@@ -430,19 +499,6 @@ impl ReplicaSet {
     pub fn probe_batch(&self, indices: &[usize], key: &str) -> Vec<Probe> {
         let nodes: Vec<&ReplicaNode> = indices.iter().map(|&i| &*self.nodes[i]).collect();
         probe_nodes(&nodes, key)
-    }
-
-    /// Frame version each reachable node holds under `key` (torn frames
-    /// and tombstones included), highest wins; 0 if none holds one. No
-    /// digest work: a commit only needs a version above everything
-    /// visible, intact or not.
-    pub fn max_version(&self, key: &str) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| !n.is_down())
-            .filter_map(|n| n.state.lock().frames.get(key).map(|f| f.version))
-            .max()
-            .unwrap_or(0)
     }
 
     /// How many replicas are currently reachable.

@@ -8,26 +8,26 @@
 //! one shard frame per node — only how bytes get onto `w` of `n` nodes or
 //! onto none of them:
 //!
-//! 1. **versions** — each key's next version, read before any byte moves;
+//! 1. **versions and snapshots** — what every reachable node holds under
+//!    each key of the commit, read once before any byte moves: the key's
+//!    next version, and the frame a refused commit rolls back to;
 //! 2. **admission** ([`QuorumClient::admit_all`]) — reachability, queued
 //!    transients and the `{prefix}/{tag}<i>/{op}` faultpoint, sequentially
 //!    in node order on the calling thread, retrying transients on the
 //!    jittered backoff schedule;
-//! 3. **snapshots** — the frame every writing node holds under every key
-//!    of the commit, before it is replaced;
-//! 4. **fan-out** — the caller's frames land on their nodes: owned
+//! 3. **fan-out** — the caller's frames land on their nodes: owned
 //!    frames move in, borrowed payloads are copied on the pool, one work
 //!    item per node (each node has its own lock); a torn node keeps only
 //!    the prefix the [`WireFrame`] says reached its medium;
-//! 5. **count** — fewer than `w` intact frames and *every node that took
+//! 4. **count** — fewer than `w` intact frames and *every node that took
 //!    bytes* — acknowledged or torn — is rolled back to its snapshot, its
 //!    ingested bytes retracted, and the commit refused with the typed
 //!    [`StorageError::QuorumLost`]: a refused overwrite never destroys the
 //!    committed value it failed to replace;
-//! 6. **manifests + receipt** otherwise.
+//! 5. **manifests + receipt** otherwise.
 //!
-//! Everything that must be deterministic (steps 1–3, 5–6) runs on the
-//! calling thread; only the pure byte copies of step 4 run on the pool, so
+//! Everything that must be deterministic (steps 1–2, 4–5) runs on the
+//! calling thread; only the pure byte copies of step 3 run on the pool, so
 //! commits, manifests, costs and counters are identical at every width.
 
 use std::borrow::Cow;
@@ -342,6 +342,16 @@ impl QuorumClient {
         }
     }
 
+    /// [`ReplicaNode::visible_frames`](crate::node::ReplicaNode::visible_frames)
+    /// of every node, in node order (`None` for a node that is down).
+    fn visible_frames<'k>(
+        &self,
+        keys: impl IntoIterator<Item = &'k str> + Clone,
+    ) -> Vec<Option<Vec<Option<Frame>>>> {
+        let nodes = self.set.nodes().iter();
+        nodes.map(|n| n.visible_frames(keys.clone())).collect()
+    }
+
     /// Modelled wire time for `len` bytes.
     pub fn xfer_ns(len: u64, cost: &CostModel) -> u64 {
         (len as f64 * cost.net_ns_per_byte).round() as u64
@@ -433,24 +443,25 @@ impl QuorumClient {
             "one wire record per object"
         );
 
-        // Per-object commit versions, read before any byte moves so the
-        // commit advances each key once or not at all.
-        let versions: Vec<u64> = objects
-            .iter()
-            .map(|o| self.set.max_version(o.key) + 1)
-            .collect();
+        // What every reachable node holds under the commit's keys, read
+        // once before any byte moves: each key's commit version, above
+        // every visible one (torn frames and tombstones included), so the
+        // commit advances each key once or not at all — and the
+        // pre-write snapshots. `put_frame` replaces a node's frame in
+        // place, so a failed quorum needs the prior frames to roll back
+        // to the committed state instead of leaving the node empty or
+        // torn.
+        let mut held = self.visible_frames(objects.iter().map(|o| o.key));
+        let versions: Vec<u64> = (0..objects.len()).map(|j| next_version(&held, j)).collect();
 
         // ONE admission + fault-check + retry/backoff cycle per node for
         // the whole frame, however many objects ride in it.
         let adm = self.admit_all(wire.op, &wire.id, wire.len);
 
-        // Pre-write snapshots: `put_frame` replaces a node's frame in
-        // place, so a failed quorum needs the prior frames to roll back to
-        // the committed state instead of leaving the node empty or torn.
-        // Then each writing node's share of the frame: object `j` exists
-        // on the medium once `lands` bytes arrived, and keeps whatever of
-        // its payload lies below the tear. Owned frames move into their
-        // node right here; borrowed ones are copied on the pool below.
+        // Each writing node's share of the frame: object `j` exists on the
+        // medium once `lands` bytes arrived, and keeps whatever of its
+        // payload lies below the tear. Owned frames move into their node
+        // right here; borrowed ones are copied on the pool below.
         let mut writers: Vec<(usize, Vec<Option<Frame>>)> = Vec::new();
         let mut copies: Vec<NodeCopies<'a>> = Vec::new();
         let mut wire_ns = 0u64;
@@ -460,10 +471,10 @@ impl QuorumClient {
             };
             wire_ns += Self::xfer_ns(keep, cost);
             let node = self.set.node(i);
-            writers.push((
-                i,
-                objects.iter().map(|o| node.snapshot_frame(o.key)).collect(),
-            ));
+            let prior = held[i]
+                .take()
+                .expect("a node that admitted the write was up when its frames were read");
+            writers.push((i, prior));
             let mut node_copies = Vec::new();
             for (j, &(lands, start, end)) in wire.records.iter().enumerate() {
                 if keep < lands {
@@ -562,7 +573,7 @@ impl QuorumClient {
     /// exactly the write/read surface).
     pub fn delete(&mut self, key: &str) -> Result<(), StorageError> {
         self.ensure_up()?;
-        let version = self.set.max_version(key) + 1;
+        let version = next_version(&self.visible_frames([key]), 0);
         let mut acked = 0usize;
         let mut retries = 0u64;
         for (i, node) in self.set.nodes().iter().enumerate() {
@@ -645,4 +656,13 @@ impl QuorumClient {
             self.manifests.insert(key.to_string(), replaced);
         }
     }
+}
+
+/// One past the highest version any reachable node holds under key `j`
+/// of `held` ([`QuorumClient::visible_frames`]), torn frames and
+/// tombstones included; 1 if none holds one. No digest work: a write only
+/// needs a version above everything visible, intact or not.
+fn next_version(held: &[Option<Vec<Option<Frame>>>], j: usize) -> u64 {
+    let visible = held.iter().flatten().filter_map(|f| f[j].as_ref());
+    visible.map(|f| f.version).max().unwrap_or(0) + 1
 }

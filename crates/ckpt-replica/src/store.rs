@@ -5,7 +5,10 @@
 //! the shared commit protocol ([`crate::quorum`]) and commit at write
 //! quorum `w > N/2`; reads probe every reachable replica, pick the
 //! highest-version intact frame, and repair stale/torn/missing copies in
-//! place. When more than `N - w` replicas are unreachable or corrupt the
+//! place — probing once when that first probe shows every reachable
+//! replica current, and handing the winner's verified digest up
+//! ([`StableStorage::load_verified`]). When more than `N - w` replicas are
+//! unreachable or corrupt the
 //! operation is refused with the typed
 //! [`StorageError::QuorumLost`] — a committed value could then live
 //! entirely on the missing replicas, so any answer would be a guess.
@@ -165,8 +168,8 @@ impl ReplicatedStore {
     }
 
     /// Commit `objects` as one `wire` frame per replica. Every payload was
-    /// digested once, by the caller (`digests`); every replica ingests its
-    /// own copy under that digest — a torn one only a prefix.
+    /// digested once, above this call (`digests`); every replica ingests
+    /// its own copy under that digest — a torn one only a prefix.
     fn commit(
         &mut self,
         objects: &[(&str, &[u8])],
@@ -174,8 +177,6 @@ impl ReplicatedStore {
         wire: &WireFrame,
         cost: &CostModel,
     ) -> Result<BatchReceipt, StorageError> {
-        self.payload_digests
-            .fetch_add(digests.len() as u64, Ordering::Relaxed);
         let described: Vec<CommitObject<'_>> = objects
             .iter()
             .zip(digests)
@@ -234,8 +235,22 @@ impl StableStorage for ReplicatedStore {
         cost: &CostModel,
     ) -> Result<StoreReceipt, StorageError> {
         self.core.ensure_up()?;
+        let digest = fnv1a64(data);
+        self.payload_digests.fetch_add(1, Ordering::Relaxed);
+        self.store_digested(key, data, digest, cost)
+    }
+
+    /// [`StableStorage::store`] under the caller's digest of `data`: every
+    /// replica records it, and the first read verifies it.
+    fn store_digested(
+        &mut self,
+        key: &str,
+        data: &[u8],
+        digest: u64,
+        cost: &CostModel,
+    ) -> Result<StoreReceipt, StorageError> {
         let wire = WireFrame::bare(key, data.len() as u64);
-        let r = self.commit(&[(key, data)], &[fnv1a64(data)], &wire, cost)?;
+        let r = self.commit(&[(key, data)], &[digest], &wire, cost)?;
         Ok(StoreReceipt {
             key: key.to_string(),
             bytes: r.bytes,
@@ -244,6 +259,17 @@ impl StableStorage for ReplicatedStore {
     }
 
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
+        let (data, time_ns, _) = self.load_verified(key, cost)?;
+        Ok((data, time_ns))
+    }
+
+    /// The quorum read vouches for its winner: that frame passed its
+    /// node's digest check, so its recorded digest is the returned bytes'.
+    fn load_verified(
+        &self,
+        key: &str,
+        cost: &CostModel,
+    ) -> Result<(Vec<u8>, u64, Option<u64>), StorageError> {
         self.core.ensure_up()?;
         let set = self.core.set();
 
@@ -296,24 +322,35 @@ impl StableStorage for ReplicatedStore {
         // Ranking needs only frame metadata; the payloads stay where they
         // are (shared, not copied) until the winner's is returned.
         let winner = valid
-            .into_iter()
+            .iter()
             .max_by_key(|f| f.version)
-            .expect("suspect <= N - w implies at least w intact frames");
+            .expect("suspect <= N - w implies at least w intact frames")
+            .clone();
+        let current = valid.iter().filter(|f| f.version == winner.version).count();
 
         // Read-repair: rewrite the winning frame onto every reachable
         // replica holding a stale, torn, or missing copy. Pure copies
         // under the winner's verified digest — fan them out on the pool
-        // like the write path.
+        // like the write path. When every reachable replica was admitted
+        // and holds an intact frame at the winning version, the probe
+        // above already shows nothing lags; otherwise a reachable
+        // replica that was not admitted (its transients outlasted the
+        // retries) may hold anything, so every reachable one is probed
+        // again.
         let reachable: Vec<usize> = (0..n).filter(|&i| !set.node(i).is_down()).collect();
-        let lagging: Vec<usize> = reachable
-            .iter()
-            .zip(set.probe_batch(&reachable, key))
-            .filter(|(_, probe)| match probe {
-                Probe::Valid(f) => f.version < winner.version,
-                Probe::Torn { .. } | Probe::Missing => true,
-            })
-            .map(|(&i, _)| i)
-            .collect();
+        let lagging: Vec<usize> = if current == reachable.len() {
+            Vec::new()
+        } else {
+            reachable
+                .iter()
+                .zip(set.probe_batch(&reachable, key))
+                .filter(|(_, probe)| match probe {
+                    Probe::Valid(f) => f.version < winner.version,
+                    Probe::Torn { .. } | Probe::Missing => true,
+                })
+                .map(|(&i, _)| i)
+                .collect()
+        };
         let repairs = lagging.len() as u64;
         let fr = &winner;
         let moved = lagging.len() * fr.data.len();
@@ -335,7 +372,7 @@ impl StableStorage for ReplicatedStore {
         let time_ns = cost.net_latency_ns
             + QuorumClient::xfer_ns(winner.data.len() as u64, cost) * (1 + repairs)
             + adm.backoff_ns;
-        Ok((Vec::clone(&winner.data), time_ns))
+        Ok((Vec::clone(&winner.data), time_ns, Some(winner.digest)))
     }
 
     fn delete(&mut self, key: &str) -> Result<(), StorageError> {
@@ -401,6 +438,8 @@ impl StableStorage for ReplicatedStore {
         // All the batch's payloads are digested as one multi-lane pass.
         let payloads: Vec<&[u8]> = objects.iter().map(|(_, d)| *d).collect();
         let digests = fnv1a64_multi(&payloads);
+        self.payload_digests
+            .fetch_add(digests.len() as u64, Ordering::Relaxed);
         let wire = WireFrame::framed(objects.iter().map(|(k, d)| (*k, d.len() as u64)));
         self.commit(objects, &digests, &wire, cost)
     }
@@ -518,6 +557,44 @@ mod tests {
         s.replica_set().node(0).inject_transients(budget + 4);
         s.store("k", b"x", &cost()).unwrap();
         assert_eq!(s.replica_manifest("k").unwrap().acked, vec![1, 2]);
+    }
+
+    /// A replica whose load admission ran out of retries is reachable but
+    /// unprobed, so a clean first probe proves nothing about it: the read
+    /// still probes every reachable replica and repairs it. Once every
+    /// frame is verified, a clean read repairs nothing and digests nothing.
+    #[test]
+    fn a_reachable_replica_that_was_not_admitted_is_still_repaired() {
+        let mut s = ReplicatedStore::fresh(3, 2);
+        let set = s.replica_set();
+        s.store("k", b"v1", &cost()).unwrap();
+        // Replica 0 misses the overwrite and keeps the v1 frame.
+        set.node(0).fail();
+        s.store("k", b"v2", &cost()).unwrap();
+        set.node(0).repair();
+        // Every transient its load admission retries is consumed, and one
+        // more: it is left out of the quorum read but stays reachable.
+        set.node(0)
+            .inject_transients(BackoffPolicy::default().max_retries + 1);
+        assert_eq!(s.load("k", &cost()).unwrap().0, b"v2");
+        assert_eq!(
+            s.stats().repairs,
+            1,
+            "the unadmitted stale replica is repaired"
+        );
+        assert!(matches!(set.node(0).probe("k"), Probe::Valid(f) if f.version == 2));
+        s.load("k", &cost()).unwrap();
+        let digests: u64 = set.nodes().iter().map(|n| n.digests_computed()).sum();
+        s.load("k", &cost()).unwrap();
+        assert_eq!(s.stats().repairs, 1);
+        assert_eq!(
+            set.nodes()
+                .iter()
+                .map(|n| n.digests_computed())
+                .sum::<u64>(),
+            digests,
+            "a clean read of a verified key computes no digest"
+        );
     }
 
     #[test]

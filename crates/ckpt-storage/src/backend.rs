@@ -234,6 +234,34 @@ pub trait StableStorage: Send {
     /// Load an object; returns (data, modelled time).
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError>;
 
+    /// [`StableStorage::load`], plus the [`fnv1a64`](crate::fnv1a64) of
+    /// the returned bytes when this layer verified them against it on the
+    /// way out: a layer above that needs the digest compares it instead of
+    /// hashing the bytes again. `None` (the default) vouches for nothing.
+    fn load_verified(
+        &self,
+        key: &str,
+        cost: &CostModel,
+    ) -> Result<(Vec<u8>, u64, Option<u64>), StorageError> {
+        let (data, time_ns) = self.load(key, cost)?;
+        Ok((data, time_ns, None))
+    }
+
+    /// [`StableStorage::store`] of `data` whose [`fnv1a64`](crate::fnv1a64)
+    /// the caller already holds as `digest`: a layer that records the
+    /// digest with the object takes it instead of hashing `data` again.
+    /// The default ignores it and stores.
+    fn store_digested(
+        &mut self,
+        key: &str,
+        data: &[u8],
+        digest: u64,
+        cost: &CostModel,
+    ) -> Result<StoreReceipt, StorageError> {
+        let _ = digest;
+        self.store(key, data, cost)
+    }
+
     fn delete(&mut self, key: &str) -> Result<(), StorageError>;
 
     /// Keys currently stored (sorted). Empty if unavailable.

@@ -3,7 +3,9 @@
 
 use crate::backend::{StableStorage, StorageError, StoreReceipt};
 use crate::key::ImageKey;
-use ckpt_image::{decode, encode, ChainError, CheckpointImage, DecodeError, ImageKind};
+use ckpt_image::{
+    decode, decode_with_pool, encode, ChainError, CheckpointImage, DecodeError, ImageKind, Pool,
+};
 use simos::cost::CostModel;
 
 /// Errors from the image layer.
@@ -100,13 +102,16 @@ pub struct ChainLoad {
     pub images_skipped: u64,
 }
 
-/// Load the newest restartable chain of the lineage `(job, id)` among its
-/// images with seq at most `cap` (`u64::MAX`: all of them), reconstructed
-/// into one full image. On clean storage both policies issue the same
-/// loads at the same modelled cost.
+/// Load the newest restartable chain of the lineage `(upto.job,
+/// upto.pid)` among its images with seq at most `upto.seq` (`u64::MAX`:
+/// all of them), reconstructed into one full image. On clean storage both
+/// policies issue the same loads at the same modelled cost. Each image's
+/// CRC runs on `pool` ([`ckpt_image::decode_with_pool`]), and the overlay
+/// moves each surviving page out of its decoded image once
+/// ([`ckpt_image::reconstruct_owned`]).
 ///
-/// `on_segment` is invoked with each segment's sequence number during the
-/// overlay (see [`ckpt_image::reconstruct_with`]); returning an error
+/// `on_segment` is invoked with each segment's sequence number before the
+/// overlay (see [`ckpt_image::reconstruct_owned`]); returning an error
 /// aborts the whole load — it models a fault at a chain-segment boundary,
 /// not a bad image, so no fallback is attempted. Availability, transient
 /// and quorum-loss errors also abort: they say nothing about image
@@ -114,14 +119,14 @@ pub struct ChainLoad {
 /// lost replicas would be a silently wrong answer.
 pub fn load_chain(
     storage: &dyn StableStorage,
-    job: &str,
-    id: u32,
-    cap: u64,
+    upto: &ImageKey,
     policy: ChainPolicy,
     cost: &CostModel,
+    pool: &Pool,
     mut on_segment: impl FnMut(u64) -> Result<(), ChainError>,
 ) -> Result<ChainLoad, ImageStoreError> {
-    let prefix = ImageKey::lineage_prefix(job, id);
+    let cap = upto.seq;
+    let prefix = upto.lineage();
     let listed = lineage_keys(storage, &prefix);
     let keys_listed = listed.len() as u64;
     let keys: Vec<(u64, String)> = listed
@@ -134,7 +139,7 @@ pub fn load_chain(
     };
     let strict = policy == ChainPolicy::Strict;
     if strict && cap != u64::MAX && newest != cap {
-        let cut = ImageKey::new(job, id, cap).to_string();
+        let cut = upto.to_string();
         return Err(ImageStoreError::Storage(StorageError::NotFound(cut)));
     }
     let mut total_t = 0u64;
@@ -163,7 +168,7 @@ pub fn load_chain(
             Ok((bytes, t)) => {
                 total_t += t;
                 loaded += 1;
-                decode(&bytes).map_err(ImageStoreError::from)
+                decode_with_pool(&bytes, pool).map_err(ImageStoreError::from)
             }
         };
         let img = match img {
@@ -181,7 +186,8 @@ pub fn load_chain(
         }
         let mut chain = std::mem::take(&mut pending);
         chain.reverse();
-        match ckpt_image::reconstruct_with(&chain, &mut on_segment) {
+        let segments = chain.len();
+        match ckpt_image::reconstruct_owned(chain, &mut on_segment) {
             Ok(image) => {
                 return Ok(ChainLoad {
                     image,
@@ -192,7 +198,7 @@ pub fn load_chain(
                 })
             }
             Err(e @ ChainError::Interrupted { .. }) => return Err(e.into()),
-            Err(e) => discard(e.into(), chain.len(), &mut skipped)?,
+            Err(e) => discard(e.into(), segments, &mut skipped)?,
         }
     }
     if strict {
@@ -293,12 +299,14 @@ mod tests {
     type Loaded = Result<(CheckpointImage, u64), ImageStoreError>;
 
     fn latest(disk: &LocalDisk, pid: u32, c: &CostModel) -> Loaded {
-        let l = load_chain(disk, "job", pid, u64::MAX, Strict, c, |_| Ok(()))?;
+        let newest = ImageKey::new("job", pid, u64::MAX);
+        let l = load_chain(disk, &newest, Strict, c, &Pool::new(2), |_| Ok(()))?;
         Ok((l.image, l.load_ns))
     }
 
     fn resilient(disk: &LocalDisk, c: &CostModel) -> Result<ChainLoad, ImageStoreError> {
-        load_chain(disk, "job", 1, u64::MAX, Resilient, c, |_| Ok(()))
+        let newest = ImageKey::new("job", 1, u64::MAX);
+        load_chain(disk, &newest, Resilient, c, &Pool::new(2), |_| Ok(()))
     }
 
     fn img(seq: u64, parent: u64, kind: ImageKind, pages: Vec<(u64, u8)>) -> CheckpointImage {
@@ -484,7 +492,8 @@ mod tests {
         let mut disk = LocalDisk::new(1 << 30);
         let c = CostModel::circa_2005();
         store_image(&mut disk, "job", &img(1, 0, ImageKind::Full, vec![(1, 1)]), &c).unwrap();
-        let r = load_chain(&disk, "job", 1, u64::MAX, Resilient, &c, |seq| {
+        let newest = ImageKey::new("job", 1, u64::MAX);
+        let r = load_chain(&disk, &newest, Resilient, &c, &Pool::new(2), |seq| {
             Err(ChainError::Interrupted { at_seq: seq })
         });
         assert!(matches!(

@@ -14,6 +14,7 @@ use ckpt_restart::image::{
     SigRecord,
 };
 use ckpt_restart::image::{encode, ChainError};
+use ckpt_restart::par::Pool;
 use ckpt_restart::storage::{
     load_chain, prune_before, prune_superseded, store_image, ChainLoad, ChainPolicy, ImageKey,
     ImageStoreError, LocalDisk, StableStorage, StorageError,
@@ -106,11 +107,10 @@ fn materialize(storage: &dyn StableStorage) -> BTreeMap<u64, u8> {
     let cost = CostModel::circa_2005();
     let img = load_chain(
         storage,
-        JOB,
-        PID,
-        u64::MAX,
+        &ImageKey::new(JOB, PID, u64::MAX),
         ChainPolicy::Strict,
         &cost,
+        &Pool::new(2),
         |_| Ok(()),
     )
     .expect("latest chain loads")
@@ -264,7 +264,8 @@ fn strict_load_refuses_what_resilient_falls_back_past() {
     // storage the two agree, load for load.
     let cost = CostModel::circa_2005();
     let load = |disk: &LocalDisk, cap: u64, policy| -> Result<ChainLoad, ImageStoreError> {
-        load_chain(disk, JOB, PID, cap, policy, &cost, |_| Ok(()))
+        let upto = ImageKey::new(JOB, PID, cap);
+        load_chain(disk, &upto, policy, &cost, &Pool::new(2), |_| Ok(()))
     };
     let key = |seq: u64| ImageKey::new(JOB, PID, seq).to_string();
     let tear = |disk: &mut LocalDisk, img: &CheckpointImage| {

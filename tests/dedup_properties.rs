@@ -7,7 +7,9 @@
 //! still stored loads bit-exact after every delete, and dropping the last
 //! key drains the chunk index to empty (no leaks either). The store's
 //! delta is tried against a bound; the bounded encoder must give the full
-//! delta or nothing.
+//! delta or nothing. Over a replicated backing store, which vouches for
+//! the digests it verified, damage must end exactly as it does when dedup
+//! hashes every chunk itself.
 //!
 //! Cases are generated deterministically by [`common::Gen`]; a failing
 //! seed reproduces directly.
@@ -17,7 +19,10 @@ mod common;
 use ckpt_restart::cas::delta::{xor_rle_encode, xor_rle_encode_within};
 use ckpt_restart::cas::{CasStats, ChunkParams, DedupStore};
 use ckpt_restart::par::Pool;
-use ckpt_restart::storage::{ImageKey, LocalDisk, StableStorage};
+use ckpt_restart::replica::{Probe, ReplicaConfig, ReplicaSet, ReplicatedStore};
+use ckpt_restart::storage::{
+    ImageKey, LocalDisk, StableStorage, StorageClass, StorageError, StoreReceipt,
+};
 use common::Gen;
 use simos::cost::CostModel;
 use std::sync::Arc;
@@ -194,5 +199,174 @@ fn bounded_delta_is_the_full_delta_or_nothing() {
                 );
             }
         }
+    }
+}
+
+/// Forwards every call to the store below and keeps the trait's defaults
+/// for the rest: it vouches for no digest on a load and takes none on a
+/// store, so a [`DedupStore`] above it hashes every chunk it resolves and
+/// the replicas below hash every payload they commit.
+struct NoVouch(ReplicatedStore);
+
+impl StableStorage for NoVouch {
+    fn class(&self) -> StorageClass {
+        self.0.class()
+    }
+    fn label(&self) -> String {
+        self.0.label()
+    }
+    fn store(
+        &mut self,
+        key: &str,
+        data: &[u8],
+        c: &CostModel,
+    ) -> Result<StoreReceipt, StorageError> {
+        self.0.store(key, data, c)
+    }
+    fn load(&self, key: &str, c: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
+        self.0.load(key, c)
+    }
+    fn delete(&mut self, key: &str) -> Result<(), StorageError> {
+        self.0.delete(key)
+    }
+    fn list(&self) -> Vec<String> {
+        self.0.list()
+    }
+    fn available(&self) -> bool {
+        self.0.available()
+    }
+    fn used_bytes(&self) -> u64 {
+        self.0.used_bytes()
+    }
+    fn on_node_failure(&mut self) {
+        self.0.on_node_failure()
+    }
+    fn on_node_repair(&mut self) {
+        self.0.on_node_repair()
+    }
+    fn on_power_down(&mut self) {
+        self.0.on_power_down()
+    }
+}
+
+/// What every node of `set` holds, key by key.
+fn frames(set: &ReplicaSet) -> Vec<Vec<(String, Probe)>> {
+    set.nodes()
+        .iter()
+        .map(|n| {
+            n.keys()
+                .into_iter()
+                .map(|k| (k.clone(), n.probe(&k)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Dedup over `replicated(3,2)` takes the replicas' verified digests;
+/// the same stack seen through [`NoVouch`] hashes instead. Both commit the
+/// same histories (a replica sometimes down for a commit), the same random
+/// damage lands on both replica sets — corrupted, dropped, torn and stale
+/// frames, and chunks overwritten with other bytes — and nodes go down
+/// for the read. Every image
+/// must load as the bytes written or fail with the same typed error on
+/// both sides, and the replicas must end holding the same frames.
+#[test]
+fn a_vouched_digest_never_turns_damage_into_bytes() {
+    let cost = CostModel::circa_2005();
+    for seed in 0..CASES {
+        let mut g = Gen::new(0x0D16_E570 + seed);
+        let histories: Vec<_> = (0..g.range(1, 3)).map(|_| arb_history(&mut g)).collect();
+        let sets = [ReplicaSet::new(3), ReplicaSet::new(3)];
+        let replicated =
+            |set: &Arc<ReplicaSet>| ReplicatedStore::new(set.clone(), ReplicaConfig::new(3, 2));
+        let mut stores = [
+            DedupStore::new(Box::new(replicated(&sets[0]))),
+            DedupStore::new(Box::new(NoVouch(replicated(&sets[1])))),
+        ];
+        let mut written = Vec::new();
+        for (h, versions) in histories.iter().enumerate() {
+            for (seq, v) in versions.iter().enumerate() {
+                let key = ImageKey::new(format!("vouch/h{h}"), 1, seq as u64).to_string();
+                let down = g.flag().then(|| g.range(0, 3) as usize);
+                for (store, set) in stores.iter_mut().zip(&sets) {
+                    if let Some(i) = down {
+                        set.node(i).fail();
+                    }
+                    store.store(&key, v, &cost).unwrap();
+                    if let Some(i) = down {
+                        set.node(i).repair();
+                    }
+                }
+                written.push((key, v.clone()));
+            }
+        }
+        assert_eq!(
+            frames(&sets[0]),
+            frames(&sets[1]),
+            "seed {seed}: a handed-down digest differs from the replica's own"
+        );
+
+        let keys: Vec<String> = sets[0].node(0).keys();
+        for _ in 0..g.range(1, 16) {
+            let key = &keys[g.range(0, keys.len() as u64) as usize];
+            let i = g.range(0, 3) as usize;
+            // A newer intact frame under an image key is a legitimate
+            // overwrite; under a chunk's content address it is damage.
+            let how = g.range(0, if key.starts_with("cas/") { 5 } else { 4 });
+            let held = match sets[0].node(i).probe(key) {
+                Probe::Valid(f) => Some((f.version, f.data.to_vec())),
+                Probe::Torn { version } => Some((version, Vec::new())),
+                Probe::Missing => None,
+            };
+            let other_len = g.range(1, 4_096) as usize;
+            let other = g.bytes(other_len);
+            let (version, mut data) = held.unwrap_or((1, Vec::new()));
+            if data.is_empty() {
+                data = other.clone();
+            }
+            let keep = g.range(0, data.len() as u64) as usize;
+            for set in &sets {
+                let node = set.node(i);
+                match how {
+                    0 => node.corrupt_key(key),
+                    1 => node.drop_key(key),
+                    // A newer write torn mid-frame: a prefix under the
+                    // full payload's digest.
+                    2 => node.put_torn(key, version + 1, &data, keep),
+                    // A replica that missed the latest commit.
+                    3 => node.put(key, version.saturating_sub(1), &other),
+                    // An intact frame of the wrong bytes above the rest.
+                    _ => node.put(key, version + 1, &other),
+                }
+            }
+        }
+        let down: Vec<usize> = (0..3).filter(|_| g.range(0, 4) == 0).collect();
+        for set in &sets {
+            for &i in &down {
+                set.node(i).fail();
+            }
+        }
+
+        for (key, v) in &written {
+            let [a, b] = [0, 1].map(|side| stores[side].load(key, &cost).map(|(bytes, _)| bytes));
+            assert_eq!(a, b, "seed {seed}: {key} differs with and without vouching");
+            match a {
+                Ok(bytes) => assert_eq!(&bytes, v, "seed {seed}: {key} loaded damaged bytes"),
+                Err(e) => assert!(
+                    matches!(
+                        &e,
+                        StorageError::MissingChunk { .. }
+                            | StorageError::QuorumLost { .. }
+                            | StorageError::CorruptManifest { .. }
+                    ) || e == StorageError::NotFound(key.clone()),
+                    "seed {seed}: {key} failed untyped: {e:?}"
+                ),
+            }
+        }
+        assert_eq!(
+            frames(&sets[0]),
+            frames(&sets[1]),
+            "seed {seed}: read-repair diverged"
+        );
     }
 }

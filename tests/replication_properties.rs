@@ -14,9 +14,12 @@ use ckpt_restart::image::{
     encode, CheckpointImage, ImageHeader, ImageKind, PageRecord, PolicyRecord, ProgramRecord,
     RegsRecord, SigRecord,
 };
+use ckpt_restart::par::Pool;
 use ckpt_restart::replica::{Probe, ReplicatedStore};
 use ckpt_restart::storage::ChainPolicy::Resilient;
-use ckpt_restart::storage::{load_chain, store_image, ImageStoreError, StorageError};
+use ckpt_restart::storage::{
+    load_chain, store_image, ChainLoad, ImageKey, ImageStoreError, StorageError,
+};
 use common::Gen;
 use simos::cost::CostModel;
 
@@ -97,6 +100,12 @@ fn damage_segment(g: &mut Gen, store: &ReplicatedStore, key: &str, k: usize) {
     }
 }
 
+/// The lineage's newest restartable chain, decoded on a two-wide pool.
+fn load_newest(store: &ReplicatedStore, cost: &CostModel) -> Result<ChainLoad, ImageStoreError> {
+    let newest = ImageKey::new(JOB, PID, u64::MAX);
+    load_chain(store, &newest, Resilient, cost, &Pool::new(2), |_| Ok(()))
+}
+
 fn quorums(case: u64) -> (usize, usize) {
     if case.is_multiple_of(2) {
         (3, 2)
@@ -118,11 +127,7 @@ fn damage_within_tolerance_materializes_digest_identically() {
         for img in &chain {
             keys.push(store_image(&mut store, JOB, img, &cost).unwrap().key);
         }
-        let baseline = encode(
-            &load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(()))
-                .unwrap()
-                .image,
-        );
+        let baseline = encode(&load_newest(&store, &cost).unwrap().image);
 
         // Adversary: every segment independently loses up to N − w
         // replicas (dropped or torn).
@@ -131,7 +136,7 @@ fn damage_within_tolerance_materializes_digest_identically() {
             damage_segment(&mut g, &store, key, k);
         }
 
-        let load = load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(()))
+        let load = load_newest(&store, &cost)
             .unwrap_or_else(|e| panic!("case {case}: tolerated damage broke the load: {e}"));
         assert_eq!(
             encode(&load.image),
@@ -162,11 +167,7 @@ fn damage_beyond_tolerance_is_quorum_lost_never_a_wrong_answer() {
         for img in &chain {
             keys.push(store_image(&mut store, JOB, img, &cost).unwrap().key);
         }
-        let baseline = encode(
-            &load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(()))
-                .unwrap()
-                .image,
-        );
+        let baseline = encode(&load_newest(&store, &cost).unwrap().image);
 
         // One random segment loses N − w + 1 replicas: its quorum is gone.
         // (A single damage round always leaves at least w − 1 ≥ 1 intact
@@ -176,7 +177,7 @@ fn damage_beyond_tolerance_is_quorum_lost_never_a_wrong_answer() {
         let victim = g.range(0, keys.len() as u64) as usize;
         damage_segment(&mut g, &store, &keys[victim], n - w + 1);
 
-        match load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(())) {
+        match load_newest(&store, &cost) {
             // Legal only when the lost segment was not needed (older than
             // the newest full image) — and then the bytes must be right.
             Ok(load) => assert_eq!(
@@ -215,8 +216,8 @@ fn losing_the_newest_segments_quorum_always_refuses_typed() {
             keys.push(store_image(&mut store, JOB, img, &cost).unwrap().key);
         }
         damage_segment(&mut g, &store, keys.last().unwrap(), n - w + 1);
-        let err = load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(()))
-            .expect_err("newest segment past tolerance must refuse");
+        let err =
+            load_newest(&store, &cost).expect_err("newest segment past tolerance must refuse");
         assert!(
             matches!(
                 err,
@@ -237,7 +238,7 @@ fn read_repair_rebuilds_damaged_replicas_to_intact_frames() {
         let img = mk(1, 0, ImageKind::Full, (0u64..4).map(|i| (i, g.byte())).collect());
         let key = store_image(&mut store, JOB, &img, &cost).unwrap().key;
         damage_segment(&mut g, &store, &key, n - w);
-        load_chain(&store, JOB, PID, u64::MAX, Resilient, &cost, |_| Ok(())).unwrap();
+        load_newest(&store, &cost).unwrap();
         // After one quorum read every reachable replica holds an intact
         // frame again.
         for node in store.replica_set().nodes() {
