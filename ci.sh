@@ -32,6 +32,12 @@ MATRIX=full_crash_matrix_has_no_violations_and_no_panics
 phase 'workspace tests'
 cargo test -q --workspace -- --skip "$MATRIX"
 
+# The workspace's one `unsafe` (ckpt-image's CRC dispatch) is tested again
+# in release, where debug assertions and overflow checks are off and the
+# optimiser has the feature-gated kernel to itself.
+phase 'ckpt-image tests in release'
+cargo test --release -q -p ckpt-image
+
 # The one test with a wall-clock budget (tests/crash_matrix.rs): the
 # matrix must stay cheap enough to never be sampled or skipped in CI.
 # Binaries are already built by the test phase, so the 30 s is all matrix:

@@ -8,6 +8,8 @@
 //! cargo run --release --bin report -- list           # what exists
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ckpt_bench as bench;
 
 /// `report sweep [--out DIR]`: run every swept experiment, write the

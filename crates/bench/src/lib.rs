@@ -6,6 +6,8 @@
 //! `report` binary prints them, and the test/bench suites call the same
 //! functions — the published numbers are the tested numbers.
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod experiments;
 pub mod fmt;

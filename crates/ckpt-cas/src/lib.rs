@@ -24,6 +24,8 @@
 //! [`MissingChunk`]: ckpt_storage::StorageError::MissingChunk
 //! [`CorruptManifest`]: ckpt_storage::StorageError::CorruptManifest
 
+#![forbid(unsafe_code)]
+
 pub mod chunker;
 pub mod delta;
 pub mod manifest;

@@ -26,6 +26,8 @@
 //!   event-level Monte-Carlo model that scales the utilization analysis to
 //!   BlueGene/L's 65,536 nodes.
 
+#![forbid(unsafe_code)]
+
 pub mod analytics;
 pub mod batch;
 pub mod cluster;

@@ -26,6 +26,8 @@
 //!   forward" — automatic system-level initiation, kernel-level incremental
 //!   tracking, remote storage, self-tuned interval.
 
+#![forbid(unsafe_code)]
+
 pub mod agents;
 pub mod autonomic;
 pub mod capture;

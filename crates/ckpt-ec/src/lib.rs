@@ -30,6 +30,8 @@
 //!   `ckpt-replica`'s generic [`Striped`](ckpt_replica::Striped) router
 //!   so the sharded control plane commits coded batches.
 
+#![forbid(unsafe_code)]
+
 pub mod gf;
 pub mod rs;
 pub mod store;

@@ -8,7 +8,9 @@
 //! process, with:
 //!
 //! * **integrity**: a trailing CRC-32 covering the whole encoding; any
-//!   corruption fails the restart loudly ([`codec`], [`crc`]);
+//!   corruption fails the restart loudly ([`codec`], [`crc`]). The CRC
+//!   folds by carry-less multiplication where the CPU has PCLMULQDQ and
+//!   falls back to slicing-by-8 elsewhere, with the same result;
 //! * **compression**: zero-page elision and RLE, the data reductions that
 //!   made sense against the paper's 50 MB/s disks ([`compress`]);
 //! * **incremental chains**: full + delta images with validated lineage
@@ -20,6 +22,10 @@
 //!
 //! Capturing *from* and restoring *into* a live [`simos::Kernel`] is the
 //! job of `ckpt-core`; this crate is the format.
+
+// Every other crate forbids `unsafe`. Here only the CRC's dispatch to its
+// CPU-feature-gated kernel (`crc::crc32`) uses it, under its own `allow`.
+#![deny(unsafe_code)]
 
 pub mod chain;
 pub mod codec;

@@ -28,9 +28,9 @@
 //! takes the width-1 path on the caller thread, anything larger spreads as
 //! before. The gate counts bytes, not items, because the layers' items
 //! range from a 6.6 KiB node copy to a 64 KiB parity row: three node copies
-//! of a 21 KiB chunk lose 45–65 µs to the spawn at width 2, while an image
-//! body written and CRC'd in runs of the same 64 KiB is even at two runs
-//! and wins from four (`examples/pool_overhead`).
+//! of a 21 KiB chunk lose 45–65 µs to the spawn at width 2, and every
+//! shape `examples/pool_overhead` times gains from a second thread only
+//! near 1 MiB ([`PAR_MIN_BYTES`] has the rows and why it stays lower).
 //! Calls whose items are whole jobs or experiments (the bench suite,
 //! `analytics`, `scale_round`) call the pool directly and are never gated.
 //! Either way the results, their order and the [`PoolStats`] task count are
@@ -50,6 +50,8 @@
 //! earlier-submitted item and had to be parked). These feed the
 //! `TraceReport` parallel-encode counters.
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -63,11 +65,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Set from `examples/pool_overhead` (shared 2-core host, µs per call at
 /// width 1 → width 2, two runs): three node copies of 64 KiB in all go 2–3
 /// → 47–67, of 256 KiB 61–91 → 65–119. Page encoding in runs (0.2–0.3 µs
-/// a page since the RLE bound) loses to the spawn up to 1 MiB. The
-/// cheapest crossover is `encode_with_pool`, CRC-bound: 128 KiB (two
-/// runs) 122 → 137–143, 256 KiB 240–258 → 221–275, 512 KiB 479–529 →
-/// 366–416. Below 64 KiB nothing gains from a second thread; a larger run
-/// would hold the body write back to larger images.
+/// a page since the RLE bound) loses to the spawn up to 1 MiB. Since the
+/// image CRC folds by carry-less multiplication, `encode_with_pool` is no
+/// longer CRC-bound and crosses over there too: 128 KiB 10–12 → 55–57,
+/// 256 KiB 22–24 → 60–79, 1 MiB 115–189 → 147–211, 4 MiB 1,187–1,293 →
+/// 674–790. Below 64 KiB nothing gains from a second thread. The constant
+/// stays here although every shape now crosses over near 1 MiB: it is
+/// also the run size, and a 1 MiB gate measured a higher peak RSS on the
+/// 16 MiB full checkpoint (`ROADMAP.md` item 4 has the rows).
 pub const PAR_MIN_BYTES: usize = 64 * 1024;
 
 /// Cumulative counters for one [`Pool`].

@@ -24,6 +24,8 @@
 //!   tier behind one facade so commits to different key lineages overlap
 //!   in virtual time ([`StripedStore`] is the replicated instance).
 
+#![forbid(unsafe_code)]
+
 pub mod backoff;
 pub mod node;
 pub mod quorum;

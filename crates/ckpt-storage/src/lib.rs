@@ -10,6 +10,8 @@
 //! incremental chain, and a fault-injecting decorator ([`inject`]) that
 //! exposes per-store/load crash sites to the crashpoint matrix.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod digest;
 pub mod images;

@@ -12,6 +12,8 @@
 //! * [`figure1`] — the taxonomy tree, every leaf of which names the
 //!   workspace module that implements it.
 
+#![forbid(unsafe_code)]
+
 pub mod figure1;
 pub mod systems;
 pub mod table1;

@@ -5,6 +5,8 @@
 //! parking_lot has no poisoning, so swallowing the flag preserves its
 //! semantics). Only the API this workspace uses is provided.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{self, TryLockError};
 
 pub use std::sync::MutexGuard;

@@ -9,6 +9,8 @@
 //! (neither does `StdRng`'s contract of reproducibility across versions,
 //! which this shim intentionally does not preserve).
 
+#![forbid(unsafe_code)]
+
 /// A source of random 64-bit words.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;

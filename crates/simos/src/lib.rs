@@ -48,6 +48,8 @@
 //! assert!(k.process(pid).is_none() || k.process(pid).unwrap().has_exited());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod asm;
 pub mod cost;

@@ -38,6 +38,8 @@
 //! See `README.md` for a quickstart and `EXPERIMENTS.md` for the
 //! reproduction results.
 
+#![forbid(unsafe_code)]
+
 pub use ckpt_cas as cas;
 pub use ckpt_cluster as cluster;
 pub use ckpt_core as ckpt;
