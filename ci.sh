@@ -34,9 +34,10 @@ cargo test -q --workspace -- --skip "$MATRIX"
 
 # The workspace's one `unsafe` (ckpt-image's CRC dispatch) is tested again
 # in release, where debug assertions and overflow checks are off and the
-# optimiser has the feature-gated kernel to itself.
-phase 'ckpt-image tests in release'
-cargo test --release -q -p ckpt-image
+# optimiser has the feature-gated kernel to itself; so are the crates whose
+# content digests run on that kernel, at the codegen the benchmark runs.
+phase 'CRC kernel and its digest crates, tests in release'
+cargo test --release -q -p ckpt-image -p ckpt-cas -p ckpt-replica -p ckpt-ec
 
 # The one test with a wall-clock budget (tests/crash_matrix.rs): the
 # matrix must stay cheap enough to never be sampled or skipped in CI.

@@ -11,7 +11,7 @@
 //! width.
 
 use ckpt_par::Pool;
-use ckpt_storage::fnv1a64_multi;
+use ckpt_storage::digest64;
 use simos::apps::mix64;
 
 /// Chunking parameters: minimum chunk size, average-size exponent
@@ -89,21 +89,21 @@ pub fn split(data: &[u8], p: &ChunkParams) -> Vec<ChunkSpan> {
     spans
 }
 
-/// Chunks one pool task digests together: a few refills of the
-/// [`fnv1a64_multi`] lanes, so ragged chunks keep every lane busy.
-const DIGEST_RUN: usize = 4 * ckpt_storage::FNV_LANES;
+/// Chunks one pool task digests.
+const DIGEST_RUN: usize = 16;
 
-/// Split and digest: boundaries found serially, per-chunk FNV digests
-/// computed on `pool` — a run of chunks per task, through the multi-lane
-/// FNV — with ordered merge (on the caller alone for an input under
+/// Split and digest: boundaries found serially, per-chunk [`digest64`]s
+/// computed on `pool` — a run of chunks per task — with ordered merge (on
+/// the caller alone for an input under
 /// [`ckpt_par::PAR_MIN_BYTES`]). Returns `(span, digest)` in chunk order —
 /// identical output at any pool width.
 pub fn split_and_digest(data: &[u8], p: &ChunkParams, pool: &Pool) -> Vec<(ChunkSpan, u64)> {
     let spans = split(data, p);
     let runs: Vec<&[ChunkSpan]> = spans.chunks(DIGEST_RUN).collect();
     let digests = pool.for_bytes(data.len()).par_map_ordered(runs, || (), |_, _, run| {
-        let bufs: Vec<&[u8]> = run.iter().map(|s| &data[s.offset..s.offset + s.len]).collect();
-        fnv1a64_multi(&bufs)
+        run.iter()
+            .map(|s| digest64(&data[s.offset..s.offset + s.len]))
+            .collect::<Vec<u64>>()
     });
     spans.iter().copied().zip(digests.into_iter().flatten()).collect()
 }
@@ -111,7 +111,6 @@ pub fn split_and_digest(data: &[u8], p: &ChunkParams, pool: &Pool) -> Vec<(Chunk
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ckpt_storage::fnv1a64;
 
     fn pseudo_bytes(n: usize, seed: u64) -> Vec<u8> {
         let mut v = Vec::with_capacity(n);
@@ -150,11 +149,11 @@ mod tests {
         let p = ChunkParams::DEFAULT;
         let a: std::collections::HashSet<u64> = split(&base, &p)
             .iter()
-            .map(|s| fnv1a64(&base[s.offset..s.offset + s.len]))
+            .map(|s| digest64(&base[s.offset..s.offset + s.len]))
             .collect();
         let b: Vec<u64> = split(&edited, &p)
             .iter()
-            .map(|s| fnv1a64(&edited[s.offset..s.offset + s.len]))
+            .map(|s| digest64(&edited[s.offset..s.offset + s.len]))
             .collect();
         let shared = b.iter().filter(|d| a.contains(d)).count();
         assert!(

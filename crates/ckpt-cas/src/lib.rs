@@ -8,9 +8,8 @@
 //!
 //! * [`chunker`] — content-defined chunking: a gear rolling hash picks
 //!   chunk boundaries that re-synchronize after edits, with min/avg/max
-//!   size bounds ([`ChunkParams`]);
-//! * [`fnv1a64`] — FNV-1a 64-bit content addresses (the one shared
-//!   definition in `ckpt-storage`, re-exported);
+//!   size bounds ([`ChunkParams`]); each chunk is addressed by its
+//!   CRC-64 content digest ([`ckpt_storage::digest64`]);
 //! * [`delta`] — XOR + run-length delta between successive versions of
 //!   one lineage, applied before chunking;
 //! * [`manifest`] — the stored recipe (chunk list, optional base recipe,
@@ -32,6 +31,5 @@ pub mod manifest;
 pub mod store;
 
 pub use chunker::{split, split_and_digest, ChunkParams, ChunkSpan};
-pub use ckpt_storage::fnv1a64;
 pub use manifest::{BaseRecipe, ChunkRef, Encoding, Manifest, ManifestError, MANIFEST_MAGIC};
 pub use store::{CasStats, CasStatsHandle, DedupStore};

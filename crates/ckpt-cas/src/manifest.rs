@@ -4,10 +4,10 @@
 //! the recipe that rebuilds the object's bytes from content-addressed
 //! chunks (optionally via an XOR+RLE delta against a base recipe). A
 //! manifest is distinguishable from a raw image by its leading magic, and
-//! carries its own FNV checksum so a torn manifest write decodes to a
+//! carries its own checksum ([`digest64`]) so a torn manifest write decodes to a
 //! typed failure, never to wrong bytes.
 
-use ckpt_storage::fnv1a64;
+use ckpt_storage::digest64;
 
 /// Leading magic of every manifest object: `"CKPTCAS1"`. Distinct from
 /// `ckpt_image::IMAGE_MAGIC`, so the two object kinds can share a
@@ -47,7 +47,7 @@ pub enum Encoding {
 pub struct Manifest {
     /// Final object length in bytes.
     pub object_len: u64,
-    /// FNV-1a of the final object bytes — verified after resolution.
+    /// [`digest64`] of the final object bytes — verified after resolution.
     pub object_digest: u64,
     pub encoding: Encoding,
     /// Chunks of the payload (object bytes for `Raw`, delta stream for
@@ -137,7 +137,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Serialize a manifest (magic + version + body + FNV trailer).
+/// Serialize a manifest (magic + version + body + checksum trailer).
 pub fn encode(m: &Manifest) -> Vec<u8> {
     let mut w = Writer(Vec::with_capacity(64 + 12 * m.chunks.len()));
     w.0.extend_from_slice(&MANIFEST_MAGIC.to_be_bytes());
@@ -154,7 +154,7 @@ pub fn encode(m: &Manifest) -> Vec<u8> {
         }
     }
     w.chunks(&m.chunks);
-    let sum = fnv1a64(&w.0);
+    let sum = digest64(&w.0);
     w.u64(sum);
     w.0
 }
@@ -167,7 +167,7 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, ManifestError> {
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 8);
     let sum = u64::from_le_bytes(trailer.try_into().unwrap());
-    if fnv1a64(body) != sum {
+    if digest64(body) != sum {
         return Err(ManifestError::Checksum);
     }
     let mut r = Reader { data: body, at: 8 };

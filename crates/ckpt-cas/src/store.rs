@@ -44,7 +44,7 @@ use std::sync::Arc;
 use ckpt_par::Pool;
 use ckpt_storage::key::ObjectKey;
 use ckpt_storage::{
-    fnv1a64, ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt,
+    digest64, ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt,
 };
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
@@ -351,7 +351,7 @@ impl DedupStore {
             };
             *time_ns += t;
             if bytes.len() != c.len as usize
-                || vouched.unwrap_or_else(|| fnv1a64(&bytes)) != c.digest
+                || vouched.unwrap_or_else(|| digest64(&bytes)) != c.digest
             {
                 return Err(StorageError::MissingChunk { digest: c.digest });
             }
@@ -391,7 +391,7 @@ impl StableStorage for DedupStore {
             return self.inner.store(key, data, cost);
         };
         self.counter(|c| &c.logical_bytes, data.len() as u64);
-        let object_digest = fnv1a64(data);
+        let object_digest = digest64(data);
 
         // Delta against the lineage's last raw-stored version, if that
         // wins; always raw otherwise (and raw resets the base, keeping
@@ -531,14 +531,14 @@ impl StableStorage for DedupStore {
             Encoding::Raw => payload,
             Encoding::Delta(base) => {
                 let base_bytes = self.resolve_chunks(&base.chunks, cost, &mut time_ns)?;
-                if base_bytes.len() as u64 != base.len || fnv1a64(&base_bytes) != base.digest {
+                if base_bytes.len() as u64 != base.len || digest64(&base_bytes) != base.digest {
                     return Err(StorageError::CorruptManifest { key: key.to_string() });
                 }
                 xor_rle_decode(&base_bytes, &payload)
                     .ok_or(StorageError::CorruptManifest { key: key.to_string() })?
             }
         };
-        if object.len() as u64 != m.object_len || fnv1a64(&object) != m.object_digest {
+        if object.len() as u64 != m.object_len || digest64(&object) != m.object_digest {
             return Err(StorageError::CorruptManifest { key: key.to_string() });
         }
         Ok((object, time_ns))

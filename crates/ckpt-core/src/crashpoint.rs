@@ -53,7 +53,7 @@ use crate::tracker::TrackerKind;
 use crate::{fork_storage, RestartOutcome, RestorePid, SharedStorage};
 use ckpt_cas::{ChunkParams, DedupStore};
 use ckpt_ec::ErasureStore;
-use ckpt_replica::{ReplicaConfig, ReplicatedStore, Striped, StripedReplicaSet};
+use ckpt_replica::{ReplicaConfig, ReplicaSet, ReplicatedStore, Striped, StripedReplicaSet};
 use ckpt_storage::{
     load_chain, ChainPolicy::Resilient, FaultInjectStore, ImageKey, LocalDisk, NvramStore,
     RamStore, RemoteServer, RemoteStore, StableStorage, StorageClass, SwapStore,
@@ -411,11 +411,20 @@ fn numeric_args<const N: usize>(label: &str, name: &str) -> Option<[usize; N]> {
     parsed.ok()?.try_into().ok()
 }
 
-/// Build the store a backend label of [`TIERS`] names, with every layer
-/// consulting `faults`. Each stack is wrapped in a [`FaultInjectStore`], so
-/// the client-side `storage/<label>/{store,load}` sites are swept on top of
-/// the sites the stack visits itself. Panics on a label no tier names.
-pub fn injected_store(label: &str, faults: &FaultHandle) -> Box<dyn StableStorage> {
+/// The store a backend label of [`TIERS`] names, and the replica node sets
+/// behind it: one per stripe, none behind a single-copy medium.
+pub struct Stack {
+    pub store: Box<dyn StableStorage>,
+    pub sets: Vec<Arc<ReplicaSet>>,
+}
+
+/// Build the stack a backend label of [`TIERS`] names, with every layer
+/// consulting `faults`. With `inject`, each tier is wrapped in a
+/// [`FaultInjectStore`], so the client-side `storage/<label>/{store,load}`
+/// sites are swept on top of the sites the stack visits itself; without
+/// it, the stack is the one the engine builds. Panics on a label no tier
+/// names.
+pub fn build_stack(label: &str, faults: &FaultHandle, inject: bool) -> Stack {
     const CAPACITY: u64 = 1 << 30;
     if let Some(inner) = label
         .strip_prefix("dedup(")
@@ -426,22 +435,32 @@ pub fn injected_store(label: &str, faults: &FaultHandle) -> Box<dyn StableStorag
         // own `cas/commit` site between the chunks landing and the
         // manifest write. Coarse chunking bounds the per-image chunk
         // count, keeping the added matrix columns small.
-        return Box::new(
-            DedupStore::new(injected_store(inner, faults))
-                .with_params(ChunkParams::COARSE)
-                .with_faults(faults.clone()),
-        );
+        let Stack { store, sets } = build_stack(inner, faults, inject);
+        let store = DedupStore::new(store)
+            .with_params(ChunkParams::COARSE)
+            .with_faults(faults.clone());
+        return Stack {
+            store: Box::new(store),
+            sets,
+        };
     }
+    let mut sets = Vec::new();
     let store: Box<dyn StableStorage> = if let Some([n, w]) = numeric_args(label, "replicated") {
         // Consults the handle itself at `replica/r<i>/{store,load}`.
-        Box::new(ReplicatedStore::fresh(n, w).with_faults(faults.clone()))
+        let store = ReplicatedStore::fresh(n, w).with_faults(faults.clone());
+        sets.push(store.replica_set());
+        Box::new(store)
     } else if let Some([k, n, w]) = numeric_args(label, "striped") {
-        let pool = Striped::new(StripedReplicaSet::new(k, n), |set| {
+        let pool = StripedReplicaSet::new(k, n);
+        sets.extend_from_slice(pool.stripes());
+        let pool = Striped::new(pool, |set| {
             ReplicatedStore::new(set, ReplicaConfig::new(n, w))
         });
         Box::new(pool.with_faults(faults.clone()))
     } else if let Some([k, m]) = numeric_args(label, "rs") {
-        Box::new(ErasureStore::fresh(k, m).with_faults(faults.clone()))
+        let store = ErasureStore::fresh(k, m).with_faults(faults.clone());
+        sets.push(store.replica_set());
+        Box::new(store)
     } else if label == StorageClass::LocalDisk.label() {
         Box::new(LocalDisk::new(CAPACITY))
     } else if label == StorageClass::Remote.label() {
@@ -455,7 +474,18 @@ pub fn injected_store(label: &str, faults: &FaultHandle) -> Box<dyn StableStorag
     } else {
         panic!("unknown backend {label}")
     };
-    Box::new(FaultInjectStore::new(store, faults.clone()))
+    let store = if inject {
+        Box::new(FaultInjectStore::new(store, faults.clone()))
+    } else {
+        store
+    };
+    Stack { store, sets }
+}
+
+/// The store a backend label of [`TIERS`] names, every tier wrapped in a
+/// [`FaultInjectStore`]: [`build_stack`] as the crash matrix runs it.
+pub fn injected_store(label: &str, faults: &FaultHandle) -> Box<dyn StableStorage> {
+    build_stack(label, faults, true).store
 }
 
 /// The family's canonical row of the mechanism table, tracking pages at

@@ -20,6 +20,7 @@
 //!   hardware (ReVive \[29\] / SafetyNet \[34\], Section 4.2): no software cost
 //!   per write, finest deltas, but requires custom hardware.
 
+use ckpt_storage::digest64;
 use simos::cost::{CACHE_LINE, PAGE_SIZE};
 use simos::mem::TrackMode;
 use simos::trace::TlbFlushSite;
@@ -69,9 +70,6 @@ impl TrackerKind {
         !matches!(self, TrackerKind::FullOnly)
     }
 }
-
-/// FNV-1a 64-bit hash (the block comparator).
-pub use ckpt_storage::fnv1a64;
 
 /// What a collection round found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,7 +194,7 @@ impl Tracker {
         for pn in p.mem.resident_pages().collect::<Vec<_>>() {
             let data = p.mem.page_data(pn).expect("resident");
             let block = block_of(pn).clamp(8, PAGE_SIZE);
-            let hs: Vec<u64> = data.chunks(block as usize).map(fnv1a64).collect();
+            let hs: Vec<u64> = data.chunks(block as usize).map(digest64).collect();
             scanned += PAGE_SIZE;
             hashes.insert(pn, hs);
         }
@@ -281,7 +279,7 @@ impl Tracker {
         for pn in p.mem.resident_pages().collect::<Vec<_>>() {
             let data = p.mem.page_data(pn).expect("resident");
             let block = block_of(pn, PAGE_SIZE).clamp(8, PAGE_SIZE);
-            let hs: Vec<u64> = data.chunks(block as usize).map(fnv1a64).collect();
+            let hs: Vec<u64> = data.chunks(block as usize).map(digest64).collect();
             scanned += PAGE_SIZE;
             let old = self.hashes.get(&pn);
             let mut changed = 0u64;
@@ -571,8 +569,8 @@ mod tests {
     }
 
     #[test]
-    fn fnv_distinguishes_blocks() {
-        assert_ne!(fnv1a64(b"aaaa"), fnv1a64(b"aaab"));
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+    fn block_digest_distinguishes_blocks() {
+        assert_ne!(digest64(b"aaaa"), digest64(b"aaab"));
+        assert_ne!(digest64(&[0; 8]), digest64(&[0; 16]));
     }
 }

@@ -25,8 +25,8 @@
 //!
 //! Reads probe every node (frame digests make torn shards
 //! self-identifying, exactly as on the replicated path; the first read
-//! after a commit verifies all admitted frames as one multi-lane batch,
-//! later reads hit the nodes' memo), pick the highest version any intact
+//! after a commit verifies every admitted frame, later reads hit the
+//! nodes' memo), pick the highest version any intact
 //! shard carries, and reconstruct from any `k` intact shards, borrowed in
 //! place — concatenation when all data shards survived, a GF(256)
 //! matrix-inversion decode of just the missing ones otherwise. The
@@ -57,8 +57,8 @@ use ckpt_replica::{
     CommitObject, Frame, Probe, QuorumClient, ReplicaSet, StripeMember, Striped, WireFrame,
 };
 use ckpt_storage::{
-    fnv1a64, fnv1a64_multi, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage,
-    StorageClass, StorageError, StoreReceipt, FNV_LANES,
+    digest64, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, StorageClass,
+    StorageError, StoreReceipt,
 };
 use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
@@ -76,6 +76,9 @@ const SHARD_HEADER: usize = 24;
 
 /// Where the object digest sits in a shard header.
 const DIGEST_AT: std::ops::Range<usize> = 16..24;
+
+/// Shard frames one pool task digests.
+const FRAME_RUN: usize = 4;
 
 /// A shard frame: the header, then `shard` zero-padded to `shard_len`.
 fn shard_frame(
@@ -254,7 +257,7 @@ impl ErasureStore {
     /// first every object's digest beside its frames (data frames copied
     /// straight from the object's slices, parity accumulated in place),
     /// then — the headers carry the object digest, so it must come first —
-    /// the frame digests, one fill of the multi-lane FNV per task.
+    /// the frame digests, [`FRAME_RUN`] frames per task.
     fn encode_frames(&self, objects: &[(&str, &[u8])]) -> (Vec<Vec<u8>>, Vec<u64>, Vec<u64>) {
         enum Piece {
             ObjectDigest(u64),
@@ -274,7 +277,7 @@ impl ErasureStore {
         let pieces = call.par_map_ordered(tasks, || (), |_, _, (j, t)| {
             let data = objects[j].1;
             let Some(i) = t.checked_sub(1) else {
-                return Piece::ObjectDigest(fnv1a64(data));
+                return Piece::ObjectDigest(digest64(data));
             };
             let sl = self.code.shard_len(data.len());
             let own: &[u8] = if i < k { slices[j][i] } else { &[] };
@@ -293,16 +296,16 @@ impl ErasureStore {
             }
         }
         let frame_bytes = frames.iter().map(Vec::len).sum();
-        let runs: Vec<(usize, &mut [Vec<u8>])> =
-            frames.chunks_mut(FNV_LANES).enumerate().collect();
         let call = self.core.pool().for_bytes(frame_bytes);
-        let frame_digests = call.par_map_ordered(runs, || (), |_, _, (r, run)| {
+        let runs: Vec<&mut [Vec<u8>]> = frames.chunks_mut(FRAME_RUN).collect();
+        let frame_digests = call.par_map_ordered(runs, || (), |_, r, run| {
+            let mut digests = Vec::with_capacity(run.len());
             for (o, f) in run.iter_mut().enumerate() {
-                let j = (r * FNV_LANES + o) / n;
+                let j = (r * FRAME_RUN + o) / n;
                 f[DIGEST_AT].copy_from_slice(&object_digests[j].to_le_bytes());
+                digests.push(digest64(f));
             }
-            let bufs: Vec<&[u8]> = run.iter().map(Vec::as_slice).collect();
-            fnv1a64_multi(&bufs)
+            digests
         });
         let frame_digests = frame_digests.into_iter().flatten().collect();
         (frames, frame_digests, object_digests)
@@ -361,8 +364,7 @@ impl StableStorage for ErasureStore {
         let (k, m, n) = (self.code.k(), self.code.m(), self.n());
 
         // Sequential admission of every shard node, in node order; then
-        // one batched probe — a first read verifies all the admitted
-        // frames in one multi-lane pass over their bytes.
+        // one probe of each — a first read verifies every admitted frame.
         let adm = self.core.admit_all("load", key, 0);
         let admitted: Vec<usize> = adm.admitted().collect();
         let down = n - admitted.len();
@@ -464,7 +466,7 @@ impl StableStorage for ErasureStore {
             .map(|i| shards[i].or_else(|| rebuilt_shard(i)).expect("data shard intact or decoded"))
             .collect();
         let object = self.code.join_slices(&data, object_len as usize);
-        if fnv1a64(&object) != object_digest {
+        if digest64(&object) != object_digest {
             // The shard set is internally inconsistent (can only happen
             // if the medium was damaged beyond what frame digests catch).
             // Refuse — returning the reassembly would be silent corruption.
@@ -476,8 +478,7 @@ impl StableStorage for ErasureStore {
         }
 
         // Read-repair: rebuild the proper shard frame, at the winning
-        // version, on every reachable node that doesn't hold it; the
-        // repaired frames are digested here as one batch.
+        // version, on every reachable node that doesn't hold it.
         let repairs = lagging.len() as u64;
         let repaired: Vec<Vec<u8>> = lagging
             .iter()
@@ -487,9 +488,8 @@ impl StableStorage for ErasureStore {
                 shard_frame(k as u8, m as u8, i as u8, object_len, object_digest, shard, sl)
             })
             .collect();
-        let bufs: Vec<&[u8]> = repaired.iter().map(Vec::as_slice).collect();
-        let digests = fnv1a64_multi(&bufs);
-        for ((&i, frame), digest) in lagging.iter().zip(repaired).zip(digests) {
+        for (&i, frame) in lagging.iter().zip(repaired) {
+            let digest = digest64(&frame);
             set.node(i).put_frame(key, winner, frame, digest);
         }
 

@@ -1,110 +1,168 @@
-//! CRC-32 (IEEE 802.3 polynomial) for image integrity.
+//! The two reflected CRCs: CRC-32 (IEEE 802.3) for image integrity and
+//! CRC-64/XZ (ECMA-182) for the content digests of the storage tiers.
 //!
 //! Checkpoint data that restores silently wrong is worse than a failed
-//! restart — every image carries a trailing CRC over its entire encoding,
-//! and the reader refuses images whose CRC does not match. Every
+//! restart — every image carries a trailing CRC-32 over its entire
+//! encoding, and the reader refuses images whose CRC does not match. Every
 //! checkpointed page flows through here twice, once when its image is
 //! written and once when a restart reads it, and both happen while the
-//! process is frozen.
+//! process is frozen. Every stored byte above the image — replica and shard
+//! frames, dedup chunks and manifests, the tracker's blocks — is addressed
+//! or verified by [`crc64`], which `ckpt-storage` re-exports as its
+//! `digest64`.
 //!
-//! [`crc32`] is the one entry point. On an x86-64 CPU with PCLMULQDQ and
-//! SSE4.1 (detected at run time) it folds the input with carry-less
-//! multiplication, the construction of Intel's "Fast CRC Computation for
-//! Generic Polynomials Using PCLMULQDQ" used by zlib and Linux's
-//! `crc32-pclmul`: four 128-bit lanes fold 64 bytes a step, the lanes fold
-//! into one, further 16-byte blocks fold into it, and the last 128 bits
-//! reduce to 64 and then, by Barrett reduction, to the 32-bit CRC. Bytes
-//! after the last whole 16-byte block, and all input on other CPUs or
-//! shorter than 64 bytes, go through slicing-by-8: eight compile-time
-//! tables consume 8 bytes a step, bit-identical to the byte-at-a-time
-//! Sarwate loop. Both paths give the same CRC; the tests hold each to the
-//! bitwise definition.
+//! [`crc32`] and [`crc64`] run one kernel over their own polynomial. On an
+//! x86-64 CPU with PCLMULQDQ and SSE4.1 (detected at run time) it folds the
+//! input with carry-less multiplication, the construction of Intel's "Fast
+//! CRC Computation for Generic Polynomials Using PCLMULQDQ" used by zlib
+//! and Linux's `crc32-pclmul`: four 128-bit lanes fold 64 bytes a step, the
+//! lanes fold into one, and further 16-byte blocks fold into it. What is
+//! left is a 128-bit lane congruent to the input modulo the polynomial, so
+//! the CRC finishes by running the lane's 16 bytes, from a zero register,
+//! and then the bytes after the last whole 16-byte block through
+//! slicing-by-8: eight compile-time tables consume 8 bytes a step,
+//! bit-identical to the byte-at-a-time Sarwate loop. Input on other CPUs or
+//! shorter than 64 bytes goes through slicing-by-8 alone. Both paths give
+//! the same CRC; the tests hold each to the bitwise definition.
 //!
-//! The fold constants are not tabulated by hand: each is `x^n mod P` in
-//! the CRC's reflected bit order, computed at compile time, where `n` is
-//! the distance in bits a lane is moved forward (a 64-byte step moves the
-//! high and low halves of a lane by 4·128 ± 32 bits, a 16-byte fold by
-//! 128 ± 32, the 128 → 64 reduction by 64). The Barrett step multiplies by
-//! `μ = ⌊x^64 / P⌋` and by `P` itself.
+//! The fold's only inputs are four constants, not tabulated by hand: each
+//! is `x^e mod P` in the CRC's reflected bit order, computed at compile
+//! time. Moving a lane forward by `D` bits multiplies its first 8 bytes by
+//! `x^(D+63)` and its last 8 by `x^(D−1)` (the offsets absorb the half's
+//! place in the lane and the one-bit shift of a reflected carry-less
+//! product), with `D = 4·128` for a 64-byte step and `D = 128` for a
+//! 16-byte fold.
 //!
 //! [`crc32_combine`] joins the CRCs of two adjacent pieces without reading
 //! either again, so an image body can be CRC'd run by run on a pool as it
 //! is written. It costs one GF(2) multiplication per set bit of the
 //! length, over a 32-entry table built at compile time.
 
+/// CRC-32's reflected polynomial.
 const POLY: u32 = 0xEDB8_8320;
+/// CRC-64/XZ's: ECMA-182, reflected.
+const POLY64: u64 = 0xC96C_5795_D787_0F42;
 
-/// Build the 8 × 256-entry slicing tables at compile time. `TABLES[0]` is
-/// the classic Sarwate table; `TABLES[k][b]` is the CRC of byte `b`
-/// followed by `k` zero bytes.
-const fn build_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-}
-
-static TABLES: [[u32; 256]; 8] = build_tables();
+static CRC32: Crc = Crc::new(POLY as u64, 32);
+static CRC64: Crc = Crc::new(POLY64, 64);
 
 /// One-shot CRC-32 of a buffer: folded by carry-less multiplication from
 /// 64 bytes on where the CPU has PCLMULQDQ and SSE4.1, slicing-by-8
 /// otherwise and for the bytes after the last 16-byte block.
 pub fn crc32(data: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if data.len() >= 64
-        && is_x86_feature_detected!("pclmulqdq")
-        && is_x86_feature_detected!("sse4.1")
-    {
-        let (blocks, tail) = data.split_at(data.len() & !15);
-        #[allow(unsafe_code)]
-        // SAFETY: `clmul::fold` is safe code whose only requirement is
-        // the target features it is compiled for, PCLMULQDQ and SSE4.1,
-        // and both were detected on this CPU just above.
-        let state = unsafe { clmul::fold(!0, blocks) };
-        return !slicing_by_8(state, tail);
-    }
-    !slicing_by_8(!0, data)
+    CRC32.checksum(data) as u32
 }
 
-/// Advance the CRC register `c` (the CRC before its final inversion)
-/// over `data`, 8 bytes a step, and the last `len % 8` a byte at a time.
-fn slicing_by_8(mut c: u32, data: &[u8]) -> u32 {
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes(chunk[0..4].try_into().unwrap()) ^ c;
-        let hi = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
-        c = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][((lo >> 24) & 0xFF) as usize]
-            ^ TABLES[3][(hi & 0xFF) as usize]
-            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ TABLES[0][((hi >> 24) & 0xFF) as usize];
+/// One-shot CRC-64/XZ of a buffer (init and final xor all ones), by the
+/// same kernel as [`crc32`].
+pub fn crc64(data: &[u8]) -> u64 {
+    CRC64.checksum(data)
+}
+
+/// A reflected CRC of at most 64 bits, its register held in a `u64`.
+struct Crc {
+    /// The register's width in ones: its initial value and final xor.
+    mask: u64,
+    /// `tables[0]` is the classic Sarwate table; `tables[k][b]` is the
+    /// register after byte `b` and then `k` zero bytes.
+    tables: [[u64; 256]; 8],
+    /// The fold's `[x^(4·128+63), x^(4·128−1), x^(128+63), x^(128−1)]`.
+    #[cfg(target_arch = "x86_64")]
+    fold: [i64; 4],
+}
+
+impl Crc {
+    const fn new(poly: u64, width: u32) -> Crc {
+        let mut tables = [[0u64; 256]; 8];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u64;
+            let mut k = 0;
+            while k < 8 {
+                c = if c & 1 != 0 { poly ^ (c >> 1) } else { c >> 1 };
+                k += 1;
+            }
+            tables[0][i] = c;
+            i += 1;
+        }
+        let mut t = 1;
+        while t < 8 {
+            let mut i = 0;
+            while i < 256 {
+                let prev = tables[t - 1][i];
+                tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+                i += 1;
+            }
+            t += 1;
+        }
+        Crc {
+            mask: !0 >> (64 - width),
+            tables,
+            #[cfg(target_arch = "x86_64")]
+            fold: [
+                clmul_operand(poly, width, 4 * 128 + 63),
+                clmul_operand(poly, width, 4 * 128 - 1),
+                clmul_operand(poly, width, 128 + 63),
+                clmul_operand(poly, width, 128 - 1),
+            ],
+        }
     }
-    for &b in chunks.remainder() {
-        c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+
+    /// The CRC of `data`: the register folded over the whole 16-byte
+    /// blocks from 64 bytes on where the CPU can, then sliced over the rest.
+    fn checksum(&self, data: &[u8]) -> u64 {
+        let (mut c, mut rest) = (self.mask, data);
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= 64
+            && is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            let (blocks, tail) = data.split_at(data.len() & !15);
+            #[allow(unsafe_code)]
+            // SAFETY: `clmul::fold` is safe code whose only requirement is
+            // the target features it is compiled for, PCLMULQDQ and SSE4.1,
+            // and both were detected on this CPU just above.
+            let lane = unsafe { clmul::fold(c, blocks, self.fold) };
+            (c, rest) = (self.slicing_by_8(0, &lane), tail);
+        }
+        !self.slicing_by_8(c, rest) & self.mask
     }
-    c
+
+    /// Advance the register `c` over `data`, 8 bytes a step, and the last
+    /// `len % 8` a byte at a time.
+    fn slicing_by_8(&self, mut c: u64, data: &[u8]) -> u64 {
+        let t = &self.tables;
+        let mut chunks = data.chunks_exact(8);
+        for chunk in &mut chunks {
+            let x = u64::from_le_bytes(chunk.try_into().unwrap()) ^ c;
+            c = t[7][(x & 0xFF) as usize]
+                ^ t[6][(x >> 8 & 0xFF) as usize]
+                ^ t[5][(x >> 16 & 0xFF) as usize]
+                ^ t[4][(x >> 24 & 0xFF) as usize]
+                ^ t[3][(x >> 32 & 0xFF) as usize]
+                ^ t[2][(x >> 40 & 0xFF) as usize]
+                ^ t[1][(x >> 48 & 0xFF) as usize]
+                ^ t[0][(x >> 56) as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t[0][((c ^ b as u64) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c
+    }
+}
+
+/// `x^e mod P` for the reflected `width`-bit polynomial `poly`, as a
+/// carry-less multiplication operand: 64 bits, bit `j` the coefficient of
+/// `x^(63−j)`.
+#[cfg(target_arch = "x86_64")]
+const fn clmul_operand(poly: u64, width: u32, e: u32) -> i64 {
+    let mut p = 1u64 << (width - 1);
+    let mut i = 0;
+    while i < e {
+        p = if p & 1 != 0 { (p >> 1) ^ poly } else { p >> 1 };
+        i += 1;
+    }
+    (p << (64 - width)) as i64
 }
 
 /// The carry-less-multiplication fold. Everything here is safe code; what
@@ -113,49 +171,6 @@ fn slicing_by_8(mut c: u32, data: &[u8]) -> u32 {
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     use std::arch::x86_64::*;
-
-    use super::POLY;
-
-    /// A 64-byte step: low half × `x^(4·128+32)`, high × `x^(4·128−32)`.
-    const K1: i64 = fold_constant(4 * 128 + 32);
-    const K2: i64 = fold_constant(4 * 128 - 32);
-    /// A 16-byte fold, and the first half of the 128 → 64 reduction.
-    const K3: i64 = fold_constant(128 + 32);
-    const K4: i64 = fold_constant(128 - 32);
-    /// The second half of the 128 → 64 reduction.
-    const K5: i64 = fold_constant(64);
-    /// `P` with its `x^32` term, reflected: the Barrett step's divisor.
-    const P: i64 = ((POLY as i64) << 1) | 1;
-    const MU: i64 = barrett_mu();
-
-    /// `x^n mod P` in the reflected bit order, shifted left by one: the
-    /// 33-bit form in which PCLMULQDQ multiplies a reflected lane by it.
-    const fn fold_constant(n: u32) -> i64 {
-        let mut p = 1u32 << 31;
-        let mut i = 0;
-        while i < n {
-            p = if p & 1 != 0 { (p >> 1) ^ POLY } else { p >> 1 };
-            i += 1;
-        }
-        (p as i64) << 1
-    }
-
-    /// Barrett's `μ = ⌊x^64 / P⌋`, 33 bits, reflected: long division of
-    /// `x^64` by `P` in the natural bit order, then reversed.
-    const fn barrett_mu() -> i64 {
-        let p = (1u128 << 32) | POLY.reverse_bits() as u128;
-        let mut rem = 1u128 << 64;
-        let mut q = 0u64;
-        let mut i = 64;
-        while i >= 32 {
-            if rem >> i & 1 != 0 {
-                rem ^= p << (i - 32);
-                q |= 1 << (i - 32);
-            }
-            i -= 1;
-        }
-        (q.reverse_bits() >> 31) as i64
-    }
 
     /// 16 little-endian bytes as one lane; the compiler makes this one
     /// unaligned load.
@@ -176,56 +191,44 @@ mod clmul {
         _mm_xor_si128(_mm_xor_si128(lo, hi), next)
     }
 
-    /// Advance the CRC register `crc` over `data`, whose length is a
-    /// multiple of 16 and at least 64.
+    /// Fold the register `crc` and `data`, whose length is a multiple of 16
+    /// and at least 64, into one 128-bit lane congruent to them: the 16
+    /// bytes the CRC runs through its tables to finish. `k` is the CRC's
+    /// [`super::Crc`] fold constants.
     ///
     /// # Safety
     ///
     /// Called from code not compiled for PCLMULQDQ and SSE4.1, the caller
     /// must have checked that the CPU has both.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
-    pub(super) fn fold(crc: u32, data: &[u8]) -> u32 {
+    pub(super) fn fold(crc: u64, data: &[u8], k: [i64; 4]) -> [u8; 16] {
         debug_assert!(data.len() >= 64 && data.len().is_multiple_of(16));
         let (first, rest) = data.split_at(64);
         let mut lanes: [__m128i; 4] = std::array::from_fn(|i| load(&first[16 * i..]));
-        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi64_si128(crc as i64));
 
-        let k1k2 = _mm_set_epi64x(K2, K1);
+        let step64 = _mm_set_epi64x(k[1], k[0]);
         let mut blocks = rest.chunks_exact(64);
         for block in &mut blocks {
             for (i, lane) in lanes.iter_mut().enumerate() {
-                *lane = fold16(*lane, k1k2, load(&block[16 * i..]));
+                *lane = fold16(*lane, step64, load(&block[16 * i..]));
             }
         }
 
-        let k3k4 = _mm_set_epi64x(K4, K3);
+        let step16 = _mm_set_epi64x(k[3], k[2]);
         let mut x = lanes[0];
         for &lane in &lanes[1..] {
-            x = fold16(x, k3k4, lane);
+            x = fold16(x, step16, lane);
         }
         for block in blocks.remainder().chunks_exact(16) {
-            x = fold16(x, k3k4, load(block));
+            x = fold16(x, step16, load(block));
         }
-
-        // 128 → 64 bits: the low half moves by x^96 onto the high half,
-        // then the low 32 bits of that by x^64 onto the rest.
-        let low32 = _mm_setr_epi32(!0, 0, !0, 0);
-        x = _mm_xor_si128(
-            _mm_srli_si128::<8>(x),
-            _mm_clmulepi64_si128::<0x10>(x, k3k4),
-        );
-        let k5 = _mm_set_epi64x(0, K5);
-        x = _mm_xor_si128(
-            _mm_srli_si128::<4>(x),
-            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k5),
-        );
-
-        // Barrett: q = ⌊x / P⌋ by μ, then x − q·P leaves the CRC in bits
-        // 32..64.
-        let pmu = _mm_set_epi64x(MU, P);
-        let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pmu);
-        let qp = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), pmu);
-        _mm_extract_epi32::<1>(_mm_xor_si128(x, qp)) as u32
+        let lo = _mm_extract_epi64::<0>(x) as u64;
+        let hi = _mm_extract_epi64::<1>(x) as u64;
+        let mut lane = [0u8; 16];
+        lane[..8].copy_from_slice(&lo.to_le_bytes());
+        lane[8..].copy_from_slice(&hi.to_le_bytes());
+        lane
     }
 }
 
@@ -299,45 +302,54 @@ mod tests {
 
     #[test]
     fn known_vectors() {
-        // Standard test vector: CRC32("123456789") = 0xCBF43926.
+        // The catalogue's check values: the CRC of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
+        assert_eq!(crc64(b""), 0);
     }
 
-    /// The bitwise definition of the CRC: no table, no fold.
-    fn reference(data: &[u8]) -> u32 {
-        let mut c = !0u32;
+    /// The bitwise definition of `crc`: no table, no fold.
+    fn reference(crc: &Crc, poly: u64, data: &[u8]) -> u64 {
+        let mut c = crc.mask;
         for &b in data {
-            c ^= b as u32;
+            c ^= b as u64;
             for _ in 0..8 {
-                c = if c & 1 != 0 { (c >> 1) ^ POLY } else { c >> 1 };
+                c = if c & 1 != 0 { (c >> 1) ^ poly } else { c >> 1 };
             }
         }
-        !c
+        !c & crc.mask
     }
 
-    /// The dispatched `crc32` (the fold, on a CPU that has it) and the
-    /// slicing path, called directly so it stays tested on such CPUs,
-    /// against the bitwise reference: every length up to 1 KiB (under the
-    /// fold's 64-byte floor, each 16-byte tail, each count of 64-byte
-    /// steps up to 16), one 64 KiB image run ± 1 and 1 MiB + 5, each at
-    /// every start offset in 0..16.
+    /// For each CRC, the dispatched checksum (the fold, on a CPU that has
+    /// it) and the slicing path, called directly so it stays tested on
+    /// such CPUs, against the bitwise reference: every length up to 1 KiB
+    /// (under the fold's 64-byte floor, each 16-byte tail, each count of
+    /// 64-byte steps up to 16), one 64 KiB image run ± 1 and 1 MiB + 5,
+    /// each at every start offset in 0..16.
     #[test]
     fn sliced_update_matches_byte_at_a_time() {
         let buf: Vec<u8> = (0..(1u32 << 20) + 5 + 16)
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
+        let crcs = [("crc32", &CRC32, POLY as u64), ("crc64", &CRC64, POLY64)];
         for len in (0..=1024).chain([(1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 20) + 5]) {
             for offset in 0..16 {
                 let data = &buf[offset..offset + len];
-                let want = reference(data);
-                assert_eq!(crc32(data), want, "crc32, len {len} offset {offset}");
-                assert_eq!(
-                    !slicing_by_8(!0, data),
-                    want,
-                    "slicing, len {len} offset {offset}"
-                );
+                for (name, crc, poly) in crcs {
+                    let want = reference(crc, poly, data);
+                    assert_eq!(
+                        crc.checksum(data),
+                        want,
+                        "{name}, len {len} offset {offset}"
+                    );
+                    assert_eq!(
+                        !crc.slicing_by_8(crc.mask, data) & crc.mask,
+                        want,
+                        "{name} slicing, len {len} offset {offset}"
+                    );
+                }
             }
         }
     }
@@ -360,7 +372,7 @@ mod tests {
             acc = crc32_combine(acc, crc32(piece), piece.len() as u64);
             rest = after;
         }
-        assert_eq!(acc, reference(&data));
+        assert_eq!(acc as u64, reference(&CRC32, POLY as u64, &data));
     }
 
     /// The GF(2) matrix-squaring combine this crate used before, kept as

@@ -10,7 +10,8 @@
 //! * **integrity**: a trailing CRC-32 covering the whole encoding; any
 //!   corruption fails the restart loudly ([`codec`], [`crc`]). The CRC
 //!   folds by carry-less multiplication where the CPU has PCLMULQDQ and
-//!   falls back to slicing-by-8 elsewhere, with the same result;
+//!   falls back to slicing-by-8 elsewhere, with the same result; the same
+//!   kernel computes the storage tiers' CRC-64 content digest ([`crc64`]);
 //! * **compression**: zero-page elision and RLE, the data reductions that
 //!   made sense against the paper's 50 MB/s disks ([`compress`]);
 //! * **incremental chains**: full + delta images with validated lineage
@@ -23,8 +24,9 @@
 //! Capturing *from* and restoring *into* a live [`simos::Kernel`] is the
 //! job of `ckpt-core`; this crate is the format.
 
-// Every other crate forbids `unsafe`. Here only the CRC's dispatch to its
-// CPU-feature-gated kernel (`crc::crc32`) uses it, under its own `allow`.
+// Every other crate forbids `unsafe`. Here only the CRCs' one dispatch to
+// their CPU-feature-gated kernel (`crc::Crc::checksum`) uses it, under its
+// own `allow`.
 #![deny(unsafe_code)]
 
 pub mod chain;
@@ -41,7 +43,7 @@ pub use chain::{reconstruct, reconstruct_owned, validate, ChainError};
 pub use ckpt_par::Pool;
 pub use codec::{decode, decode_with_pool, encode, encode_with_pool, DecodeError};
 pub use compress::{decode_page, encode_page, encode_page_with, EncodeScratch, PageEncoding};
-pub use crc::{crc32, crc32_combine};
+pub use crc::{crc32, crc32_combine, crc64};
 pub use parallel::{encode_page_slices, encode_pages};
 pub use format::{
     CheckpointImage, FdRecord, FileContentRecord, ImageHeader, ImageKind, PageRecord,

@@ -33,6 +33,7 @@ pub mod store;
 pub mod stripe;
 
 pub use backoff::{Backoff, BackoffPolicy, RetriesExhausted};
+// No content digest here uses FNV-1a; ckptbench times it through this path.
 pub use ckpt_storage::fnv1a64;
 pub use node::{Admission, Frame, Probe, ReplicaNode, ReplicaSet};
 pub use quorum::{Admissions, CommitObject, QuorumClient, QuorumStats, WireFrame};

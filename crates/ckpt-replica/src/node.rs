@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use ckpt_storage::{fnv1a64, fnv1a64_multi};
+use ckpt_storage::digest64;
 use parking_lot::Mutex;
 use simos::types::SimResult;
 use simos::Relink;
@@ -57,7 +57,7 @@ pub struct Frame {
 impl Frame {
     /// A frame is intact when its payload hashes to its recorded digest.
     pub fn intact(&self) -> bool {
-        self.tombstone || fnv1a64(&self.data) == self.digest
+        self.tombstone || digest64(&self.data) == self.digest
     }
 }
 
@@ -216,7 +216,7 @@ impl ReplicaNode {
     /// admission already happened. A committer that already holds the
     /// payload's digest uses [`ReplicaNode::put_frame`] instead.
     pub fn put(&self, key: &str, version: u64, data: &[u8]) {
-        self.put_frame(key, version, data.to_vec(), fnv1a64(data));
+        self.put_frame(key, version, data.to_vec(), digest64(data));
     }
 
     /// Ingest `data` as the frame under `key`, recorded under `digest` —
@@ -239,14 +239,17 @@ impl ReplicaNode {
     /// Store a torn frame: the digest of the full payload over only its
     /// first `keep` bytes — exactly what a crash mid-write leaves behind.
     pub fn put_torn(&self, key: &str, version: u64, data: &[u8], keep: usize) {
-        self.put_frame(key, version, data[..keep.min(data.len())].to_vec(), fnv1a64(data));
+        self.put_frame(key, version, data[..keep.min(data.len())].to_vec(), digest64(data));
     }
 
-    /// Store a tombstone (quorum delete marker).
+    /// Store a tombstone (quorum delete marker). Its digest is one its
+    /// empty payload never matches (`digest64` of no bytes is 0), so a
+    /// tombstone that loses its marker reads as torn, never as an empty
+    /// object.
     pub fn put_tombstone(&self, key: &str, version: u64) {
         let frame = Frame {
             version,
-            digest: 0,
+            digest: !digest64(&[]),
             tombstone: true,
             data: Arc::default(),
         };
@@ -259,11 +262,26 @@ impl ReplicaNode {
     /// Classify the frame under `key`. Pure read — admission is separate.
     ///
     /// The digest check's verdict is kept with the frame: the first probe
-    /// of a frame pays the full-payload FNV, repeated probes of the same
+    /// of a frame pays the full-payload digest, repeated probes of the same
     /// committed frame are O(1). Every mutator resets the verdict, so a
     /// rewritten or corrupted frame is always re-checked.
     pub fn probe(&self, key: &str) -> Probe {
-        probe_nodes(&[self], key).remove(0)
+        let Some((frame, verdict)) = self.peek(key) else {
+            return Probe::Missing;
+        };
+        // Digested outside the node lock.
+        let intact = verdict.unwrap_or_else(|| {
+            let intact = frame.intact();
+            self.record_verdict(key, &frame, intact);
+            intact
+        });
+        if intact {
+            Probe::Valid(frame)
+        } else {
+            Probe::Torn {
+                version: frame.version,
+            }
+        }
     }
 
     /// The frame under `key` and its digest verdict, if one was kept.
@@ -421,37 +439,6 @@ impl NodeState {
     }
 }
 
-/// [`ReplicaNode::probe`] of every node in `nodes`, in order, with the
-/// not-yet-verified payloads digested as one multi-lane batch outside any
-/// node lock — the first read of a key checks all its replicas (or all its
-/// shards) in one pass over their bytes.
-fn probe_nodes(nodes: &[&ReplicaNode], key: &str) -> Vec<Probe> {
-    let mut held: Vec<Option<(Frame, Option<bool>)>> = nodes.iter().map(|n| n.peek(key)).collect();
-    let unverified: Vec<usize> = (0..nodes.len())
-        .filter(|&i| matches!(held[i], Some((_, None))))
-        .collect();
-    let digests = {
-        let payloads: Vec<&[u8]> = unverified
-            .iter()
-            .map(|&i| held[i].as_ref().expect("filtered on Some").0.data.as_slice())
-            .collect();
-        fnv1a64_multi(&payloads)
-    };
-    for (&i, digest) in unverified.iter().zip(digests) {
-        let (frame, verdict) = held[i].as_mut().expect("filtered on Some");
-        let intact = digest == frame.digest;
-        nodes[i].record_verdict(key, frame, intact);
-        *verdict = Some(intact);
-    }
-    held.into_iter()
-        .map(|h| match h {
-            None => Probe::Missing,
-            Some((f, Some(true))) => Probe::Valid(f),
-            Some((f, _)) => Probe::Torn { version: f.version },
-        })
-        .collect()
-}
-
 /// The shared N-node replica group.
 pub struct ReplicaSet {
     nodes: Vec<Arc<ReplicaNode>>,
@@ -494,11 +481,9 @@ impl ReplicaSet {
         &self.nodes
     }
 
-    /// [`ReplicaNode::probe`] of the nodes at `indices`, in that order,
-    /// digesting every not-yet-verified frame in one multi-lane batch.
+    /// [`ReplicaNode::probe`] of the nodes at `indices`, in that order.
     pub fn probe_batch(&self, indices: &[usize], key: &str) -> Vec<Probe> {
-        let nodes: Vec<&ReplicaNode> = indices.iter().map(|&i| &*self.nodes[i]).collect();
-        probe_nodes(&nodes, key)
+        indices.iter().map(|&i| self.nodes[i].probe(key)).collect()
     }
 
     /// How many replicas are currently reachable.

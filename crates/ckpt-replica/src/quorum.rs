@@ -570,11 +570,15 @@ impl QuorumClient {
     /// Quorum delete: a tombstone above every visible version on at least
     /// `w` nodes. Same admission/retry path as a write but no payload to
     /// tear, so no faultpoint site is consulted (the site list stays
-    /// exactly the write/read surface).
+    /// exactly the write/read surface). Like a refused write, a refused
+    /// delete takes its tombstones back off the nodes it reached: left
+    /// there, one could outrank a write that commits while its node is
+    /// down, and delete committed data on its return.
     pub fn delete(&mut self, key: &str) -> Result<(), StorageError> {
         self.ensure_up()?;
-        let version = next_version(&self.visible_frames([key]), 0);
-        let mut acked = 0usize;
+        let held = self.visible_frames([key]);
+        let version = next_version(&held, 0);
+        let mut acked = Vec::new();
         let mut retries = 0u64;
         for (i, node) in self.set.nodes().iter().enumerate() {
             let salt = fnv1a64(key.as_bytes()) ^ (i as u64) ^ 0xde1e;
@@ -590,17 +594,21 @@ impl QuorumClient {
                     }
                     Admission::Ok => {
                         node.put_tombstone(key, version);
-                        acked += 1;
+                        acked.push(i);
                         break;
                     }
                 }
             }
         }
         self.stats.ack_cycles.fetch_add(1, Ordering::Relaxed);
-        if acked < self.w {
+        if acked.len() < self.w {
+            for &i in &acked {
+                let prior = held[i].as_ref().and_then(|frames| frames[0].clone());
+                self.set.node(i).rollback_to(key, version, prior);
+            }
             self.record(0, retries, 1);
             return Err(StorageError::QuorumLost {
-                acked: acked as u32,
+                acked: acked.len() as u32,
                 needed: self.w as u32,
             });
         }

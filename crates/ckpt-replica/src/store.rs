@@ -18,7 +18,7 @@
 //! Every committed write lands intact on at least `w` replicas, so after
 //! losing any `N - w` of them at least `2w - N ≥ 1` intact copies remain,
 //! and no *newer* commit can hide entirely in the lost set. Frame digests
-//! (FNV-1a over the full payload, written with the frame) make torn
+//! (CRC-64 over the full payload, written with the frame) make torn
 //! copies self-identifying, and the per-key version order makes "newest
 //! intact frame" well-defined — majority voting is not needed.
 //!
@@ -37,8 +37,8 @@ use std::sync::Arc;
 
 use ckpt_par::Pool;
 use ckpt_storage::{
-    fnv1a64, fnv1a64_multi, BatchReceipt, ReplicaManifest, StableStorage, StorageClass,
-    StorageError, StoreReceipt,
+    digest64, BatchReceipt, ReplicaManifest, StableStorage, StorageClass, StorageError,
+    StoreReceipt,
 };
 use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
@@ -235,7 +235,7 @@ impl StableStorage for ReplicatedStore {
         cost: &CostModel,
     ) -> Result<StoreReceipt, StorageError> {
         self.core.ensure_up()?;
-        let digest = fnv1a64(data);
+        let digest = digest64(data);
         self.payload_digests.fetch_add(1, Ordering::Relaxed);
         self.store_digested(key, data, digest, cost)
     }
@@ -274,8 +274,8 @@ impl StableStorage for ReplicatedStore {
         let set = self.core.set();
 
         // Sequential admission + fault checks in replica order; then one
-        // batched probe classifies what every admitted replica holds (a
-        // first read verifies all their frames in one multi-lane pass).
+        // probe classifies what every admitted replica holds (a first read
+        // verifies each frame against its digest).
         let adm = self.core.admit_all("load", key, 0);
         let admitted: Vec<usize> = adm.admitted().collect();
         let n = set.len();
@@ -435,9 +435,7 @@ impl StableStorage for ReplicatedStore {
         cost: &CostModel,
     ) -> Result<BatchReceipt, StorageError> {
         self.core.ensure_up()?;
-        // All the batch's payloads are digested as one multi-lane pass.
-        let payloads: Vec<&[u8]> = objects.iter().map(|(_, d)| *d).collect();
-        let digests = fnv1a64_multi(&payloads);
+        let digests: Vec<u64> = objects.iter().map(|(_, d)| digest64(d)).collect();
         self.payload_digests
             .fetch_add(digests.len() as u64, Ordering::Relaxed);
         let wire = WireFrame::framed(objects.iter().map(|(k, d)| (*k, d.len() as u64)));
@@ -463,7 +461,7 @@ mod tests {
         let m = s.replica_manifest("j/pid1/seq1").unwrap();
         assert_eq!(m.acked, vec![0, 1, 2]);
         assert_eq!((m.n, m.w, m.version), (3, 2, 1));
-        assert_eq!(m.digest, fnv1a64(b"payload"));
+        assert_eq!(m.digest, digest64(b"payload"));
         let (bytes, _) = s.load("j/pid1/seq1", &cost()).unwrap();
         assert_eq!(bytes, b"payload");
         assert_eq!(s.stats().commits, 1);

@@ -270,6 +270,14 @@ impl<S: StripeMember> StableStorage for Striped<S> {
         self.stores[self.home(key)].load(key, cost)
     }
 
+    fn load_verified(
+        &self,
+        key: &str,
+        cost: &CostModel,
+    ) -> Result<(Vec<u8>, u64, Option<u64>), StorageError> {
+        self.stores[self.home(key)].load_verified(key, cost)
+    }
+
     fn delete(&mut self, key: &str) -> Result<(), StorageError> {
         let j = self.home(key);
         self.stores[j].delete(key)

@@ -204,7 +204,8 @@ pub struct ReplicaManifest {
     pub key: String,
     /// Monotonic per-key commit version (newest wins at read-quorum time).
     pub version: u64,
-    /// FNV-1a digest of the committed payload (torn-frame detection).
+    /// [`digest64`](crate::digest64) of the committed payload (torn-frame
+    /// detection).
     pub digest: u64,
     pub bytes: u64,
     /// Replica indices that acknowledged the write, ascending.
@@ -234,7 +235,7 @@ pub trait StableStorage: Send {
     /// Load an object; returns (data, modelled time).
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError>;
 
-    /// [`StableStorage::load`], plus the [`fnv1a64`](crate::fnv1a64) of
+    /// [`StableStorage::load`], plus the [`digest64`](crate::digest64) of
     /// the returned bytes when this layer verified them against it on the
     /// way out: a layer above that needs the digest compares it instead of
     /// hashing the bytes again. `None` (the default) vouches for nothing.
@@ -247,7 +248,7 @@ pub trait StableStorage: Send {
         Ok((data, time_ns, None))
     }
 
-    /// [`StableStorage::store`] of `data` whose [`fnv1a64`](crate::fnv1a64)
+    /// [`StableStorage::store`] of `data` whose [`digest64`](crate::digest64)
     /// the caller already holds as `digest`: a layer that records the
     /// digest with the object takes it instead of hashing `data` again.
     /// The default ignores it and stores.

@@ -1,8 +1,10 @@
 //! A fault-injecting decorator over any [`StableStorage`] backend.
 //!
 //! [`FaultInjectStore`] wraps a real medium and consults a shared
-//! [`FaultHandle`] at every `store`/`load`, exposing the byte-level sites
-//! the crash matrix arms:
+//! [`FaultHandle`] at every store and load — `store` and `store_digested`,
+//! `load` and `load_verified`, each forwarded to its own counterpart so a
+//! digest the wrapped stack hands up or down crosses the decorator —
+//! exposing the byte-level sites the crash matrix arms:
 //!
 //! * `storage/<label>/store@<n>` — the n-th store on the medium. A
 //!   [`Fault::TornWrite`] here persists only the first `keep_bytes` of the
@@ -33,6 +35,56 @@ impl FaultInjectStore {
     pub fn new(inner: Box<dyn StableStorage>, faults: FaultHandle) -> Self {
         FaultInjectStore { inner, faults }
     }
+
+    /// The fault armed at this operation's `storage/<label>/<op>` site, if
+    /// any; a crashed node refuses the operation outright.
+    fn check(&self, op: &str, bytes: u64) -> Result<Option<Fault>, StorageError> {
+        if self.faults.is_off() {
+            return Ok(None);
+        }
+        if self.faults.node_crashed() {
+            return Err(StorageError::Unavailable);
+        }
+        let site = format!("storage/{}/{op}", self.inner.label());
+        Ok(self.faults.check(&site, bytes))
+    }
+
+    /// Admit one store of `data` under `key` at its `store` site: `Ok` to
+    /// forward it, or the error its armed fault makes of it.
+    fn admit_store(
+        &mut self,
+        key: &str,
+        data: &[u8],
+        cost: &CostModel,
+    ) -> Result<(), StorageError> {
+        match self.check("store", data.len() as u64)? {
+            None => Ok(()),
+            Some(Fault::Transient) => Err(StorageError::Transient),
+            Some(Fault::FailStop) => Err(StorageError::Unavailable),
+            Some(Fault::TornWrite { keep_bytes }) => {
+                // The crash truncates the write: persist the prefix, then
+                // the node dies. The caller never learns the key — the torn
+                // object is what restart must cope with.
+                let keep = (keep_bytes as usize).min(data.len());
+                let _ = self.inner.store(key, &data[..keep], cost);
+                self.faults.set_crashed();
+                Err(StorageError::Unavailable)
+            }
+        }
+    }
+
+    /// Admit one load at its `load` site. Torn has no read-path meaning,
+    /// so any fault but a transient is a fail-stop: the node dies.
+    fn admit_load(&self) -> Result<(), StorageError> {
+        match self.check("load", 0)? {
+            None => Ok(()),
+            Some(Fault::Transient) => Err(StorageError::Transient),
+            Some(_) => {
+                self.faults.set_crashed();
+                Err(StorageError::Unavailable)
+            }
+        }
+    }
 }
 
 impl StableStorage for FaultInjectStore {
@@ -48,45 +100,30 @@ impl StableStorage for FaultInjectStore {
         data: &[u8],
         cost: &CostModel,
     ) -> Result<StoreReceipt, StorageError> {
-        if !self.faults.is_off() {
-            if self.faults.node_crashed() {
-                return Err(StorageError::Unavailable);
-            }
-            let base = format!("storage/{}/store", self.inner.label());
-            match self.faults.check(&base, data.len() as u64) {
-                Some(Fault::Transient) => return Err(StorageError::Transient),
-                Some(Fault::FailStop) => return Err(StorageError::Unavailable),
-                Some(Fault::TornWrite { keep_bytes }) => {
-                    // The crash truncates the write: persist the prefix,
-                    // then the node dies. The caller never learns the key —
-                    // the torn object is what restart must cope with.
-                    let keep = (keep_bytes as usize).min(data.len());
-                    let _ = self.inner.store(key, &data[..keep], cost);
-                    self.faults.set_crashed();
-                    return Err(StorageError::Unavailable);
-                }
-                None => {}
-            }
-        }
+        self.admit_store(key, data, cost)?;
         self.inner.store(key, data, cost)
     }
+    fn store_digested(
+        &mut self,
+        key: &str,
+        data: &[u8],
+        digest: u64,
+        cost: &CostModel,
+    ) -> Result<StoreReceipt, StorageError> {
+        self.admit_store(key, data, cost)?;
+        self.inner.store_digested(key, data, digest, cost)
+    }
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
-        if !self.faults.is_off() {
-            if self.faults.node_crashed() {
-                return Err(StorageError::Unavailable);
-            }
-            let base = format!("storage/{}/load", self.inner.label());
-            match self.faults.check(&base, 0) {
-                Some(Fault::Transient) => return Err(StorageError::Transient),
-                Some(_) => {
-                    // Fail-stop (torn has no read-path meaning): node dies.
-                    self.faults.set_crashed();
-                    return Err(StorageError::Unavailable);
-                }
-                None => {}
-            }
-        }
+        self.admit_load()?;
         self.inner.load(key, cost)
+    }
+    fn load_verified(
+        &self,
+        key: &str,
+        cost: &CostModel,
+    ) -> Result<(Vec<u8>, u64, Option<u64>), StorageError> {
+        self.admit_load()?;
+        self.inner.load_verified(key, cost)
     }
     fn delete(&mut self, key: &str) -> Result<(), StorageError> {
         if !self.faults.is_off() && self.faults.node_crashed() {

@@ -100,7 +100,8 @@ impl FromStr for ImageKey {
 pub enum ObjectKey {
     /// A checkpoint image (raw bytes or a chunk manifest).
     Image(ImageKey),
-    /// A content-addressed chunk, keyed by its FNV-1a-64 digest:
+    /// A content-addressed chunk, keyed by its content digest
+    /// ([`digest64`](crate::digest64)):
     /// `cas/{digest:016x}`.
     Chunk { digest: u64 },
     /// Anything else.

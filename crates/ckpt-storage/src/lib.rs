@@ -20,7 +20,7 @@ pub mod key;
 pub mod media;
 
 pub use backend::{BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt};
-pub use digest::{fnv1a64, fnv1a64_multi, FNV_LANES};
+pub use digest::{digest64, fnv1a64};
 pub use key::{ImageKey, ObjectKey, ParseKeyError};
 pub use images::{
     load_chain, prune_before, prune_superseded, store_image, store_image_bytes, ChainLoad,

@@ -11,16 +11,29 @@
 //! order or picks up another class's rate fails here by one nanosecond.
 //! Cases are generated by [`common::Gen`]; a failing seed reproduces
 //! directly.
+//!
+//! The redundant stacks — replicated(3,2), striped(2x3,2), rs(4,2) and
+//! `dedup` over each, built as the crash matrix builds them — run the same
+//! kind of schedule with replica-node failures, repairs and one-replica
+//! corruption ([`ReplicaNode::corrupt_key`]) mixed in, against a model of
+//! what each key may hold. Every load returns bytes the model allows or a
+//! typed error, a deleted key never comes back, a corrupted replica's
+//! bytes are never returned, a committed key is never lost while every
+//! node is up, and no node ever holds a damaged frame the schedule did not
+//! damage itself.
 
 mod common;
 
+use ckpt_restart::ckpt::crashpoint::build_stack;
+use ckpt_restart::replica::ReplicaNode;
 use ckpt_restart::simos::cost::CostModel;
+use ckpt_restart::simos::faultpoint::FaultHandle;
 use ckpt_restart::storage::{
-    LocalDisk, NvramStore, RamStore, RemoteServer, RemoteStore, StableStorage, StorageClass,
-    StorageError, SwapStore,
+    ImageKey, LocalDisk, NvramStore, RamStore, RemoteServer, RemoteStore, StableStorage,
+    StorageClass, StorageError, SwapStore,
 };
 use common::Gen;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Small enough that a schedule of sub-kilobyte objects runs out of space.
 const CAPACITY: u64 = 4096;
@@ -248,6 +261,152 @@ fn every_single_copy_medium_matches_the_reference_model() {
         assert!(
             m.iter().all(|&n| n > 0),
             "{label} never met one of [NoSpace, NotFound, Unavailable]: {m:?}"
+        );
+    }
+}
+
+/// The redundant stacks the model drives, every one a crash-matrix label.
+const REDUNDANT: [&str; 6] = [
+    "replicated(3,2)",
+    "striped(2x3,2)",
+    "rs(4,2)",
+    "dedup(replicated(3,2))",
+    "dedup(striped(2x3,2))",
+    "dedup(rs(4,2))",
+];
+
+/// Runs one schedule on the redundant stack `label`, adding to `met` how
+/// often a load returned bytes, and how often it was refused.
+fn run_redundant_schedule(label: &str, seed: u64, met: &mut [u32; 2]) {
+    let stack = build_stack(label, &FaultHandle::disabled(), true);
+    let (mut store, sets) = (stack.store, stack.sets);
+    let nodes: Vec<&ReplicaNode> = sets
+        .iter()
+        .flat_map(|s| s.nodes().iter().map(|n| &**n))
+        .collect();
+    let keys: Vec<String> = [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1)]
+        .iter()
+        .map(|&(pid, seq)| ImageKey::new("job", pid, seq).to_string())
+        .chain(["scratch".to_string()])
+        .collect();
+    let cost = CostModel::circa_2005();
+    let mut g = Gen::new(seed);
+    // What each key may hold: several values once an operation on it was
+    // refused part-way, `None` for absent. A key not here is absent.
+    let mut may: BTreeMap<String, Vec<Option<Vec<u8>>>> = BTreeMap::new();
+    // The frames this schedule damaged and no operation has made whole:
+    // (node, key).
+    let mut damaged: BTreeSet<(usize, String)> = BTreeSet::new();
+    for step in 0..300 {
+        let key = keys[g.range(0, keys.len() as u64) as usize].clone();
+        let at = format!("{label} seed {seed} step {step} key {key}");
+        let held = may.get(&key).cloned().unwrap_or_else(|| vec![None]);
+        match g.range(0, 20) {
+            0..=6 => {
+                // A fresh object, or an edit of one a key may hold (so the
+                // dedup stacks find shared chunks and write deltas).
+                let mut data = match may.values().flatten().flatten().next() {
+                    Some(v) if g.flag() => v.clone(),
+                    _ => {
+                        let max = if g.range(0, 4) == 0 { 30_000 } else { 3_000 };
+                        let len = g.range(0, max) as usize;
+                        g.bytes(len)
+                    }
+                };
+                for _ in 0..g.range(0, 4) {
+                    if !data.is_empty() {
+                        let i = g.range(0, data.len() as u64) as usize;
+                        data[i] = g.byte();
+                    }
+                }
+                let next = match store.store(&key, &data, &cost) {
+                    Ok(_) => vec![Some(data)],
+                    Err(_) => held.into_iter().chain([Some(data)]).collect(),
+                };
+                may.insert(key, next);
+            }
+            7..=10 => match store.load(&key, &cost) {
+                Ok((bytes, _)) => {
+                    met[0] += 1;
+                    assert!(
+                        held.contains(&Some(bytes.clone())),
+                        "{at}: load returned {} bytes the model does not allow",
+                        bytes.len()
+                    );
+                    // The read settled the key on the value it returned —
+                    // but a refused delete may still land: its tombstones
+                    // stay on the nodes it reached.
+                    let absent = held.contains(&None).then_some(None);
+                    may.insert(key, [Some(bytes)].into_iter().chain(absent).collect());
+                }
+                Err(StorageError::NotFound(_)) => {
+                    met[1] += 1;
+                    assert!(held.contains(&None), "{at}: a stored key reads as absent");
+                }
+                Err(_) => met[1] += 1,
+            },
+            11..=12 => {
+                let next = match store.delete(&key) {
+                    Ok(()) => vec![None],
+                    Err(_) => held.into_iter().chain([None]).collect(),
+                };
+                may.insert(key, next);
+            }
+            13 => {
+                let listed = store.list();
+                if nodes.iter().all(|n| !n.is_down()) {
+                    for (k, vs) in &may {
+                        if vs.iter().all(Option::is_some) {
+                            assert!(listed.contains(k), "{at}: committed {k} is not listed");
+                        }
+                    }
+                }
+            }
+            14 => nodes[g.range(0, nodes.len() as u64) as usize].fail(),
+            15..=17 => nodes[g.range(0, nodes.len() as u64) as usize].repair(),
+            _ => {
+                // Damage one replica's frame: an image key's, or any key
+                // the node holds (dedup chunks included).
+                let i = g.range(0, nodes.len() as u64) as usize;
+                let mut candidates = nodes[i].keys();
+                candidates.push(key);
+                let k = candidates[g.range(0, candidates.len() as u64) as usize].clone();
+                nodes[i].corrupt_key(&k);
+                damaged.insert((i, k));
+            }
+        }
+        // No layer leaves a damaged frame of its own making; a damaged
+        // frame that was read-repaired or rewritten leaves the set.
+        for (i, node) in nodes.iter().enumerate() {
+            let held = node.keys().into_iter().chain(keys.iter().cloned());
+            let held: BTreeSet<String> = held.collect();
+            let Some(frames) = node.visible_frames(held.iter().map(String::as_str)) else {
+                continue;
+            };
+            for (k, frame) in held.into_iter().zip(frames) {
+                let whole = frame.is_none_or(|f| f.intact());
+                let was_damaged = damaged.contains(&(i, k.clone()));
+                assert!(whole || was_damaged, "{at}: node {i} holds a damaged {k}");
+                if whole && was_damaged {
+                    damaged.remove(&(i, k));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_redundant_stack_matches_the_reference_model() {
+    let mut met: BTreeMap<&str, [u32; 2]> = BTreeMap::new();
+    for seed in 0..24 {
+        for label in REDUNDANT {
+            run_redundant_schedule(label, seed, met.entry(label).or_default());
+        }
+    }
+    for (label, m) in met {
+        assert!(
+            m.iter().all(|&n| n > 0),
+            "{label} never met one of [a load that returned bytes, a refused load]: {m:?}"
         );
     }
 }

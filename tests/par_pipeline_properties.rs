@@ -30,7 +30,7 @@ use ckpt_restart::par::{Pool, PAR_MIN_BYTES};
 use ckpt_restart::simos::apps::{AppParams, NativeKind};
 use ckpt_restart::simos::cost::CostModel;
 use ckpt_restart::simos::Kernel;
-use ckpt_restart::storage::fnv1a64;
+use ckpt_restart::storage::digest64;
 use common::Gen;
 
 const WIDTHS: [usize; 3] = [2, 4, 8];
@@ -151,7 +151,7 @@ fn assert_capture_width_invariant(
 ) {
     let serial = capture_image(k, pid, opts).unwrap();
     let serial_bytes = encode(&serial);
-    let digest = fnv1a64(&serial_bytes);
+    let digest = digest64(&serial_bytes);
     for w in WIDTHS {
         let mut o = opts.clone();
         o.encode_pool = Some(Arc::new(Pool::new(w)));
@@ -160,7 +160,7 @@ fn assert_capture_width_invariant(
         assert_eq!(pooled, serial, "{label} width {w}: image struct diverged");
         let pooled_bytes = encode(&pooled);
         assert_eq!(
-            fnv1a64(&pooled_bytes),
+            digest64(&pooled_bytes),
             digest,
             "{label} width {w}: image digest diverged"
         );
@@ -210,7 +210,7 @@ fn replicated_commits_are_width_invariant() {
                 .iter()
                 .flat_map(|node| {
                     node.keys().into_iter().map(|k| match node.probe(&k) {
-                        Probe::Valid(f) => fnv1a64(&f.data) ^ f.version,
+                        Probe::Valid(f) => digest64(&f.data) ^ f.version,
                         other => panic!("unexpected frame state: {other:?}"),
                     })
                 })

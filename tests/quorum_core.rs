@@ -14,11 +14,13 @@
 
 use std::sync::Arc;
 
+use ckpt_restart::ckpt::crashpoint::{build_stack, TIERS};
 use ckpt_restart::ec::ErasureStore;
 use ckpt_restart::replica::{
     stripe_route, Probe, ReplicaConfig, ReplicaSet, ReplicatedStore, Striped, StripedReplicaSet,
 };
-use ckpt_restart::storage::{FaultInjectStore, StableStorage, StorageError};
+use ckpt_restart::storage::{digest64, FaultInjectStore, ImageKey, StableStorage, StorageError};
+use simos::apps::mix64;
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
 
@@ -292,6 +294,72 @@ fn fault_sites_are_identical_to_the_pre_refactor_capture() {
             );
         }
     }
+}
+
+/// With faults off, the crash matrix's stack is the stack the engine
+/// builds: for every redundant and `dedup(…)` label of `crashpoint::TIERS`,
+/// the fault-decorated and the bare stack return the same receipts, bytes,
+/// virtual ns and vouched digests through `store`, `store_digested`,
+/// `load` and `load_verified`. A vouched digest is the bytes' `digest64`,
+/// and every quorum-replicated stack vouches.
+#[test]
+fn the_fault_decorator_forwards_the_digest_hand_up() {
+    let cost = CostModel::circa_2005();
+    let off = FaultHandle::disabled();
+    let labels = TIERS
+        .iter()
+        .flat_map(|t| t.backends.iter().copied())
+        .filter(|l| {
+            ["dedup(", "replicated(", "striped(", "rs("]
+                .iter()
+                .any(|p| l.starts_with(p))
+        });
+    let mut seen = 0;
+    for label in labels {
+        seen += 1;
+        let mut bare = build_stack(label, &off, false).store;
+        let mut wrapped = build_stack(label, &off, true).store;
+        assert_eq!(wrapped.label(), bare.label(), "{label}");
+        // Two versions of one lineage, the second a small edit of the
+        // first, so the dedup stacks store a raw image and then a delta.
+        let v1: Vec<u8> = (0..9000u64).map(|i| mix64(i) as u8).collect();
+        let mut v2 = v1.clone();
+        v2[4000..4100].fill(7);
+        for (seq, data) in [(1, &v1), (2, &v2)] {
+            let key = ImageKey::new("fwd", 1, seq).to_string();
+            let side = ImageKey::new("fwd", 2, seq).to_string();
+            // A load as (whether it returned `data`, virtual ns, vouched
+            // digest), so a mismatch prints what differs, not the bytes.
+            let got = |r: Result<(Vec<u8>, u64, Option<u64>), StorageError>| {
+                r.map(|(bytes, time_ns, vouched)| (bytes == *data, time_ns, vouched))
+            };
+            let run = |s: &mut Box<dyn StableStorage>| {
+                (
+                    s.store(&key, data, &cost),
+                    s.store_digested(&side, data, digest64(data), &cost),
+                    got(s
+                        .load(&key, &cost)
+                        .map(|(bytes, time_ns)| (bytes, time_ns, None))),
+                    got(s.load_verified(&key, &cost)),
+                    got(s.load_verified(&side, &cost)),
+                )
+            };
+            let want = run(&mut bare);
+            assert_eq!(run(&mut wrapped), want, "{label} seq {seq}");
+            let quorum = label.starts_with("replicated(") || label.starts_with("striped(");
+            for (i, load) in [want.2, want.3, want.4].into_iter().enumerate() {
+                let (returned_data, _, vouched) = load.unwrap();
+                assert!(returned_data, "{label} seq {seq} load {i}: other bytes");
+                if i > 0 {
+                    assert_eq!(vouched.is_some(), quorum, "{label} seq {seq} load {i}");
+                }
+                if let Some(d) = vouched {
+                    assert_eq!(d, digest64(data), "{label} seq {seq} load {i}");
+                }
+            }
+        }
+    }
+    assert_eq!(seen, 7, "the redundant and dedup labels of TIERS");
 }
 
 /// The crash matrix reaches every quorum stack through the fault
