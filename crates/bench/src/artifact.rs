@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 pub use ckpt_storage::fnv1a64;
 
 /// FNV-1a 64 rendered the way artifacts embed it: 16 lowercase hex digits.
-pub fn fnv1a64_hex(data: &[u8]) -> String {
+pub(crate) fn fnv1a64_hex(data: &[u8]) -> String {
     format!("{:016x}", fnv1a64(data))
 }
 
@@ -94,6 +94,7 @@ impl Json {
         }
     }
 
+    /// Public for ckptbench (`benchmark/src/metrics.rs`).
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
@@ -486,9 +487,9 @@ pub fn parse_document(text: &str) -> Result<Parsed, String> {
 pub struct Divergence {
     /// Dotted path from the given root, array indices in brackets:
     /// `c16.survivability.jobs[1].metrics.outcome`.
-    pub path: String,
-    pub expected: String,
-    pub actual: String,
+    pub(crate) path: String,
+    pub(crate) expected: String,
+    pub(crate) actual: String,
 }
 
 impl std::fmt::Display for Divergence {

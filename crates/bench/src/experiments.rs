@@ -8,7 +8,7 @@ use ckpt_cluster::{
     interval_sweep, migrate, simulate_job, Cluster, FailureConfig, JobRunConfig, MigrationMode,
     NodeId,
 };
-use ckpt_core::agents::{UserAgentConfig, UserCkptAgent};
+use ckpt_core::{UserAgentConfig, UserCkptAgent};
 use ckpt_core::mechanism::{family, FAMILIES};
 use ckpt_core::policy::young_interval;
 use ckpt_core::pod::Pod;
@@ -79,7 +79,7 @@ pub(crate) fn guest_lineage(kind: NativeKind, count: u64, label: &str) -> Vec<Ve
 // ---------------------------------------------------------------------
 
 /// Table 1, regenerated from the implementations.
-pub fn t1_table() -> String {
+pub(crate) fn t1_table() -> String {
     let mut out = String::from("T1 — Table 1, regenerated from mechanism metadata\n");
     out.push_str(&ckpt_survey::render_table1(&ckpt_survey::table1_generated()));
     let matches = ckpt_survey::table1_generated() == ckpt_survey::table1_paper();
@@ -88,7 +88,7 @@ pub fn t1_table() -> String {
 }
 
 /// Figure 1, regenerated as a tree of implemented leaves.
-pub fn f1_figure() -> String {
+pub(crate) fn f1_figure() -> String {
     let mut out = String::from("F1 — Figure 1 taxonomy (every leaf implemented)\n");
     out.push_str(&ckpt_survey::render_figure1(&ckpt_survey::taxonomy()));
     out
@@ -135,7 +135,7 @@ fn gather_cost(cost: &CostModel, nfds: u32, job: &str, user_level: bool) -> (u64
 
 /// C1: syscall crossings and time to gather process state, user level vs
 /// kernel level, as the number of open descriptors grows.
-pub fn c1_gather() -> String {
+pub(crate) fn c1_gather() -> String {
     // Each nfds config builds its own kernels, so the four run on the
     // pool; ordered merge keeps the table rows in nfds order.
     let rows = ckpt_par::global().par_map_ordered(
@@ -177,7 +177,7 @@ pub fn c1_gather() -> String {
 
 /// C2: second-checkpoint size and time across memory-update patterns and
 /// trackers (the \[31\] result the paper builds on).
-pub fn c2_incremental() -> String {
+pub(crate) fn c2_incremental() -> String {
     let apps: [(&str, NativeKind, u64); 4] = [
         ("dense-sweep", NativeKind::DenseSweep, 0),
         ("sparse-8", NativeKind::SparseRandom, 8),
@@ -244,7 +244,7 @@ pub fn c2_incremental() -> String {
 // ---------------------------------------------------------------------
 
 /// C3: tracking granularity vs delta size and scan cost.
-pub fn c3_blocksize() -> String {
+pub(crate) fn c3_blocksize() -> String {
     let mut rows = Vec::new();
     let configs: Vec<(String, TrackerKind)> = vec![
         ("page-4096".into(), TrackerKind::KernelPage),
@@ -294,7 +294,7 @@ pub fn c3_blocksize() -> String {
 // ---------------------------------------------------------------------
 
 /// C4: one checkpoint per mechanism family, idle and under load.
-pub fn c4_mechanisms() -> String {
+pub(crate) fn c4_mechanisms() -> String {
     // 16 independent (competitors, family) kernels, run on the pool.
     let combos: Vec<(usize, &str)> = [0usize, 3]
         .iter()
@@ -365,7 +365,7 @@ fn dense_checkpoint(
 }
 
 /// C5: application stall, forked-concurrent vs stop-the-world kthread.
-pub fn c5_fork() -> String {
+pub(crate) fn c5_fork() -> String {
     let rows = ckpt_par::global().par_map_ordered(
         vec![256 * 1024u64, 1024 * 1024, 4 * 1024 * 1024],
         || (),
@@ -404,7 +404,7 @@ pub fn c5_fork() -> String {
 // ---------------------------------------------------------------------
 
 /// C6: store/load cost per medium + what survives which failure.
-pub fn c6_storage() -> String {
+pub(crate) fn c6_storage() -> String {
     let c = CostModel::circa_2005();
     let payload = vec![0xABu8; 16 << 20];
     let mut rows = Vec::new();
@@ -459,7 +459,7 @@ pub fn c6_storage() -> String {
 // ---------------------------------------------------------------------
 
 /// C7a: mechanistic runs under failures, with and without checkpointing.
-pub fn c7_cluster_mechanistic() -> String {
+pub(crate) fn c7_cluster_mechanistic() -> String {
     let mut cfg = JobRunConfig::small();
     cfg.n_nodes = 4;
     cfg.n_ranks = 4;
@@ -515,7 +515,7 @@ pub fn c7_cluster_mechanistic() -> String {
 }
 
 /// C7b: large-scale stochastic sweep (the BlueGene/L argument).
-pub fn c7_cluster_scale() -> String {
+pub(crate) fn c7_cluster_scale() -> String {
     let node_mtbf = 36_000 * SEC; // 10 h per node
     let c = SEC / 2;
     let r = 5 * SEC;
@@ -559,7 +559,7 @@ pub fn c7_cluster_scale() -> String {
 // ---------------------------------------------------------------------
 
 /// C8: migration under resource conflicts, with and without pods.
-pub fn c8_migration() -> String {
+pub(crate) fn c8_migration() -> String {
     let mut rows = Vec::new();
     // Build a cluster where the target node already has a colliding pid
     // and a colliding file path.
@@ -673,7 +673,7 @@ fn short(s: &str) -> String {
 /// C3b: the "probabilistic" part of probabilistic checkpointing — the
 /// analytic probability that a changed block escapes detection, by hash
 /// width and delta size.
-pub fn c3b_omission() -> String {
+pub(crate) fn c3b_omission() -> String {
     use ckpt_core::Tracker;
     let mut rows = Vec::new();
     for bits in [8u32, 16, 32, 64] {
@@ -698,7 +698,7 @@ pub fn c3b_omission() -> String {
 /// C9: LSF-style manager-driven checkpoint rounds vs the per-node
 /// autonomic daemon — round latency vs cluster size, and the single point
 /// of failure.
-pub fn c9_batch_vs_autonomic() -> String {
+pub(crate) fn c9_batch_vs_autonomic() -> String {
     use ckpt_cluster::BatchManager;
     use ckpt_core::autonomic::{self, AutonomicConfig, AutonomicDaemon};
 
@@ -778,7 +778,7 @@ pub fn c9_batch_vs_autonomic() -> String {
 
 /// C10: rerun headline comparisons under `CostModel::modern()` — the
 /// paper's relative orderings must not depend on 2005 constants.
-pub fn c10_sensitivity() -> String {
+pub(crate) fn c10_sensitivity() -> String {
     let rows = ckpt_par::global().par_map_ordered(
         vec![
             ("circa-2005", CostModel::circa_2005()),
@@ -827,7 +827,7 @@ pub fn c10_sensitivity() -> String {
 /// kernel, storage and cluster event sections, and checks that each
 /// family's traced cost reconciles with its outcome's end-to-end total.
 /// Standalone invocations also show the software-TLB section.
-pub fn trace_breakdown() -> String {
+pub(crate) fn trace_breakdown() -> String {
     trace_breakdown_impl(true)
 }
 
@@ -1144,13 +1144,6 @@ pub fn c11_crash_matrix() -> String {
 // ---------------------------------------------------------------------
 // C12 / C14 / C16 — ported onto the sweep engine (crate::swept)
 // ---------------------------------------------------------------------
-
-// The quorum-replication, sharded-control-plane and erasure-storage
-// experiments now run as declarative sweep plans; their text renderers
-// live next to the plans and stay byte-identical to the pre-port
-// output. Re-exported here so the registry and callers keep their flat
-// `ckpt_bench::c12_replication()` paths.
-pub use crate::swept::{c12_replication, c14_shard, c16_erasure};
 
 // ---------------------------------------------------------------------
 // C13 — content-addressed dedup + delta storage

@@ -1,7 +1,7 @@
 //! Tiny text-table formatter for experiment output.
 
 /// Format a table: header row + data rows, columns padded.
-pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let ncols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -34,7 +34,7 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Human-readable nanoseconds.
-pub fn ns(v: u64) -> String {
+pub(crate) fn ns(v: u64) -> String {
     if v >= 1_000_000_000 {
         format!("{:.2} s", v as f64 / 1e9)
     } else if v >= 1_000_000 {
@@ -47,7 +47,7 @@ pub fn ns(v: u64) -> String {
 }
 
 /// Human-readable bytes.
-pub fn bytes(v: u64) -> String {
+pub(crate) fn bytes(v: u64) -> String {
     if v >= 1 << 20 {
         format!("{:.2} MiB", v as f64 / (1u64 << 20) as f64)
     } else if v >= 1 << 10 {

@@ -3,21 +3,22 @@
 //! experiment.
 
 use crate::experiments::*;
+use crate::swept::{c12_replication, c14_shard, c16_erasure};
 
 /// One reproduction experiment, as every `report` surface sees it.
 pub struct Experiment {
     /// The key `report timings` and `BENCH_report.json` record it under.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// What `report <x>` accepts; the first is what `report list` prints.
     pub aliases: &'static [&'static str],
     pub run: fn() -> String,
     /// Part of `report all`, which runs its members in table order.
     pub in_all: bool,
     /// Part of `report timings` and its [`suite_ceiling_s`] budget.
-    pub timed: bool,
+    pub(crate) timed: bool,
     /// Wall-clock on the single-core serial path when the suite ceiling was
     /// calibrated: the column `report timings` prints its deltas against.
-    pub baseline_s: f64,
+    pub(crate) baseline_s: f64,
 }
 
 /// `report all` is rows 1–15. Its trace row is the variant without the
@@ -56,14 +57,14 @@ pub const REGISTRY: &[Experiment] = &[
 /// The headline experiment's own wall-clock ceiling. C7a ran 33 s before
 /// the software-TLB fast path and ~1 s after; 20 s is slack for slow
 /// runners that still catches a translation-cache regression.
-pub const HEADLINE_CEILING: (&str, f64) = ("c7a_cluster_mechanistic", 20.0);
+pub(crate) const HEADLINE_CEILING: (&str, f64) = ("c7a_cluster_mechanistic", 20.0);
 
 /// Ceiling on the timed suite's summed wall-clock. `report all` fans the
 /// experiments out on the worker pool, so on real CI hardware (>= 4
 /// cores) the suite must finish within 4.5 s; narrow hosts fall back to a
 /// serial ceiling (the baseline column sums to ~9.6 s, so 20 s is
 /// slow-runner slack, same policy as the headline ceiling).
-pub fn suite_ceiling_s(cores: usize) -> f64 {
+pub(crate) fn suite_ceiling_s(cores: usize) -> f64 {
     if cores >= 4 {
         4.5
     } else {

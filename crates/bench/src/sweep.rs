@@ -28,12 +28,12 @@ use std::time::Instant;
 
 /// Version tag embedded in every artifact so a schema change is visible
 /// in the artifact itself, not just in the code that wrote it.
-pub const ENGINE: &str = "ckpt-sweep/1";
+pub(crate) const ENGINE: &str = "ckpt-sweep/1";
 
 /// One coordinate on one axis. Integers and strings cover every axis the
 /// experiments sweep (counts, geometries, mechanism/backend/app labels).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AxisValue {
+pub(crate) enum AxisValue {
     Int(i64),
     Str(String),
 }
@@ -47,7 +47,7 @@ impl AxisValue {
     }
 
     /// Compact label for timing tables and diff messages.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             AxisValue::Int(v) => v.to_string(),
             AxisValue::Str(s) => s.clone(),
@@ -57,15 +57,15 @@ impl AxisValue {
 
 /// A named axis and its swept values, in sweep order.
 #[derive(Debug, Clone)]
-pub struct Axis {
-    pub name: String,
-    pub values: Vec<AxisValue>,
+pub(crate) struct Axis {
+    pub(crate) name: String,
+    pub(crate) values: Vec<AxisValue>,
 }
 
 /// One job's coordinates: axis name → value, sorted by axis name (a
 /// `BTreeMap`, so the canonical form is independent of axis declaration
 /// order).
-pub type Config = BTreeMap<String, AxisValue>;
+pub(crate) type Config = BTreeMap<String, AxisValue>;
 
 type Filter = dyn Fn(&Config) -> bool + Sync;
 
@@ -119,12 +119,12 @@ impl SweepPlan {
     /// Keep only cells the predicate accepts (non-rectangular grids such
     /// as `lost <= n`). The filter sees the sorted config.
     #[must_use]
-    pub fn filter(mut self, f: impl Fn(&Config) -> bool + Sync + 'static) -> Self {
+    pub(crate) fn filter(mut self, f: impl Fn(&Config) -> bool + Sync + 'static) -> Self {
         self.filter = Some(Box::new(f));
         self
     }
 
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -170,7 +170,7 @@ impl SweepPlan {
 
     /// The plan echoed as canonical JSON: axes (sorted by name), the
     /// declared sweep order, and the base seed.
-    pub fn plan_json(&self) -> Json {
+    pub(crate) fn plan_json(&self) -> Json {
         Json::obj(vec![
             (
                 "axes",
@@ -201,7 +201,7 @@ impl SweepPlan {
     }
 
     /// Hash of the canonical plan document.
-    pub fn plan_hash(&self) -> String {
+    pub(crate) fn plan_hash(&self) -> String {
         fnv1a64_hex(canonical_document(&self.plan_json()).as_bytes())
     }
 }
@@ -224,12 +224,12 @@ fn job_seed(plan: &str, base_seed: u64, config: &Config) -> u64 {
 /// One expanded, seeded job.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    pub plan: String,
+    pub(crate) plan: String,
     /// Position in the plan's expansion order (what the text renderers
     /// iterate in).
     pub index: usize,
     pub seed: u64,
-    pub config: Config,
+    pub(crate) config: Config,
 }
 
 impl JobSpec {
@@ -237,7 +237,7 @@ impl JobSpec {
         config_json(&self.config)
     }
 
-    pub fn config_hash(&self) -> String {
+    pub(crate) fn config_hash(&self) -> String {
         fnv1a64_hex(canonical_document(&self.config_json()).as_bytes())
     }
 
@@ -259,7 +259,7 @@ impl JobSpec {
 
     /// `axis=value,axis=value` in sorted-axis order — the cell label the
     /// perf printout attributes wall-clock to.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         self.config
             .iter()
             .map(|(k, v)| format!("{k}={}", v.label()))
@@ -272,8 +272,8 @@ impl JobSpec {
 /// returned.
 #[derive(Debug, Clone)]
 pub struct JobResult {
-    pub spec: JobSpec,
-    pub metrics: Json,
+    pub(crate) spec: JobSpec,
+    pub(crate) metrics: Json,
 }
 
 /// A finished sweep: the canonical report document plus everything the

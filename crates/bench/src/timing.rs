@@ -23,7 +23,7 @@ pub struct ExperimentTiming {
 
 /// Run every `timed` experiment of the registry, timing each. Output text
 /// is discarded; only wall-clock and output size are kept.
-pub fn measure_all() -> Vec<ExperimentTiming> {
+pub(crate) fn measure_all() -> Vec<ExperimentTiming> {
     REGISTRY
         .iter()
         .filter(|e| e.timed)
@@ -66,7 +66,7 @@ pub fn timings_json(timings: &[ExperimentTiming]) -> String {
 /// Render timings as an aligned human-readable table: wall-clock,
 /// baseline and delta per experiment, so drift is attributable to one
 /// experiment on every run, not only on a failing one.
-pub fn timings_table(timings: &[ExperimentTiming]) -> String {
+pub(crate) fn timings_table(timings: &[ExperimentTiming]) -> String {
     let mut s = String::from("experiment                 wall_s baseline   delta\n");
     let mut row = |name: &str, wall_s: f64, baseline_s: f64| {
         s.push_str(&format!(
@@ -87,7 +87,7 @@ pub fn timings_table(timings: &[ExperimentTiming]) -> String {
 
 /// The line naming the offender when a run on a `cores`-wide host exceeds
 /// the headline experiment's ceiling or the suite's; `None` within both.
-pub fn ceiling_exceeded(timings: &[ExperimentTiming], cores: usize) -> Option<String> {
+pub(crate) fn ceiling_exceeded(timings: &[ExperimentTiming], cores: usize) -> Option<String> {
     let (headline, ceiling_s) = HEADLINE_CEILING;
     if let Some(t) = timings.iter().find(|t| t.name == headline && t.wall_s >= ceiling_s) {
         return Some(format!(

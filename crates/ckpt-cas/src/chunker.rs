@@ -21,11 +21,11 @@ use simos::apps::mix64;
 pub struct ChunkParams {
     /// No boundary before this many bytes (also the floor for the final
     /// chunk, which may be shorter only at end of input).
-    pub min: usize,
+    pub(crate) min: usize,
     /// Expected chunk size is roughly `min + 2^avg_bits` bytes.
-    pub avg_bits: u32,
+    pub(crate) avg_bits: u32,
     /// Forced boundary at this many bytes.
-    pub max: usize,
+    pub(crate) max: usize,
 }
 
 impl ChunkParams {
@@ -46,10 +46,12 @@ impl Default for ChunkParams {
 }
 
 /// One chunk of an object: `data[offset..offset + len]`.
+///
+/// Public because [`split_and_digest`] returns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkSpan {
-    pub offset: usize,
-    pub len: usize,
+    pub(crate) offset: usize,
+    pub(crate) len: usize,
 }
 
 /// The gear table: one pseudo-random 64-bit word per byte value, fixed at
@@ -66,7 +68,7 @@ const GEAR: [u64; 256] = {
 
 /// Split `data` into content-defined spans. Concatenated spans cover
 /// `data` exactly, in order. Empty input yields no spans.
-pub fn split(data: &[u8], p: &ChunkParams) -> Vec<ChunkSpan> {
+pub(crate) fn split(data: &[u8], p: &ChunkParams) -> Vec<ChunkSpan> {
     assert!(p.min >= 1 && p.max >= p.min, "degenerate chunk params");
     let mask: u64 = (1u64 << p.avg_bits) - 1;
     let mut spans = Vec::new();
@@ -97,6 +99,8 @@ const DIGEST_RUN: usize = 16;
 /// the caller alone for an input under
 /// [`ckpt_par::PAR_MIN_BYTES`]). Returns `(span, digest)` in chunk order —
 /// identical output at any pool width.
+///
+/// Public for ckptbench (`benchmark/src/replay.rs`).
 pub fn split_and_digest(data: &[u8], p: &ChunkParams, pool: &Pool) -> Vec<(ChunkSpan, u64)> {
     let spans = split(data, p);
     let runs: Vec<&[ChunkSpan]> = spans.chunks(DIGEST_RUN).collect();

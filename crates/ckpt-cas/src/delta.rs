@@ -107,7 +107,7 @@ pub fn xor_rle_encode_within(base: &[u8], cur: &[u8], limit: usize) -> Option<Ve
 /// Decode a delta produced by [`xor_rle_encode`] back into the full
 /// object. Returns `None` on any malformed input (truncation, length
 /// overrun) — the caller maps that to a typed corruption error.
-pub fn xor_rle_decode(base: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
+pub(crate) fn xor_rle_decode(base: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
     let mut at = 0usize;
     let n = usize::try_from(get_varint(delta, &mut at)?).ok()?;
     let mut out = Vec::with_capacity(n);

@@ -12,13 +12,13 @@ use ckpt_storage::digest64;
 /// Leading magic of every manifest object: `"CKPTCAS1"`. Distinct from
 /// `ckpt_image::IMAGE_MAGIC`, so the two object kinds can share a
 /// namespace.
-pub const MANIFEST_MAGIC: u64 = 0x434B_5054_4341_5331;
+pub(crate) const MANIFEST_MAGIC: u64 = 0x434B_5054_4341_5331;
 
 /// One chunk of a recipe: which content digest, how many bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkRef {
-    pub digest: u64,
-    pub len: u32,
+pub(crate) struct ChunkRef {
+    pub(crate) digest: u64,
+    pub(crate) len: u32,
 }
 
 /// The chunked form of the delta base. Kept inline in the child manifest
@@ -26,15 +26,15 @@ pub struct ChunkRef {
 /// pruning may have deleted it; the base's chunks are protected by this
 /// manifest's own references.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaseRecipe {
-    pub len: u64,
-    pub digest: u64,
-    pub chunks: Vec<ChunkRef>,
+pub(crate) struct BaseRecipe {
+    pub(crate) len: u64,
+    pub(crate) digest: u64,
+    pub(crate) chunks: Vec<ChunkRef>,
 }
 
 /// How the payload chunks relate to the object bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Encoding {
+pub(crate) enum Encoding {
     /// Chunks concatenate directly into the object.
     Raw,
     /// Chunks concatenate into an XOR+RLE delta stream; apply it to the
@@ -44,21 +44,21 @@ pub enum Encoding {
 
 /// A stored chunk manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Manifest {
+pub(crate) struct Manifest {
     /// Final object length in bytes.
-    pub object_len: u64,
+    pub(crate) object_len: u64,
     /// [`digest64`] of the final object bytes — verified after resolution.
-    pub object_digest: u64,
-    pub encoding: Encoding,
+    pub(crate) object_digest: u64,
+    pub(crate) encoding: Encoding,
     /// Chunks of the payload (object bytes for `Raw`, delta stream for
     /// `Delta`), in order.
-    pub chunks: Vec<ChunkRef>,
+    pub(crate) chunks: Vec<ChunkRef>,
 }
 
 impl Manifest {
     /// Every chunk this manifest keeps alive: payload chunks plus, for a
     /// delta, the base's chunks.
-    pub fn referenced_chunks(&self) -> Vec<ChunkRef> {
+    pub(crate) fn referenced_chunks(&self) -> Vec<ChunkRef> {
         let mut refs = self.chunks.clone();
         if let Encoding::Delta(base) = &self.encoding {
             refs.extend(base.chunks.iter().copied());
@@ -70,7 +70,7 @@ impl Manifest {
 /// Why a manifest failed to decode. Torn writes land in `Truncated` or
 /// `Checksum`; both are detection, not corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ManifestError {
+pub(crate) enum ManifestError {
     Truncated,
     BadVersion(u32),
     Checksum,
@@ -78,7 +78,7 @@ pub enum ManifestError {
 
 /// Whether `bytes` carries the manifest magic (cheap dispatch before a
 /// full decode).
-pub fn is_manifest(bytes: &[u8]) -> bool {
+pub(crate) fn is_manifest(bytes: &[u8]) -> bool {
     bytes.len() >= 8 && bytes[..8] == MANIFEST_MAGIC.to_be_bytes()
 }
 
@@ -138,7 +138,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Serialize a manifest (magic + version + body + checksum trailer).
-pub fn encode(m: &Manifest) -> Vec<u8> {
+pub(crate) fn encode(m: &Manifest) -> Vec<u8> {
     let mut w = Writer(Vec::with_capacity(64 + 12 * m.chunks.len()));
     w.0.extend_from_slice(&MANIFEST_MAGIC.to_be_bytes());
     w.u32(VERSION);
@@ -161,7 +161,7 @@ pub fn encode(m: &Manifest) -> Vec<u8> {
 
 /// Decode a manifest. The caller should gate on [`is_manifest`] first;
 /// bytes without the magic are `Truncated`.
-pub fn decode(bytes: &[u8]) -> Result<Manifest, ManifestError> {
+pub(crate) fn decode(bytes: &[u8]) -> Result<Manifest, ManifestError> {
     if !is_manifest(bytes) || bytes.len() < 16 {
         return Err(ManifestError::Truncated);
     }

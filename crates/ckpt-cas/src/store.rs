@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ckpt_par::Pool;
-use ckpt_storage::key::ObjectKey;
+use ckpt_storage::ObjectKey;
 use ckpt_storage::{
     digest64, ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt,
 };
@@ -72,6 +72,8 @@ struct Counters {
 }
 
 /// A point-in-time snapshot of a [`DedupStore`]'s counters.
+///
+/// ckptbench reads `gc_chunks` (`benchmark/src/metrics.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CasStats {
     /// Bytes handed to `store` for image objects (pre-dedup).
@@ -82,15 +84,15 @@ pub struct CasStats {
     pub novel_chunks: u64,
     /// Chunk references satisfied by an already-interned chunk.
     pub dup_chunks: u64,
-    pub dup_bytes: u64,
+    pub(crate) dup_bytes: u64,
     /// Image objects stored without a delta base.
-    pub raw_objects: u64,
+    pub(crate) raw_objects: u64,
     /// Image objects stored as a delta against their lineage base.
     pub delta_objects: u64,
     /// Non-image objects forwarded untouched.
-    pub passthrough_objects: u64,
+    pub(crate) passthrough_objects: u64,
     pub gc_chunks: u64,
-    pub gc_bytes: u64,
+    pub(crate) gc_bytes: u64,
     pub live_chunks: u64,
     pub live_chunk_bytes: u64,
 }
@@ -233,7 +235,8 @@ impl DedupStore {
         self.stats.clone()
     }
 
-    pub fn stats(&self) -> CasStats {
+    #[cfg(test)]
+    fn stats(&self) -> CasStats {
         self.stats.snapshot()
     }
 
@@ -595,8 +598,8 @@ impl StableStorage for DedupStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ckpt_storage::key::ImageKey;
-    use ckpt_storage::media::LocalDisk;
+    use ckpt_storage::ImageKey;
+    use ckpt_storage::LocalDisk;
 
     fn cost() -> CostModel {
         CostModel::circa_2005()

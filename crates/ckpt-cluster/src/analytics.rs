@@ -34,8 +34,8 @@ pub struct JobRunConfig {
     pub kind: NativeKind,
     pub params: AppParams,
     pub failure: FailureConfig,
-    pub tracker: TrackerKind,
-    pub cost: CostModel,
+    pub(crate) tracker: TrackerKind,
+    pub(crate) cost: CostModel,
 }
 
 impl JobRunConfig {
@@ -58,12 +58,12 @@ impl JobRunConfig {
 /// What a mechanistic run produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobRunReport {
-    pub completed: bool,
+    pub(crate) completed: bool,
     pub total_ns: u64,
     pub failures: u64,
     pub recoveries: u64,
     pub checkpoints: u64,
-    pub checkpoint_bytes: u64,
+    pub(crate) checkpoint_bytes: u64,
     /// Supersteps that were executed more than once due to rollback.
     pub supersteps_reexecuted: u64,
 }
@@ -144,12 +144,12 @@ pub fn simulate_job(cfg: &JobRunConfig) -> SimResult<JobRunReport> {
 /// One data point of the large-scale stochastic model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StochasticReport {
-    pub n_nodes: u64,
-    pub job_mtbf_ns: f64,
-    pub total_ns: u64,
-    pub useful_ns: u64,
-    pub failures: u64,
-    pub checkpoints: u64,
+    pub(crate) n_nodes: u64,
+    pub(crate) job_mtbf_ns: f64,
+    pub(crate) total_ns: u64,
+    pub(crate) useful_ns: u64,
+    pub(crate) failures: u64,
+    pub(crate) checkpoints: u64,
     pub utilization: f64,
 }
 

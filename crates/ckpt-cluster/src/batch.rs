@@ -33,8 +33,8 @@ pub struct ManagedJob {
 /// What one manager-driven checkpoint round cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchRoundReport {
-    pub requests_sent: usize,
-    pub requests_failed: usize,
+    pub(crate) requests_sent: usize,
+    pub(crate) requests_failed: usize,
     /// Virtual time from round start to the last acknowledgement reaching
     /// the manager.
     pub round_latency_ns: u64,
@@ -43,11 +43,11 @@ pub struct BatchRoundReport {
 /// The centralized manager. It lives on one node and drives checkpoint
 /// daemons on the others over the network.
 pub struct BatchManager {
-    pub home: NodeId,
+    pub(crate) home: NodeId,
     pub jobs: Vec<ManagedJob>,
     /// Name of the daemon module installed on each managed node.
-    pub daemon_name: String,
-    pub rounds: Vec<BatchRoundReport>,
+    pub(crate) daemon_name: String,
+    pub(crate) rounds: Vec<BatchRoundReport>,
 }
 
 impl BatchManager {

@@ -53,8 +53,8 @@ impl FailureConfig {
 /// A failure event that occurred during an advance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailureEvent {
-    pub node: NodeId,
-    pub at_ns: u64,
+    pub(crate) node: NodeId,
+    pub(crate) at_ns: u64,
 }
 
 /// The cluster.
@@ -152,6 +152,8 @@ impl Cluster {
     }
 
     /// The shared striped pool of a [`Cluster::new_striped`] cluster.
+    ///
+    /// Public for ckptbench (`benchmark/src/cluster.rs`).
     pub fn striped_set(&self) -> Option<&Arc<StripedReplicaSet>> {
         self.striped_set.as_ref()
     }
@@ -168,7 +170,7 @@ impl Cluster {
     }
 
     /// The cluster-wide trace sink.
-    pub fn trace(&self) -> &TraceHandle {
+    pub(crate) fn trace(&self) -> &TraceHandle {
         &self.trace
     }
 

@@ -16,8 +16,8 @@ use simos::types::{SimError, SimResult};
 /// A gang: one parallel job plus its coordinated-checkpoint driver.
 pub struct Gang {
     pub job: MpiJob,
-    pub coord: ShardedCoordinator,
-    pub supersteps_run: u64,
+    pub(crate) coord: ShardedCoordinator,
+    pub(crate) supersteps_run: u64,
 }
 
 impl Gang {
@@ -36,7 +36,7 @@ impl Gang {
 /// switch.
 pub struct GangScheduler {
     pub gangs: Vec<Gang>,
-    pub quantum_supersteps: u64,
+    pub(crate) quantum_supersteps: u64,
     pub switches: u64,
 }
 

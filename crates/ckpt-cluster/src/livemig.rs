@@ -94,26 +94,26 @@ const QUANTUM_STEPS: u64 = 32;
 
 /// One pre-copy round as observed by the cutover policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundStat {
-    pub round: u32,
+pub(crate) struct RoundStat {
+    pub(crate) round: u32,
     /// Pages shipped this round (round 0 ships the full resident set).
-    pub pages: u64,
+    pub(crate) pages: u64,
     /// Encoded bytes shipped this round.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Transfer window the round occupied on the wire.
-    pub window_ns: u64,
+    pub(crate) window_ns: u64,
     /// Guest duty cycle during the round (percent).
-    pub duty_pct: u32,
+    pub(crate) duty_pct: u32,
     /// Pages found dirty *after* the round's window (what the policy
     /// projected the next round from).
-    pub dirty_after: u64,
+    pub(crate) dirty_after: u64,
 }
 
 /// Result of a completed iterative pre-copy migration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreCopyReport {
-    pub from: NodeId,
-    pub to: NodeId,
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
     pub new_pid: Pid,
     /// Rounds shipped before cutover (round 0 included).
     pub rounds: u32,
@@ -122,14 +122,14 @@ pub struct PreCopyReport {
     /// Encoded bytes shipped inside the frozen cutover window.
     pub bytes_cutover: u64,
     /// Residual dirty pages shipped at cutover.
-    pub residual_pages: u64,
+    pub(crate) residual_pages: u64,
     /// Freeze → resume: source freeze + residual capture/transfer +
     /// target receive/restore.
     pub downtime_ns: u64,
     /// Final guest duty cycle the throttle settled on (100 = never
     /// throttled).
     pub final_duty_pct: u32,
-    pub round_log: Vec<RoundStat>,
+    pub(crate) round_log: Vec<RoundStat>,
 }
 
 impl PreCopyReport {
@@ -142,8 +142,8 @@ impl PreCopyReport {
 /// Result of a completed post-copy migration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PostCopyReport {
-    pub from: NodeId,
-    pub to: NodeId,
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
     pub new_pid: Pid,
     /// Freeze → first target resume (the minimal-image window).
     pub downtime_ns: u64,
@@ -152,7 +152,7 @@ pub struct PostCopyReport {
     /// Pages delivered on the demand path (target stalled for these).
     pub demand_pages: u64,
     /// Demand service batches (each ordered by fault address).
-    pub demand_batches: u64,
+    pub(crate) demand_batches: u64,
     /// Pages delivered by the background prefetcher (no target stall).
     pub prefetch_pages: u64,
     /// Encoded bytes of the minimal image shipped inside the downtime

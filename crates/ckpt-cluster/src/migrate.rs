@@ -41,11 +41,11 @@ pub enum MigrationMode {
 /// Result of a completed migration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationReport {
-    pub from: NodeId,
-    pub to: NodeId,
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
     pub new_pid: Pid,
     pub bytes_moved: u64,
-    pub total_ns: u64,
+    pub(crate) total_ns: u64,
 }
 
 /// How a landed image is restored — the only thing the
@@ -59,16 +59,16 @@ pub(crate) enum Landing<'p> {
 /// each written once. The wire's faultpoints are checked on the *source's*
 /// fault plan: fail-stop and torn frames kill the sender.
 pub(crate) struct Cutover<'c> {
-    pub cluster: &'c mut Cluster,
-    pub from: NodeId,
-    pub pid: Pid,
-    pub to: NodeId,
+    pub(crate) cluster: &'c mut Cluster,
+    pub(crate) from: NodeId,
+    pub(crate) pid: Pid,
+    pub(crate) to: NodeId,
     faults: FaultHandle,
 }
 
 impl<'c> Cutover<'c> {
     /// The prologue: two distinct nodes and a live source.
-    pub fn begin(cluster: &'c mut Cluster, from: NodeId, pid: Pid, to: NodeId) -> SimResult<Self> {
+    pub(crate) fn begin(cluster: &'c mut Cluster, from: NodeId, pid: Pid, to: NodeId) -> SimResult<Self> {
         if from == to {
             return Err(SimError::Usage("source and target are the same node".into()));
         }
@@ -77,7 +77,7 @@ impl<'c> Cutover<'c> {
     }
 
     /// The source kernel, or the typed loss if the node died under us.
-    pub fn source(&mut self, residual_pages: u64) -> SimResult<&mut Kernel> {
+    pub(crate) fn source(&mut self, residual_pages: u64) -> SimResult<&mut Kernel> {
         self.cluster
             .node(self.from)
             .kernel()
@@ -90,7 +90,7 @@ impl<'c> Cutover<'c> {
     /// that waits for it. A fail-stop or torn frame means the source is
     /// gone with `residual_pages` undrained; the receiver discards a torn
     /// frame (never applies it — no silent corruption).
-    pub fn ship(&mut self, site: &str, bytes: u64, residual_pages: u64) -> SimResult<u64> {
+    pub(crate) fn ship(&mut self, site: &str, bytes: u64, residual_pages: u64) -> SimResult<u64> {
         match self.faults.check(site, bytes) {
             None => return Ok(1),
             Some(Fault::Transient) => return Ok(2),
@@ -105,7 +105,7 @@ impl<'c> Cutover<'c> {
 
     /// Receive `bytes` on the target and restore `image` there, running.
     /// Returns the new pid and the target time the landing took.
-    pub fn land(
+    pub(crate) fn land(
         &mut self,
         image: &CheckpointImage,
         bytes: u64,
@@ -124,7 +124,7 @@ impl<'c> Cutover<'c> {
     /// Zombie + reap `pid` on `node` (nothing to do if the node is gone):
     /// the source's copy once the target owns the process, and the
     /// half-populated post-copy target when its source is lost.
-    pub fn retire(&mut self, node: NodeId, pid: Pid) {
+    pub(crate) fn retire(&mut self, node: NodeId, pid: Pid) {
         if let Some(k) = self.cluster.node(node).kernel() {
             if let Some(p) = k.process_mut(pid) {
                 p.state = ProcState::Zombie { code: 0 };
@@ -138,7 +138,7 @@ impl<'c> Cutover<'c> {
     /// every error exit on which the source node is still alive the guest
     /// is thawed before returning, so a failed migration never leaves its
     /// source stopped. On a lost source there is nothing to thaw.
-    pub fn frozen<T>(&mut self, body: impl FnOnce(&mut Self) -> SimResult<T>) -> SimResult<T> {
+    pub(crate) fn frozen<T>(&mut self, body: impl FnOnce(&mut Self) -> SimResult<T>) -> SimResult<T> {
         let pid = self.pid;
         self.source(0)?.freeze_process(pid)?;
         let out = body(self);
@@ -153,7 +153,7 @@ impl<'c> Cutover<'c> {
     /// The target owns the process: the source's copy has left the
     /// building, and the migration (`bytes` on the wire in total) is
     /// recorded.
-    pub fn complete(&mut self, bytes: u64) -> SimResult<()> {
+    pub(crate) fn complete(&mut self, bytes: u64) -> SimResult<()> {
         self.source(0)?;
         self.retire(self.from, self.pid);
         let migration = ClusterEvent::Migration {

@@ -21,9 +21,11 @@ use simos::types::{Pid, SimError, SimResult};
 /// Guest-memory slots the job driver maintains per rank (within the app
 /// header page, after the app's own fields).
 pub const SLOT_SUPERSTEP: u64 = HEADER_BASE + 32;
-pub const SLOT_INBOX: u64 = HEADER_BASE + 40;
+pub(crate) const SLOT_INBOX: u64 = HEADER_BASE + 40;
 
 /// Where one rank currently lives.
+///
+/// ckptbench reads `rank` (`benchmark/src/cluster.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RankRef {
     pub rank: u32,
@@ -40,13 +42,11 @@ pub enum JobInterrupt {
 
 /// A bulk-synchronous parallel job.
 pub struct MpiJob {
-    pub name: String,
+    pub(crate) name: String,
     pub ranks: Vec<RankRef>,
-    pub steps_per_superstep: u64,
+    pub(crate) steps_per_superstep: u64,
     /// Payload size of each neighbour message.
-    pub msg_bytes: u64,
-    pub kind: NativeKind,
-    pub params: AppParams,
+    pub(crate) msg_bytes: u64,
     completed_supersteps: u64,
 }
 
@@ -79,8 +79,6 @@ impl MpiJob {
             ranks,
             steps_per_superstep,
             msg_bytes,
-            kind,
-            params,
             completed_supersteps: 0,
         })
     }
@@ -91,7 +89,7 @@ impl MpiJob {
 
     /// After a restart, resynchronize the driver's superstep counter from
     /// rank 0's guest memory (the durable truth).
-    pub fn resync_supersteps(&mut self, cluster: &mut Cluster) -> SimResult<()> {
+    pub(crate) fn resync_supersteps(&mut self, cluster: &mut Cluster) -> SimResult<()> {
         let r = self.ranks[0];
         let mut buf = [0u8; 8];
         cluster

@@ -17,16 +17,16 @@ impl std::fmt::Display for NodeId {
 
 /// One machine in the cluster.
 pub struct Node {
-    pub id: NodeId,
+    pub(crate) id: NodeId,
     /// The node's kernel; `None` while the node is down (fail-stop: the
     /// machine and everything volatile on it is gone).
     kernel: Option<Kernel>,
-    pub local_disk: SharedStorage,
-    pub swap: SharedStorage,
-    pub ram_store: SharedStorage,
+    pub(crate) local_disk: SharedStorage,
+    pub(crate) swap: SharedStorage,
+    pub(crate) ram_store: SharedStorage,
     pub remote: SharedStorage,
     /// Fail-stop events experienced.
-    pub failures: u64,
+    pub(crate) failures: u64,
     cost: CostModel,
 }
 
@@ -34,7 +34,7 @@ impl Node {
     /// Build a node whose remote stable-storage handle is supplied by the
     /// caller — e.g. a per-node [`ckpt_replica::ReplicatedStore`] client
     /// over a cluster-shared replica set.
-    pub fn with_remote(id: NodeId, cost: CostModel, remote: SharedStorage) -> Self {
+    pub(crate) fn with_remote(id: NodeId, cost: CostModel, remote: SharedStorage) -> Self {
         Node {
             id,
             kernel: Some(Kernel::new(cost.clone())),
@@ -47,7 +47,7 @@ impl Node {
         }
     }
 
-    pub fn alive(&self) -> bool {
+    pub(crate) fn alive(&self) -> bool {
         self.kernel.is_some()
     }
 
@@ -56,13 +56,14 @@ impl Node {
         self.kernel.as_mut()
     }
 
+    /// Public for ckptbench (`benchmark/src/cluster.rs`).
     pub fn kernel_ref(&self) -> Option<&Kernel> {
         self.kernel.as_ref()
     }
 
     /// Fail-stop: the kernel (and every process on it) is gone; volatile
     /// storage is lost; non-volatile local media become unreachable.
-    pub fn fail(&mut self) {
+    pub(crate) fn fail(&mut self) {
         if self.kernel.take().is_none() {
             return;
         }
@@ -75,7 +76,7 @@ impl Node {
 
     /// Bring the node back with a fresh kernel advanced to the cluster's
     /// current virtual time.
-    pub fn repair(&mut self, now_ns: u64) {
+    pub(crate) fn repair(&mut self, now_ns: u64) {
         if self.alive() {
             return;
         }

@@ -59,14 +59,14 @@ use std::sync::Arc;
 /// What one shard reported to the root: everything the root needs, and
 /// all it ever looks at — O(shards) per round, never O(ranks).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRound {
-    pub shard: usize,
-    pub ranks: usize,
-    pub bytes: u64,
+pub(crate) struct ShardRound {
+    pub(crate) shard: usize,
+    pub(crate) ranks: usize,
+    pub(crate) bytes: u64,
     /// Virtual time of this shard's batched quorum commit.
-    pub commit_ns: u64,
+    pub(crate) commit_ns: u64,
     /// Acknowledgement cycles the commit consumed (1 per stripe touched).
-    pub ack_cycles: u64,
+    pub(crate) ack_cycles: u64,
 }
 
 /// Per-round result of a coordinated checkpoint.
@@ -84,7 +84,7 @@ pub struct HierOutcome {
     pub ack_cycles: u64,
     pub incremental: bool,
     /// Per-shard summaries, in shard order.
-    pub shard_rounds: Vec<ShardRound>,
+    pub(crate) shard_rounds: Vec<ShardRound>,
 }
 
 /// The coordinated-checkpoint driver for one job.
@@ -105,7 +105,7 @@ pub struct ShardedCoordinator {
     /// and same-node ranks observe each other's charges through
     /// `taken_at_ns`.
     pool: Arc<Pool>,
-    pub outcomes: Vec<HierOutcome>,
+    pub(crate) outcomes: Vec<HierOutcome>,
 }
 
 impl ShardedCoordinator {
@@ -136,13 +136,10 @@ impl ShardedCoordinator {
         self
     }
 
+    /// Public for ckptbench (`benchmark/src/cluster.rs`).
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
         self.pool = pool;
         self
-    }
-
-    pub fn committed_seq(&self) -> u64 {
-        self.cut.committed()
     }
 
     /// Whether a completed checkpoint exists to recover from.
@@ -487,7 +484,7 @@ pub fn scale_round(cfg: &ScaleConfig, cost: &CostModel) -> ScalePoint {
 
 /// [`scale_round`] with an explicit worker pool (width 1 = the exact
 /// serial path; results are identical at every width).
-pub fn scale_round_with_pool(cfg: &ScaleConfig, cost: &CostModel, pool: Arc<Pool>) -> ScalePoint {
+pub(crate) fn scale_round_with_pool(cfg: &ScaleConfig, cost: &CostModel, pool: Arc<Pool>) -> ScalePoint {
     assert!(cfg.nodes >= 1 && cfg.shards >= 1 && cfg.stripes >= 1);
     // Per-rank payloads: pure, deterministic, fanned out on the pool with
     // ordered merge (width-invariant by construction).
@@ -803,7 +800,7 @@ mod tests {
             ..coord
         };
         assert!(coord.checkpoint(&mut c, &job).is_err());
-        assert_eq!(coord.committed_seq(), 1, "seq 2 must not be a recovery point");
+        assert_eq!(coord.cut.committed(), 1, "seq 2 must not be a recovery point");
         // Recovery lands on superstep 2 (the seq-1 cut), never a mix.
         coord.restart(&mut c, &mut job).unwrap();
         assert_eq!(job.completed_supersteps(), 2);
@@ -824,7 +821,7 @@ mod tests {
             ..coord
         };
         assert!(coord.checkpoint(&mut c, &job).is_err());
-        assert_eq!(coord.committed_seq(), 1);
+        assert_eq!(coord.cut.committed(), 1);
         // Every rank was thawed by the abort: the job keeps running.
         job.superstep(&mut c).unwrap();
         assert_eq!(job.completed_supersteps(), 4);
@@ -832,7 +829,7 @@ mod tests {
         coord.faults = FaultHandle::disabled();
         let o = coord.checkpoint(&mut c, &job).unwrap();
         assert_eq!(o.seq, 3);
-        assert_eq!(coord.committed_seq(), 3);
+        assert_eq!(coord.cut.committed(), 3);
     }
 
     #[test]

@@ -96,13 +96,13 @@ impl RoundContext {
 #[derive(Debug, Clone)]
 pub struct UserAgentConfig {
     /// Registry name (unique per kernel).
-    pub name: String,
+    pub(crate) name: String,
     /// Storage key prefix.
-    pub job: String,
+    pub(crate) job: String,
     /// User-level tracker (must not be a kernel/hardware kind).
-    pub tracker: TrackerKind,
+    pub(crate) tracker: TrackerKind,
     /// Use LD_PRELOAD mirrors instead of parsing `/proc/self/maps`.
-    pub use_mirrors: bool,
+    pub(crate) use_mirrors: bool,
 }
 
 impl UserAgentConfig {
@@ -123,9 +123,9 @@ impl UserAgentConfig {
 pub struct UserCkptAgent {
     engine: KernelCkptEngine,
     /// Completed checkpoints, newest last.
-    pub outcomes: Vec<CkptOutcome>,
+    pub(crate) outcomes: Vec<CkptOutcome>,
     /// Errors hit during asynchronous checkpoints (surfaced by mechanisms).
-    pub errors: Vec<String>,
+    pub(crate) errors: Vec<String>,
 }
 
 impl UserCkptAgent {
@@ -154,7 +154,7 @@ impl UserCkptAgent {
     }
 
     /// The library's engine: its lineage's seqs, tracker and manifests.
-    pub fn engine(&self) -> &KernelCkptEngine {
+    pub(crate) fn engine(&self) -> &KernelCkptEngine {
         &self.engine
     }
 

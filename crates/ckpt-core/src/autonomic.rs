@@ -2,7 +2,7 @@
 //! realized: **automatic initiation at system level**, kernel-page
 //! incremental tracking, remote stable storage, and a self-managing
 //! checkpoint interval adjusted to the observed failure rate and
-//! checkpoint cost (Young's formula via [`crate::policy::AdaptivePolicy`]).
+//! checkpoint cost (Young's formula via `crate::policy::AdaptivePolicy`).
 //!
 //! The daemon is a kernel module owning a `SCHED_FIFO` kernel thread and a
 //! kernel timer: no application modification, no user-space manager, no
@@ -66,12 +66,12 @@ pub struct AutonomicDaemon {
     pub outcomes: Vec<(Pid, CkptOutcome)>,
     /// Interval chosen after each round (for experiments).
     pub intervals_used: Vec<u64>,
-    pub rounds: u64,
-    pub failures_noted: u64,
+    pub(crate) rounds: u64,
+    pub(crate) failures_noted: u64,
 }
 
 impl AutonomicDaemon {
-    pub fn new(cfg: AutonomicConfig, storage: SharedStorage) -> Self {
+    pub(crate) fn new(cfg: AutonomicConfig, storage: SharedStorage) -> Self {
         let policy = AdaptivePolicy::new(cfg.mtbf_prior_ns);
         let template = KernelCkptEngine::builder(&cfg.module_name, &cfg.job, storage, cfg.tracker)
             .full_every(cfg.full_every)
@@ -90,11 +90,11 @@ impl AutonomicDaemon {
     }
 
     /// Register a process for autonomous checkpointing.
-    pub fn register(&mut self, pid: Pid) {
+    pub(crate) fn register(&mut self, pid: Pid) {
         self.engines.start(pid);
     }
 
-    pub fn registered(&self) -> Vec<u32> {
+    pub(crate) fn registered(&self) -> Vec<u32> {
         self.engines.pids()
     }
 
@@ -169,7 +169,6 @@ impl KernelModule for AutonomicDaemon {
     fn on_load(&mut self, k: &mut Kernel) {
         let name = self.cfg.module_name.clone();
         self.kt = Some(k.spawn_kthread(
-            &format!("{name}/kthread"),
             &name,
             SchedPolicy::Fifo {
                 rt_prio: self.cfg.rt_prio,

@@ -4,7 +4,7 @@
 //! This is the code path the paper's Section 4.1 calls "enormously
 //! simplified" by kernel residency: every piece of state is read directly
 //! from the PCB with no protection-domain crossings — contrast with the
-//! user-level gather in [`crate::agents`], which must issue a syscall per
+//! user-level gather in `crate::agents`, which must issue a syscall per
 //! fact.
 
 use ckpt_image::{
@@ -37,10 +37,10 @@ pub enum PageSelection {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct CaptureOptions {
-    pub mechanism: String,
-    pub seq: u64,
-    pub parent_seq: u64,
-    pub kind: ImageKind,
+    pub(crate) mechanism: String,
+    pub(crate) seq: u64,
+    pub(crate) parent_seq: u64,
+    pub(crate) kind: ImageKind,
     pub pages: PageSelection,
     /// Apply zero-elision/RLE to page payloads. PsncR/C famously "does not
     /// perform any data optimization"; set `false` to model that.
@@ -51,7 +51,7 @@ pub struct CaptureOptions {
     /// Node id recorded in the header.
     pub node: u32,
     /// Id the header records: its [`crate::Lineage`]'s; `None`, the pid.
-    pub id: Option<u32>,
+    pub(crate) id: Option<u32>,
     /// Worker pool for page encoding. `None` takes the serial page walk;
     /// with a pool the pages are encoded where they sit in the frozen
     /// address space, in runs of [`ckpt_par::PAR_MIN_BYTES`]
@@ -221,16 +221,15 @@ pub enum RestorePid {
     Specific(Pid),
 }
 
-/// Restore configuration. Construct via [`RestoreOptions::default`],
-/// [`RestoreOptions::fresh_running`], or [`RestoreOptions::stopped`] and
-/// override fields afterwards — `#[non_exhaustive]`, like
+/// Restore configuration. Construct via [`RestoreOptions::default`] or
+/// [`RestoreOptions::fresh_running`] — `#[non_exhaustive]`, like
 /// [`CaptureOptions`].
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct RestoreOptions {
-    pub pid: RestorePid,
+    pub(crate) pid: RestorePid,
     /// Enqueue the process immediately (otherwise it is left stopped).
-    pub run: bool,
+    pub(crate) run: bool,
 }
 
 impl Default for RestoreOptions {
@@ -246,12 +245,6 @@ impl RestoreOptions {
     /// Restore under `pid` and enqueue it immediately.
     pub fn fresh_running(pid: RestorePid) -> Self {
         RestoreOptions { pid, run: true }
-    }
-
-    /// Restore under `pid` but leave it stopped (migration installs the
-    /// process before releasing it; pods re-map pids first).
-    pub fn stopped(pid: RestorePid) -> Self {
-        RestoreOptions { pid, run: false }
     }
 }
 

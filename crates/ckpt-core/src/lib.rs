@@ -8,9 +8,9 @@
 //!   hardware cache-line.
 //! * **Capture/restore** ([`capture`]): kernel-context PCB walking into
 //!   [`ckpt_image::CheckpointImage`]s and back.
-//! * **Lineages** ([`lineage`]): the one holder of seqs, tracker and chain
+//! * **Lineages** ([`Lineage`]): the one holder of seqs, tracker and chain
 //!   manifests, and the capture step every checkpointer runs on it.
-//! * **User-level agents** ([`agents`]): the modelled checkpoint library
+//! * **User-level agents** ([`UserCkptAgent`]): the modelled checkpoint library
 //!   of the Section 3 schemes — the per-fact syscall gather and the
 //!   `write()` loop, over the same round every mechanism runs.
 //! * **Mechanisms** ([`mechanism`]): the one checkpoint round, its freeze
@@ -26,25 +26,34 @@
 //!   forward" — automatic system-level initiation, kernel-level incremental
 //!   tracking, remote storage, self-tuned interval.
 
-#![forbid(unsafe_code)]
+//!
+//! The public API is the modules that callers name by path (`autonomic`,
+//! `capture`, `crashpoint`, `mechanism`, `pod`, `policy`, `tracker`), the
+//! re-export list below, and the shared-storage handle ([`SharedStorage`],
+//! [`shared_storage`], [`fork_storage`]).
 
-pub mod agents;
+#![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
+
+mod agents;
 pub mod autonomic;
 pub mod capture;
 pub mod crashpoint;
-pub mod lineage;
+mod lineage;
 pub mod mechanism;
 pub mod pod;
 pub mod policy;
-pub mod report;
+mod report;
 pub mod tracker;
 
-pub use capture::{
-    capture_image, restore_image, CaptureOptions, PageSelection, RestoreOptions, RestorePid,
-};
+pub use agents::{UserAgentConfig, UserCkptAgent};
+pub use capture::{CaptureOptions, RestorePid};
+// For ckptbench, which captures and restores outside a mechanism
+// (`benchmark/src/single.rs`).
+pub use capture::{capture_image, restore_image, RestoreOptions};
 pub use lineage::Lineage;
 pub use report::{CkptOutcome, RestartOutcome};
-pub use tracker::{Collected, Tracker, TrackerKind};
+pub use tracker::{Tracker, TrackerKind};
 
 use ckpt_storage::StableStorage;
 use parking_lot::Mutex;

@@ -36,7 +36,7 @@ pub struct Lineage {
     staged: Option<(u64, ImageKind)>,
     /// Force a full image every N seqs (0 = only the first is full).
     /// Ignored for non-incremental trackers.
-    pub full_every: u64,
+    pub(crate) full_every: u64,
     tracker: Tracker,
     /// The current chain's replica manifests (see [`Lineage::manifests`]).
     pub(crate) manifests: Vec<ReplicaManifest>,
@@ -73,7 +73,7 @@ impl Lineage {
     }
 
     /// The seq the next round takes; the engine reuses it until it commits.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next
     }
 
@@ -106,7 +106,7 @@ impl Lineage {
 
     /// The one full-vs-incremental rule: the chain continues, the tracker
     /// has a dirty set since the last commit, and no periodic full is due.
-    pub fn incremental(&self, seq: u64) -> bool {
+    pub(crate) fn incremental(&self, seq: u64) -> bool {
         self.continues(seq)
             && self.tracker.is_armed()
             && !(self.full_every > 0 && seq - self.last_full >= self.full_every)
@@ -118,12 +118,6 @@ impl Lineage {
 
     pub fn tracker_mut(&mut self) -> &mut Tracker {
         &mut self.tracker
-    }
-
-    /// Replica manifests of the committed chain segments, in store order.
-    /// Empty unless the storage backend replicates.
-    pub fn manifests(&self) -> &[ReplicaManifest] {
-        &self.manifests
     }
 
     /// The capture step on a quiescent `pid`: decide → walk → capture →

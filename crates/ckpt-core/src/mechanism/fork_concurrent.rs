@@ -59,7 +59,7 @@ struct ActiveSave {
 /// The static-kernel extension implementing fork-concurrent checkpoints.
 /// A clone shares the store.
 #[derive(Clone)]
-pub struct ForkCkptModule {
+pub(crate) struct ForkCkptModule {
     name: String,
     job: String,
     storage: SharedStorage,
@@ -69,12 +69,12 @@ pub struct ForkCkptModule {
     active: Option<ActiveSave>,
     kt: Option<KtId>,
     slot: Option<u32>,
-    pub outcomes: Vec<(Pid, CkptOutcome)>,
-    pub failures: u64,
+    pub(crate) outcomes: Vec<(Pid, CkptOutcome)>,
+    pub(crate) failures: u64,
 }
 
 impl ForkCkptModule {
-    pub fn new(name: &str, job: &str, storage: SharedStorage) -> Self {
+    pub(crate) fn new(name: &str, job: &str, storage: SharedStorage) -> Self {
         ForkCkptModule {
             name: name.to_string(),
             job: job.to_string(),
@@ -89,7 +89,7 @@ impl ForkCkptModule {
         }
     }
 
-    pub fn slot(&self) -> Option<u32> {
+    pub(crate) fn slot(&self) -> Option<u32> {
         self.slot
     }
 }
@@ -111,11 +111,7 @@ impl KernelModule for ForkCkptModule {
         // the application so the save overlaps execution (on a
         // multiprocessor it would run truly in parallel; under the
         // uniprocessor scheduler it interleaves).
-        self.kt = Some(k.spawn_kthread(
-            &format!("{name}d"),
-            &name,
-            SchedPolicy::Other { nice: 0 },
-        ));
+        self.kt = Some(k.spawn_kthread(&name, SchedPolicy::Other { nice: 0 }));
     }
 
     fn ext_syscall(&mut self, k: &mut Kernel, pid: Pid, slot: u32, args: [u64; 5]) -> SysResult {
@@ -302,7 +298,7 @@ impl ForkCkptModule {
 /// The mechanism wrapper. A clone shares the store.
 #[derive(Clone)]
 pub struct ForkConcurrentMechanism {
-    pub module_name: String,
+    pub(crate) module_name: String,
     /// The surveyed *Checkpoint* system has the application itself invoke
     /// the syscalls (automatic initiation, no transparency); when false,
     /// an external tool drives the syscall instead.

@@ -32,12 +32,12 @@ pub enum HwFlavor {
 
 /// Fixed quiesce time for SafetyNet's synchronous part (register + cache
 /// synchronization before the asynchronous drain takes over).
-pub const SAFETYNET_QUIESCE_NS: u64 = 10_000;
+pub(crate) const SAFETYNET_QUIESCE_NS: u64 = 10_000;
 
 /// The hardware-assisted mechanism. There is no kernel module — the
 /// "agent" is the memory system itself; the OS only coordinates.
 pub struct HardwareMechanism {
-    pub flavor: HwFlavor,
+    pub(crate) flavor: HwFlavor,
     engine: KernelCkptEngine,
     outcomes: Vec<CkptOutcome>,
 }

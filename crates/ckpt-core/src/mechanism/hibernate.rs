@@ -32,9 +32,9 @@ pub enum SuspendMode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HibernateReport {
     pub processes_saved: usize,
-    pub bytes_written: u64,
+    pub(crate) bytes_written: u64,
     pub total_ns: u64,
-    pub mode: SuspendMode,
+    pub(crate) mode: SuspendMode,
 }
 
 /// The job, module and mechanism name hibernation records everything under.

@@ -27,26 +27,22 @@ use std::collections::BTreeMap;
 
 /// The CHPOX-style kernel module: a `/proc` registration entry plus a
 /// claimed kernel signal.
-pub struct ChpoxModule {
+pub(crate) struct ChpoxModule {
     name: String,
     engines: Engines,
-    pub outcomes: Vec<(Pid, CkptOutcome)>,
+    pub(crate) outcomes: Vec<(Pid, CkptOutcome)>,
     /// Virtual time each pending request was posted (to measure deferral).
-    pub initiated_at: BTreeMap<u32, u64>,
+    pub(crate) initiated_at: BTreeMap<u32, u64>,
 }
 
 impl ChpoxModule {
-    pub fn new(name: &str, job: &str, storage: SharedStorage, tracker: TrackerKind) -> Self {
+    pub(crate) fn new(name: &str, job: &str, storage: SharedStorage, tracker: TrackerKind) -> Self {
         ChpoxModule {
             name: name.to_string(),
             engines: Engines::new(KernelCkptEngine::new(name, job, storage, tracker)),
             outcomes: Vec::new(),
             initiated_at: BTreeMap::new(),
         }
-    }
-
-    pub fn registered(&self, pid: Pid) -> bool {
-        self.engines.contains(pid)
     }
 }
 
@@ -123,7 +119,7 @@ impl KernelModule for ChpoxModule {
 
 /// The mechanism wrapper.
 pub struct KernelSignalMechanism {
-    pub module_name: String,
+    pub(crate) module_name: String,
     storage: SharedStorage,
     job: String,
     tracker: TrackerKind,

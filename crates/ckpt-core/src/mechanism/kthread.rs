@@ -86,7 +86,7 @@ pub struct CkptKthreadModule {
 }
 
 impl CkptKthreadModule {
-    pub fn new(
+    pub(crate) fn new(
         name: &str,
         job: &str,
         storage: SharedStorage,
@@ -110,7 +110,7 @@ impl CkptKthreadModule {
         }
     }
 
-    pub fn device_path(&self) -> String {
+    pub(crate) fn device_path(&self) -> String {
         match self.iface {
             KthreadIface::Ioctl => format!("/dev/{}", self.name),
             KthreadIface::ProcWrite => format!("/proc/{}", self.name),
@@ -138,7 +138,6 @@ impl KernelModule for CkptKthreadModule {
     fn on_load(&mut self, k: &mut Kernel) {
         let name = self.name.clone();
         self.kt = Some(k.spawn_kthread(
-            &format!("{name}d"),
             &name,
             SchedPolicy::Fifo {
                 rt_prio: self.rt_prio,
@@ -223,10 +222,10 @@ impl KernelModule for CkptKthreadModule {
 
 /// The mechanism wrapper.
 pub struct KernelThreadMechanism {
-    pub module_name: String,
-    pub iface: KthreadIface,
-    pub rt_prio: u8,
-    pub variant: KthreadVariant,
+    pub(crate) module_name: String,
+    pub(crate) iface: KthreadIface,
+    pub(crate) rt_prio: u8,
+    pub(crate) variant: KthreadVariant,
     storage: SharedStorage,
     job: String,
     tracker: TrackerKind,

@@ -55,7 +55,7 @@ pub enum Context {
 
 /// The agent performing the checkpoint (Figure 1's middle dimension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AgentKind {
+pub(crate) enum AgentKind {
     LibraryCall,
     UserSignalHandler,
     Preload,
@@ -83,9 +83,9 @@ pub enum Initiation {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct MechanismInfo {
-    pub family: &'static str,
+    pub(crate) family: &'static str,
     pub context: Context,
-    pub agent: AgentKind,
+    pub(crate) agent: AgentKind,
     /// Implemented as a loadable kernel module (vs static kernel or pure
     /// user space).
     pub is_kernel_module: bool,
@@ -139,7 +139,7 @@ pub trait Mechanism {
 pub struct Family {
     /// The experiments' name for the row (`report c4`, `report trace`).
     pub label: &'static str,
-    /// [`MechanismInfo::family`] of the built mechanism — the crash
+    /// `MechanismInfo::family` of the built mechanism — the crash
     /// matrix's column name.
     pub family: &'static str,
     /// Kernel-module / agent name: what the mechanism's phases, fault
@@ -256,7 +256,7 @@ pub fn family(name: &str) -> &'static Family {
 /// The checkpoint engine: the one implementation of a checkpoint round
 /// (decide full vs incremental → gather and walk → capture → encode →
 /// commit → prune → re-arm), used by every system-level mechanism and, in
-/// its user context, by the Section 3 library ([`crate::agents`]). Callers
+/// its user context, by the Section 3 library (`crate::agents`). Callers
 /// handle quiescing the target and stall accounting. One engine is one
 /// lineage: an extension serving many targets keeps one per target. A clone
 /// shares the storage handle and the encode pool.
@@ -308,6 +308,8 @@ impl KernelCkptEngineBuilder {
 
     /// Share an existing encode pool (e.g. one pool across all nodes of a
     /// cluster so its trace counters aggregate).
+    ///
+    /// Public for ckptbench (`benchmark/src/single.rs`).
     pub fn encode_pool(mut self, pool: std::sync::Arc<ckpt_par::Pool>) -> Self {
         self.engine.encode_pool = pool;
         self
@@ -369,14 +371,14 @@ impl KernelCkptEngine {
     /// This engine in a fork of its world: the same lineage (seqs,
     /// tracker, chain manifests) over the store `relink` maps its own to.
     /// The encode pool is an executor, not state: the fork shares it.
-    pub fn fork(&self, relink: &mut Relink) -> SimResult<Self> {
+    pub(crate) fn fork(&self, relink: &mut Relink) -> SimResult<Self> {
         Ok(KernelCkptEngine {
             storage: fork_storage(&self.storage, relink)?,
             ..self.clone()
         })
     }
 
-    pub fn mechanism_name(&self) -> &str {
+    pub(crate) fn mechanism_name(&self) -> &str {
         &self.opts.mechanism
     }
 
@@ -389,7 +391,7 @@ impl KernelCkptEngine {
         &self.lineage
     }
 
-    pub fn set_target(&mut self, pid: Pid) {
+    pub(crate) fn set_target(&mut self, pid: Pid) {
         self.lineage.id = Some(pid.0);
     }
 
@@ -534,10 +536,6 @@ impl Engines {
 
     pub(crate) fn get_mut(&mut self, pid: Pid) -> Option<&mut KernelCkptEngine> {
         self.by_pid.get_mut(&pid.0)
-    }
-
-    pub(crate) fn contains(&self, pid: Pid) -> bool {
-        self.by_pid.contains_key(&pid.0)
     }
 
     /// The targets with an engine, in pid order.
@@ -785,14 +783,14 @@ pub(crate) fn emit_phase_residual(
 /// Charge one user→kernel→user crossing that is *initiated from user space
 /// by a tool* (kill(1), ioctl on a device, writing /proc): the cost every
 /// user-initiated mechanism pays to ask the kernel for a checkpoint.
-pub fn charge_tool_syscall(k: &mut Kernel) {
+pub(crate) fn charge_tool_syscall(k: &mut Kernel) {
     k.stats.syscalls += 1;
     let t = k.cost.syscall_round_trip();
     k.charge(t);
 }
 
 /// Drive the kernel until `done(k)` or `limit_ns` of virtual time passes.
-pub fn run_until(
+pub(crate) fn run_until(
     k: &mut Kernel,
     limit_ns: u64,
     what: &str,
@@ -988,7 +986,7 @@ mod tests {
         }
         // One manifest per committed segment, in store order, all at the
         // configured quorum and fully acked.
-        let ms = e.lineage().manifests();
+        let ms = &e.lineage().manifests;
         assert_eq!(ms.len(), 3);
         assert!(ms.windows(2).all(|w| w[0].key < w[1].key));
         for m in ms {
@@ -1008,8 +1006,8 @@ mod tests {
         k.freeze_process(pid).unwrap();
         e.checkpoint_in_kernel(&mut k, pid).unwrap();
         k.thaw_process(pid).unwrap();
-        assert_eq!(e.lineage().manifests().len(), 1);
-        assert_eq!(e.lineage().manifests()[0].acked, vec![0, 1]);
+        assert_eq!(e.lineage().manifests.len(), 1);
+        assert_eq!(e.lineage().manifests[0].acked, vec![0, 1]);
     }
 
     #[test]
@@ -1038,7 +1036,7 @@ mod tests {
         }
         // One manifest per committed segment, carrying the coding
         // geometry: n = k + m shard nodes, shard write quorum w.
-        let ms = e.lineage().manifests();
+        let ms = &e.lineage().manifests;
         assert_eq!(ms.len(), 3);
         for m in ms {
             assert_eq!((m.n, m.w), (6, 5));

@@ -43,10 +43,10 @@ pub enum SyscallVariant {
 }
 
 /// The static-kernel extension registering the checkpoint syscalls.
-pub struct CkptSyscallModule {
+pub(crate) struct CkptSyscallModule {
     name: String,
     engines: Engines,
-    pub outcomes: Vec<(Pid, CkptOutcome)>,
+    pub(crate) outcomes: Vec<(Pid, CkptOutcome)>,
     slot_self: Option<u32>,
     slot_pid: Option<u32>,
 }
@@ -54,7 +54,7 @@ pub struct CkptSyscallModule {
 impl CkptSyscallModule {
     /// The extension named `name`; `template` is the never-run engine
     /// every target's lineage starts from.
-    pub fn new(name: &str, template: KernelCkptEngine) -> Self {
+    pub(crate) fn new(name: &str, template: KernelCkptEngine) -> Self {
         CkptSyscallModule {
             name: name.to_string(),
             engines: Engines::new(template),
@@ -64,11 +64,11 @@ impl CkptSyscallModule {
         }
     }
 
-    pub fn slot_self(&self) -> Option<u32> {
+    pub(crate) fn slot_self(&self) -> Option<u32> {
         self.slot_self
     }
 
-    pub fn slot_pid(&self) -> Option<u32> {
+    pub(crate) fn slot_pid(&self) -> Option<u32> {
         self.slot_pid
     }
 
@@ -144,8 +144,8 @@ impl KernelModule for CkptSyscallModule {
 
 /// The mechanism wrapper.
 pub struct SyscallMechanism {
-    pub module_name: String,
-    pub variant: SyscallVariant,
+    pub(crate) module_name: String,
+    pub(crate) variant: SyscallVariant,
     storage: SharedStorage,
     job: String,
     tracker: TrackerKind,

@@ -14,7 +14,7 @@
 //!   are recorded as hazards by the substrate.
 //! * [`Trigger::Timer`] — `SIGALRM` via `setitimer` (libckpt, Esky).
 //!
-//! Setting [`UserLevelMechanism::preload`] models the `LD_PRELOAD` scheme:
+//! Setting `UserLevelMechanism::preload` models the `LD_PRELOAD` scheme:
 //! no relink (transparent), mirrored fd/mmap tables instead of `/proc`
 //! parsing at checkpoint time — paid for with a per-syscall interposition
 //! tax for the whole run.
@@ -46,11 +46,11 @@ pub enum Trigger {
 
 /// The user-level mechanism.
 pub struct UserLevelMechanism {
-    pub agent_name: String,
-    pub trigger: Trigger,
+    pub(crate) agent_name: String,
+    pub(crate) trigger: Trigger,
     /// LD_PRELOAD interposition instead of relinking.
-    pub preload: bool,
-    pub tracker: TrackerKind,
+    pub(crate) preload: bool,
+    pub(crate) tracker: TrackerKind,
     storage: SharedStorage,
     job: String,
     target: Option<Pid>,

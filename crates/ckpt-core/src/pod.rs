@@ -42,12 +42,8 @@ impl Pod {
         }
     }
 
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Re-root a path into the pod's namespace.
-    pub fn translate_path(&self, path: &str) -> String {
+    pub(crate) fn translate_path(&self, path: &str) -> String {
         format!("/pods/{}{}", self.name, path)
     }
 

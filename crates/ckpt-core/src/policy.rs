@@ -36,33 +36,22 @@ pub fn expected_utilization(t_ns: u64, c_ns: u64, r_ns: u64, mtbf_ns: u64) -> f6
     (1.0 - overhead).max(0.0)
 }
 
-/// How checkpoints are initiated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Only explicit external requests.
-    UserInitiated,
-    /// Fixed-period timer.
-    Periodic { interval_ns: u64 },
-    /// Self-tuning: Young's interval from observed cost and failure rate.
-    Adaptive,
-}
-
 /// An adaptive interval policy: EWMA of observed checkpoint costs plus an
 /// online MTBF estimate from observed failures.
 #[derive(Debug, Clone)]
-pub struct AdaptivePolicy {
+pub(crate) struct AdaptivePolicy {
     /// Prior MTBF used until failures are observed.
-    pub mtbf_prior_ns: u64,
+    pub(crate) mtbf_prior_ns: u64,
     /// Clamp bounds for the produced interval.
-    pub min_interval_ns: u64,
-    pub max_interval_ns: u64,
+    pub(crate) min_interval_ns: u64,
+    pub(crate) max_interval_ns: u64,
     cost_ewma_ns: f64,
     failures: Vec<u64>,
     observation_start_ns: u64,
 }
 
 impl AdaptivePolicy {
-    pub fn new(mtbf_prior_ns: u64) -> Self {
+    pub(crate) fn new(mtbf_prior_ns: u64) -> Self {
         AdaptivePolicy {
             mtbf_prior_ns,
             min_interval_ns: 1_000_000,              // 1 ms
@@ -74,7 +63,7 @@ impl AdaptivePolicy {
     }
 
     /// Record the measured cost of a completed checkpoint.
-    pub fn note_checkpoint_cost(&mut self, cost_ns: u64) {
+    pub(crate) fn note_checkpoint_cost(&mut self, cost_ns: u64) {
         if self.cost_ewma_ns == 0.0 {
             self.cost_ewma_ns = cost_ns as f64;
         } else {
@@ -83,13 +72,13 @@ impl AdaptivePolicy {
     }
 
     /// Record an observed failure at virtual time `at_ns`.
-    pub fn note_failure(&mut self, at_ns: u64) {
+    pub(crate) fn note_failure(&mut self, at_ns: u64) {
         self.failures.push(at_ns);
     }
 
     /// Current MTBF estimate: observed failure spacing once ≥2 failures are
     /// seen, blended toward the prior before that.
-    pub fn mtbf_estimate(&self, now_ns: u64) -> u64 {
+    pub(crate) fn mtbf_estimate(&self, now_ns: u64) -> u64 {
         match self.failures.len() {
             0 => self.mtbf_prior_ns,
             1 => {
@@ -106,7 +95,7 @@ impl AdaptivePolicy {
     }
 
     /// The interval to use right now.
-    pub fn current_interval(&self, now_ns: u64) -> u64 {
+    pub(crate) fn current_interval(&self, now_ns: u64) -> u64 {
         let cost = if self.cost_ewma_ns > 0.0 {
             self.cost_ewma_ns as u64
         } else {

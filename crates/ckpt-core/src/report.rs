@@ -5,6 +5,8 @@
 use simos::stats::KernelStats;
 
 /// Result of one checkpoint operation.
+///
+/// ckptbench reads `memory_bytes` (`benchmark/src/single.rs`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CkptOutcome {
     /// Sequence number of the produced image.
@@ -19,7 +21,7 @@ pub struct CkptOutcome {
     /// trackers this is what a format exploiting that granularity would
     /// ship, and it is the size the paper's finer-granularity argument is
     /// about.
-    pub logical_dirty_bytes: u64,
+    pub(crate) logical_dirty_bytes: u64,
     /// Encoded image size actually written to stable storage.
     pub encoded_bytes: u64,
     /// Total virtual time from initiation to the image being durable.
@@ -32,17 +34,10 @@ pub struct CkptOutcome {
     pub events: KernelStats,
 }
 
-impl CkptOutcome {
-    /// Compression ratio achieved by the image encoding (1.0 = none).
-    pub fn compression_ratio(&self) -> f64 {
-        if self.encoded_bytes == 0 {
-            return 1.0;
-        }
-        self.memory_bytes as f64 / self.encoded_bytes as f64
-    }
-}
-
 /// Result of one restart operation.
+///
+/// ckptbench reads `pages_restored`, `total_ns` and `images_loaded`
+/// (`benchmark/src/single.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RestartOutcome {
     /// Pid the process resumed under.
@@ -57,26 +52,4 @@ pub struct RestartOutcome {
     pub images_loaded: u64,
     /// Work counter recorded in the image (progress preserved).
     pub work_done: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn compression_ratio_guards_division() {
-        let o = CkptOutcome {
-            seq: 1,
-            pages_saved: 2,
-            memory_bytes: 8192,
-            logical_dirty_bytes: 8192,
-            ..CkptOutcome::default()
-        };
-        assert_eq!(o.compression_ratio(), 1.0);
-        let o2 = CkptOutcome {
-            encoded_bytes: 4096,
-            ..o
-        };
-        assert_eq!(o2.compression_ratio(), 2.0);
-    }
 }

@@ -54,18 +54,9 @@ impl TrackerKind {
         }
     }
 
-    /// Tracking granularity in bytes (0 = whole address space).
-    pub fn granularity(self) -> u64 {
-        match self {
-            TrackerKind::FullOnly => 0,
-            TrackerKind::KernelPage | TrackerKind::UserPage => PAGE_SIZE,
-            TrackerKind::ProbBlock { block } => block,
-            TrackerKind::AdaptiveBlock { min_block, .. } => min_block,
-            TrackerKind::HardwareLine => CACHE_LINE,
-        }
-    }
-
     /// Whether this tracker can produce incremental checkpoints.
+    ///
+    /// Public for ckptbench (`benchmark/src/single.rs`).
     pub fn supports_incremental(self) -> bool {
         !matches!(self, TrackerKind::FullOnly)
     }
@@ -80,7 +71,7 @@ pub struct Collected {
     /// granularity-exploiting format would ship).
     pub logical_dirty_bytes: u64,
     /// True when the collection is the entire resident set (full ckpt).
-    pub full: bool,
+    pub(crate) full: bool,
 }
 
 /// A dirty-state tracker bound to one process.
@@ -126,6 +117,7 @@ impl Tracker {
         self.kind
     }
 
+    /// Public for ckptbench (`benchmark/src/single.rs`).
     pub fn is_armed(&self) -> bool {
         self.armed
     }
@@ -336,14 +328,6 @@ impl Tracker {
     }
 }
 
-// The adaptive tracker needs the last round's per-page change density;
-// stored outside the main struct fields above for clarity.
-impl Tracker {
-    pub fn page_block_sizes(&self) -> &BTreeMap<u64, u64> {
-        &self.page_block
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,7 +527,7 @@ mod tests {
         }
         // Dense sweeps rewrite whole pages: block sizes should have grown.
         let grown = t
-            .page_block_sizes()
+            .page_block
             .values()
             .filter(|b| **b > 64)
             .count();

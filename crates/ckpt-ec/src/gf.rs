@@ -37,13 +37,13 @@ const fn build_tables() -> ([u8; 256], [u8; 512]) {
 
 const TABLES: ([u8; 256], [u8; 512]) = build_tables();
 /// `LOG[a]` for `a != 0`; `LOG[0]` is unused (and 0).
-pub const LOG: [u8; 256] = TABLES.0;
+pub(crate) const LOG: [u8; 256] = TABLES.0;
 /// `EXP[i]` = generator^i, doubled so `LOG[a] + LOG[b]` indexes directly.
-pub const EXP: [u8; 512] = TABLES.1;
+pub(crate) const EXP: [u8; 512] = TABLES.1;
 
 /// Field multiply via the const tables.
 #[inline]
-pub fn mul(a: u8, b: u8) -> u8 {
+pub(crate) fn mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         0
     } else {
@@ -53,14 +53,14 @@ pub fn mul(a: u8, b: u8) -> u8 {
 
 /// Multiplicative inverse (`a != 0`).
 #[inline]
-pub fn inv(a: u8) -> u8 {
+pub(crate) fn inv(a: u8) -> u8 {
     assert!(a != 0, "zero has no inverse in GF(256)");
     EXP[255 - LOG[a as usize] as usize]
 }
 
 /// Exponentiation: `base^e` with the usual `0^0 = 1` convention.
 #[inline]
-pub fn pow(base: u8, e: usize) -> u8 {
+pub(crate) fn pow(base: u8, e: usize) -> u8 {
     if e == 0 {
         return 1;
     }
@@ -73,7 +73,8 @@ pub fn pow(base: u8, e: usize) -> u8 {
 /// Russian-peasant reference multiply: no tables, bit-by-bit carryless
 /// multiplication with polynomial reduction. Slow by design — the
 /// property tests check the const tables against it.
-pub fn mul_slow(mut a: u8, mut b: u8) -> u8 {
+#[cfg(test)]
+fn mul_slow(mut a: u8, mut b: u8) -> u8 {
     let mut r = 0u8;
     while b != 0 {
         if b & 1 != 0 {
@@ -92,7 +93,7 @@ pub fn mul_slow(mut a: u8, mut b: u8) -> u8 {
 /// `dst ^= src`, eight bytes at a time. This is the coefficient-1 fast
 /// path of the parity loop (and of single-shard XOR repair).
 #[inline]
-pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
+pub(crate) fn xor_slice(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len());
     let mut d = dst.chunks_exact_mut(8);
     let mut s = src.chunks_exact(8);
@@ -111,6 +112,8 @@ pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
 /// `c == 0` is a no-op, `c == 1` takes the word XOR, anything else runs
 /// through a 256-entry product row built once per call (one multiply per
 /// distinct source byte value, not per byte).
+///
+/// Public for ckptbench (`benchmark/src/replay.rs`).
 pub fn mul_acc_slice(c: u8, src: &[u8], dst: &mut [u8]) {
     assert_eq!(dst.len(), src.len());
     match c {

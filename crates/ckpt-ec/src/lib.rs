@@ -14,10 +14,10 @@
 //!
 //! * [`gf`] — GF(256) arithmetic: compile-time log/exp tables and the
 //!   word-at-a-time parity hot loop;
-//! * [`rs`] — [`RsCode`], systematic Vandermonde-derived encode matrix,
+//! * [`RsCode`] — systematic Vandermonde-derived encode matrix,
 //!   pool-parallel parity rows, Gauss-Jordan reconstruction from any
 //!   `k` intact shards;
-//! * [`store`] — [`ErasureStore`], the
+//! * [`ErasureStore`] — the
 //!   [`StableStorage`](ckpt_storage::StableStorage) backend: RS shard
 //!   frames committed through `ckpt-replica`'s
 //!   [`QuorumClient`](ckpt_replica::QuorumClient) (the same admission,
@@ -29,12 +29,17 @@
 //!   and [`EcStripedStore`], K independent coded shard groups behind
 //!   `ckpt-replica`'s generic [`Striped`](ckpt_replica::Striped) router
 //!   so the sharded control plane commits coded batches.
+//!
+//! The public API is the two stores, the code ([`RsCode`]) and the [`gf`]
+//! arithmetic module.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
+// `gf` and `RsCode` are public for ckptbench (`benchmark/src/replay.rs`).
 pub mod gf;
-pub mod rs;
-pub mod store;
+mod rs;
+mod store;
 
-pub use rs::{NotEnoughShards, RsCode};
-pub use store::{EcStats, EcStripedStore, ErasureStore};
+pub use rs::RsCode;
+pub use store::{EcStripedStore, ErasureStore};

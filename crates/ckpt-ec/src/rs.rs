@@ -23,10 +23,13 @@ use ckpt_par::Pool;
 use std::sync::Arc;
 
 /// Maximum total shards: evaluation points must be distinct in GF(256).
-pub const MAX_SHARDS: usize = 255;
+pub(crate) const MAX_SHARDS: usize = 255;
 
 /// A `(k, m)` systematic Reed-Solomon code: `k` data shards, `m` parity
 /// shards, any `m` losses survivable.
+///
+/// Public for ckptbench, which times `encode` and `reconstruct`
+/// (`benchmark/src/replay.rs`).
 #[derive(Debug, Clone)]
 pub struct RsCode {
     k: usize,
@@ -36,10 +39,12 @@ pub struct RsCode {
 }
 
 /// Reconstruction was impossible: fewer than `k` shards survived.
+///
+/// Public because [`RsCode::reconstruct`] returns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NotEnoughShards {
-    pub intact: usize,
-    pub needed: usize,
+    pub(crate) intact: usize,
+    pub(crate) needed: usize,
 }
 
 impl std::fmt::Display for NotEnoughShards {
@@ -142,17 +147,17 @@ impl RsCode {
         RsCode { k, m, rows }
     }
 
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
-    pub fn m(&self) -> usize {
+    pub(crate) fn m(&self) -> usize {
         self.m
     }
 
     /// Shard length for an object of `len` bytes: `ceil(len / k)`, with a
     /// one-byte floor so zero-length objects still commit frames.
-    pub fn shard_len(&self, len: usize) -> usize {
+    pub(crate) fn shard_len(&self, len: usize) -> usize {
         (len.div_ceil(self.k)).max(1)
     }
 
@@ -160,7 +165,7 @@ impl RsCode {
     /// shard `i` is `object[i·sl .. (i+1)·sl]` clipped to the object, so
     /// the tail shards of a short object are short or empty. Their
     /// zero-padded forms are what [`RsCode::split`] returns.
-    pub fn data_slices<'a>(&self, object: &'a [u8]) -> Vec<&'a [u8]> {
+    pub(crate) fn data_slices<'a>(&self, object: &'a [u8]) -> Vec<&'a [u8]> {
         let sl = self.shard_len(object.len());
         (0..self.k)
             .map(|i| &object[(i * sl).min(object.len())..((i + 1) * sl).min(object.len())])
@@ -184,7 +189,7 @@ impl RsCode {
     /// into the zeroed `out`, from the `k` data shards — each at most
     /// `out.len()` long, shorter ones standing for their zero-padded
     /// selves.
-    pub fn shard_into(&self, i: usize, data: &[&[u8]], out: &mut [u8]) {
+    pub(crate) fn shard_into(&self, i: usize, data: &[&[u8]], out: &mut [u8]) {
         assert_eq!(data.len(), self.k);
         row_apply(&self.rows[i], data, out);
     }
@@ -214,7 +219,7 @@ impl RsCode {
     /// the rows are independent and fan out on `pool`.
     ///
     /// `shards` has `k + m` slots; `None` marks a lost/torn shard.
-    pub fn rebuild_missing(
+    pub(crate) fn rebuild_missing(
         &self,
         shards: &[Option<&[u8]>],
         want_parity: impl Fn(usize) -> bool,
@@ -300,7 +305,7 @@ impl RsCode {
 
     /// [`RsCode::join`] over borrowed data shards: the one copy a read
     /// makes of the object's bytes.
-    pub fn join_slices(&self, data: &[&[u8]], object_len: usize) -> Vec<u8> {
+    pub(crate) fn join_slices(&self, data: &[&[u8]], object_len: usize) -> Vec<u8> {
         let total: usize = data.iter().map(|s| s.len()).sum();
         let mut out = Vec::with_capacity(object_len.min(total));
         for s in data {

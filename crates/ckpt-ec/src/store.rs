@@ -62,7 +62,6 @@ use ckpt_storage::{
 };
 use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
-use simos::trace::TraceHandle;
 use simos::types::SimResult;
 use simos::Relink;
 
@@ -118,12 +117,15 @@ fn parse_shard(frame: &[u8], k: usize, m: usize) -> Option<(usize, u64, u64, &[u
 
 /// Plain counters mirroring the `erasure.*` trace counters this store
 /// emits, readable without a recording trace handle.
+///
+/// ckptbench reads `commits`, `shard_losses`, `quorum_losses` and
+/// `ack_cycles` (`benchmark/src/metrics.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EcStats {
     /// Objects committed (shard batches that reached write quorum).
     pub commits: u64,
     /// Per-node transient faults absorbed by backoff-retry.
-    pub retries: u64,
+    pub(crate) retries: u64,
     /// Reads that needed a matrix-inversion decode.
     pub decodes: u64,
     /// Lost/torn/stale shards rebuilt in place during reads.
@@ -193,27 +195,9 @@ impl ErasureStore {
         self
     }
 
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.core.set_trace(trace);
-        self
-    }
-
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
         self.core.set_pool(pool);
         self
-    }
-
-    pub fn k(&self) -> usize {
-        self.code.k()
-    }
-
-    pub fn m(&self) -> usize {
-        self.code.m()
-    }
-
-    /// Shard write quorum `k + ⌈m/2⌉`.
-    pub fn write_quorum(&self) -> usize {
-        self.core.write_quorum()
     }
 
     pub fn replica_set(&self) -> Arc<ReplicaSet> {

@@ -66,7 +66,7 @@ impl std::fmt::Display for ChainError {
 impl std::error::Error for ChainError {}
 
 /// Validate a chain's lineage without reconstructing.
-pub fn validate(chain: &[CheckpointImage]) -> Result<(), ChainError> {
+pub(crate) fn validate(chain: &[CheckpointImage]) -> Result<(), ChainError> {
     let first = chain.first().ok_or(ChainError::Empty)?;
     if first.header.kind != ImageKind::Full {
         return Err(ChainError::FirstNotFull);

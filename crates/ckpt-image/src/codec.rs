@@ -129,10 +129,10 @@ pub fn encode(img: &CheckpointImage) -> Vec<u8> {
 
 /// [`encode`] on `pool`, byte-identical at every width. The head and the
 /// tail (everything after the page records) are written on the caller; the
-/// page records are written in runs ([`crate::parallel`]), each into its
+/// page records are written in runs (`crate::parallel`), each into its
 /// own slice of the one output buffer, and each run is CRC'd by its worker
 /// right after it is written. The run CRCs fold in order with
-/// [`crc32_combine`]. A width-1 pool runs [`encode`] itself.
+/// `crc32_combine`. A width-1 pool runs [`encode`] itself.
 pub fn encode_with_pool(img: &CheckpointImage, pool: &ckpt_par::Pool) -> Vec<u8> {
     if pool.workers() == 1 {
         return encode(img);
@@ -324,7 +324,7 @@ pub fn decode(buf: &[u8]) -> Result<CheckpointImage, DecodeError> {
 /// Parse and validate an image from bytes, CRC'ing its body on `pool`;
 /// the result is the same at every width. The body is CRC'd in runs of
 /// [`ckpt_par::PAR_MIN_BYTES`], each on a worker, and the run CRCs fold in
-/// order with [`crc32_combine`] (from 0, the CRC of no bytes), at width 1
+/// order with `crc32_combine` (from 0, the CRC of no bytes), at width 1
 /// on the caller alone. Parsing runs on the caller once the CRC has
 /// matched.
 pub fn decode_with_pool(buf: &[u8], pool: &ckpt_par::Pool) -> Result<CheckpointImage, DecodeError> {

@@ -25,7 +25,7 @@ pub enum PageEncoding {
 }
 
 impl PageEncoding {
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             PageEncoding::Raw => 0,
             PageEncoding::Rle => 1,
@@ -33,7 +33,7 @@ impl PageEncoding {
         }
     }
 
-    pub fn from_tag(t: u8) -> Option<Self> {
+    pub(crate) fn from_tag(t: u8) -> Option<Self> {
         match t {
             0 => Some(PageEncoding::Raw),
             1 => Some(PageEncoding::Rle),
@@ -47,7 +47,7 @@ impl PageEncoding {
 /// buffer across pages means each worker grows it once to steady state
 /// instead of re-growing a fresh `Vec` for every page it encodes.
 #[derive(Debug, Default)]
-pub struct EncodeScratch {
+pub(crate) struct EncodeScratch {
     rle: Vec<u8>,
 }
 
@@ -159,7 +159,7 @@ pub fn encode_page(data: &[u8]) -> (PageEncoding, Vec<u8>) {
 /// [`encode_page`] with caller-provided scratch space. The RLE pass writes
 /// into the scratch buffer; only a successful encoding is copied out, as an
 /// exact-size allocation.
-pub fn encode_page_with(data: &[u8], scratch: &mut EncodeScratch) -> (PageEncoding, Vec<u8>) {
+pub(crate) fn encode_page_with(data: &[u8], scratch: &mut EncodeScratch) -> (PageEncoding, Vec<u8>) {
     compressed(data, scratch).unwrap_or_else(|| (PageEncoding::Raw, data.to_vec()))
 }
 

@@ -49,6 +49,8 @@ static CRC64: Crc = Crc::new(POLY64, 64);
 /// One-shot CRC-32 of a buffer: folded by carry-less multiplication from
 /// 64 bytes on where the CPU has PCLMULQDQ and SSE4.1, slicing-by-8
 /// otherwise and for the bytes after the last 16-byte block.
+///
+/// Public for ckptbench (`benchmark/src/replay.rs`).
 pub fn crc32(data: &[u8]) -> u32 {
     CRC32.checksum(data) as u32
 }
@@ -292,7 +294,7 @@ fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
 /// with `crc2`. The pre/post conditioning of the two inputs cancels
 /// exactly, so the result is bit-identical to hashing the concatenated
 /// buffer in one pass.
-pub fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
+pub(crate) fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
     multmodp(x2nmodp(len2, 3), crc1) ^ crc2
 }
 

@@ -20,9 +20,9 @@ use simos::signal::{Sig, SigAction, SignalState, UserHandlerKind};
 use simos::sched::SchedPolicy;
 
 /// Magic number at the start of every image ("CKPTIMG1").
-pub const IMAGE_MAGIC: u64 = 0x434B_5054_494D_4731;
+pub(crate) const IMAGE_MAGIC: u64 = 0x434B_5054_494D_4731;
 /// Current format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Full or incremental.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,15 +61,6 @@ impl From<&Regs> for RegsRecord {
         RegsRecord {
             pc: r.pc,
             gpr: r.gpr,
-        }
-    }
-}
-
-impl RegsRecord {
-    pub fn to_regs(&self) -> Regs {
-        Regs {
-            pc: self.pc,
-            gpr: self.gpr,
         }
     }
 }
@@ -465,7 +456,7 @@ mod tests {
         };
         r.gpr[3] = 77;
         let rec = RegsRecord::from(&r);
-        assert_eq!(rec.to_regs(), r);
+        assert_eq!((rec.pc, rec.gpr), (r.pc, r.gpr));
     }
 
     #[test]

@@ -49,8 +49,12 @@
 //! successful steals, and merge stalls (results that completed before an
 //! earlier-submitted item and had to be parked). These feed the
 //! `TraceReport` parallel-encode counters.
+//!
+//! The public API: [`Pool`] (with [`SizedCall`] from [`Pool::for_bytes`]),
+//! [`PoolStats`], [`PAR_MIN_BYTES`] and the process-wide [`global`] pool.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -13,16 +13,16 @@ use std::fmt;
 /// The retry schedule: `min(ceiling, base * 2^attempt)` with equal jitter
 /// (half fixed, half uniformly random), for at most `max_retries` retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
+pub(crate) struct BackoffPolicy {
     /// First-retry delay before jitter, in virtual ns.
-    pub base_ns: u64,
+    pub(crate) base_ns: u64,
     /// Hard cap on the un-jittered delay, in virtual ns.
-    pub ceiling_ns: u64,
+    pub(crate) ceiling_ns: u64,
     /// How many retries are attempted before giving up.
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
     /// Seed for the jitter stream. The same seed always yields the same
     /// schedule — replication stays deterministic under fault injection.
-    pub jitter_seed: u64,
+    pub(crate) jitter_seed: u64,
 }
 
 impl Default for BackoffPolicy {
@@ -39,8 +39,8 @@ impl Default for BackoffPolicy {
 /// The retry budget ran out: the replica kept failing transiently for
 /// `attempts` consecutive tries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetriesExhausted {
-    pub attempts: u32,
+pub(crate) struct RetriesExhausted {
+    pub(crate) attempts: u32,
 }
 
 impl fmt::Display for RetriesExhausted {
@@ -54,7 +54,7 @@ impl std::error::Error for RetriesExhausted {}
 /// One operation's backoff state. Create a fresh one per (op, replica) so
 /// the jitter stream is a pure function of the policy seed and the salt.
 #[derive(Debug, Clone)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     policy: BackoffPolicy,
     attempt: u32,
     rng: u64,
@@ -68,7 +68,7 @@ impl Backoff {
     /// `salt` distinguishes streams that share a policy (e.g. replica index
     /// hashed with the object key), keeping concurrent retries decorrelated
     /// but still fully deterministic.
-    pub fn new(policy: BackoffPolicy, salt: u64) -> Self {
+    pub(crate) fn new(policy: BackoffPolicy, salt: u64) -> Self {
         Backoff {
             policy,
             attempt: 0,
@@ -79,7 +79,7 @@ impl Backoff {
     /// The next delay to wait before retrying, or the typed exhaustion
     /// error once the budget is spent. Never sleeps — the caller charges
     /// the returned virtual nanoseconds.
-    pub fn next_delay_ns(&mut self) -> Result<u64, RetriesExhausted> {
+    pub(crate) fn next_delay_ns(&mut self) -> Result<u64, RetriesExhausted> {
         if self.attempt >= self.policy.max_retries {
             return Err(RetriesExhausted {
                 attempts: self.attempt,
@@ -101,11 +101,6 @@ impl Backoff {
             draw % (half + 1)
         };
         Ok(half + jitter)
-    }
-
-    /// Retries consumed so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
     }
 }
 

@@ -10,32 +10,38 @@
 //! [`QuorumLost`](ckpt_storage::StorageError::QuorumLost) refusal — never
 //! a guess — once more than `N − w` replicas are lost.
 //!
-//! * [`backoff`] — jittered exponential retry schedules over virtual time;
-//! * [`node`] — the simulated replica nodes and their versioned,
-//!   digest-protected frames;
-//! * [`quorum`] — [`QuorumClient`], the commit protocol itself
+//! * retry — jittered exponential retry schedules over virtual time;
+//! * replica nodes — the simulated nodes ([`ReplicaNode`], [`ReplicaSet`])
+//!   and their versioned, digest-protected frames;
+//! * [`QuorumClient`] — the commit protocol itself
 //!   (admission → snapshot → fan-out → count → rollback-or-manifest),
 //!   written once for every tier that stores bytes on a [`ReplicaSet`]
 //!   (`ckpt-ec` builds its coded store on it too);
-//! * [`store`] — [`ReplicatedStore`], the
+//! * [`ReplicatedStore`] — the
 //!   [`StableStorage`](ckpt_storage::StableStorage) backend: full-copy
 //!   payloads over that protocol plus the quorum read with read-repair;
-//! * [`stripe`] — [`Striped`], K independent quorum sets of any member
-//!   tier behind one facade so commits to different key lineages overlap
-//!   in virtual time ([`StripedStore`] is the replicated instance).
+//! * [`Striped`] — K independent quorum sets of any member tier behind one
+//!   facade so commits to different key lineages overlap in virtual time
+//!   ([`StripedStore`] is the replicated instance).
+//!
+//! The public API is the re-export list below: the two stores and their
+//! configuration, the striping router and its member trait, and the quorum
+//! client with the node and frame types `ckpt-ec` builds on.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod backoff;
-pub mod node;
-pub mod quorum;
-pub mod store;
-pub mod stripe;
+mod backoff;
+mod node;
+mod quorum;
+mod store;
+mod stripe;
 
-pub use backoff::{Backoff, BackoffPolicy, RetriesExhausted};
-// No content digest here uses FNV-1a; ckptbench times it through this path.
+/// No content digest uses FNV-1a since the CRC-64 digest replaced it; kept
+/// only for ckptbench's replay (`benchmark/src/replay.rs`), which times it
+/// through this path.
 pub use ckpt_storage::fnv1a64;
-pub use node::{Admission, Frame, Probe, ReplicaNode, ReplicaSet};
-pub use quorum::{Admissions, CommitObject, QuorumClient, QuorumStats, WireFrame};
-pub use store::{ReplStats, ReplicaConfig, ReplicatedStore};
+pub use node::{Frame, Probe, ReplicaNode, ReplicaSet};
+pub use quorum::{CommitObject, QuorumClient, WireFrame};
+pub use store::{ReplicaConfig, ReplicatedStore};
 pub use stripe::{stripe_route, StripeMember, Striped, StripedReplicaSet, StripedStore};

@@ -63,7 +63,7 @@ impl Frame {
 
 /// Whether a replica will accept the next operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
+pub(crate) enum Admission {
     Ok,
     /// One queued transient fault was consumed; retrying may succeed.
     Transient,
@@ -200,7 +200,7 @@ impl ReplicaNode {
     /// Admit (or refuse) one operation. Call this sequentially, in replica
     /// order, on the planning thread — it consumes queued transients, so
     /// admission order is part of the deterministic schedule.
-    pub fn admit(&self) -> Admission {
+    pub(crate) fn admit(&self) -> Admission {
         let mut s = self.state.lock();
         if s.down {
             Admission::Down
@@ -316,18 +316,6 @@ impl ReplicaNode {
         self.state.lock().frames.remove(key);
     }
 
-    /// Remove the frame under `key` only if it is still at `version` —
-    /// the rollback a failed quorum write issues to its partial acks.
-    ///
-    /// The dropped frame's bytes (full or torn prefix) come back out of
-    /// `bytes_ingested`: the counter reports *committed* traffic, and a
-    /// rolled-back write never committed. Without this, a torn frame from
-    /// a failed quorum commit would inflate the C12/C16 traffic tables
-    /// with attempted bytes.
-    pub fn drop_if_version(&self, key: &str, version: u64) {
-        self.state.lock().uncommit(key, version);
-    }
-
     /// The raw frame under every key in `keys`, in order, under one lock
     /// — or `None` while the node is down. What a quorum commit reads
     /// before it writes: the versions it must climb above, and the
@@ -350,13 +338,17 @@ impl ReplicaNode {
     }
 
     /// Roll a failed quorum write back: if the frame under `key` is still
-    /// at `version` (full or torn), remove it — uncommitting its bytes
-    /// exactly like [`ReplicaNode::drop_if_version`] — and reinstate
-    /// `prior`, the frame this node held before the failed write fanned
-    /// out. The reinstated payload is *not* re-counted into
-    /// `bytes_ingested`: it was charged when the prior frame originally
-    /// committed and never logically left the medium.
-    pub fn rollback_to(&self, key: &str, version: u64, prior: Option<Frame>) {
+    /// at `version` (full or torn), remove it and reinstate `prior`, the
+    /// frame this node held before the failed write fanned out.
+    ///
+    /// The dropped frame's bytes (full or torn prefix) come back out of
+    /// `bytes_ingested`: the counter reports *committed* traffic, and a
+    /// rolled-back write never committed. Without this, a torn frame from
+    /// a failed quorum commit would inflate the C12/C16 traffic tables
+    /// with attempted bytes. The reinstated payload is *not* re-counted:
+    /// it was charged when the prior frame originally committed and never
+    /// logically left the medium.
+    pub(crate) fn rollback_to(&self, key: &str, version: u64, prior: Option<Frame>) {
         let mut s = self.state.lock();
         if s.uncommit(key, version) {
             if let Some(frame) = prior {
@@ -399,13 +391,13 @@ impl ReplicaNode {
     /// Payload bytes this replica has accepted for *committed* writes
     /// (torn writes count only what landed). Unlike [`used_bytes`], this
     /// is commit traffic, not occupancy: deletes and rewrites don't shrink
-    /// it. The one thing that does is [`drop_if_version`] — the rollback
+    /// it. The one thing that does is [`rollback_to`] — the rollback
     /// of a failed quorum commit retracts the attempt's bytes, so the
     /// counter reports what committed, not what was attempted.
     ///
     /// [`used_bytes`]: ReplicaNode::used_bytes
-    /// [`drop_if_version`]: ReplicaNode::drop_if_version
-    pub fn bytes_ingested(&self) -> u64 {
+    /// [`rollback_to`]: ReplicaNode::rollback_to
+    pub(crate) fn bytes_ingested(&self) -> u64 {
         self.state.lock().bytes_ingested
     }
 
@@ -454,7 +446,7 @@ impl ReplicaSet {
 
     /// The fork's copy of `set`: every client of one set in the original
     /// reaches one copy of it, node for node, in the fork.
-    pub fn fork(set: &Arc<ReplicaSet>, relink: &mut Relink) -> SimResult<Arc<ReplicaSet>> {
+    pub(crate) fn fork(set: &Arc<ReplicaSet>, relink: &mut Relink) -> SimResult<Arc<ReplicaSet>> {
         relink.shared(set, |s, relink| {
             let nodes = s
                 .nodes
@@ -469,6 +461,7 @@ impl ReplicaSet {
         self.nodes.len()
     }
 
+    /// `len`'s pair (a public `len` wants an `is_empty`).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
@@ -487,12 +480,12 @@ impl ReplicaSet {
     }
 
     /// How many replicas are currently reachable.
-    pub fn reachable(&self) -> usize {
+    pub(crate) fn reachable(&self) -> usize {
         self.nodes.iter().filter(|n| !n.is_down()).count()
     }
 
     /// Total commit traffic the whole group has accepted (sum of every
-    /// node's [`ReplicaNode::bytes_ingested`]).
+    /// node's `ReplicaNode::bytes_ingested`).
     pub fn bytes_ingested(&self) -> u64 {
         self.nodes.iter().map(|n| n.bytes_ingested()).sum()
     }
@@ -564,13 +557,13 @@ mod tests {
         b.put_torn("k", 5, &[1u8; 100], 40);
         assert_eq!(set.bytes_ingested(), 140);
         // The failed commit rolls both back: attempted bytes come out.
-        a.drop_if_version("k", 5);
-        b.drop_if_version("k", 5);
+        a.rollback_to("k", 5, None);
+        b.rollback_to("k", 5, None);
         assert_eq!(set.bytes_ingested(), 0, "rolled-back bytes must not count as traffic");
         // A later committed write at a different version is untouched by a
         // stale rollback.
         a.put("k", 6, &[2u8; 30]);
-        a.drop_if_version("k", 5);
+        a.rollback_to("k", 5, None);
         assert_eq!(a.bytes_ingested(), 30);
     }
 

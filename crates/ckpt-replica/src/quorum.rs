@@ -143,7 +143,7 @@ pub struct WireFrame {
 impl WireFrame {
     /// A single object sent bare under its own key: site op `store`, the
     /// un-framed payload length, and a tear anywhere leaves a prefix.
-    pub fn bare(key: &str, len: u64) -> Self {
+    pub(crate) fn bare(key: &str, len: u64) -> Self {
         WireFrame {
             op: "store",
             id: key.to_string(),
@@ -220,7 +220,7 @@ type NodeCopies<'a> = (usize, Vec<(usize, &'a [u8], u64)>);
 impl QuorumClient {
     /// A client of `set` committing at write quorum `w`. Fault injection
     /// defaults to off, tracing to the no-op sink, the pool to the global
-    /// one; transients are retried on the one [`BackoffPolicy::default`]
+    /// one; transients are retried on the one `BackoffPolicy::default`
     /// schedule.
     pub fn new(
         set: Arc<ReplicaSet>,
@@ -277,7 +277,7 @@ impl QuorumClient {
         self.faults = faults;
     }
 
-    pub fn set_trace(&mut self, trace: TraceHandle) {
+    pub(crate) fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
     }
 
@@ -285,7 +285,7 @@ impl QuorumClient {
         self.pool = pool;
     }
 
-    pub fn set_site_prefix(&mut self, prefix: String) {
+    pub(crate) fn set_site_prefix(&mut self, prefix: String) {
         self.site_prefix = prefix;
     }
 
@@ -322,7 +322,7 @@ impl QuorumClient {
     /// Account `(commits, retries, quorum_losses)` deltas: the counters,
     /// and the tier's labelled trace counters. The read paths report their
     /// typed refusals through this too.
-    pub fn record(&self, commits: u64, retries: u64, quorum_losses: u64) {
+    pub(crate) fn record(&self, commits: u64, retries: u64, quorum_losses: u64) {
         self.stats.commits.fetch_add(commits, Ordering::Relaxed);
         self.stats.retries.fetch_add(retries, Ordering::Relaxed);
         self.stats
@@ -650,7 +650,7 @@ impl QuorumClient {
     /// unrelated newer commit is never clobbered), and so does the
     /// manifest. A striped pool uses this to make a multi-stripe batch
     /// all-or-nothing when a *later* stripe refuses quorum.
-    pub fn retract_commit(&mut self, key: &str) {
+    pub(crate) fn retract_commit(&mut self, key: &str) {
         let Some(m) = self.manifests.remove(key) else {
             return;
         };

@@ -53,8 +53,8 @@ use crate::stripe::StripeMember;
 /// Quorum configuration: N replicas, write quorum w with `N/2 < w <= N`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaConfig {
-    pub n: usize,
-    pub w: usize,
+    pub(crate) n: usize,
+    pub(crate) w: usize,
 }
 
 impl ReplicaConfig {
@@ -67,15 +67,13 @@ impl ReplicaConfig {
         assert!(w > n / 2, "write quorum {w} must be a majority of {n}");
         ReplicaConfig { n, w }
     }
-
-    /// Replicas the protocol tolerates losing while still answering.
-    pub fn tolerated_losses(&self) -> usize {
-        self.n - self.w
-    }
 }
 
 /// Plain counters mirroring the `replication.*` trace counters this store
 /// emits, readable without a recording trace handle.
+///
+/// ckptbench reads `quorum_losses` and `ack_cycles`
+/// (`benchmark/src/metrics.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplStats {
     pub commits: u64,
@@ -726,6 +724,6 @@ mod tests {
         assert!(std::panic::catch_unwind(|| ReplicaConfig::new(4, 2)).is_err());
         assert!(std::panic::catch_unwind(|| ReplicaConfig::new(3, 4)).is_err());
         let c = ReplicaConfig::new(5, 3);
-        assert_eq!(c.tolerated_losses(), 2);
+        assert_eq!((c.n, c.w), (5, 3));
     }
 }

@@ -40,7 +40,6 @@ use ckpt_storage::{
 };
 use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
-use simos::trace::TraceHandle;
 use simos::types::SimResult;
 use simos::Relink;
 
@@ -78,7 +77,7 @@ impl StripedReplicaSet {
 
     /// The fork's copy of `set`, each stripe through `relink` so the
     /// member stores' sets are the pool's in the fork too.
-    pub fn fork(
+    pub(crate) fn fork(
         set: &Arc<StripedReplicaSet>,
         relink: &mut Relink,
     ) -> SimResult<Arc<StripedReplicaSet>> {
@@ -168,13 +167,6 @@ impl<S: StripeMember> Striped<S> {
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
         for s in &mut self.stores {
             s.quorum_mut().set_faults(faults.clone());
-        }
-        self
-    }
-
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        for s in &mut self.stores {
-            s.quorum_mut().set_trace(trace.clone());
         }
         self
     }

@@ -60,7 +60,7 @@ impl StorageClass {
 
     /// Volatile media lose their *contents* when power is cut (power-down,
     /// or the power loss implied by a fail-stop of the owning node).
-    pub fn is_volatile(self) -> bool {
+    pub(crate) fn is_volatile(self) -> bool {
         !self.survives_power_down()
     }
 
@@ -80,7 +80,7 @@ impl StorageClass {
     /// class: RAM and NVRAM stream at memory-bus rates (NVRAM at half DRAM
     /// bandwidth for the battery-backed path), disk and swap pay one seek,
     /// remote pays one network latency.
-    pub fn transfer_ns(self, len: usize, cost: &CostModel) -> u64 {
+    pub(crate) fn transfer_ns(self, len: usize, cost: &CostModel) -> u64 {
         let bytes = len as f64;
         match self {
             StorageClass::Ram => (bytes * cost.ram_store_ns_per_byte).round() as u64,

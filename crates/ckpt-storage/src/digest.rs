@@ -3,7 +3,7 @@
 //! * [`digest64`] — the content digest: replica and shard frame digests
 //!   (torn-write detection), chunk addresses, manifest checksums and object
 //!   digests in the dedup layer, and the tracker's block comparator. It is
-//!   CRC-64/XZ ([`ckpt_image::crc::crc64`]): the image CRC's carry-less
+//!   CRC-64/XZ ([`ckpt_image::crc64`]): the image CRC's carry-less
 //!   fold over the reflected ECMA-182 polynomial, at memory speed on a CPU
 //!   with PCLMULQDQ and by slicing-by-8 elsewhere. A CRC-64 detects every
 //!   burst error of up to 64 bits.
@@ -15,7 +15,7 @@
 //! Neither is cryptographic — the threat model is accidental corruption
 //! inside one trusted store.
 
-pub use ckpt_image::crc::crc64 as digest64;
+pub use ckpt_image::crc64 as digest64;
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -94,8 +94,6 @@ pub struct ChainLoad {
     pub load_ns: u64,
     /// Keys listed under the lineage's prefix, whatever their seq.
     pub keys_listed: u64,
-    /// Objects actually loaded from the medium.
-    pub images_loaded: u64,
     /// Objects that had to be discarded (torn/corrupt encodings, broken
     /// lineage) before a restartable chain was found. Zero on the clean
     /// path, and always under [`ChainPolicy::Strict`].
@@ -143,7 +141,6 @@ pub fn load_chain(
         return Err(ImageStoreError::Storage(StorageError::NotFound(cut)));
     }
     let mut total_t = 0u64;
-    let mut loaded = 0u64;
     let mut skipped = 0u64;
     // Newest-first walk of the current chain candidate; discarded wholesale
     // when an object in it proves unusable.
@@ -167,7 +164,6 @@ pub fn load_chain(
             Err(e) => Err(e.into()),
             Ok((bytes, t)) => {
                 total_t += t;
-                loaded += 1;
                 decode_with_pool(&bytes, pool).map_err(ImageStoreError::from)
             }
         };
@@ -193,7 +189,6 @@ pub fn load_chain(
                     image,
                     load_ns: total_t,
                     keys_listed,
-                    images_loaded: loaded,
                     images_skipped: skipped,
                 })
             }
@@ -264,6 +259,9 @@ pub fn prune_superseded(
 /// which is rejected with [`ChainError::PruneWouldOrphan`] and deletes
 /// nothing. The guard loads and decodes the oldest kept image; then this
 /// is [`prune_superseded`].
+///
+/// Public for `tests/chain_properties.rs` and ckptbench
+/// (`benchmark/src/single.rs`); nothing in the crates calls it.
 pub fn prune_before(
     storage: &mut dyn StableStorage,
     job: &str,
@@ -443,7 +441,6 @@ mod tests {
         let r = resilient(&disk, &c).unwrap();
         assert_eq!(r.image, plain);
         assert_eq!(r.load_ns, t_plain, "clean path must charge identically");
-        assert_eq!(r.images_loaded, 2);
         assert_eq!(r.images_skipped, 0);
     }
 

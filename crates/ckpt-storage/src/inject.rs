@@ -1,12 +1,15 @@
 //! A fault-injecting decorator over any [`StableStorage`] backend.
 //!
 //! [`FaultInjectStore`] wraps a real medium and consults a shared
-//! [`FaultHandle`] at every store and load — `store` and `store_digested`,
-//! `load` and `load_verified`, each forwarded to its own counterpart so a
-//! digest the wrapped stack hands up or down crosses the decorator —
-//! exposing the byte-level sites the crash matrix arms:
+//! [`FaultHandle`] at every store and load — `store`, `store_digested` and
+//! `store_batch`, `load` and `load_verified`, each forwarded to its own
+//! counterpart so a digest the wrapped stack hands up or down crosses the
+//! decorator, and a batch reaches the stack as one batch (a quorum stack
+//! keeps its group commit) — exposing the byte-level sites the crash
+//! matrix arms:
 //!
-//! * `storage/<label>/store@<n>` — the n-th store on the medium. A
+//! * `storage/<label>/store@<n>` — the n-th store on the medium; each
+//!   object of a batch is one store, admitted in batch order. A
 //!   [`Fault::TornWrite`] here persists only the first `keep_bytes` of the
 //!   payload and then kills the node (the write was cut short by the
 //!   crash); fail-stop kills the node before any byte lands; transient
@@ -19,7 +22,9 @@
 //! adds one relaxed atomic load and then forwards — modelled costs and
 //! stored bytes are untouched, so golden outputs cannot move.
 
-use crate::backend::{ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt};
+use crate::backend::{
+    BatchReceipt, ReplicaManifest, StableStorage, StorageClass, StorageError, StoreReceipt,
+};
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
 use simos::types::SimResult;
@@ -112,6 +117,19 @@ impl StableStorage for FaultInjectStore {
     ) -> Result<StoreReceipt, StorageError> {
         self.admit_store(key, data, cost)?;
         self.inner.store_digested(key, data, digest, cost)
+    }
+    /// Every object is admitted at its own `store` site first; a refused
+    /// one fails the batch and nothing of it is forwarded (beyond the torn
+    /// prefix a torn write persists).
+    fn store_batch(
+        &mut self,
+        objects: &[(&str, &[u8])],
+        cost: &CostModel,
+    ) -> Result<BatchReceipt, StorageError> {
+        for (key, data) in objects {
+            self.admit_store(key, data, cost)?;
+        }
+        self.inner.store_batch(objects, cost)
     }
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
         self.admit_load()?;

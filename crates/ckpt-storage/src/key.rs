@@ -23,8 +23,8 @@ use std::str::FromStr;
 /// order by sequence.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ImageKey {
-    pub job: String,
-    pub pid: u32,
+    pub(crate) job: String,
+    pub(crate) pid: u32,
     pub seq: u64,
 }
 
@@ -35,6 +35,8 @@ impl ImageKey {
 
     /// The key prefix shared by every image of this `(job, pid)` lineage;
     /// `key.starts_with(&lineage_prefix(..))` selects one chain.
+    ///
+    /// Public for ckptbench (`benchmark/src/single.rs`).
     pub fn lineage_prefix(job: &str, pid: u32) -> String {
         format!("{job}/pid{pid}/")
     }
@@ -54,8 +56,8 @@ impl fmt::Display for ImageKey {
 /// Why a string failed to parse as an [`ImageKey`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseKeyError {
-    pub key: String,
-    pub what: &'static str,
+    pub(crate) key: String,
+    pub(crate) what: &'static str,
 }
 
 impl fmt::Display for ParseKeyError {
@@ -109,10 +111,6 @@ pub enum ObjectKey {
 }
 
 impl ObjectKey {
-    pub fn image(job: impl Into<String>, pid: u32, seq: u64) -> Self {
-        ObjectKey::Image(ImageKey::new(job, pid, seq))
-    }
-
     pub fn chunk(digest: u64) -> Self {
         ObjectKey::Chunk { digest }
     }

@@ -228,7 +228,7 @@ impl RemoteServer {
         })
     }
 
-    pub fn used_bytes(&self) -> u64 {
+    pub(crate) fn used_bytes(&self) -> u64 {
         self.shelf.lock().used()
     }
 
@@ -253,10 +253,6 @@ impl RemoteStore {
             server,
             available: true,
         }
-    }
-
-    pub fn server(&self) -> &Arc<RemoteServer> {
-        &self.server
     }
 }
 

@@ -7,10 +7,10 @@
 pub struct TaxonomyNode {
     pub label: &'static str,
     /// Example systems from the survey at this node.
-    pub systems: &'static [&'static str],
+    pub(crate) systems: &'static [&'static str],
     /// Workspace path implementing this leaf (empty for interior nodes).
     pub implemented_by: &'static str,
-    pub children: Vec<TaxonomyNode>,
+    pub(crate) children: Vec<TaxonomyNode>,
 }
 
 impl TaxonomyNode {
@@ -36,7 +36,7 @@ impl TaxonomyNode {
         }
     }
 
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         self.children.is_empty()
     }
 

@@ -13,30 +13,21 @@ use ckpt_core::mechanism::syscall::{SyscallMechanism, SyscallVariant};
 use ckpt_core::mechanism::{Initiation, Mechanism};
 use ckpt_core::tracker::TrackerKind;
 use ckpt_core::SharedStorage;
-use ckpt_storage::StorageClass;
 
 /// Storage options a system supports (the "stable storage" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageSupport {
+pub(crate) enum StorageSupport {
     None,
     Local,
     LocalRemote,
 }
 
 impl StorageSupport {
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             StorageSupport::None => "none",
             StorageSupport::Local => "local",
             StorageSupport::LocalRemote => "local,remote",
-        }
-    }
-
-    pub fn classes(self) -> &'static [StorageClass] {
-        match self {
-            StorageSupport::None => &[],
-            StorageSupport::Local => &[StorageClass::LocalDisk],
-            StorageSupport::LocalRemote => &[StorageClass::LocalDisk, StorageClass::Remote],
         }
     }
 }
@@ -95,8 +86,8 @@ impl SystemId {
 
 /// A surveyed system: identity + storage support + mechanism factory.
 pub struct SurveyedSystem {
-    pub id: SystemId,
-    pub storage_support: StorageSupport,
+    pub(crate) id: SystemId,
+    pub(crate) storage_support: StorageSupport,
     /// One-line provenance note (paper section the config encodes).
     pub notes: &'static str,
 }
@@ -164,7 +155,7 @@ impl SurveyedSystem {
     /// Build a live mechanism configured like this system. Software
     /// Suspend is whole-machine (see `ckpt_core::mechanism::hibernate`)
     /// and returns `None` here.
-    pub fn build(&self, job: &str, storage: SharedStorage) -> Option<Box<dyn Mechanism>> {
+    pub(crate) fn build(&self, job: &str, storage: SharedStorage) -> Option<Box<dyn Mechanism>> {
         use SystemId::*;
         let name = self.module_name();
         Some(match self.id {
@@ -267,7 +258,7 @@ impl SurveyedSystem {
     }
 
     /// The kernel-module / static-extension name the built mechanism uses.
-    pub fn module_name(&self) -> &'static str {
+    pub(crate) fn module_name(&self) -> &'static str {
         use SystemId::*;
         match self.id {
             VmaDump => "vmadump",
@@ -290,16 +281,16 @@ impl SurveyedSystem {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRow {
     pub name: &'static str,
-    pub incremental: &'static str,
-    pub transparency: &'static str,
-    pub stable_storage: &'static str,
-    pub initiation: &'static str,
-    pub kernel_module: &'static str,
+    pub(crate) incremental: &'static str,
+    pub(crate) transparency: &'static str,
+    pub(crate) stable_storage: &'static str,
+    pub(crate) initiation: &'static str,
+    pub(crate) kernel_module: &'static str,
 }
 
 impl SurveyedSystem {
     /// Derive the Table 1 row from the *built* mechanism's metadata.
-    pub fn table_row(&self) -> TableRow {
+    pub(crate) fn table_row(&self) -> TableRow {
         let yn = |b: bool| if b { "yes" } else { "no" };
         // Software Suspend has no Mechanism impl (whole-machine); its
         // properties come from the hibernate module's nature: static
@@ -392,7 +383,7 @@ mod tests {
     #[test]
     fn storage_support_labels() {
         assert_eq!(StorageSupport::None.label(), "none");
-        assert_eq!(StorageSupport::Local.classes().len(), 1);
-        assert_eq!(StorageSupport::LocalRemote.classes().len(), 2);
+        assert_eq!(StorageSupport::Local.label(), "local");
+        assert_eq!(StorageSupport::LocalRemote.label(), "local,remote");
     }
 }

@@ -8,7 +8,7 @@
 use crate::systems::{SurveyedSystem, SystemId, TableRow};
 
 /// Column headers, in the paper's order.
-pub const HEADERS: [&str; 6] = [
+pub(crate) const HEADERS: [&str; 6] = [
     "Name",
     "Incremental checkpointing",
     "Transparency",

@@ -26,14 +26,14 @@ use crate::mem::{DATA_BASE, PAGE_SIZE};
 /// Base address of the app header in guest memory.
 pub const HEADER_BASE: u64 = DATA_BASE;
 /// Header layout (u64 slots): magic, step, rng, checksum.
-pub const H_MAGIC: u64 = HEADER_BASE;
+pub(crate) const H_MAGIC: u64 = HEADER_BASE;
 pub const H_STEP: u64 = HEADER_BASE + 8;
-pub const H_RNG: u64 = HEADER_BASE + 16;
+pub(crate) const H_RNG: u64 = HEADER_BASE + 16;
 pub const H_SUM: u64 = HEADER_BASE + 24;
 /// Start of the working array.
 pub const ARRAY_BASE: u64 = HEADER_BASE + PAGE_SIZE;
 
-pub const APP_MAGIC: u64 = 0x434b_5054_4150_5031; // "CKPTAPP1"
+pub(crate) const APP_MAGIC: u64 = 0x434b_5054_4150_5031; // "CKPTAPP1"
 
 /// Which native kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,13 +95,8 @@ impl AppParams {
     }
 
     /// Number of u64 words in the working array.
-    pub fn words(&self) -> u64 {
+    pub(crate) fn words(&self) -> u64 {
         (self.mem_bytes / 8).max(1)
-    }
-
-    /// Number of pages the working array spans.
-    pub fn array_pages(&self) -> u64 {
-        self.mem_bytes.div_ceil(PAGE_SIZE).max(1)
     }
 }
 
@@ -138,11 +133,11 @@ const BATCH_WORDS: usize = (PAGE_SIZE / 8) as usize;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepOutcome {
     /// The step index just completed.
-    pub step: u64,
+    pub(crate) step: u64,
     /// True if the app has completed all its steps and wants to exit.
     pub finished: bool,
     /// Bytes of application memory traffic this step (for cost charging).
-    pub bytes_touched: u64,
+    pub(crate) bytes_touched: u64,
 }
 
 /// Deterministic 64-bit mix (one SplitMix64 step from state `z`), the

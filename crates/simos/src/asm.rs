@@ -5,7 +5,7 @@ use crate::vm::{encode, sysno, Instr};
 use std::collections::BTreeMap;
 
 /// Register aliases.
-pub const SP: u8 = 14;
+pub(crate) const SP: u8 = 14;
 pub const LR: u8 = 15;
 
 #[derive(Debug, Clone)]
@@ -63,7 +63,7 @@ impl Assembler {
         self
     }
 
-    pub fn nop(&mut self) -> &mut Self {
+    pub(crate) fn nop(&mut self) -> &mut Self {
         self.push(Instr::Nop)
     }
     pub fn halt(&mut self) -> &mut Self {
@@ -177,13 +177,13 @@ impl Assembler {
     pub fn sys(&mut self) -> &mut Self {
         self.push(Instr::Sys)
     }
-    pub fn malloc_enter(&mut self) -> &mut Self {
+    pub(crate) fn malloc_enter(&mut self) -> &mut Self {
         self.push(Instr::MallocEnter)
     }
-    pub fn malloc_exit(&mut self) -> &mut Self {
+    pub(crate) fn malloc_exit(&mut self) -> &mut Self {
         self.push(Instr::MallocExit)
     }
-    pub fn sret(&mut self) -> &mut Self {
+    pub(crate) fn sret(&mut self) -> &mut Self {
         self.push(Instr::Sret)
     }
 
@@ -193,12 +193,8 @@ impl Assembler {
     }
 
     /// Number of instruction words emitted so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.items.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Resolve labels and produce the text image.

@@ -179,7 +179,7 @@ impl CostModel {
     }
 
     /// Cost of an address-space switch including TLB effects.
-    pub fn mm_switch(&self) -> u64 {
+    pub(crate) fn mm_switch(&self) -> u64 {
         self.addr_space_switch_ns + self.tlb_flush_ns + self.tlb_refill_ns
     }
 }

@@ -97,7 +97,7 @@ fn parent_of(path: &str) -> Option<String> {
 impl SimFs {
     /// A filesystem pre-populated with `/`, `/dev`, `/proc`, `/tmp`,
     /// `/ckpt`.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut fs = SimFs {
             nodes: BTreeMap::new(),
         };
@@ -112,7 +112,7 @@ impl SimFs {
         self.nodes.get(&normalize(path))
     }
 
-    pub fn get_mut(&mut self, path: &str) -> Option<&mut FsNode> {
+    pub(crate) fn get_mut(&mut self, path: &str) -> Option<&mut FsNode> {
         self.nodes.get_mut(&normalize(path))
     }
 
@@ -216,20 +216,6 @@ impl SimFs {
         }
     }
 
-    /// Read from a regular file at an offset. Returns bytes read.
-    pub fn read_at(&self, path: &str, offset: u64, out: &mut [u8]) -> Result<usize, FsError> {
-        match self.get(path) {
-            Some(FsNode::File { data }) => {
-                let off = offset.min(data.len() as u64) as usize;
-                let n = out.len().min(data.len() - off);
-                out[..n].copy_from_slice(&data[off..off + n]);
-                Ok(n)
-            }
-            Some(_) => Err(FsError::NotAFile),
-            None => Err(FsError::NotFound),
-        }
-    }
-
     /// Write to a regular file at an offset (extending as needed). Returns
     /// bytes written. A write that would end past [`MAX_FILE_BYTES`] is
     /// refused with the file untouched.
@@ -268,31 +254,6 @@ impl SimFs {
             None => Err(FsError::NotFound),
         }
     }
-
-    /// List directory entries (immediate children), sorted.
-    pub fn list(&self, dir: &str) -> Result<Vec<String>, FsError> {
-        let dir = normalize(dir);
-        match self.nodes.get(&dir) {
-            Some(FsNode::Dir) => {}
-            Some(_) => return Err(FsError::NotADirectory),
-            None => return Err(FsError::NotFound),
-        }
-        let prefix = if dir == "/" {
-            "/".to_string()
-        } else {
-            format!("{dir}/")
-        };
-        Ok(self
-            .nodes
-            .keys()
-            .filter(|k| {
-                k.starts_with(&prefix)
-                    && k.len() > prefix.len()
-                    && !k[prefix.len()..].contains('/')
-            })
-            .cloned()
-            .collect())
-    }
 }
 
 /// Filesystem-level errors (mapped to errnos by the syscall layer).
@@ -324,13 +285,10 @@ mod tests {
         let mut fs = SimFs::new();
         fs.create_file("/tmp/x").unwrap();
         fs.write_at("/tmp/x", 0, b"abcdef").unwrap();
-        let mut buf = [0u8; 6];
-        assert_eq!(fs.read_at("/tmp/x", 0, &mut buf).unwrap(), 6);
-        assert_eq!(&buf, b"abcdef");
-        // Offset read.
-        let mut buf2 = [0u8; 3];
-        assert_eq!(fs.read_at("/tmp/x", 3, &mut buf2).unwrap(), 3);
-        assert_eq!(&buf2, b"def");
+        assert_eq!(fs.read_file("/tmp/x").unwrap(), b"abcdef");
+        // Overwrite in the middle.
+        fs.write_at("/tmp/x", 3, b"DE").unwrap();
+        assert_eq!(fs.read_file("/tmp/x").unwrap(), b"abcDEf");
     }
 
     #[test]
@@ -364,8 +322,7 @@ mod tests {
         );
         // Reading a device through the regular path is an error here; the
         // kernel must dispatch to the module instead.
-        let mut buf = [0u8; 1];
-        assert_eq!(fs.read_at("/dev/crak", 0, &mut buf), Err(FsError::NotAFile));
+        assert_eq!(fs.read_file("/dev/crak"), Err(FsError::NotAFile));
     }
 
     #[test]
@@ -380,17 +337,6 @@ mod tests {
         assert_eq!(fs.unlink("/tmp"), Err(FsError::NotEmpty));
         fs.unlink("/tmp/y").unwrap();
         assert!(fs.unlink("/tmp").is_ok());
-    }
-
-    #[test]
-    fn list_sorted_children() {
-        let mut fs = SimFs::new();
-        fs.create_file("/tmp/b").unwrap();
-        fs.create_file("/tmp/a").unwrap();
-        fs.mkdir("/tmp/sub").unwrap();
-        fs.create_file("/tmp/sub/deep").unwrap();
-        let l = fs.list("/tmp").unwrap();
-        assert_eq!(l, vec!["/tmp/a", "/tmp/b", "/tmp/sub"]);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 
 /// What an open-file description points at.
 #[derive(Debug, Clone, PartialEq)]
-pub enum OfdKind {
+pub(crate) enum OfdKind {
     Regular,
     Device { module: String, minor: u32 },
     Proc { module: String, tag: String },
@@ -43,10 +43,10 @@ pub enum OfdKind {
 #[derive(Debug, Clone)]
 pub struct OpenFile {
     pub path: String,
-    pub kind: OfdKind,
+    pub(crate) kind: OfdKind,
     pub offset: u64,
     pub flags: OpenFlags,
-    pub refs: u32,
+    pub(crate) refs: u32,
 }
 
 /// Default chunk size for modelled user-level I/O loops (64 KiB, the usual
@@ -615,11 +615,11 @@ impl Kernel {
     }
 
     /// Create a kernel thread owned by `module`.
-    pub fn spawn_kthread(&mut self, name: &str, module: &str, policy: SchedPolicy) -> KtId {
+    pub fn spawn_kthread(&mut self, module: &str, policy: SchedPolicy) -> KtId {
         let id = KtId(self.next_kt);
         self.next_kt += 1;
         self.kthreads
-            .insert(id.0, KThread::new(id, name, module, policy));
+            .insert(id.0, KThread::new(id, module, policy));
         id
     }
 
@@ -771,7 +771,7 @@ impl Kernel {
                     }
                     self.stats.signals_defaulted += 1;
                     match builtin_default_action(sig) {
-                        DefaultAction::Ignore | DefaultAction::Continue => continue,
+                        DefaultAction::Ignore => continue,
                         DefaultAction::Stop => {
                             let p = self.procs.get_mut(&pid.0).expect("exists");
                             p.state = ProcState::Stopped;
@@ -782,7 +782,6 @@ impl Kernel {
                             self.exit_process(pid, 128 + sig.0 as i32);
                             return Ok(false);
                         }
-                        DefaultAction::KernelCheckpoint => continue,
                     }
                 }
             }
@@ -974,7 +973,7 @@ impl Kernel {
     /// TLB already translates costs that one translation
     /// ([`AddressSpace::load_word`]); every other access is the checked
     /// [`Kernel::mem_read`], unchanged.
-    pub fn mem_load_word(&mut self, pid: Pid, addr: u64) -> SimResult<u64> {
+    pub(crate) fn mem_load_word(&mut self, pid: Pid, addr: u64) -> SimResult<u64> {
         if let Some(word) = self
             .procs
             .get_mut(&pid.0)
@@ -991,7 +990,7 @@ impl Kernel {
     /// translation of [`AddressSpace::store_word`] when no page of the
     /// process is still copy-on-write shared — a first write to one owes a
     /// COW fault — and the checked [`Kernel::mem_write`] otherwise.
-    pub fn mem_store_word(&mut self, pid: Pid, addr: u64, val: u64) -> SimResult<()> {
+    pub(crate) fn mem_store_word(&mut self, pid: Pid, addr: u64, val: u64) -> SimResult<()> {
         if let Some(p) = self.procs.get_mut(&pid.0) {
             if p.cow_pending.is_empty() && p.mem.store_word(addr, val) {
                 return Ok(());
@@ -1673,7 +1672,7 @@ impl Kernel {
     }
 
     /// Run until `pid` exits or `limit_ns` of virtual time passes.
-    pub fn run_until_exit_limit(&mut self, pid: Pid, limit_ns: u64) -> SimResult<i32> {
+    pub(crate) fn run_until_exit_limit(&mut self, pid: Pid, limit_ns: u64) -> SimResult<i32> {
         let deadline = self.clock.saturating_add(limit_ns);
         while self.clock < deadline {
             match self.procs.get(&pid.0) {
@@ -1760,79 +1759,38 @@ impl Kernel {
                 let v = regs!().gpr[b as usize];
                 regs!().gpr[a as usize] = v;
             }
-            Instr::Add { a, b, c } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[b as usize], r.gpr[c as usize])
+            Instr::Add { a, b, c }
+            | Instr::Sub { a, b, c }
+            | Instr::Mul { a, b, c }
+            | Instr::Divu { a, b, c }
+            | Instr::And { a, b, c }
+            | Instr::Or { a, b, c }
+            | Instr::Xor { a, b, c }
+            | Instr::Shl { a, b, c }
+            | Instr::Shr { a, b, c } => {
+                let r = &mut regs!();
+                let (x, y) = (r.gpr[b as usize], r.gpr[c as usize]);
+                r.gpr[a as usize] = match instr {
+                    Instr::Add { .. } => x.wrapping_add(y),
+                    Instr::Sub { .. } => x.wrapping_sub(y),
+                    Instr::Mul { .. } => x.wrapping_mul(y),
+                    Instr::Divu { .. } => {
+                        x.checked_div(y).ok_or_else(|| SimError::IllegalInstruction {
+                            pid,
+                            pc,
+                            detail: "division by zero".into(),
+                        })?
+                    }
+                    Instr::And { .. } => x & y,
+                    Instr::Or { .. } => x | y,
+                    Instr::Xor { .. } => x ^ y,
+                    Instr::Shl { .. } => x.wrapping_shl(y as u32),
+                    _ => x.wrapping_shr(y as u32),
                 };
-                regs!().gpr[a as usize] = x.wrapping_add(y);
-            }
-            Instr::Sub { a, b, c } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[b as usize], r.gpr[c as usize])
-                };
-                regs!().gpr[a as usize] = x.wrapping_sub(y);
-            }
-            Instr::Mul { a, b, c } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[b as usize], r.gpr[c as usize])
-                };
-                regs!().gpr[a as usize] = x.wrapping_mul(y);
-            }
-            Instr::Divu { a, b, c } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[b as usize], r.gpr[c as usize])
-                };
-                if y == 0 {
-                    return Err(SimError::IllegalInstruction {
-                        pid,
-                        pc,
-                        detail: "division by zero".into(),
-                    });
-                }
-                regs!().gpr[a as usize] = x / y;
             }
             Instr::Addi { a, b, simm } => {
                 let x = regs!().gpr[b as usize];
                 regs!().gpr[a as usize] = x.wrapping_add(simm as i64 as u64);
-            }
-            Instr::And { a, b, c } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[b as usize], r.gpr[c as usize])
-                };
-                regs!().gpr[a as usize] = x & y;
-            }
-            Instr::Or { a, b, c } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[b as usize], r.gpr[c as usize])
-                };
-                regs!().gpr[a as usize] = x | y;
-            }
-            Instr::Xor { a, b, c } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[b as usize], r.gpr[c as usize])
-                };
-                regs!().gpr[a as usize] = x ^ y;
-            }
-            Instr::Shl { a, b, c } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[b as usize], r.gpr[c as usize])
-                };
-                regs!().gpr[a as usize] = x.wrapping_shl(y as u32);
-            }
-            Instr::Shr { a, b, c } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[b as usize], r.gpr[c as usize])
-                };
-                regs!().gpr[a as usize] = x.wrapping_shr(y as u32);
             }
             Instr::Lw { a, b, simm } => {
                 let addr = regs!().gpr[b as usize].wrapping_add(simm as i64 as u64);
@@ -1865,30 +1823,15 @@ impl Kernel {
                 };
                 self.mem_write(pid, addr, &[val])?;
             }
-            Instr::Beq { a, b, simm } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[a as usize], r.gpr[b as usize])
+            Instr::Beq { a, b, simm } | Instr::Bne { a, b, simm } | Instr::Bltu { a, b, simm } => {
+                let r = &regs!();
+                let (x, y) = (r.gpr[a as usize], r.gpr[b as usize]);
+                let taken = match instr {
+                    Instr::Beq { .. } => x == y,
+                    Instr::Bne { .. } => x != y,
+                    _ => x < y,
                 };
-                if x == y {
-                    next_pc = pc.wrapping_add(4).wrapping_add((simm as i64 * 4) as u64);
-                }
-            }
-            Instr::Bne { a, b, simm } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[a as usize], r.gpr[b as usize])
-                };
-                if x != y {
-                    next_pc = pc.wrapping_add(4).wrapping_add((simm as i64 * 4) as u64);
-                }
-            }
-            Instr::Bltu { a, b, simm } => {
-                let (x, y) = {
-                    let r = &regs!();
-                    (r.gpr[a as usize], r.gpr[b as usize])
-                };
-                if x < y {
+                if taken {
                     next_pc = pc.wrapping_add(4).wrapping_add((simm as i64 * 4) as u64);
                 }
             }
@@ -2060,14 +2003,14 @@ fn fs_errno(e: FsError) -> Errno {
 /// Guest-memory adapter handed to native app steps: routes every access
 /// through the kernel's protection/tracking machinery, stashing the first
 /// fatal fault for the caller to surface.
-pub struct KernelMemIo<'a> {
+pub(crate) struct KernelMemIo<'a> {
     k: &'a mut Kernel,
     pid: Pid,
     fatal: Option<SimError>,
 }
 
 impl<'a> KernelMemIo<'a> {
-    pub fn new(k: &'a mut Kernel, pid: Pid) -> Self {
+    pub(crate) fn new(k: &'a mut Kernel, pid: Pid) -> Self {
         KernelMemIo {
             k,
             pid,
@@ -2076,7 +2019,7 @@ impl<'a> KernelMemIo<'a> {
     }
 
     /// Surface any fault captured during the step.
-    pub fn finish(self) -> SimResult<()> {
+    pub(crate) fn finish(self) -> SimResult<()> {
         match self.fatal {
             Some(e) => Err(e),
             None => Ok(()),
@@ -2165,6 +2108,24 @@ mod tests {
 
     fn kernel() -> Kernel {
         Kernel::new(CostModel::circa_2005())
+    }
+
+    #[test]
+    fn divu_by_zero_is_a_typed_illegal_instruction() {
+        let mut a = crate::asm::Assembler::new();
+        a.li(1, 5).li(2, 0).divu(3, 1, 2);
+        let mut k = kernel();
+        let pid = k.spawn_vm(a.assemble().unwrap(), "div0").unwrap();
+        k.vm_step(pid).unwrap();
+        k.vm_step(pid).unwrap();
+        let err = k.vm_step(pid).unwrap_err();
+        let pc = TEXT_BASE + 2 * 4;
+        assert!(
+            matches!(&err, SimError::IllegalInstruction { pc: at, detail, .. }
+                if *at == pc && detail == "division by zero"),
+            "{err:?}"
+        );
+        assert_eq!(k.process(pid).unwrap().regs.pc, pc, "the pc stays on the divu");
     }
 
     #[test]

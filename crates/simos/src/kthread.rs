@@ -17,7 +17,7 @@ use crate::types::KtId;
 
 /// Life-cycle state of a kernel thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KtState {
+pub(crate) enum KtState {
     /// Waiting to be woken (not on the runqueue).
     Sleeping,
     /// On the runqueue or running.
@@ -30,22 +30,20 @@ pub enum KtState {
 #[derive(Debug, Clone)]
 pub struct KThread {
     pub id: KtId,
-    pub name: String,
     /// Owning kernel module (dispatch target).
-    pub module: String,
-    pub state: KtState,
-    pub policy: SchedPolicy,
+    pub(crate) module: String,
+    pub(crate) state: KtState,
+    pub(crate) policy: SchedPolicy,
     /// Accumulated CPU time.
-    pub cpu_ns: u64,
+    pub(crate) cpu_ns: u64,
     /// Number of times the thread has been woken.
-    pub wakeups: u64,
+    pub(crate) wakeups: u64,
 }
 
 impl KThread {
-    pub fn new(id: KtId, name: &str, module: &str, policy: SchedPolicy) -> Self {
+    pub(crate) fn new(id: KtId, module: &str, policy: SchedPolicy) -> Self {
         KThread {
             id,
-            name: name.to_string(),
             module: module.to_string(),
             state: KtState::Sleeping,
             policy,
@@ -61,9 +59,9 @@ mod tests {
 
     #[test]
     fn new_thread_starts_asleep() {
-        let kt = KThread::new(KtId(1), "ckptd", "crak", SchedPolicy::Fifo { rt_prio: 50 });
+        let kt = KThread::new(KtId(1), "crak", SchedPolicy::Fifo { rt_prio: 50 });
         assert_eq!(kt.state, KtState::Sleeping);
-        assert!(kt.policy.is_fifo());
+        assert_eq!(kt.policy, SchedPolicy::Fifo { rt_prio: 50 });
         assert_eq!(kt.wakeups, 0);
     }
 }

@@ -18,7 +18,7 @@
 //! * **Kernel threads** that borrow the page tables of the task they
 //!   interrupt — so checkpointing from a kernel thread pays an address-space
 //!   switch and a TLB flush exactly when the paper says it does
-//!   ([`kthread`]).
+//!   ([`Kernel::spawn_kthread`]).
 //! * **A syscall layer** charging user/kernel protection-domain crossings
 //!   from a calibrated cost model ([`syscall`], [`cost`]).
 //! * **An in-memory filesystem** with regular files, `/dev` device nodes and
@@ -33,6 +33,10 @@
 //! Everything is deterministic: virtual time is advanced only by charges
 //! from the [`cost::CostModel`], and all collections iterate in a stable
 //! order.
+//!
+//! The public API is the modules callers name by path and the re-export
+//! list below ([`Kernel`], [`Relink`] and the id types). Only the kernel
+//! thread and relink modules are private.
 //!
 //! ## Example
 //!
@@ -49,6 +53,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod apps;
 pub mod asm;
@@ -56,11 +61,11 @@ pub mod cost;
 pub mod faultpoint;
 pub mod fs;
 pub mod kernel;
-pub mod kthread;
+mod kthread;
 pub mod mem;
 pub mod module;
 pub mod pcb;
-pub mod relink;
+mod relink;
 pub mod sched;
 pub mod signal;
 pub mod stats;
@@ -73,4 +78,4 @@ pub mod vm;
 
 pub use kernel::Kernel;
 pub use relink::Relink;
-pub use types::{Fd, KtId, Pid, SimError, SimResult};
+pub use types::{Fd, KtId, Pid, SimError};

@@ -46,7 +46,8 @@
 //! would add no information.
 #![allow(clippy::result_unit_err)]
 
-pub use crate::cost::{CACHE_LINE, PAGE_SIZE};
+pub use crate::cost::PAGE_SIZE;
+pub(crate) use crate::cost::CACHE_LINE;
 use crate::types::FaultKind;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,25 +58,23 @@ pub struct Prot(pub u8);
 impl Prot {
     pub const NONE: Prot = Prot(0);
     pub const R: Prot = Prot(1);
-    pub const W: Prot = Prot(2);
-    pub const X: Prot = Prot(4);
+    pub(crate) const W: Prot = Prot(2);
     pub const RW: Prot = Prot(1 | 2);
     pub const RX: Prot = Prot(1 | 4);
-    pub const RWX: Prot = Prot(1 | 2 | 4);
 
-    pub fn readable(self) -> bool {
+    pub(crate) fn readable(self) -> bool {
         self.0 & 1 != 0
     }
-    pub fn writable(self) -> bool {
+    pub(crate) fn writable(self) -> bool {
         self.0 & 2 != 0
     }
-    pub fn executable(self) -> bool {
+    pub(crate) fn executable(self) -> bool {
         self.0 & 4 != 0
     }
-    pub fn union(self, other: Prot) -> Prot {
+    pub(crate) fn union(self, other: Prot) -> Prot {
         Prot(self.0 | other.0)
     }
-    pub fn without_write(self) -> Prot {
+    pub(crate) fn without_write(self) -> Prot {
         Prot(self.0 & !2)
     }
 }
@@ -119,24 +118,25 @@ impl Vma {
     pub fn len(&self) -> u64 {
         self.end - self.start
     }
+    /// `len`'s pair (a public `len` wants an `is_empty`).
     pub fn is_empty(&self) -> bool {
         self.end <= self.start
     }
-    pub fn contains(&self, addr: u64) -> bool {
+    pub(crate) fn contains(&self, addr: u64) -> bool {
         addr >= self.start && addr < self.end
     }
-    pub fn pages(&self) -> impl Iterator<Item = u64> {
+    pub(crate) fn pages(&self) -> impl Iterator<Item = u64> {
         (self.start / PAGE_SIZE)..(self.end / PAGE_SIZE)
     }
 }
 
 /// A materialized page.
 #[derive(Clone)]
-pub struct Page {
-    pub data: Box<[u8]>,
+pub(crate) struct Page {
+    pub(crate) data: Box<[u8]>,
     /// Effective protection (may be stricter than the owning VMA's
     /// protection while write-tracking is armed).
-    pub prot: Prot,
+    pub(crate) prot: Prot,
 }
 
 impl Page {
@@ -181,9 +181,9 @@ pub enum AccessOutcome {
 /// Statistics the memory subsystem keeps for the embedder.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemStats {
-    pub pages_materialized: u64,
-    pub write_faults_tracked: u64,
-    pub protection_faults: u64,
+    pub(crate) pages_materialized: u64,
+    pub(crate) write_faults_tracked: u64,
+    pub(crate) protection_faults: u64,
     pub bytes_written: u64,
     pub bytes_read: u64,
     /// Software-TLB probes answered from the cache.
@@ -195,10 +195,10 @@ pub struct MemStats {
     pub tlb_flushes: u64,
     /// Dirty-rate samples taken by live migration's per-round observer
     /// (see [`AddressSpace::sample_dirty`]).
-    pub dirty_samples: u64,
+    pub(crate) dirty_samples: u64,
     /// Total dirty pages seen across those samples (sum, so the mean
     /// per-round dirty set is `dirty_pages_sampled / dirty_samples`).
-    pub dirty_pages_sampled: u64,
+    pub(crate) dirty_pages_sampled: u64,
 }
 
 /// Number of entries in the direct-mapped software TLB.
@@ -245,7 +245,7 @@ pub struct AddressSpace {
     brk: u64,
     heap_base: u64,
     mmap_cursor: u64,
-    pub track: TrackMode,
+    pub(crate) track: TrackMode,
     /// Pages dirtied since tracking was last armed (kernel- or user-level;
     /// the user-level set models the user-space bitmap the SIGSEGV handler
     /// maintains, kept here for uniform inspection).
@@ -258,9 +258,9 @@ pub struct AddressSpace {
 pub const TEXT_BASE: u64 = 0x0000_0000_0040_0000;
 pub const DATA_BASE: u64 = 0x0000_0000_0100_0000;
 pub const HEAP_BASE: u64 = 0x0000_0000_0800_0000;
-pub const MMAP_BASE: u64 = 0x0000_0000_4000_0000;
+pub(crate) const MMAP_BASE: u64 = 0x0000_0000_4000_0000;
 pub const STACK_TOP: u64 = 0x0000_0000_8000_0000;
-pub const STACK_PAGES: u64 = 64;
+pub(crate) const STACK_PAGES: u64 = 64;
 
 impl AddressSpace {
     /// Create an address space with the canonical text/data/heap/stack
@@ -331,7 +331,7 @@ impl AddressSpace {
     /// Flush the whole translation cache — one of the paper's invalidation
     /// events (the kernel calls this on the address-space switch; internal
     /// callers on `mprotect` re-arm, unmap, and restore).
-    pub fn tlb_flush(&mut self) {
+    pub(crate) fn tlb_flush(&mut self) {
         self.tlb = [TlbEntry::INVALID; TLB_SIZE];
         self.stats.tlb_flushes += 1;
     }
@@ -447,7 +447,7 @@ impl AddressSpace {
     }
 
     /// Set the program break. Mirrors `brk`.
-    pub fn set_brk(&mut self, new: u64) -> Result<u64, ()> {
+    pub(crate) fn set_brk(&mut self, new: u64) -> Result<u64, ()> {
         if new < self.heap_base || new > MMAP_BASE {
             return Err(());
         }
@@ -569,7 +569,7 @@ impl AddressSpace {
     /// test for a guest-supplied `(pointer, length)` pair, asked before
     /// anything is sized from `len`. Protection is not consulted: a page
     /// write-protected for tracking is mapped, and the access resolves it.
-    pub fn maps(&self, addr: u64, len: u64) -> bool {
+    pub(crate) fn maps(&self, addr: u64, len: u64) -> bool {
         let Some(end) = addr.checked_add(len) else {
             return false;
         };
@@ -584,7 +584,7 @@ impl AddressSpace {
     }
 
     /// The VMA covering `addr`, if any.
-    pub fn vma_of(&self, addr: u64) -> Option<&Vma> {
+    pub(crate) fn vma_of(&self, addr: u64) -> Option<&Vma> {
         self.vmas.iter().find(|v| v.contains(addr))
     }
 
@@ -856,8 +856,8 @@ impl AddressSpace {
 
     /// Observe the current dirty set without disturbing it: live
     /// migration's per-round dirty-rate sampler. Returns the dirty-page
-    /// count and folds it into [`MemStats::dirty_samples`] /
-    /// [`MemStats::dirty_pages_sampled`].
+    /// count and folds it into `MemStats::dirty_samples` /
+    /// `MemStats::dirty_pages_sampled`.
     pub fn sample_dirty(&mut self) -> u64 {
         let n = self.dirty_pages.len() as u64;
         self.stats.dirty_samples += 1;
@@ -891,7 +891,7 @@ impl AddressSpace {
 
     /// A fresh-page write to an unmaterialized tracked page also counts as a
     /// dirtying event (zero pages are materialized on demand).
-    pub fn note_fresh_dirty(&mut self, pn: u64) {
+    pub(crate) fn note_fresh_dirty(&mut self, pn: u64) {
         if matches!(self.track, TrackMode::KernelPage | TrackMode::UserSigsegv) {
             self.dirty_pages.insert(pn);
         }
@@ -934,7 +934,7 @@ impl AddressSpace {
 }
 
 /// Round `x` up to a multiple of `to` (power of two not required).
-pub fn round_up(x: u64, to: u64) -> u64 {
+pub(crate) fn round_up(x: u64, to: u64) -> u64 {
     x.div_ceil(to) * to
 }
 

@@ -49,12 +49,6 @@ pub enum ProgramSpec {
 }
 
 impl ProgramSpec {
-    pub fn name(&self) -> String {
-        match self {
-            ProgramSpec::Vm { name, .. } => name.clone(),
-            ProgramSpec::Native { kind, .. } => format!("native:{kind:?}"),
-        }
-    }
 }
 
 /// One slot in a process's file-descriptor table, pointing at a shared
@@ -77,7 +71,7 @@ impl FdTable {
     }
 
     /// Allocate the lowest free descriptor ≥ 0.
-    pub fn alloc(&mut self, ofd: OfdId) -> Fd {
+    pub(crate) fn alloc(&mut self, ofd: OfdId) -> Fd {
         let mut n = 0u32;
         while self.slots.contains_key(&n) {
             n += 1;
@@ -92,7 +86,7 @@ impl FdTable {
         Fd(n)
     }
 
-    pub fn get(&self, fd: Fd) -> Option<FdEntry> {
+    pub(crate) fn get(&self, fd: Fd) -> Option<FdEntry> {
         self.slots.get(&fd.0).copied()
     }
 
@@ -103,7 +97,7 @@ impl FdTable {
         self.slots.insert(fd.0, entry);
     }
 
-    pub fn remove(&mut self, fd: Fd) -> Option<FdEntry> {
+    pub(crate) fn remove(&mut self, fd: Fd) -> Option<FdEntry> {
         self.slots.remove(&fd.0)
     }
 
@@ -115,6 +109,7 @@ impl FdTable {
         self.slots.len()
     }
 
+    /// `len`'s pair (a public `len` wants an `is_empty`).
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
@@ -165,7 +160,7 @@ impl Pcb {
         }
     }
 
-    pub fn is_runnable(&self) -> bool {
+    pub(crate) fn is_runnable(&self) -> bool {
         matches!(self.state, ProcState::Ready)
     }
 }
@@ -205,19 +200,5 @@ mod tests {
         t.alloc(OfdId(2));
         let fds: Vec<u32> = t.iter().map(|(fd, _)| fd.0).collect();
         assert_eq!(fds, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn program_spec_names() {
-        let vm = ProgramSpec::Vm {
-            text: vec![],
-            name: "counter".into(),
-        };
-        assert_eq!(vm.name(), "counter");
-        let nat = ProgramSpec::Native {
-            kind: NativeKind::DenseSweep,
-            params: AppParams::small(),
-        };
-        assert!(nat.name().contains("DenseSweep"));
     }
 }

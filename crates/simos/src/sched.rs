@@ -24,12 +24,6 @@ pub enum SchedPolicy {
     Fifo { rt_prio: u8 },
 }
 
-impl SchedPolicy {
-    pub fn is_fifo(&self) -> bool {
-        matches!(self, SchedPolicy::Fifo { .. })
-    }
-}
-
 const BASE_PRIO: i32 = 120;
 const MAX_DYN_BONUS: i32 = 10;
 
@@ -62,13 +56,13 @@ pub struct RunQueue {
 }
 
 impl RunQueue {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Add a task to the ready queue. Idempotent (re-enqueueing refreshes
     /// nothing and keeps the original order position).
-    pub fn enqueue(&mut self, task: Task, policy: SchedPolicy) {
+    pub(crate) fn enqueue(&mut self, task: Task, policy: SchedPolicy) {
         if self.entries.iter().any(|e| e.task == task) {
             return;
         }
@@ -83,58 +77,29 @@ impl RunQueue {
 
     /// Remove a task (blocking, exiting, or being frozen by a
     /// checkpointer). Returns true if it was queued.
-    pub fn dequeue(&mut self, task: Task) -> bool {
+    pub(crate) fn dequeue(&mut self, task: Task) -> bool {
         let before = self.entries.len();
         self.entries.retain(|e| e.task != task);
         self.entries.len() != before
     }
 
-    pub fn contains(&self, task: Task) -> bool {
-        self.entries.iter().any(|e| e.task == task)
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Update a queued task's policy (mirrors `sched_setscheduler`).
-    pub fn set_policy(&mut self, task: Task, policy: SchedPolicy) {
+    pub(crate) fn set_policy(&mut self, task: Task, policy: SchedPolicy) {
         if let Some(e) = self.entries.iter_mut().find(|e| e.task == task) {
             e.policy = policy;
         }
     }
 
     /// Choose the next task to run without removing it.
-    pub fn pick_next(&self) -> Option<Task> {
+    pub(crate) fn pick_next(&self) -> Option<Task> {
         self.entries
             .iter()
             .min_by_key(|e| (e.eff_prio(), e.enq_seq))
             .map(|e| e.task)
-    }
-
-    /// Would `candidate` preempt `current`? FIFO tasks are only preempted by
-    /// strictly higher FIFO priority; `Other` tasks are preempted by any
-    /// FIFO task or a strictly better `Other` priority.
-    pub fn would_preempt(&self, current: Task, current_policy: SchedPolicy) -> bool {
-        let cur = Entry {
-            task: current,
-            policy: current_policy,
-            dyn_bonus: self
-                .entries
-                .iter()
-                .find(|e| e.task == current)
-                .map(|e| e.dyn_bonus)
-                .unwrap_or(0),
-            enq_seq: 0,
-        };
-        self.entries
-            .iter()
-            .filter(|e| e.task != current)
-            .any(|e| e.eff_prio() < cur.eff_prio())
     }
 
     /// Account a tick of CPU used by `ran`: its dynamic bonus decays while
@@ -144,7 +109,7 @@ impl RunQueue {
     /// two oldest entries ping-pong on the enqueue-order tie-break and
     /// everything behind them starves). FIFO entries are unaffected: a
     /// FIFO task runs until it yields the queue position itself.
-    pub fn tick(&mut self, ran: Task) {
+    pub(crate) fn tick(&mut self, ran: Task) {
         let mut rotate = false;
         for e in self.entries.iter_mut() {
             if let SchedPolicy::Other { .. } = e.policy {
@@ -163,17 +128,6 @@ impl RunQueue {
                 e.enq_seq = seq;
             }
         }
-    }
-
-    /// All queued tasks in priority order (for inspection/debugging).
-    pub fn snapshot(&self) -> Vec<(Task, SchedPolicy, i32)> {
-        let mut v: Vec<_> = self
-            .entries
-            .iter()
-            .map(|e| (e.task, e.policy, e.eff_prio()))
-            .collect();
-        v.sort_by_key(|(_, _, p)| *p);
-        v
     }
 }
 
@@ -237,8 +191,7 @@ mod tests {
         for _ in 0..100 {
             rq.tick(p(1));
         }
-        let snap = rq.snapshot();
-        assert_eq!(snap[0].2, BASE_PRIO + MAX_DYN_BONUS); // fully decayed
+        assert_eq!(rq.entries[0].eff_prio(), BASE_PRIO + MAX_DYN_BONUS); // fully decayed
     }
 
     #[test]
@@ -264,23 +217,9 @@ mod tests {
         let mut rq = RunQueue::new();
         rq.enqueue(p(1), SchedPolicy::Other { nice: 0 });
         assert!(rq.dequeue(p(1)));
-        assert!(!rq.contains(p(1)));
+        assert!(rq.entries.is_empty());
         assert!(!rq.dequeue(p(1)));
         assert_eq!(rq.pick_next(), None);
-    }
-
-    #[test]
-    fn would_preempt_fifo_semantics() {
-        let mut rq = RunQueue::new();
-        // Current: FIFO prio 50 (not necessarily in queue while running).
-        let cur = p(1);
-        rq.enqueue(p(2), SchedPolicy::Fifo { rt_prio: 50 });
-        // Equal priority does NOT preempt FIFO.
-        assert!(!rq.would_preempt(cur, SchedPolicy::Fifo { rt_prio: 50 }));
-        rq.enqueue(p(3), SchedPolicy::Fifo { rt_prio: 60 });
-        assert!(rq.would_preempt(cur, SchedPolicy::Fifo { rt_prio: 50 }));
-        // Any FIFO preempts Other.
-        assert!(rq.would_preempt(cur, SchedPolicy::Other { nice: -20 }));
     }
 
     #[test]
@@ -288,7 +227,7 @@ mod tests {
         let mut rq = RunQueue::new();
         rq.enqueue(p(1), SchedPolicy::Other { nice: 0 });
         rq.enqueue(p(1), SchedPolicy::Other { nice: 0 });
-        assert_eq!(rq.len(), 1);
+        assert_eq!(rq.entries.len(), 1);
     }
 
     #[test]

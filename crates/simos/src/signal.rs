@@ -21,15 +21,15 @@ pub struct Sig(pub u32);
 
 impl Sig {
     pub const SIGKILL: Sig = Sig(9);
-    pub const SIGSEGV: Sig = Sig(11);
+    pub(crate) const SIGSEGV: Sig = Sig(11);
     pub const SIGALRM: Sig = Sig(14);
     pub const SIGTERM: Sig = Sig(15);
-    pub const SIGCHLD: Sig = Sig(17);
+    pub(crate) const SIGCHLD: Sig = Sig(17);
     pub const SIGSTOP: Sig = Sig(19);
     pub const SIGCONT: Sig = Sig(18);
     pub const SIGUSR1: Sig = Sig(10);
     pub const SIGUSR2: Sig = Sig(12);
-    pub const SIGSYS: Sig = Sig(31);
+    pub(crate) const SIGSYS: Sig = Sig(31);
     /// The "new default kernel signal" several surveyed systems add
     /// (EPCKPT, CHPOX, Software Suspend). Its default action is a
     /// kernel-level checkpoint/freeze, installed by a kernel module.
@@ -98,19 +98,15 @@ pub enum SigAction {
 
 /// Default actions the kernel applies for `SigAction::Default`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DefaultAction {
+pub(crate) enum DefaultAction {
     Terminate,
     Ignore,
     Stop,
-    Continue,
-    /// Kernel-level checkpoint of the receiving process (installed for
-    /// [`Sig::SIGCKPT`] by checkpoint kernel modules — the CHPOX scheme).
-    KernelCheckpoint,
 }
 
 /// The kernel's built-in default action table; modules may override
 /// per-kernel (not per-process) defaults for new signals.
-pub fn builtin_default_action(sig: Sig) -> DefaultAction {
+pub(crate) fn builtin_default_action(sig: Sig) -> DefaultAction {
     match sig {
         Sig::SIGCHLD | Sig::SIGCONT => DefaultAction::Ignore,
         Sig::SIGSTOP => DefaultAction::Stop,
@@ -123,9 +119,9 @@ pub fn builtin_default_action(sig: Sig) -> DefaultAction {
 /// region.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReentrancyHazard {
-    pub sig: Sig,
-    pub at_ns: u64,
-    pub detail: &'static str,
+    pub(crate) sig: Sig,
+    pub(crate) at_ns: u64,
+    pub(crate) detail: &'static str,
 }
 
 /// Per-process signal state.
@@ -192,7 +188,7 @@ impl SignalState {
     }
 
     /// True if `sig` is blocked by the current mask.
-    pub fn blocked(&self, sig: Sig) -> bool {
+    pub(crate) fn blocked(&self, sig: Sig) -> bool {
         if sig == Sig::SIGKILL || sig == Sig::SIGSTOP {
             return false; // unblockable
         }
@@ -200,7 +196,7 @@ impl SignalState {
     }
 
     /// Take the next deliverable (pending, unblocked) signal.
-    pub fn take_deliverable(&mut self) -> Option<Sig> {
+    pub(crate) fn take_deliverable(&mut self) -> Option<Sig> {
         let idx = self
             .pending
             .iter()
@@ -214,7 +210,7 @@ impl SignalState {
     }
 
     /// Record a hazard.
-    pub fn note_hazard(&mut self, sig: Sig, at_ns: u64, detail: &'static str) {
+    pub(crate) fn note_hazard(&mut self, sig: Sig, at_ns: u64, detail: &'static str) {
         self.hazards.push(ReentrancyHazard { sig, at_ns, detail });
     }
 }

@@ -6,6 +6,8 @@
 //! deliveries.
 
 /// Monotonic counters maintained by the kernel.
+///
+/// ckptbench reads `context_switches` (`benchmark/src/metrics.rs`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Syscalls dispatched (all kinds), i.e. user→kernel→user round trips.
@@ -19,11 +21,11 @@ pub struct KernelStats {
     /// Page-fault traps taken.
     pub page_faults: u64,
     /// Signals delivered to user handlers.
-    pub signals_delivered: u64,
+    pub(crate) signals_delivered: u64,
     /// Signals resolved by kernel default actions.
-    pub signals_defaulted: u64,
+    pub(crate) signals_defaulted: u64,
     /// Timer ticks processed.
-    pub ticks: u64,
+    pub(crate) ticks: u64,
     /// Kernel-timer firings.
     pub timer_fires: u64,
     /// ioctl dispatches to modules.
@@ -31,14 +33,14 @@ pub struct KernelStats {
     /// Syscalls that went through an LD_PRELOAD interposition shim.
     pub interposed_syscalls: u64,
     /// Virtual ns the CPU sat idle (nothing runnable).
-    pub idle_ns: u64,
+    pub(crate) idle_ns: u64,
     /// Virtual ns spent executing guest work (user mode).
-    pub user_ns: u64,
+    pub(crate) user_ns: u64,
     /// Virtual ns spent in kernel mode (syscalls, faults, modules,
     /// kthreads).
-    pub kernel_ns: u64,
+    pub(crate) kernel_ns: u64,
     /// Process forks performed.
-    pub forks: u64,
+    pub(crate) forks: u64,
     /// Copy-on-write faults serviced after forks.
     pub cow_faults: u64,
 }

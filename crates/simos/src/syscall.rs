@@ -78,39 +78,10 @@ pub enum Syscall {
 }
 
 impl Syscall {
-    /// Short name for stats/tracing.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Syscall::Exit { .. } => "exit",
-            Syscall::Write { .. } => "write",
-            Syscall::Read { .. } => "read",
-            Syscall::Open { .. } => "open",
-            Syscall::Close { .. } => "close",
-            Syscall::Sbrk { .. } => "sbrk",
-            Syscall::Getpid => "getpid",
-            Syscall::Kill { .. } => "kill",
-            Syscall::Sigaction { .. } => "sigaction",
-            Syscall::Sigprocmask { .. } => "sigprocmask",
-            Syscall::Sigpending => "sigpending",
-            Syscall::Alarm { .. } => "alarm",
-            Syscall::Setitimer { .. } => "setitimer",
-            Syscall::Nanosleep { .. } => "nanosleep",
-            Syscall::Lseek { .. } => "lseek",
-            Syscall::Dup { .. } => "dup",
-            Syscall::Mmap { .. } => "mmap",
-            Syscall::Munmap { .. } => "munmap",
-            Syscall::Mprotect { .. } => "mprotect",
-            Syscall::SchedYield => "sched_yield",
-            Syscall::Fork => "fork",
-            Syscall::Ioctl { .. } => "ioctl",
-            Syscall::SchedSetScheduler { .. } => "sched_setscheduler",
-            Syscall::Ext { .. } => "ext",
-        }
-    }
 
     /// Whether an `LD_PRELOAD` shim interposes this call (the calls whose
     /// effects user space must mirror to checkpoint without kernel help).
-    pub fn is_interposable(&self) -> bool {
+    pub(crate) fn is_interposable(&self) -> bool {
         matches!(
             self,
             Syscall::Open { .. }
@@ -125,20 +96,6 @@ impl Syscall {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(Syscall::Getpid.name(), "getpid");
-        assert_eq!(Syscall::Sbrk { delta: 0 }.name(), "sbrk");
-        assert_eq!(
-            Syscall::Ext {
-                slot: 1,
-                args: [0; 5]
-            }
-            .name(),
-            "ext"
-        );
-    }
 
     #[test]
     fn interposable_set_matches_paper_list() {

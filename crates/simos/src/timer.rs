@@ -19,12 +19,12 @@ pub enum TimerAction {
 
 /// Handle for cancelling a timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(pub u64);
+pub struct TimerId(pub(crate) u64);
 
 /// A registered timer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timer {
-    pub id: TimerId,
+    pub(crate) id: TimerId,
     /// Absolute virtual time of the next firing.
     pub at: u64,
     /// Re-arm period; `None` for one-shot.
@@ -32,7 +32,7 @@ pub struct Timer {
     pub action: TimerAction,
     /// Owning process, if any — timers owned by a process are cancelled
     /// when it exits and are part of its checkpointable state.
-    pub owner: Option<Pid>,
+    pub(crate) owner: Option<Pid>,
 }
 
 /// The timer list. Deterministic: ties fire in registration order.
@@ -43,7 +43,7 @@ pub struct TimerWheel {
 }
 
 impl TimerWheel {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -73,7 +73,7 @@ impl TimerWheel {
     }
 
     /// Cancel all timers owned by a process (on exit).
-    pub fn cancel_owned(&mut self, pid: Pid) -> usize {
+    pub(crate) fn cancel_owned(&mut self, pid: Pid) -> usize {
         let before = self.timers.len();
         self.timers.retain(|t| t.owner != Some(pid));
         before - self.timers.len()
@@ -116,14 +116,6 @@ impl TimerWheel {
             .cloned()
             .collect()
     }
-
-    pub fn len(&self) -> usize {
-        self.timers.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.timers.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +136,7 @@ mod tests {
         assert!(w.take_due(50).is_empty());
         let due = w.take_due(100);
         assert_eq!(due.len(), 1);
-        assert!(w.is_empty());
+        assert_eq!(w.next_at(), None);
     }
 
     #[test]
@@ -168,7 +160,7 @@ mod tests {
         assert!(w.cancel(a));
         assert!(!w.cancel(a));
         assert_eq!(w.cancel_owned(Pid(2)), 2);
-        assert!(w.is_empty());
+        assert_eq!(w.next_at(), None);
     }
 
     #[test]

@@ -197,10 +197,10 @@ pub struct ClusterRecord {
 /// A power-of-two (log2) latency histogram: bucket `i` counts costs in
 /// `[2^i, 2^(i+1))` ns, bucket 0 also holding zero-cost events.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    pub buckets: [u64; 48],
-    pub min_ns: u64,
-    pub max_ns: u64,
+pub(crate) struct Histogram {
+    pub(crate) buckets: [u64; 48],
+    pub(crate) min_ns: u64,
+    pub(crate) max_ns: u64,
 }
 
 impl Default for Histogram {
@@ -214,7 +214,7 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    pub fn record(&mut self, cost_ns: u64) {
+    pub(crate) fn record(&mut self, cost_ns: u64) {
         let b = if cost_ns == 0 {
             0
         } else {
@@ -223,10 +223,6 @@ impl Histogram {
         self.buckets[b] += 1;
         self.min_ns = self.min_ns.min(cost_ns);
         self.max_ns = self.max_ns.max(cost_ns);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
     }
 }
 
@@ -239,10 +235,10 @@ pub struct Counter {
 
 /// Per-phase aggregate: counter plus latency histogram.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PhaseAgg {
-    pub count: u64,
-    pub total_ns: u64,
-    pub hist: Histogram,
+pub(crate) struct PhaseAgg {
+    pub(crate) count: u64,
+    pub(crate) total_ns: u64,
+    pub(crate) hist: Histogram,
 }
 
 /// Per-backend storage aggregate.
@@ -258,7 +254,7 @@ pub struct StorageAgg {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceReport {
     pub kernel: BTreeMap<KernelEvent, Counter>,
-    pub phases: BTreeMap<(String, Phase), PhaseAgg>,
+    pub(crate) phases: BTreeMap<(String, Phase), PhaseAgg>,
     pub phase_log: Vec<PhaseRecord>,
     pub storage: BTreeMap<(StorageOp, String), StorageAgg>,
     pub cluster: Vec<ClusterRecord>,
@@ -274,7 +270,7 @@ pub struct TraceReport {
     /// and storage-tier observability, excluded from `events_recorded` for
     /// the same reason as `soft_tlb_flushes`: a new counter must never
     /// perturb a pinned total.
-    pub counters: BTreeMap<&'static str, u64>,
+    pub(crate) counters: BTreeMap<&'static str, u64>,
 }
 
 impl TraceReport {
@@ -293,17 +289,6 @@ impl TraceReport {
             .filter(|((m, _), _)| m == mechanism)
             .map(|(_, a)| a.total_ns)
             .sum()
-    }
-
-    /// Every mechanism that emitted at least one phase event, sorted.
-    pub fn mechanisms(&self) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .phases
-            .keys()
-            .map(|(m, _)| m.clone())
-            .collect();
-        out.dedup();
-        out
     }
 
     /// A labelled counter's value (0 if nothing was ever counted under it).
@@ -376,7 +361,7 @@ impl TraceHandle {
 
     /// Emit a kernel hot-path event.
     #[inline]
-    pub fn kernel(&self, ev: KernelEvent, at_ns: u64, cost_ns: u64) {
+    pub(crate) fn kernel(&self, ev: KernelEvent, at_ns: u64, cost_ns: u64) {
         if !self.is_enabled() {
             return;
         }
@@ -452,7 +437,7 @@ impl TraceHandle {
     }
 
     /// Add `n` to the labelled counter `name`. Does not bump
-    /// `events_recorded` — see [`TraceReport::counters`].
+    /// `events_recorded` — see `TraceReport::counters`.
     #[inline]
     pub fn count(&self, name: &'static str, n: u64) {
         if !self.is_enabled() || n == 0 {
@@ -492,11 +477,6 @@ impl TraceHandle {
     /// Snapshot everything aggregated so far.
     pub fn report(&self) -> TraceReport {
         self.0.data.lock().unwrap().report.clone()
-    }
-
-    /// Drop all aggregated data (the sink stays enabled/disabled as-is).
-    pub fn clear(&self) {
-        *self.0.data.lock().unwrap() = Collector::default();
     }
 }
 
@@ -590,21 +570,11 @@ mod tests {
         h.record(1);
         h.record(1023);
         h.record(1024);
-        assert_eq!(h.count(), 4);
+        assert_eq!(h.buckets.iter().sum::<u64>(), 4);
         assert_eq!(h.buckets[0], 2); // 0 and 1
         assert_eq!(h.buckets[9], 1); // 512..1024
         assert_eq!(h.buckets[10], 1); // 1024..2048
         assert_eq!(h.min_ns, 0);
         assert_eq!(h.max_ns, 1024);
-    }
-
-    #[test]
-    fn clear_resets_but_keeps_mode() {
-        let t = TraceHandle::recording();
-        t.phase("m", Phase::Freeze, 1, 1, 0, 1);
-        assert_eq!(t.events_recorded(), 1);
-        t.clear();
-        assert_eq!(t.events_recorded(), 0);
-        assert!(t.is_enabled());
     }
 }

@@ -41,7 +41,7 @@ pub struct OfdId(pub u32);
 
 /// A schedulable entity: either a guest process or a kernel thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Task {
+pub(crate) enum Task {
     Process(Pid),
     KThread(KtId),
 }
@@ -199,7 +199,7 @@ impl Errno {
 pub type SysResult = Result<u64, Errno>;
 
 /// Encode a [`SysResult`] the way the kernel ABI does: negative errno.
-pub fn sysret_encode(r: SysResult) -> i64 {
+pub(crate) fn sysret_encode(r: SysResult) -> i64 {
     match r {
         Ok(v) => v as i64,
         Err(e) => e.as_ret(),

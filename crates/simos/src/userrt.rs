@@ -17,17 +17,17 @@ use std::collections::{BTreeMap, BTreeSet};
 /// "inaccessible from user level" without interception).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FdMirror {
-    pub path: String,
-    pub flags_write: bool,
+    pub(crate) path: String,
+    pub(crate) flags_write: bool,
 }
 
 /// A user-space mirror of one dynamic memory mapping, built by interposing
 /// `mmap`/`munmap`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MmapMirror {
-    pub addr: u64,
-    pub len: u64,
-    pub name: String,
+pub(crate) struct MmapMirror {
+    pub(crate) addr: u64,
+    pub(crate) len: u64,
+    pub(crate) name: String,
 }
 
 /// State of the modelled user-level runtime.
@@ -39,14 +39,14 @@ pub struct UserRuntime {
     /// Mirrored fd table (only populated when interposing).
     pub fd_mirror: BTreeMap<u32, FdMirror>,
     /// Mirrored dynamic mappings (only populated when interposing).
-    pub mmap_mirror: Vec<MmapMirror>,
+    pub(crate) mmap_mirror: Vec<MmapMirror>,
     /// User-space dirty-page bitmap maintained by the SIGSEGV tracking
     /// handler (page numbers).
     pub dirty_bitmap: BTreeSet<u64>,
     /// Number of SIGSEGV tracking faults the user handler has serviced.
     pub segv_tracked: u64,
     /// Number of syscalls that went through the interposition shim.
-    pub interposed_calls: u64,
+    pub(crate) interposed_calls: u64,
     /// Counter incremented by `UserHandlerKind::CountOnly` handlers.
     pub handler_invocations: u64,
     /// Registry name of the checkpoint library linked or preloaded into
@@ -70,7 +70,7 @@ impl UserRuntime {
     }
 
     /// Record an interposed `open`.
-    pub fn mirror_open(&mut self, fd: Fd, path: &str, write: bool) {
+    pub(crate) fn mirror_open(&mut self, fd: Fd, path: &str, write: bool) {
         self.fd_mirror.insert(
             fd.0,
             FdMirror {
@@ -82,13 +82,13 @@ impl UserRuntime {
     }
 
     /// Record an interposed `close`.
-    pub fn mirror_close(&mut self, fd: Fd) {
+    pub(crate) fn mirror_close(&mut self, fd: Fd) {
         self.fd_mirror.remove(&fd.0);
         self.interposed_calls += 1;
     }
 
     /// Record an interposed `dup`.
-    pub fn mirror_dup(&mut self, from: Fd, to: Fd) {
+    pub(crate) fn mirror_dup(&mut self, from: Fd, to: Fd) {
         if let Some(m) = self.fd_mirror.get(&from.0).cloned() {
             self.fd_mirror.insert(to.0, m);
         }
@@ -96,7 +96,7 @@ impl UserRuntime {
     }
 
     /// Record an interposed `mmap`.
-    pub fn mirror_mmap(&mut self, addr: u64, len: u64, name: &str) {
+    pub(crate) fn mirror_mmap(&mut self, addr: u64, len: u64, name: &str) {
         self.mmap_mirror.push(MmapMirror {
             addr,
             len,
@@ -106,7 +106,7 @@ impl UserRuntime {
     }
 
     /// Record an interposed `munmap`.
-    pub fn mirror_munmap(&mut self, addr: u64) {
+    pub(crate) fn mirror_munmap(&mut self, addr: u64) {
         self.mmap_mirror.retain(|m| m.addr != addr);
         self.interposed_calls += 1;
     }

@@ -22,7 +22,7 @@
 
 /// A decoded instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Instr {
+pub(crate) enum Instr {
     Nop,
     /// Terminate with exit code `r0`.
     Halt,
@@ -73,39 +73,39 @@ pub enum Instr {
 
 /// Instruction opcodes (stable encoding).
 mod op {
-    pub const NOP: u8 = 0;
-    pub const HALT: u8 = 1;
-    pub const LI: u8 = 2;
-    pub const LUI: u8 = 3;
-    pub const MOV: u8 = 4;
-    pub const ADD: u8 = 5;
-    pub const SUB: u8 = 6;
-    pub const MUL: u8 = 7;
-    pub const DIVU: u8 = 8;
-    pub const ADDI: u8 = 9;
-    pub const AND: u8 = 10;
-    pub const OR: u8 = 11;
-    pub const XOR: u8 = 12;
-    pub const SHL: u8 = 13;
-    pub const SHR: u8 = 14;
-    pub const LW: u8 = 15;
-    pub const SW: u8 = 16;
-    pub const LB: u8 = 17;
-    pub const SB: u8 = 18;
-    pub const BEQ: u8 = 19;
-    pub const BNE: u8 = 20;
-    pub const BLTU: u8 = 21;
-    pub const JMP: u8 = 22;
-    pub const JAL: u8 = 23;
-    pub const JR: u8 = 24;
-    pub const SYS: u8 = 25;
-    pub const MENTER: u8 = 26;
-    pub const MEXIT: u8 = 27;
-    pub const SRET: u8 = 28;
+    pub(crate) const NOP: u8 = 0;
+    pub(crate) const HALT: u8 = 1;
+    pub(crate) const LI: u8 = 2;
+    pub(crate) const LUI: u8 = 3;
+    pub(crate) const MOV: u8 = 4;
+    pub(crate) const ADD: u8 = 5;
+    pub(crate) const SUB: u8 = 6;
+    pub(crate) const MUL: u8 = 7;
+    pub(crate) const DIVU: u8 = 8;
+    pub(crate) const ADDI: u8 = 9;
+    pub(crate) const AND: u8 = 10;
+    pub(crate) const OR: u8 = 11;
+    pub(crate) const XOR: u8 = 12;
+    pub(crate) const SHL: u8 = 13;
+    pub(crate) const SHR: u8 = 14;
+    pub(crate) const LW: u8 = 15;
+    pub(crate) const SW: u8 = 16;
+    pub(crate) const LB: u8 = 17;
+    pub(crate) const SB: u8 = 18;
+    pub(crate) const BEQ: u8 = 19;
+    pub(crate) const BNE: u8 = 20;
+    pub(crate) const BLTU: u8 = 21;
+    pub(crate) const JMP: u8 = 22;
+    pub(crate) const JAL: u8 = 23;
+    pub(crate) const JR: u8 = 24;
+    pub(crate) const SYS: u8 = 25;
+    pub(crate) const MENTER: u8 = 26;
+    pub(crate) const MEXIT: u8 = 27;
+    pub(crate) const SRET: u8 = 28;
 }
 
 /// Encode an instruction to its 32-bit word.
-pub fn encode(i: Instr) -> u32 {
+pub(crate) fn encode(i: Instr) -> u32 {
     fn w(o: u8, a: u8, b: u8, c: u8) -> u32 {
         ((o as u32) << 24) | ((a as u32) << 16) | ((b as u32) << 8) | c as u32
     }
@@ -150,7 +150,7 @@ pub fn encode(i: Instr) -> u32 {
 }
 
 /// Decode a 32-bit word.
-pub fn decode(word: u32) -> Result<Instr, String> {
+pub(crate) fn decode(word: u32) -> Result<Instr, String> {
     let o = (word >> 24) as u8;
     let a = (word >> 16) as u8;
     let b = (word >> 8) as u8;
@@ -201,31 +201,31 @@ pub fn decode(word: u32) -> Result<Instr, String> {
 
 /// Guest syscall numbers used by VM programs (placed in `r0` before `SYS`).
 pub mod sysno {
-    pub const EXIT: u64 = 0;
+    pub(crate) const EXIT: u64 = 0;
     pub const WRITE: u64 = 1;
-    pub const READ: u64 = 2;
+    pub(crate) const READ: u64 = 2;
     pub const OPEN: u64 = 3;
-    pub const CLOSE: u64 = 4;
-    pub const SBRK: u64 = 5;
-    pub const GETPID: u64 = 6;
-    pub const KILL: u64 = 7;
-    pub const SIGACTION: u64 = 8;
+    pub(crate) const CLOSE: u64 = 4;
+    pub(crate) const SBRK: u64 = 5;
+    pub(crate) const GETPID: u64 = 6;
+    pub(crate) const KILL: u64 = 7;
+    pub(crate) const SIGACTION: u64 = 8;
     pub const ALARM: u64 = 9;
     pub const NANOSLEEP: u64 = 10;
     pub const LSEEK: u64 = 11;
-    pub const DUP: u64 = 12;
-    pub const MMAP: u64 = 13;
-    pub const MUNMAP: u64 = 14;
-    pub const MPROTECT: u64 = 15;
-    pub const SIGPENDING: u64 = 16;
-    pub const YIELD: u64 = 17;
+    pub(crate) const DUP: u64 = 12;
+    pub(crate) const MMAP: u64 = 13;
+    pub(crate) const MUNMAP: u64 = 14;
+    pub(crate) const MPROTECT: u64 = 15;
+    pub(crate) const SIGPENDING: u64 = 16;
+    pub(crate) const YIELD: u64 = 17;
     /// Extension syscalls installed by kernel modules start here: `r0 =
     /// EXT_BASE + slot` (the "new system call" checkpoint mechanisms).
-    pub const EXT_BASE: u64 = 100;
+    pub(crate) const EXT_BASE: u64 = 100;
 }
 
 /// Size of the signal context frame pushed on delivery (pc + 16 GPRs).
-pub const SIG_FRAME_BYTES: u64 = 8 * 17;
+pub(crate) const SIG_FRAME_BYTES: u64 = 8 * 17;
 
 #[cfg(test)]
 mod tests {

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use ckpt_core::mechanism::{
         KernelCkptEngine, KernelCkptEngineBuilder, Mechanism, MechanismInfo,
     };
-    pub use ckpt_core::report::{CkptOutcome, RestartOutcome};
+    pub use ckpt_core::{CkptOutcome, RestartOutcome};
     pub use ckpt_core::tracker::{Tracker, TrackerKind};
     pub use ckpt_core::{shared_storage, SharedStorage};
     pub use ckpt_storage::{ImageKey, ObjectKey};

@@ -300,7 +300,8 @@ fn fault_sites_are_identical_to_the_pre_refactor_capture() {
 /// builds: for every redundant and `dedup(…)` label of `crashpoint::TIERS`,
 /// the fault-decorated and the bare stack return the same receipts, bytes,
 /// virtual ns and vouched digests through `store`, `store_digested`,
-/// `load` and `load_verified`. A vouched digest is the bytes' `digest64`,
+/// `load` and `load_verified`, and the same batch receipt and manifests
+/// through `store_batch`. A vouched digest is the bytes' `digest64`,
 /// and every quorum-replicated stack vouches.
 #[test]
 fn the_fault_decorator_forwards_the_digest_hand_up() {
@@ -357,6 +358,22 @@ fn the_fault_decorator_forwards_the_digest_hand_up() {
                     assert_eq!(d, digest64(data), "{label} seq {seq} load {i}");
                 }
             }
+        }
+        // A batch reaches the stack as one batch: the same receipt (ack
+        // cycles included: a quorum stack group-commits) and manifests.
+        let objects: Vec<(String, Vec<u8>)> = (0..3u64)
+            .map(|i| {
+                let bytes = (0..5000).map(|j| mix64(i * 5000 + j) as u8).collect();
+                (ImageKey::new("batch", 1, i + 1).to_string(), bytes)
+            })
+            .collect();
+        let batch: Vec<(&str, &[u8])> =
+            objects.iter().map(|(k, d)| (k.as_str(), d.as_slice())).collect();
+        let want = bare.store_batch(&batch, &cost);
+        assert_eq!(wrapped.store_batch(&batch, &cost), want, "{label} batch");
+        for (key, _) in &batch {
+            let manifest = bare.replica_manifest(key);
+            assert_eq!(wrapped.replica_manifest(key), manifest, "{label} batch {key}");
         }
     }
     assert_eq!(seen, 7, "the redundant and dedup labels of TIERS");

@@ -6,9 +6,9 @@
 use ckpt_restart::ckpt::mechanism::ksignal::KernelSignalMechanism;
 use ckpt_restart::ckpt::mechanism::Mechanism;
 use ckpt_restart::ckpt::{shared_storage, RestorePid, TrackerKind};
-use ckpt_restart::simos::asm::programs;
+use ckpt_restart::simos::asm::{self, programs, Assembler};
 use ckpt_restart::simos::cost::CostModel;
-use ckpt_restart::simos::mem::DATA_BASE;
+use ckpt_restart::simos::mem::{DATA_BASE, TEXT_BASE};
 use ckpt_restart::simos::signal::Sig;
 use ckpt_restart::simos::Kernel;
 use ckpt_restart::storage::LocalDisk;
@@ -153,4 +153,115 @@ fn malloc_heavy_guest_checkpoints_inside_nonreentrant_region() {
     // The non-reentrant depth travelled with the image.
     k2.run_for(2_000_000).unwrap();
     assert!(peek_u64(&k2, r.pid, DATA_BASE) > counter_before);
+}
+
+/// Every instruction of the mini-ISA with edge operands: wrapping
+/// add/sub/mul, shifts by 64 and more, taken and untaken branches of each
+/// kind, a `jal` / `jr` call through the link register. `r13` collects one
+/// bit per fall-through taken, so the branch outcomes are in the pinned
+/// registers too. The program ends in a self-loop, so the process is live
+/// when the run stops and its registers can be read.
+fn every_instruction() -> Vec<u32> {
+    let mut a = Assembler::new();
+    a.li(1, 0xFFFF_FFFF);
+    a.li(2, 32);
+    a.shl(3, 1, 2); // r3 = 0xFFFF_FFFF_0000_0000
+    a.or(1, 3, 1); // r1 = u64::MAX
+    a.li(2, 2);
+    a.add(4, 1, 2); // MAX + 2 wraps to 1
+    a.sub(5, 2, 1); // 2 - MAX wraps to 3
+    a.mul(6, 1, 1); // MAX * MAX wraps to 1
+    a.li(7, 7);
+    a.divu(7, 1, 7); // MAX / 7
+    a.li(8, 64);
+    a.shl(9, 3, 8); // a shift by 64 is a shift by 0
+    a.li(8, 65);
+    a.shr(10, 3, 8); // a shift by 65 is a shift by 1
+    a.xor(11, 1, 3); // 0x0000_0000_FFFF_FFFF
+    a.and(12, 3, 11); // disjoint halves: 0
+    a.mov(0, 12);
+    a.addi(0, 0, -1); // 0 - 1 wraps to MAX
+    a.li(13, 0);
+    a.beq(4, 6, "beq_taken"); // 1 == 1
+    a.addi(13, 13, 1);
+    a.label("beq_taken");
+    a.beq(4, 5, "beq_skip"); // 1 != 3: falls through
+    a.addi(13, 13, 2);
+    a.label("beq_skip");
+    a.bne(4, 5, "bne_taken"); // 1 != 3
+    a.addi(13, 13, 4);
+    a.label("bne_taken");
+    a.bne(4, 6, "bne_skip"); // 1 == 1: falls through
+    a.addi(13, 13, 8);
+    a.label("bne_skip");
+    a.bltu(4, 1, "bltu_taken"); // 1 < MAX unsigned
+    a.addi(13, 13, 16);
+    a.label("bltu_taken");
+    a.bltu(1, 4, "bltu_skip"); // MAX < 1 is false: falls through
+    a.addi(13, 13, 32);
+    a.label("bltu_skip");
+    a.jal("callee");
+    a.addi(13, 13, 64); // runs once the callee returns
+    a.jmp("end");
+    a.label("callee");
+    a.li(2, 99);
+    a.jr(asm::LR);
+    a.label("end");
+    a.jmp("end");
+    a.assemble().expect("assembles")
+}
+
+#[test]
+fn every_instruction_computes_its_pinned_state() {
+    let mut k = Kernel::new(CostModel::circa_2005());
+    let pid = k.spawn_vm(every_instruction(), "isa").unwrap();
+    k.run_for(10_000).unwrap();
+    let p = k.process(pid).unwrap();
+    const MAX: u64 = u64::MAX;
+    const HIGH: u64 = 0xFFFF_FFFF_0000_0000;
+    assert_eq!(
+        p.regs.gpr,
+        [
+            MAX,                   // r0: 0 + (-1)
+            MAX,                   // r1
+            99,                    // r2: set by the callee
+            HIGH,                  // r3
+            1,                     // r4: MAX + 2
+            3,                     // r5: 2 - MAX
+            1,                     // r6: MAX * MAX
+            MAX / 7,               // r7
+            65,                    // r8
+            HIGH,                  // r9: HIGH << 64
+            HIGH >> 1,             // r10: HIGH >> 65
+            0xFFFF_FFFF,           // r11
+            0,                     // r12
+            2 + 8 + 32 + 64,       // r13: the three untaken branches, the return
+            0x7FFF_FFC0,           // r14: the stack pointer spawn set
+            0x40_0084,             // r15: jal's return address
+        ]
+    );
+    assert_eq!(p.regs.pc, 0x40_0094, "parked on the final self-loop");
+    assert_eq!(p.work_done, 4700);
+    assert_eq!(k.now(), 10_000);
+}
+
+/// `divu` by zero is an illegal instruction: the process never gets past
+/// it, its destination register keeps its value and its work stops.
+#[test]
+fn divide_by_zero_stops_the_guest_at_the_divu() {
+    let mut a = Assembler::new();
+    a.li(1, 5);
+    a.li(2, 0);
+    a.li(3, 77);
+    a.divu(3, 1, 2);
+    a.halt();
+    let mut k = Kernel::new(CostModel::circa_2005());
+    let pid = k.spawn_vm(a.assemble().unwrap(), "div0").unwrap();
+    k.run_for(10_000).unwrap();
+    let p = k.process(pid).unwrap();
+    assert!(!p.has_exited());
+    assert_eq!(p.regs.pc, TEXT_BASE + 3 * 4, "stuck on the divu");
+    assert_eq!(p.regs.gpr[..4], [0, 5, 0, 77]);
+    assert_eq!(p.work_done, 3, "only the three li retired");
+    assert_eq!(k.now(), 10_000);
 }

@@ -229,7 +229,7 @@ fn apply(k: &mut Kernel, pids: &mut Vec<Pid>, op: &Op) -> String {
         Op::Reap(who) => format!("{:?}", k.reap(pid(who))),
         Op::Orphans => {
             let slot = k.register_ext_syscall("ghost");
-            let kt = k.spawn_kthread("orphan", "ghost", SchedPolicy::Other { nice: 0 });
+            let kt = k.spawn_kthread("ghost", SchedPolicy::Other { nice: 0 });
             format!("{slot} {kt} {:?}", k.wake_kthread(kt))
         }
     }
