@@ -231,6 +231,30 @@ mod tests {
     }
 
     #[test]
+    fn would_preempt_fifo_semantics() {
+        let mut rq = RunQueue::new();
+        // A running FIFO task is not preempted by an equal-priority peer,
+        // however many ticks it uses.
+        rq.enqueue(p(1), SchedPolicy::Fifo { rt_prio: 50 });
+        rq.enqueue(p(2), SchedPolicy::Fifo { rt_prio: 50 });
+        for _ in 0..10 {
+            assert_eq!(rq.pick_next(), Some(p(1)));
+            rq.tick(p(1));
+        }
+        // A strictly higher FIFO priority does preempt it.
+        rq.enqueue(p(3), SchedPolicy::Fifo { rt_prio: 60 });
+        assert_eq!(rq.pick_next(), Some(p(3)));
+        // Any FIFO task preempts the best-placed `Other` task.
+        let mut rq = RunQueue::new();
+        rq.enqueue(p(4), SchedPolicy::Other { nice: -20 });
+        for _ in 0..10 {
+            rq.tick(p(5));
+        }
+        rq.enqueue(p(5), SchedPolicy::Fifo { rt_prio: 1 });
+        assert_eq!(rq.pick_next(), Some(p(5)));
+    }
+
+    #[test]
     fn set_policy_changes_ordering() {
         let mut rq = RunQueue::new();
         rq.enqueue(p(1), SchedPolicy::Other { nice: 0 });
