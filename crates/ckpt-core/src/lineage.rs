@@ -72,6 +72,17 @@ impl Lineage {
         &self.job
     }
 
+    /// The process (or rank) the images are keyed under.
+    pub fn id(&self) -> Option<u32> {
+        self.id
+    }
+
+    /// The current chain's replica manifests, one per committed segment
+    /// on a replicated or erasure-coded store, in seq order.
+    pub fn manifests(&self) -> &[ReplicaManifest] {
+        &self.manifests
+    }
+
     /// The seq the next round takes; the engine reuses it until it commits.
     pub(crate) fn next_seq(&self) -> u64 {
         self.next

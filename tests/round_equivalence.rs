@@ -7,7 +7,10 @@
 //! the round did is rendered line by line — each `CkptOutcome`, the ordered
 //! `(phase, at_ns, cost_ns)` log, the storage trace records, every fault
 //! site visited (name, `@n`, bytes) and the FNV-1a 64 of every stored
-//! object — and compared with `tests/goldens/round_equivalence.txt`.
+//! object — and compared with `tests/goldens/round_equivalence.txt`. After
+//! the rounds and again after the restart, each row renders the engine its
+//! mechanism reports (`Mechanism::engine`): the lineage's target, committed
+//! seq and chain-manifest count, or `none`.
 //!
 //! The two bracket users outside the table (whole-machine hibernation and
 //! the autonomic daemon) are rendered the same way.
@@ -125,6 +128,23 @@ impl World {
     }
 }
 
+/// The engine `mech` reports on `k`: its lineage's target, committed seq
+/// and chain manifests, or `none` for a family that runs on no engine.
+fn render_engine(out: &mut String, mech: &dyn Mechanism, k: &Kernel) {
+    match mech.engine(k) {
+        None => writeln!(out, "engine none").unwrap(),
+        Some(e) => {
+            let l = e.lineage();
+            let (id, committed, manifests) = (l.id(), l.committed(), l.manifests().len());
+            writeln!(
+                out,
+                "engine id={id:?} committed={committed} manifests={manifests}"
+            )
+            .unwrap();
+        }
+    }
+}
+
 fn kernel(trace: &TraceHandle, faults: &FaultHandle) -> Kernel {
     let mut k = Kernel::new(CostModel::circa_2005());
     k.set_trace(trace.clone());
@@ -158,8 +178,10 @@ fn render_everything() -> String {
                 family.label
             );
             let mut k2 = kernel(&w.trace, &w.faults);
+            render_engine(&mut out, mech.as_ref(), &w.k);
             let restart = mech.restart(&mut k2, RestorePid::Fresh).unwrap();
             writeln!(out, "restart {restart:?}").unwrap();
+            render_engine(&mut out, mech.as_ref(), &w.k);
             let report = w.trace.report();
             assert!(
                 report.phase_log.iter().any(|p| p.mechanism == family.module),
