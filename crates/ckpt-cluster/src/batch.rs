@@ -185,7 +185,7 @@ mod tests {
         for i in 0..3 {
             let k = cluster.node(NodeId(i)).kernel().unwrap();
             let n = k
-                .with_module_mut::<AutonomicDaemon, _>("lsfd", |d, _| d.outcomes.len())
+                .with_module_mut::<AutonomicDaemon, _>("lsfd", |d, _| d.recorder.outcomes.len())
                 .unwrap();
             assert_eq!(n, 1, "node {i} not checkpointed");
         }
@@ -216,7 +216,7 @@ mod tests {
         for i in 1..3 {
             let k = cluster.node(NodeId(i)).kernel().unwrap();
             let n = k
-                .with_module_mut::<AutonomicDaemon, _>("lsfd", |d, _| d.outcomes.len())
+                .with_module_mut::<AutonomicDaemon, _>("lsfd", |d, _| d.recorder.outcomes.len())
                 .unwrap();
             assert_eq!(n, 0);
         }

@@ -8,7 +8,7 @@
 //! Every one of those crossings is charged here, which is precisely why
 //! the user-level rows lose the efficiency comparisons in the experiments.
 
-use crate::mechanism::{bracketed_round, KernelCkptEngine};
+use crate::mechanism::{bracketed_round, KernelCkptEngine, Recorder, Recording};
 use crate::report::CkptOutcome;
 use crate::tracker::TrackerKind;
 use crate::SharedStorage;
@@ -17,7 +17,6 @@ use simos::module::KernelModule;
 use simos::syscall::{Syscall, Whence};
 use simos::types::{Pid, SimError, SimResult};
 use simos::{Kernel, Relink};
-use std::any::Any;
 
 /// Which side of the protection boundary a checkpoint round runs on —
 /// Figure 1's *context*. What a round *is* does not depend on it; it
@@ -118,14 +117,11 @@ impl UserAgentConfig {
 
 /// The agent: user-space checkpoint library code attached to one process,
 /// registered with the kernel's plug-in registry like any module and
-/// reached through its `user_checkpoint` hook. Its engine is built for the
-/// user context and runs the round itself.
+/// reached through its `user_checkpoint` hook. Its engines are built for
+/// the user context and run the round themselves.
 pub struct UserCkptAgent {
-    engine: KernelCkptEngine,
-    /// Completed checkpoints, newest last.
-    pub(crate) outcomes: Vec<CkptOutcome>,
-    /// Errors hit during asynchronous checkpoints (surfaced by mechanisms).
-    pub(crate) errors: Vec<String>,
+    name: String,
+    recorder: Recorder,
 }
 
 impl UserCkptAgent {
@@ -140,58 +136,52 @@ impl UserCkptAgent {
             ),
             "user-level agents cannot use kernel/hardware trackers"
         );
+        let template = KernelCkptEngine::for_user_library(
+            &cfg.name,
+            &cfg.job,
+            storage,
+            cfg.tracker,
+            cfg.use_mirrors,
+        );
         UserCkptAgent {
-            engine: KernelCkptEngine::for_user_library(
-                &cfg.name,
-                &cfg.job,
-                storage,
-                cfg.tracker,
-                cfg.use_mirrors,
-            ),
-            outcomes: Vec::new(),
-            errors: Vec::new(),
+            name: cfg.name,
+            recorder: Recorder::new(Some(template)),
         }
-    }
-
-    /// The library's engine: its lineage's seqs, tracker and manifests.
-    pub(crate) fn engine(&self) -> &KernelCkptEngine {
-        &self.engine
     }
 
     /// Perform one user-level checkpoint in the process's own context
     /// (handler or inserted call): the app is quiescent for free, so
     /// nothing is stopped.
     pub fn perform_checkpoint(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
-        let outcome = bracketed_round(k, &mut self.engine, pid, &[], None, |_| {})??;
-        self.outcomes.push(outcome.clone());
+        let engine = self.recorder.start(pid);
+        let outcome = bracketed_round(k, engine, pid, &[], None, |_| {})??;
+        self.recorder.outcomes.push((pid, outcome.clone()));
         Ok(outcome)
     }
 }
 
 impl KernelModule for UserCkptAgent {
     fn name(&self) -> &str {
-        self.engine.mechanism_name()
+        &self.name
     }
 
+    /// A failed round leaves no outcome; the mechanism waiting for one
+    /// times out.
     fn user_checkpoint(&mut self, k: &mut Kernel, pid: Pid) {
-        if let Err(e) = self.perform_checkpoint(k, pid) {
-            self.errors.push(e.to_string());
-        }
+        let _ = self.perform_checkpoint(k, pid);
     }
 
     fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn KernelModule>> {
         Ok(Box::new(UserCkptAgent {
-            engine: self.engine.fork(relink)?,
-            outcomes: self.outcomes.clone(),
-            errors: self.errors.clone(),
+            name: self.name.clone(),
+            recorder: self.recorder.fork(relink)?,
         }))
     }
+}
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+impl Recording for UserCkptAgent {
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 }
 

@@ -13,7 +13,7 @@
 //! to a higher-priority job) and *planned outage* (checkpoint and stop
 //! everything before maintenance).
 
-use crate::mechanism::{with_frozen, Engines, KernelCkptEngine, Then};
+use crate::mechanism::{with_frozen, KernelCkptEngine, Recorder, Then};
 use crate::policy::AdaptivePolicy;
 use crate::report::CkptOutcome;
 use crate::tracker::TrackerKind;
@@ -23,7 +23,9 @@ use simos::sched::SchedPolicy;
 use simos::timer::{TimerAction, TimerId};
 use simos::types::{Errno, KtId, Pid, SimError, SimResult, SysResult};
 use simos::Kernel;
-use std::any::Any;
+
+/// The daemon thread's `SCHED_FIFO` priority.
+const AUTONOMIC_RT_PRIO: u8 = 90;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -37,7 +39,6 @@ pub struct AutonomicConfig {
     pub adaptive: bool,
     pub initial_interval_ns: u64,
     pub mtbf_prior_ns: u64,
-    pub rt_prio: u8,
 }
 
 impl Default for AutonomicConfig {
@@ -50,7 +51,6 @@ impl Default for AutonomicConfig {
             adaptive: true,
             initial_interval_ns: 100_000_000, // 100 ms
             mtbf_prior_ns: 10_000_000_000,    // 10 s prior (sim scale)
-            rt_prio: 90,
         }
     }
 }
@@ -58,12 +58,11 @@ impl Default for AutonomicConfig {
 /// The daemon kernel module.
 pub struct AutonomicDaemon {
     cfg: AutonomicConfig,
-    /// One engine per registered process.
-    engines: Engines,
+    /// One engine per registered process, and every checkpoint taken.
+    pub recorder: Recorder,
     policy: AdaptivePolicy,
     kt: Option<KtId>,
     timer: Option<TimerId>,
-    pub outcomes: Vec<(Pid, CkptOutcome)>,
     /// Interval chosen after each round (for experiments).
     pub intervals_used: Vec<u64>,
     pub(crate) rounds: u64,
@@ -78,11 +77,10 @@ impl AutonomicDaemon {
             .build();
         AutonomicDaemon {
             cfg,
-            engines: Engines::new(template),
+            recorder: Recorder::new(Some(template)),
             policy,
             kt: None,
             timer: None,
-            outcomes: Vec::new(),
             intervals_used: Vec::new(),
             rounds: 0,
             failures_noted: 0,
@@ -91,11 +89,11 @@ impl AutonomicDaemon {
 
     /// Register a process for autonomous checkpointing.
     pub(crate) fn register(&mut self, pid: Pid) {
-        self.engines.start(pid);
+        self.recorder.start(pid);
     }
 
     pub(crate) fn registered(&self) -> Vec<u32> {
-        self.engines.pids()
+        self.recorder.pids()
     }
 
     /// Feed an observed failure into the policy (called by the cluster
@@ -136,16 +134,12 @@ impl AutonomicDaemon {
         ));
     }
 
-    /// Checkpoint one registered process right now (kernel context).
-    /// Public entry point for external initiators (batch managers, safe
-    /// preemption).
+    /// Checkpoint one registered process right now (kernel context): a
+    /// timer round's step, and the entry point for external initiators
+    /// (batch managers, safe preemption).
     pub fn checkpoint_now(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
-        self.checkpoint_one(k, pid)
-    }
-
-    fn checkpoint_one(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
         let engine = self
-            .engines
+            .recorder
             .get_mut(pid)
             .ok_or_else(|| SimError::Usage(format!("{pid} not registered")))?;
         // Respect an existing freeze (safe preemption / planned outage):
@@ -156,7 +150,7 @@ impl AutonomicDaemon {
             engine.checkpoint_in_kernel(k, pid)
         })?;
         self.policy.note_checkpoint_cost(outcome.total_ns);
-        self.outcomes.push((pid, outcome.clone()));
+        self.recorder.outcomes.push((pid, outcome.clone()));
         Ok(outcome)
     }
 }
@@ -171,7 +165,7 @@ impl KernelModule for AutonomicDaemon {
         self.kt = Some(k.spawn_kthread(
             &name,
             SchedPolicy::Fifo {
-                rt_prio: self.cfg.rt_prio,
+                rt_prio: AUTONOMIC_RT_PRIO,
             },
         ));
         let _ = k.fs.register_proc(&format!("/proc/{name}"), &name, "ctl");
@@ -202,11 +196,11 @@ impl KernelModule for AutonomicDaemon {
         let mut out = format!(
             "rounds={} checkpoints={} failures={} interval_ns={}\n",
             self.rounds,
-            self.outcomes.len(),
+            self.recorder.outcomes.len(),
             self.failures_noted,
             self.current_interval(k.now())
         );
-        for pid in self.engines.pids() {
+        for pid in self.recorder.pids() {
             out.push_str(&format!("registered {pid}\n"));
         }
         Ok(out.into_bytes())
@@ -214,24 +208,17 @@ impl KernelModule for AutonomicDaemon {
 
     fn kthread_run(&mut self, k: &mut Kernel, _kt: KtId) -> KthreadStatus {
         // One checkpoint round over all live registered processes.
-        for pid in self.engines.pids().into_iter().map(Pid) {
+        for pid in self.recorder.pids().into_iter().map(Pid) {
             match k.process(pid) {
                 Some(p) if !p.has_exited() => {
-                    let _ = self.checkpoint_one(k, pid);
+                    let _ = self.checkpoint_now(k, pid);
                 }
-                _ => self.engines.remove(pid),
+                _ => self.recorder.remove(pid),
             }
         }
         self.rounds += 1;
         self.arm_timer(k);
         KthreadStatus::Sleep
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -257,7 +244,7 @@ pub fn register(k: &mut Kernel, daemon: &str, pid: Pid) -> SimResult<()> {
 /// a higher-priority job can take the node. Undo with [`resume_preempted`].
 pub fn safe_preempt(k: &mut Kernel, daemon: &str, pid: Pid) -> SimResult<CkptOutcome> {
     let out = k
-        .with_module_mut::<AutonomicDaemon, _>(daemon, |d, k| d.checkpoint_one(k, pid))
+        .with_module_mut::<AutonomicDaemon, _>(daemon, |d, k| d.checkpoint_now(k, pid))
         .ok_or_else(|| SimError::Usage(format!("daemon {daemon} not loaded")))??;
     k.freeze_process(pid)?;
     Ok(out)
@@ -309,14 +296,18 @@ mod tests {
         let (mut k, _pid, name) = setup();
         k.run_for(500_000_000).unwrap();
         let n = k
-            .with_module_mut::<AutonomicDaemon, _>(&name, |d, _| d.outcomes.len())
+            .with_module_mut::<AutonomicDaemon, _>(&name, |d, _| d.recorder.outcomes.len())
             .unwrap();
         assert!(n >= 3, "expected ≥3 autonomous checkpoints, got {n}");
         // Fully transparent: the app never made a checkpoint-related
         // syscall; incremental after the first.
         let incr = k
             .with_module_mut::<AutonomicDaemon, _>(&name, |d, _| {
-                d.outcomes.iter().skip(1).all(|(_, o)| o.incremental)
+                d.recorder
+                    .outcomes
+                    .iter()
+                    .skip(1)
+                    .all(|(_, o)| o.incremental)
             })
             .unwrap();
         assert!(incr);

@@ -9,20 +9,19 @@
 //! by the substrate ([`simos::Kernel::fork_process`]).
 
 use super::{
-    charge_tool_syscall, commit_image, outcomes_of, AgentKind, Context, Initiation, Mechanism,
-    MechanismInfo,
+    charge_tool_syscall, commit_image, AgentKind, Context, Initiation, MechanismInfo, ModuleFamily,
+    Recorder, Recording, Shell,
 };
 use crate::capture::{capture_image, CaptureOptions, PageSelection};
 use crate::lineage::Lineage;
-use crate::report::{CkptOutcome, RestartOutcome};
+use crate::report::CkptOutcome;
 use crate::tracker::TrackerKind;
-use crate::{fork_storage, RestorePid, SharedStorage};
+use crate::{fork_storage, SharedStorage};
 use simos::module::{KernelModule, KthreadStatus};
 use simos::sched::SchedPolicy;
 use simos::trace::Phase;
 use simos::types::{Errno, KtId, Pid, SimError, SimResult, SysResult};
 use simos::{Kernel, Relink};
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
 /// One queued save request.
@@ -69,29 +68,7 @@ pub(crate) struct ForkCkptModule {
     active: Option<ActiveSave>,
     kt: Option<KtId>,
     slot: Option<u32>,
-    pub(crate) outcomes: Vec<(Pid, CkptOutcome)>,
-    pub(crate) failures: u64,
-}
-
-impl ForkCkptModule {
-    pub(crate) fn new(name: &str, job: &str, storage: SharedStorage) -> Self {
-        ForkCkptModule {
-            name: name.to_string(),
-            job: job.to_string(),
-            storage,
-            lineages: BTreeMap::new(),
-            queue: VecDeque::new(),
-            active: None,
-            kt: None,
-            slot: None,
-            outcomes: Vec::new(),
-            failures: 0,
-        }
-    }
-
-    pub(crate) fn slot(&self) -> Option<u32> {
-        self.slot
-    }
+    recorder: Recorder,
 }
 
 impl KernelModule for ForkCkptModule {
@@ -150,16 +127,12 @@ impl KernelModule for ForkCkptModule {
                 return KthreadStatus::Sleep;
             };
             if k.faultpoint(&self.name, "capture").is_err() {
-                self.failures += 1;
                 self.cleanup_child(k, &req);
                 return self.next_status();
             }
             let pages_left: Vec<u64> = match k.process(req.child) {
                 Some(c) => c.mem.resident_pages().collect(),
-                None => {
-                    self.failures += 1;
-                    return self.next_status();
-                }
+                None => return self.next_status(),
             };
             self.active = Some(ActiveSave {
                 req,
@@ -179,7 +152,6 @@ impl KernelModule for ForkCkptModule {
         };
         {
             let Some(child) = k.process(save.req.child) else {
-                self.failures += 1;
                 return self.next_status();
             };
             for pn in &burst {
@@ -197,9 +169,8 @@ impl KernelModule for ForkCkptModule {
         }
         // All pages copied: finish, then discard the child either way.
         let req = save.req.clone();
-        match self.finish(k, save) {
-            Some(outcome) => self.outcomes.push((req.parent, outcome)),
-            None => self.failures += 1,
+        if let Some(outcome) = self.finish(k, save) {
+            self.recorder.outcomes.push((req.parent, outcome));
         }
         self.cleanup_child(k, &req);
         self.next_status()
@@ -211,12 +182,11 @@ impl KernelModule for ForkCkptModule {
             ..self.clone()
         }))
     }
+}
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+impl Recording for ForkCkptModule {
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 }
 
@@ -298,33 +268,37 @@ impl ForkCkptModule {
 /// The mechanism wrapper. A clone shares the store.
 #[derive(Clone)]
 pub struct ForkConcurrentMechanism {
-    pub(crate) module_name: String,
+    shell: Shell,
     /// The surveyed *Checkpoint* system has the application itself invoke
     /// the syscalls (automatic initiation, no transparency); when false,
     /// an external tool drives the syscall instead.
     pub invoked_by_app: bool,
     /// If app-invoked: call the checkpoint syscall every N app steps.
     pub self_every: u64,
-    storage: SharedStorage,
-    job: String,
-    target: Option<Pid>,
 }
 
 impl ForkConcurrentMechanism {
     pub fn new(module_name: &str, job: &str, storage: SharedStorage) -> Self {
         ForkConcurrentMechanism {
-            module_name: module_name.to_string(),
+            shell: Shell::new(module_name, job, storage, TrackerKind::FullOnly),
             invoked_by_app: false,
             self_every: 0,
-            storage,
-            job: job.to_string(),
-            target: None,
         }
     }
 }
 
-impl Mechanism for ForkConcurrentMechanism {
-    fn info(&self) -> MechanismInfo {
+impl ModuleFamily for ForkConcurrentMechanism {
+    type Module = ForkCkptModule;
+
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn describe(&self) -> MechanismInfo {
         MechanismInfo {
             family: "fork-concurrent",
             context: Context::SystemOs,
@@ -340,18 +314,24 @@ impl Mechanism for ForkConcurrentMechanism {
         }
     }
 
-    fn prepare(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
-        self.target = Some(pid);
-        if !k.module_loaded(&self.module_name) {
-            k.register_module(Box::new(ForkCkptModule::new(
-                &self.module_name,
-                &self.job,
-                self.storage.clone(),
-            )))?;
+    fn module(&self) -> ForkCkptModule {
+        ForkCkptModule {
+            name: self.shell.module.clone(),
+            job: self.shell.job.clone(),
+            storage: self.shell.storage.clone(),
+            lineages: BTreeMap::new(),
+            queue: VecDeque::new(),
+            active: None,
+            kt: None,
+            slot: None,
+            recorder: Recorder::new(None),
         }
+    }
+
+    fn attach(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
         if self.invoked_by_app && self.self_every > 0 {
             let slot = k
-                .with_module_mut::<ForkCkptModule, _>(&self.module_name, |m, _| m.slot())
+                .with_module::<ForkCkptModule, _>(&self.shell.module, |m| m.slot)
                 .flatten()
                 .ok_or_else(|| SimError::Usage("fork module missing slot".into()))?;
             let p = k.process_mut(pid).ok_or(SimError::NoSuchProcess(pid))?;
@@ -361,17 +341,16 @@ impl Mechanism for ForkConcurrentMechanism {
         Ok(())
     }
 
-    fn checkpoint(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
+    fn request(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
         if self.invoked_by_app {
             return Err(SimError::Usage(
                 "the Checkpoint system is invoked by the application itself".into(),
             ));
         }
-        let name = self.module_name.clone();
-        let before = self.outcomes(k).len();
+        let name = self.shell.module.clone();
         charge_tool_syscall(k);
         let slot = k
-            .with_module_mut::<ForkCkptModule, _>(&name, |m, _| m.slot())
+            .with_module::<ForkCkptModule, _>(&name, |m| m.slot)
             .flatten()
             .ok_or_else(|| SimError::Usage("module not prepared".into()))?;
         k.dispatch_module(&name, |m, k| {
@@ -379,25 +358,7 @@ impl Mechanism for ForkConcurrentMechanism {
         })
         .ok_or_else(|| SimError::Usage("module missing".into()))?
         .map_err(|e| SimError::Usage(format!("fork checkpoint failed: {e:?}")))?;
-        super::next_outcome(&*self, k, before, "fork-concurrent save")
-    }
-
-    fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
-        super::restart_prepared(&self.storage, &self.job, self.target, k, pid)
-    }
-
-    fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
-        k.with_module::<ForkCkptModule, _>(&self.module_name, |m| {
-            outcomes_of(&m.outcomes, self.target)
-        })
-        .unwrap_or_default()
-    }
-
-    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
-        Ok(Box::new(ForkConcurrentMechanism {
-            storage: fork_storage(&self.storage, relink)?,
-            ..self.clone()
-        }))
+        Ok(())
     }
 }
 
@@ -405,7 +366,8 @@ impl Mechanism for ForkConcurrentMechanism {
 mod tests {
     use super::*;
     use crate::mechanism::kthread::{KernelThreadMechanism, KthreadIface, KthreadVariant};
-    use crate::shared_storage;
+    use crate::mechanism::Mechanism;
+    use crate::{shared_storage, RestorePid};
     use ckpt_storage::LocalDisk;
     use simos::apps::{AppParams, NativeKind};
     use simos::cost::CostModel;

@@ -8,42 +8,29 @@
 //! signal handler is deferred until the next time the kernel will go from
 //! kernel mode to user mode in the process context … there is no way to
 //! know when the signal handler will be executed". The mechanism's
-//! [`CkptOutcome::total_ns`] measures initiation→durable and therefore
-//! includes that deferral, which grows with system load (experiment C4).
+//! [`total_ns`](crate::CkptOutcome::total_ns) measures initiation→durable
+//! and therefore includes that deferral, which grows with system load
+//! (experiment C4).
 
 use super::{
-    bracketed_round, charge_tool_syscall, outcomes_of, AgentKind, Context, Engines, Initiation,
-    KernelCkptEngine, Mechanism, MechanismInfo,
+    bracketed_round, charge_tool_syscall, AgentKind, Context, Initiation, MechanismInfo,
+    ModuleFamily, Recorder, Recording, Shell,
 };
-use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
-use crate::{fork_storage, RestorePid, SharedStorage};
+use crate::SharedStorage;
 use simos::module::KernelModule;
 use simos::signal::Sig;
 use simos::types::{Errno, Pid, SimError, SimResult, SysResult};
 use simos::{Kernel, Relink};
-use std::any::Any;
 use std::collections::BTreeMap;
 
 /// The CHPOX-style kernel module: a `/proc` registration entry plus a
 /// claimed kernel signal.
 pub(crate) struct ChpoxModule {
     name: String,
-    engines: Engines,
-    pub(crate) outcomes: Vec<(Pid, CkptOutcome)>,
+    recorder: Recorder,
     /// Virtual time each pending request was posted (to measure deferral).
-    pub(crate) initiated_at: BTreeMap<u32, u64>,
-}
-
-impl ChpoxModule {
-    pub(crate) fn new(name: &str, job: &str, storage: SharedStorage, tracker: TrackerKind) -> Self {
-        ChpoxModule {
-            name: name.to_string(),
-            engines: Engines::new(KernelCkptEngine::new(name, job, storage, tracker)),
-            outcomes: Vec::new(),
-            initiated_at: BTreeMap::new(),
-        }
-    }
+    initiated_at: BTreeMap<u32, u64>,
 }
 
 impl KernelModule for ChpoxModule {
@@ -65,14 +52,14 @@ impl KernelModule for ChpoxModule {
     fn proc_write(&mut self, _k: &mut Kernel, _pid: Pid, _tag: &str, data: &[u8]) -> SysResult {
         let text = String::from_utf8_lossy(data);
         let pid: u32 = text.trim().parse().map_err(|_| Errno::EINVAL)?;
-        self.engines.start(Pid(pid));
+        self.recorder.start(Pid(pid));
         Ok(data.len() as u64)
     }
 
     /// Reading the `/proc` entry lists registered pids.
     fn proc_read(&mut self, _k: &mut Kernel, _pid: Pid, _tag: &str) -> Result<Vec<u8>, Errno> {
         let mut out = String::new();
-        for pid in self.engines.pids() {
+        for pid in self.recorder.pids() {
             out.push_str(&format!("{pid}\n"));
         }
         Ok(out.into_bytes())
@@ -91,11 +78,11 @@ impl KernelModule for ChpoxModule {
         let requested_at = self.initiated_at.remove(&pid.0);
         // An unregistered process: swallow the signal (a real CHPOX would
         // fall back to the built-in default).
-        let Some(engine) = self.engines.get_mut(pid) else {
+        let Some(engine) = self.recorder.get_mut(pid) else {
             return true;
         };
         if let Ok(Ok(outcome)) = bracketed_round(k, engine, pid, &[], requested_at, |_| {}) {
-            self.outcomes.push((pid, outcome));
+            self.recorder.outcomes.push((pid, outcome));
         }
         true
     }
@@ -103,124 +90,96 @@ impl KernelModule for ChpoxModule {
     fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn KernelModule>> {
         Ok(Box::new(ChpoxModule {
             name: self.name.clone(),
-            engines: self.engines.fork(relink)?,
-            outcomes: self.outcomes.clone(),
+            recorder: self.recorder.fork(relink)?,
             initiated_at: self.initiated_at.clone(),
         }))
     }
+}
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+impl Recording for ChpoxModule {
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 }
 
 /// The mechanism wrapper.
+#[derive(Clone)]
 pub struct KernelSignalMechanism {
-    pub(crate) module_name: String,
-    storage: SharedStorage,
-    job: String,
-    tracker: TrackerKind,
-    target: Option<Pid>,
+    shell: Shell,
 }
 
 impl KernelSignalMechanism {
     pub fn new(module_name: &str, job: &str, storage: SharedStorage, tracker: TrackerKind) -> Self {
         KernelSignalMechanism {
-            module_name: module_name.to_string(),
-            storage,
-            job: job.to_string(),
-            tracker,
-            target: None,
+            shell: Shell::new(module_name, job, storage, tracker),
         }
     }
 }
 
-impl Mechanism for KernelSignalMechanism {
-    fn info(&self) -> MechanismInfo {
+impl ModuleFamily for KernelSignalMechanism {
+    type Module = ChpoxModule;
+
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn describe(&self) -> MechanismInfo {
         MechanismInfo {
             family: "kernel-signal",
             context: Context::SystemOs,
             agent: AgentKind::KernelSignal,
             is_kernel_module: true,
             transparent: true,
-            supports_incremental: self.tracker.supports_incremental(),
+            supports_incremental: self.shell.tracker.supports_incremental(),
             initiation: Initiation::UserInitiated,
         }
     }
 
-    fn prepare(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
-        self.target = Some(pid);
-        if !k.module_loaded(&self.module_name) {
-            k.register_module(Box::new(ChpoxModule::new(
-                &self.module_name,
-                &self.job,
-                self.storage.clone(),
-                self.tracker,
-            )))?;
+    fn module(&self) -> ChpoxModule {
+        ChpoxModule {
+            name: self.shell.module.clone(),
+            recorder: Recorder::new(Some(self.shell.engine())),
+            initiated_at: BTreeMap::new(),
         }
+    }
+
+    fn attach(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
         // Registration: a tool writes the pid to /proc/<name> (open +
         // write + close).
         for _ in 0..3 {
             charge_tool_syscall(k);
         }
-        let name = self.module_name.clone();
         let data = pid.0.to_string().into_bytes();
-        k.dispatch_module(&name, |m, k| m.proc_write(k, pid, "register", &data))
-            .ok_or_else(|| SimError::Usage("module missing".into()))?
-            .map_err(|e| SimError::Usage(format!("registration failed: {e:?}")))?;
+        k.dispatch_module(&self.shell.module, |m, k| {
+            m.proc_write(k, pid, "register", &data)
+        })
+        .ok_or_else(|| SimError::Usage("module missing".into()))?
+        .map_err(|e| SimError::Usage(format!("registration failed: {e:?}")))?;
         Ok(())
     }
 
-    fn checkpoint(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
-        let name = self.module_name.clone();
-        let before = self.outcomes(k).len();
+    fn request(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
         // kill -CKPT <pid> from a tool, then wait for the deferred
         // delivery to run the kernel checkpoint.
         charge_tool_syscall(k);
         let now = k.now();
-        k.with_module_mut::<ChpoxModule, _>(&name, |m, _| {
+        k.with_module_mut::<ChpoxModule, _>(&self.shell.module, |m, _| {
             m.initiated_at.insert(pid.0, now);
         });
         k.post_signal(pid, Sig::SIGCKPT);
-        super::next_outcome(&*self, k, before, "SIGCKPT delivery")
-    }
-
-    fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
-        super::restart_prepared(&self.storage, &self.job, self.target, k, pid)
-    }
-
-    fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
-        k.with_module::<ChpoxModule, _>(&self.module_name, |m| {
-            outcomes_of(&m.outcomes, self.target)
-        })
-        .unwrap_or_default()
-    }
-
-    fn engine(&self, k: &Kernel) -> Option<KernelCkptEngine> {
-        k.with_module::<ChpoxModule, _>(&self.module_name, |m| {
-            m.engines.get(self.target?).cloned()
-        })
-        .flatten()
-    }
-
-    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
-        Ok(Box::new(KernelSignalMechanism {
-            module_name: self.module_name.clone(),
-            storage: fork_storage(&self.storage, relink)?,
-            job: self.job.clone(),
-            tracker: self.tracker,
-            target: self.target,
-        }))
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shared_storage;
+    use crate::mechanism::Mechanism;
+    use crate::{shared_storage, RestorePid};
     use ckpt_storage::LocalDisk;
     use simos::apps::{AppParams, NativeKind};
     use simos::cost::CostModel;
@@ -275,7 +234,7 @@ mod tests {
         // Swallowed by the module: no checkpoint, no termination.
         assert!(!k.process(other).unwrap().has_exited());
         let n = k
-            .with_module_mut::<ChpoxModule, _>("chpox", |m, _| m.outcomes.len())
+            .with_module_mut::<ChpoxModule, _>("chpox", |m, _| m.recorder.outcomes.len())
             .unwrap();
         assert_eq!(n, 0);
     }

@@ -21,19 +21,18 @@
 //! and file-content restoration, PsncR/C's lack of data optimization.
 
 use super::{
-    bracketed_round, charge_tool_syscall, outcomes_of, AgentKind, Context, Engines, Initiation,
-    KernelCkptEngine, Mechanism, MechanismInfo,
+    bracketed_round, charge_tool_syscall, AgentKind, Context, Initiation, MechanismInfo,
+    ModuleFamily, Recorder, Recording, Shell,
 };
-use crate::report::{CkptOutcome, RestartOutcome};
+use crate::report::RestartOutcome;
 use crate::tracker::TrackerKind;
-use crate::{fork_storage, RestorePid, SharedStorage};
+use crate::{RestorePid, SharedStorage};
 use simos::module::{KernelModule, KthreadStatus};
 use simos::sched::SchedPolicy;
 use simos::signal::{Sig, SigAction, UserHandlerKind};
 use simos::syscall::Syscall;
 use simos::types::{Errno, KtId, Pid, SimError, SimResult, SysResult};
 use simos::{Kernel, Relink};
-use std::any::Any;
 use std::collections::VecDeque;
 
 /// How user space reaches the kernel thread.
@@ -47,6 +46,9 @@ pub enum KthreadIface {
 
 /// ioctl request codes for the checkpoint device.
 pub const IOCTL_CHECKPOINT: u64 = 1;
+
+/// The checkpoint thread's `SCHED_FIFO` priority.
+const KTHREAD_RT_PRIO: u8 = 50;
 
 /// Variant knobs distinguishing the surveyed kernel-thread systems.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,39 +79,13 @@ impl Default for KthreadVariant {
 pub struct CkptKthreadModule {
     name: String,
     iface: KthreadIface,
-    rt_prio: u8,
-    engines: Engines,
+    pub recorder: Recorder,
     queue: VecDeque<(Pid, u64)>, // (pid, initiated_at)
     kt: Option<KtId>,
-    pub outcomes: Vec<(Pid, CkptOutcome)>,
     pub requests_failed: u64,
 }
 
 impl CkptKthreadModule {
-    pub(crate) fn new(
-        name: &str,
-        job: &str,
-        storage: SharedStorage,
-        tracker: TrackerKind,
-        iface: KthreadIface,
-        rt_prio: u8,
-        variant: KthreadVariant,
-    ) -> Self {
-        let mut template = KernelCkptEngine::new(name, job, storage, tracker);
-        template.opts.compress = variant.compress;
-        template.opts.save_file_contents = variant.save_file_contents;
-        CkptKthreadModule {
-            name: name.to_string(),
-            iface,
-            rt_prio,
-            engines: Engines::new(template),
-            queue: VecDeque::new(),
-            kt: None,
-            outcomes: Vec::new(),
-            requests_failed: 0,
-        }
-    }
-
     pub(crate) fn device_path(&self) -> String {
         match self.iface {
             KthreadIface::Ioctl => format!("/dev/{}", self.name),
@@ -121,7 +97,7 @@ impl CkptKthreadModule {
         if k.process(target).is_none() {
             return Err(Errno::ESRCH);
         }
-        self.engines.start(target);
+        self.recorder.start(target);
         self.queue.push_back((target, k.now()));
         if let Some(kt) = self.kt {
             let _ = k.wake_kthread(kt);
@@ -140,7 +116,7 @@ impl KernelModule for CkptKthreadModule {
         self.kt = Some(k.spawn_kthread(
             &name,
             SchedPolicy::Fifo {
-                rt_prio: self.rt_prio,
+                rt_prio: KTHREAD_RT_PRIO,
             },
         ));
         match self.iface {
@@ -180,7 +156,7 @@ impl KernelModule for CkptKthreadModule {
         let Some((target, initiated_at)) = self.queue.pop_front() else {
             return KthreadStatus::Sleep;
         };
-        let engine = self.engines.start(target);
+        let engine = self.recorder.start(target);
         // The kernel thread borrowed the interrupted task's page tables;
         // switching to the target's address space costs an mm switch + TLB
         // flush exactly when they differ (the paper's point). Charged to
@@ -189,7 +165,7 @@ impl KernelModule for CkptKthreadModule {
             let _ = k.kthread_attach_mm(target);
         };
         match bracketed_round(k, engine, target, &[target], Some(initiated_at), attach) {
-            Ok(Ok(outcome)) => self.outcomes.push((target, outcome)),
+            Ok(Ok(outcome)) => self.recorder.outcomes.push((target, outcome)),
             _ => self.requests_failed += 1,
         }
         if self.queue.is_empty() {
@@ -203,33 +179,26 @@ impl KernelModule for CkptKthreadModule {
         Ok(Box::new(CkptKthreadModule {
             name: self.name.clone(),
             iface: self.iface,
-            rt_prio: self.rt_prio,
-            engines: self.engines.fork(relink)?,
+            recorder: self.recorder.fork(relink)?,
             queue: self.queue.clone(),
             kt: self.kt,
-            outcomes: self.outcomes.clone(),
             requests_failed: self.requests_failed,
         }))
     }
+}
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+impl Recording for CkptKthreadModule {
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 }
 
 /// The mechanism wrapper.
+#[derive(Clone)]
 pub struct KernelThreadMechanism {
-    pub(crate) module_name: String,
-    pub(crate) iface: KthreadIface,
-    pub(crate) rt_prio: u8,
-    pub(crate) variant: KthreadVariant,
-    storage: SharedStorage,
-    job: String,
-    tracker: TrackerKind,
-    target: Option<Pid>,
+    shell: Shell,
+    iface: KthreadIface,
+    variant: KthreadVariant,
 }
 
 impl KernelThreadMechanism {
@@ -242,44 +211,51 @@ impl KernelThreadMechanism {
         variant: KthreadVariant,
     ) -> Self {
         KernelThreadMechanism {
-            module_name: module_name.to_string(),
+            shell: Shell::new(module_name, job, storage, tracker),
             iface,
-            rt_prio: 50,
             variant,
-            storage,
-            job: job.to_string(),
-            tracker,
-            target: None,
         }
     }
 }
 
-impl Mechanism for KernelThreadMechanism {
-    fn info(&self) -> MechanismInfo {
+impl ModuleFamily for KernelThreadMechanism {
+    type Module = CkptKthreadModule;
+
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn describe(&self) -> MechanismInfo {
         MechanismInfo {
             family: "kernel-thread",
             context: Context::SystemOs,
             agent: AgentKind::KernelThread,
             is_kernel_module: true,
             transparent: !self.variant.needs_registration,
-            supports_incremental: self.tracker.supports_incremental(),
+            supports_incremental: self.shell.tracker.supports_incremental(),
             initiation: Initiation::UserInitiated,
         }
     }
 
-    fn prepare(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
-        self.target = Some(pid);
-        if !k.module_loaded(&self.module_name) {
-            k.register_module(Box::new(CkptKthreadModule::new(
-                &self.module_name,
-                &self.job,
-                self.storage.clone(),
-                self.tracker,
-                self.iface,
-                self.rt_prio,
-                self.variant,
-            )))?;
+    fn module(&self) -> CkptKthreadModule {
+        let mut template = self.shell.engine();
+        template.opts.compress = self.variant.compress;
+        template.opts.save_file_contents = self.variant.save_file_contents;
+        CkptKthreadModule {
+            name: self.shell.module.clone(),
+            iface: self.iface,
+            recorder: Recorder::new(Some(template)),
+            queue: VecDeque::new(),
+            kt: None,
+            requests_failed: 0,
         }
+    }
+
+    fn attach(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
         if self.variant.needs_registration {
             // BLCR's initialization: load the shared library into the
             // process and register a signal handler — the reason Table 1
@@ -302,9 +278,8 @@ impl Mechanism for KernelThreadMechanism {
         Ok(())
     }
 
-    fn checkpoint(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
-        let name = self.module_name.clone();
-        let before = self.outcomes(k).len();
+    fn request(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
+        let name = self.shell.module.clone();
         // The tool: open the device//proc entry, issue the request, close.
         for _ in 0..3 {
             charge_tool_syscall(k);
@@ -325,49 +300,24 @@ impl Mechanism for KernelThreadMechanism {
                     .map_err(|e| SimError::Usage(format!("proc write failed: {e:?}")))?;
             }
         }
-        super::next_outcome(&*self, k, before, "kthread checkpoint")
+        Ok(())
     }
 
-    fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
+    /// UCLiK restores under the original pid.
+    fn restore(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
         let sel = if self.variant.restore_original_pid {
             RestorePid::Original
         } else {
             pid
         };
-        super::restart_prepared(&self.storage, &self.job, self.target, k, sel)
-    }
-
-    fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
-        k.with_module::<CkptKthreadModule, _>(&self.module_name, |m| {
-            outcomes_of(&m.outcomes, self.target)
-        })
-        .unwrap_or_default()
-    }
-
-    fn engine(&self, k: &Kernel) -> Option<KernelCkptEngine> {
-        k.with_module::<CkptKthreadModule, _>(&self.module_name, |m| {
-            m.engines.get(self.target?).cloned()
-        })
-        .flatten()
-    }
-
-    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
-        Ok(Box::new(KernelThreadMechanism {
-            module_name: self.module_name.clone(),
-            iface: self.iface,
-            rt_prio: self.rt_prio,
-            variant: self.variant,
-            storage: fork_storage(&self.storage, relink)?,
-            job: self.job.clone(),
-            tracker: self.tracker,
-            target: self.target,
-        }))
+        self.shell.restart(k, sel)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mechanism::Mechanism;
     use crate::shared_storage;
     use ckpt_storage::LocalDisk;
     use simos::apps::{AppParams, NativeKind};

@@ -16,10 +16,15 @@
 //!
 //! What a checkpoint round *is* does not depend on the leaf: this module
 //! holds the one implementation ([`KernelCkptEngine::checkpoint_in_kernel`]),
-//! the request bracket, freeze bracket and commit step around it, the
-//! per-target engine table, the restart/wait shell every wrapper shares,
-//! and [`FAMILIES`], the table that names the leaves. Each submodule adds
-//! only its family's initiation.
+//! the request bracket, freeze bracket and commit step around it, and
+//! [`FAMILIES`], the table that names the leaves. Nor does what a
+//! module-backed family keeps: every module records its targets' engines
+//! and outcomes in a [`Recorder`], and every such family's mechanism holds
+//! one shell — module name, job, storage, tracker and target — that
+//! installs the module, restarts from the newest chain, reads outcomes and
+//! engine back from the module and forks. Each of those five submodules
+//! adds only its family's initiation; [`hardware`] owns its engine, and
+//! [`hibernate`] checkpoints a whole machine.
 
 pub mod fork_concurrent;
 pub mod hardware;
@@ -40,6 +45,7 @@ use ckpt_storage::{
     load_chain, prune_superseded, store_image_bytes, ChainPolicy::Resilient, ImageKey,
     ImageStoreError, StoreReceipt,
 };
+use simos::module::KernelModule;
 use simos::trace::{Phase, StorageOp, TraceHandle};
 use simos::types::{Pid, SimError, SimResult};
 use simos::{Kernel, Relink};
@@ -378,10 +384,6 @@ impl KernelCkptEngine {
         })
     }
 
-    pub(crate) fn mechanism_name(&self) -> &str {
-        &self.opts.mechanism
-    }
-
     pub fn storage(&self) -> &SharedStorage {
         &self.storage
     }
@@ -492,59 +494,191 @@ impl KernelCkptEngine {
     }
 }
 
-/// The engines of an extension that checkpoints many processes: one per
-/// target, each a lineage of its own (seqs, dirty tracker, chain
-/// manifests), started from the extension's never-run template on first
-/// use. Two targets sharing one engine would interleave one seq counter and
-/// chain each one's incrementals onto the other's images.
-pub(crate) struct Engines {
-    template: KernelCkptEngine,
-    by_pid: BTreeMap<u32, KernelCkptEngine>,
+/// What a module that checkpoints many processes keeps of them: one engine
+/// per target, each a lineage of its own (seqs, dirty tracker, chain
+/// manifests), started from the module's never-run template on first use,
+/// and every outcome it recorded. Two targets sharing one engine would
+/// interleave one seq counter and chain each one's incrementals onto the
+/// other's images. A family that runs on no engine (fork-concurrent) keeps
+/// the outcomes only. A clone shares the engines' storage handles.
+#[derive(Clone)]
+pub struct Recorder {
+    template: Option<KernelCkptEngine>,
+    engines: BTreeMap<u32, KernelCkptEngine>,
+    /// Every checkpoint the module completed, in order, with its target.
+    pub outcomes: Vec<(Pid, CkptOutcome)>,
 }
 
-impl Engines {
-    pub(crate) fn new(template: KernelCkptEngine) -> Self {
-        Engines {
+impl Recorder {
+    /// A recorder whose targets' engines start from `template`; `None` for
+    /// a family that runs on no engine.
+    pub(crate) fn new(template: Option<KernelCkptEngine>) -> Self {
+        Recorder {
             template,
-            by_pid: BTreeMap::new(),
+            engines: BTreeMap::new(),
+            outcomes: Vec::new(),
         }
     }
 
     /// `pid`'s engine, started from the template if it has none yet.
     pub(crate) fn start(&mut self, pid: Pid) -> &mut KernelCkptEngine {
-        let template = &self.template;
-        let engine = self.by_pid.entry(pid.0).or_insert_with(|| template.clone());
+        let template = self
+            .template
+            .as_ref()
+            .expect("a module that runs on no engine starts none");
+        let engine = self
+            .engines
+            .entry(pid.0)
+            .or_insert_with(|| template.clone());
         engine.set_target(pid);
         engine
     }
 
-    /// The table in a fork of its world, every engine forked.
+    /// The recorder in a fork of its world, every engine forked.
     pub(crate) fn fork(&self, relink: &mut Relink) -> SimResult<Self> {
-        let by_pid = self
-            .by_pid
+        let engines = self
+            .engines
             .iter()
             .map(|(&pid, e)| Ok((pid, e.fork(relink)?)));
-        Ok(Engines {
-            by_pid: by_pid.collect::<SimResult<_>>()?,
-            template: self.template.fork(relink)?,
+        Ok(Recorder {
+            engines: engines.collect::<SimResult<_>>()?,
+            template: self.template.as_ref().map(|t| t.fork(relink)).transpose()?,
+            outcomes: self.outcomes.clone(),
         })
     }
 
-    pub(crate) fn get(&self, pid: Pid) -> Option<&KernelCkptEngine> {
-        self.by_pid.get(&pid.0)
-    }
-
     pub(crate) fn get_mut(&mut self, pid: Pid) -> Option<&mut KernelCkptEngine> {
-        self.by_pid.get_mut(&pid.0)
+        self.engines.get_mut(&pid.0)
     }
 
     /// The targets with an engine, in pid order.
     pub(crate) fn pids(&self) -> Vec<u32> {
-        self.by_pid.keys().copied().collect()
+        self.engines.keys().copied().collect()
     }
 
     pub(crate) fn remove(&mut self, pid: Pid) {
-        self.by_pid.remove(&pid.0);
+        self.engines.remove(&pid.0);
+    }
+}
+
+/// A module a [`ModuleFamily`] installs: its [`Recorder`] is where the
+/// family's mechanism reads its outcomes and engine back.
+pub(crate) trait Recording: KernelModule {
+    fn recorder(&self) -> &Recorder;
+}
+
+/// What every module-backed mechanism holds: the module's name, the job
+/// and storage its images are keyed under, the tracker its engines run, and
+/// the process it was prepared for. A clone shares the storage.
+#[derive(Clone)]
+pub(crate) struct Shell {
+    pub(crate) module: String,
+    pub(crate) job: String,
+    pub(crate) storage: SharedStorage,
+    pub(crate) tracker: TrackerKind,
+    target: Option<Pid>,
+}
+
+impl Shell {
+    pub(crate) fn new(
+        module: &str,
+        job: &str,
+        storage: SharedStorage,
+        tracker: TrackerKind,
+    ) -> Self {
+        Shell {
+            module: module.to_string(),
+            job: job.to_string(),
+            storage,
+            tracker,
+            target: None,
+        }
+    }
+
+    /// A never-run engine of this module, job, storage and tracker.
+    pub(crate) fn engine(&self) -> KernelCkptEngine {
+        let storage = self.storage.clone();
+        KernelCkptEngine::new(&self.module, &self.job, storage, self.tracker)
+    }
+
+    /// Restore the newest chain of the prepared process.
+    pub(crate) fn restart(&self, k: &mut Kernel, pid_sel: RestorePid) -> SimResult<RestartOutcome> {
+        let target = self
+            .target
+            .ok_or_else(|| SimError::Usage("not prepared".into()))?;
+        restart_from_shared(&self.storage, &self.job, target, k, pid_sel)
+    }
+}
+
+/// A family whose checkpoints run in a module it installs (a kernel module,
+/// a static-kernel extension or the user-level library). It adds only its
+/// initiation to its [`Shell`]; the shell makes it a [`Mechanism`].
+pub(crate) trait ModuleFamily: Clone + 'static {
+    type Module: Recording;
+
+    fn shell(&self) -> &Shell;
+    fn shell_mut(&mut self) -> &mut Shell;
+    fn describe(&self) -> MechanismInfo;
+    /// The module to install on a kernel that has none of its name yet.
+    fn module(&self) -> Self::Module;
+    /// What preparing `pid` takes once the module is in place.
+    fn attach(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()>;
+    /// Ask the module for a checkpoint of `pid`: the family's initiation.
+    /// An automatic-only family refuses.
+    fn request(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()>;
+    /// The restart: the shell's, unless the family adds to it.
+    fn restore(&mut self, k: &mut Kernel, pid_sel: RestorePid) -> SimResult<RestartOutcome> {
+        self.shell().restart(k, pid_sel)
+    }
+}
+
+impl<F: ModuleFamily> Mechanism for F {
+    fn info(&self) -> MechanismInfo {
+        self.describe()
+    }
+
+    fn prepare(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
+        self.shell_mut().target = Some(pid);
+        if !k.module_loaded(&self.shell().module) {
+            k.register_module(Box::new(self.module()))?;
+        }
+        self.attach(k, pid)
+    }
+
+    /// The request, then a wait (at most a virtual minute) for the module
+    /// to record one more outcome of the target.
+    fn checkpoint(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
+        let before = self.outcomes(k).len();
+        self.request(k, pid)?;
+        let what = format!("a {} checkpoint", self.describe().family);
+        let mut all = wait_for_outcomes(&*self, k, before + 1, 60_000_000_000, &what)?;
+        Ok(all.swap_remove(before))
+    }
+
+    fn restart(&mut self, k: &mut Kernel, pid_sel: RestorePid) -> SimResult<RestartOutcome> {
+        self.restore(k, pid_sel)
+    }
+
+    fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
+        let shell = self.shell();
+        let mine = |m: &F::Module| {
+            let recorded = m.recorder().outcomes.iter();
+            let own = recorded.filter(|(pid, _)| Some(*pid) == shell.target);
+            own.map(|(_, outcome)| outcome.clone()).collect()
+        };
+        k.with_module(&shell.module, mine).unwrap_or_default()
+    }
+
+    fn engine(&self, k: &Kernel) -> Option<KernelCkptEngine> {
+        let (module, target) = (&self.shell().module, self.shell().target?);
+        let engine = |m: &F::Module| m.recorder().engines.get(&target.0).cloned();
+        k.with_module(module, engine).flatten()
+    }
+
+    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
+        let mut fork = self.clone();
+        fork.shell_mut().storage = fork_storage(&self.shell().storage, relink)?;
+        Ok(Box::new(fork))
     }
 }
 
@@ -642,19 +776,6 @@ fn restart_on(
     })
 }
 
-/// The restart of a mechanism that keeps its images under `job` on
-/// `storage`: the newest chain of the process it was prepared for.
-pub(crate) fn restart_prepared(
-    storage: &SharedStorage,
-    job: &str,
-    target: Option<Pid>,
-    k: &mut Kernel,
-    pid_sel: RestorePid,
-) -> SimResult<RestartOutcome> {
-    let target = target.ok_or_else(|| SimError::Usage("not prepared".into()))?;
-    restart_from_shared(storage, job, target, k, pid_sel)
-}
-
 /// What becomes of the targets once the work inside a freeze bracket has
 /// succeeded. When it fails they always run again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -744,20 +865,6 @@ pub(crate) fn bracketed_round(
     }))
 }
 
-/// The outcomes `recorded` by an extension that belong to `target`, in
-/// order: a mechanism lists its own checkpoints, never another target's
-/// on the same module.
-pub(crate) fn outcomes_of(
-    recorded: &[(Pid, CkptOutcome)],
-    target: Option<Pid>,
-) -> Vec<CkptOutcome> {
-    recorded
-        .iter()
-        .filter(|(pid, _)| Some(*pid) == target)
-        .map(|(_, outcome)| outcome.clone())
-        .collect()
-}
-
 /// Attribute the *unattributed remainder* of one checkpoint span to
 /// [`Phase::Other`], so a mechanism's per-phase trace totals reconcile
 /// exactly with its end-to-end [`CkptOutcome`] numbers. `before` is
@@ -826,19 +933,6 @@ pub(crate) fn wait_for_outcomes(
 ) -> SimResult<Vec<CkptOutcome>> {
     run_until(k, limit_ns, what, |k| mech.outcomes(k).len() >= n)?;
     Ok(mech.outcomes(k))
-}
-
-/// The outcome of the checkpoint just initiated on `mech`, which held
-/// `before` outcomes when the request was made: wait (at most a virtual
-/// minute) for one more.
-pub(crate) fn next_outcome(
-    mech: &dyn Mechanism,
-    k: &mut Kernel,
-    before: usize,
-    what: &str,
-) -> SimResult<CkptOutcome> {
-    let mut all = wait_for_outcomes(mech, k, before + 1, 60_000_000_000, what)?;
-    Ok(all.swap_remove(before))
 }
 
 #[cfg(test)]

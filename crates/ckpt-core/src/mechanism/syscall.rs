@@ -10,8 +10,9 @@
 //!   itself calls the syscall ("the relevant data of the process can be
 //!   directly accessed through the `current` kernel macro"). Requires
 //!   source modification — no transparency — and nobody else can trigger a
-//!   checkpoint — no flexibility. [`SyscallMechanism::checkpoint`]
-//!   therefore returns an error for this variant.
+//!   checkpoint — no flexibility. Its mechanism's
+//!   [`checkpoint`](super::Mechanism::checkpoint) therefore returns an
+//!   error.
 //! * **EPCKPT style** ([`SyscallVariant::ByPid`]): a tool passes the target
 //!   pid to the syscall. Transparent to the application, but the target
 //!   must be stopped first for consistency. The real tool also has the
@@ -22,16 +23,14 @@
 //! mechanism prepared it.
 
 use super::{
-    bracketed_round, charge_tool_syscall, outcomes_of, AgentKind, Context, Engines, Initiation,
-    KernelCkptEngine, Mechanism, MechanismInfo,
+    bracketed_round, charge_tool_syscall, AgentKind, Context, Initiation, MechanismInfo,
+    ModuleFamily, Recorder, Recording, Shell,
 };
-use crate::report::{CkptOutcome, RestartOutcome};
 use crate::tracker::TrackerKind;
-use crate::{fork_storage, RestorePid, SharedStorage};
+use crate::SharedStorage;
 use simos::module::KernelModule;
 use simos::types::{Errno, Pid, SimError, SimResult, SysResult};
 use simos::{Kernel, Relink};
-use std::any::Any;
 
 /// Which flavour of the syscall mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,46 +44,25 @@ pub enum SyscallVariant {
 /// The static-kernel extension registering the checkpoint syscalls.
 pub(crate) struct CkptSyscallModule {
     name: String,
-    engines: Engines,
-    pub(crate) outcomes: Vec<(Pid, CkptOutcome)>,
+    recorder: Recorder,
     slot_self: Option<u32>,
     slot_pid: Option<u32>,
 }
 
 impl CkptSyscallModule {
-    /// The extension named `name`; `template` is the never-run engine
-    /// every target's lineage starts from.
-    pub(crate) fn new(name: &str, template: KernelCkptEngine) -> Self {
-        CkptSyscallModule {
-            name: name.to_string(),
-            engines: Engines::new(template),
-            outcomes: Vec::new(),
-            slot_self: None,
-            slot_pid: None,
-        }
-    }
-
-    pub(crate) fn slot_self(&self) -> Option<u32> {
-        self.slot_self
-    }
-
-    pub(crate) fn slot_pid(&self) -> Option<u32> {
-        self.slot_pid
-    }
-
     /// In-context (self) checkpoints need no freeze: the process is
     /// executing this very code, so quiescence is free. By-pid checkpoints
     /// must stop the target first. A fault at either bracket site is
     /// `EINTR`; the round's own failure is `ESRCH` or `EINVAL`.
     fn do_checkpoint(&mut self, k: &mut Kernel, target: Pid, in_context: bool) -> SysResult {
         let stop: &[Pid] = if in_context { &[] } else { &[target] };
-        let engine = self.engines.start(target);
+        let engine = self.recorder.start(target);
         let round =
             bracketed_round(k, engine, target, stop, None, |_| {}).map_err(|_| Errno::EINTR)?;
         match round {
             Ok(outcome) => {
                 let seq = outcome.seq;
-                self.outcomes.push((target, outcome));
+                self.recorder.outcomes.push((target, outcome));
                 Ok(seq)
             }
             Err(SimError::NoSuchProcess(_)) => Err(Errno::ESRCH),
@@ -114,11 +92,7 @@ impl KernelModule for CkptSyscallModule {
             self.do_checkpoint(k, pid, true)
         } else if Some(slot) == self.slot_pid {
             let target = Pid(args[0] as u32);
-            if target == pid {
-                self.do_checkpoint(k, target, true)
-            } else {
-                self.do_checkpoint(k, target, false)
-            }
+            self.do_checkpoint(k, target, target == pid)
         } else {
             Err(Errno::ENOSYS)
         }
@@ -127,29 +101,24 @@ impl KernelModule for CkptSyscallModule {
     fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn KernelModule>> {
         Ok(Box::new(CkptSyscallModule {
             name: self.name.clone(),
-            engines: self.engines.fork(relink)?,
-            outcomes: self.outcomes.clone(),
+            recorder: self.recorder.fork(relink)?,
             slot_self: self.slot_self,
             slot_pid: self.slot_pid,
         }))
     }
+}
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+impl Recording for CkptSyscallModule {
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 }
 
 /// The mechanism wrapper.
+#[derive(Clone)]
 pub struct SyscallMechanism {
-    pub(crate) module_name: String,
-    pub(crate) variant: SyscallVariant,
-    storage: SharedStorage,
-    job: String,
-    tracker: TrackerKind,
-    target: Option<Pid>,
+    shell: Shell,
+    variant: SyscallVariant,
 }
 
 impl SyscallMechanism {
@@ -161,25 +130,31 @@ impl SyscallMechanism {
         tracker: TrackerKind,
     ) -> Self {
         SyscallMechanism {
-            module_name: module_name.to_string(),
+            shell: Shell::new(module_name, job, storage, tracker),
             variant,
-            storage,
-            job: job.to_string(),
-            tracker,
-            target: None,
         }
     }
 }
 
-impl Mechanism for SyscallMechanism {
-    fn info(&self) -> MechanismInfo {
+impl ModuleFamily for SyscallMechanism {
+    type Module = CkptSyscallModule;
+
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn describe(&self) -> MechanismInfo {
         MechanismInfo {
             family: "syscall",
             context: Context::SystemOs,
             agent: AgentKind::SystemCall,
             is_kernel_module: false, // static kernel
             transparent: matches!(self.variant, SyscallVariant::ByPid),
-            supports_incremental: self.tracker.supports_incremental(),
+            supports_incremental: self.shell.tracker.supports_incremental(),
             initiation: match self.variant {
                 SyscallVariant::SelfCkpt { .. } => Initiation::Automatic,
                 SyscallVariant::ByPid => Initiation::UserInitiated,
@@ -187,20 +162,19 @@ impl Mechanism for SyscallMechanism {
         }
     }
 
-    fn prepare(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
-        self.target = Some(pid);
-        if !k.module_loaded(&self.module_name) {
-            let engine = KernelCkptEngine::new(
-                &self.module_name,
-                &self.job,
-                self.storage.clone(),
-                self.tracker,
-            );
-            k.register_module(Box::new(CkptSyscallModule::new(&self.module_name, engine)))?;
+    fn module(&self) -> CkptSyscallModule {
+        CkptSyscallModule {
+            name: self.shell.module.clone(),
+            recorder: Recorder::new(Some(self.shell.engine())),
+            slot_self: None,
+            slot_pid: None,
         }
+    }
+
+    fn attach(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
         if let SyscallVariant::SelfCkpt { every } = self.variant {
             let slot = k
-                .with_module_mut::<CkptSyscallModule, _>(&self.module_name, |m, _| m.slot_self())
+                .with_module::<CkptSyscallModule, _>(&self.shell.module, |m| m.slot_self)
                 .flatten()
                 .ok_or_else(|| SimError::Usage("syscall module missing slot".into()))?;
             // The application source was modified to call the new syscall
@@ -214,7 +188,7 @@ impl Mechanism for SyscallMechanism {
         Ok(())
     }
 
-    fn checkpoint(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
+    fn request(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
         match self.variant {
             SyscallVariant::SelfCkpt { .. } => Err(SimError::Usage(
                 "VMADump-style self-checkpointing cannot be externally initiated \
@@ -224,57 +198,27 @@ impl Mechanism for SyscallMechanism {
             SyscallVariant::ByPid => {
                 // The tool issues the checkpoint syscall.
                 charge_tool_syscall(k);
-                let name = self.module_name.clone();
+                let name = self.shell.module.clone();
                 let slot = k
-                    .with_module_mut::<CkptSyscallModule, _>(&name, |m, _| m.slot_pid())
+                    .with_module::<CkptSyscallModule, _>(&name, |m| m.slot_pid)
                     .flatten()
                     .ok_or_else(|| SimError::Usage("module not prepared".into()))?;
-                let before = self.outcomes(k).len();
                 k.dispatch_module(&name, |m, k| {
                     m.ext_syscall(k, pid, slot, [pid.0 as u64, 0, 0, 0, 0])
                 })
                 .ok_or_else(|| SimError::Usage("module missing".into()))?
                 .map_err(|e| SimError::Usage(format!("checkpoint syscall failed: {e:?}")))?;
-                super::next_outcome(&*self, k, before, "checkpoint syscall")
+                Ok(())
             }
         }
-    }
-
-    fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
-        super::restart_prepared(&self.storage, &self.job, self.target, k, pid)
-    }
-
-    fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
-        k.with_module::<CkptSyscallModule, _>(&self.module_name, |m| {
-            outcomes_of(&m.outcomes, self.target)
-        })
-        .unwrap_or_default()
-    }
-
-    fn engine(&self, k: &Kernel) -> Option<KernelCkptEngine> {
-        k.with_module::<CkptSyscallModule, _>(&self.module_name, |m| {
-            m.engines.get(self.target?).cloned()
-        })
-        .flatten()
-    }
-
-    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
-        Ok(Box::new(SyscallMechanism {
-            module_name: self.module_name.clone(),
-            variant: self.variant,
-            storage: fork_storage(&self.storage, relink)?,
-            job: self.job.clone(),
-            tracker: self.tracker,
-            target: self.target,
-        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::wait_for_outcomes;
-    use crate::shared_storage;
+    use crate::mechanism::{wait_for_outcomes, Mechanism};
+    use crate::{shared_storage, RestorePid};
     use ckpt_storage::LocalDisk;
     use simos::apps::{AppParams, NativeKind};
     use simos::cost::CostModel;

@@ -20,18 +20,17 @@
 //! tax for the whole run.
 
 use super::{
-    charge_tool_syscall, AgentKind, Context, Initiation, KernelCkptEngine, Mechanism,
-    MechanismInfo,
+    charge_tool_syscall, AgentKind, Context, Initiation, MechanismInfo, ModuleFamily, Shell,
 };
 use crate::agents::{UserAgentConfig, UserCkptAgent};
-use crate::report::{CkptOutcome, RestartOutcome};
+use crate::report::RestartOutcome;
 use crate::tracker::TrackerKind;
-use crate::{fork_storage, RestorePid, SharedStorage};
+use crate::{RestorePid, SharedStorage};
 use simos::mem::VmaKind;
 use simos::signal::{Sig, SigAction, UserHandlerKind};
 use simos::syscall::Syscall;
 use simos::types::{Pid, SimError, SimResult};
-use simos::{Kernel, Relink};
+use simos::Kernel;
 
 /// What causes the library to take a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,15 +44,12 @@ pub enum Trigger {
 }
 
 /// The user-level mechanism.
+#[derive(Clone)]
 pub struct UserLevelMechanism {
-    pub(crate) agent_name: String,
-    pub(crate) trigger: Trigger,
+    shell: Shell,
+    trigger: Trigger,
     /// LD_PRELOAD interposition instead of relinking.
     pub(crate) preload: bool,
-    pub(crate) tracker: TrackerKind,
-    storage: SharedStorage,
-    job: String,
-    target: Option<Pid>,
 }
 
 impl UserLevelMechanism {
@@ -65,13 +61,9 @@ impl UserLevelMechanism {
         trigger: Trigger,
     ) -> Self {
         UserLevelMechanism {
-            agent_name: agent_name.to_string(),
+            shell: Shell::new(agent_name, job, storage, tracker),
             trigger,
             preload: false,
-            tracker,
-            storage,
-            job: job.to_string(),
-            target: None,
         }
     }
 
@@ -84,8 +76,18 @@ impl UserLevelMechanism {
     }
 }
 
-impl Mechanism for UserLevelMechanism {
-    fn info(&self) -> MechanismInfo {
+impl ModuleFamily for UserLevelMechanism {
+    type Module = UserCkptAgent;
+
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn describe(&self) -> MechanismInfo {
         MechanismInfo {
             family: "user-level",
             context: Context::UserLevel,
@@ -101,7 +103,7 @@ impl Mechanism for UserLevelMechanism {
             // Relinking against the library breaks transparency unless the
             // whole thing is injected with LD_PRELOAD.
             transparent: self.preload,
-            supports_incremental: self.tracker.supports_incremental(),
+            supports_incremental: self.shell.tracker.supports_incremental(),
             initiation: match self.trigger {
                 Trigger::SelfCall { .. } => Initiation::Automatic,
                 // Timer-armed libraries still accept `kill -ALRM` from
@@ -111,18 +113,19 @@ impl Mechanism for UserLevelMechanism {
         }
     }
 
-    fn prepare(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
-        self.target = Some(pid);
-        let mut cfg = UserAgentConfig::new(&self.agent_name, &self.job);
-        cfg.tracker = self.tracker;
+    fn module(&self) -> UserCkptAgent {
+        let mut cfg = UserAgentConfig::new(&self.shell.module, &self.shell.job);
+        cfg.tracker = self.shell.tracker;
         cfg.use_mirrors = self.preload;
-        let agent = UserCkptAgent::new(cfg, self.storage.clone());
-        k.register_module(Box::new(agent))?;
+        UserCkptAgent::new(cfg, self.shell.storage.clone())
+    }
+
+    fn attach(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
         {
             let p = k
                 .process_mut(pid)
                 .ok_or(SimError::NoSuchProcess(pid))?;
-            p.user_rt.agent = Some(self.agent_name.clone());
+            p.user_rt.agent = Some(self.shell.module.clone());
             if self.preload {
                 p.user_rt.interpose_active = true;
             }
@@ -166,7 +169,7 @@ impl Mechanism for UserLevelMechanism {
         Ok(())
     }
 
-    fn checkpoint(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<CkptOutcome> {
+    fn request(&mut self, k: &mut Kernel, pid: Pid) -> SimResult<()> {
         let Some(sig) = self.trigger_signal() else {
             return Err(SimError::Usage(
                 "library-call checkpointing is automatic-initiated only \
@@ -174,15 +177,14 @@ impl Mechanism for UserLevelMechanism {
                     .into(),
             ));
         };
-        let before = self.outcomes(k).len();
         // kill(1) from outside.
         charge_tool_syscall(k);
         k.post_signal(pid, sig);
-        super::next_outcome(&*self, k, before, "user-level checkpoint")
+        Ok(())
     }
 
-    fn restart(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
-        let out = super::restart_prepared(&self.storage, &self.job, self.target, k, pid)?;
+    fn restore(&mut self, k: &mut Kernel, pid: RestorePid) -> SimResult<RestartOutcome> {
+        let out = self.shell.restart(k, pid)?;
         // The user-level restorer rebuilds kernel state with syscalls:
         // open+lseek per descriptor, mmap per dynamic region, plus the
         // initial brk/sigaction calls — crossings a kernel-level restore
@@ -206,33 +208,12 @@ impl Mechanism for UserLevelMechanism {
         k.charge(t);
         Ok(out)
     }
-
-    fn outcomes(&self, k: &Kernel) -> Vec<CkptOutcome> {
-        k.with_module::<UserCkptAgent, _>(&self.agent_name, |a| a.outcomes.clone())
-            .unwrap_or_default()
-    }
-
-    fn engine(&self, k: &Kernel) -> Option<KernelCkptEngine> {
-        k.with_module::<UserCkptAgent, _>(&self.agent_name, |a| a.engine().clone())
-    }
-
-    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn Mechanism>> {
-        Ok(Box::new(UserLevelMechanism {
-            agent_name: self.agent_name.clone(),
-            trigger: self.trigger,
-            preload: self.preload,
-            tracker: self.tracker,
-            storage: fork_storage(&self.storage, relink)?,
-            job: self.job.clone(),
-            target: self.target,
-        }))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::wait_for_outcomes;
+    use crate::mechanism::{wait_for_outcomes, Mechanism};
     use crate::shared_storage;
     use ckpt_storage::LocalDisk;
     use simos::apps::{AppParams, NativeKind};

@@ -14,7 +14,7 @@ use crate::mem::{AccessOutcome, AddressSpace, Prot, TrackMode, TEXT_BASE};
 #[cfg(test)]
 use crate::mem::DATA_BASE;
 use crate::module::{KernelModule, KthreadStatus};
-use crate::pcb::{FdTable, Pcb, ProcState, ProgramSpec, Regs};
+use crate::pcb::{FdEntry, FdTable, Pcb, ProcState, ProgramSpec, Regs};
 use crate::relink::Relink;
 use crate::sched::{RunQueue, SchedPolicy};
 use crate::signal::{
@@ -29,6 +29,7 @@ use crate::types::{
     sysret_encode, Errno, FaultKind, Fd, KtId, OfdId, Pid, SimError, SimResult, SysResult, Task,
 };
 use crate::vm::{self, Instr, SIG_FRAME_BYTES};
+use std::any::Any;
 use std::collections::BTreeMap;
 
 /// What an open-file description points at.
@@ -52,6 +53,9 @@ pub struct OpenFile {
 /// Default chunk size for modelled user-level I/O loops (64 KiB, the usual
 /// stdio buffer scale of the era).
 pub const USER_IO_CHUNK: u64 = 64 * 1024;
+
+/// The one illegal instruction answered with `SIGFPE`, not `SIGILL`.
+const DIVISION_BY_ZERO: &str = "division by zero";
 
 /// The simulated kernel.
 pub struct Kernel {
@@ -536,12 +540,9 @@ impl Kernel {
 
     /// Unload a loadable module (static-kernel extensions refuse).
     pub fn unload_module(&mut self, name: &str) -> SimResult<()> {
-        let loadable = self
-            .modules
-            .get(name)
-            .and_then(|s| s.as_ref().map(|m| m.is_loadable()))
-            .ok_or_else(|| SimError::Usage(format!("module {name} not loaded")))?;
-        if !loadable {
+        let m = self.modules.get(name).and_then(Option::as_ref);
+        let m = m.ok_or_else(|| SimError::Usage(format!("module {name} not loaded")))?;
+        if !m.is_loadable() {
             return Err(SimError::Usage(format!(
                 "{name} is in the static kernel and cannot be unloaded"
             )));
@@ -573,18 +574,17 @@ impl Kernel {
         Some(r)
     }
 
-    /// Downcasting module accessor for embedders.
+    /// Downcasting module accessor for embedders: a dispatch to the
+    /// module as its own type.
     pub fn with_module_mut<T: KernelModule, R>(
         &mut self,
         name: &str,
         f: impl FnOnce(&mut T, &mut Kernel) -> R,
     ) -> Option<R> {
-        let mut m = self.modules.get_mut(name)?.take()?;
-        let r = m.as_any_mut().downcast_mut::<T>().map(|t| f(t, self));
-        if let Some(slot) = self.modules.get_mut(name) {
-            *slot = Some(m);
-        }
-        r
+        let f = |m: &mut dyn KernelModule, k: &mut Kernel| {
+            (m as &mut dyn Any).downcast_mut::<T>().map(|t| f(t, k))
+        };
+        self.dispatch_module(name, f).flatten()
     }
 
     /// Read-only downcasting module accessor. Unlike
@@ -595,8 +595,8 @@ impl Kernel {
         name: &str,
         f: impl FnOnce(&T) -> R,
     ) -> Option<R> {
-        let m = self.modules.get(name)?.as_ref()?;
-        m.as_any().downcast_ref::<T>().map(f)
+        let any: &dyn Any = self.modules.get(name)?.as_deref()?;
+        any.downcast_ref::<T>().map(f)
     }
 
     /// Allocate an extension-syscall slot owned by `module`.
@@ -1078,10 +1078,7 @@ impl Kernel {
             Syscall::Write { fd, buf, len } => self.sys_write(pid, fd, buf, len),
             Syscall::Lseek { fd, offset, whence } => self.sys_lseek(pid, fd, offset, whence),
             Syscall::Dup { fd } => {
-                let entry = {
-                    let p = self.procs.get(&pid.0).ok_or(Errno::ESRCH)?;
-                    p.fds.get(fd).ok_or(Errno::EBADF)?
-                };
+                let entry = self.fd_entry(pid, fd)?;
                 self.ofds
                     .get_mut(&entry.ofd.0)
                     .ok_or(Errno::EBADF)?
@@ -1149,10 +1146,7 @@ impl Kernel {
                 Ok(child.0 as u64)
             }
             Syscall::Ioctl { fd, req, arg } => {
-                let entry = {
-                    let p = self.procs.get(&pid.0).ok_or(Errno::ESRCH)?;
-                    p.fds.get(fd).ok_or(Errno::EBADF)?
-                };
+                let entry = self.fd_entry(pid, fd)?;
                 let ofd = self.ofds.get(&entry.ofd.0).ok_or(Errno::EBADF)?;
                 match ofd.kind.clone() {
                     OfdKind::Device { module, minor } => {
@@ -1284,11 +1278,14 @@ impl Kernel {
         }
     }
 
+    /// `pid`'s descriptor `fd`.
+    fn fd_entry(&self, pid: Pid, fd: Fd) -> Result<FdEntry, Errno> {
+        let p = self.procs.get(&pid.0).ok_or(Errno::ESRCH)?;
+        p.fds.get(fd).ok_or(Errno::EBADF)
+    }
+
     fn sys_read(&mut self, pid: Pid, fd: Fd, buf: u64, len: u64) -> SysResult {
-        let entry = {
-            let p = self.procs.get(&pid.0).ok_or(Errno::ESRCH)?;
-            p.fds.get(fd).ok_or(Errno::EBADF)?
-        };
+        let entry = self.fd_entry(pid, fd)?;
         let (path, kind, offset) = {
             let ofd = self.ofds.get(&entry.ofd.0).ok_or(Errno::EBADF)?;
             if !ofd.flags.read {
@@ -1320,10 +1317,7 @@ impl Kernel {
     }
 
     fn sys_write(&mut self, pid: Pid, fd: Fd, buf: u64, len: u64) -> SysResult {
-        let entry = {
-            let p = self.procs.get(&pid.0).ok_or(Errno::ESRCH)?;
-            p.fds.get(fd).ok_or(Errno::EBADF)?
-        };
+        let entry = self.fd_entry(pid, fd)?;
         let (path, kind, offset, append) = {
             let ofd = self.ofds.get(&entry.ofd.0).ok_or(Errno::EBADF)?;
             if !ofd.flags.write {
@@ -1363,10 +1357,7 @@ impl Kernel {
     }
 
     fn sys_lseek(&mut self, pid: Pid, fd: Fd, offset: i64, whence: Whence) -> SysResult {
-        let entry = {
-            let p = self.procs.get(&pid.0).ok_or(Errno::ESRCH)?;
-            p.fds.get(fd).ok_or(Errno::EBADF)?
-        };
+        let entry = self.fd_entry(pid, fd)?;
         let (path, kind, cur) = {
             let ofd = self.ofds.get(&entry.ofd.0).ok_or(Errno::EBADF)?;
             (ofd.path.clone(), ofd.kind.clone(), ofd.offset)
@@ -1596,8 +1587,14 @@ impl Kernel {
             }
             match &native {
                 None => {
-                    if let Err(_e) = self.vm_step(pid) {
-                        // Fault posted a signal; deliver it (may terminate).
+                    if let Err(e) = self.vm_step(pid) {
+                        // A memory fault has posted SIGSEGV; an illegal
+                        // instruction posts SIGFPE or SIGILL here. Deliver
+                        // it (may terminate).
+                        if let SimError::IllegalInstruction { detail, .. } = &e {
+                            let fpe = detail == DIVISION_BY_ZERO;
+                            self.post_signal(pid, if fpe { Sig::SIGFPE } else { Sig::SIGILL });
+                        }
                         let _ = self.deliver_signals(pid)?;
                         break;
                     }
@@ -1775,11 +1772,12 @@ impl Kernel {
                     Instr::Sub { .. } => x.wrapping_sub(y),
                     Instr::Mul { .. } => x.wrapping_mul(y),
                     Instr::Divu { .. } => {
-                        x.checked_div(y).ok_or_else(|| SimError::IllegalInstruction {
-                            pid,
-                            pc,
-                            detail: "division by zero".into(),
-                        })?
+                        x.checked_div(y)
+                            .ok_or_else(|| SimError::IllegalInstruction {
+                                pid,
+                                pc,
+                                detail: DIVISION_BY_ZERO.into(),
+                            })?
                     }
                     Instr::And { .. } => x & y,
                     Instr::Or { .. } => x | y,

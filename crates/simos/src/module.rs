@@ -19,6 +19,10 @@
 //! the user side of the protection boundary, so everything it learns about
 //! the process must be paid for with syscalls. Which side of the boundary a
 //! mechanism lives on is its own to declare, not the registry's.
+//!
+//! [`Kernel::with_module`] and [`Kernel::with_module_mut`] reach a module
+//! as its own type: a `KernelModule` is `Any`, so it upcasts to `dyn Any`
+//! and downcasts from there, with no glue in the module.
 
 use crate::kernel::Kernel;
 use crate::relink::Relink;
@@ -113,9 +117,6 @@ pub trait KernelModule: Any {
             holder: format!("module {}", self.name()),
         })
     }
-
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 #[cfg(test)]
@@ -127,12 +128,6 @@ mod tests {
         fn name(&self) -> &str {
             "dummy"
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -142,8 +137,8 @@ mod tests {
         // check the pure defaults here; dispatch is tested in kernel.rs.
         assert!(d.is_loadable());
         assert_eq!(d.name(), "dummy");
-        assert!(d.as_any().downcast_ref::<Dummy>().is_some());
-        assert!(d.as_any_mut().downcast_mut::<Dummy>().is_some());
+        let module: &mut dyn KernelModule = &mut d;
+        assert!((module as &mut dyn Any).downcast_mut::<Dummy>().is_some());
         let refused = d.fork(&mut Relink::new(Default::default())).err();
         assert!(
             matches!(&refused, Some(SimError::WorldNotForkable { holder }) if holder == "module dummy"),

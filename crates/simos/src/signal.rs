@@ -20,6 +20,8 @@ use std::collections::VecDeque;
 pub struct Sig(pub u32);
 
 impl Sig {
+    pub(crate) const SIGILL: Sig = Sig(4);
+    pub(crate) const SIGFPE: Sig = Sig(8);
     pub const SIGKILL: Sig = Sig(9);
     pub(crate) const SIGSEGV: Sig = Sig(11);
     pub const SIGALRM: Sig = Sig(14);
@@ -45,6 +47,8 @@ impl Sig {
 impl std::fmt::Display for Sig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match *self {
+            Sig::SIGILL => "SIGILL",
+            Sig::SIGFPE => "SIGFPE",
             Sig::SIGKILL => "SIGKILL",
             Sig::SIGSEGV => "SIGSEGV",
             Sig::SIGALRM => "SIGALRM",

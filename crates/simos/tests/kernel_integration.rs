@@ -11,7 +11,6 @@ use simos::sched::SchedPolicy;
 use simos::signal::{Sig, SigAction, UserHandlerKind};
 use simos::syscall::{MaskHow, Syscall};
 use simos::types::{Errno, Fd, Pid, SysResult};
-use std::any::Any;
 
 /// A toy module: a device whose ioctl echoes arg+1, a proc entry that
 /// stores writes and serves them back, and one extension syscall that
@@ -71,13 +70,6 @@ impl KernelModule for EchoModule {
     fn ext_syscall(&mut self, _k: &mut Kernel, _pid: Pid, slot: u32, args: [u64; 5]) -> SysResult {
         assert_eq!(Some(slot), self.slot);
         Ok(args[0] * 2)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -39,7 +39,7 @@ fn main() {
     kernel.run_for(400_000_000).expect("run");
     let (n1, interval1) = kernel
         .with_module_mut::<AutonomicDaemon, _>(&daemon, |d, _| {
-            (d.outcomes.len(), d.intervals_used.last().copied().unwrap_or(0))
+            (d.recorder.outcomes.len(), d.intervals_used.last().copied().unwrap_or(0))
         })
         .unwrap();
     println!(
@@ -57,7 +57,7 @@ fn main() {
     kernel.run_for(400_000_000).expect("run");
     let (n2, interval2) = kernel
         .with_module_mut::<AutonomicDaemon, _>(&daemon, |d, _| {
-            (d.outcomes.len(), d.intervals_used.last().copied().unwrap_or(0))
+            (d.recorder.outcomes.len(), d.intervals_used.last().copied().unwrap_or(0))
         })
         .unwrap();
     println!(

@@ -76,7 +76,7 @@ fn autonomic_checkpoints_to_remote_storage_survive_node_loss() {
     let (n_ckpts, saved_work) = {
         let k = cluster.node(NodeId(0)).kernel().unwrap();
         let n = k
-            .with_module_mut::<AutonomicDaemon, _>("autonomicd", |d, _| d.outcomes.len())
+            .with_module_mut::<AutonomicDaemon, _>("autonomicd", |d, _| d.recorder.outcomes.len())
             .unwrap();
         (n, k.process(pid).unwrap().work_done)
     };

@@ -113,7 +113,9 @@ fn syscall_kthread_and_autonomic_thaw_their_targets_when_the_store_fails() {
     .unwrap();
     k.run_for(50_000_000).unwrap();
     let (failed, recorded) = k
-        .with_module::<CkptKthreadModule, _>(row.module, |m| (m.requests_failed, m.outcomes.len()))
+        .with_module::<CkptKthreadModule, _>(row.module, |m| {
+            (m.requests_failed, m.recorder.outcomes.len())
+        })
         .unwrap();
     assert_eq!((failed, recorded), (1, 0), "the request must have run and failed");
     assert_computing("kthread-ioctl", &mut k, &pids);

@@ -246,7 +246,8 @@ fn every_instruction_computes_its_pinned_state() {
 }
 
 /// `divu` by zero is an illegal instruction: the process never gets past
-/// it, its destination register keeps its value and its work stops.
+/// it, its destination register keeps its value, and `SIGFPE`'s default
+/// action ends it (exit 128 + 8).
 #[test]
 fn divide_by_zero_stops_the_guest_at_the_divu() {
     let mut a = Assembler::new();
@@ -259,9 +260,31 @@ fn divide_by_zero_stops_the_guest_at_the_divu() {
     let pid = k.spawn_vm(a.assemble().unwrap(), "div0").unwrap();
     k.run_for(10_000).unwrap();
     let p = k.process(pid).unwrap();
-    assert!(!p.has_exited());
-    assert_eq!(p.regs.pc, TEXT_BASE + 3 * 4, "stuck on the divu");
+    assert_eq!(p.exit_code(), Some(136), "SIGFPE terminates");
+    assert_eq!(p.regs.pc, TEXT_BASE + 3 * 4, "stopped on the divu");
     assert_eq!(p.regs.gpr[..4], [0, 5, 0, 77]);
     assert_eq!(p.work_done, 3, "only the three li retired");
     assert_eq!(k.now(), 10_000);
+}
+
+/// A program with no `halt` runs off the end of its text: the fetch is an
+/// illegal instruction, and `SIGILL`'s default action ends the guest
+/// (exit 128 + 4) at once instead of re-faulting every slice until the
+/// wait's limit.
+#[test]
+fn running_off_the_text_ends_the_guest_with_sigill() {
+    let mut a = Assembler::new();
+    a.li(1, 5);
+    a.li(2, 6);
+    let mut k = Kernel::new(CostModel::circa_2005());
+    let pid = k.spawn_vm(a.assemble().unwrap(), "no-halt").unwrap();
+    assert_eq!(k.run_until_exit(pid).unwrap(), 132);
+    let p = k.process(pid).unwrap();
+    assert_eq!(p.regs.pc, TEXT_BASE + 2 * 4, "stopped past the last li");
+    assert_eq!(p.work_done, 2);
+    assert!(
+        k.now() <= k.cost.tick_interval_ns,
+        "exited within one tick, at {} ns",
+        k.now()
+    );
 }
