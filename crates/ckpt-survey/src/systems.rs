@@ -358,6 +358,7 @@ mod tests {
             let pid = k.spawn_native(NativeKind::SparseRandom, params).unwrap();
             mech.prepare(&mut k, pid)
                 .unwrap_or_else(|e| panic!("{id:?} prepare failed: {e}"));
+            assert!(k.module_loaded(s.module_name()), "{id:?} module not loaded");
             k.run_for(20_000_000).unwrap();
             match mech.info().initiation {
                 Initiation::UserInitiated => {
