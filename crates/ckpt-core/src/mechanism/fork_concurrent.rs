@@ -9,8 +9,8 @@
 //! by the substrate ([`simos::Kernel::fork_process`]).
 
 use super::{
-    charge_tool_syscall, commit_image, AgentKind, Context, Initiation, MechanismInfo, ModuleFamily,
-    Recorder, Recording, Shell,
+    commit_image, request_by_ext_syscall, AgentKind, Context, Initiation, MechanismInfo,
+    ModuleFamily, Recorder, Recording, Shell,
 };
 use crate::capture::{capture_image, CaptureOptions, PageSelection};
 use crate::lineage::Lineage;
@@ -347,18 +347,8 @@ impl ModuleFamily for ForkConcurrentMechanism {
                 "the Checkpoint system is invoked by the application itself".into(),
             ));
         }
-        let name = self.shell.module.clone();
-        charge_tool_syscall(k);
-        let slot = k
-            .with_module::<ForkCkptModule, _>(&name, |m| m.slot)
-            .flatten()
-            .ok_or_else(|| SimError::Usage("module not prepared".into()))?;
-        k.dispatch_module(&name, |m, k| {
-            m.ext_syscall(k, pid, slot, [pid.0 as u64, 0, 0, 0, 0])
-        })
-        .ok_or_else(|| SimError::Usage("module missing".into()))?
-        .map_err(|e| SimError::Usage(format!("fork checkpoint failed: {e:?}")))?;
-        Ok(())
+        let slot = |m: &ForkCkptModule| m.slot;
+        request_by_ext_syscall(k, &self.shell.module, pid, slot, "fork checkpoint failed")
     }
 }
 

@@ -8,8 +8,12 @@
 //! the system. At start-up the image is restored from disk and all the
 //! processes are restarted." A *standby* mode keeps the image in RAM
 //! instead — fast, but it does not survive the power-down.
+//!
+//! Not a per-process [`super::Mechanism`]: [`SoftwareSuspend::info`] states
+//! its Table 1 features, next to the implementation that has them.
 
 use super::{commit_image, emit_phase_residual, with_frozen, Then};
+use super::{AgentKind, Context, Initiation, MechanismInfo};
 use crate::capture::{restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use crate::lineage::Lineage;
 use crate::tracker::TrackerKind;
@@ -40,6 +44,9 @@ pub struct HibernateReport {
 /// The job, module and mechanism name hibernation records everything under.
 const SWSUSP: &str = "swsusp";
 
+/// Every hibernation image is a full one.
+const TRACKER: TrackerKind = TrackerKind::FullOnly;
+
 /// The Software Suspend mechanism (static kernel; user-initiated via a
 /// script; local storage only). A clone shares the store.
 #[derive(Clone)]
@@ -56,8 +63,22 @@ impl SoftwareSuspend {
     pub fn new(storage: SharedStorage) -> Self {
         SoftwareSuspend {
             storage,
-            lineage: Lineage::new(SWSUSP, None, TrackerKind::FullOnly),
+            lineage: Lineage::new(SWSUSP, None, TRACKER),
             saved_pids: Vec::new(),
+        }
+    }
+
+    /// Table 1's features of Software Suspend: the agent is the freeze
+    /// signal, in the static kernel, started by the user's script.
+    pub fn info() -> MechanismInfo {
+        MechanismInfo {
+            family: "hibernate",
+            context: Context::SystemOs,
+            agent: AgentKind::KernelSignal,
+            is_kernel_module: false,
+            transparent: true,
+            supports_incremental: TRACKER.supports_incremental(),
+            initiation: Initiation::UserInitiated,
         }
     }
 

@@ -896,6 +896,27 @@ pub(crate) fn charge_tool_syscall(k: &mut Kernel) {
     k.charge(t);
 }
 
+/// Ask for a checkpoint of `pid` the way a tool does through an extension
+/// syscall of module `name`: one crossing, then the syscall in the slot
+/// `slot` reads off the module. The extension's error reads
+/// `"{failed}: {errno}"`.
+pub(crate) fn request_by_ext_syscall<M: KernelModule>(
+    k: &mut Kernel,
+    name: &str,
+    pid: Pid,
+    slot: impl FnOnce(&M) -> Option<u32>,
+    failed: &str,
+) -> SimResult<()> {
+    charge_tool_syscall(k);
+    let slot = k.with_module(name, slot).flatten();
+    let slot = slot.ok_or_else(|| SimError::Usage("module not prepared".into()))?;
+    let args = [pid.0 as u64, 0, 0, 0, 0];
+    k.dispatch_module(name, |m, k| m.ext_syscall(k, pid, slot, args))
+        .ok_or_else(|| SimError::Usage("module missing".into()))?
+        .map_err(|e| SimError::Usage(format!("{failed}: {e:?}")))?;
+    Ok(())
+}
+
 /// Drive the kernel until `done(k)` or `limit_ns` of virtual time passes.
 pub(crate) fn run_until(
     k: &mut Kernel,

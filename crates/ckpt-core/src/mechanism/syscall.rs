@@ -23,7 +23,7 @@
 //! mechanism prepared it.
 
 use super::{
-    bracketed_round, charge_tool_syscall, AgentKind, Context, Initiation, MechanismInfo,
+    bracketed_round, request_by_ext_syscall, AgentKind, Context, Initiation, MechanismInfo,
     ModuleFamily, Recorder, Recording, Shell,
 };
 use crate::tracker::TrackerKind;
@@ -197,18 +197,9 @@ impl ModuleFamily for SyscallMechanism {
             )),
             SyscallVariant::ByPid => {
                 // The tool issues the checkpoint syscall.
-                charge_tool_syscall(k);
-                let name = self.shell.module.clone();
-                let slot = k
-                    .with_module::<CkptSyscallModule, _>(&name, |m| m.slot_pid)
-                    .flatten()
-                    .ok_or_else(|| SimError::Usage("module not prepared".into()))?;
-                k.dispatch_module(&name, |m, k| {
-                    m.ext_syscall(k, pid, slot, [pid.0 as u64, 0, 0, 0, 0])
-                })
-                .ok_or_else(|| SimError::Usage("module missing".into()))?
-                .map_err(|e| SimError::Usage(format!("checkpoint syscall failed: {e:?}")))?;
-                Ok(())
+                let slot = |m: &CkptSyscallModule| m.slot_pid;
+                let failed = "checkpoint syscall failed";
+                request_by_ext_syscall(k, &self.shell.module, pid, slot, failed)
             }
         }
     }

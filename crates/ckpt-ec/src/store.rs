@@ -54,7 +54,7 @@ use std::sync::Arc;
 
 use ckpt_par::Pool;
 use ckpt_replica::{
-    CommitObject, Frame, Probe, QuorumClient, ReplicaSet, StripeMember, Striped, WireFrame,
+    Frame, Probe, QuorumClient, ReplicaSet, StripeMember, Striped, WireFrame,
 };
 use ckpt_storage::{
     digest64, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, StorageClass,
@@ -501,13 +501,7 @@ impl StableStorage for ErasureStore {
     fn used_bytes(&self) -> u64 {
         // Physical occupancy: the object spreads over the nodes, so the
         // sum — not the max — is one logical copy's coded footprint.
-        self.core
-            .set()
-            .nodes()
-            .iter()
-            .filter(|n| !n.is_down())
-            .map(|n| n.used_bytes())
-            .sum()
+        self.core.set().up().map(|n| n.used_bytes()).sum()
     }
 
     fn on_node_failure(&mut self) {
@@ -559,17 +553,9 @@ impl StableStorage for ErasureStore {
                 .enumerate()
                 .map(|(j, (key, _))| (*key, frames[j * n].len() as u64)),
         );
-        let described: Vec<CommitObject<'_>> = objects
-            .iter()
-            .zip(&object_digests)
-            .map(|(&(key, d), &digest)| CommitObject {
-                key,
-                bytes: d.len() as u64,
-                digest,
-            })
-            .collect();
         self.core.commit(
-            &described,
+            objects,
+            &object_digests,
             &wire,
             |j, i| {
                 let at = j * n + i;

@@ -42,6 +42,6 @@ mod stripe;
 /// through this path.
 pub use ckpt_storage::fnv1a64;
 pub use node::{Frame, Probe, ReplicaNode, ReplicaSet};
-pub use quorum::{CommitObject, QuorumClient, WireFrame};
+pub use quorum::{QuorumClient, WireFrame};
 pub use store::{ReplicaConfig, ReplicatedStore};
 pub use stripe::{stripe_route, StripeMember, Striped, StripedReplicaSet, StripedStore};

@@ -479,9 +479,9 @@ impl ReplicaSet {
         indices.iter().map(|&i| self.nodes[i].probe(key)).collect()
     }
 
-    /// How many replicas are currently reachable.
-    pub(crate) fn reachable(&self) -> usize {
-        self.nodes.iter().filter(|n| !n.is_down()).count()
+    /// The nodes currently reachable, in node order.
+    pub fn up(&self) -> impl Iterator<Item = &ReplicaNode> {
+        self.nodes.iter().map(|n| &**n).filter(|n| !n.is_down())
     }
 
     /// Total commit traffic the whole group has accepted (sum of every

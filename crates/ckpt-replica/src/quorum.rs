@@ -119,15 +119,6 @@ impl Admissions {
     }
 }
 
-/// One object of a commit, as the manifest and the receipt describe it:
-/// the *logical* payload's length and digest, whatever bytes each node
-/// actually holds for it.
-pub struct CommitObject<'a> {
-    pub key: &'a str,
-    pub bytes: u64,
-    pub digest: u64,
-}
-
 /// The frame one commit sends to every node: its faultpoint op, its
 /// admission identity, its length, and where each object's per-node bytes
 /// sit in it — which is what decides what a torn write leaves behind.
@@ -417,13 +408,17 @@ impl QuorumClient {
     }
 
     /// Commit `objects` as one `wire` frame per node: all of them at write
-    /// quorum, or none of them anywhere. `frame_for(object, node)` yields
-    /// the bytes (and their digest) that node stores for that object —
-    /// borrowed bytes are copied on the pool, owned ones move; it is asked
-    /// only for what actually reaches a medium, at most once per pair.
+    /// quorum, or none of them anywhere. The manifests and the receipt
+    /// describe each *logical* payload — its length, and its digest in
+    /// `digests` — whatever bytes each node actually holds for it.
+    /// `frame_for(object, node)` yields the bytes (and their digest) that
+    /// node stores for that object — borrowed bytes are copied on the pool,
+    /// owned ones move; it is asked only for what actually reaches a
+    /// medium, at most once per pair.
     pub fn commit<'a>(
         &mut self,
-        objects: &[CommitObject<'_>],
+        objects: &[(&str, &[u8])],
+        digests: &[u64],
         wire: &WireFrame,
         mut frame_for: impl FnMut(usize, usize) -> (Cow<'a, [u8]>, u64),
         cost: &CostModel,
@@ -451,7 +446,7 @@ impl QuorumClient {
         // place, so a failed quorum needs the prior frames to roll back
         // to the committed state instead of leaving the node empty or
         // torn.
-        let mut held = self.visible_frames(objects.iter().map(|o| o.key));
+        let mut held = self.visible_frames(objects.iter().map(|o| o.0));
         let versions: Vec<u64> = (0..objects.len()).map(|j| next_version(&held, j)).collect();
 
         // ONE admission + fault-check + retry/backoff cycle per node for
@@ -485,7 +480,7 @@ impl QuorumClient {
                     (Cow::Borrowed(bytes), digest) => node_copies.push((j, &bytes[..kept], digest)),
                     (Cow::Owned(mut bytes), digest) => {
                         bytes.truncate(kept);
-                        node.put_frame(objects[j].key, versions[j], bytes, digest);
+                        node.put_frame(objects[j].0, versions[j], bytes, digest);
                     }
                 }
             }
@@ -508,7 +503,7 @@ impl QuorumClient {
             |_, _, (i, node_copies)| {
                 for (j, bytes, digest) in node_copies {
                     set.node(i)
-                        .put_frame(objects[j].key, versions[j], bytes.to_vec(), digest);
+                        .put_frame(objects[j].0, versions[j], bytes.to_vec(), digest);
                 }
             },
         );
@@ -527,7 +522,7 @@ impl QuorumClient {
             // traffic counter, exactly where they were.
             for (i, priors) in writers {
                 for ((o, &version), prior) in objects.iter().zip(&versions).zip(priors) {
-                    self.set.node(i).rollback_to(o.key, version, prior);
+                    self.set.node(i).rollback_to(o.0, version, prior);
                 }
             }
             self.record(0, 0, 1);
@@ -538,21 +533,21 @@ impl QuorumClient {
         }
 
         let mut keys = Vec::with_capacity(objects.len());
-        for (o, &version) in objects.iter().zip(&versions) {
+        for ((&(key, payload), &version), &digest) in objects.iter().zip(&versions).zip(digests) {
             let replaced = self.manifests.insert(
-                o.key.to_string(),
+                key.to_string(),
                 ReplicaManifest {
-                    key: o.key.to_string(),
+                    key: key.to_string(),
                     version,
-                    digest: o.digest,
-                    bytes: o.bytes,
+                    digest,
+                    bytes: payload.len() as u64,
                     acked: acked.clone(),
                     n: self.set.len() as u32,
                     w: self.w as u32,
                     coding: self.coding,
                 },
             );
-            keys.push((o.key.to_string(), replaced));
+            keys.push((key.to_string(), replaced));
         }
         self.undo = LastCommit {
             keys,
@@ -561,7 +556,7 @@ impl QuorumClient {
         self.record(objects.len() as u64, 0, 0);
         Ok(BatchReceipt {
             objects: objects.len() as u64,
-            bytes: objects.iter().map(|o| o.bytes).sum(),
+            bytes: objects.iter().map(|o| o.1.len() as u64).sum(),
             time_ns,
             ack_cycles: 1,
         })
@@ -624,20 +619,14 @@ impl QuorumClient {
         if !self.client_up {
             return Vec::new();
         }
-        let mut keys: Vec<String> = self
-            .set
-            .nodes()
-            .iter()
-            .filter(|n| !n.is_down())
-            .flat_map(|n| n.keys())
-            .collect();
+        let mut keys: Vec<String> = self.set.up().flat_map(|n| n.keys()).collect();
         keys.sort();
         keys.dedup();
         keys
     }
 
     pub fn available(&self) -> bool {
-        self.client_up && self.set.reachable() >= self.w
+        self.client_up && self.set.up().count() >= self.w
     }
 
     /// The manifest of `key`'s last commit through this client.

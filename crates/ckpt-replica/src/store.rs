@@ -47,7 +47,7 @@ use simos::types::SimResult;
 use simos::Relink;
 
 use crate::node::{Frame, Probe, ReplicaSet};
-use crate::quorum::{CommitObject, QuorumClient, WireFrame};
+use crate::quorum::{QuorumClient, WireFrame};
 use crate::stripe::StripeMember;
 
 /// Quorum configuration: N replicas, write quorum w with `N/2 < w <= N`.
@@ -175,17 +175,9 @@ impl ReplicatedStore {
         wire: &WireFrame,
         cost: &CostModel,
     ) -> Result<BatchReceipt, StorageError> {
-        let described: Vec<CommitObject<'_>> = objects
-            .iter()
-            .zip(digests)
-            .map(|(&(key, d), &digest)| CommitObject {
-                key,
-                bytes: d.len() as u64,
-                digest,
-            })
-            .collect();
         self.core.commit(
-            &described,
+            objects,
+            digests,
             wire,
             |j, _| (Cow::Borrowed(objects[j].1), digests[j]),
             cost,
@@ -387,14 +379,8 @@ impl StableStorage for ReplicatedStore {
 
     fn used_bytes(&self) -> u64 {
         // One logical copy's worth: the fullest reachable replica.
-        self.core
-            .set()
-            .nodes()
-            .iter()
-            .filter(|n| !n.is_down())
-            .map(|n| n.used_bytes())
-            .max()
-            .unwrap_or(0)
+        let used = self.core.set().up().map(|n| n.used_bytes());
+        used.max().unwrap_or(0)
     }
 
     fn on_node_failure(&mut self) {

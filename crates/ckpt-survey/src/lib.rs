@@ -4,9 +4,10 @@
 //! artifacts are **regenerated from the implementations**, not
 //! transcribed.
 //!
-//! * the systems — each surveyed system (VMADump … Checkpoint) as a
-//!   configuration of the `ckpt-core` mechanism framework, buildable
-//!   against a live kernel ([`SurveyedSystem`], [`SystemId`]);
+//! * the systems — one table, [`SYSTEMS`], whose rows ([`System`]) give
+//!   each surveyed system's (VMADump … Checkpoint) name, module, storage
+//!   column and notes, and build it as a configuration of the `ckpt-core`
+//!   mechanism framework against a live kernel;
 //! * Table 1 — the feature matrix derived from mechanism metadata, with
 //!   a diff test against the table as printed in the paper
 //!   ([`table1_generated`], [`table1_paper`], [`render_table1`]);
@@ -24,5 +25,5 @@ mod systems;
 mod table1;
 
 pub use figure1::{render as render_figure1, taxonomy};
-pub use systems::{SurveyedSystem, SystemId};
+pub use systems::{System, SYSTEMS};
 pub use table1::{generated as table1_generated, paper as table1_paper, render as render_table1};

@@ -1,12 +1,15 @@
 //! The twelve surveyed systems as executable configurations of the
 //! mechanism framework.
 //!
-//! Each [`SurveyedSystem`] knows how to *build a live instance* of itself
-//! against a kernel; the Table 1 feature row is then derived from the
-//! built mechanism's [`ckpt_core::mechanism::MechanismInfo`] plus the system's storage options —
-//! i.e. the table is regenerated from code, not transcribed.
+//! [`SYSTEMS`] is the one table of them: each [`System`] row knows how to
+//! *build a live instance* of itself against a kernel; the Table 1
+//! feature row is then derived from the built mechanism's
+//! [`MechanismInfo`](ckpt_core::mechanism::MechanismInfo) (Software Suspend's from
+//! [`SoftwareSuspend::info`]) plus the system's storage column — i.e. the
+//! table is regenerated from code, not transcribed.
 
 use ckpt_core::mechanism::fork_concurrent::ForkConcurrentMechanism;
+use ckpt_core::mechanism::hibernate::SoftwareSuspend;
 use ckpt_core::mechanism::ksignal::KernelSignalMechanism;
 use ckpt_core::mechanism::kthread::{KernelThreadMechanism, KthreadIface, KthreadVariant};
 use ckpt_core::mechanism::syscall::{SyscallMechanism, SyscallVariant};
@@ -14,268 +17,182 @@ use ckpt_core::mechanism::{Initiation, Mechanism};
 use ckpt_core::tracker::TrackerKind;
 use ckpt_core::SharedStorage;
 
-/// Storage options a system supports (the "stable storage" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StorageSupport {
-    None,
-    Local,
-    LocalRemote,
-}
-
-impl StorageSupport {
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            StorageSupport::None => "none",
-            StorageSupport::Local => "local",
-            StorageSupport::LocalRemote => "local,remote",
-        }
-    }
-}
+/// Builds a system's mechanism from (module name, job, storage).
+type Ctor = fn(&str, &str, SharedStorage) -> Box<dyn Mechanism>;
 
 /// One system of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SystemId {
-    VmaDump,
-    Bproc,
-    Epckpt,
-    Crak,
-    Uclik,
-    Chpox,
-    Zap,
-    Blcr,
-    LamMpi,
-    PsncRc,
-    SoftwareSuspend,
-    Checkpoint,
-}
-
-impl SystemId {
-    pub const ALL: [SystemId; 12] = [
-        SystemId::VmaDump,
-        SystemId::Bproc,
-        SystemId::Epckpt,
-        SystemId::Crak,
-        SystemId::Uclik,
-        SystemId::Chpox,
-        SystemId::Zap,
-        SystemId::Blcr,
-        SystemId::LamMpi,
-        SystemId::PsncRc,
-        SystemId::SoftwareSuspend,
-        SystemId::Checkpoint,
-    ];
-
+pub struct System {
     /// Table 1's display name.
-    pub fn display_name(self) -> &'static str {
-        match self {
-            SystemId::VmaDump => "VMADump",
-            SystemId::Bproc => "BPROC",
-            SystemId::Epckpt => "EPCKPT",
-            SystemId::Crak => "CRAK",
-            SystemId::Uclik => "UCLik",
-            SystemId::Chpox => "CHPOX",
-            SystemId::Zap => "ZAP",
-            SystemId::Blcr => "BLCR",
-            SystemId::LamMpi => "LAM/MPI",
-            SystemId::PsncRc => "PsncR/C",
-            SystemId::SoftwareSuspend => "Software Suspend",
-            SystemId::Checkpoint => "Checkpoint",
-        }
-    }
-}
-
-/// A surveyed system: identity + storage support + mechanism factory.
-pub struct SurveyedSystem {
-    pub(crate) id: SystemId,
-    pub(crate) storage_support: StorageSupport,
+    pub name: &'static str,
+    /// The kernel-module / static-extension name the built mechanism uses.
+    pub module: &'static str,
+    /// Table 1's stable-storage column, as printed.
+    pub(crate) storage: &'static str,
     /// One-line provenance note (paper section the config encodes).
     pub notes: &'static str,
+    /// `None` for Software Suspend, which is whole-machine (see
+    /// `ckpt_core::mechanism::hibernate`) and not a per-process mechanism.
+    ctor: Option<Ctor>,
 }
 
-impl SurveyedSystem {
-    pub fn get(id: SystemId) -> Self {
-        use SystemId::*;
-        let (storage_support, notes) = match id {
-            VmaDump => (
-                StorageSupport::LocalRemote,
-                "self-checkpoint via new syscall; `current` macro; BProc's dumper",
-            ),
-            Bproc => (
-                StorageSupport::None,
-                "single-system-image process migration; VMADump underneath",
-            ),
-            Epckpt => (
-                StorageSupport::LocalRemote,
-                "checkpoint-by-pid syscall + launch tool; new kernel signal",
-            ),
-            Crak => (
-                StorageSupport::LocalRemote,
-                "kernel thread, /dev device + ioctl, loadable module",
-            ),
-            Uclik => (
-                StorageSupport::Local,
-                "CRAK lineage; restores original pid and file contents",
-            ),
-            Chpox => (
-                StorageSupport::Local,
-                "new kernel signal (SIGSYS-style) + /proc registration; MOSIX-tested",
-            ),
-            Zap => (
-                StorageSupport::None,
-                "CRAK successor; pod virtualization for migration",
-            ),
-            Blcr => (
-                StorageSupport::LocalRemote,
-                "kernel thread + ioctl; registration phase (handler + shared lib)",
-            ),
-            LamMpi => (
-                StorageSupport::LocalRemote,
-                "BLCR under an MPI library with modified functions (coordinated)",
-            ),
-            PsncRc => (
-                StorageSupport::Local,
-                "SUN platform kernel thread via /proc+ioctl; no data optimization",
-            ),
-            SoftwareSuspend => (
-                StorageSupport::Local,
-                "hibernate all processes to the swap partition; in mainline",
-            ),
-            Checkpoint => (
-                StorageSupport::Local,
-                "fork-based concurrent checkpointing via static syscalls",
-            ),
-        };
-        SurveyedSystem {
-            id,
-            storage_support,
-            notes,
-        }
-    }
-
-    /// Build a live mechanism configured like this system. Software
-    /// Suspend is whole-machine (see `ckpt_core::mechanism::hibernate`)
-    /// and returns `None` here.
-    pub(crate) fn build(&self, job: &str, storage: SharedStorage) -> Option<Box<dyn Mechanism>> {
-        use SystemId::*;
-        let name = self.module_name();
-        Some(match self.id {
-            VmaDump => Box::new(SyscallMechanism::new(
-                name,
-                SyscallVariant::SelfCkpt { every: 50 },
-                job,
-                storage,
-                TrackerKind::FullOnly,
-            )),
-            Bproc => Box::new(SyscallMechanism::new(
-                name,
-                SyscallVariant::SelfCkpt { every: 50 },
-                job,
-                storage,
-                TrackerKind::FullOnly,
-            )),
-            Epckpt => Box::new(SyscallMechanism::new(
-                name,
-                SyscallVariant::ByPid,
-                job,
-                storage,
-                TrackerKind::FullOnly,
-            )),
-            Crak => Box::new(KernelThreadMechanism::new(
-                name,
-                job,
-                storage,
-                TrackerKind::FullOnly,
-                KthreadIface::Ioctl,
-                KthreadVariant::default(),
-            )),
-            Uclik => Box::new(KernelThreadMechanism::new(
-                name,
-                job,
-                storage,
-                TrackerKind::FullOnly,
-                KthreadIface::Ioctl,
-                KthreadVariant {
-                    restore_original_pid: true,
-                    save_file_contents: true,
-                    ..Default::default()
-                },
-            )),
-            Chpox => Box::new(KernelSignalMechanism::new(
-                name,
-                job,
-                storage,
-                TrackerKind::FullOnly,
-            )),
-            Zap => Box::new(KernelThreadMechanism::new(
-                name,
-                job,
-                storage,
-                TrackerKind::FullOnly,
-                KthreadIface::Ioctl,
-                KthreadVariant::default(),
-            )),
-            Blcr => Box::new(KernelThreadMechanism::new(
-                name,
-                job,
-                storage,
-                TrackerKind::FullOnly,
-                KthreadIface::Ioctl,
-                KthreadVariant {
-                    needs_registration: true,
-                    ..Default::default()
-                },
-            )),
-            LamMpi => Box::new(KernelThreadMechanism::new(
-                name,
-                job,
-                storage,
-                TrackerKind::FullOnly,
-                KthreadIface::Ioctl,
-                KthreadVariant {
-                    needs_registration: true, // BLCR underneath
-                    ..Default::default()
-                },
-            )),
-            PsncRc => Box::new(KernelThreadMechanism::new(
-                name,
-                job,
-                storage,
-                TrackerKind::FullOnly,
-                KthreadIface::ProcWrite,
-                KthreadVariant {
-                    compress: false,
-                    ..Default::default()
-                },
-            )),
-            SoftwareSuspend => return None,
-            Checkpoint => {
-                let mut m = ForkConcurrentMechanism::new(name, job, storage);
-                m.invoked_by_app = true;
-                m.self_every = 50;
-                Box::new(m)
-            }
-        })
-    }
-
-    /// The kernel-module / static-extension name the built mechanism uses.
-    pub(crate) fn module_name(&self) -> &'static str {
-        use SystemId::*;
-        match self.id {
-            VmaDump => "vmadump",
-            Bproc => "bproc",
-            Epckpt => "epckpt",
-            Crak => "crak",
-            Uclik => "uclik",
-            Chpox => "chpox",
-            Zap => "zap",
-            Blcr => "blcr",
-            LamMpi => "lam_mpi",
-            PsncRc => "psnc_rc",
-            SoftwareSuspend => "swsusp",
-            Checkpoint => "checkpoint5",
-        }
-    }
+/// A kernel thread driven by ioctl, in the given variant.
+fn kthread(
+    module: &str,
+    job: &str,
+    storage: SharedStorage,
+    variant: KthreadVariant,
+) -> Box<dyn Mechanism> {
+    let (tracker, iface) = (TrackerKind::FullOnly, KthreadIface::Ioctl);
+    Box::new(KernelThreadMechanism::new(
+        module, job, storage, tracker, iface, variant,
+    ))
 }
+
+fn syscall(
+    module: &str,
+    job: &str,
+    storage: SharedStorage,
+    variant: SyscallVariant,
+) -> Box<dyn Mechanism> {
+    Box::new(SyscallMechanism::new(
+        module,
+        variant,
+        job,
+        storage,
+        TrackerKind::FullOnly,
+    ))
+}
+
+/// VMADump and BPROC: the process checkpoints itself through a new syscall.
+fn self_syscall(module: &str, job: &str, storage: SharedStorage) -> Box<dyn Mechanism> {
+    syscall(module, job, storage, SyscallVariant::SelfCkpt { every: 50 })
+}
+
+/// CRAK and ZAP: the default kernel thread.
+fn crak(module: &str, job: &str, storage: SharedStorage) -> Box<dyn Mechanism> {
+    kthread(module, job, storage, KthreadVariant::default())
+}
+
+/// BLCR, and LAM/MPI on top of it: a kernel thread the process registers
+/// with first.
+fn blcr(module: &str, job: &str, storage: SharedStorage) -> Box<dyn Mechanism> {
+    let variant = KthreadVariant {
+        needs_registration: true,
+        ..Default::default()
+    };
+    kthread(module, job, storage, variant)
+}
+
+/// The twelve systems, in Table 1's order.
+pub static SYSTEMS: [System; 12] = [
+    System {
+        name: "VMADump",
+        module: "vmadump",
+        storage: "local,remote",
+        notes: "self-checkpoint via new syscall; `current` macro; BProc's dumper",
+        ctor: Some(self_syscall),
+    },
+    System {
+        name: "BPROC",
+        module: "bproc",
+        storage: "none",
+        notes: "single-system-image process migration; VMADump underneath",
+        ctor: Some(self_syscall),
+    },
+    System {
+        name: "EPCKPT",
+        module: "epckpt",
+        storage: "local,remote",
+        notes: "checkpoint-by-pid syscall + launch tool; new kernel signal",
+        ctor: Some(|m, job, s| syscall(m, job, s, SyscallVariant::ByPid)),
+    },
+    System {
+        name: "CRAK",
+        module: "crak",
+        storage: "local,remote",
+        notes: "kernel thread, /dev device + ioctl, loadable module",
+        ctor: Some(crak),
+    },
+    System {
+        name: "UCLik",
+        module: "uclik",
+        storage: "local",
+        notes: "CRAK lineage; restores original pid and file contents",
+        ctor: Some(|m, job, s| {
+            let variant = KthreadVariant {
+                restore_original_pid: true,
+                save_file_contents: true,
+                ..Default::default()
+            };
+            kthread(m, job, s, variant)
+        }),
+    },
+    System {
+        name: "CHPOX",
+        module: "chpox",
+        storage: "local",
+        notes: "new kernel signal (SIGSYS-style) + /proc registration; MOSIX-tested",
+        ctor: Some(|m, job, s| {
+            Box::new(KernelSignalMechanism::new(m, job, s, TrackerKind::FullOnly))
+        }),
+    },
+    System {
+        name: "ZAP",
+        module: "zap",
+        storage: "none",
+        notes: "CRAK successor; pod virtualization for migration",
+        ctor: Some(crak),
+    },
+    System {
+        name: "BLCR",
+        module: "blcr",
+        storage: "local,remote",
+        notes: "kernel thread + ioctl; registration phase (handler + shared lib)",
+        ctor: Some(blcr),
+    },
+    System {
+        name: "LAM/MPI",
+        module: "lam_mpi",
+        storage: "local,remote",
+        notes: "BLCR under an MPI library with modified functions (coordinated)",
+        ctor: Some(blcr),
+    },
+    System {
+        name: "PsncR/C",
+        module: "psnc_rc",
+        storage: "local",
+        notes: "SUN platform kernel thread via /proc+ioctl; no data optimization",
+        ctor: Some(|m, job, s| {
+            let variant = KthreadVariant {
+                compress: false,
+                ..Default::default()
+            };
+            let (tracker, iface) = (TrackerKind::FullOnly, KthreadIface::ProcWrite);
+            Box::new(KernelThreadMechanism::new(
+                m, job, s, tracker, iface, variant,
+            ))
+        }),
+    },
+    System {
+        name: "Software Suspend",
+        module: "swsusp",
+        storage: "local",
+        notes: "hibernate all processes to the swap partition; in mainline",
+        ctor: None,
+    },
+    System {
+        name: "Checkpoint",
+        module: "checkpoint5",
+        storage: "local",
+        notes: "fork-based concurrent checkpointing via static syscalls",
+        ctor: Some(|m, job, s| {
+            let mut mech = ForkConcurrentMechanism::new(m, job, s);
+            mech.invoked_by_app = true;
+            mech.self_every = 50;
+            Box::new(mech)
+        }),
+    },
+];
 
 /// Derived Table 1 row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,39 +205,30 @@ pub struct TableRow {
     pub(crate) kernel_module: &'static str,
 }
 
-impl SurveyedSystem {
+impl System {
+    /// Build a live mechanism configured like this system; `None` for
+    /// Software Suspend.
+    pub(crate) fn build(&self, job: &str, storage: SharedStorage) -> Option<Box<dyn Mechanism>> {
+        self.ctor.map(|ctor| ctor(self.module, job, storage))
+    }
+
     /// Derive the Table 1 row from the *built* mechanism's metadata.
     pub(crate) fn table_row(&self) -> TableRow {
         let yn = |b: bool| if b { "yes" } else { "no" };
-        // Software Suspend has no Mechanism impl (whole-machine); its
-        // properties come from the hibernate module's nature: static
-        // kernel, user-initiated script, full images, transparent.
-        let (incremental, transparent, initiation, module) = match self.id {
-            SystemId::SoftwareSuspend => (false, true, Initiation::UserInitiated, false),
-            _ => {
-                let storage = ckpt_core::shared_storage(ckpt_storage::RamStore::new(1));
-                let m = self
-                    .build("probe", storage)
-                    .expect("non-swsusp systems build");
-                let info = m.info();
-                (
-                    info.supports_incremental,
-                    info.transparent,
-                    info.initiation,
-                    info.is_kernel_module,
-                )
-            }
-        };
+        let storage = ckpt_core::shared_storage(ckpt_storage::RamStore::new(1));
+        let info = self
+            .build("probe", storage)
+            .map_or_else(SoftwareSuspend::info, |m| m.info());
         TableRow {
-            name: self.id.display_name(),
-            incremental: yn(incremental),
-            transparency: yn(transparent),
-            stable_storage: self.storage_support.label(),
-            initiation: match initiation {
+            name: self.name,
+            incremental: yn(info.supports_incremental),
+            transparency: yn(info.transparent),
+            stable_storage: self.storage,
+            initiation: match info.initiation {
                 Initiation::Automatic => "automatic",
                 Initiation::UserInitiated => "user",
             },
-            kernel_module: yn(module),
+            kernel_module: yn(info.is_kernel_module),
         }
     }
 }
@@ -336,55 +244,45 @@ mod tests {
 
     #[test]
     fn all_twelve_systems_have_descriptors() {
-        for id in SystemId::ALL {
-            let s = SurveyedSystem::get(id);
-            assert_eq!(s.id, id);
-            assert!(!s.notes.is_empty());
+        for s in &SYSTEMS {
+            assert!(!s.notes.is_empty(), "{}", s.name);
         }
     }
 
     #[test]
     fn every_buildable_system_checkpoints_or_is_automatic() {
-        for id in SystemId::ALL {
-            if id == SystemId::SoftwareSuspend {
-                continue;
-            }
-            let s = SurveyedSystem::get(id);
+        for s in &SYSTEMS {
+            let name = s.name;
             let storage = shared_storage(LocalDisk::new(1 << 30));
-            let mut mech = s.build("job", storage).unwrap();
+            let Some(mut mech) = s.build("job", storage) else {
+                continue;
+            };
             let mut k = Kernel::new(CostModel::circa_2005());
             let mut params = AppParams::small();
             params.total_steps = u64::MAX;
             let pid = k.spawn_native(NativeKind::SparseRandom, params).unwrap();
             mech.prepare(&mut k, pid)
-                .unwrap_or_else(|e| panic!("{id:?} prepare failed: {e}"));
-            assert!(k.module_loaded(s.module_name()), "{id:?} module not loaded");
+                .unwrap_or_else(|e| panic!("{name} prepare failed: {e}"));
+            assert!(k.module_loaded(s.module), "{name} module not loaded");
             k.run_for(20_000_000).unwrap();
             match mech.info().initiation {
                 Initiation::UserInitiated => {
                     let o = mech
                         .checkpoint(&mut k, pid)
-                        .unwrap_or_else(|e| panic!("{id:?} checkpoint failed: {e}"));
-                    assert!(o.pages_saved > 0, "{id:?} saved nothing");
+                        .unwrap_or_else(|e| panic!("{name} checkpoint failed: {e}"));
+                    assert!(o.pages_saved > 0, "{name} saved nothing");
                 }
                 Initiation::Automatic => {
                     // Must refuse external initiation...
-                    assert!(mech.checkpoint(&mut k, pid).is_err(), "{id:?}");
+                    assert!(mech.checkpoint(&mut k, pid).is_err(), "{name}");
                     // ...but produce checkpoints on its own.
                     k.run_for(1_000_000_000).unwrap();
                     assert!(
                         !mech.outcomes(&k).is_empty(),
-                        "{id:?} never self-checkpointed"
+                        "{name} never self-checkpointed"
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn storage_support_labels() {
-        assert_eq!(StorageSupport::None.label(), "none");
-        assert_eq!(StorageSupport::Local.label(), "local");
-        assert_eq!(StorageSupport::LocalRemote.label(), "local,remote");
     }
 }

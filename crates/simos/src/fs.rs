@@ -122,12 +122,18 @@ impl SimFs {
 
     /// Create a directory (parents must exist).
     pub fn mkdir(&mut self, path: &str) -> Result<(), FsError> {
+        self.create_new(path, FsNode::Dir)
+    }
+
+    /// Insert `node` at `path`, whose parent must be a directory and
+    /// which must not exist yet.
+    fn create_new(&mut self, path: &str, node: FsNode) -> Result<(), FsError> {
         let path = normalize(path);
         self.check_parent(&path)?;
         if self.nodes.contains_key(&path) {
             return Err(FsError::Exists);
         }
-        self.nodes.insert(path, FsNode::Dir);
+        self.nodes.insert(path, node);
         Ok(())
     }
 
@@ -159,36 +165,14 @@ impl SimFs {
 
     /// Register a device node (done by kernel modules at load time).
     pub fn register_device(&mut self, path: &str, module: &str, minor: u32) -> Result<(), FsError> {
-        let path = normalize(path);
-        self.check_parent(&path)?;
-        if self.nodes.contains_key(&path) {
-            return Err(FsError::Exists);
-        }
-        self.nodes.insert(
-            path,
-            FsNode::Device {
-                module: module.to_string(),
-                minor,
-            },
-        );
-        Ok(())
+        let module = module.to_string();
+        self.create_new(path, FsNode::Device { module, minor })
     }
 
     /// Register a `/proc` entry.
     pub fn register_proc(&mut self, path: &str, module: &str, tag: &str) -> Result<(), FsError> {
-        let path = normalize(path);
-        self.check_parent(&path)?;
-        if self.nodes.contains_key(&path) {
-            return Err(FsError::Exists);
-        }
-        self.nodes.insert(
-            path,
-            FsNode::Proc {
-                module: module.to_string(),
-                tag: tag.to_string(),
-            },
-        );
-        Ok(())
+        let (module, tag) = (module.to_string(), tag.to_string());
+        self.create_new(path, FsNode::Proc { module, tag })
     }
 
     /// Remove a node (files, devices, proc entries — not non-empty dirs).

@@ -650,21 +650,36 @@ impl Kernel {
         if !self.procs.contains_key(&pid.0) {
             return Err(SimError::NoSuchProcess(pid));
         }
-        if self.active_mm != Some(pid) {
-            let t = self.cost.mm_switch();
-            self.charge(t);
-            self.stats.mm_switches += 1;
-            self.trace.kernel(KernelEvent::MmSwitch, self.clock, t);
-            self.trace.kernel(KernelEvent::TlbFlush, self.clock, 0);
-            // The software TLB mirrors the hardware one it models: the
-            // incoming space starts translation-cold after a switch.
-            if let Some(p) = self.procs.get_mut(&pid.0) {
-                p.mem.tlb_flush();
-            }
-            self.trace.soft_tlb_flush(TlbFlushSite::MmSwitch);
-            self.active_mm = Some(pid);
-        }
+        self.switch_mm(pid);
         Ok(())
+    }
+
+    /// Load `pid`'s address space if it is not the active one, charging
+    /// the switch and the TLB flush it implies.
+    fn switch_mm(&mut self, pid: Pid) {
+        if self.active_mm == Some(pid) {
+            return;
+        }
+        let t = self.cost.mm_switch();
+        self.charge(t);
+        self.stats.mm_switches += 1;
+        self.trace.kernel(KernelEvent::MmSwitch, self.clock, t);
+        self.trace.kernel(KernelEvent::TlbFlush, self.clock, 0);
+        // The software TLB mirrors the hardware one it models: the
+        // incoming space starts translation-cold after a switch.
+        if let Some(p) = self.procs.get_mut(&pid.0) {
+            p.mem.tlb_flush();
+        }
+        self.trace.soft_tlb_flush(TlbFlushSite::MmSwitch);
+        self.active_mm = Some(pid);
+    }
+
+    /// Trap into the kernel on a guest page fault: count, charge, trace.
+    fn page_fault_trap(&mut self) {
+        self.stats.page_faults += 1;
+        let t = self.cost.page_fault_trap_ns;
+        self.charge(t);
+        self.trace.kernel(KernelEvent::PageFault, self.clock, t);
     }
 
     /// The address space currently loaded (for tests/experiments).
@@ -887,10 +902,7 @@ impl Kernel {
                     addr: faddr,
                     kind: FaultKind::WriteProtected,
                 } => {
-                    self.stats.page_faults += 1;
-                    let t = self.cost.page_fault_trap_ns;
-                    self.charge(t);
-                    self.trace.kernel(KernelEvent::PageFault, self.clock, t);
+                    self.page_fault_trap();
                     let pn = faddr / PAGE_SIZE;
                     let track = self.procs.get(&pid.0).expect("exists").mem.track;
                     match track {
@@ -934,10 +946,7 @@ impl Kernel {
                     }
                 }
                 AccessOutcome::Fault { addr: faddr, kind } => {
-                    self.stats.page_faults += 1;
-                    let t = self.cost.page_fault_trap_ns;
-                    self.charge(t);
-                    self.trace.kernel(KernelEvent::PageFault, self.clock, t);
+                    self.page_fault_trap();
                     return self.fault_to_segv(pid, faddr, kind);
                 }
             }
@@ -959,10 +968,7 @@ impl Kernel {
                 Ok(())
             }
             AccessOutcome::Fault { addr: faddr, kind } => {
-                self.stats.page_faults += 1;
-                let t = self.cost.page_fault_trap_ns;
-                self.charge(t);
-                self.trace.kernel(KernelEvent::PageFault, self.clock, t);
+                self.page_fault_trap();
                 self.fault_to_segv(pid, faddr, kind)
             }
         }
@@ -1550,20 +1556,7 @@ impl Kernel {
 
     fn run_process_until(&mut self, pid: Pid, until: u64) -> SimResult<()> {
         // Address-space switch on entry.
-        if self.active_mm != Some(pid) {
-            let t = self.cost.mm_switch();
-            self.charge(t);
-            self.stats.mm_switches += 1;
-            self.trace.kernel(KernelEvent::MmSwitch, self.clock, t);
-            self.trace.kernel(KernelEvent::TlbFlush, self.clock, 0);
-            // Incoming space runs translation-cold, like the hardware TLB
-            // the switch cost models.
-            if let Some(p) = self.procs.get_mut(&pid.0) {
-                p.mem.tlb_flush();
-            }
-            self.trace.soft_tlb_flush(TlbFlushSite::MmSwitch);
-            self.active_mm = Some(pid);
-        }
+        self.switch_mm(pid);
         // Kernel→user transition: deliver pending signals.
         if !self.deliver_signals(pid)? {
             return Ok(());

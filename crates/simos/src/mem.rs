@@ -50,6 +50,7 @@ pub use crate::cost::PAGE_SIZE;
 pub(crate) use crate::cost::CACHE_LINE;
 use crate::types::FaultKind;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Page protection bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -226,6 +227,22 @@ impl TlbEntry {
 #[inline]
 fn tlb_idx(pn: u64) -> usize {
     (pn as usize) & (TLB_SIZE - 1)
+}
+
+/// `len` bytes at `addr`, split at page boundaries: each span's page
+/// number, its offset in that page, and its range in the caller's buffer.
+#[inline]
+fn page_spans(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let mut off = 0usize;
+    std::iter::from_fn(move || {
+        (off < len).then(|| {
+            let cur = addr + off as u64;
+            let at = (cur % PAGE_SIZE) as usize;
+            let n = (PAGE_SIZE as usize - at).min(len - off);
+            off += n;
+            (cur / PAGE_SIZE, at, off - n..off)
+        })
+    })
 }
 
 /// A guest address space.
@@ -665,29 +682,13 @@ impl AddressSpace {
                 self.dirty_lines.insert(line);
             }
         }
-        let mut off = 0usize;
-        let mut cur = addr;
-        while off < bytes.len() {
-            let pn = cur / PAGE_SIZE;
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize) - in_page).min(bytes.len() - off);
-            let slot = self.slot_for_write(pn);
-            let page = self.slots[slot as usize].as_mut().expect("live slot");
-            page.data[in_page..in_page + n].copy_from_slice(&bytes[off..off + n]);
-            off += n;
-            cur += n as u64;
-        }
+        self.poke(addr, bytes);
     }
 
     /// Read bytes, assuming protection has been checked.
     pub fn read_unchecked(&mut self, addr: u64, out: &mut [u8]) {
         self.stats.bytes_read += out.len() as u64;
-        let mut off = 0usize;
-        let mut cur = addr;
-        while off < out.len() {
-            let pn = cur / PAGE_SIZE;
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize) - in_page).min(out.len() - off);
+        for (pn, at, span) in page_spans(addr, out.len()) {
             let slot = if self.tlb_enabled {
                 let e = self.tlb[tlb_idx(pn)];
                 if e.pn == pn {
@@ -707,12 +708,10 @@ impl AddressSpace {
             match slot {
                 Some(slot) => {
                     let p = self.slots[slot as usize].as_ref().expect("live slot");
-                    out[off..off + n].copy_from_slice(&p.data[in_page..in_page + n]);
+                    out[span.clone()].copy_from_slice(&p.data[at..at + span.len()]);
                 }
-                None => out[off..off + n].fill(0),
+                None => out[span].fill(0),
             }
-            off += n;
-            cur += n as u64;
         }
     }
 
@@ -776,35 +775,22 @@ impl AddressSpace {
     /// Read without touching stats — used by checkpointers walking memory
     /// from kernel context (they charge copy costs separately).
     pub fn peek(&self, addr: u64, out: &mut [u8]) {
-        let mut off = 0usize;
-        let mut cur = addr;
-        while off < out.len() {
-            let pn = cur / PAGE_SIZE;
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize) - in_page).min(out.len() - off);
+        for (pn, at, span) in page_spans(addr, out.len()) {
             match self.page_ref(pn) {
-                Some(p) => out[off..off + n].copy_from_slice(&p.data[in_page..in_page + n]),
-                None => out[off..off + n].fill(0),
+                Some(p) => out[span.clone()].copy_from_slice(&p.data[at..at + span.len()]),
+                None => out[span].fill(0),
             }
-            off += n;
-            cur += n as u64;
         }
     }
 
-    /// Write without protection interaction — used when *restoring* a
-    /// checkpoint image into a fresh address space.
+    /// Write without protection interaction or accounting — used when
+    /// *restoring* a checkpoint image into a fresh address space, and as
+    /// [`AddressSpace::write_unchecked`]'s copy.
     pub fn poke(&mut self, addr: u64, bytes: &[u8]) {
-        let mut off = 0usize;
-        let mut cur = addr;
-        while off < bytes.len() {
-            let pn = cur / PAGE_SIZE;
-            let in_page = (cur % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize) - in_page).min(bytes.len() - off);
+        for (pn, at, span) in page_spans(addr, bytes.len()) {
             let slot = self.slot_for_write(pn);
             let page = self.slots[slot as usize].as_mut().expect("live slot");
-            page.data[in_page..in_page + n].copy_from_slice(&bytes[off..off + n]);
-            off += n;
-            cur += n as u64;
+            page.data[at..at + span.len()].copy_from_slice(&bytes[span]);
         }
     }
 

@@ -29,8 +29,7 @@ fn main() {
     }
 
     println!("\nPer-system provenance notes:");
-    for id in survey::SystemId::ALL {
-        let s = survey::SurveyedSystem::get(id);
-        println!("  {:<17} {}", id.display_name(), s.notes);
+    for s in &survey::SYSTEMS {
+        println!("  {:<17} {}", s.name, s.notes);
     }
 }
