@@ -25,7 +25,7 @@ pub struct System {
     /// Table 1's display name.
     pub name: &'static str,
     /// The kernel-module / static-extension name the built mechanism uses.
-    pub module: &'static str,
+    pub(crate) module: &'static str,
     /// Table 1's stable-storage column, as printed.
     pub(crate) storage: &'static str,
     /// One-line provenance note (paper section the config encodes).
