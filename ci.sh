@@ -35,9 +35,14 @@ cargo test -q --workspace -- --skip "$MATRIX"
 # The workspace's one `unsafe` (ckpt-image's CRC dispatch) is tested again
 # in release, where debug assertions and overflow checks are off and the
 # optimiser has the feature-gated kernel to itself; so are the crates whose
-# content digests run on that kernel, at the codegen the benchmark runs.
-phase 'CRC kernel and its digest crates, tests in release'
+# content digests run on that kernel, at the codegen the benchmark runs,
+# and the checkpoint's image encoder, which CRCs its runs there: its
+# byte-identity check (the engine's bytes against the records') is
+# par_pipeline_properties. A `--test` flag narrows every package it is
+# given with, so that target is its own command.
+phase 'CRC kernel, its digest crates and the image encoder, tests in release'
 cargo test --release -q -p ckpt-image -p ckpt-cas -p ckpt-replica -p ckpt-ec
+cargo test --release -q -p ckpt-restart --test par_pipeline_properties
 
 # The one test with a wall-clock budget (tests/crash_matrix.rs): the
 # matrix must stay cheap enough to never be sampled or skipped in CI.

@@ -8,8 +8,8 @@
 //! fact.
 
 use ckpt_image::{
-    CheckpointImage, FdRecord, FileContentRecord, ImageHeader, ImageKind, PageRecord,
-    PolicyRecord, ProgramRecord, RegsRecord, SigRecord, TimerRecord, VmaRecord,
+    CheckpointImage, FdRecord, FileContentRecord, ImageHeader, ImageKind, PolicyRecord,
+    ProgramRecord, RegsRecord, SigRecord, TimerRecord, VmaRecord,
 };
 use simos::fs::FsNode;
 use simos::mem::{VmaKind, PAGE_SIZE};
@@ -52,11 +52,14 @@ pub struct CaptureOptions {
     pub node: u32,
     /// Id the header records: its [`crate::Lineage`]'s; `None`, the pid.
     pub(crate) id: Option<u32>,
-    /// Worker pool for page encoding. `None` takes the serial page walk;
-    /// with a pool the pages are encoded where they sit in the frozen
-    /// address space, in runs of [`ckpt_par::PAR_MIN_BYTES`]
-    /// ([`ckpt_image::encode_page_slices`]), spread over the pool once
-    /// there is more than one run. Output is byte-identical either way.
+    /// Worker pool for page encoding; `None` is a width-1 pool, on the
+    /// caller. The pages are encoded where they sit in the frozen address
+    /// space, in runs of [`ckpt_par::PAR_MIN_BYTES`], spread over the pool
+    /// once there is more than one run: into records
+    /// ([`ckpt_image::page_records`]) by [`capture_image`], straight into
+    /// the image ([`ckpt_image::encode_borrowed_pages`]) by
+    /// [`crate::Lineage::capture`]. Output is byte-identical at every
+    /// width.
     pub encode_pool: Option<Arc<ckpt_par::Pool>>,
 }
 
@@ -84,12 +87,50 @@ impl CaptureOptions {
             ..Self::full(mechanism, seq)
         }
     }
+
+    /// `f` on [`Self::encode_pool`], or on a width-1 pool without one.
+    pub(crate) fn with_pool<R>(&self, f: impl FnOnce(&ckpt_par::Pool) -> R) -> R {
+        match self.encode_pool.as_deref() {
+            Some(pool) => f(pool),
+            None => f(&ckpt_par::Pool::new(1)),
+        }
+    }
 }
 
 /// Capture `pid`'s state into an image, charging kernel-side copy costs.
 /// The caller is responsible for the process being quiescent (frozen, or
-/// running this code in its own context).
+/// running this code in its own context). The state half of a capture,
+/// then the pages' records; [`crate::Lineage::capture`] encodes the image
+/// from the pages instead, without records.
 pub fn capture_image(k: &mut Kernel, pid: Pid, opts: &CaptureOptions) -> SimResult<CheckpointImage> {
+    let (mut img, page_numbers) = capture_state(k, pid, opts)?;
+    let pages = guest_pages(k, pid, &page_numbers);
+    img.pages = opts.with_pool(|pool| ckpt_image::page_records(pool, &pages, opts.compress));
+    Ok(img)
+}
+
+/// `pid`'s pages `page_numbers`, where they sit in its address space.
+pub(crate) fn guest_pages<'k>(
+    k: &'k Kernel,
+    pid: Pid,
+    page_numbers: &[u64],
+) -> Vec<(u64, &'k [u8])> {
+    let p = k.process(pid).expect("captured");
+    page_numbers
+        .iter()
+        .map(|pn| (*pn, p.mem.page_data(*pn).expect("resident")))
+        .collect()
+}
+
+/// The first half of a capture: the image without its page records, and
+/// the numbers of the pages it takes (every resident page, or the
+/// selected ones that are resident). Charges the kernel copy of those
+/// pages, so the whole capture's virtual time is paid here.
+pub(crate) fn capture_state(
+    k: &mut Kernel,
+    pid: Pid,
+    opts: &CaptureOptions,
+) -> SimResult<(CheckpointImage, Vec<u64>)> {
     let taken_at_ns = k.now();
     let (regs, brk, work_done, policy, vmas, page_numbers, fd_list, sig, program) = {
         let p = k.process(pid).ok_or(SimError::NoSuchProcess(pid))?;
@@ -113,32 +154,7 @@ pub fn capture_image(k: &mut Kernel, pid: Pid, opts: &CaptureOptions) -> SimResu
             ProgramRecord::capture(&p.program),
         )
     };
-    // Pages: copy out of the address space (charged as kernel memcpy).
-    // On the pool, workers encode runs of pages straight out of the frozen
-    // address space; the ordered merge makes the record list identical to
-    // the serial walk.
-    let pages = {
-        let p = k.process(pid).expect("checked above");
-        let slices: Vec<(u64, &[u8])> = page_numbers
-            .iter()
-            .map(|pn| (*pn, p.mem.page_data(*pn).expect("resident")))
-            .collect();
-        match opts.encode_pool.as_deref() {
-            _ if !opts.compress => slices
-                .into_iter()
-                .map(|(page_no, data)| PageRecord {
-                    page_no,
-                    enc: ckpt_image::PageEncoding::Raw,
-                    payload: data.to_vec(),
-                })
-                .collect(),
-            Some(pool) => ckpt_image::encode_page_slices(pool, slices),
-            None => slices
-                .into_iter()
-                .map(|(page_no, data)| PageRecord::capture(page_no, data))
-                .collect(),
-        }
-    };
+    // Pages: copied out of the address space (charged as kernel memcpy).
     let copy_cost = k.cost.memcpy(page_numbers.len() as u64 * PAGE_SIZE);
     k.charge(copy_cost);
     // File descriptors, with dup groups.
@@ -199,14 +215,14 @@ pub fn capture_image(k: &mut Kernel, pid: Pid, opts: &CaptureOptions) -> SimResu
         work_done,
         policy,
         vmas,
-        pages,
+        pages: Vec::new(),
         fds,
         files,
         sig,
         timers,
         program,
     };
-    Ok(img)
+    Ok((img, page_numbers))
 }
 
 /// How to choose the restored process's pid.

@@ -4,11 +4,12 @@
 //! and a coordinated rank all run [`Lineage::capture`] and part only at
 //! the commit (`commit_image`, or a shard's `store_batch`).
 
-use crate::capture::{capture_image, CaptureOptions, PageSelection};
+use crate::capture::{capture_state, guest_pages, CaptureOptions, PageSelection};
 use crate::report::CkptOutcome;
 use crate::tracker::{Tracker, TrackerKind};
 use ckpt_image::ImageKind;
 use ckpt_storage::ReplicaManifest;
+use simos::mem::PAGE_SIZE;
 use simos::trace::Phase;
 use simos::types::{Pid, SimResult};
 use simos::Kernel;
@@ -175,7 +176,7 @@ impl Lineage {
         }
         site(k, "capture")?;
         let cap0 = k.now();
-        let img = capture_image(k, pid, &opts)?;
+        let (state, page_numbers) = capture_state(k, pid, &opts)?;
         if phases_from.is_some() {
             k.trace
                 .phase(name, Phase::Capture, pid.0, seq, k.now(), k.now() - cap0);
@@ -183,20 +184,22 @@ impl Lineage {
         site(k, "compress")?;
         site(k, "store")?;
         self.staged = Some((seq, opts.kind));
+        let memory_bytes = page_numbers.len() as u64 * PAGE_SIZE;
         let outcome = CkptOutcome {
             seq,
             incremental,
-            pages_saved: img.page_count() as u64,
-            memory_bytes: img.memory_bytes(),
-            logical_dirty_bytes: logical.unwrap_or(img.memory_bytes()),
+            pages_saved: page_numbers.len() as u64,
+            memory_bytes,
+            logical_dirty_bytes: logical.unwrap_or(memory_bytes),
             ..CkptOutcome::default()
         };
-        // The captured image is dropped as soon as it is encoded, so only
-        // the encoding and the store's copy are live across the commit.
-        let bytes = match &opts.encode_pool {
-            Some(pool) => ckpt_image::encode_with_pool(&img, pool),
-            None => ckpt_image::encode(&img),
-        };
+        // No page record is built: the image is encoded from the pages
+        // where they sit in the frozen guest, so a page's bytes are copied
+        // once into the encoding, and once more by the store.
+        let pages = guest_pages(k, pid, &page_numbers);
+        let bytes = opts.with_pool(|pool| {
+            ckpt_image::encode_borrowed_pages(&state, &pages, opts.compress, pool)
+        });
         Ok((bytes, outcome))
     }
 }

@@ -12,7 +12,7 @@ use super::{
     commit_image, request_by_ext_syscall, AgentKind, Context, Initiation, MechanismInfo,
     ModuleFamily, Recorder, Recording, Shell,
 };
-use crate::capture::{capture_image, CaptureOptions, PageSelection};
+use crate::capture::{capture_state, CaptureOptions, PageSelection};
 use crate::lineage::Lineage;
 use crate::report::CkptOutcome;
 use crate::tracker::TrackerKind;
@@ -204,7 +204,7 @@ impl ForkCkptModule {
         let mut opts = CaptureOptions::full(name, seq);
         opts.pages = PageSelection::Set(Default::default());
         opts.id = lineage.id;
-        let mut img = capture_image(k, req.child, &opts).ok()?;
+        let (mut img, _) = capture_state(k, req.child, &opts).ok()?;
         img.pages = save.collected;
         img.pages.sort_by_key(|p| p.page_no);
         k.faultpoint(name, "store").ok()?;

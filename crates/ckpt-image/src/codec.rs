@@ -15,6 +15,7 @@
 use crate::compress::PageEncoding;
 use crate::crc::{crc32, crc32_combine};
 use crate::format::*;
+use ckpt_par::Pool;
 use simos::mem::PAGE_SIZE;
 
 /// Decoding errors.
@@ -119,93 +120,130 @@ impl<'a> Dec<'a> {
 // Encode.
 // ---------------------------------------------------------------------
 
-/// Serialize an image to bytes (with trailing CRC-32).
+/// Serialize an image to bytes (with trailing CRC-32): [`encode_with_pool`]
+/// at width 1.
 pub fn encode(img: &CheckpointImage) -> Vec<u8> {
-    let mut out = encode_body(img);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
+    encode_with_pool(img, &Pool::new(1))
 }
 
-/// [`encode`] on `pool`, byte-identical at every width. The head and the
-/// tail (everything after the page records) are written on the caller; the
-/// page records are written in runs (`crate::parallel`), each into its
-/// own slice of the one output buffer, and each run is CRC'd by its worker
-/// right after it is written. The run CRCs fold in order with
-/// `crc32_combine`. A width-1 pool runs [`encode`] itself.
-pub fn encode_with_pool(img: &CheckpointImage, pool: &ckpt_par::Pool) -> Vec<u8> {
-    if pool.workers() == 1 {
-        return encode(img);
-    }
-    let sizes: Vec<usize> = img.pages.iter().map(record_len).collect();
-    let records: usize = sizes.iter().sum();
-    let mut out = Vec::with_capacity(4096 + records);
-    encode_head(img, &mut out);
-    let mut crc = crc32(&out);
-    let head = out.len();
-    out.resize(head + records, 0);
-    let mut rest = &mut out[head..];
-    let runs: Vec<(&[PageRecord], &mut [u8])> = crate::parallel::runs(&sizes)
+/// [`encode`] on `pool`, byte-identical at every width. The page records
+/// are written in runs of [`ckpt_par::PAR_MIN_BYTES`] (see
+/// `encode_records`).
+pub fn encode_with_pool(img: &CheckpointImage, pool: &Pool) -> Vec<u8> {
+    let sizes: Vec<usize> = img.pages.iter().map(|p| p.view().len()).collect();
+    let runs: Vec<&[PageRecord]> = crate::parallel::runs(&sizes)
         .into_iter()
-        .map(|run| {
-            let len = sizes[run.clone()].iter().sum();
-            let (slice, after) = std::mem::take(&mut rest).split_at_mut(len);
+        .map(|run| &img.pages[run])
+        .collect();
+    encode_records(
+        img,
+        img.pages.len(),
+        &runs,
+        |run| run.iter().map(PageRecord::view),
+        pool,
+    )
+}
+
+/// One page record as the codec writes it: page number, encoding tag,
+/// payload length and payload, the payload borrowed from wherever it sits
+/// (a [`PageRecord`], a run's RLE arena, a frozen guest page).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordView<'a> {
+    pub(crate) page_no: u64,
+    pub(crate) enc: PageEncoding,
+    pub(crate) payload: &'a [u8],
+}
+
+impl PageRecord {
+    pub(crate) fn view(&self) -> RecordView<'_> {
+        RecordView {
+            page_no: self.page_no,
+            enc: self.enc,
+            payload: &self.payload,
+        }
+    }
+}
+
+impl RecordView<'_> {
+    /// Bytes the record takes in the image.
+    pub(crate) fn len(&self) -> usize {
+        8 + 1 + 8 + self.payload.len()
+    }
+
+    /// Write the record into `out`, which is exactly [`Self::len`] long:
+    /// the one writer of the record layout.
+    fn write(&self, out: &mut [u8]) {
+        out[..8].copy_from_slice(&self.page_no.to_le_bytes());
+        out[8] = self.enc.tag();
+        out[9..17].copy_from_slice(&(self.payload.len() as u64).to_le_bytes());
+        out[17..].copy_from_slice(self.payload);
+    }
+}
+
+/// The image bytes of `state` (whose own page records are ignored) with
+/// `npages` page records given as `runs`, each run's records yielded by
+/// `records`. The head and the tail (everything after the page records)
+/// are written on the caller and the output buffer is sized exactly; each
+/// run is written into its own slice of it on `pool` and CRC'd by its
+/// worker right after, while it is hot. The run CRCs fold in order with
+/// `crc32_combine`. Below [`ckpt_par::PAR_MIN_BYTES`] of records, and at
+/// width 1, the runs are written in order on the caller.
+pub(crate) fn encode_records<'r, R, I>(
+    state: &CheckpointImage,
+    npages: usize,
+    runs: &'r [R],
+    records: impl Fn(&'r R) -> I + Sync,
+    pool: &Pool,
+) -> Vec<u8>
+where
+    R: Sync,
+    I: Iterator<Item = RecordView<'r>>,
+{
+    let lens: Vec<usize> = runs
+        .iter()
+        .map(|run| records(run).map(|r| r.len()).sum())
+        .collect();
+    let body: usize = lens.iter().sum();
+    let (mut head, mut tail) = (Vec::new(), Vec::new());
+    encode_head(state, npages, &mut head);
+    encode_tail(state, &mut tail);
+    let mut out = Vec::with_capacity(head.len() + body + tail.len() + 4);
+    out.extend_from_slice(&head);
+    out.resize(head.len() + body, 0);
+    let mut rest = &mut out[head.len()..];
+    let slices: Vec<(&R, &mut [u8])> = runs
+        .iter()
+        .zip(&lens)
+        .map(|(run, len)| {
+            let (slice, after) = std::mem::take(&mut rest).split_at_mut(*len);
             rest = after;
-            (&img.pages[run], slice)
+            (run, slice)
         })
         .collect();
-    let run_crcs = pool.for_bytes(records).par_map_ordered(
-        runs,
+    let run_crcs = pool.for_bytes(body).par_map_ordered(
+        slices,
         || (),
-        |_, _, (pages, out)| {
-            write_records(out, pages);
+        |_, _, (run, out)| {
+            let mut at = 0;
+            for record in records(run) {
+                record.write(&mut out[at..at + record.len()]);
+                at += record.len();
+            }
             (crc32(out), out.len())
         },
     );
+    let mut crc = crc32(&head);
     for (run_crc, len) in run_crcs {
         crc = crc32_combine(crc, run_crc, len as u64);
     }
-    let tail = out.len();
-    encode_tail(img, &mut out);
-    crc = crc32_combine(crc, crc32(&out[tail..]), (out.len() - tail) as u64);
+    crc = crc32_combine(crc, crc32(&tail), tail.len() as u64);
+    out.extend_from_slice(&tail);
     put_u32(&mut out, crc);
     out
 }
 
-/// Bytes one page record takes: page number, encoding tag, payload length
-/// and payload.
-fn record_len(p: &PageRecord) -> usize {
-    8 + 1 + 8 + p.payload.len()
-}
-
-/// Write `pages`' records into `out`, which is exactly as long as they are.
-fn write_records(out: &mut [u8], pages: &[PageRecord]) {
-    let mut at = 0;
-    for p in pages {
-        let rec = &mut out[at..at + record_len(p)];
-        rec[..8].copy_from_slice(&p.page_no.to_le_bytes());
-        rec[8] = p.enc.tag();
-        rec[9..17].copy_from_slice(&(p.payload.len() as u64).to_le_bytes());
-        rec[17..].copy_from_slice(&p.payload);
-        at += rec.len();
-    }
-}
-
-/// Everything before the trailing CRC.
-fn encode_body(img: &CheckpointImage) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4096 + img.payload_bytes() as usize);
-    encode_head(img, &mut out);
-    for p in &img.pages {
-        put_u64(&mut out, p.page_no);
-        put_u8(&mut out, p.enc.tag());
-        put_bytes(&mut out, &p.payload);
-    }
-    encode_tail(img, &mut out);
-    out
-}
-
-/// Everything before the first page record, the page count included.
-fn encode_head(img: &CheckpointImage, out: &mut Vec<u8>) {
+/// Everything before the first page record: `npages` is the page count.
+fn encode_head(img: &CheckpointImage, npages: usize, out: &mut Vec<u8>) {
     put_u64(out, IMAGE_MAGIC);
     put_u32(out, FORMAT_VERSION);
     // Header.
@@ -240,7 +278,7 @@ fn encode_head(img: &CheckpointImage, out: &mut Vec<u8>) {
         put_u8(out, v.kind);
         put_str(out, &v.name);
     }
-    put_u64(out, img.pages.len() as u64);
+    put_u64(out, npages as u64);
 }
 
 /// Everything after the last page record, up to the trailing CRC.
@@ -528,10 +566,10 @@ pub fn decode_with_pool(buf: &[u8], pool: &ckpt_par::Pool) -> Result<CheckpointI
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample_image() -> CheckpointImage {
+    pub(crate) fn sample_image() -> CheckpointImage {
         CheckpointImage {
             header: ImageHeader {
                 pid: 42,

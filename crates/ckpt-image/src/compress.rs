@@ -43,30 +43,23 @@ impl PageEncoding {
     }
 }
 
-/// Reusable per-worker scratch space for page encoding. Holding the RLE
-/// buffer across pages means each worker grows it once to steady state
-/// instead of re-growing a fresh `Vec` for every page it encodes.
-#[derive(Debug, Default)]
-pub(crate) struct EncodeScratch {
-    rle: Vec<u8>,
-}
-
-/// RLE-encode `data` into `out` (cleared first). Returns `false` if the
-/// encoding would not be smaller, leaving `out` in an unspecified state.
+/// Append the RLE encoding of `data` to `out`. Returns `false`, leaving
+/// `out` as it was, if the encoding would not be smaller.
 ///
-/// Every run emits exactly 2 bytes, so once `out.len() + 2 >= data.len()`
-/// no completion can come in under the raw size — the check at the top of
-/// the loop bails before the next run is even scanned, which on
-/// incompressible pages skips most of the byte-compare work the old
-/// run-boundary check still paid for.
+/// Every run emits exactly 2 bytes, so once the encoding so far plus 2
+/// reaches `data.len()` no completion can come in under the raw size — the
+/// check at the top of the loop bails before the next run is even scanned,
+/// which on incompressible pages skips most of the byte-compare work the
+/// old run-boundary check still paid for.
 fn rle_encode_into(data: &[u8], out: &mut Vec<u8>) -> bool {
-    out.clear();
     if rle_cannot_win(data) {
         return false;
     }
+    let start = out.len();
     let mut i = 0;
     while i < data.len() {
-        if out.len() + 2 >= data.len() {
+        if out.len() - start + 2 >= data.len() {
+            out.truncate(start);
             return false;
         }
         let b = data[i];
@@ -151,33 +144,41 @@ fn is_zero_page(data: &[u8]) -> bool {
         && chunks.remainder().iter().all(|&b| b == 0)
 }
 
+/// The one Zero/RLE/Raw decision, which every page encoder makes through
+/// this function. With `compress` off every page is Raw (PsncR/C's "no data
+/// optimization"). An RLE page's payload is appended to `arena`; a Zero or
+/// Raw page leaves it as it was.
+pub(crate) fn classify_page(data: &[u8], compress: bool, arena: &mut Vec<u8>) -> PageEncoding {
+    if !compress {
+        PageEncoding::Raw
+    } else if is_zero_page(data) {
+        PageEncoding::Zero
+    } else if rle_encode_into(data, arena) {
+        PageEncoding::Rle
+    } else {
+        PageEncoding::Raw
+    }
+}
+
 /// Choose the best encoding for a page and produce its payload.
 pub fn encode_page(data: &[u8]) -> (PageEncoding, Vec<u8>) {
-    encode_page_with(data, &mut EncodeScratch::default())
-}
-
-/// [`encode_page`] with caller-provided scratch space. The RLE pass writes
-/// into the scratch buffer; only a successful encoding is copied out, as an
-/// exact-size allocation.
-pub(crate) fn encode_page_with(data: &[u8], scratch: &mut EncodeScratch) -> (PageEncoding, Vec<u8>) {
-    compressed(data, scratch).unwrap_or_else(|| (PageEncoding::Raw, data.to_vec()))
-}
-
-/// [`encode_page_with`] for a page the caller owns: a Raw payload is `data`
-/// itself, moved rather than copied.
-pub(crate) fn encode_owned_page_with(
-    data: Vec<u8>,
-    scratch: &mut EncodeScratch,
-) -> (PageEncoding, Vec<u8>) {
-    compressed(&data, scratch).unwrap_or((PageEncoding::Raw, data))
-}
-
-/// The Zero or RLE encoding of `data`, or `None` when it must be stored raw.
-fn compressed(data: &[u8], scratch: &mut EncodeScratch) -> Option<(PageEncoding, Vec<u8>)> {
-    if is_zero_page(data) {
-        return Some((PageEncoding::Zero, Vec::new()));
+    let mut rle = Vec::new();
+    match classify_page(data, true, &mut rle) {
+        PageEncoding::Raw => (PageEncoding::Raw, data.to_vec()),
+        enc => (enc, rle),
     }
-    rle_encode_into(data, &mut scratch.rle).then(|| (PageEncoding::Rle, scratch.rle.clone()))
+}
+
+/// [`encode_page`] for a page the caller owns, with a caller-held RLE
+/// buffer (a worker grows it once to steady state): a Raw payload is
+/// `data` itself, moved rather than copied, and only a successful RLE
+/// encoding is copied out, as an exact-size allocation.
+pub(crate) fn encode_owned_page_with(data: Vec<u8>, rle: &mut Vec<u8>) -> (PageEncoding, Vec<u8>) {
+    rle.clear();
+    match classify_page(&data, true, rle) {
+        PageEncoding::Raw => (PageEncoding::Raw, data),
+        enc => (enc, rle.clone()),
+    }
 }
 
 /// Decode a page payload back to `page_size` bytes.
@@ -298,22 +299,32 @@ mod tests {
 
     #[test]
     fn encoders_equal_the_textbook_encoder_and_round_trip() {
-        let mut scratch = EncodeScratch::default();
+        let mut scratch = Vec::new();
+        let mut arena = vec![0xEE; 3];
         for (i, page) in corpus().iter().enumerate() {
             let want = reference_page(page);
             assert_eq!(encode_page(page), want, "page {i} (len {})", page.len());
             let back = decode_page(want.0, &want.1, page.len());
             assert_eq!(back.as_ref(), Ok(page), "page {i}, round trip");
             assert_eq!(
-                encode_page_with(page, &mut scratch),
-                want,
-                "page {i}, scratch"
-            );
-            assert_eq!(
                 encode_owned_page_with(page.clone(), &mut scratch),
                 want,
                 "page {i}, owned"
             );
+            // Into an arena that already holds other pages' bytes: an RLE
+            // payload is appended after them, anything else leaves it be.
+            let before = arena.clone();
+            let enc = classify_page(page, true, &mut arena);
+            assert_eq!(enc, want.0, "page {i}, arena");
+            let appended = if enc == PageEncoding::Rle {
+                &want.1[..]
+            } else {
+                &[]
+            };
+            assert_eq!(arena[..before.len()], before[..], "page {i}, arena kept");
+            assert_eq!(&arena[before.len()..], appended, "page {i}, arena tail");
+            assert_eq!(classify_page(page, false, &mut arena), PageEncoding::Raw);
+            assert_eq!(arena.len(), before.len() + appended.len(), "page {i}, raw");
         }
     }
 

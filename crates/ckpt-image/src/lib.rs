@@ -18,7 +18,9 @@
 //!   and deterministic reconstruction ([`reconstruct`]);
 //! * **parallel encode and decode**: pages encoded, and image bodies
 //!   written and CRC'd, in runs on a `ckpt-par` pool, byte-identical at
-//!   every width ([`encode_pages`], [`encode_with_pool`]); a restart's image
+//!   every width ([`encode_pages`], [`encode_with_pool`]); a checkpoint's
+//!   image is encoded straight from the pages where they sit, with no
+//!   page record in between ([`encode_borrowed_pages`]); a restart's image
 //!   bodies are CRC'd in the same runs ([`decode_with_pool`]).
 //!
 //! Capturing *from* and restoring *into* a live [`simos::Kernel`] is the
@@ -26,10 +28,11 @@
 //!
 //! The public API is the re-export list below and nothing else: the image
 //! and its records ([`CheckpointImage`] and the `*Record` types), the codec
-//! ([`encode`], [`decode`] and their `_with_pool` forms), page encoding
-//! ([`encode_page`], [`decode_page`], [`encode_pages`],
-//! [`encode_page_slices`]), chain reconstruction ([`reconstruct`],
-//! [`reconstruct_owned`]) and the two CRCs ([`crc32`], [`crc64`]).
+//! ([`encode`], [`decode`] and their `_with_pool` forms, and
+//! [`encode_borrowed_pages`]), page encoding ([`encode_page`],
+//! [`decode_page`], [`encode_pages`], [`page_records`]), chain
+//! reconstruction ([`reconstruct`], [`reconstruct_owned`]) and the two
+//! CRCs ([`crc32`], [`crc64`]).
 
 // Every other crate forbids `unsafe`. Here only the CRCs' one dispatch to
 // their CPU-feature-gated kernel (`crc::Crc::checksum`) uses it, under its
@@ -56,4 +59,4 @@ pub use format::{
     CheckpointImage, FdRecord, FileContentRecord, ImageHeader, ImageKind, PageRecord,
     PolicyRecord, ProgramRecord, RegsRecord, SigActionRecord, SigRecord, TimerRecord, VmaRecord,
 };
-pub use parallel::{encode_page_slices, encode_pages};
+pub use parallel::{encode_borrowed_pages, encode_pages, page_records};

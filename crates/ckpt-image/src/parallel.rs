@@ -1,21 +1,29 @@
 //! Page encoding in runs on a pool, byte-identical to the serial path.
 //!
 //! Page encoding is a pure function of page content, so encoding pages on
-//! a pool and merging in page order gives exactly the serial record list.
-//! The pool's unit of work is a *run*: consecutive items carrying at least
+//! a pool and merging in page order gives exactly the serial result. The
+//! pool's unit of work is a *run*: consecutive items carrying at least
 //! [`PAR_MIN_BYTES`] of payload, the least a pool task is worth. One task
 //! per run keeps the per-task bookkeeping (a queue pop, a merge-board
-//! place) off the per-page path. Capture encodes the frozen guest's pages
-//! where they sit ([`encode_page_slices`]): a raw page is copied once, into
-//! its record. The image body is written in the same runs
-//! ([`crate::codec::encode_with_pool`]), each run CRC'd while it is hot and
-//! the run CRCs folded with [`crate::crc::crc32_combine`].
+//! place) off the per-page path.
+//!
+//! A checkpoint encodes its image from the pages where they sit in the
+//! frozen address space ([`encode_borrowed_pages`]), in two pool calls.
+//! The first classifies each page of a run (Zero, RLE into the run's
+//! arena, or Raw), which gives every record's length, so the output buffer
+//! is sized exactly. The second writes each run's records into its own
+//! slice of that buffer, a raw page straight from the guest, and CRCs the
+//! slice while it is hot (`crate::codec`'s `encode_records`, which
+//! [`crate::encode_with_pool`] shares). A guest byte is copied once on its
+//! way into the image. [`page_records`], for a caller that wants the
+//! records themselves, takes the same first pass.
 //!
 //! On a pool of width 1, and for a call under [`PAR_MIN_BYTES`] at any
 //! width, the runs are encoded in order on the caller.
 
-use crate::compress::{encode_owned_page_with, encode_page_with, EncodeScratch, PageEncoding};
-use crate::format::PageRecord;
+use crate::codec::{encode_records, RecordView};
+use crate::compress::{classify_page, encode_owned_page_with, PageEncoding};
+use crate::format::{CheckpointImage, PageRecord};
 use ckpt_par::{Pool, PAR_MIN_BYTES};
 use std::ops::Range;
 
@@ -23,44 +31,117 @@ use std::ops::Range;
 /// pool, in page order. A page stored raw keeps its `data` as the payload
 /// (moved, not copied).
 pub fn encode_pages(pool: &Pool, pages: Vec<(u64, Vec<u8>)>) -> Vec<PageRecord> {
-    encode_in_runs(pool, pages, encode_owned_page_with)
-}
-
-/// Encode `(page_no, data)` pairs borrowed from where the pages sit (a
-/// frozen address space) into [`PageRecord`]s on the pool, in page order.
-/// A page stored raw is copied once, into its record.
-pub fn encode_page_slices(pool: &Pool, pages: Vec<(u64, &[u8])>) -> Vec<PageRecord> {
-    encode_in_runs(pool, pages, encode_page_with)
-}
-
-fn encode_in_runs<D, F>(pool: &Pool, pages: Vec<(u64, D)>, encode: F) -> Vec<PageRecord>
-where
-    D: AsRef<[u8]> + Send,
-    F: Fn(D, &mut EncodeScratch) -> (PageEncoding, Vec<u8>) + Sync,
-{
-    let sizes: Vec<usize> = pages.iter().map(|(_, data)| data.as_ref().len()).collect();
+    let sizes: Vec<usize> = pages.iter().map(|(_, data)| data.len()).collect();
     let mut pages = pages.into_iter();
-    let runs: Vec<Vec<(u64, D)>> = runs(&sizes)
+    let runs: Vec<Vec<(u64, Vec<u8>)>> = runs(&sizes)
         .into_iter()
         .map(|run| pages.by_ref().take(run.len()).collect())
         .collect();
-    let encoded = pool.for_bytes(sizes.iter().sum()).par_map_ordered(
-        runs,
-        EncodeScratch::default,
-        |scratch, _, run| {
-            run.into_iter()
-                .map(|(page_no, data)| {
-                    let (enc, payload) = encode(data, scratch);
-                    PageRecord {
-                        page_no,
-                        enc,
-                        payload,
-                    }
-                })
-                .collect::<Vec<_>>()
-        },
-    );
+    let encoded =
+        pool.for_bytes(sizes.iter().sum())
+            .par_map_ordered(runs, Vec::new, |rle, _, run| {
+                run.into_iter()
+                    .map(|(page_no, data)| {
+                        let (enc, payload) = encode_owned_page_with(data, rle);
+                        PageRecord {
+                            page_no,
+                            enc,
+                            payload,
+                        }
+                    })
+                    .collect::<Vec<_>>()
+            });
     encoded.into_iter().flatten().collect()
+}
+
+/// The [`PageRecord`]s of `(page_no, data)` pairs borrowed from where the
+/// pages sit (a frozen address space), encoded on the pool, in page order;
+/// with `compress` off every page is Raw. A raw page is copied once, into
+/// its record.
+pub fn page_records(pool: &Pool, pages: &[(u64, &[u8])], compress: bool) -> Vec<PageRecord> {
+    let runs = classify(pool, pages, compress, |run| {
+        run.records()
+            .map(|r| PageRecord {
+                page_no: r.page_no,
+                enc: r.enc,
+                payload: r.payload.to_vec(),
+            })
+            .collect::<Vec<_>>()
+    });
+    runs.into_iter().flatten().collect()
+}
+
+/// The image bytes of `state`, which carries no page records, with
+/// `pages` encoded as its records: byte-identical to [`crate::encode`] of
+/// `state` with the records [`page_records`] gives, at every width.
+/// No page record is built: a raw page is copied once, from where it sits
+/// into the image.
+pub fn encode_borrowed_pages(
+    state: &CheckpointImage,
+    pages: &[(u64, &[u8])],
+    compress: bool,
+    pool: &Pool,
+) -> Vec<u8> {
+    assert!(state.pages.is_empty(), "the image's pages are `pages`");
+    let runs = classify(pool, pages, compress, |run| run);
+    encode_records(state, pages.len(), &runs, Classified::records, pool)
+}
+
+/// The first pass: `pages` classified in runs on the pool, each run handed
+/// to `then` on its worker.
+fn classify<'a, R: Send>(
+    pool: &Pool,
+    pages: &'a [(u64, &'a [u8])],
+    compress: bool,
+    then: impl Fn(Classified<'a>) -> R + Sync,
+) -> Vec<R> {
+    let sizes: Vec<usize> = pages.iter().map(|(_, data)| data.len()).collect();
+    let runs: Vec<&[(u64, &[u8])]> = runs(&sizes).into_iter().map(|run| &pages[run]).collect();
+    pool.for_bytes(sizes.iter().sum()).par_map_ordered(
+        runs,
+        || (),
+        |_, _, run| then(Classified::new(run, compress)),
+    )
+}
+
+/// One run of pages after the first pass.
+struct Classified<'a> {
+    pages: &'a [(u64, &'a [u8])],
+    /// Each page's encoding, and where its RLE payload ends in `arena`.
+    encs: Vec<(PageEncoding, usize)>,
+    /// The run's RLE payloads, in page order.
+    arena: Vec<u8>,
+}
+
+impl<'a> Classified<'a> {
+    fn new(pages: &'a [(u64, &'a [u8])], compress: bool) -> Self {
+        let mut arena = Vec::new();
+        let encs = pages
+            .iter()
+            .map(|(_, data)| (classify_page(data, compress, &mut arena), arena.len()))
+            .collect();
+        Classified { pages, encs, arena }
+    }
+
+    fn records(&self) -> impl Iterator<Item = RecordView<'_>> {
+        let mut start = 0;
+        self.pages
+            .iter()
+            .zip(&self.encs)
+            .map(move |(&(page_no, data), &(enc, end))| {
+                let payload = match enc {
+                    PageEncoding::Raw => data,
+                    PageEncoding::Rle => &self.arena[start..end],
+                    PageEncoding::Zero => &[],
+                };
+                start = end;
+                RecordView {
+                    page_no,
+                    enc,
+                    payload,
+                }
+            })
+    }
 }
 
 /// Cut items of the given byte sizes into runs of consecutive items, each
@@ -84,6 +165,7 @@ pub(crate) fn runs(sizes: &[usize]) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{encode, tests::sample_image};
 
     fn page(seed: u64) -> Vec<u8> {
         // Mix of zero, constant-fill, and incompressible pages by seed.
@@ -97,16 +179,45 @@ mod tests {
     }
 
     /// 97 pages (388 KiB, seven runs) cross `ckpt_par::PAR_MIN_BYTES`; 15
-    /// pages stay under it. Both must equal the serial records at every
-    /// width, owned or borrowed.
+    /// pages stay under it. The second set runs zero, RLE and raw pages in
+    /// stretches of 20, so a run of records is all 17-byte zero records,
+    /// or all raw, or straddles both. At every width the owned and the
+    /// borrowed records must equal the serial ones, and the image
+    /// [`encode_borrowed_pages`] writes must equal [`encode`] of them,
+    /// compressed or not.
     #[test]
     fn run_encode_matches_serial_at_every_width() {
-        for n in [97u64, 15, 0] {
-            let gathered: Vec<(u64, Vec<u8>)> = (0..n).map(|p| (p, page(p))).collect();
+        let mixed = (0..97u64).map(|p| (p, page(p)));
+        let stretches = (0..150u64).map(|p| (p * 3, page(p / 20)));
+        let sets: [Vec<(u64, Vec<u8>)>; 4] = [
+            mixed.clone().collect(),
+            mixed.take(15).collect(),
+            Vec::new(),
+            stretches.collect(),
+        ];
+        for gathered in sets {
+            let n = gathered.len();
+            let slices: Vec<(u64, &[u8])> = gathered.iter().map(|(p, d)| (*p, &d[..])).collect();
             let want: Vec<PageRecord> = gathered
                 .iter()
                 .map(|(p, d)| PageRecord::capture(*p, d))
                 .collect();
+            let raw: Vec<PageRecord> = gathered
+                .iter()
+                .map(|(p, d)| PageRecord {
+                    page_no: *p,
+                    enc: PageEncoding::Raw,
+                    payload: d.clone(),
+                })
+                .collect();
+            let mut state = sample_image();
+            state.pages.clear();
+            let image = |pages: &[PageRecord]| {
+                let mut img = state.clone();
+                img.pages = pages.to_vec();
+                encode(&img)
+            };
+            let (want_bytes, raw_bytes) = (image(&want), image(&raw));
             for w in [1usize, 2, 4, 8] {
                 let pool = Pool::new(w);
                 assert_eq!(
@@ -114,11 +225,23 @@ mod tests {
                     want,
                     "{n} pages, width {w}"
                 );
-                let slices = gathered.iter().map(|(p, d)| (*p, &d[..])).collect();
                 assert_eq!(
-                    encode_page_slices(&pool, slices),
+                    page_records(&pool, &slices, true),
                     want,
                     "{n} pages, slices, width {w}"
+                );
+                assert_eq!(
+                    page_records(&pool, &slices, false),
+                    raw,
+                    "{n} pages, slices, uncompressed, width {w}"
+                );
+                assert!(
+                    encode_borrowed_pages(&state, &slices, true, &pool) == want_bytes,
+                    "{n} pages, image, width {w}"
+                );
+                assert!(
+                    encode_borrowed_pages(&state, &slices, false, &pool) == raw_bytes,
+                    "{n} pages, uncompressed image, width {w}"
                 );
             }
         }

@@ -76,7 +76,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// 674–790. Below 64 KiB nothing gains from a second thread. The constant
 /// stays here although every shape now crosses over near 1 MiB: it is
 /// also the run size, and a 1 MiB gate measured a higher peak RSS on the
-/// 16 MiB full checkpoint (`ROADMAP.md` item 4 has the rows).
+/// 16 MiB full checkpoint (`ROADMAP.md` item 7, "The pool gate", has the
+/// rows).
 pub const PAR_MIN_BYTES: usize = 64 * 1024;
 
 /// Cumulative counters for one [`Pool`].

@@ -1,7 +1,9 @@
 //! Property tests for the parallel checkpoint pipeline: at every pool
 //! width the encoded image bytes must be identical to the width-1 (exact
 //! serial) path, both for randomized in-memory images and for full and
-//! incremental captures of randomized live address spaces.
+//! incremental captures of randomized live address spaces, compressed or
+//! not; and the bytes the engine's capture step encodes straight from the
+//! frozen guest must be those of the captured records.
 //!
 //! A call under [`PAR_MIN_BYTES`] runs on the caller at every width, and
 //! page encoding and the image body go to the pool in runs of
@@ -10,8 +12,9 @@
 //! KiB; 11 of the 48 cases of
 //! `pooled_encode_is_byte_identical_on_random_images` hold two runs or more
 //! of page payload, which the test asserts), full captures of 128 KiB to 1.1
-//! MiB address spaces (from two runs up), and one replicated object per
-//! case past the gate.
+//! MiB address spaces (from two runs up) plus 192 KiB of zero, constant,
+//! random and mostly-zero pages the guest maps, and one replicated object
+//! per case past the gate.
 //!
 //! Cases are generated deterministically by [`common::Gen`] — every run
 //! covers the same corpus, and a failing seed is directly reproducible.
@@ -22,13 +25,16 @@ use std::sync::Arc;
 
 use ckpt_restart::ckpt::capture::{capture_image, CaptureOptions};
 use ckpt_restart::ckpt::tracker::{Tracker, TrackerKind};
+use ckpt_restart::ckpt::Lineage;
 use ckpt_restart::image::{
-    encode, encode_with_pool, CheckpointImage, ImageHeader, ImageKind, PageRecord, PolicyRecord,
-    ProgramRecord, RegsRecord, SigRecord,
+    decode, encode, encode_with_pool, CheckpointImage, ImageHeader, ImageKind, PageEncoding,
+    PageRecord, PolicyRecord, ProgramRecord, RegsRecord, SigRecord,
 };
 use ckpt_restart::par::{Pool, PAR_MIN_BYTES};
 use ckpt_restart::simos::apps::{AppParams, NativeKind};
 use ckpt_restart::simos::cost::CostModel;
+use ckpt_restart::simos::mem::{Prot, PAGE_SIZE};
+use ckpt_restart::simos::syscall::Syscall;
 use ckpt_restart::simos::Kernel;
 use ckpt_restart::storage::digest64;
 use common::Gen;
@@ -120,7 +126,10 @@ fn pooled_encode_is_byte_identical_on_random_images() {
     assert_eq!(spread, 11, "cases holding two runs of page payload");
 }
 
-fn spawn_random_process(g: &mut Gen) -> (Kernel, ckpt_restart::simos::types::Pid) {
+/// A running guest of a random kind and size, plus 48 pages it maps and
+/// never touches, filled with [`arb_page`]s (its own pages are nearly all
+/// incompressible), whose numbers are returned.
+fn spawn_random_process(g: &mut Gen) -> (Kernel, ckpt_restart::simos::types::Pid, Vec<u64>) {
     let kind = match g.range(0, 5) {
         0 => NativeKind::SparseRandom,
         1 => NativeKind::DenseSweep,
@@ -136,13 +145,27 @@ fn spawn_random_process(g: &mut Gen) -> (Kernel, ckpt_restart::simos::types::Pid
     let pid = k.spawn_native(kind, params).expect("spawn");
     let warmup = 1_000_000 + g.range(0, 8) * 500_000;
     k.run_for(warmup).unwrap();
-    (k, pid)
+    let len = 48 * PAGE_SIZE;
+    let mmap = Syscall::Mmap {
+        len,
+        prot: Prot::RW,
+    };
+    let base = k.do_syscall(pid, mmap).unwrap();
+    for at in (base..base + len).step_by(PAGE_SIZE as usize) {
+        k.mem_write(pid, at, &arb_page(g)).unwrap();
+    }
+    let patterned = (base / PAGE_SIZE..(base + len) / PAGE_SIZE).collect();
+    (k, pid, patterned)
 }
 
 /// Capture with `opts` at width 1 and at every wider pool; all variants
 /// must produce the same image struct and the same encoded bytes (the
 /// header timestamp is normalized — capturing repeatedly advances the
-/// virtual clock via the memcpy charge).
+/// virtual clock via the memcpy charge), and its records must be those
+/// `PageRecord::capture` makes of each page alone. At every width, the
+/// bytes `Lineage::capture` encodes from the guest without records (a
+/// fresh lineage takes `opts` as given) must equal `encode` of those
+/// records.
 fn assert_capture_width_invariant(
     k: &mut Kernel,
     pid: ckpt_restart::simos::types::Pid,
@@ -150,9 +173,26 @@ fn assert_capture_width_invariant(
     label: &str,
 ) {
     let serial = capture_image(k, pid, opts).unwrap();
+    let mem = &k.process(pid).unwrap().mem;
+    let each_alone: Vec<PageRecord> = serial
+        .pages
+        .iter()
+        .map(|p| {
+            let data = mem.page_data(p.page_no).unwrap();
+            match opts.compress {
+                true => PageRecord::capture(p.page_no, data),
+                false => PageRecord {
+                    page_no: p.page_no,
+                    enc: PageEncoding::Raw,
+                    payload: data.to_vec(),
+                },
+            }
+        })
+        .collect();
+    assert!(serial.pages == each_alone, "{label}: records diverged");
     let serial_bytes = encode(&serial);
     let digest = digest64(&serial_bytes);
-    for w in WIDTHS {
+    for w in [1].into_iter().chain(WIDTHS) {
         let mut o = opts.clone();
         o.encode_pool = Some(Arc::new(Pool::new(w)));
         let mut pooled = capture_image(k, pid, &o).unwrap();
@@ -165,6 +205,17 @@ fn assert_capture_width_invariant(
             "{label} width {w}: image digest diverged"
         );
         assert_eq!(pooled_bytes, serial_bytes, "{label} width {w}: bytes diverged");
+
+        let mut lineage = Lineage::new("par-prop", Some(pid.0), TrackerKind::FullOnly);
+        let (bytes, outcome) = lineage.capture(k, pid, &o, &[], None, false).unwrap();
+        let mut want = serial.clone();
+        want.header.taken_at_ns = decode(&bytes).unwrap().header.taken_at_ns;
+        assert!(
+            bytes == encode(&want),
+            "{label} width {w}: the engine's bytes are not the records' bytes"
+        );
+        assert_eq!(outcome.pages_saved, serial.page_count() as u64, "{label}");
+        assert_eq!(outcome.memory_bytes, serial.memory_bytes(), "{label}");
     }
 }
 
@@ -228,20 +279,23 @@ fn replicated_commits_are_width_invariant() {
     }
 }
 
+/// Full and incremental captures, compressed and not (PsncR/C and the
+/// kernel-thread variant ship uncompressed images); the incremental one
+/// selects a third of the patterned pages too.
 #[test]
 fn pooled_capture_matches_serial_on_random_address_spaces() {
     for case in 0..12u64 {
         let mut g = Gen::new(0xCAF7 + case);
-        let (mut k, pid) = spawn_random_process(&mut g);
+        let (mut k, pid, patterned) = spawn_random_process(&mut g);
 
         // Full capture of the randomized address space.
         k.freeze_process(pid).unwrap();
-        assert_capture_width_invariant(
-            &mut k,
-            pid,
-            &CaptureOptions::full("par-prop", 1),
-            &format!("case {case} full"),
-        );
+        for compress in [true, false] {
+            let mut opts = CaptureOptions::full("par-prop", 1);
+            opts.compress = compress;
+            let label = format!("case {case} full, compress {compress}");
+            assert_capture_width_invariant(&mut k, pid, &opts, &label);
+        }
 
         // Incremental capture of the dirty set accumulated after the full.
         let mut tracker = Tracker::new(TrackerKind::KernelPage);
@@ -250,12 +304,13 @@ fn pooled_capture_matches_serial_on_random_address_spaces() {
         let run = 200_000 + g.range(0, 8) * 200_000;
         k.run_for(run).unwrap();
         k.freeze_process(pid).unwrap();
-        let dirty = tracker.collect(&mut k, pid).unwrap().pages;
-        assert_capture_width_invariant(
-            &mut k,
-            pid,
-            &CaptureOptions::incremental("par-prop", 2, 1, dirty),
-            &format!("case {case} incremental"),
-        );
+        let mut dirty = tracker.collect(&mut k, pid).unwrap().pages;
+        dirty.extend(patterned.iter().step_by(3));
+        for compress in [true, false] {
+            let mut opts = CaptureOptions::incremental("par-prop", 2, 1, dirty.clone());
+            opts.compress = compress;
+            let label = format!("case {case} incremental, compress {compress}");
+            assert_capture_width_invariant(&mut k, pid, &opts, &label);
+        }
     }
 }
