@@ -15,9 +15,10 @@
 use std::sync::Arc;
 
 use ckpt_restart::ckpt::crashpoint::{build_stack, TIERS};
-use ckpt_restart::ec::ErasureStore;
+use ckpt_restart::ec::{EcStripedStore, ErasureStore};
 use ckpt_restart::replica::{
     stripe_route, Probe, ReplicaConfig, ReplicaSet, ReplicatedStore, Striped, StripedReplicaSet,
+    StripedStore,
 };
 use ckpt_restart::storage::{digest64, FaultInjectStore, ImageKey, StableStorage, StorageError};
 use simos::apps::mix64;
@@ -397,3 +398,240 @@ fn the_fault_decorator_forwards_replica_manifests() {
         assert_eq!(wrapped.replica_manifest(&key(1)), manifest, "{label}");
     }
 }
+
+/// A stack of `STACKS` as its concrete type, so a read's stats deltas can
+/// be read beside the dyn surface the rest of this file uses.
+enum Concrete {
+    Replicated(ReplicatedStore),
+    Rs(ErasureStore),
+    Striped(StripedStore),
+    EcStriped(EcStripedStore),
+}
+
+impl Concrete {
+    fn build(label: &str) -> (Concrete, Vec<Arc<ReplicaSet>>) {
+        let quorum = ReplicaConfig::new(3, 2);
+        match label {
+            "replicated(3,2)" => {
+                let s = ReplicatedStore::new(ReplicaSet::new(3), quorum);
+                let sets = vec![s.replica_set()];
+                (Concrete::Replicated(s), sets)
+            }
+            "rs(4,2)" => {
+                let s = ErasureStore::new(ReplicaSet::new(6), 4, 2);
+                let sets = vec![s.replica_set()];
+                (Concrete::Rs(s), sets)
+            }
+            "striped(2x3,2)" => {
+                let pool = StripedReplicaSet::new(2, 3);
+                let s = Striped::new(pool.clone(), |s| ReplicatedStore::new(s, quorum));
+                (Concrete::Striped(s), pool.stripes().to_vec())
+            }
+            "ecstriped(2x rs(4,2))" => {
+                let pool = StripedReplicaSet::new(2, 6);
+                let s = Striped::new(pool.clone(), |s| ErasureStore::new(s, 4, 2));
+                (Concrete::EcStriped(s), pool.stripes().to_vec())
+            }
+            other => panic!("unknown stack {other}"),
+        }
+    }
+
+    fn store(&mut self) -> &mut dyn StableStorage {
+        match self {
+            Concrete::Replicated(s) => s,
+            Concrete::Rs(s) => s,
+            Concrete::Striped(s) => s,
+            Concrete::EcStriped(s) => s,
+        }
+    }
+
+    /// The read-side counters of a plain stack (a striped pool exposes
+    /// none), by name, so the rendering does not depend on a stats type.
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        match self {
+            Concrete::Replicated(s) => {
+                let st = s.stats();
+                vec![
+                    ("commits", st.commits),
+                    ("retries", st.retries),
+                    ("repairs", st.repairs),
+                    ("quorum_losses", st.quorum_losses),
+                    ("ack_cycles", st.ack_cycles),
+                    ("payload_digests", st.payload_digests),
+                ]
+            }
+            Concrete::Rs(s) => {
+                let st = s.stats();
+                vec![
+                    ("commits", st.commits),
+                    ("decodes", st.decodes),
+                    ("repairs", st.repairs),
+                    ("shard_losses", st.shard_losses),
+                    ("quorum_losses", st.quorum_losses),
+                    ("ack_cycles", st.ack_cycles),
+                ]
+            }
+            Concrete::Striped(_) | Concrete::EcStriped(_) => Vec::new(),
+        }
+    }
+}
+
+/// The damage patterns of the read table, each applied to the set `key(1)`
+/// routes to after it committed two versions.
+const READ_CASES: [&str; 10] = [
+    "clean",
+    "down1",
+    "down2",
+    "down3",
+    "missing",
+    "torn",
+    "stale",
+    "tombstone",
+    "unadmitted",
+    "all-torn",
+];
+
+/// Run one read case: commit v1 and v2 of `key(1)` (the damage scenarios
+/// that need it interleave with the commits), damage, load once, and
+/// render what came back, its virtual ns, the counter deltas and every
+/// node of the home set afterwards.
+fn read_case(label: &str, case: &str) -> String {
+    let cost = CostModel::circa_2005();
+    let (mut concrete, sets) = Concrete::build(label);
+    let k = key(1);
+    let set = sets[stripe_route(&k, sets.len())].clone();
+    let store = concrete.store();
+    store.store(&k, &payload(1, 1), &cost).unwrap();
+    match case {
+        // Node 0 misses the overwrite and keeps v1; in "unadmitted" it is
+        // then reachable but refuses every load admission retry: the
+        // default schedule retries 6 times, so 7 transients outlast it.
+        "stale" | "unadmitted" => {
+            set.node(0).fail();
+            store.store(&k, &payload(1, 2), &cost).unwrap();
+            set.node(0).repair();
+            if case == "unadmitted" {
+                set.node(0).inject_transients(7);
+            }
+        }
+        // Node 2 misses the delete and keeps v1.
+        "tombstone" => {
+            set.node(2).fail();
+            store.delete(&k).unwrap();
+            set.node(2).repair();
+        }
+        _ => {
+            store.store(&k, &payload(1, 2), &cost).unwrap();
+        }
+    }
+    match case {
+        "down1" | "down2" | "down3" => {
+            let down: usize = case["down".len()..].parse().unwrap();
+            for i in 0..down {
+                set.node(i).fail();
+            }
+        }
+        "missing" => set.node(1).drop_key(&k),
+        "torn" => set.node(1).corrupt_key(&k),
+        "all-torn" => {
+            for node in set.nodes() {
+                node.corrupt_key(&k);
+            }
+        }
+        _ => {}
+    }
+    let before = concrete.counters();
+    let ingested = set.bytes_ingested();
+    let result = match concrete.store().load(&k, &cost) {
+        Ok((bytes, ns)) => format!("ok {:016x}/{} {ns}ns", digest64(&bytes), bytes.len()),
+        Err(e) => format!("{e:?}"),
+    };
+    let deltas: Vec<String> = concrete
+        .counters()
+        .iter()
+        .zip(&before)
+        .filter(|((_, now), (_, then))| now != then)
+        .map(|((name, now), (_, then))| format!("{name}+{}", now - then))
+        .collect();
+    let nodes: Vec<String> = set
+        .nodes()
+        .iter()
+        .map(|n| match n.probe(&k) {
+            Probe::Missing => "-".to_string(),
+            Probe::Torn { version } => format!("t{version}"),
+            Probe::Valid(f) if f.tombstone => format!("x{}", f.version),
+            Probe::Valid(f) => format!("v{}", f.version),
+        })
+        .collect();
+    format!(
+        "{label} {case}: {result} [{}] {{{}}} +{}B",
+        nodes.join(" "),
+        deltas.join(" "),
+        set.bytes_ingested() - ingested
+    )
+}
+
+/// Every read outcome of the four stacks under each damage pattern, as
+/// captured before the two quorum tiers were folded onto one store: the
+/// result (the bytes' digest and length, or the typed error with its
+/// fields), the virtual ns, the counter deltas of the plain stacks, every
+/// home node's frame afterwards (`v<n>` intact, `t<n>` torn, `x<n>`
+/// tombstone, `-` missing) and the bytes a repair moved.
+#[test]
+fn every_read_outcome_is_pinned() {
+    let got: Vec<String> = STACKS
+        .iter()
+        .flat_map(|label| READ_CASES.iter().map(move |case| read_case(label, case)))
+        .collect();
+    let want: Vec<&str> = READ_TABLE.lines().map(str::trim).filter(|l| !l.is_empty()).collect();
+    if got.len() != want.len() {
+        panic!("{} rows, expected {}:\n{}", got.len(), want.len(), got.join("\n"));
+    }
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w, "read row diverges; the whole table:\n{}", got.join("\n"));
+    }
+}
+
+/// One row per (stack, case), stack-major; see [`read_case`].
+const READ_TABLE: &str = "
+replicated(3,2) clean: ok 14308e728f3bd53c/97 20388ns [v2 v2 v2] {} +0B
+replicated(3,2) down1: ok 14308e728f3bd53c/97 20388ns [v2 v2 v2] {} +0B
+replicated(3,2) down2: QuorumLost { acked: 1, needed: 2 } [v2 v2 v2] {quorum_losses+1} +0B
+replicated(3,2) down3: QuorumLost { acked: 0, needed: 2 } [v2 v2 v2] {quorum_losses+1} +0B
+replicated(3,2) missing: ok 14308e728f3bd53c/97 20776ns [v2 v2 v2] {repairs+1} +97B
+replicated(3,2) torn: ok 14308e728f3bd53c/97 20776ns [v2 v2 v2] {repairs+1} +97B
+replicated(3,2) stale: ok 14308e728f3bd53c/97 20776ns [v2 v2 v2] {repairs+1} +97B
+replicated(3,2) tombstone: NotFound(\"job/pid1/seq00000001\") [x2 x2 x2] {repairs+1} +0B
+replicated(3,2) unadmitted: ok 14308e728f3bd53c/97 2198185ns [v2 v2 v2] {retries+6 repairs+1} +97B
+replicated(3,2) all-torn: QuorumLost { acked: 0, needed: 2 } [t2 t2 t2] {quorum_losses+1} +0B
+rs(4,2) clean: ok 14308e728f3bd53c/97 20784ns [v2 v2 v2 v2 v2 v2] {} +0B
+rs(4,2) down1: ok 14308e728f3bd53c/97 20784ns [v2 v2 v2 v2 v2 v2] {decodes+1} +0B
+rs(4,2) down2: ok 14308e728f3bd53c/97 20784ns [v2 v2 v2 v2 v2 v2] {decodes+1} +0B
+rs(4,2) down3: TooManyShardsLost { intact: 3, needed: 4 } [v2 v2 v2 v2 v2 v2] {shard_losses+1} +0B
+rs(4,2) missing: ok 14308e728f3bd53c/97 20980ns [v2 v2 v2 v2 v2 v2] {decodes+1 repairs+1} +49B
+rs(4,2) torn: ok 14308e728f3bd53c/97 20980ns [v2 v2 v2 v2 v2 v2] {decodes+1 repairs+1} +49B
+rs(4,2) stale: ok 14308e728f3bd53c/97 20980ns [v2 v2 v2 v2 v2 v2] {decodes+1 repairs+1} +49B
+rs(4,2) tombstone: NotFound(\"job/pid1/seq00000001\") [x2 x2 x2 x2 x2 x2] {repairs+1} +0B
+rs(4,2) unadmitted: ok 14308e728f3bd53c/97 2198389ns [v2 v2 v2 v2 v2 v2] {decodes+1 repairs+1} +49B
+rs(4,2) all-torn: NotFound(\"job/pid1/seq00000001\") [t2 t2 t2 t2 t2 t2] {} +0B
+striped(2x3,2) clean: ok 14308e728f3bd53c/97 20388ns [v2 v2 v2] {} +0B
+striped(2x3,2) down1: ok 14308e728f3bd53c/97 20388ns [v2 v2 v2] {} +0B
+striped(2x3,2) down2: QuorumLost { acked: 1, needed: 2 } [v2 v2 v2] {} +0B
+striped(2x3,2) down3: QuorumLost { acked: 0, needed: 2 } [v2 v2 v2] {} +0B
+striped(2x3,2) missing: ok 14308e728f3bd53c/97 20776ns [v2 v2 v2] {} +97B
+striped(2x3,2) torn: ok 14308e728f3bd53c/97 20776ns [v2 v2 v2] {} +97B
+striped(2x3,2) stale: ok 14308e728f3bd53c/97 20776ns [v2 v2 v2] {} +97B
+striped(2x3,2) tombstone: NotFound(\"job/pid1/seq00000001\") [x2 x2 x2] {} +0B
+striped(2x3,2) unadmitted: ok 14308e728f3bd53c/97 2198185ns [v2 v2 v2] {} +97B
+striped(2x3,2) all-torn: QuorumLost { acked: 0, needed: 2 } [t2 t2 t2] {} +0B
+ecstriped(2x rs(4,2)) clean: ok 14308e728f3bd53c/97 20784ns [v2 v2 v2 v2 v2 v2] {} +0B
+ecstriped(2x rs(4,2)) down1: ok 14308e728f3bd53c/97 20784ns [v2 v2 v2 v2 v2 v2] {} +0B
+ecstriped(2x rs(4,2)) down2: ok 14308e728f3bd53c/97 20784ns [v2 v2 v2 v2 v2 v2] {} +0B
+ecstriped(2x rs(4,2)) down3: TooManyShardsLost { intact: 3, needed: 4 } [v2 v2 v2 v2 v2 v2] {} +0B
+ecstriped(2x rs(4,2)) missing: ok 14308e728f3bd53c/97 20980ns [v2 v2 v2 v2 v2 v2] {} +49B
+ecstriped(2x rs(4,2)) torn: ok 14308e728f3bd53c/97 20980ns [v2 v2 v2 v2 v2 v2] {} +49B
+ecstriped(2x rs(4,2)) stale: ok 14308e728f3bd53c/97 20980ns [v2 v2 v2 v2 v2 v2] {} +49B
+ecstriped(2x rs(4,2)) tombstone: NotFound(\"job/pid1/seq00000001\") [x2 x2 x2 x2 x2 x2] {} +0B
+ecstriped(2x rs(4,2)) unadmitted: ok 14308e728f3bd53c/97 2198389ns [v2 v2 v2 v2 v2 v2] {} +49B
+ecstriped(2x rs(4,2)) all-torn: NotFound(\"job/pid1/seq00000001\") [t2 t2 t2 t2 t2 t2] {} +0B
+";
