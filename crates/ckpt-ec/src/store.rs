@@ -1,11 +1,13 @@
-//! The erasure-coded stable-storage backend.
+//! The erasure-coded stable-storage backend: Reed-Solomon as a
+//! [`Coding`] of `ckpt-replica`'s [`QuorumStore`].
 //!
 //! An [`ErasureStore`] is one client handle onto a shared
-//! [`ReplicaSet`] of `k + m` shard nodes: every object splits into `k`
-//! data shards plus `m` Reed-Solomon parity shards, one shard per node.
-//! A commit moves `(k + m) / k ×` the object's bytes over the wire where
-//! an N-way replicated commit moves `N ×` — the bandwidth win this layer
-//! exists for — while still surviving any `m` node losses.
+//! [`ReplicaSet`](ckpt_replica::ReplicaSet) of `k + m` shard nodes: every
+//! object splits into `k` data shards plus `m` Reed-Solomon parity shards,
+//! one shard per node. A commit moves `(k + m) / k ×` the object's bytes
+//! over the wire where an N-way replicated commit moves `N ×` — the
+//! bandwidth win this layer exists for — while still surviving any `m`
+//! node losses.
 //!
 //! ## Write quorum
 //!
@@ -16,54 +18,43 @@
 //! at some version `v`, the at most `(k + m) − k = m < w` remaining
 //! nodes cannot be hiding an entire newer commit — the reconstruction of
 //! `v` is the newest committed value. The commit itself — admission,
-//! snapshots, rollback of every node that took bytes on fewer than `w`
-//! acks, the typed [`StorageError::QuorumLost`], manifests — is
-//! [`QuorumClient::commit`], shared with the replicated tier; this store
-//! supplies the shard frames.
+//! snapshots, rollback, the typed [`StorageError::QuorumLost`],
+//! manifests — is the quorum store's; this coding supplies the shard
+//! frames.
 //!
 //! ## Read path
 //!
-//! Reads probe every node (frame digests make torn shards
-//! self-identifying, exactly as on the replicated path; the first read
-//! after a commit verifies every admitted frame, later reads hit the
-//! nodes' memo), pick the highest version any intact
-//! shard carries, and reconstruct from any `k` intact shards, borrowed in
-//! place — concatenation when all data shards survived, a GF(256)
-//! matrix-inversion decode of just the missing ones otherwise. The
-//! reassembled object is verified against the object digest carried in
-//! every shard header; lost/torn/stale shards of *reachable* nodes are
-//! then rebuilt in place (the read-repair analog; a down node's shard is
-//! not rebuilt — nobody could take it). Fewer than `k` intact shards
-//! refuses with the typed [`StorageError::TooManyShardsLost`] — never
-//! silent corruption, never fabricated bytes.
+//! The quorum store probes every node (frame digests make torn shards
+//! self-identifying, exactly as on the replicated path) and picks the
+//! highest version any intact shard carries; this coding reconstructs it
+//! from any `k` intact shards, borrowed in place — concatenation when all
+//! data shards survived, a GF(256) matrix-inversion decode of just the
+//! missing ones otherwise. The reassembled object is verified against the
+//! object digest carried in every shard header, and that digest is what
+//! the read vouches for; lost/torn/stale shards of *reachable* nodes are
+//! then rebuilt in place (a down node's shard is not rebuilt — nobody
+//! could take it). Fewer than `k` intact shards of the newest version —
+//! every shard torn included — refuses with the typed
+//! [`StorageError::TooManyShardsLost`]: never silent corruption, never
+//! fabricated bytes.
 //!
 //! ## Determinism
 //!
-//! All fault admission (node reachability, queued transients,
-//! `simos::faultpoint` checks at `ec/s<i>/store` / `ec/s<i>/load` /
-//! `ec/s<i>/batch`) and all backoff arithmetic run sequentially on the
-//! calling thread in shard-node order; only pure work — the object
-//! digest (computed once per commit), frame builds, parity encodes, frame
+//! Faultpoint sites render as `ec/s<i>/{store,load,batch}`. Only pure
+//! work — the object digest (computed once per commit, and not at all
+//! when the caller hands it down), frame builds, parity encodes, frame
 //! digests, shard decodes — fans out on the `ckpt-par` pool behind its
 //! ordered merge; nodes then take ownership of their frames. Commits,
 //! manifests, costs, and counters are identical at every pool width.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ckpt_par::Pool;
 use ckpt_replica::{
-    Frame, Probe, QuorumClient, ReplicaSet, StripeMember, Striped, WireFrame,
+    Assembled, Coding, Counters, Frame, QuorumStore, Seen, ShardCoding, Striped, WireFrame,
 };
-use ckpt_storage::{
-    digest64, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, StorageClass,
-    StorageError, StoreReceipt,
-};
-use simos::cost::CostModel;
-use simos::faultpoint::FaultHandle;
-use simos::types::SimResult;
-use simos::Relink;
+use ckpt_storage::{digest64, StorageError};
 
 use crate::rs::RsCode;
 
@@ -115,163 +106,131 @@ fn parse_shard(frame: &[u8], k: usize, m: usize) -> Option<(usize, u64, u64, &[u
     Some((idx, object_len, object_digest, &frame[SHARD_HEADER..]))
 }
 
-/// Plain counters mirroring the `erasure.*` trace counters this store
-/// emits, readable without a recording trace handle.
-///
-/// ckptbench reads `commits`, `shard_losses`, `quorum_losses` and
-/// `ack_cycles` (`benchmark/src/metrics.rs`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EcStats {
-    /// Objects committed (shard batches that reached write quorum).
-    pub commits: u64,
-    /// Per-node transient faults absorbed by backoff-retry.
-    pub(crate) retries: u64,
-    /// Reads that needed a matrix-inversion decode.
-    pub decodes: u64,
-    /// Lost/torn/stale shards rebuilt in place during reads.
-    pub repairs: u64,
-    /// Reads refused with [`StorageError::TooManyShardsLost`].
-    pub shard_losses: u64,
-    /// Writes refused with [`StorageError::QuorumLost`].
-    pub quorum_losses: u64,
-    /// Acknowledgement round-trips: one per single store or delete, one
-    /// per entire framed shard batch.
-    pub ack_cycles: u64,
-}
-
-/// One client handle on an erasure-coded store over `k + m` shard nodes:
-/// RS shard frames over the shared [`QuorumClient`] commit protocol, plus
-/// the decoding read with in-place shard repair.
-pub struct ErasureStore {
-    core: QuorumClient,
-    code: RsCode,
-    decodes: AtomicU64,
-    repairs: AtomicU64,
-    shard_losses: AtomicU64,
-}
+/// An RS(k, m) store over `k + m` shard nodes: sites `ec/s<i>/<op>`,
+/// label `rs(k,m)`.
+pub type ErasureStore = QuorumStore<RsCode>;
 
 /// K independent RS(k, m) shard groups behind one facade, so the sharded
 /// control plane commits its per-round batches as *coded* frames — the
 /// batching amortization of the striped replica pool at `(k + m) / k ×`
 /// the bytes instead of `N ×`. Sites `ecstripe<j>/s<i>/<op>`, label
 /// `ecstriped(Kx rs(k,m))`.
-pub type EcStripedStore = Striped<ErasureStore>;
+pub type EcStripedStore = Striped<RsCode>;
 
-impl ErasureStore {
-    /// A store over `set` (which must have exactly `k + m` nodes) with an
-    /// RS(k, m) code, committing at the shard write quorum `k + ⌈m/2⌉`.
-    /// Fault injection defaults to off, tracing to the no-op sink, the
-    /// pool to the global one. Faultpoint sites render as `ec/s<i>/<op>`.
-    pub fn new(set: Arc<ReplicaSet>, k: usize, m: usize) -> Self {
-        let code = RsCode::new(k, m);
-        assert_eq!(
-            set.len(),
-            k + m,
-            "shard set has {} nodes but RS({k},{m}) needs {}",
-            set.len(),
-            k + m
-        );
-        let coding = CodingGeometry {
-            k: k as u32,
-            m: m as u32,
-        };
-        let counters = ["erasure.encodes", "erasure.retries", "erasure.quorum_losses"];
-        ErasureStore {
-            core: QuorumClient::new(set, k + m.div_ceil(2), "ec", 's', Some(coding), counters),
-            code,
-            decodes: AtomicU64::new(0),
-            repairs: AtomicU64::new(0),
-            shard_losses: AtomicU64::new(0),
-        }
+/// A batch's shard frames, coded ahead of its commit: frame `j * n + i`
+/// is object `j`'s frame for node `i`, under `digests[j * n + i]`. Shard
+/// frames of one object are equal-length, so the wire layout is the same
+/// on every node, and each node takes ownership of its frames — moves,
+/// not copies.
+pub struct ShardFrames {
+    frames: Vec<Vec<u8>>,
+    digests: Vec<u64>,
+    n: usize,
+}
+
+/// What a read rebuilt of the winning version: the missing shards, and
+/// the header fields their frames carry.
+pub struct ShardRepair {
+    shards: Vec<(usize, Vec<u8>)>,
+    object_len: u64,
+    object_digest: u64,
+}
+
+impl ShardRepair {
+    fn shard(&self, i: usize) -> Option<&[u8]> {
+        self.shards.iter().find(|(at, _)| *at == i).map(|(_, s)| s.as_slice())
+    }
+}
+
+impl ShardCoding for RsCode {
+    fn new(k: usize, m: usize) -> Self {
+        RsCode::new(k, m)
+    }
+}
+
+impl Coding for RsCode {
+    const SITES: (&'static str, char) = ("ec", 's');
+    const STRIPE_STEM: &'static str = "ecstripe";
+    const COUNTERS: Counters = Counters {
+        commits: "erasure.encodes",
+        retries: "erasure.retries",
+        quorum_losses: "erasure.quorum_losses",
+        repairs: "erasure.shard_repairs",
+        decodes: "erasure.decodes",
+        shard_losses: "erasure.shard_losses",
+    };
+
+    type Frames = ShardFrames;
+    type Rebuilt = ShardRepair;
+
+    fn label(&self, _: usize, _: usize) -> String {
+        format!("rs({},{})", self.k(), self.m())
     }
 
-    /// Convenience: a fresh `k + m`-node set plus its first client handle.
-    pub fn fresh(k: usize, m: usize) -> Self {
-        ErasureStore::new(ReplicaSet::new(k + m), k, m)
+    fn pool_label(&self, width: usize, n: usize, w: usize) -> String {
+        format!("ecstriped({width}x {})", self.label(n, w))
     }
 
-    pub fn with_faults(mut self, faults: FaultHandle) -> Self {
-        self.core.set_faults(faults);
-        self
+    fn used_bytes(per_node: impl Iterator<Item = u64>) -> u64 {
+        // Physical occupancy: the object spreads over the nodes, so the
+        // sum — not the max — is one logical copy's coded footprint.
+        per_node.sum()
     }
 
-    pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.core.set_pool(pool);
-        self
+    fn frame_len(&self, object_len: usize) -> u64 {
+        (SHARD_HEADER + self.shard_len(object_len)) as u64
     }
 
-    pub fn replica_set(&self) -> Arc<ReplicaSet> {
-        self.core.set().clone()
-    }
-
-    /// Counters accumulated by this client handle.
-    pub fn stats(&self) -> EcStats {
-        let q = self.core.stats();
-        EcStats {
-            commits: q.commits,
-            retries: q.retries,
-            decodes: self.decodes.load(Ordering::Relaxed),
-            repairs: self.repairs.load(Ordering::Relaxed),
-            shard_losses: self.shard_losses.load(Ordering::Relaxed),
-            quorum_losses: q.quorum_losses,
-            ack_cycles: q.ack_cycles,
-        }
-    }
-
-    fn n(&self) -> usize {
-        self.code.k() + self.code.m()
-    }
-
-    /// Account the end of a read: whether it decoded, the shards it
-    /// repaired, and whether it was refused for lack of `k` intact shards.
-    fn read_done(&self, decodes: u64, repairs: u64, shard_losses: u64) {
-        self.decodes.fetch_add(decodes, Ordering::Relaxed);
-        self.repairs.fetch_add(repairs, Ordering::Relaxed);
-        self.shard_losses.fetch_add(shard_losses, Ordering::Relaxed);
-        let trace = self.core.trace();
-        trace.count("erasure.decodes", decodes);
-        trace.count("erasure.shard_repairs", repairs);
-        trace.count("erasure.shard_losses", shard_losses);
+    /// A single object travels as a framed batch of one: `ec/s<i>/batch`.
+    fn single_wire(key: &str, frame_len: u64) -> WireFrame {
+        WireFrame::framed([(key, frame_len)])
     }
 
     /// Encode a batch of objects into their `k + m` shard frames each,
-    /// with every frame's digest: `(frames, frame digests, object
-    /// digests)`, frames flat in `object × node` order. Pure work in two
-    /// pool passes over the whole batch, each byte touched once per pass:
-    /// first every object's digest beside its frames (data frames copied
-    /// straight from the object's slices, parity accumulated in place),
-    /// then — the headers carry the object digest, so it must come first —
-    /// the frame digests, [`FRAME_RUN`] frames per task.
-    fn encode_frames(&self, objects: &[(&str, &[u8])]) -> (Vec<Vec<u8>>, Vec<u64>, Vec<u64>) {
+    /// with every frame's digest. Pure work in two pool passes over the
+    /// whole batch, each byte touched once per pass: first every object's
+    /// digest (unless the caller holds them) beside its frames (data
+    /// frames copied straight from the object's slices, parity
+    /// accumulated in place), then — the headers carry the object digest,
+    /// so it must come first — the frame digests, [`FRAME_RUN`] frames
+    /// per task.
+    fn code<'d>(
+        &self,
+        objects: &[(&str, &[u8])],
+        digests: Option<&'d [u64]>,
+        pool: &Arc<Pool>,
+    ) -> (Cow<'d, [u64]>, ShardFrames) {
         enum Piece {
             ObjectDigest(u64),
             Frame(Vec<u8>),
         }
-        let (k, n) = (self.code.k(), self.n());
-        let (kb, mb) = (k as u8, self.code.m() as u8);
-        let slices: Vec<Vec<&[u8]>> =
-            objects.iter().map(|(_, d)| self.code.data_slices(d)).collect();
+        let (k, n) = (self.k(), self.k() + self.m());
+        let (kb, mb) = (k as u8, self.m() as u8);
+        let slices: Vec<Vec<&[u8]>> = objects.iter().map(|(_, d)| self.data_slices(d)).collect();
+        // Task `(j, 0)` digests object `j`, `(j, 1 + i)` builds its frame
+        // for node `i`.
+        let first = usize::from(digests.is_some());
         let tasks: Vec<(usize, usize)> = (0..objects.len())
-            .flat_map(|j| (0..=n).map(move |t| (j, t)))
+            .flat_map(|j| (first..=n).map(move |t| (j, t)))
             .collect();
-        // The digest and the data frames read each object once between
-        // them, and every parity frame reads it once more.
+        // The digest and the data frames read each object once each, and
+        // every parity frame reads it once more.
         let object_bytes: usize = objects.iter().map(|(_, d)| d.len()).sum();
-        let call = self.core.pool().for_bytes((2 + self.code.m()) * object_bytes);
+        let call = pool.for_bytes((2 - first + self.m()) * object_bytes);
         let pieces = call.par_map_ordered(tasks, || (), |_, _, (j, t)| {
             let data = objects[j].1;
             let Some(i) = t.checked_sub(1) else {
                 return Piece::ObjectDigest(digest64(data));
             };
-            let sl = self.code.shard_len(data.len());
+            let sl = self.shard_len(data.len());
             let own: &[u8] = if i < k { slices[j][i] } else { &[] };
             let mut f = shard_frame(kb, mb, i as u8, data.len() as u64, 0, own, sl);
             if i >= k {
-                self.code.shard_into(i, &slices[j], &mut f[SHARD_HEADER..]);
+                self.shard_into(i, &slices[j], &mut f[SHARD_HEADER..]);
             }
             Piece::Frame(f)
         });
-        let mut object_digests = Vec::with_capacity(objects.len());
+        let mut object_digests = Vec::with_capacity(objects.len() * (1 - first));
         let mut frames = Vec::with_capacity(objects.len() * n);
         for piece in pieces {
             match piece {
@@ -279,8 +238,9 @@ impl ErasureStore {
                 Piece::Frame(f) => frames.push(f),
             }
         }
+        let object_digests = digests.map_or(Cow::Owned(object_digests), Cow::Borrowed);
         let frame_bytes = frames.iter().map(Vec::len).sum();
-        let call = self.core.pool().for_bytes(frame_bytes);
+        let call = pool.for_bytes(frame_bytes);
         let runs: Vec<&mut [Vec<u8>]> = frames.chunks_mut(FRAME_RUN).collect();
         let frame_digests = call.par_map_ordered(runs, || (), |_, r, run| {
             let mut digests = Vec::with_capacity(run.len());
@@ -291,284 +251,112 @@ impl ErasureStore {
             }
             digests
         });
-        let frame_digests = frame_digests.into_iter().flatten().collect();
-        (frames, frame_digests, object_digests)
-    }
-}
-
-impl StripeMember for ErasureStore {
-    const SITE_STEM: &'static str = "ecstripe";
-
-    fn pool_label(&self, width: usize) -> String {
-        format!("ecstriped({width}x {})", self.label())
+        let digests = frame_digests.into_iter().flatten().collect();
+        (object_digests, ShardFrames { frames, digests, n })
     }
 
-    fn quorum_mut(&mut self) -> &mut QuorumClient {
-        &mut self.core
+    fn frame<'a>(
+        frames: &mut ShardFrames,
+        _: &'a [u8],
+        _: u64,
+        j: usize,
+        node: usize,
+    ) -> (Cow<'a, [u8]>, u64) {
+        let at = j * frames.n + node;
+        (Cow::Owned(std::mem::take(&mut frames.frames[at])), frames.digests[at])
     }
 
-    fn fork_member(&self, relink: &mut Relink) -> SimResult<Self> {
-        let at = |c: &AtomicU64| AtomicU64::new(c.load(Ordering::Relaxed));
-        Ok(ErasureStore {
-            core: self.core.fork(relink)?,
-            code: self.code.clone(),
-            decodes: at(&self.decodes),
-            repairs: at(&self.repairs),
-            shard_losses: at(&self.shard_losses),
-        })
-    }
-}
-
-impl StableStorage for ErasureStore {
-    fn class(&self) -> StorageClass {
-        StorageClass::Remote
-    }
-
-    fn label(&self) -> String {
-        format!("rs({},{})", self.code.k(), self.code.m())
-    }
-
-    fn store(
-        &mut self,
-        key: &str,
-        data: &[u8],
-        cost: &CostModel,
-    ) -> Result<StoreReceipt, StorageError> {
-        let r = self.store_batch(&[(key, data)], cost)?;
-        Ok(StoreReceipt {
-            key: key.to_string(),
-            bytes: r.bytes,
-            time_ns: r.time_ns,
+    /// A delete marker needs no shards; data needs `k` of its version.
+    fn refusal(&self, seen: &Seen) -> Option<StorageError> {
+        (!seen.tombstone && seen.current < self.k()).then_some(StorageError::TooManyShardsLost {
+            intact: seen.current as u32,
+            needed: self.k() as u32,
         })
     }
 
-    fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
-        self.core.ensure_up()?;
-        let set = self.core.set();
-        let (k, m, n) = (self.code.k(), self.code.m(), self.n());
-
-        // Sequential admission of every shard node, in node order; then
-        // one probe of each — a first read verifies every admitted frame.
-        let adm = self.core.admit_all("load", key, 0);
-        let admitted: Vec<usize> = adm.admitted().collect();
-        let down = n - admitted.len();
-        let mut frames: Vec<Option<Frame>> = vec![None; n];
-        for (&i, probe) in admitted.iter().zip(set.probe_batch(&admitted, key)) {
-            if let Probe::Valid(f) = probe {
-                frames[i] = Some(f);
-            }
-        }
-
-        let winner = frames
-            .iter()
-            .flatten()
-            .map(|f| f.version)
-            .max()
-            .unwrap_or(0);
-        if winner == 0 {
-            // No node has ever seen this key — unless so many are down
-            // that a committed shard set could be hiding on them.
-            let refused = down > n - self.core.write_quorum();
-            self.read_done(0, 0, u64::from(refused));
-            return if refused {
-                Err(StorageError::TooManyShardsLost {
-                    intact: 0,
-                    needed: k as u32,
-                })
-            } else {
-                Err(StorageError::NotFound(key.to_string()))
-            };
-        }
-
-        // Tombstone wins: the newest commit is a delete marker. Repair it
-        // onto every reachable lagging node so the key can't resurrect.
-        if frames
-            .iter()
-            .flatten()
-            .any(|f| f.version == winner && f.tombstone)
-        {
-            let lagging: Vec<usize> = (0..n)
-                .filter(|&i| !set.node(i).is_down())
-                .filter(|&i| !matches!(&frames[i], Some(f) if f.version == winner))
-                .collect();
-            let repairs = lagging.len() as u64;
-            for i in lagging {
-                set.node(i).put_tombstone(key, winner);
-            }
-            self.read_done(0, repairs, 0);
-            return Err(StorageError::NotFound(key.to_string()));
-        }
-
-        // Borrow the intact shards of the winning version out of their
-        // frames. A frame whose header is malformed or whose shard index
-        // disagrees with its node counts as lost — it cannot be trusted
-        // into the decode.
-        let mut shards: Vec<Option<&[u8]>> = vec![None; n];
-        let mut object_len = 0u64;
-        let mut object_digest = 0u64;
-        let mut shard_frame_len = 0usize;
-        let mut intact = 0usize;
+    /// Borrow the intact shards of the winning version out of their
+    /// frames, rebuild what the read uses — the missing data shards (a
+    /// matrix-inversion decode; none when all data shards survived) and
+    /// the parity of the lagging nodes, for their repair (a down node's
+    /// parity would be thrown away) — and verify the reassembled object
+    /// against the digest its shard headers carry.
+    fn assemble(
+        &self,
+        winner: &Frame,
+        frames: &[Option<Frame>],
+        lagging: &[usize],
+        pool: &Arc<Pool>,
+    ) -> Result<Assembled<ShardRepair>, StorageError> {
+        let (k, m) = (self.k(), self.m());
+        // A frame whose header is malformed or whose shard index disagrees
+        // with its node counts as lost — it cannot be trusted into the
+        // decode.
+        let mut shards: Vec<Option<&[u8]>> = vec![None; k + m];
+        let (mut object_len, mut object_digest, mut intact) = (0u64, 0u64, 0usize);
         for (i, f) in frames.iter().enumerate() {
-            let Some(f) = f.as_ref().filter(|f| f.version == winner) else {
+            let Some(f) = f.as_ref().filter(|f| f.version == winner.version) else {
                 continue;
             };
             if let Some((idx, olen, odig, shard)) = parse_shard(&f.data, k, m) {
                 if idx == i {
                     shards[i] = Some(shard);
-                    object_len = olen;
-                    object_digest = odig;
-                    shard_frame_len = f.data.len();
+                    (object_len, object_digest) = (olen, odig);
                     intact += 1;
                 }
             }
         }
+        let lost = StorageError::TooManyShardsLost {
+            intact: intact as u32,
+            needed: k as u32,
+        };
         if intact < k {
-            self.read_done(0, 0, 1);
-            return Err(StorageError::TooManyShardsLost {
-                intact: intact as u32,
-                needed: k as u32,
-            });
+            return Err(lost);
         }
-
-        // Rebuild what the read will use: the missing data shards (a
-        // matrix-inversion decode; none when all data shards survived)
-        // and the parity of reachable nodes that lack theirs, for the
-        // repair below. A down node's parity would be thrown away.
-        let needs_decode = (0..k).any(|i| shards[i].is_none());
-        let lagging: Vec<usize> = (0..n)
-            .filter(|&i| !set.node(i).is_down())
-            .filter(|&i| shards[i].is_none())
-            .collect();
-        let rebuilt = self
-            .code
-            .rebuild_missing(&shards, |i| lagging.contains(&i), self.core.pool())
+        let decoded = (0..k).any(|i| shards[i].is_none());
+        let shards_rebuilt = self
+            .rebuild_missing(&shards, |i| lagging.contains(&i), pool)
             .expect("intact >= k shards reconstruct");
-        let rebuilt_shard = |i: usize| -> Option<&[u8]> {
-            rebuilt.iter().find(|(at, _)| *at == i).map(|(_, s)| s.as_slice())
+        let rebuilt = ShardRepair {
+            shards: shards_rebuilt,
+            object_len,
+            object_digest,
         };
         let data: Vec<&[u8]> = (0..k)
-            .map(|i| shards[i].or_else(|| rebuilt_shard(i)).expect("data shard intact or decoded"))
+            .map(|i| shards[i].or_else(|| rebuilt.shard(i)).expect("data shard intact or decoded"))
             .collect();
-        let object = self.code.join_slices(&data, object_len as usize);
-        if digest64(&object) != object_digest {
+        let bytes = self.join_slices(&data, object_len as usize);
+        if digest64(&bytes) != object_digest {
             // The shard set is internally inconsistent (can only happen
             // if the medium was damaged beyond what frame digests catch).
             // Refuse — returning the reassembly would be silent corruption.
-            self.read_done(0, 0, 1);
-            return Err(StorageError::TooManyShardsLost {
-                intact: intact as u32,
-                needed: k as u32,
-            });
+            return Err(lost);
         }
-
-        // Read-repair: rebuild the proper shard frame, at the winning
-        // version, on every reachable node that doesn't hold it.
-        let repairs = lagging.len() as u64;
-        let repaired: Vec<Vec<u8>> = lagging
-            .iter()
-            .map(|&i| {
-                let shard = rebuilt_shard(i).expect("lagging shards were rebuilt");
-                let sl = shard.len();
-                shard_frame(k as u8, m as u8, i as u8, object_len, object_digest, shard, sl)
-            })
-            .collect();
-        for (&i, frame) in lagging.iter().zip(repaired) {
-            let digest = digest64(&frame);
-            set.node(i).put_frame(key, winner, frame, digest);
-        }
-
-        // k shard frames cross the wire to serve the read, plus one per
-        // repaired node to rebuild it.
-        let time_ns = cost.net_latency_ns
-            + QuorumClient::xfer_ns(shard_frame_len as u64, cost) * (k as u64 + repairs)
-            + adm.backoff_ns;
-        self.read_done(u64::from(needs_decode), repairs, 0);
-        Ok((object, time_ns))
+        Ok(Assembled {
+            bytes,
+            digest: object_digest,
+            decoded,
+            frames_read: k as u64,
+            rebuilt,
+        })
     }
 
-    fn delete(&mut self, key: &str) -> Result<(), StorageError> {
-        self.core.delete(key)
-    }
-
-    fn list(&self) -> Vec<String> {
-        self.core.list()
-    }
-
-    fn available(&self) -> bool {
-        self.core.available()
-    }
-
-    fn used_bytes(&self) -> u64 {
-        // Physical occupancy: the object spreads over the nodes, so the
-        // sum — not the max — is one logical copy's coded footprint.
-        self.core.set().up().map(|n| n.used_bytes()).sum()
-    }
-
-    fn on_node_failure(&mut self) {
-        // The *client's* node fail-stopped; the shard nodes are elsewhere.
-        self.core.set_client_up(false);
-    }
-
-    fn on_node_repair(&mut self) {
-        self.core.set_client_up(true);
-    }
-
-    fn on_power_down(&mut self) {
-        // Remote media are unaffected by the client node's power state.
-    }
-
-    fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
-        self.core.manifest(key)
-    }
-
-    fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn StableStorage>> {
-        Ok(Box::new(self.fork_member(relink)?))
-    }
-
-    /// Framed batched shard commit: each node receives ONE wire frame
-    /// (see [`WireFrame::framed`]) holding its shard of every object in
-    /// the batch — one admission / retry / acknowledgement cycle per node
-    /// for the whole batch (`ack_cycles: 1`), the same amortization as the
-    /// replicated batch path but at `(k + m) / k ×` the payload bytes
-    /// instead of `N ×`. Torn writes persist a frame *prefix* with
-    /// per-object semantics; fewer than `w` full frames rolls every object
-    /// back on every node that took bytes.
-    fn store_batch(
-        &mut self,
-        objects: &[(&str, &[u8])],
-        cost: &CostModel,
-    ) -> Result<BatchReceipt, StorageError> {
-        self.core.ensure_up()?;
-        let n = self.n();
-
-        // Encode every object up front (pure pool work): frame
-        // `j * n + i` is object j's shard frame for node i. Shard frames
-        // of one object are equal-length, so the wire layout is the same
-        // on every node; each node then takes ownership of its frames
-        // under the digests computed here — moves, not copies.
-        let (mut frames, frame_digests, object_digests) = self.encode_frames(objects);
-        let wire = WireFrame::framed(
-            objects
-                .iter()
-                .enumerate()
-                .map(|(j, (key, _))| (*key, frames[j * n].len() as u64)),
-        );
-        self.core.commit(
-            objects,
-            &object_digests,
-            &wire,
-            |j, i| {
-                let at = j * n + i;
-                (Cow::Owned(std::mem::take(&mut frames[at])), frame_digests[at])
-            },
-            cost,
-        )
+    /// The proper shard frame, at the winning version.
+    fn rebuild(&self, rebuilt: &ShardRepair, _: &Frame, node: usize) -> (Vec<u8>, u64) {
+        let shard = rebuilt.shard(node).expect("lagging shards were rebuilt");
+        let (k, m) = (self.k() as u8, self.m() as u8);
+        let (len, digest) = (rebuilt.object_len, rebuilt.object_digest);
+        let frame = shard_frame(k, m, node as u8, len, digest, shard, shard.len());
+        let digest = digest64(&frame);
+        (frame, digest)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ckpt_replica::Probe;
+    use ckpt_storage::{CodingGeometry, StableStorage};
+    use simos::cost::CostModel;
 
     fn cost() -> CostModel {
         CostModel::circa_2005()

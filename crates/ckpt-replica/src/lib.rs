@@ -42,6 +42,9 @@ mod stripe;
 /// through this path.
 pub use ckpt_storage::fnv1a64;
 pub use node::{Frame, Probe, ReplicaNode, ReplicaSet};
-pub use quorum::{QuorumClient, WireFrame};
-pub use store::{ReplicaConfig, ReplicatedStore};
-pub use stripe::{stripe_route, StripeMember, Striped, StripedReplicaSet, StripedStore};
+pub use quorum::{QuorumStats, WireFrame};
+pub use store::{
+    Assembled, Coding, Counters, QuorumStore, ReplicaConfig, Replicate, ReplicatedStore, Seen,
+    ShardCoding,
+};
+pub use stripe::{stripe_route, Striped, StripedReplicaSet, StripedStore};

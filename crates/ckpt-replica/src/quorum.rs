@@ -2,11 +2,11 @@
 //!
 //! A [`QuorumClient`] is one client's view of a shared [`ReplicaSet`]:
 //! the write quorum, the retry schedule, the fault and trace handles, the
-//! pool, the client's own reachability and the manifests of what it
-//! committed. It knows nothing about *what* a node stores — the
-//! replicated tier hands it one full payload per node, the erasure tier
-//! one shard frame per node — only how bytes get onto `w` of `n` nodes or
-//! onto none of them:
+//! pool, the client's own reachability, the manifests of what it
+//! committed and its counters. It knows nothing about *what* a node
+//! stores — the [`QuorumStore`](crate::QuorumStore)'s coding hands it one
+//! full payload or one shard frame per node — only how bytes get onto `w`
+//! of `n` nodes or onto none of them:
 //!
 //! 1. **versions and snapshots** — what every reachable node holds under
 //!    each key of the commit, read once before any byte moves: the key's
@@ -32,10 +32,10 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ckpt_par::Pool;
+use parking_lot::Mutex;
 use ckpt_storage::{fnv1a64, BatchReceipt, CodingGeometry, ReplicaManifest, StorageError};
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
@@ -45,8 +45,15 @@ use simos::Relink;
 
 use crate::backoff::{Backoff, BackoffPolicy};
 use crate::node::{Admission, Frame, ReplicaSet};
+use crate::store::Counters;
 
-/// Counters every quorum client keeps, whatever it stores.
+/// Plain counters mirroring the `simos::trace` counters a quorum store
+/// emits (its coding's [`Counters`]), readable without a recording trace
+/// handle.
+///
+/// ckptbench reads `commits`, `retries`, `repairs`, `decodes`,
+/// `shard_losses`, `quorum_losses` and `ack_cycles`
+/// (`benchmark/src/single.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QuorumStats {
     /// Objects committed at write quorum.
@@ -58,26 +65,16 @@ pub struct QuorumStats {
     /// Acknowledgement round-trips: one per commit (single object or whole
     /// framed batch) and one per delete.
     pub ack_cycles: u64,
-}
-
-#[derive(Default)]
-struct StatCells {
-    commits: AtomicU64,
-    retries: AtomicU64,
-    quorum_losses: AtomicU64,
-    ack_cycles: AtomicU64,
-}
-
-impl StatCells {
-    fn copy(&self) -> StatCells {
-        let at = |c: &AtomicU64| AtomicU64::new(c.load(Ordering::Relaxed));
-        StatCells {
-            commits: at(&self.commits),
-            retries: at(&self.retries),
-            quorum_losses: at(&self.quorum_losses),
-            ack_cycles: at(&self.ack_cycles),
-        }
-    }
+    /// Frames reads rebuilt in place on lagging nodes.
+    pub repairs: u64,
+    /// Reads that decoded missing data.
+    pub decodes: u64,
+    /// Reads refused with [`StorageError::TooManyShardsLost`].
+    pub shard_losses: u64,
+    /// Object digests computed on the commit path: one per object a
+    /// commit attempts without the caller's digest, however many nodes
+    /// ingest it.
+    pub payload_digests: u64,
 }
 
 /// Per-node write decision, resolved sequentially before the pool moves
@@ -106,15 +103,15 @@ impl WriteCmd {
 }
 
 /// One sequential admission pass over every node of the set.
-pub struct Admissions {
+pub(crate) struct Admissions {
     cmds: Vec<WriteCmd>,
     /// Virtual time spent backing off across all nodes.
-    pub backoff_ns: u64,
+    pub(crate) backoff_ns: u64,
 }
 
 impl Admissions {
     /// The nodes that admitted the operation intact, in node order.
-    pub fn admitted(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn admitted(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.cmds.len()).filter(|&i| self.cmds[i] == WriteCmd::Full)
     }
 }
@@ -172,14 +169,13 @@ impl WireFrame {
 
 /// One client handle's quorum machinery over a shared [`ReplicaSet`]. See
 /// the module docs.
-pub struct QuorumClient {
+pub(crate) struct QuorumClient {
     set: Arc<ReplicaSet>,
     w: usize,
     faults: FaultHandle,
     trace: TraceHandle,
-    /// The `simos::trace` counters this tier's `(commits, retries,
-    /// quorum_losses)` deltas are counted under.
-    counters: [&'static str; 3],
+    /// The `simos::trace` counters this client's deltas are counted under.
+    counters: Counters,
     pool: Arc<Pool>,
     /// This *client's* reachability (its node may fail-stop); node
     /// availability lives in the shared set.
@@ -193,7 +189,7 @@ pub struct QuorumClient {
     /// What the most recent commit replaced — what
     /// [`QuorumClient::retract_commit`] reinstates.
     undo: LastCommit,
-    stats: StatCells,
+    stats: Mutex<QuorumStats>,
 }
 
 #[derive(Default, Clone)]
@@ -209,17 +205,17 @@ struct LastCommit {
 type NodeCopies<'a> = (usize, Vec<(usize, &'a [u8], u64)>);
 
 impl QuorumClient {
-    /// A client of `set` committing at write quorum `w`. Fault injection
+    /// A client of `set` committing at write quorum `w`, its sites
+    /// rendering as `{site_prefix}/{node_tag}<i>/{op}`. Fault injection
     /// defaults to off, tracing to the no-op sink, the pool to the global
     /// one; transients are retried on the one `BackoffPolicy::default`
     /// schedule.
-    pub fn new(
+    pub(crate) fn new(
         set: Arc<ReplicaSet>,
         w: usize,
-        site_prefix: &str,
-        node_tag: char,
+        (site_prefix, node_tag): (&str, char),
         coding: Option<CodingGeometry>,
-        counters: [&'static str; 3],
+        counters: Counters,
     ) -> Self {
         assert!(
             w <= set.len(),
@@ -239,14 +235,14 @@ impl QuorumClient {
             coding,
             manifests: BTreeMap::new(),
             undo: LastCommit::default(),
-            stats: StatCells::default(),
+            stats: Mutex::default(),
         }
     }
 
     /// This client in a fork of its world: its set re-pointed through
     /// `relink` and consulting [`Relink::faults`], its manifests, undo
     /// record and counters carried over. Trace sink and pool are shared.
-    pub fn fork(&self, relink: &mut Relink) -> SimResult<QuorumClient> {
+    pub(crate) fn fork(&self, relink: &mut Relink) -> SimResult<QuorumClient> {
         Ok(QuorumClient {
             set: ReplicaSet::fork(&self.set, relink)?,
             w: self.w,
@@ -260,11 +256,11 @@ impl QuorumClient {
             coding: self.coding,
             manifests: self.manifests.clone(),
             undo: self.undo.clone(),
-            stats: self.stats.copy(),
+            stats: Mutex::new(self.stats()),
         })
     }
 
-    pub fn set_faults(&mut self, faults: FaultHandle) {
+    pub(crate) fn set_faults(&mut self, faults: FaultHandle) {
         self.faults = faults;
     }
 
@@ -272,7 +268,7 @@ impl QuorumClient {
         self.trace = trace;
     }
 
-    pub fn set_pool(&mut self, pool: Arc<Pool>) {
+    pub(crate) fn set_pool(&mut self, pool: Arc<Pool>) {
         self.pool = pool;
     }
 
@@ -281,51 +277,68 @@ impl QuorumClient {
     }
 
     /// The client's node fail-stopped (`false`) or came back (`true`).
-    pub fn set_client_up(&mut self, up: bool) {
+    pub(crate) fn set_client_up(&mut self, up: bool) {
         self.client_up = up;
     }
 
-    pub fn set(&self) -> &Arc<ReplicaSet> {
+    pub(crate) fn set(&self) -> &Arc<ReplicaSet> {
         &self.set
     }
 
-    pub fn write_quorum(&self) -> usize {
+    pub(crate) fn write_quorum(&self) -> usize {
         self.w
     }
 
-    pub fn trace(&self) -> &TraceHandle {
-        &self.trace
-    }
-
-    pub fn pool(&self) -> &Arc<Pool> {
+    pub(crate) fn pool(&self) -> &Arc<Pool> {
         &self.pool
     }
 
-    pub fn stats(&self) -> QuorumStats {
-        QuorumStats {
-            commits: self.stats.commits.load(Ordering::Relaxed),
-            retries: self.stats.retries.load(Ordering::Relaxed),
-            quorum_losses: self.stats.quorum_losses.load(Ordering::Relaxed),
-            ack_cycles: self.stats.ack_cycles.load(Ordering::Relaxed),
-        }
+    pub(crate) fn stats(&self) -> QuorumStats {
+        *self.stats.lock()
     }
 
     /// Account `(commits, retries, quorum_losses)` deltas: the counters,
-    /// and the tier's labelled trace counters. The read paths report their
-    /// typed refusals through this too.
-    pub(crate) fn record(&self, commits: u64, retries: u64, quorum_losses: u64) {
-        self.stats.commits.fetch_add(commits, Ordering::Relaxed);
-        self.stats.retries.fetch_add(retries, Ordering::Relaxed);
-        self.stats
-            .quorum_losses
-            .fetch_add(quorum_losses, Ordering::Relaxed);
-        for (name, n) in self.counters.into_iter().zip([commits, retries, quorum_losses]) {
-            self.trace.count(name, n);
+    /// and their trace counters.
+    fn record(&self, commits: u64, retries: u64, quorum_losses: u64) {
+        {
+            let mut s = self.stats.lock();
+            s.commits += commits;
+            s.retries += retries;
+            s.quorum_losses += quorum_losses;
         }
+        let c = &self.counters;
+        self.trace.count(c.commits, commits);
+        self.trace.count(c.retries, retries);
+        self.trace.count(c.quorum_losses, quorum_losses);
+    }
+
+    /// Account `n` object digests computed on the commit path.
+    pub(crate) fn digested(&self, n: u64) {
+        self.stats.lock().payload_digests += n;
+    }
+
+    /// Account the end of a read: the frames it repaired, whether it
+    /// decoded, and the typed refusal it returned, if any — a
+    /// [`StorageError::QuorumLost`] is a quorum loss, any other a shard
+    /// loss.
+    pub(crate) fn read_done(&self, repairs: u64, decoded: bool, refusal: Option<&StorageError>) {
+        let quorum_lost = matches!(refusal, Some(StorageError::QuorumLost { .. }));
+        let (decodes, shard_losses) = (u64::from(decoded), u64::from(refusal.is_some() && !quorum_lost));
+        {
+            let mut s = self.stats.lock();
+            s.repairs += repairs;
+            s.decodes += decodes;
+            s.shard_losses += shard_losses;
+        }
+        let c = &self.counters;
+        self.trace.count(c.repairs, repairs);
+        self.trace.count(c.decodes, decodes);
+        self.trace.count(c.shard_losses, shard_losses);
+        self.record(0, 0, u64::from(quorum_lost));
     }
 
     /// `Unavailable` while the client's own node is down.
-    pub fn ensure_up(&self) -> Result<(), StorageError> {
+    pub(crate) fn ensure_up(&self) -> Result<(), StorageError> {
         if self.client_up {
             Ok(())
         } else {
@@ -344,7 +357,7 @@ impl QuorumClient {
     }
 
     /// Modelled wire time for `len` bytes.
-    pub fn xfer_ns(len: u64, cost: &CostModel) -> u64 {
+    pub(crate) fn xfer_ns(len: u64, cost: &CostModel) -> u64 {
         (len as f64 * cost.net_ns_per_byte).round() as u64
     }
 
@@ -392,7 +405,7 @@ impl QuorumClient {
     /// Admit operation `op` (identity `id`, `bytes` on the wire) on every
     /// node, sequentially in node order — the deterministic schedule every
     /// load and every commit shares. Retries are accounted here.
-    pub fn admit_all(&self, op: &str, id: &str, bytes: u64) -> Admissions {
+    pub(crate) fn admit_all(&self, op: &str, id: &str, bytes: u64) -> Admissions {
         let mut total_retries = 0u64;
         let mut backoff_ns = 0u64;
         let cmds = (0..self.set.len())
@@ -415,7 +428,7 @@ impl QuorumClient {
     /// node stores for that object — borrowed bytes are copied on the pool,
     /// owned ones move; it is asked only for what actually reaches a
     /// medium, at most once per pair.
-    pub fn commit<'a>(
+    pub(crate) fn commit<'a>(
         &mut self,
         objects: &[(&str, &[u8])],
         digests: &[u64],
@@ -511,7 +524,7 @@ impl QuorumClient {
         let acked: Vec<u32> = adm.admitted().map(|i| i as u32).collect();
         // One network round-trip for the whole frame.
         let time_ns = cost.net_latency_ns + wire_ns + adm.backoff_ns;
-        self.stats.ack_cycles.fetch_add(1, Ordering::Relaxed);
+        self.stats.lock().ack_cycles += 1;
 
         if acked.len() < self.w {
             // All-or-nothing: peel every object back off every node that
@@ -569,7 +582,7 @@ impl QuorumClient {
     /// delete takes its tombstones back off the nodes it reached: left
     /// there, one could outrank a write that commits while its node is
     /// down, and delete committed data on its return.
-    pub fn delete(&mut self, key: &str) -> Result<(), StorageError> {
+    pub(crate) fn delete(&mut self, key: &str) -> Result<(), StorageError> {
         self.ensure_up()?;
         let held = self.visible_frames([key]);
         let version = next_version(&held, 0);
@@ -595,7 +608,7 @@ impl QuorumClient {
                 }
             }
         }
-        self.stats.ack_cycles.fetch_add(1, Ordering::Relaxed);
+        self.stats.lock().ack_cycles += 1;
         if acked.len() < self.w {
             for &i in &acked {
                 let prior = held[i].as_ref().and_then(|frames| frames[0].clone());
@@ -615,7 +628,7 @@ impl QuorumClient {
     /// Optimistic union over reachable nodes: listing is advisory (each
     /// key's actual readability is decided by the quorum read), and must
     /// not silently hide keys whose copies are partially lost.
-    pub fn list(&self) -> Vec<String> {
+    pub(crate) fn list(&self) -> Vec<String> {
         if !self.client_up {
             return Vec::new();
         }
@@ -625,12 +638,12 @@ impl QuorumClient {
         keys
     }
 
-    pub fn available(&self) -> bool {
+    pub(crate) fn available(&self) -> bool {
         self.client_up && self.set.up().count() >= self.w
     }
 
     /// The manifest of `key`'s last commit through this client.
-    pub fn manifest(&self, key: &str) -> Option<ReplicaManifest> {
+    pub(crate) fn manifest(&self, key: &str) -> Option<ReplicaManifest> {
         self.manifests.get(key).cloned()
     }
 

@@ -1,44 +1,52 @@
-//! The quorum-replicated stable-storage backend.
+//! The quorum store: one [`StableStorage`] backend over a shared
+//! [`ReplicaSet`], generic over how an object is coded onto its nodes.
 //!
-//! A [`ReplicatedStore`] is one client handle onto a shared
-//! [`ReplicaSet`]: writes put the full payload on all N replicas through
-//! the shared commit protocol ([`crate::quorum`]) and commit at write
-//! quorum `w > N/2`; reads probe every reachable replica, pick the
-//! highest-version intact frame, and repair stale/torn/missing copies in
-//! place — probing once when that first probe shows every reachable
-//! replica current, and handing the winner's verified digest up
-//! ([`StableStorage::load_verified`]). When more than `N - w` replicas are
-//! unreachable or corrupt the
-//! operation is refused with the typed
-//! [`StorageError::QuorumLost`] — a committed value could then live
-//! entirely on the missing replicas, so any answer would be a guess.
+//! A [`QuorumStore<C>`] is one client handle: writes put one frame per
+//! node through the shared commit protocol ([`crate::quorum`]) and commit
+//! at write quorum `w`; reads admit and probe every node, pick the newest
+//! intact version, assemble its bytes, and repair stale, torn or missing
+//! frames of reachable nodes in place. Everything but what the coding
+//! decides is written here once. The [`Coding`] says what genuinely
+//! differs: the frames an object becomes, its label and footprint, when a
+//! read must refuse, how the winning version's bytes are assembled and
+//! which frame a repair writes.
+//!
+//! * [`Replicate`] stores the full object on every node
+//!   ([`ReplicatedStore`]): a read refuses with the typed
+//!   [`StorageError::QuorumLost`] once fewer than `w` intact copies
+//!   answer, since more than `N − w` unreachable or corrupt replicas could
+//!   then hold a newer commit between them, and any answer would be a
+//!   guess.
+//! * `ckpt-ec`'s Reed-Solomon code stores one shard per node
+//!   (`ErasureStore`) and refuses with
+//!   [`StorageError::TooManyShardsLost`] below `k` intact shards.
 //!
 //! ## Why versions + digests are sufficient
 //!
-//! Every committed write lands intact on at least `w` replicas, so after
-//! losing any `N - w` of them at least `2w - N ≥ 1` intact copies remain,
-//! and no *newer* commit can hide entirely in the lost set. Frame digests
-//! (CRC-64 over the full payload, written with the frame) make torn
-//! copies self-identifying, and the per-key version order makes "newest
-//! intact frame" well-defined — majority voting is not needed.
+//! Every committed write lands intact on at least `w` nodes, with
+//! `w > N/2`, so after losing any `N - w` of them at least `2w - N ≥ 1`
+//! intact frames remain, and no *newer* commit can hide entirely in the
+//! lost set. Frame digests (CRC-64 over the frame, written with it) make
+//! torn frames self-identifying, and the per-key version order makes
+//! "newest intact frame" well-defined — majority voting is not needed.
 //!
 //! ## Determinism
 //!
-//! All fault admission (replica reachability, queued transients,
-//! `simos::faultpoint` checks at `replica/r<i>/store` / `replica/r<i>/load`)
-//! and all backoff arithmetic run sequentially on the calling thread in
-//! replica-index order; only the pure payload copies fan out on the
-//! `ckpt-par` pool. Commit results, manifests, costs, and trace counters
-//! are therefore identical at every pool width.
+//! All fault admission (node reachability, queued transients,
+//! `simos::faultpoint` checks at `<prefix>/<tag><i>/<op>`) and all backoff
+//! arithmetic run sequentially on the calling thread in node order; only
+//! pure work — digests, frame builds, payload copies, decodes, repair
+//! frames — fans out on the `ckpt-par` pool behind its ordered merge.
+//! Commit results, manifests, costs, and trace counters are therefore
+//! identical at every pool width.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ckpt_par::Pool;
 use ckpt_storage::{
-    digest64, BatchReceipt, ReplicaManifest, StableStorage, StorageClass, StorageError,
-    StoreReceipt,
+    digest64, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, StorageClass,
+    StorageError, StoreReceipt,
 };
 use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
@@ -47,8 +55,135 @@ use simos::types::SimResult;
 use simos::Relink;
 
 use crate::node::{Frame, Probe, ReplicaSet};
-use crate::quorum::{QuorumClient, WireFrame};
-use crate::stripe::StripeMember;
+use crate::quorum::{QuorumClient, QuorumStats, WireFrame};
+
+/// The `simos::trace` counters a store counts under.
+#[derive(Debug, Clone, Copy)]
+pub struct Counters {
+    /// Objects committed at write quorum.
+    pub commits: &'static str,
+    /// Transient faults absorbed by backoff-retry.
+    pub retries: &'static str,
+    /// Operations refused with [`StorageError::QuorumLost`].
+    pub quorum_losses: &'static str,
+    /// Frames a read rebuilt in place on a lagging node.
+    pub repairs: &'static str,
+    /// Reads that decoded missing data.
+    pub decodes: &'static str,
+    /// Reads refused with [`StorageError::TooManyShardsLost`].
+    pub shard_losses: &'static str,
+}
+
+/// What a read saw of a key that some node holds, as a [`Coding`] needs
+/// it to decide whether to refuse.
+#[derive(Debug, Clone, Copy)]
+pub struct Seen {
+    pub write_quorum: usize,
+    /// Admitted nodes holding an intact frame, at any version.
+    pub intact: usize,
+    /// Of those, the ones at the newest version.
+    pub current: usize,
+    /// Whether that newest version is a delete marker.
+    pub tombstone: bool,
+}
+
+/// The winning version's bytes as a [`Coding`] assembled them.
+pub struct Assembled<R> {
+    pub bytes: Vec<u8>,
+    /// The digest `bytes` were verified against.
+    pub digest: u64,
+    /// Whether the assembly decoded missing data.
+    pub decoded: bool,
+    /// Winning-version frames that crossed the wire to serve the read.
+    pub frames_read: u64,
+    /// What a repair rebuilds lagging nodes' frames from.
+    pub rebuilt: R,
+}
+
+/// How a [`QuorumStore`] codes an object onto its nodes: everything in
+/// which its tiers differ, as answers rather than branches.
+pub trait Coding: Clone + Send + Sync + 'static {
+    /// Faultpoint sites render as `<prefix>/<tag><i>/<op>`.
+    const SITES: (&'static str, char);
+    /// Stripe `j` of a [`Striped`](crate::Striped) pool renders its sites
+    /// under `<STRIPE_STEM><j>/` instead.
+    const STRIPE_STEM: &'static str;
+    const COUNTERS: Counters;
+
+    /// Per-node frames coded ahead of a commit.
+    type Frames;
+    /// What a read keeps of the winning version to rebuild a lagging
+    /// node's frame.
+    type Rebuilt: Sync;
+
+    /// The [`StableStorage::label`] of a store over `n` nodes at write
+    /// quorum `w`.
+    fn label(&self, n: usize, w: usize) -> String;
+
+    /// The label of a `width`-stripe pool of such stores.
+    fn pool_label(&self, width: usize, n: usize, w: usize) -> String;
+
+    /// One logical copy's footprint, from the reachable nodes' used bytes.
+    fn used_bytes(per_node: impl Iterator<Item = u64>) -> u64;
+
+    /// The bytes an `object_len`-byte object occupies in each node's wire
+    /// frame.
+    fn frame_len(&self, object_len: usize) -> u64;
+
+    /// The wire frame a single-object store sends.
+    fn single_wire(key: &str, frame_len: u64) -> WireFrame;
+
+    /// Code `objects` for one commit: every object's digest (`digests`
+    /// when the caller holds them) and the frames built ahead of the
+    /// commit.
+    fn code<'d>(
+        &self,
+        objects: &[(&str, &[u8])],
+        digests: Option<&'d [u64]>,
+        pool: &Arc<Pool>,
+    ) -> (Cow<'d, [u64]>, Self::Frames);
+
+    /// What `node` stores for object `j` (its bytes `object`, its digest
+    /// `digest`), and that frame's digest. Asked at most once per pair.
+    fn frame<'a>(
+        frames: &mut Self::Frames,
+        object: &'a [u8],
+        digest: u64,
+        j: usize,
+        node: usize,
+    ) -> (Cow<'a, [u8]>, u64);
+
+    /// The typed refusal a read that `seen` this must return, if any.
+    fn refusal(&self, seen: &Seen) -> Option<StorageError>;
+
+    /// The bytes of the winning version `winner`, from `frames` (each
+    /// admitted node's intact frame, by node), rebuilding what the repair
+    /// of `lagging` needs; or the typed refusal.
+    fn assemble(
+        &self,
+        winner: &Frame,
+        frames: &[Option<Frame>],
+        lagging: &[usize],
+        pool: &Arc<Pool>,
+    ) -> Result<Assembled<Self::Rebuilt>, StorageError>;
+
+    /// The frame, and its digest, a repair writes to lagging `node`.
+    fn rebuild(&self, rebuilt: &Self::Rebuilt, winner: &Frame, node: usize) -> (Vec<u8>, u64);
+}
+
+/// A coding that splits every object into `k` data shards plus `m`
+/// parity shards, one per node.
+pub trait ShardCoding: Coding {
+    fn new(k: usize, m: usize) -> Self;
+}
+
+/// One client handle on a quorum store over a shared [`ReplicaSet`],
+/// coding objects with `C`. Cheap to construct; clones of the set share
+/// all node state.
+pub struct QuorumStore<C> {
+    pub(crate) core: QuorumClient,
+    pub(crate) coding: C,
+}
 
 /// Quorum configuration: N replicas, write quorum w with `N/2 < w <= N`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,41 +204,115 @@ impl ReplicaConfig {
     }
 }
 
-/// Plain counters mirroring the `replication.*` trace counters this store
-/// emits, readable without a recording trace handle.
-///
-/// ckptbench reads `quorum_losses` and `ack_cycles`
-/// (`benchmark/src/metrics.rs`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplStats {
-    pub commits: u64,
-    pub retries: u64,
-    pub repairs: u64,
-    pub quorum_losses: u64,
-    /// Quorum acknowledgement round-trips consumed: one per single-object
-    /// store or delete, one per *entire* framed batch commit. The scale
-    /// reports compare this across the per-image and batched paths.
-    pub ack_cycles: u64,
-    /// Payload digests computed on the commit path: one per object a
-    /// commit attempts, however many replicas ingest it.
-    pub payload_digests: u64,
+/// Full replication: every node stores the whole object under the
+/// object's own digest. A single object travels bare — its own `store`
+/// site, its un-framed length on the wire.
+#[derive(Debug, Clone, Copy)]
+pub struct Replicate;
+
+/// N-way full replication: sites `replica/r<i>/<op>`, label
+/// `replicated(N,w)`.
+pub type ReplicatedStore = QuorumStore<Replicate>;
+
+impl Coding for Replicate {
+    const SITES: (&'static str, char) = ("replica", 'r');
+    const STRIPE_STEM: &'static str = "stripe";
+    /// A full copy is never decoded, and its reads refuse with
+    /// `QuorumLost`, so nothing counts under the last two.
+    const COUNTERS: Counters = Counters {
+        commits: "replication.commits",
+        retries: "replication.retries",
+        quorum_losses: "replication.quorum_losses",
+        repairs: "replication.repairs",
+        decodes: "replication.decodes",
+        shard_losses: "replication.shard_losses",
+    };
+
+    type Frames = ();
+    type Rebuilt = ();
+
+    fn label(&self, n: usize, w: usize) -> String {
+        format!("replicated({n},{w})")
+    }
+
+    fn pool_label(&self, width: usize, n: usize, w: usize) -> String {
+        format!("striped({width}x{n},{w})")
+    }
+
+    fn used_bytes(per_node: impl Iterator<Item = u64>) -> u64 {
+        // The fullest reachable replica holds one logical copy.
+        per_node.max().unwrap_or(0)
+    }
+
+    fn frame_len(&self, object_len: usize) -> u64 {
+        object_len as u64
+    }
+
+    fn single_wire(key: &str, frame_len: u64) -> WireFrame {
+        WireFrame::bare(key, frame_len)
+    }
+
+    fn code<'d>(
+        &self,
+        objects: &[(&str, &[u8])],
+        digests: Option<&'d [u64]>,
+        _pool: &Arc<Pool>,
+    ) -> (Cow<'d, [u64]>, ()) {
+        let digests = digests.map_or_else(
+            || Cow::Owned(objects.iter().map(|(_, d)| digest64(d)).collect()),
+            Cow::Borrowed,
+        );
+        (digests, ())
+    }
+
+    /// Every replica copies the object itself — a torn one only a prefix.
+    fn frame<'a>(
+        _: &mut (),
+        object: &'a [u8],
+        digest: u64,
+        _: usize,
+        _: usize,
+    ) -> (Cow<'a, [u8]>, u64) {
+        (Cow::Borrowed(object), digest)
+    }
+
+    /// Every unreachable, torn, or inexplicably missing replica might hold
+    /// a newer commit than the best intact frame in sight; with fewer than
+    /// `w` intact frames, "newest visible" is not "newest".
+    fn refusal(&self, seen: &Seen) -> Option<StorageError> {
+        (seen.intact < seen.write_quorum).then_some(StorageError::QuorumLost {
+            acked: seen.intact as u32,
+            needed: seen.write_quorum as u32,
+        })
+    }
+
+    /// The winning frame passed its node's digest check, so its recorded
+    /// digest is the returned bytes'.
+    fn assemble(
+        &self,
+        winner: &Frame,
+        _: &[Option<Frame>],
+        _: &[usize],
+        _: &Arc<Pool>,
+    ) -> Result<Assembled<()>, StorageError> {
+        Ok(Assembled {
+            bytes: Vec::clone(&winner.data),
+            digest: winner.digest,
+            decoded: false,
+            frames_read: 1,
+            rebuilt: (),
+        })
+    }
+
+    fn rebuild(&self, _: &(), winner: &Frame, _: usize) -> (Vec<u8>, u64) {
+        (Vec::clone(&winner.data), winner.digest)
+    }
 }
 
-/// One client handle on an N-way replicated store: full-copy payloads
-/// over the shared [`QuorumClient`] commit protocol, plus the quorum read
-/// with read-repair. Cheap to construct; clones of the underlying
-/// [`ReplicaSet`] share all replica state.
-pub struct ReplicatedStore {
-    core: QuorumClient,
-    repairs: AtomicU64,
-    payload_digests: AtomicU64,
-}
-
-impl ReplicatedStore {
+impl QuorumStore<Replicate> {
     /// A store over `set` with quorum `cfg`. Fault injection defaults to
     /// off, tracing to the no-op sink, and the pool to the global
-    /// `CKPT_PAR_WORKERS`-sized pool. Faultpoint sites render as
-    /// `replica/r<i>/<op>`.
+    /// `CKPT_PAR_WORKERS`-sized pool.
     pub fn new(set: Arc<ReplicaSet>, cfg: ReplicaConfig) -> Self {
         assert_eq!(
             set.len(),
@@ -112,17 +321,49 @@ impl ReplicatedStore {
             set.len(),
             cfg.n
         );
-        let counters = ["replication.commits", "replication.retries", "replication.quorum_losses"];
-        ReplicatedStore {
-            core: QuorumClient::new(set, cfg.w, "replica", 'r', None, counters),
-            repairs: AtomicU64::new(0),
-            payload_digests: AtomicU64::new(0),
-        }
+        QuorumStore::build(set, cfg.w, None, Replicate)
     }
 
     /// Convenience: a fresh N-node set plus its first client handle.
     pub fn fresh(n: usize, w: usize) -> Self {
-        ReplicatedStore::new(ReplicaSet::new(n), ReplicaConfig::new(n, w))
+        QuorumStore::<Replicate>::new(ReplicaSet::new(n), ReplicaConfig::new(n, w))
+    }
+}
+
+impl<C: ShardCoding> QuorumStore<C> {
+    /// A store over `set` (which must have exactly `k + m` nodes) coding
+    /// `k` data plus `m` parity shards, committing at the shard write
+    /// quorum `k + ⌈m/2⌉`: a committed write then occupies enough nodes
+    /// that `k` intact shards of a version prove no newer commit hides in
+    /// the rest. Defaults as [`ReplicatedStore::new`].
+    pub fn new(set: Arc<ReplicaSet>, k: usize, m: usize) -> Self {
+        let coding = C::new(k, m);
+        assert_eq!(
+            set.len(),
+            k + m,
+            "shard set has {} nodes but a ({k},{m}) code needs {}",
+            set.len(),
+            k + m
+        );
+        let geometry = CodingGeometry {
+            k: k as u32,
+            m: m as u32,
+        };
+        QuorumStore::build(set, k + m.div_ceil(2), Some(geometry), coding)
+    }
+
+    /// Convenience: a fresh `k + m`-node set plus its first client handle.
+    pub fn fresh(k: usize, m: usize) -> Self {
+        QuorumStore::<C>::new(ReplicaSet::new(k + m), k, m)
+    }
+}
+
+impl<C: Coding> QuorumStore<C> {
+    fn build(set: Arc<ReplicaSet>, w: usize, geometry: Option<CodingGeometry>, coding: C) -> Self {
+        QuorumStore {
+            core: QuorumClient::new(set, w, C::SITES, geometry, C::COUNTERS),
+            coding,
+        }
     }
 
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
@@ -145,102 +386,50 @@ impl ReplicatedStore {
     }
 
     /// Counters accumulated by this client handle.
-    pub fn stats(&self) -> ReplStats {
-        let q = self.core.stats();
-        ReplStats {
-            commits: q.commits,
-            retries: q.retries,
-            repairs: self.repairs.load(Ordering::Relaxed),
-            quorum_losses: q.quorum_losses,
-            ack_cycles: q.ack_cycles,
-            payload_digests: self.payload_digests.load(Ordering::Relaxed),
-        }
+    pub fn stats(&self) -> QuorumStats {
+        self.core.stats()
     }
 
-    /// Account the end of a read: replicas repaired, and whether it was
-    /// refused for lack of a quorum.
-    fn read_done(&self, repairs: u64, quorum_losses: u64) {
-        self.repairs.fetch_add(repairs, Ordering::Relaxed);
-        self.core.trace().count("replication.repairs", repairs);
-        self.core.record(0, 0, quorum_losses);
+    /// This store in a fork of its world.
+    pub(crate) fn fork_store(&self, relink: &mut Relink) -> SimResult<Self> {
+        Ok(QuorumStore {
+            core: self.core.fork(relink)?,
+            coding: self.coding.clone(),
+        })
     }
 
-    /// Commit `objects` as one `wire` frame per replica. Every payload was
-    /// digested once, above this call (`digests`); every replica ingests
-    /// its own copy under that digest — a torn one only a prefix.
+    /// Commit `objects` as one `wire` frame per node, under `digests` when
+    /// the caller holds them.
     fn commit(
         &mut self,
         objects: &[(&str, &[u8])],
-        digests: &[u64],
+        digests: Option<&[u64]>,
         wire: &WireFrame,
         cost: &CostModel,
     ) -> Result<BatchReceipt, StorageError> {
+        self.core.ensure_up()?;
+        if digests.is_none() {
+            self.core.digested(objects.len() as u64);
+        }
+        let (digests, mut frames) = self.coding.code(objects, digests, self.core.pool());
         self.core.commit(
             objects,
-            digests,
+            &digests,
             wire,
-            |j, _| (Cow::Borrowed(objects[j].1), digests[j]),
+            |j, i| C::frame(&mut frames, objects[j].1, digests[j], j, i),
             cost,
         )
     }
-}
 
-impl StripeMember for ReplicatedStore {
-    const SITE_STEM: &'static str = "stripe";
-
-    fn pool_label(&self, width: usize) -> String {
-        let (n, w) = (self.core.set().len(), self.core.write_quorum());
-        format!("striped({width}x{n},{w})")
-    }
-
-    fn quorum_mut(&mut self) -> &mut QuorumClient {
-        &mut self.core
-    }
-
-    fn fork_member(&self, relink: &mut Relink) -> SimResult<Self> {
-        let at = |c: &AtomicU64| AtomicU64::new(c.load(Ordering::Relaxed));
-        Ok(ReplicatedStore {
-            core: self.core.fork(relink)?,
-            repairs: at(&self.repairs),
-            payload_digests: at(&self.payload_digests),
-        })
-    }
-}
-
-impl StableStorage for ReplicatedStore {
-    fn class(&self) -> StorageClass {
-        StorageClass::Remote
-    }
-
-    fn label(&self) -> String {
-        format!("replicated({},{})", self.core.set().len(), self.core.write_quorum())
-    }
-
-    /// A single object travels bare — its own `store` site, its un-framed
-    /// length on the wire — through the same commit protocol as a batch.
-    fn store(
+    fn store_one(
         &mut self,
         key: &str,
         data: &[u8],
+        digest: Option<&[u64]>,
         cost: &CostModel,
     ) -> Result<StoreReceipt, StorageError> {
-        self.core.ensure_up()?;
-        let digest = digest64(data);
-        self.payload_digests.fetch_add(1, Ordering::Relaxed);
-        self.store_digested(key, data, digest, cost)
-    }
-
-    /// [`StableStorage::store`] under the caller's digest of `data`: every
-    /// replica records it, and the first read verifies it.
-    fn store_digested(
-        &mut self,
-        key: &str,
-        data: &[u8],
-        digest: u64,
-        cost: &CostModel,
-    ) -> Result<StoreReceipt, StorageError> {
-        let wire = WireFrame::bare(key, data.len() as u64);
-        let r = self.commit(&[(key, data)], &[digest], &wire, cost)?;
+        let wire = C::single_wire(key, self.coding.frame_len(data.len()));
+        let r = self.commit(&[(key, data)], digest, &wire, cost)?;
         Ok(StoreReceipt {
             key: key.to_string(),
             bytes: r.bytes,
@@ -248,13 +437,71 @@ impl StableStorage for ReplicatedStore {
         })
     }
 
+    /// The reachable nodes holding anything but an intact frame at
+    /// `winner`'s version. When every reachable node was admitted and
+    /// holds one (`current` of them), the read's probe already shows
+    /// nothing lags; otherwise a reachable node that was not admitted (its
+    /// transients outlasted the retries) may hold anything, so every
+    /// reachable one is probed again.
+    fn lagging(&self, key: &str, winner: &Frame, current: usize) -> Vec<usize> {
+        let set = self.core.set();
+        let reachable: Vec<usize> = (0..set.len()).filter(|&i| !set.node(i).is_down()).collect();
+        if current == reachable.len() {
+            return Vec::new();
+        }
+        reachable
+            .iter()
+            .zip(set.probe_batch(&reachable, key))
+            .filter(|(_, probe)| match probe {
+                Probe::Valid(f) => f.version < winner.version,
+                Probe::Torn { .. } | Probe::Missing => true,
+            })
+            .map(|(&i, _)| i)
+            .collect()
+    }
+}
+
+impl<C: Coding> StableStorage for QuorumStore<C> {
+    fn class(&self) -> StorageClass {
+        StorageClass::Remote
+    }
+
+    fn label(&self) -> String {
+        let set = self.core.set();
+        self.coding.label(set.len(), self.core.write_quorum())
+    }
+
+    fn store(
+        &mut self,
+        key: &str,
+        data: &[u8],
+        cost: &CostModel,
+    ) -> Result<StoreReceipt, StorageError> {
+        self.store_one(key, data, None, cost)
+    }
+
+    /// [`StableStorage::store`] under the caller's digest of `data`: the
+    /// commit records it instead of hashing `data` again, and the first
+    /// read verifies it.
+    fn store_digested(
+        &mut self,
+        key: &str,
+        data: &[u8],
+        digest: u64,
+        cost: &CostModel,
+    ) -> Result<StoreReceipt, StorageError> {
+        self.store_one(key, data, Some(&[digest]), cost)
+    }
+
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {
         let (data, time_ns, _) = self.load_verified(key, cost)?;
         Ok((data, time_ns))
     }
 
-    /// The quorum read vouches for its winner: that frame passed its
-    /// node's digest check, so its recorded digest is the returned bytes'.
+    /// The quorum read: admit and probe every node once (a first read
+    /// verifies each frame against its digest), refuse as the coding
+    /// says, assemble the newest version, repair the reachable nodes that
+    /// lag it, and vouch for the digest the bytes were verified against.
     fn load_verified(
         &self,
         key: &str,
@@ -262,107 +509,90 @@ impl StableStorage for ReplicatedStore {
     ) -> Result<(Vec<u8>, u64, Option<u64>), StorageError> {
         self.core.ensure_up()?;
         let set = self.core.set();
+        let (n, w) = (set.len(), self.core.write_quorum());
 
-        // Sequential admission + fault checks in replica order; then one
-        // probe classifies what every admitted replica holds (a first read
-        // verifies each frame against its digest).
+        // Sequential admission + fault checks in node order; then one
+        // probe classifies what every admitted node holds.
         let adm = self.core.admit_all("load", key, 0);
         let admitted: Vec<usize> = adm.admitted().collect();
-        let n = set.len();
-        let w = self.core.write_quorum();
-        let tolerated = n - w;
         let down = n - admitted.len();
-        let mut missing = 0usize;
         let mut torn = 0usize;
-        let mut valid: Vec<Frame> = Vec::new();
-        for probe in set.probe_batch(&admitted, key) {
+        let mut frames: Vec<Option<Frame>> = vec![None; n];
+        for (&i, probe) in admitted.iter().zip(set.probe_batch(&admitted, key)) {
             match probe {
-                Probe::Missing => missing += 1,
+                Probe::Missing => {}
                 Probe::Torn { .. } => torn += 1,
-                Probe::Valid(f) => valid.push(f),
+                Probe::Valid(f) => frames[i] = Some(f),
             }
         }
-
-        if valid.is_empty() && torn == 0 {
-            // No replica has ever seen this key — unless so many are down
-            // that a committed copy could be hiding on them.
-            self.read_done(0, u64::from(down > tolerated));
-            return if down > tolerated {
-                Err(StorageError::QuorumLost {
-                    acked: 0,
-                    needed: w as u32,
-                })
-            } else {
-                Err(StorageError::NotFound(key.to_string()))
-            };
-        }
-
-        // The key exists. Every unreachable, torn, or inexplicably missing
-        // replica might hold a newer commit than the best intact frame we
-        // can see; past `N - w` of them, "newest visible" is not "newest".
-        let suspect = down + torn + missing;
-        if suspect > tolerated {
-            self.read_done(0, 1);
-            return Err(StorageError::QuorumLost {
-                acked: valid.len() as u32,
-                needed: w as u32,
-            });
-        }
-
         // Ranking needs only frame metadata; the payloads stay where they
-        // are (shared, not copied) until the winner's is returned.
-        let winner = valid
-            .iter()
-            .max_by_key(|f| f.version)
-            .expect("suspect <= N - w implies at least w intact frames")
-            .clone();
-        let current = valid.iter().filter(|f| f.version == winner.version).count();
-
-        // Read-repair: rewrite the winning frame onto every reachable
-        // replica holding a stale, torn, or missing copy. Pure copies
-        // under the winner's verified digest — fan them out on the pool
-        // like the write path. When every reachable replica was admitted
-        // and holds an intact frame at the winning version, the probe
-        // above already shows nothing lags; otherwise a reachable
-        // replica that was not admitted (its transients outlasted the
-        // retries) may hold anything, so every reachable one is probed
-        // again.
-        let reachable: Vec<usize> = (0..n).filter(|&i| !set.node(i).is_down()).collect();
-        let lagging: Vec<usize> = if current == reachable.len() {
-            Vec::new()
-        } else {
-            reachable
-                .iter()
-                .zip(set.probe_batch(&reachable, key))
-                .filter(|(_, probe)| match probe {
-                    Probe::Valid(f) => f.version < winner.version,
-                    Probe::Torn { .. } | Probe::Missing => true,
-                })
-                .map(|(&i, _)| i)
-                .collect()
+        // are (shared, not copied) until the winner's are assembled.
+        let winner = frames.iter().flatten().max_by_key(|f| f.version).cloned();
+        let mut seen = Seen {
+            write_quorum: w,
+            intact: frames.iter().flatten().count(),
+            current: 0,
+            tombstone: false,
         };
-        let repairs = lagging.len() as u64;
-        let fr = &winner;
-        let moved = lagging.len() * fr.data.len();
-        self.core.pool().for_bytes(moved).par_map_ordered(lagging, || (), |_, _, i| {
-            if fr.tombstone {
-                set.node(i).put_tombstone(key, fr.version);
-            } else {
-                set.node(i).put_frame(key, fr.version, Vec::clone(&fr.data), fr.digest);
-            }
-        });
+        if let Some(top) = &winner {
+            seen.current = frames.iter().flatten().filter(|f| f.version == top.version).count();
+            seen.tombstone = top.tombstone;
+        }
 
-        // A tombstone winner means the newest committed frame is a delete
-        // marker; repairing the stale copies above is what prevents
-        // resurrection.
-        self.read_done(repairs, 0);
-        if winner.tombstone {
+        // No node has ever seen this key — unless so many are down that a
+        // committed frame could be hiding on them.
+        if seen.intact + torn == 0 && down <= n - w {
             return Err(StorageError::NotFound(key.to_string()));
         }
+        if let Some(refusal) = self.coding.refusal(&seen) {
+            self.core.read_done(0, false, Some(&refusal));
+            return Err(refusal);
+        }
+        let winner = winner.expect("a read the coding does not refuse has a winning frame");
+
+        // A tombstone winner means the newest committed frame is a delete
+        // marker; repairing the stale frames is what prevents resurrection.
+        let lagging = self.lagging(key, &winner, seen.current);
+        let assembled = if winner.tombstone {
+            None
+        } else {
+            let got = self.coding.assemble(&winner, &frames, &lagging, self.core.pool());
+            match got {
+                Ok(a) => Some(a),
+                Err(refusal) => {
+                    self.core.read_done(0, false, Some(&refusal));
+                    return Err(refusal);
+                }
+            }
+        };
+
+        // Read-repair: the winning version's frame onto every lagging
+        // reachable node — pure work under a verified digest, fanned out on
+        // the pool like the write path.
+        let repairs = lagging.len() as u64;
+        let moved = lagging.len() * winner.data.len();
+        self.core
+            .pool()
+            .for_bytes(moved)
+            .par_map_ordered(lagging, || (), |_, _, i| match &assembled {
+                None => set.node(i).put_tombstone(key, winner.version),
+                Some(a) => {
+                    let (frame, digest) = self.coding.rebuild(&a.rebuilt, &winner, i);
+                    set.node(i).put_frame(key, winner.version, frame, digest);
+                }
+            });
+        let decoded = assembled.as_ref().is_some_and(|a| a.decoded);
+        self.core.read_done(repairs, decoded, None);
+        let Some(a) = assembled else {
+            return Err(StorageError::NotFound(key.to_string()));
+        };
+
+        // The frames that served the read cross the wire, plus one per
+        // repaired node.
         let time_ns = cost.net_latency_ns
-            + QuorumClient::xfer_ns(winner.data.len() as u64, cost) * (1 + repairs)
+            + QuorumClient::xfer_ns(winner.data.len() as u64, cost) * (a.frames_read + repairs)
             + adm.backoff_ns;
-        Ok((Vec::clone(&winner.data), time_ns, Some(winner.digest)))
+        Ok((a.bytes, time_ns, Some(a.digest)))
     }
 
     fn delete(&mut self, key: &str) -> Result<(), StorageError> {
@@ -378,13 +608,11 @@ impl StableStorage for ReplicatedStore {
     }
 
     fn used_bytes(&self) -> u64 {
-        // One logical copy's worth: the fullest reachable replica.
-        let used = self.core.set().up().map(|n| n.used_bytes());
-        used.max().unwrap_or(0)
+        C::used_bytes(self.core.set().up().map(|n| n.used_bytes()))
     }
 
     fn on_node_failure(&mut self) {
-        // The *client's* node fail-stopped. The replicas are elsewhere —
+        // The *client's* node fail-stopped. The nodes are elsewhere —
         // surviving this event is the entire point of the layer.
         self.core.set_client_up(false);
     }
@@ -402,28 +630,25 @@ impl StableStorage for ReplicatedStore {
     }
 
     fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn StableStorage>> {
-        Ok(Box::new(self.fork_member(relink)?))
+        Ok(Box::new(self.fork_store(relink)?))
     }
 
-    /// Framed batched quorum commit: the whole batch is one wire frame
-    /// (see [`WireFrame::framed`]), written to each replica in one
-    /// admission / retry / acknowledgement cycle — `ack_cycles: 1`
-    /// regardless of how many objects ride in it. A torn write persists a
-    /// frame *prefix*: objects wholly below the tear land intact, the
-    /// object straddling it lands torn (detectable by digest), objects
-    /// above never reach the medium. Quorum is all-or-nothing for the
-    /// batch.
+    /// Framed batched quorum commit: the whole batch is one wire frame per
+    /// node (see [`WireFrame::framed`]) holding that node's frame of every
+    /// object, written in one admission / retry / acknowledgement cycle —
+    /// `ack_cycles: 1` regardless of how many objects ride in it. A torn
+    /// write persists a frame *prefix*: objects wholly below the tear land
+    /// intact, the object straddling it lands torn (detectable by digest),
+    /// objects above never reach the medium. Quorum is all-or-nothing for
+    /// the batch.
     fn store_batch(
         &mut self,
         objects: &[(&str, &[u8])],
         cost: &CostModel,
     ) -> Result<BatchReceipt, StorageError> {
-        self.core.ensure_up()?;
-        let digests: Vec<u64> = objects.iter().map(|(_, d)| digest64(d)).collect();
-        self.payload_digests
-            .fetch_add(digests.len() as u64, Ordering::Relaxed);
-        let wire = WireFrame::framed(objects.iter().map(|(k, d)| (*k, d.len() as u64)));
-        self.commit(objects, &digests, &wire, cost)
+        let wire =
+            WireFrame::framed(objects.iter().map(|(k, d)| (*k, self.coding.frame_len(d.len()))));
+        self.commit(objects, None, &wire, cost)
     }
 }
 

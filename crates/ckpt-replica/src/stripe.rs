@@ -9,8 +9,8 @@
 //! stripes proceed in parallel in virtual time: a batched round's commit
 //! cost is the *maximum* stripe time, not the sum.
 //!
-//! The router is written once, generic over its member tier
-//! ([`StripeMember`]): [`StripedStore`] stripes quorum-replicated sets
+//! The router is written once, over a [`QuorumStore`] of any [`Coding`]:
+//! [`StripedStore`] stripes quorum-replicated sets
 //! (`stripe<j>/r<i>/<op>` sites), `ckpt_ec::EcStripedStore` stripes
 //! erasure-coded shard groups (`ecstripe<j>/s<i>/<op>`).
 //!
@@ -40,12 +40,12 @@ use ckpt_storage::{
 };
 use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
+use simos::trace::TraceHandle;
 use simos::types::SimResult;
 use simos::Relink;
 
 use crate::node::ReplicaSet;
-use crate::quorum::QuorumClient;
-use crate::store::ReplicatedStore;
+use crate::store::{Coding, QuorumStore, Replicate};
 
 /// Which stripe a key lives on: lineage hash for images, content digest
 /// for chunks, whole-key hash otherwise. Pure and total — every client
@@ -109,55 +109,36 @@ impl StripedReplicaSet {
     }
 }
 
-/// What a storage tier provides to be striped: how a pool of it is named,
-/// and its quorum core (through which the router wires faults, tracing
-/// and pool into every stripe, and retracts a stripe's commit when a later
-/// stripe refuses).
-pub trait StripeMember: StableStorage + 'static {
-    /// Stem of the pool's faultpoint namespaces: stripe `j`'s sites
-    /// render under `<SITE_STEM><j>/`.
-    const SITE_STEM: &'static str;
-
-    /// The [`StableStorage::label`] of a `width`-stripe pool of this
-    /// member.
-    fn pool_label(&self, width: usize) -> String;
-
-    fn quorum_mut(&mut self) -> &mut QuorumClient;
-
-    /// This member in a fork of its pool's world.
-    fn fork_member(&self, relink: &mut Relink) -> SimResult<Self>
-    where
-        Self: Sized;
-}
-
 /// One client handle over a striped pool: one member store per stripe.
 ///
 /// Single-object stores go through the member's framed batch path (a batch
 /// of one) so the crash matrix exercises the same commit machinery at
 /// every object count; reads and deletes route straight to the owning
 /// stripe.
-pub struct Striped<S> {
+pub struct Striped<C> {
     set: Arc<StripedReplicaSet>,
-    stores: Vec<S>,
+    stores: Vec<QuorumStore<C>>,
 }
 
 /// K independent quorum-replicated sets: sites `stripe<j>/r<i>/<op>`,
 /// label `striped(KxN,w)`.
-pub type StripedStore = Striped<ReplicatedStore>;
+pub type StripedStore = Striped<Replicate>;
 
-impl<S: StripeMember> Striped<S> {
+impl<C: Coding> Striped<C> {
     /// A pool over `set`, with `member` building the client of each
-    /// stripe's node set.
-    pub fn new(set: Arc<StripedReplicaSet>, mut member: impl FnMut(Arc<ReplicaSet>) -> S) -> Self {
+    /// stripe's node set; stripe `j`'s sites render under
+    /// `<C::STRIPE_STEM><j>/`.
+    pub fn new(
+        set: Arc<StripedReplicaSet>,
+        mut member: impl FnMut(Arc<ReplicaSet>) -> QuorumStore<C>,
+    ) -> Self {
         let stores = set
             .stripes()
             .iter()
             .enumerate()
             .map(|(j, stripe)| {
                 let mut store = member(stripe.clone());
-                store
-                    .quorum_mut()
-                    .set_site_prefix(format!("{}{j}", S::SITE_STEM));
+                store.core.set_site_prefix(format!("{}{j}", C::STRIPE_STEM));
                 store
             })
             .collect();
@@ -166,14 +147,21 @@ impl<S: StripeMember> Striped<S> {
 
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
         for s in &mut self.stores {
-            s.quorum_mut().set_faults(faults.clone());
+            s.core.set_faults(faults.clone());
+        }
+        self
+    }
+
+    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
+        for s in &mut self.stores {
+            s.core.set_trace(trace.clone());
         }
         self
     }
 
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
         for s in &mut self.stores {
-            s.quorum_mut().set_pool(pool.clone());
+            s.core.set_pool(pool.clone());
         }
         self
     }
@@ -220,7 +208,7 @@ impl<S: StripeMember> Striped<S> {
                     // Peel the earlier stripes' commits back off.
                     for &(done, _) in receipts.iter().rev() {
                         for &(key, _) in &groups[done] {
-                            self.stores[done].quorum_mut().retract_commit(key);
+                            self.stores[done].core.retract_commit(key);
                         }
                     }
                     return Err(e);
@@ -231,13 +219,15 @@ impl<S: StripeMember> Striped<S> {
     }
 }
 
-impl<S: StripeMember> StableStorage for Striped<S> {
+impl<C: Coding> StableStorage for Striped<C> {
     fn class(&self) -> StorageClass {
         StorageClass::Remote
     }
 
     fn label(&self) -> String {
-        self.stores[0].pool_label(self.stores.len())
+        let s = &self.stores[0];
+        let (n, w) = (s.core.set().len(), s.core.write_quorum());
+        s.coding.pool_label(self.stores.len(), n, w)
     }
 
     fn store(
@@ -319,7 +309,7 @@ impl<S: StripeMember> StableStorage for Striped<S> {
         let stores = self
             .stores
             .iter()
-            .map(|s| s.fork_member(relink))
+            .map(|s| s.fork_store(relink))
             .collect::<SimResult<_>>()?;
         Ok(Box::new(Striped { set, stores }))
     }
@@ -351,7 +341,7 @@ mod tests {
 
     fn fresh(k: usize, n: usize, w: usize) -> StripedStore {
         Striped::new(StripedReplicaSet::new(k, n), |s| {
-            ReplicatedStore::new(s, crate::ReplicaConfig::new(n, w))
+            crate::ReplicatedStore::new(s, crate::ReplicaConfig::new(n, w))
         })
     }
 

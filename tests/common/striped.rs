@@ -1,5 +1,5 @@
 //! Property checks on the striped router, written once over
-//! `Striped<S>`: `stripe_properties.rs` instantiates them with
+//! `Striped<C>`: `stripe_properties.rs` instantiates them with
 //! quorum-replicated members, `erasure_properties.rs` with coded shard
 //! groups. A check takes the per-case pool (built by the caller from the
 //! case number, so each tier keeps its own geometry table) together with
@@ -11,7 +11,7 @@
 
 use ckpt_restart::ec::{EcStripedStore, ErasureStore};
 use ckpt_restart::replica::{
-    ReplicaConfig, ReplicaSet, ReplicatedStore, StripeMember, Striped, StripedReplicaSet,
+    Coding, ReplicaConfig, ReplicaSet, ReplicatedStore, Striped, StripedReplicaSet,
     StripedStore,
 };
 use ckpt_restart::storage::{StableStorage, StorageError};
@@ -76,8 +76,8 @@ pub fn damage_frames(g: &mut Gen, set: &ReplicaSet, key: &str, count: usize) -> 
 /// One case of a striped property: the pool, how many damaged or lost
 /// nodes per object a stripe masks, and whether an error is this tier's
 /// well-formed typed refusal.
-pub struct Case<S> {
-    pub store: Striped<S>,
+pub struct Case<C> {
+    pub store: Striped<C>,
     pub tolerated: usize,
     pub refusal: Box<dyn Fn(&StorageError) -> bool>,
 }
@@ -85,9 +85,9 @@ pub struct Case<S> {
 /// Per-stripe frame damage: objects on stripes damaged within tolerance
 /// read back byte-identical, objects on stripes damaged one past it refuse
 /// typed — never wrong bytes — and no stripe's damage bleeds into another.
-pub fn per_stripe_damage_is_contained_and_typed<S: StripeMember>(
+pub fn per_stripe_damage_is_contained_and_typed<C: Coding>(
     seed: u64,
-    case_of: impl Fn(u64) -> Case<S>,
+    case_of: impl Fn(u64) -> Case<C>,
 ) {
     let cost = CostModel::circa_2005();
     let mut lost_objects = 0u64;
@@ -165,10 +165,10 @@ pub fn per_stripe_damage_is_contained_and_typed<S: StripeMember>(
 /// The coarsest adversary: power off `kill(tolerated)` nodes of one
 /// stripe — more than it masks. Every object routed elsewhere stays
 /// byte-identical; every object on the dead stripe refuses typed.
-pub fn dead_stripe_never_bleeds_into_the_others<S: StripeMember>(
+pub fn dead_stripe_never_bleeds_into_the_others<C: Coding>(
     seed: u64,
-    case_of: impl Fn(u64) -> Case<S>,
-    kill: impl Fn(&Case<S>) -> usize,
+    case_of: impl Fn(u64) -> Case<C>,
+    kill: impl Fn(&Case<C>) -> usize,
 ) {
     let cost = CostModel::circa_2005();
     for case in 0..CASES {
@@ -212,9 +212,9 @@ pub fn dead_stripe_never_bleeds_into_the_others<S: StripeMember>(
 /// attempt overwrites everywhere, and require (a) a typed refusal without
 /// data loss on the dead stripe and (b) untouched success on every other
 /// stripe.
-pub fn failed_overwrite_preserves_committed_values_per_stripe<S: StripeMember>(
+pub fn failed_overwrite_preserves_committed_values_per_stripe<C: Coding>(
     seed: u64,
-    case_of: impl Fn(u64) -> Case<S>,
+    case_of: impl Fn(u64) -> Case<C>,
 ) {
     let cost = CostModel::circa_2005();
     for case in 0..CASES {

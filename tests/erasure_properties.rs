@@ -19,7 +19,7 @@ mod common;
 #[path = "common/striped.rs"]
 mod striped;
 
-use ckpt_restart::ec::ErasureStore;
+use ckpt_restart::ec::{ErasureStore, RsCode};
 use ckpt_restart::replica::Probe;
 use ckpt_restart::storage::{StableStorage, StorageError};
 use striped::{arb_objects, Case, CASES};
@@ -42,7 +42,7 @@ fn shards_lost(k: usize) -> impl Fn(&StorageError) -> bool {
     }
 }
 
-fn striped_case_of(case: u64) -> Case<ErasureStore> {
+fn striped_case_of(case: u64) -> Case<RsCode> {
     let (k, m) = geometry(case);
     let stripes = [2usize, 3, 4][(case % 3) as usize];
     Case {

@@ -24,6 +24,7 @@ use ckpt_restart::storage::{digest64, FaultInjectStore, ImageKey, StableStorage,
 use simos::apps::mix64;
 use simos::cost::CostModel;
 use simos::faultpoint::{Fault, FaultHandle};
+use simos::trace::TraceHandle;
 
 /// One stack under test: its client, and the node sets behind it (one per
 /// stripe).
@@ -299,14 +300,14 @@ fn fault_sites_are_identical_to_the_pre_refactor_capture() {
 
 /// With faults off, the crash matrix's stack is the stack the engine
 /// builds: for every redundant and `dedup(…)` label of `crashpoint::TIERS`,
-/// the fault-decorated and the bare stack return the same receipts, bytes,
-/// virtual ns and vouched digests through `store`, `store_digested`,
-/// `load` and `load_verified`, and the same batch receipt and manifests
-/// through `store_batch`. A vouched digest is the bytes' `digest64`,
-/// and every quorum-replicated stack vouches.
+/// and for `ecstriped(2x rs(4,2))`, the fault-decorated and the bare stack
+/// return the same receipts, bytes, virtual ns and vouched digests through
+/// `store`, `store_digested`, `load` and `load_verified`, and the same
+/// batch receipt and manifests through `store_batch`. A vouched digest is
+/// the bytes' `digest64`, and every quorum stack — replicated or coded,
+/// striped or not — vouches.
 #[test]
 fn the_fault_decorator_forwards_the_digest_hand_up() {
-    let cost = CostModel::circa_2005();
     let off = FaultHandle::disabled();
     let labels = TIERS
         .iter()
@@ -319,65 +320,77 @@ fn the_fault_decorator_forwards_the_digest_hand_up() {
     let mut seen = 0;
     for label in labels {
         seen += 1;
-        let mut bare = build_stack(label, &off, false).store;
-        let mut wrapped = build_stack(label, &off, true).store;
-        assert_eq!(wrapped.label(), bare.label(), "{label}");
-        // Two versions of one lineage, the second a small edit of the
-        // first, so the dedup stacks store a raw image and then a delta.
-        let v1: Vec<u8> = (0..9000u64).map(|i| mix64(i) as u8).collect();
-        let mut v2 = v1.clone();
-        v2[4000..4100].fill(7);
-        for (seq, data) in [(1, &v1), (2, &v2)] {
-            let key = ImageKey::new("fwd", 1, seq).to_string();
-            let side = ImageKey::new("fwd", 2, seq).to_string();
-            // A load as (whether it returned `data`, virtual ns, vouched
-            // digest), so a mismatch prints what differs, not the bytes.
-            let got = |r: Result<(Vec<u8>, u64, Option<u64>), StorageError>| {
-                r.map(|(bytes, time_ns, vouched)| (bytes == *data, time_ns, vouched))
-            };
-            let run = |s: &mut Box<dyn StableStorage>| {
-                (
-                    s.store(&key, data, &cost),
-                    s.store_digested(&side, data, digest64(data), &cost),
-                    got(s
-                        .load(&key, &cost)
-                        .map(|(bytes, time_ns)| (bytes, time_ns, None))),
-                    got(s.load_verified(&key, &cost)),
-                    got(s.load_verified(&side, &cost)),
-                )
-            };
-            let want = run(&mut bare);
-            assert_eq!(run(&mut wrapped), want, "{label} seq {seq}");
-            let quorum = label.starts_with("replicated(") || label.starts_with("striped(");
-            for (i, load) in [want.2, want.3, want.4].into_iter().enumerate() {
-                let (returned_data, _, vouched) = load.unwrap();
-                assert!(returned_data, "{label} seq {seq} load {i}: other bytes");
-                if i > 0 {
-                    assert_eq!(vouched.is_some(), quorum, "{label} seq {seq} load {i}");
-                }
-                if let Some(d) = vouched {
-                    assert_eq!(d, digest64(data), "{label} seq {seq} load {i}");
-                }
-            }
-        }
-        // A batch reaches the stack as one batch: the same receipt (ack
-        // cycles included: a quorum stack group-commits) and manifests.
-        let objects: Vec<(String, Vec<u8>)> = (0..3u64)
-            .map(|i| {
-                let bytes = (0..5000).map(|j| mix64(i * 5000 + j) as u8).collect();
-                (ImageKey::new("batch", 1, i + 1).to_string(), bytes)
-            })
-            .collect();
-        let batch: Vec<(&str, &[u8])> =
-            objects.iter().map(|(k, d)| (k.as_str(), d.as_slice())).collect();
-        let want = bare.store_batch(&batch, &cost);
-        assert_eq!(wrapped.store_batch(&batch, &cost), want, "{label} batch");
-        for (key, _) in &batch {
-            let manifest = bare.replica_manifest(key);
-            assert_eq!(wrapped.replica_manifest(key), manifest, "{label} batch {key}");
-        }
+        let bare = build_stack(label, &off, false).store;
+        let wrapped = build_stack(label, &off, true).store;
+        forwards_the_digest_hand_up(label, bare, wrapped);
     }
     assert_eq!(seen, 7, "the redundant and dedup labels of TIERS");
+    let label = "ecstriped(2x rs(4,2))";
+    let wrapped = FaultInjectStore::new(build(label, off.clone()).store, off.clone());
+    forwards_the_digest_hand_up(label, build(label, off).store, Box::new(wrapped));
+}
+
+fn forwards_the_digest_hand_up(
+    label: &str,
+    mut bare: Box<dyn StableStorage>,
+    mut wrapped: Box<dyn StableStorage>,
+) {
+    let cost = CostModel::circa_2005();
+    assert_eq!(wrapped.label(), bare.label(), "{label}");
+    // Two versions of one lineage, the second a small edit of the first,
+    // so the dedup stacks store a raw image and then a delta.
+    let v1: Vec<u8> = (0..9000u64).map(|i| mix64(i) as u8).collect();
+    let mut v2 = v1.clone();
+    v2[4000..4100].fill(7);
+    for (seq, data) in [(1, &v1), (2, &v2)] {
+        let key = ImageKey::new("fwd", 1, seq).to_string();
+        let side = ImageKey::new("fwd", 2, seq).to_string();
+        // A load as (whether it returned `data`, virtual ns, vouched
+        // digest), so a mismatch prints what differs, not the bytes.
+        let got = |r: Result<(Vec<u8>, u64, Option<u64>), StorageError>| {
+            r.map(|(bytes, time_ns, vouched)| (bytes == *data, time_ns, vouched))
+        };
+        let run = |s: &mut Box<dyn StableStorage>| {
+            (
+                s.store(&key, data, &cost),
+                s.store_digested(&side, data, digest64(data), &cost),
+                got(s
+                    .load(&key, &cost)
+                    .map(|(bytes, time_ns)| (bytes, time_ns, None))),
+                got(s.load_verified(&key, &cost)),
+                got(s.load_verified(&side, &cost)),
+            )
+        };
+        let want = run(&mut bare);
+        assert_eq!(run(&mut wrapped), want, "{label} seq {seq}");
+        let quorum = !label.starts_with("dedup(");
+        for (i, load) in [want.2, want.3, want.4].into_iter().enumerate() {
+            let (returned_data, _, vouched) = load.unwrap();
+            assert!(returned_data, "{label} seq {seq} load {i}: other bytes");
+            if i > 0 {
+                assert_eq!(vouched.is_some(), quorum, "{label} seq {seq} load {i}");
+            }
+            if let Some(d) = vouched {
+                assert_eq!(d, digest64(data), "{label} seq {seq} load {i}");
+            }
+        }
+    }
+    // A batch reaches the stack as one batch: the same receipt (ack cycles
+    // included: a quorum stack group-commits) and manifests.
+    let objects: Vec<(String, Vec<u8>)> = (0..3u64)
+        .map(|i| {
+            let bytes = (0..5000).map(|j| mix64(i * 5000 + j) as u8).collect();
+            (ImageKey::new("batch", 1, i + 1).to_string(), bytes)
+        })
+        .collect();
+    let batch: Vec<(&str, &[u8])> =
+        objects.iter().map(|(k, d)| (k.as_str(), d.as_slice())).collect();
+    let want = bare.store_batch(&batch, &cost);
+    assert_eq!(wrapped.store_batch(&batch, &cost), want, "{label} batch");
+    for (key, _) in &batch {
+        let manifest = bare.replica_manifest(key);
+        assert_eq!(wrapped.replica_manifest(key), manifest, "{label} batch {key}");
+    }
 }
 
 /// The crash matrix reaches every quorum stack through the fault
@@ -613,7 +626,7 @@ rs(4,2) torn: ok 14308e728f3bd53c/97 20980ns [v2 v2 v2 v2 v2 v2] {decodes+1 repa
 rs(4,2) stale: ok 14308e728f3bd53c/97 20980ns [v2 v2 v2 v2 v2 v2] {decodes+1 repairs+1} +49B
 rs(4,2) tombstone: NotFound(\"job/pid1/seq00000001\") [x2 x2 x2 x2 x2 x2] {repairs+1} +0B
 rs(4,2) unadmitted: ok 14308e728f3bd53c/97 2198389ns [v2 v2 v2 v2 v2 v2] {decodes+1 repairs+1} +49B
-rs(4,2) all-torn: NotFound(\"job/pid1/seq00000001\") [t2 t2 t2 t2 t2 t2] {} +0B
+rs(4,2) all-torn: TooManyShardsLost { intact: 0, needed: 4 } [t2 t2 t2 t2 t2 t2] {shard_losses+1} +0B
 striped(2x3,2) clean: ok 14308e728f3bd53c/97 20388ns [v2 v2 v2] {} +0B
 striped(2x3,2) down1: ok 14308e728f3bd53c/97 20388ns [v2 v2 v2] {} +0B
 striped(2x3,2) down2: QuorumLost { acked: 1, needed: 2 } [v2 v2 v2] {} +0B
@@ -633,5 +646,72 @@ ecstriped(2x rs(4,2)) torn: ok 14308e728f3bd53c/97 20980ns [v2 v2 v2 v2 v2 v2] {
 ecstriped(2x rs(4,2)) stale: ok 14308e728f3bd53c/97 20980ns [v2 v2 v2 v2 v2 v2] {} +49B
 ecstriped(2x rs(4,2)) tombstone: NotFound(\"job/pid1/seq00000001\") [x2 x2 x2 x2 x2 x2] {} +0B
 ecstriped(2x rs(4,2)) unadmitted: ok 14308e728f3bd53c/97 2198389ns [v2 v2 v2 v2 v2 v2] {} +49B
-ecstriped(2x rs(4,2)) all-torn: NotFound(\"job/pid1/seq00000001\") [t2 t2 t2 t2 t2 t2] {} +0B
+ecstriped(2x rs(4,2)) all-torn: TooManyShardsLost { intact: 0, needed: 4 } [t2 t2 t2 t2 t2 t2] {} +0B
 ";
+
+/// A committed key whose every frame is torn exists: both codings refuse
+/// it with their typed error and count the refusal, and neither reports
+/// it as never written (which `NotFound` would claim).
+#[test]
+fn a_key_whose_every_frame_is_torn_is_refused_not_absent() {
+    let cost = CostModel::circa_2005();
+    let data = payload(1, 1);
+    let mut rs = ErasureStore::fresh(4, 2);
+    rs.store("k", &data, &cost).unwrap();
+    for node in rs.replica_set().nodes() {
+        node.corrupt_key("k");
+    }
+    assert_eq!(
+        rs.load("k", &cost),
+        Err(StorageError::TooManyShardsLost { intact: 0, needed: 4 })
+    );
+    assert_eq!(rs.stats().shard_losses, 1);
+
+    let mut rep = ReplicatedStore::fresh(3, 2);
+    rep.store("k", &data, &cost).unwrap();
+    for node in rep.replica_set().nodes() {
+        node.corrupt_key("k");
+    }
+    assert_eq!(
+        rep.load("k", &cost),
+        Err(StorageError::QuorumLost { acked: 0, needed: 2 })
+    );
+    assert_eq!(rep.stats().quorum_losses, 1);
+}
+
+/// The coded tier's trace counters reach a recording sink, given to one
+/// store or to every stripe of a pool: a commit counts an encode, a read
+/// that lost a data shard a decode and a shard repair, a read past `m`
+/// losses a shard loss.
+#[test]
+fn erasure_counters_reach_a_recording_trace() {
+    let cost = CostModel::circa_2005();
+    let trace = TraceHandle::recording();
+    let mut rs = ErasureStore::fresh(4, 2).with_trace(trace.clone());
+    rs.store("k", &payload(1, 1), &cost).unwrap();
+    rs.replica_set().node(0).corrupt_key("k");
+    assert_eq!(rs.load("k", &cost).unwrap().0, payload(1, 1));
+    for i in 0..3 {
+        rs.replica_set().node(i).fail();
+    }
+    assert!(matches!(
+        rs.load("k", &cost),
+        Err(StorageError::TooManyShardsLost { .. })
+    ));
+    let report = trace.report();
+    for (name, n) in [
+        ("erasure.encodes", 1),
+        ("erasure.decodes", 1),
+        ("erasure.shard_repairs", 1),
+        ("erasure.shard_losses", 1),
+    ] {
+        assert_eq!(report.counter(name), n, "{name}");
+    }
+
+    let trace = TraceHandle::recording();
+    let pool = StripedReplicaSet::new(2, 6);
+    let mut striped =
+        Striped::new(pool, |s| ErasureStore::new(s, 4, 2)).with_trace(trace.clone());
+    commit(&mut striped, &[1, 2, 3, 4], 1).unwrap();
+    assert_eq!(trace.report().counter("erasure.encodes"), 4, "both stripes count");
+}

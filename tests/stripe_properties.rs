@@ -12,7 +12,7 @@
 //! * an overwrite refused on a wounded stripe leaves its committed values
 //!   where they were.
 //!
-//! The checks themselves are written once over `Striped<S>` in
+//! The checks themselves are written once over `Striped<C>` in
 //! `common/striped.rs` (the coded pool runs the same ones from
 //! `erasure_properties.rs`); this file supplies the replicated geometry.
 //! Cases are generated deterministically by [`common::Gen`]; a failing
@@ -22,11 +22,11 @@ mod common;
 #[path = "common/striped.rs"]
 mod striped;
 
-use ckpt_restart::replica::ReplicatedStore;
+use ckpt_restart::replica::Replicate;
 use ckpt_restart::storage::StorageError;
 use striped::Case;
 
-fn case_of(case: u64) -> Case<ReplicatedStore> {
+fn case_of(case: u64) -> Case<Replicate> {
     let stripes = [2usize, 3, 4][(case % 3) as usize];
     let (n, w) = if case.is_multiple_of(2) {
         (3, 2)
