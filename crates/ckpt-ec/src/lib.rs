@@ -16,22 +16,18 @@
 //!   word-at-a-time parity hot loop;
 //! * [`RsCode`] — systematic Vandermonde-derived encode matrix,
 //!   pool-parallel parity rows, Gauss-Jordan reconstruction from any
-//!   `k` intact shards;
-//! * [`ErasureStore`] — the
-//!   [`StableStorage`](ckpt_storage::StableStorage) backend: RS shard
-//!   frames committed through `ckpt-replica`'s
-//!   [`QuorumClient`](ckpt_replica::QuorumClient) (the same admission,
-//!   rollback and manifest protocol as the replicated tier, on the same
-//!   versioned, digest-protected [`ReplicaNode`](ckpt_replica::ReplicaNode)
-//!   frames), digest-verified reconstruction, in-place shard repair,
-//!   typed
-//!   [`TooManyShardsLost`](ckpt_storage::StorageError::TooManyShardsLost);
-//!   and [`EcStripedStore`], K independent coded shard groups behind
-//!   `ckpt-replica`'s generic [`Striped`](ckpt_replica::Striped) router
-//!   so the sharded control plane commits coded batches.
+//!   `k` intact shards — and the [`Coding`](ckpt_replica::Coding) of
+//!   `ckpt-replica`'s one [`QuorumStore`](ckpt_replica::QuorumStore):
+//!   the `ECS1` shard frames, digest-verified reconstruction, the shard
+//!   frames a repair writes and the typed
+//!   [`TooManyShardsLost`](ckpt_storage::StorageError::TooManyShardsLost).
+//!   [`ErasureStore`] is that store over RS, [`EcStripedStore`] K
+//!   independent coded shard groups behind the generic
+//!   [`Striped`](ckpt_replica::Striped) router, so the sharded control
+//!   plane commits coded batches.
 //!
-//! The public API is the two stores, the code ([`RsCode`]) and the [`gf`]
-//! arithmetic module.
+//! The public API is the code ([`RsCode`]), the two store aliases and the
+//! [`gf`] arithmetic module.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]

@@ -1,58 +1,35 @@
 //! The erasure-coded stable-storage backend: Reed-Solomon as a
 //! [`Coding`] of `ckpt-replica`'s [`QuorumStore`].
 //!
-//! An [`ErasureStore`] is one client handle onto a shared
-//! [`ReplicaSet`](ckpt_replica::ReplicaSet) of `k + m` shard nodes: every
-//! object splits into `k` data shards plus `m` Reed-Solomon parity shards,
-//! one shard per node. A commit moves `(k + m) / k ×` the object's bytes
-//! over the wire where an N-way replicated commit moves `N ×` — the
-//! bandwidth win this layer exists for — while still surviving any `m`
-//! node losses.
+//! An [`ErasureStore`] splits every object into `k` data shards plus `m`
+//! parity shards, one per node of a `k + m`-node set. A commit moves
+//! `(k + m) / k ×` the object's bytes where an N-way replicated commit
+//! moves `N ×`, and any `m` node losses are survivable.
 //!
-//! ## Write quorum
+//! A write commits when `w = k + ⌈m/2⌉` shard nodes acknowledge. That
+//! makes reads safe by the replicated store's argument for `w > N/2`: if
+//! a read finds `≥ k` intact shards at some version `v`, the at most
+//! `m < w` remaining nodes cannot hide an entire newer commit, so the
+//! reconstruction of `v` is the newest committed value.
 //!
-//! A write commits when `w = k + ⌈m/2⌉` shard nodes acknowledge
-//! (`w ≥ k + 1` since `m ≥ 1`). That choice makes reads safe by the same
-//! argument the replicated store uses for `w > N/2`: a committed write
-//! occupies at least `w` nodes, so if a read finds `≥ k` intact shards
-//! at some version `v`, the at most `(k + m) − k = m < w` remaining
-//! nodes cannot be hiding an entire newer commit — the reconstruction of
-//! `v` is the newest committed value. The commit itself — admission,
-//! snapshots, rollback, the typed [`StorageError::QuorumLost`],
-//! manifests — is the quorum store's; this coding supplies the shard
-//! frames.
-//!
-//! ## Read path
-//!
-//! The quorum store probes every node (frame digests make torn shards
-//! self-identifying, exactly as on the replicated path) and picks the
-//! highest version any intact shard carries; this coding reconstructs it
-//! from any `k` intact shards, borrowed in place — concatenation when all
-//! data shards survived, a GF(256) matrix-inversion decode of just the
-//! missing ones otherwise. The reassembled object is verified against the
-//! object digest carried in every shard header, and that digest is what
-//! the read vouches for; lost/torn/stale shards of *reachable* nodes are
-//! then rebuilt in place (a down node's shard is not rebuilt — nobody
-//! could take it). Fewer than `k` intact shards of the newest version —
-//! every shard torn included — refuses with the typed
-//! [`StorageError::TooManyShardsLost`]: never silent corruption, never
-//! fabricated bytes.
-//!
-//! ## Determinism
-//!
-//! Faultpoint sites render as `ec/s<i>/{store,load,batch}`. Only pure
-//! work — the object digest (computed once per commit, and not at all
-//! when the caller hands it down), frame builds, parity encodes, frame
-//! digests, shard decodes — fans out on the `ckpt-par` pool behind its
-//! ordered merge; nodes then take ownership of their frames. Commits,
-//! manifests, costs, and counters are identical at every pool width.
+//! A read reconstructs the newest version from any `k` intact shards,
+//! borrowed in place — concatenation when all data shards survived, a
+//! GF(256) decode of just the missing ones otherwise — and verifies it
+//! against the object digest every shard header carries; that digest is
+//! what the read vouches for. Fewer than `k` intact shards of the newest
+//! version, every shard torn included, refuses with the typed
+//! [`StorageError::TooManyShardsLost`]: never fabricated bytes. The
+//! object digest (computed once per commit, and not at all when the
+//! caller hands it down), frame builds, parity encodes, frame digests and
+//! decodes fan out on the pool behind its ordered merge.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
 use ckpt_par::Pool;
 use ckpt_replica::{
-    Assembled, Coding, Counters, Frame, QuorumStore, Seen, ShardCoding, Striped, WireFrame,
+    Assembled, Coding, Counters, Frame, FrameFor, QuorumStore, Repair, Seen, ShardCoding, Striped,
+    WireFrame,
 };
 use ckpt_storage::{digest64, StorageError};
 
@@ -106,6 +83,11 @@ fn parse_shard(frame: &[u8], k: usize, m: usize) -> Option<(usize, u64, u64, &[u
     Some((idx, object_len, object_digest, &frame[SHARD_HEADER..]))
 }
 
+/// Shard `i` among the `(index, shard)` pairs a read rebuilt.
+fn rebuilt_shard(rebuilt: &[(usize, Vec<u8>)], i: usize) -> Option<&[u8]> {
+    rebuilt.iter().find(|(at, _)| *at == i).map(|(_, s)| s.as_slice())
+}
+
 /// An RS(k, m) store over `k + m` shard nodes: sites `ec/s<i>/<op>`,
 /// label `rs(k,m)`.
 pub type ErasureStore = QuorumStore<RsCode>;
@@ -116,31 +98,6 @@ pub type ErasureStore = QuorumStore<RsCode>;
 /// the bytes instead of `N ×`. Sites `ecstripe<j>/s<i>/<op>`, label
 /// `ecstriped(Kx rs(k,m))`.
 pub type EcStripedStore = Striped<RsCode>;
-
-/// A batch's shard frames, coded ahead of its commit: frame `j * n + i`
-/// is object `j`'s frame for node `i`, under `digests[j * n + i]`. Shard
-/// frames of one object are equal-length, so the wire layout is the same
-/// on every node, and each node takes ownership of its frames — moves,
-/// not copies.
-pub struct ShardFrames {
-    frames: Vec<Vec<u8>>,
-    digests: Vec<u64>,
-    n: usize,
-}
-
-/// What a read rebuilt of the winning version: the missing shards, and
-/// the header fields their frames carry.
-pub struct ShardRepair {
-    shards: Vec<(usize, Vec<u8>)>,
-    object_len: u64,
-    object_digest: u64,
-}
-
-impl ShardRepair {
-    fn shard(&self, i: usize) -> Option<&[u8]> {
-        self.shards.iter().find(|(at, _)| *at == i).map(|(_, s)| s.as_slice())
-    }
-}
 
 impl ShardCoding for RsCode {
     fn new(k: usize, m: usize) -> Self {
@@ -159,9 +116,6 @@ impl Coding for RsCode {
         decodes: "erasure.decodes",
         shard_losses: "erasure.shard_losses",
     };
-
-    type Frames = ShardFrames;
-    type Rebuilt = ShardRepair;
 
     fn label(&self, _: usize, _: usize) -> String {
         format!("rs({},{})", self.k(), self.m())
@@ -192,14 +146,17 @@ impl Coding for RsCode {
     /// digest (unless the caller holds them) beside its frames (data
     /// frames copied straight from the object's slices, parity
     /// accumulated in place), then — the headers carry the object digest,
-    /// so it must come first — the frame digests, [`FRAME_RUN`] frames
-    /// per task.
-    fn code<'d>(
+    /// so it must come first — the frame digests, `FRAME_RUN` frames
+    /// per task. Frame `j * n + i` is object `j`'s for node `i`; shard
+    /// frames of one object are equal-length, so the wire layout is the
+    /// same on every node, and each node takes ownership of its frames —
+    /// moves, not copies.
+    fn code<'a>(
         &self,
-        objects: &[(&str, &[u8])],
-        digests: Option<&'d [u64]>,
+        objects: &'a [(&'a str, &'a [u8])],
+        digests: Option<&'a [u64]>,
         pool: &Arc<Pool>,
-    ) -> (Cow<'d, [u64]>, ShardFrames) {
+    ) -> (Cow<'a, [u64]>, impl FrameFor<'a> + use<'a>) {
         enum Piece {
             ObjectDigest(u64),
             Frame(Vec<u8>),
@@ -251,19 +208,12 @@ impl Coding for RsCode {
             }
             digests
         });
-        let digests = frame_digests.into_iter().flatten().collect();
-        (object_digests, ShardFrames { frames, digests, n })
-    }
-
-    fn frame<'a>(
-        frames: &mut ShardFrames,
-        _: &'a [u8],
-        _: u64,
-        j: usize,
-        node: usize,
-    ) -> (Cow<'a, [u8]>, u64) {
-        let at = j * frames.n + node;
-        (Cow::Owned(std::mem::take(&mut frames.frames[at])), frames.digests[at])
+        let frame_digests: Vec<u64> = frame_digests.into_iter().flatten().collect();
+        let frame = move |j, i, _| {
+            let at = j * n + i;
+            (Cow::Owned(std::mem::take(&mut frames[at])), frame_digests[at])
+        };
+        (object_digests, frame)
     }
 
     /// A delete marker needs no shards; data needs `k` of its version.
@@ -279,14 +229,15 @@ impl Coding for RsCode {
     /// matrix-inversion decode; none when all data shards survived) and
     /// the parity of the lagging nodes, for their repair (a down node's
     /// parity would be thrown away) — and verify the reassembled object
-    /// against the digest its shard headers carry.
-    fn assemble(
-        &self,
-        winner: &Frame,
+    /// against the digest its shard headers carry. A repair writes the
+    /// proper shard frame, at the winning version.
+    fn assemble<'a>(
+        &'a self,
+        winner: &'a Frame,
         frames: &[Option<Frame>],
         lagging: &[usize],
         pool: &Arc<Pool>,
-    ) -> Result<Assembled<ShardRepair>, StorageError> {
+    ) -> Result<Assembled<impl Repair + use<'a>>, StorageError> {
         let (k, m) = (self.k(), self.m());
         // A frame whose header is malformed or whose shard index disagrees
         // with its node counts as lost — it cannot be trusted into the
@@ -313,16 +264,12 @@ impl Coding for RsCode {
             return Err(lost);
         }
         let decoded = (0..k).any(|i| shards[i].is_none());
-        let shards_rebuilt = self
+        let rebuilt = self
             .rebuild_missing(&shards, |i| lagging.contains(&i), pool)
             .expect("intact >= k shards reconstruct");
-        let rebuilt = ShardRepair {
-            shards: shards_rebuilt,
-            object_len,
-            object_digest,
-        };
         let data: Vec<&[u8]> = (0..k)
-            .map(|i| shards[i].or_else(|| rebuilt.shard(i)).expect("data shard intact or decoded"))
+            .map(|i| shards[i].or_else(|| rebuilt_shard(&rebuilt, i)))
+            .map(|s| s.expect("data shard intact or decoded"))
             .collect();
         let bytes = self.join_slices(&data, object_len as usize);
         if digest64(&bytes) != object_digest {
@@ -336,18 +283,14 @@ impl Coding for RsCode {
             digest: object_digest,
             decoded,
             frames_read: k as u64,
-            rebuilt,
+            repair: move |i: usize| {
+                let shard = rebuilt_shard(&rebuilt, i).expect("lagging shards were rebuilt");
+                let (kb, mb, at) = (k as u8, m as u8, i as u8);
+                let frame = shard_frame(kb, mb, at, object_len, object_digest, shard, shard.len());
+                let digest = digest64(&frame);
+                (frame, digest)
+            },
         })
-    }
-
-    /// The proper shard frame, at the winning version.
-    fn rebuild(&self, rebuilt: &ShardRepair, _: &Frame, node: usize) -> (Vec<u8>, u64) {
-        let shard = rebuilt.shard(node).expect("lagging shards were rebuilt");
-        let (k, m) = (self.k() as u8, self.m() as u8);
-        let (len, digest) = (rebuilt.object_len, rebuilt.object_digest);
-        let frame = shard_frame(k, m, node as u8, len, digest, shard, shard.len());
-        let digest = digest64(&frame);
-        (frame, digest)
     }
 }
 

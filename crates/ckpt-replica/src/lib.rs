@@ -1,32 +1,30 @@
-//! # ckpt-replica — N-way quorum-replicated stable storage
+//! # ckpt-replica — quorum stable storage over remote nodes
 //!
 //! The paper's survivability argument (Section 4.1, DESIGN.md §C6) is
 //! binary: a checkpoint either lives where the failed node's death cannot
 //! reach it, or it is gone. This crate makes the "remote" column concrete
 //! the way production checkpoint stacks do: one logical stable store
-//! backed by **N** independent replica nodes, writes committed at a
-//! majority write quorum **w > N/2**, reads assembled from the newest
-//! intact copy with read-repair, and a typed
-//! [`QuorumLost`](ckpt_storage::StorageError::QuorumLost) refusal — never
-//! a guess — once more than `N − w` replicas are lost.
+//! backed by N independent nodes, writes committed at a write quorum,
+//! reads assembled from the newest intact version with read-repair, and a
+//! typed refusal — never a guess — once too much is lost.
 //!
 //! * retry — jittered exponential retry schedules over virtual time;
-//! * replica nodes — the simulated nodes ([`ReplicaNode`], [`ReplicaSet`])
-//!   and their versioned, digest-protected frames;
-//! * [`QuorumClient`] — the commit protocol itself
-//!   (admission → snapshot → fan-out → count → rollback-or-manifest),
-//!   written once for every tier that stores bytes on a [`ReplicaSet`]
-//!   (`ckpt-ec` builds its coded store on it too);
-//! * [`ReplicatedStore`] — the
-//!   [`StableStorage`](ckpt_storage::StableStorage) backend: full-copy
-//!   payloads over that protocol plus the quorum read with read-repair;
-//! * [`Striped`] — K independent quorum sets of any member tier behind one
-//!   facade so commits to different key lineages overlap in virtual time
+//! * replica nodes ([`ReplicaNode`], [`ReplicaSet`]) and their versioned,
+//!   digest-protected frames;
+//! * [`QuorumStore`] — the [`StableStorage`](ckpt_storage::StableStorage)
+//!   backend, written once: admission, commit and rollback, manifests,
+//!   and the quorum read with read-repair, generic over a [`Coding`] of
+//!   objects onto nodes. [`Replicate`] ([`ReplicatedStore`]) puts the
+//!   whole object on every node at a majority write quorum `w > N/2` and
+//!   refuses with [`QuorumLost`](ckpt_storage::StorageError::QuorumLost);
+//!   `ckpt-ec`'s Reed-Solomon code is the other coding;
+//! * [`Striped`] — K independent quorum sets behind one facade so commits
+//!   to different key lineages overlap in virtual time
 //!   ([`StripedStore`] is the replicated instance).
 //!
-//! The public API is the re-export list below: the two stores and their
-//! configuration, the striping router and its member trait, and the quorum
-//! client with the node and frame types `ckpt-ec` builds on.
+//! The public API is the re-export list below: the store, the coding
+//! trait and the types its answers are made of, the replicated coding and
+//! its configuration, the striping router, and the node and frame types.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -44,7 +42,7 @@ pub use ckpt_storage::fnv1a64;
 pub use node::{Frame, Probe, ReplicaNode, ReplicaSet};
 pub use quorum::{QuorumStats, WireFrame};
 pub use store::{
-    Assembled, Coding, Counters, QuorumStore, ReplicaConfig, Replicate, ReplicatedStore, Seen,
-    ShardCoding,
+    Assembled, Coding, Counters, FrameFor, QuorumStore, Repair, ReplicaConfig, Replicate,
+    ReplicatedStore, Seen, ShardCoding,
 };
 pub use stripe::{stripe_route, Striped, StripedReplicaSet, StripedStore};

@@ -2,7 +2,7 @@
 //!
 //! A [`ReplicaNode`] is one independent remote store holding versioned,
 //! digest-protected frames; a [`ReplicaSet`] is the N-node group a
-//! [`ReplicatedStore`](crate::ReplicatedStore) fans out over. The set is
+//! [`QuorumStore`](crate::QuorumStore) fans out over. The set is
 //! shared (`Arc`) so every client handle in a cluster sees the same replica
 //! state — that is what makes checkpoint data survive the loss of the
 //! *writing* node.

@@ -1,17 +1,13 @@
-//! The quorum-commit core both storage tiers stand on.
+//! The quorum-commit protocol of a [`QuorumStore`].
 //!
-//! A [`QuorumClient`] is one client's view of a shared [`ReplicaSet`]:
-//! the write quorum, the retry schedule, the fault and trace handles, the
-//! pool, the client's own reachability, the manifests of what it
-//! committed and its counters. It knows nothing about *what* a node
-//! stores — the [`QuorumStore`](crate::QuorumStore)'s coding hands it one
-//! full payload or one shard frame per node — only how bytes get onto `w`
-//! of `n` nodes or onto none of them:
+//! It knows nothing about *what* a node stores — the store's [`Coding`]
+//! hands it one full payload or one shard frame per node — only how bytes
+//! get onto `w` of `n` nodes or onto none of them:
 //!
 //! 1. **versions and snapshots** — what every reachable node holds under
 //!    each key of the commit, read once before any byte moves: the key's
 //!    next version, and the frame a refused commit rolls back to;
-//! 2. **admission** ([`QuorumClient::admit_all`]) — reachability, queued
+//! 2. **admission** ([`QuorumStore::admit_all`]) — reachability, queued
 //!    transients and the `{prefix}/{tag}<i>/{op}` faultpoint, sequentially
 //!    in node order on the calling thread, retrying transients on the
 //!    jittered backoff schedule;
@@ -31,25 +27,18 @@
 //! commits, manifests, costs and counters are identical at every width.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use ckpt_par::Pool;
-use parking_lot::Mutex;
-use ckpt_storage::{fnv1a64, BatchReceipt, CodingGeometry, ReplicaManifest, StorageError};
+use ckpt_storage::{fnv1a64, BatchReceipt, ReplicaManifest, StorageError};
 use simos::cost::CostModel;
-use simos::faultpoint::{Fault, FaultHandle};
-use simos::trace::TraceHandle;
-use simos::types::SimResult;
-use simos::Relink;
+use simos::faultpoint::Fault;
 
 use crate::backoff::{Backoff, BackoffPolicy};
-use crate::node::{Admission, Frame, ReplicaSet};
-use crate::store::Counters;
+use crate::node::{Admission, Frame};
+use crate::store::{Coding, QuorumStore};
 
 /// Plain counters mirroring the `simos::trace` counters a quorum store
-/// emits (its coding's [`Counters`]), readable without a recording trace
-/// handle.
+/// emits (its coding's [`Counters`](crate::Counters)), readable without
+/// a recording trace handle.
 ///
 /// ckptbench reads `commits`, `retries`, `repairs`, `decodes`,
 /// `shard_losses`, `quorum_losses` and `ack_cycles`
@@ -167,33 +156,10 @@ impl WireFrame {
     }
 }
 
-/// One client handle's quorum machinery over a shared [`ReplicaSet`]. See
-/// the module docs.
-pub(crate) struct QuorumClient {
-    set: Arc<ReplicaSet>,
-    w: usize,
-    faults: FaultHandle,
-    trace: TraceHandle,
-    /// The `simos::trace` counters this client's deltas are counted under.
-    counters: Counters,
-    pool: Arc<Pool>,
-    /// This *client's* reachability (its node may fail-stop); node
-    /// availability lives in the shared set.
-    client_up: bool,
-    /// Faultpoint sites render as `{site_prefix}/{node_tag}<i>/{op}`.
-    site_prefix: String,
-    node_tag: char,
-    /// Stamped into every manifest (`None` on the full-copy tier).
-    coding: Option<CodingGeometry>,
-    manifests: BTreeMap<String, ReplicaManifest>,
-    /// What the most recent commit replaced — what
-    /// [`QuorumClient::retract_commit`] reinstates.
-    undo: LastCommit,
-    stats: Mutex<QuorumStats>,
-}
-
+/// What the most recent commit replaced — what
+/// [`QuorumStore::retract_commit`] reinstates.
 #[derive(Default, Clone)]
-struct LastCommit {
+pub(crate) struct LastCommit {
     /// Per object, in commit order: its key and the manifest it replaced.
     keys: Vec<(String, Option<ReplicaManifest>)>,
     /// Per writing node: the frame it held under each of those keys.
@@ -204,99 +170,7 @@ struct LastCommit {
 /// copy, digest)])`.
 type NodeCopies<'a> = (usize, Vec<(usize, &'a [u8], u64)>);
 
-impl QuorumClient {
-    /// A client of `set` committing at write quorum `w`, its sites
-    /// rendering as `{site_prefix}/{node_tag}<i>/{op}`. Fault injection
-    /// defaults to off, tracing to the no-op sink, the pool to the global
-    /// one; transients are retried on the one `BackoffPolicy::default`
-    /// schedule.
-    pub(crate) fn new(
-        set: Arc<ReplicaSet>,
-        w: usize,
-        (site_prefix, node_tag): (&str, char),
-        coding: Option<CodingGeometry>,
-        counters: Counters,
-    ) -> Self {
-        assert!(
-            w <= set.len(),
-            "write quorum {w} exceeds the {} nodes",
-            set.len()
-        );
-        QuorumClient {
-            set,
-            w,
-            faults: FaultHandle::disabled(),
-            trace: TraceHandle::disabled(),
-            counters,
-            pool: ckpt_par::global().clone(),
-            client_up: true,
-            site_prefix: site_prefix.to_string(),
-            node_tag,
-            coding,
-            manifests: BTreeMap::new(),
-            undo: LastCommit::default(),
-            stats: Mutex::default(),
-        }
-    }
-
-    /// This client in a fork of its world: its set re-pointed through
-    /// `relink` and consulting [`Relink::faults`], its manifests, undo
-    /// record and counters carried over. Trace sink and pool are shared.
-    pub(crate) fn fork(&self, relink: &mut Relink) -> SimResult<QuorumClient> {
-        Ok(QuorumClient {
-            set: ReplicaSet::fork(&self.set, relink)?,
-            w: self.w,
-            faults: relink.faults().clone(),
-            trace: self.trace.clone(),
-            counters: self.counters,
-            pool: self.pool.clone(),
-            client_up: self.client_up,
-            site_prefix: self.site_prefix.clone(),
-            node_tag: self.node_tag,
-            coding: self.coding,
-            manifests: self.manifests.clone(),
-            undo: self.undo.clone(),
-            stats: Mutex::new(self.stats()),
-        })
-    }
-
-    pub(crate) fn set_faults(&mut self, faults: FaultHandle) {
-        self.faults = faults;
-    }
-
-    pub(crate) fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
-    }
-
-    pub(crate) fn set_pool(&mut self, pool: Arc<Pool>) {
-        self.pool = pool;
-    }
-
-    pub(crate) fn set_site_prefix(&mut self, prefix: String) {
-        self.site_prefix = prefix;
-    }
-
-    /// The client's node fail-stopped (`false`) or came back (`true`).
-    pub(crate) fn set_client_up(&mut self, up: bool) {
-        self.client_up = up;
-    }
-
-    pub(crate) fn set(&self) -> &Arc<ReplicaSet> {
-        &self.set
-    }
-
-    pub(crate) fn write_quorum(&self) -> usize {
-        self.w
-    }
-
-    pub(crate) fn pool(&self) -> &Arc<Pool> {
-        &self.pool
-    }
-
-    pub(crate) fn stats(&self) -> QuorumStats {
-        *self.stats.lock()
-    }
-
+impl<C: Coding> QuorumStore<C> {
     /// Account `(commits, retries, quorum_losses)` deltas: the counters,
     /// and their trace counters.
     fn record(&self, commits: u64, retries: u64, quorum_losses: u64) {
@@ -306,35 +180,35 @@ impl QuorumClient {
             s.retries += retries;
             s.quorum_losses += quorum_losses;
         }
-        let c = &self.counters;
+        let c = &C::COUNTERS;
         self.trace.count(c.commits, commits);
         self.trace.count(c.retries, retries);
         self.trace.count(c.quorum_losses, quorum_losses);
     }
 
-    /// Account `n` object digests computed on the commit path.
-    pub(crate) fn digested(&self, n: u64) {
-        self.stats.lock().payload_digests += n;
-    }
-
-    /// Account the end of a read: the frames it repaired, whether it
-    /// decoded, and the typed refusal it returned, if any — a
-    /// [`StorageError::QuorumLost`] is a quorum loss, any other a shard
-    /// loss.
-    pub(crate) fn read_done(&self, repairs: u64, decoded: bool, refusal: Option<&StorageError>) {
-        let quorum_lost = matches!(refusal, Some(StorageError::QuorumLost { .. }));
-        let (decodes, shard_losses) = (u64::from(decoded), u64::from(refusal.is_some() && !quorum_lost));
+    /// Account the end of a read: the frames it repaired, and whether it
+    /// decoded.
+    pub(crate) fn read_done(&self, repairs: u64, decoded: bool) {
         {
             let mut s = self.stats.lock();
             s.repairs += repairs;
-            s.decodes += decodes;
-            s.shard_losses += shard_losses;
+            s.decodes += u64::from(decoded);
         }
-        let c = &self.counters;
-        self.trace.count(c.repairs, repairs);
-        self.trace.count(c.decodes, decodes);
-        self.trace.count(c.shard_losses, shard_losses);
-        self.record(0, 0, u64::from(quorum_lost));
+        self.trace.count(C::COUNTERS.repairs, repairs);
+        self.trace.count(C::COUNTERS.decodes, u64::from(decoded));
+    }
+
+    /// Account a read's typed refusal, and hand it back: a
+    /// [`StorageError::QuorumLost`] is a quorum loss, any other a shard
+    /// loss.
+    pub(crate) fn refused(&self, refusal: StorageError) -> StorageError {
+        if matches!(refusal, StorageError::QuorumLost { .. }) {
+            self.record(0, 0, 1);
+        } else {
+            self.stats.lock().shard_losses += 1;
+            self.trace.count(C::COUNTERS.shard_losses, 1);
+        }
+        refusal
     }
 
     /// `Unavailable` while the client's own node is down.
@@ -356,17 +230,12 @@ impl QuorumClient {
         nodes.map(|n| n.visible_frames(keys.clone())).collect()
     }
 
-    /// Modelled wire time for `len` bytes.
-    pub(crate) fn xfer_ns(len: u64, cost: &CostModel) -> u64 {
-        (len as f64 * cost.net_ns_per_byte).round() as u64
-    }
-
     /// Resolve one node's admission + fault check into a decision,
     /// retrying transients on the jittered schedule. Returns the decision,
     /// retries consumed, and backoff virtual-ns accumulated.
     fn admit(&self, i: usize, op: &str, id: &str, bytes: u64) -> (WriteCmd, u64, u64) {
         let node = self.set.node(i);
-        let site = format!("{}/{}{i}/{op}", self.site_prefix, self.node_tag);
+        let site = format!("{}/{}{i}/{op}", self.site_prefix, C::SITES.1);
         let salt = fnv1a64(id.as_bytes()) ^ (i as u64);
         let mut backoff = Backoff::new(BackoffPolicy::default(), salt);
         let mut retries = 0u64;
@@ -422,18 +291,16 @@ impl QuorumClient {
 
     /// Commit `objects` as one `wire` frame per node: all of them at write
     /// quorum, or none of them anywhere. The manifests and the receipt
-    /// describe each *logical* payload — its length, and its digest in
-    /// `digests` — whatever bytes each node actually holds for it.
-    /// `frame_for(object, node)` yields the bytes (and their digest) that
-    /// node stores for that object — borrowed bytes are copied on the pool,
-    /// owned ones move; it is asked only for what actually reaches a
-    /// medium, at most once per pair.
+    /// describe each *logical* payload — its length, and its digest
+    /// (`digests` when the caller holds them) — whatever bytes each node
+    /// actually holds for it: the frame the coding gives that node, which
+    /// it is asked for only when it actually reaches a medium. Borrowed
+    /// frames are copied on the pool, owned ones move.
     pub(crate) fn commit<'a>(
         &mut self,
-        objects: &[(&str, &[u8])],
-        digests: &[u64],
+        objects: &'a [(&'a str, &'a [u8])],
+        digests: Option<&'a [u64]>,
         wire: &WireFrame,
-        mut frame_for: impl FnMut(usize, usize) -> (Cow<'a, [u8]>, u64),
         cost: &CostModel,
     ) -> Result<BatchReceipt, StorageError> {
         self.ensure_up()?;
@@ -450,6 +317,10 @@ impl QuorumClient {
             wire.records.len(),
             "one wire record per object"
         );
+        if digests.is_none() {
+            self.stats.lock().payload_digests += objects.len() as u64;
+        }
+        let (digests, mut frame) = self.coding.code(objects, digests, &self.pool);
 
         // What every reachable node holds under the commit's keys, read
         // once before any byte moves: each key's commit version, above
@@ -477,7 +348,7 @@ impl QuorumClient {
             let Some(keep) = cmd.kept(wire.len) else {
                 continue;
             };
-            wire_ns += Self::xfer_ns(keep, cost);
+            wire_ns += xfer_ns(keep, cost);
             let node = self.set.node(i);
             let prior = held[i]
                 .take()
@@ -489,7 +360,7 @@ impl QuorumClient {
                     continue;
                 }
                 let kept = keep.min(end).saturating_sub(start) as usize;
-                match frame_for(j, i) {
+                match frame(j, i, digests[j]) {
                     (Cow::Borrowed(bytes), digest) => node_copies.push((j, &bytes[..kept], digest)),
                     (Cow::Owned(mut bytes), digest) => {
                         bytes.truncate(kept);
@@ -546,7 +417,7 @@ impl QuorumClient {
         }
 
         let mut keys = Vec::with_capacity(objects.len());
-        for ((&(key, payload), &version), &digest) in objects.iter().zip(&versions).zip(digests) {
+        for ((&(key, payload), &version), &digest) in objects.iter().zip(&versions).zip(&*digests) {
             let replaced = self.manifests.insert(
                 key.to_string(),
                 ReplicaManifest {
@@ -557,7 +428,7 @@ impl QuorumClient {
                     acked: acked.clone(),
                     n: self.set.len() as u32,
                     w: self.w as u32,
-                    coding: self.coding,
+                    coding: self.geometry,
                 },
             );
             keys.push((key.to_string(), replaced));
@@ -582,7 +453,7 @@ impl QuorumClient {
     /// delete takes its tombstones back off the nodes it reached: left
     /// there, one could outrank a write that commits while its node is
     /// down, and delete committed data on its return.
-    pub(crate) fn delete(&mut self, key: &str) -> Result<(), StorageError> {
+    pub(crate) fn commit_tombstone(&mut self, key: &str) -> Result<(), StorageError> {
         self.ensure_up()?;
         let held = self.visible_frames([key]);
         let version = next_version(&held, 0);
@@ -625,28 +496,6 @@ impl QuorumClient {
         Ok(())
     }
 
-    /// Optimistic union over reachable nodes: listing is advisory (each
-    /// key's actual readability is decided by the quorum read), and must
-    /// not silently hide keys whose copies are partially lost.
-    pub(crate) fn list(&self) -> Vec<String> {
-        if !self.client_up {
-            return Vec::new();
-        }
-        let mut keys: Vec<String> = self.set.up().flat_map(|n| n.keys()).collect();
-        keys.sort();
-        keys.dedup();
-        keys
-    }
-
-    pub(crate) fn available(&self) -> bool {
-        self.client_up && self.set.up().count() >= self.w
-    }
-
-    /// The manifest of `key`'s last commit through this client.
-    pub(crate) fn manifest(&self, key: &str) -> Option<ReplicaManifest> {
-        self.manifests.get(key).cloned()
-    }
-
     /// Undo `key`'s write in the most recent commit: every node still at
     /// that exact version goes back to the frame it held before (an
     /// unrelated newer commit is never clobbered), and so does the
@@ -668,8 +517,13 @@ impl QuorumClient {
     }
 }
 
+/// Modelled wire time for `len` bytes.
+pub(crate) fn xfer_ns(len: u64, cost: &CostModel) -> u64 {
+    (len as f64 * cost.net_ns_per_byte).round() as u64
+}
+
 /// One past the highest version any reachable node holds under key `j`
-/// of `held` ([`QuorumClient::visible_frames`]), torn frames and
+/// of `held` ([`QuorumStore::visible_frames`]), torn frames and
 /// tombstones included; 1 if none holds one. No digest work: a write only
 /// needs a version above everything visible, intact or not.
 fn next_version(held: &[Option<Vec<Option<Frame>>>], j: usize) -> u64 {

@@ -1,49 +1,31 @@
 //! The quorum store: one [`StableStorage`] backend over a shared
 //! [`ReplicaSet`], generic over how an object is coded onto its nodes.
 //!
-//! A [`QuorumStore<C>`] is one client handle: writes put one frame per
-//! node through the shared commit protocol ([`crate::quorum`]) and commit
-//! at write quorum `w`; reads admit and probe every node, pick the newest
-//! intact version, assemble its bytes, and repair stale, torn or missing
-//! frames of reachable nodes in place. Everything but what the coding
-//! decides is written here once. The [`Coding`] says what genuinely
-//! differs: the frames an object becomes, its label and footprint, when a
-//! read must refuse, how the winning version's bytes are assembled and
-//! which frame a repair writes.
-//!
-//! * [`Replicate`] stores the full object on every node
-//!   ([`ReplicatedStore`]): a read refuses with the typed
-//!   [`StorageError::QuorumLost`] once fewer than `w` intact copies
-//!   answer, since more than `N − w` unreachable or corrupt replicas could
-//!   then hold a newer commit between them, and any answer would be a
-//!   guess.
-//! * `ckpt-ec`'s Reed-Solomon code stores one shard per node
-//!   (`ErasureStore`) and refuses with
-//!   [`StorageError::TooManyShardsLost`] below `k` intact shards.
+//! A [`QuorumStore<C>`] is one client handle. Writes put one frame per
+//! node through the commit protocol ([`crate::quorum`]) at write quorum
+//! `w`. Reads admit and probe every node once, pick the newest intact
+//! version, assemble its bytes and repair the reachable nodes that lag
+//! it, the repairs fanned out on the pool. The [`Coding`] answers what
+//! differs between tiers: the frames an object becomes, the label and
+//! footprint, when a read must refuse, how the winning version is
+//! assembled and which frame a repair writes. [`Replicate`] stores the
+//! whole object on every node; `ckpt-ec`'s Reed-Solomon code one shard.
 //!
 //! ## Why versions + digests are sufficient
 //!
-//! Every committed write lands intact on at least `w` nodes, with
-//! `w > N/2`, so after losing any `N - w` of them at least `2w - N ≥ 1`
-//! intact frames remain, and no *newer* commit can hide entirely in the
-//! lost set. Frame digests (CRC-64 over the frame, written with it) make
-//! torn frames self-identifying, and the per-key version order makes
-//! "newest intact frame" well-defined — majority voting is not needed.
-//!
-//! ## Determinism
-//!
-//! All fault admission (node reachability, queued transients,
-//! `simos::faultpoint` checks at `<prefix>/<tag><i>/<op>`) and all backoff
-//! arithmetic run sequentially on the calling thread in node order; only
-//! pure work — digests, frame builds, payload copies, decodes, repair
-//! frames — fans out on the `ckpt-par` pool behind its ordered merge.
-//! Commit results, manifests, costs, and trace counters are therefore
-//! identical at every pool width.
+//! Every committed write lands intact on at least `w > N/2` nodes, so
+//! after losing any `N - w` of them at least `2w - N ≥ 1` intact frames
+//! remain, and no *newer* commit can hide entirely in the lost set. Frame
+//! digests (CRC-64 over the frame, written with it) make torn frames
+//! self-identifying, and the per-key version order makes "newest intact
+//! frame" well-defined — majority voting is not needed.
 
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ckpt_par::Pool;
+use parking_lot::Mutex;
 use ckpt_storage::{
     digest64, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, StorageClass,
     StorageError, StoreReceipt,
@@ -55,7 +37,7 @@ use simos::types::SimResult;
 use simos::Relink;
 
 use crate::node::{Frame, Probe, ReplicaSet};
-use crate::quorum::{QuorumClient, QuorumStats, WireFrame};
+use crate::quorum::{xfer_ns, LastCommit, QuorumStats, WireFrame};
 
 /// The `simos::trace` counters a store counts under.
 #[derive(Debug, Clone, Copy)]
@@ -87,6 +69,16 @@ pub struct Seen {
     pub tombstone: bool,
 }
 
+/// `frame(j, i, digest)`: what node `i` stores for object `j`, whose
+/// digest is `digest`, and that frame's digest.
+pub trait FrameFor<'a>: FnMut(usize, usize, u64) -> (Cow<'a, [u8]>, u64) {}
+impl<'a, F: FnMut(usize, usize, u64) -> (Cow<'a, [u8]>, u64)> FrameFor<'a> for F {}
+
+/// `repair(i)`: the frame, and its digest, a read writes to lagging node
+/// `i`.
+pub trait Repair: Fn(usize) -> (Vec<u8>, u64) + Sync {}
+impl<F: Fn(usize) -> (Vec<u8>, u64) + Sync> Repair for F {}
+
 /// The winning version's bytes as a [`Coding`] assembled them.
 pub struct Assembled<R> {
     pub bytes: Vec<u8>,
@@ -96,8 +88,8 @@ pub struct Assembled<R> {
     pub decoded: bool,
     /// Winning-version frames that crossed the wire to serve the read.
     pub frames_read: u64,
-    /// What a repair rebuilds lagging nodes' frames from.
-    pub rebuilt: R,
+    /// What a repair writes to a lagging node ([`Repair`]).
+    pub repair: R,
 }
 
 /// How a [`QuorumStore`] codes an object onto its nodes: everything in
@@ -109,12 +101,6 @@ pub trait Coding: Clone + Send + Sync + 'static {
     /// under `<STRIPE_STEM><j>/` instead.
     const STRIPE_STEM: &'static str;
     const COUNTERS: Counters;
-
-    /// Per-node frames coded ahead of a commit.
-    type Frames;
-    /// What a read keeps of the winning version to rebuild a lagging
-    /// node's frame.
-    type Rebuilt: Sync;
 
     /// The [`StableStorage::label`] of a store over `n` nodes at write
     /// quorum `w`.
@@ -134,41 +120,28 @@ pub trait Coding: Clone + Send + Sync + 'static {
     fn single_wire(key: &str, frame_len: u64) -> WireFrame;
 
     /// Code `objects` for one commit: every object's digest (`digests`
-    /// when the caller holds them) and the frames built ahead of the
-    /// commit.
-    fn code<'d>(
+    /// when the caller holds them), and the frame each node stores for
+    /// each object — asked at most once per pair.
+    fn code<'a>(
         &self,
-        objects: &[(&str, &[u8])],
-        digests: Option<&'d [u64]>,
+        objects: &'a [(&'a str, &'a [u8])],
+        digests: Option<&'a [u64]>,
         pool: &Arc<Pool>,
-    ) -> (Cow<'d, [u64]>, Self::Frames);
-
-    /// What `node` stores for object `j` (its bytes `object`, its digest
-    /// `digest`), and that frame's digest. Asked at most once per pair.
-    fn frame<'a>(
-        frames: &mut Self::Frames,
-        object: &'a [u8],
-        digest: u64,
-        j: usize,
-        node: usize,
-    ) -> (Cow<'a, [u8]>, u64);
+    ) -> (Cow<'a, [u64]>, impl FrameFor<'a> + use<'a, Self>);
 
     /// The typed refusal a read that `seen` this must return, if any.
     fn refusal(&self, seen: &Seen) -> Option<StorageError>;
 
     /// The bytes of the winning version `winner`, from `frames` (each
-    /// admitted node's intact frame, by node), rebuilding what the repair
-    /// of `lagging` needs; or the typed refusal.
-    fn assemble(
-        &self,
-        winner: &Frame,
+    /// admitted node's intact frame, by node), and the repair of the
+    /// `lagging` nodes; or the typed refusal.
+    fn assemble<'a>(
+        &'a self,
+        winner: &'a Frame,
         frames: &[Option<Frame>],
         lagging: &[usize],
         pool: &Arc<Pool>,
-    ) -> Result<Assembled<Self::Rebuilt>, StorageError>;
-
-    /// The frame, and its digest, a repair writes to lagging `node`.
-    fn rebuild(&self, rebuilt: &Self::Rebuilt, winner: &Frame, node: usize) -> (Vec<u8>, u64);
+    ) -> Result<Assembled<impl Repair + use<'a, Self>>, StorageError>;
 }
 
 /// A coding that splits every object into `k` data shards plus `m`
@@ -178,11 +151,29 @@ pub trait ShardCoding: Coding {
 }
 
 /// One client handle on a quorum store over a shared [`ReplicaSet`],
-/// coding objects with `C`. Cheap to construct; clones of the set share
-/// all node state.
+/// coding objects with `C`: the write quorum, the fault and trace
+/// handles, the pool, the client's own reachability, the manifests of what
+/// it committed and its counters. Cheap to construct; clones of the set
+/// share all node state.
 pub struct QuorumStore<C> {
-    pub(crate) core: QuorumClient,
+    pub(crate) set: Arc<ReplicaSet>,
+    pub(crate) w: usize,
     pub(crate) coding: C,
+    /// Stamped into every manifest (`None` on the full-copy tier).
+    pub(crate) geometry: Option<CodingGeometry>,
+    pub(crate) faults: FaultHandle,
+    pub(crate) trace: TraceHandle,
+    pub(crate) pool: Arc<Pool>,
+    /// This *client's* reachability (its node may fail-stop); node
+    /// availability lives in the shared set.
+    pub(crate) client_up: bool,
+    /// Faultpoint sites render as `{site_prefix}/{tag}<i>/{op}`, the
+    /// prefix and tag [`Coding::SITES`] unless a striped pool renames the
+    /// prefix.
+    pub(crate) site_prefix: String,
+    pub(crate) manifests: BTreeMap<String, ReplicaManifest>,
+    pub(crate) undo: LastCommit,
+    pub(crate) stats: Mutex<QuorumStats>,
 }
 
 /// Quorum configuration: N replicas, write quorum w with `N/2 < w <= N`.
@@ -228,9 +219,6 @@ impl Coding for Replicate {
         shard_losses: "replication.shard_losses",
     };
 
-    type Frames = ();
-    type Rebuilt = ();
-
     fn label(&self, n: usize, w: usize) -> String {
         format!("replicated({n},{w})")
     }
@@ -252,28 +240,19 @@ impl Coding for Replicate {
         WireFrame::bare(key, frame_len)
     }
 
-    fn code<'d>(
+    /// Every replica copies the object itself, under the object's digest
+    /// — a torn one only a prefix.
+    fn code<'a>(
         &self,
-        objects: &[(&str, &[u8])],
-        digests: Option<&'d [u64]>,
-        _pool: &Arc<Pool>,
-    ) -> (Cow<'d, [u64]>, ()) {
+        objects: &'a [(&'a str, &'a [u8])],
+        digests: Option<&'a [u64]>,
+        _: &Arc<Pool>,
+    ) -> (Cow<'a, [u64]>, impl FrameFor<'a> + use<'a>) {
         let digests = digests.map_or_else(
             || Cow::Owned(objects.iter().map(|(_, d)| digest64(d)).collect()),
             Cow::Borrowed,
         );
-        (digests, ())
-    }
-
-    /// Every replica copies the object itself — a torn one only a prefix.
-    fn frame<'a>(
-        _: &mut (),
-        object: &'a [u8],
-        digest: u64,
-        _: usize,
-        _: usize,
-    ) -> (Cow<'a, [u8]>, u64) {
-        (Cow::Borrowed(object), digest)
+        (digests, move |j, _, digest| (Cow::Borrowed(objects[j].1), digest))
     }
 
     /// Every unreachable, torn, or inexplicably missing replica might hold
@@ -287,25 +266,21 @@ impl Coding for Replicate {
     }
 
     /// The winning frame passed its node's digest check, so its recorded
-    /// digest is the returned bytes'.
-    fn assemble(
-        &self,
-        winner: &Frame,
+    /// digest is the returned bytes', and a repair copies it.
+    fn assemble<'a>(
+        &'a self,
+        winner: &'a Frame,
         _: &[Option<Frame>],
         _: &[usize],
         _: &Arc<Pool>,
-    ) -> Result<Assembled<()>, StorageError> {
+    ) -> Result<Assembled<impl Repair + use<'a>>, StorageError> {
         Ok(Assembled {
             bytes: Vec::clone(&winner.data),
             digest: winner.digest,
             decoded: false,
             frames_read: 1,
-            rebuilt: (),
+            repair: |_| (Vec::clone(&winner.data), winner.digest),
         })
-    }
-
-    fn rebuild(&self, _: &(), winner: &Frame, _: usize) -> (Vec<u8>, u64) {
-        (Vec::clone(&winner.data), winner.digest)
     }
 }
 
@@ -359,66 +334,69 @@ impl<C: ShardCoding> QuorumStore<C> {
 }
 
 impl<C: Coding> QuorumStore<C> {
+    /// Fault injection defaults to off, tracing to the no-op sink, and the
+    /// pool to the global `CKPT_PAR_WORKERS`-sized pool; transients are
+    /// retried on the one `BackoffPolicy::default` schedule.
     fn build(set: Arc<ReplicaSet>, w: usize, geometry: Option<CodingGeometry>, coding: C) -> Self {
+        assert!(w <= set.len(), "write quorum {w} exceeds the {} nodes", set.len());
         QuorumStore {
-            core: QuorumClient::new(set, w, C::SITES, geometry, C::COUNTERS),
+            set,
+            w,
             coding,
+            geometry,
+            faults: FaultHandle::disabled(),
+            trace: TraceHandle::disabled(),
+            pool: ckpt_par::global().clone(),
+            client_up: true,
+            site_prefix: C::SITES.0.to_string(),
+            manifests: BTreeMap::new(),
+            undo: LastCommit::default(),
+            stats: Mutex::default(),
         }
     }
 
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
-        self.core.set_faults(faults);
+        self.faults = faults;
         self
     }
 
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.core.set_trace(trace);
+        self.trace = trace;
         self
     }
 
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.core.set_pool(pool);
+        self.pool = pool;
         self
     }
 
     pub fn replica_set(&self) -> Arc<ReplicaSet> {
-        self.core.set().clone()
+        self.set.clone()
     }
 
     /// Counters accumulated by this client handle.
     pub fn stats(&self) -> QuorumStats {
-        self.core.stats()
+        *self.stats.lock()
     }
 
-    /// This store in a fork of its world.
+    /// This store in a fork of its world: its set re-pointed through
+    /// `relink` and consulting [`Relink::faults`], its manifests, undo
+    /// record and counters carried over. Trace sink and pool are shared.
     pub(crate) fn fork_store(&self, relink: &mut Relink) -> SimResult<Self> {
         Ok(QuorumStore {
-            core: self.core.fork(relink)?,
+            set: ReplicaSet::fork(&self.set, relink)?,
+            w: self.w,
             coding: self.coding.clone(),
+            geometry: self.geometry,
+            faults: relink.faults().clone(),
+            trace: self.trace.clone(),
+            pool: self.pool.clone(),
+            client_up: self.client_up,
+            site_prefix: self.site_prefix.clone(),
+            manifests: self.manifests.clone(),
+            undo: self.undo.clone(),
+            stats: Mutex::new(self.stats()),
         })
-    }
-
-    /// Commit `objects` as one `wire` frame per node, under `digests` when
-    /// the caller holds them.
-    fn commit(
-        &mut self,
-        objects: &[(&str, &[u8])],
-        digests: Option<&[u64]>,
-        wire: &WireFrame,
-        cost: &CostModel,
-    ) -> Result<BatchReceipt, StorageError> {
-        self.core.ensure_up()?;
-        if digests.is_none() {
-            self.core.digested(objects.len() as u64);
-        }
-        let (digests, mut frames) = self.coding.code(objects, digests, self.core.pool());
-        self.core.commit(
-            objects,
-            &digests,
-            wire,
-            |j, i| C::frame(&mut frames, objects[j].1, digests[j], j, i),
-            cost,
-        )
     }
 
     fn store_one(
@@ -444,7 +422,7 @@ impl<C: Coding> QuorumStore<C> {
     /// transients outlasted the retries) may hold anything, so every
     /// reachable one is probed again.
     fn lagging(&self, key: &str, winner: &Frame, current: usize) -> Vec<usize> {
-        let set = self.core.set();
+        let set = &self.set;
         let reachable: Vec<usize> = (0..set.len()).filter(|&i| !set.node(i).is_down()).collect();
         if current == reachable.len() {
             return Vec::new();
@@ -467,8 +445,7 @@ impl<C: Coding> StableStorage for QuorumStore<C> {
     }
 
     fn label(&self) -> String {
-        let set = self.core.set();
-        self.coding.label(set.len(), self.core.write_quorum())
+        self.coding.label(self.set.len(), self.w)
     }
 
     fn store(
@@ -507,13 +484,13 @@ impl<C: Coding> StableStorage for QuorumStore<C> {
         key: &str,
         cost: &CostModel,
     ) -> Result<(Vec<u8>, u64, Option<u64>), StorageError> {
-        self.core.ensure_up()?;
-        let set = self.core.set();
-        let (n, w) = (set.len(), self.core.write_quorum());
+        self.ensure_up()?;
+        let set = &self.set;
+        let (n, w) = (set.len(), self.w);
 
         // Sequential admission + fault checks in node order; then one
         // probe classifies what every admitted node holds.
-        let adm = self.core.admit_all("load", key, 0);
+        let adm = self.admit_all("load", key, 0);
         let admitted: Vec<usize> = adm.admitted().collect();
         let down = n - admitted.len();
         let mut torn = 0usize;
@@ -528,16 +505,13 @@ impl<C: Coding> StableStorage for QuorumStore<C> {
         // Ranking needs only frame metadata; the payloads stay where they
         // are (shared, not copied) until the winner's are assembled.
         let winner = frames.iter().flatten().max_by_key(|f| f.version).cloned();
-        let mut seen = Seen {
+        let version = winner.as_ref().map(|f| f.version);
+        let seen = Seen {
             write_quorum: w,
             intact: frames.iter().flatten().count(),
-            current: 0,
-            tombstone: false,
+            current: frames.iter().flatten().filter(|f| Some(f.version) == version).count(),
+            tombstone: winner.as_ref().is_some_and(|f| f.tombstone),
         };
-        if let Some(top) = &winner {
-            seen.current = frames.iter().flatten().filter(|f| f.version == top.version).count();
-            seen.tombstone = top.tombstone;
-        }
 
         // No node has ever seen this key — unless so many are down that a
         // committed frame could be hiding on them.
@@ -545,8 +519,7 @@ impl<C: Coding> StableStorage for QuorumStore<C> {
             return Err(StorageError::NotFound(key.to_string()));
         }
         if let Some(refusal) = self.coding.refusal(&seen) {
-            self.core.read_done(0, false, Some(&refusal));
-            return Err(refusal);
+            return Err(self.refused(refusal));
         }
         let winner = winner.expect("a read the coding does not refuse has a winning frame");
 
@@ -556,14 +529,8 @@ impl<C: Coding> StableStorage for QuorumStore<C> {
         let assembled = if winner.tombstone {
             None
         } else {
-            let got = self.coding.assemble(&winner, &frames, &lagging, self.core.pool());
-            match got {
-                Ok(a) => Some(a),
-                Err(refusal) => {
-                    self.core.read_done(0, false, Some(&refusal));
-                    return Err(refusal);
-                }
-            }
+            let got = self.coding.assemble(&winner, &frames, &lagging, &self.pool);
+            Some(got.map_err(|refusal| self.refused(refusal))?)
         };
 
         // Read-repair: the winning version's frame onto every lagging
@@ -571,18 +538,17 @@ impl<C: Coding> StableStorage for QuorumStore<C> {
         // the pool like the write path.
         let repairs = lagging.len() as u64;
         let moved = lagging.len() * winner.data.len();
-        self.core
-            .pool()
+        self.pool
             .for_bytes(moved)
             .par_map_ordered(lagging, || (), |_, _, i| match &assembled {
                 None => set.node(i).put_tombstone(key, winner.version),
                 Some(a) => {
-                    let (frame, digest) = self.coding.rebuild(&a.rebuilt, &winner, i);
+                    let (frame, digest) = (a.repair)(i);
                     set.node(i).put_frame(key, winner.version, frame, digest);
                 }
             });
         let decoded = assembled.as_ref().is_some_and(|a| a.decoded);
-        self.core.read_done(repairs, decoded, None);
+        self.read_done(repairs, decoded);
         let Some(a) = assembled else {
             return Err(StorageError::NotFound(key.to_string()));
         };
@@ -590,43 +556,53 @@ impl<C: Coding> StableStorage for QuorumStore<C> {
         // The frames that served the read cross the wire, plus one per
         // repaired node.
         let time_ns = cost.net_latency_ns
-            + QuorumClient::xfer_ns(winner.data.len() as u64, cost) * (a.frames_read + repairs)
+            + xfer_ns(winner.data.len() as u64, cost) * (a.frames_read + repairs)
             + adm.backoff_ns;
         Ok((a.bytes, time_ns, Some(a.digest)))
     }
 
     fn delete(&mut self, key: &str) -> Result<(), StorageError> {
-        self.core.delete(key)
+        self.commit_tombstone(key)
     }
 
+    /// Optimistic union over reachable nodes: listing is advisory (each
+    /// key's actual readability is decided by the quorum read), and must
+    /// not silently hide keys whose copies are partially lost.
     fn list(&self) -> Vec<String> {
-        self.core.list()
+        if !self.client_up {
+            return Vec::new();
+        }
+        let mut keys: Vec<String> = self.set.up().flat_map(|n| n.keys()).collect();
+        keys.sort();
+        keys.dedup();
+        keys
     }
 
     fn available(&self) -> bool {
-        self.core.available()
+        self.client_up && self.set.up().count() >= self.w
     }
 
     fn used_bytes(&self) -> u64 {
-        C::used_bytes(self.core.set().up().map(|n| n.used_bytes()))
+        C::used_bytes(self.set.up().map(|n| n.used_bytes()))
     }
 
     fn on_node_failure(&mut self) {
         // The *client's* node fail-stopped. The nodes are elsewhere —
         // surviving this event is the entire point of the layer.
-        self.core.set_client_up(false);
+        self.client_up = false;
     }
 
     fn on_node_repair(&mut self) {
-        self.core.set_client_up(true);
+        self.client_up = true;
     }
 
     fn on_power_down(&mut self) {
         // Remote media are unaffected by the client node's power state.
     }
 
+    /// The manifest of `key`'s last commit through this client.
     fn replica_manifest(&self, key: &str) -> Option<ReplicaManifest> {
-        self.core.manifest(key)
+        self.manifests.get(key).cloned()
     }
 
     fn fork(&self, relink: &mut Relink) -> SimResult<Box<dyn StableStorage>> {

@@ -138,7 +138,7 @@ impl<C: Coding> Striped<C> {
             .enumerate()
             .map(|(j, stripe)| {
                 let mut store = member(stripe.clone());
-                store.core.set_site_prefix(format!("{}{j}", C::STRIPE_STEM));
+                store.site_prefix = format!("{}{j}", C::STRIPE_STEM);
                 store
             })
             .collect();
@@ -147,21 +147,21 @@ impl<C: Coding> Striped<C> {
 
     pub fn with_faults(mut self, faults: FaultHandle) -> Self {
         for s in &mut self.stores {
-            s.core.set_faults(faults.clone());
+            s.faults = faults.clone();
         }
         self
     }
 
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
         for s in &mut self.stores {
-            s.core.set_trace(trace.clone());
+            s.trace = trace.clone();
         }
         self
     }
 
     pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
         for s in &mut self.stores {
-            s.core.set_pool(pool.clone());
+            s.pool = pool.clone();
         }
         self
     }
@@ -208,7 +208,7 @@ impl<C: Coding> Striped<C> {
                     // Peel the earlier stripes' commits back off.
                     for &(done, _) in receipts.iter().rev() {
                         for &(key, _) in &groups[done] {
-                            self.stores[done].core.retract_commit(key);
+                            self.stores[done].retract_commit(key);
                         }
                     }
                     return Err(e);
@@ -226,8 +226,7 @@ impl<C: Coding> StableStorage for Striped<C> {
 
     fn label(&self) -> String {
         let s = &self.stores[0];
-        let (n, w) = (s.core.set().len(), s.core.write_quorum());
-        s.coding.pool_label(self.stores.len(), n, w)
+        s.coding.pool_label(self.stores.len(), s.set.len(), s.w)
     }
 
     fn store(

@@ -11,6 +11,14 @@
 //!   before the tiers were folded onto one core, so a moved admission or a
 //!   changed frame-size formula names its first differing site here
 //!   instead of surfacing as a crash-matrix cell count.
+//! * Its read-side twin pins every read outcome — result, virtual ns,
+//!   counters, every node's frame afterwards — under ten damage patterns,
+//!   as captured before the two tiers became one `QuorumStore`; only the
+//!   coded rows of a key whose every frame is torn moved, from a false
+//!   `NotFound` to the typed refusal.
+//! * Every quorum stack hands digests up and down through the fault
+//!   decorator, and the coded tier's trace counters reach a recording
+//!   sink.
 
 use std::sync::Arc;
 
