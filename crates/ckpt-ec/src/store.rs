@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use ckpt_par::Pool;
 use ckpt_replica::{
-    Assembled, Coding, Counters, Frame, FrameFor, QuorumStore, Repair, Seen, ShardCoding, Striped,
+    Assembled, Coding, Counters, Frame, FrameFor, QuorumStore, Repair, ShardCoding, Striped,
     WireFrame,
 };
 use ckpt_storage::{digest64, StorageError};
@@ -216,10 +216,21 @@ impl Coding for RsCode {
         (object_digests, frame)
     }
 
-    /// A delete marker needs no shards; data needs `k` of its version.
-    fn refusal(&self, seen: &Seen) -> Option<StorageError> {
-        (!seen.tombstone && seen.current < self.k()).then_some(StorageError::TooManyShardsLost {
-            intact: seen.current as u32,
+    /// A delete marker needs no shards; data needs `k` of its version,
+    /// and a key whose every shard is torn has none.
+    fn refusal(
+        &self,
+        _: usize,
+        frames: &[Option<Frame>],
+        winner: Option<&Frame>,
+    ) -> Option<StorageError> {
+        if winner.is_some_and(|f| f.tombstone) {
+            return None;
+        }
+        let at = |f: &&Frame| winner.is_some_and(|w| w.version == f.version);
+        let intact = frames.iter().flatten().filter(at).count();
+        (intact < self.k()).then_some(StorageError::TooManyShardsLost {
+            intact: intact as u32,
             needed: self.k() as u32,
         })
     }

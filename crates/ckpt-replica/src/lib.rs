@@ -43,6 +43,6 @@ pub use node::{Frame, Probe, ReplicaNode, ReplicaSet};
 pub use quorum::{QuorumStats, WireFrame};
 pub use store::{
     Assembled, Coding, Counters, FrameFor, QuorumStore, Repair, ReplicaConfig, Replicate,
-    ReplicatedStore, Seen, ShardCoding,
+    ReplicatedStore, ShardCoding,
 };
 pub use stripe::{stripe_route, Striped, StripedReplicaSet, StripedStore};

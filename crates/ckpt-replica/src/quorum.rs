@@ -230,13 +230,13 @@ impl<C: Coding> QuorumStore<C> {
         nodes.map(|n| n.visible_frames(keys.clone())).collect()
     }
 
-    /// Resolve one node's admission + fault check into a decision,
-    /// retrying transients on the jittered schedule. Returns the decision,
-    /// retries consumed, and backoff virtual-ns accumulated.
-    fn admit(&self, i: usize, op: &str, id: &str, bytes: u64) -> (WriteCmd, u64, u64) {
+    /// Resolve one node's admission + fault check at its `op` site (none
+    /// without an `op`) into a decision, retrying transients on the
+    /// jittered schedule salted `salt`. Returns the decision, retries
+    /// consumed, and backoff virtual-ns accumulated.
+    fn admit(&self, i: usize, op: Option<&str>, salt: u64, bytes: u64) -> (WriteCmd, u64, u64) {
         let node = self.set.node(i);
-        let site = format!("{}/{}{i}/{op}", self.site_prefix, C::SITES.1);
-        let salt = fnv1a64(id.as_bytes()) ^ (i as u64);
+        let site = op.map(|op| format!("{}/{}{i}/{op}", self.site_prefix, C::SITES.1));
         let mut backoff = Backoff::new(BackoffPolicy::default(), salt);
         let mut retries = 0u64;
         let mut delay_ns = 0u64;
@@ -244,7 +244,7 @@ impl<C: Coding> QuorumStore<C> {
             let fault = match node.admit() {
                 Admission::Down => return (WriteCmd::Skip, retries, delay_ns),
                 Admission::Transient => Some(Fault::Transient),
-                Admission::Ok => self.faults.check(&site, bytes),
+                Admission::Ok => site.as_ref().and_then(|site| self.faults.check(site, bytes)),
             };
             match fault {
                 None => return (WriteCmd::Full, retries, delay_ns),
@@ -255,7 +255,7 @@ impl<C: Coding> QuorumStore<C> {
                     }
                     Err(_) => return (WriteCmd::Skip, retries, delay_ns),
                 },
-                Some(Fault::TornWrite { keep_bytes }) if op != "load" => {
+                Some(Fault::TornWrite { keep_bytes }) if op != Some("load") => {
                     // The node dies mid-write; the frame prefix is already
                     // on its medium.
                     node.fail();
@@ -273,13 +273,19 @@ impl<C: Coding> QuorumStore<C> {
 
     /// Admit operation `op` (identity `id`, `bytes` on the wire) on every
     /// node, sequentially in node order — the deterministic schedule every
-    /// load and every commit shares. Retries are accounted here.
+    /// load and every commit shares.
     pub(crate) fn admit_all(&self, op: &str, id: &str, bytes: u64) -> Admissions {
+        self.admit_nodes(Some(op), fnv1a64(id.as_bytes()), bytes)
+    }
+
+    /// [`QuorumStore::admit_all`] under the backoff salt `salt ^ i` at
+    /// node `i`. Retries are accounted here.
+    fn admit_nodes(&self, op: Option<&str>, salt: u64, bytes: u64) -> Admissions {
         let mut total_retries = 0u64;
         let mut backoff_ns = 0u64;
         let cmds = (0..self.set.len())
             .map(|i| {
-                let (cmd, retries, delay_ns) = self.admit(i, op, id, bytes);
+                let (cmd, retries, delay_ns) = self.admit(i, op, salt ^ i as u64, bytes);
                 total_retries += retries;
                 backoff_ns += delay_ns;
                 cmd
@@ -457,27 +463,11 @@ impl<C: Coding> QuorumStore<C> {
         self.ensure_up()?;
         let held = self.visible_frames([key]);
         let version = next_version(&held, 0);
-        let mut acked = Vec::new();
-        let mut retries = 0u64;
-        for (i, node) in self.set.nodes().iter().enumerate() {
-            let salt = fnv1a64(key.as_bytes()) ^ (i as u64) ^ 0xde1e;
-            let mut backoff = Backoff::new(BackoffPolicy::default(), salt);
-            loop {
-                match node.admit() {
-                    Admission::Down => break,
-                    Admission::Transient => {
-                        if backoff.next_delay_ns().is_err() {
-                            break;
-                        }
-                        retries += 1;
-                    }
-                    Admission::Ok => {
-                        node.put_tombstone(key, version);
-                        acked.push(i);
-                        break;
-                    }
-                }
-            }
+        // Its own backoff salt; a delete charges no virtual time.
+        let adm = self.admit_nodes(None, fnv1a64(key.as_bytes()) ^ 0xde1e, 0);
+        let acked: Vec<usize> = adm.admitted().collect();
+        for &i in &acked {
+            self.set.node(i).put_tombstone(key, version);
         }
         self.stats.lock().ack_cycles += 1;
         if acked.len() < self.w {
@@ -485,14 +475,13 @@ impl<C: Coding> QuorumStore<C> {
                 let prior = held[i].as_ref().and_then(|frames| frames[0].clone());
                 self.set.node(i).rollback_to(key, version, prior);
             }
-            self.record(0, retries, 1);
+            self.record(0, 0, 1);
             return Err(StorageError::QuorumLost {
                 acked: acked.len() as u32,
                 needed: self.w as u32,
             });
         }
         self.manifests.remove(key);
-        self.record(0, retries, 0);
         Ok(())
     }
 

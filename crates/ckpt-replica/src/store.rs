@@ -25,11 +25,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use ckpt_par::Pool;
-use parking_lot::Mutex;
 use ckpt_storage::{
     digest64, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, StorageClass,
     StorageError, StoreReceipt,
 };
+use parking_lot::Mutex;
 use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
 use simos::trace::TraceHandle;
@@ -39,34 +39,16 @@ use simos::Relink;
 use crate::node::{Frame, Probe, ReplicaSet};
 use crate::quorum::{xfer_ns, LastCommit, QuorumStats, WireFrame};
 
-/// The `simos::trace` counters a store counts under.
+/// The `simos::trace` counter each [`QuorumStats`] field of the same
+/// name counts under (`ack_cycles` and `payload_digests` are not traced).
 #[derive(Debug, Clone, Copy)]
 pub struct Counters {
-    /// Objects committed at write quorum.
     pub commits: &'static str,
-    /// Transient faults absorbed by backoff-retry.
     pub retries: &'static str,
-    /// Operations refused with [`StorageError::QuorumLost`].
     pub quorum_losses: &'static str,
-    /// Frames a read rebuilt in place on a lagging node.
     pub repairs: &'static str,
-    /// Reads that decoded missing data.
     pub decodes: &'static str,
-    /// Reads refused with [`StorageError::TooManyShardsLost`].
     pub shard_losses: &'static str,
-}
-
-/// What a read saw of a key that some node holds, as a [`Coding`] needs
-/// it to decide whether to refuse.
-#[derive(Debug, Clone, Copy)]
-pub struct Seen {
-    pub write_quorum: usize,
-    /// Admitted nodes holding an intact frame, at any version.
-    pub intact: usize,
-    /// Of those, the ones at the newest version.
-    pub current: usize,
-    /// Whether that newest version is a delete marker.
-    pub tombstone: bool,
 }
 
 /// `frame(j, i, digest)`: what node `i` stores for object `j`, whose
@@ -129,8 +111,15 @@ pub trait Coding: Clone + Send + Sync + 'static {
         pool: &Arc<Pool>,
     ) -> (Cow<'a, [u64]>, impl FrameFor<'a> + use<'a, Self>);
 
-    /// The typed refusal a read that `seen` this must return, if any.
-    fn refusal(&self, seen: &Seen) -> Option<StorageError>;
+    /// The typed refusal, if any, of a read at write quorum `w` that found
+    /// `frames` (each admitted node's intact frame, by node) under a key
+    /// some node holds, the newest of them `winner`.
+    fn refusal(
+        &self,
+        w: usize,
+        frames: &[Option<Frame>],
+        winner: Option<&Frame>,
+    ) -> Option<StorageError>;
 
     /// The bytes of the winning version `winner`, from `frames` (each
     /// admitted node's intact frame, by node), and the repair of the
@@ -258,10 +247,16 @@ impl Coding for Replicate {
     /// Every unreachable, torn, or inexplicably missing replica might hold
     /// a newer commit than the best intact frame in sight; with fewer than
     /// `w` intact frames, "newest visible" is not "newest".
-    fn refusal(&self, seen: &Seen) -> Option<StorageError> {
-        (seen.intact < seen.write_quorum).then_some(StorageError::QuorumLost {
-            acked: seen.intact as u32,
-            needed: seen.write_quorum as u32,
+    fn refusal(
+        &self,
+        w: usize,
+        frames: &[Option<Frame>],
+        _: Option<&Frame>,
+    ) -> Option<StorageError> {
+        let intact = frames.iter().flatten().count();
+        (intact < w).then_some(StorageError::QuorumLost {
+            acked: intact as u32,
+            needed: w as u32,
         })
     }
 
@@ -417,14 +412,15 @@ impl<C: Coding> QuorumStore<C> {
 
     /// The reachable nodes holding anything but an intact frame at
     /// `winner`'s version. When every reachable node was admitted and
-    /// holds one (`current` of them), the read's probe already shows
-    /// nothing lags; otherwise a reachable node that was not admitted (its
-    /// transients outlasted the retries) may hold anything, so every
-    /// reachable one is probed again.
-    fn lagging(&self, key: &str, winner: &Frame, current: usize) -> Vec<usize> {
+    /// holds one in `frames`, the read's probe already shows nothing lags;
+    /// otherwise a reachable node that was not admitted (its transients
+    /// outlasted the retries) may hold anything, so every reachable one is
+    /// probed again.
+    fn lagging(&self, key: &str, winner: &Frame, frames: &[Option<Frame>]) -> Vec<usize> {
         let set = &self.set;
         let reachable: Vec<usize> = (0..set.len()).filter(|&i| !set.node(i).is_down()).collect();
-        if current == reachable.len() {
+        let current = frames.iter().flatten().filter(|f| f.version == winner.version);
+        if current.count() == reachable.len() {
             return Vec::new();
         }
         reachable
@@ -505,27 +501,20 @@ impl<C: Coding> StableStorage for QuorumStore<C> {
         // Ranking needs only frame metadata; the payloads stay where they
         // are (shared, not copied) until the winner's are assembled.
         let winner = frames.iter().flatten().max_by_key(|f| f.version).cloned();
-        let version = winner.as_ref().map(|f| f.version);
-        let seen = Seen {
-            write_quorum: w,
-            intact: frames.iter().flatten().count(),
-            current: frames.iter().flatten().filter(|f| Some(f.version) == version).count(),
-            tombstone: winner.as_ref().is_some_and(|f| f.tombstone),
-        };
 
         // No node has ever seen this key — unless so many are down that a
         // committed frame could be hiding on them.
-        if seen.intact + torn == 0 && down <= n - w {
+        if winner.is_none() && torn == 0 && down <= n - w {
             return Err(StorageError::NotFound(key.to_string()));
         }
-        if let Some(refusal) = self.coding.refusal(&seen) {
+        if let Some(refusal) = self.coding.refusal(w, &frames, winner.as_ref()) {
             return Err(self.refused(refusal));
         }
         let winner = winner.expect("a read the coding does not refuse has a winning frame");
 
         // A tombstone winner means the newest committed frame is a delete
         // marker; repairing the stale frames is what prevents resurrection.
-        let lagging = self.lagging(key, &winner, seen.current);
+        let lagging = self.lagging(key, &winner, &frames);
         let assembled = if winner.tombstone {
             None
         } else {
