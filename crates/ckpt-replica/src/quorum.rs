@@ -271,16 +271,12 @@ impl<C: Coding> QuorumStore<C> {
         }
     }
 
-    /// Admit operation `op` (identity `id`, `bytes` on the wire) on every
-    /// node, sequentially in node order — the deterministic schedule every
-    /// load and every commit shares.
-    pub(crate) fn admit_all(&self, op: &str, id: &str, bytes: u64) -> Admissions {
-        self.admit_nodes(Some(op), fnv1a64(id.as_bytes()), bytes)
-    }
-
-    /// [`QuorumStore::admit_all`] under the backoff salt `salt ^ i` at
-    /// node `i`. Retries are accounted here.
-    fn admit_nodes(&self, op: Option<&str>, salt: u64, bytes: u64) -> Admissions {
+    /// Admit operation `op` (`bytes` on the wire) on every node,
+    /// sequentially in node order — the deterministic schedule every load,
+    /// commit and delete shares — under the backoff salt `salt ^ i` at
+    /// node `i`; a commit or load salts with its identity's `fnv1a64`.
+    /// Retries are accounted here.
+    pub(crate) fn admit_all(&self, op: Option<&str>, salt: u64, bytes: u64) -> Admissions {
         let mut total_retries = 0u64;
         let mut backoff_ns = 0u64;
         let cmds = (0..self.set.len())
@@ -341,7 +337,7 @@ impl<C: Coding> QuorumStore<C> {
 
         // ONE admission + fault-check + retry/backoff cycle per node for
         // the whole frame, however many objects ride in it.
-        let adm = self.admit_all(wire.op, &wire.id, wire.len);
+        let adm = self.admit_all(Some(wire.op), fnv1a64(wire.id.as_bytes()), wire.len);
 
         // Each writing node's share of the frame: object `j` exists on the
         // medium once `lands` bytes arrived, and keeps whatever of its
@@ -464,7 +460,7 @@ impl<C: Coding> QuorumStore<C> {
         let held = self.visible_frames([key]);
         let version = next_version(&held, 0);
         // Its own backoff salt; a delete charges no virtual time.
-        let adm = self.admit_nodes(None, fnv1a64(key.as_bytes()) ^ 0xde1e, 0);
+        let adm = self.admit_all(None, fnv1a64(key.as_bytes()) ^ 0xde1e, 0);
         let acked: Vec<usize> = adm.admitted().collect();
         for &i in &acked {
             self.set.node(i).put_tombstone(key, version);

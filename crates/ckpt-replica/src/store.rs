@@ -26,8 +26,8 @@ use std::sync::Arc;
 
 use ckpt_par::Pool;
 use ckpt_storage::{
-    digest64, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage, StorageClass,
-    StorageError, StoreReceipt,
+    digest64, fnv1a64, BatchReceipt, CodingGeometry, ReplicaManifest, StableStorage,
+    StorageClass, StorageError, StoreReceipt,
 };
 use parking_lot::Mutex;
 use simos::cost::CostModel;
@@ -333,7 +333,6 @@ impl<C: Coding> QuorumStore<C> {
     /// pool to the global `CKPT_PAR_WORKERS`-sized pool; transients are
     /// retried on the one `BackoffPolicy::default` schedule.
     fn build(set: Arc<ReplicaSet>, w: usize, geometry: Option<CodingGeometry>, coding: C) -> Self {
-        assert!(w <= set.len(), "write quorum {w} exceeds the {} nodes", set.len());
         QuorumStore {
             set,
             w,
@@ -486,7 +485,7 @@ impl<C: Coding> StableStorage for QuorumStore<C> {
 
         // Sequential admission + fault checks in node order; then one
         // probe classifies what every admitted node holds.
-        let adm = self.admit_all("load", key, 0);
+        let adm = self.admit_all(Some("load"), fnv1a64(key.as_bytes()), 0);
         let admitted: Vec<usize> = adm.admitted().collect();
         let down = n - admitted.len();
         let mut torn = 0usize;

@@ -145,24 +145,21 @@ impl<C: Coding> Striped<C> {
         Striped { set, stores }
     }
 
-    pub fn with_faults(mut self, faults: FaultHandle) -> Self {
-        for s in &mut self.stores {
-            s.faults = faults.clone();
-        }
-        self
+    pub fn with_faults(self, faults: FaultHandle) -> Self {
+        self.each(|s| s.with_faults(faults.clone()))
     }
 
-    pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        for s in &mut self.stores {
-            s.trace = trace.clone();
-        }
-        self
+    pub fn with_trace(self, trace: TraceHandle) -> Self {
+        self.each(|s| s.with_trace(trace.clone()))
     }
 
-    pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
-        for s in &mut self.stores {
-            s.pool = pool.clone();
-        }
+    pub fn with_pool(self, pool: Arc<Pool>) -> Self {
+        self.each(|s| s.with_pool(pool.clone()))
+    }
+
+    /// This pool with `f` applied to every member.
+    fn each(mut self, f: impl FnMut(QuorumStore<C>) -> QuorumStore<C>) -> Self {
+        self.stores = self.stores.into_iter().map(f).collect();
         self
     }
 
