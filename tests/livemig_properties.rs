@@ -18,14 +18,26 @@
 //!    down, or refusing the restore, freeze-copy, pre-copy and post-copy
 //!    all return the typed error with the source guest thawed, bit-identical
 //!    to its replay and making progress.
+//!
+//! And one pin: every strategy's outcome over the app zoo — report
+//! fields, both nodes' clocks, the landed guest's memory and files — and
+//! one fork-concurrent checkpoint's stored object, as literal rows
+//! (`OUTCOME_TABLE`).
 
 use ckpt_cluster::livemig::{migrate_postcopy, migrate_precopy, LiveMigConfig};
 use ckpt_cluster::{migrate, Cluster, FailureConfig, MigrationMode, NodeId};
+use ckpt_core::mechanism::family;
+use ckpt_core::pod::Pod;
+use ckpt_core::tracker::TrackerKind;
+use ckpt_core::shared_storage;
+use ckpt_storage::{digest64, ImageKey, LocalDisk};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use simos::apps::{self, AppParams, GuestMemIo, NativeKind, VecMem, HEADER_BASE};
 use simos::cost::{CostModel, PAGE_SIZE};
-use simos::types::{Pid, SimError};
+use simos::fs::OpenFlags;
+use simos::syscall::Syscall;
+use simos::types::{Fd, Pid, SimError};
 use simos::Kernel;
 use std::sync::Arc;
 
@@ -230,3 +242,144 @@ fn a_failed_migration_leaves_its_source_running() {
         .expect_err("identity migration must hit the conflict");
     source_runs_on(&mut c, pid, "keep-identity");
 }
+
+/// Every strategy on every app-zoo guest, one row each, with a file the
+/// guest has open and has written: the report's public fields, both
+/// nodes' clocks, a digest of the landed guest's memory span and the
+/// target's view of the guest's files (fd, path, offset, length, digest).
+/// Then one fork-concurrent checkpoint per guest: the stored object's
+/// digest and length, and the outcome's `total_ns`.
+#[test]
+fn every_migration_and_fork_concurrent_outcome_is_pinned() {
+    let mut got = Vec::new();
+    for kind in NativeKind::ALL {
+        let params = AppParams::small();
+        for strategy in ["freeze-fresh", "freeze-podded", "pre-copy", "post-copy"] {
+            let (mut c, pid) = setup(kind, params.clone());
+            let k = c.node(FROM).kernel().unwrap();
+            let open = Syscall::Open {
+                path: "/tmp/pin.log".into(),
+                flags: OpenFlags::RDWR_CREATE,
+            };
+            let fd = Fd(k.do_syscall(pid, open).unwrap() as u32);
+            let buf = apps::ARRAY_BASE;
+            k.do_syscall(pid, Syscall::Write { fd, buf, len: 24 }).unwrap();
+            c.advance(1_000_000);
+            let mut pod = Pod::new("pin");
+            let cfg = LiveMigConfig::default();
+            let (new_pid, fields) = match strategy {
+                "freeze-fresh" | "freeze-podded" => {
+                    let (mode, pod) = match strategy {
+                        "freeze-fresh" => (MigrationMode::FreshPid, None),
+                        _ => (MigrationMode::Podded, Some(&mut pod)),
+                    };
+                    let r = migrate(&mut c, FROM, pid, TO, mode, pod).unwrap();
+                    (r.new_pid, format!("moved={}", r.bytes_moved))
+                }
+                "pre-copy" => {
+                    let r = migrate_precopy(&mut c, FROM, pid, TO, &cfg).unwrap();
+                    let f = format!(
+                        "rounds={} pre={} cut={} total={} down={} duty={}",
+                        r.rounds,
+                        r.bytes_precopy,
+                        r.bytes_cutover,
+                        r.bytes_total(),
+                        r.downtime_ns,
+                        r.final_duty_pct
+                    );
+                    (r.new_pid, f)
+                }
+                _ => {
+                    let r = migrate_postcopy(&mut c, FROM, pid, TO, &cfg).unwrap();
+                    let f = format!(
+                        "down={} residual={} demand={} prefetch={} moved={} minimal={}",
+                        r.downtime_ns,
+                        r.residual_pages,
+                        r.demand_pages,
+                        r.prefetch_pages,
+                        r.residual_moved(),
+                        r.bytes_minimal
+                    );
+                    (r.new_pid, f)
+                }
+            };
+            let clocks = (c.node(FROM).now(), c.node(TO).now());
+            let k = c.node(TO).kernel().unwrap();
+            let memory = digest64(&guest_bytes(k, new_pid, &params));
+            let files: Vec<String> = k
+                .process(new_pid)
+                .unwrap()
+                .fds
+                .iter()
+                .map(|(fd, e)| {
+                    let ofd = k.ofd(e.ofd).unwrap();
+                    let data = k.fs.read_file(&ofd.path).unwrap();
+                    let (path, at) = (&ofd.path, ofd.offset);
+                    format!("{}:{path}@{at}/{}:{:016x}", fd.0, data.len(), digest64(data))
+                })
+                .collect();
+            got.push(format!(
+                "{kind:?} {strategy}: pid={} {fields} clocks={}/{} mem={memory:016x} files=[{}]",
+                new_pid.0,
+                clocks.0,
+                clocks.1,
+                files.join(" ")
+            ));
+        }
+        let mut k = Kernel::new(CostModel::circa_2005());
+        let mut p = params.clone();
+        p.total_steps = u64::MAX;
+        let pid = k.spawn_native(kind, p).unwrap();
+        k.run_for(5_000_000).unwrap();
+        let store = shared_storage(LocalDisk::new(1 << 30));
+        let row = family("fork-concurrent");
+        let mut mech = row.build("pin", store.clone(), TrackerKind::FullOnly);
+        mech.prepare(&mut k, pid).unwrap();
+        let o = mech.checkpoint(&mut k, pid).unwrap();
+        let key = ImageKey::new("pin", pid.0, o.seq).to_string();
+        let (object, _) = store.lock().load(&key, &k.cost).unwrap();
+        got.push(format!(
+            "{kind:?} fork-concurrent: object={:016x}/{} total={}",
+            digest64(&object),
+            object.len(),
+            o.total_ns
+        ));
+    }
+    let want: Vec<&str> = OUTCOME_TABLE.lines().filter(|l| !l.is_empty()).collect();
+    if got.len() != want.len() {
+        panic!("{} rows, expected {}:\n{}", got.len(), want.len(), got.join("\n"));
+    }
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w, "outcome row diverges; the whole table:\n{}", got.join("\n"));
+    }
+}
+
+/// One row per (guest, strategy), guest-major; see
+/// [`every_migration_and_fork_concurrent_outcome_is_pinned`].
+const OUTCOME_TABLE: &str = "
+DenseSweep freeze-fresh: pid=1 moved=66398 clocks=6362388/6091140 mem=d94cb62ad7d334fd files=[0:/tmp/pin.log@24/24:272db24f5be08196]
+DenseSweep freeze-podded: pid=1 moved=66398 clocks=6362388/6091140 mem=d94cb62ad7d334fd files=[0:/pods/pin/tmp/pin.log@24/24:272db24f5be08196]
+DenseSweep pre-copy: pid=1 rounds=29 pre=1924312 cut=505 total=1924817 down=69011 duty=0 clocks=16848012/14324239 mem=b71192ba2058711f files=[0:/tmp/pin.log@24/24:272db24f5be08196]
+DenseSweep post-copy: pid=1 down=28267 residual=16 demand=16 prefetch=0 moved=16 minimal=595 clocks=6099176/7741568 mem=b2612dd1bc43ad15 files=[0:/tmp/pin.log@24/24:272db24f5be08196]
+DenseSweep fork-concurrent: object=f86e6c87357c294a/66316 total=14400955
+SparseRandom freeze-fresh: pid=1 moved=66410 clocks=6333266/6091148 mem=7d2f315406a86505 files=[0:/tmp/pin.log@24/24:de664fee2c9d7f24]
+SparseRandom freeze-podded: pid=1 moved=66410 clocks=6333266/6091148 mem=7d2f315406a86505 files=[0:/pods/pin/tmp/pin.log@24/24:de664fee2c9d7f24]
+SparseRandom pre-copy: pid=1 rounds=19 pre=1248661 cut=54075 total=1302736 down=357603 duty=6 clocks=12557422/11457527 mem=2feee98e207cbe27 files=[0:/tmp/pin.log@24/24:de664fee2c9d7f24]
+SparseRandom post-copy: pid=1 down=28323 residual=16 demand=16 prefetch=0 moved=16 minimal=607 clocks=6070054/6341960 mem=e2db2b001282245e files=[0:/tmp/pin.log@24/24:de664fee2c9d7f24]
+SparseRandom fork-concurrent: object=94f2fd51056a3651/66330 total=14379379
+Stencil2D freeze-fresh: pid=1 moved=66398 clocks=6610300/6091140 mem=d3ef47669a4817da files=[0:/tmp/pin.log@24/24:126fe85f9bb61697]
+Stencil2D freeze-podded: pid=1 moved=66398 clocks=6610300/6091140 mem=d3ef47669a4817da files=[0:/pods/pin/tmp/pin.log@24/24:126fe85f9bb61697]
+Stencil2D pre-copy: pid=1 rounds=29 pre=1924312 cut=505 total=1924817 down=69011 duty=0 clocks=20925812/14324239 mem=316529157041bd7e files=[0:/tmp/pin.log@24/24:126fe85f9bb61697]
+Stencil2D post-copy: pid=1 down=28267 residual=16 demand=16 prefetch=0 moved=16 minimal=595 clocks=6347088/12978528 mem=316529157041bd7e files=[0:/tmp/pin.log@24/24:126fe85f9bb61697]
+Stencil2D fork-concurrent: object=be3a283d286ed26a/66318 total=14339009
+AppendLog freeze-fresh: pid=1 moved=66400 clocks=6333137/6091141 mem=e26c2ade3db9194a files=[0:/tmp/pin.log@24/24:e69a57aebdd0dabe]
+AppendLog freeze-podded: pid=1 moved=66400 clocks=6333137/6091141 mem=e26c2ade3db9194a files=[0:/pods/pin/tmp/pin.log@24/24:e69a57aebdd0dabe]
+AppendLog pre-copy: pid=1 rounds=9 pre=597260 cut=41728 total=638988 down=291711 duty=25 clocks=9216843/8643651 mem=c52e15b93a3d4a09 files=[0:/tmp/pin.log@24/24:e69a57aebdd0dabe]
+AppendLog post-copy: pid=1 down=28276 residual=16 demand=2 prefetch=14 moved=16 minimal=597 clocks=6319301/6070029 mem=e5ed45c3607ac211 files=[0:/tmp/pin.log@24/24:e69a57aebdd0dabe]
+AppendLog fork-concurrent: object=c5edc4f79200dea6/66320 total=14379323
+ReadMostly freeze-fresh: pid=1 moved=66398 clocks=6409859/6091140 mem=defb80eb414b18f2 files=[0:/tmp/pin.log@24/24:7abdfdb0dc40e9c2]
+ReadMostly freeze-podded: pid=1 moved=66398 clocks=6409859/6091140 mem=defb80eb414b18f2 files=[0:/pods/pin/tmp/pin.log@24/24:7abdfdb0dc40e9c2]
+ReadMostly pre-copy: pid=1 rounds=1 pre=66402 cut=17046 total=83448 down=159980 duty=100 clocks=6541172/6343682 mem=95c5306bf3515ff7 files=[0:/tmp/pin.log@24/24:7abdfdb0dc40e9c2]
+ReadMostly post-copy: pid=1 down=28267 residual=16 demand=16 prefetch=0 moved=16 minimal=595 clocks=6146647/7742400 mem=099295d6330f724a files=[0:/tmp/pin.log@24/24:7abdfdb0dc40e9c2]
+ReadMostly fork-concurrent: object=9a8e98446e45c906/66318 total=14343859
+";
