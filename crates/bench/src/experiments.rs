@@ -3,7 +3,8 @@
 //! Every experiment runs on the deterministic simulator, so the numbers
 //! below are exactly reproducible (`cargo run --bin report -- all`).
 
-use crate::fmt::{bytes, ns, table};
+use crate::fmt::{bytes, ns};
+use ckpt_survey::table;
 use ckpt_cluster::{
     interval_sweep, migrate, simulate_job, Cluster, FailureConfig, JobRunConfig, MigrationMode,
     NodeId,

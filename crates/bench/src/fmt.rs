@@ -1,37 +1,5 @@
-//! Tiny text-table formatter for experiment output.
-
-/// Format a table: header row + data rows, columns padded.
-pub(crate) fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let ncols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate().take(ncols) {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    let sep = |out: &mut String| {
-        for w in &widths {
-            out.push('+');
-            out.push_str(&"-".repeat(w + 2));
-        }
-        out.push_str("+\n");
-    };
-    sep(&mut out);
-    for (i, h) in headers.iter().enumerate() {
-        out.push_str(&format!("| {:<w$} ", h, w = widths[i]));
-    }
-    out.push_str("|\n");
-    sep(&mut out);
-    for row in rows {
-        for (i, cell) in row.iter().enumerate().take(ncols) {
-            out.push_str(&format!("| {:<w$} ", cell, w = widths[i]));
-        }
-        out.push_str("|\n");
-    }
-    sep(&mut out);
-    out
-}
+//! Human-readable units for experiment output (the tables are
+//! [`ckpt_survey::table`]'s).
 
 /// Human-readable nanoseconds.
 pub(crate) fn ns(v: u64) -> String {
@@ -60,16 +28,6 @@ pub(crate) fn bytes(v: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_pads_columns() {
-        let t = table(
-            &["a", "long-header"],
-            &[vec!["xxxx".into(), "y".into()]],
-        );
-        assert!(t.contains("| xxxx | y           |"));
-        assert!(t.lines().count() >= 5);
-    }
 
     #[test]
     fn humanized_units() {

@@ -16,7 +16,8 @@
 
 use crate::artifact::Json;
 use crate::experiments::guest_lineage;
-use crate::fmt::{bytes, ns, table};
+use crate::fmt::{bytes, ns};
+use ckpt_survey::table;
 use crate::sweep::{run_sweep, AxisValue, JobResult, JobSpec, SweepPlan, SweepRun};
 use ckpt_cluster::{
     scale_round, Cluster, FailureConfig, MpiJob, ScaleConfig, ScalePoint, ShardedCoordinator,

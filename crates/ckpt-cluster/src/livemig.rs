@@ -38,18 +38,17 @@
 //! transient costs one retransmission.
 
 use crate::cluster::Cluster;
-use crate::migrate::{Cutover, Landing};
+use crate::migrate::{capture_full, Cutover, Landing};
 use crate::node::NodeId;
-use ckpt_core::capture::{capture_image, CaptureOptions, PageSelection, RestorePid};
-use ckpt_core::tracker::{Tracker, TrackerKind};
-use ckpt_image::{CheckpointImage, PageRecord};
+use ckpt_core::capture::{CaptureOptions, PageSelection, RestorePid};
+use ckpt_core::{Lineage, TrackerKind};
 use simos::apps::{self, AppParams, GuestMemIo, NativeKind, VecMem, HEADER_BASE};
 use simos::cost::PAGE_SIZE;
 use simos::pcb::ProgramSpec;
 use simos::trace::ClusterEvent;
 use simos::types::{Pid, SimError, SimResult};
 use simos::Kernel;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Tuning knobs for both live-migration strategies.
@@ -199,31 +198,6 @@ fn send_cutover(m: &mut Cutover<'_>, bytes: u64, residual_pages: u64) -> SimResu
     Ok(k.now())
 }
 
-/// Fold a round's incremental capture into the accumulated full image:
-/// newer pages replace older ones, and all non-page state (registers,
-/// progress, fds, files, signals, timers) is adopted from the update.
-fn merge_into(acc: &mut CheckpointImage, upd: CheckpointImage) {
-    let mut by_pn: BTreeMap<u64, PageRecord> =
-        acc.pages.drain(..).map(|p| (p.page_no, p)).collect();
-    for p in upd.pages {
-        by_pn.insert(p.page_no, p);
-    }
-    acc.pages = by_pn.into_values().collect();
-    acc.regs = upd.regs;
-    acc.brk = upd.brk;
-    acc.work_done = upd.work_done;
-    acc.policy = upd.policy;
-    acc.vmas = upd.vmas;
-    acc.fds = upd.fds;
-    if !upd.files.is_empty() {
-        acc.files = upd.files;
-    }
-    acc.sig = upd.sig;
-    acc.timers = upd.timers;
-    acc.header.taken_at_ns = upd.header.taken_at_ns;
-    // `acc` stays a Full image (restore refuses anything else).
-}
-
 /// Iteratively pre-copy `pid` from `from` to `to`, freezing only when the
 /// projected residual fits the downtime budget.
 pub fn migrate_precopy(
@@ -234,18 +208,25 @@ pub fn migrate_precopy(
     cfg: &LiveMigConfig,
 ) -> SimResult<PreCopyReport> {
     let mut m = Cutover::begin(cluster, from, pid, to)?;
-    let mut tracker = Tracker::new(TrackerKind::KernelPage);
+    // The rounds are one lineage on the kernel's dirty bits: round 0 its
+    // full image, each later round the incremental of the dirty set,
+    // committed once shipped. File contents travel with round 0 and the
+    // cutover only.
+    let mut lineage = Lineage::new("livemig-pre", None, TrackerKind::KernelPage);
+    let opts = |seq: u64, files: bool| {
+        let mut opts = CaptureOptions::full("livemig-pre", seq);
+        opts.save_file_contents = files;
+        opts.node = from.0;
+        opts.encode_pool = cfg.encode_pool.clone();
+        opts
+    };
 
     // Round 0: arm tracking, then ship the full resident set while the
     // guest keeps running behind it.
-    let mut acc = {
+    let (segment, first) = {
         let k = m.source(0)?;
-        tracker.arm(k, pid)?;
-        let mut opts = CaptureOptions::full("livemig-pre", 1);
-        opts.save_file_contents = true;
-        opts.node = from.0;
-        opts.encode_pool = cfg.encode_pool.clone();
-        capture_image(k, pid, &opts)?
+        lineage.tracker_mut().arm(k, pid)?;
+        lineage.capture(k, pid, &opts(1, true), &[], None, false)?
     };
     let mut duty: u32 = 100;
     let mut bytes_precopy: u64 = 0;
@@ -253,13 +234,15 @@ pub fn migrate_precopy(
     let mut stall_rounds: u32 = 0;
     let mut prev_dirty = u64::MAX;
     let mut round: u32 = 0;
-    let mut pages_this = acc.pages.len() as u64;
-    let mut bytes_this = ckpt_image::encode(&acc).len() as u64;
+    let mut pages_this = first.pages_saved;
+    let mut bytes_this = segment.len() as u64;
+    let mut shipped = vec![segment];
 
     let dirty = loop {
         // Ship the round's frame: every crossing occupies one transfer
         // window, with the guest running behind it.
         let crossings = m.ship("livemig/round", bytes_this, pages_this)?;
+        lineage.commit(round as u64 + 1);
         bytes_precopy += bytes_this;
         let window = m.source(pages_this)?.cost.wire(bytes_this);
         for _ in 0..crossings {
@@ -327,43 +310,28 @@ pub fn migrate_precopy(
             }
         }
 
-        // Next round: collect + re-arm, capture exactly the dirty set.
+        // Next round: capture exactly the dirty set, then re-arm.
         round += 1;
-        let upd = {
-            let k = m.source(dirty)?;
-            let col = tracker.collect(k, pid)?;
-            tracker.arm(k, pid)?;
-            let mut opts =
-                CaptureOptions::incremental("livemig-pre", round as u64 + 1, round as u64, col.pages);
-            opts.node = from.0;
-            opts.encode_pool = cfg.encode_pool.clone();
-            capture_image(k, pid, &opts)?
-        };
-        pages_this = upd.pages.len() as u64;
-        bytes_this = ckpt_image::encode(&upd).len() as u64;
-        merge_into(&mut acc, upd);
+        let k = m.source(dirty)?;
+        let seq = round as u64 + 1;
+        let (segment, upd) = lineage.capture(k, pid, &opts(seq, false), &[], None, false)?;
+        lineage.tracker_mut().arm(k, pid)?;
+        pages_this = upd.pages_saved;
+        bytes_this = segment.len() as u64;
+        shipped.push(segment);
     };
 
-    // Cutover: freeze, ship the merged residual, resume on the target.
+    // Cutover: freeze, ship the residual, land the whole chain on the
+    // target and resume it there.
     let (new_pid, downtime_ns, bytes_cutover, residual_pages) = m.frozen(|m| {
         let k = m.source(dirty)?;
         let t_freeze = k.now();
-        let col = tracker.collect(k, pid)?;
-        let residual = col.pages.len() as u64;
-        let mut opts = CaptureOptions::incremental(
-            "livemig-pre",
-            round as u64 + 2,
-            round as u64 + 1,
-            col.pages,
-        );
-        opts.save_file_contents = true;
-        opts.node = from.0;
-        opts.encode_pool = cfg.encode_pool.clone();
-        let upd = capture_image(k, pid, &opts)?;
-        let fb = ckpt_image::encode(&upd).len() as u64;
+        let seq = round as u64 + 2;
+        let (segment, upd) = lineage.capture(k, pid, &opts(seq, true), &[], None, false)?;
+        let (fb, residual) = (segment.len() as u64, upd.pages_saved);
         let src_down = send_cutover(m, fb, residual)? - t_freeze;
-        merge_into(&mut acc, upd);
-        let (new_pid, tgt_rx) = m.land(&acc, fb, Landing::Pid(RestorePid::Fresh))?;
+        shipped.push(segment);
+        let (new_pid, tgt_rx) = m.land(&shipped, Landing::Pid(RestorePid::Fresh))?;
         m.complete(bytes_precopy + fb)?;
         Ok((new_pid, src_down + tgt_rx, fb, residual))
     })?;
@@ -500,13 +468,13 @@ pub fn migrate_postcopy(
         opts.node = from.0;
         opts.pages = PageSelection::Set([hdr_pn].into());
         opts.encode_pool = cfg.encode_pool.clone();
-        let minimal = capture_image(k, pid, &opts)?;
-        let bytes_minimal = ckpt_image::encode(&minimal).len() as u64;
+        let minimal = capture_full(k, pid, &opts)?;
+        let bytes_minimal = minimal.len() as u64;
         let residual_pages = missing.len() as u64;
         let src_down = send_cutover(m, bytes_minimal, residual_pages + 1)? - t_freeze;
 
         // Target: restore the minimal image and let the guest resume at once.
-        let (new_pid, tgt_rx) = m.land(&minimal, bytes_minimal, Landing::Pid(RestorePid::Fresh))?;
+        let (new_pid, tgt_rx) = m.land(&[minimal], Landing::Pid(RestorePid::Fresh))?;
         let mut report = PostCopyReport {
             from,
             to,

@@ -28,15 +28,13 @@
 
 use crate::cluster::{Cluster, FailureConfig};
 use crate::livemig::{migrate_postcopy, migrate_precopy, LiveMigConfig};
+use crate::migrate::{capture_full, landed_image};
 use crate::node::NodeId;
-use ckpt_core::capture::{
-    capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid,
-};
+use ckpt_core::capture::{restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use ckpt_core::crashpoint::{
     all_configs, app_params, run_config, sweep, CellOutcome, MatrixCell, MatrixConfig,
     MatrixReport, ReplayOracle, Tier,
 };
-use ckpt_image::CheckpointImage;
 use simos::apps::NativeKind;
 use simos::cost::CostModel;
 use simos::faultpoint::FaultHandle;
@@ -61,9 +59,10 @@ const RUN2_NS: u64 = 1_500_000;
 const RUN3_NS: u64 = 500_000;
 
 /// Spawn the crashpoint app on node 0, run, take the durable baseline the
-/// fallback path restores from, run some more, then install `faults` on
-/// the source kernel so only the migration itself is under injection.
-fn setup(faults: &FaultHandle) -> (Cluster, Pid, CheckpointImage) {
+/// fallback path restores from (its encoded image), run some more, then
+/// install `faults` on the source kernel so only the migration itself is
+/// under injection.
+fn setup(faults: &FaultHandle) -> (Cluster, Pid, Vec<u8>) {
     let mut c = Cluster::new(2, CostModel::circa_2005(), FailureConfig::none());
     let pid = c
         .node(FROM)
@@ -77,7 +76,7 @@ fn setup(faults: &FaultHandle) -> (Cluster, Pid, CheckpointImage) {
         k.freeze_process(pid).expect("freeze for baseline");
         let mut opts = CaptureOptions::full("migbase", 1);
         opts.save_file_contents = true;
-        let img = capture_image(k, pid, &opts).expect("baseline capture");
+        let img = capture_full(k, pid, &opts).expect("baseline capture");
         k.thaw_process(pid).expect("thaw after baseline");
         img
     };
@@ -180,7 +179,8 @@ fn run_cell(mech: &str, oracle: &mut ReplayOracle, faults: &FaultHandle) -> Cell
                         what: format!("after {e}: target down, nowhere to fall back to"),
                     };
                 };
-                restore_image(k, &baseline, &RestoreOptions::fresh_running(RestorePid::Fresh))
+                let opts = RestoreOptions::fresh_running(RestorePid::Fresh);
+                landed_image(&[baseline]).and_then(|img| restore_image(k, &img, &opts))
             };
             match restored {
                 Ok(np) => match verify_twice(&mut c, oracle, TO, np, 0) {

@@ -17,8 +17,9 @@
 
 use crate::cluster::Cluster;
 use crate::node::NodeId;
-use ckpt_core::capture::{capture_image, restore_image, CaptureOptions, RestoreOptions, RestorePid};
+use ckpt_core::capture::{restore_image, CaptureOptions, RestoreOptions, RestorePid};
 use ckpt_core::pod::Pod;
+use ckpt_core::{Lineage, TrackerKind};
 use ckpt_image::CheckpointImage;
 use simos::faultpoint::{Fault, FaultHandle};
 use simos::pcb::ProcState;
@@ -103,20 +104,18 @@ impl<'c> Cutover<'c> {
         Err(SimError::SourceLostMidMigration { residual_pages })
     }
 
-    /// Receive `bytes` on the target and restore `image` there, running.
+    /// Receive the `shipped` segments on the target and restore the image
+    /// they rebuild ([`landed_image`]) there, running. The target copies
+    /// in the last segment; the earlier ones arrived while the source ran.
     /// Returns the new pid and the target time the landing took.
-    pub(crate) fn land(
-        &mut self,
-        image: &CheckpointImage,
-        bytes: u64,
-        landing: Landing<'_>,
-    ) -> SimResult<(Pid, u64)> {
+    pub(crate) fn land(&mut self, shipped: &[Vec<u8>], landing: Landing<'_>) -> SimResult<(Pid, u64)> {
         let k = self.cluster.kernel(self.to)?;
+        let image = landed_image(shipped)?;
         let t_rx = k.now();
-        k.charge(k.cost.memcpy(bytes));
+        k.charge(k.cost.memcpy(shipped.last().map_or(0, |s| s.len() as u64)));
         let new_pid = match landing {
-            Landing::Pid(pid) => restore_image(k, image, &RestoreOptions::fresh_running(pid))?,
-            Landing::Pod(pod) => pod.restore(k, image)?,
+            Landing::Pid(pid) => restore_image(k, &image, &RestoreOptions::fresh_running(pid))?,
+            Landing::Pod(pod) => pod.restore(k, &image)?,
         };
         Ok((new_pid, k.now() - t_rx))
     }
@@ -166,6 +165,27 @@ impl<'c> Cutover<'c> {
     }
 }
 
+/// The image of quiescent `pid` that `opts` describes, taken by the one
+/// capture step ([`Lineage::capture`]) as a fresh lineage's first image:
+/// the bytes that cross the wire.
+pub(crate) fn capture_full(k: &mut Kernel, pid: Pid, opts: &CaptureOptions) -> SimResult<Vec<u8>> {
+    let mut lineage = Lineage::new("migrate", None, TrackerKind::FullOnly);
+    Ok(lineage.capture(k, pid, opts, &[], None, false)?.0)
+}
+
+/// The full image that `shipped` — a full image, then the incrementals
+/// chained on it, oldest first — rebuilds: each segment decoded, its CRC
+/// checked, and the chain validated and overlaid as a restart's chain
+/// loader does ([`ckpt_image::reconstruct_owned`]).
+pub(crate) fn landed_image(shipped: &[Vec<u8>]) -> SimResult<CheckpointImage> {
+    let corrupt = |e: String| SimError::Usage(format!("shipped image: {e}"));
+    let chain = shipped
+        .iter()
+        .map(|s| ckpt_image::decode(s).map_err(|e| corrupt(e.to_string())))
+        .collect::<SimResult<Vec<_>>>()?;
+    ckpt_image::reconstruct_owned(chain, |_| Ok(())).map_err(|e| corrupt(e.to_string()))
+}
+
 /// Migrate `pid` from `from` to `to` over the interconnect, frozen for the
 /// whole image transfer.
 pub fn migrate(
@@ -191,11 +211,11 @@ pub fn migrate(
         let k = m.source(0)?;
         let mut opts = CaptureOptions::full("migrate", 1);
         opts.save_file_contents = true;
-        let img = capture_image(k, pid, &opts)?;
-        let bytes = ckpt_image::encode(&img).len() as u64;
+        let image = capture_full(k, pid, &opts)?;
+        let bytes = image.len() as u64;
         k.charge(k.cost.wire(bytes));
         // Target: receive + restore.
-        let (new_pid, _) = m.land(&img, bytes, landing)?;
+        let (new_pid, _) = m.land(&[image], landing)?;
         // Teardown handshake: the target's ACK and the source's exit cross
         // the wire; an armed `migrate/transfer` fault models the source
         // dying in this window, after the target already owns the process.

@@ -343,8 +343,6 @@ pub fn restore_image(
         RestorePid::Specific(p) => p,
     };
     let pcb = Pcb {
-        pid,
-        ppid: Pid(0),
         state: if opts.run {
             ProcState::Ready
         } else {
@@ -355,16 +353,10 @@ pub fn restore_image(
             pc: img.regs.pc,
             gpr: img.regs.gpr,
         },
-        mem,
         fds: fd_table,
         sig: img.sig.restore(),
-        program,
-        user_rt: simos::userrt::UserRuntime::new(),
-        cpu_ns: 0,
-        start_ns: k.now(),
         work_done: img.work_done,
-        frozen_for_ckpt: false,
-        cow_pending: Default::default(),
+        ..Pcb::new(pid, program, mem, k.now())
     };
     let pid = k.adopt_process(pcb)?;
     // Re-arm saved interval timers relative to now.

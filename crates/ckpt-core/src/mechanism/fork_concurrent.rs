@@ -12,7 +12,7 @@ use super::{
     commit_image, request_by_ext_syscall, AgentKind, Context, Initiation, MechanismInfo,
     ModuleFamily, Recorder, Recording, Shell,
 };
-use crate::capture::{capture_state, CaptureOptions, PageSelection};
+use crate::capture::{capture_state, guest_pages, CaptureOptions, PageSelection};
 use crate::lineage::Lineage;
 use crate::report::CkptOutcome;
 use crate::tracker::TrackerKind;
@@ -50,7 +50,8 @@ const SAVE_CHUNK_PAGES: usize = 16;
 struct ActiveSave {
     req: SaveReq,
     pages_left: Vec<u64>,
-    collected: Vec<ckpt_image::PageRecord>,
+    /// The pages the bursts copied, in the order they copied them.
+    copied: Vec<u64>,
     /// Accumulated page-copy cost across bursts (the Capture phase).
     capture_ns: u64,
 }
@@ -137,7 +138,7 @@ impl KernelModule for ForkCkptModule {
             self.active = Some(ActiveSave {
                 req,
                 pages_left,
-                collected: Vec::new(),
+                copied: Vec::new(),
                 capture_ns: 0,
             });
         }
@@ -150,16 +151,11 @@ impl KernelModule for ForkCkptModule {
             let n = save.pages_left.len().min(SAVE_CHUNK_PAGES);
             save.pages_left.drain(..n).collect()
         };
-        {
-            let Some(child) = k.process(save.req.child) else {
-                return self.next_status();
-            };
-            for pn in &burst {
-                if let Some(data) = child.mem.page_data(*pn) {
-                    save.collected.push(ckpt_image::PageRecord::capture(*pn, data));
-                }
-            }
-        }
+        let Some(child) = k.process(save.req.child) else {
+            return self.next_status();
+        };
+        let resident = burst.iter().filter(|pn| child.mem.page_data(**pn).is_some());
+        save.copied.extend(resident);
         let t = k.cost.memcpy(burst.len() as u64 * simos::cost::PAGE_SIZE);
         k.charge(t);
         save.capture_ns += t;
@@ -192,10 +188,12 @@ impl Recording for ForkCkptModule {
 
 impl ForkCkptModule {
     /// Assemble a finished save's image — the frozen child's non-page
-    /// state, the pages the bursts copied — in the parent's lineage, whose
-    /// id the header records so the image restores as the parent; store
-    /// it and emit its phases. `None` is a failed save; its seq is burned.
-    fn finish(&mut self, k: &mut Kernel, save: ActiveSave) -> Option<CkptOutcome> {
+    /// state, the pages the bursts copied, encoded where they sit in the
+    /// stopped child (the bursts charged their copies) — in the parent's
+    /// lineage, whose id the header records so the image restores as the
+    /// parent; store it and emit its phases. `None` is a failed save; its
+    /// seq is burned.
+    fn finish(&mut self, k: &mut Kernel, mut save: ActiveSave) -> Option<CkptOutcome> {
         let (req, name) = (&save.req, &self.name);
         let parent = req.parent.0;
         let new = || Lineage::new(&self.job, Some(parent), TrackerKind::FullOnly);
@@ -204,11 +202,12 @@ impl ForkCkptModule {
         let mut opts = CaptureOptions::full(name, seq);
         opts.pages = PageSelection::Set(Default::default());
         opts.id = lineage.id;
-        let (mut img, _) = capture_state(k, req.child, &opts).ok()?;
-        img.pages = save.collected;
-        img.pages.sort_by_key(|p| p.page_no);
+        let (state, _) = capture_state(k, req.child, &opts).ok()?;
+        save.copied.sort_unstable();
         k.faultpoint(name, "store").ok()?;
-        let encoded = ckpt_image::encode(&img);
+        let pages = guest_pages(k, req.child, &save.copied);
+        let pool = ckpt_par::Pool::new(1);
+        let encoded = ckpt_image::encode_borrowed_pages(&state, &pages, true, &pool);
         let receipt = commit_image(k, &self.storage, &self.job, parent, seq, &encoded).ok()?;
         drop(encoded);
         lineage.commit(seq);
@@ -233,12 +232,13 @@ impl ForkCkptModule {
         k.faultpoint(name, "resume").ok()?;
         k.trace.phase(name, Phase::Resume, parent, seq, k.now(), 0);
         super::emit_phase_residual(k, name, req.parent, seq, total_ns, req.trace0);
+        let memory_bytes = save.copied.len() as u64 * simos::cost::PAGE_SIZE;
         Some(CkptOutcome {
             seq,
             incremental: false,
-            pages_saved: img.page_count() as u64,
-            memory_bytes: img.memory_bytes(),
-            logical_dirty_bytes: img.memory_bytes(),
+            pages_saved: save.copied.len() as u64,
+            memory_bytes,
+            logical_dirty_bytes: memory_bytes,
             encoded_bytes: bytes,
             total_ns,
             app_stall_ns: req.fork_stall_ns,

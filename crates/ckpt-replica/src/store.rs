@@ -393,6 +393,19 @@ impl<C: Coding> QuorumStore<C> {
         })
     }
 
+    /// `objects` as one framed batch ([`StableStorage::store_batch`]),
+    /// under `digests` when the caller holds them.
+    pub(crate) fn commit_framed(
+        &mut self,
+        objects: &[(&str, &[u8])],
+        digests: Option<&[u64]>,
+        cost: &CostModel,
+    ) -> Result<BatchReceipt, StorageError> {
+        let wire =
+            WireFrame::framed(objects.iter().map(|(k, d)| (*k, self.coding.frame_len(d.len()))));
+        self.commit(objects, digests, &wire, cost)
+    }
+
     fn store_one(
         &mut self,
         key: &str,
@@ -610,9 +623,7 @@ impl<C: Coding> StableStorage for QuorumStore<C> {
         objects: &[(&str, &[u8])],
         cost: &CostModel,
     ) -> Result<BatchReceipt, StorageError> {
-        let wire =
-            WireFrame::framed(objects.iter().map(|(k, d)| (*k, self.coding.frame_len(d.len()))));
-        self.commit(objects, None, &wire, cost)
+        self.commit_framed(objects, None, cost)
     }
 }
 

@@ -171,6 +171,25 @@ impl<C: Coding> Striped<C> {
         stripe_route(key, self.stores.len())
     }
 
+    /// A batch of one, under `digest` when the caller holds it: a
+    /// single-object store exercises the same framed commit path (and the
+    /// same `<stem><j>/.../batch` faultpoint sites) as a full round.
+    fn store_one(
+        &mut self,
+        key: &str,
+        data: &[u8],
+        digest: Option<&[u64]>,
+        cost: &CostModel,
+    ) -> Result<StoreReceipt, StorageError> {
+        let j = self.home(key);
+        let r = self.stores[j].commit_framed(&[(key, data)], digest, cost)?;
+        Ok(StoreReceipt {
+            key: key.to_string(),
+            bytes: r.bytes,
+            time_ns: r.time_ns,
+        })
+    }
+
     /// Batched commit with per-stripe receipts: objects are grouped by
     /// stripe (original order preserved within a stripe) and each
     /// participating stripe commits its group as ONE framed batch.
@@ -232,16 +251,17 @@ impl<C: Coding> StableStorage for Striped<C> {
         data: &[u8],
         cost: &CostModel,
     ) -> Result<StoreReceipt, StorageError> {
-        // A batch of one: single-object stores exercise the same framed
-        // commit path (and the same `<stem><j>/.../batch` faultpoint
-        // sites) as full rounds.
-        let j = self.home(key);
-        let r = self.stores[j].store_batch(&[(key, data)], cost)?;
-        Ok(StoreReceipt {
-            key: key.to_string(),
-            bytes: r.bytes,
-            time_ns: r.time_ns,
-        })
+        self.store_one(key, data, None, cost)
+    }
+
+    fn store_digested(
+        &mut self,
+        key: &str,
+        data: &[u8],
+        digest: u64,
+        cost: &CostModel,
+    ) -> Result<StoreReceipt, StorageError> {
+        self.store_one(key, data, Some(&[digest]), cost)
     }
 
     fn load(&self, key: &str, cost: &CostModel) -> Result<(Vec<u8>, u64), StorageError> {

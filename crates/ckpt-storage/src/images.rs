@@ -4,7 +4,7 @@
 use crate::backend::{StableStorage, StorageError, StoreReceipt};
 use crate::key::ImageKey;
 use ckpt_image::{
-    decode, decode_with_pool, encode, ChainError, CheckpointImage, DecodeError, ImageKind, Pool,
+    decode, decode_with_pool, ChainError, CheckpointImage, DecodeError, ImageKind, Pool,
 };
 use simos::cost::CostModel;
 
@@ -44,21 +44,10 @@ impl From<ckpt_image::ChainError> for ImageStoreError {
     }
 }
 
-/// Encode and store an image under the canonical key.
-pub fn store_image(
-    storage: &mut dyn StableStorage,
-    job: &str,
-    img: &CheckpointImage,
-    cost: &CostModel,
-) -> Result<StoreReceipt, ImageStoreError> {
-    let key = ImageKey::new(job, img.header.pid, img.header.seq).to_string();
-    let bytes = encode(img);
-    Ok(storage.store(&key, &bytes, cost)?)
-}
-
-/// Store an already-encoded image under the canonical key derived from
-/// `(pid, seq)`. The bytes must be what [`ckpt_image::encode`] produces
-/// for that `(pid, seq)`.
+/// Store an encoded image under the canonical key derived from
+/// `(pid, seq)`. The bytes must be an image of that `(pid, seq)`, as the
+/// capture step ([`ckpt_image::encode_borrowed_pages`]) or
+/// [`ckpt_image::encode`] produces it.
 pub fn store_image_bytes(
     storage: &mut dyn StableStorage,
     job: &str,
@@ -290,9 +279,15 @@ mod tests {
     use super::*;
     use crate::media::LocalDisk;
     use ckpt_image::{
-        ImageHeader, PageRecord, PolicyRecord, ProgramRecord, RegsRecord, SigRecord,
+        encode, ImageHeader, PageRecord, PolicyRecord, ProgramRecord, RegsRecord, SigRecord,
     };
     use ChainPolicy::{Resilient, Strict};
+
+    /// Store `img`'s encoding under its canonical key.
+    fn store_encoded(disk: &mut LocalDisk, img: &CheckpointImage, c: &CostModel) {
+        let (pid, seq) = (img.header.pid, img.header.seq);
+        store_image_bytes(disk, "job", pid, seq, &encode(img), c).unwrap();
+    }
 
     type Loaded = Result<(CheckpointImage, u64), ImageStoreError>;
 
@@ -343,7 +338,7 @@ mod tests {
         let mut disk = LocalDisk::new(1 << 30);
         let c = CostModel::circa_2005();
         let image = img(1, 0, ImageKind::Full, vec![(1, 7)]);
-        store_image(&mut disk, "job", &image, &c).unwrap();
+        store_encoded(&mut disk, &image, &c);
         let (back, t) = latest(&disk, 1, &c).unwrap();
         assert_eq!(back, image);
         assert!(t > 0);
@@ -360,7 +355,7 @@ mod tests {
             img(3, 2, ImageKind::Incremental, vec![(2, 3)]),
             img(4, 3, ImageKind::Incremental, vec![(3, 4)]),
         ] {
-            store_image(&mut disk, "job", &image, &c).unwrap();
+            store_encoded(&mut disk, &image, &c);
         }
         let (full, _) = latest(&disk, 1, &c).unwrap();
         assert_eq!(full.work_done, 4, "state from the newest image");
@@ -393,7 +388,7 @@ mod tests {
             img(2, 1, ImageKind::Incremental, vec![]),
             img(3, 0, ImageKind::Full, vec![]),
         ] {
-            store_image(&mut disk, "job", &image, &c).unwrap();
+            store_encoded(&mut disk, &image, &c);
         }
         let n = prune_before(&mut disk, "job", 1, 3, &c).unwrap();
         assert_eq!(n, 2);
@@ -411,7 +406,7 @@ mod tests {
             img(2, 1, ImageKind::Incremental, vec![(2, 2)]),
             img(3, 2, ImageKind::Incremental, vec![(3, 3)]),
         ] {
-            store_image(&mut disk, "job", &image, &c).unwrap();
+            store_encoded(&mut disk, &image, &c);
         }
         // Cutting at seq 2 would delete the full image seq 2 depends on.
         let err = prune_before(&mut disk, "job", 1, 2, &c).unwrap_err();
@@ -435,7 +430,7 @@ mod tests {
             img(1, 0, ImageKind::Full, vec![(1, 1)]),
             img(2, 1, ImageKind::Incremental, vec![(2, 2)]),
         ] {
-            store_image(&mut disk, "job", &image, &c).unwrap();
+            store_encoded(&mut disk, &image, &c);
         }
         let (plain, t_plain) = latest(&disk, 1, &c).unwrap();
         let r = resilient(&disk, &c).unwrap();
@@ -452,7 +447,7 @@ mod tests {
             img(1, 0, ImageKind::Full, vec![(1, 1)]),
             img(2, 1, ImageKind::Incremental, vec![(2, 2)]),
         ] {
-            store_image(&mut disk, "job", &image, &c).unwrap();
+            store_encoded(&mut disk, &image, &c);
         }
         // A crash tore the newest incremental (seq 3) mid-write.
         let full3 = encode(&img(3, 2, ImageKind::Incremental, vec![(3, 3)]));
@@ -488,7 +483,7 @@ mod tests {
     fn valid_chain_loader_segment_observer_can_abort() {
         let mut disk = LocalDisk::new(1 << 30);
         let c = CostModel::circa_2005();
-        store_image(&mut disk, "job", &img(1, 0, ImageKind::Full, vec![(1, 1)]), &c).unwrap();
+        store_encoded(&mut disk, &img(1, 0, ImageKind::Full, vec![(1, 1)]), &c);
         let newest = ImageKey::new("job", 1, u64::MAX);
         let r = load_chain(&disk, &newest, Resilient, &c, &Pool::new(2), |seq| {
             Err(ChainError::Interrupted { at_seq: seq })
@@ -504,7 +499,7 @@ mod tests {
         let mut disk = LocalDisk::new(1 << 30);
         let c = CostModel::circa_2005();
         let image = img(1, 0, ImageKind::Full, vec![(1, 7)]);
-        store_image(&mut disk, "job", &image, &c).unwrap();
+        store_encoded(&mut disk, &image, &c);
         // Corrupt the stored bytes out-of-band.
         let key = ImageKey::new("job", 1, 1).to_string();
         let (mut bytes, _) = disk.load(&key, &c).unwrap();

@@ -26,4 +26,6 @@ mod table1;
 
 pub use figure1::{render as render_figure1, taxonomy};
 pub use systems::{System, SYSTEMS};
-pub use table1::{generated as table1_generated, paper as table1_paper, render as render_table1};
+pub use table1::{
+    generated as table1_generated, paper as table1_paper, render as render_table1, table,
+};

@@ -52,45 +52,38 @@ pub fn paper() -> Vec<TableRow> {
 
 /// Render rows as a fixed-width ASCII table.
 pub fn render(rows: &[TableRow]) -> String {
-    let cols: Vec<Vec<String>> = {
-        let mut c = vec![Vec::new(); 6];
-        for (i, h) in HEADERS.iter().enumerate() {
-            c[i].push(h.to_string());
-        }
-        for r in rows {
-            c[0].push(r.name.to_string());
-            c[1].push(r.incremental.to_string());
-            c[2].push(r.transparency.to_string());
-            c[3].push(r.stable_storage.to_string());
-            c[4].push(r.initiation.to_string());
-            c[5].push(r.kernel_module.to_string());
-        }
-        c
-    };
-    let widths: Vec<usize> = cols
+    let cells: Vec<Vec<String>> = rows
         .iter()
-        .map(|c| c.iter().map(|s| s.len()).max().unwrap_or(0))
+        .map(|r| {
+            let (name, inc, tr, storage) = (r.name, r.incremental, r.transparency, r.stable_storage);
+            [name, inc, tr, storage, r.initiation, r.kernel_module].map(String::from).to_vec()
+        })
         .collect();
-    let mut out = String::new();
-    let line = |out: &mut String| {
-        for w in &widths {
-            out.push('+');
-            out.push_str(&"-".repeat(w + 2));
-        }
-        out.push_str("+\n");
-    };
-    line(&mut out);
-    for row_idx in 0..cols[0].len() {
-        for (ci, c) in cols.iter().enumerate() {
-            out.push_str(&format!("| {:<width$} ", c[row_idx], width = widths[ci]));
-        }
-        out.push_str("|\n");
-        if row_idx == 0 {
-            line(&mut out);
+    table(&HEADERS, &cells)
+}
+
+/// Format a text table: the header row, a rule, the data rows, each
+/// column padded to its widest cell and framed by `+---+` rules.
+pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let header: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
+    let mut widths = vec![0; headers.len()];
+    for row in std::iter::once(&header).chain(rows) {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
         }
     }
-    line(&mut out);
-    out
+    let rule = widths.iter().map(|w| format!("+{}", "-".repeat(w + 2))).collect::<String>() + "+\n";
+    let mut out = rule.clone();
+    for (i, row) in std::iter::once(&header).chain(rows).enumerate() {
+        for (w, cell) in widths.iter().zip(row) {
+            out.push_str(&format!("| {cell:<w$} "));
+        }
+        out.push_str("|\n");
+        if i == 0 {
+            out.push_str(&rule);
+        }
+    }
+    out + &rule
 }
 
 #[cfg(test)]
@@ -105,6 +98,13 @@ mod tests {
         for (g, e) in gen.iter().zip(&expect) {
             assert_eq!(g, e, "row for {} diverges from the paper", e.name);
         }
+    }
+
+    #[test]
+    fn table_pads_columns() {
+        let t = table(&["a", "long-header"], &[vec!["xxxx".into(), "y".into()]]);
+        assert!(t.contains("| xxxx | y           |"));
+        assert!(t.lines().count() >= 5);
     }
 
     #[test]

@@ -14,11 +14,11 @@ use crate::mem::{AccessOutcome, AddressSpace, Prot, TrackMode, TEXT_BASE};
 #[cfg(test)]
 use crate::mem::DATA_BASE;
 use crate::module::{KernelModule, KthreadStatus};
-use crate::pcb::{FdEntry, FdTable, Pcb, ProcState, ProgramSpec, Regs};
+use crate::pcb::{FdEntry, Pcb, ProcState, ProgramSpec, Regs};
 use crate::relink::Relink;
 use crate::sched::{RunQueue, SchedPolicy};
 use crate::signal::{
-    builtin_default_action, DefaultAction, Sig, SigAction, SignalState, UserHandlerKind,
+    builtin_default_action, DefaultAction, Sig, SigAction, UserHandlerKind,
 };
 use crate::stats::KernelStats;
 use crate::syscall::{MaskHow, Syscall, Whence};
@@ -38,6 +38,24 @@ pub(crate) enum OfdKind {
     Regular,
     Device { module: String, minor: u32 },
     Proc { module: String, tag: String },
+}
+
+impl OfdKind {
+    /// What a description of `node` points at: the module behind a device
+    /// or `/proc` entry, else a regular file (made if absent).
+    fn of(node: Option<&FsNode>) -> OfdKind {
+        match node {
+            Some(FsNode::Device { module, minor }) => OfdKind::Device {
+                module: module.clone(),
+                minor: *minor,
+            },
+            Some(FsNode::Proc { module, tag }) => OfdKind::Proc {
+                module: module.clone(),
+                tag: tag.clone(),
+            },
+            _ => OfdKind::Regular,
+        }
+    }
 }
 
 /// A kernel open-file description (shared between dup'ed descriptors).
@@ -289,26 +307,11 @@ impl Kernel {
         let data_bytes = PAGE_SIZE + params.mem_bytes + PAGE_SIZE;
         let mem = AddressSpace::new(PAGE_SIZE, data_bytes);
         let pid = self.alloc_pid();
-        let pcb = Pcb {
-            pid,
-            ppid: Pid(0),
-            state: ProcState::Ready,
-            policy: SchedPolicy::Other { nice: 0 },
-            regs: Regs::default(),
-            mem,
-            fds: FdTable::new(),
-            sig: SignalState::new(),
-            program: ProgramSpec::Native {
-                kind,
-                params: params.clone(),
-            },
-            user_rt: crate::userrt::UserRuntime::new(),
-            cpu_ns: 0,
-            start_ns: self.clock,
-            work_done: 0,
-            frozen_for_ckpt: false,
-            cow_pending: Default::default(),
+        let program = ProgramSpec::Native {
+            kind,
+            params: params.clone(),
         };
+        let pcb = Pcb::new(pid, program, mem, self.clock);
         self.procs.insert(pid.0, pcb);
         // Initialize app state in guest memory (charged as one bulk copy
         // for the kinds that pre-fill their arrays).
@@ -338,25 +341,13 @@ impl Kernel {
             ..Regs::default()
         };
         regs.gpr[crate::asm::SP as usize] = crate::mem::STACK_TOP - 64;
+        let program = ProgramSpec::Vm {
+            text,
+            name: name.to_string(),
+        };
         let pcb = Pcb {
-            pid,
-            ppid: Pid(0),
-            state: ProcState::Ready,
-            policy: SchedPolicy::Other { nice: 0 },
             regs,
-            mem,
-            fds: FdTable::new(),
-            sig: SignalState::new(),
-            program: ProgramSpec::Vm {
-                text,
-                name: name.to_string(),
-            },
-            user_rt: crate::userrt::UserRuntime::new(),
-            cpu_ns: 0,
-            start_ns: self.clock,
-            work_done: 0,
-            frozen_for_ckpt: false,
-            cow_pending: Default::default(),
+            ..Pcb::new(pid, program, mem, self.clock)
         };
         self.procs.insert(pid.0, pcb);
         self.runqueue
@@ -1204,43 +1195,24 @@ impl Kernel {
     }
 
     fn sys_open(&mut self, pid: Pid, path: &str, flags: OpenFlags, interposes: bool) -> SysResult {
-        let kind = match self.fs.get(path) {
-            Some(FsNode::File { .. }) => {
-                if flags.truncate {
-                    self.fs.create_file(path).map_err(fs_errno)?;
-                }
-                OfdKind::Regular
-            }
-            Some(FsNode::Device { module, minor }) => OfdKind::Device {
-                module: module.clone(),
-                minor: *minor,
-            },
-            Some(FsNode::Proc { module, tag }) => OfdKind::Proc {
-                module: module.clone(),
-                tag: tag.clone(),
-            },
+        let node = self.fs.get(path);
+        let absent = node.is_none();
+        match node {
             Some(FsNode::Dir) => return Err(Errno::EACCES),
-            None => {
-                if flags.create {
-                    self.fs.create_file(path).map_err(fs_errno)?;
-                    OfdKind::Regular
-                } else {
-                    return Err(Errno::ENOENT);
-                }
-            }
-        };
-        let id = OfdId(self.next_ofd);
-        self.next_ofd += 1;
-        self.ofds.insert(
-            id.0,
-            OpenFile {
-                path: path.to_string(),
-                kind,
-                offset: 0,
-                flags,
-                refs: 1,
-            },
-        );
+            None if !flags.create => return Err(Errno::ENOENT),
+            _ => {}
+        }
+        let kind = OfdKind::of(node);
+        if kind == OfdKind::Regular && (absent || flags.truncate) {
+            self.fs.create_file(path).map_err(fs_errno)?;
+        }
+        let id = self.install_ofd(OpenFile {
+            path: path.to_string(),
+            kind,
+            offset: 0,
+            flags,
+            refs: 1,
+        });
         let p = self.procs.get_mut(&pid.0).ok_or(Errno::ESRCH)?;
         let fd = p.fds.alloc(id);
         if interposes {
@@ -1397,35 +1369,23 @@ impl Kernel {
 
     /// Recreate an open-file description during restart; returns its id.
     pub fn restore_ofd(&mut self, path: &str, offset: u64, flags: OpenFlags) -> OfdId {
-        let kind = match self.fs.get(path) {
-            Some(FsNode::Device { module, minor }) => OfdKind::Device {
-                module: module.clone(),
-                minor: *minor,
-            },
-            Some(FsNode::Proc { module, tag }) => OfdKind::Proc {
-                module: module.clone(),
-                tag: tag.clone(),
-            },
-            _ => OfdKind::Regular,
-        };
-        if matches!(kind, OfdKind::Regular) && !self.fs.exists(path) {
+        let kind = OfdKind::of(self.fs.get(path));
+        if kind == OfdKind::Regular && !self.fs.exists(path) {
             // Restore of a file that does not exist on this node: recreate
             // it empty (UCLiK-style file-content restoration is handled a
             // level up, by the checkpoint engine).
             let _ = self.fs.create_file(path);
         }
+        // `adopt_process` takes the references, one per descriptor.
+        let path = path.to_string();
+        self.install_ofd(OpenFile { path, kind, offset, flags, refs: 0 })
+    }
+
+    /// Install `ofd` under the next open-file id.
+    fn install_ofd(&mut self, ofd: OpenFile) -> OfdId {
         let id = OfdId(self.next_ofd);
         self.next_ofd += 1;
-        self.ofds.insert(
-            id.0,
-            OpenFile {
-                path: path.to_string(),
-                kind,
-                offset,
-                flags,
-                refs: 0, // adopt_process bumps per descriptor
-            },
-        );
+        self.ofds.insert(id.0, ofd);
         id
     }
 

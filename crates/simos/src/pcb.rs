@@ -149,6 +149,31 @@ pub struct Pcb {
 }
 
 impl Pcb {
+    /// A new process `pid` running `program` in `mem`, born at `start_ns`:
+    /// no parent (ppid 0), ready under the default policy with zeroed
+    /// registers, no descriptors, default signal state, a fresh user
+    /// runtime, no CPU time or work done, not frozen, no page
+    /// copy-on-write pending. Spawn and restore override what they carry.
+    pub fn new(pid: Pid, program: ProgramSpec, mem: AddressSpace, start_ns: u64) -> Pcb {
+        Pcb {
+            pid,
+            ppid: Pid(0),
+            state: ProcState::Ready,
+            policy: SchedPolicy::Other { nice: 0 },
+            regs: Regs::default(),
+            mem,
+            fds: FdTable::new(),
+            sig: SignalState::new(),
+            program,
+            user_rt: UserRuntime::new(),
+            cpu_ns: 0,
+            start_ns,
+            work_done: 0,
+            frozen_for_ckpt: false,
+            cow_pending: Default::default(),
+        }
+    }
+
     pub fn has_exited(&self) -> bool {
         matches!(self.state, ProcState::Zombie { .. })
     }

@@ -65,7 +65,7 @@ pub struct UserRuntime {
 }
 
 impl UserRuntime {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

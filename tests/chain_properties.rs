@@ -16,8 +16,8 @@ use ckpt_restart::image::{
 use ckpt_restart::image::{encode, ChainError};
 use ckpt_restart::par::Pool;
 use ckpt_restart::storage::{
-    load_chain, prune_before, prune_superseded, store_image, ChainLoad, ChainPolicy, ImageKey,
-    ImageStoreError, LocalDisk, StableStorage, StorageError,
+    load_chain, prune_before, prune_superseded, store_image_bytes, ChainLoad, ChainPolicy,
+    ImageKey, ImageStoreError, LocalDisk, StableStorage, StorageError,
 };
 use common::Gen;
 use simos::cost::CostModel;
@@ -26,6 +26,12 @@ use std::collections::BTreeMap;
 const CASES: u64 = 48;
 const PID: u32 = 7;
 const JOB: &str = "prop";
+
+/// Store `img`'s encoding under its canonical key.
+fn store_encoded(storage: &mut dyn StableStorage, img: &CheckpointImage, cost: &CostModel) {
+    let (pid, seq) = (img.header.pid, img.header.seq);
+    store_image_bytes(storage, JOB, pid, seq, &encode(img), cost).unwrap();
+}
 
 fn mk(seq: u64, parent: u64, kind: ImageKind, pages: Vec<(u64, u8)>) -> CheckpointImage {
     CheckpointImage {
@@ -126,7 +132,7 @@ fn random_chains_with_random_prunes_round_trip() {
         let chain = arb_chain(&mut g);
         let mut disk = LocalDisk::new(1 << 30);
         for img in &chain {
-            store_image(&mut disk, JOB, img, &cost).unwrap();
+            store_encoded(&mut disk, img, &cost);
         }
         let expect = model_of(&chain);
         assert_eq!(materialize(&disk), expect, "case {case}: stored chain diverged");
@@ -198,9 +204,9 @@ fn unguarded_prune_equals_guarded_prune_at_every_full_cutoff() {
                 // A second lineage that no prune of this one may touch.
                 let mut other = mk(1, 0, ImageKind::Full, vec![(0, 9)]);
                 other.header.pid = PID + 1;
-                store_image(&mut disk, JOB, &other, &cost).unwrap();
+                store_encoded(&mut disk, &other, &cost);
                 for img in &chain {
-                    store_image(&mut disk, JOB, img, &cost).unwrap();
+                    store_encoded(&mut disk, img, &cost);
                 }
                 disk
             };
@@ -244,7 +250,7 @@ fn prune_keeping_an_orphan_names_the_dependency() {
         mk(2, 1, ImageKind::Incremental, vec![(1, 2)]),
         mk(3, 2, ImageKind::Incremental, vec![(2, 3)]),
     ] {
-        store_image(&mut disk, JOB, &img, &cost).unwrap();
+        store_encoded(&mut disk, &img, &cost);
     }
     let err = prune_before(&mut disk, JOB, PID, 2, &cost).unwrap_err();
     let msg = err.to_string();
@@ -280,7 +286,7 @@ fn strict_load_refuses_what_resilient_falls_back_past() {
         let cap = g.range(1, len + 1);
         let mut disk = LocalDisk::new(1 << 30);
         for img in &chain {
-            store_image(&mut disk, JOB, img, &cost).unwrap();
+            store_encoded(&mut disk, img, &cost);
         }
         tear(
             &mut disk,

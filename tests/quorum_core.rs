@@ -17,8 +17,8 @@
 //!   coded rows of a key whose every frame is torn moved, from a false
 //!   `NotFound` to the typed refusal.
 //! * Every quorum stack hands digests up and down through the fault
-//!   decorator, and the coded tier's trace counters reach a recording
-//!   sink.
+//!   decorator, a pool hands a caller's digest to its member's commit,
+//!   and the coded tier's trace counters reach a recording sink.
 
 use std::sync::Arc;
 
@@ -685,6 +685,30 @@ fn a_key_whose_every_frame_is_torn_is_refused_not_absent() {
         Err(StorageError::QuorumLost { acked: 0, needed: 2 })
     );
     assert_eq!(rep.stats().quorum_losses, 1);
+}
+
+/// A pool takes the digest a caller hands down as its bare member does: a
+/// store under a digest that is not the data's leaves frames the next
+/// load refuses, with the member's own typed error. A pool that hashed
+/// the bytes again instead would return them.
+#[test]
+fn a_pool_commits_under_the_digest_handed_down() {
+    let cost = CostModel::circa_2005();
+    let data = payload(1, 1);
+    let refusal = |label: &str| {
+        let mut s = build(label, FaultHandle::disabled()).store;
+        s.store_digested(&key(1), &data, !digest64(&data), &cost)
+            .unwrap();
+        s.load(&key(1), &cost).map(|(bytes, _)| bytes == data)
+    };
+    for (pool, member) in [
+        ("striped(2x3,2)", "replicated(3,2)"),
+        ("ecstriped(2x rs(4,2))", "rs(4,2)"),
+    ] {
+        let want = refusal(member);
+        assert!(want.is_err(), "{member}: {want:?}");
+        assert_eq!(refusal(pool), want, "{pool}");
+    }
 }
 
 /// The coded tier's trace counters reach a recording sink, given to one

@@ -18,7 +18,8 @@ use ckpt_restart::par::Pool;
 use ckpt_restart::replica::{Probe, ReplicatedStore};
 use ckpt_restart::storage::ChainPolicy::Resilient;
 use ckpt_restart::storage::{
-    load_chain, store_image, ChainLoad, ImageKey, ImageStoreError, StorageError,
+    load_chain, store_image_bytes, ChainLoad, ImageKey, ImageStoreError, StableStorage,
+    StorageError, StoreReceipt,
 };
 use common::Gen;
 use simos::cost::CostModel;
@@ -26,6 +27,16 @@ use simos::cost::CostModel;
 const CASES: u64 = 32;
 const PID: u32 = 7;
 const JOB: &str = "repl-prop";
+
+/// Store `img`'s encoding under its canonical key.
+fn store_encoded(
+    storage: &mut dyn StableStorage,
+    img: &CheckpointImage,
+    cost: &CostModel,
+) -> StoreReceipt {
+    let (pid, seq) = (img.header.pid, img.header.seq);
+    store_image_bytes(storage, JOB, pid, seq, &encode(img), cost).unwrap()
+}
 
 fn mk(seq: u64, parent: u64, kind: ImageKind, pages: Vec<(u64, u8)>) -> CheckpointImage {
     CheckpointImage {
@@ -125,7 +136,7 @@ fn damage_within_tolerance_materializes_digest_identically() {
         let mut store = ReplicatedStore::fresh(n, w);
         let mut keys = Vec::new();
         for img in &chain {
-            keys.push(store_image(&mut store, JOB, img, &cost).unwrap().key);
+            keys.push(store_encoded(&mut store, img, &cost).key);
         }
         let baseline = encode(&load_newest(&store, &cost).unwrap().image);
 
@@ -165,7 +176,7 @@ fn damage_beyond_tolerance_is_quorum_lost_never_a_wrong_answer() {
         let mut store = ReplicatedStore::fresh(n, w);
         let mut keys = Vec::new();
         for img in &chain {
-            keys.push(store_image(&mut store, JOB, img, &cost).unwrap().key);
+            keys.push(store_encoded(&mut store, img, &cost).key);
         }
         let baseline = encode(&load_newest(&store, &cost).unwrap().image);
 
@@ -213,7 +224,7 @@ fn losing_the_newest_segments_quorum_always_refuses_typed() {
         let mut store = ReplicatedStore::fresh(n, w);
         let mut keys = Vec::new();
         for img in &chain {
-            keys.push(store_image(&mut store, JOB, img, &cost).unwrap().key);
+            keys.push(store_encoded(&mut store, img, &cost).key);
         }
         damage_segment(&mut g, &store, keys.last().unwrap(), n - w + 1);
         let err =
@@ -236,7 +247,7 @@ fn read_repair_rebuilds_damaged_replicas_to_intact_frames() {
         let (n, w) = quorums(case);
         let mut store = ReplicatedStore::fresh(n, w);
         let img = mk(1, 0, ImageKind::Full, (0u64..4).map(|i| (i, g.byte())).collect());
-        let key = store_image(&mut store, JOB, &img, &cost).unwrap().key;
+        let key = store_encoded(&mut store, &img, &cost).key;
         damage_segment(&mut g, &store, &key, n - w);
         load_newest(&store, &cost).unwrap();
         // After one quorum read every reachable replica holds an intact
