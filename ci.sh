@@ -38,11 +38,13 @@ cargo test -q --workspace -- --skip "$MATRIX"
 # content digests run on that kernel, at the codegen the benchmark runs,
 # and the checkpoint's image encoder, which CRCs its runs there: its
 # byte-identity check (the engine's bytes against the records') is
-# par_pipeline_properties. A `--test` flag narrows every package it is
-# given with, so that target is its own command.
+# par_pipeline_properties, and livemig_properties drives it through
+# migration, which encodes and lands every image on it, at pool widths
+# 1, 4 and 8. A `--test` flag narrows every package it is given with, so
+# those targets are their own command.
 phase 'CRC kernel, its digest crates and the image encoder, tests in release'
 cargo test --release -q -p ckpt-image -p ckpt-cas -p ckpt-replica -p ckpt-ec
-cargo test --release -q -p ckpt-restart --test par_pipeline_properties
+cargo test --release -q -p ckpt-restart --test par_pipeline_properties --test livemig_properties
 
 # The one test with a wall-clock budget (tests/crash_matrix.rs): the
 # matrix must stay cheap enough to never be sampled or skipped in CI.

@@ -4,7 +4,6 @@
 //! below are exactly reproducible (`cargo run --bin report -- all`).
 
 use crate::fmt::{bytes, ns};
-use ckpt_survey::table;
 use ckpt_cluster::{
     interval_sweep, migrate, simulate_job, Cluster, FailureConfig, JobRunConfig, MigrationMode,
     NodeId,
@@ -19,6 +18,7 @@ use ckpt_core::{
 use ckpt_storage::{
     LocalDisk, RamStore, RemoteServer, RemoteStore, StableStorage, StorageClass, SwapStore,
 };
+use ckpt_survey::table;
 use simos::apps::{AppParams, NativeKind};
 use simos::cost::CostModel;
 use simos::fs::OpenFlags;

@@ -17,7 +17,6 @@
 use crate::artifact::Json;
 use crate::experiments::guest_lineage;
 use crate::fmt::{bytes, ns};
-use ckpt_survey::table;
 use crate::sweep::{run_sweep, AxisValue, JobResult, JobSpec, SweepPlan, SweepRun};
 use ckpt_cluster::{
     scale_round, Cluster, FailureConfig, MpiJob, ScaleConfig, ScalePoint, ShardedCoordinator,
@@ -26,6 +25,7 @@ use ckpt_core::TrackerKind;
 use ckpt_ec::ErasureStore;
 use ckpt_replica::ReplicatedStore;
 use ckpt_storage::{ImageKey, StableStorage, StorageError};
+use ckpt_survey::table;
 use simos::apps::{AppParams, NativeKind};
 use simos::cost::CostModel;
 

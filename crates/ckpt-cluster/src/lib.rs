@@ -16,8 +16,9 @@
 //!   global cut (LAM/MPI's per-image protocol is one rank per shard), and
 //!   the 1k–10k node scale model ([`scale_round`]);
 //! * [`migrate()`] — the one migration cutover (freeze bracket, wire
-//!   faultpoints, landing, retiring the source) and freeze-copy migration
-//!   over it, with or without pod virtualization;
+//!   faultpoints, landing the shipped bytes, retiring the source) and
+//!   freeze-copy migration over it, with or without pod virtualization;
+//!   every migration image is taken by [`ckpt_core::Lineage::capture`];
 //! * [`livemig`] — what iterative pre-copy and post-copy live migration
 //!   add around that cutover (dirty rounds with a dirty-rate-adaptive
 //!   cutover policy before it, the demand/prefetch drain after it), plus

@@ -9,10 +9,11 @@
 //! ([`ckpt_core::pod`]).
 //!
 //! Every strategy is the same **cutover** (`Cutover`): freeze the source,
-//! put an image on the wire, land it on the target, retire the source's
-//! copy. [`migrate()`] is exactly that with a full image; the live
-//! strategies of [`crate::livemig`] differ only in what crosses the wire
-//! before the cutover (pre-copy's dirty rounds), after it (post-copy's
+//! put an image taken by the one capture step on the wire, land the bytes
+//! that crossed it on the target, retire the source's copy. [`migrate()`]
+//! is exactly that with a full image; the live strategies of
+//! [`crate::livemig`] differ only in what crosses the wire before the
+//! cutover (pre-copy's dirty rounds), after it (post-copy's
 //! demand/prefetch drain), and in what image the cutover ships.
 
 use crate::cluster::Cluster;
@@ -108,7 +109,11 @@ impl<'c> Cutover<'c> {
     /// they rebuild ([`landed_image`]) there, running. The target copies
     /// in the last segment; the earlier ones arrived while the source ran.
     /// Returns the new pid and the target time the landing took.
-    pub(crate) fn land(&mut self, shipped: &[Vec<u8>], landing: Landing<'_>) -> SimResult<(Pid, u64)> {
+    pub(crate) fn land(
+        &mut self,
+        shipped: &[Vec<u8>],
+        landing: Landing<'_>,
+    ) -> SimResult<(Pid, u64)> {
         let k = self.cluster.kernel(self.to)?;
         let image = landed_image(shipped)?;
         let t_rx = k.now();

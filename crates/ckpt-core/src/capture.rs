@@ -100,8 +100,9 @@ impl CaptureOptions {
 /// Capture `pid`'s state into an image, charging kernel-side copy costs.
 /// The caller is responsible for the process being quiescent (frozen, or
 /// running this code in its own context). The state half of a capture,
-/// then the pages' records; [`crate::Lineage::capture`] encodes the image
-/// from the pages instead, without records.
+/// then the pages' records. Its callers are ckptbench's unrolled world and
+/// tests: every checkpointer takes its image with
+/// [`crate::Lineage::capture`], which encodes from the pages, no records.
 pub fn capture_image(k: &mut Kernel, pid: Pid, opts: &CaptureOptions) -> SimResult<CheckpointImage> {
     let (mut img, page_numbers) = capture_state(k, pid, opts)?;
     let pages = guest_pages(k, pid, &page_numbers);

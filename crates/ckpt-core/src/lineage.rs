@@ -1,8 +1,10 @@
 //! One checkpoint lineage, and the capture step every checkpointer runs on
 //! it. Figure 1's mechanisms differ in initiation and context, not in how
-//! an image is taken: the engine's round, hibernation's per-process loop
-//! and a coordinated rank all run [`Lineage::capture`] and part only at
-//! the commit (`commit_image`, or a shard's `store_batch`).
+//! an image is taken: the engine's round, hibernation's per-process loop,
+//! a coordinated rank and every migration run [`Lineage::capture`] and
+//! part only at where the bytes go (`commit_image`, a shard's
+//! `store_batch`, a migration's wire). Fork-concurrent alone copies its
+//! pages in bursts, then encodes them in place from the stopped child.
 
 use crate::capture::{capture_state, guest_pages, CaptureOptions, PageSelection};
 use crate::report::CkptOutcome;

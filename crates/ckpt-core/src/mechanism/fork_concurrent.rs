@@ -50,7 +50,8 @@ const SAVE_CHUNK_PAGES: usize = 16;
 struct ActiveSave {
     req: SaveReq,
     pages_left: Vec<u64>,
-    /// The pages the bursts copied, in the order they copied them.
+    /// The pages the bursts copied, in page order (they drain
+    /// `pages_left`, the child's resident pages, lowest first).
     copied: Vec<u64>,
     /// Accumulated page-copy cost across bursts (the Capture phase).
     capture_ns: u64,
@@ -154,7 +155,9 @@ impl KernelModule for ForkCkptModule {
         let Some(child) = k.process(save.req.child) else {
             return self.next_status();
         };
-        let resident = burst.iter().filter(|pn| child.mem.page_data(**pn).is_some());
+        let resident = burst
+            .iter()
+            .filter(|pn| child.mem.page_data(**pn).is_some());
         save.copied.extend(resident);
         let t = k.cost.memcpy(burst.len() as u64 * simos::cost::PAGE_SIZE);
         k.charge(t);
@@ -193,7 +196,7 @@ impl ForkCkptModule {
     /// lineage, whose id the header records so the image restores as the
     /// parent; store it and emit its phases. `None` is a failed save; its
     /// seq is burned.
-    fn finish(&mut self, k: &mut Kernel, mut save: ActiveSave) -> Option<CkptOutcome> {
+    fn finish(&mut self, k: &mut Kernel, save: ActiveSave) -> Option<CkptOutcome> {
         let (req, name) = (&save.req, &self.name);
         let parent = req.parent.0;
         let new = || Lineage::new(&self.job, Some(parent), TrackerKind::FullOnly);
@@ -203,7 +206,6 @@ impl ForkCkptModule {
         opts.pages = PageSelection::Set(Default::default());
         opts.id = lineage.id;
         let (state, _) = capture_state(k, req.child, &opts).ok()?;
-        save.copied.sort_unstable();
         k.faultpoint(name, "store").ok()?;
         let pages = guest_pages(k, req.child, &save.copied);
         let pool = ckpt_par::Pool::new(1);

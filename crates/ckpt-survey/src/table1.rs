@@ -55,8 +55,16 @@ pub fn render(rows: &[TableRow]) -> String {
     let cells: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            let (name, inc, tr, storage) = (r.name, r.incremental, r.transparency, r.stable_storage);
-            [name, inc, tr, storage, r.initiation, r.kernel_module].map(String::from).to_vec()
+            [
+                r.name,
+                r.incremental,
+                r.transparency,
+                r.stable_storage,
+                r.initiation,
+                r.kernel_module,
+            ]
+            .map(String::from)
+            .to_vec()
         })
         .collect();
     table(&HEADERS, &cells)
@@ -72,7 +80,11 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
             *w = (*w).max(cell.len());
         }
     }
-    let rule = widths.iter().map(|w| format!("+{}", "-".repeat(w + 2))).collect::<String>() + "+\n";
+    let rule = widths
+        .iter()
+        .map(|w| format!("+{}", "-".repeat(w + 2)))
+        .collect::<String>()
+        + "+\n";
     let mut out = rule.clone();
     for (i, row) in std::iter::once(&header).chain(rows).enumerate() {
         for (w, cell) in widths.iter().zip(row) {

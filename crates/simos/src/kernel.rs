@@ -17,9 +17,7 @@ use crate::module::{KernelModule, KthreadStatus};
 use crate::pcb::{FdEntry, Pcb, ProcState, ProgramSpec, Regs};
 use crate::relink::Relink;
 use crate::sched::{RunQueue, SchedPolicy};
-use crate::signal::{
-    builtin_default_action, DefaultAction, Sig, SigAction, UserHandlerKind,
-};
+use crate::signal::{builtin_default_action, DefaultAction, Sig, SigAction, UserHandlerKind};
 use crate::stats::KernelStats;
 use crate::syscall::{MaskHow, Syscall, Whence};
 use crate::timer::{TimerAction, TimerId, TimerWheel};

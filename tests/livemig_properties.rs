@@ -28,8 +28,8 @@ use ckpt_cluster::livemig::{migrate_postcopy, migrate_precopy, LiveMigConfig};
 use ckpt_cluster::{migrate, Cluster, FailureConfig, MigrationMode, NodeId};
 use ckpt_core::mechanism::family;
 use ckpt_core::pod::Pod;
-use ckpt_core::tracker::TrackerKind;
 use ckpt_core::shared_storage;
+use ckpt_core::tracker::TrackerKind;
 use ckpt_storage::{digest64, ImageKey, LocalDisk};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -263,7 +263,8 @@ fn every_migration_and_fork_concurrent_outcome_is_pinned() {
             };
             let fd = Fd(k.do_syscall(pid, open).unwrap() as u32);
             let buf = apps::ARRAY_BASE;
-            k.do_syscall(pid, Syscall::Write { fd, buf, len: 24 }).unwrap();
+            k.do_syscall(pid, Syscall::Write { fd, buf, len: 24 })
+                .unwrap();
             c.advance(1_000_000);
             let mut pod = Pod::new("pin");
             let cfg = LiveMigConfig::default();
@@ -314,8 +315,8 @@ fn every_migration_and_fork_concurrent_outcome_is_pinned() {
                 .map(|(fd, e)| {
                     let ofd = k.ofd(e.ofd).unwrap();
                     let data = k.fs.read_file(&ofd.path).unwrap();
-                    let (path, at) = (&ofd.path, ofd.offset);
-                    format!("{}:{path}@{at}/{}:{:016x}", fd.0, data.len(), digest64(data))
+                    let (path, at, len) = (&ofd.path, ofd.offset, data.len());
+                    format!("{}:{path}@{at}/{len}:{:016x}", fd.0, digest64(data))
                 })
                 .collect();
             got.push(format!(
